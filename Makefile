@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint fuzz-smoke race bench telemetry-budget trace-budget
+.PHONY: all build test check fmt vet lint fuzz-smoke race bench telemetry-budget trace-budget loc
 
 all: build test
 
@@ -19,11 +19,10 @@ check: fmt vet lint race telemetry-budget trace-budget
 # generic linters cannot see: consensus determinism (detsource),
 # errors.Is discipline (senterr), crypto-free mutex critical sections
 # (locksafe), acyclic lock ordering (lockorder), terminating goroutines
-# (goleak), stable /metrics names (metricname), bounded network-sized
-# allocations (boundalloc), wire-input taint tracking (wiretaint),
-# structured-logging discipline (logdisc), and durable commits
-# (fsyncdisc). Run `scvet -list` for the catalog. Audited exceptions
-# live in .scvet.allow with their justifications; see DESIGN.md §9.
+# (goleak), stable /metrics names (metricname), wire-input taint
+# tracking (wiretaint), structured-logging discipline (logdisc), and
+# durable commits (fsyncdisc). Run `scvet -list` for the catalog. Audited
+# exceptions live in .scvet.allow with their justifications (DESIGN.md §9).
 lint:
 	$(GO) run ./cmd/scvet ./...
 
@@ -69,9 +68,16 @@ telemetry-budget:
 	$(GO) test ./internal/telemetry/ -run TestCounterOverheadBudget -count=1 -v
 
 # trace-budget fails if opening and ending a traced span (id stamping +
-# span ring + trace-store filing) costs more than the budget (5 µs/op by
-# default; override with SMARTCROWD_TRACE_BUDGET_NS). Must run without
-# -race for the same reason as telemetry-budget. The tracecost bench
-# experiment gates the same number plus the wire-envelope cost.
+# trace-store filing) costs more than the budget (5 µs/op by default;
+# override with SMARTCROWD_TRACE_BUDGET_NS). Must run without -race, like
+# telemetry-budget. The tracecost bench experiment gates the same number.
 trace-budget:
 	$(GO) test ./internal/telemetry/ -run TestTraceOverheadBudget -count=1 -v
+
+# loc prints tracked line counts in the three buckets a PR's CHANGES.md
+# entry reports its net delta in: non-test Go, test Go (with testdata),
+# and docs. benchmark/ is excluded (frozen by BENCHMARK.json).
+loc:
+	@printf 'non-test Go %s\n' "$$(git ls-files -- '*.go' ':!*_test.go' ':!*/testdata/*' ':!benchmark' | xargs cat | wc -l)"
+	@printf 'test Go     %s\n' "$$(git ls-files -- '*_test.go' '*/testdata/*' ':!benchmark' | xargs cat | wc -l)"
+	@printf 'docs        %s\n' "$$(git ls-files -- '*.md' ':!benchmark' | xargs cat | wc -l)"

@@ -4,9 +4,8 @@
 // consensus determinism (detsource), errors.Is discipline (senterr),
 // crypto-free critical sections (locksafe), deadlock-free lock ordering
 // (lockorder), terminating goroutines (goleak), stable /metrics names
-// (metricname), bounded network-sized allocations (boundalloc), wire
-// taint tracking (wiretaint), event-discipline (logdisc), and durable
-// commits (fsyncdisc).
+// (metricname), wire taint tracking (wiretaint), event-discipline
+// (logdisc), and durable commits (fsyncdisc).
 //
 // Usage:
 //

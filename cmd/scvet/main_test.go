@@ -84,8 +84,8 @@ func TestListMatchesCatalog(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
 	passes := analysis.Passes()
-	if len(passes) < 10 {
-		t.Fatalf("catalog has %d passes, want at least 10", len(passes))
+	if len(passes) < 9 {
+		t.Fatalf("catalog has %d passes, want at least 9", len(passes))
 	}
 	if len(lines) != len(passes) {
 		t.Fatalf("-list printed %d lines, catalog has %d passes", len(lines), len(passes))

@@ -17,8 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/core"
@@ -71,8 +69,7 @@ subcommands:
   mine        seal blocks with the real CPU proof-of-work sealer
   simulate    run a whole-platform simulation and print balances
   node        run a networked provider: TCP gossip, CPU mining, /v1 API
-  serve       run the demo lifecycle and serve the HTTP/JSON query API
-              (with -listen/-peers: a networked node, like 'node')`)
+  serve       run the demo lifecycle and serve the HTTP/JSON query API`)
 }
 
 func cmdKeygen(args []string) int {
@@ -281,29 +278,9 @@ func cmdServe(args []string) int {
 	addr := fs.String("addr", "127.0.0.1:8047", "listen address")
 	seed := fs.Int64("seed", 1, "deterministic run seed")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (operator use only)")
-	listen := fs.String("listen", "", "join a real TCP network: wire transport listen address")
-	peers := fs.String("peers", "", "comma-separated wire peer addresses (with -listen)")
-	parallelism := fs.Int("parallelism", runtime.GOMAXPROCS(0),
-		"worker count for optimistic parallel block execution (1 = serial; with -listen)")
 	rpcTimeout := fs.Duration("rpc-timeout", 0,
 		"read/write deadline per RPC request (0 = 30s defaults); header and idle deadlines are always set")
 	_ = fs.Parse(args)
-
-	// With a wire listen address, serve is a networked node whose RPC
-	// listener is -addr — the multi-process deployment path. Without it,
-	// serve keeps its original behaviour: a self-contained demo chain on
-	// the simulated bus.
-	if *listen != "" {
-		nodeArgs := []string{"-listen", *listen, "-rpc", *addr, "-parallelism", strconv.Itoa(*parallelism),
-			"-rpc-timeout", rpcTimeout.String()}
-		if *peers != "" {
-			nodeArgs = append(nodeArgs, "-peers", *peers)
-		}
-		if *pprofOn {
-			nodeArgs = append(nodeArgs, "-pprof")
-		}
-		return cmdNode(nodeArgs)
-	}
 
 	// Build the demo platform so the API has something to serve.
 	p := core.NewPlatform(core.Config{Seed: *seed})
@@ -339,8 +316,8 @@ func cmdServe(args []string) int {
 		}
 	}
 	fmt.Printf("serving SmartCrowd API on http://%s\n", *addr)
-	fmt.Printf("try: curl http://%s/status\n", *addr)
-	fmt.Printf("     curl http://%s/reference/%s\n", *addr, sra.ID)
+	fmt.Printf("try: curl http://%s/v1/status\n", *addr)
+	fmt.Printf("     curl http://%s/v1/reference/%s\n", *addr, sra.ID)
 	fmt.Printf("     curl http://%s/metrics\n", *addr)
 	if *pprofOn {
 		fmt.Printf("     pprof enabled: go tool pprof http://%s/debug/pprof/profile\n", *addr)

@@ -41,7 +41,6 @@ var passCatalog = []*Pass{
 	passLockorder,
 	passGoleak,
 	passMetricname,
-	passBoundalloc,
 	passWiretaint,
 	passLogdisc,
 	passFsyncdisc,

@@ -46,9 +46,8 @@ var rpcChainAllowed = map[string]bool{
 // handlers must serve from a pinned chain.ReadView, so any *chain.Chain
 // method call other than CurrentView/Config — every other method
 // acquires the chain mutex — is flagged. Calls laundered through an
-// interface (e.g. the ChainReader the locked oracle mode satisfies) are
-// invisible to static receiver typing; the rule guards the direct-call
-// paths where the mutex historically crept in.
+// interface would be invisible to static receiver typing; handlers take
+// the concrete *chain.ReadView so there is none to launder through.
 var passLocksafe = &Pass{
 	Name: "locksafe",
 	Doc:  "no crypto or clock reads inside chain/txpool critical sections; no mutex-taking chain calls in rpc handlers",

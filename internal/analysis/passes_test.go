@@ -45,10 +45,6 @@ func TestMetricnameFixture(t *testing.T) {
 	runFixture(t, "metricname", modPrefix+"internal/node")
 }
 
-func TestBoundallocFixture(t *testing.T) {
-	runFixture(t, "boundalloc", modPrefix+"internal/wire")
-}
-
 func TestLogdiscFixture(t *testing.T) {
 	runFixture(t, "logdisc", modPrefix+"internal/node")
 }
@@ -89,7 +85,6 @@ func TestPassesScopedToTheirPackages(t *testing.T) {
 		{"detsource", "detsource", modPrefix + "internal/telemetry"},
 		{"locksafe", "locksafe", modPrefix + "internal/node"},
 		{"locksafe_rpc", "locksafe", modPrefix + "internal/node"},
-		{"boundalloc", "boundalloc", modPrefix + "internal/chain"},
 		{"lockorder", "lockorder", modPrefix + "internal/incentive"},
 		{"goleak", "goleak", modPrefix + "cmd/smartcrowd"},
 		{"wiretaint", "wiretaint", modPrefix + "cmd/smartcrowd"},
@@ -109,17 +104,28 @@ func TestPassesScopedToTheirPackages(t *testing.T) {
 // a finding (the build would pass) while an unrelated entry does not,
 // and that stale entries are reported as unused.
 func TestAllowlistSuppression(t *testing.T) {
-	findings := runFixture(t, "boundalloc", modPrefix+"internal/wire")
+	findings := runFixture(t, "wiretaint", modPrefix+"internal/p2p")
 	if len(findings) == 0 {
 		t.Fatal("fixture produced no findings to suppress")
 	}
+	// Entries match on message text; suppress a finding no other shares.
+	perMsg := map[string]int{}
+	for _, f := range findings {
+		perMsg[f.Msg]++
+	}
 	target := findings[0]
+	for _, f := range findings {
+		if perMsg[f.Msg] == 1 {
+			target = f
+			break
+		}
+	}
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, ".scvet.allow")
 	content := strings.Join([]string{
 		"# audited: fixture exception under test",
-		"boundalloc " + filepath.Base(target.Pos.Filename) + " " + target.Msg,
+		"wiretaint " + filepath.Base(target.Pos.Filename) + " " + target.Msg,
 		"# stale entry that matches nothing",
 		"senterr no_such_file.go no such finding",
 		"",
@@ -218,10 +224,10 @@ func TestRepoCleanUnderScvet(t *testing.T) {
 func TestFindingString(t *testing.T) {
 	f := Finding{
 		Pos:  token.Position{Filename: "internal/wire/frame.go", Line: 42},
-		Pass: "boundalloc",
+		Pass: "wiretaint",
 		Msg:  "message",
 	}
-	if got, want := f.String(), "internal/wire/frame.go:42: [boundalloc] message"; got != want {
+	if got, want := f.String(), "internal/wire/frame.go:42: [wiretaint] message"; got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

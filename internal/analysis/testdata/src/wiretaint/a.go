@@ -41,6 +41,29 @@ func badCaller(b []byte) [][]byte {
 	return make([][]byte, n) // want `allocation size depends on wire-decoded n with no dominating bound check`
 }
 
+// badDecode allocates whatever length the peer declared, decoded into a
+// local right here (no helper in between).
+func badDecode(hdr []byte) []byte {
+	length := binary.BigEndian.Uint32(hdr)
+	return make([]byte, length) // want `allocation size depends on wire-decoded length with no dominating bound check`
+}
+
+// badCap hides the peer-chosen size in the capacity argument.
+func badCap(hdr []byte) []byte {
+	n := binary.BigEndian.Uint16(hdr)
+	return make([]byte, 0, n) // want `allocation size depends on wire-decoded n with no dominating bound check`
+}
+
+// goodBounded rejects oversized declarations before allocating — the
+// reject-before-allocate idiom, check and allocation in one function.
+func goodBounded(hdr []byte) ([]byte, error) {
+	length := binary.BigEndian.Uint32(hdr)
+	if length > maxRecords {
+		return nil, errTooMany
+	}
+	return make([]byte, length), nil
+}
+
 // badDirect uses the decode in place.
 func badDirect(b []byte) []byte {
 	return make([]byte, binary.BigEndian.Uint32(b)) // want `allocation size depends on wire-decoded a value decoded in place`

@@ -19,8 +19,8 @@ var wiretaintSeedPkgs = []string{
 	"internal/rpc",
 }
 
-// passWiretaint supersedes boundalloc's lexical heuristic with dataflow:
-// an integer is tainted when it comes out of a binary.BigEndian /
+// passWiretaint tracks wire-decoded integers by dataflow: an integer is
+// tainted when it comes out of a binary.BigEndian /
 // LittleEndian decode in a wire-facing package, or flows from one —
 // through assignments, struct fields, function results, and call
 // arguments. Tainted values must pass a comparison against a bound

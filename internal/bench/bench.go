@@ -177,8 +177,8 @@ func All() []Experiment {
 		{ID: "syncpipeline", Title: "Sync pipeline: batched InsertChain vs serial re-verification", Run: SyncPipeline},
 		{ID: "snapsync", Title: "Snap-sync: snapshot adoption vs full replay for a cold joiner", Run: SnapSync},
 		{ID: "execpar", Title: "Execution parallelism: optimistic parallel stage 2 vs serial oracle", Run: ExecPar},
-		{ID: "rpcload", Title: "RPC read path: lock-free view + response cache vs mutex oracle", Run: RPCLoad},
-		{ID: "tracecost", Title: "Trace cost: span lifecycle and wire envelope vs untraced baselines", Run: TraceCost},
+		{ID: "rpcload", Title: "RPC read path: lock-free view + response cache under an open-loop storm", Run: RPCLoad},
+		{ID: "tracecost", Title: "Trace cost: span lifecycle and the wire envelope", Run: TraceCost},
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -23,12 +22,11 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// Handles on the RPC layer's mode-split latency histograms and cache
-// counters (registered with help text by internal/rpc). The experiment
-// reads deltas around each phase so the report's service-time quantiles
-// and error rate come from the same telemetry operators scrape.
+// Handles on the RPC layer's latency histogram and cache counters
+// (registered with help text by internal/rpc). The experiment reads
+// deltas around the storm so the report's service-time quantiles and
+// error rate come from the same telemetry operators scrape.
 var (
-	hRPCLockedNs  = telemetry.GetHistogram("smartcrowd_rpc_request_ns", telemetry.L("mode", "locked"))
 	hRPCViewNs    = telemetry.GetHistogram("smartcrowd_rpc_request_ns", telemetry.L("mode", "view"))
 	cRPCErrors    = telemetry.GetCounter("smartcrowd_rpc_request_errors_total")
 	cRPCHitHead   = telemetry.GetCounter("smartcrowd_rpc_cache_hit_total", telemetry.L("tier", "head"))
@@ -37,33 +35,31 @@ var (
 )
 
 // rpcloadSLOEnv overrides the default p99 budget (milliseconds) the CI
-// gate enforces on the view path's open-loop latency.
+// gate enforces on the open-loop latency.
 const (
 	rpcloadSLOEnv       = "SMARTCROWD_RPCLOAD_P99_MS"
 	rpcloadDefaultSLOms = 250
 )
 
-// RPCLoad measures the /v1 read path under an open-loop request storm —
-// thousands of concurrent consumers firing on a fixed arrival schedule,
-// with a background writer extending the chain throughout — comparing
-// the historical mutex-guarded read path (Config.UseLockedReads, the
-// oracle) against the lock-free ReadView + response cache.
+// RPCLoad measures the /v1 read path — lock-free ReadView + response
+// cache — under an open-loop request storm: thousands of concurrent
+// consumers firing on a fixed arrival schedule, with a background writer
+// extending the chain throughout.
 //
 // Open loop means latency is measured from each request's *scheduled*
 // arrival, not from when a worker got around to sending it, so queueing
-// delay behind the chain lock shows up in the percentiles instead of
-// silently throttling the offered rate. Before any load, every path in
-// the mix is fetched once from both servers and compared byte-for-byte:
-// the fast path must be an exact oracle match, not approximately right.
+// delay shows up in the percentiles instead of silently throttling the
+// offered rate. (That the bytes served are right is pinned elsewhere:
+// internal/chain's readview tests hold the view to the locked chain
+// accessors, internal/rpc's golden bodies hold the routes to the view.)
 //
 // Shape claims: zero error envelopes at the offered rate, cache hits in
-// both tiers, ≥2x p99 improvement over the locked oracle (enforced with
-// ≥4 cores), and the view p99 under an SLO budget (default 250 ms,
+// both tiers under churn, and the p99 under an SLO budget (default 250 ms,
 // SMARTCROWD_RPCLOAD_P99_MS overrides) — the CI latency gate.
 func RPCLoad(scale Scale) (*Report, error) {
 	accounts, transferBlocks := 48, 12
 	total, workers := 9_000, 1_000
-	rate := 3_000 // requests per second offered to each phase
+	rate := 3_000 // requests per second offered
 	if scale == Full {
 		accounts, transferBlocks = 128, 44
 		total, workers = 80_000, 4_000
@@ -80,7 +76,7 @@ func RPCLoad(scale Scale) (*Report, error) {
 
 	r := &Report{
 		ID:      "rpcload",
-		Title:   "RPC read path: lock-free view + response cache vs mutex oracle",
+		Title:   "RPC read path: lock-free view + response cache under an open-loop storm",
 		Headers: []string{"Path", "Result"},
 		Metrics: make(map[string]float64),
 		ShapeOK: true,
@@ -90,57 +86,27 @@ func RPCLoad(scale Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	// Two providers over independently decoded copies of the same chain,
-	// so each phase owns its writer and neither sees the other's blocks.
-	lockedProv, err := src.newProvider("rpcload-locked")
+	prov, err := src.newProvider("rpcload-view")
 	if err != nil {
 		return nil, err
 	}
-	viewProv, err := src.newProvider("rpcload-view")
-	if err != nil {
-		return nil, err
-	}
-	lockedSrv := rpc.NewServerWith(lockedProv, src.cfg.Contract, rpc.Config{UseLockedReads: true})
-	viewSrv := rpc.NewServerWith(viewProv, src.cfg.Contract, rpc.Config{})
-
-	// Quiescent oracle sweep: every path in the mix (plus a 404) must be
-	// byte-identical across the locked, view and cached paths.
-	sweep := append([]string{"/v1/block/999999"}, src.paths...)
-	identical := true
-	for _, path := range sweep {
-		want, wantCode := fetch(lockedSrv, path)
-		for pass := 0; pass < 2; pass++ { // second pass serves from cache
-			got, code := fetch(viewSrv, path)
-			if code != wantCode || !bytes.Equal(got, want) {
-				identical = false
-				r.note("MISMATCH %s (pass %d): locked %d (%d bytes) vs view %d (%d bytes)",
-					path, pass, wantCode, len(want), code, len(got))
-			}
-		}
-	}
-	r.check(identical, "view+cache responses byte-identical with the locked oracle (%d paths × 2 passes)", len(sweep))
+	srv := rpc.NewServerWith(prov, src.cfg.Contract, rpc.Config{})
 
 	interval := time.Second / time.Duration(rate)
 	errs0 := cRPCErrors.Value()
-	hit0 := cRPCHitHead.Value() + cRPCHitPerm.Value()
+	headHit0, permHit0 := cRPCHitHead.Value(), cRPCHitPerm.Value()
 	swaps0 := cRPCViewSwaps.Value()
+	obs0 := hRPCViewNs.Count()
 
-	lockedCnt0 := hRPCLockedNs.Count()
-	lockedRes, err := runRPCPhase(lockedSrv, lockedProv, src.paths, total, workers, interval, writerEvery)
+	res, err := runRPCPhase(srv, prov, src.paths, total, workers, interval, writerEvery)
 	if err != nil {
-		return nil, fmt.Errorf("rpcload: locked phase: %w", err)
-	}
-	viewCnt0 := hRPCViewNs.Count()
-	viewRes, err := runRPCPhase(viewSrv, viewProv, src.paths, total, workers, interval, writerEvery)
-	if err != nil {
-		return nil, fmt.Errorf("rpcload: view phase: %w", err)
+		return nil, fmt.Errorf("rpcload: %w", err)
 	}
 
 	errors := cRPCErrors.Value() - errs0
-	cacheHits := cRPCHitHead.Value() + cRPCHitPerm.Value() - hit0
+	headHits, permHits := cRPCHitHead.Value()-headHit0, cRPCHitPerm.Value()-permHit0
 	viewSwaps := cRPCViewSwaps.Value() - swaps0
-	speedupP99 := float64(lockedRes.p99) / float64(viewRes.p99)
+	observed := hRPCViewNs.Count() - obs0
 
 	sloMS := float64(rpcloadDefaultSLOms)
 	if raw := os.Getenv(rpcloadSLOEnv); raw != "" {
@@ -154,53 +120,38 @@ func RPCLoad(scale Scale) (*Report, error) {
 	r.Metrics["workers"] = float64(workers)
 	r.Metrics["offered_rate_rps"] = float64(rate)
 	r.Metrics["requests_per_phase"] = float64(total)
-	r.Metrics["locked_p50_ms"] = ms(lockedRes.p50)
-	r.Metrics["locked_p99_ms"] = ms(lockedRes.p99)
-	r.Metrics["locked_throughput_rps"] = lockedRes.throughput
-	r.Metrics["view_p50_ms"] = ms(viewRes.p50)
-	r.Metrics["view_p99_ms"] = ms(viewRes.p99)
-	r.Metrics["view_throughput_rps"] = viewRes.throughput
-	r.Metrics["speedup_p99"] = speedupP99
+	r.Metrics["view_p50_ms"] = ms(res.p50)
+	r.Metrics["view_p99_ms"] = ms(res.p99)
+	r.Metrics["view_throughput_rps"] = res.throughput
 	r.Metrics["error_envelopes"] = float64(errors)
-	r.Metrics["cache_hits"] = float64(cacheHits)
+	r.Metrics["cache_hits"] = float64(headHits + permHits)
 	r.Metrics["view_snapshot_swaps"] = float64(viewSwaps)
 	r.Metrics["p99_slo_ms"] = sloMS
-	// Service-time quantiles from the process-wide histograms — what an
+	// Service-time quantiles from the process-wide histogram — what an
 	// operator scraping /metrics would see (excludes scheduling delay).
-	r.Metrics["locked_service_p50_ms"] = float64(hRPCLockedNs.Quantile(0.50)) / 1e6
-	r.Metrics["locked_service_p99_ms"] = float64(hRPCLockedNs.Quantile(0.99)) / 1e6
 	r.Metrics["view_service_p50_ms"] = float64(hRPCViewNs.Quantile(0.50)) / 1e6
 	r.Metrics["view_service_p99_ms"] = float64(hRPCViewNs.Quantile(0.99)) / 1e6
 
 	r.Rows = [][]string{
-		{"locked oracle", fmt.Sprintf("p50 %.3f ms  p99 %.3f ms  (%.0f req/s served)",
-			ms(lockedRes.p50), ms(lockedRes.p99), lockedRes.throughput)},
 		{"view + cache", fmt.Sprintf("p50 %.3f ms  p99 %.3f ms  (%.0f req/s served)",
-			ms(viewRes.p50), ms(viewRes.p99), viewRes.throughput)},
-		{"p99 speedup", fmt.Sprintf("%.2fx at %d req/s offered, %d workers, %d cores",
-			speedupP99, rate, workers, cores)},
+			ms(res.p50), ms(res.p99), res.throughput)},
+		{"load", fmt.Sprintf("%d req/s offered, %d workers, %d cores", rate, workers, cores)},
 	}
 
-	lockedObs := hRPCLockedNs.Count() - lockedCnt0
-	viewObs := hRPCViewNs.Count() - viewCnt0
-	r.check(lockedObs >= uint64(total) && viewObs >= uint64(total),
-		"latency histograms observed every request (locked %d, view %d, offered %d each)", lockedObs, viewObs, total)
-	r.check(errors == 0, "zero error envelopes across both phases (%d)", errors)
-	r.check(cacheHits > 0, "response cache served hits under churn (%d hits, %d snapshot swaps)", cacheHits, viewSwaps)
-	switch {
-	case raceEnabled:
-		r.note("[SKIP] latency gates are meaningless under -race (view p99 %.3f ms, %.2fx)", ms(viewRes.p99), speedupP99)
-	case cores < 4:
-		r.check(ms(viewRes.p99) <= sloMS, "view p99 %.3f ms within the %.0f ms SLO budget", ms(viewRes.p99), sloMS)
-		r.note("[SKIP] ≥2x p99 check needs ≥4 cores, have %d (measured %.2fx)", cores, speedupP99)
-	default:
-		r.check(ms(viewRes.p99) <= sloMS, "view p99 %.3f ms within the %.0f ms SLO budget", ms(viewRes.p99), sloMS)
-		r.check(speedupP99 >= 2.0, "view p99 ≥2x better than locked oracle (%.2fx on %d cores)", speedupP99, cores)
+	r.check(observed >= uint64(total),
+		"latency histogram observed every request (%d of %d offered)", observed, total)
+	r.check(errors == 0, "zero error envelopes (%d)", errors)
+	r.check(headHits > 0 && permHits > 0,
+		"both cache tiers served hits under churn (%d head, %d finalized, %d snapshot swaps)", headHits, permHits, viewSwaps)
+	if raceEnabled {
+		r.note("[SKIP] the latency gate is meaningless under -race (p99 %.3f ms)", ms(res.p99))
+	} else {
+		r.check(ms(res.p99) <= sloMS, "p99 %.3f ms within the %.0f ms SLO budget", ms(res.p99), sloMS)
 	}
 	return r, nil
 }
 
-// rpcPhaseResult summarizes one measured load phase.
+// rpcPhaseResult summarizes the measured storm.
 type rpcPhaseResult struct {
 	p50, p99   time.Duration
 	throughput float64 // completed requests per second of wall clock
@@ -208,9 +159,9 @@ type rpcPhaseResult struct {
 
 // runRPCPhase fires total requests at the handler on a fixed open-loop
 // schedule (one every interval) from a pool of workers, while a writer
-// goroutine keeps extending prov's chain so snapshots swap and the
-// locked path suffers its real write contention. Latency for request i
-// runs from its scheduled arrival start+i·interval to completion.
+// goroutine keeps extending prov's chain so snapshots swap and head
+// generations turn over. Latency for request i runs from its scheduled
+// arrival start+i·interval to completion.
 func runRPCPhase(h http.Handler, prov *node.ProviderNode, paths []string, total, workers int, interval, writerEvery time.Duration) (rpcPhaseResult, error) {
 	stopWriter := make(chan struct{})
 	var writerErr atomic.Value
@@ -282,16 +233,9 @@ func durQuantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[idx]
 }
 
-// fetch issues one in-process GET and returns the body bytes and status.
-func fetch(h http.Handler, path string) ([]byte, int) {
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-	return rec.Body.Bytes(), rec.Code
-}
-
 // rpcLoadSource is a prebuilt workload chain plus the request mix that
-// exercises it. newProvider stamps out independent providers over
-// identical block copies so each phase gets its own writable chain.
+// exercises it. newProvider seeds a provider from decoded block copies,
+// so the storm's writer extends a chain the source never sees.
 type rpcLoadSource struct {
 	cfg   chain.Config
 	wire  [][]byte

@@ -10,14 +10,13 @@ import (
 )
 
 // Snap-sync orchestration (the joining side) and snapshot serving (the
-// established side). A cold provider that learns a snap-capable peer is
-// far ahead downloads that peer's state snapshot plus the canonical block
-// tail instead of replaying every block: the snapshot is verified against
+// established side). A cold provider that learns a peer is far ahead
+// downloads that peer's state snapshot plus the canonical block tail
+// instead of replaying every block: the snapshot is verified against
 // the commitment trie root in the snapshot block's header before any of
 // it is adopted, so the peer is trusted for availability only, never for
-// state. Nodes closer to the head (or talking to legacy peers) fall back
-// to batched range replay, and ultimately to the per-block orphan crawl
-// that predates the syncer.
+// state. Nodes closer to the head fall back to batched range replay, and
+// ultimately to the per-block orphan crawl that predates the syncer.
 //
 // The exchange is strictly pull-based with one request in flight per
 // session: the requester's next ask is the flow control, so neither side
@@ -145,15 +144,12 @@ func (p *ProviderNode) Syncing() bool { return p.sync.active() }
 
 // --- joining side ----------------------------------------------------------
 
-// handleHeadAnnounce reacts to the transport's synthetic capability
-// announce: a snap-capable peer ahead of us may become our sync server.
+// handleHeadAnnounce reacts to the transport's synthetic handshake
+// announce: a peer ahead of us may become our sync server.
 func (p *ProviderNode) handleHeadAnnounce(from p2p.NodeID, payload []byte) {
-	_, headNumber, snapCapable, err := p2p.ParseHeadAnnounce(payload)
-	if err != nil {
+	_, headNumber, err := p2p.ParseHeadAnnounce(payload)
+	if err != nil || p.net == nil {
 		return
-	}
-	if !snapCapable || p.net == nil {
-		return // legacy peer: the transport's block-request kick covers it
 	}
 	local := p.chain.HeadNumber()
 	if headNumber <= local {

@@ -55,12 +55,12 @@ func (sn *syncNet) grow(p *ProviderNode, n int, drain ...*ProviderNode) {
 
 // announce injects the synthetic head announce a wire transport would
 // fabricate for `to` about `from`.
-func (sn *syncNet) announce(from, to *ProviderNode, snapCapable bool) {
+func (sn *syncNet) announce(from, to *ProviderNode) {
 	sn.t.Helper()
 	head := from.Chain().Head()
 	err := sn.net.Send(from.ID(), to.ID(), p2p.Message{
 		Kind:    p2p.MsgHeadAnnounce,
-		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number, snapCapable),
+		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number),
 	})
 	if err != nil {
 		sn.t.Fatal(err)
@@ -107,7 +107,7 @@ func TestSnapSyncColdJoin(t *testing.T) {
 
 	b := sn.provider("pb")
 	pre := telemetry.TakeSnapshot()
-	sn.announce(a, b, true)
+	sn.announce(a, b)
 	modes := sn.driveUntilConverged(a, b, 400)
 
 	if !modes[SyncSnap] {
@@ -154,14 +154,14 @@ func TestSnapSyncTailAfterSnapshot(t *testing.T) {
 
 	// First joiner primes a's serving cache at height 40.
 	b1 := sn.provider("pb")
-	sn.announce(a, b1, true)
+	sn.announce(a, b1)
 	sn.driveUntilConverged(a, b1, 400)
 
 	// The chain advances; the cache (height 40) stays within slack.
 	sn.grow(a, 3, b1)
 
 	b2 := sn.provider("pc")
-	sn.announce(a, b2, true)
+	sn.announce(a, b2)
 	modes := sn.driveUntilConverged(a, b2, 400)
 	if !modes[SyncSnap] {
 		t.Errorf("second joiner never entered snap mode (saw %v)", modes)
@@ -180,7 +180,7 @@ func TestReplaySyncSmallGap(t *testing.T) {
 
 	b := sn.provider("pb")
 	pre := telemetry.TakeSnapshot()
-	sn.announce(a, b, true)
+	sn.announce(a, b)
 	modes := sn.driveUntilConverged(a, b, 200)
 	if modes[SyncSnap] {
 		t.Errorf("small gap used snap mode (saw %v)", modes)
@@ -202,7 +202,7 @@ func TestAnnounceBehindIsIgnored(t *testing.T) {
 	b := sn.provider("pb")
 	sn.grow(a, 2, b) // both at 2 via gossip
 
-	sn.announce(a, b, true)
+	sn.announce(a, b)
 	sn.pump([]*ProviderNode{a, b}, 5)
 	if b.Syncing() {
 		t.Error("announce at equal height started a session")
@@ -238,7 +238,7 @@ func TestUndersizedSnapChunkAborts(t *testing.T) {
 	}
 	err := sn.net.Send(evil, b.ID(), p2p.Message{
 		Kind:    p2p.MsgHeadAnnounce,
-		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number, true),
+		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +319,7 @@ func TestHostileSnapshotRejectedAndReplayed(t *testing.T) {
 	// plays the serving protocol with its forged state and a's real blocks.
 	err := sn.net.Send(evil, b.ID(), p2p.Message{
 		Kind:    p2p.MsgHeadAnnounce,
-		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number, true),
+		Payload: p2p.EncodeHeadAnnounce(head.ID(), head.Header.Number),
 	})
 	if err != nil {
 		t.Fatal(err)

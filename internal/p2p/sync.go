@@ -40,10 +40,10 @@ const (
 	// byte and count budgets; the requester re-asks from where it left).
 	MsgRangeBlocks
 	// MsgHeadAnnounce is synthetic: the wire transport fabricates it
-	// locally when a peer's capability frame arrives, carrying the head
-	// advertised in that peer's handshake. It is never decoded off the
+	// locally when a peer's handshake completes, carrying the head
+	// advertised in that peer's hello. It is never decoded off the
 	// socket — a remote frame with this kind is dropped as unknown — so
-	// a hostile peer cannot spoof another peer's head or capabilities.
+	// a hostile peer cannot spoof another peer's head.
 	MsgHeadAnnounce
 )
 
@@ -259,25 +259,20 @@ func ParseRangeBlocks(payload []byte) ([][]byte, error) {
 }
 
 // EncodeHeadAnnounce builds a MsgHeadAnnounce payload: the peer's head id
-// and number from its handshake, plus whether it advertised the snap
-// capability. Only transports fabricate these (locally, per peer).
-func EncodeHeadAnnounce(headID types.Hash, headNumber uint64, snapCapable bool) []byte {
-	out := make([]byte, 0, types.HashSize+9)
+// and number from its handshake. Only transports fabricate these
+// (locally, per peer).
+func EncodeHeadAnnounce(headID types.Hash, headNumber uint64) []byte {
+	out := make([]byte, 0, types.HashSize+8)
 	out = append(out, headID[:]...)
-	out = binary.BigEndian.AppendUint64(out, headNumber)
-	if snapCapable {
-		return append(out, 1)
-	}
-	return append(out, 0)
+	return binary.BigEndian.AppendUint64(out, headNumber)
 }
 
 // ParseHeadAnnounce decodes a MsgHeadAnnounce payload.
-func ParseHeadAnnounce(payload []byte) (headID types.Hash, headNumber uint64, snapCapable bool, err error) {
-	if len(payload) != types.HashSize+9 {
+func ParseHeadAnnounce(payload []byte) (headID types.Hash, headNumber uint64, err error) {
+	if len(payload) != types.HashSize+8 {
 		mMalformedAnnounce.Inc()
-		return types.Hash{}, 0, false, fmt.Errorf("p2p: malformed head announce: %d bytes, want %d", len(payload), types.HashSize+9)
+		return types.Hash{}, 0, fmt.Errorf("p2p: malformed head announce: %d bytes, want %d", len(payload), types.HashSize+8)
 	}
 	copy(headID[:], payload)
-	headNumber = binary.BigEndian.Uint64(payload[types.HashSize:])
-	return headID, headNumber, payload[types.HashSize+8] == 1, nil
+	return headID, binary.BigEndian.Uint64(payload[types.HashSize:]), nil
 }

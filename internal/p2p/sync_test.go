@@ -154,16 +154,14 @@ func TestRangeBlocksRejects(t *testing.T) {
 
 func TestHeadAnnounceRoundTrip(t *testing.T) {
 	id := types.Hash{0x42}
-	for _, snap := range []bool{true, false} {
-		gotID, num, gotSnap, err := ParseHeadAnnounce(EncodeHeadAnnounce(id, 99, snap))
-		if err != nil {
-			t.Fatalf("ParseHeadAnnounce: %v", err)
-		}
-		if gotID != id || num != 99 || gotSnap != snap {
-			t.Fatalf("round trip mismatch: %v %d %v", gotID, num, gotSnap)
-		}
+	gotID, num, err := ParseHeadAnnounce(EncodeHeadAnnounce(id, 99))
+	if err != nil {
+		t.Fatalf("ParseHeadAnnounce: %v", err)
 	}
-	if _, _, _, err := ParseHeadAnnounce(make([]byte, types.HashSize+8)); err == nil {
+	if gotID != id || num != 99 {
+		t.Fatalf("round trip mismatch: %v %d", gotID, num)
+	}
+	if _, _, err := ParseHeadAnnounce(make([]byte, types.HashSize+7)); err == nil {
 		t.Error("short announce accepted")
 	}
 }

@@ -42,12 +42,16 @@ type respCache struct {
 	permOld atomic.Pointer[permGen]
 }
 
-// permGenCap bounds one finalized-tier generation. At ~1 KiB per encoded
-// body the two live generations hold roughly 8 MiB.
+// permGenCap bounds one cache generation — each finalized-tier
+// generation and the head generation alike. At ~1 KiB per encoded body
+// the three live generations hold roughly 12 MiB.
 const permGenCap = 4096
 
 // headGen is the head-keyed generation: every entry was computed against
-// the ReadView whose head id names the generation.
+// the ReadView whose head id names the generation. It is discarded only
+// when the head moves, and its keys are client-chosen (any address, any
+// hash), so on a stalled head it must bound itself: once it holds
+// permGenCap entries, further misses are served uncached.
 type headGen struct {
 	headID  types.Hash
 	count   atomic.Int64
@@ -102,9 +106,21 @@ func (c *respCache) generation(headID types.Hash) *headGen {
 	}
 }
 
-// headGetOrBuild serves key from the generation pinned to the given head.
+// headGetOrBuild serves key from the generation pinned to the given
+// head. It returns nil when key is absent and the generation is full:
+// the caller builds and answers uncached. The cap is soft by the number
+// of requests racing between the check and their insert.
 func (c *respCache) headGetOrBuild(headID types.Hash, key string, build func() (int, []byte)) *cacheEntry {
 	g := c.generation(headID)
+	if v, ok := g.entries.Load(key); ok {
+		e := v.(*cacheEntry)
+		<-e.ready
+		mCacheHitHead.Inc()
+		return e
+	}
+	if g.count.Load() >= permGenCap {
+		return nil
+	}
 	e, hit := getOrBuildKeyed(&g.entries, &g.count, key, build)
 	if hit {
 		mCacheHitHead.Inc()
@@ -174,13 +190,16 @@ func getOrBuildKeyed(m *sync.Map, count *atomic.Int64, key string, build func() 
 		<-e.ready
 		return e, true
 	}
-	// We won the build. If build panics, the deferred close publishes the
-	// zero status ("not cached, build yourself") and the entry is removed
-	// so a later request retries.
+	// We won the build; the entry counts from the moment it occupies the
+	// map. If build panics, the deferred close publishes the zero status
+	// ("not cached, build yourself") and the entry is removed so a later
+	// request retries.
+	count.Add(1)
 	done := false
 	defer func() {
 		if !done {
 			m.Delete(key)
+			count.Add(-1)
 		}
 		close(fresh.ready)
 	}()
@@ -188,6 +207,5 @@ func getOrBuildKeyed(m *sync.Map, count *atomic.Int64, key string, build func() 
 	fresh.status, fresh.body = status, body
 	fresh.etag = etagFor(body)
 	done = true
-	count.Add(1)
 	return fresh, false
 }

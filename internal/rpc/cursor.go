@@ -2,11 +2,10 @@ package rpc
 
 // Opaque pagination cursors for the /v1 list endpoints.
 //
-// The legacy offset/nextOffset contract breaks under reorgs: an offset
-// names a position in whatever index the *next* request happens to see,
-// so a client walking pages across a head switch silently skips or
-// repeats entries. A cursor instead names a position *relative to chain
-// content*: it records the head the issuing view was pinned to, the next
+// A numeric offset breaks under reorgs: it names a position in whatever
+// index the *next* request happens to see, so a client walking pages
+// across a head switch silently skips or repeats entries. A cursor
+// instead names a position *relative to chain content*: it records the head the issuing view was pinned to, the next
 // index to serve, and the identity of the last item already delivered.
 // On the next request the server verifies that anchor against its
 // current view — same head means the position is exact; a moved head
@@ -130,7 +129,7 @@ func decodeCursor(token string, kind byte) (cursor, error) {
 // Only a reorg that moved the anchor pays for the full re-anchoring
 // scan; if the anchor SRA is gone entirely the position resumes clamped,
 // which is the best available approximation.
-func resolveSRACursor(cr ChainReader, cur cursor) int {
+func resolveSRACursor(cr *chain.ReadView, cur cursor) int {
 	count := cr.SRACount()
 	clamp := func(p uint64) int {
 		if p > uint64(count) {
@@ -141,7 +140,7 @@ func resolveSRACursor(cr ChainReader, cur cursor) int {
 	if cur.pos == 0 {
 		return 0
 	}
-	if cur.headID == cr.Head().ID() {
+	if cur.headID == cr.HeadID() {
 		return clamp(cur.pos)
 	}
 	start := clamp(cur.pos)
@@ -159,7 +158,7 @@ func resolveSRACursor(cr ChainReader, cur cursor) int {
 // nextSRACursor mints the resume token for the page that ended at
 // start+len(refs). It is always issued — on the last page it is a poll
 // token: replaying it returns whatever SRAs landed since.
-func nextSRACursor(cr ChainReader, start int, refs []chain.SRARef) string {
+func nextSRACursor(cr *chain.ReadView, start int, refs []chain.SRARef) string {
 	pos := start + len(refs)
 	if count := cr.SRACount(); pos > count {
 		pos = count
@@ -172,7 +171,7 @@ func nextSRACursor(cr ChainReader, start int, refs []chain.SRARef) string {
 	}
 	return encodeCursor(cursor{
 		kind:   cursorKindSRAs,
-		headID: cr.Head().ID(),
+		headID: cr.HeadID(),
 		pos:    uint64(pos),
 		lastID: last,
 	})

@@ -80,15 +80,8 @@ func TestSRAListCursorWalk(t *testing.T) {
 	}
 
 	var page SRAListResponse
-	resp, _ := e.getRaw("/v1/sras?limit=2")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("first page status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("cursorless first page stamped with Deprecation")
-	}
 	if code := e.get("/v1/sras?limit=2", &page); code != http.StatusOK {
-		t.Fatalf("status %d", code)
+		t.Fatalf("first page status %d", code)
 	}
 	if page.NextCursor == "" {
 		t.Fatal("first page has no nextCursor")
@@ -97,11 +90,8 @@ func TestSRAListCursorWalk(t *testing.T) {
 	if code := e.get("/v1/sras?cursor="+page.NextCursor+"&limit=2", &page); code != http.StatusOK {
 		t.Fatalf("second page status %d", code)
 	}
-	if page.Offset != 2 || len(page.SRAs) != 2 || page.SRAs[1].ID != extra[2].ID.String() {
-		t.Fatalf("second page %+v, want entries 2..3 ending at fw-four", page)
-	}
-	if page.NextOffset != nil {
-		t.Error("last page has a nextOffset")
+	if len(page.SRAs) != 2 || page.SRAs[0].ID != extra[1].ID.String() || page.SRAs[1].ID != extra[2].ID.String() {
+		t.Fatalf("second page %+v, want fw-three then fw-four", page)
 	}
 	if page.NextCursor == "" {
 		t.Fatal("last page has no poll cursor")
@@ -144,22 +134,8 @@ func TestSRAListCursorReanchors(t *testing.T) {
 	if code := e.get("/v1/sras?cursor="+stale+"&limit=1", &page); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
-	if page.Offset != 1 || len(page.SRAs) != 1 || page.SRAs[0].ID != second.ID.String() {
-		t.Fatalf("re-anchored page %+v, want fw-two at offset 1", page)
-	}
-}
-
-func TestSRAListOffsetIsDeprecated(t *testing.T) {
-	e := newEnv(t)
-	resp, _ := e.getRaw("/v1/sras?offset=0&limit=2")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("offset request status %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("offset request missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "cursor") {
-		t.Errorf("Link header %q does not point at the cursor form", link)
+	if len(page.SRAs) != 1 || page.SRAs[0].ID != second.ID.String() {
+		t.Fatalf("re-anchored page %+v, want fw-two (index 1)", page)
 	}
 }
 
@@ -170,10 +146,7 @@ func TestListParamRejections(t *testing.T) {
 	for _, path := range []string{
 		"/v1/sras?limit=0",
 		"/v1/sras?limit=xyz",
-		"/v1/sras?offset=-1",
-		"/v1/sras?offset=1.5",
 		"/v1/sras?cursor=garbage",
-		"/v1/sras?cursor=" + sraCursor + "&offset=2",
 		"/v1/sras?cursor=" + blockCursor, // wrong endpoint's token
 		"/v1/blocks?from=-1",
 		"/v1/blocks?to=xyz",
@@ -189,6 +162,16 @@ func TestListParamRejections(t *testing.T) {
 		}
 		if got := decodeErrBody(t, body); got.Code != CodeBadRequest {
 			t.Errorf("GET %s: code %q, want %q", path, got.Code, CodeBadRequest)
+		}
+	}
+
+	// The removed ?offset= parameter is refused by name, pointing at its
+	// replacement, never silently ignored (page one forever).
+	for _, path := range []string{"/v1/sras?offset=2", "/v1/sras?cursor=" + sraCursor + "&offset=2"} {
+		resp, body := e.getRaw(path)
+		if got := decodeErrBody(t, body); resp.StatusCode != http.StatusBadRequest ||
+			got.Code != CodeBadRequest || !strings.Contains(got.Message, "cursor") {
+			t.Errorf("GET %s: %d %+v, want a bad_request naming cursor", path, resp.StatusCode, got)
 		}
 	}
 

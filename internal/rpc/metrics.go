@@ -2,16 +2,12 @@ package rpc
 
 import "github.com/smartcrowd/smartcrowd/internal/telemetry"
 
-// Package-level metric handles, resolved once at init. The request
-// latency histograms are split by read mode so the rpcload bench can
-// compare the locked oracle against the snapshot+cache path from one
-// process-wide registry.
+// Package-level metric handles, resolved once at init. The latency
+// histogram keeps its mode="view" label so the series name operators
+// scrape did not change when the locked read mode was removed.
 var (
-	mLegacyHits = telemetry.GetCounter("smartcrowd_rpc_legacy_requests_total")
-
-	mReqLockedNs = telemetry.GetHistogram("smartcrowd_rpc_request_ns", telemetry.L("mode", "locked"))
-	mReqViewNs   = telemetry.GetHistogram("smartcrowd_rpc_request_ns", telemetry.L("mode", "view"))
-	mReqErrors   = telemetry.GetCounter("smartcrowd_rpc_request_errors_total")
+	mReqNs     = telemetry.GetHistogram("smartcrowd_rpc_request_ns", telemetry.L("mode", "view"))
+	mReqErrors = telemetry.GetCounter("smartcrowd_rpc_request_errors_total")
 
 	mCacheHitPerm  = telemetry.GetCounter("smartcrowd_rpc_cache_hit_total", telemetry.L("tier", "finalized"))
 	mCacheHitHead  = telemetry.GetCounter("smartcrowd_rpc_cache_hit_total", telemetry.L("tier", "head"))
@@ -21,8 +17,7 @@ var (
 )
 
 func init() {
-	telemetry.SetHelp("smartcrowd_rpc_legacy_requests_total", "requests served via deprecated unprefixed route aliases")
-	telemetry.SetHelp("smartcrowd_rpc_request_ns", "/v1 request service latency, by chain read mode (locked mutex vs lock-free view)")
+	telemetry.SetHelp("smartcrowd_rpc_request_ns", "/v1 request service latency (chain reads and tx submission)")
 	telemetry.SetHelp("smartcrowd_rpc_request_errors_total", "/v1 requests answered with an error envelope")
 	telemetry.SetHelp("smartcrowd_rpc_cache_hit_total", "response-cache hits, by tier (finalized content-addressed vs head-keyed generation)")
 	telemetry.SetHelp("smartcrowd_rpc_cache_miss_total", "response-cache misses that built and stored a response, by tier")

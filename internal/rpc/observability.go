@@ -21,7 +21,7 @@ import (
 // against.
 
 // sortedLabels renders a label map as a JSON object with keys in sorted
-// order. encoding/json happens to sort map keys today, but /debug/spans
+// order. encoding/json happens to sort map keys today, but /debug/traces
 // promises deterministic bytes, so the ordering is pinned here rather
 // than inherited from an encoder implementation detail.
 type sortedLabels map[string]string
@@ -78,19 +78,6 @@ func spanView(sp telemetry.SpanRecord) SpanView {
 		SpanID:     sp.SpanID,
 		ParentID:   sp.ParentID,
 	}
-}
-
-// handleSpans serves the tracer's recent-span ring, oldest first, with
-// label maps sorted so repeated requests over identical state produce
-// identical bytes.
-func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
-	spans := telemetry.RecentSpans()
-	views := make([]SpanView, 0, len(spans))
-	for _, sp := range spans {
-		views = append(views, spanView(sp))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSON(w, http.StatusOK, views)
 }
 
 // TraceNode is one span in a trace's hop tree, children nested under the
@@ -342,8 +329,7 @@ type HealthResponse struct {
 // takes precedence: a syncing node usually also has its serving peer, so
 // the peer check alone would report it healthy mid-adoption.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	cr, _ := s.reader()
-	head := cr.Head()
+	head := s.node.Chain().CurrentView().Head()
 	age := time.Now().Unix() - int64(head.Header.Time)
 	if age < 0 {
 		age = 0
@@ -404,8 +390,7 @@ type StorageResponse struct {
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	cr, _ := s.reader()
-	head := cr.Head()
+	head := s.node.Chain().CurrentView().Head()
 	st := s.node.Chain().StorageStats()
 	writeJSON(w, http.StatusOK, NodeResponse{
 		NodeID:     string(s.node.ID()),

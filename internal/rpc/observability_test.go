@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bufio"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -115,29 +114,22 @@ func TestDebugLogsEndpoint(t *testing.T) {
 	}
 }
 
-// TestDebugSpansDeterministic asserts the satellite contract: identical
-// state must serve byte-identical /debug/spans responses with an explicit
-// JSON content type.
-func TestDebugSpansDeterministic(t *testing.T) {
+// TestDebugTracesDeterministic asserts identical trace state serves
+// byte-identical /debug/traces responses with an explicit JSON content
+// type, labels in sorted key order.
+func TestDebugTracesDeterministic(t *testing.T) {
 	e := newEnv(t)
-	sp := telemetry.StartSpan("det.test")
+	sp := telemetry.StartTrace("det.test")
+	id := sp.Context().TraceID.String()
 	sp.End(
 		telemetry.L("zeta", "1"), telemetry.L("alpha", "2"),
 		telemetry.L("mid", "3"), telemetry.L("beta", "4"),
 	)
 
 	fetch := func() (string, string) {
-		resp, err := http.Get(e.server.URL + "/debug/spans")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
+		resp, body := e.getRaw("/debug/traces?id=" + id)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("debug/spans returned %d", resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("debug/traces returned %d", resp.StatusCode)
 		}
 		return string(body), resp.Header.Get("Content-Type")
 	}
@@ -147,7 +139,7 @@ func TestDebugSpansDeterministic(t *testing.T) {
 		t.Errorf("content type %q, want application/json", ct)
 	}
 	if b1 != b2 {
-		t.Fatal("two reads of identical span state differ")
+		t.Fatal("two reads of identical trace state differ")
 	}
 	// The sorted-label contract, visible in the bytes themselves.
 	if !strings.Contains(b1, `{"alpha":"2","beta":"4","mid":"3","zeta":"1"}`) {

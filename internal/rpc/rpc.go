@@ -4,7 +4,7 @@
 // Consumers query release references and balances; detectors submit
 // transactions and fetch light-client proofs.
 //
-// The documented surface lives under the versioned /v1 prefix:
+// The whole surface is one route table (routes, below):
 //
 //	GET  /v1/status                    chain head summary
 //	GET  /v1/block/{number}            canonical block by height
@@ -19,19 +19,21 @@
 //	GET  /v1/events                    live SSE feed of heads/SRAs/verdicts
 //	GET  /v1/health                    readiness probe (peers, sync, head age)
 //	GET  /v1/node                      operational report (storage, sync, peers)
+//	GET  /metrics                      Prometheus text exposition
+//	GET  /debug/traces                 hierarchical traces (?id= for one)
+//	GET  /debug/logs                   structured-log ring (?level= filter)
+//
+// /metrics and /debug/* are operational, not part of the versioned API;
+// Config.EnablePprof additionally mounts net/http/pprof under
+// /debug/pprof/.
 //
 // The list endpoints paginate with opaque cursors (cursor.go): every
 // page carries a nextCursor token that resumes exactly after the last
 // delivered item even if the head moved — or reorged — between requests.
-// The pre-cursor offset/nextOffset contract remains accepted for one
-// release: requests carrying ?offset= are answered in full but stamped
-// with a Deprecation header pointing at the cursor form. /v1/blocks
-// serves bounded ?from=&to= ranges (≤ 100 blocks) as before; an
+// /v1/blocks serves bounded ?from=&to= ranges (≤ 100 blocks); an
 // open-ended request (no `to`) pages toward the head via nextCursor.
 //
-// The original unprefixed paths remain as deprecated aliases: they serve
-// identical responses plus a "Deprecation: true" header and a Link to the
-// /v1 successor. Errors are uniform across every route:
+// Errors are uniform across every route:
 //
 //	{"error":{"code":"<stable-string>","message":"<human detail>"}}
 //
@@ -40,7 +42,7 @@
 //
 // # Read path
 //
-// Every GET handler serves from an immutable chain.ReadView pinned once
+// Every chain read serves from an immutable chain.ReadView pinned once
 // per request by a single atomic load — no handler ever takes the chain
 // mutex, so a million polling consumers cannot stall the import pipeline
 // (or each other). On top of the view sits a read-through response cache
@@ -52,24 +54,13 @@
 // published. Responses carry strong ETags; If-None-Match revalidation
 // answers 304 without a body. /v1/status includes the pool's pending-tx
 // count, which is not head-pinned — its staleness is bounded by one
-// head-generation swap. Config.UseLockedReads restores the mutex path as
-// a byte-identical oracle for the rpcload benchmark.
-//
-// Observability endpoints are operational, not part of the versioned API:
-//
-//	GET  /metrics                      Prometheus text exposition
-//	GET  /debug/vars                   expvar JSON (includes "smartcrowd")
-//	GET  /debug/spans                  recent traced spans, oldest first
-//	GET  /debug/traces                 hierarchical traces (?id= for one)
-//	GET  /debug/logs                   structured-log ring (?level= filter)
-//	GET  /debug/pprof/...              net/http/pprof (Config.EnablePprof)
+// head-generation swap.
 package rpc
 
 import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,10 +71,7 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
-	"github.com/smartcrowd/smartcrowd/internal/crypto/merkle"
-	"github.com/smartcrowd/smartcrowd/internal/light"
 	"github.com/smartcrowd/smartcrowd/internal/node"
-	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -95,49 +83,18 @@ type Config struct {
 	// default: profiling endpoints expose heap contents and should only
 	// face operators.
 	EnablePprof bool
-	// UseLockedReads routes every read through the chain's mutex-guarded
-	// methods instead of the published ReadView — the pre-snapshot
-	// behavior, kept as the byte-identical oracle the rpcload benchmark
-	// measures against. The response cache is off in this mode.
-	UseLockedReads bool
-	// DisableCache serves from the ReadView but skips the response
-	// cache, isolating the snapshot's contribution from the cache's.
-	DisableCache bool
-	// FinalityDepth is K: objects at least K blocks below the view head
-	// are finalized, so their content-addressed responses advertise
-	// themselves as immutable to HTTP caches. 0 means the chain's
-	// configured confirmation depth (the paper's 6-block rule).
-	FinalityDepth uint64
-}
-
-// ChainReader is the chain read surface the GET handlers consume. It is
-// satisfied by both *chain.ReadView (the default: one atomic load pins
-// an immutable snapshot for the whole request) and *chain.Chain (the
-// mutex-guarded oracle behind Config.UseLockedReads).
-type ChainReader interface {
-	Head() *types.Block
-	HeadNumber() uint64
-	TotalDifficulty() uint64
-	BlockByNumber(n uint64) (*types.Block, error)
-	BlocksRange(from, to uint64) []*types.Block
-	ReceiptOf(txHash types.Hash) (*chain.Receipt, error)
-	Confirmations(txHash types.Hash) uint64
-	TxLocation(txHash types.Hash) (blockID types.Hash, number uint64, txIdx int, ok bool)
-	SRACount() int
-	SRAList(offset, limit int) []chain.SRARef
-	SRAAt(i int) (chain.SRARef, bool)
-	DetectionResults(sraID types.Hash) []chain.DetectionRecord
-	State() *state.DB
 }
 
 // Server serves the JSON API for one provider node.
 type Server struct {
 	node     *node.ProviderNode
 	contract *contract.Contract
-	cfg      Config
 	cache    *respCache
+	// finality is K, the chain's confirmation depth (the paper's 6-block
+	// rule): objects at least K blocks below the view head are finalized,
+	// so their content-addressed responses advertise themselves as
+	// immutable to HTTP caches.
 	finality uint64
-	reqNs    *telemetry.Histogram
 	mux      *http.ServeMux
 }
 
@@ -152,60 +109,13 @@ func NewServerWith(n *node.ProviderNode, c *contract.Contract, cfg Config) *Serv
 	s := &Server{
 		node:     n,
 		contract: c,
-		cfg:      cfg,
 		cache:    newRespCache(),
-		finality: cfg.FinalityDepth,
-		reqNs:    mReqViewNs,
+		finality: n.Chain().Config().Confirmations,
 		mux:      http.NewServeMux(),
 	}
-	if s.finality == 0 {
-		s.finality = n.Chain().Config().Confirmations
+	for _, rt := range routes {
+		s.mux.HandleFunc(rt.method+" "+rt.pattern, s.handler(rt))
 	}
-	if cfg.UseLockedReads {
-		s.reqNs = mReqLockedNs
-	}
-
-	// Every route registers twice: canonically under /v1, and at its
-	// historical unprefixed path as a deprecated alias that carries a
-	// Deprecation header pointing clients at the successor. Both paths
-	// feed the mode-labeled latency histogram.
-	routes := []struct {
-		method, path string
-		h            http.HandlerFunc
-	}{
-		{"GET", "/status", s.handleStatus},
-		{"GET", "/block/{number}", s.handleBlock},
-		{"GET", "/balance/{address}", s.handleBalance},
-		{"GET", "/receipt/{txhash}", s.handleReceipt},
-		{"GET", "/sra/{id}", s.handleSRA},
-		{"GET", "/reference/{id}", s.handleReference},
-		{"GET", "/proof/{txhash}", s.handleProof},
-		{"POST", "/tx", s.handleSubmitTx},
-	}
-	for _, r := range routes {
-		h := s.measured(r.h)
-		s.mux.HandleFunc(r.method+" /v1"+r.path, h)
-		s.mux.HandleFunc(r.method+" "+r.path, deprecatedAlias(r.path, h))
-	}
-	// List endpoints are part of the redesign and exist only under /v1.
-	s.mux.HandleFunc("GET /v1/sras", s.measured(s.handleSRAList))
-	s.mux.HandleFunc("GET /v1/blocks", s.measured(s.handleBlockList))
-
-	// Streaming, readiness and operational endpoints: versioned because
-	// consumers script against them, but deliberately outside the
-	// cache/view machinery — all answer from live process state.
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/health", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/node", s.handleNode)
-
-	// Observability surface. The metrics registry is process-wide, so
-	// every server mounted in one process serves the same numbers.
-	telemetry.PublishExpvar()
-	s.mux.Handle("GET /metrics", telemetry.Handler())
-	s.mux.Handle("GET /debug/vars", expvar.Handler())
-	s.mux.HandleFunc("GET /debug/spans", s.handleSpans)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	s.mux.HandleFunc("GET /debug/logs", s.handleLogs)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -219,6 +129,70 @@ func NewServerWith(n *node.ProviderNode, c *contract.Contract, cfg Config) *Serv
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
+}
+
+// route is one row of the HTTP surface. A chain read sets read and is
+// served through serveRead — view pin, response cache, ETag and latency
+// histogram attach there, once, for every row. Everything that answers
+// from live process state instead (submission, the event stream, probes,
+// telemetry) sets live and is deliberately outside that machinery.
+type route struct {
+	method, pattern string
+	read            readFunc
+	live            func(*Server, http.ResponseWriter, *http.Request)
+	// timed feeds a live route into the request-latency histogram; reads
+	// always are.
+	timed bool
+}
+
+// readFunc resolves one request against the pinned view: where the
+// answer caches and how to build it. An error is the client's — a
+// malformed path value, query or cursor — and is answered bad_request,
+// uncached.
+type readFunc func(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error)
+
+// buildFunc renders a response from the view its readFunc closed over.
+type buildFunc func() (status int, body interface{})
+
+// routes is the whole HTTP surface. The package comment above and
+// DESIGN.md §8.5 list exactly these rows (TestRouteTableMatchesDocs).
+var routes = []route{
+	{method: "GET", pattern: "/v1/status", read: readStatus},
+	{method: "GET", pattern: "/v1/block/{number}", read: readBlock},
+	{method: "GET", pattern: "/v1/blocks", read: readBlocks},
+	{method: "GET", pattern: "/v1/balance/{address}", read: readBalance},
+	{method: "GET", pattern: "/v1/receipt/{txhash}", read: readReceipt},
+	{method: "GET", pattern: "/v1/sra/{id}", read: readSRA},
+	{method: "GET", pattern: "/v1/sras", read: readSRAs},
+	{method: "GET", pattern: "/v1/reference/{id}", read: readReference},
+	{method: "GET", pattern: "/v1/proof/{txhash}", read: readProof},
+	{method: "POST", pattern: "/v1/tx", live: (*Server).handleSubmitTx, timed: true},
+	{method: "GET", pattern: "/v1/events", live: (*Server).handleEvents},
+	{method: "GET", pattern: "/v1/health", live: (*Server).handleHealth},
+	{method: "GET", pattern: "/v1/node", live: (*Server).handleNode},
+	// The metrics registry is process-wide, so every server mounted in
+	// one process serves the same numbers.
+	{method: "GET", pattern: "/metrics", live: func(_ *Server, w http.ResponseWriter, r *http.Request) {
+		telemetry.Handler().ServeHTTP(w, r)
+	}},
+	{method: "GET", pattern: "/debug/traces", live: (*Server).handleTraces},
+	{method: "GET", pattern: "/debug/logs", live: (*Server).handleLogs},
+}
+
+// handler binds one table row to this server.
+func (s *Server) handler(rt route) http.HandlerFunc {
+	if rt.read == nil && !rt.timed {
+		return func(w http.ResponseWriter, r *http.Request) { rt.live(s, w, r) }
+	}
+	return func(w http.ResponseWriter, r *http.Request) {
+		t0 := time.Now()
+		if rt.read != nil {
+			s.serveRead(w, r, rt.read)
+		} else {
+			rt.live(s, w, r)
+		}
+		mReqNs.ObserveDuration(time.Since(t0))
+	}
 }
 
 // Stable error codes of the /v1 envelope. Clients branch on these; the
@@ -256,9 +230,14 @@ func errEnvelope(code string, err error) ErrorEnvelope {
 	return ErrorEnvelope{Error: ErrorBody{Code: code, Message: err.Error()}}
 }
 
+// notFound builds the 404 envelope for an object the view does not hold.
+func notFound(err error) buildFunc {
+	return func() (int, interface{}) { return http.StatusNotFound, errEnvelope(CodeNotFound, err) }
+}
+
 // encodeBody renders the exact bytes writeJSON streams for v — Marshal
 // plus the Encoder's trailing newline — so cached responses stay
-// byte-identical with the uncached (and locked-oracle) paths.
+// byte-identical with the uncached fallback.
 func encodeBody(v interface{}) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -267,46 +246,29 @@ func encodeBody(v interface{}) []byte {
 	return append(b, '\n')
 }
 
-// measured wraps a handler with the per-request latency histogram for
-// the server's read mode.
-func (s *Server) measured(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		s.reqNs.ObserveDuration(time.Since(t0))
-	}
-}
-
-// reader pins the read surface for one request: the latest published
-// ReadView (view != nil), or the locked chain oracle under
-// Config.UseLockedReads (view == nil, which also bypasses the cache).
-func (s *Server) reader() (ChainReader, *chain.ReadView) {
-	c := s.node.Chain()
-	if s.cfg.UseLockedReads {
-		return c, nil
-	}
-	v := c.CurrentView()
-	return v, v
-}
-
-// cacheRef names where a response may cache: the finalized
+// cacheRef names where a response caches: the finalized
 // content-addressed tier (perm) or the current head generation.
 type cacheRef struct {
 	perm bool
 	key  string
 }
 
-// serveRead writes one read response, routing it through the response
-// cache when the request is served from a ReadView. Within one head
+// contentRef is the cacheRef of a response that commits to one block
+// alone: keyed by block id it is reorg-safe at any depth, and K blocks
+// down it is promoted to the finalized tier.
+func (s *Server) contentRef(v *chain.ReadView, key string, number uint64) cacheRef {
+	return cacheRef{key: key, perm: v.FinalizedDepth(number) >= s.finality}
+}
+
+// serveRead answers one chain read: pin the view, resolve the request
+// against it, and serve the response through the cache. Within one head
 // generation (and forever in the finalized tier) every answer for a key
 // is immutable, so serving cached bytes is exact, not approximate.
-func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, view *chain.ReadView, ref cacheRef, build func() (int, interface{})) {
-	if view == nil || s.cfg.DisableCache || ref.key == "" {
-		status, v := build()
-		if status >= 400 {
-			mReqErrors.Inc()
-		}
-		writeJSON(w, status, v)
+func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, read readFunc) {
+	view := s.node.Chain().CurrentView()
+	ref, build, err := read(s, r, view)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	enc := func() (int, []byte) {
@@ -319,8 +281,9 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, view *chain.R
 	} else {
 		e = s.cache.headGetOrBuild(view.HeadID(), ref.key, enc)
 	}
-	if e.status == 0 {
-		// The winning builder died before publishing; answer uncached.
+	if e == nil || e.status == 0 {
+		// The head generation is full, or the winning builder died
+		// before publishing; answer uncached.
 		status, v := build()
 		if status >= 400 {
 			mReqErrors.Inc()
@@ -349,20 +312,6 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, view *chain.R
 	_, _ = w.Write(e.body)
 }
 
-// deprecatedAlias wraps a handler mounted at a legacy unprefixed path: it
-// serves the same response but stamps the RFC 8594 Deprecation header and
-// links the /v1 successor, and counts the hit so operators can see when
-// the aliases stop being used.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	successor := "/v1" + path
-	return func(w http.ResponseWriter, r *http.Request) {
-		mLegacyHits.Inc()
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-		h(w, r)
-	}
-}
-
 // StatusResponse summarizes the chain head.
 type StatusResponse struct {
 	HeadNumber      uint64 `json:"headNumber"`
@@ -371,16 +320,15 @@ type StatusResponse struct {
 	PendingTxs      int    `json:"pendingTxs"`
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	cr, view := s.reader()
-	s.serveRead(w, r, view, cacheRef{key: "status"}, func() (int, interface{}) {
+func readStatus(s *Server, _ *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
+	return cacheRef{key: "status"}, func() (int, interface{}) {
 		return http.StatusOK, StatusResponse{
-			HeadNumber:      cr.HeadNumber(),
-			HeadID:          cr.Head().ID().String(),
-			TotalDifficulty: cr.TotalDifficulty(),
+			HeadNumber:      v.HeadNumber(),
+			HeadID:          v.HeadID().String(),
+			TotalDifficulty: v.TotalDifficulty(),
 			PendingTxs:      s.node.PoolLen(),
 		}
-	})
+	}, nil
 }
 
 // BlockResponse is a canonical block summary.
@@ -395,31 +343,21 @@ type BlockResponse struct {
 	Reports    int      `json:"reports"`
 }
 
-func (s *Server) handleBlock(w http.ResponseWriter, r *http.Request) {
+func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	n, err := strconv.ParseUint(r.PathValue("number"), 10, 64)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("rpc: bad block number: %w", err))
-		return
+		return cacheRef{}, nil, fmt.Errorf("rpc: bad block number: %w", err)
 	}
-	cr, view := s.reader()
-	blk, err := cr.BlockByNumber(n)
+	blk, err := v.BlockByNumber(n)
 	if err != nil {
 		// Cached per head generation: within one view, "past the head"
-		// stays past the head.
-		s.serveRead(w, r, view, cacheRef{key: "block!:" + r.PathValue("number")}, func() (int, interface{}) {
-			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
-		})
-		return
+		// stays past the head. Keyed by the parsed number, so "7", "07"
+		// and "007" share one entry.
+		return cacheRef{key: "block!:" + strconv.FormatUint(n, 10)}, notFound(err), nil
 	}
-	// Content-addressed by block id: reorg-safe at any depth, and
-	// promoted to the finalized tier once K blocks deep.
-	ref := cacheRef{key: "block:" + blk.ID().String()}
-	if view != nil && view.FinalizedDepth(n) >= s.finality {
-		ref.perm = true
-	}
-	s.serveRead(w, r, view, ref, func() (int, interface{}) {
+	return s.contentRef(v, "block:"+blk.ID().String(), n), func() (int, interface{}) {
 		return http.StatusOK, blockResponse(blk)
-	})
+	}, nil
 }
 
 // blockResponse summarizes one block for /v1/block and /v1/blocks.
@@ -448,17 +386,14 @@ type BalanceResponse struct {
 	Nonce   uint64  `json:"nonce"`
 }
 
-func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
+func readBalance(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	addr, err := wallet.ParseAddress(r.PathValue("address"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
-	cr, view := s.reader()
-	s.serveRead(w, r, view, cacheRef{key: "balance:" + addr.String()}, func() (int, interface{}) {
-		// View mode reads the frozen head post-state in place; the locked
-		// oracle pays for a copy-on-write State() under the write lock.
-		st := cr.State()
+	return cacheRef{key: "balance:" + addr.String()}, func() (int, interface{}) {
+		// The view's state is the frozen head post-state, read in place.
+		st := v.State()
 		bal := st.Balance(addr)
 		return http.StatusOK, BalanceResponse{
 			Address: addr.String(),
@@ -466,7 +401,7 @@ func (s *Server) handleBalance(w http.ResponseWriter, r *http.Request) {
 			Ether:   bal.Ether(),
 			Nonce:   st.Nonce(addr),
 		}
-	})
+	}, nil
 }
 
 // ReceiptResponse reports a transaction outcome.
@@ -496,17 +431,15 @@ func parseHash(raw string) (types.Hash, error) {
 	return h, nil
 }
 
-func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
+func readReceipt(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	h, err := parseHash(r.PathValue("txhash"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
-	cr, view := s.reader()
 	// Head-keyed (not finalized) even for deep transactions: the body
 	// carries a live confirmation count that grows with every block.
-	s.serveRead(w, r, view, cacheRef{key: "receipt:" + h.String()}, func() (int, interface{}) {
-		receipt, err := cr.ReceiptOf(h)
+	return cacheRef{key: "receipt:" + h.String()}, func() (int, interface{}) {
+		receipt, err := v.ReceiptOf(h)
 		if err != nil {
 			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
 		}
@@ -517,11 +450,11 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 			Error:         receipt.Err,
 			GasUsed:       receipt.GasUsed,
 			FeeGwei:       uint64(receipt.Fee),
-			Confirmations: cr.Confirmations(h),
+			Confirmations: v.Confirmations(h),
 			PaidGwei:      uint64(receipt.Payout.Paid),
 			Accepted:      len(receipt.Payout.Accepted),
 		}
-	})
+	}, nil
 }
 
 // SRAResponse is the on-chain record of a release announcement.
@@ -535,28 +468,36 @@ type SRAResponse struct {
 	Reports            int     `json:"reports"`
 }
 
-func (s *Server) handleSRA(w http.ResponseWriter, r *http.Request) {
+// sraResponse joins an SRA's contract record with its detection index
+// entry, both under the same view.
+func (s *Server) sraResponse(v *chain.ReadView, id types.Hash) (SRAResponse, error) {
+	info, err := s.contract.GetSRA(v.State(), id)
+	if err != nil {
+		return SRAResponse{}, err
+	}
+	return SRAResponse{
+		ID:                 id.String(),
+		Provider:           info.Provider.String(),
+		InsuranceRemaining: info.InsuranceRemaining.Ether(),
+		BountyEther:        info.Bounty.Ether(),
+		ReleaseBlock:       info.ReleaseBlock,
+		ConfirmedVulns:     info.ConfirmedVulns,
+		Reports:            len(v.DetectionResults(id)),
+	}, nil
+}
+
+func readSRA(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	id, err := parseHash(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
-	cr, view := s.reader()
-	s.serveRead(w, r, view, cacheRef{key: "sra:" + id.String()}, func() (int, interface{}) {
-		info, err := s.contract.GetSRA(cr.State(), id)
+	return cacheRef{key: "sra:" + id.String()}, func() (int, interface{}) {
+		resp, err := s.sraResponse(v, id)
 		if err != nil {
 			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
 		}
-		return http.StatusOK, SRAResponse{
-			ID:                 id.String(),
-			Provider:           info.Provider.String(),
-			InsuranceRemaining: info.InsuranceRemaining.Ether(),
-			BountyEther:        info.Bounty.Ether(),
-			ReleaseBlock:       info.ReleaseBlock,
-			ConfirmedVulns:     info.ConfirmedVulns,
-			Reports:            len(cr.DetectionResults(id)),
-		}
-	})
+		return http.StatusOK, resp
+	}, nil
 }
 
 // ReferenceResponse is the consumer-facing security verdict.
@@ -568,16 +509,13 @@ type ReferenceResponse struct {
 	SafeToDeploy   bool           `json:"safeToDeploy"`
 }
 
-func (s *Server) handleReference(w http.ResponseWriter, r *http.Request) {
+func readReference(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	id, err := parseHash(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
-	cr, view := s.reader()
-	s.serveRead(w, r, view, cacheRef{key: "reference:" + id.String()}, func() (int, interface{}) {
-		consumer := node.NewConsumer(cr, s.contract, 0)
-		ref, err := consumer.Lookup(id)
+	return cacheRef{key: "reference:" + id.String()}, func() (int, interface{}) {
+		ref, err := node.NewConsumer(v, s.contract, 0).Lookup(id)
 		if err != nil {
 			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
 		}
@@ -592,71 +530,7 @@ func (s *Server) handleReference(w http.ResponseWriter, r *http.Request) {
 			BySeverity:     by,
 			SafeToDeploy:   ref.SafeToDeploy,
 		}
-	})
-}
-
-// ProofResponse carries a light-client inclusion proof.
-type ProofResponse struct {
-	BlockID   string   `json:"blockId"`
-	BlockNum  uint64   `json:"blockNumber"`
-	LeafHex   string   `json:"leafHex"`
-	TxHex     string   `json:"txHex"`
-	LeafIndex int      `json:"leafIndex"`
-	LeafCount int      `json:"leafCount"`
-	Siblings  []string `json:"siblings"` // "L:<hex>" or "R:<hex>"
-}
-
-func (s *Server) handleProof(w http.ResponseWriter, r *http.Request) {
-	h, err := parseHash(r.PathValue("txhash"))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
-	}
-	cr, view := s.reader()
-	// One index lookup replaces the historical full-chain scan.
-	blockID, number, txIdx, ok := cr.TxLocation(h)
-	if !ok {
-		s.serveRead(w, r, view, cacheRef{key: "proof!:" + h.String()}, func() (int, interface{}) {
-			return http.StatusNotFound, errEnvelope(CodeNotFound, errors.New("rpc: transaction not on canonical chain"))
-		})
-		return
-	}
-	blk, err := cr.BlockByNumber(number)
-	if err != nil || blk.ID() != blockID {
-		// Only reachable in locked mode, where a reorg can slip between
-		// the two lookups; a view is internally consistent by
-		// construction.
-		writeErr(w, http.StatusNotFound, CodeNotFound, errors.New("rpc: transaction not on canonical chain"))
-		return
-	}
-	// The proof commits to the block alone, so the response is
-	// content-addressed; K blocks down it becomes immutable.
-	ref := cacheRef{key: "proof:" + blockID.String() + ":" + h.String()}
-	if view != nil && view.FinalizedDepth(number) >= s.finality {
-		ref.perm = true
-	}
-	s.serveRead(w, r, view, ref, func() (int, interface{}) {
-		proof, err := light.BuildTxProof(blk, txIdx)
-		if err != nil {
-			return http.StatusInternalServerError, errEnvelope(CodeInternal, err)
-		}
-		resp := ProofResponse{
-			BlockID:   proof.BlockID.String(),
-			BlockNum:  blk.Header.Number,
-			LeafHex:   hex.EncodeToString(proof.TxBytes),
-			TxHex:     hex.EncodeToString(types.EncodeTx(blk.Txs[txIdx])),
-			LeafIndex: proof.Proof.LeafIndex,
-			LeafCount: proof.Proof.LeafCount,
-		}
-		for _, step := range proof.Proof.Steps {
-			side := "L"
-			if step.Right {
-				side = "R"
-			}
-			resp.Siblings = append(resp.Siblings, side+":"+hex.EncodeToString(step.Sibling[:]))
-		}
-		return http.StatusOK, resp
-	})
+	}, nil
 }
 
 // Pagination caps for the list endpoints. Both are enforced, not merely
@@ -670,12 +544,9 @@ const (
 
 // SRAListResponse is a page of the canonical SRA index. NextCursor is
 // always present: on the last page it is a poll token that resumes after
-// the final entry once new SRAs land. Offset and NextOffset survive for
-// one release for pre-cursor clients.
+// the final entry once new SRAs land.
 type SRAListResponse struct {
 	Total      int           `json:"total"`
-	Offset     int           `json:"offset"`
-	NextOffset *int          `json:"nextOffset"` // null on the last page
 	NextCursor string        `json:"nextCursor"`
 	SRAs       []SRAResponse `json:"sras"`
 }
@@ -712,87 +583,48 @@ func parseQueryPositive(r *http.Request, key string, def int) (int, error) {
 	return v, nil
 }
 
-// deprecateOffsetParam stamps a response to a request that paginated by
-// the legacy ?offset= parameter: answered in full, but marked so clients
-// migrate to the cursor form before the parameter is removed.
-func deprecateOffsetParam(w http.ResponseWriter, successor string) {
-	mLegacyHits.Inc()
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+successor+">; rel=\"successor-version\"")
-}
-
-func (s *Server) handleSRAList(w http.ResponseWriter, r *http.Request) {
+func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	q := r.URL.Query()
+	if q.Has("offset") {
+		// Rejected, not ignored: a pre-cursor client that kept sending
+		// offsets would otherwise loop on the first page forever.
+		return cacheRef{}, nil, errors.New("rpc: offset pagination was removed; pass the previous page's nextCursor as cursor")
+	}
 	limit, err := parseQueryPositive(r, "limit", DefaultSRAPageSize)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
 	if limit > MaxSRAPageSize {
 		limit = MaxSRAPageSize
 	}
-	cr, view := s.reader()
-
-	var start int
-	switch {
-	case q.Has("cursor") && q.Has("offset"):
-		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			errors.New("rpc: cursor and offset are mutually exclusive"))
-		return
-	case q.Has("cursor"):
+	start := 0
+	if q.Has("cursor") {
 		cur, err := decodeCursor(q.Get("cursor"), cursorKindSRAs)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
+			return cacheRef{}, nil, err
 		}
-		start = resolveSRACursor(cr, cur)
-	default:
-		offset, err := parseQueryInt(r, "offset", 0)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
-		}
-		if q.Has("offset") {
-			deprecateOffsetParam(w, "/v1/sras?cursor=")
-		}
-		start = offset
+		start = resolveSRACursor(v, cur)
 	}
-
-	// Cursor and offset requests that resolve to the same position share
-	// one cache entry: the body depends only on (start, limit, view).
-	key := fmt.Sprintf("sras:%d:%d", start, limit)
-	s.serveRead(w, r, view, cacheRef{key: key}, func() (int, interface{}) {
-		st := cr.State()
-		refs := cr.SRAList(start, limit)
+	// Cursors that resolve to the same position share one cache entry:
+	// the body depends only on (start, limit, view).
+	return cacheRef{key: fmt.Sprintf("sras:%d:%d", start, limit)}, func() (int, interface{}) {
+		refs := v.SRAList(start, limit)
 		resp := SRAListResponse{
-			Total:  cr.SRACount(),
-			Offset: start,
-			SRAs:   make([]SRAResponse, 0, len(refs)),
+			Total:      v.SRACount(),
+			NextCursor: nextSRACursor(v, start, refs),
+			SRAs:       make([]SRAResponse, 0, len(refs)),
 		}
 		for _, ref := range refs {
-			info, err := s.contract.GetSRA(st, ref.ID)
+			sra, err := s.sraResponse(v, ref.ID)
 			if err != nil {
 				// The index and contract state move together under the
-				// view (or the chain lock-step); a miss here is a
-				// server-side inconsistency.
+				// view; a miss here is a server-side inconsistency.
 				return http.StatusInternalServerError, errEnvelope(CodeInternal, err)
 			}
-			resp.SRAs = append(resp.SRAs, SRAResponse{
-				ID:                 ref.ID.String(),
-				Provider:           info.Provider.String(),
-				InsuranceRemaining: info.InsuranceRemaining.Ether(),
-				BountyEther:        info.Bounty.Ether(),
-				ReleaseBlock:       info.ReleaseBlock,
-				ConfirmedVulns:     info.ConfirmedVulns,
-				Reports:            len(cr.DetectionResults(ref.ID)),
-			})
+			resp.SRAs = append(resp.SRAs, sra)
 		}
-		if next := start + len(refs); len(refs) > 0 && next < resp.Total {
-			resp.NextOffset = &next
-		}
-		resp.NextCursor = nextSRACursor(cr, start, refs)
 		return http.StatusOK, resp
-	})
+	}, nil
 }
 
 // BlockListResponse is a range of canonical blocks. NextCursor is set on
@@ -807,88 +639,70 @@ type BlockListResponse struct {
 	Blocks     []BlockResponse `json:"blocks"`
 }
 
-func (s *Server) handleBlockList(w http.ResponseWriter, r *http.Request) {
+func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
 	q := r.URL.Query()
-	cr, view := s.reader()
-	head := cr.HeadNumber()
+	head := v.HeadNumber()
 
 	if q.Has("cursor") {
 		if q.Has("from") || q.Has("to") {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest,
-				errors.New("rpc: cursor and from/to are mutually exclusive"))
-			return
+			return cacheRef{}, nil, errors.New("rpc: cursor and from/to are mutually exclusive")
 		}
 		cur, err := decodeCursor(q.Get("cursor"), cursorKindBlocks)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-			return
+			return cacheRef{}, nil, err
 		}
 		// Block numbers are fixed at seal time, so the anchor check is
 		// exact: either the block just below the resume point is still the
 		// one the client saw, or that history was reorged away and every
 		// continuation would silently splice two forks — reject instead.
 		if cur.pos > 0 {
-			parent, err := cr.BlockByNumber(cur.pos - 1)
+			parent, err := v.BlockByNumber(cur.pos - 1)
 			if err != nil || parent.ID() != cur.lastID {
-				writeErr(w, http.StatusBadRequest, CodeBadRequest,
-					errors.New("rpc: cursor invalidated by a reorg; restart pagination from a finalized block"))
-				return
+				return cacheRef{}, nil, errors.New("rpc: cursor invalidated by a reorg; restart pagination from a finalized block")
 			}
 		}
 		to := cur.pos + MaxBlockRangeSize - 1
 		if to > head {
 			to = head
 		}
-		s.serveBlockPage(w, r, view, cr, cur.pos, to, head, true)
-		return
+		return blockPage(v, cur.pos, to, true)
 	}
 
 	from, err := parseQueryInt(r, "from", 0)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
 	to, err := parseQueryInt(r, "to", int(head))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
-		return
+		return cacheRef{}, nil, err
 	}
 	if to < from {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Errorf("rpc: bad range: from %d after to %d", from, to))
-		return
+		return cacheRef{}, nil, fmt.Errorf("rpc: bad range: from %d after to %d", from, to)
 	}
-	if q.Has("to") {
-		// Explicitly bounded ranges keep the hard cap: the client named
-		// both ends, so a too-wide range is a contract violation.
-		if to-from+1 > MaxBlockRangeSize {
-			writeErr(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Errorf("rpc: range %d..%d spans %d blocks, cap is %d", from, to, to-from+1, MaxBlockRangeSize))
-			return
-		}
-		s.serveBlockPage(w, r, view, cr, uint64(from), uint64(to), head, false)
-		return
-	}
-	// Open-ended (`to` defaulted to the head): page instead of reject —
-	// the first MaxBlockRangeSize blocks now, a cursor for the rest.
+	tail := !q.Has("to")
 	if to-from+1 > MaxBlockRangeSize {
+		if !tail {
+			// Explicitly bounded ranges keep the hard cap: the client
+			// named both ends, so a too-wide range is a contract violation.
+			return cacheRef{}, nil, fmt.Errorf("rpc: range %d..%d spans %d blocks, cap is %d", from, to, to-from+1, MaxBlockRangeSize)
+		}
+		// Open-ended (`to` defaulted to the head): page instead of reject —
+		// the first MaxBlockRangeSize blocks now, a cursor for the rest.
 		to = from + MaxBlockRangeSize - 1
 	}
-	s.serveBlockPage(w, r, view, cr, uint64(from), uint64(to), head, true)
+	return blockPage(v, uint64(from), uint64(to), tail)
 }
 
-// serveBlockPage renders one canonical block range. tail marks an
-// open-ended iteration, which mints a nextCursor resuming after the last
-// delivered block (or re-polling the same position when the page is
-// empty because the iteration caught up with the head).
-func (s *Server) serveBlockPage(w http.ResponseWriter, r *http.Request, view *chain.ReadView, cr ChainReader, from, to, head uint64, tail bool) {
-	key := fmt.Sprintf("blocks:%d:%d:%t", from, to, tail)
-	s.serveRead(w, r, view, cacheRef{key: key}, func() (int, interface{}) {
-		// The whole range resolves from one snapshot (one lock
-		// acquisition in oracle mode), so a reorg mid-request can never
-		// mix blocks from two forks into a single page.
-		resp := BlockListResponse{From: from, To: to, Head: head}
-		blocks := cr.BlocksRange(from, to)
+// blockPage renders one canonical block range. tail marks an open-ended
+// iteration, which mints a nextCursor resuming after the last delivered
+// block (or re-polling the same position when the page is empty because
+// the iteration caught up with the head).
+func blockPage(v *chain.ReadView, from, to uint64, tail bool) (cacheRef, buildFunc, error) {
+	return cacheRef{key: fmt.Sprintf("blocks:%d:%d:%t", from, to, tail)}, func() (int, interface{}) {
+		// The whole range resolves from one snapshot, so a reorg
+		// mid-request can never mix blocks from two forks into a page.
+		resp := BlockListResponse{From: from, To: to, Head: v.HeadNumber()}
+		blocks := v.BlocksRange(from, to)
 		for _, blk := range blocks {
 			resp.Blocks = append(resp.Blocks, blockResponse(blk))
 		}
@@ -896,22 +710,22 @@ func (s *Server) serveBlockPage(w http.ResponseWriter, r *http.Request, view *ch
 			resp.To = resp.Blocks[len(resp.Blocks)-1].Number
 		}
 		if tail {
-			next := cursor{kind: cursorKindBlocks, headID: cr.Head().ID(), pos: from}
+			next := cursor{kind: cursorKindBlocks, headID: v.HeadID(), pos: from}
 			if n := len(blocks); n > 0 {
 				next.pos = blocks[n-1].Header.Number + 1
 				next.lastID = blocks[n-1].ID()
 			} else if from > 0 {
-				if blk, err := cr.BlockByNumber(from - 1); err == nil {
+				if blk, err := v.BlockByNumber(from - 1); err == nil {
 					next.lastID = blk.ID()
 				}
 			}
 			resp.NextCursor = encodeCursor(next)
 		}
 		return http.StatusOK, resp
-	})
+	}, nil
 }
 
-// SubmitRequest is the POST /tx body.
+// SubmitRequest is the POST /v1/tx body.
 type SubmitRequest struct {
 	TxHex string `json:"txHex"`
 }
@@ -948,43 +762,4 @@ func (s *Server) handleSubmitTx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, SubmitResponse{TxHash: tx.Hash().String(), Pooled: true})
-}
-
-// ParseProofResponse reconstructs a light.TxProof (and the raw tx body)
-// from a ProofResponse — the client side of GET /proof.
-func ParseProofResponse(resp ProofResponse) (light.TxProof, []byte, error) {
-	blockID, err := parseHash(resp.BlockID)
-	if err != nil {
-		return light.TxProof{}, nil, err
-	}
-	leaf, err := hex.DecodeString(resp.LeafHex)
-	if err != nil {
-		return light.TxProof{}, nil, fmt.Errorf("rpc: bad leaf hex: %w", err)
-	}
-	body, err := hex.DecodeString(resp.TxHex)
-	if err != nil {
-		return light.TxProof{}, nil, fmt.Errorf("rpc: bad tx hex: %w", err)
-	}
-	proof := light.TxProof{
-		BlockID: blockID,
-		TxBytes: leaf,
-	}
-	proof.Proof.LeafIndex = resp.LeafIndex
-	proof.Proof.LeafCount = resp.LeafCount
-	for _, s := range resp.Siblings {
-		if len(s) < 2 || (s[0] != 'L' && s[0] != 'R') || s[1] != ':' {
-			return light.TxProof{}, nil, fmt.Errorf("rpc: bad sibling entry %q", s)
-		}
-		raw, err := hex.DecodeString(s[2:])
-		if err != nil || len(raw) != types.HashSize {
-			return light.TxProof{}, nil, fmt.Errorf("rpc: bad sibling hash %q", s)
-		}
-		var sib merkle.Hash
-		copy(sib[:], raw)
-		proof.Proof.Steps = append(proof.Proof.Steps, merkle.ProofStep{
-			Sibling: sib,
-			Right:   s[0] == 'R',
-		})
-	}
-	return proof, body, nil
 }

@@ -148,7 +148,7 @@ func (e *env) get(path string, out interface{}) int {
 func TestStatusEndpoint(t *testing.T) {
 	e := newEnv(t)
 	var st StatusResponse
-	if code := e.get("/status", &st); code != http.StatusOK {
+	if code := e.get("/v1/status", &st); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	if st.HeadNumber != 3 {
@@ -162,16 +162,16 @@ func TestStatusEndpoint(t *testing.T) {
 func TestBlockEndpoint(t *testing.T) {
 	e := newEnv(t)
 	var blk BlockResponse
-	if code := e.get("/block/1", &blk); code != http.StatusOK {
+	if code := e.get("/v1/block/1", &blk); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	if blk.Number != 1 || len(blk.TxHashes) != 1 {
 		t.Errorf("block response %+v", blk)
 	}
-	if code := e.get("/block/99", nil); code != http.StatusNotFound {
+	if code := e.get("/v1/block/99", nil); code != http.StatusNotFound {
 		t.Errorf("missing block returned %d", code)
 	}
-	if code := e.get("/block/notanumber", nil); code != http.StatusBadRequest {
+	if code := e.get("/v1/block/notanumber", nil); code != http.StatusBadRequest {
 		t.Errorf("bad number returned %d", code)
 	}
 }
@@ -179,14 +179,14 @@ func TestBlockEndpoint(t *testing.T) {
 func TestBalanceEndpoint(t *testing.T) {
 	e := newEnv(t)
 	var bal BalanceResponse
-	if code := e.get("/balance/"+e.detector.Address().String(), &bal); code != http.StatusOK {
+	if code := e.get("/v1/balance/"+e.detector.Address().String(), &bal); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	// Detector paid gas twice and earned 5 ETH.
 	if bal.Ether <= 50 || bal.Nonce != 2 {
 		t.Errorf("balance %+v", bal)
 	}
-	if code := e.get("/balance/zzzz", nil); code != http.StatusBadRequest {
+	if code := e.get("/v1/balance/zzzz", nil); code != http.StatusBadRequest {
 		t.Errorf("bad address returned %d", code)
 	}
 }
@@ -194,14 +194,14 @@ func TestBalanceEndpoint(t *testing.T) {
 func TestReceiptEndpoint(t *testing.T) {
 	e := newEnv(t)
 	var rec ReceiptResponse
-	if code := e.get("/receipt/"+e.dtxHash.String(), &rec); code != http.StatusOK {
+	if code := e.get("/v1/receipt/"+e.dtxHash.String(), &rec); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	if !rec.Success || rec.Kind != "detailed-report" || rec.PaidGwei != uint64(types.EtherAmount(5)) {
 		t.Errorf("receipt %+v", rec)
 	}
 	ghost := types.HashBytes([]byte("ghost"))
-	if code := e.get("/receipt/"+ghost.String(), nil); code != http.StatusNotFound {
+	if code := e.get("/v1/receipt/"+ghost.String(), nil); code != http.StatusNotFound {
 		t.Errorf("ghost receipt returned %d", code)
 	}
 }
@@ -209,7 +209,7 @@ func TestReceiptEndpoint(t *testing.T) {
 func TestSRAAndReferenceEndpoints(t *testing.T) {
 	e := newEnv(t)
 	var sra SRAResponse
-	if code := e.get("/sra/"+e.sra.ID.String(), &sra); code != http.StatusOK {
+	if code := e.get("/v1/sra/"+e.sra.ID.String(), &sra); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	if sra.ConfirmedVulns != 1 || sra.InsuranceRemaining != 95 || sra.Reports != 2 {
@@ -217,7 +217,7 @@ func TestSRAAndReferenceEndpoints(t *testing.T) {
 	}
 
 	var ref ReferenceResponse
-	if code := e.get("/reference/"+e.sra.ID.String(), &ref); code != http.StatusOK {
+	if code := e.get("/v1/reference/"+e.sra.ID.String(), &ref); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	if ref.SafeToDeploy || ref.ConfirmedVulns != 1 || ref.BySeverity["high"] != 1 {
@@ -228,7 +228,7 @@ func TestSRAAndReferenceEndpoints(t *testing.T) {
 func TestProofEndpointVerifiesWithLightClient(t *testing.T) {
 	e := newEnv(t)
 	var pr ProofResponse
-	if code := e.get("/proof/"+e.dtxHash.String(), &pr); code != http.StatusOK {
+	if code := e.get("/v1/proof/"+e.dtxHash.String(), &pr); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
 	proof, body, err := ParseProofResponse(pr)
@@ -255,7 +255,7 @@ func TestProofEndpointVerifiesWithLightClient(t *testing.T) {
 func TestProofEndpointMissingTx(t *testing.T) {
 	e := newEnv(t)
 	ghost := types.HashBytes([]byte("ghost"))
-	if code := e.get("/proof/"+ghost.String(), nil); code != http.StatusNotFound {
+	if code := e.get("/v1/proof/"+ghost.String(), nil); code != http.StatusNotFound {
 		t.Errorf("ghost proof returned %d", code)
 	}
 }
@@ -277,7 +277,7 @@ func TestSubmitTxEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(e.server.URL+"/tx", "application/json", bytes.NewReader(payload))
+	resp, err := http.Post(e.server.URL+"/v1/tx", "application/json", bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestSubmitTxRejectsGarbage(t *testing.T) {
 		`{"txHex":"zz"}`,
 		fmt.Sprintf(`{"txHex":"%s"}`, hex.EncodeToString([]byte{0xc0})),
 	} {
-		resp, err := http.Post(e.server.URL+"/tx", "application/json", bytes.NewBufferString(body))
+		resp, err := http.Post(e.server.URL+"/v1/tx", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,10 +15,10 @@ import (
 func TestSRAUnknownID(t *testing.T) {
 	e := newEnv(t)
 	ghost := types.HashBytes([]byte("no-such-sra"))
-	if code := e.get("/sra/"+ghost.String(), nil); code != http.StatusNotFound {
+	if code := e.get("/v1/sra/"+ghost.String(), nil); code != http.StatusNotFound {
 		t.Errorf("unknown SRA returned %d, want 404", code)
 	}
-	if code := e.get("/sra/zzzz", nil); code != http.StatusBadRequest {
+	if code := e.get("/v1/sra/zzzz", nil); code != http.StatusBadRequest {
 		t.Errorf("malformed SRA id returned %d, want 400", code)
 	}
 }
@@ -27,10 +26,10 @@ func TestSRAUnknownID(t *testing.T) {
 func TestReferenceUnknownID(t *testing.T) {
 	e := newEnv(t)
 	ghost := types.HashBytes([]byte("no-such-reference"))
-	if code := e.get("/reference/"+ghost.String(), nil); code != http.StatusNotFound {
+	if code := e.get("/v1/reference/"+ghost.String(), nil); code != http.StatusNotFound {
 		t.Errorf("unknown reference returned %d, want 404", code)
 	}
-	if code := e.get("/reference/zzzz", nil); code != http.StatusBadRequest {
+	if code := e.get("/v1/reference/zzzz", nil); code != http.StatusBadRequest {
 		t.Errorf("malformed reference id returned %d, want 400", code)
 	}
 }
@@ -54,7 +53,7 @@ func TestProofNonCanonicalTx(t *testing.T) {
 	if err := e.provider.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
-	if code := e.get("/proof/"+tx.Hash().String(), nil); code != http.StatusNotFound {
+	if code := e.get("/v1/proof/"+tx.Hash().String(), nil); code != http.StatusNotFound {
 		t.Errorf("pooled-but-unmined tx proof returned %d, want 404", code)
 	}
 }
@@ -123,44 +122,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if !inserted {
 		t.Error("chain_import_total{outcome=inserted} did not move after mining")
 	}
-}
-
-func TestDebugVarsIncludesSmartcrowd(t *testing.T) {
-	e := newEnv(t)
-	resp, err := http.Get(e.server.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars returned %d", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("debug/vars is not a JSON object: %v", err)
-	}
-	sc, ok := vars["smartcrowd"]
-	if !ok {
-		t.Fatal("expvar map has no \"smartcrowd\" entry")
-	}
-	var values map[string]float64
-	if err := json.Unmarshal(sc, &values); err != nil {
-		t.Fatalf("smartcrowd expvar is not a flat series map: %v", err)
-	}
-	if len(values) == 0 {
-		t.Error("smartcrowd expvar map is empty")
-	}
-}
-
-func TestDebugSpansEndpoint(t *testing.T) {
-	e := newEnv(t)
-	var spans []telemetry.SpanRecord
-	if code := e.get("/debug/spans", &spans); code != http.StatusOK {
-		t.Fatalf("debug/spans returned %d", code)
-	}
-	// The ring is process-wide; the env's setup may or may not have traced
-	// spans depending on test order, so only the shape is asserted — the
-	// response must be a JSON array (decode above) even when empty.
 }
 
 func TestPprofGatedByConfig(t *testing.T) {

@@ -5,6 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -52,55 +57,74 @@ func (e *env) releaseSRA(name string, nonce uint64) *types.SRA {
 	return sra
 }
 
-// TestV1RoutesAndDeprecatedAliases walks every migrated route: the /v1
-// path must answer without deprecation markers, the legacy path must serve
-// the identical body plus the Deprecation header and a Link to its
-// successor.
-func TestV1RoutesAndDeprecatedAliases(t *testing.T) {
+// TestRemovedRoutesNotFound asserts, once, that the surfaces this server
+// used to carry beside /v1 are gone rather than half-alive: the
+// unprefixed aliases, the span ring and the expvar bridge.
+func TestRemovedRoutesNotFound(t *testing.T) {
 	e := newEnv(t)
-	paths := []string{
+	for _, path := range []string{
 		"/status",
 		"/block/1",
-		"/balance/" + e.alice.Address().String(),
-		"/receipt/" + e.dtxHash.String(),
-		"/sra/" + e.sra.ID.String(),
+		"/blocks",
 		"/reference/" + e.sra.ID.String(),
-		"/proof/" + e.dtxHash.String(),
-	}
-	for _, path := range paths {
-		v1Resp, v1Body := e.getRaw("/v1" + path)
-		if v1Resp.StatusCode != http.StatusOK {
-			t.Errorf("GET /v1%s: status %d", path, v1Resp.StatusCode)
-		}
-		if v1Resp.Header.Get("Deprecation") != "" {
-			t.Errorf("GET /v1%s: carries a Deprecation header", path)
-		}
-
-		legacyResp, legacyBody := e.getRaw(path)
-		if legacyResp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", path, legacyResp.StatusCode)
-		}
-		if legacyResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", path)
-		}
-		if link := legacyResp.Header.Get("Link"); !strings.Contains(link, "/v1") ||
-			!strings.Contains(link, `rel="successor-version"`) {
-			t.Errorf("GET %s: Link header %q does not name the /v1 successor", path, link)
-		}
-		if string(v1Body) != string(legacyBody) {
-			t.Errorf("GET %s: legacy body differs from /v1 body", path)
+		"/debug/spans",
+		"/debug/vars",
+	} {
+		if resp, _ := e.getRaw(path); resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
 		}
 	}
-
-	// The legacy POST /tx alias is deprecated too — the marker is stamped
-	// even on error responses.
-	resp, err := http.Post(e.server.URL+"/tx", "application/json", strings.NewReader("not json"))
+	resp, err := http.Post(e.server.URL+"/tx", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("POST /tx: missing Deprecation header")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /tx: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestRouteTableMatchesDocs walks the route table and fails unless the
+// package comment in rpc.go and DESIGN.md §8.5 list exactly its
+// method+pattern pairs — a route cannot be added, removed or renamed in
+// one of the three places only.
+func TestRouteTableMatchesDocs(t *testing.T) {
+	var want []string
+	for _, rt := range routes {
+		want = append(want, rt.method+" "+rt.pattern)
+	}
+	sort.Strings(want)
+
+	// Doc rows look like "GET  /v1/blocks?from=&to=   description".
+	row := regexp.MustCompile(`^(?://\t|    )(GET|POST) +(/[^ ?]*)`)
+	listed := func(path, from, to string) []string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		i := strings.Index(text, from)
+		j := strings.Index(text, to)
+		if i < 0 || j < i {
+			t.Fatalf("%s: section %q .. %q not found", path, from, to)
+		}
+		var got []string
+		for _, line := range strings.Split(text[i:j], "\n") {
+			if m := row.FindStringSubmatch(line); m != nil {
+				got = append(got, m[1]+" "+m[2])
+			}
+		}
+		sort.Strings(got)
+		return got
+	}
+	for _, doc := range []struct{ path, from, to string }{
+		{"rpc.go", "// Package rpc", "\npackage rpc"},
+		{filepath.Join("..", "..", "DESIGN.md"), "### 8.5 ", "\n## 9. "},
+	} {
+		if got := listed(doc.path, doc.from, doc.to); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s lists\n  %s\nthe route table has\n  %s",
+				doc.path, strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+		}
 	}
 }
 
@@ -172,24 +196,21 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 	}
 }
 
+// TestSRAListPagination pins a page's contents; walking pages by cursor
+// is TestSRAListCursorWalk's job.
 func TestSRAListPagination(t *testing.T) {
 	e := newEnv(t)
 	// The env released one SRA (alice nonce 0); add three more.
-	extra := []*types.SRA{
-		e.releaseSRA("fw-two", 1),
-		e.releaseSRA("fw-three", 2),
-		e.releaseSRA("fw-four", 3),
-	}
+	fwTwo := e.releaseSRA("fw-two", 1)
+	e.releaseSRA("fw-three", 2)
+	e.releaseSRA("fw-four", 3)
 
 	var page SRAListResponse
 	if code := e.get("/v1/sras?limit=2", &page); code != http.StatusOK {
 		t.Fatalf("status code %d", code)
 	}
-	if page.Total != 4 || page.Offset != 0 || len(page.SRAs) != 2 {
-		t.Fatalf("first page %+v, want total 4 with 2 entries", page)
-	}
-	if page.NextOffset == nil || *page.NextOffset != 2 {
-		t.Fatalf("first page nextOffset %v, want 2", page.NextOffset)
+	if page.Total != 4 || len(page.SRAs) != 2 || page.NextCursor == "" {
+		t.Fatalf("first page %+v, want total 4 with 2 entries and a cursor", page)
 	}
 	// Release order: the env SRA landed in block 1, then fw-two in block 4.
 	if page.SRAs[0].ID != e.sra.ID.String() || page.SRAs[0].ReleaseBlock != 1 {
@@ -198,25 +219,8 @@ func TestSRAListPagination(t *testing.T) {
 	if page.SRAs[0].Reports != 2 {
 		t.Errorf("env SRA lists %d reports, want 2", page.SRAs[0].Reports)
 	}
-	if page.SRAs[1].ID != extra[0].ID.String() {
+	if page.SRAs[1].ID != fwTwo.ID.String() {
 		t.Errorf("second entry %s, want fw-two", page.SRAs[1].ID)
-	}
-
-	if code := e.get("/v1/sras?offset=2&limit=2", &page); code != http.StatusOK {
-		t.Fatalf("status code %d", code)
-	}
-	if len(page.SRAs) != 2 || page.NextOffset != nil {
-		t.Errorf("last page %+v, want 2 entries and null nextOffset", page)
-	}
-	if page.SRAs[1].ID != extra[2].ID.String() {
-		t.Errorf("final entry %s, want fw-four", page.SRAs[1].ID)
-	}
-
-	if code := e.get("/v1/sras?offset=10", &page); code != http.StatusOK {
-		t.Fatalf("status code %d", code)
-	}
-	if len(page.SRAs) != 0 || page.NextOffset != nil || page.Total != 4 {
-		t.Errorf("past-the-end page %+v, want empty with total 4", page)
 	}
 }
 
@@ -249,10 +253,5 @@ func TestBlockListRange(t *testing.T) {
 
 	if code := e.get("/v1/blocks?from=0&to=200", nil); code != http.StatusBadRequest {
 		t.Errorf("oversized range returned %d, want 400", code)
-	}
-
-	// The list endpoints are part of the redesign: no legacy alias exists.
-	if code := e.get("/blocks", nil); code != http.StatusNotFound {
-		t.Errorf("legacy /blocks returned %d, want 404", code)
 	}
 }

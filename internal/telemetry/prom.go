@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // ContentType is the Prometheus text exposition format content type.
@@ -104,17 +102,3 @@ func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
 
 // Handler serves the Default registry.
 func Handler() http.Handler { return Default.Handler() }
-
-var expvarOnce sync.Once
-
-// PublishExpvar exposes the Default registry's snapshot as the expvar
-// variable "smartcrowd", so GET /debug/vars carries the same numbers as
-// GET /metrics. Idempotent — expvar panics on duplicate names, so the
-// publish happens exactly once per process.
-func PublishExpvar() {
-	expvarOnce.Do(func() {
-		expvar.Publish("smartcrowd", expvar.Func(func() interface{} {
-			return Default.Snapshot()
-		}))
-	})
-}

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"sort"
-)
+import "sort"
 
 // Snapshot is a point-in-time flattening of every metric in a registry to
 // `name{labels}` → value. Histograms expand to `_count`, `_sum`, `_max`,
@@ -11,9 +8,9 @@ import (
 // are marked monotone so Delta can subtract a baseline; gauges, maxima
 // and quantiles report their current value.
 type Snapshot struct {
-	Values map[string]float64 `json:"values"`
+	Values map[string]float64
 	// Monotone flags the keys Delta subtracts (counters, _count, _sum).
-	Monotone map[string]bool `json:"-"`
+	Monotone map[string]bool
 }
 
 // seriesKey renders `name{labels}` (or bare name when unlabeled).
@@ -87,9 +84,6 @@ func (s Snapshot) Keys() []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// MarshalJSON renders just the values map, sorted by encoding/json.
-func (s Snapshot) MarshalJSON() ([]byte, error) { return json.Marshal(s.Values) }
 
 // TakeSnapshot flattens the Default registry.
 func TakeSnapshot() Snapshot { return Default.Snapshot() }

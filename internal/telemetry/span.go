@@ -1,16 +1,8 @@
 package telemetry
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
-// spanRingSize bounds the retained completed spans.
-const spanRingSize = 256
-
-// SpanRecord is one completed traced region. The trace fields are empty
-// for plain (untraced) spans and hex-rendered ids for spans opened via
-// StartTrace/StartSpanIn.
+// SpanRecord is one completed traced region, ids hex-rendered.
 type SpanRecord struct {
 	Name  string    `json:"name"`
 	Start time.Time `json:"start"`
@@ -22,56 +14,15 @@ type SpanRecord struct {
 	ParentID   string            `json:"parentId,omitempty"`
 }
 
-// spanRing retains the most recent spanRingSize completed spans. Spans end
-// at block/batch granularity (not per transaction), so a mutex here is
-// nowhere near any hot path.
-type spanRing struct {
-	mu    sync.Mutex
-	buf   [spanRingSize]SpanRecord
-	next  int
-	total uint64
-}
-
-func (sr *spanRing) record(rec SpanRecord) {
-	sr.mu.Lock()
-	sr.buf[sr.next] = rec
-	sr.next = (sr.next + 1) % spanRingSize
-	sr.total++
-	sr.mu.Unlock()
-}
-
-// recent returns retained spans oldest-first.
-func (sr *spanRing) recent() []SpanRecord {
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	n := spanRingSize
-	if sr.total < uint64(n) {
-		n = int(sr.total)
-	}
-	out := make([]SpanRecord, 0, n)
-	start := (sr.next - n + spanRingSize) % spanRingSize
-	for i := 0; i < n; i++ {
-		out = append(out, sr.buf[(start+i)%spanRingSize])
-	}
-	return out
-}
-
-// Span is an in-progress traced region; End completes it into the
-// registry's ring buffer and, when the span belongs to a trace, into the
-// registry's trace store as well.
+// Span is an in-progress traced region: End files it in the registry's
+// trace store, the one span sink (/debug/traces). The span an invalid
+// parent degrades to (StartSpanIn) has no store and is a timer only.
 type Span struct {
-	ring   *spanRing
 	store  *traceStore
 	name   string
 	start  time.Time
 	tc     TraceContext // own context: trace id + this span's id
 	parent SpanID
-}
-
-// StartSpan opens a span. The returned value is cheap to discard — a span
-// never ended is simply never recorded.
-func (r *Registry) StartSpan(name string) Span {
-	return Span{ring: &r.spans, name: name, start: time.Now()}
 }
 
 // Context returns the span's trace context, for threading into children
@@ -81,7 +32,7 @@ func (s Span) Context() TraceContext { return s.tc }
 // End completes the span with optional labels and returns its duration.
 func (s Span) End(labels ...Label) time.Duration {
 	d := time.Since(s.start)
-	if s.ring == nil {
+	if s.store == nil {
 		return d
 	}
 	var lm map[string]string
@@ -91,26 +42,13 @@ func (s Span) End(labels ...Label) time.Duration {
 			lm[l.Key] = l.Value
 		}
 	}
-	rec := SpanRecord{Name: s.name, Start: s.start, DurationNs: int64(d), Labels: lm}
-	if s.tc.Valid() {
-		rec.TraceID = s.tc.TraceID.String()
-		rec.SpanID = s.tc.Span.String()
-		if !s.parent.IsZero() {
-			rec.ParentID = s.parent.String()
-		}
+	rec := SpanRecord{
+		Name: s.name, Start: s.start, DurationNs: int64(d), Labels: lm,
+		TraceID: s.tc.TraceID.String(), SpanID: s.tc.Span.String(),
 	}
-	s.ring.record(rec)
-	if s.tc.Valid() && s.store != nil {
-		s.store.record(s.tc, rec)
+	if !s.parent.IsZero() {
+		rec.ParentID = s.parent.String()
 	}
+	s.store.record(s.tc, rec)
 	return d
 }
-
-// RecentSpans returns the registry's retained spans, oldest first.
-func (r *Registry) RecentSpans() []SpanRecord { return r.spans.recent() }
-
-// StartSpan opens a span on the Default registry.
-func StartSpan(name string) Span { return Default.StartSpan(name) }
-
-// RecentSpans returns the Default registry's retained spans.
-func RecentSpans() []SpanRecord { return Default.RecentSpans() }

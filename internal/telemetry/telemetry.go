@@ -1,9 +1,9 @@
 // Package telemetry is SmartCrowd's zero-dependency observability layer:
 // a process-wide metrics registry (lock-free atomic counters and gauges,
 // exponential-bucket streaming histograms), a lightweight span tracer, and
-// export surfaces — Prometheus text exposition (prom.go), an expvar
-// bridge, and a flattened Snapshot JSON API (snapshot.go) the bench
-// harness uses to record metric deltas alongside timings.
+// two export surfaces — Prometheus text exposition (prom.go) for
+// operators and a flattened Snapshot (snapshot.go) the bench harness uses
+// to record metric deltas alongside timings.
 //
 // The paper's evaluation (§VII) is built entirely on measured system
 // signals — block intervals, fee totals, confirmation latencies, per-miner
@@ -102,13 +102,12 @@ type family struct {
 	series map[string]*series
 }
 
-// Registry owns metric families, the span ring, and the trace store. All
+// Registry owns metric families and the trace store. All
 // methods are safe for concurrent use; handle resolution takes a lock,
 // but the returned handles mutate lock-free.
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	spans    spanRing
 	traces   traceStore
 }
 
@@ -172,7 +171,7 @@ func escapeLabelValue(v string) string {
 
 // resolve returns (creating on first use) the metric for name+labels.
 // A name is permanently bound to one kind; mixing kinds is a programming
-// error and panics, like a duplicate expvar.Publish.
+// error and panics.
 func (r *Registry) resolve(kind metricKind, name string, labels []Label, fresh func() interface{}) interface{} {
 	key := canonicalLabels(labels)
 	r.mu.RLock()

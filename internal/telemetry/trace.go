@@ -123,8 +123,8 @@ type traceEntry struct {
 
 // traceStore is a bounded LRU of traces keyed by trace id. Recency is
 // last span completion, so an in-flight cross-node trace stays resident
-// while its hops arrive. Like the span ring, writes happen at block/batch
-// granularity, so a mutex is fine.
+// while its hops arrive. Writes happen at block/batch granularity, so a
+// mutex is fine.
 type traceStore struct {
 	mu      sync.Mutex
 	traces  map[TraceID]*traceEntry
@@ -218,7 +218,6 @@ func (ts *traceStore) evictedCount() uint64 {
 func (r *Registry) StartTrace(name string) Span {
 	now := time.Now()
 	return Span{
-		ring:  &r.spans,
 		store: &r.traces,
 		name:  name,
 		start: now,
@@ -231,13 +230,12 @@ func (r *Registry) StartTrace(name string) Span {
 }
 
 // StartSpanIn opens a span as a child of parent. An invalid parent
-// degrades to a plain untraced span, so call sites never need to branch.
+// degrades to an untraced timer, so call sites never need to branch.
 func (r *Registry) StartSpanIn(parent TraceContext, name string) Span {
 	if !parent.Valid() {
-		return r.StartSpan(name)
+		return Span{name: name, start: time.Now()}
 	}
 	return Span{
-		ring:  &r.spans,
 		store: &r.traces,
 		name:  name,
 		start: time.Now(),

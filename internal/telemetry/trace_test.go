@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"strings"
@@ -64,14 +63,14 @@ func TestStartSpanInInvalidParentDegrades(t *testing.T) {
 	if s.Context().Valid() {
 		t.Fatal("invalid parent must yield untraced span")
 	}
-	s.End()
+	// It is a timer and nothing more: End reports the elapsed time and
+	// files the span nowhere.
+	time.Sleep(time.Millisecond)
+	if d := s.End(L("blocks", "7")); d < time.Millisecond {
+		t.Fatalf("untraced span duration %v too short", d)
+	}
 	if got := len(r.RecentTraces(0)); got != 0 {
 		t.Fatalf("untraced span created %d traces, want 0", got)
-	}
-	// It still lands in the flat ring.
-	spans := r.RecentSpans()
-	if len(spans) != 1 || spans[0].Name != "orphan" || spans[0].TraceID != "" {
-		t.Fatalf("untraced span not in ring as expected: %+v", spans)
 	}
 }
 
@@ -89,28 +88,6 @@ func TestTraceIDUniqueness(t *testing.T) {
 	}
 	if _, ok := ParseTraceID("zzzz"); ok {
 		t.Fatal("ParseTraceID accepted junk")
-	}
-}
-
-// TestSpanRingWraparound fills the flat ring well past capacity and
-// checks it stays bounded with oldest-first ordering.
-func TestSpanRingWraparound(t *testing.T) {
-	r := NewRegistry()
-	const n = spanRingSize*2 + 17
-	for i := 0; i < n; i++ {
-		s := r.StartSpan(fmt.Sprintf("s%d", i))
-		s.End()
-	}
-	spans := r.RecentSpans()
-	if len(spans) != spanRingSize {
-		t.Fatalf("ring retained %d spans, want exactly %d", len(spans), spanRingSize)
-	}
-	// Oldest retained span is n - spanRingSize; order must be ascending.
-	for i, rec := range spans {
-		want := fmt.Sprintf("s%d", n-spanRingSize+i)
-		if rec.Name != want {
-			t.Fatalf("spans[%d] = %q, want %q (oldest-first order broken)", i, rec.Name, want)
-		}
 	}
 }
 

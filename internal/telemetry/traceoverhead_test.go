@@ -10,13 +10,6 @@ import (
 // benchmark run would measure map growth instead of steady state.
 var benchTraceReg = NewRegistry()
 
-func BenchmarkUntracedSpan(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchTraceReg.StartSpan("bench.span").End()
-	}
-}
-
 func BenchmarkTracedSpan(b *testing.B) {
 	root := benchTraceReg.StartTrace("bench.root")
 	tc := root.Context()
@@ -29,7 +22,7 @@ func BenchmarkTracedSpan(b *testing.B) {
 }
 
 // TestTraceOverheadBudget is the tracing half of the CI overhead gate:
-// opening and ending a traced span (id stamping + ring + trace-store
+// opening and ending a traced span (id stamping + trace-store
 // filing) must stay within budget. Spans end at block/batch granularity,
 // so the budget is microseconds, not the counters' 30ns — the gate
 // exists to catch accidental O(store) work on the span path, not to

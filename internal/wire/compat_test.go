@@ -1,8 +1,8 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -10,151 +10,49 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
-	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
-// legacyPeer speaks strictly protocol version 1, byte for byte, with no
-// knowledge of capability frames or trace envelopes — it stands in for a
-// build that predates tracing. It deliberately shares no codec with the
-// package under test: every frame is built and parsed by hand from the
-// documented v1 layout, so any drift in what a modern node puts on the
-// wire for old peers fails loudly here.
-type legacyPeer struct {
-	t    *testing.T
-	conn net.Conn
-}
+// TestVersion1HelloRefused dials a modern node as a build that predates
+// the envelope would: a version-1 hello built by hand from the old
+// layout, sharing no codec with the package under test. There is no
+// negotiation — the handshake must fail, be counted under reason
+// "version", register no peer and close the connection.
+func TestVersion1HelloRefused(t *testing.T) {
+	genesis := testGenesis()
+	tr := newTestTransport(t, "modern", genesis)
+	refused0 := handshakeFailure("version").Value()
 
-func dialLegacy(t *testing.T, addr string, genesis types.Hash, id string) *legacyPeer {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", tr.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { conn.Close() })
-	lp := &legacyPeer{t: t, conn: conn}
-	lp.writeV1(byte(kindHello), encodeHello(hello{Genesis: genesis, NodeID: p2p.NodeID(id)}))
-	kind, raw := lp.readV1()
-	if kind != byte(kindHello) {
-		t.Fatalf("first frame from modern node has kind %#x, want hello", kind)
-	}
-	if _, err := decodeHello(raw[headerSize:]); err != nil {
-		t.Fatalf("modern node's hello does not decode as v1: %v", err)
-	}
-	return lp
-}
-
-// writeV1 sends one version-1 frame built by hand.
-func (lp *legacyPeer) writeV1(kind byte, payload []byte) {
-	lp.t.Helper()
-	frame := []byte{'S', 'C', 'W', '1', 1, kind}
+	defer conn.Close()
+	payload := encodeHello(hello{Genesis: genesis, NodeID: "legacy"})
+	frame := []byte{'S', 'C', 'W', '1', 1, byte(kindHello)}
 	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	if err := lp.conn.SetWriteDeadline(time.Now().Add(2 * time.Second)); err != nil {
-		lp.t.Fatal(err)
+	if _, err := conn.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := lp.conn.Write(frame); err != nil {
-		lp.t.Fatalf("legacy write: %v", err)
+
+	waitFor(t, 5*time.Second, func() bool { return handshakeFailure("version").Value() == refused0+1 },
+		"version-1 hello counted as a version handshake failure")
+	if hasPeer(tr, "legacy") {
+		t.Fatal("version-1 peer was registered")
+	}
+	// The modern side sent its own hello first and then hung up (EOF, or
+	// a reset because our hello's payload was never read).
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	var nerr net.Error
+	if _, err := io.Copy(io.Discard, conn); errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatal("connection still open after the refusal")
 	}
 }
 
-// readV1 reads one raw frame, asserting the strict v1 invariants a legacy
-// decoder enforces: magic, version byte 1, declared length within bound.
-// It returns the kind and the complete frame bytes (header + payload).
-func (lp *legacyPeer) readV1() (byte, []byte) {
-	lp.t.Helper()
-	if err := lp.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
-		lp.t.Fatal(err)
-	}
-	hdr := make([]byte, headerSize)
-	if _, err := io.ReadFull(lp.conn, hdr); err != nil {
-		lp.t.Fatalf("legacy read header: %v", err)
-	}
-	if !bytes.Equal(hdr[:4], []byte("SCW1")) {
-		lp.t.Fatalf("bad magic on wire: %x", hdr[:4])
-	}
-	if hdr[4] != 1 {
-		lp.t.Fatalf("modern node sent version %d to a legacy peer; a v1 decoder drops this connection", hdr[4])
-	}
-	length := binary.BigEndian.Uint32(hdr[6:])
-	if length > MaxFramePayload {
-		lp.t.Fatalf("declared length %d exceeds the v1 bound", length)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(lp.conn, payload); err != nil {
-		lp.t.Fatalf("legacy read payload: %v", err)
-	}
-	return hdr[5], append(hdr, payload...)
-}
-
-// next reads frames until one is neither a ping nor a capability
-// advertisement. Pings are v1 control traffic a legacy peer answers with
-// silence; the caps frame is precisely the "unknown kind" a legacy build
-// skips, so skipping it here mirrors real legacy behavior — but we still
-// assert it arrived as a well-formed v1 frame.
-func (lp *legacyPeer) next() (byte, []byte) {
-	lp.t.Helper()
-	for {
-		kind, raw := lp.readV1()
-		if kind == byte(kindPing) || kind == byte(kindCaps) {
-			continue
-		}
-		return kind, raw
-	}
-}
-
-// TestLegacyPeerInterop proves the mixed-version contract: a modern node
-// talking to a peer that never advertises trace support must emit frames
-// that are byte-identical to the pre-tracing encoding, and must accept the
-// legacy peer's v1 frames as untraced messages.
-func TestLegacyPeerInterop(t *testing.T) {
-	genesis := testGenesis()
-	tr := newTestTransport(t, "modern", genesis)
-	lp := dialLegacy(t, tr.Addr(), genesis, "legacy")
-
-	waitFor(t, 5*time.Second, func() bool { return hasPeer(tr, "legacy") }, "legacy peer registered")
-
-	// The modern node broadcasts a traced block. The legacy peer must see
-	// exactly the bytes a pre-tracing build would have produced: version 1,
-	// no envelope, payload untouched.
-	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), Span: telemetry.NewSpanID(), Start: 42}
-	payload := []byte("sealed-block-bytes")
-	tr.Broadcast("modern", p2p.Message{Kind: p2p.MsgBlock, Payload: payload, Trace: tc})
-
-	kind, raw := lp.next()
-	if kind != byte(p2p.MsgBlock) {
-		t.Fatalf("legacy peer received kind %#x, want block", kind)
-	}
-	want := []byte{'S', 'C', 'W', '1', 1, byte(p2p.MsgBlock)}
-	want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
-	want = append(want, payload...)
-	if !bytes.Equal(raw, want) {
-		t.Fatalf("traced broadcast reached legacy peer as:\n got %x\nwant %x", raw, want)
-	}
-
-	// The legacy peer's own v1 frame is accepted and surfaces untraced.
-	lp.writeV1(byte(p2p.MsgTx), []byte("tx-bytes"))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		msgs := tr.Receive("modern")
-		if len(msgs) > 0 {
-			if msgs[0].Kind != p2p.MsgTx || !bytes.Equal(msgs[0].Payload, []byte("tx-bytes")) {
-				t.Fatalf("legacy frame surfaced as %+v", msgs[0])
-			}
-			if msgs[0].Trace.Valid() {
-				t.Fatalf("legacy frame grew a trace context: %+v", msgs[0].Trace)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("legacy peer's frame never surfaced")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestTraceCapablePeersExchangeEnvelopes is the other half of the
-// interop matrix: two modern transports negotiate the capability and a
-// traced broadcast arrives with its context and a propagation sample.
+// TestTraceCapablePeersExchangeEnvelopes is the two-transport envelope
+// round trip: a traced broadcast arrives with its context intact and an
+// untraced one arrives untraced, with no capability exchange in between.
 func TestTraceCapablePeersExchangeEnvelopes(t *testing.T) {
 	genesis := testGenesis()
 	a := newTestTransport(t, "a", genesis)
@@ -162,24 +60,17 @@ func TestTraceCapablePeersExchangeEnvelopes(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return hasPeer(a, "b") && hasPeer(b, "a") }, "mesh")
 
 	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), Span: telemetry.NewSpanID(), Start: time.Now().UnixNano()}
-	// The caps exchange races the first broadcast: frames sent before the
-	// capability lands are legally stripped. Re-send until the trace
-	// arrives (or the deadline proves negotiation is broken).
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		a.Broadcast("a", p2p.Message{Kind: p2p.MsgBlock, Payload: []byte("blk"), Trace: tc})
-		var traced bool
-		for _, m := range b.Receive("b") {
-			if m.Trace == tc {
-				traced = true
-			}
-		}
-		if traced {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("trace context never crossed between two capable peers")
-		}
-		time.Sleep(20 * time.Millisecond)
+	hops0 := mPropHop.Count()
+	a.Broadcast("a", p2p.Message{Kind: p2p.MsgBlock, Payload: []byte("blk"), Trace: tc})
+	a.Broadcast("a", p2p.Message{Kind: p2p.MsgTx, Payload: []byte("tx")})
+	msgs := receiveN(t, b, 2, 5*time.Second)
+	if msgs[0].Trace != tc {
+		t.Fatalf("traced broadcast arrived with context %+v, want %+v", msgs[0].Trace, tc)
+	}
+	if msgs[1].Trace.Valid() {
+		t.Fatalf("untraced broadcast grew a trace context: %+v", msgs[1].Trace)
+	}
+	if mPropHop.Count() != hops0+1 {
+		t.Fatalf("propagation histogram took %d samples, want exactly the traced frame", mPropHop.Count()-hops0)
 	}
 }

@@ -7,13 +7,18 @@
 // write deadlines and read timeouts, bounded outbound queues with
 // drop-oldest shedding), and full telemetry coverage.
 //
-// Frame layout (all integers big-endian):
+// Frame layout (all integers big-endian) — there is one, and no
+// negotiation: a peer that sends any other version byte is refused.
 //
-//	magic   [4]byte  "SCW1" — rejects non-SmartCrowd peers immediately
-//	version uint8    protocol version; mismatches are rejected per frame
-//	kind    uint8    p2p.MsgKind (1–3) or a wire control kind (0x80+)
-//	length  uint32   payload byte count, bounded by MaxFramePayload
-//	payload [length]byte
+//	magic    [4]byte  "SCW1" — rejects non-SmartCrowd peers immediately
+//	version  uint8    ProtocolVersion; mismatches are rejected per frame
+//	kind     uint8    p2p.MsgKind or a wire control kind (0x80+)
+//	length   uint32   envelope + payload byte count, bounded by
+//	                  envelopeSize + MaxFramePayload
+//	envelope [40]byte trace id [16] + parent span id [8] + origin
+//	                  unix-nanos [8] + sent unix-nanos [8]; a zero trace
+//	                  id means the frame is untraced
+//	payload  [length-40]byte
 //
 // The codec never trusts the remote end: bad magic, unknown versions,
 // oversized lengths and truncated payloads all fail with typed errors and
@@ -32,17 +37,8 @@ import (
 
 // Wire protocol constants.
 const (
-	// ProtocolVersion is the legacy framing every peer understands; the
-	// handshake and untraced frames carry it.
-	ProtocolVersion = 1
-
-	// TraceProtocolVersion marks a traced frame: the payload is prefixed
-	// with a fixed trace envelope (trace id, span id, origin and send
-	// timestamps). Traced frames are only sent to peers that advertised
-	// the capability via a kindCaps control frame after the handshake —
-	// version-1 peers never see a version-2 byte, so the upgrade needs no
-	// flag day.
-	TraceProtocolVersion = 2
+	// ProtocolVersion is the one frame layout this build speaks.
+	ProtocolVersion = 2
 
 	// MaxFramePayload bounds a frame's payload. Blocks are the largest
 	// protocol objects; 8 MiB leaves generous headroom while keeping a
@@ -52,10 +48,10 @@ const (
 	// headerSize is magic + version + kind + length.
 	headerSize = 4 + 1 + 1 + 4
 
-	// traceEnvelopeSize is the fixed prefix of a version-2 payload:
-	// trace id [16] + parent span id [8] + origin unix-nanos [8] +
-	// sent unix-nanos [8].
-	traceEnvelopeSize = 16 + 8 + 8 + 8
+	// envelopeSize is the fixed prefix of every frame body: trace id
+	// [16] + parent span id [8] + origin unix-nanos [8] + sent
+	// unix-nanos [8].
+	envelopeSize = 16 + 8 + 8 + 8
 )
 
 // magic identifies SmartCrowd wire streams.
@@ -67,31 +63,20 @@ const (
 	kindHello p2p.MsgKind = 0x80 + iota
 	// kindPing keeps idle connections alive under read timeouts.
 	kindPing
-	// kindCaps advertises optional capabilities right after the
-	// handshake. It is always sent as a version-1 frame: peers that
-	// predate it count it as an unknown kind and drop it, which is
-	// exactly the desired negotiation — silence means "legacy".
-	kindCaps
 )
 
-// Capability bits in the kindCaps payload's first byte.
-const (
-	// capTrace means "send me version-2 traced frames".
-	capTrace = 0x01
-	// capSnap means "I speak the snap-sync message kinds (manifest,
-	// chunk and range exchange) and can serve state snapshots".
-	capSnap = 0x02
-)
-
-// Frame is one wire unit: a message kind plus its payload. Trace, when
-// valid, rides in a version-2 envelope ahead of the payload; SentNanos
-// is stamped by the writer so the receiver can compute one-hop latency.
+// Frame is one wire unit: a message kind plus its payload. Trace rides
+// in the envelope ahead of the payload (zero = untraced); SentNanos is
+// stamped by the writer so the receiver can compute one-hop latency.
 type Frame struct {
 	Kind      p2p.MsgKind
 	Payload   []byte
 	Trace     telemetry.TraceContext
 	SentNanos int64
 }
+
+// encodedSize is the number of bytes the frame occupies on the wire.
+func (f Frame) encodedSize() int { return headerSize + envelopeSize + len(f.Payload) }
 
 // Codec errors.
 var (
@@ -102,48 +87,27 @@ var (
 )
 
 // WriteFrame encodes f to w. Payloads above MaxFramePayload are refused
-// locally — the remote end would drop the connection anyway. A frame
-// without a valid trace context encodes byte-identically to the original
-// version-1 protocol; a traced frame gets the version-2 header byte and
-// a fixed envelope ahead of the payload.
+// locally — the remote end would drop the connection anyway.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	traced := f.Trace.Valid()
-	var hdr []byte
-	if traced {
-		hdr = make([]byte, headerSize, headerSize+traceEnvelopeSize+len(f.Payload))
-	} else {
-		hdr = make([]byte, headerSize, headerSize+len(f.Payload))
-	}
-	copy(hdr[:4], magic[:])
-	if traced {
-		hdr[4] = TraceProtocolVersion
-	} else {
-		hdr[4] = ProtocolVersion
-	}
-	hdr[5] = byte(f.Kind)
-	declared := len(f.Payload)
-	if traced {
-		declared += traceEnvelopeSize
-	}
-	binary.BigEndian.PutUint32(hdr[6:], uint32(declared))
-	if traced {
-		hdr = append(hdr, f.Trace.TraceID[:]...)
-		hdr = append(hdr, f.Trace.Span[:]...)
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(f.Trace.Start))
-		hdr = binary.BigEndian.AppendUint64(hdr, uint64(f.SentNanos))
-	}
-	_, err := w.Write(append(hdr, f.Payload...))
+	buf := make([]byte, headerSize, f.encodedSize())
+	copy(buf[:4], magic[:])
+	buf[4] = ProtocolVersion
+	buf[5] = byte(f.Kind)
+	binary.BigEndian.PutUint32(buf[6:], uint32(envelopeSize+len(f.Payload)))
+	buf = append(buf, f.Trace.TraceID[:]...)
+	buf = append(buf, f.Trace.Span[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(f.Trace.Start))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(f.SentNanos))
+	_, err := w.Write(append(buf, f.Payload...))
 	return err
 }
 
 // ReadFrame decodes one frame from r. It validates magic, version and the
-// declared length before reading the payload, so a hostile peer cannot
-// force a large allocation or park the reader on garbage. Both protocol
-// versions are accepted: version 1 yields an untraced frame, version 2
-// strips the trace envelope into Frame.Trace/SentNanos.
+// declared length before reading the body, so a hostile peer cannot
+// force a large allocation or park the reader on garbage.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -155,54 +119,27 @@ func ReadFrame(r io.Reader) (Frame, error) {
 	if [4]byte(hdr[:4]) != magic {
 		return Frame{}, ErrBadMagic
 	}
-	version := hdr[4]
-	if version != ProtocolVersion && version != TraceProtocolVersion {
-		return Frame{}, fmt.Errorf("%w: remote %d, local %d", ErrBadVersion, version, TraceProtocolVersion)
+	if hdr[4] != ProtocolVersion {
+		return Frame{}, fmt.Errorf("%w: remote %d, local %d", ErrBadVersion, hdr[4], ProtocolVersion)
 	}
 	length := binary.BigEndian.Uint32(hdr[6:])
-	maxLen := uint32(MaxFramePayload)
-	if version == TraceProtocolVersion {
-		maxLen += traceEnvelopeSize
-	}
-	if length > maxLen {
+	if length > envelopeSize+MaxFramePayload {
 		return Frame{}, fmt.Errorf("%w: declared %d bytes", ErrFrameTooLarge, length)
 	}
+	if length < envelopeSize {
+		return Frame{}, fmt.Errorf("%w: frame shorter than its envelope", ErrTruncated)
+	}
+	body := make([]byte, length)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return Frame{}, fmt.Errorf("%w: body short of declared %d bytes", ErrTruncated, length)
+	}
 	f := Frame{Kind: p2p.MsgKind(hdr[5])}
-	body := []byte(nil)
-	if length > 0 {
-		body = make([]byte, length)
-		if _, err := io.ReadFull(r, body); err != nil {
-			return Frame{}, fmt.Errorf("%w: payload short of declared %d bytes", ErrTruncated, length)
-		}
-	}
-	if version == ProtocolVersion {
-		f.Payload = body
-		return f, nil
-	}
-	if len(body) < traceEnvelopeSize {
-		return Frame{}, fmt.Errorf("%w: traced frame shorter than its envelope", ErrTruncated)
-	}
 	copy(f.Trace.TraceID[:], body[:16])
 	copy(f.Trace.Span[:], body[16:24])
 	f.Trace.Start = int64(binary.BigEndian.Uint64(body[24:32]))
 	f.SentNanos = int64(binary.BigEndian.Uint64(body[32:40]))
-	if len(body) > traceEnvelopeSize {
-		f.Payload = body[traceEnvelopeSize:]
+	if len(body) > envelopeSize {
+		f.Payload = body[envelopeSize:]
 	}
 	return f, nil
-}
-
-// encodeCaps builds the kindCaps payload: one capability bitmask byte.
-// Future capabilities extend the payload; decodeCaps ignores trailing
-// bytes it does not understand, so the frame can grow without another
-// negotiation mechanism.
-func encodeCaps() []byte { return []byte{capTrace | capSnap} }
-
-// decodeCaps reports which capabilities a kindCaps payload advertises.
-// Empty or malformed payloads advertise nothing.
-func decodeCaps(payload []byte) (trace, snap bool) {
-	if len(payload) < 1 {
-		return false, false
-	}
-	return payload[0]&capTrace != 0, payload[0]&capSnap != 0
 }

@@ -67,15 +67,17 @@ func TestReadFrameRejectsGarbageMagic(t *testing.T) {
 
 func TestReadFrameRejectsVersionMismatch(t *testing.T) {
 	raw := encodeValid(t, Frame{Kind: p2p.MsgTx, Payload: []byte("x")})
-	raw[4] = TraceProtocolVersion + 1 // above every version we speak
-	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
-		t.Errorf("err = %v, want ErrBadVersion", err)
+	for _, v := range []byte{0, ProtocolVersion - 1, ProtocolVersion + 1} {
+		raw[4] = v
+		if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+			t.Errorf("version %d: err = %v, want ErrBadVersion", v, err)
+		}
 	}
 }
 
 func TestReadFrameRejectsOversizedDeclaredLength(t *testing.T) {
 	raw := encodeValid(t, Frame{Kind: p2p.MsgBlock, Payload: []byte("x")})
-	binary.BigEndian.PutUint32(raw[6:], MaxFramePayload+1)
+	binary.BigEndian.PutUint32(raw[6:], envelopeSize+MaxFramePayload+1)
 	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
 	}

@@ -30,19 +30,23 @@ func FuzzReadFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(traced.Bytes())
-	f.Add([]byte("XXXX\x01\x01\x00\x00\x00\x00"))               // bad magic
-	f.Add([]byte("SCW1\x03\x01\x00\x00\x00\x00"))               // bad version (above both we speak)
-	f.Add([]byte("SCW1\x01\x01\xff\xff\xff\xff"))               // declared length over bound
-	f.Add([]byte("SCW1\x01"))                                   // truncated header
-	f.Add([]byte("SCW1\x01\x01\x00\x00\x00\x09short"))          // truncated payload
-	f.Add([]byte("SCW1\x01\x81\x00\x00\x00\x00"))               // control frame, empty payload
-	f.Add([]byte("SCW1\x01\x01\x00\x7f\xff\xff" + "padding"))   // large-but-legal declaration, truncated
-	f.Add([]byte("SCW1\x02\x02\x00\x00\x00\x10short-envelope")) // traced frame shorter than its envelope
+	env := string(make([]byte, envelopeSize))
+	f.Add([]byte("XXXX\x02\x01\x00\x00\x00\x28" + env))             // bad magic
+	f.Add([]byte("SCW1\x03\x01\x00\x00\x00\x28" + env))             // bad version (above the one we speak)
+	f.Add([]byte("SCW1\x01\x01\x00\x00\x00\x03abc"))                // the retired version-1 layout: must be rejected
+	f.Add([]byte("SCW1\x02\x01\xff\xff\xff\xff"))                   // declared length over bound
+	f.Add([]byte("SCW1\x02\x01\x00\x00\x00\x31" + env + "short"))   // truncated payload
+	f.Add([]byte("SCW1\x02\x81\x00\x00\x00\x28" + env))             // control frame, empty payload
+	f.Add([]byte("SCW1\x02\x01\x00\x7f\xff\xff" + env + "padding")) // large-but-legal declaration, truncated
+	f.Add([]byte("SCW1\x02\x02\x00\x00\x00\x10short-envelope"))     // frame shorter than its envelope
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if data[4] != ProtocolVersion {
+			t.Fatalf("accepted a frame with version byte %d", data[4])
 		}
 		// The decoder promised it never allocates past the bound.
 		if len(fr.Payload) > MaxFramePayload {
@@ -59,14 +63,10 @@ func FuzzReadFrame(f *testing.F) {
 		if again.Kind != fr.Kind || !bytes.Equal(again.Payload, fr.Payload) {
 			t.Fatalf("round trip changed frame: %+v -> %+v", fr, again)
 		}
-		// A valid trace context survives the round trip exactly; an
-		// invalid one re-encodes as version 1, dropping SentNanos too.
-		if fr.Trace.Valid() {
-			if again.Trace != fr.Trace || again.SentNanos != fr.SentNanos {
-				t.Fatalf("round trip changed trace envelope: %+v -> %+v", fr, again)
-			}
-		} else if again.Trace.Valid() {
-			t.Fatalf("untraced frame grew a trace: %+v", again)
+		// The envelope is always on the wire, so it survives exactly —
+		// traced or not.
+		if again.Trace != fr.Trace || again.SentNanos != fr.SentNanos {
+			t.Fatalf("round trip changed the envelope: %+v -> %+v", fr, again)
 		}
 	})
 }

@@ -12,9 +12,11 @@ import (
 )
 
 // hello is the handshake each side sends as its first frame. The frame
-// header already proves magic and protocol version; the hello pins the
-// chain identity (genesis) and advertises who the peer is and how far its
-// canonical chain reaches, so a freshly (re)connected node can kick off
+// header already proves magic and protocol version — a peer speaking any
+// other version fails the read and is refused here, which is the whole
+// of version negotiation. The hello pins the chain identity (genesis)
+// and advertises who the peer is and how far its canonical chain
+// reaches, so a freshly (re)connected node can start snap-sync or
 // ancestor backfill immediately instead of waiting for the next gossip.
 type hello struct {
 	Genesis    types.Hash

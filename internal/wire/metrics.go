@@ -23,8 +23,6 @@ var (
 	mUnknownFrames = telemetry.GetCounter("smartcrowd_wire_unknown_frames_total")
 	mPeers         = telemetry.GetGauge("smartcrowd_wire_peers")
 	mFanout        = telemetry.GetHistogram("smartcrowd_wire_broadcast_fanout")
-	mTracePeers    = telemetry.GetCounter("smartcrowd_wire_trace_peers_total")
-	mSnapPeers     = telemetry.GetCounter("smartcrowd_wire_snap_peers_total")
 	mPropHop       = telemetry.GetHistogram("smartcrowd_wire_propagation_ms", telemetry.L("leg", "hop"))
 	mPropE2E       = telemetry.GetHistogram("smartcrowd_wire_propagation_ms", telemetry.L("leg", "e2e"))
 )
@@ -40,7 +38,7 @@ func init() {
 	telemetry.SetHelp("smartcrowd_wire_handshakes_total", "completed version/genesis handshakes")
 	telemetry.SetHelp("smartcrowd_wire_handshake_failures_total", "rejected handshakes, by reason (genesis, version, magic, hello, self, duplicate, io)")
 	telemetry.SetHelp("smartcrowd_wire_frames_total", "frames moved over TCP, by direction")
-	telemetry.SetHelp("smartcrowd_wire_bytes_total", "bytes moved over TCP including frame headers, by direction")
+	telemetry.SetHelp("smartcrowd_wire_bytes_total", "encoded frame bytes moved over TCP (header + envelope + payload), by direction")
 	telemetry.SetHelp("smartcrowd_wire_queue_shed_total", "outbound frames dropped oldest-first by full per-peer queues")
 	telemetry.SetHelp("smartcrowd_wire_queue_depth", "per-peer outbound queue depth observed at enqueue")
 	telemetry.SetHelp("smartcrowd_wire_reconnects_total", "successful re-dials after a peer connection dropped")
@@ -49,8 +47,6 @@ func init() {
 	telemetry.SetHelp("smartcrowd_wire_unknown_frames_total", "frames with unrecognized kinds, dropped")
 	telemetry.SetHelp("smartcrowd_wire_peers", "currently connected peers")
 	telemetry.SetHelp("smartcrowd_wire_broadcast_fanout", "peers reached per Broadcast call")
-	telemetry.SetHelp("smartcrowd_wire_trace_peers_total", "peers that advertised the trace capability")
-	telemetry.SetHelp("smartcrowd_wire_snap_peers_total", "peers that advertised the snap-sync capability")
 	telemetry.SetHelp("smartcrowd_wire_propagation_ms",
 		"traced-frame latency in milliseconds: leg=hop is sender stamp to local receipt, leg=e2e is trace origin (seal start) to local receipt; cross-host values include clock skew, clamped at zero")
 }

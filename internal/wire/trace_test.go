@@ -3,16 +3,16 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 )
 
-// TestUntracedFrameBytesUnchanged pins the compatibility contract: a
-// frame without a trace context must encode to exactly the original
-// version-1 bytes, so legacy peers cannot tell this build from the one
-// that predates tracing.
+// TestUntracedFrameBytesUnchanged pins the one frame layout byte for
+// byte: an untraced frame is the header, a zero 40-byte envelope, then
+// the payload — exactly 40 bytes more than a bare header+payload.
 func TestUntracedFrameBytesUnchanged(t *testing.T) {
 	payload := []byte("block-bytes")
 	var got bytes.Buffer
@@ -20,12 +20,16 @@ func TestUntracedFrameBytesUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The version-1 encoding, constructed by hand from the documented
-	// layout rather than through the codec under test.
-	want := []byte{'S', 'C', 'W', '1', 1, byte(p2p.MsgBlock), 0, 0, 0, byte(len(payload))}
+	// Constructed by hand from the documented layout rather than through
+	// the codec under test.
+	want := []byte{'S', 'C', 'W', '1', 2, byte(p2p.MsgBlock), 0, 0, 0, byte(40 + len(payload))}
+	want = append(want, make([]byte, 40)...)
 	want = append(want, payload...)
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("untraced frame bytes drifted:\n got %x\nwant %x", got.Bytes(), want)
+	}
+	if bare := 10 + len(payload); got.Len() != bare+40 {
+		t.Fatalf("frame is %d bytes, want bare header+payload %d plus the 40-byte envelope", got.Len(), bare)
 	}
 }
 
@@ -40,11 +44,11 @@ func TestTracedFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if v := buf.Bytes()[4]; v != TraceProtocolVersion {
-		t.Fatalf("traced frame carries version %d, want %d", v, TraceProtocolVersion)
+	if v := buf.Bytes()[4]; v != ProtocolVersion {
+		t.Fatalf("traced frame carries version %d, want %d", v, ProtocolVersion)
 	}
-	if length := binary.BigEndian.Uint32(buf.Bytes()[6:]); length != uint32(traceEnvelopeSize+len(in.Payload)) {
-		t.Fatalf("declared length %d, want envelope %d + payload %d", length, traceEnvelopeSize, len(in.Payload))
+	if length := binary.BigEndian.Uint32(buf.Bytes()[6:]); length != uint32(envelopeSize+len(in.Payload)) {
+		t.Fatalf("declared length %d, want envelope %d + payload %d", length, envelopeSize, len(in.Payload))
 	}
 	out, err := ReadFrame(&buf)
 	if err != nil {
@@ -74,37 +78,9 @@ func TestTracedFrameEmptyPayload(t *testing.T) {
 }
 
 func TestTracedFrameTruncatedEnvelopeRejected(t *testing.T) {
-	raw := []byte{'S', 'C', 'W', '1', TraceProtocolVersion, byte(p2p.MsgBlock), 0, 0, 0, 8}
-	raw = append(raw, make([]byte, 8)...) // half an envelope
-	if _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
-		t.Fatal("traced frame shorter than its envelope was accepted")
-	}
-}
-
-func TestCapsCodec(t *testing.T) {
-	trace, snap := decodeCaps(encodeCaps())
-	if !trace || !snap {
-		t.Fatal("our own caps payload does not advertise tracing and snap-sync")
-	}
-	if tr, sn := decodeCaps(nil); tr || sn {
-		t.Fatal("nil caps payload advertised a capability")
-	}
-	if tr, sn := decodeCaps([]byte{}); tr || sn {
-		t.Fatal("empty caps payload advertised a capability")
-	}
-	if tr, sn := decodeCaps([]byte{0x00}); tr || sn {
-		t.Fatal("zero bitmask advertised a capability")
-	}
-	// Each bit decodes independently: a trace-only legacy payload must
-	// not imply snap support, and vice versa.
-	if tr, sn := decodeCaps([]byte{capTrace}); !tr || sn {
-		t.Fatal("trace-only payload misdecoded")
-	}
-	if tr, sn := decodeCaps([]byte{capSnap}); tr || !sn {
-		t.Fatal("snap-only payload misdecoded")
-	}
-	// Unknown future bits and trailing bytes are tolerated.
-	if tr, _ := decodeCaps([]byte{capTrace | 0x80, 0xff, 0xff}); !tr {
-		t.Fatal("future caps payload rejected")
+	raw := []byte{'S', 'C', 'W', '1', ProtocolVersion, byte(p2p.MsgBlock), 0, 0, 0, 8}
+	raw = append(raw, make([]byte, 8)...) // a fifth of an envelope
+	if _, err := ReadFrame(bytes.NewReader(raw)); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("frame shorter than its envelope: err = %v, want ErrTruncated", err)
 	}
 }

@@ -6,11 +6,9 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
-	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -82,18 +80,6 @@ type peer struct {
 	done   chan struct{}
 	dialed bool // we initiated the connection
 	once   sync.Once
-	// traceCapable flips when the peer's kindCaps frame advertises the
-	// trace capability; until then (and forever, for legacy peers) every
-	// outbound frame is stripped to the byte-identical version-1 form.
-	traceCapable atomic.Bool
-	// snapCapable flips with the snap bit of the same frame; the
-	// transport then fabricates a local MsgHeadAnnounce so the node's
-	// syncer learns the peer's handshake head and capabilities together.
-	snapCapable atomic.Bool
-	// helloHead/helloHeadNumber are the canonical head the peer
-	// advertised in its handshake, frozen at connection setup.
-	helloHead       types.Hash
-	helloHeadNumber uint64
 }
 
 // Transport is a TCP implementation of p2p.Transport. All methods are
@@ -344,13 +330,11 @@ func (t *Transport) setupConn(conn net.Conn, dialed bool) (*peer, bool) {
 		return nil, false
 	}
 	p := &peer{
-		id:              h.NodeID,
-		conn:            conn,
-		out:             make(chan Frame, t.cfg.QueueSize),
-		done:            make(chan struct{}),
-		dialed:          dialed,
-		helloHead:       h.HeadID,
-		helloHeadNumber: h.HeadNumber,
+		id:     h.NodeID,
+		conn:   conn,
+		out:    make(chan Frame, t.cfg.QueueSize),
+		done:   make(chan struct{}),
+		dialed: dialed,
 	}
 
 	t.mu.Lock()
@@ -391,12 +375,15 @@ func (t *Transport) setupConn(conn net.Conn, dialed bool) (*peer, bool) {
 	go func() { defer t.wg.Done(); t.readLoop(p) }()
 	go func() { defer t.wg.Done(); t.writeLoop(p) }()
 
-	// Capability advertisement: a version-1 control frame listing the
-	// optional protocol features we speak. Legacy peers count it as an
-	// unknown kind and drop it; peers that understand it start sending us
-	// traced (version-2) frames. First in the queue so it precedes any
-	// protocol traffic.
-	t.enqueue(p, Frame{Kind: kindCaps, Payload: encodeCaps()})
+	// Tell the node's syncer the head this peer advertised in its hello,
+	// so it can decide whether to snap-sync from it. The announce is
+	// fabricated here and only here: the kind is never accepted off the
+	// socket (see readLoop), so a remote peer cannot spoof another's head.
+	t.deliver(p2p.Message{
+		From:    p.id,
+		Kind:    p2p.MsgHeadAnnounce,
+		Payload: p2p.EncodeHeadAnnounce(h.HeadID, h.HeadNumber),
+	})
 
 	// Sync kick: if the peer's canonical head is ahead of ours, ask for
 	// it immediately. The reply flows through the node's normal orphan
@@ -439,29 +426,9 @@ func (t *Transport) readLoop(p *peer) {
 			return
 		}
 		mFramesIn.Inc()
-		mBytesIn.Add(uint64(headerSize + len(f.Payload)))
+		mBytesIn.Add(uint64(f.encodedSize()))
 		switch f.Kind {
 		case kindPing, kindHello:
-			continue
-		case kindCaps:
-			trace, snap := decodeCaps(f.Payload)
-			if trace && !p.traceCapable.Swap(true) {
-				mTracePeers.Inc()
-			}
-			if snap && !p.snapCapable.Swap(true) {
-				mSnapPeers.Inc()
-			}
-			// The capability frame is the earliest moment we know both the
-			// peer's head (from its handshake) and what it speaks. Fabricate
-			// a local head announce so the node's syncer can decide whether
-			// to snap-sync from this peer. The kind is never accepted off
-			// the socket (see below), so the announce — and the capability
-			// claim inside it — can only originate here.
-			t.deliver(p2p.Message{
-				From:    p.id,
-				Kind:    p2p.MsgHeadAnnounce,
-				Payload: p2p.EncodeHeadAnnounce(p.helloHead, p.helloHeadNumber, snap),
-			})
 			continue
 		case p2p.MsgHeadAnnounce:
 			// Synthetic-only kind: a remote frame claiming it is hostile
@@ -501,24 +468,16 @@ func (t *Transport) writeLoop(p *peer) {
 			return
 		}
 		if f.Trace.Valid() {
-			if p.traceCapable.Load() {
-				// Stamp the send time last, so the receiver's one-hop
-				// measurement excludes our queueing delay as little as
-				// possible (it still includes the socket write).
-				f.SentNanos = time.Now().UnixNano()
-			} else {
-				// The peer never advertised trace support: strip the
-				// context so the bytes on the wire are exactly the
-				// version-1 encoding it expects.
-				f.Trace = telemetry.TraceContext{}
-				f.SentNanos = 0
-			}
+			// Stamp the send time last, so the receiver's one-hop
+			// measurement excludes our queueing delay as little as
+			// possible (it still includes the socket write).
+			f.SentNanos = time.Now().UnixNano()
 		}
 		if err := WriteFrame(p.conn, f); err != nil {
 			return
 		}
 		mFramesOut.Inc()
-		mBytesOut.Add(uint64(headerSize + len(f.Payload)))
+		mBytesOut.Add(uint64(f.encodedSize()))
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -64,7 +65,7 @@ func hasPeer(tr *Transport, id p2p.NodeID) bool {
 
 // receiveN drains tr's inbox until n protocol messages arrive or the
 // timeout fires. Synthetic head announces (fabricated per connection at
-// capability exchange) are expected background traffic, not part of any
+// the handshake) are expected background traffic, not part of any
 // test's expected stream, so they are filtered here.
 func receiveN(t *testing.T, tr *Transport, n int, timeout time.Duration) []p2p.Message {
 	t.Helper()
@@ -301,5 +302,98 @@ func TestReconnectAfterRestart(t *testing.T) {
 	msgs := receiveN(t, b, 1, 3*time.Second)
 	if msgs[0].From != "a2" || string(msgs[0].Payload) != "back online" {
 		t.Errorf("post-restart message = %+v", msgs[0])
+	}
+}
+
+// countingConn counts the bytes that actually cross a connection.
+type countingConn struct {
+	net.Conn
+	read, written int
+}
+
+func (c *countingConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.read += n
+	return n, err
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.written += n
+	return n, err
+}
+
+// TestWireBytesCountEncodedFrames drives a transport's read and write
+// loops over a net.Pipe whose far end the test plays by hand, and holds
+// smartcrowd_wire_bytes_total to the bytes that really crossed it —
+// header, envelope and payload, in both directions. The same hand-played
+// peer also tries to spoof the synthetic head announce, which only the
+// local handshake may fabricate.
+func TestWireBytesCountEncodedFrames(t *testing.T) {
+	g := testGenesis()
+	tr, err := New(Config{NodeID: "local", Genesis: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	local, pipe := net.Pipe()
+	remote := &countingConn{Conn: pipe}
+	defer remote.Close()
+
+	handshaken := make(chan struct{})
+	go func() {
+		defer close(handshaken)
+		tr.setupConn(local, false)
+	}()
+	if _, err := ReadFrame(remote); err != nil {
+		t.Fatalf("read local hello: %v", err)
+	}
+	if err := WriteFrame(remote, Frame{Kind: kindHello, Payload: encodeHello(hello{Genesis: g, NodeID: "remote"})}); err != nil {
+		t.Fatal(err)
+	}
+	<-handshaken
+	if msgs := tr.Receive("local"); len(msgs) != 1 || msgs[0].Kind != p2p.MsgHeadAnnounce || msgs[0].From != "remote" {
+		t.Fatalf("handshake delivered %+v, want exactly the peer's head announce", msgs)
+	}
+	// The handshake runs outside the loops and is not in the counters.
+	remote.read, remote.written = 0, 0
+	in0, out0, unknown0 := mBytesIn.Value(), mBytesOut.Value(), mUnknownFrames.Value()
+	tc := telemetry.TraceContext{TraceID: telemetry.NewTraceID(), Span: telemetry.NewSpanID(), Start: 7}
+
+	for _, f := range []Frame{
+		{Kind: p2p.MsgHeadAnnounce, Payload: p2p.EncodeHeadAnnounce(types.Hash{1}, 1<<40)},
+		{Kind: p2p.MsgBlock, Payload: bytes.Repeat([]byte("b"), 300), Trace: tc, SentNanos: 9},
+		{Kind: p2p.MsgTx, Payload: []byte("untraced")},
+		{Kind: kindPing},
+	} {
+		if err := WriteFrame(remote, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []p2p.Message
+	waitFor(t, 3*time.Second, func() bool {
+		got = append(got, tr.Receive("local")...)
+		return len(got) >= 2 && mBytesIn.Value()-in0 == uint64(remote.written)
+	}, "both messages delivered and the inbound byte counter to equal the bytes written into the pipe")
+	if len(got) != 2 || got[0].Kind != p2p.MsgBlock || got[1].Kind != p2p.MsgTx {
+		t.Fatalf("delivered %+v, want the block and the tx only", got)
+	}
+	if d := mUnknownFrames.Value() - unknown0; d != 1 {
+		t.Fatalf("remote head announce counted unknown %d times, want 1", d)
+	}
+
+	tr.Broadcast("local", p2p.Message{Kind: p2p.MsgBlock, Payload: bytes.Repeat([]byte("c"), 500), Trace: tc})
+	if err := tr.Send("local", "remote", p2p.Message{Kind: p2p.MsgTx, Payload: []byte("plain")}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := ReadFrame(remote); err != nil {
+			t.Fatalf("read outbound frame %d: %v", i, err)
+		}
+	}
+	waitFor(t, 3*time.Second, func() bool { return mBytesOut.Value()-out0 == uint64(remote.read) },
+		"outbound byte counter to equal the bytes read off the pipe")
+	if want := 2*(headerSize+envelopeSize) + 500 + len("plain"); remote.read != want {
+		t.Fatalf("%d bytes crossed outbound, want %d", remote.read, want)
 	}
 }
