@@ -20,9 +20,11 @@ check: fmt vet lint race telemetry-budget trace-budget
 # errors.Is discipline (senterr), crypto-free mutex critical sections
 # (locksafe), acyclic lock ordering (lockorder), terminating goroutines
 # (goleak), stable /metrics names (metricname), wire-input taint
-# tracking (wiretaint), structured-logging discipline (logdisc), and
-# durable commits (fsyncdisc). Run `scvet -list` for the catalog. Audited
-# exceptions live in .scvet.allow with their justifications (DESIGN.md §9).
+# tracking (wiretaint), structured-logging discipline (logdisc), durable
+# commits (fsyncdisc), and no exported internal/ symbol that only tests
+# reference (deadexport) — ten passes; `scvet -list` prints the catalog.
+# Audited exceptions live in .scvet.allow with their justifications
+# (DESIGN.md §9).
 lint:
 	$(GO) run ./cmd/scvet ./...
 
@@ -70,7 +72,7 @@ telemetry-budget:
 # trace-budget fails if opening and ending a traced span (id stamping +
 # trace-store filing) costs more than the budget (5 µs/op by default;
 # override with SMARTCROWD_TRACE_BUDGET_NS). Must run without -race, like
-# telemetry-budget. The tracecost bench experiment gates the same number.
+# telemetry-budget.
 trace-budget:
 	$(GO) test ./internal/telemetry/ -run TestTraceOverheadBudget -count=1 -v
 

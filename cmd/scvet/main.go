@@ -5,7 +5,8 @@
 // crypto-free critical sections (locksafe), deadlock-free lock ordering
 // (lockorder), terminating goroutines (goleak), stable /metrics names
 // (metricname), wire taint tracking (wiretaint), event-discipline
-// (logdisc), and durable commits (fsyncdisc).
+// (logdisc), durable commits (fsyncdisc), and no test-only production
+// code (deadexport).
 //
 // Usage:
 //

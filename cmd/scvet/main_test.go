@@ -32,7 +32,8 @@ func chdir(t *testing.T, dir string) {
 
 // writeTempModule lays out a throwaway module with one dirty package
 // (internal/leak spawns an unstoppable goroutine — exactly one goleak
-// finding) and one clean package.
+// finding), one clean package, and a command that uses both so their
+// exports are live.
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -56,6 +57,15 @@ func Spin(s *S) {
 		"internal/okpkg/ok.go": `package okpkg
 
 func Add(a, b int) int { return a + b }
+`,
+		"cmd/tmpmod/main.go": `package main
+
+import (
+	"example.com/tmpmod/internal/leak"
+	"example.com/tmpmod/internal/okpkg"
+)
+
+func main() { leak.Spin(&leak.S{}); _ = okpkg.Add(1, 2) }
 `,
 	}
 	for name, content := range files {
@@ -84,8 +94,8 @@ func TestListMatchesCatalog(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(stdout, "\n"), "\n")
 	passes := analysis.Passes()
-	if len(passes) < 9 {
-		t.Fatalf("catalog has %d passes, want at least 9", len(passes))
+	if len(passes) < 10 {
+		t.Fatalf("catalog has %d passes, want at least 10", len(passes))
 	}
 	if len(lines) != len(passes) {
 		t.Fatalf("-list printed %d lines, catalog has %d passes", len(lines), len(passes))

@@ -44,6 +44,7 @@ var passCatalog = []*Pass{
 	passWiretaint,
 	passLogdisc,
 	passFsyncdisc,
+	passDeadexport,
 }
 
 // passByName indexes the catalog for PassByName, built alongside it.
@@ -61,14 +62,8 @@ func Passes() []*Pass { return passCatalog }
 // PassByName resolves a catalog entry; nil if unknown.
 func PassByName(name string) *Pass { return passByName[name] }
 
-// RunAll executes every pass over every package and returns the findings
-// sorted by file, line, then pass name.
-func RunAll(pkgs []*Package) []Finding {
-	return RunPasses(pkgs, Passes())
-}
-
-// RunPasses executes the given passes over every package with the same
-// ordering guarantees as RunAll — the `scvet -pass` subset path.
+// RunPasses executes the given passes over every package and returns the
+// findings sorted by file, line, then pass name.
 func RunPasses(pkgs []*Package, passes []*Pass) []Finding {
 	var out []Finding
 	for _, pkg := range pkgs {

@@ -17,6 +17,11 @@ import (
 // Program once and report per package.
 type Program struct {
 	Pkgs []*Package
+	// Whole reports that Pkgs is the entire module (Load of "./..." from
+	// the module root), so every non-test user of every symbol is in
+	// hand; deadexport stays silent on narrower loads, where a symbol's
+	// users may simply not have been loaded.
+	Whole bool
 
 	mu   sync.Mutex
 	cg   *CallGraph

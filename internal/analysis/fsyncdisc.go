@@ -23,9 +23,7 @@ var storagePkgs = []string{
 //
 // This is a commit-path discipline, not a proof: a write whose fsync
 // lives in a different function is invisible to the check and must be
-// allowlisted with its audit trail (the deliberately-unsynced index
-// append in Disk.AppendBlocks is the canonical entry — the index is
-// rebuilt from the log on open, so its durability adds nothing).
+// allowlisted with its audit trail.
 var passFsyncdisc = &Pass{
 	Name: "fsyncdisc",
 	Doc:  "os.File writes in the storage package need a later Sync/Close on the same handle",
@@ -110,8 +108,8 @@ func fsyncdiscFunc(p *Package, body *ast.BlockStmt) []Finding {
 // osFileMethod reports the method name and receiver handle when call is
 // a method call on an *os.File (or os.File) value whose receiver is a
 // plain variable or a struct field; ("", nil) otherwise. Matching the
-// receiver object rather than its rendered text keeps `d.idxF` in two
-// statements the same handle while `d.idxF` and `d.walF` stay distinct.
+// receiver object rather than its rendered text keeps `d.logF` in two
+// statements the same handle while `d.logF` and `d.walF` stay distinct.
 func osFileMethod(p *Package, call *ast.CallExpr) (string, *types.Var) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -2,9 +2,13 @@ package analysis
 
 import (
 	"fmt"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
+	"strconv"
 	"testing"
 )
 
@@ -67,7 +71,7 @@ func loadFixture(t *testing.T, name, asPath string) *Package {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := LoadDir(moduleDir, filepath.Join("testdata", "src", name), asPath)
+	pkg, err := loadDir(moduleDir, filepath.Join("testdata", "src", name), asPath)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
@@ -87,14 +91,16 @@ func runFixture(t *testing.T, passName, asPath string) []Finding {
 
 // runFixtureAs is runFixture with an explicit fixture directory, for
 // passes with more than one fixture (locksafe has a chain/txpool fixture
-// and an rpc fixture).
-func runFixtureAs(t *testing.T, fixture, passName, asPath string) []Finding {
+// and an rpc fixture). Packages passed as others join the fixture's
+// Program, for passes that look across package boundaries.
+func runFixtureAs(t *testing.T, fixture, passName, asPath string, others ...*Package) []Finding {
 	t.Helper()
 	pass := PassByName(passName)
 	if pass == nil {
 		t.Fatalf("unknown pass %q", passName)
 	}
 	pkg := loadFixture(t, fixture, asPath)
+	pkg.Prog.Pkgs = append(pkg.Prog.Pkgs, others...)
 	findings := pass.Run(pkg)
 	wants := parseWants(t, pkg)
 	if len(wants) == 0 {
@@ -138,4 +144,72 @@ func runFixtureAs(t *testing.T, fixture, passName, asPath string) []Finding {
 		}
 	}
 	return findings
+}
+
+// loadDir type-checks a single directory of Go files outside the normal
+// build (the testdata fixture packages live under testdata/, which the go
+// tool ignores). moduleDir anchors `go list` so the fixtures' imports —
+// stdlib or module-internal — resolve through export data. asPath is the
+// import path the fixture pretends to be, so path-scoped passes fire.
+func loadDir(moduleDir, fixtureDir, asPath string) (*Package, error) {
+	entries, err := os.ReadDir(fixtureDir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
+			names = append(names, e.Name())
+		}
+	}
+	sort.Strings(names)
+	if len(names) == 0 {
+		return nil, fmt.Errorf("analysis: no Go files in %s", fixtureDir)
+	}
+	fset := token.NewFileSet()
+	files, err := parseFiles(fset, fixtureDir, names)
+	if err != nil {
+		return nil, err
+	}
+	// Resolve the fixture's imports through the module's build cache.
+	importSet := map[string]bool{}
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && path != "C" {
+				importSet[path] = true
+			}
+		}
+	}
+	exports := map[string]string{}
+	if len(importSet) > 0 {
+		patterns := make([]string, 0, len(importSet))
+		for path := range importSet {
+			patterns = append(patterns, path)
+		}
+		sort.Strings(patterns)
+		listed, err := goList(moduleDir, patterns)
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range listed {
+			if p.Export != "" {
+				exports[p.ImportPath] = p.Export
+			}
+		}
+	}
+	pkg := &Package{
+		ImportPath: asPath,
+		Dir:        fixtureDir,
+		Fset:       fset,
+		Files:      files,
+		Info:       newInfo(),
+	}
+	conf := types.Config{
+		Importer: exportImporter(fset, exports),
+		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	}
+	pkg.Pkg, _ = conf.Check(asPath, fset, files, pkg.Info)
+	pkg.Prog = &Program{Pkgs: []*Package{pkg}, Whole: true}
+	return pkg, nil
 }

@@ -29,14 +29,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
 )
 
 // Package is one type-checked target package ready for the passes.
 type Package struct {
-	// ImportPath is the package's import path. Fixture packages loaded
-	// with LoadDir carry the "as-if" path of the production package they
-	// stand in for, so path-scoped passes apply.
+	// ImportPath is the package's import path. The test harness loads
+	// fixture packages under the "as-if" path of the production package
+	// they stand in for, so path-scoped passes apply.
 	ImportPath string
 	Dir        string
 	Fset       *token.FileSet
@@ -50,7 +49,7 @@ type Package struct {
 	// Prog links back to the whole load: the interprocedural passes
 	// (lockorder, goleak, wiretaint) need every package's function bodies
 	// to chase calls across package boundaries. Load wires all packages
-	// into one Program; LoadDir wraps the fixture in a singleton.
+	// into one Program; the fixture harness wraps each fixture in its own.
 	Prog *Program
 }
 
@@ -60,7 +59,10 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Module     *struct{ Main bool }
+	Module     *struct {
+		Main bool
+		Dir  string
+	}
 }
 
 // newInfo allocates the full types.Info map set the passes rely on.
@@ -144,12 +146,15 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	exports := make(map[string]string, len(listed))
 	var targets []listPkg
+	absDir, err := filepath.Abs(dir)
+	whole := err == nil && len(patterns) == 1 && patterns[0] == "./..."
 	for _, p := range listed {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
 		if p.Module != nil && p.Module.Main && len(p.GoFiles) > 0 {
 			targets = append(targets, p)
+			whole = whole && p.Module.Dir == absDir
 		}
 	}
 	fset := token.NewFileSet()
@@ -177,77 +182,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		out = append(out, pkg)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ImportPath < out[j].ImportPath })
-	prog := &Program{Pkgs: out}
+	prog := &Program{Pkgs: out, Whole: whole}
 	for _, p := range out {
 		p.Prog = prog
 	}
 	return out, nil
-}
-
-// LoadDir type-checks a single directory of Go files outside the normal
-// build (the testdata fixture packages live under testdata/, which the go
-// tool ignores). moduleDir anchors `go list` so the fixtures' imports —
-// stdlib or module-internal — resolve through export data. asPath is the
-// import path the fixture pretends to be, so path-scoped passes fire.
-func LoadDir(moduleDir, fixtureDir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && filepath.Ext(e.Name()) == ".go" {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("analysis: no Go files in %s", fixtureDir)
-	}
-	fset := token.NewFileSet()
-	files, err := parseFiles(fset, fixtureDir, names)
-	if err != nil {
-		return nil, err
-	}
-	// Resolve the fixture's imports through the module's build cache.
-	importSet := map[string]bool{}
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err == nil && path != "C" {
-				importSet[path] = true
-			}
-		}
-	}
-	exports := map[string]string{}
-	if len(importSet) > 0 {
-		patterns := make([]string, 0, len(importSet))
-		for path := range importSet {
-			patterns = append(patterns, path)
-		}
-		sort.Strings(patterns)
-		listed, err := goList(moduleDir, patterns)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-		}
-	}
-	pkg := &Package{
-		ImportPath: asPath,
-		Dir:        fixtureDir,
-		Fset:       fset,
-		Files:      files,
-		Info:       newInfo(),
-	}
-	conf := types.Config{
-		Importer: exportImporter(fset, exports),
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
-	}
-	pkg.Pkg, _ = conf.Check(asPath, fset, files, pkg.Info)
-	pkg.Prog = &Program{Pkgs: []*Package{pkg}}
-	return pkg, nil
 }

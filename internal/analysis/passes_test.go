@@ -53,6 +53,16 @@ func TestFsyncdiscFixture(t *testing.T) {
 	runFixture(t, "fsyncdisc", modPrefix+"internal/store")
 }
 
+// TestDeadexportFixture loads the fixture library under its real import
+// path so the user package, which imports it through export data, names
+// the same symbols; the user package joins the library's Program the way
+// Load links a whole module.
+func TestDeadexportFixture(t *testing.T) {
+	lib := modPrefix + "internal/analysis/testdata/src/deadexport"
+	user := loadFixture(t, "deadexport/user", lib+"/user")
+	runFixtureAs(t, "deadexport", "deadexport", lib, user)
+}
+
 // TestLogdiscAllowlisted proves a logdisc finding is suppressible via
 // the committed .scvet.allow mechanism like any other pass.
 func TestLogdiscAllowlisted(t *testing.T) {
@@ -92,6 +102,7 @@ func TestPassesScopedToTheirPackages(t *testing.T) {
 		{"logdisc", "logdisc", modPrefix + "cmd/smartcrowd"},
 		{"logdisc", "logdisc", modPrefix + "internal/telemetry"},
 		{"fsyncdisc", "fsyncdisc", modPrefix + "internal/chain"},
+		{"deadexport", "deadexport", modPrefix + "cmd/smartcrowd"},
 	} {
 		pkg := loadFixture(t, tc.fixture, tc.asPath)
 		if got := PassByName(tc.pass).Run(pkg); len(got) != 0 {
@@ -210,7 +221,7 @@ func TestRepoCleanUnderScvet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, _ := allow.Filter(RunAll(pkgs))
+	kept, _ := allow.Filter(RunPasses(pkgs, Passes()))
 	for _, f := range kept {
 		t.Errorf("unexpected finding in tree: %s", f)
 	}

@@ -10,7 +10,7 @@ import (
 
 type journal struct {
 	logF *os.File
-	idxF *os.File
+	auxF *os.File
 }
 
 // badFireAndForget writes and returns; the bytes live in the page cache
@@ -30,7 +30,7 @@ func badWrongHandle(j *journal, wal *os.File, data []byte) error {
 
 // badFieldWriteAt covers the WriteAt variant through a struct field.
 func badFieldWriteAt(j *journal, data []byte) error {
-	_, err := j.idxF.WriteAt(data, 0) // want `os.File.WriteAt on "idxF" with no later Sync/Close`
+	_, err := j.auxF.WriteAt(data, 0) // want `os.File.WriteAt on "auxF" with no later Sync/Close`
 	return err
 }
 
@@ -81,13 +81,13 @@ func goodPerHandle(j *journal, data []byte) error {
 	if _, err := j.logF.Write(data); err != nil {
 		return err
 	}
-	if _, err := j.idxF.Write(data); err != nil {
+	if _, err := j.auxF.Write(data); err != nil {
 		return err
 	}
 	if err := j.logF.Sync(); err != nil {
 		return err
 	}
-	return j.idxF.Sync()
+	return j.auxF.Sync()
 }
 
 // goodNotAFile writes to an in-memory buffer; fsync is meaningless.

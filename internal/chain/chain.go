@@ -225,13 +225,6 @@ func (c *Chain) HeadNumber() uint64 {
 	return c.head.block.Header.Number
 }
 
-// TotalDifficulty returns the head's cumulative difficulty.
-func (c *Chain) TotalDifficulty() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.head.totalDif
-}
-
 // State returns a copy-on-write copy of the state at the canonical head.
 // Copy disowns the source's account records (a cheap epoch bump plus a
 // pointer-map clone), so it needs the exclusive lock.
@@ -292,16 +285,6 @@ func (c *Chain) BlockByID(id types.Hash) (*types.Block, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, id.Short())
 	}
 	return e.block, nil
-}
-
-// BlockByNumber returns the canonical block at a height.
-func (c *Chain) BlockByNumber(n uint64) (*types.Block, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if n >= uint64(len(c.canon)) {
-		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(c.canon)-1)
-	}
-	return c.canon[n].block, nil
 }
 
 // BlocksRange returns the canonical blocks from..to (inclusive) under one
@@ -758,24 +741,6 @@ func (c *Chain) Confirmations(txHash types.Hash) uint64 {
 	return c.head.block.Header.Number - loc.number + 1
 }
 
-// TxLocation resolves a canonical transaction to its block id, height and
-// in-block index — the inputs a Merkle inclusion proof needs.
-func (c *Chain) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64, txIdx int, ok bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, found := htGet(c.txTrie, txHash)
-	if !found {
-		return types.Hash{}, 0, 0, false
-	}
-	return loc.blockID, loc.number, loc.txIdx, true
-}
-
-// Confirmed reports whether a transaction has reached the configured
-// confirmation depth (the paper's 6-block rule).
-func (c *Chain) Confirmed(txHash types.Hash) bool {
-	return c.Confirmations(txHash) >= c.cfg.Confirmations
-}
-
 // CanonicalBlocks returns the canonical chain (including genesis).
 func (c *Chain) CanonicalBlocks() []*types.Block {
 	c.mu.RLock()
@@ -791,41 +756,6 @@ func (c *Chain) CanonicalBlocks() []*types.Block {
 type SRARef struct {
 	ID          types.Hash
 	BlockNumber uint64
-}
-
-// SRACount returns how many SRA announcements the canonical chain holds.
-func (c *Chain) SRACount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.sraIndex)
-}
-
-// SRAList returns a page of canonical SRA announcements in chain order,
-// starting at offset. It is backed by the incrementally maintained index,
-// so pagination costs O(limit) regardless of chain length. A negative or
-// past-the-end offset yields an empty page; limit <= 0 yields none.
-func (c *Chain) SRAList(offset, limit int) []SRARef {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if offset < 0 || offset >= len(c.sraIndex) || limit <= 0 {
-		return nil
-	}
-	end := offset + limit
-	if end > len(c.sraIndex) {
-		end = len(c.sraIndex)
-	}
-	return append([]SRARef(nil), c.sraIndex[offset:end]...)
-}
-
-// SRAAt returns the i-th canonical SRA announcement, if it exists — the
-// locked-oracle counterpart of ReadView.SRAAt.
-func (c *Chain) SRAAt(i int) (SRARef, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if i < 0 || i >= len(c.sraIndex) {
-		return SRARef{}, false
-	}
-	return c.sraIndex[i], true
 }
 
 // DetectionRecord pairs a report transaction with its canonical receipt —
@@ -848,27 +778,6 @@ func (c *Chain) DetectionResults(sraID types.Hash) []DetectionRecord {
 		return nil
 	}
 	return append([]DetectionRecord(nil), recs...)
-}
-
-// DetectionResultsScan is the pre-index linear scan over the canonical
-// chain. It is kept as the reference oracle for the index: consistency
-// tests and benchmarks compare DetectionResults against it.
-func (c *Chain) DetectionResultsScan(sraID types.Hash) []DetectionRecord {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []DetectionRecord
-	for _, e := range c.canon {
-		for j, tx := range e.block.Txs {
-			if id, ok := reportSRAID(tx); ok && id == sraID {
-				out = append(out, DetectionRecord{
-					BlockNumber: e.block.Header.Number,
-					Tx:          tx,
-					Receipt:     e.receipts[j],
-				})
-			}
-		}
-	}
-	return out
 }
 
 // BuildBlock executes txs on top of the given parent and returns an

@@ -1,11 +1,13 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
+	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -498,17 +500,20 @@ func execBlockForTest(h *harness, blk *types.Block) ([]*Receipt, error) {
 
 func TestContractDeployAndCallOnChain(t *testing.T) {
 	h := newHarness(t)
-	// Deploy the escrow bytecode via an initcode stub that returns it:
-	// PUSH len PUSH srcOffset ... simplest initcode: code that RETURNs the
-	// payload appended after it. We synthesize initcode = [PUSH2 len,
-	// PUSH2 off, ...] — easier: store code directly with MSTORE-free
-	// approach using the assembler.
+	// A minimal contract: every call records its caller in slot 0. It is
+	// deployed via an initcode stub that returns the runtime code.
+	runtime := vm.MustAssemble(`
+		CALLER
+		PUSH 0
+		SSTORE
+		STOP
+	`)
 	deployTx := &types.Transaction{
 		Kind:     types.TxContractCreate,
 		Nonce:    h.nextNonce(h.provider.Address()),
 		GasLimit: 3_000_000,
 		GasPrice: testGasPrice,
-		Data:     initcodeFor(contract.EscrowCode),
+		Data:     initcodeFor(runtime),
 	}
 	if err := types.SignTx(deployTx, h.provider); err != nil {
 		t.Fatal(err)
@@ -521,20 +526,17 @@ func TestContractDeployAndCallOnChain(t *testing.T) {
 	if !r.Success {
 		t.Fatalf("deploy failed: %s", r.Err)
 	}
-	escrowAddr := r.ContractAddress
-	st := h.chain.State()
-	if len(st.Code(escrowAddr)) != len(contract.EscrowCode) {
+	addr := r.ContractAddress
+	if !bytes.Equal(h.chain.State().Code(addr), runtime) {
 		t.Fatal("deployed code mismatch")
 	}
 
-	// INIT the escrow.
 	callTx := &types.Transaction{
 		Kind:     types.TxContractCall,
 		Nonce:    h.nextNonce(h.provider.Address()),
-		To:       escrowAddr,
+		To:       addr,
 		GasLimit: 200_000,
 		GasPrice: testGasPrice,
-		Data:     contract.EscrowInput(contract.EscrowMethodInit),
 	}
 	if err := types.SignTx(callTx, h.provider); err != nil {
 		t.Fatal(err)
@@ -545,7 +547,13 @@ func TestContractDeployAndCallOnChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !cr.Success {
-		t.Fatalf("escrow init failed: %s", cr.Err)
+		t.Fatalf("contract call failed: %s", cr.Err)
+	}
+	var want types.Hash
+	caller := h.provider.Address()
+	copy(want[types.HashSize-len(caller):], caller[:])
+	if got := h.chain.State().GetStorage(addr, types.Hash{}); got != want {
+		t.Fatalf("slot 0 = %s after the call, want the caller %s", got, want)
 	}
 }
 

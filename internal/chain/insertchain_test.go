@@ -329,7 +329,7 @@ func TestConcurrentForkInsertionStress(t *testing.T) {
 	// The incrementally maintained detection index must agree with the
 	// linear-scan oracle after all the concurrent reorgs.
 	idx := h.chain.DetectionResults(sra.ID)
-	scan := h.chain.DetectionResultsScan(sra.ID)
+	scan := h.chain.detectionResultsScan(sra.ID)
 	if len(idx) != len(scan) {
 		t.Fatalf("detection index has %d records, scan %d", len(idx), len(scan))
 	}

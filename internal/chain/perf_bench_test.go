@@ -189,7 +189,7 @@ func BenchmarkDetectionQuery5000Blocks(b *testing.B) {
 		h.extend(dtx)
 	}
 	target := sras[0].ID
-	wantRecords := len(c.DetectionResultsScan(target))
+	wantRecords := len(c.detectionResultsScan(target))
 	if wantRecords != 500 {
 		b.Fatalf("setup recorded %d reports for the target SRA, want 500", wantRecords)
 	}
@@ -205,7 +205,7 @@ func BenchmarkDetectionQuery5000Blocks(b *testing.B) {
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := c.DetectionResultsScan(target); len(got) != wantRecords {
+			if got := c.detectionResultsScan(target); len(got) != wantRecords {
 				b.Fatalf("records = %d, want %d", len(got), wantRecords)
 			}
 		}

@@ -18,7 +18,7 @@ func assertIndexesMatchScan(t *testing.T, c *Chain, sraIDs ...types.Hash) {
 	// Detection index == linear scan, for every SRA of interest.
 	for _, id := range sraIDs {
 		indexed := c.DetectionResults(id)
-		scanned := c.DetectionResultsScan(id)
+		scanned := c.detectionResultsScan(id)
 		if !reflect.DeepEqual(indexed, scanned) {
 			t.Fatalf("SRA %s: indexed records %v != scanned %v", id.Short(), indexed, scanned)
 		}

@@ -90,16 +90,19 @@ type StorageStats struct {
 	Dir string
 	// Blocks is the committed block count (the WAL sequence).
 	Blocks uint64
-	// LogBytes/IndexBytes/WALBytes/SnapshotBytes are on-disk file sizes.
+	// LogBytes/WALBytes/SnapshotBytes are on-disk file sizes.
 	LogBytes      int64
-	IndexBytes    int64
 	WALBytes      int64
 	SnapshotBytes int64
+	// IndexBytes is always 0: no backend keeps an index file. It stays
+	// declared only because the frozen benchmark/trace.go sums it, and
+	// goes when the benchmark stops reading it.
+	IndexBytes int64
 	// SnapshotHeight is the height of the newest durable snapshot (0 =
 	// none).
 	SnapshotHeight uint64
-	// Recovered reports that the last open truncated a torn tail or
-	// rebuilt the index — i.e. the backend healed after a crash.
+	// Recovered reports that the last open truncated a torn or
+	// unacknowledged tail — i.e. the backend healed after a crash.
 	Recovered bool
 }
 

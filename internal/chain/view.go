@@ -32,15 +32,14 @@ import (
 // A view held across head switches keeps serving its own fork
 // consistently; it simply goes stale, it never tears.
 type ReadView struct {
-	head          *types.Block
-	headID        types.Hash
-	totalDif      uint64
-	confirmations uint64
-	canon         []*entry
-	txIndex       *htnode[txLoc]
-	detIndex      *htnode[[]DetectionRecord]
-	sraIndex      []SRARef
-	state         *state.DB
+	head     *types.Block
+	headID   types.Hash
+	totalDif uint64
+	canon    []*entry
+	txIndex  *htnode[txLoc]
+	detIndex *htnode[[]DetectionRecord]
+	sraIndex []SRARef
+	state    *state.DB
 }
 
 // CurrentView returns the chain's latest published read snapshot. It is
@@ -55,15 +54,14 @@ func (c *Chain) CurrentView() *ReadView {
 // the head they are publishing.
 func (c *Chain) publishView() {
 	c.view.Store(&ReadView{
-		head:          c.head.block,
-		headID:        c.head.block.ID(),
-		totalDif:      c.head.totalDif,
-		confirmations: c.cfg.Confirmations,
-		canon:         c.canon,
-		txIndex:       c.txTrie,
-		detIndex:      c.detTrie,
-		sraIndex:      c.sraIndex,
-		state:         c.head.post,
+		head:     c.head.block,
+		headID:   c.head.block.ID(),
+		totalDif: c.head.totalDif,
+		canon:    c.canon,
+		txIndex:  c.txTrie,
+		detIndex: c.detTrie,
+		sraIndex: c.sraIndex,
+		state:    c.head.post,
 	})
 	mViewPublished.Inc()
 }
@@ -124,12 +122,6 @@ func (v *ReadView) Confirmations(txHash types.Hash) uint64 {
 		return 0
 	}
 	return v.head.Header.Number - loc.number + 1
-}
-
-// Confirmed reports whether a transaction has reached the chain's
-// configured confirmation depth in this view.
-func (v *ReadView) Confirmed(txHash types.Hash) bool {
-	return v.Confirmations(txHash) >= v.confirmations
 }
 
 // TxLocation resolves a canonical transaction to its block id, height

@@ -6,9 +6,10 @@
 // The contract runs natively inside the chain's state-transition function
 // at a reserved address, with its records laid out in ordinary contract
 // storage slots — so reorganizations, snapshots and state roots cover it
-// exactly like user contracts. A bytecode escrow (escrow.go) implements the
-// value-custody core on the SCVM as well; differential tests pin the two
-// together, and the gas schedule below is calibrated to the bytecode path.
+// exactly like user contracts. A bytecode escrow (escrow_test.go)
+// implements the value-custody core on the SCVM as well; differential
+// tests pin the two together, and the gas schedule below is calibrated to
+// the bytecode path.
 package contract
 
 import (
@@ -422,15 +423,4 @@ func (c *Contract) GetSRA(st StateDB, sraID types.Hash) (SRAInfo, error) {
 		ReleaseBlock:       hashUint(st.GetStorage(Address, slot([]byte("sra-release-block"), sraID[:]))),
 		ConfirmedVulns:     hashUint(st.GetStorage(Address, slot([]byte("sra-vulns"), sraID[:]))),
 	}, nil
-}
-
-// ClaimedBy returns the wallet that first reported a vulnerability, or the
-// zero address if it is unclaimed.
-func (c *Contract) ClaimedBy(st StateDB, sraID types.Hash, vulnID string) types.Address {
-	return hashAddr(st.GetStorage(Address, slot([]byte("claim"), sraID[:], []byte(vulnID))))
-}
-
-// HasCommitment reports whether an unconsumed R† commitment exists.
-func (c *Contract) HasCommitment(st StateDB, detailHash types.Hash) bool {
-	return !st.GetStorage(Address, slot([]byte("commit"), detailHash[:])).IsZero()
 }

@@ -54,6 +54,12 @@ func newFixture(t *testing.T, verifier Verifier) *fixture {
 	return f
 }
 
+// claimedBy returns the wallet that first reported a vulnerability, or the
+// zero address if it is unclaimed.
+func (f *fixture) claimedBy(vulnID string) types.Address {
+	return hashAddr(f.st.GetStorage(Address, slot([]byte("claim"), f.sra.ID[:], []byte(vulnID))))
+}
+
 // submitPair walks a (R†, R*) pair through the two-phase protocol.
 func (f *fixture) submitPair(t *testing.T, findings []types.Finding, commitBlock, revealBlock uint64) (Payout, error) {
 	t.Helper()
@@ -170,7 +176,7 @@ func TestTwoPhasePayoutHappyPath(t *testing.T) {
 		t.Errorf("confirmed vulns = %d, want 3", info.ConfirmedVulns)
 	}
 	for _, id := range []string{"V-1", "V-2", "V-3"} {
-		if f.c.ClaimedBy(f.st, f.sra.ID, id) != f.detector.Address() {
+		if f.claimedBy(id) != f.detector.Address() {
 			t.Errorf("%s not claimed by detector", id)
 		}
 	}
@@ -260,7 +266,7 @@ func TestDuplicateClaimGoesToFirstReporter(t *testing.T) {
 	if payout.Paid != 0 || payout.RejectedDuplicate != 1 {
 		t.Errorf("duplicate claim paid %s (dup=%d)", payout.Paid, payout.RejectedDuplicate)
 	}
-	if f.c.ClaimedBy(f.st, f.sra.ID, "V-1") != f.detector.Address() {
+	if f.claimedBy("V-1") != f.detector.Address() {
 		t.Error("claim reassigned away from first reporter")
 	}
 }

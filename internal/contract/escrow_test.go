@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/state"
@@ -8,6 +9,145 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
+
+// EscrowSource is the SCVM assembly of the SmartCrowd escrow: the
+// value-custody core of the SmartCrowd contract expressed as real
+// bytecode. It demonstrates that the incentive mechanism runs on the
+// chain's contract VM (as the paper's Solidity prototype does on the EVM)
+// and anchors the gas calibration used by Fig. 6(b).
+//
+// ABI (big-endian 32-byte words in calldata):
+//
+//	word0 = 1 (INIT):     records the caller as owner; callable once.
+//	word0 = 2 (DEPOSIT):  banks the attached call value.
+//	word0 = 3 (PAY):      word1 = payee, word2 = amount; owner-only,
+//	                      transfers amount out of the banked balance.
+//
+// Storage: slot 0 holds the owner address, slot 1 the banked balance.
+const EscrowSource = `
+; ---- method dispatch ----
+PUSH 0
+CALLDATALOAD      ; method selector
+DUP1
+PUSH 1
+EQ
+PUSH @init
+JUMPI
+DUP1
+PUSH 2
+EQ
+PUSH @deposit
+JUMPI
+DUP1
+PUSH 3
+EQ
+PUSH @pay
+JUMPI
+PUSH 0
+PUSH 0
+REVERT
+
+; ---- INIT: claim ownership exactly once ----
+init:
+POP
+PUSH 0
+SLOAD
+ISZERO
+PUSH @init_ok
+JUMPI
+PUSH 0
+PUSH 0
+REVERT
+init_ok:
+CALLER
+PUSH 0
+SSTORE
+STOP
+
+; ---- DEPOSIT: bank the attached value ----
+deposit:
+POP
+CALLVALUE
+PUSH 1
+SLOAD
+ADD
+PUSH 1
+SSTORE
+STOP
+
+; ---- PAY: owner-only bounty payout ----
+pay:
+POP
+CALLER
+PUSH 0
+SLOAD
+EQ
+PUSH @auth_ok
+JUMPI
+PUSH 0
+PUSH 0
+REVERT
+auth_ok:
+PUSH 32
+CALLDATALOAD      ; payee
+PUSH 64
+CALLDATALOAD      ; amount        stack: [amount payee]
+DUP1
+PUSH 1
+SLOAD             ; [bal amount amount payee]
+LT                ; bal < amount ?
+ISZERO
+PUSH @funds_ok
+JUMPI
+PUSH 0
+PUSH 0
+REVERT
+funds_ok:
+DUP1              ; [amount amount payee]
+PUSH 1
+SLOAD             ; [bal amount amount payee]
+SUB               ; [bal-amount amount payee]
+PUSH 1
+SSTORE            ; [amount payee]
+SWAP1             ; [payee amount]
+TRANSFER
+STOP
+`
+
+// EscrowCode is the assembled escrow bytecode.
+var EscrowCode = vm.MustAssemble(EscrowSource)
+
+// Escrow method selectors.
+const (
+	EscrowMethodInit    uint64 = 1
+	EscrowMethodDeposit uint64 = 2
+	EscrowMethodPay     uint64 = 3
+)
+
+// EscrowInput builds calldata for the escrow contract: the method selector
+// followed by optional 32-byte argument words.
+func EscrowInput(method uint64, args ...[32]byte) []byte {
+	buf := make([]byte, 32, 32+32*len(args))
+	binary.BigEndian.PutUint64(buf[24:], method)
+	for _, a := range args {
+		buf = append(buf, a[:]...)
+	}
+	return buf
+}
+
+// AddressWord encodes an address as a 32-byte calldata word.
+func AddressWord(a types.Address) [32]byte {
+	var w [32]byte
+	copy(w[12:], a[:])
+	return w
+}
+
+// AmountWord encodes an amount as a 32-byte calldata word.
+func AmountWord(a types.Amount) [32]byte {
+	var w [32]byte
+	binary.BigEndian.PutUint64(w[24:], uint64(a))
+	return w
+}
 
 // escrowEnv hosts the bytecode escrow at a test address.
 type escrowEnv struct {

@@ -166,13 +166,6 @@ func (p *Platform) ProviderWallet(name string) *wallet.Wallet {
 // Contract exposes the SmartCrowd contract for queries.
 func (p *Platform) Contract() *contract.Contract { return p.contract }
 
-// Verifier exposes the AutoVerif engine (providers register ground truth
-// when they release; tests inject adversarial images).
-func (p *Platform) Verifier() *detection.GroundTruthVerifier { return p.verifier }
-
-// Network exposes the gossip fabric (for partition experiments).
-func (p *Platform) Network() *p2p.Network { return p.net }
-
 // Release performs Phase #1 for provider i: it signs an insured SRA for
 // the image, registers the ground truth with AutoVerif, publishes the
 // image at its download link, and submits the announcement transaction.
@@ -228,15 +221,6 @@ func (p *Platform) Mine(providerIdx int) (*types.Block, error) {
 	p.reactLocked()
 	p.dispatchNotificationsLocked()
 	return blk, nil
-}
-
-// Step advances gossip without mining (delivers in-flight messages and
-// lets detectors poll).
-func (p *Platform) Step() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.settleLocked()
-	p.reactLocked()
 }
 
 // settleLocked drains the network until quiet.
@@ -307,34 +291,6 @@ func (p *Platform) nextNonce(a types.Address) uint64 {
 	n := p.nonce[a]
 	p.nonce[a] = n + 1
 	return n
-}
-
-// RequestRefund submits provider i's insurance-reclaim transaction for an
-// SRA whose detection window has elapsed. The refund executes when the
-// transaction is mined; it fails (burning gas) if the window is still
-// open or the caller is not the releasing provider.
-func (p *Platform) RequestRefund(providerIdx int, sraID types.Hash) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if providerIdx < 0 || providerIdx >= len(p.providers) {
-		return fmt.Errorf("%w: %d", ErrUnknownProvider, providerIdx)
-	}
-	prov := p.providers[providerIdx]
-	tx := &types.Transaction{
-		Kind:     types.TxContractCall,
-		Nonce:    p.nextNonce(prov.Address()),
-		To:       contract.Address,
-		GasLimit: p.cfg.ContractParams.GasRefund,
-		GasPrice: p.cfg.GasPrice,
-		Data:     contract.RefundInput(sraID),
-	}
-	if err := types.SignTx(tx, prov.Wallet()); err != nil {
-		return err
-	}
-	if err := prov.SubmitTx(tx); err != nil {
-		return fmt.Errorf("core: submit refund: %w", err)
-	}
-	return nil
 }
 
 // Providers returns the provider nodes.

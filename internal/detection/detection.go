@@ -47,15 +47,6 @@ type SystemImage struct {
 // Hash returns U_h for the image payload.
 func (img *SystemImage) Hash() types.Hash { return types.HashBytes(img.Payload) }
 
-// CountBySeverity tallies the ground truth per severity.
-func (img *SystemImage) CountBySeverity() map[types.Severity]int {
-	out := make(map[types.Severity]int, 3)
-	for _, v := range img.Vulns {
-		out[v.Severity]++
-	}
-	return out
-}
-
 // UniverseSpec sizes a generated vulnerability universe.
 type UniverseSpec struct {
 	High, Medium, Low int

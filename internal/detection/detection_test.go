@@ -253,3 +253,20 @@ func TestEvidenceMentionsEngine(t *testing.T) {
 		t.Error("evidence does not attribute the engine")
 	}
 }
+
+// CountBySeverity tallies the ground truth per severity.
+func (img *SystemImage) CountBySeverity() map[types.Severity]int {
+	out := make(map[types.Severity]int, 3)
+	for _, v := range img.Vulns {
+		out[v.Severity]++
+	}
+	return out
+}
+
+// Known reports whether a ground truth is registered for the SRA.
+func (v *GroundTruthVerifier) Known(sraID types.Hash) bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	_, ok := v.truth[sraID]
+	return ok
+}

@@ -44,34 +44,10 @@ func (l *VulnLibrary) Add(sig Signature) {
 	l.signatures[sig.VulnID] = sig
 }
 
-// Merge imports every signature from another library (feed integration).
-func (l *VulnLibrary) Merge(other *VulnLibrary) {
-	for _, sig := range other.signatures {
-		l.Add(sig)
-	}
-}
-
 // Has reports whether the library knows the vulnerability.
 func (l *VulnLibrary) Has(vulnID string) bool {
 	_, ok := l.signatures[vulnID]
 	return ok
-}
-
-// Len returns the signature count.
-func (l *VulnLibrary) Len() int { return len(l.signatures) }
-
-// FeedFromImage builds a feed covering a fraction of an image's ground
-// truth — a stand-in for the public disclosure process that populates CVE
-// databases. Deterministic for a (source, seed) pair.
-func FeedFromImage(img *SystemImage, source string, coverage float64, seed int64) *VulnLibrary {
-	rng := rand.New(rand.NewSource(seed))
-	lib := NewVulnLibrary()
-	for _, v := range img.Vulns {
-		if rng.Float64() < coverage {
-			lib.Add(Signature{VulnID: v.ID, Source: source, Severity: v.Severity})
-		}
-	}
-	return lib
 }
 
 // LibraryEngine is a static signature scanner: it finds exactly the

@@ -1,6 +1,7 @@
 package detection
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -186,4 +187,28 @@ func TestAggregateFindingsEmpty(t *testing.T) {
 	if got := AggregateFindings(nil, nil); len(got) != 0 {
 		t.Error("nil reports produced findings")
 	}
+}
+
+// Merge imports every signature from another library (feed integration).
+func (l *VulnLibrary) Merge(other *VulnLibrary) {
+	for _, sig := range other.signatures {
+		l.Add(sig)
+	}
+}
+
+// Len returns the signature count.
+func (l *VulnLibrary) Len() int { return len(l.signatures) }
+
+// FeedFromImage builds a feed covering a fraction of an image's ground
+// truth — a stand-in for the public disclosure process that populates CVE
+// databases. Deterministic for a (source, seed) pair.
+func FeedFromImage(img *SystemImage, source string, coverage float64, seed int64) *VulnLibrary {
+	rng := rand.New(rand.NewSource(seed))
+	lib := NewVulnLibrary()
+	for _, v := range img.Vulns {
+		if rng.Float64() < coverage {
+			lib.Add(Signature{VulnID: v.ID, Source: source, Severity: v.Severity})
+		}
+	}
+	return lib
 }

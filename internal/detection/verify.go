@@ -58,11 +58,3 @@ func (v *GroundTruthVerifier) AutoVerif(sraID types.Hash, finding types.Finding)
 	}
 	return true
 }
-
-// Known reports whether a ground truth is registered for the SRA.
-func (v *GroundTruthVerifier) Known(sraID types.Hash) bool {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	_, ok := v.truth[sraID]
-	return ok
-}

@@ -36,35 +36,6 @@ func TotalDetectionCapability(capabilities, rhos []float64) (float64, error) {
 	return total, nil
 }
 
-// DetectorModel parameterizes Eq. 13:
-//
-//	bd_i = N·ξ_i·t·[ρ_i·(μ−ψ) − c] / θ
-type DetectorModel struct {
-	// VulnsPerSRA is N, the average vulnerabilities detected per release.
-	VulnsPerSRA float64
-	// CapabilityShare is ξ_i = DC_i / DC_T.
-	CapabilityShare float64
-	// Rho is ρ_i, the proportion of the detector's findings that chain.
-	Rho float64
-	// BountyEther is μ.
-	BountyEther float64
-	// FeeEther is ψ, the average per-report transaction fee.
-	FeeEther float64
-	// SubmitCostEther is c.
-	SubmitCostEther float64
-	// SRAPeriod is θ, the average time between releases.
-	SRAPeriod time.Duration
-}
-
-// Balance evaluates Eq. 13 over horizon t.
-func (m DetectorModel) Balance(t time.Duration) float64 {
-	if m.SRAPeriod <= 0 {
-		return 0
-	}
-	perSRA := m.VulnsPerSRA * m.CapabilityShare * (m.Rho*(m.BountyEther-m.FeeEther) - m.SubmitCostEther)
-	return perSRA * float64(t) / float64(m.SRAPeriod)
-}
-
 // ProviderModel parameterizes the provider side (Eq. 8, 9, 14 and the VPB
 // analysis of §VII-A).
 type ProviderModel struct {
@@ -93,22 +64,6 @@ func (m ProviderModel) Incentives(t time.Duration) float64 {
 	}
 	blocks := m.HashShare * float64(t) / float64(m.BlockTime)
 	return blocks * (m.BlockRewardEther + m.FeesPerBlockEther)
-}
-
-// Punishment returns the expected forfeiture for releasing with
-// vulnerability proportion vp: per release, vp of the insurance is
-// expected to be claimed by detectors, plus the deployment cost
-// (continuous form of Eq. 9; Fig. 4(b)'s punishment-vs-VP lines).
-func (m ProviderModel) Punishment(vp float64) float64 {
-	if vp < 0 {
-		vp = 0
-	}
-	return m.ReleasesPerHorizon * (vp*m.InsuranceEther + m.DeployCostEther)
-}
-
-// Balance is Eq. 14 over horizon t: incentives minus punishments.
-func (m ProviderModel) Balance(vp float64, t time.Duration) float64 {
-	return m.Incentives(t) - m.Punishment(vp)
 }
 
 // VPB solves Balance(vp, t) = 0 for vp — the vulnerability-proportion

@@ -1,52 +1,16 @@
-// Package incentive implements SmartCrowd's incentive arithmetic (paper
-// §V-D, Eq. 7-10) and a Tracker that attributes every on-chain flow —
+// Package incentive is the Tracker that attributes every on-chain flow —
 // mining rewards, transaction fees, bounty payouts, forfeited insurance,
 // burned gas — to the stakeholder balances the paper evaluates in §VII.
+// The closed forms of the paper's incentive arithmetic (§V-D, Eq. 7-10)
+// sit beside their worked examples in incentive_test.go; on chain the
+// contract computes them.
 package incentive
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
-
-// DetectorIncentive computes Eq. 7: in†_i = μ · n_i · ρ_i, a detector's
-// expected earnings for one SRA given bounty μ, n detected vulnerabilities
-// and acceptance proportion ρ.
-func DetectorIncentive(mu types.Amount, n uint64, rho float64) types.Amount {
-	if rho < 0 {
-		rho = 0
-	}
-	if rho > 1 {
-		rho = 1
-	}
-	return types.Amount(float64(mu) * float64(n) * rho)
-}
-
-// ProviderIncentive computes Eq. 8: in*_i = χ·ν + ψ·ω, a mining provider's
-// earnings for χ block rewards worth ν each plus ω report fees worth ψ
-// each.
-func ProviderIncentive(chi uint64, nu types.Amount, psi types.Amount, omega uint64) types.Amount {
-	return types.Amount(chi)*nu + psi*types.Amount(omega)
-}
-
-// ProviderPunishment computes Eq. 9: pu_i = μ·Σ n_j·ρ_j + cp_i, the
-// insurance forfeited across detectors plus the contract deployment cost.
-func ProviderPunishment(mu types.Amount, acceptedPerDetector []uint64, deployCost types.Amount) types.Amount {
-	var total uint64
-	for _, n := range acceptedPerDetector {
-		total += n
-	}
-	return mu*types.Amount(total) + deployCost
-}
-
-// DetectorCost computes Eq. 10: co_i = n_i·(c + ρ_i·ψ), the cost of
-// submitting n reports at submission cost c with average accepted-report
-// fee ρ·ψ.
-func DetectorCost(n uint64, submitCost types.Amount, rho float64, psi types.Amount) types.Amount {
-	return types.Amount(n) * (submitCost + types.Amount(rho*float64(psi)))
-}
 
 // Flow labels one attribution category in the tracker.
 type Flow int
@@ -166,23 +130,4 @@ func (t *Tracker) Of(a types.Address) Balance {
 		return *b
 	}
 	return Balance{}
-}
-
-// Addresses lists tracked addresses deterministically.
-func (t *Tracker) Addresses() []types.Address {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]types.Address, 0, len(t.balances))
-	for a := range t.balances {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }

@@ -1,6 +1,7 @@
 package incentive
 
 import (
+	"sort"
 	"sync"
 	"testing"
 
@@ -146,4 +147,60 @@ func TestNetCanBeNegative(t *testing.T) {
 	if net := tr.Of(a).Net(); net != -70 {
 		t.Errorf("net = %v, want -70", net)
 	}
+}
+
+// DetectorIncentive computes Eq. 7: in†_i = μ · n_i · ρ_i, a detector's
+// expected earnings for one SRA given bounty μ, n detected vulnerabilities
+// and acceptance proportion ρ.
+func DetectorIncentive(mu types.Amount, n uint64, rho float64) types.Amount {
+	if rho < 0 {
+		rho = 0
+	}
+	if rho > 1 {
+		rho = 1
+	}
+	return types.Amount(float64(mu) * float64(n) * rho)
+}
+
+// ProviderIncentive computes Eq. 8: in*_i = χ·ν + ψ·ω, a mining provider's
+// earnings for χ block rewards worth ν each plus ω report fees worth ψ
+// each.
+func ProviderIncentive(chi uint64, nu types.Amount, psi types.Amount, omega uint64) types.Amount {
+	return types.Amount(chi)*nu + psi*types.Amount(omega)
+}
+
+// ProviderPunishment computes Eq. 9: pu_i = μ·Σ n_j·ρ_j + cp_i, the
+// insurance forfeited across detectors plus the contract deployment cost.
+func ProviderPunishment(mu types.Amount, acceptedPerDetector []uint64, deployCost types.Amount) types.Amount {
+	var total uint64
+	for _, n := range acceptedPerDetector {
+		total += n
+	}
+	return mu*types.Amount(total) + deployCost
+}
+
+// DetectorCost computes Eq. 10: co_i = n_i·(c + ρ_i·ψ), the cost of
+// submitting n reports at submission cost c with average accepted-report
+// fee ρ·ψ.
+func DetectorCost(n uint64, submitCost types.Amount, rho float64, psi types.Amount) types.Amount {
+	return types.Amount(n) * (submitCost + types.Amount(rho*float64(psi)))
+}
+
+// Addresses lists tracked addresses deterministically.
+func (t *Tracker) Addresses() []types.Address {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]types.Address, 0, len(t.balances))
+	for a := range t.balances {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		for k := range out[i] {
+			if out[i][k] != out[j][k] {
+				return out[i][k] < out[j][k]
+			}
+		}
+		return false
+	})
+	return out
 }

@@ -75,7 +75,7 @@ func TestHeaderSyncTracksHead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, _ := c.BlockByNumber(3)
+	full, _ := c.CurrentView().BlockByNumber(3)
 	if id != full.ID() {
 		t.Error("canonical index wrong")
 	}
@@ -159,7 +159,7 @@ func TestLightForkChoice(t *testing.T) {
 func TestTxProofRoundtrip(t *testing.T) {
 	c, _ := fullNode(t, 4)
 	hc := syncLight(t, c)
-	blk, err := c.BlockByNumber(2)
+	blk, err := c.CurrentView().BlockByNumber(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestTxProofRoundtrip(t *testing.T) {
 func TestTxProofRejectsTampering(t *testing.T) {
 	c, alice := fullNode(t, 4)
 	hc := syncLight(t, c)
-	blk, _ := c.BlockByNumber(2)
+	blk, _ := c.CurrentView().BlockByNumber(2)
 	proof, err := BuildTxProof(blk, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestTxProofRejectsTampering(t *testing.T) {
 func TestTxProofConfirmationThreshold(t *testing.T) {
 	c, _ := fullNode(t, 4)
 	hc := syncLight(t, c)
-	blk, _ := c.BlockByNumber(4) // the head block: 1 confirmation
+	blk, _ := c.CurrentView().BlockByNumber(4) // the head block: 1 confirmation
 	proof, err := BuildTxProof(blk, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestTxProofNotCanonical(t *testing.T) {
 
 func TestBuildTxProofBounds(t *testing.T) {
 	c, _ := fullNode(t, 1)
-	blk, _ := c.BlockByNumber(1)
+	blk, _ := c.CurrentView().BlockByNumber(1)
 	if _, err := BuildTxProof(blk, -1); err == nil {
 		t.Error("negative index accepted")
 	}

@@ -87,15 +87,6 @@ func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reade
 	}
 }
 
-// ID returns the node's network identity.
-func (d *DetectorNode) ID() p2p.NodeID { return d.id }
-
-// Address returns the detector's payee wallet address (W_D in Eq. 3).
-func (d *DetectorNode) Address() types.Address { return d.wallet.Address() }
-
-// PendingReveals reports how many committed reports await their reveal.
-func (d *DetectorNode) PendingReveals() int { return len(d.pending) }
-
 // OnSRA reacts to a system release: the detector downloads the image,
 // verifies U_h against the announcement, scans it, and — if anything was
 // found — submits the initial report R† (Phase I). It returns the R†

@@ -1,13 +1,16 @@
 package node
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/store"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
+	"github.com/smartcrowd/smartcrowd/internal/txpool"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -362,7 +365,7 @@ func TestPartitionHealReconvergence(t *testing.T) {
 
 	if a.Chain().Head().ID() != heavy.ID() {
 		t.Errorf("node A did not reorg to the heavier branch (head %d, td %d)",
-			a.Chain().HeadNumber(), a.Chain().TotalDifficulty())
+			a.Chain().HeadNumber(), a.Chain().CurrentView().TotalDifficulty())
 	}
 	if b.Chain().Head().ID() != heavy.ID() {
 		t.Errorf("node B left its heavy head (head %d)", b.Chain().HeadNumber())
@@ -442,11 +445,10 @@ func TestDuplicateBlockRedeliveryIsBenign(t *testing.T) {
 		t.Fatal("block did not propagate to provider 1")
 	}
 
-	// Forget the gossip dedup entry, then redeliver: the chain already
-	// holds the block, so the import must be a benign no-op — no error
-	// path, no orphan buffering, no state disturbance.
+	// Redeliver: the chain already holds the block, so the import must be
+	// a benign no-op — no error path, no orphan buffering, no state
+	// disturbance.
 	p1.mu.Lock()
-	delete(p1.seenBlocks, blk.ID())
 	p1.acceptBlock(blk, false, telemetry.TraceContext{})
 	if len(p1.orphans) != 0 {
 		p1.mu.Unlock()
@@ -463,3 +465,105 @@ func TestDuplicateBlockRedeliveryIsBenign(t *testing.T) {
 		t.Fatal("child block did not connect after redelivery")
 	}
 }
+
+// TestReopenedProviderDoesNotRebroadcastKnownBlock: "seen" is derived from
+// the chain, so it survives a restart. A provider reopened on its datadir
+// that is gossiped its own head block again must count a duplicate and
+// relay nothing — a per-process seen-set would have forgotten the block
+// and re-broadcast it.
+func TestReopenedProviderDoesNotRebroadcastKnownBlock(t *testing.T) {
+	alloc, _, _ := fundedActors()
+	dir := t.TempDir()
+	net := p2p.New(p2p.Config{Seed: 1})
+	net.Join("peer")
+	open := func() *ProviderNode {
+		t.Helper()
+		disk, err := store.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
+		cfg.SkipPoWCheck = true
+		cfg.Alloc = alloc
+		cfg.Storage = disk
+		p, err := NewProvider("p0", wallet.NewDeterministic("provider-0"), cfg, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+
+	first := open()
+	head, err := first.MineBlock(15_350, 1000, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Chain().Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := open()
+	defer reopened.Chain().Close()
+	if reopened.Chain().Head().ID() != head.ID() {
+		t.Fatal("reopened provider lost its head")
+	}
+	sent, dups := net.Stats().Sent, mGossipDupBlock.Value()
+	if err := net.Send("peer", "p0", p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(head)}); err != nil {
+		t.Fatal(err)
+	}
+	net.AdvanceTo(1_000)
+	reopened.HandleMessages()
+	if got := net.Stats().Sent - sent; got != 1 {
+		t.Errorf("%d messages sent, want only the redelivery itself: a known block was re-broadcast", got)
+	}
+	if got := mGossipDupBlock.Value() - dups; got != 1 {
+		t.Errorf("block duplicate counter moved by %d, want 1", got)
+	}
+}
+
+// TestOnChainTxIsKnownWithoutHavingBeenPooled: a node that learned a
+// transaction only from a block (it never passed through this node's
+// pool) still answers a resubmission with ErrKnownTx and counts the
+// duplicate, because "seen" includes the canonical chain of the current
+// view.
+func TestOnChainTxIsKnownWithoutHavingBeenPooled(t *testing.T) {
+	alloc, releasing, _ := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	tx := &types.Transaction{
+		Kind:     types.TxTransfer,
+		To:       types.Address{1},
+		Value:    types.EtherAmount(1),
+		GasLimit: 21_000,
+		GasPrice: 50 * types.GWei,
+	}
+	if err := types.SignTx(tx, releasing); err != nil {
+		t.Fatal(err)
+	}
+	// Keep the tx gossip away from provider 1; it sees the tx only inside
+	// the block that arrives once the partition heals.
+	cl.net.Partition([]p2p.NodeID{"p0"}, []p2p.NodeID{"p1"})
+	if err := cl.providers[0].SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	cl.settle()
+	cl.net.Heal()
+	blk := cl.mine(0)
+	p1 := cl.providers[1]
+	if p1.Chain().Head().ID() != blk.ID() || len(blk.Txs) != 1 {
+		t.Fatalf("setup: provider 1 head %s, block %s with %d txs", p1.Chain().Head().ID().Short(), blk.ID().Short(), len(blk.Txs))
+	}
+
+	dups := mGossipDupTx.Value()
+	if err := p1.SubmitTx(tx); !errors.Is(err, txpool.ErrKnownTx) {
+		t.Fatalf("resubmitting an on-chain tx: got %v, want ErrKnownTx", err)
+	}
+	if got := mGossipDupTx.Value() - dups; got != 1 {
+		t.Errorf("tx duplicate counter moved by %d, want 1", got)
+	}
+	if p1.PoolLen() != 0 {
+		t.Errorf("on-chain tx re-entered the pool (%d pending)", p1.PoolLen())
+	}
+}
+
+// PendingReveals reports how many committed reports await their reveal.
+func (d *DetectorNode) PendingReveals() int { return len(d.pending) }

@@ -42,12 +42,10 @@ type ProviderNode struct {
 	wallet *wallet.Wallet
 	net    p2p.Transport
 
-	mu         sync.Mutex
-	chain      *chain.Chain
-	pool       *txpool.Pool
-	seenTxs    map[types.Hash]bool
-	seenBlocks map[types.Hash]bool
-	orphans    map[types.Hash]*types.Block // parent id → block awaiting parent
+	mu      sync.Mutex
+	chain   *chain.Chain
+	pool    *txpool.Pool
+	orphans map[types.Hash]*types.Block // parent id → block awaiting parent
 
 	// blockTraces remembers which trace a block belongs to (FIFO-bounded
 	// by traceOrder), so backfill replies and re-gossip carry the block's
@@ -79,8 +77,6 @@ func NewProvider(id p2p.NodeID, w *wallet.Wallet, cfg chain.Config, net p2p.Tran
 		net:         net,
 		chain:       c,
 		pool:        txpool.New(txpool.Config{}),
-		seenTxs:     make(map[types.Hash]bool),
-		seenBlocks:  make(map[types.Hash]bool),
 		orphans:     make(map[types.Hash]*types.Block),
 		blockTraces: make(map[types.Hash]telemetry.TraceContext),
 		sync:        &syncer{},
@@ -206,19 +202,31 @@ func (p *ProviderNode) bufferOrphan(b *types.Block) (evicted string) {
 	return evicted
 }
 
+// dupTx reports whether the node already holds the transaction — pending
+// in the pool or canonical in the current view — and counts the
+// redelivery. The answer is derived from state the node keeps anyway, so
+// it is bounded by it and survives a restart from the datadir.
+func (p *ProviderNode) dupTx(hash types.Hash) bool {
+	known := p.pool.Has(hash)
+	if !known {
+		_, _, _, known = p.chain.CurrentView().TxLocation(hash)
+	}
+	if known {
+		mGossipDupTx.Inc()
+	}
+	return known
+}
+
 // acceptTx pools and optionally gossips; callers hold the lock. tc is
 // the admission trace the gossip should carry (zero = untraced).
 func (p *ProviderNode) acceptTx(tx *types.Transaction, gossip bool, tc telemetry.TraceContext) error {
-	hash := tx.Hash()
-	if p.seenTxs[hash] {
-		mGossipDupTx.Inc()
+	if p.dupTx(tx.Hash()) {
 		return txpool.ErrKnownTx
 	}
 	st := p.chain.State()
 	if err := p.pool.Add(tx, st); err != nil {
 		return err
 	}
-	p.seenTxs[hash] = true
 	if gossip && p.net != nil {
 		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx), Trace: tc})
 	}
@@ -329,19 +337,20 @@ func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.Tr
 	freshTraces := make([]telemetry.TraceContext, 0, len(txs))
 	batchTrace := telemetry.TraceContext{}
 	for i, tx := range txs {
-		if !p.seenTxs[tx.Hash()] {
-			fresh = append(fresh, tx)
-			var tc telemetry.TraceContext
-			if i < len(traces) {
-				tc = traces[i]
-			}
-			freshTraces = append(freshTraces, tc)
-			if !batchTrace.Valid() && tc.Valid() {
-				// The admission span joins the first traced tx's story;
-				// spans are batch-granular, so one parent has to stand in
-				// for the batch.
-				batchTrace = tc
-			}
+		if p.dupTx(tx.Hash()) {
+			continue
+		}
+		fresh = append(fresh, tx)
+		var tc telemetry.TraceContext
+		if i < len(traces) {
+			tc = traces[i]
+		}
+		freshTraces = append(freshTraces, tc)
+		if !batchTrace.Valid() && tc.Valid() {
+			// The admission span joins the first traced tx's story;
+			// spans are batch-granular, so one parent has to stand in
+			// for the batch.
+			batchTrace = tc
 		}
 	}
 	if len(fresh) == 0 {
@@ -353,7 +362,6 @@ func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.Tr
 			continue // duplicates and invalid txs are ignored
 		}
 		tx := fresh[i]
-		p.seenTxs[tx.Hash()] = true
 		if gossip && p.net != nil {
 			p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx), Trace: freshTraces[i]})
 		}
@@ -372,8 +380,13 @@ func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.Tr
 // parented under that span — every hop in the dissemination tree shows
 // up as one more level of the origin trace.
 func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.TraceContext) {
+	// A block is seen iff the chain holds it. Deciding here, before the
+	// import, matters: InsertChain counts known blocks as processed, so
+	// afterwards a redelivery would be indistinguishable from a new block
+	// and be relayed again. Every block in the segment below descends from
+	// this one, so none of them can be in the chain either.
 	id := blk.ID()
-	if p.seenBlocks[id] {
+	if p.chain.HasBlock(id) {
 		mGossipDupBlock.Inc()
 		return
 	}
@@ -404,18 +417,13 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.T
 		telemetry.L("block", id.Short()),
 		telemetry.L("inserted", strconv.Itoa(n)),
 	)
-	for _, b := range segment[:n] {
-		bid := b.ID()
-		if p.seenBlocks[bid] {
-			continue
-		}
-		p.seenBlocks[bid] = true
-		if gossip && p.net != nil {
+	if gossip && p.net != nil {
+		for _, b := range segment[:n] {
 			// Orphan descendants keep their own remembered traces; the
 			// freshly-arrived block relays under our import span.
 			btc := relay
-			if bid != id {
-				btc, _ = p.blockTraces[bid]
+			if bid := b.ID(); bid != id {
+				btc = p.blockTraces[bid]
 			}
 			p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(b), Trace: btc})
 		}
@@ -489,27 +497,9 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "stale"))
 		return nil, ErrStaleSeal
 	}
-	importSpan := telemetry.StartSpanIn(tc, "block.import")
-	_, err = p.chain.InsertBlockTraced(blk, tc)
-	importSpan.End(telemetry.L("node", string(p.id)), telemetry.L("block", blk.ID().Short()))
-	if err != nil {
-		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "invalid"))
-		return nil, fmt.Errorf("node: insert sealed block: %w", err)
+	if err := p.publishOwnBlock(blk, root); err != nil {
+		return nil, err
 	}
-	p.seenBlocks[blk.ID()] = true
-	p.rememberTrace(blk.ID(), tc)
-	for _, tx := range blk.Txs {
-		p.pool.Remove(tx.Hash())
-	}
-	p.pool.Prune(p.chain.State())
-	if p.net != nil {
-		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(blk), Trace: tc})
-	}
-	root.End(
-		telemetry.L("node", string(p.id)),
-		telemetry.L("number", strconv.FormatUint(blk.Header.Number, 10)),
-		telemetry.L("outcome", "ok"),
-	)
 	nodeLog.WithTrace(tc).Debug("sealed and published block",
 		"node", p.id, "number", blk.Header.Number, "id", blk.ID().Short(), "txs", len(blk.Txs))
 	return blk, nil
@@ -529,7 +519,6 @@ func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int
 	defer p.mu.Unlock()
 
 	root := telemetry.StartTrace("block.seal")
-	tc := root.Context()
 
 	head := p.chain.Head()
 	if timestamp <= head.Header.Time {
@@ -542,11 +531,25 @@ func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int
 		return nil, fmt.Errorf("node: build block: %w", err)
 	}
 	blk.Header.Nonce = nonce
-	if _, err := p.chain.InsertBlockTraced(blk, tc); err != nil {
-		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "invalid"))
-		return nil, fmt.Errorf("node: insert mined block: %w", err)
+	if err := p.publishOwnBlock(blk, root); err != nil {
+		return nil, err
 	}
-	p.seenBlocks[blk.ID()] = true
+	return blk, nil
+}
+
+// publishOwnBlock is the shared tail of SealAndPublish and MineBlock:
+// import the block this node just built, drop its transactions from the
+// pool, gossip it under the seal trace, and end that trace's root span
+// with the outcome. Callers hold the lock.
+func (p *ProviderNode) publishOwnBlock(blk *types.Block, root telemetry.Span) error {
+	tc := root.Context()
+	importSpan := telemetry.StartSpanIn(tc, "block.import")
+	_, err := p.chain.InsertBlockTraced(blk, tc)
+	importSpan.End(telemetry.L("node", string(p.id)), telemetry.L("block", blk.ID().Short()))
+	if err != nil {
+		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "invalid"))
+		return fmt.Errorf("node: insert own block: %w", err)
+	}
 	p.rememberTrace(blk.ID(), tc)
 	for _, tx := range blk.Txs {
 		p.pool.Remove(tx.Hash())
@@ -560,5 +563,5 @@ func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int
 		telemetry.L("number", strconv.FormatUint(blk.Header.Number, 10)),
 		telemetry.L("outcome", "ok"),
 	)
-	return blk, nil
+	return nil
 }

@@ -137,11 +137,6 @@ func (s *syncer) reset() {
 // SyncStatus reports the node's sync mode and progress.
 func (p *ProviderNode) SyncStatus() SyncStatus { return p.sync.status() }
 
-// Syncing reports whether a catch-up session is in progress (the orphan
-// parent-crawl is suppressed while one is, so the session's ordered
-// ranges are not raced by ad-hoc backfill).
-func (p *ProviderNode) Syncing() bool { return p.sync.active() }
-
 // --- joining side ----------------------------------------------------------
 
 // handleHeadAnnounce reacts to the transport's synthetic handshake
@@ -360,9 +355,6 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 	s.mu.Unlock()
 	p.mu.Lock()
 	n, insErr := p.chain.InsertChain(blocks)
-	for _, b := range blocks[:n] {
-		p.seenBlocks[b.ID()] = true
-	}
 	if n > 0 {
 		p.pool.Prune(p.chain.State())
 	}

@@ -127,8 +127,8 @@ func TestSnapSyncColdJoin(t *testing.T) {
 	// The adopted prefix is archival: headers and blocks are all present
 	// and canonical, byte-identical to the server's.
 	for n := uint64(1); n <= 40; n++ {
-		wantB, _ := a.Chain().BlockByNumber(n)
-		gotB, err := b.Chain().BlockByNumber(n)
+		wantB, _ := a.Chain().CurrentView().BlockByNumber(n)
+		gotB, err := b.Chain().CurrentView().BlockByNumber(n)
 		if err != nil {
 			t.Fatalf("b missing block %d: %v", n, err)
 		}
@@ -381,3 +381,8 @@ func TestHostileSnapshotRejectedAndReplayed(t *testing.T) {
 		t.Error("replayed state root diverges from the honest chain")
 	}
 }
+
+// Syncing reports whether a catch-up session is in progress (the orphan
+// parent-crawl is suppressed while one is, so the session's ordered
+// ranges are not raced by ad-hoc backfill).
+func (p *ProviderNode) Syncing() bool { return p.sync.active() }

@@ -130,25 +130,6 @@ func (n *Network) Join(id NodeID) {
 	}
 }
 
-// Nodes returns all registered node ids, sorted.
-func (n *Network) Nodes() []NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]NodeID, 0, len(n.group))
-	for id := range n.group {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Now returns the network's simulated time (milliseconds).
-func (n *Network) Now() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.now
-}
-
 // Stats returns a snapshot of traffic counters.
 func (n *Network) Stats() Stats {
 	n.mu.Lock()

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"errors"
+	"sort"
 	"testing"
 )
 
@@ -178,4 +179,23 @@ func TestMsgKindString(t *testing.T) {
 	if MsgKind(9).String() == "" {
 		t.Error("unknown kind should still render")
 	}
+}
+
+// Nodes returns all registered node ids, sorted.
+func (n *Network) Nodes() []NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	out := make([]NodeID, 0, len(n.group))
+	for id := range n.group {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Now returns the network's simulated time (milliseconds).
+func (n *Network) Now() uint64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.now
 }

@@ -96,11 +96,6 @@ func NewSimSealer(cfg SimConfig) (*SimSealer, error) {
 	}, nil
 }
 
-// Miners returns the configured miner set.
-func (s *SimSealer) Miners() []MinerPower {
-	return append([]MinerPower(nil), s.miners...)
-}
-
 // Next samples the next block-sealing event.
 func (s *SimSealer) Next() SealEvent {
 	// Interarrival ~ Exp(mean).

@@ -33,9 +33,6 @@ type Sealer interface {
 	Seal(hdr types.Header, stop <-chan struct{}) (types.Header, error)
 }
 
-// Verify checks a sealed header against its declared difficulty.
-func Verify(hdr *types.Header) bool { return hdr.MeetsPoW() }
-
 // CPUSealer performs a parallel brute-force nonce search. The zero value
 // uses all CPUs; set Threads to bound parallelism (the paper pins
 // miner.start() thread counts to emulate hashing-power shares).

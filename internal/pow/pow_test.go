@@ -16,7 +16,7 @@ func TestCPUSealerFindsValidNonce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Verify(&sealed) {
+	if !sealed.MeetsPoW() {
 		t.Error("sealed header fails verification")
 	}
 	if sealed.Number != hdr.Number || sealed.Difficulty != hdr.Difficulty {
@@ -59,7 +59,7 @@ func TestCPUSealerAbort(t *testing.T) {
 
 func TestVerifyRejectsUnsealed(t *testing.T) {
 	hdr := types.Header{Number: 1, Difficulty: 1 << 62, Nonce: 12345}
-	if Verify(&hdr) {
+	if hdr.MeetsPoW() {
 		t.Error("unsealed header verified (astronomically unlikely)")
 	}
 }
@@ -261,4 +261,9 @@ func BenchmarkSimSealerNext(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Next()
 	}
+}
+
+// Miners returns the configured miner set.
+func (s *SimSealer) Miners() []MinerPower {
+	return append([]MinerPower(nil), s.miners...)
 }

@@ -380,12 +380,11 @@ type StorageResponse struct {
 	Dir            string `json:"dir,omitempty"`
 	Blocks         uint64 `json:"blocks"`
 	LogBytes       int64  `json:"logBytes"`
-	IndexBytes     int64  `json:"indexBytes"`
 	WALBytes       int64  `json:"walBytes"`
 	SnapshotBytes  int64  `json:"snapshotBytes"`
 	SnapshotHeight uint64 `json:"snapshotHeight"`
 	// Recovered reports that the last open healed after a crash
-	// (truncated a torn tail or rebuilt the index from the log).
+	// (truncated a torn or unacknowledged tail).
 	Recovered bool `json:"recovered"`
 }
 
@@ -403,7 +402,6 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			Dir:            st.Dir,
 			Blocks:         st.Blocks,
 			LogBytes:       st.LogBytes,
-			IndexBytes:     st.IndexBytes,
 			WALBytes:       st.WALBytes,
 			SnapshotBytes:  st.SnapshotBytes,
 			SnapshotHeight: st.SnapshotHeight,

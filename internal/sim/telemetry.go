@@ -47,11 +47,6 @@ func newSimMetrics() *simMetrics {
 	return m
 }
 
-// Telemetry returns the run's end-of-run metric snapshot. All series live
-// under the smartcrowd_sim_ prefix; histogram series expand to
-// _count/_sum/_max/_p50/_p90/_p99.
-func (r *Result) Telemetry() telemetry.Snapshot { return r.telemetry }
-
 // TelemetrySummary renders the run's telemetry as a compact human-readable
 // block, suitable for printing after a CLI simulation.
 func (r *Result) TelemetrySummary() string {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -92,3 +93,8 @@ func TestTelemetrySummaryRendering(t *testing.T) {
 		t.Errorf("identical runs report different block totals: %v vs %v (registry bleed?)", a, b)
 	}
 }
+
+// Telemetry returns the run's end-of-run metric snapshot. All series live
+// under the smartcrowd_sim_ prefix; histogram series expand to
+// _count/_sum/_max/_p50/_p90/_p99.
+func (r *Result) Telemetry() telemetry.Snapshot { return r.telemetry }

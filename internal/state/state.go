@@ -343,12 +343,6 @@ func (db *DB) SetStorage(addr types.Address, key, value types.Hash) {
 	st[key] = value
 }
 
-// Exists reports whether addr has any state.
-func (db *DB) Exists(addr types.Address) bool {
-	acc, ok := db.accounts[addr]
-	return ok && !acc.empty()
-}
-
 // Accounts returns all non-empty addresses in deterministic order.
 func (db *DB) Accounts() []types.Address {
 	out := make([]types.Address, 0, len(db.accounts))

@@ -306,3 +306,9 @@ func BenchmarkRoot100Accounts(b *testing.B) {
 		db.Root()
 	}
 }
+
+// Exists reports whether addr has any state.
+func (db *DB) Exists(addr types.Address) bool {
+	acc, ok := db.accounts[addr]
+	return ok && !acc.empty()
+}

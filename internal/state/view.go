@@ -289,21 +289,6 @@ func (v *RecordingView) AddWritesTo(set map[types.Address]struct{}) {
 	}
 }
 
-// Reads returns the recorded read set in deterministic address order.
-func (v *RecordingView) Reads() []types.Address { return sortedAddrs(v.reads) }
-
-// Writes returns the recorded write set in deterministic address order.
-func (v *RecordingView) Writes() []types.Address { return sortedAddrs(v.writes) }
-
-func sortedAddrs(set map[types.Address]struct{}) []types.Address {
-	out := make([]types.Address, 0, len(set))
-	for addr := range set {
-		out = append(out, addr)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessAddr(out[i], out[j]) })
-	return out
-}
-
 // CommitTo applies the view's buffered writes to db in deterministic
 // address order. db is normally the view's own base after all concurrent
 // views finished executing; accounts are installed through db's

@@ -2,6 +2,7 @@ package state
 
 import (
 	"errors"
+	"sort"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -259,4 +260,19 @@ func TestViewConcurrentSpeculation(t *testing.T) {
 			t.Fatalf("worker %d write lost", i)
 		}
 	}
+}
+
+// Reads returns the recorded read set in deterministic address order.
+func (v *RecordingView) Reads() []types.Address { return sortedAddrs(v.reads) }
+
+// Writes returns the recorded write set in deterministic address order.
+func (v *RecordingView) Writes() []types.Address { return sortedAddrs(v.writes) }
+
+func sortedAddrs(set map[types.Address]struct{}) []types.Address {
+	out := make([]types.Address, 0, len(set))
+	for addr := range set {
+		out = append(out, addr)
+	}
+	sort.Slice(out, func(i, j int) bool { return lessAddr(out[i], out[j]) })
+	return out
 }

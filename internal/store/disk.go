@@ -1,9 +1,8 @@
 // Package store is the disk backend behind chain.Storage: an append-only
-// block log, a fixed-record index, a tiny write-ahead head log, and an
-// atomically replaced state snapshot, all under one datadir. The design
-// goal is boring recoverability — every file either carries per-record
-// CRCs and is scanned forward to the last valid record on open, or is
-// derivable from one that does and is rebuilt when inconsistent.
+// block log, a tiny write-ahead head log, and an atomically replaced
+// state snapshot, all under one datadir. The design goal is boring
+// recoverability — every file carries CRCs and is scanned forward to
+// the last valid record on open.
 //
 // Datadir layout:
 //
@@ -14,10 +13,6 @@
 //	            types.EncodeBlock payload, CRC-32C of the payload. Every
 //	            block ever imported (canonical or side fork), in insertion
 //	            order; parents always precede children.
-//	blocks.idx  one 16-byte record per log record: u64 payload offset,
-//	            u32 payload length, CRC-32C of those 12 bytes. Pure
-//	            accelerator: written without fsync on the commit path and
-//	            rebuilt from the log whenever it disagrees.
 //	wal         one 52-byte record per commit: u64 committed-block count,
 //	            the 32-byte fork-choice head id, u64 head number, CRC-32C.
 //	            The last valid record IS the durable chain state; log
@@ -28,10 +23,10 @@
 //	            everything prior. Replaced via write-temp + fsync + rename,
 //	            so a crash mid-write leaves the previous snapshot intact.
 //
-// Commit protocol (AppendBlocks): log append → log fsync → index append
-// (no fsync) → WAL append → WAL fsync. A crash between the two fsyncs
-// leaves log records the WAL does not acknowledge; open truncates them
-// and the chain re-imports the block from the network. A crash before the
+// Commit protocol (AppendBlocks): log append → log fsync → WAL append →
+// WAL fsync. A crash between the two fsyncs leaves log records the WAL
+// does not acknowledge; open truncates them and the chain re-imports the
+// block from the network. A crash before the
 // log fsync can tear a log record; the CRC scan stops there. The WAL is
 // never ahead of the log — if open finds fewer valid log records than the
 // WAL acknowledges, the datadir is corrupt beyond self-healing and open
@@ -57,7 +52,6 @@ import (
 const (
 	metaName = "meta"
 	logName  = "blocks.log"
-	idxName  = "blocks.idx"
 	walName  = "wal"
 	snapName = "snapshot"
 )
@@ -66,8 +60,6 @@ const (
 const (
 	// metaSize is magic[4] + version[1] + genesis[32] + crc[4].
 	metaSize = 4 + 1 + types.HashSize + 4
-	// idxRecordSize is offset[8] + length[4] + crc[4].
-	idxRecordSize = 8 + 4 + 4
 	// walRecordSize is seq[8] + head[32] + number[8] + crc[4].
 	walRecordSize = 8 + types.HashSize + 8 + 4
 	// logHeaderSize is the per-record length prefix; logTrailerSize the CRC.
@@ -111,7 +103,6 @@ type Disk struct {
 
 	mu        sync.Mutex
 	logF      *os.File
-	idxF      *os.File
 	walF      *os.File
 	logSize   int64
 	walSize   int64
@@ -126,7 +117,8 @@ type Disk struct {
 	// crashPoint, when set, aborts AppendBlocks when it reaches the named
 	// point in the commit protocol, leaving the files exactly as a crash
 	// at that point would (modulo OS-buffer survival, which the direct
-	// file-corruption tests cover). Test hook only.
+	// file-corruption tests cover). Test hook only: armed by
+	// SetCrashPoint in disk_test.go.
 	crashPoint string
 }
 
@@ -151,26 +143,15 @@ func Open(dir string) (*Disk, error) {
 		return f
 	}
 	d.logF = open(logName)
-	d.idxF = open(idxName)
 	d.walF = open(walName)
 	if err != nil {
 		d.closeFiles()
 		return nil, fmt.Errorf("store: open datadir files: %w", err)
 	}
+	// Earlier builds kept a blocks.idx beside the log that nothing read;
+	// drop a leftover one so every datadir has the same four files.
+	_ = os.Remove(filepath.Join(dir, "blocks.idx"))
 	return d, nil
-}
-
-// Dir returns the datadir path.
-func (d *Disk) Dir() string { return d.dir }
-
-// SetCrashPoint arms the crash-injection hook: the next AppendBlocks
-// aborts with an error when it reaches the named protocol point
-// ("log-written", "log-synced", "idx-written"), without performing the
-// remaining steps. Tests reopen the datadir afterwards to prove recovery.
-func (d *Disk) SetCrashPoint(point string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.crashPoint = point
 }
 
 // errCrashInjected marks a simulated crash from SetCrashPoint.
@@ -186,8 +167,7 @@ func (d *Disk) crash(point string) error {
 
 // Load recovers the committed chain: verify/initialize meta, find the last
 // acknowledged commit in the WAL, truncate any torn or unacknowledged log
-// tail, rebuild the index if it disagrees, decode the committed blocks and
-// read the snapshot. See the package comment for the invariants.
+// tail, decode the committed blocks and read the snapshot. See the package comment for the invariants.
 func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -206,13 +186,10 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.ensureIndex(payloads); err != nil {
-		return nil, err
-	}
 
 	blocks := make([]*types.Block, len(payloads))
-	for i, rec := range payloads {
-		blk, err := types.DecodeBlock(rec.payload)
+	for i, payload := range payloads {
+		blk, err := types.DecodeBlock(payload)
 		if err != nil {
 			return nil, fmt.Errorf("%w: committed block %d does not decode: %v", ErrCorrupt, i, err)
 		}
@@ -294,22 +271,17 @@ func (d *Disk) recoverWAL() (headID types.Hash, headNumber uint64, err error) {
 	return headID, headNumber, nil
 }
 
-// logRecord locates one committed payload inside the log.
-type logRecord struct {
-	offset  int64 // of the payload (past the length prefix)
-	payload []byte
-}
-
-// recoverLog scans the block log for valid records. The WAL's committed
-// count is authoritative: extra valid-looking records past it are a crash
-// artifact and are truncated along with any torn tail; fewer records than
-// committed is unrecoverable corruption.
-func (d *Disk) recoverLog() ([]logRecord, error) {
+// recoverLog scans the block log for valid records and returns their
+// payloads. The WAL's committed count is authoritative: extra
+// valid-looking records past it are a crash artifact and are truncated
+// along with any torn tail; fewer records than committed is
+// unrecoverable corruption.
+func (d *Disk) recoverLog() ([][]byte, error) {
 	raw, err := io.ReadAll(d.logF)
 	if err != nil {
 		return nil, fmt.Errorf("store: read log: %w", err)
 	}
-	var recs []logRecord
+	var recs [][]byte
 	off := int64(0)
 	for uint64(len(recs)) < d.seq || off < int64(len(raw)) {
 		if uint64(len(recs)) == d.seq {
@@ -331,7 +303,7 @@ func (d *Disk) recoverLog() ([]logRecord, error) {
 		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(rest[logHeaderSize+int(length):end]) {
 			break
 		}
-		recs = append(recs, logRecord{offset: off + logHeaderSize, payload: payload})
+		recs = append(recs, payload)
 		off += int64(end)
 	}
 	if uint64(len(recs)) < d.seq {
@@ -353,62 +325,8 @@ func (d *Disk) recoverLog() ([]logRecord, error) {
 	return recs, nil
 }
 
-// ensureIndex verifies the index against the recovered log and rewrites it
-// wholesale when it disagrees — it is derived data, never trusted.
-func (d *Disk) ensureIndex(recs []logRecord) error {
-	raw, err := io.ReadAll(d.idxF)
-	if err != nil {
-		return fmt.Errorf("store: read index: %w", err)
-	}
-	ok := len(raw) == len(recs)*idxRecordSize
-	if ok {
-		for i, rec := range recs {
-			r := raw[i*idxRecordSize : (i+1)*idxRecordSize]
-			if crc32.Checksum(r[:12], crcTable) != binary.BigEndian.Uint32(r[12:]) ||
-				binary.BigEndian.Uint64(r[:8]) != uint64(rec.offset) ||
-				binary.BigEndian.Uint32(r[8:12]) != uint32(len(rec.payload)) {
-				ok = false
-				break
-			}
-		}
-	}
-	if ok {
-		if _, err := d.idxF.Seek(0, io.SeekEnd); err != nil {
-			return err
-		}
-		return nil
-	}
-	buf := make([]byte, 0, len(recs)*idxRecordSize)
-	for _, rec := range recs {
-		buf = appendIdxRecord(buf, rec.offset, uint32(len(rec.payload)))
-	}
-	if err := d.idxF.Truncate(0); err != nil {
-		return fmt.Errorf("store: truncate index: %w", err)
-	}
-	if _, err := d.idxF.WriteAt(buf, 0); err != nil {
-		return fmt.Errorf("store: rewrite index: %w", err)
-	}
-	if err := d.idxF.Sync(); err != nil {
-		return err
-	}
-	if _, err := d.idxF.Seek(0, io.SeekEnd); err != nil {
-		return err
-	}
-	if len(recs) > 0 || len(raw) > 0 {
-		d.recovered = true
-	}
-	return nil
-}
-
-func appendIdxRecord(buf []byte, offset int64, length uint32) []byte {
-	start := len(buf)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(offset))
-	buf = binary.BigEndian.AppendUint32(buf, length)
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[start:start+12], crcTable))
-}
-
 // AppendBlocks durably commits blocks plus the resulting fork-choice head:
-// log append, log fsync, index append (unsynced), WAL append, WAL fsync.
+// log append, log fsync, WAL append, WAL fsync.
 // On any error the in-memory counters are left unchanged, the files are
 // rolled back to the last committed sizes (best effort), and the store
 // latches fail-stop — see commitFailed. The next open truncates whatever
@@ -427,14 +345,11 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 	}
 
 	logBuf := make([]byte, 0, 1024*len(blocks))
-	idxBuf := make([]byte, 0, idxRecordSize*len(blocks))
-	off := d.logSize
 	for _, blk := range blocks {
 		payload := types.EncodeBlock(blk)
 		logBuf = binary.BigEndian.AppendUint32(logBuf, uint32(len(payload)))
 		logBuf = append(logBuf, payload...)
 		logBuf = binary.BigEndian.AppendUint32(logBuf, crc32.Checksum(payload, crcTable))
-		idxBuf = appendIdxRecord(idxBuf, off+int64(len(logBuf))-int64(len(payload))-logTrailerSize, uint32(len(payload)))
 	}
 	if _, err := d.logF.Write(logBuf); err != nil {
 		return d.commitFailed(fmt.Errorf("store: append log: %w", err))
@@ -446,16 +361,6 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 		return d.commitFailed(fmt.Errorf("store: sync log: %w", err))
 	}
 	if err := d.crash("log-synced"); err != nil {
-		return d.commitFailed(err)
-	}
-	// Index writes skip fsync deliberately: the index is rebuilt from the
-	// log on open whenever it disagrees, so its durability adds nothing to
-	// the commit and an fsync here would double the commit's IO barrier
-	// count. (scvet:fsyncdisc audits this via the allowlist.)
-	if _, err := d.idxF.Write(idxBuf); err != nil {
-		return d.commitFailed(fmt.Errorf("store: append index: %w", err))
-	}
-	if err := d.crash("idx-written"); err != nil {
 		return d.commitFailed(err)
 	}
 
@@ -499,9 +404,8 @@ func (d *Disk) commitFailed(err error) error {
 	if terr := d.logF.Truncate(d.logSize); terr == nil {
 		_ = d.logF.Sync()
 	}
-	_ = d.idxF.Truncate(int64(d.seq) * idxRecordSize)
 	_ = d.walF.Truncate(d.walSize)
-	for _, f := range []*os.File{d.logF, d.idxF, d.walF} {
+	for _, f := range []*os.File{d.logF, d.walF} {
 		_, _ = f.Seek(0, io.SeekEnd)
 	}
 	return err
@@ -571,13 +475,12 @@ func (d *Disk) Stats() chain.StorageStats {
 		Recovered:      d.recovered,
 	}
 	st.LogBytes = fileSize(filepath.Join(d.dir, logName))
-	st.IndexBytes = fileSize(filepath.Join(d.dir, idxName))
 	st.WALBytes = fileSize(filepath.Join(d.dir, walName))
 	st.SnapshotBytes = fileSize(filepath.Join(d.dir, snapName))
 	return st
 }
 
-// Close flushes the unsynced index and closes every file. Idempotent.
+// Close closes every file; each commit was already fsynced. Idempotent.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -585,19 +488,12 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	var firstErr error
-	if err := d.idxF.Sync(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if err := d.closeFiles(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return d.closeFiles()
 }
 
 func (d *Disk) closeFiles() error {
 	var firstErr error
-	for _, f := range []*os.File{d.logF, d.idxF, d.walF} {
+	for _, f := range []*os.File{d.logF, d.walF} {
 		if f == nil {
 			continue
 		}

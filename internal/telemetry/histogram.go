@@ -46,11 +46,6 @@ func BucketBound(i int) uint64 {
 	}
 }
 
-// SnapToBucket rounds v up to its bucket's upper bound — the value
-// Quantile would report for it. Exported for tests and for consumers that
-// want to compare exact references against histogram output.
-func SnapToBucket(v uint64) uint64 { return BucketBound(bucketIndex(v)) }
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	h.counts[bucketIndex(v)].Add(1)
@@ -80,15 +75,6 @@ func (h *Histogram) Sum() uint64 { return h.sum.Load() }
 
 // Max returns the largest observed value (0 when empty).
 func (h *Histogram) Max() uint64 { return h.max.Load() }
-
-// Mean returns the arithmetic mean of observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
 
 // Quantile returns the value at quantile q ∈ [0, 1]: the upper bound of
 // the bucket holding the observation of rank ⌈q·count⌉ (rank 1 = the

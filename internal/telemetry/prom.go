@@ -97,8 +97,5 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// WritePrometheus renders the Default registry.
-func WritePrometheus(w io.Writer) error { return Default.WritePrometheus(w) }
-
 // Handler serves the Default registry.
 func Handler() http.Handler { return Default.Handler() }

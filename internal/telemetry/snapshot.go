@@ -1,7 +1,5 @@
 package telemetry
 
-import "sort"
-
 // Snapshot is a point-in-time flattening of every metric in a registry to
 // `name{labels}` → value. Histograms expand to `_count`, `_sum`, `_max`,
 // `_p50`, `_p90` and `_p99` series. Counters and histogram counts/sums
@@ -73,16 +71,6 @@ func (s Snapshot) Delta(prev Snapshot) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Keys returns the snapshot's series keys, sorted.
-func (s Snapshot) Keys() []string {
-	keys := make([]string, 0, len(s.Values))
-	for k := range s.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // TakeSnapshot flattens the Default registry.

@@ -59,9 +59,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by d (d may be negative).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 

@@ -25,9 +25,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 
 	g := r.Gauge("smartcrowd_test_depth")
 	g.Set(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Errorf("gauge value %d, want 5", got)
+	if got := g.Value(); got != 7 {
+		t.Errorf("gauge value %d, want 7", got)
 	}
 }
 
@@ -147,7 +146,7 @@ func TestConcurrentUse(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				c.Inc()
 				h.Observe(uint64(j))
-				g.Add(1)
+				g.Set(int64(j))
 				if j%100 == 0 {
 					sp := r.StartTrace("conc")
 					_ = r.Snapshot()
@@ -161,7 +160,7 @@ func TestConcurrentUse(t *testing.T) {
 	if snap.Values["smartcrowd_test_conc_ns_count"] != 8000 {
 		t.Errorf("histogram count %v, want 8000", snap.Values["smartcrowd_test_conc_ns_count"])
 	}
-	if snap.Values["smartcrowd_test_conc_depth"] != 8000 {
-		t.Errorf("gauge %v, want 8000", snap.Values["smartcrowd_test_conc_depth"])
+	if snap.Values["smartcrowd_test_conc_depth"] != 999 {
+		t.Errorf("gauge %v, want every writer's last Set, 999", snap.Values["smartcrowd_test_conc_depth"])
 	}
 }

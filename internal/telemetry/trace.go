@@ -205,13 +205,6 @@ func (e *traceEntry) snapshot() TraceRecord {
 	}
 }
 
-// evictedCount returns how many whole traces the store has dropped.
-func (ts *traceStore) evictedCount() uint64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.evicted
-}
-
 // StartTrace mints a fresh trace and opens its root span. The returned
 // span's Context() is what gets threaded through the block lifecycle and
 // propagated over the wire.
@@ -254,9 +247,6 @@ func (r *Registry) RecentTraces(limit int) []TraceRecord { return r.traces.recen
 
 // Trace returns one retained trace by id.
 func (r *Registry) Trace(id TraceID) (TraceRecord, bool) { return r.traces.get(id) }
-
-// EvictedTraces returns how many traces the store has evicted whole.
-func (r *Registry) EvictedTraces() uint64 { return r.traces.evictedCount() }
 
 // StartTrace mints a trace on the Default registry.
 func StartTrace(name string) Span { return Default.StartTrace(name) }

@@ -305,3 +305,13 @@ func TestEventBusSlowSubscriberDrops(t *testing.T) {
 		t.Fatal("full subscriber buffer recorded no drops")
 	}
 }
+
+// EvictedTraces returns how many traces the store has evicted whole.
+func (r *Registry) EvictedTraces() uint64 { return r.traces.evictedCount() }
+
+// evictedCount returns how many whole traces the store has dropped.
+func (ts *traceStore) evictedCount() uint64 {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	return ts.evicted
+}

@@ -88,18 +88,13 @@ func (p *Pool) Add(tx *types.Transaction, st StateReader) error {
 	return err
 }
 
-// AddAll admits a batch of transactions. Sender recovery is warmed in
-// parallel across the shared prefetcher pool and all stateless validation
-// happens before the lock, so the critical section is pure map work. The
-// result has one entry per transaction (nil = admitted), letting callers
-// relay exactly the admitted subset; order of admission matches slice
-// order, so the batch behaves like sequential Add calls.
-func (p *Pool) AddAll(txs []*types.Transaction, st StateReader) []error {
-	return p.AddAllTraced(txs, st, telemetry.TraceContext{})
-}
-
-// AddAllTraced is AddAll under a trace context: the whole batch is
-// covered by one admission span (spans are batch-granular, never
+// AddAllTraced admits a batch of transactions. Sender recovery is warmed
+// in parallel across the shared prefetcher pool and all stateless
+// validation happens before the lock, so the critical section is pure map
+// work. The result has one entry per transaction (nil = admitted), letting
+// callers relay exactly the admitted subset; order of admission matches
+// slice order, so the batch behaves like sequential Add calls. The whole
+// batch is covered by one admission span (spans are batch-granular, never
 // per-transaction) parented into tc when valid.
 func (p *Pool) AddAllTraced(txs []*types.Transaction, st StateReader, tc telemetry.TraceContext) []error {
 	errs := make([]error, len(txs))

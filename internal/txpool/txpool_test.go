@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -266,7 +267,7 @@ func TestAddAllBatchAdmission(t *testing.T) {
 		signedTx(t, alice, 1, 50),
 		signedTx(t, bob, 0, 60),
 	}
-	for i, err := range p.AddAll(txs, st) {
+	for i, err := range p.AddAllTraced(txs, st, telemetry.TraceContext{}) {
 		if err != nil {
 			t.Fatalf("tx %d: %v", i, err)
 		}
@@ -302,7 +303,7 @@ func TestAddAllReportsPerTxErrors(t *testing.T) {
 		signedTx(t, bob, 0, 50),   // 2: fine
 		signedTx(t, alice, 1, 50), // 3: fine
 	}
-	errs := p.AddAll(txs, st)
+	errs := p.AddAllTraced(txs, st, telemetry.TraceContext{})
 	if !errors.Is(errs[0], ErrKnownTx) {
 		t.Errorf("errs[0] = %v, want ErrKnownTx", errs[0])
 	}
@@ -319,7 +320,7 @@ func TestAddAllReportsPerTxErrors(t *testing.T) {
 
 func TestAddAllEmpty(t *testing.T) {
 	p := New(Config{})
-	if errs := p.AddAll(nil, newFakeState()); len(errs) != 0 {
+	if errs := p.AddAllTraced(nil, newFakeState(), telemetry.TraceContext{}); len(errs) != 0 {
 		t.Fatalf("nil batch returned %d errors", len(errs))
 	}
 }

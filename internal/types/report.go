@@ -56,7 +56,6 @@ var (
 	ErrReportBadSignature = errors.New("types: report signature invalid or not by detector")
 	ErrReportNoFindings   = errors.New("types: detailed report lists no findings")
 	ErrReportBadFinding   = errors.New("types: detailed report contains malformed finding")
-	ErrDetailHashMismatch = errors.New("types: detailed report does not match initial commitment H_R*")
 )
 
 // ComputeID derives ID† per Eq. 3.
@@ -134,18 +133,6 @@ func (r *DetailedReport) Verify() error {
 	}
 	if !wallet.VerifyDigest(r.Detector, r.ID, r.Sig) {
 		return ErrReportBadSignature
-	}
-	return nil
-}
-
-// VerifyAgainstCommitment checks H_{R*} from the chained initial report
-// against the revealed detailed report (Algorithm 1, line 14).
-func (r *DetailedReport) VerifyAgainstCommitment(initial *InitialReport) error {
-	if initial.SRAID != r.SRAID || initial.Detector != r.Detector || initial.Wallet != r.Wallet {
-		return ErrDetailHashMismatch
-	}
-	if r.CommitmentHash() != initial.DetailHash {
-		return ErrDetailHashMismatch
 	}
 	return nil
 }

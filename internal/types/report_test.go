@@ -273,3 +273,19 @@ func TestSignReportWrongWallet(t *testing.T) {
 		t.Error("SignDetailedReport accepted foreign wallet")
 	}
 }
+
+// ErrDetailHashMismatch is VerifyAgainstCommitment's verdict; on chain
+// the contract enforces the same rule on its own.
+var ErrDetailHashMismatch = errors.New("types: detailed report does not match initial commitment H_R*")
+
+// VerifyAgainstCommitment checks H_{R*} from the chained initial report
+// against the revealed detailed report (Algorithm 1, line 14).
+func (r *DetailedReport) VerifyAgainstCommitment(initial *InitialReport) error {
+	if initial.SRAID != r.SRAID || initial.Detector != r.Detector || initial.Wallet != r.Wallet {
+		return ErrDetailHashMismatch
+	}
+	if r.CommitmentHash() != initial.DetailHash {
+		return ErrDetailHashMismatch
+	}
+	return nil
+}

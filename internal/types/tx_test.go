@@ -242,7 +242,7 @@ func TestAmountUnits(t *testing.T) {
 	if got := EtherAmount(5).Ether(); got != 5.0 {
 		t.Errorf("Ether() = %v, want 5.0", got)
 	}
-	if Ether != 1e9*GWei || Finny != 1e6*GWei || KEth != 1000*Ether {
+	if Ether != 1e9*GWei || Finny != 1e6*GWei {
 		t.Error("unit ladder inconsistent")
 	}
 }

@@ -52,10 +52,8 @@ type Amount uint64
 // Currency units.
 const (
 	GWei  Amount = 1
-	MWei  Amount = 1_000 * GWei  // 10⁻⁶ ether, convenient for fine-grained gas
-	Finny Amount = 1e6 * GWei    // 10⁻³ ether ("finney")
-	Ether Amount = 1e9 * GWei    // 1 ether
-	KEth  Amount = 1_000 * Ether // insurance-scale unit
+	Finny Amount = 1e6 * GWei // 10⁻³ ether ("finney")
+	Ether Amount = 1e9 * GWei // 1 ether
 )
 
 // EtherAmount converts whole ether to an Amount.

@@ -161,24 +161,3 @@ func lookupMnemonic(name string) (OpCode, error) {
 	}
 	return 0, fmt.Errorf("unknown mnemonic %q", name)
 }
-
-// Disassemble renders bytecode as one instruction per line with offsets.
-func Disassemble(code []byte) string {
-	var sb strings.Builder
-	for pc := 0; pc < len(code); {
-		op := OpCode(code[pc])
-		fmt.Fprintf(&sb, "%04x: %s", pc, op)
-		if n := op.PushSize(); n > 0 {
-			end := pc + 1 + n
-			if end > len(code) {
-				end = len(code)
-			}
-			fmt.Fprintf(&sb, " 0x%s", hex.EncodeToString(code[pc+1:end]))
-			pc = end
-		} else {
-			pc++
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -144,4 +146,25 @@ func TestOpcodeStrings(t *testing.T) {
 	if !strings.Contains(OpCode(0xEE).String(), "INVALID") {
 		t.Error("invalid opcode name wrong")
 	}
+}
+
+// Disassemble renders bytecode as one instruction per line with offsets.
+func Disassemble(code []byte) string {
+	var sb strings.Builder
+	for pc := 0; pc < len(code); {
+		op := OpCode(code[pc])
+		fmt.Fprintf(&sb, "%04x: %s", pc, op)
+		if n := op.PushSize(); n > 0 {
+			end := pc + 1 + n
+			if end > len(code) {
+				end = len(code)
+			}
+			fmt.Fprintf(&sb, " 0x%s", hex.EncodeToString(code[pc+1:end]))
+			pc = end
+		} else {
+			pc++
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }

@@ -8,11 +8,9 @@ package wallet
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
-	"sort"
 	"sync"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
@@ -27,18 +25,11 @@ const AddressSize = 20
 // exactly as Ethereum derives addresses.
 type Address [AddressSize]byte
 
-// ZeroAddress is the all-zero address, used as the mining-reward source and
-// as the "no recipient" marker in contract creation.
-var ZeroAddress Address
-
 // String renders the address as 0x-prefixed hex.
 func (a Address) String() string { return "0x" + hex.EncodeToString(a[:]) }
 
 // Short renders the first 4 bytes for logs.
 func (a Address) Short() string { return "0x" + hex.EncodeToString(a[:4]) }
-
-// IsZero reports whether the address is the zero address.
-func (a Address) IsZero() bool { return a == ZeroAddress }
 
 // ParseAddress parses a 0x-prefixed or bare hex address.
 func ParseAddress(s string) (Address, error) {
@@ -153,58 +144,4 @@ func VerifyDigest(addr Address, digest [32]byte, sig secp256k1.Signature) bool {
 	sigCache.m[key] = result
 	sigCache.Unlock()
 	return result
-}
-
-// ErrUnknownAccount is returned by Keystore lookups for missing addresses.
-var ErrUnknownAccount = errors.New("wallet: unknown account")
-
-// Keystore is a thread-safe in-memory collection of wallets, used by nodes
-// that manage several identities (e.g. a provider that operates both a
-// mining identity and a release identity).
-type Keystore struct {
-	mu      sync.RWMutex
-	wallets map[Address]*Wallet
-}
-
-// NewKeystore creates an empty keystore.
-func NewKeystore() *Keystore {
-	return &Keystore{wallets: make(map[Address]*Wallet)}
-}
-
-// Add registers a wallet and returns its address.
-func (ks *Keystore) Add(w *Wallet) Address {
-	ks.mu.Lock()
-	defer ks.mu.Unlock()
-	ks.wallets[w.Address()] = w
-	return w.Address()
-}
-
-// Get looks up a wallet by address.
-func (ks *Keystore) Get(addr Address) (*Wallet, error) {
-	ks.mu.RLock()
-	defer ks.mu.RUnlock()
-	w, ok := ks.wallets[addr]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownAccount, addr)
-	}
-	return w, nil
-}
-
-// Addresses returns all registered addresses in deterministic order.
-func (ks *Keystore) Addresses() []Address {
-	ks.mu.RLock()
-	defer ks.mu.RUnlock()
-	out := make([]Address, 0, len(ks.wallets))
-	for a := range ks.wallets {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }

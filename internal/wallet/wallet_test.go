@@ -3,7 +3,9 @@ package wallet
 import (
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"math/big"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -29,7 +31,7 @@ func TestAddressDerivation(t *testing.T) {
 	if derived != w.Address() {
 		t.Error("PubKeyAddress disagrees with wallet address")
 	}
-	if w.Address().IsZero() {
+	if w.Address() == (Address{}) {
 		t.Error("derived address is zero")
 	}
 }
@@ -159,4 +161,58 @@ func TestNewFromEntropy(t *testing.T) {
 	if !VerifyDigest(w.Address(), digest, sig) {
 		t.Error("fresh wallet cannot verify its own signature")
 	}
+}
+
+// ErrUnknownAccount is returned by Keystore lookups for missing addresses.
+var ErrUnknownAccount = errors.New("wallet: unknown account")
+
+// Keystore is a thread-safe in-memory collection of wallets, used by nodes
+// that manage several identities (e.g. a provider that operates both a
+// mining identity and a release identity).
+type Keystore struct {
+	mu      sync.RWMutex
+	wallets map[Address]*Wallet
+}
+
+// NewKeystore creates an empty keystore.
+func NewKeystore() *Keystore {
+	return &Keystore{wallets: make(map[Address]*Wallet)}
+}
+
+// Add registers a wallet and returns its address.
+func (ks *Keystore) Add(w *Wallet) Address {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	ks.wallets[w.Address()] = w
+	return w.Address()
+}
+
+// Get looks up a wallet by address.
+func (ks *Keystore) Get(addr Address) (*Wallet, error) {
+	ks.mu.RLock()
+	defer ks.mu.RUnlock()
+	w, ok := ks.wallets[addr]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownAccount, addr)
+	}
+	return w, nil
+}
+
+// Addresses returns all registered addresses in deterministic order.
+func (ks *Keystore) Addresses() []Address {
+	ks.mu.RLock()
+	defer ks.mu.RUnlock()
+	out := make([]Address, 0, len(ks.wallets))
+	for a := range ks.wallets {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		for k := range out[i] {
+			if out[i][k] != out[j][k] {
+				return out[i][k] < out[j][k]
+			}
+		}
+		return false
+	})
+	return out
 }

@@ -13,8 +13,14 @@ import (
 
 // TestFrameRoundTrip is the codec property test: random kinds and payload
 // sizes (including empty and max-size) survive encode→decode bit-for-bit,
-// and back-to-back frames on one stream decode in order.
+// and back-to-back frames on one stream decode in order. It also pins the
+// documented geometry in literals: a 10-byte header and a 40-byte
+// envelope precede every payload, and encodedSize — what the byte
+// counters charge per frame — is exactly what reaches the stream.
 func TestFrameRoundTrip(t *testing.T) {
+	if headerSize != 10 || envelopeSize != 40 {
+		t.Fatalf("header %d + envelope %d bytes, DESIGN.md §8.2 says 10 + 40", headerSize, envelopeSize)
+	}
 	rng := rand.New(rand.NewSource(7))
 	var buf bytes.Buffer
 	var want []Frame
@@ -29,8 +35,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		payload := make([]byte, size)
 		rng.Read(payload)
 		f := Frame{Kind: p2p.MsgKind(1 + rng.Intn(3)), Payload: payload}
+		before := buf.Len()
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatalf("frame %d: write: %v", i, err)
+		}
+		if got := buf.Len() - before; got != 10+40+size || got != f.encodedSize() {
+			t.Fatalf("frame %d: %d bytes on the stream, encodedSize %d, want header+envelope+payload = %d",
+				i, got, f.encodedSize(), 10+40+size)
 		}
 		want = append(want, f)
 	}

@@ -201,14 +201,9 @@ type (
 // harness behind every table and figure reproduction.
 func RunSimulation(cfg SimConfig) (*SimResult, error) { return sim.Run(cfg) }
 
-// Theoretical model (paper §VI-B).
-type (
-	// ProviderModel evaluates provider incentives, punishments and the
-	// VPB baseline (Eq. 8, 9, 14).
-	ProviderModel = economics.ProviderModel
-	// DetectorModel evaluates detector balances (Eq. 13).
-	DetectorModel = economics.DetectorModel
-)
+// ProviderModel is the theoretical model of paper §VI-B: it evaluates
+// provider incentives, punishments and the VPB baseline (Eq. 8, 9, 14).
+type ProviderModel = economics.ProviderModel
 
 // PaperProviderModel returns the provider model calibrated to the paper's
 // testbed for a hashing-power share and insurance.
