@@ -80,7 +80,3 @@ func BenchmarkAblationMajority(b *testing.B) { runExperiment(b, "abl-majority") 
 // BenchmarkAnalysisDCT runs the Eq. 11 analysis: platform-wide detection
 // capability approaches 1 as the incentivized crowd grows.
 func BenchmarkAnalysisDCT(b *testing.B) { runExperiment(b, "abl-dct") }
-
-// BenchmarkExecPar runs the one engineering experiment: the optimistic
-// parallel executor against the serial oracle on disjoint VM-heavy blocks.
-func BenchmarkExecPar(b *testing.B) { runExperiment(b, "execpar") }

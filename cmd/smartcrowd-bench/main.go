@@ -36,7 +36,7 @@ func run() int {
 		only    = flag.String("run", "", "comma-separated experiment ids (default: all)")
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir  = flag.String("csv", "", "also write each report as CSV into this directory")
-		jsonDir = flag.String("json", "", "also write each report (rows, notes, metrics) as JSON into this directory")
+		jsonDir = flag.String("json", "", "also write each report (rows, notes, telemetry) as JSON into this directory")
 		showTel = flag.Bool("telemetry", false, "print per-experiment telemetry deltas (chain/txpool/pow counters moved by the run)")
 	)
 	flag.Parse()

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -42,8 +41,6 @@ func cmdNode(args []string) int {
 	maxTxs := fs.Int("maxtxs", 0, "max transactions per mined block (0 = no cap)")
 	blocks := fs.Int("blocks", 0, "stop after mining this many blocks (0 = run until interrupted)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof on the RPC listener (operator use only)")
-	parallelism := fs.Int("parallelism", runtime.GOMAXPROCS(0),
-		"worker count for optimistic parallel block execution (1 = serial, for debugging)")
 	rpcTimeout := fs.Duration("rpc-timeout", 0,
 		"read/write deadline per RPC request (0 = 30s defaults); header and idle deadlines are always set")
 	datadir := fs.String("datadir", "", "persist the chain under this directory (empty = in-memory only)")
@@ -66,7 +63,6 @@ func cmdNode(args []string) int {
 	// agree. Mining rewards, not genesis funding, supply the economy.
 	sc := contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false))
 	cfg := chain.DefaultConfig(sc)
-	cfg.ExecParallelism = *parallelism
 	if *datadir != "" {
 		disk, err := store.Open(*datadir)
 		if err != nil {

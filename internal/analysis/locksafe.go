@@ -36,8 +36,8 @@ var rpcChainAllowed = map[string]bool{
 // reads — time.Now/time.Since or the package's clock.go shim functions.
 // Crypto under the lock undoes the stage-1/stage-2 split; clock reads
 // under the lock inflate hold time and, worse, would let scheduling
-// jitter into anything the critical section computes (the parallel
-// executor's merge loop must stay a pure function of its inputs).
+// jitter into anything the critical section computes (block execution
+// must stay a pure function of its inputs).
 // `defer mu.Unlock()` keeps the region open to the end of the function;
 // goroutine bodies launched inside the region (`go func(){…}()`) run
 // outside the lock and are skipped.

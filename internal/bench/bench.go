@@ -16,10 +16,8 @@
 //	Fig6a  — Fig. 6(a): detector incentives vs capability (1-8 threads)
 //	Fig6b  — Fig. 6(b): gas cost per detection report and per SRA
 //
-// plus two design ablations (two-phase reports, insurance escrow), the
-// §VIII majority-attack and detection-capability analyses, and ExecPar,
-// the one engineering experiment: its gate (VM-heavy disjoint blocks,
-// ≥1.5x on ≥4 cores) is invisible to every scbench workload. System
+// plus two design ablations (two-phase reports, insurance escrow) and the
+// §VIII majority-attack and detection-capability analyses. System
 // performance is measured by benchmark/ (scbench), not here.
 package bench
 
@@ -52,10 +50,6 @@ type Report struct {
 	Rows [][]string
 	// Notes records paper-vs-measured shape observations.
 	Notes []string
-	// Metrics holds machine-readable scalar results (e.g. "blocks_per_sec")
-	// for dashboards and regression tracking; most figure regenerations
-	// leave it nil.
-	Metrics map[string]float64 `json:",omitempty"`
 	// Telemetry holds the process-wide telemetry movement (counter and
 	// histogram-count deltas, current gauges) measured across the
 	// experiment's run; populated by the bench CLI via telemetry.Since.
@@ -147,7 +141,7 @@ func (r *Report) CSV() string {
 	return sb.String()
 }
 
-// JSON renders the full report (rows, notes, metrics, verdict) as
+// JSON renders the full report (rows, notes, telemetry, verdict) as
 // indented JSON for machine consumers.
 func (r *Report) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
@@ -176,7 +170,6 @@ func All() []Experiment {
 		{ID: "abl-escrow", Title: "Ablation: escrowed vs goodwill punishment", Run: AblationEscrow},
 		{ID: "abl-majority", Title: "Analysis: 51% attack success probability", Run: AblationMajority},
 		{ID: "abl-dct", Title: "Analysis: total detection capability vs crowd size", Run: AnalysisDCT},
-		{ID: "execpar", Title: "Execution parallelism: optimistic parallel stage 2 vs serial oracle", Run: ExecPar},
 	}
 }
 

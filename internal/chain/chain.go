@@ -43,11 +43,8 @@ type Config struct {
 	// and rebuilt by re-execution on demand — long simulations stay
 	// memory-bounded without losing queryability.
 	StateHistory int
-	// ExecParallelism is the worker count for optimistic parallel
-	// transaction execution in stage 2 of block import (parallel.go).
-	// 0 or 1 forces the serial oracle — the default, and the debugging
-	// escape hatch; the node command defaults its -parallelism flag to
-	// runtime.GOMAXPROCS(0) instead. Either way results are bit-identical.
+	// ExecParallelism is ignored; kept only because the frozen benchmark
+	// assigns it. Execution is serial.
 	ExecParallelism int
 	// Alloc pre-funds accounts in the genesis state.
 	Alloc map[types.Address]types.Amount
@@ -232,22 +229,6 @@ func (c *Chain) State() *state.DB {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.head.post.Copy()
-}
-
-// StateAt returns a copy of the post-state of the given block, rebuilding
-// it by re-execution when it was pruned under StateHistory.
-func (c *Chain) StateAt(id types.Hash) (*state.DB, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, id.Short())
-	}
-	st, err := c.stateOfLocked(e)
-	if err != nil {
-		return nil, err
-	}
-	return st.Copy(), nil
 }
 
 // stateOfLocked returns (possibly rebuilding) an entry's post-state.

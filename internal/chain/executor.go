@@ -48,36 +48,16 @@ var (
 	ErrFeeSettle      = errors.New("chain: fee settlement failed")
 )
 
-// execState is the state surface transaction execution runs against. Both
-// the canonical *state.DB (serial path) and *state.RecordingView (the
-// per-transaction overlays of the optimistic parallel path) implement it;
-// its method set is a superset of vm.StateDB and contract.StateDB, so the
-// SCVM and the native contract plug in without conversions.
-type execState interface {
-	Balance(addr types.Address) types.Amount
-	Nonce(addr types.Address) uint64
-	SetNonce(addr types.Address, nonce uint64)
-	Credit(addr types.Address, value types.Amount) error
-	Debit(addr types.Address, value types.Amount) error
-	Transfer(from, to types.Address, value types.Amount) error
-	Code(addr types.Address) []byte
-	SetCode(addr types.Address, code []byte)
-	GetStorage(addr types.Address, key types.Hash) types.Hash
-	SetStorage(addr types.Address, key, value types.Hash)
-	Snapshot() int
-	RevertToSnapshot(id int) error
-}
-
 // executor applies transactions to a state.
 type executor struct {
 	cfg   Config
-	st    execState
+	st    *state.DB
 	block vm.BlockContext
 	miner types.Address
 }
 
 // newExecutor builds an executor for one block over st.
-func newExecutor(cfg Config, st execState, blk *types.Block) *executor {
+func newExecutor(cfg Config, st *state.DB, blk *types.Block) *executor {
 	return &executor{
 		cfg:   cfg,
 		st:    st,
@@ -86,30 +66,29 @@ func newExecutor(cfg Config, st execState, blk *types.Block) *executor {
 	}
 }
 
-// execBlock runs every transaction of a block against st (mutating it),
-// credits the miner, and returns receipts. It enforces the consensus
-// validity rules: nonces in order, senders solvent, gas limits sufficient.
+// execBlock runs every transaction of a block against st (mutating it) in
+// order, credits the miner, and returns receipts. It enforces the
+// consensus validity rules: nonces in order, senders solvent, gas limits
+// sufficient, cumulative gas within the block limit.
 //
 // Senders are pre-recovered for the whole block through the striped
 // prefetcher before execution starts, so ECDSA recovery never sits on the
 // execution critical path (per-tx Sender() calls below hit the memo).
-// When cfg.ExecParallelism allows it, execution itself is speculative and
-// parallel (parallel.go); the serial path is retained both as the oracle
-// the parallel scheduler must match bit-for-bit and as the fallback for
-// conflict-dense blocks.
 func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	types.RecoverSenders(blk.Txs)
-	var (
-		receipts []*Receipt
-		err      error
-	)
-	if workers := execWorkers(cfg, len(blk.Txs)); workers > 1 {
-		receipts, err = execTxsParallel(cfg, st, blk, workers)
-	} else {
-		receipts, err = execTxsSerial(cfg, st, blk)
-	}
-	if err != nil {
-		return nil, err
+	ex := newExecutor(cfg, st, blk)
+	receipts := make([]*Receipt, len(blk.Txs))
+	var gasUsed uint64
+	for i, tx := range blk.Txs {
+		r, err := ex.applyTx(tx)
+		if err != nil {
+			return nil, fmt.Errorf("chain: block %d tx %d: %w", blk.Header.Number, i, err)
+		}
+		gasUsed += r.GasUsed
+		if cfg.BlockGasLimit > 0 && gasUsed > cfg.BlockGasLimit {
+			return nil, fmt.Errorf("%w: %d > %d", ErrBlockGasLimit, gasUsed, cfg.BlockGasLimit)
+		}
+		receipts[i] = r
 	}
 	// Block reward (χ·ν of Eq. 8): fees were credited per-tx.
 	if err := st.Credit(blk.Header.Miner, cfg.BlockReward); err != nil {
@@ -117,56 +96,6 @@ func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	}
 	st.DiscardSnapshots()
 	return receipts, nil
-}
-
-// execTxsSerial is the serial execution oracle: transactions run in order
-// directly against st.
-func execTxsSerial(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
-	receipts := make([]*Receipt, len(blk.Txs))
-	var gasUsed uint64
-	if err := execTxsRange(cfg, st, blk, receipts, 0, &gasUsed); err != nil {
-		return nil, err
-	}
-	return receipts, nil
-}
-
-// execTxsRange executes blk.Txs[from:] serially against st, filling
-// receipts[i] for each, settling the miner's fee after every transaction
-// and enforcing the cumulative block gas limit. gasUsed carries the gas
-// already consumed by receipts[:from] (the parallel scheduler's committed
-// prefix) and is updated in place.
-func execTxsRange(cfg Config, st execState, blk *types.Block, receipts []*Receipt, from int, gasUsed *uint64) error {
-	ex := newExecutor(cfg, st, blk)
-	for i := from; i < len(blk.Txs); i++ {
-		r, err := ex.applyTx(blk.Txs[i])
-		if err != nil {
-			return fmt.Errorf("chain: block %d tx %d: %w", blk.Header.Number, i, err)
-		}
-		if err := settleFee(st, blk.Header.Miner, r); err != nil {
-			return err
-		}
-		*gasUsed += r.GasUsed
-		if cfg.BlockGasLimit > 0 && *gasUsed > cfg.BlockGasLimit {
-			return fmt.Errorf("%w: %d > %d", ErrBlockGasLimit, *gasUsed, cfg.BlockGasLimit)
-		}
-		receipts[i] = r
-	}
-	return nil
-}
-
-// settleFee credits a transaction's fee (already debited from the sender
-// by applyTx) to the mining provider. Deferring the credit to the caller
-// is what keeps the miner account out of every transaction's speculative
-// write set: under parallel execution the credit lands at ordered commit
-// time, on the canonical state, never inside a worker's overlay.
-func settleFee(st execState, miner types.Address, r *Receipt) error {
-	if r.Fee == 0 {
-		return nil
-	}
-	if err := st.Credit(miner, r.Fee); err != nil {
-		return fmt.Errorf("%w: credit miner: %w", ErrFeeSettle, err)
-	}
-	return nil
 }
 
 // requiredGas returns the gas a transaction consumes when its protocol
@@ -273,13 +202,16 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		return nil, fmt.Errorf("%w: kind %d", types.ErrTxBadKind, tx.Kind)
 	}
 
-	// Fee to the mining provider (ψ·ω of Eq. 8). Only the sender-side
-	// debit happens here; the matching miner credit is deferred to the
-	// caller (settleFee) so speculative runs never write the miner account.
+	// Fee to the mining provider (ψ·ω of Eq. 8).
 	fee := types.Amount(receipt.GasUsed) * tx.GasPrice
 	if err := ex.st.Debit(sender, fee); err != nil {
 		// Unreachable: cost check above reserved GasLimit×price ≥ fee.
 		return nil, fmt.Errorf("%w: debit sender: %w", ErrFeeSettle, err)
+	}
+	if fee > 0 {
+		if err := ex.st.Credit(ex.miner, fee); err != nil {
+			return nil, fmt.Errorf("%w: credit miner: %w", ErrFeeSettle, err)
+		}
 	}
 	receipt.Fee = fee
 	return receipt, nil

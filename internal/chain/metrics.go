@@ -19,12 +19,6 @@ var (
 	mHeadHeight     = telemetry.GetGauge("smartcrowd_chain_head_height")
 	mReorgs         = telemetry.GetCounter("smartcrowd_chain_reorgs_total")
 
-	// Optimistic parallel execution (parallel.go).
-	mExecParSpeculative = telemetry.GetCounter("smartcrowd_chain_exec_parallel_speculative_total")
-	mExecParConflicts   = telemetry.GetCounter("smartcrowd_chain_exec_parallel_conflicts_total")
-	mExecParReexecs     = telemetry.GetCounter("smartcrowd_chain_exec_parallel_reexec_total")
-	mExecParFallbacks   = telemetry.GetCounter("smartcrowd_chain_exec_parallel_fallback_total")
-
 	// Read-view publication (view.go).
 	mViewPublished = telemetry.GetCounter("smartcrowd_chain_view_published_total")
 )
@@ -36,10 +30,6 @@ func init() {
 	telemetry.SetHelp("smartcrowd_chain_batch_blocks", "InsertChain batch sizes in blocks")
 	telemetry.SetHelp("smartcrowd_chain_head_height", "canonical head block number")
 	telemetry.SetHelp("smartcrowd_chain_reorgs_total", "head switches that abandoned at least one canonical block")
-	telemetry.SetHelp("smartcrowd_chain_exec_parallel_speculative_total", "transactions executed speculatively by the parallel scheduler")
-	telemetry.SetHelp("smartcrowd_chain_exec_parallel_conflicts_total", "speculative transactions whose read/write sets collided with earlier writes")
-	telemetry.SetHelp("smartcrowd_chain_exec_parallel_reexec_total", "transactions re-executed serially after a conflict ended the clean prefix")
-	telemetry.SetHelp("smartcrowd_chain_exec_parallel_fallback_total", "blocks that abandoned speculation for the serial oracle (dense conflict graph)")
 	telemetry.SetHelp("smartcrowd_chain_view_published_total", "ReadView snapshots published by head switches")
 }
 

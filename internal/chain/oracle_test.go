@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 
+	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -28,6 +29,22 @@ func (c *Chain) BlockByNumber(n uint64) (*types.Block, error) {
 		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(c.canon)-1)
 	}
 	return c.canon[n].block, nil
+}
+
+// StateAt returns a copy of the post-state of the given block, rebuilding
+// it by re-execution when it was pruned under StateHistory.
+func (c *Chain) StateAt(id types.Hash) (*state.DB, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, id.Short())
+	}
+	st, err := c.stateOfLocked(e)
+	if err != nil {
+		return nil, err
+	}
+	return st.Copy(), nil
 }
 
 // TxLocation resolves a canonical transaction to its block id, height and

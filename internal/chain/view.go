@@ -15,7 +15,7 @@ import (
 // never touch the chain mutex: CurrentView is one atomic load, and every
 // method on the returned view reads only data frozen at publication.
 //
-// Immutability contract (see DESIGN.md §11):
+// Immutability contract (see DESIGN.md §10):
 //
 //   - canon and sraIndex are slice headers over backing arrays the writer
 //     never overwrites below the published length — setHead copies both

@@ -21,10 +21,7 @@ import (
 )
 
 // StateDB is the state surface the contract operates through: balances,
-// value transfer and its own storage slots. Both *state.DB and the
-// recording views the chain's parallel executor runs transactions
-// against satisfy it, so contract logic is oblivious to whether it runs
-// serially on the canonical state or speculatively on an overlay.
+// value transfer and its own storage slots. *state.DB satisfies it.
 type StateDB interface {
 	Balance(addr types.Address) types.Amount
 	Transfer(from, to types.Address, value types.Amount) error

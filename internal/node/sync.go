@@ -1,10 +1,12 @@
 package node
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -62,7 +64,8 @@ type syncer struct {
 	mode         string // SyncSnap or SyncReplay; "" when idle
 	phase        string // manifest | state | blocks | tail
 	peer         p2p.NodeID
-	target       uint64 // announced head we are syncing toward
+	target       uint64     // announced head we are syncing toward
+	targetID     types.Hash // its block id
 	manifest     p2p.SnapManifest
 	chunks       [][]byte
 	chunkBytes   uint64
@@ -128,7 +131,7 @@ func (s *syncer) status() SyncStatus {
 // reset drops all session state; callers hold s.mu.
 func (s *syncer) reset() {
 	s.mode, s.phase, s.peer = "", "", ""
-	s.target, s.fetched, s.nextBlock = 0, 0, 0
+	s.target, s.targetID, s.fetched, s.nextBlock = 0, types.Hash{}, 0, 0
 	s.manifest = p2p.SnapManifest{}
 	s.chunks, s.chunkBytes, s.nextChunk = nil, 0, 0
 	s.prefix = nil
@@ -142,7 +145,7 @@ func (p *ProviderNode) SyncStatus() SyncStatus { return p.sync.status() }
 // handleHeadAnnounce reacts to the transport's synthetic handshake
 // announce: a peer ahead of us may become our sync server.
 func (p *ProviderNode) handleHeadAnnounce(from p2p.NodeID, payload []byte) {
-	_, headNumber, err := p2p.ParseHeadAnnounce(payload)
+	headID, headNumber, err := p2p.ParseHeadAnnounce(payload)
 	if err != nil || p.net == nil {
 		return
 	}
@@ -156,7 +159,7 @@ func (p *ProviderNode) handleHeadAnnounce(from p2p.NodeID, payload []byte) {
 		s.mu.Unlock()
 		return // one session at a time
 	}
-	s.peer, s.target = from, headNumber
+	s.peer, s.target, s.targetID = from, headNumber, headID
 	s.lastProgress = time.Now()
 	var req p2p.Message
 	if local == 0 && headNumber >= snapSyncMinGap {
@@ -367,8 +370,19 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 	}
 	s.fetched += uint64(n)
 	if insErr != nil || n == 0 {
+		// A first range that does not link means the peer's chain does not
+		// pass through our head: we are on a fork, and ranges by number
+		// cannot find the common ancestor. Ask for the announced head
+		// itself; it arrives as an orphan and the per-block backward crawl
+		// (HandleMessages) takes over now that no session suppresses it.
+		forked := s.fetched == 0 && errors.Is(insErr, chain.ErrUnknownParent)
+		headID := s.targetID
 		p.abortLocked("import-failed")
 		s.mu.Unlock()
+		if forked {
+			mBlockRequestsSent.Inc()
+			_ = p.net.Send(p.id, from, p2p.Message{Kind: p2p.MsgBlockRequest, Payload: p2p.EncodeBlockRequest(headID)})
+		}
 		return
 	}
 	s.nextBlock += uint64(n)
@@ -523,7 +537,7 @@ func (p *ProviderNode) handleRangeRequest(from p2p.NodeID, payload []byte) {
 	if err != nil {
 		return
 	}
-	if hi-lo+1 > maxRangeBlocks {
+	if hi-lo >= maxRangeBlocks { // hi-lo+1 would wrap to 0 on [0, 2⁶⁴−1]
 		hi = lo + maxRangeBlocks - 1
 	}
 	blocks := p.chain.BlocksRange(lo, hi)

@@ -194,6 +194,66 @@ func TestReplaySyncSmallGap(t *testing.T) {
 	}
 }
 
+// TestForkedRejoinOnQuietNetwork: a node on a shorter fork hears only the
+// handshake announce of a longer chain — no gossip follows. The replay
+// session's first range cannot link (the peer's block local+1 descends
+// from a block we never saw), so the node must fall back to fetching the
+// announced head and crawling its ancestry back to the fork point.
+func TestForkedRejoinOnQuietNetwork(t *testing.T) {
+	sn := newSyncNet(t)
+	a := sn.provider("pa")
+	b := sn.provider("pb")
+	sn.net.Partition([]p2p.NodeID{a.ID()}, []p2p.NodeID{b.ID()})
+	sn.grow(a, 5)
+	sn.grow(b, 3)
+	sn.net.Heal()
+	if a.Chain().HasBlock(b.Chain().Head().ID()) || b.Chain().HeadNumber() != 3 {
+		t.Fatal("partition setup wrong: the chains did not fork")
+	}
+
+	sn.announce(a, b)
+	modes := sn.driveUntilConverged(a, b, 400)
+	if !modes[SyncReplay] {
+		t.Errorf("rejoin never tried range replay (saw %v)", modes)
+	}
+	if b.Syncing() {
+		t.Error("session still open after convergence")
+	}
+}
+
+// TestRangeRequestClampDoesNotWrap: the widest well-formed request,
+// [0, 2⁶⁴−1], has a block count that wraps to 0 in uint64; it must still
+// be clamped to maxRangeBlocks records.
+func TestRangeRequestClampDoesNotWrap(t *testing.T) {
+	sn := newSyncNet(t)
+	a := sn.provider("pa")
+	sn.grow(a, maxRangeBlocks+10)
+
+	const asker = p2p.NodeID("asker")
+	sn.net.Join(asker)
+	for _, r := range []struct {
+		lo, hi uint64
+		want   int
+	}{{0, ^uint64(0), maxRangeBlocks}, {0, maxRangeBlocks + 5, maxRangeBlocks}, {3, 4, 2}} {
+		err := sn.net.Send(asker, a.ID(), p2p.Message{Kind: p2p.MsgRangeRequest, Payload: p2p.EncodeRangeRequest(r.lo, r.hi)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn.pump([]*ProviderNode{a}, 4)
+		msgs := sn.net.Receive(asker)
+		if len(msgs) != 1 || msgs[0].Kind != p2p.MsgRangeBlocks {
+			t.Fatalf("range [%d, %d]: got %d replies, want one MsgRangeBlocks", r.lo, r.hi, len(msgs))
+		}
+		records, err := p2p.ParseRangeBlocks(msgs[0].Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(records) != r.want {
+			t.Errorf("range [%d, %d]: %d records, want %d", r.lo, r.hi, len(records), r.want)
+		}
+	}
+}
+
 // TestAnnounceBehindIsIgnored: announces from peers at or behind our head
 // start no session.
 func TestAnnounceBehindIsIgnored(t *testing.T) {

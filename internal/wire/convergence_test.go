@@ -86,8 +86,8 @@ func pumpUntilConverged(t *testing.T, nodes []*wireNode, height uint64, timeout 
 // TestThreeNodeConvergence is the tentpole's headline proof: three nodes
 // gossip over real TCP sockets to a common head, one is killed and the
 // network advances without it, and a replacement node for the same
-// identity rejoins, sync-kicks off the handshake head advertisement, and
-// backfills to the canonical chain.
+// identity rejoins, starts a replay session off the handshake head
+// advertisement, and catches up to the canonical chain.
 func TestThreeNodeConvergence(t *testing.T) {
 	n1 := newWireNode(t, "n1")
 	n2 := newWireNode(t, "n2", n1.tr.Addr())
@@ -174,8 +174,8 @@ func TestThreeNodeConvergence(t *testing.T) {
 	}
 
 	// Phase 3: rejoin — a fresh transport for n3 dials back in. The
-	// handshake advertises n1's head, the sync kick requests it, and the
-	// orphan backfill pulls blocks 4–6 without any new mining.
+	// handshake advertises n1's head, the node's syncer range-requests
+	// blocks 4–6 from it, and n3 catches up without any new mining.
 	tr3b, err := New(Config{
 		NodeID:     "n3",
 		ListenAddr: "127.0.0.1:0",

@@ -19,7 +19,6 @@ var (
 	mQueueDepth    = telemetry.GetHistogram("smartcrowd_wire_queue_depth")
 	mReconnects    = telemetry.GetCounter("smartcrowd_wire_reconnects_total")
 	mDisconnects   = telemetry.GetCounter("smartcrowd_wire_disconnects_total")
-	mSyncKicks     = telemetry.GetCounter("smartcrowd_wire_sync_kicks_total")
 	mUnknownFrames = telemetry.GetCounter("smartcrowd_wire_unknown_frames_total")
 	mPeers         = telemetry.GetGauge("smartcrowd_wire_peers")
 	mFanout        = telemetry.GetHistogram("smartcrowd_wire_broadcast_fanout")
@@ -43,7 +42,6 @@ func init() {
 	telemetry.SetHelp("smartcrowd_wire_queue_depth", "per-peer outbound queue depth observed at enqueue")
 	telemetry.SetHelp("smartcrowd_wire_reconnects_total", "successful re-dials after a peer connection dropped")
 	telemetry.SetHelp("smartcrowd_wire_disconnects_total", "peer connections torn down")
-	telemetry.SetHelp("smartcrowd_wire_sync_kicks_total", "head requests sent because a handshake advertised a longer chain")
 	telemetry.SetHelp("smartcrowd_wire_unknown_frames_total", "frames with unrecognized kinds, dropped")
 	telemetry.SetHelp("smartcrowd_wire_peers", "currently connected peers")
 	telemetry.SetHelp("smartcrowd_wire_broadcast_fanout", "peers reached per Broadcast call")

@@ -28,9 +28,8 @@ type Config struct {
 	// with exponential backoff plus jitter that re-dials on disconnect.
 	Peers []string
 	// Head, when set, is consulted during handshakes to advertise the
-	// local canonical head. A peer whose head is ahead of ours triggers
-	// an immediate MsgBlockRequest for its head — the sync kick that
-	// starts orphan backfill right after (re)connecting.
+	// local canonical head. The peer's advertised head reaches the node
+	// as a synthetic MsgHeadAnnounce; catching up is the node's decision.
 	Head func() (id types.Hash, number uint64)
 
 	// HandshakeTimeout bounds the hello exchange (default 5s).
@@ -384,16 +383,6 @@ func (t *Transport) setupConn(conn net.Conn, dialed bool) (*peer, bool) {
 		Kind:    p2p.MsgHeadAnnounce,
 		Payload: p2p.EncodeHeadAnnounce(h.HeadID, h.HeadNumber),
 	})
-
-	// Sync kick: if the peer's canonical head is ahead of ours, ask for
-	// it immediately. The reply flows through the node's normal orphan
-	// backfill, pulling the missing ancestry without waiting for gossip.
-	if t.cfg.Head != nil {
-		if _, localNum := t.cfg.Head(); h.HeadNumber > localNum {
-			mSyncKicks.Inc()
-			t.enqueue(p, Frame{Kind: p2p.MsgBlockRequest, Payload: p2p.EncodeBlockRequest(h.HeadID)})
-		}
-	}
 	return p, true
 }
 
