@@ -57,7 +57,7 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench runs the chain-core microbenchmarks (state root, CoW copy, block
+# bench runs the chain-core microbenchmarks (state root, state fork, block
 # insert, reorg, detection query).
 bench:
 	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x

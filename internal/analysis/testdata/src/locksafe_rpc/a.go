@@ -18,7 +18,7 @@ func (s *server) badHead() uint64 {
 	return s.c.HeadNumber() // want `call to \(\*chain\.Chain\)\.HeadNumber in internal/rpc`
 }
 
-// badState pays for a copy-on-write state snapshot under the write lock.
+// badState forks the head state under the read lock.
 func (s *server) badState(addr types.Address) types.Amount {
 	return s.c.State().Balance(addr) // want `call to \(\*chain\.Chain\)\.State in internal/rpc`
 }

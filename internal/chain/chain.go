@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
@@ -38,11 +39,6 @@ type Config struct {
 	// DifficultyRule is the retargeting rule when EnforceDifficulty is
 	// set (zero value = pow.DefaultDifficultyConfig()).
 	DifficultyRule pow.DifficultyConfig
-	// StateHistory bounds how many recent canonical blocks keep their
-	// post-state in memory (0 = keep everything). Older states are pruned
-	// and rebuilt by re-execution on demand — long simulations stay
-	// memory-bounded without losing queryability.
-	StateHistory int
 	// ExecParallelism is ignored; kept only because the frozen benchmark
 	// assigns it. Execution is serial.
 	ExecParallelism int
@@ -101,6 +97,12 @@ type entry struct {
 	block    *types.Block
 	parent   *entry
 	totalDif uint64
+	// post is the block's post-state, nil below an adopted snapshot until
+	// stateOfLocked rebuilds it. Every path that sets it has compared
+	// post.Root() with the header's StateRoot first, which is also what
+	// makes it shareable: Root sums the trie (critbit.Sum), and a summed
+	// trie is never written again, so views and Copy()s may read it with
+	// no lock while later blocks execute.
 	post     *state.DB
 	receipts []*Receipt
 }
@@ -132,16 +134,16 @@ type Chain struct {
 	// in place would overwrite elements older views still index.
 	canon []*entry
 	// txTrie maps tx hash → canonical location via a persistent crit-bit
-	// trie (htrie.go): updates path-copy, so a ReadView pins the index by
+	// trie: updates path-copy, so a ReadView pins the index by
 	// holding a root pointer, and the chain's own locked reads share the
 	// same structure.
-	txTrie *htnode[txLoc]
+	txTrie *critbit.Node[txLoc]
 	// detTrie maps an SRA id to its canonical detection records in chain
 	// order, maintained incrementally by setHead exactly like txTrie, so
 	// consumer queries are a trie lookup instead of a full-chain scan.
 	// Record slices are grown with full-capacity expressions so an append
 	// for a new block never writes into an array a view can reach.
-	detTrie *htnode[[]DetectionRecord]
+	detTrie *critbit.Node[[]DetectionRecord]
 	// sraIndex lists successful SRA announcements on the canonical chain
 	// in chain order (ascending block number), maintained by setHead. It
 	// backs the paginated /v1/sras listing without scanning the chain.
@@ -222,16 +224,17 @@ func (c *Chain) HeadNumber() uint64 {
 	return c.head.block.Header.Number
 }
 
-// State returns a copy-on-write copy of the state at the canonical head.
-// Copy disowns the source's account records (a cheap epoch bump plus a
-// pointer-map clone), so it needs the exclusive lock.
+// State returns a private copy of the state at the canonical head: O(1),
+// and the caller may mutate it freely.
 func (c *Chain) State() *state.DB {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.head.post.Copy()
 }
 
-// stateOfLocked returns (possibly rebuilding) an entry's post-state.
+// stateOfLocked returns an entry's post-state, rebuilding it by
+// re-execution when the entry has none — the prefix below a restored or
+// snap-adopted snapshot is installed without execution (storage.go).
 // Callers hold the write lock.
 func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	if e.post != nil {
@@ -244,14 +247,21 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 		pending = append(pending, cursor)
 		cursor = cursor.parent
 		if cursor == nil {
-			return nil, errors.New("chain: pruned state with no materialized ancestor")
+			return nil, errors.New("chain: no ancestor with a materialized state")
 		}
 	}
 	st := cursor.post.Copy()
 	for i := len(pending) - 1; i >= 0; i-- {
 		if _, err := execBlock(c.cfg, st, pending[i].block); err != nil {
-			return nil, fmt.Errorf("chain: rebuild pruned state: %w", err)
+			return nil, fmt.Errorf("chain: rebuild state: %w", err)
 		}
+	}
+	// Prefix headers below a snapshot were shape-checked only, so this is
+	// the first time this root is compared; it also sums the trie before
+	// the entry shares it (the rule every committed post-state obeys).
+	if root := st.Root(); root != e.block.Header.StateRoot {
+		return nil, fmt.Errorf("%w: rebuilt %s, header %s",
+			ErrStateMismatch, root.Short(), e.block.Header.StateRoot.Short())
 	}
 	e.post = st
 	return st, nil
@@ -525,28 +535,10 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 
 	if switched {
 		c.setHead(e, tc)
-		c.pruneStatesLocked()
 		c.maybeSnapshotLocked(e)
 		return true, nil
 	}
 	return false, nil
-}
-
-// pruneStatesLocked drops post-states of canonical blocks deeper than
-// StateHistory (genesis always stays as the re-execution base). Callers
-// hold the write lock.
-func (c *Chain) pruneStatesLocked() {
-	if c.cfg.StateHistory <= 0 {
-		return
-	}
-	head := c.head.block.Header.Number
-	if head <= uint64(c.cfg.StateHistory) {
-		return
-	}
-	cutoff := head - uint64(c.cfg.StateHistory)
-	for n := uint64(1); n < cutoff && n < uint64(len(c.canon)); n++ {
-		c.canon[n].post = nil
-	}
 }
 
 // verifyShape runs the stateless checks, optionally skipping the PoW
@@ -598,22 +590,22 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 		dropped := make(map[types.Hash]struct{})
 		for i := forkPoint + 1; i < uint64(len(c.canon)); i++ {
 			for _, tx := range c.canon[i].block.Txs {
-				c.txTrie = htDelete(c.txTrie, tx.Hash())
+				c.txTrie = critbit.Delete(c.txTrie, tx.Hash())
 				if sraID, ok := reportSRAID(tx); ok {
 					dropped[sraID] = struct{}{}
 				}
 			}
 		}
 		for sraID := range dropped {
-			recs, _ := htGet(c.detTrie, sraID)
+			recs, _ := critbit.Get(c.detTrie, sraID)
 			keep := len(recs)
 			for keep > 0 && recs[keep-1].BlockNumber > forkPoint {
 				keep--
 			}
 			if keep == 0 {
-				c.detTrie = htDelete(c.detTrie, sraID)
+				c.detTrie = critbit.Delete(c.detTrie, sraID)
 			} else {
-				c.detTrie = htUpsert(c.detTrie, sraID, recs[:keep:keep])
+				c.detTrie = critbit.Set(c.detTrie, sraID, recs[:keep:keep])
 			}
 		}
 
@@ -635,14 +627,14 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 		en := path[i]
 		c.canon = append(c.canon, en)
 		for j, tx := range en.block.Txs {
-			c.txTrie = htUpsert(c.txTrie, tx.Hash(), txLoc{
+			c.txTrie = critbit.Set(c.txTrie, tx.Hash(), txLoc{
 				blockID: en.block.ID(),
 				number:  en.block.Header.Number,
 				txIdx:   j,
 				receipt: en.receipts[j],
 			})
 			if sraID, ok := reportSRAID(tx); ok {
-				recs, _ := htGet(c.detTrie, sraID)
+				recs, _ := critbit.Get(c.detTrie, sraID)
 				// Full-capacity expression: the append below must land in
 				// a fresh array, never in spare capacity a view aliases.
 				recs = append(recs[:len(recs):len(recs)], DetectionRecord{
@@ -650,7 +642,7 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 					Tx:          tx,
 					Receipt:     en.receipts[j],
 				})
-				c.detTrie = htUpsert(c.detTrie, sraID, recs)
+				c.detTrie = critbit.Set(c.detTrie, sraID, recs)
 			}
 			if tx.Kind == types.TxSRA && en.receipts[j].Success {
 				if sra, err := tx.SRA(); err == nil {
@@ -703,7 +695,7 @@ func reportSRAID(tx *types.Transaction) (types.Hash, bool) {
 func (c *Chain) ReceiptOf(txHash types.Hash) (*Receipt, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	loc, ok := htGet(c.txTrie, txHash)
+	loc, ok := critbit.Get(c.txTrie, txHash)
 	if !ok {
 		return nil, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
 	}
@@ -715,7 +707,7 @@ func (c *Chain) ReceiptOf(txHash types.Hash) (*Receipt, error) {
 func (c *Chain) Confirmations(txHash types.Hash) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	loc, ok := htGet(c.txTrie, txHash)
+	loc, ok := critbit.Get(c.txTrie, txHash)
 	if !ok {
 		return 0
 	}
@@ -754,7 +746,7 @@ type DetectionRecord struct {
 func (c *Chain) DetectionResults(sraID types.Hash) []DetectionRecord {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	recs, _ := htGet(c.detTrie, sraID)
+	recs, _ := critbit.Get(c.detTrie, sraID)
 	if len(recs) == 0 {
 		return nil
 	}
@@ -765,10 +757,9 @@ func (c *Chain) DetectionResults(sraID types.Hash) []DetectionRecord {
 // unsealed block with correct roots, ready for a sealer to find the nonce.
 // Invalid transactions cause an error; miners filter their pool first.
 func (c *Chain) BuildBlock(parentID types.Hash, miner types.Address, timestamp, difficulty uint64, txs []*types.Transaction) (*types.Block, error) {
-	// Resolve the parent state under the write lock: the parent's post
-	// may have been pruned under StateHistory and need re-execution, and
-	// Copy disowns the source's records. Execution below runs unlocked on
-	// the copy.
+	// Resolve the parent state under the write lock: a parent below a
+	// restored snapshot has no post-state until stateOfLocked rebuilds and
+	// stores it. Execution below runs unlocked on the copy.
 	c.mu.Lock()
 	parent, ok := c.entries[parentID]
 	if !ok {

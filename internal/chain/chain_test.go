@@ -586,48 +586,97 @@ func min(a, b int) int {
 	return b
 }
 
-func TestStatePruningRebuildsOnDemand(t *testing.T) {
-	h := newHarness(t)
-	// Rebuild the chain with a tight state-history window.
-	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
-	cfg.StateHistory = 3
-	cfg.Alloc = map[types.Address]types.Amount{
-		h.provider.Address(): types.EtherAmount(5000),
-	}
-	c, err := New(cfg)
+// adoptHead returns a fresh chain that snap-adopted src's canonical
+// chain at its head — the state production is in after a restart from a
+// datadir snapshot or a wire snap-sync: every entry below the head was
+// installed without execution and carries no post-state.
+func adoptHead(t *testing.T, src *Chain) *Chain {
+	t.Helper()
+	snap := src.SnapshotNow()
+	dst, err := New(src.Config())
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.chain = c
-	h.nonces = make(map[types.Address]uint64)
+	if err := dst.AdoptSnapshot(src.CanonicalBlocks()[1:], snap.State); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
 
+// TestStateRebuildBelowSnapshot asks an adopted chain for the state of a
+// block below its snapshot height: it must rebuild by re-execution from
+// genesis and land on the root the uninterrupted chain committed.
+func TestStateRebuildBelowSnapshot(t *testing.T) {
+	h := newHarness(t)
 	payee := wallet.NewDeterministic("payee").Address()
 	var midBlock *types.Block
 	for i := 0; i < 10; i++ {
-		tx := h.transferTx(h.provider, payee, types.EtherAmount(1))
-		blk := h.extend(tx)
+		blk := h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
 		if i == 2 {
 			midBlock = blk
 		}
 	}
+	src := h.chain
+	h.chain = adoptHead(t, src)
 
-	// Block 3's state was pruned (head 10, window 3) but must rebuild.
 	st, err := h.chain.StateAt(midBlock.ID())
 	if err != nil {
-		t.Fatalf("StateAt(pruned) failed: %v", err)
+		t.Fatalf("StateAt(below snapshot) failed: %v", err)
 	}
 	if got := st.Balance(payee); got != types.EtherAmount(3) {
 		t.Errorf("rebuilt state balance %s, want 3 ETH (after 3 transfers)", got)
+	}
+	want, err := src.StateAt(midBlock.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Root() != want.Root() || st.Root() != midBlock.Header.StateRoot {
+		t.Errorf("rebuilt root %s, uninterrupted chain has %s", st.Root().Short(), want.Root().Short())
 	}
 	// Head state still reflects all 10 transfers.
 	if got := h.chain.State().Balance(payee); got != types.EtherAmount(10) {
 		t.Errorf("head balance %s, want 10 ETH", got)
 	}
-	// Extending past pruned parents keeps working.
+	// Extending the adopted head keeps working.
 	h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
 	if h.chain.HeadNumber() != 11 {
-		t.Error("chain stopped extending after pruning")
+		t.Error("chain stopped extending after adoption")
+	}
+}
+
+// TestStateRebuildRejectsForgedPrefixRoot adopts a linked prefix in which
+// one header below the snapshot commits to a root its transactions do not
+// produce. Adoption cannot see that (prefix headers are shape-checked, and
+// only the head's root is compared with the snapshot); the rebuild must.
+func TestStateRebuildRejectsForgedPrefixRoot(t *testing.T) {
+	h := newHarness(t)
+	payee := wallet.NewDeterministic("payee").Address()
+	for i := 0; i < 6; i++ {
+		h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
+	}
+	snap := h.chain.SnapshotNow()
+	var forged []*types.Block
+	parentID := h.chain.Genesis().ID()
+	for _, blk := range h.chain.CanonicalBlocks()[1:] {
+		hdr := blk.Header
+		hdr.ParentID = parentID
+		if hdr.Number == 3 {
+			hdr.StateRoot = types.HashBytes([]byte("not this block's root"))
+		}
+		forged = append(forged, &types.Block{Header: hdr, Txs: blk.Txs})
+		parentID = forged[len(forged)-1].ID()
+	}
+	dst, err := New(h.chain.Config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.AdoptSnapshot(forged, snap.State); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dst.StateAt(forged[2].ID()); !errors.Is(err, ErrStateMismatch) {
+		t.Fatalf("StateAt(forged header) = %v, want ErrStateMismatch", err)
+	}
+	if _, err := dst.StateAt(forged[1].ID()); err != nil {
+		t.Fatalf("StateAt(honest header below the forged one): %v", err)
 	}
 }

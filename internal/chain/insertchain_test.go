@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -349,4 +350,54 @@ func TestInsertChainEmptyAndNil(t *testing.T) {
 	if n, err := h.chain.InsertChain([]*types.Block{}); n != 0 || err != nil {
 		t.Fatalf("empty batch: n=%d err=%v", n, err)
 	}
+}
+
+// TestSnapshotNowBesideInsertChain serves snapshots while a batch import
+// runs — what a peer's MsgSnapRequest does to a syncing node. SnapshotNow
+// serializes with no chain lock held, so under the race detector this
+// proves a committed post-state is never written again; and every blob
+// must restore to the root its own header commits to, whichever block
+// was head when it was taken.
+func TestSnapshotNowBesideInsertChain(t *testing.T) {
+	h, blocks := buildTestChain(t, 60)
+	c := freshChain(t, h)
+
+	imported := make(chan error, 1)
+	go func() {
+		_, err := c.InsertChain(blocks)
+		imported <- err
+	}()
+
+	heights := make(map[uint64]struct{})
+	for importing := true; importing; {
+		select {
+		case err := <-imported:
+			if err != nil {
+				t.Fatal(err)
+			}
+			importing = false // one more snapshot, of the final head
+		default:
+		}
+		snap := c.SnapshotNow()
+		blk, err := c.BlockByID(snap.BlockID)
+		if err != nil {
+			t.Fatalf("snapshot names unknown block: %v", err)
+		}
+		if blk.Header.Number != snap.Height || blk.Header.StateRoot != snap.StateRoot {
+			t.Fatalf("snapshot at #%d disagrees with its header", snap.Height)
+		}
+		st, err := state.Restore(snap.State)
+		if err != nil {
+			t.Fatalf("snapshot at #%d does not restore: %v", snap.Height, err)
+		}
+		if root := st.Root(); root != blk.Header.StateRoot {
+			t.Fatalf("snapshot at #%d restores to %s, header commits to %s",
+				snap.Height, root.Short(), blk.Header.StateRoot.Short())
+		}
+		heights[snap.Height] = struct{}{}
+	}
+	if _, ok := heights[uint64(len(blocks))]; !ok {
+		t.Fatalf("never snapshotted the final head #%d", len(blocks))
+	}
+	t.Logf("snapshotted %d distinct heads during import", len(heights))
 }

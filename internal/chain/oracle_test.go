@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -32,7 +33,7 @@ func (c *Chain) BlockByNumber(n uint64) (*types.Block, error) {
 }
 
 // StateAt returns a copy of the post-state of the given block, rebuilding
-// it by re-execution when it was pruned under StateHistory.
+// it by re-execution when the block sits below an adopted snapshot.
 func (c *Chain) StateAt(id types.Hash) (*state.DB, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -52,7 +53,7 @@ func (c *Chain) StateAt(id types.Hash) (*state.DB, error) {
 func (c *Chain) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64, txIdx int, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	loc, found := htGet(c.txTrie, txHash)
+	loc, found := critbit.Get(c.txTrie, txHash)
 	if !found {
 		return types.Hash{}, 0, 0, false
 	}

@@ -4,7 +4,7 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -44,7 +44,8 @@ func assertIndexesMatchScan(t *testing.T, c *Chain, sraIDs ...types.Hash) {
 		}
 	}
 	c.mu.RLock()
-	extra := htCount(c.txTrie) - len(canonical)
+	extra := -len(canonical)
+	critbit.Walk(c.txTrie, func(critbit.Key, txLoc) { extra++ })
 	c.mu.RUnlock()
 	if extra != 0 {
 		t.Fatalf("txIndex holds %d non-canonical entries", extra)
@@ -137,44 +138,29 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	assertIndexesMatchScan(t, h.chain, sra.ID)
 }
 
-// TestBuildBlockOnPrunedParent is the regression test for the latent
-// nil-pointer crash: BuildBlock used to dereference parent.post directly,
-// which is nil for parents pruned under StateHistory. It must rebuild the
-// state via re-execution instead.
-func TestBuildBlockOnPrunedParent(t *testing.T) {
+// TestBuildBlockBelowSnapshot builds and inserts a fork block on a parent
+// below an adopted snapshot's height. Such a parent has no post-state
+// (BuildBlock once dereferenced it directly and crashed); both the build
+// and the fork insert must rebuild it by re-execution instead.
+func TestBuildBlockBelowSnapshot(t *testing.T) {
 	h := newHarness(t)
-	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
-	cfg.StateHistory = 2
-	cfg.Alloc = map[types.Address]types.Amount{
-		h.provider.Address(): types.EtherAmount(5000),
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.chain = c
-	h.nonces = make(map[types.Address]uint64)
-
 	payee := wallet.NewDeterministic("payee").Address()
-	var pruned *types.Block
+	var parent *types.Block
 	for i := 0; i < 12; i++ {
 		blk := h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
 		if i == 3 {
-			pruned = blk
+			parent = blk
 		}
 	}
+	h.chain = adoptHead(t, h.chain)
 
-	// Block 4's post-state is pruned (head 12, window 2). Building on it
-	// must rebuild the state, not crash.
-	blk, err := h.chain.BuildBlock(pruned.ID(), h.miner.Address(),
-		pruned.Header.Time+15_350, 1000, nil)
+	blk, err := h.chain.BuildBlock(parent.ID(), h.miner.Address(),
+		parent.Header.Time+15_350, 1000, nil)
 	if err != nil {
-		t.Fatalf("BuildBlock on pruned parent: %v", err)
+		t.Fatalf("BuildBlock on a parent below the snapshot: %v", err)
 	}
-	if blk.Header.Number != pruned.Header.Number+1 {
-		t.Errorf("built block number %d, want %d", blk.Header.Number, pruned.Header.Number+1)
+	if blk.Header.Number != parent.Header.Number+1 {
+		t.Errorf("built block number %d, want %d", blk.Header.Number, parent.Header.Number+1)
 	}
 	// The built block is a valid (light) fork block: insertion succeeds
 	// without switching the head.

@@ -397,63 +397,64 @@ func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
 	c.installPrefixLocked(blocks, st)
 	mSnapshotAdopted.Inc()
 	if c.store != nil && c.persist {
-		c.writeSnapshotAsync(StoredSnapshot{
+		snap := StoredSnapshot{
 			Height:    head.Header.Number,
 			BlockID:   head.ID(),
 			StateRoot: head.Header.StateRoot,
 			State:     stateBlob,
-		})
+		}
+		c.writeSnapshotAsync(func() StoredSnapshot { return snap })
 	}
 	return nil
 }
 
-// SnapshotNow serializes the post-state of the current head into a
-// StoredSnapshot, for snap-sync serving and final flushes. The serialize
-// runs under the chain lock (it reads the live head state); the result is
-// an independent byte blob.
-func (c *Chain) SnapshotNow() (StoredSnapshot, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, err := c.stateOfLocked(c.head)
-	if err != nil {
-		return StoredSnapshot{}, err
-	}
+// snapshotOf serializes a committed post-state into a StoredSnapshot of
+// its block. Serialize walks the whole state, so this runs with no chain
+// lock held: a committed post-state is immutable, and pinning the pair
+// (block, post) is all the lock is needed for.
+func snapshotOf(blk *types.Block, post *state.DB) StoredSnapshot {
 	return StoredSnapshot{
-		Height:    c.head.block.Header.Number,
-		BlockID:   c.head.block.ID(),
-		StateRoot: c.head.block.Header.StateRoot,
-		State:     st.Serialize(),
-	}, nil
+		Height:    blk.Header.Number,
+		BlockID:   blk.ID(),
+		StateRoot: blk.Header.StateRoot,
+		State:     post.Serialize(),
+	}
+}
+
+// SnapshotNow serializes the post-state of the current head into a
+// StoredSnapshot, for snap-sync serving. It pins the head through the
+// published view and never touches the chain lock, so a peer asking for a
+// snapshot stalls neither imports nor readers.
+func (c *Chain) SnapshotNow() StoredSnapshot {
+	v := c.CurrentView()
+	return snapshotOf(v.head, v.state)
 }
 
 // maybeSnapshotLocked writes a periodic durable snapshot when the new head
-// lands on a snapshot-interval boundary. Serialization happens here, under
-// the lock the caller already holds (its cost is O(state), amortized over
-// SnapshotInterval blocks); the fsync+rename runs on a background
-// goroutine so imports do not stall on snapshot IO.
+// lands on a snapshot-interval boundary. Only the (block, post-state) pair
+// is pinned under the lock the caller holds; the O(state) serialization
+// and the fsync+rename both run on the background goroutine, so imports
+// stall on neither.
 func (c *Chain) maybeSnapshotLocked(e *entry) {
 	interval := c.cfg.SnapshotInterval
-	if c.store == nil || !c.persist || interval == 0 || e.post == nil {
+	if c.store == nil || !c.persist || interval == 0 {
 		return
 	}
 	n := e.block.Header.Number
 	if n == 0 || n%interval != 0 {
 		return
 	}
-	c.writeSnapshotAsync(StoredSnapshot{
-		Height:    n,
-		BlockID:   e.block.ID(),
-		StateRoot: e.block.Header.StateRoot,
-		State:     e.post.Serialize(),
-	})
+	blk, post := e.block, e.post
+	c.writeSnapshotAsync(func() StoredSnapshot { return snapshotOf(blk, post) })
 }
 
-// writeSnapshotAsync hands a fully serialized snapshot to a background
-// writer. Close waits for in-flight writes.
-func (c *Chain) writeSnapshotAsync(snap StoredSnapshot) {
+// writeSnapshotAsync produces and durably writes a snapshot on a
+// background goroutine. Close waits for in-flight writes.
+func (c *Chain) writeSnapshotAsync(produce func() StoredSnapshot) {
 	c.snapWG.Add(1)
 	go func() {
 		defer c.snapWG.Done()
+		snap := produce()
 		if err := c.store.SaveSnapshot(snap); err != nil {
 			mSnapshotsFailed.Inc()
 			chainLog.Error("snapshot write failed",
@@ -476,26 +477,15 @@ func (c *Chain) Close() error {
 		return nil
 	}
 	c.closed = true
-	store := c.store
-	var final *StoredSnapshot
-	if store != nil && c.head.block.Header.Number > 0 {
-		if st, err := c.stateOfLocked(c.head); err == nil {
-			final = &StoredSnapshot{
-				Height:    c.head.block.Header.Number,
-				BlockID:   c.head.block.ID(),
-				StateRoot: c.head.block.Header.StateRoot,
-				State:     st.Serialize(),
-			}
-		}
-	}
+	store, head := c.store, c.head
 	c.mu.Unlock()
 
 	c.snapWG.Wait()
 	if store == nil {
 		return nil
 	}
-	if final != nil {
-		if err := store.SaveSnapshot(*final); err != nil {
+	if head.block.Header.Number > 0 {
+		if err := store.SaveSnapshot(snapshotOf(head.block, head.post)); err != nil {
 			mSnapshotsFailed.Inc()
 			chainLog.Error("final snapshot write failed", "err", err.Error())
 		} else {

@@ -3,6 +3,7 @@ package chain
 import (
 	"fmt"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -22,11 +23,13 @@ import (
 //     arrays out before truncating on a reorg, and plain head extensions
 //     only ever append past the published length;
 //   - txIndex and detIndex are roots of persistent crit-bit tries
-//     (htrie.go) — updates path-copy, they never mutate published nodes;
-//   - state is the head block's committed post-state. The copy-on-write
-//     state contract makes it safe for concurrent readers: after commit
-//     the chain never mutates a post-state in place (later blocks execute
-//     on Copy()s that clone-on-touch). Callers must treat it as
+//     (package critbit) — updates path-copy, they never mutate published
+//     nodes;
+//   - state is the head block's committed post-state: a root of the same
+//     kind of trie, fully summed before it was committed (the chain
+//     compares its Root() with the header first), so no node reachable
+//     from it is ever written again — later blocks execute on Copy()s
+//     that path-copy what they touch. Callers must treat it as
 //     read-only — call only accessor methods, never mutators.
 //
 // A view held across head switches keeps serving its own fork
@@ -36,8 +39,8 @@ type ReadView struct {
 	headID   types.Hash
 	totalDif uint64
 	canon    []*entry
-	txIndex  *htnode[txLoc]
-	detIndex *htnode[[]DetectionRecord]
+	txIndex  *critbit.Node[txLoc]
+	detIndex *critbit.Node[[]DetectionRecord]
 	sraIndex []SRARef
 	state    *state.DB
 }
@@ -107,7 +110,7 @@ func (v *ReadView) BlocksRange(from, to uint64) []*types.Block {
 
 // ReceiptOf returns the receipt of a transaction canonical in this view.
 func (v *ReadView) ReceiptOf(txHash types.Hash) (*Receipt, error) {
-	loc, ok := htGet(v.txIndex, txHash)
+	loc, ok := critbit.Get(v.txIndex, txHash)
 	if !ok {
 		return nil, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
 	}
@@ -117,7 +120,7 @@ func (v *ReadView) ReceiptOf(txHash types.Hash) (*Receipt, error) {
 // Confirmations returns how many blocks deep a transaction is in this
 // view (1 = in the head block), or 0 if it is not canonical.
 func (v *ReadView) Confirmations(txHash types.Hash) uint64 {
-	loc, ok := htGet(v.txIndex, txHash)
+	loc, ok := critbit.Get(v.txIndex, txHash)
 	if !ok {
 		return 0
 	}
@@ -127,7 +130,7 @@ func (v *ReadView) Confirmations(txHash types.Hash) uint64 {
 // TxLocation resolves a canonical transaction to its block id, height
 // and in-block index — the inputs a Merkle inclusion proof needs.
 func (v *ReadView) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64, txIdx int, ok bool) {
-	loc, found := htGet(v.txIndex, txHash)
+	loc, found := critbit.Get(v.txIndex, txHash)
 	if !found {
 		return types.Hash{}, 0, 0, false
 	}
@@ -167,14 +170,15 @@ func (v *ReadView) SRAList(offset, limit int) []SRARef {
 // writer builds record slices with full-capacity expressions, so an
 // append always reallocates).
 func (v *ReadView) DetectionResults(sraID types.Hash) []DetectionRecord {
-	recs, _ := htGet(v.detIndex, sraID)
+	recs, _ := critbit.Get(v.detIndex, sraID)
 	return recs
 }
 
 // State returns the view head's committed post-state. It is FROZEN:
-// callers may invoke read accessors (Balance, Nonce, GetStorage, Code,
-// Exists) concurrently with anything, but must never call a mutator —
-// this is the same object the chain builds the next block's state from.
+// callers may invoke the read-only methods (Balance, Nonce, GetStorage,
+// Code, Root, Serialize, Copy) concurrently with anything, but must never
+// call a mutator — this is the same object the chain builds the next
+// block's state from.
 func (v *ReadView) State() *state.DB { return v.state }
 
 // FinalizedDepth reports how many blocks below the view head a height

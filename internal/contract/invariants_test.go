@@ -1,6 +1,7 @@
 package contract
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -64,13 +65,7 @@ func runInvariantSequence(t *testing.T, seed int64) {
 		_ = st.Credit(detectors[i].Address(), types.EtherAmount(100))
 	}
 
-	totalSupply := func() types.Amount {
-		var sum types.Amount
-		for _, a := range st.Accounts() {
-			sum += st.Balance(a)
-		}
-		return sum
-	}
+	totalSupply := func() types.Amount { return sumBalances(t, st.Serialize()) }
 	initialSupply := totalSupply()
 
 	var (
@@ -220,4 +215,24 @@ func runInvariantSequence(t *testing.T, seed int64) {
 		}
 		checkInvariants(step)
 	}
+}
+
+// sumBalances adds up every account balance in a state snapshot blob
+// (layout in state/snapshot.go) — the supply over all accounts the state
+// holds, not only the ones the test knows about.
+func sumBalances(t *testing.T, blob []byte) types.Amount {
+	t.Helper()
+	count := binary.BigEndian.Uint64(blob[5:13])
+	off := 13
+	var sum types.Amount
+	for i := uint64(0); i < count; i++ {
+		sum += types.Amount(binary.BigEndian.Uint64(blob[off+20:]))
+		off += 20 + 8 + 8
+		off += 4 + int(binary.BigEndian.Uint32(blob[off:])) // code
+		off += 4 + 64*int(binary.BigEndian.Uint32(blob[off:]))
+	}
+	if off != len(blob) {
+		t.Fatalf("snapshot walk ended at %d of %d bytes", off, len(blob))
+	}
+	return sum
 }

@@ -3,7 +3,7 @@ package contract
 import "github.com/smartcrowd/smartcrowd/internal/telemetry"
 
 // Protocol-event counters. These count events observed by execution: a
-// block re-executed for a fork branch or a pruned-state rebuild observes
+// block re-executed for a fork branch or a below-snapshot rebuild observes
 // its events again, so read these as execution activity, not canonical
 // chain totals (the chain's detection index is the canonical record).
 var (

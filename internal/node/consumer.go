@@ -22,7 +22,7 @@ type ReferenceReader interface {
 // it looks up the blockchain and obtains an authoritative, complete and
 // consistent reference of the system's detection results (paper §IV-A).
 type Consumer struct {
-	chain    ReferenceReader
+	reader   ReferenceReader
 	contract *contract.Contract
 	// MaxTolerated is the most confirmed vulnerabilities the consumer
 	// accepts before advising against deployment ("consumers can deploy
@@ -33,7 +33,7 @@ type Consumer struct {
 // NewConsumer builds a consumer client over a provider's chain (or a
 // pinned read view of it).
 func NewConsumer(c ReferenceReader, sc *contract.Contract, maxTolerated uint64) *Consumer {
-	return &Consumer{chain: c, contract: sc, MaxTolerated: maxTolerated}
+	return &Consumer{reader: c, contract: sc, MaxTolerated: maxTolerated}
 }
 
 // Reference is the consumer-facing security summary for one release.
@@ -58,7 +58,7 @@ type Reference struct {
 
 // Lookup assembles the authoritative reference for an SRA.
 func (c *Consumer) Lookup(sraID types.Hash) (Reference, error) {
-	st := c.chain.State()
+	st := c.reader.State()
 	info, err := c.contract.GetSRA(st, sraID)
 	if err != nil {
 		return Reference{}, fmt.Errorf("node: consumer lookup: %w", err)
@@ -70,7 +70,7 @@ func (c *Consumer) Lookup(sraID types.Hash) (Reference, error) {
 		BySeverity:         make(map[types.Severity]int, 3),
 		InsuranceRemaining: info.InsuranceRemaining,
 	}
-	records := c.chain.DetectionResults(sraID)
+	records := c.reader.DetectionResults(sraID)
 	ref.Reports = len(records)
 	for _, rec := range records {
 		if rec.Tx.Kind != types.TxDetailedReport || !rec.Receipt.Success {

@@ -223,7 +223,7 @@ func (p *ProviderNode) acceptTx(tx *types.Transaction, gossip bool, tc telemetry
 	if p.dupTx(tx.Hash()) {
 		return txpool.ErrKnownTx
 	}
-	st := p.chain.State()
+	st := p.chain.CurrentView().State()
 	if err := p.pool.Add(tx, st); err != nil {
 		return err
 	}
@@ -356,7 +356,7 @@ func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.Tr
 	if len(fresh) == 0 {
 		return
 	}
-	st := p.chain.State()
+	st := p.chain.CurrentView().State()
 	for i, err := range p.pool.AddAllTraced(fresh, st, batchTrace) {
 		if err != nil {
 			continue // duplicates and invalid txs are ignored
@@ -429,7 +429,7 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.T
 		}
 	}
 	if n > 0 {
-		p.pool.Prune(p.chain.State())
+		p.pool.Prune(p.chain.CurrentView().State())
 	}
 	if err == nil {
 		return
@@ -474,7 +474,7 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 	if timestamp <= head.Header.Time {
 		timestamp = head.Header.Time + 1
 	}
-	txs := p.pool.Pending(p.chain.State(), maxTxs)
+	txs := p.pool.Pending(p.chain.CurrentView().State(), maxTxs)
 	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
 	p.mu.Unlock()
 	buildSpan.End(telemetry.L("node", string(p.id)), telemetry.L("txs", strconv.Itoa(len(txs))))
@@ -524,7 +524,7 @@ func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int
 	if timestamp <= head.Header.Time {
 		timestamp = head.Header.Time + 1
 	}
-	txs := p.pool.Pending(p.chain.State(), maxTxs)
+	txs := p.pool.Pending(p.chain.CurrentView().State(), maxTxs)
 	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
 	if err != nil {
 		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "build-failed"))
@@ -554,7 +554,7 @@ func (p *ProviderNode) publishOwnBlock(blk *types.Block, root telemetry.Span) er
 	for _, tx := range blk.Txs {
 		p.pool.Remove(tx.Hash())
 	}
-	p.pool.Prune(p.chain.State())
+	p.pool.Prune(p.chain.CurrentView().State())
 	if p.net != nil {
 		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(blk), Trace: tc})
 	}

@@ -359,7 +359,7 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 	p.mu.Lock()
 	n, insErr := p.chain.InsertChain(blocks)
 	if n > 0 {
-		p.pool.Prune(p.chain.State())
+		p.pool.Prune(p.chain.CurrentView().State())
 	}
 	p.mu.Unlock()
 
@@ -444,9 +444,10 @@ func (p *ProviderNode) finishLocked() {
 // snapServeCache memoizes the last served snapshot so N joining peers
 // cost one state serialization, not N. The generating flag coalesces
 // regeneration: while one request serializes fresh state (outside the
-// cache mutex, since SnapshotNow takes the chain lock over a full-state
-// walk), concurrent requests serve the previous cached manifest — or
-// stay silent when there is none — instead of piling up serializations.
+// cache mutex — SnapshotNow holds no chain lock, but it is a full-state
+// walk and a blob-sized allocation), concurrent requests serve the
+// previous cached manifest — or stay silent when there is none — instead
+// of piling up serializations.
 type snapServeCache struct {
 	mu         sync.Mutex
 	manifest   p2p.SnapManifest
@@ -470,13 +471,9 @@ func (p *ProviderNode) handleSnapRequest(from p2p.NodeID) {
 	if stale && !c.generating {
 		c.generating = true
 		c.mu.Unlock()
-		snap, err := p.chain.SnapshotNow()
+		snap := p.chain.SnapshotNow()
 		c.mu.Lock()
 		c.generating = false
-		if err != nil {
-			c.mu.Unlock()
-			return
-		}
 		c.manifest = p2p.SnapManifest{
 			Height:    snap.Height,
 			BlockID:   snap.BlockID,

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -14,9 +15,9 @@ import (
 // referenceRoot recomputes the state commitment from scratch: it gathers
 // every non-empty account in sorted order and builds the crit-bit
 // structure recursively from the sorted slice, hashing all of it. It
-// shares no code with the incremental path (trieUpsert/trieDelete and the
-// dirty-set bookkeeping), so agreement across random histories is strong
-// evidence the incremental root equals a full rehash.
+// shares no code with the incremental path (critbit's path copies and
+// memoised Sum), so agreement across random histories is strong evidence
+// the incremental root equals a full rehash.
 func referenceRoot(db *DB) types.Hash {
 	addrs := db.Accounts()
 	if len(addrs) == 0 {
@@ -30,7 +31,8 @@ func refBuild(db *DB, addrs []types.Address) types.Hash {
 		h := keccak.New256()
 		_, _ = h.Write([]byte{trieTagLeaf})
 		_, _ = h.Write(addrs[0][:])
-		d := accountDigest(addrs[0], db.accounts[addrs[0]])
+		acc, _ := critbit.Get(db.root, trieKey(addrs[0]))
+		d := accountDigest(addrs[0][:], acc)
 		_, _ = h.Write(d[:])
 		var out types.Hash
 		copy(out[:], h.Sum(nil))
@@ -39,8 +41,12 @@ func refBuild(db *DB, addrs []types.Address) types.Hash {
 	// The branch bit is the first bit on which the sorted group disagrees
 	// — i.e. the first differing bit of its extremes. Sorted order means
 	// the group splits into a bit-0 prefix and a bit-1 suffix.
-	d := firstDiffBit(addrs[0], addrs[len(addrs)-1])
-	split := sort.Search(len(addrs), func(i int) bool { return addrBit(addrs[i], d) == 1 })
+	lo, hi := addrs[0], addrs[len(addrs)-1]
+	d := 0
+	for refBit(lo, d) == refBit(hi, d) {
+		d++
+	}
+	split := sort.Search(len(addrs), func(i int) bool { return refBit(addrs[i], d) == 1 })
 	left := refBuild(db, addrs[:split])
 	right := refBuild(db, addrs[split:])
 	h := keccak.New256()
@@ -50,6 +56,11 @@ func refBuild(db *DB, addrs []types.Address) types.Hash {
 	var out types.Hash
 	copy(out[:], h.Sum(nil))
 	return out
+}
+
+// refBit returns bit i of a, most significant bit of a[0] first.
+func refBit(a types.Address, i int) byte {
+	return a[i/8] >> (7 - i%8) & 1
 }
 
 // modelAcct is the naive shadow model of one account.
@@ -149,9 +160,18 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			db := New()
 			m := newModel()
+			// held keeps the most recent forks alive, so a fork taken
+			// between a Snapshot and its Revert is re-checked after the
+			// original has reverted past the point it was taken.
+			type fork struct {
+				db *DB
+				m  *model
+			}
+			var held []fork
 			for step := 0; step < 600; step++ {
 				a := universe[rng.Intn(len(universe))]
-				switch op := rng.Intn(12); op {
+				op := rng.Intn(12)
+				switch op {
 				case 0, 1, 2: // credit
 					v := types.Amount(rng.Intn(1000))
 					if db.Credit(a, v) == nil {
@@ -226,9 +246,15 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					checkAgainst(t, step, cp, cpm)
 					// Mutating the copy must not have leaked anywhere.
 					checkAgainst(t, step, db, m)
+					if held = append(held, fork{cp, cpm}); len(held) > 4 {
+						held = held[1:]
+					}
 				}
-				if step%37 == 0 {
+				if step%37 == 0 || op == 10 {
 					checkAgainst(t, step, db, m)
+					for _, f := range held {
+						checkAgainst(t, step, f.db, f.m)
+					}
 				}
 			}
 			db.DiscardSnapshots()

@@ -1,8 +1,8 @@
 // State snapshots: a deterministic, self-delimiting serialization of a
-// DB's non-empty accounts, used by the durable chain store (periodic
-// on-disk snapshots) and by snap-sync (streaming a recent state to a
-// joining peer). The format commits to nothing the commitment trie does
-// not: restoring a snapshot and calling Root() rebuilds the crit-bit trie
+// DB's accounts, used by the durable chain store (periodic on-disk
+// snapshots) and by snap-sync (streaming a recent state to a joining
+// peer). The format commits to nothing the state root does not:
+// restoring a snapshot and calling Root() rebuilds and sums the trie
 // from scratch, so a snapshot is verified by comparing that recomputed
 // root against the root recorded in the block header it claims to
 // represent — a tampered or truncated blob cannot produce a matching
@@ -22,11 +22,12 @@
 package state
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -46,41 +47,32 @@ var (
 	ErrSnapshotTrailing  = errors.New("state: trailing bytes after snapshot")
 )
 
-// Serialize encodes the DB's non-empty accounts into the canonical
-// snapshot format. Two DBs with the same logical state serialize to
-// identical bytes (accounts and storage slots are emitted in sorted
-// order), so snapshot equality is state equality. The DB is only read;
-// callers that share the DB with writers must serialize access as usual.
+// Serialize encodes the DB's accounts into the canonical snapshot format.
+// Two DBs with the same logical state serialize to identical bytes (the
+// account and storage tries walk in key order), so snapshot equality is
+// state equality. The DB is only read.
 func (db *DB) Serialize() []byte {
-	addrs := db.Accounts()
-	size := 4 + 1 + 8
-	for _, addr := range addrs {
-		acc := db.accounts[addr]
-		size += wallet.AddressSize + 8 + 8 + 4 + len(acc.Code) + 4 + len(acc.Storage)*(2*types.HashSize)
-	}
+	count, size := uint64(0), 4+1+8
+	critbit.Walk(db.root, func(_ critbit.Key, acc *account) {
+		count++
+		size += wallet.AddressSize + 8 + 8 + 4 + len(acc.code) + 4 + int(acc.slots)*(2*types.HashSize)
+	})
 	out := make([]byte, 0, size)
 	out = append(out, snapshotMagic[:]...)
 	out = append(out, SnapshotVersion)
-	out = binary.BigEndian.AppendUint64(out, uint64(len(addrs)))
-	for _, addr := range addrs {
-		acc := db.accounts[addr]
-		out = append(out, addr[:]...)
-		out = binary.BigEndian.AppendUint64(out, uint64(acc.Balance))
-		out = binary.BigEndian.AppendUint64(out, acc.Nonce)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(acc.Code)))
-		out = append(out, acc.Code...)
-		keys := make([]types.Hash, 0, len(acc.Storage))
-		for k := range acc.Storage {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return lessHash(keys[i], keys[j]) })
-		out = binary.BigEndian.AppendUint32(out, uint32(len(keys)))
-		for _, k := range keys {
-			v := acc.Storage[k]
+	out = binary.BigEndian.AppendUint64(out, count)
+	critbit.Walk(db.root, func(k critbit.Key, acc *account) {
+		out = append(out, k[:wallet.AddressSize]...)
+		out = binary.BigEndian.AppendUint64(out, uint64(acc.balance))
+		out = binary.BigEndian.AppendUint64(out, acc.nonce)
+		out = binary.BigEndian.AppendUint32(out, uint32(len(acc.code)))
+		out = append(out, acc.code...)
+		out = binary.BigEndian.AppendUint32(out, acc.slots)
+		critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
 			out = append(out, k[:]...)
 			out = append(out, v[:]...)
-		}
-	}
+		})
+	})
 	return out
 }
 
@@ -126,7 +118,7 @@ func Restore(blob []byte) (*DB, error) {
 		}
 		var addr types.Address
 		copy(addr[:], addrBytes)
-		if i > 0 && !lessAddr(prevAddr, addr) {
+		if i > 0 && bytes.Compare(prevAddr[:], addr[:]) >= 0 {
 			return nil, fmt.Errorf("%w: account %d", ErrSnapshotOrder, i)
 		}
 		prevAddr = addr
@@ -153,37 +145,32 @@ func Restore(blob []byte) (*DB, error) {
 		if uint64(slots) > uint64(len(r.buf)-r.off)/(2*types.HashSize) {
 			return nil, fmt.Errorf("%w: %d slots declared for account %d", ErrSnapshotTruncated, slots, i)
 		}
-		acc := &Account{Balance: types.Amount(balance), Nonce: nonce}
+		acc := account{balance: types.Amount(balance), nonce: nonce, slots: slots}
 		if codeLen > 0 {
-			acc.Code = append([]byte(nil), codeBytes...)
+			acc.code = append([]byte(nil), codeBytes...)
 		}
-		if slots > 0 {
-			acc.Storage = make(map[types.Hash]types.Hash, slots)
-			var prevKey types.Hash
-			for s := uint32(0); s < slots; s++ {
-				kv, err := r.take(2 * types.HashSize)
-				if err != nil {
-					return nil, err
-				}
-				var k, v types.Hash
-				copy(k[:], kv[:types.HashSize])
-				copy(v[:], kv[types.HashSize:])
-				if s > 0 && !lessHash(prevKey, k) {
-					return nil, fmt.Errorf("%w: storage slot %d of account %d", ErrSnapshotOrder, s, i)
-				}
-				if v.IsZero() {
-					return nil, fmt.Errorf("%w: zero-valued storage slot in account %d", ErrSnapshotOrder, i)
-				}
-				prevKey = k
-				acc.Storage[k] = v
+		var prevKey types.Hash
+		for s := uint32(0); s < slots; s++ {
+			kv, err := r.take(2 * types.HashSize)
+			if err != nil {
+				return nil, err
 			}
+			var k, v types.Hash
+			copy(k[:], kv[:types.HashSize])
+			copy(v[:], kv[types.HashSize:])
+			if s > 0 && bytes.Compare(prevKey[:], k[:]) >= 0 {
+				return nil, fmt.Errorf("%w: storage slot %d of account %d", ErrSnapshotOrder, s, i)
+			}
+			if v.IsZero() {
+				return nil, fmt.Errorf("%w: zero-valued storage slot in account %d", ErrSnapshotOrder, i)
+			}
+			prevKey = k
+			acc.storage = critbit.Set(acc.storage, k, v)
 		}
 		if acc.empty() {
 			return nil, fmt.Errorf("%w: empty account record %d", ErrSnapshotOrder, i)
 		}
-		db.accounts[addr] = acc
-		db.owned[addr] = db.epoch
-		db.dirty[addr] = struct{}{}
+		db.put(addr, acc)
 	}
 	if r.off != len(blob) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrSnapshotTrailing, len(blob)-r.off)

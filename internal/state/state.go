@@ -1,62 +1,45 @@
 // Package state implements the account state of the SmartCrowd chain:
-// balances (in gwei), nonces, contract code and contract storage, with a
-// journal that supports cheap snapshot/revert — required both by the SCVM
-// (failed calls revert their effects) and by chain reorganizations.
+// balances (in gwei), nonces, contract code and contract storage.
 //
-// Two properties make the hot paths cheap at scale:
-//
-//   - Copies are copy-on-write. DB.Copy clones only the address→account
-//     pointer map; account records (and their code and storage) stay
-//     shared and immutable until one side writes, at which point that
-//     side clones the one account it is touching. Fork execution and
-//     block building no longer deep-copy the world state per block.
-//
-//   - The root is incremental. Each non-empty account's digest lives in a
-//     persistent commitment trie (trie.go); mutations mark the account
-//     dirty and Root() rehashes only dirty accounts plus their O(log n)
-//     trie paths instead of re-hashing every account and storage slot.
+// The state is one persistent structure: a crit-bit trie (package
+// critbit) from address to an immutable account record, whose storage is
+// another such trie. A mutator builds a modified copy of the one record
+// it touches and installs it by path copy, so every earlier root still
+// describes the world as it was. Copy, Snapshot and RevertToSnapshot are
+// therefore pointer assignments — what the SCVM (failed calls revert),
+// fork execution and block building need, at O(1) — and the trie doubles
+// as the commitment: Root sums it with the account and branch hashes,
+// re-hashing only the accounts written since the previous Root plus their
+// O(log n) paths.
 package state
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
+	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// Account is the record for one address. Accounts reachable from more
-// than one DB (after Copy) are treated as immutable; DB clones an account
-// before its first mutation.
-type Account struct {
-	Balance types.Amount
-	Nonce   uint64
-	Code    []byte
-	Storage map[types.Hash]types.Hash
-	// storageShared marks Storage as referenced by another account record
-	// (a clone ancestor); the map is copied before the first write.
-	storageShared bool
+// account is the record for one address. Records are immutable once
+// installed in a trie: mutators copy, modify and reinstall.
+type account struct {
+	balance types.Amount
+	nonce   uint64
+	code    []byte // never mutated in place; SetCode installs a fresh slice
+	storage *critbit.Node[types.Hash]
+	// slots counts storage's bindings: the account digest and the snapshot
+	// record both write the count before the slots.
+	slots uint32
 }
 
-// shallowClone copies the scalar fields and shares code and storage with
-// the source. Code slices are never mutated in place (SetCode installs a
-// fresh slice), so sharing them is safe unconditionally; the storage map
-// is flagged for copy-on-write.
-func (a *Account) shallowClone() *Account {
-	return &Account{
-		Balance:       a.Balance,
-		Nonce:         a.Nonce,
-		Code:          a.Code,
-		Storage:       a.Storage,
-		storageShared: a.Storage != nil,
-	}
-}
-
-// empty reports whether the account holds no value, code or state and can
-// be pruned from the root computation.
-func (a *Account) empty() bool {
-	return a.Balance == 0 && a.Nonce == 0 && len(a.Code) == 0 && len(a.Storage) == 0
+// empty reports whether the account holds no value, code or state. Empty
+// accounts are not kept in the trie.
+func (a *account) empty() bool {
+	return a.balance == 0 && a.nonce == 0 && len(a.code) == 0 && a.slots == 0
 }
 
 // State errors.
@@ -66,229 +49,119 @@ var (
 	ErrBadSnapshot         = errors.New("state: invalid snapshot id")
 )
 
-// Journal entry kinds. The journal records field-level undo actions, so a
-// revert restores exactly the mutated fields instead of whole accounts.
-const (
-	jCreate  = iota // account created; undo deletes it
-	jOwn            // shared account cloned for writing; undo restores the shared record
-	jBalance        // undo restores prevAmount
-	jNonce          // undo restores prevU64
-	jCode           // undo restores prevCode
-	jStorage        // undo restores key → prevVal (or deletes if !existed)
-)
-
-// journalEntry records how to undo one mutation.
-type journalEntry struct {
-	kind       uint8
-	addr       types.Address
-	prevAcc    *Account // jOwn
-	prevAmount types.Amount
-	prevU64    uint64
-	prevCode   []byte
-	key        types.Hash
-	prevVal    types.Hash
-	existed    bool
-}
-
-// DB is the in-memory account state. The zero value is not usable; call
-// New. DB is not safe for concurrent use; each owner serializes access
-// (the chain holds its write lock across Copy).
+// DB is the in-memory account state. A DB is not safe for concurrent
+// mutation, but a DB that is only read — accessors, Root, Serialize, Copy
+// — may be shared by any number of goroutines once Root has been called
+// on it (see Copy).
 type DB struct {
-	accounts map[types.Address]*Account
-	// owned maps an address to the epoch in which this DB cloned (or
-	// created) its account record. An account is writable in place only
-	// when owned[addr] == epoch; Copy bumps epoch, disowning everything
-	// at once without walking the map.
-	owned map[types.Address]uint64
-	epoch uint64
-	// dirty holds addresses whose trie digest is stale.
-	dirty map[types.Address]struct{}
-	// trie is the persistent commitment trie over account digests,
-	// current as of the last Root() minus the dirty set.
-	trie      *trieNode
-	journal   []journalEntry
-	snapshots []int // journal lengths for open snapshots
+	root *critbit.Node[*account]
+	// saved holds the root as of each open snapshot.
+	saved []*critbit.Node[*account]
 }
 
 // New creates an empty state.
 func New() *DB {
-	return &DB{
-		accounts: make(map[types.Address]*Account),
-		owned:    make(map[types.Address]uint64),
-		epoch:    1,
-		dirty:    make(map[types.Address]struct{}),
-	}
+	return &DB{}
 }
 
-// Copy returns a logically independent copy in O(accounts) pointer
-// copies: account records, code, storage and the commitment trie are
-// shared copy-on-write. Both sides may keep mutating; whichever side
-// touches a shared account first clones just that account.
+// Copy returns an independent state sharing this one's trie: O(1), and
+// whichever side writes next path-copies only what it touches.
+//
+// Copy is where a trie becomes reachable from a second DB, and so from a
+// second goroutine, so it is where the critbit.Sum rule is enforced: the
+// trie is summed first, after which neither side ever writes to a shared
+// node again.
 func (db *DB) Copy() *DB {
-	// Disown every account: the source must also clone before its next
-	// in-place write, since its records are now shared with the copy.
-	db.epoch++
-	cp := &DB{
-		accounts: make(map[types.Address]*Account, len(db.accounts)),
-		owned:    make(map[types.Address]uint64),
-		epoch:    1,
-		dirty:    make(map[types.Address]struct{}, len(db.dirty)),
-		trie:     db.trie,
-	}
-	for addr, acc := range db.accounts {
-		cp.accounts[addr] = acc
-	}
-	for addr := range db.dirty {
-		cp.dirty[addr] = struct{}{}
-	}
-	return cp
+	db.Root()
+	return &DB{root: db.root}
 }
 
-// mutable returns addr's account ready for in-place mutation, creating or
-// clone-on-touch copying it as needed, and marks it dirty for the next
-// Root(). Every mutator goes through here before journaling field undos.
-func (db *DB) mutable(addr types.Address) *Account {
-	acc, ok := db.accounts[addr]
-	switch {
-	case !ok:
-		acc = &Account{}
-		db.accounts[addr] = acc
-		db.owned[addr] = db.epoch
-		db.journal = append(db.journal, journalEntry{kind: jCreate, addr: addr})
-	case db.owned[addr] != db.epoch:
-		shared := acc
-		acc = shared.shallowClone()
-		db.accounts[addr] = acc
-		db.owned[addr] = db.epoch
-		db.journal = append(db.journal, journalEntry{kind: jOwn, addr: addr, prevAcc: shared})
-	}
-	db.dirty[addr] = struct{}{}
-	return acc
+// trieKey right-pads an address to the trie's key width.
+func trieKey(addr types.Address) (k critbit.Key) {
+	copy(k[:], addr[:])
+	return k
 }
 
-// undoTarget returns addr's account for a journal undo, re-cloning it if
-// a Copy taken since the mutation left the record shared.
-func (db *DB) undoTarget(addr types.Address) *Account {
-	acc := db.accounts[addr]
-	if db.owned[addr] != db.epoch {
-		acc = acc.shallowClone()
-		db.accounts[addr] = acc
-		db.owned[addr] = db.epoch
+// get returns a copy of addr's record, the zero record when absent.
+// Mutators modify the copy and hand it to put.
+func (db *DB) get(addr types.Address) account {
+	if acc, ok := critbit.Get(db.root, trieKey(addr)); ok {
+		return *acc
 	}
-	return acc
+	return account{}
 }
 
-// storageForWrite returns the account's storage map safe for writing,
-// copying it first when it is still shared with a clone ancestor.
-func storageForWrite(acc *Account) map[types.Hash]types.Hash {
-	if acc.storageShared {
-		m := make(map[types.Hash]types.Hash, len(acc.Storage))
-		for k, v := range acc.Storage {
-			m[k] = v
-		}
-		acc.Storage = m
-		acc.storageShared = false
+// put installs acc as addr's record; an empty record leaves the trie.
+func (db *DB) put(addr types.Address, acc account) {
+	if acc.empty() {
+		db.root = critbit.Delete(db.root, trieKey(addr))
+		return
 	}
-	if acc.Storage == nil {
-		acc.Storage = make(map[types.Hash]types.Hash)
-	}
-	return acc.Storage
+	db.root = critbit.Set(db.root, trieKey(addr), &acc)
 }
 
 // Snapshot opens a revert point and returns its id.
 func (db *DB) Snapshot() int {
-	db.snapshots = append(db.snapshots, len(db.journal))
-	return len(db.snapshots) - 1
+	db.saved = append(db.saved, db.root)
+	return len(db.saved) - 1
 }
 
 // RevertToSnapshot undoes every mutation made after the snapshot was taken.
 // Snapshots opened after id are discarded.
 func (db *DB) RevertToSnapshot(id int) error {
-	if id < 0 || id >= len(db.snapshots) {
+	if id < 0 || id >= len(db.saved) {
 		return fmt.Errorf("%w: %d", ErrBadSnapshot, id)
 	}
-	target := db.snapshots[id]
-	for len(db.journal) > target {
-		e := db.journal[len(db.journal)-1]
-		db.journal = db.journal[:len(db.journal)-1]
-		switch e.kind {
-		case jCreate:
-			delete(db.accounts, e.addr)
-			delete(db.owned, e.addr)
-		case jOwn:
-			db.accounts[e.addr] = e.prevAcc
-			delete(db.owned, e.addr)
-		case jBalance:
-			db.undoTarget(e.addr).Balance = e.prevAmount
-		case jNonce:
-			db.undoTarget(e.addr).Nonce = e.prevU64
-		case jCode:
-			db.undoTarget(e.addr).Code = e.prevCode
-		case jStorage:
-			acc := db.undoTarget(e.addr)
-			if e.existed {
-				storageForWrite(acc)[e.key] = e.prevVal
-			} else if acc.Storage != nil {
-				delete(storageForWrite(acc), e.key)
-			}
-		}
-		db.dirty[e.addr] = struct{}{}
-	}
-	db.snapshots = db.snapshots[:id]
+	db.root = db.saved[id]
+	db.saved = db.saved[:id]
 	return nil
 }
 
-// DiscardSnapshots commits all outstanding snapshots (keeps the mutations)
-// and clears the journal. Called at block boundaries.
+// DiscardSnapshots commits all outstanding snapshots (keeps the
+// mutations). Called at block boundaries.
 func (db *DB) DiscardSnapshots() {
-	db.journal = db.journal[:0]
-	db.snapshots = db.snapshots[:0]
+	clear(db.saved) // drop the references so superseded nodes can be collected
+	db.saved = db.saved[:0]
 }
 
 // Balance returns the balance of addr (zero for unknown accounts).
 func (db *DB) Balance(addr types.Address) types.Amount {
-	if acc, ok := db.accounts[addr]; ok {
-		return acc.Balance
-	}
-	return 0
+	return db.get(addr).balance
 }
 
 // Nonce returns the next expected transaction nonce for addr.
 func (db *DB) Nonce(addr types.Address) uint64 {
-	if acc, ok := db.accounts[addr]; ok {
-		return acc.Nonce
-	}
-	return 0
+	return db.get(addr).nonce
 }
 
 // SetNonce sets the account nonce.
 func (db *DB) SetNonce(addr types.Address, nonce uint64) {
-	acc := db.mutable(addr)
-	db.journal = append(db.journal, journalEntry{kind: jNonce, addr: addr, prevU64: acc.Nonce})
-	acc.Nonce = nonce
+	acc := db.get(addr)
+	acc.nonce = nonce
+	db.put(addr, acc)
 }
 
 // Credit adds value to addr's balance.
 func (db *DB) Credit(addr types.Address, value types.Amount) error {
-	acc := db.mutable(addr)
-	if acc.Balance+value < acc.Balance {
+	acc := db.get(addr)
+	if acc.balance+value < acc.balance {
 		return fmt.Errorf("%w: %s", ErrBalanceOverflow, addr)
 	}
-	db.journal = append(db.journal, journalEntry{kind: jBalance, addr: addr, prevAmount: acc.Balance})
-	acc.Balance += value
+	acc.balance += value
+	db.put(addr, acc)
 	return nil
 }
 
 // Debit removes value from addr's balance, failing without mutation if the
 // balance is insufficient.
 func (db *DB) Debit(addr types.Address, value types.Amount) error {
-	if db.Balance(addr) < value {
+	acc := db.get(addr)
+	if acc.balance < value {
 		return fmt.Errorf("%w: %s has %s, needs %s", ErrInsufficientBalance,
-			addr, db.Balance(addr), value)
+			addr, acc.balance, value)
 	}
-	acc := db.mutable(addr)
-	db.journal = append(db.journal, journalEntry{kind: jBalance, addr: addr, prevAmount: acc.Balance})
-	acc.Balance -= value
+	acc.balance -= value
+	db.put(addr, acc)
 	return nil
 }
 
@@ -303,131 +176,105 @@ func (db *DB) Transfer(from, to types.Address, value types.Amount) error {
 // Code returns a copy of the contract code at addr (nil for plain
 // accounts). Copying keeps callers from mutating consensus state.
 func (db *DB) Code(addr types.Address) []byte {
-	if acc, ok := db.accounts[addr]; ok && acc.Code != nil {
-		return append([]byte(nil), acc.Code...)
-	}
-	return nil
+	return append([]byte(nil), db.get(addr).code...)
 }
 
 // SetCode installs contract code at addr.
 func (db *DB) SetCode(addr types.Address, code []byte) {
-	acc := db.mutable(addr)
-	db.journal = append(db.journal, journalEntry{kind: jCode, addr: addr, prevCode: acc.Code})
-	acc.Code = append([]byte(nil), code...)
+	acc := db.get(addr)
+	acc.code = append([]byte(nil), code...)
+	db.put(addr, acc)
 }
 
 // GetStorage reads a contract storage slot.
 func (db *DB) GetStorage(addr types.Address, key types.Hash) types.Hash {
-	if acc, ok := db.accounts[addr]; ok && acc.Storage != nil {
-		return acc.Storage[key]
-	}
-	return types.Hash{}
+	v, _ := critbit.Get(db.get(addr).storage, key)
+	return v
 }
 
 // SetStorage writes a contract storage slot. Writing the zero hash deletes
 // the slot.
 func (db *DB) SetStorage(addr types.Address, key, value types.Hash) {
-	acc := db.mutable(addr)
-	if value.IsZero() && len(acc.Storage) == 0 {
-		return // deleting from empty storage: nothing to undo
+	acc := db.get(addr)
+	_, had := critbit.Get(acc.storage, key)
+	switch {
+	case !value.IsZero():
+		acc.storage = critbit.Set(acc.storage, key, value)
+		if !had {
+			acc.slots++
+		}
+	case had:
+		acc.storage = critbit.Delete(acc.storage, key)
+		acc.slots--
+	default:
+		return // deleting an absent slot
 	}
-	st := storageForWrite(acc)
-	prev, existed := st[key]
-	db.journal = append(db.journal, journalEntry{
-		kind: jStorage, addr: addr, key: key, prevVal: prev, existed: existed,
-	})
-	if value.IsZero() {
-		delete(st, key)
-		return
-	}
-	st[key] = value
+	db.put(addr, acc)
 }
 
-// Accounts returns all non-empty addresses in deterministic order.
-func (db *DB) Accounts() []types.Address {
-	out := make([]types.Address, 0, len(db.accounts))
-	for addr, acc := range db.accounts {
-		if !acc.empty() {
-			out = append(out, addr)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return lessAddr(out[i], out[j]) })
-	return out
-}
+// Domain-separation tags for the commitment's node hashes.
+const (
+	trieTagLeaf   = 0x00
+	trieTagBranch = 0x01
+	trieTagEmpty  = 0x02
+)
 
-func lessAddr(a, b types.Address) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
+// emptyStateRoot commits to the state with no non-empty accounts.
+var emptyStateRoot = types.HashBytes([]byte{trieTagEmpty})
 
 // accountDigest commits to one account: address, balance, nonce, code
-// hash and the sorted storage slots — the per-account serialization the
-// commitment trie stores at its leaves.
-func accountDigest(addr types.Address, acc *Account) types.Hash {
+// hash and the storage slots in key order — the per-account serialization
+// the commitment hashes into its leaves.
+func accountDigest(addr []byte, acc *account) types.Hash {
 	h := keccak.Get256()
 	defer keccak.Put(h)
-	var u64 [8]byte
+	var buf [2 * types.HashSize]byte
 	writeU64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			u64[i] = byte(v >> (56 - 8*i))
-		}
-		_, _ = h.Write(u64[:])
+		binary.BigEndian.PutUint64(buf[:8], v)
+		_, _ = h.Write(buf[:8])
 	}
-	_, _ = h.Write(addr[:])
-	writeU64(uint64(acc.Balance))
-	writeU64(acc.Nonce)
-	codeHash := keccak.Sum256(acc.Code)
+	_, _ = h.Write(addr)
+	writeU64(uint64(acc.balance))
+	writeU64(acc.nonce)
+	codeHash := keccak.Sum256(acc.code)
 	_, _ = h.Write(codeHash[:])
-	keys := make([]types.Hash, 0, len(acc.Storage))
-	for k := range acc.Storage {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return lessHash(keys[i], keys[j]) })
-	writeU64(uint64(len(keys)))
-	for _, k := range keys {
-		v := acc.Storage[k]
-		_, _ = h.Write(k[:])
-		_, _ = h.Write(v[:])
-	}
+	writeU64(uint64(acc.slots))
+	critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
+		copy(buf[:types.HashSize], k[:])
+		copy(buf[types.HashSize:], v[:])
+		_, _ = h.Write(buf[:])
+	})
 	var d types.Hash
 	copy(d[:], h.Sum(nil))
 	return d
 }
 
 // Root computes the deterministic commitment to the entire state: the
-// root of the crit-bit trie over per-account digests (empty accounts are
-// excluded). Only accounts touched since the previous Root() are
-// re-hashed, so the cost is O(dirty · log accounts), not O(world state).
+// account trie summed with a leaf hash over (address, account digest) and
+// a branch hash over (crit bit, left, right). Empty accounts are not in
+// the trie. Only accounts written since the previous Root() are
+// re-hashed, so the cost is O(written · log accounts), not O(world state).
 func (db *DB) Root() types.Hash {
-	if n := len(db.dirty); n > 0 {
-		// Clean roots are free and frequent; only rehash work is observed.
-		mRootDirtyAccounts.Observe(uint64(n))
-		t0 := now()
-		defer func() { mRootNs.ObserveDuration(since(t0)) }()
-	}
-	for addr := range db.dirty {
-		if acc, ok := db.accounts[addr]; ok && !acc.empty() {
-			db.trie = trieUpsert(db.trie, addr, accountDigest(addr, acc))
-		} else {
-			db.trie = trieDelete(db.trie, addr)
-		}
-	}
-	clear(db.dirty)
-	if db.trie == nil {
+	if db.root == nil {
 		return emptyStateRoot
 	}
-	return db.trie.hash
-}
-
-func lessHash(a, b types.Hash) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
+	digested, hashed := uint64(0), false
+	t0 := now()
+	root := critbit.Sum(db.root,
+		func(k critbit.Key, acc *account) [32]byte {
+			digested++
+			addr := k[:wallet.AddressSize]
+			digest := accountDigest(addr, acc)
+			return keccak.Sum256Concat([]byte{trieTagLeaf}, addr, digest[:])
+		},
+		func(bit int16, left, right [32]byte) [32]byte {
+			hashed = true
+			return keccak.Sum256Concat([]byte{trieTagBranch, byte(bit >> 8), byte(bit)}, left[:], right[:])
+		})
+	// Clean roots are free and frequent; only rehash work is observed.
+	if hashed || digested > 0 {
+		mRootDirtyAccounts.Observe(digested)
+		mRootNs.ObserveDuration(since(t0))
 	}
-	return false
+	return root
 }

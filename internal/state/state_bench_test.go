@@ -32,8 +32,8 @@ func populated(b *testing.B, n int) *DB {
 // BenchmarkRootIncremental measures Root() at 10,000 accounts after
 // touching k accounts — the per-block hot path. The seed implementation
 // re-hashed the whole world here (~83 ms/op at n=10k on the reference
-// machine); the incremental trie re-hashes k digests plus their O(log n)
-// trie paths.
+// machine); the memoised sum re-hashes k digests plus their O(log n)
+// trie paths (~90 µs at k=1).
 func BenchmarkRootIncremental(b *testing.B) {
 	for _, k := range []int{1, 10, 100} {
 		b.Run(fmt.Sprintf("n=10000/k=%d", k), func(b *testing.B) {
@@ -51,8 +51,8 @@ func BenchmarkRootIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkRootFullBuild measures the from-empty cost (genesis, pruned
-// rebuilds) for context next to the incremental numbers.
+// BenchmarkRootFullBuild measures the from-empty cost (genesis, snapshot
+// restore) for context next to the incremental numbers.
 func BenchmarkRootFullBuild(b *testing.B) {
 	for _, n := range []int{1000, 10_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -68,9 +68,9 @@ func BenchmarkRootFullBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkCopy measures the copy-on-write fork cost at 10,000 accounts:
-// a pointer-map clone, no account/storage/code duplication. The seed deep
-// copy paid ~2.1 ms here.
+// BenchmarkCopy measures the fork cost at 10,000 accounts: sharing the
+// trie root, ~130 ns and no allocation that scales. The seed deep copy
+// paid ~2.1 ms here.
 func BenchmarkCopy(b *testing.B) {
 	db := populated(b, 10_000)
 	b.ReportAllocs()
@@ -81,7 +81,8 @@ func BenchmarkCopy(b *testing.B) {
 }
 
 // BenchmarkCopyThenTouch measures the realistic per-block pattern: fork
-// the world, mutate a handful of accounts, recompute the root.
+// the world, mutate a handful of accounts, recompute the root (~0.7 ms /
+// 17 KB).
 func BenchmarkCopyThenTouch(b *testing.B) {
 	db := populated(b, 10_000)
 	b.ReportAllocs()

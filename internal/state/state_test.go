@@ -1,11 +1,14 @@
 package state
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -309,6 +312,18 @@ func BenchmarkRoot100Accounts(b *testing.B) {
 
 // Exists reports whether addr has any state.
 func (db *DB) Exists(addr types.Address) bool {
-	acc, ok := db.accounts[addr]
-	return ok && !acc.empty()
+	_, ok := critbit.Get(db.root, trieKey(addr))
+	return ok
+}
+
+// Accounts returns all non-empty addresses in ascending order. It sorts
+// rather than trusting the trie's walk order, because referenceRoot is
+// built on it.
+func (db *DB) Accounts() []types.Address {
+	var out []types.Address
+	critbit.Walk(db.root, func(k critbit.Key, _ *account) {
+		out = append(out, types.Address(k[:wallet.AddressSize]))
+	})
+	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
+	return out
 }

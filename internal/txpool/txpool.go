@@ -159,6 +159,7 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash, st StateReade
 			return fmt.Errorf("%w: have %s, need ≥ %s", ErrUnderpriced, tx.GasPrice, threshold)
 		}
 		delete(p.byHash, existing.Hash())
+		delete(p.arrival, existing.Hash())
 	} else if len(p.byHash) >= p.cfg.Capacity {
 		return ErrPoolFull
 	}
@@ -203,6 +204,7 @@ func (p *Pool) removeLocked(hash types.Hash) {
 		return
 	}
 	delete(p.byHash, hash)
+	delete(p.arrival, hash)
 	bucket := p.perSender[tx.From]
 	delete(bucket, tx.Nonce)
 	if len(bucket) == 0 {

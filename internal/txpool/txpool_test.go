@@ -236,6 +236,43 @@ func TestRemoveAndPrune(t *testing.T) {
 	}
 }
 
+// TestArrivalTracksPool pins the arrival map to the pool's contents: every
+// way a transaction leaves the pool — Remove after sealing, same-nonce
+// replacement, Prune after a block — must drop its arrival entry too, or a
+// sealing node grows the map by one entry per transaction it ever mined.
+func TestArrivalTracksPool(t *testing.T) {
+	p := New(Config{})
+	st := newFakeState()
+	alice := wallet.NewDeterministic("alice")
+	check := func(step string) {
+		t.Helper()
+		if len(p.arrival) != len(p.byHash) {
+			t.Fatalf("after %s: %d arrival entries for %d pooled txs", step, len(p.arrival), len(p.byHash))
+		}
+	}
+	tx0 := signedTx(t, alice, 0, 50)
+	if err := p.Add(tx0, st); err != nil {
+		t.Fatal(err)
+	}
+	p.Remove(tx0.Hash())
+	check("add → remove")
+
+	if err := p.Add(signedTx(t, alice, 0, 50), st); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Add(signedTx(t, alice, 0, 100), st); err != nil {
+		t.Fatal(err)
+	}
+	check("add → replace")
+
+	st.nonces[alice.Address()] = 1
+	p.Prune(st)
+	check("add → prune")
+	if len(p.byHash) != 0 {
+		t.Fatalf("pool still holds %d txs", len(p.byHash))
+	}
+}
+
 func TestPendingDeterministic(t *testing.T) {
 	build := func() []*types.Transaction {
 		p := New(Config{})
