@@ -29,14 +29,17 @@ lint:
 	$(GO) run ./cmd/scvet ./...
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
-# briefly (frames and handshakes off the TCP wire, RLP off gossip, and
-# the snap-sync/range-sync payload decoders a hostile peer controls).
+# briefly (frames and handshakes off the TCP wire, the RLP readers and
+# the transaction and block decoders gossip feeds, and the
+# snap-sync/range-sync payload decoders a hostile peer controls).
 # Override FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run NONE ./internal/wire/
 	$(GO) test -fuzz=FuzzParseHandshake -fuzztime=$(FUZZTIME) -run NONE ./internal/wire/
-	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) -run NONE ./internal/rlp/
+	$(GO) test -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) -run NONE ./internal/rlp/
+	$(GO) test -fuzz='^FuzzDecodeTx$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
+	$(GO) test -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
 	$(GO) test -fuzz='^FuzzParseSnapManifest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunkRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunk$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/

@@ -348,7 +348,7 @@ func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (
 
 // InsertChain imports a batch of blocks through the two-stage verification
 // pipeline: stage 1 verifies blocks' stateless properties (ECDSA sender
-// recovery via the shared prefetcher, payload decoding, tx-root merkle
+// recovery via the shared pool, payload decoding, tx-root merkle
 // recomputation, the PoW predicate) in parallel across all CPUs with no
 // lock held, while stage 2 serially executes and commits each block under
 // the chain mutex as soon as its verification lands — commit of block i
@@ -443,7 +443,7 @@ func (c *Chain) verifyStatelessAt(blocks []*types.Block, i int) error {
 }
 
 // verifyStateless runs every check that needs no chain context — sender
-// recovery (parallel, via the shared prefetcher), structural transaction
+// recovery (parallel, via the shared pool), structural transaction
 // validation, tx-root merkle recomputation and the PoW predicate. It
 // holds no locks; the chain config is immutable after New.
 func (c *Chain) verifyStateless(blk *types.Block) error {

@@ -72,7 +72,7 @@ func newExecutor(cfg Config, st *state.DB, blk *types.Block) *executor {
 // sufficient, cumulative gas within the block limit.
 //
 // Senders are pre-recovered for the whole block through the striped
-// prefetcher before execution starts, so ECDSA recovery never sits on the
+// pool before execution starts, so ECDSA recovery never sits on the
 // execution critical path (per-tx Sender() calls below hit the memo).
 func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	types.RecoverSenders(blk.Txs)

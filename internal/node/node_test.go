@@ -466,6 +466,50 @@ func TestDuplicateBlockRedeliveryIsBenign(t *testing.T) {
 	}
 }
 
+// TestDuplicateBlockRedeliveryRecoversNoSender: on a mesh every block
+// reaches a provider once per neighbour, so a redelivered block must cost
+// a decode and a HasBlock lookup, not an ECDSA recovery per transaction —
+// the recovery fan-out runs inside the import, after the duplicate check.
+func TestDuplicateBlockRedeliveryRecoversNoSender(t *testing.T) {
+	alloc, releasing, _ := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	for nonce := uint64(0); nonce < 4; nonce++ {
+		tx := &types.Transaction{
+			Kind: types.TxTransfer, Nonce: nonce, To: types.Address{1}, Value: 1,
+			GasLimit: 21_000, GasPrice: 50 * types.GWei,
+		}
+		if err := types.SignTx(tx, releasing); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.providers[0].SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blk := cl.mine(0) // first delivery: provider 1 imports it off gossip
+	p1 := cl.providers[1]
+	if len(blk.Txs) != 4 || p1.Chain().Head().ID() != blk.ID() {
+		t.Fatalf("block has %d txs and provider 1 is at %s, want 4 txs at %s",
+			len(blk.Txs), p1.Chain().Head().ID().Short(), blk.ID().Short())
+	}
+
+	misses := telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
+	dups := mGossipDupBlock.Value()
+	before := misses.Value()
+	_ = cl.net.Send("external", p1.ID(), p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(blk)})
+	cl.now += 10
+	cl.net.AdvanceTo(cl.now)
+	p1.HandleMessages()
+	// Nothing may be recovering in the background either: the warm batch
+	// queues behind anything HandleMessages left in the shared pool.
+	types.RecoverSenders(blk.Txs)
+	if got := mGossipDupBlock.Value() - dups; got != 1 {
+		t.Fatalf("redelivery counted %d duplicate blocks, want 1", got)
+	}
+	if got := misses.Value() - before; got != 0 {
+		t.Errorf("redelivered block cost %d sender recoveries, want 0", got)
+	}
+}
+
 // TestReopenedProviderDoesNotRebroadcastKnownBlock: "seen" is derived from
 // the chain, so it survives a restart. A provider reopened on its datadir
 // that is gossiped its own head block again must count a duplicate and

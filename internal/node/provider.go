@@ -270,8 +270,6 @@ func (p *ProviderNode) HandleMessages() {
 				mGossipMalformed.Inc()
 				continue
 			}
-			// Warm the ECDSA caches while we wait for the node lock.
-			types.PrefetchSenders(blk.Txs)
 			p.mu.Lock()
 			p.acceptBlock(blk, true, msg.Trace)
 			// If the block orphaned, backfill its ancestry from the peer
@@ -329,7 +327,7 @@ func (p *ProviderNode) HandleMessages() {
 }
 
 // acceptTxs admits a batch of gossiped transactions through the pool's
-// batched admission (sender recovery fans out across the prefetcher pool)
+// batched admission (sender recovery fans out across the shared recovery pool)
 // and relays the newly admitted ones, each under the trace it arrived
 // with. traces parallels txs (nil = all untraced). Callers hold the lock.
 func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.TraceContext, gossip bool) {

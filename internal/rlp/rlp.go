@@ -3,278 +3,170 @@
 // hashes RLP encodings to derive block identifiers, transaction hashes and
 // the report identifiers of Eq. 1, 3 and 5.
 //
-// The API is deliberately explicit: values are built from Item trees
-// (strings and lists) rather than via reflection, which keeps encode/decode
-// deterministic and allocation-light on the consensus hot path.
+// There is no intermediate value tree and no reflection: writers append
+// one encoded value to a byte slice, readers split one value off the front
+// of a byte slice and return views into it. A list is written by encoding
+// its elements into a payload and wrapping that with AppendList, and read
+// by splitting the payload off with SplitList and splitting its elements
+// in turn. Readers accept only the canonical form the writers produce, so
+// a value has exactly one encoding; rejecting bytes left over after the
+// last expected value is the caller's job (the readers hand them back).
 package rlp
 
 import (
 	"errors"
-	"fmt"
-	"math/big"
+	"math/bits"
+	"slices"
 )
-
-// Kind discriminates the two RLP item kinds.
-type Kind int
-
-// RLP item kinds.
-const (
-	KindString Kind = iota + 1
-	KindList
-)
-
-// Item is a node in an RLP value tree: either a byte string or a list of
-// items.
-type Item struct {
-	Kind Kind
-	Str  []byte
-	List []Item
-}
 
 // Decoding errors.
 var (
-	ErrTrailingBytes  = errors.New("rlp: trailing bytes after value")
 	ErrTruncated      = errors.New("rlp: input truncated")
 	ErrNonCanonical   = errors.New("rlp: non-canonical encoding")
 	ErrOversizedValue = errors.New("rlp: length prefix exceeds input")
+	ErrUintOverflow   = errors.New("rlp: integer overflows uint64")
+	ErrExpectedString = errors.New("rlp: expected a string, found a list")
+	ErrExpectedList   = errors.New("rlp: expected a list, found a string")
 )
 
-// EncodeError is the panic value raised for unencodable inputs (negative
-// big integers, corrupt Item kinds). Encoding only panics on programmer
-// error — every network-reachable path goes through Decode, which
-// returns errors — so the panic carries the offending Go type and item
-// kind as structure, making fuzz-crash triage actionable instead of a
-// bare string hunt.
-type EncodeError struct {
-	// GoType is the Go type of the offending value, e.g. "*big.Int" or
-	// "rlp.Item".
-	GoType string
-	// Kind is the item kind involved; zero when the kind itself is the
-	// corruption being reported.
-	Kind Kind
-	// Detail describes the violation, including the offending value.
-	Detail string
+// AppendBytes appends the encoding of the byte string b.
+func AppendBytes(dst, b []byte) []byte {
+	if len(b) == 1 && b[0] < 0x80 {
+		return append(dst, b[0])
+	}
+	return append(appendHeader(dst, 0x80, len(b)), b...)
 }
 
-func (e *EncodeError) Error() string {
-	return fmt.Sprintf("rlp: cannot encode %s (kind %d): %s", e.GoType, e.Kind, e.Detail)
+// AppendUint64 appends the encoding of v as a string holding its minimal
+// big-endian form (zero is the empty string, per the Ethereum convention).
+func AppendUint64(dst []byte, v uint64) []byte {
+	if v != 0 && v < 0x80 {
+		return append(dst, byte(v))
+	}
+	n := (bits.Len64(v) + 7) / 8
+	return appendBigEndian(append(dst, 0x80+byte(n)), v, n)
 }
 
-// String builds a string item.
-func String(b []byte) Item { return Item{Kind: KindString, Str: b} }
-
-// Bytes is an alias of String for readability at call sites.
-func Bytes(b []byte) Item { return String(b) }
-
-// Uint64 builds a string item holding the minimal big-endian encoding of v
-// (zero encodes as the empty string, per the Ethereum convention).
-func Uint64(v uint64) Item {
-	if v == 0 {
-		return Item{Kind: KindString}
-	}
-	var buf [8]byte
-	n := 0
-	for i := 7; i >= 0; i-- {
-		buf[7-i] = byte(v >> (8 * i))
-	}
-	for n < 8 && buf[n] == 0 {
-		n++
-	}
-	return Item{Kind: KindString, Str: buf[n:]}
+// AppendList appends the encoding of the list whose already-encoded
+// elements are concatenated in payload.
+func AppendList(dst, payload []byte) []byte {
+	return append(appendHeader(dst, 0xc0, len(payload)), payload...)
 }
 
-// BigInt builds a string item holding the minimal big-endian encoding of v.
-// Negative values are not representable in RLP and panic.
-func BigInt(v *big.Int) Item {
-	if v == nil || v.Sign() == 0 {
-		return Item{Kind: KindString}
-	}
-	if v.Sign() < 0 {
-		panic(&EncodeError{GoType: "*big.Int", Kind: KindString,
-			Detail: fmt.Sprintf("negative value %s is not representable in RLP", v)})
-	}
-	return Item{Kind: KindString, Str: v.Bytes()}
-}
-
-// List builds a list item.
-func List(items ...Item) Item { return Item{Kind: KindList, List: items} }
-
-// AsUint64 interprets a string item as a canonical unsigned integer.
-func (it Item) AsUint64() (uint64, error) {
-	if it.Kind != KindString {
-		return 0, errors.New("rlp: list cannot be an integer")
-	}
-	if len(it.Str) > 8 {
-		return 0, errors.New("rlp: integer overflows uint64")
-	}
-	if len(it.Str) > 0 && it.Str[0] == 0 {
-		return 0, ErrNonCanonical
-	}
-	var v uint64
-	for _, b := range it.Str {
-		v = v<<8 | uint64(b)
-	}
-	return v, nil
-}
-
-// AsBigInt interprets a string item as a canonical unsigned big integer.
-func (it Item) AsBigInt() (*big.Int, error) {
-	if it.Kind != KindString {
-		return nil, errors.New("rlp: list cannot be an integer")
-	}
-	if len(it.Str) > 0 && it.Str[0] == 0 {
-		return nil, ErrNonCanonical
-	}
-	return new(big.Int).SetBytes(it.Str), nil
-}
-
-// Encode serializes the item tree to canonical RLP bytes.
-func Encode(it Item) []byte {
-	return appendItem(nil, it)
-}
-
-func appendItem(dst []byte, it Item) []byte {
-	switch it.Kind {
-	case KindString:
-		return appendString(dst, it.Str)
-	case KindList:
-		var payload []byte
-		for _, sub := range it.List {
-			payload = appendItem(payload, sub)
-		}
-		dst = appendHeader(dst, 0xc0, len(payload))
-		return append(dst, payload...)
-	default:
-		panic(&EncodeError{GoType: "rlp.Item", Kind: it.Kind,
-			Detail: fmt.Sprintf("invalid item kind %d (want KindString=%d or KindList=%d)",
-				it.Kind, KindString, KindList)})
-	}
-}
-
-func appendString(dst, s []byte) []byte {
-	if len(s) == 1 && s[0] < 0x80 {
-		return append(dst, s[0])
-	}
-	dst = appendHeader(dst, 0x80, len(s))
-	return append(dst, s...)
-}
-
+// appendHeader appends the header of a value whose content is length
+// bytes, making room for the content too so the caller's append of it
+// does not reallocate.
 func appendHeader(dst []byte, base byte, length int) []byte {
+	dst = slices.Grow(dst, 9+length)
 	if length < 56 {
 		return append(dst, base+byte(length))
 	}
-	var lenBuf [8]byte
-	n := 0
-	for i := 7; i >= 0; i-- {
-		lenBuf[7-i] = byte(uint64(length) >> (8 * i))
-	}
-	for n < 8 && lenBuf[n] == 0 {
-		n++
-	}
-	dst = append(dst, base+55+byte(8-n))
-	return append(dst, lenBuf[n:]...)
+	n := (bits.Len64(uint64(length)) + 7) / 8
+	return appendBigEndian(append(dst, base+55+byte(n)), uint64(length), n)
 }
 
-// Decode parses exactly one RLP value from data, rejecting trailing bytes
-// and non-canonical encodings.
-func Decode(data []byte) (Item, error) {
-	it, rest, err := decodeOne(data)
-	if err != nil {
-		return Item{}, err
+// appendBigEndian appends the low n bytes of v, most significant first.
+func appendBigEndian(dst []byte, v uint64, n int) []byte {
+	for i := n - 1; i >= 0; i-- {
+		dst = append(dst, byte(v>>(8*i)))
 	}
-	if len(rest) != 0 {
-		return Item{}, ErrTrailingBytes
-	}
-	return it, nil
+	return dst
 }
 
-func decodeOne(data []byte) (Item, []byte, error) {
-	if len(data) == 0 {
-		return Item{}, nil, ErrTruncated
+// SplitBytes splits the string at the front of b into its content and the
+// bytes after it. A list is refused.
+func SplitBytes(b []byte) (content, rest []byte, err error) {
+	isList, content, rest, err := split(b)
+	if err == nil && isList {
+		err = ErrExpectedString
 	}
-	prefix := data[0]
+	return content, rest, err
+}
+
+// SplitUint64 splits the canonical unsigned integer at the front of b: a
+// string of at most eight bytes with no leading zero.
+func SplitUint64(b []byte) (v uint64, rest []byte, err error) {
+	content, rest, err := SplitBytes(b)
 	switch {
-	case prefix < 0x80: // single byte
-		return Item{Kind: KindString, Str: data[:1]}, data[1:], nil
-
-	case prefix <= 0xb7: // short string
-		n := int(prefix - 0x80)
-		if len(data) < 1+n {
-			return Item{}, nil, ErrOversizedValue
-		}
-		s := data[1 : 1+n]
-		if n == 1 && s[0] < 0x80 {
-			return Item{}, nil, ErrNonCanonical // should have been a single byte
-		}
-		return Item{Kind: KindString, Str: s}, data[1+n:], nil
-
-	case prefix <= 0xbf: // long string
-		lenLen := int(prefix - 0xb7)
-		n, rest, err := decodeLength(data[1:], lenLen)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n < 56 {
-			return Item{}, nil, ErrNonCanonical
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrOversizedValue
-		}
-		return Item{Kind: KindString, Str: rest[:n]}, rest[n:], nil
-
-	case prefix <= 0xf7: // short list
-		n := int(prefix - 0xc0)
-		if len(data) < 1+n {
-			return Item{}, nil, ErrOversizedValue
-		}
-		return decodeListPayload(data[1:1+n], data[1+n:])
-
-	default: // long list
-		lenLen := int(prefix - 0xf7)
-		n, rest, err := decodeLength(data[1:], lenLen)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		if n < 56 {
-			return Item{}, nil, ErrNonCanonical
-		}
-		if len(rest) < n {
-			return Item{}, nil, ErrOversizedValue
-		}
-		return decodeListPayload(rest[:n], rest[n:])
-	}
-}
-
-func decodeLength(data []byte, lenLen int) (int, []byte, error) {
-	if lenLen > 8 || len(data) < lenLen {
-		return 0, nil, ErrTruncated
-	}
-	if lenLen > 0 && data[0] == 0 {
+	case err != nil:
+		return 0, nil, err
+	case len(content) > 8:
+		return 0, nil, ErrUintOverflow
+	case len(content) > 0 && content[0] == 0:
 		return 0, nil, ErrNonCanonical
 	}
-	var n uint64
-	for _, b := range data[:lenLen] {
-		n = n<<8 | uint64(b)
+	for _, c := range content {
+		v = v<<8 | uint64(c)
 	}
-	const maxLen = 1 << 31
-	if n > maxLen {
-		return 0, nil, ErrOversizedValue
-	}
-	return int(n), data[lenLen:], nil
+	return v, rest, nil
 }
 
-func decodeListPayload(payload, rest []byte) (Item, []byte, error) {
-	items := []Item{}
-	for len(payload) > 0 {
-		var (
-			sub Item
-			err error
-		)
-		sub, payload, err = decodeOne(payload)
-		if err != nil {
-			return Item{}, nil, err
-		}
-		items = append(items, sub)
+// SplitList splits the list at the front of b into its payload (the
+// concatenated encodings of its elements) and the bytes after it. A string
+// is refused.
+func SplitList(b []byte) (payload, rest []byte, err error) {
+	isList, payload, rest, err := split(b)
+	if err == nil && !isList {
+		err = ErrExpectedList
 	}
-	return Item{Kind: KindList, List: items}, rest, nil
+	return payload, rest, err
+}
+
+// split reads the header of the value at the front of b and cuts b into
+// the value's content and the bytes after it.
+func split(b []byte) (isList bool, content, rest []byte, err error) {
+	if len(b) == 0 {
+		return false, nil, nil, ErrTruncated
+	}
+	prefix, body := b[0], b[1:]
+	switch {
+	case prefix < 0x80: // the byte is its own encoding
+		content, rest = b[:1], body
+	case prefix <= 0xb7: // short string
+		content, rest, err = cut(body, int(prefix-0x80))
+		if err == nil && len(content) == 1 && content[0] < 0x80 {
+			err = ErrNonCanonical // should have been a bare byte
+		}
+	case prefix <= 0xbf: // long string
+		content, rest, err = cutLong(body, int(prefix-0xb7))
+	case prefix <= 0xf7: // short list
+		isList = true
+		content, rest, err = cut(body, int(prefix-0xc0))
+	default: // long list
+		isList = true
+		content, rest, err = cutLong(body, int(prefix-0xf7))
+	}
+	return isList, content, rest, err
+}
+
+// cut splits b after n bytes.
+func cut(b []byte, n int) (content, rest []byte, err error) {
+	if len(b) < n {
+		return nil, nil, ErrOversizedValue
+	}
+	return b[:n], b[n:], nil
+}
+
+// cutLong reads a lenLen-byte big-endian length from the front of b and
+// splits what follows after that many bytes. The long form is canonical
+// only for lengths of 56 and up, written without a leading zero.
+func cutLong(b []byte, lenLen int) (content, rest []byte, err error) {
+	if len(b) < lenLen {
+		return nil, nil, ErrTruncated
+	}
+	if b[0] == 0 {
+		return nil, nil, ErrNonCanonical
+	}
+	var n uint64
+	for _, c := range b[:lenLen] {
+		n = n<<8 | uint64(c)
+	}
+	const maxLen = 1 << 31
+	switch {
+	case n > maxLen:
+		return nil, nil, ErrOversizedValue
+	case n < 56:
+		return nil, nil, ErrNonCanonical
+	}
+	return cut(b[lenLen:], int(n))
 }

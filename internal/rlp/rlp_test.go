@@ -3,39 +3,74 @@ package rlp
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"math/big"
-	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// str, num and list build encodings the way callers do: elements are
+// encoded first and a list wraps their concatenation.
+func str(b []byte) []byte { return AppendBytes(nil, b) }
+func num(v uint64) []byte { return AppendUint64(nil, v) }
+func list(elems ...[]byte) []byte {
+	return AppendList(nil, bytes.Join(elems, nil))
+}
+
+// reencode walks the value at the front of b with the Split readers —
+// strings by SplitBytes, lists by SplitList and then element by element —
+// and returns what the Append writers make of what it read, plus the bytes
+// after the value. It is the test oracle for canonicality: an accepted
+// input must re-encode to itself.
+func reencode(b []byte) (enc, rest []byte, err error) {
+	content, rest, err := SplitBytes(b)
+	if err == nil {
+		return AppendBytes(nil, content), rest, nil
+	}
+	if !errors.Is(err, ErrExpectedString) {
+		return nil, nil, err
+	}
+	payload, rest, err := SplitList(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	var elems []byte
+	for len(payload) > 0 {
+		var elem []byte
+		if elem, payload, err = reencode(payload); err != nil {
+			return nil, nil, err
+		}
+		elems = append(elems, elem...)
+	}
+	return AppendList(nil, elems), rest, nil
+}
 
 // Canonical vectors from the Ethereum wiki RLP specification.
 func TestEncodeVectors(t *testing.T) {
 	cases := []struct {
 		name string
-		item Item
+		enc  []byte
 		want string
 	}{
-		{"dog", String([]byte("dog")), "83646f67"},
-		{"cat-dog list", List(String([]byte("cat")), String([]byte("dog"))), "c88363617483646f67"},
-		{"empty string", String(nil), "80"},
-		{"empty list", List(), "c0"},
-		{"zero", Uint64(0), "80"},
-		{"fifteen", Uint64(15), "0f"},
-		{"1024", Uint64(1024), "820400"},
-		{"set of three", List(List(), List(List()), List(List(), List(List()))), "c7c0c1c0c3c0c1c0"},
+		{"dog", str([]byte("dog")), "83646f67"},
+		{"cat-dog list", list(str([]byte("cat")), str([]byte("dog"))), "c88363617483646f67"},
+		{"empty string", str(nil), "80"},
+		{"empty list", list(), "c0"},
+		{"zero", num(0), "80"},
+		{"fifteen", num(15), "0f"},
+		{"1024", num(1024), "820400"},
+		{"set of three", list(list(), list(list()), list(list(), list(list()))), "c7c0c1c0c3c0c1c0"},
 		{
 			"lorem (56 bytes, long string)",
-			String([]byte("Lorem ipsum dolor sit amet, consectetur adipisicing elit")),
+			str([]byte("Lorem ipsum dolor sit amet, consectetur adipisicing elit")),
 			"b8384c6f72656d20697073756d20646f6c6f722073697420616d65742c20636f6e7365637465747572206164697069736963696e6720656c6974",
 		},
-		{"single byte 0x00", String([]byte{0x00}), "00"},
-		{"single byte 0x7f", String([]byte{0x7f}), "7f"},
-		{"single byte 0x80", String([]byte{0x80}), "8180"},
+		{"single byte 0x00", str([]byte{0x00}), "00"},
+		{"single byte 0x7f", str([]byte{0x7f}), "7f"},
+		{"single byte 0x80", str([]byte{0x80}), "8180"},
 	}
 	for _, tc := range cases {
-		got := hex.EncodeToString(Encode(tc.item))
+		got := hex.EncodeToString(tc.enc)
 		if got != tc.want {
 			t.Errorf("%s: encoded %s, want %s", tc.name, got, tc.want)
 		}
@@ -43,44 +78,48 @@ func TestEncodeVectors(t *testing.T) {
 }
 
 func TestDecodeRoundtrip(t *testing.T) {
-	items := []Item{
-		String(nil),
-		String([]byte{0}),
-		String([]byte("hello world")),
-		String(bytes.Repeat([]byte{0xAB}, 100)),
-		Uint64(1<<63 + 5),
-		List(),
-		List(String([]byte("a")), List(Uint64(7), String(nil))),
-		BigInt(new(big.Int).Lsh(big.NewInt(1), 200)),
+	strs := [][]byte{
+		nil,
+		{0},
+		[]byte("hello world"),
+		bytes.Repeat([]byte{0xAB}, 100),
+		new(big.Int).Lsh(big.NewInt(1), 200).Bytes(),
 	}
-	for i, it := range items {
-		enc := Encode(it)
-		dec, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("item %d: decode failed: %v", i, err)
-		}
-		if !itemEqual(it, dec) {
-			t.Errorf("item %d: roundtrip mismatch: %#v != %#v", i, it, dec)
+	for i, s := range strs {
+		got, rest, err := SplitBytes(str(s))
+		if err != nil || len(rest) != 0 || !bytes.Equal(got, s) {
+			t.Errorf("string %d: read back %x (rest %x, err %v), want %x", i, got, rest, err, s)
 		}
 	}
-}
+	if v, rest, err := SplitUint64(num(1<<63 + 5)); err != nil || len(rest) != 0 || v != 1<<63+5 {
+		t.Errorf("uint64: read back %d (rest %x, err %v)", v, rest, err)
+	}
+	if payload, rest, err := SplitList(list()); err != nil || len(payload)+len(rest) != 0 {
+		t.Errorf("empty list: payload %x rest %x err %v", payload, rest, err)
+	}
 
-func itemEqual(a, b Item) bool {
-	if a.Kind != b.Kind {
-		return false
+	// A nested list is read level by level, each split leaving the next
+	// element at the front.
+	inner := list(num(7), str(nil))
+	payload, rest, err := SplitList(list(str([]byte("a")), inner))
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("outer list: rest %x err %v", rest, err)
 	}
-	if a.Kind == KindString {
-		return bytes.Equal(a.Str, b.Str)
+	a, payload, err := SplitBytes(payload)
+	if err != nil || string(a) != "a" || !bytes.Equal(payload, inner) {
+		t.Fatalf("first element %q, then %x (err %v), want \"a\" then %x", a, payload, err, inner)
 	}
-	if len(a.List) != len(b.List) {
-		return false
+	payload, rest, err = SplitList(payload)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("inner list: rest %x err %v", rest, err)
 	}
-	for i := range a.List {
-		if !itemEqual(a.List[i], b.List[i]) {
-			return false
-		}
+	seven, payload, err := SplitUint64(payload)
+	if err != nil || seven != 7 {
+		t.Fatalf("inner uint: %d err %v", seven, err)
 	}
-	return true
+	if empty, rest, err := SplitBytes(payload); err != nil || len(empty)+len(rest) != 0 {
+		t.Fatalf("inner empty string: %x rest %x err %v", empty, rest, err)
+	}
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
@@ -89,208 +128,141 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		in   string
 	}{
 		{"empty input", ""},
-		{"trailing bytes", "8080"},
 		{"truncated short string", "83646f"},
 		{"truncated long string", "b838aa"},
 		{"non-canonical single byte", "8105"},
 		{"non-canonical long form for short string", "b801ff"},
+		{"non-canonical long form for short list", "f801c0"},
 		{"length with leading zero", "b90001ff"},
+		{"length past 2^31", "bb80000001"},
 		{"truncated list payload", "c883636174"},
 		{"truncated length prefix", "b9"},
+		{"malformed element inside a list", "c28105"},
 	}
 	for _, tc := range cases {
 		data, err := hex.DecodeString(tc.in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Decode(data); err == nil {
-			t.Errorf("%s: Decode accepted malformed input %s", tc.name, tc.in)
+		if _, _, err := reencode(data); err == nil {
+			t.Errorf("%s: readers accepted malformed input %s", tc.name, tc.in)
 		}
+	}
+
+	// Trailing bytes are handed back, not swallowed: the caller that
+	// expects exactly one value sees them and refuses.
+	if _, rest, err := SplitBytes([]byte{0x80, 0x80}); err != nil || !bytes.Equal(rest, []byte{0x80}) {
+		t.Errorf("trailing bytes: rest %x err %v, want rest 80", rest, err)
 	}
 }
 
 func TestUint64Roundtrip(t *testing.T) {
 	f := func(v uint64) bool {
-		it, err := Decode(Encode(Uint64(v)))
-		if err != nil {
-			return false
-		}
-		got, err := it.AsUint64()
-		return err == nil && got == v
+		got, rest, err := SplitUint64(num(v))
+		return err == nil && len(rest) == 0 && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestBigIntRoundtrip(t *testing.T) {
-	f := func(hi, lo uint64) bool {
-		v := new(big.Int).SetUint64(hi)
-		v.Lsh(v, 64)
-		v.Or(v, new(big.Int).SetUint64(lo))
-		it, err := Decode(Encode(BigInt(v)))
-		if err != nil {
-			return false
-		}
-		got, err := it.AsBigInt()
-		return err == nil && got.Cmp(v) == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBigIntNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("BigInt(-1) did not panic")
-		}
-	}()
-	BigInt(big.NewInt(-1))
 }
 
 func TestAsUint64Errors(t *testing.T) {
-	if _, err := List().AsUint64(); err == nil {
-		t.Error("AsUint64 on a list should fail")
+	if _, _, err := SplitUint64(list()); !errors.Is(err, ErrExpectedString) {
+		t.Errorf("SplitUint64 on a list: err = %v, want ErrExpectedString", err)
 	}
-	if _, err := String(bytes.Repeat([]byte{1}, 9)).AsUint64(); err == nil {
-		t.Error("AsUint64 on 9-byte string should overflow")
+	if _, _, err := SplitUint64(str(bytes.Repeat([]byte{1}, 9))); !errors.Is(err, ErrUintOverflow) {
+		t.Errorf("SplitUint64 on a 9-byte string: err = %v, want ErrUintOverflow", err)
 	}
-	if _, err := String([]byte{0, 1}).AsUint64(); err == nil {
-		t.Error("AsUint64 should reject leading zero")
+	if _, _, err := SplitUint64(str([]byte{0, 1})); !errors.Is(err, ErrNonCanonical) {
+		t.Errorf("SplitUint64 with a leading zero: err = %v, want ErrNonCanonical", err)
+	}
+	if _, _, err := SplitUint64(str([]byte{0})); !errors.Is(err, ErrNonCanonical) {
+		t.Errorf("SplitUint64 of a zero byte: err = %v, want ErrNonCanonical (zero is the empty string)", err)
 	}
 }
 
-// TestEncodeDeterministic: identical trees must encode identically — the
+// TestEncodeDeterministic: identical values must encode identically — the
 // property consensus hashing relies on.
 func TestEncodeDeterministic(t *testing.T) {
 	f := func(a []byte, b []byte, n uint8) bool {
-		it := List(String(a), List(String(b), Uint64(uint64(n))))
-		return bytes.Equal(Encode(it), Encode(it))
+		enc := func() []byte { return list(str(a), list(str(b), num(uint64(n)))) }
+		return bytes.Equal(enc(), enc())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestArbitraryRoundtrip builds random nested structures and checks
-// encode→decode identity.
+// TestArbitraryRoundtrip builds random nested structures and checks that
+// the readers walk all of the writers' output and find it canonical.
 func TestArbitraryRoundtrip(t *testing.T) {
 	f := func(leaves [][]byte, shape uint8) bool {
-		it := buildTree(leaves, int(shape)%3+1)
-		dec, err := Decode(Encode(it))
-		return err == nil && itemEqual(it, dec)
+		enc := buildTree(leaves, int(shape)%3+1)
+		back, rest, err := reencode(enc)
+		return err == nil && len(rest) == 0 && bytes.Equal(back, enc)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func buildTree(leaves [][]byte, fan int) Item {
+func buildTree(leaves [][]byte, fan int) []byte {
 	if len(leaves) == 0 {
-		return List()
+		return list()
 	}
 	if len(leaves) <= fan {
-		items := make([]Item, len(leaves))
+		elems := make([][]byte, len(leaves))
 		for i, l := range leaves {
-			items[i] = String(l)
+			elems[i] = str(l)
 		}
-		return List(items...)
+		return list(elems...)
 	}
 	mid := len(leaves) / 2
-	return List(buildTree(leaves[:mid], fan), buildTree(leaves[mid:], fan))
+	return list(buildTree(leaves[:mid], fan), buildTree(leaves[mid:], fan))
 }
 
-func FuzzDecode(f *testing.F) {
+func FuzzSplit(f *testing.F) {
 	f.Add([]byte{0xc8, 0x83, 0x63, 0x61, 0x74, 0x83, 0x64, 0x6f, 0x67})
 	f.Add([]byte{0x80})
 	f.Add([]byte{0xb8, 0x38})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		it, err := Decode(data)
+		enc, rest, err := reencode(data)
 		if err != nil {
 			return
 		}
-		// Valid decodes must re-encode to the identical bytes (canonicality).
-		if !bytes.Equal(Encode(it), data) {
-			t.Fatalf("decode/encode not canonical for %x", data)
+		// An accepted value must re-encode to the identical bytes
+		// (canonicality), and the reader must hand back exactly the rest.
+		if !bytes.Equal(append(enc, rest...), data) {
+			t.Fatalf("split/append not canonical for %x", data)
 		}
 	})
 }
 
 func TestKindReflectsStructure(t *testing.T) {
-	if got := String([]byte("x")).Kind; got != KindString {
-		t.Errorf("String kind = %v", got)
+	if _, _, err := SplitBytes(list(str([]byte("x")))); !errors.Is(err, ErrExpectedString) {
+		t.Errorf("SplitBytes on a list: err = %v, want ErrExpectedString", err)
 	}
-	if got := List().Kind; got != KindList {
-		t.Errorf("List kind = %v", got)
+	if _, _, err := SplitList(str([]byte("x"))); !errors.Is(err, ErrExpectedList) {
+		t.Errorf("SplitList on a string: err = %v, want ErrExpectedList", err)
 	}
-	if !reflect.DeepEqual(Bytes([]byte("y")), String([]byte("y"))) {
-		t.Error("Bytes is not an alias of String")
+	if _, _, err := SplitList([]byte{0x05}); !errors.Is(err, ErrExpectedList) {
+		t.Errorf("SplitList on a bare byte: err = %v, want ErrExpectedList", err)
 	}
 }
 
 func BenchmarkEncodeBlockLike(b *testing.B) {
 	// A structure shaped like a SmartCrowd block body: 100 reports of ~200
 	// bytes each.
-	reports := make([]Item, 100)
 	payload := bytes.Repeat([]byte{0x5A}, 200)
-	for i := range reports {
-		reports[i] = List(Uint64(uint64(i)), String(payload))
-	}
-	blk := List(Uint64(123456), String(bytes.Repeat([]byte{1}, 32)), List(reports...))
+	parent := bytes.Repeat([]byte{1}, 32)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Encode(blk)
+		var reports, one []byte
+		for r := 0; r < 100; r++ {
+			one = AppendBytes(AppendUint64(one[:0], uint64(r)), payload)
+			reports = AppendList(reports, one)
+		}
+		body := AppendBytes(AppendUint64(nil, 123456), parent)
+		AppendList(nil, AppendList(body, reports))
 	}
-}
-
-// TestEncodePanicsAreStructured pins the panic values Encode raises on
-// programmer error: they must be *EncodeError carrying the offending Go
-// type, the item kind, and the value, so a fuzz crash log identifies the
-// bad input without a debugger.
-func TestEncodePanicsAreStructured(t *testing.T) {
-	mustPanic := func(name string, fn func(), wantType string, wantKind Kind, wantSubstrings ...string) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil {
-				t.Errorf("%s: expected panic", name)
-				return
-			}
-			ee, ok := r.(*EncodeError)
-			if !ok {
-				t.Errorf("%s: panic value is %T, want *EncodeError", name, r)
-				return
-			}
-			if ee.GoType != wantType {
-				t.Errorf("%s: GoType = %q, want %q", name, ee.GoType, wantType)
-			}
-			if ee.Kind != wantKind {
-				t.Errorf("%s: Kind = %d, want %d", name, ee.Kind, wantKind)
-			}
-			msg := ee.Error()
-			if !strings.HasPrefix(msg, "rlp: cannot encode ") {
-				t.Errorf("%s: message %q lacks the rlp: cannot encode prefix", name, msg)
-			}
-			for _, sub := range wantSubstrings {
-				if !strings.Contains(msg, sub) {
-					t.Errorf("%s: message %q missing %q", name, msg, sub)
-				}
-			}
-		}()
-		fn()
-	}
-
-	mustPanic("negative big.Int",
-		func() { BigInt(big.NewInt(-5)) },
-		"*big.Int", KindString, "negative value -5")
-	mustPanic("invalid kind zero",
-		func() { Encode(Item{}) },
-		"rlp.Item", Kind(0), "invalid item kind 0")
-	mustPanic("invalid kind out of range",
-		func() { Encode(Item{Kind: Kind(9)}) },
-		"rlp.Item", Kind(9), "invalid item kind 9")
-	mustPanic("invalid kind nested in list",
-		func() { Encode(List(Uint64(1), Item{Kind: Kind(7)})) },
-		"rlp.Item", Kind(7), "invalid item kind 7")
 }

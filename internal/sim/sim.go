@@ -553,7 +553,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 	}
 
 	// Phase II: queue reveals whose commitments are now confirmed. The
-	// whole due batch is built and signed first so the sender prefetcher
+	// whole due batch is built and signed first so the sender pool
 	// can warm the ECDSA caches across all CPUs; admission then runs
 	// per transaction with the same ordering and failure semantics as
 	// sequential adds (a failed add releases its nonce).

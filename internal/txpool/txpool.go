@@ -89,7 +89,7 @@ func (p *Pool) Add(tx *types.Transaction, st StateReader) error {
 }
 
 // AddAllTraced admits a batch of transactions. Sender recovery is warmed
-// in parallel across the shared prefetcher pool and all stateless
+// in parallel across the shared recovery pool and all stateless
 // validation happens before the lock, so the critical section is pure map
 // work. The result has one entry per transaction (nil = admitted), letting
 // callers relay exactly the admitted subset; order of admission matches

@@ -37,25 +37,26 @@ type Header struct {
 	StateRoot Hash
 }
 
-// rlpItem encodes every header field; the PoW nonce is included so the
+// appendRLP appends the header's RLP list. This is the one place the
+// header's field order is written down; the PoW nonce is included so the
 // sealed hash covers it.
-func (h *Header) rlpItem() rlp.Item {
-	return rlp.List(
-		rlp.Bytes(h.ParentID[:]),
-		rlp.Uint64(h.Number),
-		rlp.Uint64(h.Time),
-		rlp.Uint64(h.Difficulty),
-		rlp.Uint64(h.Nonce),
-		rlp.Bytes(h.Miner[:]),
-		rlp.Bytes(h.TxRoot[:]),
-		rlp.Bytes(h.StateRoot[:]),
-	)
+func (h *Header) appendRLP(dst []byte) []byte {
+	var buf [160]byte // eight fields: three hashes, an address, four integers
+	f := rlp.AppendBytes(buf[:0], h.ParentID[:])
+	f = rlp.AppendUint64(f, h.Number)
+	f = rlp.AppendUint64(f, h.Time)
+	f = rlp.AppendUint64(f, h.Difficulty)
+	f = rlp.AppendUint64(f, h.Nonce)
+	f = rlp.AppendBytes(f, h.Miner[:])
+	f = rlp.AppendBytes(f, h.TxRoot[:])
+	f = rlp.AppendBytes(f, h.StateRoot[:])
+	return rlp.AppendList(dst, f)
 }
 
 // ID computes CurBlockID: the Keccak-256 of the RLP-encoded header. This is
 // also the value the PoW predicate constrains.
 func (h *Header) ID() Hash {
-	return HashBytes(rlp.Encode(h.rlpItem()))
+	return HashBytes(h.appendRLP(nil))
 }
 
 // maxTarget is 2²⁵⁶ − 1.
@@ -162,142 +163,90 @@ func (b *Block) CountReports() int {
 
 // EncodeTx serializes a transaction for network transport.
 func EncodeTx(tx *Transaction) []byte {
-	return rlp.Encode(rlp.List(
-		rlp.Uint64(uint64(tx.Kind)),
-		rlp.Uint64(tx.Nonce),
-		rlp.Bytes(tx.From[:]),
-		rlp.Bytes(tx.To[:]),
-		rlp.Uint64(uint64(tx.Value)),
-		rlp.Uint64(tx.GasLimit),
-		rlp.Uint64(uint64(tx.GasPrice)),
-		rlp.Bytes(tx.Data),
-		rlp.Bytes(tx.Sig.Serialize()),
-	))
+	var scratch [256]byte // a small payload's fields stay on the stack
+	return rlp.AppendList(nil, tx.appendFields(scratch[:0], true))
 }
 
-// DecodeTx parses a transaction from its transport encoding.
+// DecodeTx parses a transaction from its transport encoding. Only the
+// bytes EncodeTx produces are accepted, so a transaction has exactly one
+// encoding.
 func DecodeTx(data []byte) (*Transaction, error) {
-	it, err := rlp.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode tx: %w", err)
+	d := decoder{buf: data}
+	tx := d.tx()
+	d.end(nil)
+	if d.err != nil {
+		return nil, fmt.Errorf("types: decode tx: %w", d.err)
 	}
-	return txFromItem(it)
+	return tx, nil
 }
 
-func txFromItem(it rlp.Item) (*Transaction, error) {
-	if it.Kind != rlp.KindList || len(it.List) != 9 {
-		return nil, errors.New("types: decode tx: want 9-element list")
-	}
-	var tx Transaction
-	var err error
-	get := func(i int) uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = it.List[i].AsUint64()
-		return v
-	}
-	tx.Kind = TxKind(get(0))
-	tx.Nonce = get(1)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode tx: %w", err)
-	}
-	if copyExact(tx.From[:], it.List[2].Str) != nil || copyExact(tx.To[:], it.List[3].Str) != nil {
-		return nil, errors.New("types: decode tx: bad address length")
-	}
-	tx.Value = Amount(get(4))
-	tx.GasLimit = get(5)
-	tx.GasPrice = Amount(get(6))
-	if err != nil {
-		return nil, fmt.Errorf("types: decode tx: %w", err)
-	}
-	tx.Data = append([]byte(nil), it.List[7].Str...)
-	sig, err := secp256k1.ParseSignature(it.List[8].Str)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode tx signature: %w", err)
-	}
-	tx.Sig = sig
-	return &tx, nil
-}
-
-// EncodeBlock serializes a block for network transport.
+// EncodeBlock serializes a block for network transport: [header, [tx…]].
 func EncodeBlock(b *Block) []byte {
-	txItems := make([]rlp.Item, len(b.Txs))
-	for i, tx := range b.Txs {
-		encoded, decodeErr := rlp.Decode(EncodeTx(tx))
-		if decodeErr != nil {
-			panic("types: EncodeTx produced invalid RLP: " + decodeErr.Error())
-		}
-		txItems[i] = encoded
+	var txs, fields []byte
+	for _, tx := range b.Txs {
+		fields = tx.appendFields(fields[:0], true)
+		txs = rlp.AppendList(txs, fields)
 	}
-	return rlp.Encode(rlp.List(b.Header.rlpItem(), rlp.List(txItems...)))
+	return rlp.AppendList(nil, rlp.AppendList(b.Header.appendRLP(nil), txs))
 }
 
-// DecodeBlock parses a block from its transport encoding.
+// DecodeBlock parses a block from its transport encoding, as strictly as
+// DecodeTx.
 func DecodeBlock(data []byte) (*Block, error) {
-	it, err := rlp.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode block: %w", err)
-	}
-	if it.Kind != rlp.KindList || len(it.List) != 2 {
-		return nil, errors.New("types: decode block: want [header, txs]")
-	}
-	hdr, err := headerFromItem(it.List[0])
-	if err != nil {
-		return nil, err
-	}
-	txsItem := it.List[1]
-	if txsItem.Kind != rlp.KindList {
-		return nil, errors.New("types: decode block: txs is not a list")
-	}
-	blk := &Block{Header: hdr, Txs: make([]*Transaction, 0, len(txsItem.List))}
-	for i, txIt := range txsItem.List {
-		tx, err := txFromItem(txIt)
-		if err != nil {
-			return nil, fmt.Errorf("types: decode block tx %d: %w", i, err)
+	d := decoder{buf: data}
+	afterBlock := d.rlpList()
+	blk := &Block{Header: d.header(), Txs: []*Transaction{}}
+	afterTxs := d.rlpList()
+	for d.err == nil && len(d.buf) > 0 {
+		blk.Txs = append(blk.Txs, d.tx())
+		if d.err != nil {
+			d.err = fmt.Errorf("tx %d: %w", len(blk.Txs)-1, d.err)
 		}
-		blk.Txs = append(blk.Txs, tx)
+	}
+	d.end(afterTxs)   // back in the block list
+	d.end(afterBlock) // which has exactly the two elements
+	d.end(nil)        // and nothing follows it
+	if d.err != nil {
+		return nil, fmt.Errorf("types: decode block: %w", d.err)
 	}
 	return blk, nil
 }
 
-func headerFromItem(it rlp.Item) (Header, error) {
-	if it.Kind != rlp.KindList || len(it.List) != 8 {
-		return Header{}, errors.New("types: decode header: want 8-element list")
+// tx reads one transaction list, field by field in appendFields' order.
+func (d *decoder) tx() *Transaction {
+	after := d.rlpList()
+	tx := new(Transaction)
+	kind := d.rlpUint64()
+	tx.Kind = TxKind(kind)
+	tx.Nonce = d.rlpUint64()
+	d.rlpFixed(tx.From[:])
+	d.rlpFixed(tx.To[:])
+	tx.Value = Amount(d.rlpUint64())
+	tx.GasLimit = d.rlpUint64()
+	tx.GasPrice = Amount(d.rlpUint64())
+	tx.Data = append([]byte(nil), d.rlpString()...)
+	sig := d.rlpString()
+	d.end(after)
+	if d.err == nil && uint64(tx.Kind) != kind {
+		d.err = errors.New("kind does not fit a byte")
 	}
-	var h Header
-	var err error
-	get := func(i int) uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = it.List[i].AsUint64()
-		return v
+	if d.err == nil {
+		tx.Sig, d.err = secp256k1.ParseSignature(sig)
 	}
-	if copyExact(h.ParentID[:], it.List[0].Str) != nil {
-		return Header{}, errors.New("types: decode header: bad parent id")
-	}
-	h.Number = get(1)
-	h.Time = get(2)
-	h.Difficulty = get(3)
-	h.Nonce = get(4)
-	if err != nil {
-		return Header{}, fmt.Errorf("types: decode header: %w", err)
-	}
-	if copyExact(h.Miner[:], it.List[5].Str) != nil ||
-		copyExact(h.TxRoot[:], it.List[6].Str) != nil ||
-		copyExact(h.StateRoot[:], it.List[7].Str) != nil {
-		return Header{}, errors.New("types: decode header: bad field length")
-	}
-	return h, nil
+	return tx
 }
 
-func copyExact(dst, src []byte) error {
-	if len(src) != len(dst) {
-		return errors.New("length mismatch")
-	}
-	copy(dst, src)
-	return nil
+// header reads one header list, field by field in appendRLP's order.
+func (d *decoder) header() (h Header) {
+	after := d.rlpList()
+	d.rlpFixed(h.ParentID[:])
+	h.Number = d.rlpUint64()
+	h.Time = d.rlpUint64()
+	h.Difficulty = d.rlpUint64()
+	h.Nonce = d.rlpUint64()
+	d.rlpFixed(h.Miner[:])
+	d.rlpFixed(h.TxRoot[:])
+	d.rlpFixed(h.StateRoot[:])
+	d.end(after)
+	return h
 }

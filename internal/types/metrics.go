@@ -5,13 +5,10 @@ import "github.com/smartcrowd/smartcrowd/internal/telemetry"
 var (
 	mSenderCacheHit  = telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "hit"))
 	mSenderCacheMiss = telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
-	mPrefetchSched   = telemetry.GetCounter("smartcrowd_types_prefetch_stripes_total", telemetry.L("outcome", "scheduled"))
-	mPrefetchShed    = telemetry.GetCounter("smartcrowd_types_prefetch_stripes_total", telemetry.L("outcome", "shed"))
 	mRecoverBatchTxs = telemetry.GetHistogram("smartcrowd_types_recover_batch_txs")
 )
 
 func init() {
 	telemetry.SetHelp("smartcrowd_types_sender_cache_total", "Transaction.Sender calls, by memoization outcome (miss = full ECDSA recovery)")
-	telemetry.SetHelp("smartcrowd_types_prefetch_stripes_total", "PrefetchSenders stripes scheduled vs shed on pool saturation")
 	telemetry.SetHelp("smartcrowd_types_recover_batch_txs", "RecoverSenders batch sizes in transactions")
 }

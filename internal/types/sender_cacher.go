@@ -23,7 +23,7 @@ type senderTask struct {
 	txs  []*Transaction
 	off  int             // first index of the stripe
 	step int             // stripe stride
-	wg   *sync.WaitGroup // nil for fire-and-forget prefetches
+	wg   *sync.WaitGroup // the request's stripes, done one by one
 }
 
 // txSenderCacher owns the worker goroutines and their task queue.
@@ -33,9 +33,6 @@ type txSenderCacher struct {
 }
 
 func newTxSenderCacher(threads int) *txSenderCacher {
-	if threads < 1 {
-		threads = 1
-	}
 	c := &txSenderCacher{
 		threads: threads,
 		tasks:   make(chan senderTask, threads*8),
@@ -50,17 +47,12 @@ func newTxSenderCacher(threads int) *txSenderCacher {
 // the task channel — so blocking producers always make progress.
 func (c *txSenderCacher) loop() {
 	for t := range c.tasks {
-		for i := t.off; i < len(t.txs); i += t.step {
-			_, _ = t.txs[i].Sender()
-		}
-		if t.wg != nil {
-			t.wg.Done()
-		}
+		runStripe(t.txs, t.off, t.step)
+		t.wg.Done()
 	}
 }
 
-// runStripe executes one stripe inline (used for tiny slices and as the
-// overflow path of best-effort prefetches).
+// runStripe recovers one stripe, on a worker or (for tiny slices) inline.
 func runStripe(txs []*Transaction, off, step int) {
 	for i := off; i < len(txs); i += step {
 		_, _ = txs[i].Sender()
@@ -91,33 +83,4 @@ func RecoverSenders(txs []*Transaction) {
 		senderCacher.tasks <- senderTask{txs: txs, off: i, step: stripes, wg: &wg}
 	}
 	wg.Wait()
-}
-
-// PrefetchSenders schedules background sender recovery for txs and
-// returns immediately. It is a best-effort hint: when the pool is
-// saturated the remaining stripes are dropped rather than queued, because
-// whoever needed the senders will recover them (in parallel) anyway. The
-// returned count is how many stripes were shed that way — zero means the
-// whole slice was scheduled — so callers can surface load-shedding
-// instead of it disappearing silently; shed and scheduled stripes are
-// also counted in the smartcrowd_types_prefetch_stripes_total family.
-func PrefetchSenders(txs []*Transaction) (shed int) {
-	if len(txs) == 0 {
-		return 0
-	}
-	stripes := senderCacher.threads
-	if stripes > len(txs) {
-		stripes = len(txs)
-	}
-	for i := 0; i < stripes; i++ {
-		select {
-		case senderCacher.tasks <- senderTask{txs: txs, off: i, step: stripes}:
-			mPrefetchSched.Inc()
-		default:
-			shed = stripes - i
-			mPrefetchShed.Add(uint64(shed))
-			return shed
-		}
-	}
-	return 0
 }

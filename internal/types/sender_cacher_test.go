@@ -68,25 +68,5 @@ func TestRecoverSendersMemoizesFailures(t *testing.T) {
 
 func TestRecoverAndPrefetchDegenerateInputs(t *testing.T) {
 	RecoverSenders(nil)
-	PrefetchSenders(nil)
 	RecoverSenders([]*Transaction{})
-	PrefetchSenders([]*Transaction{})
-}
-
-func TestPrefetchSendersEventuallyWarms(t *testing.T) {
-	alice := wallet.NewDeterministic("cacher-alice")
-	var txs []*Transaction
-	for i := 0; i < 8; i++ {
-		txs = append(txs, signedTransfer(t, alice, Address{9}, 1, uint64(i)))
-	}
-	cold := coldCopies(t, txs)
-	PrefetchSenders(cold)
-	// Prefetch is best-effort; Sender() must return the right answer
-	// whether or not the hint landed (racing the pool is the point).
-	for i, tx := range cold {
-		from, err := tx.Sender()
-		if err != nil || from != alice.Address() {
-			t.Fatalf("tx %d: sender %v err %v", i, from, err)
-		}
-	}
 }

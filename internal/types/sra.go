@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/secp256k1"
+	"github.com/smartcrowd/smartcrowd/internal/rlp"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -204,4 +205,50 @@ func (d *decoder) string() string {
 	s := string(d.buf[:n])
 	d.buf = d.buf[n:]
 	return s
+}
+
+// The rlp readers take one RLP value off the front of buf — the
+// transaction and block encodings are RLP, the payloads above are
+// fixed-width — and share the sticky error.
+
+func (d *decoder) rlpUint64() (v uint64) {
+	if d.err == nil {
+		v, d.buf, d.err = rlp.SplitUint64(d.buf)
+	}
+	return v
+}
+
+func (d *decoder) rlpString() (s []byte) {
+	if d.err == nil {
+		s, d.buf, d.err = rlp.SplitBytes(d.buf)
+	}
+	return s
+}
+
+// rlpFixed reads a string that must be exactly len(dst) bytes into dst.
+func (d *decoder) rlpFixed(dst []byte) {
+	s := d.rlpString()
+	if d.err == nil && len(s) != len(dst) {
+		d.err = fmt.Errorf("field is %d bytes, want %d", len(s), len(dst))
+	}
+	copy(dst, s)
+}
+
+// rlpList enters the list at the front of buf: buf becomes the list's
+// payload, and the bytes after the list are returned for the matching end.
+func (d *decoder) rlpList() (after []byte) {
+	if d.err == nil {
+		d.buf, after, d.err = rlp.SplitList(d.buf)
+	}
+	return after
+}
+
+// end leaves a list entered with rlpList (or, given nil, the whole input):
+// unread bytes are an error — a list has exactly the expected elements and
+// the input exactly one value — and reading continues with after.
+func (d *decoder) end(after []byte) {
+	if d.err == nil && len(d.buf) != 0 {
+		d.err = errors.New("trailing bytes")
+	}
+	d.buf = after
 }

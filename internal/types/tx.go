@@ -131,13 +131,37 @@ type txHashEntry struct {
 	hash Hash
 }
 
-// sigBytes returns the signature's serialized form, or zeroes when the
-// transaction is unsigned.
+// sigBytes returns the signature's serialized form (R || S || V), or
+// zeroes when the transaction is unsigned. It fills the array in place:
+// the memo guards call it on every Sender and Hash, cached or not.
 func (tx *Transaction) sigBytes() (out [65]byte) {
 	if tx.Sig.R != nil && tx.Sig.S != nil {
-		copy(out[:], tx.Sig.Serialize())
+		tx.Sig.R.FillBytes(out[:32])
+		tx.Sig.S.FillBytes(out[32:64])
+		out[64] = tx.Sig.V
 	}
 	return out
+}
+
+// appendFields appends the RLP encoding of the transaction's fields, with
+// or without the signature, and without the enclosing list header. This is
+// the one place the field order is written down: the signing digest, the
+// identifier, and the transport encodings of transactions and blocks all
+// wrap these bytes in a list.
+func (tx *Transaction) appendFields(dst []byte, withSig bool) []byte {
+	dst = rlp.AppendUint64(dst, uint64(tx.Kind))
+	dst = rlp.AppendUint64(dst, tx.Nonce)
+	dst = rlp.AppendBytes(dst, tx.From[:])
+	dst = rlp.AppendBytes(dst, tx.To[:])
+	dst = rlp.AppendUint64(dst, uint64(tx.Value))
+	dst = rlp.AppendUint64(dst, tx.GasLimit)
+	dst = rlp.AppendUint64(dst, uint64(tx.GasPrice))
+	dst = rlp.AppendBytes(dst, tx.Data)
+	if withSig {
+		sig := tx.sigBytes()
+		dst = rlp.AppendBytes(dst, sig[:])
+	}
+	return dst
 }
 
 // Transaction errors.
@@ -157,17 +181,8 @@ func (tx *Transaction) SigHash() Hash {
 	if e := tx.sigHashCache.Load(); e != nil && e.key == key && bytes.Equal(e.data, tx.Data) {
 		return e.hash
 	}
-	enc := rlp.Encode(rlp.List(
-		rlp.Uint64(uint64(tx.Kind)),
-		rlp.Uint64(tx.Nonce),
-		rlp.Bytes(tx.From[:]),
-		rlp.Bytes(tx.To[:]),
-		rlp.Uint64(uint64(tx.Value)),
-		rlp.Uint64(tx.GasLimit),
-		rlp.Uint64(uint64(tx.GasPrice)),
-		rlp.Bytes(tx.Data),
-	))
-	h := HashBytes(enc)
+	var scratch [256]byte // a small payload's fields stay on the stack
+	h := HashBytes(rlp.AppendList(nil, tx.appendFields(scratch[:0], false)))
 	tx.sigHashCache.Store(&txHashEntry{key: key, data: append([]byte(nil), tx.Data...), hash: h})
 	return h
 }
@@ -181,18 +196,7 @@ func (tx *Transaction) Hash() Hash {
 	if e := tx.hashCache.Load(); e != nil && e.key == key && e.sig == sig && bytes.Equal(e.data, tx.Data) {
 		return e.hash
 	}
-	enc := rlp.Encode(rlp.List(
-		rlp.Uint64(uint64(tx.Kind)),
-		rlp.Uint64(tx.Nonce),
-		rlp.Bytes(tx.From[:]),
-		rlp.Bytes(tx.To[:]),
-		rlp.Uint64(uint64(tx.Value)),
-		rlp.Uint64(tx.GasLimit),
-		rlp.Uint64(uint64(tx.GasPrice)),
-		rlp.Bytes(tx.Data),
-		rlp.Bytes(tx.Sig.Serialize()),
-	))
-	h := HashBytes(enc)
+	h := HashBytes(EncodeTx(tx))
 	tx.hashCache.Store(&txHashEntry{key: key, data: append([]byte(nil), tx.Data...), sig: sig, hash: h})
 	return h
 }
@@ -213,10 +217,7 @@ func SignTx(tx *Transaction, w *wallet.Wallet) error {
 // transaction invalidates the cache naturally.
 func (tx *Transaction) Sender() (Address, error) {
 	sigHash := tx.SigHash()
-	var sigBytes [65]byte
-	if tx.Sig.R != nil && tx.Sig.S != nil {
-		copy(sigBytes[:], tx.Sig.Serialize())
-	}
+	sigBytes := tx.sigBytes()
 	if cached := tx.senderCache.Load(); cached != nil &&
 		cached.sigHash == sigHash && cached.sig == sigBytes {
 		mSenderCacheHit.Inc()
