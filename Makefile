@@ -30,8 +30,10 @@ lint:
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and
-# the transaction and block decoders gossip feeds, and the
-# snap-sync/range-sync payload decoders a hostile peer controls).
+# the transaction and block decoders gossip feeds, the
+# snap-sync/range-sync payload decoders a hostile peer controls, and the
+# signature parser and recovery kernel every signed byte reaches — the
+# latter differentially against its math/big oracle).
 # Override FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -44,6 +46,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseSnapChunkRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunk$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseRangeBlocks$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
+	$(GO) test -fuzz='^FuzzParseSignature$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
+	$(GO) test -fuzz='^FuzzRecoverDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -61,9 +65,11 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the chain-core microbenchmarks (state root, state fork, block
-# insert, reorg, detection query).
+# insert, reorg, detection query) and the signature kernel's (field
+# multiplication and inversion, sign, verify, recover).
 bench:
 	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x
+	$(GO) test ./internal/crypto/secp256k1/ -run NONE -bench . -benchmem
 
 # telemetry-budget fails if a hot-path counter increment costs more than
 # the budget (30 ns/op by default; override with

@@ -3,11 +3,21 @@
 // matching the signature scheme the SmartCrowd paper prescribes for SRAs
 // (Eq. 2) and detection reports (Eq. 4).
 //
-// The arithmetic is written over a generic short-Weierstrass curve
-// (y² = x³ + ax + b mod p) so that the identical code path can be
-// instantiated with NIST P-256 and differentially tested against the Go
-// standard library (see curve_test.go). It uses math/big and is not
-// constant-time; SmartCrowd is a research platform, not a wallet.
+// There are two arithmetic layers. The Curve type is written over a
+// generic short-Weierstrass curve (y² = x³ + ax + b mod p) on math/big, so
+// that the identical code path can be instantiated with NIST P-256 and
+// differentially tested against the Go standard library
+// (secp256k1_test.go). For the secp256k1 singleton its methods dispatch
+// to fixed four-limb kernels — field.go (mod p), scalar.go (mod n),
+// point_fast.go (Jacobian points, wNAF and the generator comb) — which
+// allocate nothing and are themselves differentially tested against the
+// math/big layer. RecoverPublicKey, the one signature check production
+// code runs, is written directly on the kernels: math/big appears there
+// only as the representation of the Signature it reads and the PublicKey
+// it returns.
+//
+// Neither layer is constant-time; SmartCrowd is a research platform, not
+// a wallet.
 package secp256k1
 
 import (
@@ -300,8 +310,8 @@ func (c *Curve) Add(p, q Point) Point {
 			return p
 		}
 		gp, gq := geFromAffine(p), geFromAffine(q)
-		var out gePoint
-		geAdd(&out, &gp, &gq)
+		out := gp.jacobian()
+		geAddMixed(&out, &out, &gq)
 		return geToAffine(&out)
 	}
 	return c.fromJacobian(c.add(c.toJacobian(p), c.toJacobian(q)))
@@ -311,8 +321,8 @@ func (c *Curve) Add(p, q Point) Point {
 func (c *Curve) Double(p Point) Point {
 	if c == _s256 && !p.Infinity() {
 		gp := geFromAffine(p)
-		var out gePoint
-		geDouble(&out, &gp)
+		out := gp.jacobian()
+		geDouble(&out, &out)
 		return geToAffine(&out)
 	}
 	return c.fromJacobian(c.double(c.toJacobian(p)))
@@ -339,7 +349,9 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	}
 	if c == _s256 {
 		gp := geFromAffine(p)
-		out := geScalarMult(&gp, k)
+		var ks scalar
+		ks.scSetBig(k)
+		out := geScalarMult(&gp, &ks)
 		return geToAffine(&out)
 	}
 	// table[w] = w·p for w in 1..15.
@@ -420,7 +432,9 @@ func (c *Curve) ScalarBaseMult(k *big.Int) Point {
 		return Point{}
 	}
 	if c == _s256 {
-		out := geScalarBaseMult(k)
+		var ks scalar
+		ks.scSetBig(k)
+		out := geScalarBaseMult(&ks)
 		return geToAffine(&out)
 	}
 	table := c.baseTable()
@@ -501,6 +515,15 @@ func (c *Curve) Unmarshal(data []byte) (Point, error) {
 func (c *Curve) recoverY(x *big.Int, odd bool) (*big.Int, error) {
 	if x.Sign() < 0 || x.Cmp(c.P) >= 0 {
 		return nil, errors.New("secp256k1: x coordinate out of range")
+	}
+	if c == _s256 {
+		var fx fieldVal
+		fx.feSetBig(x)
+		var pt geAffine
+		if !pt.setX(&fx, odd) {
+			return nil, errors.New("secp256k1: x is not on the curve")
+		}
+		return pt.y.feBig(), nil
 	}
 	// y² = x³ + ax + b
 	rhs := new(big.Int).Mul(x, x)

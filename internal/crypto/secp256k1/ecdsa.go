@@ -29,8 +29,11 @@ type Signature struct {
 }
 
 // ErrInvalidSignature is returned when a signature fails structural
-// validation (out-of-range R/S or malformed encoding).
+// validation (out-of-range R/S, high S, or malformed encoding).
 var ErrInvalidSignature = errors.New("secp256k1: invalid signature")
+
+// halfN is ⌊n/2⌋, the largest S a canonical (low-S) signature carries.
+var halfN = new(big.Int).Rsh(_s256.N, 1)
 
 // GenerateKey creates a private key from entropy read from r. Pass nil to
 // use crypto/rand.
@@ -116,7 +119,6 @@ func (k *PrivateKey) Sign(digest []byte) (Signature, error) {
 	}
 	c := S256()
 	e := hashToScalar(digest, c)
-	halfN := new(big.Int).Rsh(c.N, 1)
 
 	for nonce := rfc6979(k.D, digest, c); ; {
 		kNonce := nonce()
@@ -154,14 +156,16 @@ func (k *PrivateKey) Sign(digest []byte) (Signature, error) {
 	}
 }
 
-// Verify reports whether sig is a valid signature of digest under pk.
+// Verify reports whether sig is a valid signature of digest under pk. Like
+// RecoverPublicKey it accepts only low-S signatures, so the two agree on
+// which encodings of a signature are valid; V is not consulted.
 func (pk PublicKey) Verify(digest []byte, sig Signature) bool {
 	c := S256()
 	if sig.R == nil || sig.S == nil {
 		return false
 	}
 	if sig.R.Sign() <= 0 || sig.S.Sign() <= 0 ||
-		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(c.N) >= 0 {
+		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(halfN) > 0 {
 		return false
 	}
 	if pk.Point.Infinity() || !c.IsOnCurve(pk.Point) {
@@ -183,35 +187,50 @@ func (pk PublicKey) Verify(digest []byte, sig Signature) bool {
 
 // RecoverPublicKey recovers the signing public key from a signature and the
 // digest it signed. This is how SmartCrowd nodes attribute on-chain
-// messages to wallet addresses without carrying explicit public keys.
+// messages to wallet addresses without carrying explicit public keys, and
+// the only signature check production code runs (transactions, SRAs, R†
+// and R* all arrive here through wallet.RecoverSigner), so it is also
+// where the canonical-signature rules are enforced: R and S in [1, n−1],
+// V ∈ {0, 1}, and S in the lower half of the order — (R, n−S, V⊕1)
+// recovers the same key, and accepting both would give every signed
+// message two valid encodings.
+//
+// The key is Q = u₁·G + u₂·R with u₁ = −e·r⁻¹ and u₂ = s·r⁻¹ (mod n): one
+// variable-base multiplication, one generator-comb multiplication, one
+// addition and one field inversion, all on fixed limbs; math/big appears
+// only in reading the signature and building the returned point.
 func RecoverPublicKey(digest []byte, sig Signature) (PublicKey, error) {
-	c := S256()
-	if sig.R == nil || sig.S == nil ||
-		sig.R.Sign() <= 0 || sig.S.Sign() <= 0 ||
-		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(c.N) >= 0 || sig.V > 1 {
+	var r, s scalar
+	if sig.V > 1 || !r.scSetBig(sig.R) || !s.scSetBig(sig.S) ||
+		r.scIsZero() || s.scIsZero() || s.scIsHigh() {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	// R point has x = sig.R (we never emit the overflow case) and the
-	// parity selected by V.
-	y, err := c.recoverY(sig.R, sig.V == 1)
-	if err != nil {
+	// R has x = r (r < n < p; Sign never emits the x = r + n overflow case)
+	// and the parity selected by V.
+	var rPoint geAffine
+	if !rPoint.setX(&fieldVal{n: r.n}, sig.V == 1) {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	rPoint := Point{X: new(big.Int).Set(sig.R), Y: y}
 
-	// Q = r⁻¹(s·R − e·G). By construction Q satisfies the ECDSA
-	// verification equation for (r, s) — substituting Q into
-	// x(u1·G + u2·Q) returns R's x-coordinate — so no separate Verify
-	// pass is needed; structural validation above covers the rest.
-	e := hashToScalar(digest, c)
-	rInv := new(big.Int).ModInverse(sig.R, c.N)
-	sR := c.ScalarMult(rPoint, sig.S)
-	eG := c.ScalarBaseMult(e)
-	q := c.ScalarMult(c.Add(sR, c.Neg(eG)), rInv)
-	if q.Infinity() || !c.IsOnCurve(q) {
+	// By construction Q satisfies the ECDSA verification equation for
+	// (r, s) — substituting Q into x(e·s⁻¹·G + r·s⁻¹·Q) returns R's
+	// x-coordinate — so no separate Verify pass is needed; the structural
+	// validation above covers the rest.
+	var e, rInv, u1, u2 scalar
+	e.scSetDigest(digest)
+	scInvInto(&rInv, &r)
+	scMulInto(&u1, &e, &rInv)
+	u1.scNeg()
+	scMulInto(&u2, &s, &rInv)
+
+	q := geScalarMult(&rPoint, &u2)
+	u1G := geScalarBaseMult(&u1)
+	geAdd(&q, &q, &u1G)
+	pub, ok := q.affine()
+	if !ok || !pub.isOnCurve() {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	return PublicKey{Point: q}, nil
+	return PublicKey{Point: pub.point()}, nil
 }
 
 // Serialize encodes the signature as 65 bytes: R (32) || S (32) || V (1).

@@ -2,6 +2,7 @@ package secp256k1
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -16,11 +17,7 @@ func feFromBig(v *big.Int) fieldVal {
 }
 
 // feToBig converts back for comparison.
-func feToBig(f *fieldVal) *big.Int {
-	var buf [32]byte
-	f.feBytes(&buf)
-	return new(big.Int).SetBytes(buf[:])
-}
+func feToBig(f *fieldVal) *big.Int { return f.feBig() }
 
 // randomFe derives a pseudo-random field element from four limbs.
 func randomFe(a, b, c, d uint64) *big.Int {
@@ -138,9 +135,11 @@ func TestFieldInvDifferential(t *testing.T) {
 	}
 }
 
-func TestFieldEdgeValues(t *testing.T) {
+// fieldEdges are the values where limb arithmetic breaks first: the ends
+// of the range, the fold constant and single high bits.
+func fieldEdges() []*big.Int {
 	p := S256().P
-	edges := []*big.Int{
+	return []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
 		big.NewInt(2),
@@ -148,7 +147,99 @@ func TestFieldEdgeValues(t *testing.T) {
 		new(big.Int).Sub(p, big.NewInt(2)),
 		new(big.Int).SetUint64(pFold),
 		new(big.Int).Lsh(big.NewInt(1), 255),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 192), big.NewInt(1)),
 	}
+}
+
+// seededFes returns n field elements from a fixed-seed generator, after
+// the edge values.
+func seededFes(n int) []*big.Int {
+	rng := rand.New(rand.NewSource(21))
+	out := fieldEdges()
+	for i := 0; i < n; i++ {
+		out = append(out, randomFe(rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()))
+	}
+	return out
+}
+
+// TestFieldSqrHalveDifferential pins the dedicated squaring and the
+// halving against math/big, in place (dst aliasing the operand), which is
+// how the addition chains and the doubling formula call them.
+func TestFieldSqrHalveDifferential(t *testing.T) {
+	p := S256().P
+	half := new(big.Int).ModInverse(big.NewInt(2), p)
+	for _, av := range seededFes(2000) {
+		fe := feFromBig(av)
+		feSqrInto(&fe, &fe)
+		want := new(big.Int).Mul(av, av)
+		want.Mod(want, p)
+		if feToBig(&fe).Cmp(want) != 0 {
+			t.Fatalf("sqr(%x) = %x, want %x", av, feToBig(&fe), want)
+		}
+		fe = feFromBig(av)
+		fe.feHalve()
+		want.Mul(av, half).Mod(want, p)
+		if feToBig(&fe).Cmp(want) != 0 {
+			t.Fatalf("halve(%x) = %x, want %x", av, feToBig(&fe), want)
+		}
+		fe, fb := feFromBig(av), feFromBig(want)
+		feMulInto(&fe, &fe, &fb) // dst aliases an operand
+		want.Mul(av, want).Mod(want, p)
+		if feToBig(&fe).Cmp(want) != 0 {
+			t.Fatalf("aliased mul(%x) wrong", av)
+		}
+	}
+}
+
+// TestFieldInvChain pins the addition-chain inverse: against ModInverse
+// everywhere it is defined, and 0 ↦ 0.
+func TestFieldInvChain(t *testing.T) {
+	p := S256().P
+	for _, av := range seededFes(300) {
+		fe := feFromBig(av)
+		feInvInto(&fe, &fe)
+		want := new(big.Int)
+		if av.Sign() != 0 {
+			want.ModInverse(av, p)
+		}
+		if feToBig(&fe).Cmp(want) != 0 {
+			t.Fatalf("inv(%x) = %x, want %x", av, feToBig(&fe), want)
+		}
+	}
+}
+
+// TestFieldSqrtDifferential: feSqrtInto agrees with ModSqrt on whether a
+// root exists — about half of the seeded values are non-residues — and a
+// reported root squares back to its argument.
+func TestFieldSqrtDifferential(t *testing.T) {
+	p := S256().P
+	residues, nonResidues := 0, 0
+	for _, av := range seededFes(600) {
+		fe := feFromBig(av)
+		var root fieldVal
+		ok := feSqrtInto(&root, &fe)
+		want := new(big.Int).ModSqrt(av, p)
+		if ok != (want != nil) {
+			t.Fatalf("sqrt(%x): kernel says residue=%v, ModSqrt says %v", av, ok, want != nil)
+		}
+		if !ok {
+			nonResidues++
+			continue
+		}
+		residues++
+		got := feToBig(&root)
+		if got.Cmp(want) != 0 && got.Cmp(new(big.Int).Sub(p, want)) != 0 {
+			t.Fatalf("sqrt(%x) = %x, want ±%x", av, got, want)
+		}
+	}
+	if residues < 200 || nonResidues < 200 {
+		t.Fatalf("seeded sample has %d residues and %d non-residues; want both well covered", residues, nonResidues)
+	}
+}
+
+func TestFieldEdgeValues(t *testing.T) {
+	p := S256().P
+	edges := fieldEdges()
 	for _, a := range edges {
 		for _, b := range edges {
 			fa, fb := feFromBig(a), feFromBig(b)
@@ -158,6 +249,12 @@ func TestFieldEdgeValues(t *testing.T) {
 			want.Mod(want, p)
 			if feToBig(&sum).Cmp(want) != 0 {
 				t.Errorf("add(%v, %v) wrong", a, b)
+			}
+			diff := fa
+			diff.feSub(&fb)
+			want.Sub(a, b).Mod(want, p)
+			if feToBig(&diff).Cmp(want) != 0 {
+				t.Errorf("sub(%v, %v) wrong", a, b)
 			}
 			var prod fieldVal
 			feMulInto(&prod, &fa, &fb)

@@ -1,0 +1,334 @@
+package secp256k1
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"math/big"
+	"math/rand"
+	"testing"
+)
+
+// bigS256 carries the secp256k1 parameters in a Curve that is not the
+// S256() singleton, so none of its methods dispatch to the limb kernels:
+// ScalarMult, ScalarBaseMult, Add and recoverY all run the generic
+// math/big code that is differentially tested against crypto/elliptic on
+// P-256. About 3.5 ms per recovery.
+var bigS256 = func() *Curve { c := *S256(); return &c }()
+
+// recoverOracle is RecoverPublicKey as it was written before the limb
+// kernel replaced it: the literal Q = r⁻¹(s·R − e·G) on math/big scalars,
+// with ModSqrt for y, ModInverse for r⁻¹ and two variable-base
+// multiplications through c's methods — plus the low-S rule, which both
+// sides of the differential test apply. With c = S256() it is the old
+// production code line for line (its point arithmetic dispatches to the
+// limb kernels, as it did then); with c = bigS256 every step is math/big.
+func recoverOracle(c *Curve, digest []byte, sig Signature) (PublicKey, error) {
+	if sig.R == nil || sig.S == nil ||
+		sig.R.Sign() <= 0 || sig.S.Sign() <= 0 ||
+		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(c.N) >= 0 || sig.V > 1 {
+		return PublicKey{}, ErrInvalidSignature
+	}
+	if sig.S.Cmp(new(big.Int).Rsh(c.N, 1)) > 0 {
+		return PublicKey{}, ErrInvalidSignature
+	}
+	y, err := c.recoverY(sig.R, sig.V == 1)
+	if err != nil {
+		return PublicKey{}, ErrInvalidSignature
+	}
+	rPoint := Point{X: new(big.Int).Set(sig.R), Y: y}
+	e := hashToScalar(digest, c)
+	rInv := new(big.Int).ModInverse(sig.R, c.N)
+	sR := c.ScalarMult(rPoint, sig.S)
+	eG := c.ScalarBaseMult(e)
+	q := c.ScalarMult(c.Add(sR, c.Neg(eG)), rInv)
+	if q.Infinity() || !c.IsOnCurve(q) {
+		return PublicKey{}, ErrInvalidSignature
+	}
+	return PublicKey{Point: q}, nil
+}
+
+// agreeWithOracle fails the test unless the kernel and the oracle on c
+// agree on accept/reject and, when both accept, on the key. It returns
+// the kernel's key and whether it accepted.
+func agreeWithOracle(t testing.TB, c *Curve, name string, digest []byte, sig Signature) (PublicKey, bool) {
+	t.Helper()
+	got, gotErr := RecoverPublicKey(digest, sig)
+	want, wantErr := recoverOracle(c, digest, sig)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: kernel err=%v, oracle err=%v\ndigest %x\nR %x\nS %x\nV %d",
+			name, gotErr, wantErr, digest, sig.R, sig.S, sig.V)
+	}
+	if gotErr != nil {
+		if !errors.Is(gotErr, ErrInvalidSignature) {
+			t.Fatalf("%s: kernel rejected with %v, want ErrInvalidSignature", name, gotErr)
+		}
+		return PublicKey{}, false
+	}
+	if !got.Point.Equal(want.Point) {
+		t.Fatalf("%s: kernel recovered %v, oracle %v\ndigest %x\nR %x\nS %x\nV %d",
+			name, got.Point, want.Point, digest, sig.R, sig.S, sig.V)
+	}
+	return got, true
+}
+
+// randScalar returns a seeded integer in [1, n−1].
+func randScalar(rng *rand.Rand) *big.Int {
+	buf := make([]byte, 40)
+	rng.Read(buf)
+	v := new(big.Int).SetBytes(buf)
+	v.Mod(v, new(big.Int).Sub(S256().N, big.NewInt(1)))
+	return v.Add(v, big.NewInt(1))
+}
+
+// offCurveX returns a seeded x < n with no point on the curve (every
+// other x, on average).
+func offCurveX(rng *rand.Rand) *big.Int {
+	for {
+		x := randScalar(rng)
+		if _, err := bigS256.recoverY(x, false); err != nil {
+			return x
+		}
+	}
+}
+
+// TestRecoverMatchesBigIntOracle is the differential test of the limb
+// kernel: 10⁴ seeded keys and digests (10³ under -short), each signature
+// recovered as signed or after one mutation, must be accepted or rejected
+// exactly as the math/big formulation does, with the same key. Every case
+// runs against the old production formulation (recoverOracle on S256());
+// one in 32 also runs against the pure math/big curve.
+func TestRecoverMatchesBigIntOracle(t *testing.T) {
+	cases := 10_000
+	if testing.Short() {
+		cases = 1_000
+	}
+	n := S256().N
+	rng := rand.New(rand.NewSource(2019))
+	accepted, rejected := 0, 0
+	for i := 0; i < cases; i++ {
+		key := NewPrivateKey(randScalar(rng))
+		digest := make([]byte, 32)
+		rng.Read(digest)
+		sig, err := key.Sign(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := big.NewInt(int64(rng.Intn(16) + 1))
+		name := ""
+		switch i % 12 {
+		case 0:
+			name = "as signed"
+		case 1:
+			name, sig.V = "V flipped", sig.V^1
+		case 2:
+			name, sig.R = "R + k", new(big.Int).Add(sig.R, k)
+		case 3:
+			name, sig.R = "R − k", new(big.Int).Sub(sig.R, k)
+		case 4:
+			name, sig.S = "S + 1", new(big.Int).Add(sig.S, big.NewInt(1))
+		case 5:
+			name, sig.S = "S − 1", new(big.Int).Sub(sig.S, big.NewInt(1))
+		case 6:
+			name, sig.S, sig.V = "high-S twin", new(big.Int).Sub(n, sig.S), sig.V^1
+		case 7:
+			name = "digest bit flipped"
+			digest[rng.Intn(32)] ^= 1 << rng.Intn(8)
+		case 8:
+			name, sig.R = "R off the curve", offCurveX(rng)
+		case 9:
+			name, sig.V = "V > 1", byte(2+rng.Intn(254))
+		case 10:
+			name, sig = "random R, S", Signature{R: randScalar(rng), S: randScalar(rng), V: byte(rng.Intn(2))}
+		case 11:
+			name = "digest resized"
+			digest = make([]byte, []int{0, 20, 31, 33, 64}[rng.Intn(5)])
+			rng.Read(digest)
+		}
+		got, ok := agreeWithOracle(t, S256(), name, digest, sig)
+		if i%32 == 0 {
+			agreeWithOracle(t, bigS256, name+" (math/big curve)", digest, sig)
+		}
+		if ok {
+			accepted++
+		} else {
+			rejected++
+		}
+		switch name {
+		case "as signed":
+			if !ok || !got.Point.Equal(key.Public.Point) {
+				t.Fatalf("case %d: a fresh signature did not recover its signer", i)
+			}
+		case "high-S twin", "R off the curve", "V > 1":
+			if ok {
+				t.Fatalf("case %d: %s accepted", i, name)
+			}
+		}
+	}
+	if accepted < cases/4 || rejected < cases/4 {
+		t.Fatalf("%d accepted, %d rejected: the mutations should exercise both outcomes", accepted, rejected)
+	}
+}
+
+// TestRecoverEdgeCasesMatchOracle walks the corners a random sample never
+// reaches, each against the pure math/big curve: e ≡ 0 (so u₁ = 0 and u₁·G
+// is the point at infinity), e ≥ n, the two branches of the final addition
+// in which u₁·G = ±u₂·R, the low-S boundary, and operands a hostile
+// caller could hand in.
+func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
+	c := S256()
+	n := c.N
+	key := NewPrivateKey(big.NewInt(0x5eed))
+	nBytes := make([]byte, 32)
+	n.FillBytes(nBytes)
+	one := big.NewInt(1)
+
+	for name, digest := range map[string][]byte{
+		"all-zero digest": make([]byte, 32),
+		"digest = n":      nBytes,
+		"digest = 2²⁵⁶−1": bytes.Repeat([]byte{0xFF}, 32),
+		"empty digest":    nil,
+	} {
+		signed := make([]byte, 32)
+		copy(signed[32-len(digest):], digest) // Sign insists on 32 bytes; same integer
+		sig, err := key.Sign(signed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := agreeWithOracle(t, bigS256, name, digest, sig)
+		if !ok || !got.Point.Equal(key.Public.Point) {
+			t.Errorf("%s: signer not recovered", name)
+		}
+	}
+
+	// Forge (r, s) from a chosen nonce k so that u₁·G = −u₂·R (s = e/k:
+	// Q is the point at infinity, the "signature" of private key 0) or
+	// u₁·G = u₂·R (s = −e/k: the final addition must take its doubling
+	// branch). Low-S normalisation keeps both cases in their branch: it
+	// negates s and R together.
+	digest := sha256.Sum256([]byte("final addition"))
+	e := hashToScalar(digest[:], c)
+	for i := int64(1); i <= 8; i++ {
+		k := big.NewInt(0x1234567 * i)
+		rPoint := c.ScalarBaseMult(k)
+		eOverK := new(big.Int).ModInverse(k, n)
+		eOverK.Mul(eOverK, e).Mod(eOverK, n)
+		for name, s := range map[string]*big.Int{
+			"u₁G = −u₂R": eOverK,
+			"u₁G = u₂R":  new(big.Int).Sub(n, eOverK),
+		} {
+			sig := Signature{R: new(big.Int).Mod(rPoint.X, n), S: s, V: byte(rPoint.Y.Bit(0))}
+			if sig.S.Cmp(halfN) > 0 {
+				sig.S, sig.V = new(big.Int).Sub(n, sig.S), sig.V^1
+			}
+			_, ok := agreeWithOracle(t, bigS256, name, digest[:], sig)
+			if wantOK := name == "u₁G = u₂R"; ok != wantOK {
+				t.Errorf("%s (k=%v): accepted=%v, want %v", name, k, ok, wantOK)
+			}
+		}
+	}
+
+	sig, _ := key.Sign(digest[:])
+	for name, mutated := range map[string]Signature{
+		"S = ⌊n/2⌋":     {R: sig.R, S: halfN, V: sig.V},
+		"S = ⌊n/2⌋ + 1": {R: sig.R, S: new(big.Int).Add(halfN, one), V: sig.V},
+		"S = n − 1":     {R: sig.R, S: new(big.Int).Sub(n, one), V: sig.V},
+		"S = 1":         {R: sig.R, S: one, V: sig.V},
+		"S = 0":         {R: sig.R, S: new(big.Int), V: sig.V},
+		"S = n":         {R: sig.R, S: n, V: sig.V},
+		"S < 0":         {R: sig.R, S: big.NewInt(-1), V: sig.V},
+		"S nil":         {R: sig.R, V: sig.V},
+		"S = 2⁵¹²":      {R: sig.R, S: new(big.Int).Lsh(one, 512), V: sig.V},
+		"R = 0":         {R: new(big.Int), S: sig.S, V: sig.V},
+		"R = 1":         {R: one, S: sig.S, V: sig.V},
+		"R = n − 1":     {R: new(big.Int).Sub(n, one), S: sig.S, V: sig.V},
+		"R = n":         {R: n, S: sig.S, V: sig.V},
+		"R = p − 1":     {R: new(big.Int).Sub(c.P, one), S: sig.S, V: sig.V},
+		"R < 0":         {R: big.NewInt(-1), S: sig.S, V: sig.V},
+		"R nil":         {S: sig.S, V: sig.V},
+		"R = 2⁵¹²":      {R: new(big.Int).Lsh(one, 512), S: sig.S, V: sig.V},
+	} {
+		agreeWithOracle(t, bigS256, name, digest[:], mutated)
+	}
+}
+
+// TestRecoverAllocationBudget pins what the recovery may allocate: the
+// returned point's two big.Ints and their word slices. The arithmetic
+// itself allocates nothing (it was 164 allocations on math/big).
+func TestRecoverAllocationBudget(t *testing.T) {
+	key := NewPrivateKey(big.NewInt(0xA110C))
+	digest := sha256.Sum256([]byte("allocations"))
+	sig, _ := key.Sign(digest[:])
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := RecoverPublicKey(digest[:], sig); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("RecoverPublicKey allocates %.0f times per call, budget 8", allocs)
+	}
+}
+
+// TestScalarMultFullWidthMatchesGeneric runs the wNAF multiplication and
+// the affine generator comb on full-width scalars against the generic
+// math/big double-and-add (TestFastPointOpsMatchGeneric covers small
+// scalars only).
+func TestScalarMultFullWidthMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	scalars := []*big.Int{
+		big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16), big.NewInt(17),
+		new(big.Int).Sub(S256().N, big.NewInt(1)),
+		new(big.Int).Sub(S256().N, big.NewInt(2)),
+		new(big.Int).Lsh(big.NewInt(1), 255),
+	}
+	for i := 0; i < 12; i++ {
+		scalars = append(scalars, randScalar(rng))
+	}
+	base := S256().ScalarBaseMult(randScalar(rng))
+	for _, k := range scalars {
+		if got, want := S256().ScalarBaseMult(k), bigS256.ScalarBaseMult(k); !got.Equal(want) {
+			t.Fatalf("%x·G = %v, want %v", k, got, want)
+		}
+		if got, want := S256().ScalarMult(base, k), bigS256.ScalarMult(base, k); !got.Equal(want) {
+			t.Fatalf("%x·P = %v, want %v", k, got, want)
+		}
+	}
+}
+
+func BenchmarkRecoverPublicKey(b *testing.B) {
+	key := NewPrivateKey(big.NewInt(123456789))
+	digest := sha256.Sum256([]byte("bench"))
+	sig, _ := key.Sign(digest[:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RecoverPublicKey(digest[:], sig); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// FuzzRecoverDifferential feeds digest ‖ 65-byte signature to the kernel
+// and to the old formulation; they must agree on accept/reject and on the
+// key.
+func FuzzRecoverDifferential(f *testing.F) {
+	key := NewPrivateKey(big.NewInt(7))
+	digest := sha256.Sum256([]byte("fuzz"))
+	sig, _ := key.Sign(digest[:])
+	f.Add(append(digest[:], sig.Serialize()...))
+	highS := Signature{R: sig.R, S: new(big.Int).Sub(S256().N, sig.S), V: sig.V ^ 1}
+	f.Add(append(digest[:], highS.Serialize()...))
+	f.Add(append(make([]byte, 32), sig.Serialize()...))
+	f.Add(bytes.Repeat([]byte{0xFF}, 97))
+	f.Add(sig.Serialize()) // empty digest
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 65 {
+			return
+		}
+		sig, err := ParseSignature(data[len(data)-65:])
+		if err != nil {
+			t.Fatalf("ParseSignature refused 65 bytes: %v", err)
+		}
+		agreeWithOracle(t, S256(), "fuzz", data[:len(data)-65], sig)
+	})
+}

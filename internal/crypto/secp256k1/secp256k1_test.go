@@ -6,6 +6,7 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -213,18 +214,23 @@ func TestLowSNormalization(t *testing.T) {
 	}
 }
 
+// TestHighSRejectedBehaviour: (R, n−S, V⊕1) satisfies raw ECDSA and would
+// recover the same key, so accepting it would give every signed message a
+// second valid encoding. Both checks refuse it; only the low-S form Sign
+// emits is a signature.
 func TestHighSRejectedBehaviour(t *testing.T) {
-	// A flipped-S signature still satisfies raw ECDSA; recovery must still
-	// attribute it to the same key only if V is flipped consistently. We
-	// verify that Verify accepts it (ECDSA malleability) but that our
-	// Serialize/Parse path preserves exactly what Sign emitted.
 	key := NewPrivateKey(big.NewInt(42))
 	digest := sha256.Sum256([]byte("malleable"))
 	sig, _ := key.Sign(digest[:])
-	c := S256()
-	flipped := Signature{R: sig.R, S: new(big.Int).Sub(c.N, sig.S), V: sig.V ^ 1}
-	if !key.Public.Verify(digest[:], flipped) {
-		t.Error("ECDSA should accept the complementary S value")
+	flipped := Signature{R: sig.R, S: new(big.Int).Sub(S256().N, sig.S), V: sig.V ^ 1}
+	if key.Public.Verify(digest[:], flipped) {
+		t.Error("Verify accepted the complementary (high) S value")
+	}
+	if _, err := RecoverPublicKey(digest[:], flipped); !errors.Is(err, ErrInvalidSignature) {
+		t.Errorf("RecoverPublicKey(high S) = %v, want ErrInvalidSignature", err)
+	}
+	if got, err := RecoverPublicKey(digest[:], sig); err != nil || !got.Point.Equal(key.Public.Point) || !key.Public.Verify(digest[:], sig) {
+		t.Error("the low-S form Sign emitted is not accepted")
 	}
 }
 

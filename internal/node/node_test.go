@@ -510,6 +510,46 @@ func TestDuplicateBlockRedeliveryRecoversNoSender(t *testing.T) {
 	}
 }
 
+// TestImportOfPooledTxsRecoversNoSender: a follower that admitted a
+// transaction off gossip has already recovered its sender; the block that
+// later carries it decodes into fresh objects with cold memos, so without
+// reuse every transaction costs the node a second ECDSA recovery. Import
+// swaps in the pooled object when the hash — which covers every signed
+// byte and the signature — matches, and the block costs none.
+func TestImportOfPooledTxsRecoversNoSender(t *testing.T) {
+	alloc, releasing, _ := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	const n = 4
+	for nonce := uint64(0); nonce < n; nonce++ {
+		tx := &types.Transaction{
+			Kind: types.TxTransfer, Nonce: nonce, To: types.Address{1}, Value: 1,
+			GasLimit: 21_000, GasPrice: 50 * types.GWei,
+		}
+		if err := types.SignTx(tx, releasing); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.providers[0].SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl.settle()
+	p1 := cl.providers[1]
+	if p1.PoolLen() != n {
+		t.Fatalf("provider 1 pooled %d gossiped transactions, want %d", p1.PoolLen(), n)
+	}
+
+	misses := telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
+	before := misses.Value()
+	blk := cl.mine(0) // provider 1 imports the block off gossip
+	if len(blk.Txs) != n || p1.Chain().Head().ID() != blk.ID() || p1.PoolLen() != 0 {
+		t.Fatalf("block has %d txs, provider 1 is at %s with %d pooled; want %d txs at %s and an empty pool",
+			len(blk.Txs), p1.Chain().Head().ID().Short(), p1.PoolLen(), n, blk.ID().Short())
+	}
+	if got := misses.Value() - before; got != 0 {
+		t.Errorf("sealing and importing a block of %d pooled transactions cost %d sender recoveries, want 0", n, got)
+	}
+}
+
 // TestReopenedProviderDoesNotRebroadcastKnownBlock: "seen" is derived from
 // the chain, so it survives a restart. A provider reopened on its datadir
 // that is gossiped its own head block again must count a duplicate and

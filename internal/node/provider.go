@@ -207,7 +207,7 @@ func (p *ProviderNode) bufferOrphan(b *types.Block) (evicted string) {
 // redelivery. The answer is derived from state the node keeps anyway, so
 // it is bounded by it and survives a restart from the datadir.
 func (p *ProviderNode) dupTx(hash types.Hash) bool {
-	known := p.pool.Has(hash)
+	known := p.pool.Get(hash) != nil
 	if !known {
 		_, _, _, known = p.chain.CurrentView().TxLocation(hash)
 	}
@@ -387,6 +387,16 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.T
 	if p.chain.HasBlock(id) {
 		mGossipDupBlock.Inc()
 		return
+	}
+
+	// A transaction this node admitted off gossip is in the pool, validated
+	// and with its sender recovered; the block decoded a fresh copy with a
+	// cold memo. Equal hash means equal bytes, so import the pooled object
+	// and recover each sender once per node, not once per arrival.
+	for i, tx := range blk.Txs {
+		if pooled := p.pool.Get(tx.Hash()); pooled != nil {
+			blk.Txs[i] = pooled
+		}
 	}
 
 	span := telemetry.StartSpanIn(tc, "block.import")

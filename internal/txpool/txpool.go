@@ -175,12 +175,14 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash, st StateReade
 	return nil
 }
 
-// Has reports whether the pool holds the transaction.
-func (p *Pool) Has(hash types.Hash) bool {
+// Get returns the pooled transaction with the given hash, or nil. The hash
+// covers every signed byte and the signature, so the result is
+// byte-identical to any other transaction with that hash — and already
+// validated, with its sender recovered.
+func (p *Pool) Get(hash types.Hash) *types.Transaction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	_, ok := p.byHash[hash]
-	return ok
+	return p.byHash[hash]
 }
 
 // Len returns the number of pooled transactions.

@@ -51,7 +51,7 @@ func TestAddAndPending(t *testing.T) {
 	if err := p.Add(tx, st); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Has(tx.Hash()) || p.Len() != 1 {
+	if p.Get(tx.Hash()) != tx || p.Len() != 1 {
 		t.Error("pool does not hold the tx")
 	}
 	got := p.Pending(st, 10)
@@ -224,7 +224,7 @@ func TestRemoveAndPrune(t *testing.T) {
 	}
 
 	p.Remove(tx0.Hash())
-	if p.Has(tx0.Hash()) || p.Len() != 1 {
+	if p.Get(tx0.Hash()) != nil || p.Len() != 1 {
 		t.Error("Remove failed")
 	}
 

@@ -2,9 +2,12 @@ package types
 
 import (
 	"bytes"
+	"errors"
+	"math/big"
 	"math/rand"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/crypto/secp256k1"
 	"github.com/smartcrowd/smartcrowd/internal/rlp"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -84,6 +87,38 @@ func TestDecodeTxAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
 		}
 		t.Errorf("%s: accepted (decoded hash %s, original %s, ValidateBasic: %v)",
 			name, got.Hash().Short(), tx.Hash().Short(), got.ValidateBasic())
+	}
+}
+
+// highSTwin returns a copy of tx signed (R, n−S, V⊕1): the other solution
+// of the same ECDSA equation, which anyone who sees tx can compute. Its
+// frame is well-formed, so it decodes; it must not validate.
+func highSTwin(tx *Transaction) *Transaction {
+	twin := &Transaction{Kind: tx.Kind, Nonce: tx.Nonce, From: tx.From, To: tx.To, Value: tx.Value,
+		GasLimit: tx.GasLimit, GasPrice: tx.GasPrice, Data: tx.Data}
+	twin.Sig = secp256k1.Signature{R: tx.Sig.R, S: new(big.Int).Sub(secp256k1.S256().N, tx.Sig.S), V: tx.Sig.V ^ 1}
+	return twin
+}
+
+// TestHighSTwinIsNotASecondValidEncoding: the twin used to pass
+// ValidateBasic and recover the same sender under a different Hash — one
+// signed transfer, two admissible transactions.
+func TestHighSTwinIsNotASecondValidEncoding(t *testing.T) {
+	tx := strictTx(t)
+	twin, err := DecodeTx(EncodeTx(highSTwin(tx)))
+	if err != nil {
+		t.Fatalf("the twin's frame is well-formed and should decode: %v", err)
+	}
+	if twin.Hash() == tx.Hash() || twin.SigHash() != tx.SigHash() {
+		t.Fatal("the twin should share the signing hash and differ in Hash")
+	}
+	if err := twin.ValidateBasic(); !errors.Is(err, ErrTxBadSignature) {
+		sender, _ := twin.Sender()
+		t.Errorf("high-S twin: ValidateBasic = %v (sender %s, original %s), want ErrTxBadSignature",
+			err, sender.Short(), tx.From.Short())
+	}
+	if err := tx.ValidateBasic(); err != nil {
+		t.Errorf("the low-S original no longer validates: %v", err)
 	}
 }
 
@@ -194,6 +229,7 @@ func FuzzDecodeTx(f *testing.F) {
 	f.Add(EncodeTx(tx))
 	f.Add(hostileTxFrames(tx)["list in the data position"])
 	f.Add(hostileTxFrames(tx)["kind wider than a byte"])
+	f.Add(EncodeTx(highSTwin(tx)))
 	f.Add([]byte{0xc0})
 	f.Fuzz(func(t *testing.T, data []byte) { checkTxRoundtrip(t, data) })
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // senderCacher is the shared worker pool that warms Transaction sender
-// caches (geth's senderCacher pattern): ECDSA recovery costs milliseconds
-// in pure Go, dominates block verification, and is embarrassingly
+// caches (geth's senderCacher pattern): ECDSA recovery is the most
+// expensive stateless step of validating a transaction (≈ 80 µs on the
+// limb kernel, a scalar multiplication either way), and is embarrassingly
 // parallel, so every validation layer — chain insert, txpool admission,
 // the simulator — hands whole transaction slices to this pool instead of
 // recovering senders one by one on a single core.

@@ -107,9 +107,9 @@ func RecoverSigner(digest [32]byte, sig secp256k1.Signature) (Address, error) {
 
 // sigCache memoizes signature verification results. SmartCrowd nodes check
 // the same SRA/report signatures at several layers (pool admission, block
-// validation, contract execution); public-key recovery costs milliseconds,
-// so a bounded global cache — the same trick geth uses — removes the
-// redundant work. The cache key covers digest, signature and claimed
+// validation, contract execution); public-key recovery is a scalar
+// multiplication (≈ 80 µs) against a hash and a map lookup, so a bounded
+// global cache — the same trick geth uses — removes the redundant work. The cache key covers digest, signature and claimed
 // signer, so a hit can never confuse distinct verifications.
 var sigCache = struct {
 	sync.RWMutex

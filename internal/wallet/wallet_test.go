@@ -57,6 +57,15 @@ func TestSignAndRecover(t *testing.T) {
 	if VerifyDigest(other.Address(), digest, sig) {
 		t.Error("VerifyDigest attributed the signature to the wrong address")
 	}
+	// SRAs, R† and R* are checked through VerifyDigest: the high-S twin of
+	// a signature would be a second valid encoding of each of them.
+	twin := secp256k1.Signature{R: sig.R, S: new(big.Int).Sub(secp256k1.S256().N, sig.S), V: sig.V ^ 1}
+	if _, err := RecoverSigner(digest, twin); !errors.Is(err, secp256k1.ErrInvalidSignature) {
+		t.Errorf("RecoverSigner(high-S twin) = %v, want ErrInvalidSignature", err)
+	}
+	if VerifyDigest(w.Address(), digest, twin) {
+		t.Error("VerifyDigest accepted the high-S twin")
+	}
 }
 
 func TestRecoverSignerRejectsGarbage(t *testing.T) {

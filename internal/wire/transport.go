@@ -43,9 +43,15 @@ type Config struct {
 	// (defaults 250ms and 15s); actual sleeps are jittered to
 	// [backoff/2, backoff] so restarting fleets do not thundering-herd.
 	DialBackoffMin, DialBackoffMax time.Duration
-	// QueueSize bounds each peer's outbound frame queue (default 256).
+	// QueueSize bounds each peer's outbound frame queue (default 4096).
 	// A full queue sheds its oldest frame — slow peers lag, they do not
-	// stall the node or grow memory without bound.
+	// stall the node or grow memory without bound. The default is the
+	// transaction pool's default capacity: a node relays every
+	// transaction a batch admission accepted in one loop, far faster than
+	// the writer's one socket write per frame drains it, so a queue
+	// shorter than the largest batch the pool can admit sheds gossip on a
+	// healthy peer (and transactions, unlike blocks, are never
+	// re-requested).
 	QueueSize int
 }
 
@@ -66,16 +72,19 @@ func (cfg Config) withDefaults() Config {
 		cfg.DialBackoffMax = 15 * time.Second
 	}
 	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 256
+		cfg.QueueSize = 4096
 	}
 	return cfg
 }
 
 // peer is one live, handshaken connection.
 type peer struct {
-	id     p2p.NodeID
-	conn   net.Conn
-	out    chan Frame
+	id   p2p.NodeID
+	conn net.Conn
+	// out holds pointers so that a queue sized for the largest gossip burst
+	// (Config.QueueSize) costs 8 bytes a slot, not a 72-byte Frame, whether
+	// or not the burst ever comes.
+	out    chan *Frame
 	done   chan struct{}
 	dialed bool // we initiated the connection
 	once   sync.Once
@@ -190,7 +199,7 @@ func (t *Transport) Send(_, to p2p.NodeID, msg p2p.Message) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPeer, to)
 	}
-	t.enqueue(p, Frame{Kind: msg.Kind, Payload: msg.Payload, Trace: msg.Trace})
+	t.enqueue(p, &Frame{Kind: msg.Kind, Payload: msg.Payload, Trace: msg.Trace})
 	return nil
 }
 
@@ -203,8 +212,9 @@ func (t *Transport) Broadcast(_ p2p.NodeID, msg p2p.Message) {
 	}
 	t.mu.Unlock()
 	mFanout.Observe(uint64(len(peers)))
+	f := &Frame{Kind: msg.Kind, Payload: msg.Payload, Trace: msg.Trace}
 	for _, p := range peers {
-		t.enqueue(p, Frame{Kind: msg.Kind, Payload: msg.Payload, Trace: msg.Trace})
+		t.enqueue(p, f)
 	}
 }
 
@@ -331,7 +341,7 @@ func (t *Transport) setupConn(conn net.Conn, dialed bool) (*peer, bool) {
 	p := &peer{
 		id:     h.NodeID,
 		conn:   conn,
-		out:    make(chan Frame, t.cfg.QueueSize),
+		out:    make(chan *Frame, t.cfg.QueueSize),
 		done:   make(chan struct{}),
 		dialed: dialed,
 	}
@@ -447,7 +457,8 @@ func (t *Transport) writeLoop(p *peer) {
 	for {
 		var f Frame
 		select {
-		case f = <-p.out:
+		case queued := <-p.out:
+			f = *queued // a broadcast shares one frame among the peers' queues
 		case <-ping.C:
 			f = Frame{Kind: kindPing}
 		case <-p.done:
@@ -473,7 +484,7 @@ func (t *Transport) writeLoop(p *peer) {
 // enqueue adds a frame to a peer's bounded outbound queue, shedding the
 // oldest queued frame when full: fresh chain state beats stale gossip,
 // and a stalled peer can always re-request what it missed.
-func (t *Transport) enqueue(p *peer, f Frame) {
+func (t *Transport) enqueue(p *peer, f *Frame) {
 	for {
 		select {
 		case p.out <- f:

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -110,6 +111,35 @@ func TestSendAndBroadcastOverTCP(t *testing.T) {
 
 	if err := a.Send("a", "nobody", p2p.Message{Kind: p2p.MsgTx}); !errors.Is(err, ErrUnknownPeer) {
 		t.Errorf("Send to unknown peer: err = %v, want ErrUnknownPeer", err)
+	}
+}
+
+// TestRelayBurstOfAPoolIsNotShed: a node that batch-admits gossip relays
+// every admitted transaction in one loop, and a pool holds up to 4096
+// (txpool's default capacity). Enqueueing is a channel send; draining is a
+// socket write per frame, ten times slower — so whether such a burst
+// survives must not depend on the writer keeping up. With the old
+// 256-frame default this shed about two thirds of the burst on a healthy
+// loopback peer, and a shed transaction is never re-requested.
+func TestRelayBurstOfAPoolIsNotShed(t *testing.T) {
+	g := testGenesis()
+	a := newTestTransport(t, "a", g)
+	b := newTestTransport(t, "b", g, a.Addr())
+	waitFor(t, 5*time.Second, func() bool { return hasPeer(a, "b") && hasPeer(b, "a") }, "a and b connected")
+
+	const burst = 4096
+	shed := mQueueShed.Value()
+	for i := 0; i < burst; i++ {
+		b.Broadcast("b", p2p.Message{Kind: p2p.MsgTx, Payload: binary.BigEndian.AppendUint32(nil, uint32(i))})
+	}
+	msgs := receiveN(t, a, burst, 10*time.Second)
+	if got := mQueueShed.Value() - shed; got != 0 {
+		t.Errorf("%d frames of a %d-frame burst were shed", got, burst)
+	}
+	for i, m := range msgs {
+		if binary.BigEndian.Uint32(m.Payload) != uint32(i) {
+			t.Fatalf("message %d carries payload %x: lost or reordered", i, m.Payload)
+		}
 	}
 }
 
