@@ -33,7 +33,8 @@ lint:
 # the transaction and block decoders gossip feeds, the
 # snap-sync/range-sync payload decoders a hostile peer controls, and the
 # signature parser and recovery kernel every signed byte reaches — the
-# latter differentially against its math/big oracle).
+# latter differentially against its math/big oracle), plus the hash under
+# all of them, differentially against the loop-form sponge.
 # Override FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -48,6 +49,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseRangeBlocks$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSignature$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzRecoverDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
+	$(GO) test -fuzz='^FuzzSum256Differential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/keccak/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -65,11 +67,13 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the chain-core microbenchmarks (state root, state fork, block
-# insert, reorg, detection query) and the signature kernel's (field
-# multiplication and inversion, sign, verify, recover).
+# insert, reorg, detection query), the signature kernel's (field
+# multiplication and inversion, sign, verify, recover) and the hash
+# kernel's (permutation, a trie branch, 1 KiB).
 bench:
 	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x
 	$(GO) test ./internal/crypto/secp256k1/ -run NONE -bench . -benchmem
+	$(GO) test ./internal/crypto/keccak/ -run NONE -bench . -benchmem
 
 # telemetry-budget fails if a hot-path counter increment costs more than
 # the budget (30 ns/op by default; override with

@@ -37,7 +37,7 @@ func cmdNode(args []string) int {
 	rpcAddr := fs.String("rpc", "", "serve the /v1 HTTP API on this address (empty = no RPC)")
 	mine := fs.Bool("mine", true, "mine blocks with the CPU sealer")
 	threads := fs.Int("threads", 1, "sealer threads (0 = all CPUs)")
-	difficulty := fs.Uint64("difficulty", 20_000, "fixed block difficulty (~hashes per block)")
+	difficulty := fs.Uint64("difficulty", 160_000, "fixed block difficulty (~hashes per block)")
 	maxTxs := fs.Int("maxtxs", 0, "max transactions per mined block (0 = no cap)")
 	blocks := fs.Int("blocks", 0, "stop after mining this many blocks (0 = run until interrupted)")
 	pprofOn := fs.Bool("pprof", false, "mount net/http/pprof on the RPC listener (operator use only)")

@@ -550,6 +550,46 @@ func TestImportOfPooledTxsRecoversNoSender(t *testing.T) {
 	}
 }
 
+// TestDuplicateInsideOneGossipBatchRecoversOnce: on a mesh a transaction
+// reaches a provider from its origin and relayed, and when both copies
+// land in one inbox drain neither is pooled yet, so the pool and chain
+// lookups cannot tell the second from new. The batch drops it by hash
+// before the recovery fan-out sees it: one ECDSA recovery, one relay.
+func TestDuplicateInsideOneGossipBatchRecoversOnce(t *testing.T) {
+	alloc, releasing, _ := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	tx := &types.Transaction{
+		Kind: types.TxTransfer, To: types.Address{1}, Value: 1,
+		GasLimit: 21_000, GasPrice: 50 * types.GWei,
+	}
+	if err := types.SignTx(tx, releasing); err != nil {
+		t.Fatal(err)
+	}
+	p1 := cl.providers[1]
+	payload := types.EncodeTx(tx)
+	for _, from := range []p2p.NodeID{"origin", "relay"} {
+		_ = cl.net.Send(from, p1.ID(), p2p.Message{Kind: p2p.MsgTx, Payload: payload})
+	}
+	cl.now += 10
+	cl.net.AdvanceTo(cl.now)
+
+	misses := telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
+	before, dups, sent := misses.Value(), mGossipDupTx.Value(), cl.net.Stats().Sent
+	p1.HandleMessages()
+	if p1.PoolLen() != 1 {
+		t.Fatalf("provider 1 pooled %d transactions, want 1", p1.PoolLen())
+	}
+	if got := misses.Value() - before; got != 1 {
+		t.Errorf("a batch carrying one transaction twice cost %d sender recoveries, want 1", got)
+	}
+	if got := mGossipDupTx.Value() - dups; got != 1 {
+		t.Errorf("batch counted %d duplicate transactions, want 1", got)
+	}
+	if got := cl.net.Stats().Sent - sent; got != 1 {
+		t.Errorf("provider 1 relayed the transaction %d times, want once to its one peer", got)
+	}
+}
+
 // TestReopenedProviderDoesNotRebroadcastKnownBlock: "seen" is derived from
 // the chain, so it survives a restart. A provider reopened on its datadir
 // that is gossiped its own head block again must count a duplicate and

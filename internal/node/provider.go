@@ -334,10 +334,20 @@ func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.Tr
 	fresh := make([]*types.Transaction, 0, len(txs))
 	freshTraces := make([]telemetry.TraceContext, 0, len(txs))
 	batchTrace := telemetry.TraceContext{}
+	// A transaction's origin copy and a relayed copy can share a batch,
+	// before either is pooled: dupTx knows neither, so the batch itself
+	// remembers what it has taken and drops the second unrecovered.
+	inBatch := make(map[types.Hash]struct{}, len(txs))
 	for i, tx := range txs {
-		if p.dupTx(tx.Hash()) {
+		hash := tx.Hash()
+		if _, again := inBatch[hash]; again {
+			mGossipDupTx.Inc()
 			continue
 		}
+		if p.dupTx(hash) {
+			continue
+		}
+		inBatch[hash] = struct{}{}
 		fresh = append(fresh, tx)
 		var tc telemetry.TraceContext
 		if i < len(traces) {

@@ -9,7 +9,10 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
-var copySink *DB
+var (
+	copySink   *DB
+	digestSink types.Hash
+)
 
 // TestCopyIsConstant pins Copy's complexity: forking a rooted 10,000-
 // account state allocates the new DB and nothing that scales with it.
@@ -24,6 +27,27 @@ func TestCopyIsConstant(t *testing.T) {
 	db.Root()
 	if allocs := testing.AllocsPerRun(100, func() { copySink = db.Copy() }); allocs > 2 {
 		t.Fatalf("Copy() of a 10k-account state made %.0f allocations, want <= 2", allocs)
+	}
+}
+
+// TestAccountDigestDoesNotAllocate: the digest streams through a pooled
+// sponge and squeezes it in place, so the leaf of every touched account —
+// the call Root makes most — costs no heap, with storage or without.
+func TestAccountDigestDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is not meaningful under -race")
+	}
+	db := New()
+	addr := benchAddr(1)
+	_ = db.Credit(addr, 5)
+	for _, slots := range []int{0, 3} {
+		for i := 0; i < slots; i++ {
+			db.SetStorage(addr, types.Hash{byte(i + 1)}, types.Hash{1})
+		}
+		acc := db.get(addr)
+		if allocs := testing.AllocsPerRun(100, func() { digestSink = accountDigest(addr[:], &acc) }); allocs != 0 {
+			t.Errorf("accountDigest of an account with %d slots made %.0f allocations, want 0", slots, allocs)
+		}
 	}
 }
 

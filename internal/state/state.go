@@ -222,6 +222,10 @@ const (
 // emptyStateRoot commits to the state with no non-empty accounts.
 var emptyStateRoot = types.HashBytes([]byte{trieTagEmpty})
 
+// emptyCodeHash is the code hash of every plain account, c5d2…a470; a
+// constant, so an account digest does not spend a permutation on it.
+var emptyCodeHash = keccak.Sum256(nil)
+
 // accountDigest commits to one account: address, balance, nonce, code
 // hash and the storage slots in key order — the per-account serialization
 // the commitment hashes into its leaves.
@@ -236,7 +240,10 @@ func accountDigest(addr []byte, acc *account) types.Hash {
 	_, _ = h.Write(addr)
 	writeU64(uint64(acc.balance))
 	writeU64(acc.nonce)
-	codeHash := keccak.Sum256(acc.code)
+	codeHash := emptyCodeHash
+	if len(acc.code) > 0 {
+		codeHash = keccak.Sum256(acc.code)
+	}
 	_, _ = h.Write(codeHash[:])
 	writeU64(uint64(acc.slots))
 	critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
@@ -244,9 +251,7 @@ func accountDigest(addr []byte, acc *account) types.Hash {
 		copy(buf[types.HashSize:], v[:])
 		_, _ = h.Write(buf[:])
 	})
-	var d types.Hash
-	copy(d[:], h.Sum(nil))
-	return d
+	return keccak.Finalize256(h)
 }
 
 // Root computes the deterministic commitment to the entire state: the
