@@ -71,7 +71,7 @@ race:
 # multiplication and inversion, sign, verify, recover) and the hash
 # kernel's (permutation, a trie branch, 1 KiB).
 bench:
-	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x
+	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x -benchmem
 	$(GO) test ./internal/crypto/secp256k1/ -run NONE -bench . -benchmem
 	$(GO) test ./internal/crypto/keccak/ -run NONE -bench . -benchmem
 

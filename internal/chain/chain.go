@@ -107,6 +107,30 @@ type entry struct {
 	receipts []*Receipt
 }
 
+// builtBlock is what BuildBlock computed for the block it last returned,
+// kept so that importing that block does not compute it again.
+type builtBlock struct {
+	parent *entry
+	// header is the header as built: every field but Nonce is final.
+	header   types.Header
+	post     *state.DB // summed: BuildBlock took its Root
+	receipts []*Receipt
+}
+
+// adoptable reports whether executing blk on parent must reproduce b.
+// Execution is a pure function of the parent state, Number, Time, Miner,
+// the transactions and the config; stage 1 has recomputed blk's TxRoot
+// from its transactions, so equal headers apart from the nonce a sealer
+// searched for mean equal inputs, and so an equal post-state and receipts.
+func (b *builtBlock) adoptable(parent *entry, blk *types.Block) bool {
+	if b == nil || b.parent != parent {
+		return false
+	}
+	h := blk.Header
+	h.Nonce = b.header.Nonce
+	return h == b.header
+}
+
 // txLoc locates a transaction on the canonical chain.
 type txLoc struct {
 	blockID types.Hash
@@ -149,6 +173,10 @@ type Chain struct {
 	// backs the paginated /v1/sras listing without scanning the chain.
 	// Same copy-on-truncate rule as canon.
 	sraIndex []SRARef
+	// built memoises the last BuildBlock so a sealer's own block is
+	// executed once, not once to build and again to import (see
+	// insertVerifiedLocked). Guarded by mu.
+	built *builtBlock
 	// view is the latest published read snapshot (view.go). Swapped by
 	// publishView at the end of every head switch; read via CurrentView
 	// with no lock.
@@ -473,7 +501,8 @@ func (c *Chain) verifyHeaderLink(parent, child *types.Header) error {
 
 // insertVerifiedLocked runs stage 2 for a block whose stateless checks
 // already passed: parent lookup, header-link rules, execution against the
-// parent state, state-root comparison and fork choice. Callers hold the
+// parent state (or adoption of BuildBlock's, when the block is the one it
+// built), state-root comparison and fork choice. Callers hold the
 // write lock. tc is the block's trace context, threaded into setHead's
 // event publication; a zero context is fine.
 func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext) (bool, error) {
@@ -492,14 +521,22 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 		return false, err
 	}
 
-	parentState, err := c.stateOfLocked(parent)
-	if err != nil {
-		return false, err
-	}
-	st := parentState.Copy()
-	receipts, err := execBlock(c.cfg, st, blk)
-	if err != nil {
-		return false, err
+	// A block this chain built itself arrives with its execution already
+	// done. Anything else — a peer's block, or one a sealer changed beyond
+	// the nonce — is executed here; both are held to the header's root.
+	var st *state.DB
+	var receipts []*Receipt
+	if b := c.built; b.adoptable(parent, blk) {
+		st, receipts, c.built = b.post, b.receipts, nil
+	} else {
+		parentState, err := c.stateOfLocked(parent)
+		if err != nil {
+			return false, err
+		}
+		st = parentState.Copy()
+		if receipts, err = execBlock(c.cfg, st, blk); err != nil {
+			return false, err
+		}
 	}
 	if st.Root() != blk.Header.StateRoot {
 		return false, fmt.Errorf("%w: computed %s, header %s",
@@ -756,6 +793,8 @@ func (c *Chain) DetectionResults(sraID types.Hash) []DetectionRecord {
 // BuildBlock executes txs on top of the given parent and returns an
 // unsealed block with correct roots, ready for a sealer to find the nonce.
 // Invalid transactions cause an error; miners filter their pool first.
+// The chain remembers the most recent build: inserting that block, with
+// whatever nonce, commits this execution instead of repeating it.
 func (c *Chain) BuildBlock(parentID types.Hash, miner types.Address, timestamp, difficulty uint64, txs []*types.Transaction) (*types.Block, error) {
 	// Resolve the parent state under the write lock: a parent below a
 	// restored snapshot has no post-state until stateOfLocked rebuilds and
@@ -786,9 +825,13 @@ func (c *Chain) BuildBlock(parentID types.Hash, miner types.Address, timestamp, 
 		},
 		Txs: txs,
 	}
-	if _, err := execBlock(c.cfg, st, blk); err != nil {
+	receipts, err := execBlock(c.cfg, st, blk)
+	if err != nil {
 		return nil, err
 	}
 	blk.Header.StateRoot = st.Root()
+	c.mu.Lock()
+	c.built = &builtBlock{parent: parent, header: blk.Header, post: st, receipts: receipts}
+	c.mu.Unlock()
 	return blk, nil
 }

@@ -21,11 +21,10 @@ func benchAlloc(n int) map[types.Address]types.Amount {
 	return alloc
 }
 
-// BenchmarkInsertBlock10kAccounts measures block insertion (build +
-// execute + root + verify + index) against a world of 10,000 allocated
-// accounts — the scale where the seed's full-rehash Root() and deep
-// Copy() dominated per-block cost.
-func BenchmarkInsertBlock10kAccounts(b *testing.B) {
+// bench10kChain is a chain over 10,000 allocated accounts, with b.N blocks
+// of twenty signed transfers from a funded sender.
+func bench10kChain(b *testing.B) (*Chain, [][]*types.Transaction, types.Address) {
+	b.Helper()
 	alice := wallet.NewDeterministic("alice")
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
@@ -36,7 +35,6 @@ func BenchmarkInsertBlock10kAccounts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	miner := wallet.NewDeterministic("miner").Address()
 
 	const txPerBlock = 20
 	batches := make([][]*types.Transaction, b.N)
@@ -60,7 +58,15 @@ func BenchmarkInsertBlock10kAccounts(b *testing.B) {
 		}
 		batches[i] = batch
 	}
+	return c, batches, wallet.NewDeterministic("miner").Address()
+}
 
+// BenchmarkInsertBlock10kAccounts measures block insertion (build +
+// execute + root + verify + index) against a world of 10,000 allocated
+// accounts — the scale where the seed's full-rehash Root() and deep
+// Copy() dominated per-block cost.
+func BenchmarkInsertBlock10kAccounts(b *testing.B) {
+	c, batches, miner := bench10kChain(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,6 +79,101 @@ func BenchmarkInsertBlock10kAccounts(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSealOwnBlock is a sealer's round without the nonce search:
+// build on the head, put a nonce in the header, insert the block. The
+// import commits what the build computed, so a round costs one execution
+// and one dirty Root, not two. Two blocks: 20 transfers over 10,000
+// accounts (the account trie's path copies), and one R* against a contract
+// account holding 10,000 storage slots (the digest that walks them all).
+func BenchmarkSealOwnBlock(b *testing.B) {
+	seal := func(b *testing.B, c *Chain, miner types.Address, batches [][]*types.Transaction) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			head := c.Head()
+			blk, err := c.BuildBlock(head.ID(), miner, head.Header.Time+15_000, 1000, batches[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			blk.Header.Nonce = uint64(i) + 1
+			if _, err := c.InsertBlock(blk); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("20-transfers/10k-accounts", func(b *testing.B) {
+		c, batches, miner := bench10kChain(b)
+		seal(b, c, miner, batches)
+	})
+	b.Run("one-reveal/10k-slots", func(b *testing.B) {
+		h := &harness{
+			t:        &testing.T{},
+			provider: wallet.NewDeterministic("provider"),
+			detector: wallet.NewDeterministic("detector"),
+			miner:    wallet.NewDeterministic("miner"),
+			nonces:   make(map[types.Address]uint64),
+		}
+		verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
+		cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
+		cfg.SkipPoWCheck = true
+		cfg.Alloc = map[types.Address]types.Amount{
+			h.provider.Address(): types.EtherAmount(1_000_000),
+			h.detector.Address(): types.EtherAmount(1_000_000),
+		}
+		c, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.chain = c
+
+		// 2,000 announcements at five slots each, fifty to a block.
+		var sras []types.Hash
+		for len(sras) < 2_000 {
+			var txs []*types.Transaction
+			for j := 0; j < 50; j++ {
+				sra := &types.SRA{
+					Provider:     h.provider.Address(),
+					Name:         "cam-fw",
+					Version:      fmt.Sprintf("5.%d", len(sras)),
+					SystemHash:   types.HashBytes([]byte(fmt.Sprintf("image-5.%d", len(sras)))),
+					DownloadLink: fmt.Sprintf("sc://releases/cam-fw/5.%d", len(sras)),
+					Insurance:    types.EtherAmount(100),
+					Bounty:       types.EtherAmount(1),
+				}
+				if err := types.SignSRA(sra, h.provider); err != nil {
+					b.Fatal(err)
+				}
+				tx := types.NewSRATx(sra, h.nextNonce(h.provider.Address()), 2_000_000, testGasPrice)
+				if err := types.SignTx(tx, h.provider); err != nil {
+					b.Fatal(err)
+				}
+				txs, sras = append(txs, tx), append(sras, sra.ID)
+			}
+			h.extend(txs...)
+		}
+		// Every R† up front, so a measured block is exactly one R*. The
+		// detector's commitments take nonces 0…N−1 and its reveals follow.
+		commits := make([]*types.Transaction, b.N)
+		reveals := make([][]*types.Transaction, b.N)
+		for i := range commits {
+			itx, dtx := h.reportPair(sras[i%len(sras)], fmt.Sprintf("V-%d", i))
+			itx.Nonce, dtx.Nonce = uint64(i), uint64(b.N+i)
+			for _, tx := range []*types.Transaction{itx, dtx} {
+				if err := types.SignTx(tx, h.detector); err != nil {
+					b.Fatal(err)
+				}
+			}
+			commits[i], reveals[i] = itx, []*types.Transaction{dtx}
+		}
+		for len(commits) > 0 {
+			n := min(len(commits), 500)
+			h.extend(commits[:n]...)
+			commits = commits[n:]
+		}
+		seal(b, c, h.miner.Address(), reveals)
+	})
 }
 
 // BenchmarkReorgFlip measures fork choice: each iteration extends the

@@ -327,8 +327,12 @@ func (c *Chain) installPrefixLocked(blocks []*types.Block, st *state.DB) {
 // predicate, tx-root merkle, structural tx checks — parallel across CPUs)
 // but no execution; instead the restored state is hashed and compared to
 // the commitment-trie root in block H's header, which transitively commits
-// to every execution effect. Sender recovery is skipped too — receipts
-// below H are not materialized (the archival horizon).
+// to every execution effect. The structural checks include every prefix
+// transaction's signature: verifyShape reaches ValidateBasic, which
+// recovers the sender, so adoption pays one ECDSA recovery per transaction
+// below H (about half of coldsync's CPU; whether a snapshot's prefix needs
+// that is ROADMAP item 6's decision). Receipts below H are not materialized
+// (the archival horizon).
 //
 // The whole point of snap-sync: adoption costs O(snapshot + shape checks)
 // instead of O(re-executing the chain).

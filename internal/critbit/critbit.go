@@ -21,18 +21,33 @@ import "math/bits"
 // it moves no branch.
 type Key = [32]byte
 
-// Node is one immutable node. A leaf has bit == -1 and carries key/val; a
-// branch carries the index of the first bit on which its two subtrees
-// disagree (left = 0, right = 1).
+// Node is one immutable node. A leaf has bit == -1 and points at its
+// binding; a branch carries the index of the first bit on which its two
+// subtrees disagree (left = 0, right = 1). The key and value sit out of
+// line so that a node is 64 bytes whatever V is: Set path-copies O(depth)
+// branches for every leaf it writes, and a branch has no use for either.
 type Node[V any] struct {
-	bit         int16
+	bit int16
+	// summed and sum memoise Sum over this subtree — the only fields
+	// written after construction (see Sum for the rule that makes that
+	// safe).
+	summed      bool
 	left, right *Node[V]
-	key         Key
-	val         V
-	// sum memoises Sum over this subtree — the one field written after
-	// construction (see Sum for the rule that makes that safe).
-	sum    [32]byte
-	summed bool
+	*binding[V]
+	sum [32]byte
+}
+
+// binding is a leaf's key and value.
+type binding[V any] struct {
+	key Key
+	val V
+}
+
+// leafNode is how Set allocates a leaf: the node and the binding it points
+// at in one object, so a leaf still costs one allocation.
+type leafNode[V any] struct {
+	Node[V]
+	b binding[V]
 }
 
 // keyBit returns bit i of k, counting from the most significant bit of
@@ -79,7 +94,9 @@ func Get[V any](n *Node[V], key Key) (V, bool) {
 // Set returns the trie with key bound to val. The original is untouched;
 // unchanged subtrees are shared.
 func Set[V any](n *Node[V], key Key, val V) *Node[V] {
-	leaf := &Node[V]{bit: -1, key: key, val: val}
+	l := &leafNode[V]{Node: Node[V]{bit: -1}, b: binding[V]{key, val}}
+	l.binding = &l.b
+	leaf := &l.Node
 	if n == nil {
 		return leaf
 	}

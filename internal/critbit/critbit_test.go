@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func key(i int) Key { return sha256.Sum256([]byte(fmt.Sprintf("key-%d", i))) }
@@ -175,4 +176,29 @@ func TestSumIsIncremental(t *testing.T) {
 	if shapeSum(root, &calls) != before || calls != 0 {
 		t.Fatal("the old root's sum moved")
 	}
+}
+
+// TestNodeIs64Bytes pins the layout Set's cost rests on: a node is one
+// cache line whatever the value type, because only leaves carry a binding
+// and they carry it out of line. The three shapes are the tree's own — the
+// account trie's pointer, the storage trie's word, and a struct the size
+// of the transaction index's location record.
+func TestNodeIs64Bytes(t *testing.T) {
+	type wide struct{ _ [56]byte }
+	for name, size := range map[string]uintptr{
+		"Node[*T]":       unsafe.Sizeof(Node[*wide]{}),
+		"Node[[32]byte]": unsafe.Sizeof(Node[[32]byte]{}),
+		"Node[56 bytes]": unsafe.Sizeof(Node[wide]{}),
+	} {
+		if size != 64 {
+			t.Errorf("%s is %d bytes, want 64", name, size)
+		}
+	}
+	// A leaf stays a single allocation.
+	var root *Node[wide]
+	k := key(1)
+	if n := testing.AllocsPerRun(100, func() { root = Set(nil, k, wide{}) }); n != 1 {
+		t.Errorf("Set of a first leaf made %v allocations, want 1", n)
+	}
+	_ = root
 }

@@ -53,11 +53,44 @@ func AppendList(dst, payload []byte) []byte {
 	return append(appendHeader(dst, 0xc0, len(payload)), payload...)
 }
 
+// AppendListHeader appends only the header of a list whose payload is
+// payloadLen bytes, for a writer that sized its buffer up front and encodes
+// the elements straight in behind it.
+func AppendListHeader(dst []byte, payloadLen int) []byte {
+	return appendHeader(dst, 0xc0, payloadLen)
+}
+
+// Size returns the encoded length of a string or list with length bytes of
+// content. (The one string it overstates is a single byte below 0x80,
+// which is its own encoding; BytesSize and Uint64Size know that.)
+func Size(length int) int {
+	if length < 56 {
+		return 1 + length
+	}
+	return 1 + (bits.Len64(uint64(length))+7)/8 + length
+}
+
+// BytesSize returns the number of bytes AppendBytes appends for b.
+func BytesSize(b []byte) int {
+	if len(b) == 1 && b[0] < 0x80 {
+		return 1
+	}
+	return Size(len(b))
+}
+
+// Uint64Size returns the number of bytes AppendUint64 appends for v.
+func Uint64Size(v uint64) int {
+	if v < 0x80 {
+		return 1
+	}
+	return 1 + (bits.Len64(v)+7)/8
+}
+
 // appendHeader appends the header of a value whose content is length
-// bytes, making room for the content too so the caller's append of it
-// does not reallocate.
+// bytes, making room for exactly the content too so the caller's append of
+// it does not reallocate — and a buffer sized with Size is never regrown.
 func appendHeader(dst []byte, base byte, length int) []byte {
-	dst = slices.Grow(dst, 9+length)
+	dst = slices.Grow(dst, Size(length))
 	if length < 56 {
 		return append(dst, base+byte(length))
 	}

@@ -266,3 +266,39 @@ func BenchmarkEncodeBlockLike(b *testing.B) {
 		AppendList(nil, AppendList(body, reports))
 	}
 }
+
+// TestSizesMatchTheWriters holds the three size functions to the writers
+// they predict, across every header form's boundaries, and checks that a
+// buffer sized by them is filled exactly and never regrown.
+func TestSizesMatchTheWriters(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 55, 56, 57, 255, 256, 65535, 65536, 1 << 20} {
+		b := bytes.Repeat([]byte{0x9c}, n)
+		if got, want := BytesSize(b), len(AppendBytes(nil, b)); got != want {
+			t.Errorf("BytesSize(%d bytes) = %d, AppendBytes wrote %d", n, got, want)
+		}
+		if got, want := Size(n), len(AppendList(nil, b)); got != want {
+			t.Errorf("Size(%d) = %d, AppendList wrote %d", n, got, want)
+		}
+		out := AppendListHeader(make([]byte, 0, Size(n)), n)
+		if full := append(out, b...); len(full) != cap(full) || &full[0] != &out[0] {
+			t.Errorf("a Size(%d) buffer ended at %d of %d bytes, or moved", n, len(full), cap(full))
+		}
+	}
+	for _, b := range [][]byte{{0x00}, {0x7f}, {0x80}, {0xff}} {
+		if got, want := BytesSize(b), len(AppendBytes(nil, b)); got != want {
+			t.Errorf("BytesSize(%x) = %d, AppendBytes wrote %d", b, got, want)
+		}
+	}
+	f := func(v uint64, shift uint8) bool {
+		v >>= shift % 64
+		return Uint64Size(v) == len(AppendUint64(nil, v))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, v := range []uint64{0, 1, 0x7f, 0x80, 0xff, 0x100, 1<<56 - 1, 1 << 56, 1<<64 - 1} {
+		if !f(v, 0) {
+			t.Errorf("Uint64Size(%#x) = %d, AppendUint64 wrote %d", v, Uint64Size(v), len(AppendUint64(nil, v)))
+		}
+	}
+}

@@ -239,10 +239,26 @@ func (d *Disk) checkMeta(genesis types.Hash) error {
 	return nil
 }
 
+// readRest reads f from its current offset to its end into one buffer of
+// the file's size; io.ReadAll's doubling growth allocates several times
+// that. A file shorter than Stat said is read to where it ends.
+func readRest(f *os.File) ([]byte, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, info.Size())
+	n, err := io.ReadFull(f, buf)
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		err = nil
+	}
+	return buf[:n], err
+}
+
 // recoverWAL scans the WAL to the last valid record, truncates anything
 // after it, and installs the committed sequence number.
 func (d *Disk) recoverWAL() (headID types.Hash, headNumber uint64, err error) {
-	raw, err := io.ReadAll(d.walF)
+	raw, err := readRest(d.walF)
 	if err != nil {
 		return types.Hash{}, 0, fmt.Errorf("store: read wal: %w", err)
 	}
@@ -277,7 +293,7 @@ func (d *Disk) recoverWAL() (headID types.Hash, headNumber uint64, err error) {
 // along with any torn tail; fewer records than committed is
 // unrecoverable corruption.
 func (d *Disk) recoverLog() ([][]byte, error) {
-	raw, err := io.ReadAll(d.logF)
+	raw, err := readRest(d.logF)
 	if err != nil {
 		return nil, fmt.Errorf("store: read log: %w", err)
 	}

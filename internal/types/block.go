@@ -181,13 +181,26 @@ func DecodeTx(data []byte) (*Transaction, error) {
 }
 
 // EncodeBlock serializes a block for network transport: [header, [tx…]].
+// The lengths are worked out first, inside out, so the encoding is written
+// once into a slice of exactly its size.
 func EncodeBlock(b *Block) []byte {
-	var txs, fields []byte
+	var scratch [160]byte // an encoded header is at most 158 bytes
+	header := b.Header.appendRLP(scratch[:0])
+	txsLen := 0
 	for _, tx := range b.Txs {
-		fields = tx.appendFields(fields[:0], true)
-		txs = rlp.AppendList(txs, fields)
+		txsLen += rlp.Size(tx.fieldsSize())
 	}
-	return rlp.AppendList(nil, rlp.AppendList(b.Header.appendRLP(nil), txs))
+	blockLen := len(header) + rlp.Size(txsLen)
+
+	out := make([]byte, 0, rlp.Size(blockLen))
+	out = rlp.AppendListHeader(out, blockLen)
+	out = append(out, header...)
+	out = rlp.AppendListHeader(out, txsLen)
+	for _, tx := range b.Txs {
+		out = rlp.AppendListHeader(out, tx.fieldsSize())
+		out = tx.appendFields(out, true)
+	}
+	return out
 }
 
 // DecodeBlock parses a block from its transport encoding, as strictly as

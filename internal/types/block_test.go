@@ -1,6 +1,7 @@
 package types
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"testing"
@@ -193,5 +194,53 @@ func BenchmarkHeaderID(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Nonce = uint64(i)
 		h.ID()
+	}
+}
+
+// TestFieldsSizeMatchesAppendFields walks the payload lengths at which an
+// RLP string changes form; the integers ride along at both extremes.
+func TestFieldsSizeMatchesAppendFields(t *testing.T) {
+	alice := wallet.NewDeterministic("alice")
+	for _, n := range []int{0, 1, 2, 55, 56, 255, 256, 70_000} {
+		for _, fill := range []byte{0x00, 0x7f, 0x80} {
+			tx := &Transaction{Kind: TxContractCall, GasLimit: 1, Data: bytes.Repeat([]byte{fill}, n)}
+			if n%2 == 1 {
+				tx.Nonce, tx.Value, tx.GasLimit, tx.GasPrice = 1<<64-1, 1<<63, 0x80, 0x7f
+			}
+			if err := SignTx(tx, alice); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := tx.fieldsSize(), len(tx.appendFields(nil, true)); got != want {
+				t.Errorf("data %d×%#x: fieldsSize = %d, appendFields wrote %d", n, fill, got, want)
+			}
+		}
+	}
+	unsigned := &Transaction{Kind: TxTransfer}
+	if got, want := unsigned.fieldsSize(), len(unsigned.appendFields(nil, true)); got != want {
+		t.Errorf("unsigned: fieldsSize = %d, appendFields wrote %d", got, want)
+	}
+}
+
+// TestEncodeBlockWritesOnce pins the encoder's allocation count: one
+// exactly-sized output for a 100-transaction block (a second is allowed
+// for), where building the payload up list by list took about a dozen and
+// four times the bytes.
+func TestEncodeBlockWritesOnce(t *testing.T) {
+	alice := wallet.NewDeterministic("alice")
+	txs := make([]*Transaction, 100)
+	for i := range txs {
+		txs[i] = signedTransfer(t, alice, Address{byte(i)}, Amount(i), uint64(i))
+	}
+	b := &Block{Header: Header{Number: 9, Time: 135_000, TxRoot: ComputeTxRoot(txs)}, Txs: txs}
+	var enc []byte
+	if n := testing.AllocsPerRun(20, func() { enc = EncodeBlock(b) }); n > 2 {
+		t.Errorf("EncodeBlock made %v allocations for 100 transactions, want at most 2", n)
+	}
+	if len(enc) != cap(enc) {
+		t.Errorf("output is %d bytes in a %d-byte slice", len(enc), cap(enc))
+	}
+	back, err := DecodeBlock(enc)
+	if err != nil || back.ID() != b.ID() || len(back.Txs) != len(txs) {
+		t.Fatalf("round trip: %v", err)
 	}
 }

@@ -164,6 +164,20 @@ func (tx *Transaction) appendFields(dst []byte, withSig bool) []byte {
 	return dst
 }
 
+// fieldsSize returns len(appendFields(nil, true)) without encoding
+// anything; it mirrors appendFields line for line.
+func (tx *Transaction) fieldsSize() int {
+	return rlp.Uint64Size(uint64(tx.Kind)) +
+		rlp.Uint64Size(tx.Nonce) +
+		rlp.Size(len(tx.From)) +
+		rlp.Size(len(tx.To)) +
+		rlp.Uint64Size(uint64(tx.Value)) +
+		rlp.Uint64Size(tx.GasLimit) +
+		rlp.Uint64Size(uint64(tx.GasPrice)) +
+		rlp.BytesSize(tx.Data) +
+		rlp.Size(65) // sigBytes
+}
+
 // Transaction errors.
 var (
 	ErrTxBadSignature = errors.New("types: transaction signature invalid")
