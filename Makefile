@@ -30,11 +30,11 @@ lint:
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and
-# the transaction and block decoders gossip feeds, the
-# snap-sync/range-sync payload decoders a hostile peer controls, and the
-# signature parser and recovery kernel every signed byte reaches — the
-# latter differentially against its math/big oracle), plus the hash under
-# all of them, differentially against the loop-form sponge.
+# the transaction and block decoders gossip feeds, the snap-sync,
+# range-sync and relay-announcement payload decoders a hostile peer
+# controls, and the signature parser and recovery kernel every signed byte
+# reaches — the latter differentially against its math/big oracle), plus
+# the hash under all of them, differentially against the loop-form sponge.
 # Override FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -47,6 +47,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseSnapChunkRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunk$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseRangeBlocks$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
+	$(GO) test -fuzz='^FuzzParseAnnounce$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
+	$(GO) test -fuzz='^FuzzParseTxRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSignature$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzRecoverDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzSum256Differential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/keccak/

@@ -136,6 +136,8 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		return nil, fmt.Errorf("%w: limit %d, need %d", ErrGasLimitTooLow, tx.GasLimit, needed)
 	}
 
+	// The nonce bump survives failure, as in Ethereum: it is written before
+	// the snapshot fail() reverts to.
 	ex.st.SetNonce(sender, tx.Nonce+1)
 
 	receipt := &Receipt{TxHash: tx.Hash(), Kind: tx.Kind, Success: true, GasUsed: needed}
@@ -144,8 +146,6 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		if revertErr := ex.st.RevertToSnapshot(snap); revertErr != nil {
 			panic("chain: snapshot revert failed: " + revertErr.Error())
 		}
-		// Nonce bump survives failure, as in Ethereum.
-		ex.st.SetNonce(sender, tx.Nonce+1)
 		receipt.Success = false
 		receipt.Err = cause.Error()
 		receipt.GasUsed = tx.GasLimit // failed actions burn the gas limit

@@ -1,6 +1,9 @@
 package node
 
-import "github.com/smartcrowd/smartcrowd/internal/telemetry"
+import (
+	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
+)
 
 var (
 	mOrphanBuffered    = telemetry.GetCounter("smartcrowd_node_orphans_buffered_total")
@@ -11,6 +14,25 @@ var (
 	mGossipDupBlock    = telemetry.GetCounter("smartcrowd_node_gossip_duplicates_total", telemetry.L("kind", "block"))
 	mGossipMalformed   = telemetry.GetCounter("smartcrowd_node_gossip_malformed_total")
 	mBlockRequestsSent = telemetry.GetCounter("smartcrowd_node_block_requests_total")
+
+	// The relay counters are indexed by item kind (p2p.MsgTx, p2p.MsgBlock).
+	mGossipAnnounced = [...]*telemetry.Counter{
+		p2p.MsgTx:    telemetry.GetCounter("smartcrowd_node_gossip_announced_total", telemetry.L("kind", "tx")),
+		p2p.MsgBlock: telemetry.GetCounter("smartcrowd_node_gossip_announced_total", telemetry.L("kind", "block")),
+	}
+	mFetchOK = [...]*telemetry.Counter{
+		p2p.MsgTx:    telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "tx"), telemetry.L("outcome", "ok")),
+		p2p.MsgBlock: telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "block"), telemetry.L("outcome", "ok")),
+	}
+	mFetchTimeout = [...]*telemetry.Counter{
+		p2p.MsgTx:    telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "tx"), telemetry.L("outcome", "timeout")),
+		p2p.MsgBlock: telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "block"), telemetry.L("outcome", "timeout")),
+	}
+	mFetchUnsolicited = [...]*telemetry.Counter{
+		p2p.MsgTx:    telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "tx"), telemetry.L("outcome", "unsolicited")),
+		p2p.MsgBlock: telemetry.GetCounter("smartcrowd_node_gossip_fetches_total", telemetry.L("kind", "block"), telemetry.L("outcome", "unsolicited")),
+	}
+	mFetchesInFlight = telemetry.GetGauge("smartcrowd_node_gossip_fetches_in_flight")
 
 	mSyncChunks      = telemetry.GetCounter("smartcrowd_node_sync_chunks_total")
 	mSyncRangeBlocks = telemetry.GetCounter("smartcrowd_node_sync_range_blocks_total")
@@ -39,6 +61,9 @@ func init() {
 	telemetry.SetHelp("smartcrowd_node_orphan_evictions_total", "orphan-buffer evictions, by reason (replaced = same parent slot, capacity = buffer full)")
 	telemetry.SetHelp("smartcrowd_node_orphan_depth", "blocks currently parked in the orphan buffer")
 	telemetry.SetHelp("smartcrowd_node_gossip_duplicates_total", "gossip redeliveries of already-seen payloads, by kind")
+	telemetry.SetHelp("smartcrowd_node_gossip_announced_total", "item ids announced to peers on relay, by kind")
+	telemetry.SetHelp("smartcrowd_node_gossip_fetches_total", "fetches of announced items settled, by kind and outcome (ok = the asked announcer delivered, unsolicited = another path delivered first, timeout = the asked announcer stayed silent)")
+	telemetry.SetHelp("smartcrowd_node_gossip_fetches_in_flight", "announced items asked for and not yet received")
 	telemetry.SetHelp("smartcrowd_node_gossip_malformed_total", "gossip payloads that failed to decode and were dropped")
 	telemetry.SetHelp("smartcrowd_node_block_requests_total", "ancestor backfill requests sent after an orphaned block")
 	telemetry.SetHelp("smartcrowd_node_sync_chunks_total", "snapshot state chunks downloaded")

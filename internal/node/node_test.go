@@ -449,7 +449,7 @@ func TestDuplicateBlockRedeliveryIsBenign(t *testing.T) {
 	// a benign no-op — no error path, no orphan buffering, no state
 	// disturbance.
 	p1.mu.Lock()
-	p1.acceptBlock(blk, false, telemetry.TraceContext{})
+	p1.acceptBlock(blk, "", telemetry.TraceContext{})
 	if len(p1.orphans) != 0 {
 		p1.mu.Unlock()
 		t.Fatal("redelivered known block was buffered as an orphan")
@@ -647,9 +647,10 @@ func TestReopenedProviderDoesNotRebroadcastKnownBlock(t *testing.T) {
 
 // TestOnChainTxIsKnownWithoutHavingBeenPooled: a node that learned a
 // transaction only from a block (it never passed through this node's
-// pool) still answers a resubmission with ErrKnownTx and counts the
-// duplicate, because "seen" includes the canonical chain of the current
-// view.
+// pool) still answers a resubmission with ErrKnownTx, because "seen"
+// includes the canonical chain of the current view. A local resubmission
+// is not a gossip redelivery and leaves that counter alone; the same bytes
+// arriving off gossip move it, before they are decoded.
 func TestOnChainTxIsKnownWithoutHavingBeenPooled(t *testing.T) {
 	alloc, releasing, _ := fundedActors()
 	cl := newCluster(t, 2, alloc)
@@ -681,8 +682,13 @@ func TestOnChainTxIsKnownWithoutHavingBeenPooled(t *testing.T) {
 	if err := p1.SubmitTx(tx); !errors.Is(err, txpool.ErrKnownTx) {
 		t.Fatalf("resubmitting an on-chain tx: got %v, want ErrKnownTx", err)
 	}
+	if got := mGossipDupTx.Value() - dups; got != 0 {
+		t.Errorf("a local resubmission moved the gossip duplicate counter by %d, want 0", got)
+	}
+	_ = cl.net.Send("external", p1.ID(), p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx)})
+	cl.settle()
 	if got := mGossipDupTx.Value() - dups; got != 1 {
-		t.Errorf("tx duplicate counter moved by %d, want 1", got)
+		t.Errorf("a gossiped redelivery moved the duplicate counter by %d, want 1", got)
 	}
 	if p1.PoolLen() != 0 {
 		t.Errorf("on-chain tx re-entered the pool (%d pending)", p1.PoolLen())

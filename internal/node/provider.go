@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
@@ -46,10 +47,15 @@ type ProviderNode struct {
 	chain   *chain.Chain
 	pool    *txpool.Pool
 	orphans map[types.Hash]*types.Block // parent id → block awaiting parent
+	fetches fetches                     // announced items asked for (gossip.go)
+
+	// clock reads the time for everything that expires: sync stalls and
+	// in-flight fetches.
+	clock func() time.Time
 
 	// blockTraces remembers which trace a block belongs to (FIFO-bounded
-	// by traceOrder), so backfill replies and re-gossip carry the block's
-	// original lifecycle trace instead of starting a fresh one.
+	// by traceOrder), so the block's body, whoever asks for it, carries its
+	// lifecycle trace instead of starting a fresh one.
 	blockTraces map[types.Hash]telemetry.TraceContext
 	traceOrder  []types.Hash
 
@@ -78,6 +84,8 @@ func NewProvider(id p2p.NodeID, w *wallet.Wallet, cfg chain.Config, net p2p.Tran
 		chain:       c,
 		pool:        txpool.New(txpool.Config{}),
 		orphans:     make(map[types.Hash]*types.Block),
+		fetches:     newFetches(),
+		clock:       time.Now,
 		blockTraces: make(map[types.Hash]telemetry.TraceContext),
 		sync:        &syncer{},
 	}, nil
@@ -163,7 +171,7 @@ func (p *ProviderNode) PoolLen() int { return p.pool.Len() }
 func (p *ProviderNode) SubmitTx(tx *types.Transaction) error {
 	span := telemetry.StartTrace("txpool.admit")
 	p.mu.Lock()
-	err := p.acceptTx(tx, true, span.Context())
+	err := p.acceptTx(tx, span.Context())
 	p.mu.Unlock()
 	outcome := "ok"
 	if err != nil {
@@ -202,67 +210,63 @@ func (p *ProviderNode) bufferOrphan(b *types.Block) (evicted string) {
 	return evicted
 }
 
-// dupTx reports whether the node already holds the transaction — pending
-// in the pool or canonical in the current view — and counts the
-// redelivery. The answer is derived from state the node keeps anyway, so
-// it is bounded by it and survives a restart from the datadir.
-func (p *ProviderNode) dupTx(hash types.Hash) bool {
-	known := p.pool.Get(hash) != nil
-	if !known {
-		_, _, _, known = p.chain.CurrentView().TxLocation(hash)
-	}
-	if known {
-		mGossipDupTx.Inc()
-	}
-	return known
-}
-
-// acceptTx pools and optionally gossips; callers hold the lock. tc is
-// the admission trace the gossip should carry (zero = untraced).
-func (p *ProviderNode) acceptTx(tx *types.Transaction, gossip bool, tc telemetry.TraceContext) error {
-	if p.dupTx(tx.Hash()) {
+// acceptTx pools a locally submitted transaction and pushes its body to
+// every peer: this node introduces it, so nobody else can hold it yet.
+// Callers hold the lock. tc is the admission trace the gossip carries.
+func (p *ProviderNode) acceptTx(tx *types.Transaction, tc telemetry.TraceContext) error {
+	if p.holds(p2p.MsgTx, tx.Hash()) {
 		return txpool.ErrKnownTx
 	}
 	st := p.chain.CurrentView().State()
 	if err := p.pool.Add(tx, st); err != nil {
 		return err
 	}
-	if gossip && p.net != nil {
+	if p.net != nil {
 		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx), Trace: tc})
 	}
 	return nil
 }
 
-// HandleMessages drains the node's network inbox, processing gossiped
-// transactions and blocks and relaying the ones it had not seen.
-// Consecutive transaction messages are admitted as one batch through the
-// pool's parallel-recovery path; blocks flush the pending batch first so
-// relative tx/block ordering is preserved.
+// HandleMessages drains the node's network inbox: it admits gossiped
+// transactions and blocks, announces the ones it had not seen to its other
+// peers, and answers announcements and requests. Consecutive transaction
+// messages are admitted as one batch through the pool's parallel-recovery
+// path; every other kind flushes the pending batch first, so what the node
+// holds is current when a block, an announcement or a request is looked at.
 func (p *ProviderNode) HandleMessages() {
 	if p.net == nil {
 		return
 	}
-	var txBatch []*types.Transaction
-	var txTraces []telemetry.TraceContext
+	var txBatch []gossipTx
 	flushTxs := func() {
 		if len(txBatch) == 0 {
 			return
 		}
 		p.mu.Lock()
-		p.acceptTxs(txBatch, txTraces, true)
+		p.acceptTxs(txBatch)
 		p.mu.Unlock()
-		txBatch, txTraces = nil, nil
+		txBatch = nil
 	}
 	for _, msg := range p.net.Receive(p.id) {
 		switch msg.Kind {
 		case p2p.MsgTx:
+			// Only EncodeTx's bytes decode, so the payload's digest is the
+			// transaction's id: a redelivery is dropped before it is decoded.
+			hash := types.HashBytes(msg.Payload)
+			p.mu.Lock()
+			p.arrived(hash, msg.From)
+			known := p.holds(p2p.MsgTx, hash)
+			p.mu.Unlock()
+			if known {
+				mGossipDupTx.Inc()
+				continue
+			}
 			tx, err := types.DecodeTx(msg.Payload)
 			if err != nil {
 				mGossipMalformed.Inc()
 				continue // malformed gossip is dropped, not propagated
 			}
-			txBatch = append(txBatch, tx)
-			txTraces = append(txTraces, msg.Trace)
+			txBatch = append(txBatch, gossipTx{tx: tx, from: msg.From, trace: msg.Trace})
 		case p2p.MsgBlock:
 			flushTxs()
 			blk, err := types.DecodeBlock(msg.Payload)
@@ -271,20 +275,22 @@ func (p *ProviderNode) HandleMessages() {
 				continue
 			}
 			p.mu.Lock()
-			p.acceptBlock(blk, true, msg.Trace)
+			p.arrived(blk.ID(), msg.From)
+			p.acceptBlock(blk, msg.From, msg.Trace)
 			// If the block orphaned, backfill its ancestry from the peer
-			// that announced it — unless a sync session is already pulling
+			// that sent it — unless a sync session is already pulling
 			// ordered ranges; crawling backwards alongside it would fetch
 			// the same history twice.
 			if _, missing := p.orphans[blk.Header.ParentID]; missing && !p.chain.HasBlock(blk.Header.ParentID) && !p.sync.active() {
-				parentID := blk.Header.ParentID
-				mBlockRequestsSent.Inc()
-				_ = p.net.Send(p.id, msg.From, p2p.Message{
-					Kind:    p2p.MsgBlockRequest,
-					Payload: p2p.EncodeBlockRequest(parentID),
-				})
+				p.backfill(blk.Header.ParentID, msg.From)
 			}
 			p.mu.Unlock()
+		case p2p.MsgAnnounce:
+			flushTxs()
+			p.handleAnnounce(msg.From, msg.Payload)
+		case p2p.MsgTxRequest:
+			flushTxs()
+			p.handleTxRequest(msg.From, msg.Payload)
 		case p2p.MsgBlockRequest:
 			flushTxs()
 			id, err := p2p.ParseBlockRequest(msg.Payload)
@@ -295,9 +301,9 @@ func (p *ProviderNode) HandleMessages() {
 			if err != nil {
 				continue // we don't have it either
 			}
-			// Backfill replies carry the block's original lifecycle trace
-			// when we still remember it, so even post-partition imports
-			// join the right causal story.
+			// The body carries the block's lifecycle trace when we still
+			// remember it, so a fetched or backfilled import joins the right
+			// causal story, one level under ours.
 			tc, _ := p.TraceOf(id)
 			_ = p.net.Send(p.id, msg.From, p2p.Message{
 				Kind:    p2p.MsgBlock,
@@ -324,74 +330,65 @@ func (p *ProviderNode) HandleMessages() {
 	}
 	flushTxs()
 	p.checkSyncStall()
+	p.driveFetches()
 }
 
 // acceptTxs admits a batch of gossiped transactions through the pool's
-// batched admission (sender recovery fans out across the shared recovery pool)
-// and relays the newly admitted ones, each under the trace it arrived
-// with. traces parallels txs (nil = all untraced). Callers hold the lock.
-func (p *ProviderNode) acceptTxs(txs []*types.Transaction, traces []telemetry.TraceContext, gossip bool) {
-	fresh := make([]*types.Transaction, 0, len(txs))
-	freshTraces := make([]telemetry.TraceContext, 0, len(txs))
+// batched admission (sender recovery fans out across the shared recovery
+// pool) and announces the newly admitted ones to every peer but the one
+// each came from. Callers hold the lock.
+func (p *ProviderNode) acceptTxs(batch []gossipTx) {
+	fresh := make([]*types.Transaction, 0, len(batch))
+	from := make([]p2p.NodeID, 0, len(batch))
 	batchTrace := telemetry.TraceContext{}
-	// A transaction's origin copy and a relayed copy can share a batch,
-	// before either is pooled: dupTx knows neither, so the batch itself
-	// remembers what it has taken and drops the second unrecovered.
-	inBatch := make(map[types.Hash]struct{}, len(txs))
-	for i, tx := range txs {
-		hash := tx.Hash()
+	// A transaction pushed by its origin and fetched from a relay can share
+	// a batch, before either copy is pooled: holds knows neither, so the
+	// batch itself remembers what it has taken and drops the second
+	// unrecovered.
+	inBatch := make(map[types.Hash]struct{}, len(batch))
+	for _, g := range batch {
+		hash := g.tx.Hash()
 		if _, again := inBatch[hash]; again {
 			mGossipDupTx.Inc()
 			continue
 		}
-		if p.dupTx(hash) {
-			continue
-		}
 		inBatch[hash] = struct{}{}
-		fresh = append(fresh, tx)
-		var tc telemetry.TraceContext
-		if i < len(traces) {
-			tc = traces[i]
-		}
-		freshTraces = append(freshTraces, tc)
-		if !batchTrace.Valid() && tc.Valid() {
+		fresh = append(fresh, g.tx)
+		from = append(from, g.from)
+		if !batchTrace.Valid() && g.trace.Valid() {
 			// The admission span joins the first traced tx's story;
 			// spans are batch-granular, so one parent has to stand in
 			// for the batch.
-			batchTrace = tc
+			batchTrace = g.trace
 		}
-	}
-	if len(fresh) == 0 {
-		return
 	}
 	st := p.chain.CurrentView().State()
+	ids, sources := make([]types.Hash, 0, len(fresh)), from[:0]
 	for i, err := range p.pool.AddAllTraced(fresh, st, batchTrace) {
-		if err != nil {
-			continue // duplicates and invalid txs are ignored
-		}
-		tx := fresh[i]
-		if gossip && p.net != nil {
-			p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx), Trace: freshTraces[i]})
+		if err == nil { // duplicates and invalid txs are ignored
+			ids, sources = append(ids, fresh[i].Hash()), append(sources, from[i])
 		}
 	}
+	p.announce(p2p.MsgTx, ids, sources)
 }
 
-// acceptBlock imports a block and relays new ones; callers hold the lock.
-// The block plus any buffered orphan descendants that now connect form one
-// segment fed through the chain's pipelined InsertChain — after a
-// partition heals, the backfilled ancestor pulls the whole buffered branch
-// in as a single batch. Duplicate imports (gossip redelivery, a block the
-// chain already holds) are benign no-ops, not failures.
+// acceptBlock imports a block that arrived from a peer and announces what
+// it imported to the others; callers hold the lock. The block plus any
+// buffered orphan descendants that now connect form one segment fed
+// through the chain's pipelined InsertChain — after a partition heals, the
+// backfilled ancestor pulls the whole buffered branch in as a single
+// batch. Duplicate imports (a block the chain already holds) are benign
+// no-ops, not failures.
 //
-// tc is the trace the block arrived under (zero for untraced gossip).
-// The import is recorded as a child span, and the relay to our peers is
-// parented under that span — every hop in the dissemination tree shows
-// up as one more level of the origin trace.
-func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.TraceContext) {
+// tc is the trace the block arrived under (zero for untraced gossip). The
+// import is recorded as a child span, and that span is what the node
+// remembers for the block: a peer that fetches the body from us imports it
+// one level further down the origin trace.
+func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemetry.TraceContext) {
 	// A block is seen iff the chain holds it. Deciding here, before the
 	// import, matters: InsertChain counts known blocks as processed, so
 	// afterwards a redelivery would be indistinguishable from a new block
-	// and be relayed again. Every block in the segment below descends from
+	// and be announced again. Every block in the segment below descends from
 	// this one, so none of them can be in the chain either.
 	id := blk.ID()
 	if p.chain.HasBlock(id) {
@@ -410,11 +407,7 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.T
 	}
 
 	span := telemetry.StartSpanIn(tc, "block.import")
-	relay := tc
-	if tc.Valid() {
-		p.rememberTrace(id, tc)
-		relay = span.Context()
-	}
+	p.rememberTrace(id, span.Context())
 
 	// Collect the segment: the block plus the orphan chain hanging off it.
 	segment := []*types.Block{blk}
@@ -435,18 +428,12 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, gossip bool, tc telemetry.T
 		telemetry.L("block", id.Short()),
 		telemetry.L("inserted", strconv.Itoa(n)),
 	)
-	if gossip && p.net != nil {
-		for _, b := range segment[:n] {
-			// Orphan descendants keep their own remembered traces; the
-			// freshly-arrived block relays under our import span.
-			btc := relay
-			if bid := b.ID(); bid != id {
-				btc = p.blockTraces[bid]
-			}
-			p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(b), Trace: btc})
-		}
-	}
 	if n > 0 {
+		ids, source := make([]types.Hash, n), make([]p2p.NodeID, n)
+		for i, b := range segment[:n] {
+			ids[i], source[i] = b.ID(), from
+		}
+		p.announce(p2p.MsgBlock, ids, source)
 		p.pool.Prune(p.chain.CurrentView().State())
 	}
 	if err == nil {

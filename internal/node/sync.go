@@ -160,7 +160,7 @@ func (p *ProviderNode) handleHeadAnnounce(from p2p.NodeID, payload []byte) {
 		return // one session at a time
 	}
 	s.peer, s.target, s.targetID = from, headNumber, headID
-	s.lastProgress = time.Now()
+	s.lastProgress = p.clock()
 	var req p2p.Message
 	if local == 0 && headNumber >= snapSyncMinGap {
 		s.mode, s.phase = SyncSnap, "manifest"
@@ -211,7 +211,7 @@ func (p *ProviderNode) handleSnapManifest(from p2p.NodeID, payload []byte) {
 	s.phase = "state"
 	s.chunks = make([][]byte, 0, m.Chunks())
 	s.chunkBytes, s.nextChunk = 0, 0
-	s.lastProgress = time.Now()
+	s.lastProgress = p.clock()
 	req := p2p.EncodeSnapChunkRequest(m.BlockID, 0)
 	s.mu.Unlock()
 	_ = p.net.Send(p.id, from, p2p.Message{Kind: p2p.MsgSnapChunkRequest, Payload: req})
@@ -248,7 +248,7 @@ func (p *ProviderNode) handleSnapChunk(from p2p.NodeID, payload []byte) {
 	s.chunks = append(s.chunks, data)
 	s.chunkBytes += uint64(len(data))
 	s.nextChunk++
-	s.lastProgress = time.Now()
+	s.lastProgress = p.clock()
 	var req p2p.Message
 	if s.chunkBytes == s.manifest.StateSize {
 		// State blob complete; fetch the snapshot's block prefix so the
@@ -303,7 +303,7 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 		}
 	}
 	mSyncRangeBlocks.Add(uint64(len(blocks)))
-	s.lastProgress = time.Now()
+	s.lastProgress = p.clock()
 
 	if s.mode == SyncSnap && s.phase == "blocks" {
 		s.prefix = append(s.prefix, blocks...)
@@ -402,7 +402,7 @@ func (p *ProviderNode) checkSyncStall() {
 	s := p.sync
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.mode != "" && time.Since(s.lastProgress) > syncStallTimeout {
+	if s.mode != "" && p.clock().Sub(s.lastProgress) > syncStallTimeout {
 		p.abortLocked("stall")
 	}
 }
@@ -417,7 +417,7 @@ func (p *ProviderNode) downgradeLocked(reason string) {
 	s.chunks, s.chunkBytes, s.nextChunk = nil, 0, 0
 	s.prefix = nil
 	s.nextBlock = p.chain.HeadNumber() + 1
-	s.lastProgress = time.Now()
+	s.lastProgress = p.clock()
 }
 
 // abortLocked ends a session without reaching the target; callers hold

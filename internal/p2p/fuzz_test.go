@@ -148,3 +148,66 @@ func FuzzParseRangeBlocks(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseAnnounce exercises the relay announcement decoder: an accepted
+// payload names MsgTx or MsgBlock, carries 1..MaxAnnounceIDs whole ids,
+// and re-encodes to exactly the input.
+func FuzzParseAnnounce(f *testing.F) {
+	f.Add(EncodeAnnounce(MsgTx, []types.Hash{fuzzHash(0xaa)}))
+	f.Add(EncodeAnnounce(MsgBlock, []types.Hash{fuzzHash(0x01), fuzzHash(0x02)}))
+	f.Add(EncodeAnnounce(MsgTx, make([]types.Hash, MaxAnnounceIDs)))   // exactly at the cap
+	f.Add(EncodeAnnounce(MsgTx, make([]types.Hash, MaxAnnounceIDs+1))) // one over
+	f.Add(EncodeAnnounce(MsgBlockRequest, []types.Hash{fuzzHash(0xaa)}))
+	f.Add([]byte(""))
+	f.Add([]byte{byte(MsgTx)})                                  // kind, no ids
+	f.Add(bytes.Repeat([]byte{byte(MsgBlock)}, types.HashSize)) // ragged
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		item, ids, err := ParseAnnounce(data)
+		if err != nil {
+			return
+		}
+		if item != MsgTx && item != MsgBlock {
+			t.Fatalf("accepted announce of item kind %d", item)
+		}
+		checkIDList(t, ids, len(data)-1)
+		if got := EncodeAnnounce(item, idSlice(ids)); !bytes.Equal(got, data) {
+			t.Fatalf("accepted announce is not canonical:\n in: %x\nout: %x", data, got)
+		}
+	})
+}
+
+// FuzzParseTxRequest is the same contract for the transaction request.
+func FuzzParseTxRequest(f *testing.F) {
+	f.Add(EncodeTxRequest([]types.Hash{fuzzHash(0xaa)}))
+	f.Add(EncodeTxRequest(make([]types.Hash, MaxAnnounceIDs)))
+	f.Add(EncodeTxRequest(make([]types.Hash, MaxAnnounceIDs+1)))
+	f.Add([]byte(""))
+	f.Add(bytes.Repeat([]byte{0xff}, types.HashSize+1))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ids, err := ParseTxRequest(data)
+		if err != nil {
+			return
+		}
+		checkIDList(t, ids, len(data))
+		if got := EncodeTxRequest(idSlice(ids)); !bytes.Equal(got, data) {
+			t.Fatalf("accepted tx request is not canonical:\n in: %x\nout: %x", data, got)
+		}
+	})
+}
+
+func checkIDList(t *testing.T, ids IDList, payloadBytes int) {
+	t.Helper()
+	if n := ids.Len(); n < 1 || n > MaxAnnounceIDs || n*types.HashSize != payloadBytes {
+		t.Fatalf("accepted %d ids over %d id bytes (max %d ids)", n, payloadBytes, MaxAnnounceIDs)
+	}
+}
+
+func idSlice(ids IDList) []types.Hash {
+	out := make([]types.Hash, ids.Len())
+	for i := range out {
+		out[i] = ids.At(i)
+	}
+	return out
+}

@@ -16,6 +16,9 @@ var (
 	mMalformedRangeReq    = telemetry.GetCounter("smartcrowd_p2p_malformed_total", telemetry.L("kind", "range-request"))
 	mMalformedRangeBlocks = telemetry.GetCounter("smartcrowd_p2p_malformed_total", telemetry.L("kind", "range-blocks"))
 	mMalformedAnnounce    = telemetry.GetCounter("smartcrowd_p2p_malformed_total", telemetry.L("kind", "head-announce"))
+
+	mMalformedGossipAnnounce = telemetry.GetCounter("smartcrowd_p2p_malformed_total", telemetry.L("kind", "announce"))
+	mMalformedTxReq          = telemetry.GetCounter("smartcrowd_p2p_malformed_total", telemetry.L("kind", "tx-request"))
 )
 
 func init() {

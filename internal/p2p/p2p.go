@@ -154,17 +154,30 @@ func (n *Network) Broadcast(from NodeID, msg Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	msg.From = from
-	ids := make([]NodeID, 0, len(n.group))
-	for id := range n.group {
-		if id != from {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := n.peersLocked(from)
 	mFanoutPeers.Observe(uint64(len(ids)))
 	for _, id := range ids {
 		n.enqueue(from, id, msg)
 	}
+}
+
+// Peers lists every joined node but id, in id order. Partitions are not
+// consulted: like Broadcast, a send across one is attempted and blocked.
+func (n *Network) Peers(id NodeID) []NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.peersLocked(id)
+}
+
+func (n *Network) peersLocked(id NodeID) []NodeID {
+	ids := make([]NodeID, 0, len(n.group))
+	for other := range n.group {
+		if other != id {
+			ids = append(ids, other)
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
 }
 
 // enqueue applies partition/loss/latency and schedules the delivery.

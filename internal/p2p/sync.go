@@ -63,6 +63,10 @@ func syncKindName(k MsgKind) (string, bool) {
 		return "range-blocks", true
 	case MsgHeadAnnounce:
 		return "head-announce", true
+	case MsgAnnounce:
+		return "announce", true
+	case MsgTxRequest:
+		return "tx-request", true
 	}
 	return "", false
 }

@@ -31,6 +31,10 @@ type Transport interface {
 	Broadcast(from NodeID, msg Message)
 	// Receive drains the messages delivered to id since the last call.
 	Receive(id NodeID) []Message
+	// Peers lists the nodes a Broadcast from id would reach right now, so
+	// a relaying node can address all of them but the one an item came
+	// from.
+	Peers(id NodeID) []NodeID
 }
 
 // Network implements Transport.

@@ -226,7 +226,11 @@ func DecodeBlock(data []byte) (*Block, error) {
 }
 
 // tx reads one transaction list, field by field in appendFields' order.
+// Only EncodeTx's own bytes are accepted, so the Keccak of the span read
+// is the transaction's Hash: the memo is filled here, and the first Hash()
+// does not encode the object back to learn it.
 func (d *decoder) tx() *Transaction {
+	span := d.buf
 	after := d.rlpList()
 	tx := new(Transaction)
 	kind := d.rlpUint64()
@@ -245,6 +249,15 @@ func (d *decoder) tx() *Transaction {
 	}
 	if d.err == nil {
 		tx.Sig, d.err = secp256k1.ParseSignature(sig)
+	}
+	if d.err == nil {
+		memo := &txHashEntry{
+			key:  tx.memoKey(),
+			data: append([]byte(nil), tx.Data...),
+			hash: HashBytes(span[:len(span)-len(after)]),
+		}
+		copy(memo.sig[:], sig) // the 65 bytes sigBytes would write back
+		tx.hashCache.Store(memo)
 	}
 	return tx
 }

@@ -156,7 +156,9 @@ func TestDecodeBlockAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
 
 // checkTxRoundtrip is the property behind "a transaction has exactly one
 // encoding": whatever DecodeTx accepts, EncodeTx maps back to the same
-// bytes. checkBlockRoundtrip is the same for blocks.
+// bytes. checkBlockRoundtrip is the same for blocks. Both also hold the
+// decoder to the consequence it relies on: the Hash it seeds from the
+// bytes it read is the Hash the object would compute.
 func checkTxRoundtrip(t testing.TB, b []byte) {
 	t.Helper()
 	tx, err := DecodeTx(b)
@@ -166,6 +168,7 @@ func checkTxRoundtrip(t testing.TB, b []byte) {
 	if enc := EncodeTx(tx); !bytes.Equal(enc, b) {
 		t.Errorf("DecodeTx accepted %x, which re-encodes to %x", b, enc)
 	}
+	checkSeededHash(t, tx)
 }
 
 func checkBlockRoundtrip(t testing.TB, b []byte) {
@@ -176,6 +179,21 @@ func checkBlockRoundtrip(t testing.TB, b []byte) {
 	}
 	if enc := EncodeBlock(blk); !bytes.Equal(enc, b) {
 		t.Errorf("DecodeBlock accepted %x, which re-encodes to %x", b, enc)
+	}
+	for _, tx := range blk.Txs {
+		checkSeededHash(t, tx)
+	}
+}
+
+// checkSeededHash compares a decoded transaction's memoised Hash with the
+// digest of its own encoding, computed without the memo.
+func checkSeededHash(t testing.TB, tx *Transaction) {
+	t.Helper()
+	if tx.hashCache.Load() == nil {
+		t.Errorf("decoder left the hash memo of %x empty", EncodeTx(tx))
+	}
+	if got, want := tx.Hash(), HashBytes(EncodeTx(tx)); got != want {
+		t.Errorf("decoded %x: seeded hash %s, recomputed %s", EncodeTx(tx), got.Short(), want.Short())
 	}
 }
 

@@ -25,8 +25,16 @@ type wireNode struct {
 
 func newWireNode(t *testing.T, id string, peers ...string) *wireNode {
 	t.Helper()
+	return startWireNode(t, id, nil, nil, peers...)
+}
+
+// startWireNode is newWireNode with a genesis allocation and, when tap is
+// set, the relay tests' frame counter between the node and its transport.
+func startWireNode(t *testing.T, id string, alloc map[types.Address]types.Amount, tap *linkTap, peers ...string) *wireNode {
+	t.Helper()
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
 	cfg.SkipPoWCheck = true // mining is stamped, not ground, in this test
+	cfg.Alloc = alloc
 	prov, err := node.NewProvider(p2p.NodeID(id), wallet.NewDeterministic(id), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +58,12 @@ func newWireNode(t *testing.T, id string, peers ...string) *wireNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	prov.AttachTransport(tr)
+	if tap != nil {
+		tap.Transport = tr
+		prov.AttachTransport(tap)
+	} else {
+		prov.AttachTransport(tr)
+	}
 	tr.Start()
 	return &wireNode{prov: prov, tr: tr}
 }

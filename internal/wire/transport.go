@@ -46,12 +46,12 @@ type Config struct {
 	// QueueSize bounds each peer's outbound frame queue (default 4096).
 	// A full queue sheds its oldest frame — slow peers lag, they do not
 	// stall the node or grow memory without bound. The default is the
-	// transaction pool's default capacity: a node relays every
-	// transaction a batch admission accepted in one loop, far faster than
-	// the writer's one socket write per frame drains it, so a queue
-	// shorter than the largest batch the pool can admit sheds gossip on a
-	// healthy peer (and transactions, unlike blocks, are never
-	// re-requested).
+	// transaction pool's default capacity: a node queues frames in one
+	// loop — the bodies answering a tx-request (up to 1024), the pushes
+	// of a client burst it is the entry point of — far faster than the
+	// writer's one socket write per frame drains them, and a queue
+	// shorter than such a loop sheds transactions on a healthy peer
+	// (DESIGN.md §8.4).
 	QueueSize int
 }
 
@@ -233,6 +233,14 @@ func (t *Transport) Receive(id p2p.NodeID) []p2p.Message {
 // Wake signals (capacity-1, non-blocking) whenever a message lands in the
 // inbox, so drivers can block on it instead of polling Receive.
 func (t *Transport) Wake() <-chan struct{} { return t.wake }
+
+// Peers implements p2p.Transport: the local node's connected peers.
+func (t *Transport) Peers(id p2p.NodeID) []p2p.NodeID {
+	if id != t.cfg.NodeID {
+		return nil
+	}
+	return t.PeerIDs()
+}
 
 // PeerIDs returns the ids of the currently connected peers.
 func (t *Transport) PeerIDs() []p2p.NodeID {
@@ -439,7 +447,8 @@ func (t *Transport) readLoop(p *peer) {
 			}
 			t.deliver(p2p.Message{From: p.id, Kind: f.Kind, Payload: f.Payload, Trace: f.Trace})
 		case p2p.MsgSnapRequest, p2p.MsgSnapManifest, p2p.MsgSnapChunk,
-			p2p.MsgSnapChunkRequest, p2p.MsgRangeRequest, p2p.MsgRangeBlocks:
+			p2p.MsgSnapChunkRequest, p2p.MsgRangeRequest, p2p.MsgRangeBlocks,
+			p2p.MsgAnnounce, p2p.MsgTxRequest:
 			t.deliver(p2p.Message{From: p.id, Kind: f.Kind, Payload: f.Payload, Trace: f.Trace})
 		default:
 			mUnknownFrames.Inc()
