@@ -34,8 +34,10 @@ lint:
 # range-sync and relay-announcement payload decoders a hostile peer
 # controls, and the signature parser and recovery kernel every signed byte
 # reaches — the latter differentially against its math/big oracle), plus
-# the hash under all of them, differentially against the loop-form sponge.
-# Override FUZZTIME for longer local campaigns.
+# the hash under all of them, differentially against the loop-form sponge,
+# and the trie writer's in-place rewrites, differentially against a map
+# and fresh path-copied builds. Override FUZZTIME for longer local
+# campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run NONE ./internal/wire/
@@ -52,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseSignature$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzRecoverDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzSum256Differential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/keccak/
+	$(GO) test -fuzz='^FuzzTrieWriterDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/critbit/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -69,11 +72,13 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the chain-core microbenchmarks (state root, state fork, block
-# insert, reorg, detection query), the signature kernel's (field
-# multiplication and inversion, sign, verify, recover) and the hash
-# kernel's (permutation, a trie branch, 1 KiB).
+# insert, reorg, detection query), the trie's (64 writes path-copied
+# against one generation), the signature kernel's (field multiplication
+# and inversion, sign, verify, recover) and the hash kernel's
+# (permutation, a trie branch, 1 KiB).
 bench:
 	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x -benchmem
+	$(GO) test ./internal/critbit/ -run NONE -bench . -benchmem
 	$(GO) test ./internal/crypto/secp256k1/ -run NONE -bench . -benchmem
 	$(GO) test ./internal/crypto/keccak/ -run NONE -bench . -benchmem
 

@@ -495,3 +495,25 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		t.Fatal("the two chains handed different bytes to storage")
 	}
 }
+
+// TestStaleBuildIsReleased: once another block is committed on the parent
+// a build was made for, the build can only land as a stale seal, so the
+// chain lets go of its post-state instead of pinning it until the next
+// BuildBlock.
+func TestStaleBuildIsReleased(t *testing.T) {
+	h := newHarness(t)
+	head := h.chain.Head()
+	peer, err := h.chain.BuildBlock(head.ID(), types.Address{0x9e}, head.Header.Time+15_350, 1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.chain.BuildBlock(head.ID(), h.miner.Address(), head.Header.Time+15_351, 1000, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.chain.InsertBlock(peer); err != nil {
+		t.Fatal(err)
+	}
+	if h.chain.built != nil {
+		t.Fatal("the build on the parent another block landed on is still held")
+	}
+}

@@ -97,14 +97,33 @@ type entry struct {
 	block    *types.Block
 	parent   *entry
 	totalDif uint64
-	// post is the block's post-state, nil below an adopted snapshot until
-	// stateOfLocked rebuilds it. Every path that sets it has compared
-	// post.Root() with the header's StateRoot first, which is also what
-	// makes it shareable: Root sums the trie (critbit.Sum), and a summed
-	// trie is never written again, so views and Copy()s may read it with
-	// no lock while later blocks execute.
-	post     *state.DB
+	// post is the block's post-state, nil below an adopted snapshot and
+	// once the entry is postHorizon blocks below the canonical head (see
+	// dropPost) until stateOfLocked rebuilds it. Every path that sets it
+	// has compared post.Root() with the header's StateRoot first, which is
+	// also what makes it shareable: Root sums the trie and freezes the DB,
+	// and a frozen trie is never written again, so views and Copy()s may
+	// read it with no lock while later blocks execute.
+	post *state.DB
+	// receipts is nil exactly for genesis and the entries a snapshot
+	// installed (installPrefixLocked), which were never executed here.
 	receipts []*Receipt
+}
+
+// postHorizon bounds the post-states the chain keeps: a canonical entry
+// postHorizon blocks below the head drops its post-state unless its
+// number is a multiple of postHorizon, so the canonical chain holds at
+// most postHorizon + height/postHorizon of them, and stateOfLocked
+// rebuilds any other by re-executing at most postHorizon-1 blocks.
+const postHorizon = 64
+
+// dropPost applies postHorizon's rule to a canonical entry that just fell
+// postHorizon blocks below the head. An entry a snapshot installed keeps
+// its state: nothing below it has one to rebuild from.
+func dropPost(e *entry) {
+	if e.block.Header.Number%postHorizon != 0 && e.receipts != nil {
+		e.post = nil
+	}
 }
 
 // builtBlock is what BuildBlock computed for the block it last returned,
@@ -144,8 +163,9 @@ type txLoc struct {
 //
 // Everything a ReadView shares with lock-free readers — canon, sraIndex,
 // the two trie indexes, committed post-states — obeys a publish-only
-// discipline: the writer may extend or path-copy, but never mutates data
-// reachable from a published view (see view.go for the full contract).
+// discipline: the writer may extend, path-copy or rewrite what it made
+// since the last publication, but never mutates data reachable from a
+// published view (see view.go for the full contract).
 type Chain struct {
 	mu      sync.RWMutex
 	cfg     Config
@@ -158,9 +178,9 @@ type Chain struct {
 	// in place would overwrite elements older views still index.
 	canon []*entry
 	// txTrie maps tx hash → canonical location via a persistent crit-bit
-	// trie: updates path-copy, so a ReadView pins the index by
-	// holding a root pointer, and the chain's own locked reads share the
-	// same structure.
+	// trie: updates never touch a published node (setHead), so a ReadView
+	// pins the index by holding a root pointer, and the chain's own locked
+	// reads share the same structure.
 	txTrie *critbit.Node[txLoc]
 	// detTrie maps an SRA id to its canonical detection records in chain
 	// order, maintained incrementally by setHead exactly like txTrie, so
@@ -262,8 +282,9 @@ func (c *Chain) State() *state.DB {
 
 // stateOfLocked returns an entry's post-state, rebuilding it by
 // re-execution when the entry has none — the prefix below a restored or
-// snap-adopted snapshot is installed without execution (storage.go).
-// Callers hold the write lock.
+// snap-adopted snapshot is installed without execution (storage.go), and
+// deep canonical entries drop theirs (dropPost). Callers hold the write
+// lock.
 func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	if e.post != nil {
 		return e.post, nil
@@ -569,6 +590,11 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 		}
 	}
 	c.entries[id] = e
+	// A build on this parent that was not this block is a stale seal now:
+	// let go of its post-state rather than pin it until the next build.
+	if c.built != nil && c.built.parent == parent {
+		c.built = nil
+	}
 
 	if switched {
 		c.setHead(e, tc)
@@ -600,11 +626,15 @@ func (c *Chain) verifyShape(blk *types.Block) error {
 // suffix, and publishes a fresh ReadView.
 //
 // Because published views alias canon, sraIndex and the trie roots, the
-// rebuild never mutates shared structure: trie updates path-copy, and a
-// reorg copies the kept prefix of canon/sraIndex into fresh arrays
-// before appending — truncating in place and re-appending would
-// overwrite the abandoned suffix older views still read.
+// rebuild never mutates shared structure: the index tries are written
+// under one fresh critbit generation per head switch, so they rewrite
+// only nodes made since the last publishView (the freeze point) and
+// path-copy the rest, and a reorg copies the kept prefix of
+// canon/sraIndex into fresh arrays before appending — truncating in place
+// and re-appending would overwrite the abandoned suffix older views still
+// read.
 func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
+	gen := critbit.NewGen()
 	// Build the new canonical path back to a block already canonical.
 	var path []*entry
 	cursor := e
@@ -627,7 +657,7 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 		dropped := make(map[types.Hash]struct{})
 		for i := forkPoint + 1; i < uint64(len(c.canon)); i++ {
 			for _, tx := range c.canon[i].block.Txs {
-				c.txTrie = critbit.Delete(c.txTrie, tx.Hash())
+				c.txTrie = critbit.Delete(c.txTrie, tx.Hash(), gen)
 				if sraID, ok := reportSRAID(tx); ok {
 					dropped[sraID] = struct{}{}
 				}
@@ -640,9 +670,9 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 				keep--
 			}
 			if keep == 0 {
-				c.detTrie = critbit.Delete(c.detTrie, sraID)
+				c.detTrie = critbit.Delete(c.detTrie, sraID, gen)
 			} else {
-				c.detTrie = critbit.Set(c.detTrie, sraID, recs[:keep:keep])
+				c.detTrie = critbit.Set(c.detTrie, sraID, recs[:keep:keep], gen)
 			}
 		}
 
@@ -663,13 +693,16 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	for i := len(path) - 1; i >= 0; i-- {
 		en := path[i]
 		c.canon = append(c.canon, en)
+		if n := en.block.Header.Number; n >= postHorizon {
+			dropPost(c.canon[n-postHorizon])
+		}
 		for j, tx := range en.block.Txs {
 			c.txTrie = critbit.Set(c.txTrie, tx.Hash(), txLoc{
 				blockID: en.block.ID(),
 				number:  en.block.Header.Number,
 				txIdx:   j,
 				receipt: en.receipts[j],
-			})
+			}, gen)
 			if sraID, ok := reportSRAID(tx); ok {
 				recs, _ := critbit.Get(c.detTrie, sraID)
 				// Full-capacity expression: the append below must land in
@@ -679,7 +712,7 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 					Tx:          tx,
 					Receipt:     en.receipts[j],
 				})
-				c.detTrie = critbit.Set(c.detTrie, sraID, recs)
+				c.detTrie = critbit.Set(c.detTrie, sraID, recs, gen)
 			}
 			if tx.Kind == types.TxSRA && en.receipts[j].Success {
 				if sra, err := tx.SRA(); err == nil {

@@ -136,16 +136,20 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		return nil, fmt.Errorf("%w: limit %d, need %d", ErrGasLimitTooLow, tx.GasLimit, needed)
 	}
 
-	// The nonce bump survives failure, as in Ethereum: it is written before
-	// the snapshot fail() reverts to.
+	// The snapshot is a state freeze point, so taking it first lets every
+	// write of the transaction — nonce, value, contract storage, fee, miner
+	// — rewrite the trie paths the first of them copied. The nonce bump
+	// survives failure, as in Ethereum: fail() reverts and writes it again,
+	// which only a failed transaction pays for.
+	snap := ex.st.Snapshot()
 	ex.st.SetNonce(sender, tx.Nonce+1)
 
 	receipt := &Receipt{TxHash: tx.Hash(), Kind: tx.Kind, Success: true, GasUsed: needed}
-	snap := ex.st.Snapshot()
 	fail := func(cause error) {
 		if revertErr := ex.st.RevertToSnapshot(snap); revertErr != nil {
 			panic("chain: snapshot revert failed: " + revertErr.Error())
 		}
+		ex.st.SetNonce(sender, tx.Nonce+1)
 		receipt.Success = false
 		receipt.Err = cause.Error()
 		receipt.GasUsed = tx.GasLimit // failed actions burn the gas limit

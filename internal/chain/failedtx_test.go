@@ -56,8 +56,8 @@ func failedTxHarness(t *testing.T) (*harness, types.Address) {
 }
 
 // TestFailedTxKeepsTheNonceBumpAndNothingElse owns what applyTx's fail()
-// leaves behind. The sender's nonce is bumped before the snapshot is
-// taken, so reverting to it keeps the bump without writing it again; all a
+// leaves behind. The snapshot is taken before the sender's nonce is
+// bumped, so fail() reverts and writes the bump again; all a
 // failed transaction changes is that nonce and the burned gas limit moving
 // from the sender to the miner. The expected post-state is built by hand
 // from the pre-state with exactly those writes, and the executed block
@@ -136,9 +136,9 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 }
 
 // BenchmarkFailedTransfer executes one block holding one failing transfer
-// on a fresh copy of the head state; B/op is the point (the revert used to
-// be followed by a second, content-identical write of the sender's
-// account).
+// on a fresh copy of the head state; B/op is the point (the revert is
+// followed by a second write of the sender's nonce, which the fee debit
+// after it then rewrites in place).
 func BenchmarkFailedTransfer(b *testing.B) {
 	h := &harness{provider: wallet.NewDeterministic("provider"), miner: wallet.NewDeterministic("miner")}
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })))

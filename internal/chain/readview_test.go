@@ -289,3 +289,96 @@ func TestReadViewConcurrentHammer(t *testing.T) {
 	}
 	assertViewMatchesChain(t, target, nil)
 }
+
+// TestHeldViewAnswersStayPut holds a view while the chain switches heads
+// on top of it and then reorgs it away, with readers comparing the held
+// view's ReceiptOf, DetectionResults and State().Root() answers against
+// those taken when it was published the whole time. Every head switch
+// writes the transaction and detection tries (the new reports extend the
+// held SRA's record list); under -race a write to any node the held view
+// reaches is reported even where it would write the same answer back.
+func TestHeldViewAnswersStayPut(t *testing.T) {
+	h := newHarness(t)
+	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
+	b1 := h.extend(sraTx)
+	itx, dtx := h.reportPair(sra.ID, "V-1", "V-2")
+	h.extend(itx)
+	h.extend(dtx)
+	transfer := h.transferTx(h.provider, wallet.NewDeterministic("payee").Address(), types.EtherAmount(3))
+	h.extend(transfer)
+
+	held := h.chain.CurrentView()
+	txs := []*types.Transaction{sraTx, itx, dtx, transfer}
+	type answers struct {
+		receipts []*Receipt
+		records  []DetectionRecord
+		root     types.Hash
+	}
+	ask := func() (a answers) {
+		for _, tx := range txs {
+			r, _ := held.ReceiptOf(tx.Hash())
+			a.receipts = append(a.receipts, r)
+		}
+		a.records = held.DetectionResults(sra.ID)
+		a.root = held.State().Root()
+		return a
+	}
+	want := ask()
+	if len(want.records) != 2 || want.root != held.Head().Header.StateRoot {
+		t.Fatalf("held view: %d records, root %s", len(want.records), want.root.Short())
+	}
+	same := func(got answers) bool {
+		if got.root != want.root || len(got.records) != len(want.records) {
+			return false
+		}
+		for i, r := range want.receipts {
+			if r == nil || got.receipts[i] != r {
+				return false
+			}
+		}
+		for i, rec := range want.records {
+			if got.records[i] != rec {
+				return false
+			}
+		}
+		return true
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !same(ask()) {
+					t.Error("the held view's answers changed")
+					return
+				}
+			}
+		}()
+	}
+
+	for i := 0; i < 6; i++ {
+		itx, dtx := h.reportPair(sra.ID, "V-x"+string(rune('a'+i)))
+		h.extend(itx)
+		h.extend(dtx)
+	}
+	h.nonces = map[types.Address]uint64{h.detector.Address(): 0, h.provider.Address(): 1}
+	itxB, dtxB := h.reportPair(sra.ID, "V-b")
+	f1 := h.extendOn(b1.ID(), 10_000, itxB)
+	f2 := h.extendOn(f1.ID(), 10_000, dtxB)
+	close(stop)
+	wg.Wait()
+	if h.chain.Head().ID() != f2.ID() {
+		t.Fatal("the heavier branch did not reorg the held head away")
+	}
+	if !same(ask()) {
+		t.Fatal("the held view's answers changed across the head switches and the reorg")
+	}
+}

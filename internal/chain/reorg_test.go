@@ -172,3 +172,76 @@ func TestBuildBlockBelowSnapshot(t *testing.T) {
 		t.Error("light fork block unexpectedly became head")
 	}
 }
+
+// materializedPostStates counts the canonical entries holding a
+// post-state.
+func materializedPostStates(c *Chain) (n int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, e := range c.canon {
+		if e.post != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPostStatesBoundedAcrossDeepReorg grows a chain past three horizons,
+// then reorgs 100 blocks deep onto a side branch whose first block is
+// built on a parent that has dropped its post-state. The canonical chain
+// holds at most postHorizon + height/postHorizon post-states throughout,
+// and every state the chain answers with — kept or rebuilt — has the root
+// direct re-execution from genesis gives.
+func TestPostStatesBoundedAcrossDeepReorg(t *testing.T) {
+	h := newHarness(t)
+	payee := wallet.NewDeterministic("payee").Address()
+	assertBounded := func() {
+		t.Helper()
+		bound := postHorizon + int(h.chain.HeadNumber())/postHorizon
+		if got := materializedPostStates(h.chain); got > bound {
+			t.Fatalf("head #%d: %d canonical post-states, want <= %d", h.chain.HeadNumber(), got, bound)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
+		assertBounded()
+	}
+
+	const forkAt = 100
+	fork := h.chain.CanonicalBlocks()[forkAt]
+	if h.chain.entries[fork.ID()].post != nil {
+		t.Fatalf("block #%d, %d below the head, still holds its post-state", forkAt, 200-forkAt)
+	}
+	h.nonces[h.provider.Address()] = forkAt
+	var tip *types.Block
+	for parent, i := fork.ID(), 0; i < 40; i++ {
+		tip = h.extendOn(parent, 3000, h.transferTx(h.provider, types.Address{0x5e}, 2))
+		parent = tip.ID()
+	}
+	if h.chain.Head().ID() != tip.ID() {
+		t.Fatal("the heavier side branch did not take the head")
+	}
+	assertBounded()
+
+	cfg := h.chain.Config()
+	st, err := h.chain.StateAt(h.chain.Genesis().ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range h.chain.CanonicalBlocks()[1:] {
+		if _, err := execBlock(cfg, st, blk); err != nil {
+			t.Fatal(err)
+		}
+		want := st.Root()
+		if want != blk.Header.StateRoot {
+			t.Fatalf("block #%d: re-execution gives %s, header %s", blk.Header.Number, want.Short(), blk.Header.StateRoot.Short())
+		}
+		got, err := h.chain.StateAt(blk.ID())
+		if err != nil {
+			t.Fatalf("block #%d: %v", blk.Header.Number, err)
+		}
+		if got.Root() != want {
+			t.Fatalf("block #%d: the chain's state has root %s, re-execution %s", blk.Header.Number, got.Root().Short(), want.Short())
+		}
+	}
+}

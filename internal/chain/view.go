@@ -23,10 +23,12 @@ import (
 //     arrays out before truncating on a reorg, and plain head extensions
 //     only ever append past the published length;
 //   - txIndex and detIndex are roots of persistent crit-bit tries
-//     (package critbit) — updates path-copy, they never mutate published
-//     nodes;
+//     (package critbit) whose nodes publishView freezes: setHead writes
+//     them under a fresh generation per head switch, so it rewrites in
+//     place only nodes it made since the last publication and path-copies
+//     every published one;
 //   - state is the head block's committed post-state: a root of the same
-//     kind of trie, fully summed before it was committed (the chain
+//     kind of trie, summed and frozen before it was committed (the chain
 //     compares its Root() with the header first), so no node reachable
 //     from it is ever written again — later blocks execute on Copy()s
 //     that path-copy what they touch. Callers must treat it as

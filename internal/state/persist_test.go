@@ -80,6 +80,27 @@ func TestSetStorageAfterCopyIsPathSized(t *testing.T) {
 	}
 }
 
+// TestTransferInsideSnapshotWritesOnlyRecords pins the write window: after
+// a Snapshot the first transfer path-copies the two accounts' branches,
+// and every later write until the next freeze point rewrites those in
+// place, so a transfer costs the account records it installs and no trie
+// node — where a path copy per write made it O(depth) nodes each.
+func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is not meaningful under -race")
+	}
+	db := New()
+	for i := 0; i < 1000; i++ {
+		_ = db.Credit(benchAddr(i), 1_000_000)
+	}
+	db.Root()
+	db.Snapshot()
+	from, to := benchAddr(3), benchAddr(997)
+	if allocs := testing.AllocsPerRun(100, func() { _ = db.Transfer(from, to, 1) }); allocs > 3 {
+		t.Fatalf("a transfer inside a snapshot made %.0f allocations, want <= 3 (its account records)", allocs)
+	}
+}
+
 // TestSharedStateReadersBesideWriter is the publication pattern the chain
 // relies on, under the race detector: each generation is rooted, then
 // published; readers call every read-only method on whatever is current

@@ -140,9 +140,11 @@ func checkAgainst(t *testing.T, step int, db *DB, m *model) {
 
 // TestRootMatchesReferenceUnderRandomHistories drives long random
 // mutate/snapshot/revert/copy sequences against both the CoW DB and a
-// naive deep-copy model and requires (a) identical observable state and
-// (b) the incrementally maintained Root to equal the from-scratch
-// reference root at every checkpoint.
+// naive deep-copy model and requires (a) identical observable state, (b)
+// the incrementally maintained Root to equal the from-scratch reference
+// root at every checkpoint, and (c) every saved and copied root to still
+// serialize to the bytes it serialized to when it was taken — the writes
+// after a freeze point rewrite only nodes made since.
 func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 	universe := make([]types.Address, 12)
 	for i := range universe {
@@ -168,6 +170,14 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 				m  *model
 			}
 			var held []fork
+			// saved and copied pair each open snapshot and each recent copy
+			// with its root and the bytes that root serialized to when taken.
+			type taken struct {
+				root  *DB
+				bytes []byte
+			}
+			var saved, copied []taken
+			take := func(root *DB) taken { return taken{root, root.Serialize()} }
 			for step := 0; step < 600; step++ {
 				a := universe[rng.Intn(len(universe))]
 				op := rng.Intn(12)
@@ -211,6 +221,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 						t.Fatalf("step %d: snapshot id %d, model expects %d", step, id, len(m.snapshots))
 					}
 					m.snapshots = append(m.snapshots, m.clone())
+					saved = append(saved, take(&DB{root: db.saved[id]}))
 				case 10: // revert to a random open snapshot
 					if len(m.snapshots) == 0 {
 						continue
@@ -221,10 +232,17 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					}
 					m.accounts = m.snapshots[id]
 					m.snapshots = m.snapshots[:id]
+					if !bytes.Equal(db.Serialize(), saved[id].bytes) {
+						t.Fatalf("step %d: reverting to snapshot %d did not restore its bytes", step, id)
+					}
+					saved = saved[:id]
 				case 11: // copy: fork both sides, mutate the fork, then
 					// verify isolation in both directions
 					cp := db.Copy()
 					cpm := m.copyModel()
+					if copied = append(copied, take(&DB{root: cp.root})); len(copied) > 8 {
+						copied = copied[1:]
+					}
 					for i := 0; i < 8; i++ {
 						b := universe[rng.Intn(len(universe))]
 						switch rng.Intn(3) {
@@ -248,6 +266,11 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					checkAgainst(t, step, db, m)
 					if held = append(held, fork{cp, cpm}); len(held) > 4 {
 						held = held[1:]
+					}
+				}
+				for i, tk := range append(saved[:len(saved):len(saved)], copied...) {
+					if !bytes.Equal(tk.root.Serialize(), tk.bytes) {
+						t.Fatalf("step %d: taken root %d no longer serializes as it did when taken", step, i)
 					}
 				}
 				if step%37 == 0 || op == 10 {

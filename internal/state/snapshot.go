@@ -82,7 +82,9 @@ func (db *DB) Serialize() []byte {
 // is enforced so the canonical encoding is the only accepted one.
 // Restore does NOT verify the state against any root — callers compare
 // the restored DB's Root() with the root they expect (a block header's
-// StateRoot) before trusting it.
+// StateRoot) before trusting it. Both tries are built under the DB's one
+// write generation, so each insertion rewrites the branches the ones
+// before it made instead of copying them.
 func Restore(blob []byte) (*DB, error) {
 	r := snapReader{buf: blob}
 	magicBytes, err := r.take(4)
@@ -165,7 +167,7 @@ func Restore(blob []byte) (*DB, error) {
 				return nil, fmt.Errorf("%w: zero-valued storage slot in account %d", ErrSnapshotOrder, i)
 			}
 			prevKey = k
-			acc.storage = critbit.Set(acc.storage, k, v)
+			acc.storage = critbit.Set(acc.storage, k, v, db.writeGen())
 		}
 		if acc.empty() {
 			return nil, fmt.Errorf("%w: empty account record %d", ErrSnapshotOrder, i)

@@ -4,11 +4,16 @@
 // The state is one persistent structure: a crit-bit trie (package
 // critbit) from address to an immutable account record, whose storage is
 // another such trie. A mutator builds a modified copy of the one record
-// it touches and installs it by path copy, so every earlier root still
-// describes the world as it was. Copy, Snapshot and RevertToSnapshot are
-// therefore pointer assignments — what the SCVM (failed calls revert),
-// fork execution and block building need, at O(1) — and the trie doubles
-// as the commitment: Root sums it with the account and branch hashes,
+// it touches and installs it in the trie. Snapshot, RevertToSnapshot and
+// Root (and so Copy) are the DB's freeze points: the first write after
+// one path-copies what it touches, so every root saved or shared at a
+// freeze point still describes the world as it was, and later writes
+// until the next freeze point rewrite the nodes that copy made instead of
+// copying them again — a transaction's five writes to three accounts cost
+// about three paths, not five. Copy, Snapshot and RevertToSnapshot stay
+// pointer assignments — what the SCVM (failed calls revert), fork
+// execution and block building need, at O(1) — and the trie doubles as
+// the commitment: Root sums it with the account and branch hashes,
 // re-hashing only the accounts written since the previous Root plus their
 // O(log n) paths.
 package state
@@ -57,6 +62,9 @@ type DB struct {
 	root *critbit.Node[*account]
 	// saved holds the root as of each open snapshot.
 	saved []*critbit.Node[*account]
+	// gen is the critbit generation this DB's writes own, 0 from a freeze
+	// point until the next write takes a fresh one (writeGen).
+	gen uint32
 }
 
 // New creates an empty state.
@@ -68,9 +76,9 @@ func New() *DB {
 // whichever side writes next path-copies only what it touches.
 //
 // Copy is where a trie becomes reachable from a second DB, and so from a
-// second goroutine, so it is where the critbit.Sum rule is enforced: the
-// trie is summed first, after which neither side ever writes to a shared
-// node again.
+// second goroutine, so it is where critbit's two rules are enforced: Root
+// sums the trie and freezes this DB, after which neither side ever writes
+// to a shared node again.
 func (db *DB) Copy() *DB {
 	db.Root()
 	return &DB{root: db.root}
@@ -91,27 +99,48 @@ func (db *DB) get(addr types.Address) account {
 	return account{}
 }
 
+// writeGen returns the generation this DB's writes use, taking a fresh
+// one after a freeze point.
+func (db *DB) writeGen() uint32 {
+	if db.gen == 0 {
+		db.gen = critbit.NewGen()
+	}
+	return db.gen
+}
+
+// freeze is a freeze point: the nodes written so far become read-only.
+// Readers call Root on shared DBs concurrently, and a shared DB is
+// already frozen, so freeze writes only when there is a generation to
+// drop.
+func (db *DB) freeze() {
+	if db.gen != 0 {
+		db.gen = 0
+	}
+}
+
 // put installs acc as addr's record; an empty record leaves the trie.
 func (db *DB) put(addr types.Address, acc account) {
 	if acc.empty() {
-		db.root = critbit.Delete(db.root, trieKey(addr))
+		db.root = critbit.Delete(db.root, trieKey(addr), db.writeGen())
 		return
 	}
-	db.root = critbit.Set(db.root, trieKey(addr), &acc)
+	db.root = critbit.Set(db.root, trieKey(addr), &acc, db.writeGen())
 }
 
-// Snapshot opens a revert point and returns its id.
+// Snapshot opens a revert point and returns its id. It is a freeze point.
 func (db *DB) Snapshot() int {
+	db.freeze()
 	db.saved = append(db.saved, db.root)
 	return len(db.saved) - 1
 }
 
 // RevertToSnapshot undoes every mutation made after the snapshot was taken.
-// Snapshots opened after id are discarded.
+// Snapshots opened after id are discarded. It is a freeze point.
 func (db *DB) RevertToSnapshot(id int) error {
 	if id < 0 || id >= len(db.saved) {
 		return fmt.Errorf("%w: %d", ErrBadSnapshot, id)
 	}
+	db.freeze()
 	db.root = db.saved[id]
 	db.saved = db.saved[:id]
 	return nil
@@ -199,12 +228,12 @@ func (db *DB) SetStorage(addr types.Address, key, value types.Hash) {
 	_, had := critbit.Get(acc.storage, key)
 	switch {
 	case !value.IsZero():
-		acc.storage = critbit.Set(acc.storage, key, value)
+		acc.storage = critbit.Set(acc.storage, key, value, db.writeGen())
 		if !had {
 			acc.slots++
 		}
 	case had:
-		acc.storage = critbit.Delete(acc.storage, key)
+		acc.storage = critbit.Delete(acc.storage, key, db.writeGen())
 		acc.slots--
 	default:
 		return // deleting an absent slot
@@ -259,7 +288,9 @@ func accountDigest(addr []byte, acc *account) types.Hash {
 // a branch hash over (crit bit, left, right). Empty accounts are not in
 // the trie. Only accounts written since the previous Root() are
 // re-hashed, so the cost is O(written · log accounts), not O(world state).
+// Root is a freeze point.
 func (db *DB) Root() types.Hash {
+	db.freeze()
 	if db.root == nil {
 		return emptyStateRoot
 	}
