@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint fuzz-smoke race bench telemetry-budget trace-budget loc
+.PHONY: all build test check fmt vet lint fuzz-smoke race bench pair telemetry-budget trace-budget loc
 
 all: build test
 
@@ -81,6 +81,18 @@ bench:
 	$(GO) test ./internal/critbit/ -run NONE -bench . -benchmem
 	$(GO) test ./internal/crypto/secp256k1/ -run NONE -bench . -benchmem
 	$(GO) test ./internal/crypto/keccak/ -run NONE -bench . -benchmem
+
+# pair compares the working tree with REF on the repository's benchmark in
+# N alternated pairs per workload (cmd/scpair): both sides' medians and
+# quartiles, the pairs that moved each way, and a lower/higher/unresolved
+# verdict per metric. WORKLOADS (comma-separated) narrows the set; RECORD
+# names a trajectory file (BENCH_scbench.json) to append the result to;
+# PAIRDIR keeps the exported parent and its build cache between runs.
+N ?= 10
+pair:
+	@test -n "$(REF)" || { echo "usage: make pair REF=<git-ref> [N=10] [WORKLOADS=a,b] [RECORD=BENCH_scbench.json] [PAIRDIR=dir]"; exit 2; }
+	$(GO) build -o .bench_build/scpair ./cmd/scpair
+	.bench_build/scpair -ref $(REF) -n $(N) $(if $(WORKLOADS),-workloads $(WORKLOADS)) $(if $(RECORD),-record $(RECORD)) $(if $(PAIRDIR),-dir $(PAIRDIR))
 
 # telemetry-budget fails if a hot-path counter increment costs more than
 # the budget (30 ns/op by default; override with

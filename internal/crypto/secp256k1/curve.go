@@ -11,10 +11,11 @@
 // to fixed four-limb kernels — field.go (mod p), scalar.go (mod n),
 // point_fast.go (Jacobian points, wNAF and the generator comb) — which
 // allocate nothing and are themselves differentially tested against the
-// math/big layer. RecoverPublicKey, the one signature check production
-// code runs, is written directly on the kernels: math/big appears there
-// only as the representation of the Signature it reads and the PublicKey
-// it returns.
+// math/big layer. RecoverPublicKeyXY, the one signature check production
+// code runs, is written directly on the kernels and never touches
+// math/big: a Signature is its 65 wire bytes, and the key comes back as
+// 64 bytes of X ‖ Y. math/big remains in key generation and Sign, in the
+// Point/PublicKey API, and as the test oracle.
 //
 // Neither layer is constant-time; SmartCrowd is a research platform, not
 // a wallet.

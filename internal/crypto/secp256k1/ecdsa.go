@@ -20,11 +20,14 @@ type PublicKey struct {
 	Point Point
 }
 
-// Signature is an ECDSA signature with a recovery identifier. V is 0 or 1
-// and selects which of the two candidate public keys RecoverPublicKey
-// returns (Ethereum-style recovery id, without the +27 legacy offset).
+// Signature is an ECDSA signature with a recovery identifier, held as its
+// 65-byte wire form: R and S big-endian, then V. V is 0 or 1 and selects
+// which of the two candidate public keys RecoverPublicKeyXY returns
+// (Ethereum-style recovery id, without the +27 legacy offset). Range and
+// canonical-form rules are enforced by recovery, not by the type, so a
+// parsed signature is exactly the bytes that arrived.
 type Signature struct {
-	R, S *big.Int
+	R, S [32]byte
 	V    byte
 }
 
@@ -152,64 +155,38 @@ func (k *PrivateKey) Sign(digest []byte) (Signature, error) {
 			s.Sub(c.N, s)
 			v ^= 1
 		}
-		return Signature{R: r, S: s, V: v}, nil
+		sig := Signature{V: v}
+		r.FillBytes(sig.R[:])
+		s.FillBytes(sig.S[:])
+		return sig, nil
 	}
 }
 
-// Verify reports whether sig is a valid signature of digest under pk. Like
-// RecoverPublicKey it accepts only low-S signatures, so the two agree on
-// which encodings of a signature are valid; V is not consulted.
-func (pk PublicKey) Verify(digest []byte, sig Signature) bool {
-	c := S256()
-	if sig.R == nil || sig.S == nil {
-		return false
-	}
-	if sig.R.Sign() <= 0 || sig.S.Sign() <= 0 ||
-		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(halfN) > 0 {
-		return false
-	}
-	if pk.Point.Infinity() || !c.IsOnCurve(pk.Point) {
-		return false
-	}
-	e := hashToScalar(digest, c)
-	w := new(big.Int).ModInverse(sig.S, c.N)
-	u1 := new(big.Int).Mul(e, w)
-	u1.Mod(u1, c.N)
-	u2 := new(big.Int).Mul(sig.R, w)
-	u2.Mod(u2, c.N)
-	p := c.Add(c.ScalarBaseMult(u1), c.ScalarMult(pk.Point, u2))
-	if p.Infinity() {
-		return false
-	}
-	x := new(big.Int).Mod(p.X, c.N)
-	return x.Cmp(sig.R) == 0
-}
-
-// RecoverPublicKey recovers the signing public key from a signature and the
-// digest it signed. This is how SmartCrowd nodes attribute on-chain
-// messages to wallet addresses without carrying explicit public keys, and
-// the only signature check production code runs (transactions, SRAs, R†
-// and R* all arrive here through wallet.RecoverSigner), so it is also
-// where the canonical-signature rules are enforced: R and S in [1, n−1],
-// V ∈ {0, 1}, and S in the lower half of the order — (R, n−S, V⊕1)
-// recovers the same key, and accepting both would give every signed
-// message two valid encodings.
+// RecoverPublicKeyXY recovers the signing public key as X ‖ Y, its two
+// coordinates big-endian — the 64 bytes an address hashes. This is how
+// SmartCrowd nodes attribute on-chain messages to wallet addresses without
+// carrying explicit public keys, and the only signature check production
+// code runs (transactions, SRAs, R† and R* all arrive here through
+// wallet.RecoverSigner), so it is also where the canonical-signature rules
+// are enforced: R and S in [1, n−1], V ∈ {0, 1}, and S in the lower half
+// of the order — (R, n−S, V⊕1) recovers the same key, and accepting both
+// would give every signed message two valid encodings.
 //
 // The key is Q = u₁·G + u₂·R with u₁ = −e·r⁻¹ and u₂ = s·r⁻¹ (mod n): one
 // variable-base multiplication, one generator-comb multiplication, one
-// addition and one field inversion, all on fixed limbs; math/big appears
-// only in reading the signature and building the returned point.
-func RecoverPublicKey(digest []byte, sig Signature) (PublicKey, error) {
+// addition and one field inversion, all on fixed limbs from the
+// signature's bytes to the key's. It allocates nothing.
+func RecoverPublicKeyXY(digest []byte, sig Signature) (xy [64]byte, err error) {
 	var r, s scalar
-	if sig.V > 1 || !r.scSetBig(sig.R) || !s.scSetBig(sig.S) ||
+	if sig.V > 1 || !r.scSetBytes(&sig.R) || !s.scSetBytes(&sig.S) ||
 		r.scIsZero() || s.scIsZero() || s.scIsHigh() {
-		return PublicKey{}, ErrInvalidSignature
+		return xy, ErrInvalidSignature
 	}
 	// R has x = r (r < n < p; Sign never emits the x = r + n overflow case)
 	// and the parity selected by V.
 	var rPoint geAffine
 	if !rPoint.setX(&fieldVal{n: r.n}, sig.V == 1) {
-		return PublicKey{}, ErrInvalidSignature
+		return xy, ErrInvalidSignature
 	}
 
 	// By construction Q satisfies the ECDSA verification equation for
@@ -228,30 +205,22 @@ func RecoverPublicKey(digest []byte, sig Signature) (PublicKey, error) {
 	geAdd(&q, &q, &u1G)
 	pub, ok := q.affine()
 	if !ok || !pub.isOnCurve() {
-		return PublicKey{}, ErrInvalidSignature
+		return xy, ErrInvalidSignature
 	}
-	return PublicKey{Point: pub.point()}, nil
+	pub.x.feBytes((*[32]byte)(xy[:32]))
+	pub.y.feBytes((*[32]byte)(xy[32:]))
+	return xy, nil
 }
 
-// Serialize encodes the signature as 65 bytes: R (32) || S (32) || V (1).
-func (s Signature) Serialize() []byte {
-	out := make([]byte, 65)
-	s.R.FillBytes(out[:32])
-	s.S.FillBytes(out[32:64])
-	out[64] = s.V
-	return out
-}
-
-// ParseSignature decodes a 65-byte R||S||V signature.
-func ParseSignature(data []byte) (Signature, error) {
+// ParseSignature decodes a 65-byte R||S||V signature by copying it.
+func ParseSignature(data []byte) (sig Signature, err error) {
 	if len(data) != 65 {
-		return Signature{}, ErrInvalidSignature
+		return sig, ErrInvalidSignature
 	}
-	return Signature{
-		R: new(big.Int).SetBytes(data[:32]),
-		S: new(big.Int).SetBytes(data[32:64]),
-		V: data[64],
-	}, nil
+	copy(sig.R[:], data[:32])
+	copy(sig.S[:], data[32:64])
+	sig.V = data[64]
+	return sig, nil
 }
 
 // rfc6979 returns a generator of deterministic nonces for (key, digest) as

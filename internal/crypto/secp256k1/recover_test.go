@@ -24,28 +24,54 @@ var bigS256 = func() *Curve { c := *S256(); return &c }()
 // production code line for line (its point arithmetic dispatches to the
 // limb kernels, as it did then); with c = bigS256 every step is math/big.
 func recoverOracle(c *Curve, digest []byte, sig Signature) (PublicKey, error) {
-	if sig.R == nil || sig.S == nil ||
-		sig.R.Sign() <= 0 || sig.S.Sign() <= 0 ||
-		sig.R.Cmp(c.N) >= 0 || sig.S.Cmp(c.N) >= 0 || sig.V > 1 {
+	r, s := sig.rBig(), sig.sBig()
+	if r.Sign() <= 0 || s.Sign() <= 0 ||
+		r.Cmp(c.N) >= 0 || s.Cmp(c.N) >= 0 || sig.V > 1 {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	if sig.S.Cmp(new(big.Int).Rsh(c.N, 1)) > 0 {
+	if s.Cmp(new(big.Int).Rsh(c.N, 1)) > 0 {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	y, err := c.recoverY(sig.R, sig.V == 1)
+	y, err := c.recoverY(r, sig.V == 1)
 	if err != nil {
 		return PublicKey{}, ErrInvalidSignature
 	}
-	rPoint := Point{X: new(big.Int).Set(sig.R), Y: y}
+	rPoint := Point{X: new(big.Int).Set(r), Y: y}
 	e := hashToScalar(digest, c)
-	rInv := new(big.Int).ModInverse(sig.R, c.N)
-	sR := c.ScalarMult(rPoint, sig.S)
+	rInv := new(big.Int).ModInverse(r, c.N)
+	sR := c.ScalarMult(rPoint, s)
 	eG := c.ScalarBaseMult(e)
 	q := c.ScalarMult(c.Add(sR, c.Neg(eG)), rInv)
 	if q.Infinity() || !c.IsOnCurve(q) {
 		return PublicKey{}, ErrInvalidSignature
 	}
 	return PublicKey{Point: q}, nil
+}
+
+// RecoverPublicKey is RecoverPublicKeyXY with the key loaded into a
+// PublicKey, the form the oracles and the Point API compare.
+func RecoverPublicKey(digest []byte, sig Signature) (PublicKey, error) {
+	xy, err := RecoverPublicKeyXY(digest, sig)
+	if err != nil {
+		return PublicKey{}, err
+	}
+	return PublicKey{Point: Point{X: new(big.Int).SetBytes(xy[:32]), Y: new(big.Int).SetBytes(xy[32:])}}, nil
+}
+
+// sigOf builds a Signature from integers in [0, 2²⁵⁶).
+func sigOf(r, s *big.Int, v byte) (sig Signature) {
+	r.FillBytes(sig.R[:])
+	s.FillBytes(sig.S[:])
+	sig.V = v
+	return sig
+}
+
+func (s Signature) rBig() *big.Int { return new(big.Int).SetBytes(s.R[:]) }
+func (s Signature) sBig() *big.Int { return new(big.Int).SetBytes(s.S[:]) }
+
+// serialize returns the 65-byte R ‖ S ‖ V wire form ParseSignature reads.
+func (s Signature) serialize() []byte {
+	return append(append(append([]byte(nil), s.R[:]...), s.S[:]...), s.V)
 }
 
 // agreeWithOracle fails the test unless the kernel and the oracle on c
@@ -122,24 +148,24 @@ func TestRecoverMatchesBigIntOracle(t *testing.T) {
 		case 1:
 			name, sig.V = "V flipped", sig.V^1
 		case 2:
-			name, sig.R = "R + k", new(big.Int).Add(sig.R, k)
+			name, sig = "R + k", sigOf(new(big.Int).Add(sig.rBig(), k), sig.sBig(), sig.V)
 		case 3:
-			name, sig.R = "R − k", new(big.Int).Sub(sig.R, k)
+			name, sig = "R − k", sigOf(new(big.Int).Sub(sig.rBig(), k), sig.sBig(), sig.V)
 		case 4:
-			name, sig.S = "S + 1", new(big.Int).Add(sig.S, big.NewInt(1))
+			name, sig = "S + 1", sigOf(sig.rBig(), new(big.Int).Add(sig.sBig(), big.NewInt(1)), sig.V)
 		case 5:
-			name, sig.S = "S − 1", new(big.Int).Sub(sig.S, big.NewInt(1))
+			name, sig = "S − 1", sigOf(sig.rBig(), new(big.Int).Sub(sig.sBig(), big.NewInt(1)), sig.V)
 		case 6:
-			name, sig.S, sig.V = "high-S twin", new(big.Int).Sub(n, sig.S), sig.V^1
+			name, sig = "high-S twin", sigOf(sig.rBig(), new(big.Int).Sub(n, sig.sBig()), sig.V^1)
 		case 7:
 			name = "digest bit flipped"
 			digest[rng.Intn(32)] ^= 1 << rng.Intn(8)
 		case 8:
-			name, sig.R = "R off the curve", offCurveX(rng)
+			name, sig = "R off the curve", sigOf(offCurveX(rng), sig.sBig(), sig.V)
 		case 9:
 			name, sig.V = "V > 1", byte(2+rng.Intn(254))
 		case 10:
-			name, sig = "random R, S", Signature{R: randScalar(rng), S: randScalar(rng), V: byte(rng.Intn(2))}
+			name, sig = "random R, S", sigOf(randScalar(rng), randScalar(rng), byte(rng.Intn(2)))
 		case 11:
 			name = "digest resized"
 			digest = make([]byte, []int{0, 20, 31, 33, 64}[rng.Intn(5)])
@@ -217,10 +243,11 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 			"u₁G = −u₂R": eOverK,
 			"u₁G = u₂R":  new(big.Int).Sub(n, eOverK),
 		} {
-			sig := Signature{R: new(big.Int).Mod(rPoint.X, n), S: s, V: byte(rPoint.Y.Bit(0))}
-			if sig.S.Cmp(halfN) > 0 {
-				sig.S, sig.V = new(big.Int).Sub(n, sig.S), sig.V^1
+			v := byte(rPoint.Y.Bit(0))
+			if s.Cmp(halfN) > 0 {
+				s, v = new(big.Int).Sub(n, s), v^1
 			}
+			sig := sigOf(new(big.Int).Mod(rPoint.X, n), s, v)
 			_, ok := agreeWithOracle(t, bigS256, name, digest[:], sig)
 			if wantOK := name == "u₁G = u₂R"; ok != wantOK {
 				t.Errorf("%s (k=%v): accepted=%v, want %v", name, k, ok, wantOK)
@@ -229,43 +256,50 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 	}
 
 	sig, _ := key.Sign(digest[:])
+	r, s, v := sig.rBig(), sig.sBig(), sig.V
+	max256 := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)
 	for name, mutated := range map[string]Signature{
-		"S = ⌊n/2⌋":     {R: sig.R, S: halfN, V: sig.V},
-		"S = ⌊n/2⌋ + 1": {R: sig.R, S: new(big.Int).Add(halfN, one), V: sig.V},
-		"S = n − 1":     {R: sig.R, S: new(big.Int).Sub(n, one), V: sig.V},
-		"S = 1":         {R: sig.R, S: one, V: sig.V},
-		"S = 0":         {R: sig.R, S: new(big.Int), V: sig.V},
-		"S = n":         {R: sig.R, S: n, V: sig.V},
-		"S < 0":         {R: sig.R, S: big.NewInt(-1), V: sig.V},
-		"S nil":         {R: sig.R, V: sig.V},
-		"S = 2⁵¹²":      {R: sig.R, S: new(big.Int).Lsh(one, 512), V: sig.V},
-		"R = 0":         {R: new(big.Int), S: sig.S, V: sig.V},
-		"R = 1":         {R: one, S: sig.S, V: sig.V},
-		"R = n − 1":     {R: new(big.Int).Sub(n, one), S: sig.S, V: sig.V},
-		"R = n":         {R: n, S: sig.S, V: sig.V},
-		"R = p − 1":     {R: new(big.Int).Sub(c.P, one), S: sig.S, V: sig.V},
-		"R < 0":         {R: big.NewInt(-1), S: sig.S, V: sig.V},
-		"R nil":         {S: sig.S, V: sig.V},
-		"R = 2⁵¹²":      {R: new(big.Int).Lsh(one, 512), S: sig.S, V: sig.V},
+		"S = ⌊n/2⌋":     sigOf(r, halfN, v),
+		"S = ⌊n/2⌋ + 1": sigOf(r, new(big.Int).Add(halfN, one), v),
+		"S = n − 1":     sigOf(r, new(big.Int).Sub(n, one), v),
+		"S = 1":         sigOf(r, one, v),
+		"S = 0":         sigOf(r, new(big.Int), v),
+		"S = n":         sigOf(r, n, v),
+		"S = 2²⁵⁶ − 1":  sigOf(r, max256, v),
+		"R = 0":         sigOf(new(big.Int), s, v),
+		"R = 1":         sigOf(one, s, v),
+		"R = n − 1":     sigOf(new(big.Int).Sub(n, one), s, v),
+		"R = n":         sigOf(n, s, v),
+		"R = p − 1":     sigOf(new(big.Int).Sub(c.P, one), s, v),
+		"R = 2²⁵⁶ − 1":  sigOf(max256, s, v),
+		"all zero":      {},
 	} {
 		agreeWithOracle(t, bigS256, name, digest[:], mutated)
 	}
 }
 
-// TestRecoverAllocationBudget pins what the recovery may allocate: the
-// returned point's two big.Ints and their word slices. The arithmetic
-// itself allocates nothing (it was 164 allocations on math/big).
+// TestRecoverAllocationBudget pins what a recovery may allocate: nothing,
+// from the signature's bytes to the key's (it was 164 allocations on
+// math/big, then 4 while a Signature was two big.Ints and the key a
+// big.Int point).
 func TestRecoverAllocationBudget(t *testing.T) {
 	key := NewPrivateKey(big.NewInt(0xA110C))
 	digest := sha256.Sum256([]byte("allocations"))
-	sig, _ := key.Sign(digest[:])
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := RecoverPublicKey(digest[:], sig); err != nil {
+	signed, _ := key.Sign(digest[:])
+	wire := signed.serialize()
+	var sig Signature
+	if allocs := testing.AllocsPerRun(100, func() { sig, _ = ParseSignature(wire) }); allocs != 0 {
+		t.Errorf("ParseSignature allocates %.0f times per call, want 0", allocs)
+	}
+	if sig != signed {
+		t.Fatal("ParseSignature did not return the signed signature")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := RecoverPublicKeyXY(digest[:], sig); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 8 {
-		t.Errorf("RecoverPublicKey allocates %.0f times per call, budget 8", allocs)
+	}); allocs != 0 {
+		t.Errorf("RecoverPublicKeyXY allocates %.0f times per call, want 0", allocs)
 	}
 }
 
@@ -295,6 +329,9 @@ func TestScalarMultFullWidthMatchesGeneric(t *testing.T) {
 	}
 }
 
+// BenchmarkRecoverPublicKey times the recovery every signed byte a node
+// checks goes through: RecoverPublicKeyXY, from the signature's 65 bytes
+// to the key's 64.
 func BenchmarkRecoverPublicKey(b *testing.B) {
 	key := NewPrivateKey(big.NewInt(123456789))
 	digest := sha256.Sum256([]byte("bench"))
@@ -302,7 +339,7 @@ func BenchmarkRecoverPublicKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RecoverPublicKey(digest[:], sig); err != nil {
+		if _, err := RecoverPublicKeyXY(digest[:], sig); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -315,12 +352,12 @@ func FuzzRecoverDifferential(f *testing.F) {
 	key := NewPrivateKey(big.NewInt(7))
 	digest := sha256.Sum256([]byte("fuzz"))
 	sig, _ := key.Sign(digest[:])
-	f.Add(append(digest[:], sig.Serialize()...))
-	highS := Signature{R: sig.R, S: new(big.Int).Sub(S256().N, sig.S), V: sig.V ^ 1}
-	f.Add(append(digest[:], highS.Serialize()...))
-	f.Add(append(make([]byte, 32), sig.Serialize()...))
+	f.Add(append(digest[:], sig.serialize()...))
+	highS := sigOf(sig.rBig(), new(big.Int).Sub(S256().N, sig.sBig()), sig.V^1)
+	f.Add(append(digest[:], highS.serialize()...))
+	f.Add(append(make([]byte, 32), sig.serialize()...))
 	f.Add(bytes.Repeat([]byte{0xFF}, 97))
-	f.Add(sig.Serialize()) // empty digest
+	f.Add(sig.serialize()) // empty digest
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 65 {
 			return

@@ -157,6 +157,32 @@ func TestVerifyAgainstStdlibECDSA(t *testing.T) {
 	}
 }
 
+// Verify is textbook ECDSA verification on math/big, the oracle that
+// Sign's output satisfies the raw equation independently of recovery.
+// Like RecoverPublicKeyXY it accepts only low-S signatures, so the two
+// agree on which encodings of a signature are valid; V is not consulted.
+func (pk PublicKey) Verify(digest []byte, sig Signature) bool {
+	c := S256()
+	r, s := sig.rBig(), sig.sBig()
+	if r.Sign() == 0 || s.Sign() == 0 || r.Cmp(c.N) >= 0 || s.Cmp(halfN) > 0 {
+		return false
+	}
+	if pk.Point.Infinity() || !c.IsOnCurve(pk.Point) {
+		return false
+	}
+	e := hashToScalar(digest, c)
+	w := new(big.Int).ModInverse(s, c.N)
+	u1 := new(big.Int).Mul(e, w)
+	u1.Mod(u1, c.N)
+	u2 := new(big.Int).Mul(r, w)
+	u2.Mod(u2, c.N)
+	p := c.Add(c.ScalarBaseMult(u1), c.ScalarMult(pk.Point, u2))
+	if p.Infinity() {
+		return false
+	}
+	return new(big.Int).Mod(p.X, c.N).Cmp(r) == 0
+}
+
 func TestSignVerifyRoundtrip(t *testing.T) {
 	key, err := GenerateKey(nil)
 	if err != nil {
@@ -193,7 +219,7 @@ func TestSignDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.R.Cmp(b.R) != 0 || a.S.Cmp(b.S) != 0 || a.V != b.V {
+	if a != b {
 		t.Error("RFC 6979 signing is not deterministic")
 	}
 }
@@ -208,7 +234,7 @@ func TestLowSNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sig.S.Cmp(halfN) > 0 {
+		if sig.sBig().Cmp(halfN) > 0 {
 			t.Errorf("signature %d has high S", i)
 		}
 	}
@@ -222,7 +248,7 @@ func TestHighSRejectedBehaviour(t *testing.T) {
 	key := NewPrivateKey(big.NewInt(42))
 	digest := sha256.Sum256([]byte("malleable"))
 	sig, _ := key.Sign(digest[:])
-	flipped := Signature{R: sig.R, S: new(big.Int).Sub(S256().N, sig.S), V: sig.V ^ 1}
+	flipped := sigOf(sig.rBig(), new(big.Int).Sub(S256().N, sig.sBig()), sig.V^1)
 	if key.Public.Verify(digest[:], flipped) {
 		t.Error("Verify accepted the complementary (high) S value")
 	}
@@ -255,10 +281,10 @@ func TestRecoverPublicKey(t *testing.T) {
 func TestRecoverRejectsGarbage(t *testing.T) {
 	digest := sha256.Sum256([]byte("x"))
 	bad := []Signature{
-		{R: big.NewInt(0), S: big.NewInt(1), V: 0},
-		{R: big.NewInt(1), S: big.NewInt(0), V: 0},
-		{R: S256().N, S: big.NewInt(1), V: 0},
-		{R: big.NewInt(1), S: big.NewInt(1), V: 5},
+		sigOf(big.NewInt(0), big.NewInt(1), 0),
+		sigOf(big.NewInt(1), big.NewInt(0), 0),
+		sigOf(S256().N, big.NewInt(1), 0),
+		sigOf(big.NewInt(1), big.NewInt(1), 5),
 	}
 	for i, sig := range bad {
 		if _, err := RecoverPublicKey(digest[:], sig); err == nil {
@@ -271,11 +297,11 @@ func TestSignatureSerializeRoundtrip(t *testing.T) {
 	key := NewPrivateKey(big.NewInt(99991))
 	digest := sha256.Sum256([]byte("serialize"))
 	sig, _ := key.Sign(digest[:])
-	parsed, err := ParseSignature(sig.Serialize())
+	parsed, err := ParseSignature(sig.serialize())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.R.Cmp(sig.R) != 0 || parsed.S.Cmp(sig.S) != 0 || parsed.V != sig.V {
+	if parsed != sig {
 		t.Error("serialize/parse roundtrip mismatch")
 	}
 	if _, err := ParseSignature(make([]byte, 64)); err == nil {
@@ -359,7 +385,7 @@ func FuzzParseSignature(f *testing.F) {
 	key := NewPrivateKey(big.NewInt(7))
 	digest := sha256.Sum256([]byte("fuzz"))
 	sig, _ := key.Sign(digest[:])
-	f.Add(sig.Serialize())
+	f.Add(sig.serialize())
 	f.Add(bytes.Repeat([]byte{0xFF}, 65))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sig, err := ParseSignature(data)

@@ -538,14 +538,5 @@ func (p *ProviderNode) handleRangeRequest(from p2p.NodeID, payload []byte) {
 		hi = lo + maxRangeBlocks - 1
 	}
 	blocks := p.chain.BlocksRange(lo, hi)
-	records := make([][]byte, 0, len(blocks))
-	total := 0
-	for _, b := range blocks {
-		rec := types.EncodeBlock(b)
-		records = append(records, rec)
-		if total += len(rec); total > maxRangeBytes {
-			break
-		}
-	}
-	_ = p.net.Send(p.id, from, p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: p2p.EncodeRangeBlocks(records)})
+	_ = p.net.Send(p.id, from, p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: p2p.EncodeRangeBlocks(blocks, maxRangeBytes)})
 }

@@ -416,11 +416,8 @@ func TestHostileSnapshotRejectedAndReplayed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var records [][]byte
-				for _, blk := range a.Chain().BlocksRange(lo, hi) {
-					records = append(records, types.EncodeBlock(blk))
-				}
-				_ = sn.net.Send(evil, b.ID(), p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: p2p.EncodeRangeBlocks(records)})
+				payload := p2p.EncodeRangeBlocks(a.Chain().BlocksRange(lo, hi), maxRangeBytes)
+				_ = sn.net.Send(evil, b.ID(), p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: payload})
 			}
 		}
 	}

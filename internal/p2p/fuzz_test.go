@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -117,11 +118,13 @@ func FuzzParseSnapChunk(f *testing.F) {
 // — the PR 9 bug class where a declared count must never out-allocate
 // the frame that already arrived. Accepted lists must respect the count
 // cap, their records must fit inside the payload, and the codec is
-// canonical.
+// canonical: when every record is a block, the block writer rebuilds the
+// payload byte for byte, and otherwise the record encoder does.
 func FuzzParseRangeBlocks(f *testing.F) {
-	f.Add(EncodeRangeBlocks(nil))
-	f.Add(EncodeRangeBlocks([][]byte{[]byte("block-one"), []byte("block-two")}))
-	f.Add(EncodeRangeBlocks([][]byte{{}, []byte("after-empty-record")}))
+	f.Add(EncodeRangeBlocks(nil, math.MaxInt))
+	f.Add(EncodeRangeBlocks(rangeTestBlocks(3), math.MaxInt))
+	f.Add(encodeRangeRecords([][]byte{[]byte("block-one"), []byte("block-two")}))
+	f.Add(encodeRangeRecords([][]byte{{}, []byte("after-empty-record")}))
 	f.Add([]byte(""))                          // shorter than the count
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})      // count far over maxRangeCount
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 'x'}) // declares 2 records, carries 1
@@ -143,8 +146,19 @@ func FuzzParseRangeBlocks(f *testing.F) {
 		if total != len(data) {
 			t.Fatalf("accepted records cover %d bytes of a %d-byte payload", total, len(data))
 		}
-		if got := EncodeRangeBlocks(blocks); !bytes.Equal(got, data) {
+		if got := encodeRangeRecords(blocks); !bytes.Equal(got, data) {
 			t.Fatalf("accepted range blocks are not canonical:\n in: %x\nout: %x", data, got)
+		}
+		decoded := make([]*types.Block, 0, len(blocks))
+		for _, rec := range blocks {
+			b, err := types.DecodeBlock(rec)
+			if err != nil {
+				return
+			}
+			decoded = append(decoded, b)
+		}
+		if got := EncodeRangeBlocks(decoded, math.MaxInt); !bytes.Equal(got, data) {
+			t.Fatalf("block writer does not rebuild accepted blocks:\n in: %x\nout: %x", data, got)
 		}
 	})
 }

@@ -211,13 +211,23 @@ func ParseRangeRequest(payload []byte) (from, to uint64, err error) {
 	return from, to, nil
 }
 
-// EncodeRangeBlocks builds a MsgRangeBlocks payload: a count followed by
-// length-prefixed encoded blocks.
-func EncodeRangeBlocks(blocks [][]byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(blocks)))
-	for _, b := range blocks {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
+// EncodeRangeBlocks builds a MsgRangeBlocks payload — a count followed by
+// length-prefixed encoded blocks — from the longest prefix of blocks whose
+// records before the last stay within maxBytes: the block that crosses
+// the budget is the last one sent, so a response is at most maxBytes plus
+// one block. The payload is sized first and each block encoded straight
+// into it, one allocation of exactly its length.
+func EncodeRangeBlocks(blocks []*types.Block, maxBytes int) []byte {
+	n, size := 0, 4
+	for records := 0; n < len(blocks) && records <= maxBytes; n++ {
+		rec := types.BlockSize(blocks[n])
+		records += rec
+		size += 4 + rec
+	}
+	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(n))
+	for _, b := range blocks[:n] {
+		out = binary.BigEndian.AppendUint32(out, uint32(types.BlockSize(b)))
+		out = types.AppendBlock(out, b)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package p2p
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -115,9 +117,36 @@ func TestRangeRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeRangeRecords is the MsgRangeBlocks layout written from records
+// that are already encoded, growing the payload by append: the encoder
+// EncodeRangeBlocks replaced, kept as its oracle.
+func encodeRangeRecords(records [][]byte) []byte {
+	out := binary.BigEndian.AppendUint32(nil, uint32(len(records)))
+	for _, r := range records {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(r)))
+		out = append(out, r...)
+	}
+	return out
+}
+
+// rangeTestBlocks returns a chain-shaped run of blocks of growing size.
+func rangeTestBlocks(n int) []*types.Block {
+	blocks := make([]*types.Block, n)
+	for i := range blocks {
+		txs := make([]*types.Transaction, i%4)
+		for j := range txs {
+			txs[j] = &types.Transaction{Kind: types.TxTransfer, Nonce: uint64(j), To: types.Address{byte(i)},
+				Value: types.Amount(i * j), GasLimit: 21_000, Data: bytes.Repeat([]byte{byte(j)}, 40*i)}
+		}
+		blocks[i] = &types.Block{Header: types.Header{Number: uint64(i + 1), Time: uint64(i+1) * 15_000,
+			TxRoot: types.ComputeTxRoot(txs)}, Txs: txs}
+	}
+	return blocks
+}
+
 func TestRangeBlocksRoundTrip(t *testing.T) {
 	blocks := [][]byte{[]byte("block-one"), {}, []byte("a longer third block record")}
-	got, err := ParseRangeBlocks(EncodeRangeBlocks(blocks))
+	got, err := ParseRangeBlocks(encodeRangeRecords(blocks))
 	if err != nil {
 		t.Fatalf("ParseRangeBlocks: %v", err)
 	}
@@ -129,14 +158,55 @@ func TestRangeBlocksRoundTrip(t *testing.T) {
 			t.Errorf("record %d mismatch", i)
 		}
 	}
-	empty, err := ParseRangeBlocks(EncodeRangeBlocks(nil))
+	empty, err := ParseRangeBlocks(EncodeRangeBlocks(nil, math.MaxInt))
 	if err != nil || len(empty) != 0 {
 		t.Fatalf("empty range blocks: %v %d", err, len(empty))
 	}
 }
 
+// TestEncodeRangeBlocksMatchesRecordEncoder: the block writer produces the
+// oracle's bytes for the records the old serving loop chose — every block
+// up to and including the one whose record takes the total past the byte
+// budget — at budgets below, on and just past each record boundary.
+func TestEncodeRangeBlocksMatchesRecordEncoder(t *testing.T) {
+	blocks := rangeTestBlocks(12)
+	budgets := []int{0, 1, math.MaxInt}
+	total := 0
+	for _, b := range blocks {
+		total += len(types.EncodeBlock(b))
+		budgets = append(budgets, total-1, total, total+1)
+	}
+	for _, budget := range budgets {
+		var records [][]byte
+		sum := 0
+		for _, b := range blocks {
+			rec := types.EncodeBlock(b)
+			records = append(records, rec)
+			if sum += len(rec); sum > budget {
+				break
+			}
+		}
+		got := EncodeRangeBlocks(blocks, budget)
+		if want := encodeRangeRecords(records); !bytes.Equal(got, want) {
+			t.Fatalf("budget %d: writer sent %d bytes, oracle %d (%d records)", budget, len(got), len(want), len(records))
+		}
+		if len(got) != cap(got) {
+			t.Errorf("budget %d: %d-byte payload in a %d-byte buffer", budget, len(got), cap(got))
+		}
+	}
+}
+
+// TestEncodeRangeBlocksAllocatesOnce: a range response is one allocation,
+// whatever the number of blocks in it.
+func TestEncodeRangeBlocksAllocatesOnce(t *testing.T) {
+	blocks := rangeTestBlocks(64)
+	if n := testing.AllocsPerRun(20, func() { _ = EncodeRangeBlocks(blocks, math.MaxInt) }); n != 1 {
+		t.Errorf("EncodeRangeBlocks made %v allocations for %d blocks, want 1", n, len(blocks))
+	}
+}
+
 func TestRangeBlocksRejects(t *testing.T) {
-	valid := EncodeRangeBlocks([][]byte{[]byte("abc")})
+	valid := encodeRangeRecords([][]byte{[]byte("abc")})
 	cases := map[string][]byte{
 		"short header":   {0, 0},
 		"trailing bytes": append(append([]byte{}, valid...), 0xff),

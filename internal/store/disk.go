@@ -360,13 +360,7 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 		return ErrFailed
 	}
 
-	logBuf := make([]byte, 0, 1024*len(blocks))
-	for _, blk := range blocks {
-		payload := types.EncodeBlock(blk)
-		logBuf = binary.BigEndian.AppendUint32(logBuf, uint32(len(payload)))
-		logBuf = append(logBuf, payload...)
-		logBuf = binary.BigEndian.AppendUint32(logBuf, crc32.Checksum(payload, crcTable))
-	}
+	logBuf := encodeLogRecords(blocks)
 	if _, err := d.logF.Write(logBuf); err != nil {
 		return d.commitFailed(fmt.Errorf("store: append log: %w", err))
 	}
@@ -399,6 +393,24 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 	d.walSize += walRecordSize
 	d.seq += uint64(len(blocks))
 	return nil
+}
+
+// encodeLogRecords lays blocks out as blocks.log records — length prefix,
+// the types.EncodeBlock payload, CRC-32C of the payload — in one buffer of
+// exactly their size, each block encoded in place.
+func encodeLogRecords(blocks []*types.Block) []byte {
+	size := 0
+	for _, blk := range blocks {
+		size += logHeaderSize + types.BlockSize(blk) + logTrailerSize
+	}
+	buf := make([]byte, 0, size)
+	for _, blk := range blocks {
+		at := len(buf) + logHeaderSize
+		buf = binary.BigEndian.AppendUint32(buf, uint32(types.BlockSize(blk)))
+		buf = types.AppendBlock(buf, blk)
+		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[at:], crcTable))
+	}
+	return buf
 }
 
 // commitFailed handles a mid-commit error. The files may hold a partial

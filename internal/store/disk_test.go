@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -143,6 +145,35 @@ func assertEqualChains(t *testing.T, got, want *chain.Chain) {
 		if !bytes.Equal(types.EncodeBlock(gb[i]), types.EncodeBlock(wb[i])) {
 			t.Fatalf("canonical block %d differs byte-for-byte", i)
 		}
+	}
+}
+
+// TestLogRecordsWrittenOnce: an AppendBlocks log buffer is one allocation
+// of exactly its size, and its bytes are the record layout written block
+// by block from EncodeBlock — the way the log was built before, kept here
+// as the oracle — so the log format is unchanged.
+func TestLogRecordsWrittenOnce(t *testing.T) {
+	f := memFixture(t)
+	var blocks []*types.Block
+	for i := 0; i < 6; i++ {
+		blocks = append(blocks, f.extend(i))
+	}
+	var want []byte
+	for _, blk := range blocks {
+		payload := types.EncodeBlock(blk)
+		want = binary.BigEndian.AppendUint32(want, uint32(len(payload)))
+		want = append(want, payload...)
+		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(payload, crcTable))
+	}
+	var got []byte
+	if n := testing.AllocsPerRun(20, func() { got = encodeLogRecords(blocks) }); n != 1 {
+		t.Errorf("encodeLogRecords made %v allocations for %d blocks, want 1", n, len(blocks))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("log records differ from the per-block layout:\n got %x\nwant %x", got, want)
+	}
+	if len(got) != cap(got) {
+		t.Errorf("%d-byte log buffer in a %d-byte slice", len(got), cap(got))
 	}
 }
 

@@ -1,9 +1,10 @@
 package types
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/big"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/merkle"
@@ -54,27 +55,29 @@ func (h *Header) appendRLP(dst []byte) []byte {
 }
 
 // ID computes CurBlockID: the Keccak-256 of the RLP-encoded header. This is
-// also the value the PoW predicate constrains.
+// also the value the PoW predicate constrains. The encoding is hashed from
+// the stack, so a nonce search allocates nothing.
 func (h *Header) ID() Hash {
-	return HashBytes(h.appendRLP(nil))
-}
-
-// maxTarget is 2²⁵⁶ − 1.
-var maxTarget = new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
-
-// PoWTarget returns the threshold a block ID must be below for the given
-// difficulty. Difficulty 0 is treated as 1 (every hash qualifies).
-func PoWTarget(difficulty uint64) *big.Int {
-	if difficulty == 0 {
-		difficulty = 1
-	}
-	return new(big.Int).Div(maxTarget, new(big.Int).SetUint64(difficulty))
+	var scratch [160]byte // an encoded header is at most 158 bytes
+	return HashBytes(h.appendRLP(scratch[:0]))
 }
 
 // MeetsPoW reports whether the header's ID satisfies its difficulty.
-func (h *Header) MeetsPoW() bool {
-	id := h.ID()
-	return new(big.Int).SetBytes(id[:]).Cmp(PoWTarget(h.Difficulty)) <= 0
+func (h *Header) MeetsPoW() bool { return meetsDifficulty(h.ID(), h.Difficulty) }
+
+// meetsDifficulty is the PoW predicate id ≤ ⌊(2²⁵⁶−1)/d⌋, which for
+// integers is id·d < 2²⁵⁶: one 256×64-bit multiplication on four limbs
+// whose carry out must be zero. Difficulty 0 counts as 1, under which
+// every id qualifies.
+func meetsDifficulty(id Hash, d uint64) bool {
+	d = max(d, 1)
+	var carry uint64
+	for i := len(id) - 8; i >= 0; i -= 8 { // least-significant limb first
+		hi, lo := bits.Mul64(binary.BigEndian.Uint64(id[i:]), d)
+		_, c := bits.Add64(lo, carry, 0)
+		carry = hi + c // hi ≤ 2⁶⁴−2, so this cannot wrap
+	}
+	return carry == 0
 }
 
 // Block is a full SmartCrowd block: a sealed header plus the transactions
@@ -180,27 +183,44 @@ func DecodeTx(data []byte) (*Transaction, error) {
 	return tx, nil
 }
 
-// EncodeBlock serializes a block for network transport: [header, [tx…]].
-// The lengths are worked out first, inside out, so the encoding is written
-// once into a slice of exactly its size.
+// EncodeBlock serializes a block for network transport: [header, [tx…]],
+// written once into a slice of exactly its size.
 func EncodeBlock(b *Block) []byte {
-	var scratch [160]byte // an encoded header is at most 158 bytes
-	header := b.Header.appendRLP(scratch[:0])
-	txsLen := 0
+	return AppendBlock(make([]byte, 0, BlockSize(b)), b)
+}
+
+// BlockSize returns len(EncodeBlock(b)) without encoding the transactions.
+func BlockSize(b *Block) int {
+	var scratch [160]byte
+	header, txsLen := b.layout(&scratch)
+	return rlp.Size(len(header) + rlp.Size(txsLen))
+}
+
+// AppendBlock appends the transport encoding of b to dst. The lengths are
+// worked out first, inside out, so the bytes are written once: in place
+// when dst has room for BlockSize(b) more, which is how a range response
+// or a log append carries many blocks in one buffer.
+func AppendBlock(dst []byte, b *Block) []byte {
+	var scratch [160]byte
+	header, txsLen := b.layout(&scratch)
+	dst = rlp.AppendListHeader(dst, len(header)+rlp.Size(txsLen))
+	dst = append(dst, header...)
+	dst = rlp.AppendListHeader(dst, txsLen)
+	for _, tx := range b.Txs {
+		dst = rlp.AppendListHeader(dst, tx.fieldsSize())
+		dst = tx.appendFields(dst, true)
+	}
+	return dst
+}
+
+// layout encodes the header into scratch (an encoded header is at most 158
+// bytes) and sums the transaction list's payload length: what the block's
+// list headers need before a byte of it is written.
+func (b *Block) layout(scratch *[160]byte) (header []byte, txsLen int) {
 	for _, tx := range b.Txs {
 		txsLen += rlp.Size(tx.fieldsSize())
 	}
-	blockLen := len(header) + rlp.Size(txsLen)
-
-	out := make([]byte, 0, rlp.Size(blockLen))
-	out = rlp.AppendListHeader(out, blockLen)
-	out = append(out, header...)
-	out = rlp.AppendListHeader(out, txsLen)
-	for _, tx := range b.Txs {
-		out = rlp.AppendListHeader(out, tx.fieldsSize())
-		out = tx.appendFields(out, true)
-	}
-	return out
+	return b.Header.appendRLP(scratch[:0]), txsLen
 }
 
 // DecodeBlock parses a block from its transport encoding, as strictly as

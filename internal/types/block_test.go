@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"math/rand"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -32,6 +33,81 @@ func minedBlock(t *testing.T, parent Hash, number uint64, txs []*Transaction, di
 		if nonce > 1_000_000 {
 			t.Fatal("could not mine test block; difficulty too high for test")
 		}
+	}
+}
+
+// PoWTarget is the threshold a block ID may not exceed for the given
+// difficulty, ⌊(2²⁵⁶−1)/d⌋ on math/big, difficulty 0 treated as 1: the
+// oracle MeetsPoW's limb arithmetic is checked against.
+func PoWTarget(difficulty uint64) *big.Int {
+	maxTarget := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+	return maxTarget.Div(maxTarget, new(big.Int).SetUint64(max(difficulty, 1)))
+}
+
+// TestMeetsPoWMatchesTarget: meetsDifficulty, MeetsPoW's predicate on a
+// given id, is exactly id ≤ PoWTarget(d) — on random ids and difficulties,
+// on the difficulties at the ends of the range, and on the ids at the
+// boundary (target − 1, target, target + 1) of each.
+func TestMeetsPoWMatchesTarget(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	diffs := []uint64{0, 1, 2, 3, 7, 1 << 32, 1<<63 + 1, 1<<64 - 1}
+	for i := 0; i < 200; i++ {
+		diffs = append(diffs, rng.Uint64()>>uint(rng.Intn(64)))
+	}
+	idOf := func(v *big.Int) (id Hash, ok bool) {
+		if v.Sign() < 0 || v.BitLen() > 256 {
+			return id, false
+		}
+		v.FillBytes(id[:])
+		return id, true
+	}
+	for _, d := range diffs {
+		target := PoWTarget(d)
+		ids := []*big.Int{
+			new(big.Int).Set(target),
+			new(big.Int).Add(target, big.NewInt(1)),
+			new(big.Int).Sub(target, big.NewInt(1)),
+			new(big.Int),
+		}
+		for j := 0; j < 8; j++ {
+			var raw Hash
+			rng.Read(raw[:])
+			ids = append(ids, new(big.Int).SetBytes(raw[:]))
+			ids = append(ids, new(big.Int).Rsh(new(big.Int).SetBytes(raw[:]), uint(rng.Intn(256))))
+		}
+		for _, v := range ids {
+			id, ok := idOf(v)
+			if !ok {
+				continue
+			}
+			want := new(big.Int).SetBytes(id[:]).Cmp(target) <= 0
+			if got := meetsDifficulty(id, d); got != want {
+				t.Fatalf("d=%d id=%x: limb predicate %v, target comparison %v", d, id[:], got, want)
+			}
+		}
+	}
+}
+
+// TestMeetsPoWOnHashedHeaders runs the predicate itself, hash and all,
+// against the target on real headers.
+func TestMeetsPoWOnHashedHeaders(t *testing.T) {
+	for _, d := range []uint64{0, 1, 2, 5, 1000, 1 << 40, 1<<64 - 1} {
+		for nonce := uint64(0); nonce < 64; nonce++ {
+			h := Header{Number: 7, Time: 99, Difficulty: d, Nonce: nonce}
+			id := h.ID()
+			if want := new(big.Int).SetBytes(id[:]).Cmp(PoWTarget(d)) <= 0; h.MeetsPoW() != want {
+				t.Fatalf("d=%d nonce=%d: MeetsPoW %v, target comparison %v", d, nonce, h.MeetsPoW(), want)
+			}
+		}
+	}
+}
+
+// TestHeaderHashAllocatesNothing: a nonce search hashes one header per
+// attempt, so ID and MeetsPoW work on the stack.
+func TestHeaderHashAllocatesNothing(t *testing.T) {
+	h := Header{Number: 1, Time: 15_000, Difficulty: 1 << 20, Miner: Address{1}, TxRoot: Hash{2}, StateRoot: Hash{3}}
+	if n := testing.AllocsPerRun(100, func() { h.Nonce++; _ = h.MeetsPoW() }); n != 0 {
+		t.Errorf("MeetsPoW allocates %v times per call, want 0", n)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 // txFieldEncodings returns the nine encoded fields of tx, so a test can
 // swap one for a hostile encoding and frame the result.
 func txFieldEncodings(tx *Transaction) [][]byte {
+	sig := tx.sigBytes()
 	return [][]byte{
 		rlp.AppendUint64(nil, uint64(tx.Kind)),
 		rlp.AppendUint64(nil, tx.Nonce),
@@ -24,7 +25,7 @@ func txFieldEncodings(tx *Transaction) [][]byte {
 		rlp.AppendUint64(nil, tx.GasLimit),
 		rlp.AppendUint64(nil, uint64(tx.GasPrice)),
 		rlp.AppendBytes(nil, tx.Data),
-		rlp.AppendBytes(nil, tx.Sig.Serialize()),
+		rlp.AppendBytes(nil, sig[:]),
 	}
 }
 
@@ -57,7 +58,7 @@ func hostileTxFrames(tx *Transaction) map[string][]byte {
 		"nonce wider than 8 bytes":        rlpList(with(f, 1, rlp.AppendBytes(nil, bytes.Repeat([]byte{1}, 9)))...),
 		"gas limit as a wrapped byte":     rlpList(with(f, 5, []byte{0x81, 0x05})...),
 		"19-byte recipient":               rlpList(with(f, 3, rlp.AppendBytes(nil, tx.To[1:]))...),
-		"64-byte signature":               rlpList(with(f, 8, rlp.AppendBytes(nil, tx.Sig.Serialize()[:64]))...),
+		"64-byte signature":               rlpList(with(f, 8, rlp.AppendBytes(nil, appendSig(nil, &tx.Sig)[:64]))...),
 		"eight fields":                    rlpList(f[:8]...),
 		"ten fields":                      rlpList(append(f[:9:9], rlp.AppendBytes(nil, nil))...),
 		"trailing byte":                   append(rlpList(f...), 0x80),
@@ -96,7 +97,8 @@ func TestDecodeTxAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
 func highSTwin(tx *Transaction) *Transaction {
 	twin := &Transaction{Kind: tx.Kind, Nonce: tx.Nonce, From: tx.From, To: tx.To, Value: tx.Value,
 		GasLimit: tx.GasLimit, GasPrice: tx.GasPrice, Data: tx.Data}
-	twin.Sig = secp256k1.Signature{R: tx.Sig.R, S: new(big.Int).Sub(secp256k1.S256().N, tx.Sig.S), V: tx.Sig.V ^ 1}
+	twin.Sig = secp256k1.Signature{R: tx.Sig.R, V: tx.Sig.V ^ 1}
+	new(big.Int).Sub(secp256k1.S256().N, new(big.Int).SetBytes(tx.Sig.S[:])).FillBytes(twin.Sig.S[:])
 	return twin
 }
 
@@ -179,6 +181,15 @@ func checkBlockRoundtrip(t testing.TB, b []byte) {
 	}
 	if enc := EncodeBlock(blk); !bytes.Equal(enc, b) {
 		t.Errorf("DecodeBlock accepted %x, which re-encodes to %x", b, enc)
+	}
+	// AppendBlock writes the same bytes after whatever dst holds, and
+	// BlockSize predicts their length.
+	prefix := []byte("prefix")
+	if enc := AppendBlock(prefix[:len(prefix):len(prefix)], blk); !bytes.Equal(enc, append(prefix, b...)) {
+		t.Errorf("AppendBlock(prefix, %x) = %x", b, enc)
+	}
+	if n := BlockSize(blk); n != len(b) {
+		t.Errorf("BlockSize of a %d-byte encoding = %d", len(b), n)
 	}
 	for _, tx := range blk.Txs {
 		checkSeededHash(t, tx)

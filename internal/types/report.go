@@ -146,8 +146,7 @@ func (r *InitialReport) encodePayload() []byte {
 	buf = append(buf, r.DetailHash[:]...)
 	buf = append(buf, r.Wallet[:]...)
 	buf = append(buf, r.ID[:]...)
-	buf = append(buf, r.Sig.Serialize()...)
-	return buf
+	return appendSig(buf, &r.Sig)
 }
 
 func decodeInitialReport(data []byte) (*InitialReport, error) {
@@ -158,19 +157,13 @@ func decodeInitialReport(data []byte) (*InitialReport, error) {
 	d.bytes(r.DetailHash[:])
 	d.bytes(r.Wallet[:])
 	d.bytes(r.ID[:])
-	sig := make([]byte, 65)
-	d.bytes(sig)
+	d.sig(&r.Sig)
 	if d.err != nil {
 		return nil, fmt.Errorf("types: decode initial report: %w", d.err)
 	}
 	if len(d.buf) != 0 {
 		return nil, errors.New("types: decode initial report: trailing bytes")
 	}
-	parsed, err := secp256k1.ParseSignature(sig)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode initial report signature: %w", err)
-	}
-	r.Sig = parsed
 	return &r, nil
 }
 
@@ -186,8 +179,7 @@ func (r *DetailedReport) encodePayload() []byte {
 		buf = appendString(buf, f.Evidence)
 	}
 	buf = append(buf, r.ID[:]...)
-	buf = append(buf, r.Sig.Serialize()...)
-	return buf
+	return appendSig(buf, &r.Sig)
 }
 
 func decodeDetailedReport(data []byte) (*DetailedReport, error) {
@@ -213,18 +205,12 @@ func decodeDetailedReport(data []byte) (*DetailedReport, error) {
 		}
 	}
 	d.bytes(r.ID[:])
-	sig := make([]byte, 65)
-	d.bytes(sig)
+	d.sig(&r.Sig)
 	if d.err != nil {
 		return nil, fmt.Errorf("types: decode detailed report: %w", d.err)
 	}
 	if len(d.buf) != 0 {
 		return nil, errors.New("types: decode detailed report: trailing bytes")
 	}
-	parsed, err := secp256k1.ParseSignature(sig)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode detailed report signature: %w", err)
-	}
-	r.Sig = parsed
 	return &r, nil
 }

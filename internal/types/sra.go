@@ -119,8 +119,7 @@ func (s *SRA) encodePayload() []byte {
 	buf = appendUint64(buf, uint64(s.Insurance))
 	buf = appendUint64(buf, uint64(s.Bounty))
 	buf = append(buf, s.ID[:]...)
-	buf = append(buf, s.Sig.Serialize()...)
-	return buf
+	return appendSig(buf, &s.Sig)
 }
 
 func decodeSRA(data []byte) (*SRA, error) {
@@ -134,19 +133,13 @@ func decodeSRA(data []byte) (*SRA, error) {
 	s.Insurance = Amount(d.uint64())
 	s.Bounty = Amount(d.uint64())
 	d.bytes(s.ID[:])
-	sig := make([]byte, 65)
-	d.bytes(sig)
+	d.sig(&s.Sig)
 	if d.err != nil {
 		return nil, fmt.Errorf("types: decode SRA: %w", d.err)
 	}
 	if len(d.buf) != 0 {
 		return nil, errors.New("types: decode SRA: trailing bytes")
 	}
-	parsed, err := secp256k1.ParseSignature(sig)
-	if err != nil {
-		return nil, fmt.Errorf("types: decode SRA signature: %w", err)
-	}
-	s.Sig = parsed
 	return &s, nil
 }
 
@@ -161,6 +154,13 @@ func appendUint64(buf []byte, v uint64) []byte {
 	var b [8]byte
 	binary.BigEndian.PutUint64(b[:], v)
 	return append(buf, b[:]...)
+}
+
+// appendSig appends a signature's 65-byte wire form, R ‖ S ‖ V.
+func appendSig(buf []byte, sig *secp256k1.Signature) []byte {
+	buf = append(buf, sig.R[:]...)
+	buf = append(buf, sig.S[:]...)
+	return append(buf, sig.V)
 }
 
 type decoder struct {
@@ -178,6 +178,15 @@ func (d *decoder) bytes(dst []byte) {
 	}
 	copy(dst, d.buf[:len(dst)])
 	d.buf = d.buf[len(dst):]
+}
+
+// sig reads the 65 bytes appendSig writes into dst.
+func (d *decoder) sig(dst *secp256k1.Signature) {
+	var v [1]byte
+	d.bytes(dst.R[:])
+	d.bytes(dst.S[:])
+	d.bytes(v[:])
+	dst.V = v[0]
 }
 
 func (d *decoder) uint64() uint64 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/crypto/secp256k1"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -112,7 +113,7 @@ func TestSignSRAWrongWallet(t *testing.T) {
 	p := wallet.NewDeterministic("provider-1")
 	other := wallet.NewDeterministic("other")
 	s := testSRA(t, p)
-	s.Sig.R = nil
+	s.Sig = secp256k1.Signature{}
 	if err := SignSRA(s, other); err == nil {
 		t.Error("SignSRA accepted a wallet that is not the provider")
 	}

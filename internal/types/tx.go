@@ -131,15 +131,11 @@ type txHashEntry struct {
 	hash Hash
 }
 
-// sigBytes returns the signature's serialized form (R || S || V), or
-// zeroes when the transaction is unsigned. It fills the array in place:
-// the memo guards call it on every Sender and Hash, cached or not.
+// sigBytes returns the signature's serialized form (R || S || V), zeroes
+// when the transaction is unsigned. The memo guards call it on every
+// Sender and Hash, cached or not.
 func (tx *Transaction) sigBytes() (out [65]byte) {
-	if tx.Sig.R != nil && tx.Sig.S != nil {
-		tx.Sig.R.FillBytes(out[:32])
-		tx.Sig.S.FillBytes(out[32:64])
-		out[64] = tx.Sig.V
-	}
+	appendSig(out[:0], &tx.Sig)
 	return out
 }
 

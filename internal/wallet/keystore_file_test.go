@@ -43,7 +43,7 @@ func TestKeystoreSaveLoadRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sigA.R.Cmp(sigB.R) != 0 || sigA.S.Cmp(sigB.S) != 0 {
+	if sigA != sigB {
 		t.Error("loaded key signs differently")
 	}
 }

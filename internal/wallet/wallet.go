@@ -51,8 +51,12 @@ func ParseAddress(s string) (Address, error) {
 // PubKeyAddress derives the address of a public key.
 func PubKeyAddress(pk secp256k1.PublicKey) Address {
 	raw := pk.Bytes() // 0x04 || X || Y
-	h := keccak.Sum256(raw[1:])
-	var a Address
+	return xyAddress(raw[1:])
+}
+
+// xyAddress derives the address of a public key given as X ‖ Y.
+func xyAddress(xy []byte) (a Address) {
+	h := keccak.Sum256(xy)
 	copy(a[:], h[12:])
 	return a
 }
@@ -96,13 +100,15 @@ func (w *Wallet) SignDigest(digest [32]byte) (secp256k1.Signature, error) {
 	return w.key.Sign(digest[:])
 }
 
-// RecoverSigner recovers the address that signed the given digest.
+// RecoverSigner recovers the address that signed the given digest. A
+// successful recovery allocates nothing: the key's 64 bytes are hashed
+// where they were written, on the stack.
 func RecoverSigner(digest [32]byte, sig secp256k1.Signature) (Address, error) {
-	pk, err := secp256k1.RecoverPublicKey(digest[:], sig)
+	xy, err := secp256k1.RecoverPublicKeyXY(digest[:], sig)
 	if err != nil {
 		return Address{}, fmt.Errorf("wallet: recover signer: %w", err)
 	}
-	return PubKeyAddress(pk), nil
+	return xyAddress(xy[:]), nil
 }
 
 // sigCache memoizes signature verification results. SmartCrowd nodes check
@@ -122,10 +128,7 @@ const sigCacheLimit = 1 << 17
 // VerifyDigest reports whether sig over digest was produced by addr.
 // Results are memoized (see sigCache).
 func VerifyDigest(addr Address, digest [32]byte, sig secp256k1.Signature) bool {
-	if sig.R == nil || sig.S == nil {
-		return false
-	}
-	key := keccak.Sum256Concat(digest[:], sig.Serialize(), addr[:])
+	key := keccak.Sum256Concat(digest[:], sig.R[:], sig.S[:], []byte{sig.V}, addr[:])
 
 	sigCache.RLock()
 	cached, ok := sigCache.m[key]

@@ -59,7 +59,8 @@ func TestSignAndRecover(t *testing.T) {
 	}
 	// SRAs, R† and R* are checked through VerifyDigest: the high-S twin of
 	// a signature would be a second valid encoding of each of them.
-	twin := secp256k1.Signature{R: sig.R, S: new(big.Int).Sub(secp256k1.S256().N, sig.S), V: sig.V ^ 1}
+	twin := secp256k1.Signature{R: sig.R, V: sig.V ^ 1}
+	new(big.Int).Sub(secp256k1.S256().N, new(big.Int).SetBytes(sig.S[:])).FillBytes(twin.S[:])
 	if _, err := RecoverSigner(digest, twin); !errors.Is(err, secp256k1.ErrInvalidSignature) {
 		t.Errorf("RecoverSigner(high-S twin) = %v, want ErrInvalidSignature", err)
 	}
@@ -70,9 +71,28 @@ func TestSignAndRecover(t *testing.T) {
 
 func TestRecoverSignerRejectsGarbage(t *testing.T) {
 	digest := sha256.Sum256([]byte("m"))
-	sig := secp256k1.Signature{R: big.NewInt(0), S: big.NewInt(0), V: 0}
+	var sig secp256k1.Signature // R = S = 0
 	if _, err := RecoverSigner(digest, sig); err == nil {
 		t.Error("garbage signature recovered")
+	}
+}
+
+// TestRecoverSignerAllocatesNothing: every transaction, SRA and report
+// signature a node checks goes through RecoverSigner, from the 65 signature
+// bytes to the 20 address bytes without touching the heap.
+func TestRecoverSignerAllocatesNothing(t *testing.T) {
+	w := NewDeterministic("allocs")
+	digest := sha256.Sum256([]byte("allocs"))
+	sig, err := w.SignDigest(digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Address
+	if allocs := testing.AllocsPerRun(100, func() { got, err = RecoverSigner(digest, sig) }); allocs != 0 {
+		t.Errorf("RecoverSigner allocates %.0f times per call, want 0", allocs)
+	}
+	if err != nil || got != w.Address() {
+		t.Fatalf("RecoverSigner = %s, %v; want %s", got, err, w.Address())
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
@@ -87,21 +88,27 @@ var (
 )
 
 // WriteFrame encodes f to w. Payloads above MaxFramePayload are refused
-// locally — the remote end would drop the connection anyway.
+// locally — the remote end would drop the connection anyway. The header
+// and envelope are built in a fixed array and sent together with the
+// payload as one net.Buffers write — a single writev on a TCP connection —
+// so the payload, which a broadcast shares among every peer's queue, is
+// never copied.
 func WriteFrame(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	buf := make([]byte, headerSize, f.encodedSize())
-	copy(buf[:4], magic[:])
-	buf[4] = ProtocolVersion
-	buf[5] = byte(f.Kind)
-	binary.BigEndian.PutUint32(buf[6:], uint32(envelopeSize+len(f.Payload)))
-	buf = append(buf, f.Trace.TraceID[:]...)
-	buf = append(buf, f.Trace.Span[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(f.Trace.Start))
-	buf = binary.BigEndian.AppendUint64(buf, uint64(f.SentNanos))
-	_, err := w.Write(append(buf, f.Payload...))
+	var head [headerSize + envelopeSize]byte
+	copy(head[:4], magic[:])
+	head[4] = ProtocolVersion
+	head[5] = byte(f.Kind)
+	binary.BigEndian.PutUint32(head[6:], uint32(envelopeSize+len(f.Payload)))
+	env := head[headerSize:]
+	copy(env, f.Trace.TraceID[:])
+	copy(env[16:], f.Trace.Span[:])
+	binary.BigEndian.PutUint64(env[24:], uint64(f.Trace.Start))
+	binary.BigEndian.PutUint64(env[32:], uint64(f.SentNanos))
+	bufs := net.Buffers{head[:], f.Payload}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"net"
+	"runtime"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
@@ -98,6 +100,65 @@ func TestWriteFrameRefusesOversizedPayload(t *testing.T) {
 	err := WriteFrame(io.Discard, Frame{Kind: p2p.MsgBlock, Payload: make([]byte, MaxFramePayload+1)})
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestWriteFrameDoesNotCopyPayload: a frame reaches a TCP connection as
+// its header plus the caller's payload in one vectored write, so what
+// WriteFrame allocates does not depend on the payload — the same count and
+// the same bytes for 1 KB as for 1 MB, where copying the frame into one
+// buffer allocated the megabyte.
+func TestWriteFrameDoesNotCopyPayload(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err == nil {
+			_, err = io.Copy(io.Discard, conn)
+			conn.Close()
+		}
+		drained <- err
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	type cost struct{ allocs, bytes float64 }
+	costs := map[int]cost{}
+	for _, size := range []int{1 << 10, 1 << 20} {
+		f := Frame{Kind: p2p.MsgBlock, Payload: make([]byte, size)}
+		write := func() {
+			if err := WriteFrame(conn, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			write()
+		}
+		runtime.ReadMemStats(&after)
+		costs[size] = cost{testing.AllocsPerRun(runs, write), float64(after.TotalAlloc-before.TotalAlloc) / runs}
+	}
+	conn.Close()
+	if err := <-drained; err != nil {
+		t.Fatal(err)
+	}
+	small, large := costs[1<<10], costs[1<<20]
+	if small.allocs != large.allocs {
+		t.Errorf("WriteFrame allocates %v times for 1 KB and %v for 1 MB", small.allocs, large.allocs)
+	}
+	// The header and its two-slice vector are a few hundred bytes at most;
+	// the margin absorbs what the runtime allocates beside the test.
+	for size, c := range costs {
+		if c.bytes > 512 {
+			t.Errorf("WriteFrame of a %d-byte payload allocates %.0f bytes per frame", size, c.bytes)
+		}
 	}
 }
 
