@@ -7,6 +7,7 @@
 //
 //	scpair -ref <git-ref> [-n 10] [-workloads lifecycle,coldsync]
 //	       [-dir <scratch>] [-record BENCH_scbench.json]
+//	scpair -check BENCH_scbench.json
 //
 // It exports the ref with `git archive` into a scratch directory (so the
 // repository's metadata is left alone), runs each tree's own
@@ -19,7 +20,9 @@
 // least nine pairs in ten and its median moved by more than the parent's
 // quartile distance, "unresolved" otherwise. A gated metric (BENCHMARK.json
 // end_to_end) whose median got worse by more than its bound is flagged.
-// -record appends the comparison to a JSON trajectory file.
+// -record appends the comparison to a JSON trajectory file. -check runs
+// nothing: it exits non-zero when the file's last record has a workload
+// whose alloc_kb_per_op or peak_rss_mb verdict is "higher (worse)".
 //
 // Run it from the root of a checkout; it needs no network.
 package main
@@ -105,8 +108,16 @@ func run() int {
 		workloads = flag.String("workloads", "", "comma-separated workloads (default: every workload in BENCHMARK.json)")
 		dir       = flag.String("dir", "", "scratch directory, kept between invocations so the parent's build cache survives (default: a temporary directory, removed)")
 		recordTo  = flag.String("record", "", "append the comparison to this JSON trajectory file")
+		check     = flag.String("check", "", "run nothing; fail if this trajectory file's last record regressed alloc_kb_per_op or peak_rss_mb")
 	)
 	flag.Parse()
+	if *check != "" {
+		if err := checkLast(*check); err != nil {
+			fmt.Fprintln(os.Stderr, "scpair:", err)
+			return 1
+		}
+		return 0
+	}
 	if *ref == "" || *pairs < 1 {
 		fmt.Fprintln(os.Stderr, "scpair: -ref is required and -n must be positive")
 		return 2
@@ -413,6 +424,46 @@ func appendRecord(path string, rec record) error {
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// checkLast fails when the last record in the trajectory file at path
+// has a regression (see regressions).
+func checkLast(path string) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var records []record
+	if err := json.Unmarshal(raw, &records); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if len(records) == 0 {
+		return fmt.Errorf("%s: no records", path)
+	}
+	last := records[len(records)-1]
+	if bad := regressions(last); len(bad) > 0 {
+		return fmt.Errorf("%s: %s regressed: %s", path, last.Commit, strings.Join(bad, "; "))
+	}
+	return nil
+}
+
+// regressions lists the workloads and gated metrics — allocation and peak
+// memory, the two the benchmark resolves — whose paired verdict in rec is
+// "higher (worse)", in workload order.
+func regressions(rec record) []string {
+	var workloads, bad []string
+	for w := range rec.Paired {
+		workloads = append(workloads, w)
+	}
+	slices.Sort(workloads)
+	for _, w := range workloads {
+		for _, name := range []string{"alloc_kb_per_op", "peak_rss_mb"} {
+			if c := rec.Paired[w][name]; c.Verdict == "higher (worse)" {
+				bad = append(bad, fmt.Sprintf("%s %s %.4g → %.4g", w, name, c.Parent, c.Change))
+			}
+		}
+	}
+	return bad
 }
 
 func gitOutput(args ...string) (string, error) {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestQuartilesMatchPythonExclusive pins the quartile method to Python's
 // statistics.quantiles(xs, n=4), whose numbers benchmark/NOISE.md reports.
@@ -50,5 +53,30 @@ func TestVerdictRule(t *testing.T) {
 		if got := compareRuns(parent, tc.change, tc.better).Verdict; got != tc.want {
 			t.Errorf("%s: verdict %q, want %q", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestRegressions: only a worse verdict on allocation or peak memory fails
+// a record; an unresolved one, a better one, or another metric does not.
+func TestRegressions(t *testing.T) {
+	rec := record{Paired: map[string]map[string]comparison{
+		"coldsync": {
+			"alloc_kb_per_op": {Parent: 6222, Change: 5717, Verdict: "lower (better)"},
+			"peak_rss_mb":     {Parent: 32, Change: 40, Verdict: "higher (worse)"},
+		},
+		"txflood": {
+			"alloc_kb_per_op": {Parent: 27, Change: 30, Verdict: "higher (worse)"},
+			"peak_rss_mb":     {Parent: 70, Change: 71, Verdict: "unresolved"},
+			"cpu_ms_per_op":   {Parent: 1, Change: 2, Verdict: "higher (worse)"},
+		},
+		"readstorm": {"setup_s": {Parent: 3, Change: 4, Verdict: "higher (worse)"}},
+	}}
+	got := regressions(rec)
+	want := []string{"coldsync peak_rss_mb 32 → 40", "txflood alloc_kb_per_op 27 → 30"}
+	if !slices.Equal(got, want) {
+		t.Errorf("regressions = %q, want %q", got, want)
+	}
+	if got := regressions(record{}); len(got) != 0 {
+		t.Errorf("a record without pairs regressed: %q", got)
 	}
 }

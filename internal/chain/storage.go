@@ -331,7 +331,7 @@ func (c *Chain) installPrefixLocked(blocks []*types.Block, st *state.DB) {
 // transaction's signature: verifyShape reaches ValidateBasic, which
 // recovers the sender, so adoption pays one ECDSA recovery per transaction
 // below H (about half of coldsync's CPU; whether a snapshot's prefix needs
-// that is ROADMAP item 6's decision). Receipts below H are not materialized
+// that is ROADMAP item 8's decision). Receipts below H are not materialized
 // (the archival horizon).
 //
 // The whole point of snap-sync: adoption costs O(snapshot + shape checks)

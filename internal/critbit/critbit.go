@@ -35,6 +35,8 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
+
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 )
 
 // Key is the fixed key width. Callers with shorter keys right-pad them:
@@ -79,6 +81,14 @@ type leafNode[V any] struct {
 // reaches.
 var lastGen atomic.Uint32
 
+// mGenerations exports lastGen, so an operator can see how far the
+// counter is from exhaustion.
+var mGenerations = telemetry.GetGauge("smartcrowd_critbit_generations")
+
+func init() {
+	telemetry.SetHelp("smartcrowd_critbit_generations", "Trie writer generations handed out process-wide; at 4294967295 every write path-copies")
+}
+
 // NewGen returns a generation no other writer has held. When the counter
 // is exhausted it returns 0 from then on — every write path-copies —
 // rather than wrap onto generations live nodes may still carry.
@@ -89,6 +99,7 @@ func NewGen() uint32 {
 			return 0
 		}
 		if lastGen.CompareAndSwap(g, g+1) {
+			mGenerations.Set(int64(g) + 1)
 			return g + 1
 		}
 	}

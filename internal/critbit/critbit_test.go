@@ -425,3 +425,12 @@ func BenchmarkSetOwned(b *testing.B) {
 		})
 	}
 }
+
+// TestGenerationsGauge: the exported gauge is the last generation handed
+// out, so an operator reads the distance to exhaustion off /metrics.
+func TestGenerationsGauge(t *testing.T) {
+	g := NewGen()
+	if got := mGenerations.Value(); got != int64(g) {
+		t.Errorf("gauge %d after NewGen() = %d", got, g)
+	}
+}

@@ -34,7 +34,7 @@ func AppendBytes(dst, b []byte) []byte {
 	if len(b) == 1 && b[0] < 0x80 {
 		return append(dst, b[0])
 	}
-	return append(appendHeader(dst, 0x80, len(b)), b...)
+	return append(appendHeader(slices.Grow(dst, Size(len(b))), 0x80, len(b)), b...)
 }
 
 // AppendUint64 appends the encoding of v as a string holding its minimal
@@ -50,12 +50,13 @@ func AppendUint64(dst []byte, v uint64) []byte {
 // AppendList appends the encoding of the list whose already-encoded
 // elements are concatenated in payload.
 func AppendList(dst, payload []byte) []byte {
-	return append(appendHeader(dst, 0xc0, len(payload)), payload...)
+	return append(appendHeader(slices.Grow(dst, Size(len(payload))), 0xc0, len(payload)), payload...)
 }
 
 // AppendListHeader appends only the header of a list whose payload is
 // payloadLen bytes, for a writer that sized its buffer up front and encodes
-// the elements straight in behind it.
+// the elements straight in behind it. It grows dst by the header alone, so
+// a header written into a small stack array stays there.
 func AppendListHeader(dst []byte, payloadLen int) []byte {
 	return appendHeader(dst, 0xc0, payloadLen)
 }
@@ -87,10 +88,9 @@ func Uint64Size(v uint64) int {
 }
 
 // appendHeader appends the header of a value whose content is length
-// bytes, making room for exactly the content too so the caller's append of
-// it does not reallocate — and a buffer sized with Size is never regrown.
+// bytes. AppendBytes and AppendList first make room for the content too, so
+// their append of it does not reallocate.
 func appendHeader(dst []byte, base byte, length int) []byte {
-	dst = slices.Grow(dst, Size(length))
 	if length < 56 {
 		return append(dst, base+byte(length))
 	}

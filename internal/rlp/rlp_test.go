@@ -302,3 +302,19 @@ func TestSizesMatchTheWriters(t *testing.T) {
 		}
 	}
 }
+
+// TestListHeaderGrowsByTheHeaderOnly: a list header fits a [9]byte for
+// every payload length, and writing it there allocates nothing — the
+// writer does not reserve room for a payload it is not given.
+func TestListHeaderGrowsByTheHeaderOnly(t *testing.T) {
+	for _, n := range []int{0, 55, 56, 150, 65536, 1 << 24} {
+		var buf [9]byte
+		var header []byte
+		if allocs := testing.AllocsPerRun(20, func() { header = AppendListHeader(buf[:0], n) }); allocs != 0 {
+			t.Errorf("a %d-byte payload's header into a [9]byte: %.0f allocations, want 0", n, allocs)
+		}
+		if len(header) != Size(n)-n || &header[0] != &buf[0] {
+			t.Errorf("a %d-byte payload's header is %d bytes, want %d in place", n, len(header), Size(n)-n)
+		}
+	}
+}

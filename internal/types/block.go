@@ -246,12 +246,12 @@ func DecodeBlock(data []byte) (*Block, error) {
 }
 
 // tx reads one transaction list, field by field in appendFields' order.
-// Only EncodeTx's own bytes are accepted, so the Keccak of the span read
-// is the transaction's Hash: the memo is filled here, and the first Hash()
-// does not encode the object back to learn it.
+// Only EncodeTx's own bytes are accepted, so the list payload just read is
+// what appendFields would write: the memo is built from it, and neither
+// Hash() nor SigHash() encodes the object back to learn its digest.
 func (d *decoder) tx() *Transaction {
-	span := d.buf
 	after := d.rlpList()
+	fields := d.buf
 	tx := new(Transaction)
 	kind := d.rlpUint64()
 	tx.Kind = TxKind(kind)
@@ -271,13 +271,7 @@ func (d *decoder) tx() *Transaction {
 		tx.Sig, d.err = secp256k1.ParseSignature(sig)
 	}
 	if d.err == nil {
-		memo := &txHashEntry{
-			key:  tx.memoKey(),
-			data: append([]byte(nil), tx.Data...),
-			hash: HashBytes(span[:len(span)-len(after)]),
-		}
-		copy(memo.sig[:], sig) // the 65 bytes sigBytes would write back
-		tx.hashCache.Store(memo)
+		tx.memo.Store(tx.newMemo(fields))
 	}
 	return tx
 }

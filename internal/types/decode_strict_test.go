@@ -196,15 +196,19 @@ func checkBlockRoundtrip(t testing.TB, b []byte) {
 	}
 }
 
-// checkSeededHash compares a decoded transaction's memoised Hash with the
-// digest of its own encoding, computed without the memo.
+// checkSeededHash compares a decoded transaction's memoised Hash and
+// SigHash with the digests of its own encodings, computed without the memo.
 func checkSeededHash(t testing.TB, tx *Transaction) {
 	t.Helper()
-	if tx.hashCache.Load() == nil {
-		t.Errorf("decoder left the hash memo of %x empty", EncodeTx(tx))
+	if tx.memo.Load() == nil {
+		t.Errorf("decoder left the memo of %x empty", EncodeTx(tx))
 	}
 	if got, want := tx.Hash(), HashBytes(EncodeTx(tx)); got != want {
 		t.Errorf("decoded %x: seeded hash %s, recomputed %s", EncodeTx(tx), got.Short(), want.Short())
+	}
+	unsigned := rlp.AppendList(nil, tx.appendFields(nil, false))
+	if got, want := tx.SigHash(), HashBytes(unsigned); got != want {
+		t.Errorf("decoded %x: seeded signing hash %s, recomputed %s", EncodeTx(tx), got.Short(), want.Short())
 	}
 }
 

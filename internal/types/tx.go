@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/secp256k1"
@@ -79,28 +80,14 @@ type Transaction struct {
 	// Sig authenticates the transaction.
 	Sig secp256k1.Signature
 
-	// senderCache memoizes signature recovery keyed by the signing hash,
-	// so validation layers do not repeat the expensive ECDSA recovery.
-	senderCache atomic.Pointer[senderEntry]
-	// sigHashCache / hashCache memoize SigHash and Hash. Both are guarded
-	// by a field-compare against the transaction's current content, so a
-	// mutated transaction (tamper tests, re-signing) falls back to a full
-	// recompute instead of serving a stale digest.
-	sigHashCache atomic.Pointer[txHashEntry]
-	hashCache    atomic.Pointer[txHashEntry]
+	// memo holds SigHash, Hash and the recovered sender, guarded by a
+	// copy of every field they were computed from: a mutated transaction
+	// (tamper tests, re-signing) gets a fresh memo instead of a stale one.
+	memo atomic.Pointer[txMemo]
 }
 
-// senderEntry is a cached recovery result for a given signing hash.
-type senderEntry struct {
-	sigHash Hash
-	sig     [65]byte
-	addr    Address
-	err     error
-}
-
-// txMemoKey is the comparable scalar portion of a transaction; together
-// with a copy of Data (and, for Hash, the signature bytes) it uniquely
-// determines the memoized digests.
+// txMemoKey is the comparable portion of a transaction; together with a
+// copy of Data it uniquely determines the memoized digests and sender.
 type txMemoKey struct {
 	kind     TxKind
 	nonce    uint64
@@ -108,6 +95,7 @@ type txMemoKey struct {
 	value    Amount
 	gasLimit uint64
 	gasPrice Amount
+	sig      secp256k1.Signature
 }
 
 func (tx *Transaction) memoKey() txMemoKey {
@@ -119,21 +107,58 @@ func (tx *Transaction) memoKey() txMemoKey {
 		value:    tx.Value,
 		gasLimit: tx.GasLimit,
 		gasPrice: tx.GasPrice,
+		sig:      tx.Sig,
 	}
 }
 
-// txHashEntry is one memoized digest. data is a private copy so in-place
-// mutation of tx.Data is detected by the guard.
-type txHashEntry struct {
-	key  txMemoKey
-	data []byte
-	sig  [65]byte
-	hash Hash
+// txMemo is one transaction's digests and, once Sender has asked, its
+// recovery result. data is a private copy so in-place mutation of tx.Data
+// is detected by the guard.
+type txMemo struct {
+	key       txMemoKey
+	data      []byte
+	sigHash   Hash
+	hash      Hash
+	sender    Address
+	once      sync.Once // guards sender and senderErr
+	senderErr error
+}
+
+// sigSize is the encoded length of the signature string, the last field.
+var sigSize = rlp.Size(65)
+
+// newMemo builds the memo of tx from fields, its list payload with the
+// signature (appendFields(…, true), or the bytes a decoder just read).
+func (tx *Transaction) newMemo(fields []byte) *txMemo {
+	return &txMemo{
+		key:     tx.memoKey(),
+		data:    append([]byte(nil), tx.Data...),
+		sigHash: listHash(fields[:len(fields)-sigSize]),
+		hash:    listHash(fields),
+	}
+}
+
+// listHash is the Keccak-256 of the RLP list whose payload is fields,
+// hashed from the stack.
+func listHash(fields []byte) Hash {
+	var header [9]byte
+	return HashConcat(rlp.AppendListHeader(header[:0], len(fields)), fields)
+}
+
+// loadMemo returns the memo of the transaction's current content,
+// building and storing a new one when the stored one no longer matches.
+func (tx *Transaction) loadMemo() *txMemo {
+	if m := tx.memo.Load(); m != nil && m.key == tx.memoKey() && bytes.Equal(m.data, tx.Data) {
+		return m
+	}
+	var scratch [256]byte // a small payload's fields stay on the stack
+	m := tx.newMemo(tx.appendFields(scratch[:0], true))
+	tx.memo.Store(m)
+	return m
 }
 
 // sigBytes returns the signature's serialized form (R || S || V), zeroes
-// when the transaction is unsigned. The memo guards call it on every
-// Sender and Hash, cached or not.
+// when the transaction is unsigned.
 func (tx *Transaction) sigBytes() (out [65]byte) {
 	appendSig(out[:0], &tx.Sig)
 	return out
@@ -171,7 +196,7 @@ func (tx *Transaction) fieldsSize() int {
 		rlp.Uint64Size(tx.GasLimit) +
 		rlp.Uint64Size(uint64(tx.GasPrice)) +
 		rlp.BytesSize(tx.Data) +
-		rlp.Size(65) // sigBytes
+		sigSize
 }
 
 // Transaction errors.
@@ -186,30 +211,11 @@ var (
 // SigHash computes the digest the sender signs: the Keccak-256 of the RLP
 // encoding of all fields except the signature. The result is memoized;
 // repeated calls on an unchanged transaction cost a field compare.
-func (tx *Transaction) SigHash() Hash {
-	key := tx.memoKey()
-	if e := tx.sigHashCache.Load(); e != nil && e.key == key && bytes.Equal(e.data, tx.Data) {
-		return e.hash
-	}
-	var scratch [256]byte // a small payload's fields stay on the stack
-	h := HashBytes(rlp.AppendList(nil, tx.appendFields(scratch[:0], false)))
-	tx.sigHashCache.Store(&txHashEntry{key: key, data: append([]byte(nil), tx.Data...), hash: h})
-	return h
-}
+func (tx *Transaction) SigHash() Hash { return tx.loadMemo().sigHash }
 
 // Hash returns the transaction identifier: the Keccak-256 of the full RLP
-// encoding including the signature. Memoized like SigHash; the guard also
-// covers the signature bytes.
-func (tx *Transaction) Hash() Hash {
-	key := tx.memoKey()
-	sig := tx.sigBytes()
-	if e := tx.hashCache.Load(); e != nil && e.key == key && e.sig == sig && bytes.Equal(e.data, tx.Data) {
-		return e.hash
-	}
-	h := HashBytes(EncodeTx(tx))
-	tx.hashCache.Store(&txHashEntry{key: key, data: append([]byte(nil), tx.Data...), sig: sig, hash: h})
-	return h
-}
+// encoding including the signature. Memoized like SigHash.
+func (tx *Transaction) Hash() Hash { return tx.loadMemo().hash }
 
 // SignTx signs the transaction with w and sets From.
 func SignTx(tx *Transaction, w *wallet.Wallet) error {
@@ -222,31 +228,29 @@ func SignTx(tx *Transaction, w *wallet.Wallet) error {
 	return nil
 }
 
-// Sender recovers and validates the transaction's signer. The recovery is
-// memoized against the current signing hash and signature, so mutating the
-// transaction invalidates the cache naturally.
+// Sender recovers and validates the transaction's signer. The recovery
+// runs at most once per memo, so mutating the transaction invalidates it
+// naturally and concurrent callers of an unchanged one share one result.
 func (tx *Transaction) Sender() (Address, error) {
-	sigHash := tx.SigHash()
-	sigBytes := tx.sigBytes()
-	if cached := tx.senderCache.Load(); cached != nil &&
-		cached.sigHash == sigHash && cached.sig == sigBytes {
+	m := tx.loadMemo()
+	recovered := false
+	m.once.Do(func() {
+		recovered = true
+		mSenderCacheMiss.Inc()
+		addr, err := wallet.RecoverSigner(m.sigHash, m.key.sig)
+		switch {
+		case err != nil:
+			m.senderErr = fmt.Errorf("%w: %v", ErrTxBadSignature, err)
+		case addr != m.key.from:
+			m.senderErr = ErrTxWrongSender
+		default:
+			m.sender = addr
+		}
+	})
+	if !recovered {
 		mSenderCacheHit.Inc()
-		return cached.addr, cached.err
 	}
-	mSenderCacheMiss.Inc()
-
-	entry := &senderEntry{sigHash: sigHash, sig: sigBytes}
-	addr, err := wallet.RecoverSigner(sigHash, tx.Sig)
-	switch {
-	case err != nil:
-		entry.err = fmt.Errorf("%w: %v", ErrTxBadSignature, err)
-	case addr != tx.From:
-		entry.err = ErrTxWrongSender
-	default:
-		entry.addr = addr
-	}
-	tx.senderCache.Store(entry)
-	return entry.addr, entry.err
+	return m.sender, m.senderErr
 }
 
 // ValidateBasic performs stateless validation: kind, gas, signature, and —

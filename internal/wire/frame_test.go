@@ -114,12 +114,27 @@ func TestWriteFrameDoesNotCopyPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	// The reader accepts, allocates its one buffer and reads a first frame
+	// before anything is measured: the process-wide byte count below must
+	// not pick up its setup (io.Copy's pooled buffer was 8 KB).
 	drained := make(chan error, 1)
+	ready := make(chan struct{})
 	go func() {
 		conn, err := ln.Accept()
-		if err == nil {
-			_, err = io.Copy(io.Discard, conn)
-			conn.Close()
+		if err != nil {
+			close(ready)
+			drained <- err
+			return
+		}
+		buf := make([]byte, 64<<10)
+		_, err = conn.Read(buf)
+		close(ready)
+		for err == nil {
+			_, err = conn.Read(buf)
+		}
+		conn.Close()
+		if errors.Is(err, io.EOF) {
+			err = nil
 		}
 		drained <- err
 	}()
@@ -127,6 +142,10 @@ func TestWriteFrameDoesNotCopyPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := WriteFrame(conn, Frame{Kind: p2p.MsgBlock}); err != nil {
+		t.Fatal(err)
+	}
+	<-ready
 	const runs = 20
 	type cost struct{ allocs, bytes float64 }
 	costs := map[int]cost{}
