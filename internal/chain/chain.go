@@ -94,7 +94,21 @@ var (
 
 // entry is a stored block with its execution artifacts.
 type entry struct {
-	block    *types.Block
+	// block is the block itself, or only its header (Txs nil) when raw is
+	// set; read the transactions through body. setHead's index walks read
+	// block.Txs, so a header-only entry indexes nothing: its transactions
+	// lie below the archival horizon.
+	block *types.Block
+	// raw is the block's log record, kept instead of its decoded body on
+	// the entries a reopen installed below the restored snapshot
+	// (installPrefixLocked). It aliases the store's whole log buffer (see
+	// store.(*Disk).Load). Nothing indexes these entries, and their main
+	// reader, a peer's range sync, copies raw out through RecordsRange
+	// without decoding it. What still needs the body (BlockByID, /v1 block
+	// pages, a side fork's re-execution) gets it from body, which decodes
+	// raw on every call rather than caching: the bytes never change, and
+	// concurrent readers share nothing mutable.
+	raw      []byte
 	parent   *entry
 	totalDif uint64
 	// post is the block's post-state, nil below an adopted snapshot and
@@ -108,6 +122,20 @@ type entry struct {
 	// receipts is nil exactly for genesis and the entries a snapshot
 	// installed (installPrefixLocked), which were never executed here.
 	receipts []*Receipt
+}
+
+// body returns the entry's block with its transactions. DecodeHeader
+// accepted raw when the store opened, and it rejects exactly what
+// DecodeBlock rejects, so a failure here means memory was corrupted.
+func (e *entry) body() *types.Block {
+	if e.raw == nil {
+		return e.block
+	}
+	blk, err := types.DecodeBlock(e.raw)
+	if err != nil {
+		panic(fmt.Sprintf("chain: logged block %s no longer decodes: %v", e.block.ID().Short(), err))
+	}
+	return blk
 }
 
 // postHorizon bounds the post-states the chain keeps: a canonical entry
@@ -301,7 +329,7 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	}
 	st := cursor.post.Copy()
 	for i := len(pending) - 1; i >= 0; i-- {
-		if _, err := execBlock(c.cfg, st, pending[i].block); err != nil {
+		if _, err := execBlock(c.cfg, st, pending[i].body()); err != nil {
 			return nil, fmt.Errorf("chain: rebuild state: %w", err)
 		}
 	}
@@ -324,14 +352,17 @@ func (c *Chain) BlockByID(id types.Hash) (*types.Block, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, id.Short())
 	}
-	return e.block, nil
+	return e.body(), nil
 }
 
-// BlocksRange returns the canonical blocks from..to (inclusive) under one
+// RecordsRange returns the canonical blocks from..to (inclusive) under one
 // lock acquisition, so a concurrent reorg cannot mix blocks from two
 // forks into the result. Ranges past the head are truncated; an inverted
-// or out-of-range request yields nil.
-func (c *Chain) BlocksRange(from, to uint64) []*types.Block {
+// or out-of-range request yields nil. It is built for a writer: a block a
+// reopen kept as log bytes comes back as those bytes beside its
+// header-only block, not decoded, so serving a peer's range sync costs a
+// copy of each record.
+func (c *Chain) RecordsRange(from, to uint64) []types.BlockRecord {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if from >= uint64(len(c.canon)) || to < from {
@@ -340,9 +371,9 @@ func (c *Chain) BlocksRange(from, to uint64) []*types.Block {
 	if to >= uint64(len(c.canon)) {
 		to = uint64(len(c.canon)) - 1
 	}
-	out := make([]*types.Block, 0, to-from+1)
-	for n := from; n <= to; n++ {
-		out = append(out, c.canon[n].block)
+	out := make([]types.BlockRecord, 0, to-from+1)
+	for _, e := range c.canon[from : to+1] {
+		out = append(out, types.BlockRecord{Block: e.block, Raw: e.raw})
 	}
 	return out
 }
@@ -790,7 +821,7 @@ func (c *Chain) CanonicalBlocks() []*types.Block {
 	defer c.mu.RUnlock()
 	out := make([]*types.Block, len(c.canon))
 	for i, e := range c.canon {
-		out[i] = e.block
+		out[i] = e.body()
 	}
 	return out
 }

@@ -15,19 +15,26 @@
 //
 //   - Load returns only committed blocks, in their original insertion
 //     order, each of which was valid when first imported (parents always
-//     precede children).
+//     precede children). Each comes back as a types.BlockRecord: a
+//     header-only block and its record bytes, which types.DecodeHeader
+//     has accepted — so types.DecodeBlock accepts them too.
 //   - HeadID/HeadNumber name the last durably committed fork-choice head;
 //     the canonical chain is recovered by walking parent links from it.
 //   - Snapshot, when present, is advisory: replay validates it against
 //     the recovered canonical chain (right block at the right height) and
 //     the restored state against the commitment-trie root in that block's
 //     header before trusting it, falling back to full re-execution.
+//   - Blocks at or below a restored snapshot stay record bytes: replay
+//     decodes the snapshot block, the tail above it and side blocks, and
+//     every other body is decoded each time something reads it (range
+//     sync is served the bytes themselves).
 package chain
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
@@ -60,7 +67,7 @@ type Storage interface {
 type StoredChain struct {
 	// Blocks are all committed blocks in insertion order (excluding
 	// genesis, which the chain derives from its config).
-	Blocks []*types.Block
+	Blocks []types.BlockRecord
 	// HeadID/HeadNumber are the last committed fork-choice head; the zero
 	// hash with number 0 means the chain never advanced past genesis.
 	HeadID     types.Hash
@@ -143,9 +150,10 @@ func init() {
 // initFromStorage replays the attached backend into the freshly built
 // chain. Called once from New, before the chain is shared, with persist
 // still false so replayed imports are not re-appended. The fast path
-// restores the newest valid snapshot and re-executes only the tail; full
-// re-execution from genesis is the fallback whenever the snapshot fails
-// any check.
+// restores the newest valid snapshot, keeps the blocks below it as
+// headers plus record bytes, and decodes and re-executes only the tail;
+// full re-execution from genesis is the fallback whenever the snapshot
+// fails any check.
 func (c *Chain) initFromStorage() error {
 	sc, err := c.store.Load(c.genesis.block.ID())
 	if err != nil {
@@ -156,22 +164,23 @@ func (c *Chain) initFromStorage() error {
 		return nil
 	}
 
-	byID := make(map[types.Hash]*types.Block, len(sc.Blocks))
-	for _, blk := range sc.Blocks {
-		byID[blk.ID()] = blk
+	byID := make(map[types.Hash]types.BlockRecord, len(sc.Blocks))
+	for _, rec := range sc.Blocks {
+		byID[rec.Block.ID()] = rec
 	}
 
 	// Recover the canonical chain by walking parent links from the
 	// committed head down to genesis.
-	canonical := make([]*types.Block, sc.HeadNumber+1)
+	canonical := make([]types.BlockRecord, sc.HeadNumber+1)
+	canonical[0].Block = c.genesis.block
 	cursor := sc.HeadID
 	for n := sc.HeadNumber; n >= 1; n-- {
-		blk, ok := byID[cursor]
-		if !ok || blk.Header.Number != n {
+		rec, ok := byID[cursor]
+		if !ok || rec.Block.Header.Number != n {
 			return fmt.Errorf("%w: canonical walk broke at height %d (%s)", ErrStorageCorrupt, n, cursor.Short())
 		}
-		canonical[n] = blk
-		cursor = blk.Header.ParentID
+		canonical[n] = rec
+		cursor = rec.Block.Header.ParentID
 	}
 	if cursor != c.genesis.block.ID() {
 		return fmt.Errorf("%w: canonical walk did not reach genesis", ErrStorageCorrupt)
@@ -196,21 +205,29 @@ func (c *Chain) initFromStorage() error {
 	// Re-execute the canonical tail through the batched import pipeline
 	// (parallel stage-1 verification), then re-offer non-canonical blocks
 	// individually — side forks are best-effort: one whose parent sits
-	// below a restored snapshot horizon is unreachable and dropped.
-	tail := canonical[restored+1:]
+	// below a restored snapshot horizon is rebuilt from genesis by
+	// stateOfLocked, and one that no longer imports is dropped.
+	tail := make([]*types.Block, 0, sc.HeadNumber-restored)
+	for _, rec := range canonical[restored+1:] {
+		blk, err := types.DecodeBlock(rec.Raw)
+		if err != nil {
+			return fmt.Errorf("%w: canonical replay: %v", ErrStorageCorrupt, err)
+		}
+		tail = append(tail, blk)
+	}
 	if len(tail) > 0 {
 		if _, err := c.InsertChain(tail); err != nil {
 			return fmt.Errorf("%w: canonical replay: %v", ErrStorageCorrupt, err)
 		}
 		mReplayBlocks.Add(uint64(len(tail)))
 	}
-	onCanon := make(map[types.Hash]struct{}, len(canonical))
-	for _, blk := range canonical[1:] {
-		onCanon[blk.ID()] = struct{}{}
-	}
-	for _, blk := range sc.Blocks {
-		if _, ok := onCanon[blk.ID()]; ok {
+	for _, rec := range sc.Blocks {
+		if n := rec.Block.Header.Number; n <= sc.HeadNumber && canonical[n].Block == rec.Block {
 			continue
+		}
+		blk, err := types.DecodeBlock(rec.Raw)
+		if err != nil {
+			return fmt.Errorf("%w: side block: %v", ErrStorageCorrupt, err)
 		}
 		if _, err := c.InsertBlock(blk); err == nil {
 			mReplayBlocks.Inc()
@@ -224,15 +241,16 @@ func (c *Chain) initFromStorage() error {
 }
 
 // restoreSnapshotPrefix validates a stored snapshot against the recovered
-// canonical chain and, when every check passes, seeds the chain with the
-// canonical prefix up to the snapshot height without re-execution. The
-// restored state must hash to the commitment-trie root recorded in the
-// snapshot block's header; nothing about the snapshot is taken on trust.
-func (c *Chain) restoreSnapshotPrefix(snap *StoredSnapshot, canonical []*types.Block) error {
+// canonical chain — header-only blocks with their record bytes — and,
+// when every check passes, seeds the chain with the canonical prefix
+// up to the snapshot height without re-execution. The restored state must
+// hash to the commitment-trie root recorded in the snapshot block's
+// header; nothing about the snapshot is taken on trust.
+func (c *Chain) restoreSnapshotPrefix(snap *StoredSnapshot, canonical []types.BlockRecord) error {
 	if snap.Height == 0 || snap.Height >= uint64(len(canonical)) {
 		return fmt.Errorf("%w: height %d outside canonical range", ErrSnapshotRejected, snap.Height)
 	}
-	at := canonical[snap.Height]
+	at := canonical[snap.Height].Block
 	if at.ID() != snap.BlockID {
 		return fmt.Errorf("%w: block %s is not canonical at height %d", ErrSnapshotRejected, snap.BlockID.Short(), snap.Height)
 	}
@@ -247,42 +265,33 @@ func (c *Chain) restoreSnapshotPrefix(snap *StoredSnapshot, canonical []*types.B
 		return fmt.Errorf("%w: restored state hashes to %s, header commits to %s",
 			ErrSnapshotState, root.Short(), at.Header.StateRoot.Short())
 	}
+	prefix := canonical[1 : snap.Height+1]
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.adoptPrefixLocked(canonical[1:snap.Height+1], st)
-}
-
-// adoptPrefixLocked installs a parent-linked canonical block prefix whose
-// final post-state has already been verified against the commitment root.
-// The prefix is adopted without execution: entries below the head carry no
-// post-state or receipts (the archival horizon: per-tx receipts and
-// detection indexes exist only from the snapshot height forward, since
-// rebuilding them would require exactly the re-execution the snapshot
-// exists to avoid). Callers hold the write lock and have verified
-// st.Root() against the final block's header commitment.
-func (c *Chain) adoptPrefixLocked(blocks []*types.Block, st *state.DB) error {
-	if err := c.validatePrefixLocked(blocks); err != nil {
+	if err := c.validatePrefixLocked(prefix); err != nil {
 		return err
 	}
-	c.installPrefixLocked(blocks, st)
+	c.installPrefixLocked(prefix, st)
 	return nil
 }
 
 // validatePrefixLocked checks that a snapshot prefix is adoptable by the
 // current chain (still at genesis, parent-linked, headers consistent)
-// without mutating anything. Callers hold the write lock.
-func (c *Chain) validatePrefixLocked(blocks []*types.Block) error {
+// without mutating anything. It reads headers only. Callers hold the
+// write lock.
+func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 	if c.closed {
 		return ErrClosed
 	}
 	if c.head != c.genesis {
 		return ErrChainNotEmpty
 	}
-	if len(blocks) == 0 {
+	if len(prefix) == 0 {
 		return fmt.Errorf("%w: empty prefix", ErrSnapshotChain)
 	}
 	prev := c.genesis.block
-	for i, blk := range blocks {
+	for i, rec := range prefix {
+		blk := rec.Block
 		if blk.Header.ParentID != prev.ID() {
 			return fmt.Errorf("%w: block %d (#%d) does not extend %s",
 				ErrSnapshotChain, i, blk.Header.Number, prev.ID().Short())
@@ -296,20 +305,31 @@ func (c *Chain) validatePrefixLocked(blocks []*types.Block) error {
 }
 
 // installPrefixLocked commits a prefix that already passed
-// validatePrefixLocked into the chain's in-memory structures and
-// publishes the new head. Callers hold the write lock.
-func (c *Chain) installPrefixLocked(blocks []*types.Block, st *state.DB) {
+// validatePrefixLocked, whose final post-state st has been verified
+// against the last block's commitment root, and publishes the new head.
+// The prefix is adopted without execution: entries below the head carry
+// no post-state or receipts (the archival horizon: per-tx receipts and
+// detection indexes exist only from the snapshot height forward, since
+// rebuilding them would require exactly the re-execution the snapshot
+// exists to avoid). A record with Raw set (a reopen) is installed as its
+// header-only block plus those bytes, for body to decode; the head is
+// decoded here, since head events and /v1 read its transactions. Callers
+// hold the write lock.
+func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
+	c.canon = slices.Grow(c.canon, len(prefix))
 	parent := c.genesis
-	for _, blk := range blocks {
+	for _, rec := range prefix {
 		e := &entry{
-			block:    blk,
+			block:    rec.Block,
+			raw:      rec.Raw,
 			parent:   parent,
-			totalDif: parent.totalDif + blk.Header.Difficulty,
+			totalDif: parent.totalDif + rec.Block.Header.Difficulty,
 		}
-		c.entries[blk.ID()] = e
+		c.entries[rec.Block.ID()] = e
 		c.canon = append(c.canon, e)
 		parent = e
 	}
+	parent.block, parent.raw = parent.body(), nil
 	parent.post = st
 	c.head = parent
 	mHeadHeight.Set(int64(parent.block.Header.Number))
@@ -383,9 +403,13 @@ func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
 			ErrSnapshotState, root.Short(), head.Header.StateRoot.Short())
 	}
 
+	prefix := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		prefix[i].Block = blk
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.validatePrefixLocked(blocks); err != nil {
+	if err := c.validatePrefixLocked(prefix); err != nil {
 		mSnapshotRejected.Inc()
 		return err
 	}
@@ -398,7 +422,7 @@ func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
 			return fmt.Errorf("chain: persist adopted snapshot blocks: %w", err)
 		}
 	}
-	c.installPrefixLocked(blocks, st)
+	c.installPrefixLocked(prefix, st)
 	mSnapshotAdopted.Inc()
 	if c.store != nil && c.persist {
 		snap := StoredSnapshot{

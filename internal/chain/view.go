@@ -89,7 +89,7 @@ func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
 	if n >= uint64(len(v.canon)) {
 		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(v.canon)-1)
 	}
-	return v.canon[n].block, nil
+	return v.canon[n].body(), nil
 }
 
 // BlocksRange returns the canonical blocks from..to (inclusive), all
@@ -105,7 +105,7 @@ func (v *ReadView) BlocksRange(from, to uint64) []*types.Block {
 	}
 	out := make([]*types.Block, 0, to-from+1)
 	for n := from; n <= to; n++ {
-		out = append(out, v.canon[n].block)
+		out = append(out, v.canon[n].body())
 	}
 	return out
 }

@@ -537,6 +537,6 @@ func (p *ProviderNode) handleRangeRequest(from p2p.NodeID, payload []byte) {
 	if hi-lo >= maxRangeBlocks { // hi-lo+1 would wrap to 0 on [0, 2⁶⁴−1]
 		hi = lo + maxRangeBlocks - 1
 	}
-	blocks := p.chain.BlocksRange(lo, hi)
+	blocks := p.chain.RecordsRange(lo, hi)
 	_ = p.net.Send(p.id, from, p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: p2p.EncodeRangeBlocks(blocks, maxRangeBytes)})
 }

@@ -149,13 +149,13 @@ func FuzzParseRangeBlocks(f *testing.F) {
 		if got := encodeRangeRecords(blocks); !bytes.Equal(got, data) {
 			t.Fatalf("accepted range blocks are not canonical:\n in: %x\nout: %x", data, got)
 		}
-		decoded := make([]*types.Block, 0, len(blocks))
+		decoded := make([]types.BlockRecord, 0, len(blocks))
 		for _, rec := range blocks {
 			b, err := types.DecodeBlock(rec)
 			if err != nil {
 				return
 			}
-			decoded = append(decoded, b)
+			decoded = append(decoded, types.BlockRecord{Block: b})
 		}
 		if got := EncodeRangeBlocks(decoded, math.MaxInt); !bytes.Equal(got, data) {
 			t.Fatalf("block writer does not rebuild accepted blocks:\n in: %x\nout: %x", data, got)

@@ -215,19 +215,20 @@ func ParseRangeRequest(payload []byte) (from, to uint64, err error) {
 // length-prefixed encoded blocks — from the longest prefix of blocks whose
 // records before the last stay within maxBytes: the block that crosses
 // the budget is the last one sent, so a response is at most maxBytes plus
-// one block. The payload is sized first and each block encoded straight
-// into it, one allocation of exactly its length.
-func EncodeRangeBlocks(blocks []*types.Block, maxBytes int) []byte {
+// one block. The payload is sized first and each block encoded (or, when
+// its record carries the bytes, copied) straight into it, one allocation
+// of exactly its length.
+func EncodeRangeBlocks(blocks []types.BlockRecord, maxBytes int) []byte {
 	n, size := 0, 4
 	for records := 0; n < len(blocks) && records <= maxBytes; n++ {
-		rec := types.BlockSize(blocks[n])
+		rec := blocks[n].Size()
 		records += rec
 		size += 4 + rec
 	}
 	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(n))
 	for _, b := range blocks[:n] {
-		out = binary.BigEndian.AppendUint32(out, uint32(types.BlockSize(b)))
-		out = types.AppendBlock(out, b)
+		out = binary.BigEndian.AppendUint32(out, uint32(b.Size()))
+		out = b.AppendTo(out)
 	}
 	return out
 }

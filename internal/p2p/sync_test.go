@@ -130,18 +130,41 @@ func encodeRangeRecords(records [][]byte) []byte {
 }
 
 // rangeTestBlocks returns a chain-shaped run of blocks of growing size.
-func rangeTestBlocks(n int) []*types.Block {
-	blocks := make([]*types.Block, n)
+// Every odd one is a header-only block beside its encoding, as a reopened
+// chain hands out the blocks below its snapshot.
+func rangeTestBlocks(n int) []types.BlockRecord {
+	blocks := make([]types.BlockRecord, n)
 	for i := range blocks {
 		txs := make([]*types.Transaction, i%4)
 		for j := range txs {
 			txs[j] = &types.Transaction{Kind: types.TxTransfer, Nonce: uint64(j), To: types.Address{byte(i)},
 				Value: types.Amount(i * j), GasLimit: 21_000, Data: bytes.Repeat([]byte{byte(j)}, 40*i)}
 		}
-		blocks[i] = &types.Block{Header: types.Header{Number: uint64(i + 1), Time: uint64(i+1) * 15_000,
+		blk := &types.Block{Header: types.Header{Number: uint64(i + 1), Time: uint64(i+1) * 15_000,
 			TxRoot: types.ComputeTxRoot(txs)}, Txs: txs}
+		blocks[i].Block = blk
+		if i%2 == 1 {
+			blocks[i] = types.BlockRecord{Block: &types.Block{Header: blk.Header}, Raw: types.EncodeBlock(blk)}
+		}
 	}
 	return blocks
+}
+
+// fullRecords decodes every record of blocks, so a test can encode them
+// from the block objects alone.
+func fullRecords(t testing.TB, blocks []types.BlockRecord) []types.BlockRecord {
+	out := make([]types.BlockRecord, len(blocks))
+	for i, b := range blocks {
+		out[i].Block = b.Block
+		if b.Raw != nil {
+			blk, err := types.DecodeBlock(b.Raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i].Block = blk
+		}
+	}
+	return out
 }
 
 func TestRangeBlocksRoundTrip(t *testing.T) {
@@ -170,28 +193,32 @@ func TestRangeBlocksRoundTrip(t *testing.T) {
 // budget — at budgets below, on and just past each record boundary.
 func TestEncodeRangeBlocksMatchesRecordEncoder(t *testing.T) {
 	blocks := rangeTestBlocks(12)
+	full := fullRecords(t, blocks)
 	budgets := []int{0, 1, math.MaxInt}
 	total := 0
-	for _, b := range blocks {
-		total += len(types.EncodeBlock(b))
+	for _, b := range full {
+		total += len(types.EncodeBlock(b.Block))
 		budgets = append(budgets, total-1, total, total+1)
 	}
 	for _, budget := range budgets {
 		var records [][]byte
 		sum := 0
-		for _, b := range blocks {
-			rec := types.EncodeBlock(b)
+		for _, b := range full {
+			rec := types.EncodeBlock(b.Block)
 			records = append(records, rec)
 			if sum += len(rec); sum > budget {
 				break
 			}
 		}
-		got := EncodeRangeBlocks(blocks, budget)
-		if want := encodeRangeRecords(records); !bytes.Equal(got, want) {
-			t.Fatalf("budget %d: writer sent %d bytes, oracle %d (%d records)", budget, len(got), len(want), len(records))
-		}
-		if len(got) != cap(got) {
-			t.Errorf("budget %d: %d-byte payload in a %d-byte buffer", budget, len(got), cap(got))
+		want := encodeRangeRecords(records)
+		for name, in := range map[string][]types.BlockRecord{"records": blocks, "blocks": full} {
+			got := EncodeRangeBlocks(in, budget)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("budget %d, from %s: writer sent %d bytes, oracle %d (%d records)", budget, name, len(got), len(want), len(records))
+			}
+			if len(got) != cap(got) {
+				t.Errorf("budget %d, from %s: %d-byte payload in a %d-byte buffer", budget, name, len(got), cap(got))
+			}
 		}
 	}
 }

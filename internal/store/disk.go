@@ -167,7 +167,13 @@ func (d *Disk) crash(point string) error {
 
 // Load recovers the committed chain: verify/initialize meta, find the last
 // acknowledged commit in the WAL, truncate any torn or unacknowledged log
-// tail, decode the committed blocks and read the snapshot. See the package comment for the invariants.
+// tail, check that every committed block decodes and read the snapshot.
+// A block comes back as a header-only types.Block and its record payload,
+// which aliases the one buffer the log was read into: a chain that keeps
+// any payload keeps that whole buffer, framing and decoded tail included,
+// for as long as it lives. That costs the log's size once, where decoded
+// prefix bodies would cost several times it (each transaction's struct,
+// Data copy and hash memo). See the package comment for the invariants.
 func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -187,13 +193,13 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 		return nil, err
 	}
 
-	blocks := make([]*types.Block, len(payloads))
+	heads := make([]types.Block, len(payloads))
+	blocks := make([]types.BlockRecord, len(payloads))
 	for i, payload := range payloads {
-		blk, err := types.DecodeBlock(payload)
-		if err != nil {
+		if heads[i].Header, err = types.DecodeHeader(payload); err != nil {
 			return nil, fmt.Errorf("%w: committed block %d does not decode: %v", ErrCorrupt, i, err)
 		}
-		blocks[i] = blk
+		blocks[i] = types.BlockRecord{Block: &heads[i], Raw: payload}
 	}
 
 	sc := &chain.StoredChain{Blocks: blocks, HeadID: headID, HeadNumber: headNumber}

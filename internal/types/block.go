@@ -213,6 +213,32 @@ func AppendBlock(dst []byte, b *Block) []byte {
 	return dst
 }
 
+// BlockRecord is a block together, when the holder kept them, with the
+// EncodeBlock bytes it was decoded from. With Raw set, Block may hold
+// only the header, and a writer copies Raw rather than encoding Block:
+// a store's reopen hands blocks out this way, and a node serves a
+// peer's range sync from them without decoding the bodies.
+type BlockRecord struct {
+	Block *Block
+	Raw   []byte
+}
+
+// Size returns the length of r's encoding.
+func (r BlockRecord) Size() int {
+	if r.Raw != nil {
+		return len(r.Raw)
+	}
+	return BlockSize(r.Block)
+}
+
+// AppendTo appends r's encoding to dst, as AppendBlock does for a block.
+func (r BlockRecord) AppendTo(dst []byte) []byte {
+	if r.Raw != nil {
+		return append(dst, r.Raw...)
+	}
+	return AppendBlock(dst, r.Block)
+}
+
 // layout encodes the header into scratch (an encoded header is at most 158
 // bytes) and sums the transaction list's payload length: what the block's
 // list headers need before a byte of it is written.
@@ -226,23 +252,47 @@ func (b *Block) layout(scratch *[160]byte) (header []byte, txsLen int) {
 // DecodeBlock parses a block from its transport encoding, as strictly as
 // DecodeTx.
 func DecodeBlock(data []byte) (*Block, error) {
+	blk := &Block{Txs: []*Transaction{}}
+	var err error
+	if blk.Header, err = decodeBlock(data, &blk.Txs); err != nil {
+		return nil, err
+	}
+	return blk, nil
+}
+
+// DecodeHeader returns the header of a block encoding. It rejects exactly
+// what DecodeBlock rejects — every transaction field is read as strictly —
+// but builds no Transaction and no memo, so a reader that only needs the
+// header, the id or the parent link pays for none of the body.
+func DecodeHeader(data []byte) (Header, error) {
+	return decodeBlock(data, nil)
+}
+
+// decodeBlock walks a block encoding, appending each transaction to *txs,
+// or, given nil, only checking it.
+func decodeBlock(data []byte, txs *[]*Transaction) (Header, error) {
 	d := decoder{buf: data}
 	afterBlock := d.rlpList()
-	blk := &Block{Header: d.header(), Txs: []*Transaction{}}
+	h := d.header()
 	afterTxs := d.rlpList()
-	for d.err == nil && len(d.buf) > 0 {
-		blk.Txs = append(blk.Txs, d.tx())
+	for n := 0; d.err == nil && len(d.buf) > 0; n++ {
+		if txs != nil {
+			*txs = append(*txs, d.tx())
+		} else {
+			var tx Transaction
+			d.txFields(&tx)
+		}
 		if d.err != nil {
-			d.err = fmt.Errorf("tx %d: %w", len(blk.Txs)-1, d.err)
+			d.err = fmt.Errorf("tx %d: %w", n, d.err)
 		}
 	}
 	d.end(afterTxs)   // back in the block list
 	d.end(afterBlock) // which has exactly the two elements
 	d.end(nil)        // and nothing follows it
 	if d.err != nil {
-		return nil, fmt.Errorf("types: decode block: %w", d.err)
+		return Header{}, fmt.Errorf("types: decode block: %w", d.err)
 	}
-	return blk, nil
+	return h, nil
 }
 
 // tx reads one transaction list, field by field in appendFields' order.
@@ -250,9 +300,20 @@ func DecodeBlock(data []byte) (*Block, error) {
 // what appendFields would write: the memo is built from it, and neither
 // Hash() nor SigHash() encodes the object back to learn its digest.
 func (d *decoder) tx() *Transaction {
-	after := d.rlpList()
-	fields := d.buf
 	tx := new(Transaction)
+	fields := d.txFields(tx)
+	if d.err == nil {
+		tx.Data = append([]byte(nil), tx.Data...)
+		tx.memo.Store(tx.newMemo(fields))
+	}
+	return tx
+}
+
+// txFields reads one transaction list into tx and returns its payload.
+// tx.Data aliases the input; tx owns nothing else the input holds.
+func (d *decoder) txFields(tx *Transaction) (fields []byte) {
+	after := d.rlpList()
+	fields = d.buf
 	kind := d.rlpUint64()
 	tx.Kind = TxKind(kind)
 	tx.Nonce = d.rlpUint64()
@@ -261,7 +322,7 @@ func (d *decoder) tx() *Transaction {
 	tx.Value = Amount(d.rlpUint64())
 	tx.GasLimit = d.rlpUint64()
 	tx.GasPrice = Amount(d.rlpUint64())
-	tx.Data = append([]byte(nil), d.rlpString()...)
+	tx.Data = d.rlpString()
 	sig := d.rlpString()
 	d.end(after)
 	if d.err == nil && uint64(tx.Kind) != kind {
@@ -270,10 +331,7 @@ func (d *decoder) tx() *Transaction {
 	if d.err == nil {
 		tx.Sig, d.err = secp256k1.ParseSignature(sig)
 	}
-	if d.err == nil {
-		tx.memo.Store(tx.newMemo(fields))
-	}
-	return tx
+	return fields
 }
 
 // header reads one header list, field by field in appendRLP's order.

@@ -153,12 +153,37 @@ func TestDecodeBlockAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
 		if got, err := DecodeBlock(frame); err == nil {
 			t.Errorf("%s: accepted (%d txs, id %s, original %s)", name, len(got.Txs), got.ID().Short(), blk.ID().Short())
 		}
+		if h, err := DecodeHeader(frame); err == nil {
+			t.Errorf("%s: DecodeHeader accepted (id %s, original %s)", name, h.ID().Short(), blk.ID().Short())
+		}
+	}
+}
+
+// TestDecodeHeaderAllocatesNothing: reading a header walks every
+// transaction as strictly as DecodeBlock but builds none of them.
+func TestDecodeHeaderAllocatesNothing(t *testing.T) {
+	txs := goldenTxs(t)
+	var all []*Transaction
+	for _, tx := range txs {
+		all = append(all, tx)
+	}
+	blk := &Block{Header: Header{Number: 3, Time: 45_000, Difficulty: 8, TxRoot: ComputeTxRoot(all)}, Txs: all}
+	enc := EncodeBlock(blk)
+	var h Header
+	var err error
+	if n := testing.AllocsPerRun(20, func() { h, err = DecodeHeader(enc) }); n != 0 {
+		t.Errorf("DecodeHeader of a %d-transaction block made %v allocations, want 0", len(all), n)
+	}
+	if err != nil || h != blk.Header {
+		t.Fatalf("DecodeHeader = %+v, %v; want %+v", h, err, blk.Header)
 	}
 }
 
 // checkTxRoundtrip is the property behind "a transaction has exactly one
 // encoding": whatever DecodeTx accepts, EncodeTx maps back to the same
-// bytes. checkBlockRoundtrip is the same for blocks. Both also hold the
+// bytes. checkBlockRoundtrip is the same for blocks, and also holds
+// DecodeHeader to accepting exactly what DecodeBlock accepts, with the
+// same header. Both also hold the
 // decoder to the consequence it relies on: the Hash it seeds from the
 // bytes it read is the Hash the object would compute.
 func checkTxRoundtrip(t testing.TB, b []byte) {
@@ -176,8 +201,15 @@ func checkTxRoundtrip(t testing.TB, b []byte) {
 func checkBlockRoundtrip(t testing.TB, b []byte) {
 	t.Helper()
 	blk, err := DecodeBlock(b)
+	h, herr := DecodeHeader(b)
+	if (err == nil) != (herr == nil) {
+		t.Fatalf("on %x DecodeBlock says %v, DecodeHeader says %v", b, err, herr)
+	}
 	if err != nil {
 		return
+	}
+	if h != blk.Header || h.ID() != blk.ID() {
+		t.Errorf("on %x DecodeHeader read %+v (id %s), DecodeBlock %+v (id %s)", b, h, h.ID().Short(), blk.Header, blk.ID().Short())
 	}
 	if enc := EncodeBlock(blk); !bytes.Equal(enc, b) {
 		t.Errorf("DecodeBlock accepted %x, which re-encodes to %x", b, enc)
