@@ -45,7 +45,6 @@ var primitivePkgs = []string{
 	"internal/crypto/merkle",
 	"internal/crypto/secp256k1",
 	"internal/rlp",
-	"internal/vm/uint256",
 }
 
 // reflectiveMethods are found by the standard library through reflection,

@@ -15,7 +15,7 @@ var consensusPkgs = []string{
 	"internal/contract",
 	"internal/types",
 	"internal/rlp",
-	"internal/vm",
+	"internal/critbit",
 }
 
 // passDetsource forbids sources of cross-node divergence in

@@ -15,7 +15,6 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -265,7 +264,11 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	}
 	// Some findings are confirmed and some are not: both are receipts.
 	verifier := contract.VerifierFunc(func(_ types.Hash, f types.Finding) bool { return !strings.HasSuffix(f.VulnID, "-0") })
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
+	// A short detection window, so the mix's refunds land both inside and
+	// after it.
+	params := contract.DefaultParams()
+	params.DetectionWindow = 8
+	cfg := DefaultConfig(contract.New(params, verifier))
 	cfg.EnforceDifficulty = true
 	cfg.DifficultyRule = pow.DifficultyConfig{TargetBlockTime: 15, BoundDivisor: 64, Minimum: 32}
 	cfg.Alloc = map[types.Address]types.Amount{
@@ -285,7 +288,8 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	}
 	h.chain = a
 
-	sealer := &pow.CPUSealer{Threads: 2}
+	// One thread finds the same nonce every run, so the head id is a golden.
+	sealer := &pow.CPUSealer{Threads: 1}
 	build := func(parent *types.Block, txs ...*types.Transaction) *types.Block {
 		t.Helper()
 		timestamp := parent.Header.Time + 15_000
@@ -324,16 +328,9 @@ func TestSealerAndImporterAgree(t *testing.T) {
 
 	// The seeded mix.
 	rng := rand.New(rand.NewSource(23))
-	runtime := vm.MustAssemble(`
-		CALLER
-		PUSH 0
-		SSTORE
-		STOP
-	`)
 	var (
-		sraIDs   []types.Hash
-		deployed []*types.Transaction
-		kinds    = map[types.TxKind]int{}
+		sraIDs []types.Hash
+		kinds  = map[types.TxKind]int{}
 	)
 	releaseSRA := func() *types.Transaction {
 		sra := &types.SRA{
@@ -355,11 +352,12 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		sraIDs = append(sraIDs, sra.ID)
 		return tx
 	}
-	vmTx := func(kind types.TxKind, to types.Address, data []byte) *types.Transaction {
+	callTx := func(to types.Address, value types.Amount, data []byte) *types.Transaction {
 		tx := &types.Transaction{
-			Kind:     kind,
+			Kind:     types.TxContractCall,
 			Nonce:    h.nextNonce(h.provider.Address()),
 			To:       to,
+			Value:    value,
 			GasLimit: 3_000_000,
 			GasPrice: testGasPrice,
 			Data:     data,
@@ -390,15 +388,16 @@ func TestSealerAndImporterAgree(t *testing.T) {
 				// Revealed in the block that commits it: fails in its receipt.
 				itx, dtx := h.reportPair(sraIDs[rng.Intn(len(sraIDs))], fmt.Sprintf("V-%d-%d-early", n, i))
 				txs = append(txs, itx, dtx)
-			case kind == 3:
-				tx := vmTx(types.TxContractCreate, types.Address{}, initcodeFor(runtime))
-				txs, deployed = append(txs, tx), append(deployed, tx)
-			case kind == 4 && len(deployed) > 0:
-				target := deployed[rng.Intn(len(deployed))]
-				txs = append(txs, vmTx(types.TxContractCall, CreateAddress(target.From, target.Nonce), nil))
-			case kind == 4:
+			case kind == 3 && len(sraIDs) > 0:
+				// Fails inside its SRA's detection window and once the
+				// insurance is reclaimed; pays the provider once after it.
+				txs = append(txs, h.refundTx(sraIDs[rng.Intn(len(sraIDs))]))
+			case kind == 4 && rng.Intn(2) == 0:
 				// No such method on the SmartCrowd contract: fails too.
-				txs = append(txs, vmTx(types.TxContractCall, contract.Address, []byte{0xff}))
+				txs = append(txs, callTx(contract.Address, 0, []byte{0xff}))
+			case kind == 4:
+				// A plain address holds no code: the call moves its value.
+				txs = append(txs, callTx(types.Address{0xC0, byte(rng.Intn(4))}, types.Amount(rng.Intn(1000)), []byte{0, byte(rng.Intn(3))}))
 			default:
 				txs = append(txs, h.transferTx(h.provider, types.Address{byte(rng.Intn(8)) + 1}, types.Amount(rng.Intn(1000))))
 			}
@@ -443,7 +442,7 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		land(build(a.Head(), mix(n)...))
 	}
 	for kind := types.TxTransfer; kind <= types.TxDetailedReport; kind++ {
-		if kinds[kind] == 0 {
+		if kind.Valid() && kinds[kind] == 0 {
 			t.Fatalf("the mix never drew a %s", kind)
 		}
 	}
@@ -493,6 +492,25 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(logA.records, logB.records) {
 		t.Fatal("the two chains handed different bytes to storage")
+	}
+	// Refunds both failed and paid, so the mix crossed its windows.
+	refunds := map[bool]int{}
+	for _, blk := range a.CanonicalBlocks() {
+		for _, tx := range blk.Txs {
+			if tx.To == contract.Address && len(tx.Data) > 0 && tx.Data[0] == contract.MethodRefund {
+				r, err := a.ReceiptOf(tx.Hash())
+				if err != nil {
+					t.Fatal(err)
+				}
+				refunds[r.Success]++
+			}
+		}
+	}
+	if refunds[true] == 0 || refunds[false] == 0 {
+		t.Fatalf("refunds paid %d, failed %d: want both", refunds[true], refunds[false])
+	}
+	if got := a.Head().ID().String(); got != goldenHeads["sealer-importer-mix"] {
+		t.Errorf("head = %s, golden %s", got, goldenHeads["sealer-importer-mix"])
 	}
 }
 

@@ -1,13 +1,11 @@
 package chain
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -492,98 +490,42 @@ func TestSRAWithoutEscrowFundsFails(t *testing.T) {
 	}
 }
 
+// TestContractCreationRefused: kind 2 is retired. A signed, well-formed
+// contract creation is refused by stage 1 of import, before anything
+// executes, and a sealer cannot build a block around it.
+func TestContractCreationRefused(t *testing.T) {
+	h := newHarness(t)
+	create := &types.Transaction{
+		Kind: types.TxKind(2), Nonce: h.nextNonce(h.provider.Address()),
+		GasLimit: 3_000_000, GasPrice: testGasPrice, Data: []byte{0x60, 0x00, 0x60, 0x00, 0xf3},
+	}
+	if err := types.SignTx(create, h.provider); err != nil {
+		t.Fatal(err)
+	}
+	head := h.chain.Head()
+	if _, err := h.chain.BuildBlock(head.ID(), h.miner.Address(), head.Header.Time+15_350, 1000,
+		[]*types.Transaction{create}); !errors.Is(err, types.ErrTxBadKind) {
+		t.Errorf("BuildBlock: err = %v, want ErrTxBadKind", err)
+	}
+	// The header of an empty block, with the creation put in its body.
+	blk, err := h.chain.BuildBlock(head.ID(), h.miner.Address(), head.Header.Time+15_350, 1000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk.Txs = []*types.Transaction{create}
+	blk.Header.TxRoot = types.ComputeTxRoot(blk.Txs)
+	if _, err := h.chain.InsertBlock(blk); !errors.Is(err, types.ErrTxBadKind) {
+		t.Errorf("InsertBlock: err = %v, want ErrTxBadKind", err)
+	}
+	if h.chain.Head().ID() != head.ID() {
+		t.Error("the head moved")
+	}
+}
+
 // execBlockForTest re-executes a block on a head-state copy.
 func execBlockForTest(h *harness, blk *types.Block) ([]*Receipt, error) {
 	st := h.chain.State()
 	return execBlock(h.chain.Config(), st, blk)
-}
-
-func TestContractDeployAndCallOnChain(t *testing.T) {
-	h := newHarness(t)
-	// A minimal contract: every call records its caller in slot 0. It is
-	// deployed via an initcode stub that returns the runtime code.
-	runtime := vm.MustAssemble(`
-		CALLER
-		PUSH 0
-		SSTORE
-		STOP
-	`)
-	deployTx := &types.Transaction{
-		Kind:     types.TxContractCreate,
-		Nonce:    h.nextNonce(h.provider.Address()),
-		GasLimit: 3_000_000,
-		GasPrice: testGasPrice,
-		Data:     initcodeFor(runtime),
-	}
-	if err := types.SignTx(deployTx, h.provider); err != nil {
-		t.Fatal(err)
-	}
-	h.extend(deployTx)
-	r, err := h.chain.ReceiptOf(deployTx.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Success {
-		t.Fatalf("deploy failed: %s", r.Err)
-	}
-	addr := r.ContractAddress
-	if !bytes.Equal(h.chain.State().Code(addr), runtime) {
-		t.Fatal("deployed code mismatch")
-	}
-
-	callTx := &types.Transaction{
-		Kind:     types.TxContractCall,
-		Nonce:    h.nextNonce(h.provider.Address()),
-		To:       addr,
-		GasLimit: 200_000,
-		GasPrice: testGasPrice,
-	}
-	if err := types.SignTx(callTx, h.provider); err != nil {
-		t.Fatal(err)
-	}
-	h.extend(callTx)
-	cr, err := h.chain.ReceiptOf(callTx.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cr.Success {
-		t.Fatalf("contract call failed: %s", cr.Err)
-	}
-	var want types.Hash
-	caller := h.provider.Address()
-	copy(want[types.HashSize-len(caller):], caller[:])
-	if got := h.chain.State().GetStorage(addr, types.Hash{}); got != want {
-		t.Fatalf("slot 0 = %s after the call, want the caller %s", got, want)
-	}
-}
-
-// initcodeFor builds SCVM initcode that returns the given runtime code:
-// it copies the payload (embedded as PUSH32 chunks written to memory) and
-// RETURNs it.
-func initcodeFor(runtime []byte) []byte {
-	var code []byte
-	// Write the runtime code to memory in 32-byte chunks via PUSH32+MSTORE.
-	for off := 0; off < len(runtime); off += 32 {
-		chunk := make([]byte, 32)
-		copy(chunk, runtime[off:min(off+32, len(runtime))])
-		code = append(code, 0x7f) // PUSH32
-		code = append(code, chunk...)
-		// PUSH offset, MSTORE
-		code = append(code, 0x61, byte(off>>8), byte(off)) // PUSH2 off
-		code = append(code, 0x52)                          // MSTORE
-	}
-	// PUSH2 len, PUSH1 0, RETURN
-	code = append(code, 0x61, byte(len(runtime)>>8), byte(len(runtime)))
-	code = append(code, 0x60, 0x00)
-	code = append(code, 0xf3)
-	return code
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // adoptHead returns a fresh chain that snap-adopted src's canonical

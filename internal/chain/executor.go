@@ -11,7 +11,6 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/vm"
 )
 
 // Receipt records the canonical outcome of one transaction.
@@ -20,8 +19,8 @@ type Receipt struct {
 	TxHash types.Hash
 	// Kind mirrors the transaction kind.
 	Kind types.TxKind
-	// Success is false when the protocol action or contract execution
-	// failed; gas is charged either way.
+	// Success is false when the protocol action or contract call failed;
+	// gas is charged either way.
 	Success bool
 	// Err is the failure description (empty on success).
 	Err string
@@ -31,10 +30,6 @@ type Receipt struct {
 	Fee types.Amount
 	// Payout carries the incentive allocation for detailed reports.
 	Payout contract.Payout
-	// ContractAddress is set for successful contract creations.
-	ContractAddress types.Address
-	// Logs are contract events.
-	Logs []vm.Log
 }
 
 // Execution errors that make an entire block invalid (consensus rules).
@@ -50,20 +45,10 @@ var (
 
 // executor applies transactions to a state.
 type executor struct {
-	cfg   Config
-	st    *state.DB
-	block vm.BlockContext
-	miner types.Address
-}
-
-// newExecutor builds an executor for one block over st.
-func newExecutor(cfg Config, st *state.DB, blk *types.Block) *executor {
-	return &executor{
-		cfg:   cfg,
-		st:    st,
-		block: vm.BlockContext{Number: blk.Header.Number, Time: blk.Header.Time},
-		miner: blk.Header.Miner,
-	}
+	cfg    Config
+	st     *state.DB
+	number uint64
+	miner  types.Address
 }
 
 // execBlock runs every transaction of a block against st (mutating it) in
@@ -76,7 +61,7 @@ func newExecutor(cfg Config, st *state.DB, blk *types.Block) *executor {
 // execution critical path (per-tx Sender() calls below hit the memo).
 func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	types.RecoverSenders(blk.Txs)
-	ex := newExecutor(cfg, st, blk)
+	ex := &executor{cfg: cfg, st: st, number: blk.Header.Number, miner: blk.Header.Miner}
 	receipts := make([]*Receipt, len(blk.Txs))
 	var gasUsed uint64
 	for i, tx := range blk.Txs {
@@ -98,14 +83,36 @@ func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	return receipts, nil
 }
 
+// Intrinsic gas, Ethereum's schedule: every transaction pays the base,
+// and a call pays for its input bytes on top.
+const (
+	gasTxBase        = 21_000
+	gasTxDataZero    = 4
+	gasTxDataNonZero = 68
+)
+
+// intrinsicGas is what a call with input data costs before the call runs:
+// all a call to an address other than the contract's ever costs.
+func intrinsicGas(data []byte) uint64 {
+	gas := uint64(gasTxBase)
+	for _, b := range data {
+		if b == 0 {
+			gas += gasTxDataZero
+		} else {
+			gas += gasTxDataNonZero
+		}
+	}
+	return gas
+}
+
 // requiredGas returns the gas a transaction consumes when its protocol
-// action succeeds. Contract create/call gas is dynamic and handled in
-// applyTx.
+// action succeeds. A call to the contract is priced GasRefund in applyTx;
+// its validity check here is the intrinsic gas.
 func (ex *executor) requiredGas(tx *types.Transaction) uint64 {
 	params := ex.cfg.Contract.Params()
 	switch tx.Kind {
 	case types.TxTransfer:
-		return vm.GasTxBase
+		return gasTxBase
 	case types.TxSRA:
 		return params.GasSRA
 	case types.TxInitialReport:
@@ -113,7 +120,7 @@ func (ex *executor) requiredGas(tx *types.Transaction) uint64 {
 	case types.TxDetailedReport:
 		return params.GasDetailedReport
 	default:
-		return vm.IntrinsicGas(tx.Data, tx.Kind == types.TxContractCreate)
+		return intrinsicGas(tx.Data)
 	}
 }
 
@@ -171,7 +178,7 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 			fail(err)
 			break
 		}
-		if err := ex.cfg.Contract.ApplySRA(ex.st, ex.block.Number, sra); err != nil {
+		if err := ex.cfg.Contract.ApplySRA(ex.st, ex.number, sra); err != nil {
 			fail(err)
 		}
 
@@ -180,7 +187,7 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrTxPayload, err)
 		}
-		if err := ex.cfg.Contract.ApplyInitialReport(ex.st, ex.block.Number, r); err != nil {
+		if err := ex.cfg.Contract.ApplyInitialReport(ex.st, ex.number, r); err != nil {
 			fail(err)
 		}
 
@@ -189,15 +196,12 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrTxPayload, err)
 		}
-		payout, err := ex.cfg.Contract.ApplyDetailedReport(ex.st, ex.block.Number, r)
+		payout, err := ex.cfg.Contract.ApplyDetailedReport(ex.st, ex.number, r)
 		if err != nil {
 			fail(err)
 		} else {
 			receipt.Payout = payout
 		}
-
-	case types.TxContractCreate:
-		ex.execCreate(tx, sender, receipt, fail)
 
 	case types.TxContractCall:
 		ex.execCall(tx, sender, receipt, fail)
@@ -221,102 +225,26 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 	return receipt, nil
 }
 
-// CreateAddress derives a deployed contract's address from its creator and
-// nonce, as Ethereum does.
-func CreateAddress(creator types.Address, nonce uint64) types.Address {
-	var nb [8]byte
-	for i := 0; i < 8; i++ {
-		nb[i] = byte(nonce >> (56 - 8*i))
-	}
-	h := types.HashConcat(creator[:], nb[:])
-	var a types.Address
-	copy(a[:], h[12:])
-	return a
-}
-
-func (ex *executor) execCreate(tx *types.Transaction, sender types.Address, receipt *Receipt, fail func(error)) {
-	intrinsic := vm.IntrinsicGas(tx.Data, true)
-	if tx.GasLimit < intrinsic {
-		fail(ErrGasLimitTooLow)
-		return
-	}
-	addr := CreateAddress(sender, tx.Nonce)
-	if tx.Value > 0 {
-		if err := ex.st.Transfer(sender, addr, tx.Value); err != nil {
-			fail(err)
-			return
-		}
-	}
-	machine := vm.New(ex.st, ex.block)
-	res, err := machine.Execute(tx.Data, vm.CallContext{
-		Caller:   sender,
-		Contract: addr,
-		Value:    tx.Value,
-		GasLimit: tx.GasLimit - intrinsic,
-	})
-	receipt.GasUsed = intrinsic + res.GasUsed
-	if err != nil {
-		fail(err)
-		return
-	}
-	if res.Reverted {
-		fail(vm.ErrRevert)
-		return
-	}
-	depositGas := uint64(len(res.ReturnData)) * vm.GasCodeDepositByte
-	if receipt.GasUsed+depositGas > tx.GasLimit {
-		fail(vm.ErrOutOfGas)
-		return
-	}
-	receipt.GasUsed += depositGas
-	ex.st.SetCode(addr, res.ReturnData)
-	receipt.ContractAddress = addr
-	receipt.Logs = res.Logs
-}
-
+// execCall runs a TxContractCall. A call to the SmartCrowd contract runs
+// one of its native methods (an insurance refund after the detection
+// window) and is priced GasRefund. No other account holds code, so a call
+// to any other address moves its value and costs the intrinsic gas
+// requiredGas already charged.
 func (ex *executor) execCall(tx *types.Transaction, sender types.Address, receipt *Receipt, fail func(error)) {
-	// Calls addressed to the SmartCrowd contract dispatch to the native
-	// implementation (e.g. insurance refunds after the detection window).
 	if tx.To == contract.Address {
 		receipt.GasUsed = ex.cfg.Contract.Params().GasRefund
 		if tx.GasLimit < receipt.GasUsed {
 			fail(ErrGasLimitTooLow)
 			return
 		}
-		if _, err := ex.cfg.Contract.Call(ex.st, ex.block.Number, sender, tx.Data); err != nil {
+		if _, err := ex.cfg.Contract.Call(ex.st, ex.number, sender, tx.Data); err != nil {
 			fail(err)
 		}
-		return
-	}
-
-	intrinsic := vm.IntrinsicGas(tx.Data, false)
-	if tx.GasLimit < intrinsic {
-		fail(ErrGasLimitTooLow)
 		return
 	}
 	if tx.Value > 0 {
 		if err := ex.st.Transfer(sender, tx.To, tx.Value); err != nil {
 			fail(err)
-			return
 		}
 	}
-	code := ex.st.Code(tx.To)
-	machine := vm.New(ex.st, ex.block)
-	res, err := machine.Execute(code, vm.CallContext{
-		Caller:   sender,
-		Contract: tx.To,
-		Value:    tx.Value,
-		Input:    tx.Data,
-		GasLimit: tx.GasLimit - intrinsic,
-	})
-	receipt.GasUsed = intrinsic + res.GasUsed
-	if err != nil {
-		fail(err)
-		return
-	}
-	if res.Reverted {
-		fail(vm.ErrRevert)
-		return
-	}
-	receipt.Logs = res.Logs
 }

@@ -8,7 +8,6 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -115,30 +114,33 @@ func genOverlapBlocks(t *testing.T, h *poolHarness, c *Chain, rng *rand.Rand, bl
 	}
 }
 
-// goldenHeads are head block ids recorded at commit 5383040 with
-// ExecParallelism = 1, the last tree that also carried a speculative
-// executor. A header commits to its parent and its post-state root, so
-// one head id pins every balance, nonce, fee, burned-gas amount and
-// storage slot of every block below it.
+// goldenHeads are head block ids. The density rows were recorded at
+// commit 5383040 with ExecParallelism = 1, the last tree that also
+// carried a speculative executor; "lifecycle" and "sealer-importer-mix"
+// (TestSealerAndImporterAgree's final head) at 2e17feb, the last tree
+// with contract creation, on the same inputs as here. A header commits to
+// its parent and its post-state root, so one head id pins every balance,
+// nonce, fee, burned-gas amount and storage slot of every block below it.
 var goldenHeads = map[string]string{
-	"density=0.0/seed=1": "0x664a8e27eabd921a444eba32b0bb455ebd42e2dbc37aa1f38619ed5fa2224b81",
-	"density=0.0/seed=2": "0x120d30b56a3b90d7fae48dd4f1aad74b40cd3be143ad31dc1dadf1004f3d54e4",
-	"density=0.0/seed=3": "0x4f84ad7ef7bf97be65bb80db2e9a48792363d88e067dad727a6345a42dc6e89d",
-	"density=0.3/seed=1": "0xb354024692e85ba8ab007610bc0b5b9f6f6ca46b0d2ae5c003be6e116072eadc",
-	"density=0.3/seed=2": "0x1f79381aefec8f2777d35c1e51969e168de9e0b3312b97357b05cac7d10d8d44",
-	"density=0.3/seed=3": "0x9482d608e00aa23490d286c4fe676fff20b5666b71ef283e0d4fbf43e259e128",
-	"density=0.8/seed=1": "0xfa5e91b9f674610c857aebbf1fddc3380f57b8ceed2fa949736af4cbbfdde82c",
-	"density=0.8/seed=2": "0xd6ad9580063d3c03ce50c0928e743c546a1c62b6ca34e050dae7cc5bb9dd3e98",
-	"density=0.8/seed=3": "0x0c5650b8ca4c7d04d8fb13b6ed2e5cff72bf6c99e68c60984c76bf842e468048",
-	"lifecycle":          "0x5750dd1585de9418cb19d8cb541ff0631869226eb956c04b046d046279984a2f",
+	"density=0.0/seed=1":  "0x664a8e27eabd921a444eba32b0bb455ebd42e2dbc37aa1f38619ed5fa2224b81",
+	"density=0.0/seed=2":  "0x120d30b56a3b90d7fae48dd4f1aad74b40cd3be143ad31dc1dadf1004f3d54e4",
+	"density=0.0/seed=3":  "0x4f84ad7ef7bf97be65bb80db2e9a48792363d88e067dad727a6345a42dc6e89d",
+	"density=0.3/seed=1":  "0xb354024692e85ba8ab007610bc0b5b9f6f6ca46b0d2ae5c003be6e116072eadc",
+	"density=0.3/seed=2":  "0x1f79381aefec8f2777d35c1e51969e168de9e0b3312b97357b05cac7d10d8d44",
+	"density=0.3/seed=3":  "0x9482d608e00aa23490d286c4fe676fff20b5666b71ef283e0d4fbf43e259e128",
+	"density=0.8/seed=1":  "0xfa5e91b9f674610c857aebbf1fddc3380f57b8ceed2fa949736af4cbbfdde82c",
+	"density=0.8/seed=2":  "0xd6ad9580063d3c03ce50c0928e743c546a1c62b6ca34e050dae7cc5bb9dd3e98",
+	"density=0.8/seed=3":  "0x0c5650b8ca4c7d04d8fb13b6ed2e5cff72bf6c99e68c60984c76bf842e468048",
+	"lifecycle":           "0xdced63a3be96d01109a5b62a09b7410e93615190af0ac0d90dbb9a46aa9aa833",
+	"sealer-importer-mix": "0x0373ac13ef0b492e67e2a099107cf27661d9a8769cc628ac2a5609e9cd77965a",
 }
 
 // buildLifecycleChain grows one chain through every executor branch: an
 // SRA escrow, a duplicate SRA whose escrow transfer is rolled back, a
 // transfer that fails on its credit, an R* with one genuine and one
 // forged finding, an R* revealed in its commitment's block (rejected),
-// an SCVM create and call, an insurance refund before its window, and a
-// block whose miner is also one of its senders. It returns the chain and
+// a call moving value to a plain address, an insurance refund before its
+// window, and a block whose miner is also one of its senders. It returns the chain and
 // the expected receipt outcome per transaction.
 func buildLifecycleChain(t *testing.T) (*Chain, map[types.Hash]bool) {
 	t.Helper()
@@ -176,27 +178,17 @@ func buildLifecycleChain(t *testing.T) (*Chain, map[types.Hash]bool) {
 	h.extend(ok(sraTx), bad(h.transferTx(h.provider, whale, 100)), ok(h.transferTx(h.provider, types.Address{7}, 9)))
 
 	// Block 2: commit two reports, re-release the same SRA (its escrow
-	// transfer must roll back), deploy an SCVM contract.
+	// transfer must roll back).
 	itx1, dtx1 := h.reportPair(sra.ID, "V-1", "FORGED")
 	dupSRA := signed(types.NewSRATx(sra, 0, 2_000_000, testGasPrice), h.provider)
-	runtime := vm.MustAssemble(`
-		CALLER
-		PUSH 0
-		SSTORE
-		STOP
-	`)
-	deploy := signed(&types.Transaction{Kind: types.TxContractCreate, GasLimit: 3_000_000, Data: initcodeFor(runtime)}, h.provider)
-	h.extend(ok(itx1), bad(dupSRA), ok(deploy))
-	deployed, err := c.ReceiptOf(deploy.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
+	h.extend(ok(itx1), bad(dupSRA))
 
 	// Block 3: the accepted R* (one finding paid, one forged), a second
 	// commitment revealed in its own block (rejected: commit depth), a
-	// call into the deployed contract, a refund before the window ends.
+	// call that moves value to a plain address for its intrinsic gas, a
+	// refund before the window ends.
 	itx2, dtx2 := h.reportPair(sra.ID, "V-2")
-	call := signed(&types.Transaction{Kind: types.TxContractCall, To: deployed.ContractAddress, GasLimit: 200_000}, h.provider)
+	call := signed(&types.Transaction{Kind: types.TxContractCall, To: types.Address{9}, Value: 11, GasLimit: 200_000, Data: []byte{0, 1, 2}}, h.provider)
 	h.extend(ok(dtx1), ok(itx2), bad(dtx2), ok(call), bad(h.refundTx(sra.ID)))
 
 	// Block 4: the miner spends part of the fees and rewards it earned,

@@ -5,7 +5,6 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/vm"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
@@ -14,9 +13,9 @@ import (
 // the affordability check can still fail.
 var overflowSink = types.Address{0x0f, 0xf0}
 
-// failedTxHarness is newHarness plus overflowSink and, deployed in block 1,
-// a contract whose every call reverts.
-func failedTxHarness(t *testing.T) (*harness, types.Address) {
+// failedTxHarness is newHarness plus overflowSink and, released in block 1,
+// an SRA whose detection window is still open.
+func failedTxHarness(t *testing.T) (*harness, types.Hash) {
 	t.Helper()
 	h := &harness{
 		t:        t,
@@ -39,20 +38,13 @@ func failedTxHarness(t *testing.T) (*harness, types.Address) {
 	}
 	h.chain = c
 
-	deploy := &types.Transaction{
-		Kind: types.TxContractCreate, Nonce: h.nextNonce(h.provider.Address()),
-		GasLimit: 3_000_000, GasPrice: testGasPrice,
-		Data: initcodeFor(vm.MustAssemble("PUSH 0\nPUSH 0\nREVERT")),
-	}
-	if err := types.SignTx(deploy, h.provider); err != nil {
-		t.Fatal(err)
-	}
-	h.extend(deploy)
-	r, err := h.chain.ReceiptOf(deploy.Hash())
+	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
+	h.extend(sraTx)
+	r, err := h.chain.ReceiptOf(sraTx.Hash())
 	if err != nil || !r.Success {
-		t.Fatalf("deploying the reverting contract: receipt %+v, err %v", r, err)
+		t.Fatalf("releasing the SRA: receipt %+v, err %v", r, err)
 	}
-	return h, r.ContractAddress
+	return h, sra.ID
 }
 
 // TestFailedTxKeepsTheNonceBumpAndNothingElse owns what applyTx's fail()
@@ -64,7 +56,7 @@ func failedTxHarness(t *testing.T) (*harness, types.Address) {
 // must land on the same root. (TestExecutionGolden pins the absolute
 // roots of a chain with failures in it.)
 func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
-	h, reverting := failedTxHarness(t)
+	h, sraID := failedTxHarness(t)
 	// Each case is executed on its own copy of the head state, so each
 	// transaction carries its sender's current nonce.
 	resign := func(tx *types.Transaction, nonce uint64, w *wallet.Wallet) *types.Transaction {
@@ -81,8 +73,9 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 		tx     *types.Transaction
 		sender *wallet.Wallet
 	}{
-		{"SCVM call that reverts", resign(&types.Transaction{
-			Kind: types.TxContractCall, To: reverting, Value: 7, GasLimit: 200_000, GasPrice: testGasPrice,
+		{"refund before the window opens, carrying value 7", resign(&types.Transaction{
+			Kind: types.TxContractCall, To: contract.Address, Value: 7, GasLimit: 200_000, GasPrice: testGasPrice,
+			Data: contract.RefundInput(sraID),
 		}, providerNonce, h.provider), h.provider},
 		{"R* against an unknown SRA", resign(detailed, 0, h.detector), h.detector},
 		{"transfer that overflows the recipient", resign(&types.Transaction{
@@ -122,7 +115,7 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 			if got.Nonce(sender) != tc.tx.Nonce+1 {
 				t.Errorf("sender nonce %d after the failure, want %d", got.Nonce(sender), tc.tx.Nonce+1)
 			}
-			for _, a := range []types.Address{sender, tc.tx.To, overflowSink, contract.Address, reverting} {
+			for _, a := range []types.Address{sender, tc.tx.To, overflowSink, contract.Address} {
 				if got.Balance(a) != want.Balance(a) {
 					t.Errorf("balance of %s: %s, want %s", a.Short(), got.Balance(a), want.Balance(a))
 				}

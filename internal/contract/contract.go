@@ -4,12 +4,11 @@
 // incentives automatically (paper §V-D, Eq. 7-10).
 //
 // The contract runs natively inside the chain's state-transition function
-// at a reserved address, with its records laid out in ordinary contract
+// at a reserved address, with its records laid out in that account's
 // storage slots — so reorganizations, snapshots and state roots cover it
-// exactly like user contracts. A bytecode escrow (escrow_test.go)
-// implements the value-custody core on the SCVM as well; differential
-// tests pin the two together, and the gas schedule below is calibrated to
-// the bytecode path.
+// like any other state. It is the chain's only contract: no transaction
+// can deploy code. Its gas prices (Params) are constants calibrated to
+// the paper's prototype costs, not metered execution.
 package contract
 
 import (
@@ -362,7 +361,7 @@ func (c *Contract) Refund(st StateDB, blockNum uint64, sraID types.Hash, caller 
 // --- native call dispatch ----------------------------------------------------
 
 // Native method selectors for TxContractCall transactions addressed to the
-// SmartCrowd contract.
+// SmartCrowd contract (Address).
 const (
 	// MethodRefund reclaims un-forfeited insurance after the detection
 	// window (input: selector byte || 32-byte SRA id).

@@ -31,7 +31,6 @@ func goldenState(t *testing.T) *DB {
 	}
 
 	contract := plain[7]
-	db.SetCode(contract, []byte{0x60, 0x01, 0x60, 0x02, 0x01, 0x00})
 	slots := make([]types.Hash, 160)
 	for i := range slots {
 		slots[i] = randHash()
@@ -47,9 +46,7 @@ func goldenState(t *testing.T) *DB {
 
 	ghost := plain[11]
 	db.SetStorage(ghost, slots[0], randHash())
-	db.SetCode(ghost, []byte{0xFE})
 	db.SetStorage(ghost, slots[0], types.Hash{})
-	db.SetCode(ghost, nil)
 	db.SetNonce(ghost, 0)
 	if err := db.Debit(ghost, db.Balance(ghost)); err != nil {
 		t.Fatal(err)
@@ -61,7 +58,6 @@ func goldenState(t *testing.T) *DB {
 		db.SetStorage(contract, slots[60+i], types.Hash{})
 		db.SetStorage(plain[i], randHash(), randHash())
 	}
-	db.SetCode(contract, []byte{0xBA, 0xD0})
 	if err := db.RevertToSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +66,17 @@ func goldenState(t *testing.T) *DB {
 }
 
 // TestStateFormatGolden pins the root format and the SCS1 snapshot bytes:
-// both constants were captured at the last commit that kept accounts in a
-// map under an undo journal, so a match proves the persistent-trie state
-// moved no byte of consensus or snapshot output. Never regenerate them
-// without bumping SnapshotVersion and the root format together.
+// both constants were captured at 2e17feb, the last commit whose accounts
+// could hold code, on this same code-free input, so a match proves that
+// dropping the code field moved no byte of consensus or snapshot output.
+// (The inputs before it, which also wrote code, were pinned at the last
+// commit that kept accounts in a map under an undo journal.) Never
+// regenerate them without bumping SnapshotVersion and the root format
+// together.
 func TestStateFormatGolden(t *testing.T) {
 	const (
-		wantRoot = "0x94cab3d188dace5f190e39b41ed62f2da73a572e73afb75439e0c2d043638483"
-		wantBlob = "0xa7052df285b1c878c95a7766f64448d436c2c4be8cd325912bcd4ac95ccc9539"
+		wantRoot = "0xbf60ef4880ae71bb3d34e5f18a318217c449e22f2104b346c1451c2151e72210"
+		wantBlob = "0x91b03fd82090c2accfc6c249614073bb613467fbaf39420390ce758203bc7190"
 	)
 	db := goldenState(t)
 	if got := db.Root().String(); got != wantRoot {

@@ -67,13 +67,11 @@ func refBit(a types.Address, i int) byte {
 type modelAcct struct {
 	balance types.Amount
 	nonce   uint64
-	code    []byte
 	storage map[types.Hash]types.Hash
 }
 
 func (m *modelAcct) clone() *modelAcct {
 	cp := &modelAcct{balance: m.balance, nonce: m.nonce}
-	cp.code = append([]byte(nil), m.code...)
 	cp.storage = make(map[types.Hash]types.Hash, len(m.storage))
 	for k, v := range m.storage {
 		cp.storage[k] = v
@@ -123,9 +121,6 @@ func checkAgainst(t *testing.T, step int, db *DB, m *model) {
 		}
 		if got := db.Nonce(a); got != acc.nonce {
 			t.Fatalf("step %d: nonce[%s] = %d, model %d", step, a, got, acc.nonce)
-		}
-		if got := db.Code(a); !bytes.Equal(got, acc.code) {
-			t.Fatalf("step %d: code[%s] = %x, model %x", step, a, got, acc.code)
 		}
 		for k, v := range acc.storage {
 			if got := db.GetStorage(a, k); got != v {
@@ -192,17 +187,10 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					if db.Debit(a, v) == nil {
 						m.get(a).balance -= v
 					}
-				case 5: // nonce
+				case 5, 6: // nonce
 					n := rng.Uint64() % 50
 					db.SetNonce(a, n)
 					m.get(a).nonce = n
-				case 6: // code
-					code := []byte{byte(rng.Intn(4)), byte(rng.Intn(4))}
-					if rng.Intn(4) == 0 {
-						code = nil
-					}
-					db.SetCode(a, code)
-					m.get(a).code = append([]byte(nil), code...)
 				case 7, 8: // storage write (zero value deletes)
 					k := keys[rng.Intn(len(keys))]
 					var v types.Hash
@@ -257,8 +245,9 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 							cp.SetStorage(b, k, v)
 							cpm.get(b).storage[k] = v
 						case 2:
-							cp.SetCode(b, []byte{0xFE, byte(i)})
-							cpm.get(b).code = []byte{0xFE, byte(i)}
+							n := uint64(100 + i)
+							cp.SetNonce(b, n)
+							cpm.get(b).nonce = n
 						}
 					}
 					checkAgainst(t, step, cp, cpm)
@@ -296,13 +285,13 @@ func TestCopyOriginalKeepsMutatingSafely(t *testing.T) {
 	k := types.HashBytes([]byte("k"))
 	_ = db.Credit(a, 100)
 	db.SetStorage(a, k, types.HashBytes([]byte("v1")))
-	db.SetCode(a, []byte{1})
+	db.SetNonce(a, 1)
 	wantRoot := db.Root()
 
 	cp := db.Copy()
 	_ = db.Credit(a, 900)
 	db.SetStorage(a, k, types.HashBytes([]byte("v2")))
-	db.SetCode(a, []byte{2})
+	db.SetNonce(a, 2)
 
 	if cp.Balance(a) != 100 {
 		t.Error("original mutation leaked balance into copy")
@@ -310,8 +299,8 @@ func TestCopyOriginalKeepsMutatingSafely(t *testing.T) {
 	if cp.GetStorage(a, k) != types.HashBytes([]byte("v1")) {
 		t.Error("original mutation leaked storage into copy")
 	}
-	if !bytes.Equal(cp.Code(a), []byte{1}) {
-		t.Error("original mutation leaked code into copy")
+	if cp.Nonce(a) != 1 {
+		t.Error("original mutation leaked nonce into copy")
 	}
 	if cp.Root() != wantRoot {
 		t.Error("copy root drifted after original mutated")

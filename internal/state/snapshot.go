@@ -17,7 +17,7 @@
 //	  addr    [20]byte
 //	  balance uint64
 //	  nonce   uint64
-//	  codeLen uint32, code [codeLen]byte
+//	  codeLen uint32   always 0: no account holds code
 //	  slots   uint32, slots × (key [32]byte, value [32]byte) ascending
 package state
 
@@ -45,6 +45,9 @@ var (
 	ErrSnapshotTruncated = errors.New("state: truncated snapshot")
 	ErrSnapshotOrder     = errors.New("state: snapshot records out of order")
 	ErrSnapshotTrailing  = errors.New("state: trailing bytes after snapshot")
+	// errSnapshotCode refuses a record with code: no account holds any, so
+	// a non-zero codeLen is a blob from a build that still ran bytecode.
+	errSnapshotCode = errors.New("state: snapshot account holds code")
 )
 
 // Serialize encodes the DB's accounts into the canonical snapshot format.
@@ -55,7 +58,7 @@ func (db *DB) Serialize() []byte {
 	count, size := uint64(0), 4+1+8
 	critbit.Walk(db.root, func(_ critbit.Key, acc *account) {
 		count++
-		size += wallet.AddressSize + 8 + 8 + 4 + len(acc.code) + 4 + int(acc.slots)*(2*types.HashSize)
+		size += wallet.AddressSize + 8 + 8 + 4 + 4 + int(acc.slots)*(2*types.HashSize)
 	})
 	out := make([]byte, 0, size)
 	out = append(out, snapshotMagic[:]...)
@@ -65,8 +68,7 @@ func (db *DB) Serialize() []byte {
 		out = append(out, k[:wallet.AddressSize]...)
 		out = binary.BigEndian.AppendUint64(out, uint64(acc.balance))
 		out = binary.BigEndian.AppendUint64(out, acc.nonce)
-		out = binary.BigEndian.AppendUint32(out, uint32(len(acc.code)))
-		out = append(out, acc.code...)
+		out = binary.BigEndian.AppendUint32(out, 0) // codeLen
 		out = binary.BigEndian.AppendUint32(out, acc.slots)
 		critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
 			out = append(out, k[:]...)
@@ -136,9 +138,8 @@ func Restore(blob []byte) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		codeBytes, err := r.take(int(codeLen))
-		if err != nil {
-			return nil, err
+		if codeLen != 0 {
+			return nil, fmt.Errorf("%w: account %d declares %d bytes of code", errSnapshotCode, i, codeLen)
 		}
 		slots, err := r.u32()
 		if err != nil {
@@ -148,9 +149,6 @@ func Restore(blob []byte) (*DB, error) {
 			return nil, fmt.Errorf("%w: %d slots declared for account %d", ErrSnapshotTruncated, slots, i)
 		}
 		acc := account{balance: types.Amount(balance), nonce: nonce, slots: slots}
-		if codeLen > 0 {
-			acc.code = append([]byte(nil), codeBytes...)
-		}
 		var prevKey types.Hash
 		for s := uint32(0); s < slots; s++ {
 			kv, err := r.take(2 * types.HashSize)

@@ -1,5 +1,7 @@
 // Package state implements the account state of the SmartCrowd chain:
-// balances (in gwei), nonces, contract code and contract storage.
+// balances (in gwei), nonces and contract storage. No account holds code:
+// the one contract is Go-native (package contract) and keeps its state in
+// the storage of contract.Address.
 //
 // The state is one persistent structure: a crit-bit trie (package
 // critbit) from address to an immutable account record, whose storage is
@@ -11,7 +13,7 @@
 // until the next freeze point rewrite the nodes that copy made instead of
 // copying them again — a transaction's five writes to three accounts cost
 // about three paths, not five. Copy, Snapshot and RevertToSnapshot stay
-// pointer assignments — what the SCVM (failed calls revert), fork
+// pointer assignments — what failed transactions (which revert), fork
 // execution and block building need, at O(1) — and the trie doubles as
 // the commitment: Root sums it with the account and branch hashes,
 // re-hashing only the accounts written since the previous Root plus their
@@ -34,17 +36,16 @@ import (
 type account struct {
 	balance types.Amount
 	nonce   uint64
-	code    []byte // never mutated in place; SetCode installs a fresh slice
 	storage *critbit.Node[types.Hash]
 	// slots counts storage's bindings: the account digest and the snapshot
 	// record both write the count before the slots.
 	slots uint32
 }
 
-// empty reports whether the account holds no value, code or state. Empty
+// empty reports whether the account holds no value or state. Empty
 // accounts are not kept in the trie.
 func (a *account) empty() bool {
-	return a.balance == 0 && a.nonce == 0 && len(a.code) == 0 && a.slots == 0
+	return a.balance == 0 && a.nonce == 0 && a.slots == 0
 }
 
 // State errors.
@@ -202,19 +203,6 @@ func (db *DB) Transfer(from, to types.Address, value types.Amount) error {
 	return db.Credit(to, value)
 }
 
-// Code returns a copy of the contract code at addr (nil for plain
-// accounts). Copying keeps callers from mutating consensus state.
-func (db *DB) Code(addr types.Address) []byte {
-	return append([]byte(nil), db.get(addr).code...)
-}
-
-// SetCode installs contract code at addr.
-func (db *DB) SetCode(addr types.Address, code []byte) {
-	acc := db.get(addr)
-	acc.code = append([]byte(nil), code...)
-	db.put(addr, acc)
-}
-
 // GetStorage reads a contract storage slot.
 func (db *DB) GetStorage(addr types.Address, key types.Hash) types.Hash {
 	v, _ := critbit.Get(db.get(addr).storage, key)
@@ -251,13 +239,14 @@ const (
 // emptyStateRoot commits to the state with no non-empty accounts.
 var emptyStateRoot = types.HashBytes([]byte{trieTagEmpty})
 
-// emptyCodeHash is the code hash of every plain account, c5d2…a470; a
-// constant, so an account digest does not spend a permutation on it.
+// emptyCodeHash is the code hash every account digest carries, c5d2…a470.
+// No account holds code; the field stays so that every root is the one an
+// account without code has always had.
 var emptyCodeHash = keccak.Sum256(nil)
 
-// accountDigest commits to one account: address, balance, nonce, code
-// hash and the storage slots in key order — the per-account serialization
-// the commitment hashes into its leaves.
+// accountDigest commits to one account: address, balance, nonce, the
+// empty code hash and the storage slots in key order — the per-account
+// serialization the commitment hashes into its leaves.
 func accountDigest(addr []byte, acc *account) types.Hash {
 	h := keccak.Get256()
 	defer keccak.Put(h)
@@ -269,11 +258,7 @@ func accountDigest(addr []byte, acc *account) types.Hash {
 	_, _ = h.Write(addr)
 	writeU64(uint64(acc.balance))
 	writeU64(acc.nonce)
-	codeHash := emptyCodeHash
-	if len(acc.code) > 0 {
-		codeHash = keccak.Sum256(acc.code)
-	}
-	_, _ = h.Write(codeHash[:])
+	_, _ = h.Write(emptyCodeHash[:])
 	writeU64(uint64(acc.slots))
 	critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
 		copy(buf[:types.HashSize], k[:])

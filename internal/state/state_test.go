@@ -103,23 +103,6 @@ func TestStorageLifecycle(t *testing.T) {
 	}
 }
 
-func TestCodeLifecycle(t *testing.T) {
-	db := New()
-	c := addr("contract")
-	db.SetCode(c, []byte{1, 2, 3})
-	code := db.Code(c)
-	if len(code) != 3 {
-		t.Fatal("code lost")
-	}
-	code[0] = 99 // callers must not be able to mutate stored code
-	if db.Code(c)[0] == 99 {
-		t.Error("SetCode did not defensively copy")
-	}
-	if !db.Exists(c) {
-		t.Error("account with code should exist")
-	}
-}
-
 func TestSnapshotRevert(t *testing.T) {
 	db := New()
 	a, b := addr("a"), addr("b")
@@ -251,7 +234,7 @@ func TestRootMatchesAfterRevert(t *testing.T) {
 	before := db.Root()
 	s := db.Snapshot()
 	_ = db.Transfer(addr("a"), addr("b"), 25)
-	db.SetCode(addr("c"), []byte{0xFE})
+	db.SetStorage(addr("c"), types.HashBytes([]byte("k")), types.HashBytes([]byte("v")))
 	if err := db.RevertToSnapshot(s); err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,11 @@ const (
 	// force a giant allocation during the open scan. Blocks are wire
 	// objects capped at 8 MiB; 64 MiB is unreachable headroom.
 	maxLogRecord = 64 << 20
-	// formatVersion is the on-disk format version stamped into meta.
-	formatVersion = 1
+	// formatVersion is the on-disk format version stamped into meta. A
+	// version-1 log may hold a contract-creation transaction (kind 2, since
+	// retired) below its snapshot, where a reopen serves blocks without
+	// validating them, so version 1 is refused rather than misread.
+	formatVersion = 2
 )
 
 var (
@@ -235,7 +238,7 @@ func (d *Disk) checkMeta(genesis types.Hash) error {
 		return fmt.Errorf("%w: checksum mismatch", ErrBadMeta)
 	}
 	if raw[4] != formatVersion {
-		return fmt.Errorf("%w: format version %d", ErrBadMeta, raw[4])
+		return fmt.Errorf("%w: format %d, this build reads %d", ErrBadMeta, raw[4], formatVersion)
 	}
 	var stored types.Hash
 	copy(stored[:], raw[5:5+types.HashSize])

@@ -76,10 +76,24 @@ func TestAddRejectsDuplicates(t *testing.T) {
 func TestAddRejectsInvalid(t *testing.T) {
 	p := New(Config{})
 	alice := wallet.NewDeterministic("alice")
-	tx := signedTx(t, alice, 0, 50)
-	tx.Value = 999 // break signature
-	if err := p.Add(tx, newFakeState()); !errors.Is(err, ErrInvalidTx) {
-		t.Errorf("err = %v, want ErrInvalidTx", err)
+	tampered := signedTx(t, alice, 0, 50)
+	tampered.Value = 999 // break signature
+	// Kind 2, contract creation, is retired: signed and well formed, but
+	// not a transaction any more.
+	create := &types.Transaction{Kind: types.TxKind(2), GasLimit: 500_000, GasPrice: 50, Data: []byte{0x60, 0x00, 0x60, 0x00, 0xf3}}
+	if err := types.SignTx(create, alice); err != nil {
+		t.Fatal(err)
+	}
+	for name, tx := range map[string]*types.Transaction{"tampered": tampered, "contract creation": create} {
+		if err := p.Add(tx, newFakeState()); !errors.Is(err, ErrInvalidTx) {
+			t.Errorf("%s: Add err = %v, want ErrInvalidTx", name, err)
+		}
+		if errs := p.AddAllTraced([]*types.Transaction{tx}, newFakeState(), telemetry.TraceContext{}); !errors.Is(errs[0], ErrInvalidTx) {
+			t.Errorf("%s: AddAllTraced err = %v, want ErrInvalidTx", name, errs[0])
+		}
+	}
+	if p.Len() != 0 {
+		t.Errorf("the pool holds %d transactions", p.Len())
 	}
 }
 

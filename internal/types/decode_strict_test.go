@@ -268,7 +268,7 @@ func TestDecodeEncodeIsIdentityOnAcceptedBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	txs := goldenTxs(t)
 	var all []*Transaction
-	for _, kind := range []string{"transfer", "contract-create", "contract-call", "sra", "initial-report", "detailed-report"} {
+	for _, kind := range []string{"transfer", "contract-call", "sra", "initial-report", "detailed-report"} {
 		all = append(all, txs[kind])
 		for _, m := range mutations(EncodeTx(txs[kind]), rng, 200) {
 			checkTxRoundtrip(t, m)

@@ -17,20 +17,22 @@ import (
 // blocks of SmartCrowd also record SRAs and detection reports" (§IV-B).
 type TxKind uint8
 
-// Transaction kinds.
+// Transaction kinds. Kind 2 (contract creation) is retired: no account
+// holds code, and ValidateBasic refuses it. The other kinds keep their
+// numbers, which are part of every transaction's encoding.
 const (
 	// TxTransfer moves value between accounts.
-	TxTransfer TxKind = iota + 1
-	// TxContractCreate deploys SCVM bytecode (Data holds the code).
-	TxContractCreate
-	// TxContractCall invokes a deployed contract (Data holds call input).
-	TxContractCall
+	TxTransfer TxKind = 1
+	// TxContractCall calls the SmartCrowd contract's native methods when
+	// To is contract.Address (Data holds the call input); to any other
+	// address it moves Value for the intrinsic gas.
+	TxContractCall TxKind = 3
 	// TxSRA records a system release announcement Δ.
-	TxSRA
+	TxSRA TxKind = 4
 	// TxInitialReport records an initial detection report R†.
-	TxInitialReport
+	TxInitialReport TxKind = 5
 	// TxDetailedReport records a detailed detection report R*.
-	TxDetailedReport
+	TxDetailedReport TxKind = 6
 )
 
 // String returns the kind name.
@@ -38,8 +40,6 @@ func (k TxKind) String() string {
 	switch k {
 	case TxTransfer:
 		return "transfer"
-	case TxContractCreate:
-		return "contract-create"
 	case TxContractCall:
 		return "contract-call"
 	case TxSRA:
@@ -54,7 +54,9 @@ func (k TxKind) String() string {
 }
 
 // Valid reports whether k is a defined transaction kind.
-func (k TxKind) Valid() bool { return k >= TxTransfer && k <= TxDetailedReport }
+func (k TxKind) Valid() bool {
+	return k == TxTransfer || (k >= TxContractCall && k <= TxDetailedReport)
+}
 
 // Transaction is a signed SmartCrowd transaction. The sender is recovered
 // from the signature (Ethereum-style); From is carried explicitly for
@@ -66,8 +68,8 @@ type Transaction struct {
 	Nonce uint64
 	// From is the sender; must equal the signature's recovered address.
 	From Address
-	// To is the recipient; the contract address for calls, the zero
-	// address for contract creation and protocol payloads.
+	// To is the recipient: the recipient of a transfer or call, the zero
+	// address for protocol payloads.
 	To Address
 	// Value is the attached currency (e.g. the SRA insurance deposit).
 	Value Amount
@@ -75,7 +77,7 @@ type Transaction struct {
 	GasLimit uint64
 	// GasPrice is the fee per unit of gas, paid to the mining provider.
 	GasPrice Amount
-	// Data is the payload (contract code/input or an encoded Δ/R†/R*).
+	// Data is the payload (call input or an encoded Δ/R†/R*).
 	Data []byte
 	// Sig authenticates the transaction.
 	Sig secp256k1.Signature
@@ -302,10 +304,6 @@ func (tx *Transaction) ValidateBasic() error {
 		}
 		if r.Detector != tx.From {
 			return fmt.Errorf("%w: report detector %s, sender %s", ErrTxWrongSender, r.Detector, tx.From)
-		}
-	case TxContractCreate:
-		if len(tx.Data) == 0 {
-			return fmt.Errorf("%w: contract creation with empty code", ErrTxWrongPayload)
 		}
 	}
 	return nil

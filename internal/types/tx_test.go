@@ -77,6 +77,16 @@ func TestValidateBasicKindAndGas(t *testing.T) {
 		t.Errorf("bad kind: err = %v", err)
 	}
 
+	// A contract creation (kind 2) that was valid while accounts could
+	// hold code: signed, with code in Data.
+	create := &Transaction{Kind: TxKind(2), GasLimit: 500_000, GasPrice: 1, Data: []byte{0x60, 0x00, 0x60, 0x00, 0xf3}}
+	if err := SignTx(create, alice); err != nil {
+		t.Fatal(err)
+	}
+	if err := create.ValidateBasic(); !errors.Is(err, ErrTxBadKind) {
+		t.Errorf("contract creation: err = %v, want ErrTxBadKind", err)
+	}
+
 	tx2 := &Transaction{Kind: TxTransfer, GasLimit: 0}
 	if err := tx2.ValidateBasic(); !errors.Is(err, ErrTxNoGas) {
 		t.Errorf("zero gas: err = %v", err)
@@ -266,7 +276,6 @@ func TestSeverityValidity(t *testing.T) {
 func TestTxKindStrings(t *testing.T) {
 	kinds := map[TxKind]string{
 		TxTransfer:       "transfer",
-		TxContractCreate: "contract-create",
 		TxContractCall:   "contract-call",
 		TxSRA:            "sra",
 		TxInitialReport:  "initial-report",
@@ -282,5 +291,13 @@ func TestTxKindStrings(t *testing.T) {
 	}
 	if TxKind(0).Valid() || TxKind(7).Valid() {
 		t.Error("out-of-range kinds should be invalid")
+	}
+	// Kind 2, contract creation, is retired; its neighbours keep their
+	// numbers.
+	if TxKind(2).Valid() || TxKind(2).String() != "kind(2)" {
+		t.Errorf("kind 2 is %q, valid %v: want a retired kind", TxKind(2), TxKind(2).Valid())
+	}
+	if TxTransfer != 1 || TxContractCall != 3 || TxSRA != 4 || TxInitialReport != 5 || TxDetailedReport != 6 {
+		t.Error("a transaction kind changed its number")
 	}
 }
