@@ -33,7 +33,8 @@ lint:
 # the transaction and block decoders gossip feeds, the snap-sync,
 # range-sync and relay-announcement payload decoders a hostile peer
 # controls, and the signature parser and recovery kernel every signed byte
-# reaches — the latter differentially against its math/big oracle), plus
+# reaches — the latter differentially against its math/big oracle, with
+# the GLV scalar split under it checked the same way), plus
 # the hash under all of them, differentially against the loop-form sponge,
 # and the trie writer's in-place rewrites, differentially against a map
 # and fresh path-copied builds. Override FUZZTIME for longer local
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParseTxRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSignature$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzRecoverDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
+	$(GO) test -fuzz='^FuzzSplitLambda$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzSum256Differential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/keccak/
 	$(GO) test -fuzz='^FuzzTrieWriterDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/critbit/
 

@@ -9,7 +9,8 @@
 // differentially tested against the Go standard library
 // (secp256k1_test.go). For the secp256k1 singleton its methods dispatch
 // to fixed four-limb kernels — field.go (mod p), scalar.go (mod n),
-// point_fast.go (Jacobian points, wNAF and the generator comb) — which
+// point_fast.go (Jacobian points, the GLV/Strauss chain and the generator
+// comb) — which
 // allocate nothing and are themselves differentially tested against the
 // math/big layer. RecoverPublicKeyXY, the one signature check production
 // code runs, is written directly on the kernels and never touches
@@ -341,8 +342,9 @@ func (c *Curve) Neg(p Point) Point {
 
 // ScalarMult returns k·p using a left-to-right 4-bit fixed window over
 // Jacobian coordinates (the 15-entry odd/even table costs 14 additions and
-// saves ~64 additions over plain double-and-add for 256-bit scalars). k is
-// reduced modulo the group order.
+// saves ~64 additions over plain double-and-add for 256-bit scalars); on
+// secp256k1 it is the recovery chain with no generator term (geMulAdd).
+// k is reduced modulo the group order.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 	k = new(big.Int).Mod(k, c.N)
 	if k.Sign() == 0 || p.Infinity() {
@@ -352,7 +354,7 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		gp := geFromAffine(p)
 		var ks scalar
 		ks.scSetBig(k)
-		out := geScalarMult(&gp, &ks)
+		out := geMulAdd(&scalar{}, &gp, &ks)
 		return geToAffine(&out)
 	}
 	// table[w] = w·p for w in 1..15.

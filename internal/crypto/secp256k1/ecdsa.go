@@ -172,9 +172,11 @@ func (k *PrivateKey) Sign(digest []byte) (Signature, error) {
 // of the order — (R, n−S, V⊕1) recovers the same key, and accepting both
 // would give every signed message two valid encodings.
 //
-// The key is Q = u₁·G + u₂·R with u₁ = −e·r⁻¹ and u₂ = s·r⁻¹ (mod n): one
-// variable-base multiplication, one generator-comb multiplication, one
-// addition and one field inversion, all on fixed limbs from the
+// The key is Q = u₁·G + u₂·R with u₁ = −e·r⁻¹ and u₂ = s·r⁻¹ (mod n):
+// one decompression (a square root), two binary-GCD inversions (r⁻¹ and
+// Q's Z) and one geMulAdd, which splits both scalars with the GLV
+// endomorphism and runs the four half-length multiplications on one
+// chain of at most 129 doublings — all on fixed limbs from the
 // signature's bytes to the key's. It allocates nothing.
 func RecoverPublicKeyXY(digest []byte, sig Signature) (xy [64]byte, err error) {
 	var r, s scalar
@@ -200,9 +202,7 @@ func RecoverPublicKeyXY(digest []byte, sig Signature) (xy [64]byte, err error) {
 	u1.scNeg()
 	scMulInto(&u2, &s, &rInv)
 
-	q := geScalarMult(&rPoint, &u2)
-	u1G := geScalarBaseMult(&u1)
-	geAdd(&q, &q, &u1G)
+	q := geMulAdd(&u1, &rPoint, &u2)
 	pub, ok := q.affine()
 	if !ok || !pub.isOnCurve() {
 		return xy, ErrInvalidSignature

@@ -15,11 +15,11 @@ import "math/bits"
 // for arbitrary curves (P-256 differential testing) and as the oracle
 // the tests compare this file against.
 //
-// Multiplication and squaring are unrolled schoolbook products; inversion
-// and square root are fixed addition chains over the (public) exponents
-// p − 2 and (p + 1)/4. Everything is differentially tested against
-// math/big in field_test.go. The code is not constant-time (see the
-// package comment).
+// Multiplication and squaring are unrolled schoolbook products; square
+// root is a fixed addition chain over the (public) exponent (p + 1)/4, and
+// inversion the binary extended Euclid scalars use too (limbsInvMod).
+// Everything is differentially tested against math/big in field_test.go.
+// The code is not constant-time (see the package comment).
 
 // pFold is 2²⁵⁶ mod p.
 const pFold uint64 = 0x1000003D1
@@ -33,6 +33,10 @@ var pLimbs = [4]uint64{
 type fieldVal struct {
 	n [4]uint64
 }
+
+// feBeta is β, the cube root of unity mod p that pairs with scLambda:
+// φ(x, y) = (β·x, y) is the point λ·(x, y).
+var feBeta = fieldVal{n: [4]uint64{0xC1396C28719501EE, 0x9CF0497512F58995, 0x6E64479EAC3434E9, 0x7AE96A2B657C0710}}
 
 // feIsZero reports whether a == 0.
 func (a *fieldVal) feIsZero() bool {
@@ -292,11 +296,11 @@ func feSqrMul(dst, a *fieldVal, n int, b *fieldVal) {
 	feMulInto(dst, &t, b)
 }
 
-// fePow223 computes the three powers both fixed exponents share: with
+// fePow223 computes the powers square root's exponent starts with: with
 // xₖ = a^(2ᵏ − 1) (k one-bits), it returns x2, x22 and x223, built along
 // the chain 1, 2, 3, 6, 9, 11, 22, 44, 88, 176, 220, 223 (libsecp256k1's).
-// p − 2 and (p + 1)/4 both start with 223 ones, a zero and 22 ones; only
-// their last few bits differ.
+// (p + 1)/4 starts with 223 ones, a zero and 22 ones, and so does p − 2
+// (the Fermat inverse field_test.go checks feInvInto against).
 func fePow223(a *fieldVal) (x2, x22, x223 fieldVal) {
 	var x3, x6, x9, x11, x44, x88, x176, x220 fieldVal
 	feSqrMul(&x2, a, 1, a)
@@ -313,17 +317,9 @@ func fePow223(a *fieldVal) (x2, x22, x223 fieldVal) {
 	return x2, x22, x223
 }
 
-// feInvInto sets dst = a⁻¹ mod p via Fermat's little theorem, a^(p−2):
-// 255 squarings and 15 multiplications. The inverse of zero is zero.
-func feInvInto(dst, a *fieldVal) {
-	x2, x22, x223 := fePow223(a)
-	// p − 2 = [223 ones] 0 [22 ones] 0000 1 011 01.
-	var t fieldVal
-	feSqrMul(&t, &x223, 23, &x22)
-	feSqrMul(&t, &t, 5, a)
-	feSqrMul(&t, &t, 3, &x2)
-	feSqrMul(dst, &t, 2, a)
-}
+// feInvInto sets dst = a⁻¹ mod p (limbsInvMod). The inverse of zero is
+// zero.
+func feInvInto(dst, a *fieldVal) { limbsInvMod(&dst.n, &a.n, &pLimbs) }
 
 // feSqrtInto sets dst to a square root of a and reports whether a has one.
 // p ≡ 3 (mod 4), so a^((p+1)/4) is a root exactly when a is a quadratic

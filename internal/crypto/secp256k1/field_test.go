@@ -191,13 +191,28 @@ func TestFieldSqrHalveDifferential(t *testing.T) {
 	}
 }
 
-// TestFieldInvChain pins the addition-chain inverse: against ModInverse
-// everywhere it is defined, and 0 ↦ 0.
+// feInvFermat sets dst = a⁻¹ mod p via Fermat's little theorem, a^(p−2):
+// 255 squarings and 15 multiplications along the addition chain
+// feSqrtInto shares. It was the production inverse before the binary GCD
+// (limbsInvMod) replaced it, and is now that inverse's oracle. The
+// inverse of zero is zero.
+func feInvFermat(dst, a *fieldVal) {
+	x2, x22, x223 := fePow223(a)
+	// p − 2 = [223 ones] 0 [22 ones] 0000 1 011 01.
+	var t fieldVal
+	feSqrMul(&t, &x223, 23, &x22)
+	feSqrMul(&t, &t, 5, a)
+	feSqrMul(&t, &t, 3, &x2)
+	feSqrMul(dst, &t, 2, a)
+}
+
+// TestFieldInvChain pins the addition-chain (Fermat) inverse: against
+// ModInverse everywhere it is defined, and 0 ↦ 0.
 func TestFieldInvChain(t *testing.T) {
 	p := S256().P
 	for _, av := range seededFes(300) {
 		fe := feFromBig(av)
-		feInvInto(&fe, &fe)
+		feInvFermat(&fe, &fe)
 		want := new(big.Int)
 		if av.Sign() != 0 {
 			want.ModInverse(av, p)
@@ -205,6 +220,41 @@ func TestFieldInvChain(t *testing.T) {
 		if feToBig(&fe).Cmp(want) != 0 {
 			t.Fatalf("inv(%x) = %x, want %x", av, feToBig(&fe), want)
 		}
+	}
+}
+
+// TestFieldInvMatchesFermat: the binary-GCD inverse agrees with the Fermat
+// chain on 10⁴ seeded values and the edges (0, 1, p − 1 among them), in
+// place as the Jacobian-to-affine conversion calls it.
+func TestFieldInvMatchesFermat(t *testing.T) {
+	for _, av := range seededFes(10_000) {
+		fe := feFromBig(av)
+		var want fieldVal
+		feInvFermat(&want, &fe)
+		feInvInto(&fe, &fe)
+		if fe != want {
+			t.Fatalf("inv(%x) = %x, Fermat says %x", av, feToBig(&fe), feToBig(&want))
+		}
+	}
+}
+
+// TestBetaEndomorphism pins β to libsecp256k1's value, checks it is a
+// nontrivial cube root of unity mod p, and checks it pairs with λ on the
+// math/big layer: (β·x, y) of G is λ·G.
+func TestBetaEndomorphism(t *testing.T) {
+	p := S256().P
+	beta := mustHex("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee")
+	if got := feToBig(&feBeta); got.Cmp(beta) != 0 {
+		t.Fatalf("feBeta = %x, want %x", got, beta)
+	}
+	if cube := new(big.Int).Exp(beta, big.NewInt(3), p); cube.Cmp(big.NewInt(1)) != 0 {
+		t.Errorf("β³ mod p = %x, want 1", cube)
+	}
+	g := bigS256.Generator()
+	phiG := Point{X: new(big.Int).Mul(beta, g.X), Y: g.Y}
+	phiG.X.Mod(phiG.X, p)
+	if lambdaG := bigS256.ScalarMult(g, scToBig(&scLambda)); !lambdaG.Equal(phiG) {
+		t.Errorf("λ·G = %v, want φ(G) = %v", lambdaG, phiG)
 	}
 }
 

@@ -11,6 +11,12 @@ import (
 // The generic big.Int path in curve.go remains for arbitrary curves
 // (P-256 differential tests); the public Curve methods dispatch here when
 // the receiver is the secp256k1 singleton.
+//
+// Two multiplications live here. geMulAdd (u₁·G + u₂·P, GLV-split and
+// Strauss-interleaved) is every recovery and every variable-base
+// multiplication; geScalarBaseMult (the generator comb) is key
+// generation and Sign, which multiply G alone — geBaseTable says why the
+// comb stays there.
 
 // gePoint is a Jacobian point (X/Z², Y/Z³); Z == 0 encodes infinity.
 type gePoint struct {
@@ -223,37 +229,36 @@ func geAddTail(dst, p *gePoint, u1, s1, h, r, z1z2 *fieldVal) {
 	dst.y.feSub(&s1hhh)
 }
 
-// wnafWidth is the window of the variable-base multiplication: digits are
-// odd and in (−2⁴, 2⁴), so a table of the eight odd multiples P, 3P, …,
-// 15P serves them all and on average one doubling in six is followed by
-// an addition (one in four for a plain 4-bit window).
-const wnafWidth = 5
-
 // wnaf rewrites k in width-w non-adjacent form, least-significant digit
 // first: k = Σ digits[i]·2ⁱ with every nonzero digit odd, |digit| < 2^(w−1)
-// and at most one nonzero digit in any w consecutive positions. It returns
-// the number of digits used; a carry out of bit 255 lands in digit 256.
-func (k *scalar) wnaf(digits *[257]int8) int {
+// and at most one nonzero digit in any w consecutive positions, so a table
+// of the 2^(w−2) odd multiples P, 3P, … serves every digit and on average
+// one position in w+1 calls for an addition. w is at most 8 (the digits
+// are int8). It returns the number of digits used; a carry out of bit 255
+// lands in digit 256.
+func (k *scalar) wnaf(w int, digits *[257]int8) int {
 	bit := func(i int) uint64 { return k.n[i>>6] >> (i & 63) & 1 }
+	// Limbs above top are zero: a short scalar (a GLV half) stops there.
+	top := 256
+	for top > 0 && k.n[top/64-1] == 0 {
+		top -= 64
+	}
 	used := 0
 	var carry uint64
-	for i := 0; i < 256; {
+	for i := 0; i < 256 && (i < top || carry != 0); {
 		if bit(i) == carry {
 			i++
 			continue
 		}
 		// The window starting at a set position (after carry) is odd.
 		var word uint64
-		width := wnafWidth
-		if 256-i < width {
-			width = 256 - i
-		}
+		width := min(w, 256-i)
 		for j := width - 1; j >= 0; j-- {
 			word = word<<1 | bit(i+j)
 		}
 		word += carry
-		carry = word >> (wnafWidth - 1) & 1
-		digits[i] = int8(int64(word) - int64(carry<<wnafWidth))
+		carry = word >> (w - 1) & 1
+		digits[i] = int8(int64(word) - int64(carry<<w))
 		used = i + 1
 		i += width
 	}
@@ -264,42 +269,137 @@ func (k *scalar) wnaf(digits *[257]int8) int {
 	return used
 }
 
-// geScalarMult computes k·p for an arbitrary point by width-5 wNAF:
-// one doubling per bit of k and an addition from the odd-multiples table
-// at each nonzero digit. This is the one variable-base multiplication of
-// a verification or a recovery.
-func geScalarMult(p *geAffine, k *scalar) gePoint {
-	if k.scIsZero() {
-		return geInfinity()
-	}
-	// table[i] = (2i+1)·p.
-	var table [1 << (wnafWidth - 2)]gePoint
-	var twoP gePoint
-	table[0] = p.jacobian()
-	geDouble(&twoP, &table[0])
-	for i := 1; i < len(table); i++ {
-		geAdd(&table[i], &table[i-1], &twoP)
-	}
+// glvWnaf splits k ≡ k₁ + k₂·λ (mod n) and writes both halves in width-w
+// NAF, each half's sign folded into its digits: k·P is then
+// Σ d1[i]·2ⁱ·P + Σ d2[i]·2ⁱ·φ(P). It returns the longer digit count, at
+// most 129.
+func (k *scalar) glvWnaf(w int, d1, d2 *[257]int8) int {
+	var k1, k2 scalar
+	k.splitLambda(&k1, &k2)
+	return max(k1.wnafSigned(w, d1), k2.wnafSigned(w, d2))
+}
 
-	var digits [257]int8
-	acc := geInfinity()
-	for i := k.wnaf(&digits) - 1; i >= 0; i-- {
-		geDouble(&acc, &acc)
-		switch d := digits[i]; {
-		case d > 0:
-			geAdd(&acc, &acc, &table[d>>1])
-		case d < 0:
-			neg := table[(-d)>>1]
-			neg.y.feNeg()
-			geAdd(&acc, &acc, &neg)
+// wnafSigned is wnaf of a scalar read as signed: one above ⌊n/2⌋ is
+// written as the negated digits of n − k.
+func (k *scalar) wnafSigned(w int, digits *[257]int8) int {
+	neg := k.scIsHigh()
+	if neg {
+		k.scNeg()
+	}
+	used := k.wnaf(w, digits)
+	if neg {
+		for i := range digits[:used] {
+			digits[i] = -digits[i]
 		}
 	}
+	return used
+}
+
+// The windows of geMulAdd: the point's odd multiples are built per call,
+// so its window stays small (8 Jacobian entries); the generator's are
+// built once, so its window is the widest int8 digits allow (64 affine
+// entries, one mixed addition per nine positions).
+const (
+	glvWindowP = 5
+	glvWindowG = 8
+)
+
+// geGlvTable holds, affine, the odd multiples (2i+1)·G for i < 64 in
+// row 0 and their images under φ in row 1: what the generator's halves
+// of geMulAdd add. 8 KB, built on first use.
+var (
+	geGlvOnce  sync.Once
+	geGlvTable *[2][1 << (glvWindowG - 2)]geAffine
+)
+
+func geGlv() *[2][1 << (glvWindowG - 2)]geAffine {
+	geGlvOnce.Do(func() {
+		table := new([2][1 << (glvWindowG - 2)]geAffine)
+		g := geFromAffine(S256().Generator())
+		acc := g.jacobian()
+		geDouble(&acc, &acc)
+		twoG, _ := acc.affine()
+		acc = g.jacobian()
+		for i := range table[0] {
+			table[0][i], _ = acc.affine()
+			feMulInto(&table[1][i].x, &table[0][i].x, &feBeta)
+			table[1][i].y = table[0][i].y
+			geAddMixed(&acc, &acc, &twoG)
+		}
+		geGlvTable = table
+	})
+	return geGlvTable
+}
+
+// geMulAdd computes u1·G + u2·p for a curve point p: all of a
+// recovery's point arithmetic, and with u1 = 0 the package's
+// variable-base multiplication. Each scalar splits along the endomorphism
+// φ(x, y) = (β·x, y) = λ·(x, y) into halves below 2¹²⁸, which turns the
+// two 256-bit multiplications into four 128-bit ones over G, φ(G), p and
+// φ(p); interleaved (Strauss), they share one chain of at most 129
+// doublings, each followed by the additions the four NAFs call for.
+func geMulAdd(u1 *scalar, p *geAffine, u2 *scalar) gePoint {
+	var dg, dgPhi, dp, dpPhi [257]int8
+	used := max(u1.glvWnaf(glvWindowG, &dg, &dgPhi), u2.glvWnaf(glvWindowP, &dp, &dpPhi))
+
+	// tp[i] = (2i+1)·p and tpPhi[i] = φ(tp[i]): φ scales X by β in
+	// Jacobian coordinates too (x = X/Z²).
+	var tp, tpPhi [1 << (glvWindowP - 2)]gePoint
+	var twoP gePoint
+	tp[0] = p.jacobian()
+	geDouble(&twoP, &tp[0])
+	for i := range tp {
+		if i > 0 {
+			geAdd(&tp[i], &tp[i-1], &twoP)
+		}
+		tpPhi[i] = tp[i]
+		feMulInto(&tpPhi[i].x, &tp[i].x, &feBeta)
+	}
+	tg := geGlv()
+
+	acc := geInfinity()
+	for i := used - 1; i >= 0; i-- {
+		geDouble(&acc, &acc)
+		geAddDigit(&acc, &tp, dp[i])
+		geAddDigit(&acc, &tpPhi, dpPhi[i])
+		geAddDigitAffine(&acc, &tg[0], dg[i])
+		geAddDigitAffine(&acc, &tg[1], dgPhi[i])
+	}
 	return acc
+}
+
+// geAddDigit adds d·P to acc for a NAF digit d, table[i] holding
+// (2i+1)·P; a zero digit adds nothing.
+func geAddDigit(acc *gePoint, table *[1 << (glvWindowP - 2)]gePoint, d int8) {
+	switch {
+	case d > 0:
+		geAdd(acc, acc, &table[d>>1])
+	case d < 0:
+		neg := table[(-d)>>1]
+		neg.y.feNeg()
+		geAdd(acc, acc, &neg)
+	}
+}
+
+// geAddDigitAffine is geAddDigit over an affine table (mixed additions).
+func geAddDigitAffine(acc *gePoint, table *[1 << (glvWindowG - 2)]geAffine, d int8) {
+	switch {
+	case d > 0:
+		geAddMixed(acc, acc, &table[d>>1])
+	case d < 0:
+		neg := table[(-d)>>1]
+		neg.y.feNeg()
+		geAddMixed(acc, acc, &neg)
+	}
 }
 
 // geBaseTable is the comb table for the generator, held affine so every
 // addition is a mixed one: table[i][w] = w·2^(4i)·G for w ∈ [1, 16) (entry
 // 0 is unused — a zero window adds nothing). 64 KB, built on first use.
+// Key generation and Sign multiply G alone, and for that the comb beats
+// geMulAdd: at most 64 mixed additions and no doublings, against ~129
+// doublings plus ~30 additions — the chain pays off only when a second,
+// variable base shares its doublings.
 var (
 	geBaseOnce  sync.Once
 	geBaseTable *[64][16]geAffine

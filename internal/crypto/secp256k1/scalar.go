@@ -118,19 +118,23 @@ func (a *scalar) scNeg() {
 }
 
 // scSub sets a = a − b mod n.
-func (a *scalar) scSub(b *scalar) {
-	if limbsSub(&a.n, &b.n) != 0 {
-		limbsAdd(&a.n, &nLimbs)
+func (a *scalar) scSub(b *scalar) { limbsSubMod(&a.n, &b.n, &nLimbs) }
+
+// limbsSubMod sets a = a − b mod m for a, b < m.
+func limbsSubMod(a, b, m *[4]uint64) {
+	if limbsSub(a, b) != 0 {
+		limbsAdd(a, m)
 	}
 }
 
-// scHalve sets a = a/2 mod n: an odd a becomes even by adding n first.
-func (a *scalar) scHalve() {
+// limbsHalveMod sets a = a/2 mod m for an odd m and a < m: an odd a
+// becomes even by adding m first.
+func limbsHalveMod(a, m *[4]uint64) {
 	var carry uint64
-	if a.n[0]&1 == 1 {
-		carry = limbsAdd(&a.n, &nLimbs)
+	if a[0]&1 == 1 {
+		carry = limbsAdd(a, m)
 	}
-	limbsShr1(&a.n, carry)
+	limbsShr1(a, carry)
 }
 
 // scMulInto sets dst = a·b mod n.
@@ -174,36 +178,43 @@ func scFold(out *[8]uint64, lo, hi []uint64) {
 	}
 }
 
-// scInvInto sets dst = a⁻¹ mod n by the binary extended Euclidean
-// algorithm (HAC 14.61 specialised to an odd modulus): u and v shrink
-// from (a, n) towards 1 by halving and subtracting while x1·a ≡ u and
-// x2·a ≡ v (mod n) are maintained. A few hundred shift-and-subtract steps
-// on four limbs, against the ~330 modular multiplications of a windowed
-// a^(n−2). The inverse of zero is zero.
-func scInvInto(dst, a *scalar) {
-	if a.scIsZero() {
-		*dst = scalar{}
+// scInvInto sets dst = a⁻¹ mod n (limbsInvMod); the inverse of zero is
+// zero.
+func scInvInto(dst, a *scalar) { limbsInvMod(&dst.n, &a.n, &nLimbs) }
+
+// limbsInvMod sets dst = a⁻¹ mod m for a prime m and a < m by the binary
+// extended Euclidean algorithm (HAC 14.61 specialised to an odd modulus):
+// u and v shrink from (a, m) towards 1 by halving and subtracting while
+// x1·a ≡ u and x2·a ≡ v (mod m) are maintained. A few hundred
+// shift-and-subtract steps on four limbs, against the ~270 modular
+// squarings and multiplications of a^(m−2). Its running time depends on
+// a, which costs a recovery nothing (every input of one is public) and
+// is no new exposure elsewhere: the package is not constant-time. The
+// inverse of zero is zero.
+func limbsInvMod(dst, a, m *[4]uint64) {
+	one := [4]uint64{1}
+	if *a == [4]uint64{} {
+		*dst = *a
 		return
 	}
-	u, v := a.n, nLimbs
-	x1, x2 := scalar{n: [4]uint64{1}}, scalar{}
-	one := [4]uint64{1}
+	u, v := *a, *m
+	x1, x2 := one, [4]uint64{}
 	for u != one && v != one {
 		for u[0]&1 == 0 {
 			limbsShr1(&u, 0)
-			x1.scHalve()
+			limbsHalveMod(&x1, m)
 		}
 		for v[0]&1 == 0 {
 			limbsShr1(&v, 0)
-			x2.scHalve()
+			limbsHalveMod(&x2, m)
 		}
-		// gcd(u, v) = gcd(a, n) = 1, so u = v only at 1, which ends the loop.
+		// gcd(u, v) = gcd(a, m) = 1, so u = v only at 1, which ends the loop.
 		if limbsLess(&u, &v) {
 			limbsSub(&v, &u)
-			x2.scSub(&x1)
+			limbsSubMod(&x2, &x1, m)
 		} else {
 			limbsSub(&u, &v)
-			x1.scSub(&x2)
+			limbsSubMod(&x1, &x2, m)
 		}
 	}
 	if u == one {
@@ -211,4 +222,44 @@ func scInvInto(dst, a *scalar) {
 	} else {
 		*dst = x2
 	}
+}
+
+// The GLV endomorphism: λ is a cube root of unity mod n and β one mod p,
+// paired so that λ·(x, y) = (β·x, y) for every curve point (feBeta). A
+// scalar k splits as k ≡ k₁ + k₂·λ with both halves near √n; the basis
+// vectors (a₁, b₁) = (b₂, −glvMinusB1) and (a₂, b₂) of the lattice
+// {(a, b) : a + b·λ ≡ 0 (mod n)} are libsecp256k1's, and glvG1, glvG2 are
+// its precomputed ⌊2³⁸⁴·b₂/n⌉ and ⌊−2³⁸⁴·b₁/n⌉.
+var (
+	scLambda   = scalar{n: [4]uint64{0xDF02967C1B23BD72, 0x122E22EA20816678, 0xA5261C028812645A, 0x5363AD4CC05C30E0}}
+	glvMinusB1 = scalar{n: [4]uint64{0x6F547FA90ABFE4C3, 0xE4437ED6010E8828}}
+	glvB2      = scalar{n: [4]uint64{0xE86C90E49284EB15, 0x3086D221A7D46BCD}}
+	glvG1      = [4]uint64{0xE893209A45DBB031, 0x3DAA8A1471E8CA7F, 0xE86C90E49284EB15, 0x3086D221A7D46BCD}
+	glvG2      = [4]uint64{0x1571B4AE8AC47F71, 0x221208AC9DF506C6, 0x6F547FA90ABFE4C4, 0xE4437ED6010E8828}
+)
+
+// splitLambda sets k1 and k2 to k ≡ k1 + k2·λ (mod n) with k1 and k2
+// short: each, or its negation mod n, is below 2¹²⁸ (libsecp256k1's
+// split_lambda). c₁ and c₂ are k·b₂/n and −k·b₁/n rounded to integers,
+// so c₁·(a₁, b₁) + c₂·(a₂, b₂) is the lattice point nearest (k, 0) and
+// (k1, k2) is k's offset from it: k2 = −c₁·b₁ − c₂·b₂ and k1 = k − k2·λ.
+func (k *scalar) splitLambda(k1, k2 *scalar) {
+	c1, c2 := mulShift384(&k.n, &glvG1), mulShift384(&k.n, &glvG2)
+	var t scalar
+	scMulInto(k2, &c1, &glvMinusB1)
+	scMulInto(&t, &c2, &glvB2)
+	k2.scSub(&t)
+	scMulInto(&t, k2, &scLambda)
+	*k1 = *k
+	k1.scSub(&t)
+}
+
+// mulShift384 returns k·g / 2³⁸⁴ rounded to the nearest integer (at most
+// 2¹²⁸ for the two g above, so it is a reduced scalar).
+func mulShift384(k, g *[4]uint64) (c scalar) {
+	_, _, _, _, _, r5, r6, r7 := mul256(k, g)
+	var carry uint64
+	c.n[0], carry = bits.Add64(r6, r5>>63, 0)
+	c.n[1], c.n[2] = bits.Add64(r7, 0, carry)
+	return c
 }

@@ -6,10 +6,13 @@ import (
 	"crypto/elliptic"
 	"crypto/rand"
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 )
 
 func TestGeneratorOnCurve(t *testing.T) {
@@ -221,6 +224,42 @@ func TestSignDeterministic(t *testing.T) {
 	}
 	if a != b {
 		t.Error("RFC 6979 signing is not deterministic")
+	}
+}
+
+// TestSignKnownAnswers pins Sign to published RFC 6979 secp256k1 vectors
+// (private key 1, SHA-256 digests; low-S form), and each signature must
+// recover to the address of G — the Keccak-256 of its X ‖ Y, last 20
+// bytes.
+func TestSignKnownAnswers(t *testing.T) {
+	key := NewPrivateKey(big.NewInt(1))
+	for _, tc := range []struct {
+		msg, r, s string
+		v         byte
+	}{
+		{"Satoshi Nakamoto",
+			"934b1ea10a4b3c1757e2b0c017d0b6143ce3c9a7e6a4a49860d7a6ab210ee3d8",
+			"2442ce9d2b916064108014783e923ec36b49743e2ffa1c4496f01a512aafd9e5", 1},
+		{"All those moments will be lost in time, like tears in rain. Time to die...",
+			"8600dbd41e348fe5c9465ab92d23e3db8b98b873beecd930736488696438cb6b",
+			"547fe64427496db33bf66019dacbf0039c04199abb0122918601db38a72cfc21", 0},
+	} {
+		digest := sha256.Sum256([]byte(tc.msg))
+		sig, err := key.Sign(digest[:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, s := hex.EncodeToString(sig.R[:]), hex.EncodeToString(sig.S[:]); r != tc.r || s != tc.s || sig.V != tc.v {
+			t.Errorf("%q: signed (%s, %s, %d), want (%s, %s, %d)", tc.msg, r, s, sig.V, tc.r, tc.s, tc.v)
+		}
+		xy, err := RecoverPublicKeyXY(digest[:], sig)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.msg, err)
+		}
+		hash := keccak.Sum256(xy[:])
+		if addr := hex.EncodeToString(hash[12:]); addr != "7e5f4552091a69125d5dfcb7b8c2659029395bdf" {
+			t.Errorf("%q recovers to address %s, want G's", tc.msg, addr)
+		}
 	}
 }
 
