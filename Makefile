@@ -24,9 +24,12 @@ check: fmt vet lint race telemetry-budget trace-budget
 # commits (fsyncdisc), and no exported internal/ symbol that only tests
 # reference (deadexport) — ten passes; `scvet -list` prints the catalog.
 # Audited exceptions live in .scvet.allow with their justifications
-# (DESIGN.md §9).
+# (DESIGN.md §9). The last line fails if a non-test package imports
+# math/big: it is the secp256k1 tests' oracle, never production
+# arithmetic.
 lint:
 	$(GO) run ./cmd/scvet ./...
+	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... ./cmd/... | grep -w 'math/big'; then echo 'lint: math/big imported by non-test code (above)'; exit 1; fi
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and
@@ -76,7 +79,7 @@ race:
 # bench runs the chain-core microbenchmarks (state root, state fork, block
 # insert, reorg, detection query), the trie's (64 writes path-copied
 # against one generation), the signature kernel's (field multiplication
-# and inversion, sign, verify, recover) and the hash kernel's
+# and inversion, sign, recover) and the hash kernel's
 # (permutation, a trie branch, 1 KiB).
 bench:
 	$(GO) test ./internal/state/ ./internal/chain/ -run NONE -bench . -benchtime 20x -benchmem
@@ -110,10 +113,11 @@ telemetry-budget:
 trace-budget:
 	$(GO) test ./internal/telemetry/ -run TestTraceOverheadBudget -count=1 -v
 
-# loc prints tracked line counts in the three buckets a PR's CHANGES.md
-# entry reports its net delta in: non-test Go, test Go (with testdata),
-# and docs. benchmark/ is excluded (frozen by BENCHMARK.json).
+# loc prints tracked line counts in the three buckets a CHANGES.md entry
+# reports its net delta in: non-test Go, test Go (with testdata), and
+# docs. benchmark/ is excluded (frozen by BENCHMARK.json), and so is the
+# task description at the root, which every change rewrites.
 loc:
 	@printf 'non-test Go %s\n' "$$(git ls-files -- '*.go' ':!*_test.go' ':!*/testdata/*' ':!benchmark' | xargs cat | wc -l)"
 	@printf 'test Go     %s\n' "$$(git ls-files -- '*_test.go' '*/testdata/*' ':!benchmark' | xargs cat | wc -l)"
-	@printf 'docs        %s\n' "$$(git ls-files -- '*.md' ':!benchmark' | xargs cat | wc -l)"
+	@printf 'docs        %s\n' "$$(git ls-files -- '*.md' ':!benchmark' ':!ISSUE.md' | xargs cat | wc -l)"

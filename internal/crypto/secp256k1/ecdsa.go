@@ -1,3 +1,19 @@
+// Package secp256k1 implements the secp256k1 elliptic curve and ECDSA
+// signatures with deterministic (RFC 6979) nonces and public-key recovery,
+// matching the signature scheme the SmartCrowd paper prescribes for SRAs
+// (Eq. 2) and detection reports (Eq. 4).
+//
+// There is one arithmetic layer: fixed four-limb kernels — field.go
+// (mod p), scalar.go (mod n), point_fast.go (Jacobian points, the
+// GLV/Strauss chain and the generator comb). Keys, Sign, the SEC1
+// encodings and RecoverPublicKeyXY all run on them, from bytes to bytes.
+// math/big appears only in the tests, as the oracle: a generic
+// short-Weierstrass curve (oracle_test.go) that is itself checked against
+// crypto/elliptic on NIST P-256, and the math/big Sign and recovery the
+// kernels replaced.
+//
+// The code is not constant-time; SmartCrowd is a research platform, not a
+// wallet.
 package secp256k1
 
 import (
@@ -5,19 +21,21 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"errors"
+	"hash"
 	"io"
-	"math/big"
 )
 
-// PrivateKey is an ECDSA private key on secp256k1.
+// PrivateKey is an ECDSA private key on secp256k1: a scalar in [1, n−1]
+// and its public point.
 type PrivateKey struct {
-	D      *big.Int
+	d      scalar
 	Public PublicKey
 }
 
-// PublicKey is an ECDSA public key on secp256k1.
+// PublicKey is an ECDSA public key on secp256k1, a curve point other than
+// infinity. The zero value is not a key.
 type PublicKey struct {
-	Point Point
+	p geAffine
 }
 
 // Signature is an ECDSA signature with a recovery identifier, held as its
@@ -35,129 +53,125 @@ type Signature struct {
 // validation (out-of-range R/S, high S, or malformed encoding).
 var ErrInvalidSignature = errors.New("secp256k1: invalid signature")
 
-// halfN is ⌊n/2⌋, the largest S a canonical (low-S) signature carries.
-var halfN = new(big.Int).Rsh(_s256.N, 1)
-
-// GenerateKey creates a private key from entropy read from r. Pass nil to
-// use crypto/rand.
+// GenerateKey creates a private key from entropy read from r, 32 bytes at
+// a time until they encode an integer in [1, n−1]. Pass nil to use
+// crypto/rand.
 func GenerateKey(r io.Reader) (*PrivateKey, error) {
 	if r == nil {
 		r = rand.Reader
 	}
-	c := S256()
+	var buf [32]byte
 	for {
-		buf := make([]byte, 32)
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, err
 		}
-		d := new(big.Int).SetBytes(buf)
-		if d.Sign() == 0 || d.Cmp(c.N) >= 0 {
-			continue
+		if k, ok := ParsePrivateKey(buf[:]); ok {
+			return k, nil
 		}
-		return NewPrivateKey(d), nil
 	}
 }
 
-// NewPrivateKey builds a private key from a scalar in [1, N-1]. The scalar
-// is reduced modulo N; a zero scalar panics because it can never occur from
-// GenerateKey and indicates programmer error.
-func NewPrivateKey(d *big.Int) *PrivateKey {
-	c := S256()
-	d = new(big.Int).Mod(d, c.N)
-	if d.Sign() == 0 {
+// NewPrivateKey builds a private key from a 32-byte big-endian scalar,
+// reduced modulo n. A scalar ≡ 0 panics: GenerateKey never yields one,
+// so it indicates programmer error.
+func NewPrivateKey(d [32]byte) *PrivateKey {
+	var k PrivateKey
+	k.d.scSetBytes(&d)
+	if k.d.scIsZero() {
 		panic("secp256k1: zero private key")
 	}
-	return &PrivateKey{
-		D:      d,
-		Public: PublicKey{Point: c.ScalarBaseMult(d)},
+	k.Public = publicKeyOf(&k.d)
+	return &k
+}
+
+// ParsePrivateKey reads a stored private key: exactly 32 big-endian bytes
+// encoding an integer in [1, n−1], with no reduction. It reports false
+// for anything else.
+func ParsePrivateKey(b []byte) (*PrivateKey, bool) {
+	var k PrivateKey
+	if len(b) != 32 || !k.d.scSetBytes((*[32]byte)(b)) || k.d.scIsZero() {
+		return nil, false
 	}
+	k.Public = publicKeyOf(&k.d)
+	return &k, true
+}
+
+// publicKeyOf returns d·G for a nonzero d (< n, so never infinity).
+func publicKeyOf(d *scalar) PublicKey {
+	q := geScalarBaseMult(d)
+	p, _ := q.affine()
+	return PublicKey{p: p}
 }
 
 // Bytes returns the 32-byte big-endian scalar.
 func (k *PrivateKey) Bytes() []byte {
-	out := make([]byte, 32)
-	k.D.FillBytes(out)
+	out := new([32]byte)
+	storeLimbs(out, &k.d.n)
+	return out[:]
+}
+
+// XY returns the key's coordinates big-endian, X ‖ Y: the 64 bytes an
+// address hashes, as RecoverPublicKeyXY returns them.
+func (pk PublicKey) XY() (xy [64]byte) {
+	pk.p.x.feBytes((*[32]byte)(xy[:32]))
+	pk.p.y.feBytes((*[32]byte)(xy[32:]))
+	return xy
+}
+
+// BytesCompressed returns the 33-byte compressed SEC1 encoding: 0x02 or
+// 0x03 by the parity of Y, then X.
+func (pk PublicKey) BytesCompressed() []byte {
+	out := make([]byte, 33)
+	out[0] = 0x02
+	if pk.p.y.feIsOdd() {
+		out[0] = 0x03
+	}
+	pk.p.x.feBytes((*[32]byte)(out[1:]))
 	return out
 }
 
-// Bytes returns the 65-byte uncompressed SEC1 encoding.
-func (pk PublicKey) Bytes() []byte { return S256().Marshal(pk.Point) }
-
-// BytesCompressed returns the 33-byte compressed SEC1 encoding.
-func (pk PublicKey) BytesCompressed() []byte { return S256().MarshalCompressed(pk.Point) }
-
-// ParsePublicKey decodes a SEC1-encoded public key (compressed or not).
-func ParsePublicKey(data []byte) (PublicKey, error) {
-	p, err := S256().Unmarshal(data)
-	if err != nil {
-		return PublicKey{}, err
-	}
-	if p.Infinity() {
-		return PublicKey{}, errors.New("secp256k1: public key is the point at infinity")
-	}
-	return PublicKey{Point: p}, nil
-}
-
-// hashToScalar converts a message digest to a scalar per SEC1 §4.1.3: take
-// the leftmost BitSize bits, then reduce mod N.
-func hashToScalar(digest []byte, c *Curve) *big.Int {
-	orderBytes := (c.N.BitLen() + 7) / 8
-	if len(digest) > orderBytes {
-		digest = digest[:orderBytes]
-	}
-	e := new(big.Int).SetBytes(digest)
-	excess := len(digest)*8 - c.N.BitLen()
-	if excess > 0 {
-		e.Rsh(e, uint(excess))
-	}
-	return e
-}
-
 // Sign produces a deterministic (RFC 6979) ECDSA signature over a 32-byte
-// message digest. The S value is normalized to the lower half of the group
-// order (Ethereum/BIP-62 low-s rule) so signatures are non-malleable.
+// message digest: s = k⁻¹(e + r·d) mod n for the nonce k, r = x(k·G). The
+// S value is normalized to the lower half of the group order
+// (Ethereum/BIP-62 low-s rule) so signatures are non-malleable, V
+// following it.
 func (k *PrivateKey) Sign(digest []byte) (Signature, error) {
 	if len(digest) != 32 {
 		return Signature{}, errors.New("secp256k1: digest must be 32 bytes")
 	}
-	c := S256()
-	e := hashToScalar(digest, c)
-
-	for nonce := rfc6979(k.D, digest, c); ; {
-		kNonce := nonce()
-		if kNonce.Sign() == 0 || kNonce.Cmp(c.N) >= 0 {
+	var e scalar
+	e.scSetDigest(digest)
+	nonces := newRFC6979(&k.d, digest)
+	for {
+		kNonce := nonces.next()
+		q := geScalarBaseMult(&kNonce)
+		p, _ := q.affine() // 0 < k < n: never infinity
+		var xb [32]byte
+		p.x.feBytes(&xb)
+		// r is x reduced mod n; an x ≥ n would need V's overflow bit
+		// (recovery assumes x = r), and has probability ~2⁻¹²⁸, so that
+		// nonce is skipped like a zero r or s.
+		var r, s, kInv scalar
+		if !r.scSetBytes(&xb) || r.scIsZero() {
 			continue
 		}
-		p := c.ScalarBaseMult(kNonce)
-		if p.Infinity() {
+		scMulInto(&s, &r, &k.d)
+		s.scAdd(&e)
+		scInvInto(&kInv, &kNonce)
+		scMulInto(&s, &s, &kInv)
+		if s.scIsZero() {
 			continue
 		}
-		r := new(big.Int).Mod(p.X, c.N)
-		if r.Sign() == 0 {
-			continue
+		var sig Signature
+		if p.y.feIsOdd() {
+			sig.V = 1
 		}
-		// s = k⁻¹(e + r·d) mod N
-		kInv := new(big.Int).ModInverse(kNonce, c.N)
-		s := new(big.Int).Mul(r, k.D)
-		s.Add(s, e)
-		s.Mul(s, kInv)
-		s.Mod(s, c.N)
-		if s.Sign() == 0 {
-			continue
+		if s.scIsHigh() {
+			s.scNeg()
+			sig.V ^= 1
 		}
-		v := byte(p.Y.Bit(0))
-		// x overflow case: r = p.X - N would need v |= 2; p.X >= N has
-		// probability ~2⁻¹²⁸ so we simply retry instead.
-		if p.X.Cmp(c.N) >= 0 {
-			continue
-		}
-		if s.Cmp(halfN) > 0 {
-			s.Sub(c.N, s)
-			v ^= 1
-		}
-		sig := Signature{V: v}
-		r.FillBytes(sig.R[:])
-		s.FillBytes(sig.S[:])
+		storeLimbs(&sig.R, &r.n)
+		storeLimbs(&sig.S, &s.n)
 		return sig, nil
 	}
 }
@@ -207,9 +221,7 @@ func RecoverPublicKeyXY(digest []byte, sig Signature) (xy [64]byte, err error) {
 	if !ok || !pub.isOnCurve() {
 		return xy, ErrInvalidSignature
 	}
-	pub.x.feBytes((*[32]byte)(xy[:32]))
-	pub.y.feBytes((*[32]byte)(xy[32:]))
-	return xy, nil
+	return PublicKey{p: pub}.XY(), nil
 }
 
 // ParseSignature decodes a 65-byte R||S||V signature by copying it.
@@ -223,61 +235,63 @@ func ParseSignature(data []byte) (sig Signature, err error) {
 	return sig, nil
 }
 
-// rfc6979 returns a generator of deterministic nonces for (key, digest) as
-// specified by RFC 6979 §3.2, using HMAC-SHA256. Successive calls yield the
-// retry sequence (step h).
-func rfc6979(priv *big.Int, digest []byte, c *Curve) func() *big.Int {
-	qLen := (c.N.BitLen() + 7) / 8
-	x := make([]byte, qLen)
-	priv.FillBytes(x)
-	h1 := make([]byte, qLen)
-	hashToScalar(digest, c).FillBytes(h1)
-
-	// Step b-c.
-	v := make([]byte, sha256.Size)
-	k := make([]byte, sha256.Size)
-	for i := range v {
-		v[i] = 0x01
-	}
-
-	mac := func(key []byte, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, key)
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
-
-	// Steps d-g.
-	k = mac(k, v, []byte{0x00}, x, h1)
-	v = mac(k, v)
-	k = mac(k, v, []byte{0x01}, x, h1)
-	v = mac(k, v)
-
-	return func() *big.Int {
-		for {
-			var t []byte
-			for len(t) < qLen {
-				v = mac(k, v)
-				t = append(t, v...)
-			}
-			candidate := bitsToScalar(t[:qLen], c)
-			// Prepare next iteration state regardless of acceptance.
-			k = mac(k, v, []byte{0x00})
-			v = mac(k, v)
-			if candidate.Sign() > 0 && candidate.Cmp(c.N) < 0 {
-				return candidate
-			}
-		}
-	}
+// rfc6979 generates Sign's nonces for one (key, digest) pair by RFC 6979
+// §3.2 with HMAC-SHA256: K and V are the RFC's, and mac is HMAC keyed
+// with K. qlen is 256, so bits2int is the identity on V's 32 bytes and a
+// candidate is only skipped when it is zero or ≥ n. h1 is the digest as
+// given, not reduced mod n as bits2octets would have it: the two differ
+// only for digests ≥ n, and every signature this package has issued
+// (the goldens among them) was made this way.
+type rfc6979 struct {
+	k, v [32]byte
+	mac  hash.Hash
 }
 
-// bitsToScalar implements bits2int from RFC 6979 (no reduction).
-func bitsToScalar(b []byte, c *Curve) *big.Int {
-	v := new(big.Int).SetBytes(b)
-	excess := len(b)*8 - c.N.BitLen()
-	if excess > 0 {
-		v.Rsh(v, uint(excess))
+// newRFC6979 runs steps b–g for private key d and the digest.
+func newRFC6979(d *scalar, digest []byte) *rfc6979 {
+	g := new(rfc6979) // K = 0
+	g.mac = hmac.New(sha256.New, g.k[:])
+	for i := range g.v {
+		g.v[i] = 0x01
 	}
-	return v
+	var x [32]byte
+	storeLimbs(&x, &d.n)
+	g.rekey(0x00, x[:], digest)
+	g.rekey(0x01, x[:], digest)
+	return g
+}
+
+// rekey sets K = HMAC_K(V ‖ sep ‖ extra…), then V = HMAC_K(V).
+func (g *rfc6979) rekey(sep byte, extra ...[]byte) {
+	g.mac.Reset()
+	g.mac.Write(g.v[:])
+	g.mac.Write([]byte{sep})
+	for _, p := range extra {
+		g.mac.Write(p)
+	}
+	g.mac.Sum(g.k[:0])
+	g.mac = hmac.New(sha256.New, g.k[:])
+	g.step()
+}
+
+// step sets V = HMAC_K(V).
+func (g *rfc6979) step() {
+	g.mac.Reset()
+	g.mac.Write(g.v[:])
+	g.mac.Sum(g.v[:0])
+}
+
+// next returns the next candidate in [1, n−1] (step h). The state moves
+// on past every candidate, accepted or not (step h.3), so a caller that
+// rejects the nonce it got — Sign, on r = 0 or s = 0 — draws the next one
+// the RFC prescribes.
+func (g *rfc6979) next() (k scalar) {
+	for {
+		g.step()
+		ok := k.scSetBytes(&g.v) && !k.scIsZero()
+		g.rekey(0x00)
+		if ok {
+			return k
+		}
+	}
 }

@@ -9,11 +9,9 @@ import "math/bits"
 // Values are four 64-bit limbs, little-endian, always kept fully reduced
 // (< p). The special prime shape makes reduction cheap: any overflow c at
 // 2²⁵⁶ folds back as c·0x1000003D1. This is the same strategy
-// libsecp256k1 and btcec use. Every secp256k1 path — signing,
-// verification, recovery, point decompression — runs on these limbs and
-// allocates nothing here; the generic big.Int code in curve.go remains
-// for arbitrary curves (P-256 differential testing) and as the oracle
-// the tests compare this file against.
+// libsecp256k1 and btcec use. Every secp256k1 path — keys, signing,
+// recovery, SEC1 encoding, point decompression — runs on these limbs and
+// allocates nothing here.
 //
 // Multiplication and squaring are unrolled schoolbook products; square
 // root is a fixed addition chain over the (public) exponent (p + 1)/4, and

@@ -8,16 +8,13 @@ import (
 )
 
 // feFromBig builds a fieldVal from a big.Int (reduced mod p).
-func feFromBig(v *big.Int) fieldVal {
-	var buf [32]byte
-	new(big.Int).Mod(v, S256().P).FillBytes(buf[:])
-	var f fieldVal
-	f.feSetBytes(&buf)
+func feFromBig(v *big.Int) (f fieldVal) {
+	f.feSetBytes((*[32]byte)(be32(new(big.Int).Mod(v, S256().P))))
 	return f
 }
 
 // feToBig converts back for comparison.
-func feToBig(f *fieldVal) *big.Int { return f.feBig() }
+func feToBig(f *fieldVal) *big.Int { return limbsToBig(f.n) }
 
 // randomFe derives a pseudo-random field element from four limbs.
 func randomFe(a, b, c, d uint64) *big.Int {
@@ -42,11 +39,8 @@ func TestFieldBytesRoundtrip(t *testing.T) {
 
 func TestFieldSetBytesReduces(t *testing.T) {
 	// Loading a value ≥ p must reduce it.
-	var buf [32]byte
-	pPlus5 := new(big.Int).Add(S256().P, big.NewInt(5))
-	pPlus5.FillBytes(buf[:])
 	var fe fieldVal
-	fe.feSetBytes(&buf)
+	fe.feSetBytes((*[32]byte)(be32(new(big.Int).Add(S256().P, big.NewInt(5)))))
 	if feToBig(&fe).Cmp(big.NewInt(5)) != 0 {
 		t.Errorf("p+5 loaded as %v, want 5", feToBig(&fe))
 	}
@@ -250,10 +244,10 @@ func TestBetaEndomorphism(t *testing.T) {
 	if cube := new(big.Int).Exp(beta, big.NewInt(3), p); cube.Cmp(big.NewInt(1)) != 0 {
 		t.Errorf("β³ mod p = %x, want 1", cube)
 	}
-	g := bigS256.Generator()
+	g := S256().G
 	phiG := Point{X: new(big.Int).Mul(beta, g.X), Y: g.Y}
 	phiG.X.Mod(phiG.X, p)
-	if lambdaG := bigS256.ScalarMult(g, scToBig(&scLambda)); !lambdaG.Equal(phiG) {
+	if lambdaG := S256().ScalarMult(g, scToBig(&scLambda)); !lambdaG.Equal(phiG) {
 		t.Errorf("λ·G = %v, want φ(G) = %v", lambdaG, phiG)
 	}
 }
@@ -317,33 +311,33 @@ func TestFieldEdgeValues(t *testing.T) {
 	}
 }
 
-// TestFastPointOpsMatchGeneric pins the fieldVal point arithmetic against
-// the generic big.Int Jacobian path on random scalars.
+// TestFastPointOpsMatchGeneric pins the Jacobian kernels — addition,
+// mixed addition, doubling and the chain — against the math/big curve on
+// random small scalars.
 func TestFastPointOpsMatchGeneric(t *testing.T) {
 	c := S256()
+	var zero scalar
 	f := func(ka, kb uint64) bool {
 		a := new(big.Int).SetUint64(ka%1_000_000 + 2)
 		b := new(big.Int).SetUint64(kb%1_000_000 + 2)
-		// Fast path (dispatched because c == _s256).
 		pa, pb := c.ScalarBaseMult(a), c.ScalarBaseMult(b)
-		fastSum := c.Add(pa, pb)
-		fastDouble := c.Double(pa)
-		fastMul := c.ScalarMult(pb, a)
+		ga, gb := geFromPoint(pa), geFromPoint(pb)
+		ja, jb := ga.jacobian(), gb.jacobian()
+		geDouble(&ja, &ja) // a Z ≠ 1 operand for the additions
+		twoA := c.Add(pa, pa)
 
-		// Generic path, forced via Jacobian internals.
-		genSum := c.fromJacobian(c.add(c.toJacobian(pa), c.toJacobian(pb)))
-		genDouble := c.fromJacobian(c.double(c.toJacobian(pa)))
-		acc := jacobian{x: big.NewInt(1), y: big.NewInt(1), z: big.NewInt(0)}
-		base := c.toJacobian(pb)
-		for i := a.BitLen() - 1; i >= 0; i-- {
-			acc = c.double(acc)
-			if a.Bit(i) == 1 {
-				acc = c.add(acc, base)
-			}
-		}
-		genMul := c.fromJacobian(acc)
+		var sum, mixed, double gePoint
+		geAdd(&sum, &ja, &jb)
+		geAddMixed(&mixed, &ja, &gb)
+		geDouble(&double, &ja)
+		as := scFromBig(a)
+		mul := geMulAdd(&zero, &gb, &as)
 
-		return fastSum.Equal(genSum) && fastDouble.Equal(genDouble) && fastMul.Equal(genMul)
+		wantSum := c.Add(twoA, pb)
+		return gePointOf(&ja).Equal(twoA) &&
+			gePointOf(&sum).Equal(wantSum) && gePointOf(&mixed).Equal(wantSum) &&
+			gePointOf(&double).Equal(c.Add(twoA, twoA)) &&
+			gePointOf(&mul).Equal(c.ScalarMult(pb, a))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -351,19 +345,22 @@ func TestFastPointOpsMatchGeneric(t *testing.T) {
 }
 
 func TestFastPathInfinityHandling(t *testing.T) {
-	c := S256()
-	g := c.Generator()
-	if !c.Add(g, c.Neg(g)).Infinity() {
-		t.Error("G + (−G) != inf on fast path")
-	}
-	if !c.Add(Point{}, Point{}).Infinity() {
+	g, inf := geG.jacobian(), geInfinity()
+	var out gePoint
+	if geAdd(&out, &inf, &inf); !out.isInfinity() {
 		t.Error("inf + inf != inf")
 	}
-	inf := geInfinity()
-	var doubled gePoint
-	geDouble(&doubled, &inf)
-	if !doubled.isInfinity() {
-		t.Error("2·inf != inf in ge arithmetic")
+	if geAddMixed(&out, &inf, &geG); !geEqual(&out, &g) {
+		t.Error("inf + G != G in mixed addition")
+	}
+	// Equal operands take the doubling branch of both additions.
+	var twoG gePoint
+	geDouble(&twoG, &g)
+	if geAdd(&out, &g, &g); !geEqual(&out, &twoG) {
+		t.Error("G + G != 2·G")
+	}
+	if geAddMixed(&out, &g, &geG); !geEqual(&out, &twoG) {
+		t.Error("G + G != 2·G in mixed addition")
 	}
 }
 

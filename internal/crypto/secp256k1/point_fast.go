@@ -1,22 +1,15 @@
 package secp256k1
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
 // Jacobian point arithmetic for secp256k1 (a = 0) over the limb field in
-// field.go, with scalars on the limbs of scalar.go: nothing here touches
-// math/big except the two conversions at the package's Point boundary.
-// The generic big.Int path in curve.go remains for arbitrary curves
-// (P-256 differential tests); the public Curve methods dispatch here when
-// the receiver is the secp256k1 singleton.
+// field.go, with scalars on the limbs of scalar.go. The math/big curve in
+// oracle_test.go is what the tests check it against.
 //
 // Two multiplications live here. geMulAdd (u₁·G + u₂·P, GLV-split and
-// Strauss-interleaved) is every recovery and every variable-base
-// multiplication; geScalarBaseMult (the generator comb) is key
-// generation and Sign, which multiply G alone — geBaseTable says why the
-// comb stays there.
+// Strauss-interleaved) is every recovery; geScalarBaseMult (the generator
+// comb) is key generation and Sign, which multiply G alone — geBaseTable
+// says why the comb stays there.
 
 // gePoint is a Jacobian point (X/Z², Y/Z³); Z == 0 encodes infinity.
 type gePoint struct {
@@ -32,6 +25,12 @@ type geAffine struct {
 
 // feOne is the field element 1.
 var feOne = fieldVal{n: [4]uint64{1}}
+
+// geG is the generator G (SEC 2, version 2.0).
+var geG = geAffine{
+	x: fieldVal{n: [4]uint64{0x59F2815B16F81798, 0x029BFCDB2DCE28D9, 0x55A06295CE870B07, 0x79BE667EF9DCBBAC}},
+	y: fieldVal{n: [4]uint64{0x9C47D08FFB10D4B8, 0xFD17B448A6855419, 0x5DA4FBFC0E1108A8, 0x483ADA7726A3C465}},
+}
 
 // geInfinity returns the point at infinity.
 func geInfinity() gePoint {
@@ -77,29 +76,6 @@ func (a *geAffine) setX(x *fieldVal, odd bool) bool {
 	return true
 }
 
-// feSetBig loads a coordinate in [0, 2²⁵⁶), reducing mod p.
-func (a *fieldVal) feSetBig(v *big.Int) {
-	var buf [32]byte
-	v.FillBytes(buf[:])
-	a.feSetBytes(&buf)
-}
-
-// feBig returns the value as a fresh big.Int.
-func (a *fieldVal) feBig() *big.Int {
-	var buf [32]byte
-	a.feBytes(&buf)
-	return new(big.Int).SetBytes(buf[:])
-}
-
-// geFromAffine converts an affine big.Int point (must be on the curve,
-// not infinity).
-func geFromAffine(pt Point) geAffine {
-	var out geAffine
-	out.x.feSetBig(pt.X)
-	out.y.feSetBig(pt.Y)
-	return out
-}
-
 // affine normalises p with one field inversion; ok is false at infinity.
 func (p *gePoint) affine() (a geAffine, ok bool) {
 	if p.isInfinity() {
@@ -112,20 +88,6 @@ func (p *gePoint) affine() (a geAffine, ok bool) {
 	feMulInto(&a.x, &p.x, &zInv2)
 	feMulInto(&a.y, &p.y, &zInv3)
 	return a, true
-}
-
-// point converts to the package's big.Int affine form.
-func (a *geAffine) point() Point {
-	return Point{X: a.x.feBig(), Y: a.y.feBig()}
-}
-
-// geToAffine converts back to affine big.Int coordinates.
-func geToAffine(p *gePoint) Point {
-	a, ok := p.affine()
-	if !ok {
-		return Point{}
-	}
-	return a.point()
 }
 
 // geDouble sets dst = 2p. With a = 0 the textbook doubling is
@@ -315,11 +277,10 @@ var (
 func geGlv() *[2][1 << (glvWindowG - 2)]geAffine {
 	geGlvOnce.Do(func() {
 		table := new([2][1 << (glvWindowG - 2)]geAffine)
-		g := geFromAffine(S256().Generator())
-		acc := g.jacobian()
+		acc := geG.jacobian()
 		geDouble(&acc, &acc)
 		twoG, _ := acc.affine()
-		acc = g.jacobian()
+		acc = geG.jacobian()
 		for i := range table[0] {
 			table[0][i], _ = acc.affine()
 			feMulInto(&table[1][i].x, &table[0][i].x, &feBeta)
@@ -332,8 +293,7 @@ func geGlv() *[2][1 << (glvWindowG - 2)]geAffine {
 }
 
 // geMulAdd computes u1·G + u2·p for a curve point p: all of a
-// recovery's point arithmetic, and with u1 = 0 the package's
-// variable-base multiplication. Each scalar splits along the endomorphism
+// recovery's point arithmetic. Each scalar splits along the endomorphism
 // φ(x, y) = (β·x, y) = λ·(x, y) into halves below 2¹²⁸, which turns the
 // two 256-bit multiplications into four 128-bit ones over G, φ(G), p and
 // φ(p); interleaved (Strauss), they share one chain of at most 129
@@ -408,7 +368,7 @@ var (
 func geBase() *[64][16]geAffine {
 	geBaseOnce.Do(func() {
 		table := new([64][16]geAffine)
-		stride := geFromAffine(S256().Generator()) // 2^(4i)·G
+		stride := geG // 2^(4i)·G
 		for i := range table {
 			acc := stride.jacobian()
 			table[i][1] = stride

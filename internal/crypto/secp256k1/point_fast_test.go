@@ -42,6 +42,13 @@ func mulAddOracle(u1 *scalar, p *geAffine, u2 *scalar) gePoint {
 	return q
 }
 
+// geEqual reports whether two Jacobian points are the same point.
+func geEqual(p, q *gePoint) bool {
+	a, aOK := p.affine()
+	b, bOK := q.affine()
+	return aOK == bOK && a == b
+}
+
 // agreeMulAdd fails the test unless geMulAdd and the oracle give the same
 // affine point (or both infinity); it reports whether the sum is infinity.
 func agreeMulAdd(t *testing.T, name string, u1 *scalar, p *geAffine, u2 *scalar) (infinity bool) {
@@ -72,7 +79,7 @@ func TestMulAddMatchesOracle(t *testing.T) {
 	}
 
 	k := randScalar(rng)
-	p := geFromAffine(S256().ScalarBaseMult(k))
+	ks, p := scFromBig(k), geFromPoint(S256().ScalarBaseMult(k))
 	var zero scalar
 	for i, v := range samples {
 		u := scFromBig(v)
@@ -83,7 +90,6 @@ func TestMulAddMatchesOracle(t *testing.T) {
 
 		// u1 = ∓u2·k makes u1·G = ∓u2·P.
 		var u1 scalar
-		ks := scFromBig(k)
 		scMulInto(&u1, &u, &ks)
 		if agreeMulAdd(t, "u1G = u2P", &u1, &p, &u) && !u.scIsZero() {
 			t.Fatalf("u1G = u2P with u2 = %x gave infinity", v)
@@ -105,11 +111,11 @@ func TestGlvTable(t *testing.T) {
 	lambda := scToBig(&scLambda)
 	for i := range table[0] {
 		m := big.NewInt(int64(2*i + 1))
-		if want := bigS256.ScalarBaseMult(m); !table[0][i].point().Equal(want) {
+		if want := S256().ScalarBaseMult(m); !table[0][i].point().Equal(want) {
 			t.Fatalf("table[0][%d] = %v, want %v·G", i, table[0][i].point(), m)
 		}
 		m.Mul(m, lambda)
-		if want := bigS256.ScalarBaseMult(m); !table[1][i].point().Equal(want) {
+		if want := S256().ScalarBaseMult(m); !table[1][i].point().Equal(want) {
 			t.Fatalf("table[1][%d] = %v, want λ·%d·G", i, table[1][i].point(), 2*i+1)
 		}
 	}

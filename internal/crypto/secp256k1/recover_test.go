@@ -9,32 +9,19 @@ import (
 	"testing"
 )
 
-// bigS256 carries the secp256k1 parameters in a Curve that is not the
-// S256() singleton, so none of its methods dispatch to the limb kernels:
-// ScalarMult, ScalarBaseMult, Add and recoverY all run the generic
-// math/big code that is differentially tested against crypto/elliptic on
-// P-256. About 3.5 ms per recovery.
-var bigS256 = func() *Curve { c := *S256(); return &c }()
-
-// recoverOracle is RecoverPublicKey as it was written before the limb
-// kernel replaced it: the literal Q = r⁻¹(s·R − e·G) on math/big scalars,
-// with ModSqrt for y, ModInverse for r⁻¹ and two variable-base
-// multiplications through c's methods — plus the low-S rule, which both
-// sides of the differential test apply. With c = S256() it is the old
-// production code line for line (its point arithmetic dispatches to the
-// limb kernels, as it did then); with c = bigS256 every step is math/big.
-func recoverOracle(c *Curve, digest []byte, sig Signature) (PublicKey, error) {
-	r, s := sig.rBig(), sig.sBig()
-	if r.Sign() <= 0 || s.Sign() <= 0 ||
-		r.Cmp(c.N) >= 0 || s.Cmp(c.N) >= 0 || sig.V > 1 {
-		return PublicKey{}, ErrInvalidSignature
+// recoverOracle recovers on math/big alone: the literal
+// Q = r⁻¹(s·R − e·G) on math/big scalars and the math/big curve, with
+// ModSqrt for y and ModInverse for r⁻¹, under the same range and low-S
+// rules as RecoverPublicKeyXY.
+func recoverOracle(digest []byte, sig Signature) (xy [64]byte, err error) {
+	c := S256()
+	r, s, ok := sigScalars(sig)
+	if !ok {
+		return xy, ErrInvalidSignature
 	}
-	if s.Cmp(new(big.Int).Rsh(c.N, 1)) > 0 {
-		return PublicKey{}, ErrInvalidSignature
-	}
-	y, err := c.recoverY(r, sig.V == 1)
-	if err != nil {
-		return PublicKey{}, ErrInvalidSignature
+	y, ok := c.recoverY(r, sig.V == 1)
+	if !ok {
+		return xy, ErrInvalidSignature
 	}
 	rPoint := Point{X: new(big.Int).Set(r), Y: y}
 	e := hashToScalar(digest, c)
@@ -43,19 +30,50 @@ func recoverOracle(c *Curve, digest []byte, sig Signature) (PublicKey, error) {
 	eG := c.ScalarBaseMult(e)
 	q := c.ScalarMult(c.Add(sR, c.Neg(eG)), rInv)
 	if q.Infinity() || !c.IsOnCurve(q) {
-		return PublicKey{}, ErrInvalidSignature
+		return xy, ErrInvalidSignature
 	}
-	return PublicKey{Point: q}, nil
+	return q.xy(), nil
 }
 
-// RecoverPublicKey is RecoverPublicKeyXY with the key loaded into a
-// PublicKey, the form the oracles and the Point API compare.
-func RecoverPublicKey(digest []byte, sig Signature) (PublicKey, error) {
-	xy, err := RecoverPublicKeyXY(digest, sig)
-	if err != nil {
-		return PublicKey{}, err
+// recoverLiteral is the same formula on the kernels' points, without the
+// chain recovery runs: R decompressed by setX, s·R and the final r⁻¹·
+// multiplication by the 256-doubling wNAF (geScalarMult), −e·G on the
+// comb, r⁻¹ and the range rules on math/big. Cheap enough to run on
+// every case of the differential test.
+func recoverLiteral(digest []byte, sig Signature) (xy [64]byte, err error) {
+	c := S256()
+	r, s, ok := sigScalars(sig)
+	if !ok {
+		return xy, ErrInvalidSignature
 	}
-	return PublicKey{Point: Point{X: new(big.Int).SetBytes(xy[:32]), Y: new(big.Int).SetBytes(xy[32:])}}, nil
+	var rPoint geAffine
+	if x := feFromBig(r); !rPoint.setX(&x, sig.V == 1) {
+		return xy, ErrInvalidSignature
+	}
+	e := hashToScalar(digest, c)
+	negE := scFromBig(e.Sub(c.N, e.Mod(e, c.N)))
+	ss, rInv := scFromBig(s), scFromBig(new(big.Int).ModInverse(r, c.N))
+	d, negEG := geScalarMult(&rPoint, &ss), geScalarBaseMult(&negE)
+	geAdd(&d, &d, &negEG)
+	da, ok := d.affine()
+	if !ok {
+		return xy, ErrInvalidSignature
+	}
+	q := geScalarMult(&da, &rInv)
+	pub, ok := q.affine()
+	if !ok || !pub.isOnCurve() {
+		return xy, ErrInvalidSignature
+	}
+	return PublicKey{p: pub}.XY(), nil
+}
+
+// sigScalars applies the recovery range rules on math/big — R and S in
+// [1, n−1], S ≤ ⌊n/2⌋, V ∈ {0, 1} — and returns R and S.
+func sigScalars(sig Signature) (r, s *big.Int, ok bool) {
+	n := S256().N
+	r, s = sig.rBig(), sig.sBig()
+	ok = r.Sign() > 0 && s.Sign() > 0 && r.Cmp(n) < 0 && s.Cmp(halfN) <= 0 && sig.V <= 1
+	return r, s, ok
 }
 
 // sigOf builds a Signature from integers in [0, 2²⁵⁶).
@@ -74,13 +92,13 @@ func (s Signature) serialize() []byte {
 	return append(append(append([]byte(nil), s.R[:]...), s.S[:]...), s.V)
 }
 
-// agreeWithOracle fails the test unless the kernel and the oracle on c
-// agree on accept/reject and, when both accept, on the key. It returns
-// the kernel's key and whether it accepted.
-func agreeWithOracle(t testing.TB, c *Curve, name string, digest []byte, sig Signature) (PublicKey, bool) {
+// agreeWithOracle fails the test unless the kernel and the oracle agree
+// on accept/reject and, when both accept, on the key. It returns the
+// kernel's key and whether it accepted.
+func agreeWithOracle(t testing.TB, oracle func([]byte, Signature) ([64]byte, error), name string, digest []byte, sig Signature) ([64]byte, bool) {
 	t.Helper()
-	got, gotErr := RecoverPublicKey(digest, sig)
-	want, wantErr := recoverOracle(c, digest, sig)
+	got, gotErr := RecoverPublicKeyXY(digest, sig)
+	want, wantErr := oracle(digest, sig)
 	if (gotErr == nil) != (wantErr == nil) {
 		t.Fatalf("%s: kernel err=%v, oracle err=%v\ndigest %x\nR %x\nS %x\nV %d",
 			name, gotErr, wantErr, digest, sig.R, sig.S, sig.V)
@@ -89,11 +107,11 @@ func agreeWithOracle(t testing.TB, c *Curve, name string, digest []byte, sig Sig
 		if !errors.Is(gotErr, ErrInvalidSignature) {
 			t.Fatalf("%s: kernel rejected with %v, want ErrInvalidSignature", name, gotErr)
 		}
-		return PublicKey{}, false
+		return got, false
 	}
-	if !got.Point.Equal(want.Point) {
-		t.Fatalf("%s: kernel recovered %v, oracle %v\ndigest %x\nR %x\nS %x\nV %d",
-			name, got.Point, want.Point, digest, sig.R, sig.S, sig.V)
+	if got != want {
+		t.Fatalf("%s: kernel recovered %x, oracle %x\ndigest %x\nR %x\nS %x\nV %d",
+			name, got, want, digest, sig.R, sig.S, sig.V)
 	}
 	return got, true
 }
@@ -112,7 +130,7 @@ func randScalar(rng *rand.Rand) *big.Int {
 func offCurveX(rng *rand.Rand) *big.Int {
 	for {
 		x := randScalar(rng)
-		if _, err := bigS256.recoverY(x, false); err != nil {
+		if _, ok := S256().recoverY(x, false); !ok {
 			return x
 		}
 	}
@@ -121,9 +139,10 @@ func offCurveX(rng *rand.Rand) *big.Int {
 // TestRecoverMatchesBigIntOracle is the differential test of the limb
 // kernel: 10⁴ seeded keys and digests (10³ under -short), each signature
 // recovered as signed or after one mutation, must be accepted or rejected
-// exactly as the math/big formulation does, with the same key. Every case
-// runs against the old production formulation (recoverOracle on S256());
-// one in 32 also runs against the pure math/big curve.
+// exactly as the literal formula Q = r⁻¹(s·R − e·G) does, with the same
+// key. Every case runs against that formula on the kernels' points
+// (recoverLiteral); one in 32 also runs against it on the math/big curve
+// (recoverOracle).
 func TestRecoverMatchesBigIntOracle(t *testing.T) {
 	cases := 10_000
 	if testing.Short() {
@@ -133,7 +152,7 @@ func TestRecoverMatchesBigIntOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2019))
 	accepted, rejected := 0, 0
 	for i := 0; i < cases; i++ {
-		key := NewPrivateKey(randScalar(rng))
+		key := keyOf(randScalar(rng))
 		digest := make([]byte, 32)
 		rng.Read(digest)
 		sig, err := key.Sign(digest)
@@ -171,9 +190,9 @@ func TestRecoverMatchesBigIntOracle(t *testing.T) {
 			digest = make([]byte, []int{0, 20, 31, 33, 64}[rng.Intn(5)])
 			rng.Read(digest)
 		}
-		got, ok := agreeWithOracle(t, S256(), name, digest, sig)
+		got, ok := agreeWithOracle(t, recoverLiteral, name, digest, sig)
 		if i%32 == 0 {
-			agreeWithOracle(t, bigS256, name+" (math/big curve)", digest, sig)
+			agreeWithOracle(t, recoverOracle, name+" (math/big curve)", digest, sig)
 		}
 		if ok {
 			accepted++
@@ -182,7 +201,7 @@ func TestRecoverMatchesBigIntOracle(t *testing.T) {
 		}
 		switch name {
 		case "as signed":
-			if !ok || !got.Point.Equal(key.Public.Point) {
+			if !ok || got != key.Public.XY() {
 				t.Fatalf("case %d: a fresh signature did not recover its signer", i)
 			}
 		case "high-S twin", "R off the curve", "V > 1":
@@ -204,14 +223,12 @@ func TestRecoverMatchesBigIntOracle(t *testing.T) {
 func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 	c := S256()
 	n := c.N
-	key := NewPrivateKey(big.NewInt(0x5eed))
-	nBytes := make([]byte, 32)
-	n.FillBytes(nBytes)
+	key := keyOf(big.NewInt(0x5eed))
 	one := big.NewInt(1)
 
 	for name, digest := range map[string][]byte{
 		"all-zero digest": make([]byte, 32),
-		"digest = n":      nBytes,
+		"digest = n":      be32(n),
 		"digest = 2²⁵⁶−1": bytes.Repeat([]byte{0xFF}, 32),
 		"empty digest":    nil,
 	} {
@@ -221,8 +238,8 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, ok := agreeWithOracle(t, bigS256, name, digest, sig)
-		if !ok || !got.Point.Equal(key.Public.Point) {
+		got, ok := agreeWithOracle(t, recoverOracle, name, digest, sig)
+		if !ok || got != key.Public.XY() {
 			t.Errorf("%s: signer not recovered", name)
 		}
 	}
@@ -248,7 +265,7 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 				s, v = new(big.Int).Sub(n, s), v^1
 			}
 			sig := sigOf(new(big.Int).Mod(rPoint.X, n), s, v)
-			_, ok := agreeWithOracle(t, bigS256, name, digest[:], sig)
+			_, ok := agreeWithOracle(t, recoverOracle, name, digest[:], sig)
 			if wantOK := name == "u₁G = u₂R"; ok != wantOK {
 				t.Errorf("%s (k=%v): accepted=%v, want %v", name, k, ok, wantOK)
 			}
@@ -257,7 +274,6 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 
 	sig, _ := key.Sign(digest[:])
 	r, s, v := sig.rBig(), sig.sBig(), sig.V
-	max256 := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)
 	for name, mutated := range map[string]Signature{
 		"S = ⌊n/2⌋":     sigOf(r, halfN, v),
 		"S = ⌊n/2⌋ + 1": sigOf(r, new(big.Int).Add(halfN, one), v),
@@ -274,7 +290,7 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 		"R = 2²⁵⁶ − 1":  sigOf(max256, s, v),
 		"all zero":      {},
 	} {
-		agreeWithOracle(t, bigS256, name, digest[:], mutated)
+		agreeWithOracle(t, recoverOracle, name, digest[:], mutated)
 	}
 }
 
@@ -284,7 +300,7 @@ func TestRecoverEdgeCasesMatchOracle(t *testing.T) {
 // big.Int point). The one allocation ever made is the generator's GLV
 // table, on the first call, which AllocsPerRun makes before it counts.
 func TestRecoverAllocationBudget(t *testing.T) {
-	key := NewPrivateKey(big.NewInt(0xA110C))
+	key := keyOf(big.NewInt(0xA110C))
 	digest := sha256.Sum256([]byte("allocations"))
 	signed, _ := key.Sign(digest[:])
 	wire := signed.serialize()
@@ -304,27 +320,32 @@ func TestRecoverAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestScalarMultFullWidthMatchesGeneric runs the GLV/Strauss chain (as
-// ScalarMult, u₁ = 0) and the affine generator comb on full-width scalars
-// against the generic math/big double-and-add
-// (TestFastPointOpsMatchGeneric covers small scalars only).
+// TestScalarMultFullWidthMatchesGeneric runs the GLV/Strauss chain (with
+// u₁ = 0) and the affine generator comb on full-width scalars against the
+// math/big curve (TestFastPointOpsMatchGeneric covers small scalars only).
 func TestScalarMultFullWidthMatchesGeneric(t *testing.T) {
+	c := S256()
 	rng := rand.New(rand.NewSource(5))
 	scalars := []*big.Int{
 		big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16), big.NewInt(17),
-		new(big.Int).Sub(S256().N, big.NewInt(1)),
-		new(big.Int).Sub(S256().N, big.NewInt(2)),
+		new(big.Int).Sub(c.N, big.NewInt(1)),
+		new(big.Int).Sub(c.N, big.NewInt(2)),
 		new(big.Int).Lsh(big.NewInt(1), 255),
 	}
 	for i := 0; i < 12; i++ {
 		scalars = append(scalars, randScalar(rng))
 	}
-	base := S256().ScalarBaseMult(randScalar(rng))
+	base := c.ScalarBaseMult(randScalar(rng))
+	bp := geFromPoint(base)
+	var zero scalar
 	for _, k := range scalars {
-		if got, want := S256().ScalarBaseMult(k), bigS256.ScalarBaseMult(k); !got.Equal(want) {
+		ks := scFromBig(k)
+		q := geScalarBaseMult(&ks)
+		if got, want := gePointOf(&q), c.ScalarBaseMult(k); !got.Equal(want) {
 			t.Fatalf("%x·G = %v, want %v", k, got, want)
 		}
-		if got, want := S256().ScalarMult(base, k), bigS256.ScalarMult(base, k); !got.Equal(want) {
+		q = geMulAdd(&zero, &bp, &ks)
+		if got, want := gePointOf(&q), c.ScalarMult(base, k); !got.Equal(want) {
 			t.Fatalf("%x·P = %v, want %v", k, got, want)
 		}
 	}
@@ -334,7 +355,7 @@ func TestScalarMultFullWidthMatchesGeneric(t *testing.T) {
 // checks goes through: RecoverPublicKeyXY, from the signature's 65 bytes
 // to the key's 64.
 func BenchmarkRecoverPublicKey(b *testing.B) {
-	key := NewPrivateKey(big.NewInt(123456789))
+	key := keyOf(big.NewInt(123456789))
 	digest := sha256.Sum256([]byte("bench"))
 	sig, _ := key.Sign(digest[:])
 	b.ReportAllocs()
@@ -347,10 +368,10 @@ func BenchmarkRecoverPublicKey(b *testing.B) {
 }
 
 // FuzzRecoverDifferential feeds digest ‖ 65-byte signature to the kernel
-// and to the old formulation; they must agree on accept/reject and on the
-// key.
+// and to the literal formulation (recoverLiteral); they must agree on
+// accept/reject and on the key.
 func FuzzRecoverDifferential(f *testing.F) {
-	key := NewPrivateKey(big.NewInt(7))
+	key := keyOf(big.NewInt(7))
 	digest := sha256.Sum256([]byte("fuzz"))
 	sig, _ := key.Sign(digest[:])
 	f.Add(append(digest[:], sig.serialize()...))
@@ -362,8 +383,7 @@ func FuzzRecoverDifferential(f *testing.F) {
 	// digest = n (e ≡ 0, u₁ = 0) and n − 1 (e ≡ −1): signed as such, so
 	// both recover the key.
 	for _, e := range []*big.Int{S256().N, new(big.Int).Sub(S256().N, big.NewInt(1))} {
-		edge := make([]byte, 32)
-		e.FillBytes(edge)
+		edge := be32(e)
 		sig, _ := key.Sign(edge)
 		f.Add(append(edge, sig.serialize()...))
 	}
@@ -375,6 +395,6 @@ func FuzzRecoverDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ParseSignature refused 65 bytes: %v", err)
 		}
-		agreeWithOracle(t, S256(), "fuzz", data[:len(data)-65], sig)
+		agreeWithOracle(t, recoverLiteral, "fuzz", data[:len(data)-65], sig)
 	})
 }

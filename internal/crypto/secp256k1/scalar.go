@@ -1,9 +1,6 @@
 package secp256k1
 
-import (
-	"math/big"
-	"math/bits"
-)
+import "math/bits"
 
 // Fixed-width arithmetic modulo the secp256k1 group order
 //
@@ -85,17 +82,6 @@ func (a *scalar) scSetBytes(b *[32]byte) (inRange bool) {
 	return false
 }
 
-// scSetBig loads v and reports whether it is an integer in [0, n−1];
-// anything else (nil, negative, ≥ n) leaves a unspecified.
-func (a *scalar) scSetBig(v *big.Int) bool {
-	if v == nil || v.Sign() < 0 || v.BitLen() > 256 {
-		return false
-	}
-	var buf [32]byte
-	v.FillBytes(buf[:])
-	return a.scSetBytes(&buf)
-}
-
 // scSetDigest converts a message digest to a scalar per SEC1 §4.1.3: the
 // leftmost 256 bits as a big-endian integer, reduced mod n.
 func (a *scalar) scSetDigest(digest []byte) {
@@ -115,6 +101,14 @@ func (a *scalar) scNeg() {
 	neg := nLimbs
 	limbsSub(&neg, &a.n)
 	a.n = neg
+}
+
+// scAdd sets a = a + b mod n: the sum is below 2n, so one subtraction
+// reduces it, and a carry out of 2²⁵⁶ wraps to the right value.
+func (a *scalar) scAdd(b *scalar) {
+	if limbsAdd(&a.n, &b.n) != 0 || !limbsLess(&a.n, &nLimbs) {
+		limbsSub(&a.n, &nLimbs)
+	}
 }
 
 // scSub sets a = a − b mod n.

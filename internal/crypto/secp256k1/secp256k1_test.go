@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"crypto/ecdsa"
 	"crypto/elliptic"
-	"crypto/rand"
+	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +18,16 @@ import (
 
 func TestGeneratorOnCurve(t *testing.T) {
 	c := S256()
-	if !c.IsOnCurve(c.Generator()) {
+	if !c.IsOnCurve(c.G) || !geG.isOnCurve() {
 		t.Fatal("generator is not on the curve")
+	}
+	if got := geG.point(); !got.Equal(c.G) {
+		t.Fatalf("geG = %v, want %v", got, c.G)
 	}
 }
 
-// TestKnownMultiples checks k·G against published secp256k1 vectors.
+// TestKnownMultiples checks k·G against published secp256k1 vectors, as
+// the public key of private key k and on the math/big curve.
 func TestKnownMultiples(t *testing.T) {
 	c := S256()
 	cases := []struct {
@@ -37,46 +42,62 @@ func TestKnownMultiples(t *testing.T) {
 			"388f7b0f632de8140fe337e62a37f3566500a99934c2231b6cb9fd7584b8e672"},
 	}
 	for _, tc := range cases {
-		got := c.ScalarBaseMult(big.NewInt(tc.k))
-		if got.X.Cmp(mustHex(tc.xs)) != 0 || got.Y.Cmp(mustHex(tc.ys)) != 0 {
-			t.Errorf("%d·G = %v, want (%s, %s)", tc.k, got, tc.xs, tc.ys)
+		xy, oracle := keyOf(big.NewInt(tc.k)).Public.XY(), c.ScalarBaseMult(big.NewInt(tc.k)).xy()
+		if got := hex.EncodeToString(xy[:]); got != tc.xs+tc.ys || oracle != xy {
+			t.Errorf("%d·G = %s, oracle %x, want %s%s", tc.k, got, oracle, tc.xs, tc.ys)
 		}
 	}
 }
 
 func TestOrderTimesGeneratorIsInfinity(t *testing.T) {
 	c := S256()
-	// ScalarMult reduces mod N, so use the raw loop via N-1 then add G.
+	// (N−1)·G + G is infinity, and (N−1)·G is −G: on the comb and on the
+	// math/big curve.
 	nm1 := new(big.Int).Sub(c.N, big.NewInt(1))
-	p := c.ScalarBaseMult(nm1)
-	sum := c.Add(p, c.Generator())
-	if !sum.Infinity() {
-		t.Errorf("(N-1)·G + G = %v, want infinity", sum)
+	ks := scFromBig(nm1)
+	q := geScalarBaseMult(&ks)
+	negG := geG
+	negG.y.feNeg()
+	if a, ok := q.affine(); !ok || a != negG {
+		t.Error("(N-1)·G != -G on the comb")
 	}
-	// (N-1)·G must equal −G.
-	if !p.Equal(c.Neg(c.Generator())) {
-		t.Error("(N-1)·G != -G")
+	if geAddMixed(&q, &q, &geG); !q.isInfinity() {
+		t.Error("(N-1)·G + G != inf on the comb")
+	}
+	p := c.ScalarBaseMult(nm1)
+	if sum := c.Add(p, c.G); !sum.Infinity() {
+		t.Errorf("oracle (N-1)·G + G = %v, want infinity", sum)
+	}
+	if !p.Equal(c.Neg(c.G)) {
+		t.Error("oracle (N-1)·G != -G")
 	}
 }
 
+// TestGroupLaws checks the kernels' group laws: (a+b)·G = a·G + b·G on the
+// comb and the Jacobian addition, a·(b·G) = b·(a·G) on the chain, and the
+// results lie on the curve.
 func TestGroupLaws(t *testing.T) {
-	c := S256()
+	var zero scalar
 	f := func(ka, kb uint64) bool {
-		a := new(big.Int).SetUint64(ka%10_000 + 1)
-		b := new(big.Int).SetUint64(kb%10_000 + 1)
-		aG := c.ScalarBaseMult(a)
-		bG := c.ScalarBaseMult(b)
-		// (a+b)G == aG + bG
-		sum := c.ScalarBaseMult(new(big.Int).Add(a, b))
-		if !c.Add(aG, bG).Equal(sum) {
+		a := scalar{n: [4]uint64{ka%10_000 + 1}}
+		b := scalar{n: [4]uint64{kb%10_000 + 1}}
+		aG, bG := geScalarBaseMult(&a), geScalarBaseMult(&b)
+		sum := a
+		sum.scAdd(&b)
+		want := geScalarBaseMult(&sum)
+		var got gePoint
+		geAdd(&got, &aG, &bG)
+		if !geEqual(&got, &want) {
 			return false
 		}
-		// a(bG) == b(aG)
-		if !c.ScalarMult(bG, a).Equal(c.ScalarMult(aG, b)) {
+		aGa, _ := aG.affine()
+		bGa, _ := bG.affine()
+		ab, ba := geMulAdd(&zero, &bGa, &a), geMulAdd(&zero, &aGa, &b)
+		if !geEqual(&ab, &ba) {
 			return false
 		}
-		// closure
-		return c.IsOnCurve(sum)
+		w, _ := want.affine()
+		return w.isOnCurve()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -84,18 +105,20 @@ func TestGroupLaws(t *testing.T) {
 }
 
 func TestAddInfinityIdentity(t *testing.T) {
-	c := S256()
-	g := c.Generator()
-	if !c.Add(g, Point{}).Equal(g) {
+	g, inf := geG.jacobian(), geInfinity()
+	var out gePoint
+	if geAdd(&out, &g, &inf); !geEqual(&out, &g) {
 		t.Error("G + inf != G")
 	}
-	if !c.Add(Point{}, g).Equal(g) {
+	if geAdd(&out, &inf, &g); !geEqual(&out, &g) {
 		t.Error("inf + G != G")
 	}
-	if !c.Add(g, c.Neg(g)).Infinity() {
+	negG := geG
+	negG.y.feNeg()
+	if geAddMixed(&out, &g, &negG); !out.isInfinity() {
 		t.Error("G + (-G) != inf")
 	}
-	if !c.Double(Point{}).Infinity() {
+	if geDouble(&out, &inf); !out.isInfinity() {
 		t.Error("2·inf != inf")
 	}
 }
@@ -137,53 +160,38 @@ func TestDifferentialP256Add(t *testing.T) {
 // exercising hashToScalar and the verification equation against a second
 // implementation.
 func TestVerifyAgainstStdlibECDSA(t *testing.T) {
-	key, err := ecdsa.GenerateKey(elliptic.P256(), rand.Reader)
+	key, err := ecdsa.GenerateKey(elliptic.P256(), crand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	digest := sha256.Sum256([]byte("smartcrowd differential test"))
-	r, s, err := ecdsa.Sign(rand.Reader, key, digest[:])
+	r, s, err := ecdsa.Sign(crand.Reader, key, digest[:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := P256Params()
-	e := hashToScalar(digest[:], c)
-	w := new(big.Int).ModInverse(s, c.N)
-	u1 := new(big.Int).Mul(e, w)
-	u1.Mod(u1, c.N)
-	u2 := new(big.Int).Mul(r, w)
-	u2.Mod(u2, c.N)
 	pub := Point{X: key.PublicKey.X, Y: key.PublicKey.Y}
-	p := c.Add(c.ScalarBaseMult(u1), c.ScalarMult(pub, u2))
-	if new(big.Int).Mod(p.X, c.N).Cmp(r) != 0 {
+	if !P256Params().verify(pub, digest[:], r, s) {
 		t.Error("our verification equation rejects a stdlib ECDSA signature")
 	}
 }
 
+// verify is the textbook ECDSA equation on the curve, for r and s in
+// [1, N−1]: x(e·s⁻¹·G + r·s⁻¹·Q) ≡ r (mod N).
+func (c *Curve) verify(q Point, digest []byte, r, s *big.Int) bool {
+	w := new(big.Int).ModInverse(s, c.N)
+	u1 := new(big.Int).Mul(hashToScalar(digest, c), w)
+	p := c.Add(c.ScalarBaseMult(u1), c.ScalarMult(q, new(big.Int).Mul(r, w)))
+	return !p.Infinity() && new(big.Int).Mod(p.X, c.N).Cmp(r) == 0
+}
+
 // Verify is textbook ECDSA verification on math/big, the oracle that
 // Sign's output satisfies the raw equation independently of recovery.
-// Like RecoverPublicKeyXY it accepts only low-S signatures, so the two
-// agree on which encodings of a signature are valid; V is not consulted.
+// It applies RecoverPublicKeyXY's range rules (sigScalars), low S among
+// them, so the two agree on which encodings of a signature are valid;
+// which of 0 and 1 V is does not matter.
 func (pk PublicKey) Verify(digest []byte, sig Signature) bool {
-	c := S256()
-	r, s := sig.rBig(), sig.sBig()
-	if r.Sign() == 0 || s.Sign() == 0 || r.Cmp(c.N) >= 0 || s.Cmp(halfN) > 0 {
-		return false
-	}
-	if pk.Point.Infinity() || !c.IsOnCurve(pk.Point) {
-		return false
-	}
-	e := hashToScalar(digest, c)
-	w := new(big.Int).ModInverse(s, c.N)
-	u1 := new(big.Int).Mul(e, w)
-	u1.Mod(u1, c.N)
-	u2 := new(big.Int).Mul(r, w)
-	u2.Mod(u2, c.N)
-	p := c.Add(c.ScalarBaseMult(u1), c.ScalarMult(pk.Point, u2))
-	if p.Infinity() {
-		return false
-	}
-	return new(big.Int).Mod(p.X, c.N).Cmp(r) == 0
+	r, s, ok := sigScalars(sig)
+	return ok && S256().verify(pk.p.point(), digest, r, s)
 }
 
 func TestSignVerifyRoundtrip(t *testing.T) {
@@ -212,7 +220,7 @@ func TestSignVerifyRoundtrip(t *testing.T) {
 }
 
 func TestSignDeterministic(t *testing.T) {
-	key := NewPrivateKey(big.NewInt(0x1337))
+	key := keyOf(big.NewInt(0x1337))
 	digest := sha256.Sum256([]byte("deterministic"))
 	a, err := key.Sign(digest[:])
 	if err != nil {
@@ -232,7 +240,7 @@ func TestSignDeterministic(t *testing.T) {
 // recover to the address of G — the Keccak-256 of its X ‖ Y, last 20
 // bytes.
 func TestSignKnownAnswers(t *testing.T) {
-	key := NewPrivateKey(big.NewInt(1))
+	key := keyOf(big.NewInt(1))
 	for _, tc := range []struct {
 		msg, r, s string
 		v         byte
@@ -264,10 +272,8 @@ func TestSignKnownAnswers(t *testing.T) {
 }
 
 func TestLowSNormalization(t *testing.T) {
-	c := S256()
-	halfN := new(big.Int).Rsh(c.N, 1)
 	for i := int64(1); i <= 20; i++ {
-		key := NewPrivateKey(big.NewInt(i * 7919))
+		key := keyOf(big.NewInt(i * 7919))
 		digest := sha256.Sum256([]byte{byte(i)})
 		sig, err := key.Sign(digest[:])
 		if err != nil {
@@ -284,34 +290,34 @@ func TestLowSNormalization(t *testing.T) {
 // second valid encoding. Both checks refuse it; only the low-S form Sign
 // emits is a signature.
 func TestHighSRejectedBehaviour(t *testing.T) {
-	key := NewPrivateKey(big.NewInt(42))
+	key := keyOf(big.NewInt(42))
 	digest := sha256.Sum256([]byte("malleable"))
 	sig, _ := key.Sign(digest[:])
 	flipped := sigOf(sig.rBig(), new(big.Int).Sub(S256().N, sig.sBig()), sig.V^1)
 	if key.Public.Verify(digest[:], flipped) {
 		t.Error("Verify accepted the complementary (high) S value")
 	}
-	if _, err := RecoverPublicKey(digest[:], flipped); !errors.Is(err, ErrInvalidSignature) {
-		t.Errorf("RecoverPublicKey(high S) = %v, want ErrInvalidSignature", err)
+	if _, err := RecoverPublicKeyXY(digest[:], flipped); !errors.Is(err, ErrInvalidSignature) {
+		t.Errorf("RecoverPublicKeyXY(high S) = %v, want ErrInvalidSignature", err)
 	}
-	if got, err := RecoverPublicKey(digest[:], sig); err != nil || !got.Point.Equal(key.Public.Point) || !key.Public.Verify(digest[:], sig) {
+	if got, err := RecoverPublicKeyXY(digest[:], sig); err != nil || got != key.Public.XY() || !key.Public.Verify(digest[:], sig) {
 		t.Error("the low-S form Sign emitted is not accepted")
 	}
 }
 
 func TestRecoverPublicKey(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
-		key := NewPrivateKey(big.NewInt(i * 104729))
+		key := keyOf(big.NewInt(i * 104729))
 		digest := sha256.Sum256([]byte{byte(i), 0xAB})
 		sig, err := key.Sign(digest[:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := RecoverPublicKey(digest[:], sig)
+		got, err := RecoverPublicKeyXY(digest[:], sig)
 		if err != nil {
 			t.Fatalf("recover failed for key %d: %v", i, err)
 		}
-		if !got.Point.Equal(key.Public.Point) {
+		if got != key.Public.XY() {
 			t.Errorf("key %d: recovered wrong public key", i)
 		}
 	}
@@ -326,14 +332,14 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 		sigOf(big.NewInt(1), big.NewInt(1), 5),
 	}
 	for i, sig := range bad {
-		if _, err := RecoverPublicKey(digest[:], sig); err == nil {
+		if _, err := RecoverPublicKeyXY(digest[:], sig); err == nil {
 			t.Errorf("case %d: garbage signature recovered successfully", i)
 		}
 	}
 }
 
 func TestSignatureSerializeRoundtrip(t *testing.T) {
-	key := NewPrivateKey(big.NewInt(99991))
+	key := keyOf(big.NewInt(99991))
 	digest := sha256.Sum256([]byte("serialize"))
 	sig, _ := key.Sign(digest[:])
 	parsed, err := ParseSignature(sig.serialize())
@@ -348,41 +354,6 @@ func TestSignatureSerializeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestPointMarshalRoundtrip(t *testing.T) {
-	c := S256()
-	f := func(seed uint64) bool {
-		k := new(big.Int).SetUint64(seed + 1)
-		p := c.ScalarBaseMult(k)
-		u, err := c.Unmarshal(c.Marshal(p))
-		if err != nil || !u.Equal(p) {
-			return false
-		}
-		comp, err := c.Unmarshal(c.MarshalCompressed(p))
-		return err == nil && comp.Equal(p)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestUnmarshalRejectsOffCurve(t *testing.T) {
-	c := S256()
-	bad := c.Marshal(c.Generator())
-	bad[len(bad)-1] ^= 0x01 // corrupt Y
-	if _, err := c.Unmarshal(bad); err == nil {
-		t.Error("Unmarshal accepted an off-curve point")
-	}
-	if _, err := c.Unmarshal([]byte{0x07, 1, 2}); err == nil {
-		t.Error("Unmarshal accepted an invalid prefix")
-	}
-}
-
-func TestParsePublicKeyRejectsInfinity(t *testing.T) {
-	if _, err := ParsePublicKey([]byte{0}); err == nil {
-		t.Error("ParsePublicKey accepted the point at infinity")
-	}
-}
-
 func TestGenerateKeyUniqueness(t *testing.T) {
 	a, err := GenerateKey(nil)
 	if err != nil {
@@ -392,13 +363,131 @@ func TestGenerateKeyUniqueness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.D.Cmp(b.D) == 0 {
+	if bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("two generated keys are identical")
 	}
 }
 
+// TestSignMatchesBigIntOracle: Sign on the limbs gives byte for byte the
+// R, S and V of the math/big Sign it replaced (signOracle), on 10³ seeded
+// keys and digests (10² under -short) and on the digests at the edges of
+// the scalar range; and the nonce generator's first three candidates are
+// the oracle's retry sequence.
+func TestSignMatchesBigIntOracle(t *testing.T) {
+	n := S256().N
+	cases := 1_000
+	if testing.Short() {
+		cases = 100
+	}
+	rng := rand.New(rand.NewSource(6979))
+	check := func(name string, d *big.Int, digest []byte) {
+		t.Helper()
+		got, err := keyOf(d).Sign(digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := signOracle(new(big.Int).Mod(d, n), digest); got != want {
+			t.Fatalf("%s: d = %x, digest %x: Sign gave %x, the oracle %x", name, d, digest, got.serialize(), want.serialize())
+		}
+	}
+	for i := 0; i < cases; i++ {
+		digest := make([]byte, 32)
+		rng.Read(digest)
+		check("seeded", randScalar(rng), digest)
+	}
+	for name, e := range map[string]*big.Int{
+		"digest = 0":        new(big.Int),
+		"digest = n":        n,
+		"digest = n − 1":    new(big.Int).Sub(n, big.NewInt(1)),
+		"digest = 2²⁵⁶ − 1": max256,
+	} {
+		check(name, big.NewInt(0x5eed), be32(e))
+	}
+
+	d := randScalar(rng)
+	digest := sha256.Sum256([]byte("retry sequence"))
+	ds := scFromBig(d)
+	got, want := newRFC6979(&ds, digest[:]), rfc6979Oracle(d, digest[:], S256())
+	for i := 0; i < 3; i++ {
+		k := got.next()
+		if w := want(); scToBig(&k).Cmp(w) != 0 {
+			t.Fatalf("candidate %d: %x, oracle %x", i, scToBig(&k), w)
+		}
+	}
+}
+
+// TestPublicKeyEncoding: XY and the compressed SEC1 encoding from the
+// limbs match the math/big curve's point, for keys of both Y parities.
+func TestPublicKeyEncoding(t *testing.T) {
+	c := S256()
+	rng := rand.New(rand.NewSource(1))
+	ds := []*big.Int{big.NewInt(1), big.NewInt(2), big.NewInt(3), new(big.Int).Sub(c.N, big.NewInt(1))}
+	for i := 0; i < 12; i++ {
+		ds = append(ds, randScalar(rng))
+	}
+	parities := map[byte]bool{}
+	for _, d := range ds {
+		pub, want := keyOf(d).Public, c.ScalarBaseMult(d)
+		xy := want.xy()
+		compressed := append([]byte{byte(2 + want.Y.Bit(0))}, xy[:32]...)
+		if got := pub.BytesCompressed(); pub.XY() != xy || !bytes.Equal(got, compressed) {
+			t.Fatalf("d = %x: XY %x, compressed %x; want %x, %x", d, pub.XY(), got, xy, compressed)
+		}
+		parities[compressed[0]] = true
+	}
+	if !parities[0x02] || !parities[0x03] {
+		t.Fatalf("prefixes seen %v: want both parities", parities)
+	}
+}
+
+// TestPrivateKeyRanges: NewPrivateKey reduces mod n and panics on a
+// multiple of n; ParsePrivateKey refuses what is not 32 bytes in
+// [1, n−1]; GenerateKey skips entropy outside that range.
+func TestPrivateKeyRanges(t *testing.T) {
+	n := S256().N
+	one := keyOf(big.NewInt(1))
+	if got := keyOf(new(big.Int).Add(n, big.NewInt(1))); !bytes.Equal(got.Bytes(), one.Bytes()) || got.Public != one.Public {
+		t.Error("NewPrivateKey(n + 1) is not key 1")
+	}
+	for _, v := range []*big.Int{new(big.Int), n} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewPrivateKey(%x) did not panic", v)
+				}
+			}()
+			keyOf(v)
+		}()
+	}
+	for _, ok := range []*big.Int{big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1))} {
+		k, parsed := ParsePrivateKey(be32(ok))
+		if !parsed || !bytes.Equal(k.Bytes(), be32(ok)) || k.Public != keyOf(ok).Public {
+			t.Errorf("ParsePrivateKey(%x) refused or misread it", ok)
+		}
+	}
+	for name, b := range map[string][]byte{
+		"zero":     be32(new(big.Int)),
+		"n":        be32(n),
+		"2²⁵⁶ − 1": be32(max256),
+		"31 bytes": be32(big.NewInt(1))[1:],
+		"33 bytes": append([]byte{0}, be32(big.NewInt(1))...),
+		"nil":      nil,
+	} {
+		if _, ok := ParsePrivateKey(b); ok {
+			t.Errorf("ParsePrivateKey(%s) accepted it", name)
+		}
+	}
+	entropy := append(append(be32(max256), be32(new(big.Int))...), be32(big.NewInt(5))...)
+	k, err := GenerateKey(bytes.NewReader(entropy))
+	if err != nil || !bytes.Equal(k.Bytes(), be32(big.NewInt(5))) {
+		t.Errorf("GenerateKey did not skip 2²⁵⁶ − 1 and 0 to reach 5: %v", err)
+	}
+}
+
+// BenchmarkSign times Sign on the limb kernels: the RFC 6979 nonce, k·G
+// on the comb, one inversion for Z and one for k, and s on scalar limbs.
 func BenchmarkSign(b *testing.B) {
-	key := NewPrivateKey(big.NewInt(123456789))
+	key := keyOf(big.NewInt(123456789))
 	digest := sha256.Sum256([]byte("bench"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -408,20 +497,8 @@ func BenchmarkSign(b *testing.B) {
 	}
 }
 
-func BenchmarkVerify(b *testing.B) {
-	key := NewPrivateKey(big.NewInt(123456789))
-	digest := sha256.Sum256([]byte("bench"))
-	sig, _ := key.Sign(digest[:])
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !key.Public.Verify(digest[:], sig) {
-			b.Fatal("verify failed")
-		}
-	}
-}
-
 func FuzzParseSignature(f *testing.F) {
-	key := NewPrivateKey(big.NewInt(7))
+	key := keyOf(big.NewInt(7))
 	digest := sha256.Sum256([]byte("fuzz"))
 	sig, _ := key.Sign(digest[:])
 	f.Add(sig.serialize())
@@ -431,8 +508,7 @@ func FuzzParseSignature(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Parsed signatures must never panic verification.
-		_ = key.Public.Verify(digest[:], sig)
-		_, _ = RecoverPublicKey(digest[:], sig)
+		// Parsed signatures must never panic recovery.
+		_, _ = RecoverPublicKeyXY(digest[:], sig)
 	})
 }

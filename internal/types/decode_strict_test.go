@@ -91,6 +91,9 @@ func TestDecodeTxAcceptsOnlyTheCanonicalEncoding(t *testing.T) {
 	}
 }
 
+// secp256k1N is the secp256k1 group order n.
+var secp256k1N, _ = new(big.Int).SetString("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141", 16)
+
 // highSTwin returns a copy of tx signed (R, n−S, V⊕1): the other solution
 // of the same ECDSA equation, which anyone who sees tx can compute. Its
 // frame is well-formed, so it decodes; it must not validate.
@@ -98,7 +101,7 @@ func highSTwin(tx *Transaction) *Transaction {
 	twin := &Transaction{Kind: tx.Kind, Nonce: tx.Nonce, From: tx.From, To: tx.To, Value: tx.Value,
 		GasLimit: tx.GasLimit, GasPrice: tx.GasPrice, Data: tx.Data}
 	twin.Sig = secp256k1.Signature{R: tx.Sig.R, V: tx.Sig.V ^ 1}
-	new(big.Int).Sub(secp256k1.S256().N, new(big.Int).SetBytes(tx.Sig.S[:])).FillBytes(twin.Sig.S[:])
+	new(big.Int).Sub(secp256k1N, new(big.Int).SetBytes(tx.Sig.S[:])).FillBytes(twin.Sig.S[:])
 	return twin
 }
 

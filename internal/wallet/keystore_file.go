@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/big"
 	"os"
 	"path/filepath"
 
@@ -87,6 +86,12 @@ func SaveKeystore(w *Wallet, path, passphrase string) error {
 	if passphrase == "" {
 		return ErrEmptyPassword
 	}
+	return writeKeystore(path, passphrase, w.Address(), w.key.Bytes())
+}
+
+// writeKeystore writes plain to path sealed under the passphrase and
+// bound to addr: SaveKeystore's file, for any plaintext.
+func writeKeystore(path, passphrase string, addr Address, plain []byte) error {
 	salt := make([]byte, 16)
 	if _, err := rand.Read(salt); err != nil {
 		return fmt.Errorf("wallet: keystore salt: %w", err)
@@ -106,8 +111,7 @@ func SaveKeystore(w *Wallet, path, passphrase string) error {
 		return fmt.Errorf("wallet: keystore nonce: %w", err)
 	}
 	// Bind the ciphertext to the address via GCM additional data.
-	addr := w.Address()
-	sealed := gcm.Seal(nil, nonce, w.key.Bytes(), addr[:])
+	sealed := gcm.Seal(nil, nonce, plain, addr[:])
 
 	file := keystoreFile{
 		Version:    keystoreVersion,
@@ -184,7 +188,13 @@ func LoadKeystore(path, passphrase string) (*Wallet, error) {
 	if err != nil {
 		return nil, ErrBadPassphrase
 	}
-	w := fromKey(secp256k1.NewPrivateKey(new(big.Int).SetBytes(plain)))
+	// A sealed key is exactly what SaveKeystore wrote: 32 bytes in
+	// [1, n−1], never reduced.
+	priv, ok := secp256k1.ParsePrivateKey(plain)
+	if !ok {
+		return nil, fmt.Errorf("%w: sealed key is not 32 bytes in [1, n-1]", ErrBadKeystore)
+	}
+	w := fromKey(priv)
 	if w.Address() != claimed {
 		return nil, ErrWrongKeystore
 	}

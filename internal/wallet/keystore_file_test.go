@@ -165,6 +165,29 @@ func TestKeystoreGarbageFile(t *testing.T) {
 	}
 }
 
+// TestKeystoreRefusesBadKeyPlaintext: a file that decrypts correctly but
+// whose plaintext is not a private key — 32 zero bytes, n, or 33 bytes —
+// is ErrBadKeystore: never a panic, never a key reduced mod n.
+func TestKeystoreRefusesBadKeyPlaintext(t *testing.T) {
+	dir := t.TempDir()
+	w := NewDeterministic("persisted")
+	n := make([]byte, 32)
+	secp256k1N.FillBytes(n)
+	for name, plain := range map[string][]byte{
+		"zero":     make([]byte, 32),
+		"n":        n,
+		"33 bytes": append([]byte{0x00}, w.key.Bytes()...),
+	} {
+		path := filepath.Join(dir, name+".json")
+		if err := writeKeystore(path, "pw", w.Address(), plain); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadKeystore(path, "pw"); !errors.Is(err, ErrBadKeystore) {
+			t.Errorf("%s: err = %v, want ErrBadKeystore", name, err)
+		}
+	}
+}
+
 // TestPBKDF2KnownVector checks the PBKDF2 implementation against an
 // RFC 7914-era published test vector for PBKDF2-HMAC-SHA256.
 func TestPBKDF2KnownVector(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
@@ -50,8 +49,8 @@ func ParseAddress(s string) (Address, error) {
 
 // PubKeyAddress derives the address of a public key.
 func PubKeyAddress(pk secp256k1.PublicKey) Address {
-	raw := pk.Bytes() // 0x04 || X || Y
-	return xyAddress(raw[1:])
+	xy := pk.XY()
+	return xyAddress(xy[:])
 }
 
 // xyAddress derives the address of a public key given as X ‖ Y.
@@ -80,9 +79,7 @@ func New(r io.Reader) (*Wallet, error) {
 // so that experiment runs are reproducible; it must never be used for real
 // value.
 func NewDeterministic(label string) *Wallet {
-	sum := sha256.Sum256([]byte("smartcrowd-wallet:" + label))
-	d := new(big.Int).SetBytes(sum[:])
-	return fromKey(secp256k1.NewPrivateKey(d))
+	return fromKey(secp256k1.NewPrivateKey(sha256.Sum256([]byte("smartcrowd-wallet:" + label))))
 }
 
 func fromKey(key *secp256k1.PrivateKey) *Wallet {
@@ -114,9 +111,10 @@ func RecoverSigner(digest [32]byte, sig secp256k1.Signature) (Address, error) {
 // sigCache memoizes signature verification results. SmartCrowd nodes check
 // the same SRA/report signatures at several layers (pool admission, block
 // validation, contract execution); public-key recovery is a scalar
-// multiplication (≈ 80 µs) against a hash and a map lookup, so a bounded
-// global cache — the same trick geth uses — removes the redundant work. The cache key covers digest, signature and claimed
-// signer, so a hit can never confuse distinct verifications.
+// multiplication (≈ 73 µs) against a hash and a map lookup, so a bounded
+// global cache — the same trick geth uses — removes the redundant work.
+// The cache key covers digest, signature and claimed signer, so a hit can
+// never confuse distinct verifications.
 var sigCache = struct {
 	sync.RWMutex
 	m map[[32]byte]bool

@@ -36,6 +36,9 @@ func TestAddressDerivation(t *testing.T) {
 	}
 }
 
+// secp256k1N is the secp256k1 group order n.
+var secp256k1N, _ = new(big.Int).SetString("fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141", 16)
+
 func TestSignAndRecover(t *testing.T) {
 	w := NewDeterministic("signer")
 	digest := sha256.Sum256([]byte("message"))
@@ -60,7 +63,7 @@ func TestSignAndRecover(t *testing.T) {
 	// SRAs, R† and R* are checked through VerifyDigest: the high-S twin of
 	// a signature would be a second valid encoding of each of them.
 	twin := secp256k1.Signature{R: sig.R, V: sig.V ^ 1}
-	new(big.Int).Sub(secp256k1.S256().N, new(big.Int).SetBytes(sig.S[:])).FillBytes(twin.S[:])
+	new(big.Int).Sub(secp256k1N, new(big.Int).SetBytes(sig.S[:])).FillBytes(twin.S[:])
 	if _, err := RecoverSigner(digest, twin); !errors.Is(err, secp256k1.ErrInvalidSignature) {
 		t.Errorf("RecoverSigner(high-S twin) = %v, want ErrInvalidSignature", err)
 	}
