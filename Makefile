@@ -33,7 +33,8 @@ lint:
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and
-# the transaction and block decoders gossip feeds, the snap-sync,
+# the transaction and block decoders gossip feeds, the record check a
+# snap prefix meets, differentially against decode + VerifyShape, the snap-sync,
 # range-sync and relay-announcement payload decoders a hostile peer
 # controls, and the signature parser and recovery kernel every signed byte
 # reaches — the latter differentially against its math/big oracle, with
@@ -49,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) -run NONE ./internal/rlp/
 	$(GO) test -fuzz='^FuzzDecodeTx$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
 	$(GO) test -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
+	$(GO) test -fuzz='^FuzzVerifyRecord$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
 	$(GO) test -fuzz='^FuzzParseSnapManifest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunkRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunk$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/

@@ -230,15 +230,22 @@ func TestAdoptedStateIsReadableWhileSealing(t *testing.T) {
 }
 
 // memLog is a Storage that keeps what a backend would write: each
-// AppendBlocks call's encoded blocks and the head committed with them.
+// commit's encoded blocks and the head committed with them.
 // The chain appends under its write lock and the test reads when it is
 // done, so it needs no lock of its own.
 type memLog struct{ records [][]byte }
 
 func (m *memLog) Load(types.Hash) (*StoredChain, error) { return &StoredChain{}, nil }
 func (m *memLog) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
-	for _, blk := range blocks {
-		m.records = append(m.records, types.EncodeBlock(blk))
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i].Block = blk
+	}
+	return m.AppendRecords(recs, headID, headNumber)
+}
+func (m *memLog) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNumber uint64) error {
+	for _, rec := range recs {
+		m.records = append(m.records, rec.AppendTo(nil))
 	}
 	m.records = append(m.records, []byte(fmt.Sprintf("head %s %d", headID, headNumber)))
 	return nil

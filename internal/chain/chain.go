@@ -430,15 +430,15 @@ func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (
 // pipeline: stage 1 verifies blocks' stateless properties (ECDSA sender
 // recovery via the shared pool, payload decoding, tx-root merkle
 // recomputation, the PoW predicate) in parallel across all CPUs with no
-// lock held, while stage 2 serially executes and commits each block under
-// the chain mutex as soon as its verification lands — commit of block i
-// overlaps verification of blocks i+1…n.
+// lock held, while stage 2 serially executes and commits them under the
+// chain mutex, a run at a time (insertRunLocked), as their verification
+// lands — commit of one run overlaps verification of the blocks after it.
 //
 // Blocks already known to the chain are benign no-ops. Processing stops at
-// the first invalid block; the returned count is the number of blocks
-// processed (inserted or already known) before the failure. The mutex is
-// taken per block, so concurrent readers and competing inserts interleave
-// exactly as they would with sequential InsertBlock calls.
+// the first invalid block, where stage 1 stops too; the returned count is
+// the number of blocks processed (inserted or already known) before the
+// failure. The mutex is taken per run, so concurrent readers and competing
+// inserts interleave between runs.
 func (c *Chain) InsertChain(blocks []*types.Block) (int, error) {
 	return c.InsertChainTraced(blocks, telemetry.TraceContext{})
 }
@@ -454,57 +454,100 @@ func (c *Chain) InsertChainTraced(blocks []*types.Block, tc telemetry.TraceConte
 	mBatchBlocks.Observe(uint64(len(blocks)))
 	span := telemetry.StartSpanIn(tc, "chain.InsertChain")
 
-	// Stage 1: parallel stateless verification. Workers pull block indices
-	// from a shared cursor and publish results through per-block channels,
-	// so stage 2 consumes them in order without a global barrier.
-	errs := make([]error, len(blocks))
-	done := make([]chan struct{}, len(blocks))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	var cursor atomic.Int64
-	for w := 0; w < workers; w++ {
-		go func() {
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(blocks) {
-					return
-				}
-				t0 := now()
-				errs[i] = c.verifyStatelessAt(blocks, i)
-				mStage1Ns.ObserveDuration(since(t0))
-				close(done[i])
-			}
-		}()
-	}
+	stage1 := startVerify(len(blocks), func() func(int) error {
+		return func(i int) error {
+			t0 := now()
+			err := c.verifyStatelessAt(blocks, i)
+			mStage1Ns.ObserveDuration(since(t0))
+			return err
+		}
+	})
+	defer stage1.halt()
 
-	// Stage 2: serial execution/commit in batch order.
+	// Stage 2: serial execution and commit in batch order.
 	processed := 0
-	for i, blk := range blocks {
-		<-done[i]
-		if errs[i] != nil {
+	for processed < len(blocks) {
+		err := stage1.wait(processed)
+		if err != nil {
 			mImportFailed.Inc()
-			span.End(telemetry.L("blocks", strconv.Itoa(processed)), telemetry.L("failed", "1"))
-			return processed, fmt.Errorf("chain: batch block %d (#%d): %w", i, blk.Header.Number, errs[i])
+		} else {
+			from := processed
+			c.mu.Lock()
+			t1 := now()
+			var n int
+			n, err = c.insertRunLocked(blocks[from:], func(j int) bool { return stage1.passed(from + j) }, tc)
+			mStage2Ns.ObserveDuration(since(t1))
+			c.mu.Unlock()
+			processed += n
 		}
-		c.mu.Lock()
-		t1 := now()
-		_, err := c.insertVerifiedLocked(blk, tc)
-		mStage2Ns.ObserveDuration(since(t1))
-		c.mu.Unlock()
-		recordImport(err)
-		if err != nil && !errors.Is(err, ErrKnownBlock) {
+		if err != nil {
 			span.End(telemetry.L("blocks", strconv.Itoa(processed)), telemetry.L("failed", "1"))
-			return processed, fmt.Errorf("chain: batch block %d (#%d): %w", i, blk.Header.Number, err)
+			return processed, fmt.Errorf("chain: batch block %d (#%d): %w", processed, blocks[processed].Header.Number, err)
 		}
-		processed++
 	}
 	span.End(telemetry.L("blocks", strconv.Itoa(processed)))
 	return processed, nil
+}
+
+// verification is a stage-1 pass: up to GOMAXPROCS workers take indices
+// in order, store check(i) in errs[i] and close done[i]. Once stop is set
+// (a check failed, or the caller halts) no worker takes another index.
+type verification struct {
+	errs []error
+	done []chan struct{}
+	stop atomic.Bool
+	wg   sync.WaitGroup // the workers
+}
+
+// startVerify starts a verification of n items, each worker running the
+// check newCheck returns for it (so a check may keep per-worker scratch).
+func startVerify(n int, newCheck func() func(i int) error) *verification {
+	v := &verification{errs: make([]error, n), done: make([]chan struct{}, n)}
+	for i := range v.done {
+		v.done[i] = make(chan struct{})
+	}
+	var cursor atomic.Int64
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		check := newCheck()
+		v.wg.Add(1)
+		go func() {
+			defer v.wg.Done()
+			for !v.stop.Load() {
+				i := int(cursor.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if v.errs[i] = check(i); v.errs[i] != nil {
+					v.stop.Store(true)
+				}
+				close(v.done[i])
+			}
+		}()
+	}
+	return v
+}
+
+// halt stops the workers and waits for them to finish the items they hold.
+func (v *verification) halt() {
+	v.stop.Store(true)
+	v.wg.Wait()
+}
+
+// wait blocks until item i, which no earlier item failed before, is
+// checked and returns its result.
+func (v *verification) wait(i int) error {
+	<-v.done[i]
+	return v.errs[i]
+}
+
+// passed reports, without blocking, whether item i is checked and passed.
+func (v *verification) passed(i int) bool {
+	select {
+	case <-v.done[i]:
+		return v.errs[i] == nil
+	default:
+		return false
+	}
 }
 
 // verifyStatelessAt runs stage-1 verification for blocks[i], adding the
@@ -528,7 +571,7 @@ func (c *Chain) verifyStatelessAt(blocks []*types.Block, i int) error {
 // holds no locks; the chain config is immutable after New.
 func (c *Chain) verifyStateless(blk *types.Block) error {
 	types.RecoverSenders(blk.Txs)
-	return c.verifyShape(blk)
+	return blk.VerifyShape(c.cfg.SkipPoWCheck)
 }
 
 // verifyHeaderLink enforces the parent-contextual header rules: height,
@@ -551,12 +594,68 @@ func (c *Chain) verifyHeaderLink(parent, child *types.Header) error {
 	return nil
 }
 
+// maxRun caps an InsertChain run. At most postHorizon, the head switch
+// committing a run never drops the post-state of an entry in it.
+const maxRun = postHorizon
+
+// insertRunLocked runs stage 2 from blocks[0], whose stage 1 passed, and
+// returns how many blocks it processed (inserted or known) before the
+// error of the next one, if any; passed(j) reports, without waiting,
+// whether stage 1 passed blocks[j]. While the blocks extend the head and
+// have passed, up to maxRun of them execute one on another, each held to
+// its root, and commit as one (commitLocked): one fsync pair and one index
+// generation per run instead of per block. A block that fails to execute
+// ends the run without it. A side branch, a known block, the block
+// BuildBlock built and a run of one go through insertVerifiedLocked.
+// Callers hold the write lock.
+func (c *Chain) insertRunLocked(blocks []*types.Block, passed func(j int) bool, tc telemetry.TraceContext) (int, error) {
+	// extends: blocks[j] is new and, with positive difficulty, becomes
+	// the head on top of parentID.
+	extends := func(j int, parentID types.Hash) bool {
+		_, known := c.entries[blocks[j].ID()]
+		return !known && blocks[j].Header.ParentID == parentID && blocks[j].Header.Difficulty > 0
+	}
+	head := c.head
+	if c.closed || len(blocks) < 2 || !extends(0, head.block.ID()) || c.built.adoptable(head, blocks[0]) ||
+		!passed(1) || !extends(1, blocks[0].ID()) {
+		_, err := c.insertVerifiedLocked(blocks[0], tc)
+		recordImport(err)
+		if err != nil && !errors.Is(err, ErrKnownBlock) {
+			return 0, err
+		}
+		return 1, nil
+	}
+
+	run := make([]*entry, 0, min(len(blocks), maxRun))
+	parent := head
+	var err error
+	for j, blk := range blocks[:min(len(blocks), maxRun)] {
+		if j > 1 && (!passed(j) || !extends(j, parent.block.ID())) {
+			break
+		}
+		var e *entry
+		if e, err = c.executeLocked(parent, blk); err != nil {
+			break
+		}
+		run = append(run, e)
+		parent = e
+	}
+	if len(run) > 0 {
+		if cerr := c.commitLocked(run, true, tc); cerr != nil {
+			err, run = cerr, nil
+		}
+	}
+	if mImportInserted.Add(uint64(len(run))); err != nil {
+		mImportFailed.Inc()
+	}
+	return len(run), err
+}
+
 // insertVerifiedLocked runs stage 2 for a block whose stateless checks
-// already passed: parent lookup, header-link rules, execution against the
-// parent state (or adoption of BuildBlock's, when the block is the one it
-// built), state-root comparison and fork choice. Callers hold the
-// write lock. tc is the block's trace context, threaded into setHead's
-// event publication; a zero context is fine.
+// already passed: parent lookup, execution (executeLocked), fork choice
+// and the commit. Callers hold the write lock. tc is the block's trace
+// context, threaded into setHead's event publication; a zero context is
+// fine.
 func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext) (bool, error) {
 	if c.closed {
 		return false, ErrClosed
@@ -569,8 +668,23 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrUnknownParent, blk.Header.ParentID.Short())
 	}
-	if err := c.verifyHeaderLink(&parent.block.Header, &blk.Header); err != nil {
+	e, err := c.executeLocked(parent, blk)
+	if err != nil {
 		return false, err
+	}
+	switched := e.totalDif > c.head.totalDif
+	if err := c.commitLocked([]*entry{e}, switched, tc); err != nil {
+		return false, err
+	}
+	return switched, nil
+}
+
+// executeLocked is stage 2 short of the commit — header link, execution
+// (or adoption of BuildBlock's) and the state-root check — and returns
+// blk's entry, which nothing holds yet. Callers hold the write lock.
+func (c *Chain) executeLocked(parent *entry, blk *types.Block) (*entry, error) {
+	if err := c.verifyHeaderLink(&parent.block.Header, &blk.Header); err != nil {
+		return nil, err
 	}
 
 	// A block this chain built itself arrives with its execution already
@@ -583,73 +697,65 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 	} else {
 		parentState, err := c.stateOfLocked(parent)
 		if err != nil {
-			return false, err
+			return nil, err
 		}
 		st = parentState.Copy()
 		if receipts, err = execBlock(c.cfg, st, blk); err != nil {
-			return false, err
+			return nil, err
 		}
 	}
 	if st.Root() != blk.Header.StateRoot {
-		return false, fmt.Errorf("%w: computed %s, header %s",
+		return nil, fmt.Errorf("%w: computed %s, header %s",
 			ErrStateMismatch, st.Root().Short(), blk.Header.StateRoot.Short())
 	}
-
-	e := &entry{
+	return &entry{
 		block:    blk,
 		parent:   parent,
 		totalDif: parent.totalDif + blk.Header.Difficulty,
 		post:     st,
 		receipts: receipts,
-	}
-	switched := e.totalDif > c.head.totalDif
-
-	// Durable write-ahead commit: the block and the fork-choice head that
-	// will hold after this import reach disk before any in-memory
-	// structure changes. A storage failure rejects the import outright —
-	// memory never runs ahead of what a restart can recover.
-	if c.store != nil && c.persist {
-		headE := c.head
-		if switched {
-			headE = e
-		}
-		t0 := now()
-		err := c.store.AppendBlocks([]*types.Block{blk}, headE.block.ID(), headE.block.Header.Number)
-		mStoreAppendNs.ObserveDuration(since(t0))
-		if err != nil {
-			return false, fmt.Errorf("chain: durable append: %w", err)
-		}
-	}
-	c.entries[id] = e
-	// A build on this parent that was not this block is a stale seal now:
-	// let go of its post-state rather than pin it until the next build.
-	if c.built != nil && c.built.parent == parent {
-		c.built = nil
-	}
-
-	if switched {
-		c.setHead(e, tc)
-		c.maybeSnapshotLocked(e)
-		return true, nil
-	}
-	return false, nil
+	}, nil
 }
 
-// verifyShape runs the stateless checks, optionally skipping the PoW
-// predicate for simulated chains.
-func (c *Chain) verifyShape(blk *types.Block) error {
-	if c.cfg.SkipPoWCheck {
-		if types.ComputeTxRoot(blk.Txs) != blk.Header.TxRoot {
-			return types.ErrBlockBadTxRoot
+// commitLocked commits executed entries, each the parent of the next.
+// Write-ahead: their blocks and the head that holds after them (the last
+// entry when switched) reach disk in one append before memory changes, so
+// a storage failure rejects the whole run. Then the entries are stored
+// and, when switched, one head switch publishes them. Callers hold the
+// write lock.
+func (c *Chain) commitLocked(run []*entry, switched bool, tc telemetry.TraceContext) error {
+	last := run[len(run)-1]
+	if c.store != nil && c.persist {
+		head := c.head
+		if switched {
+			head = last
 		}
-		for i, tx := range blk.Txs {
-			if err := tx.ValidateBasic(); err != nil {
-				return fmt.Errorf("chain: block tx %d: %w", i, err)
-			}
+		blocks := make([]*types.Block, len(run))
+		for i, e := range run {
+			blocks[i] = e.block
 		}
-		return nil
+		t0 := now()
+		err := c.store.AppendBlocks(blocks, head.block.ID(), head.block.Header.Number)
+		mStoreAppendNs.ObserveDuration(since(t0))
+		if err != nil {
+			return fmt.Errorf("chain: durable append: %w", err)
+		}
 	}
-	return blk.VerifyShape()
+	for _, e := range run {
+		c.entries[e.block.ID()] = e
+	}
+	// A build on this parent that was not this block is a stale seal now:
+	// let go of its post-state rather than pin it until the next build.
+	if c.built != nil && c.built.parent == run[0].parent {
+		c.built = nil
+	}
+	if switched {
+		c.setHead(last, tc)
+		for _, e := range run {
+			c.maybeSnapshotLocked(e)
+		}
+	}
+	return nil
 }
 
 // setHead switches the canonical chain to the branch ending at e,

@@ -528,6 +528,16 @@ func execBlockForTest(h *harness, blk *types.Block) ([]*Receipt, error) {
 	return execBlock(h.chain.Config(), st, blk)
 }
 
+// recordsOf returns blocks the way a peer's range sync delivers them to
+// AdoptSnapshot: each a header-only block beside its encoding.
+func recordsOf(blocks []*types.Block) []types.BlockRecord {
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i] = types.BlockRecord{Block: &types.Block{Header: blk.Header}, Raw: types.EncodeBlock(blk)}
+	}
+	return recs
+}
+
 // adoptHead returns a fresh chain that snap-adopted src's canonical
 // chain at its head — the state production is in after a restart from a
 // datadir snapshot or a wire snap-sync: every entry below the head was
@@ -539,7 +549,7 @@ func adoptHead(t *testing.T, src *Chain) *Chain {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.AdoptSnapshot(src.CanonicalBlocks()[1:], snap.State); err != nil {
+	if err := dst.AdoptSnapshot(recordsOf(src.CanonicalBlocks()[1:]), snap.State); err != nil {
 		t.Fatal(err)
 	}
 	return dst
@@ -612,7 +622,7 @@ func TestStateRebuildRejectsForgedPrefixRoot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dst.AdoptSnapshot(forged, snap.State); err != nil {
+	if err := dst.AdoptSnapshot(recordsOf(forged), snap.State); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := dst.StateAt(forged[2].ID()); !errors.Is(err, ErrStateMismatch) {

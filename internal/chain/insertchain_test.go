@@ -1,12 +1,15 @@
 package chain
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/state"
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -400,4 +403,127 @@ func TestSnapshotNowBesideInsertChain(t *testing.T) {
 		t.Fatalf("never snapshotted the final head #%d", len(blocks))
 	}
 	t.Logf("snapshotted %d distinct heads during import", len(heights))
+}
+
+// transferBatch grows a harness chain by n blocks of perBlock transfers
+// and returns them re-decoded, with cold sender caches, as a peer would
+// send them.
+func transferBatch(t *testing.T, n, perBlock int) (*harness, []*types.Block) {
+	t.Helper()
+	h := newHarness(t)
+	for i := 0; i < n; i++ {
+		txs := make([]*types.Transaction, perBlock)
+		for j := range txs {
+			txs[j] = h.transferTx(h.provider, types.Address{byte(j), 7}, 1)
+		}
+		h.extend(txs...)
+	}
+	src := h.chain.CanonicalBlocks()[1:]
+	out := make([]*types.Block, len(src))
+	for i, blk := range src {
+		decoded, err := types.DecodeBlock(types.EncodeBlock(blk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = decoded
+	}
+	return h, out
+}
+
+// TestStageOneStopsAtTheFirstFailure: a hostile batch or snapshot prefix
+// whose first block carries a bad signature must not cost a recovery for
+// every transaction after it. Stage 1 workers stop taking blocks once one
+// fails, so with four workers the sender-cache misses stay far under a
+// quarter of the batch's transactions, for InsertChain and AdoptSnapshot
+// alike.
+func TestStageOneStopsAtTheFirstFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const blocks, perBlock = 64, 8
+	h, batch := transferBatch(t, blocks, perBlock)
+	snap := h.chain.SnapshotNow()
+	bad := batch[0]
+	bad.Txs[3].Sig.S[7] ^= 0x10
+	bad.Header.TxRoot = types.ComputeTxRoot(bad.Txs)
+
+	misses := telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
+	for _, entry := range []struct {
+		name string
+		run  func(c *Chain) error
+	}{
+		{"InsertChain", func(c *Chain) error { _, err := c.InsertChain(batch); return err }},
+		{"AdoptSnapshot", func(c *Chain) error { return c.AdoptSnapshot(recordsOf(batch), snap.State) }},
+	} {
+		t.Run(entry.name, func(t *testing.T) {
+			c := freshChain(t, h)
+			before := misses.Value()
+			if err := entry.run(c); !errors.Is(err, types.ErrTxWrongSender) && !errors.Is(err, types.ErrTxBadSignature) {
+				t.Fatalf("err = %v, want a signature failure", err)
+			}
+			if got, limit := misses.Value()-before, uint64(blocks*perBlock/4); got >= limit {
+				t.Errorf("%d sender recoveries for a batch whose block 0 is bad, want under %d", got, limit)
+			}
+			if c.HeadNumber() != 0 {
+				t.Errorf("head moved to #%d", c.HeadNumber())
+			}
+		})
+	}
+}
+
+// TestRunCommitsAsOne: consecutive verified blocks that extend the head
+// are committed as one run — one storage append naming the run's last
+// block as head, whose records are the blocks in order — and leave the
+// chain where importing them one by one does.
+func TestRunCommitsAsOne(t *testing.T) {
+	h, batch := transferBatch(t, maxRun+6, 2)
+	logRun, logOne := &memLog{}, &memLog{}
+	open := func(log *memLog) *Chain {
+		cfg := h.chain.Config()
+		cfg.Storage = log
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	run, one := open(logRun), open(logOne)
+	for _, blk := range batch {
+		if _, err := one.InsertBlock(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	all := func(int) bool { return true }
+	for done := 0; done < len(batch); {
+		run.mu.Lock()
+		n, err := run.insertRunLocked(batch[done:], all, telemetry.TraceContext{})
+		run.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := min(len(batch)-done, maxRun); n != want {
+			t.Fatalf("run from #%d committed %d blocks, want %d", done+1, n, want)
+		}
+		done += n
+	}
+	want := len(batch) + 2 // the blocks, and a head record after each run
+	if got := len(logRun.records); got != want {
+		t.Fatalf("storage saw %d records, want %d blocks and 2 heads", got, len(batch))
+	}
+	last := batch[maxRun-1]
+	if got, want := string(logRun.records[maxRun]), fmt.Sprintf("head %s %d", last.ID(), last.Header.Number); got != want {
+		t.Errorf("first run committed %q, want %q", got, want)
+	}
+	var perBlock [][]byte
+	for i, rec := range logOne.records {
+		if i%2 == 0 { // a block, then its head
+			perBlock = append(perBlock, rec)
+		}
+	}
+	batched := append(logRun.records[:maxRun:maxRun], logRun.records[maxRun+1:len(logRun.records)-1]...)
+	for i := range perBlock {
+		if !bytes.Equal(batched[i], perBlock[i]) {
+			t.Fatalf("block #%d stored differently by a run", i+1)
+		}
+	}
+	assertChainsIdentical(t, run, one)
 }

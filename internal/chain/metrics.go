@@ -26,7 +26,7 @@ var (
 func init() {
 	telemetry.SetHelp("smartcrowd_chain_import_total", "blocks processed by InsertBlock/InsertChain, by outcome")
 	telemetry.SetHelp("smartcrowd_chain_stage1_verify_ns", "stage-1 stateless verification latency per block (sender recovery, tx-root, PoW predicate)")
-	telemetry.SetHelp("smartcrowd_chain_stage2_commit_ns", "stage-2 execute/commit latency per block under the chain mutex")
+	telemetry.SetHelp("smartcrowd_chain_stage2_commit_ns", "stage-2 execute/commit latency per commit under the chain mutex: one block, or one InsertChain run")
 	telemetry.SetHelp("smartcrowd_chain_batch_blocks", "InsertChain batch sizes in blocks")
 	telemetry.SetHelp("smartcrowd_chain_head_height", "canonical head block number")
 	telemetry.SetHelp("smartcrowd_chain_reorgs_total", "head switches that abandoned at least one canonical block")

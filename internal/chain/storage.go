@@ -33,10 +33,8 @@ package chain
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync/atomic"
 
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
@@ -53,8 +51,13 @@ type Storage interface {
 	Load(genesis types.Hash) (*StoredChain, error)
 	// AppendBlocks durably commits blocks (in order) together with the
 	// fork-choice head that holds after their import. It must not return
-	// until both survive a crash.
+	// until both survive a crash. Every import commits through it.
 	AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error
+	// AppendRecords is AppendBlocks for records: a record with Raw set is
+	// committed as those bytes, so snapshot adoption commits its prefix
+	// without decoding it. AppendBlocks stays beside it because the frozen
+	// benchmark's trace wrapper (benchmark/trace.go) overrides it.
+	AppendRecords(recs []types.BlockRecord, headID types.Hash, headNumber uint64) error
 	// SaveSnapshot durably replaces the backend's state snapshot.
 	SaveSnapshot(snap StoredSnapshot) error
 	// Stats reports backend sizes and state for observability surfaces.
@@ -311,8 +314,9 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 // no post-state or receipts (the archival horizon: per-tx receipts and
 // detection indexes exist only from the snapshot height forward, since
 // rebuilding them would require exactly the re-execution the snapshot
-// exists to avoid). A record with Raw set (a reopen) is installed as its
-// header-only block plus those bytes, for body to decode; the head is
+// exists to avoid). A record with Raw set — every record a reopen or a
+// snap-join installs — is held as its header-only block plus those bytes,
+// for body to decode; the head is
 // decoded here, since head events and /v1 read its transactions. Callers
 // hold the write lock.
 func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
@@ -342,53 +346,27 @@ func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 }
 
 // AdoptSnapshot bootstraps a pristine chain from snap-synced material: the
-// canonical blocks 1..H (ascending) and the serialized post-state of the
-// final block. The blocks get full stateless shape verification (PoW
-// predicate, tx-root merkle, structural tx checks — parallel across CPUs)
-// but no execution; instead the restored state is hashed and compared to
-// the commitment-trie root in block H's header, which transitively commits
-// to every execution effect. The structural checks include every prefix
-// transaction's signature: verifyShape reaches ValidateBasic, which
-// recovers the sender, so adoption pays one ECDSA recovery per transaction
-// below H (about half of coldsync's CPU; whether a snapshot's prefix needs
-// that is ROADMAP item 8's decision). Receipts below H are not materialized
-// (the archival horizon).
+// canonical blocks 1..H (ascending) as records — header-only blocks beside
+// their EncodeBlock bytes — and the serialized post-state of block H. The
+// records get the full shape check on their bytes (types.RecordVerifier,
+// parallel across CPUs, stopping at the first failure) but no execution;
+// instead the restored state is hashed and compared to the commitment-trie
+// root in block H's header, which transitively commits to every execution
+// effect. The shape check recovers every sender below H (whether a
+// snapshot's prefix needs that is ROADMAP item 5's decision). The prefix is
+// installed as a reopen installs it (installPrefixLocked), so it pins the
+// range payloads it came in as a reopen pins the log buffer. Receipts
+// below H are not materialized (the archival horizon).
 //
 // The whole point of snap-sync: adoption costs O(snapshot + shape checks)
 // instead of O(re-executing the chain).
-func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
-	if len(blocks) == 0 {
+func (c *Chain) AdoptSnapshot(prefix []types.BlockRecord, stateBlob []byte) error {
+	if len(prefix) == 0 {
 		return fmt.Errorf("%w: no blocks", ErrSnapshotChain)
 	}
-
-	// Parallel stateless shape verification, no locks held.
-	errs := make([]error, len(blocks))
-	var cursor atomic.Int64
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(blocks) {
-		workers = len(blocks)
-	}
-	done := make(chan struct{}, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(blocks) {
-					return
-				}
-				errs[i] = c.verifyShape(blocks[i])
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			mSnapshotRejected.Inc()
-			return fmt.Errorf("chain: snapshot block %d (#%d): %w", i, blocks[i].Header.Number, err)
-		}
+	if err := c.verifyRecords(prefix); err != nil {
+		mSnapshotRejected.Inc()
+		return err
 	}
 
 	st, err := state.Restore(stateBlob)
@@ -396,29 +374,25 @@ func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
 		mSnapshotRejected.Inc()
 		return fmt.Errorf("%w: %v", ErrSnapshotRejected, err)
 	}
-	head := blocks[len(blocks)-1]
+	head := prefix[len(prefix)-1].Block
 	if root := st.Root(); root != head.Header.StateRoot {
 		mSnapshotRejected.Inc()
 		return fmt.Errorf("%w: restored state hashes to %s, header commits to %s",
 			ErrSnapshotState, root.Short(), head.Header.StateRoot.Short())
 	}
 
-	prefix := make([]types.BlockRecord, len(blocks))
-	for i, blk := range blocks {
-		prefix[i].Block = blk
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.validatePrefixLocked(prefix); err != nil {
 		mSnapshotRejected.Inc()
 		return err
 	}
-	// Write-ahead, mirroring insertVerifiedLocked: the backend commits the
-	// prefix before memory adopts it, so a persistence failure leaves the
-	// chain untouched (still at genesis, free to fall back to replay)
-	// instead of a memory head whose prefix never reached disk.
+	// Write-ahead, mirroring commitLocked: the backend commits the prefix
+	// before memory adopts it, so a persistence failure leaves the chain
+	// untouched (still at genesis, free to fall back to replay) instead of
+	// a memory head whose prefix never reached disk.
 	if c.store != nil && c.persist {
-		if err := c.store.AppendBlocks(blocks, head.ID(), head.Header.Number); err != nil {
+		if err := c.store.AppendRecords(prefix, head.ID(), head.Header.Number); err != nil {
 			return fmt.Errorf("chain: persist adopted snapshot blocks: %w", err)
 		}
 	}
@@ -432,6 +406,28 @@ func (c *Chain) AdoptSnapshot(blocks []*types.Block, stateBlob []byte) error {
 			State:     stateBlob,
 		}
 		c.writeSnapshotAsync(func() StoredSnapshot { return snap })
+	}
+	return nil
+}
+
+// verifyRecords shape-checks a snapshot prefix on its bytes, one
+// RecordVerifier per worker, and returns the first failure in order.
+func (c *Chain) verifyRecords(prefix []types.BlockRecord) error {
+	checks := startVerify(len(prefix), func() func(int) error {
+		v := &types.RecordVerifier{SkipPoW: c.cfg.SkipPoWCheck}
+		return func(i int) error {
+			h, err := v.Verify(prefix[i].Raw)
+			if err == nil && h != prefix[i].Block.Header {
+				err = fmt.Errorf("%w: header differs from its record", ErrSnapshotChain)
+			}
+			return err
+		}
+	})
+	defer checks.halt()
+	for i, rec := range prefix {
+		if err := checks.wait(i); err != nil {
+			return fmt.Errorf("chain: snapshot block %d (#%d): %w", i, rec.Block.Header.Number, err)
+		}
 	}
 	return nil
 }

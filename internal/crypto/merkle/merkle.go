@@ -42,25 +42,17 @@ func nodeHash(left, right Hash) Hash {
 	return keccak.Sum256Concat([]byte{nodePrefix}, left[:], right[:])
 }
 
-// Root computes the Merkle root over the given leaf payloads.
-func Root(leaves [][]byte) Hash {
-	if len(leaves) == 0 {
+// Fold returns the root of the tree whose leaf hashes (LeafHash) are
+// level, folding it in place: each level's nodes overwrite the front of
+// the one below, so level is scratch afterwards and nothing is allocated.
+func Fold(level []Hash) Hash {
+	if len(level) == 0 {
 		return EmptyRoot
 	}
-	level := make([]Hash, len(leaves))
-	for i, l := range leaves {
-		level[i] = LeafHash(l)
-	}
-	for len(level) > 1 {
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i], level[i+1]))
-			} else {
-				next = append(next, nodeHash(level[i], level[i])) // duplicate odd node
-			}
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		for i := 0; i < n; i += 2 {
+			level[i/2] = nodeHash(level[i], level[min(i+1, n-1)]) // an odd node pairs with itself
 		}
-		level = next
 	}
 	return level[0]
 }
@@ -95,24 +87,15 @@ func Prove(leaves [][]byte, index int) (Proof, error) {
 	}
 	proof := Proof{LeafIndex: index, LeafCount: len(leaves)}
 	pos := index
-	for len(level) > 1 {
-		sib := pos ^ 1
-		if sib >= len(level) {
-			sib = pos // odd node duplicated
-		}
+	for n := len(level); n > 1; n = (n + 1) / 2 {
+		sib := min(pos^1, n-1) // an odd last node is its own sibling
 		proof.Steps = append(proof.Steps, ProofStep{
 			Sibling: level[sib],
-			Right:   sib > pos || sib == pos, // duplicated node hashes as (h, h)
+			Right:   sib >= pos, // a duplicated node hashes as (h, h)
 		})
-		next := make([]Hash, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, nodeHash(level[i], level[i+1]))
-			} else {
-				next = append(next, nodeHash(level[i], level[i]))
-			}
+		for i := 0; i < n; i += 2 { // Fold's step
+			level[i/2] = nodeHash(level[i], level[min(i+1, n-1)])
 		}
-		level = next
 		pos /= 2
 	}
 	return proof, nil

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// Root is the root over leaf payloads: Fold of their leaf hashes, the way
+// a block's transaction root is built.
+func Root(leaves [][]byte) Hash {
+	level := make([]Hash, len(leaves))
+	for i, l := range leaves {
+		level[i] = LeafHash(l)
+	}
+	return Fold(level)
+}
+
 func makeLeaves(n int) [][]byte {
 	leaves := make([][]byte, n)
 	for i := range leaves {

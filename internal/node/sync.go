@@ -70,9 +70,9 @@ type syncer struct {
 	chunks       [][]byte
 	chunkBytes   uint64
 	nextChunk    uint32
-	prefix       []*types.Block // snapshot prefix, collected in order
-	nextBlock    uint64         // next block number to range-request
-	fetched      uint64         // blocks imported this session (tail/replay)
+	prefix       []types.BlockRecord // snapshot prefix records, in order
+	nextBlock    uint64              // next block number to range-request
+	fetched      uint64              // blocks imported this session (tail/replay)
 	lastProgress time.Time
 	applying     atomic.Bool
 }
@@ -121,7 +121,11 @@ func (s *syncer) status() SyncStatus {
 	case "state":
 		st.Done, st.Total = uint64(s.nextChunk), uint64(s.manifest.Chunks())
 	case "blocks":
-		st.Done, st.Total = uint64(len(s.prefix)), s.manifest.Height
+		if s.mode == SyncSnap {
+			st.Done, st.Total = uint64(len(s.prefix)), s.manifest.Height
+			break
+		}
+		fallthrough
 	default:
 		st.Done, st.Total = s.fetched, s.target
 	}
@@ -255,7 +259,7 @@ func (p *ProviderNode) handleSnapChunk(from p2p.NodeID, payload []byte) {
 		// adopted chain is complete from genesis.
 		s.phase = "blocks"
 		s.nextBlock = 1
-		s.prefix = make([]*types.Block, 0, s.manifest.Height)
+		s.prefix = make([]types.BlockRecord, 0, s.manifest.Height)
 		req = p2p.Message{Kind: p2p.MsgRangeRequest, Payload: p2p.EncodeRangeRequest(1, rangeEnd(1, s.manifest.Height))}
 	} else {
 		req = p2p.Message{Kind: p2p.MsgSnapChunkRequest, Payload: p2p.EncodeSnapChunkRequest(blockID, s.nextChunk)}
@@ -284,30 +288,31 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 		s.mu.Unlock()
 		return
 	}
-	blocks := make([]*types.Block, 0, len(records))
-	for _, rec := range records {
-		blk, err := types.DecodeBlock(rec)
+	// Headers check the numbering. The snap prefix stays records, checked
+	// on their bytes by AdoptSnapshot; tail and replay blocks decode below.
+	snapPrefix := s.mode == SyncSnap && s.phase == "blocks"
+	for i, raw := range records {
+		h, err := types.DecodeHeader(raw)
 		if err != nil {
 			mGossipMalformed.Inc()
 			p.abortLocked("bad-block")
 			s.mu.Unlock()
 			return
 		}
-		blocks = append(blocks, blk)
-	}
-	for i, blk := range blocks {
-		if blk.Header.Number != s.nextBlock+uint64(i) {
+		if h.Number != s.nextBlock+uint64(i) {
 			p.abortLocked("range-out-of-order")
 			s.mu.Unlock()
 			return
 		}
+		if snapPrefix {
+			s.prefix = append(s.prefix, types.BlockRecord{Block: &types.Block{Header: h}, Raw: raw})
+		}
 	}
-	mSyncRangeBlocks.Add(uint64(len(blocks)))
+	mSyncRangeBlocks.Add(uint64(len(records)))
 	s.lastProgress = p.clock()
 
-	if s.mode == SyncSnap && s.phase == "blocks" {
-		s.prefix = append(s.prefix, blocks...)
-		s.nextBlock += uint64(len(blocks))
+	if snapPrefix {
+		s.nextBlock += uint64(len(records))
 		if s.nextBlock <= s.manifest.Height {
 			req := p2p.EncodeRangeRequest(s.nextBlock, rangeEnd(s.nextBlock, s.manifest.Height))
 			s.mu.Unlock()
@@ -354,8 +359,13 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 		return
 	}
 
-	// Tail or replay: blocks run through normal verified import.
+	// Tail or replay: blocks run through normal verified import (each
+	// decodes: DecodeHeader accepted it).
 	s.mu.Unlock()
+	blocks := make([]*types.Block, len(records))
+	for i, raw := range records {
+		blocks[i], _ = types.DecodeBlock(raw)
+	}
 	p.mu.Lock()
 	n, insErr := p.chain.InsertChain(blocks)
 	if n > 0 {

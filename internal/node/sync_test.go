@@ -143,6 +143,41 @@ func TestSnapSyncColdJoin(t *testing.T) {
 	}
 }
 
+// TestSyncStatusCountsPrefixRecords: while a snap session collects the
+// block prefix, SyncStatus counts the records it holds against the
+// snapshot height — a range at a time — and a replay session in its own
+// "blocks" phase counts imported blocks against its target.
+func TestSyncStatusCountsPrefixRecords(t *testing.T) {
+	sn := newSyncNet(t)
+	a := sn.provider("pa")
+	sn.grow(a, maxRangeBlocks+40)
+
+	b := sn.provider("pb")
+	sn.announce(a, b)
+	seen := map[uint64]bool{}
+	for i := 0; i < 400 && b.Chain().Head().ID() != a.Chain().Head().ID(); i++ {
+		if st := b.SyncStatus(); st.Mode == SyncSnap && st.Phase == "blocks" {
+			if st.Total != maxRangeBlocks+40 || st.Done > st.Total {
+				t.Fatalf("prefix progress %d of %d, want of %d", st.Done, st.Total, maxRangeBlocks+40)
+			}
+			seen[st.Done] = true
+		}
+		sn.pump([]*ProviderNode{a, b}, 1)
+	}
+	if !seen[0] || !seen[maxRangeBlocks] {
+		t.Errorf("prefix progress seen %v, want 0 and then %d records", seen, maxRangeBlocks)
+	}
+
+	// A node one block in replays rather than snap-joins.
+	c := sn.provider("pc")
+	sn.grow(c, 1)
+	sn.announce(a, c)
+	sn.pump([]*ProviderNode{c}, 1)
+	if st := c.SyncStatus(); st.Mode != SyncReplay || st.Phase != "blocks" || st.Total != a.Chain().HeadNumber() {
+		t.Errorf("replay status %+v, want the blocks phase toward #%d", st, a.Chain().HeadNumber())
+	}
+}
+
 // TestSnapSyncTailAfterSnapshot covers the tail phase: the served
 // snapshot trails the announced head (the server's cache is allowed to
 // lag by snapServeSlack), so the gap blocks arrive as ranges through

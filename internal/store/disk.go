@@ -23,11 +23,13 @@
 //	            everything prior. Replaced via write-temp + fsync + rename,
 //	            so a crash mid-write leaves the previous snapshot intact.
 //
-// Commit protocol (AppendBlocks): log append → log fsync → WAL append →
-// WAL fsync. A crash between the two fsyncs leaves log records the WAL
-// does not acknowledge; open truncates them and the chain re-imports the
-// block from the network. A crash before the
-// log fsync can tear a log record; the CRC scan stops there. The WAL is
+// Commit protocol (AppendRecords, which AppendBlocks calls): log append →
+// log fsync → WAL append → WAL fsync, once per commit — one imported
+// block, one InsertChain run, or one adopted snapshot prefix. A crash
+// between the two fsyncs leaves log records the WAL does not
+// acknowledge; open truncates them, all of a commit's together, and the
+// chain re-imports the blocks from the network. A crash before the log
+// fsync can tear a log record; the CRC scan stops there. The WAL is
 // never ahead of the log — if open finds fewer valid log records than the
 // WAL acknowledges, the datadir is corrupt beyond self-healing and open
 // fails loudly rather than serving a chain with holes.
@@ -99,7 +101,7 @@ var (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Disk implements chain.Storage over a datadir. Safe for concurrent use;
-// AppendBlocks calls are serialized by the store mutex (the chain already
+// commits are serialized by the store mutex (the chain already
 // serializes them under its write lock), snapshot writes take their own.
 type Disk struct {
 	dir string
@@ -117,7 +119,7 @@ type Disk struct {
 	snapMu     sync.Mutex
 	snapHeight atomic.Uint64
 
-	// crashPoint, when set, aborts AppendBlocks when it reaches the named
+	// crashPoint, when set, aborts a commit when it reaches the named
 	// point in the commit protocol, leaving the files exactly as a crash
 	// at that point would (modulo OS-buffer survival, which the direct
 	// file-corruption tests cover). Test hook only: armed by
@@ -350,14 +352,23 @@ func (d *Disk) recoverLog() ([][]byte, error) {
 	return recs, nil
 }
 
-// AppendBlocks durably commits blocks plus the resulting fork-choice head:
-// log append, log fsync, WAL append, WAL fsync.
+// AppendBlocks commits blocks as AppendRecords commits records.
+func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i].Block = blk
+	}
+	return d.AppendRecords(recs, headID, headNumber)
+}
+
+// AppendRecords durably commits records plus the resulting fork-choice
+// head: log append, log fsync, WAL append, WAL fsync, however many records.
 // On any error the in-memory counters are left unchanged, the files are
 // rolled back to the last committed sizes (best effort), and the store
 // latches fail-stop — see commitFailed. The next open truncates whatever
 // half-commit reached disk.
-func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
-	if len(blocks) == 0 {
+func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNumber uint64) error {
+	if len(recs) == 0 {
 		return nil
 	}
 	d.mu.Lock()
@@ -369,7 +380,7 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 		return ErrFailed
 	}
 
-	logBuf := encodeLogRecords(blocks)
+	logBuf := encodeLogRecords(recs)
 	if _, err := d.logF.Write(logBuf); err != nil {
 		return d.commitFailed(fmt.Errorf("store: append log: %w", err))
 	}
@@ -384,7 +395,7 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 	}
 
 	wal := make([]byte, 0, walRecordSize)
-	wal = binary.BigEndian.AppendUint64(wal, d.seq+uint64(len(blocks)))
+	wal = binary.BigEndian.AppendUint64(wal, d.seq+uint64(len(recs)))
 	wal = append(wal, headID[:]...)
 	wal = binary.BigEndian.AppendUint64(wal, headNumber)
 	wal = binary.BigEndian.AppendUint32(wal, crc32.Checksum(wal, crcTable))
@@ -400,23 +411,23 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 
 	d.logSize += int64(len(logBuf))
 	d.walSize += walRecordSize
-	d.seq += uint64(len(blocks))
+	d.seq += uint64(len(recs))
 	return nil
 }
 
-// encodeLogRecords lays blocks out as blocks.log records — length prefix,
-// the types.EncodeBlock payload, CRC-32C of the payload — in one buffer of
-// exactly their size, each block encoded in place.
-func encodeLogRecords(blocks []*types.Block) []byte {
+// encodeLogRecords lays records out as blocks.log records — length
+// prefix, the types.EncodeBlock payload, CRC-32C of the payload — in one
+// buffer of exactly their size, each written in place.
+func encodeLogRecords(recs []types.BlockRecord) []byte {
 	size := 0
-	for _, blk := range blocks {
-		size += logHeaderSize + types.BlockSize(blk) + logTrailerSize
+	for _, rec := range recs {
+		size += logHeaderSize + rec.Size() + logTrailerSize
 	}
 	buf := make([]byte, 0, size)
-	for _, blk := range blocks {
+	for _, rec := range recs {
 		at := len(buf) + logHeaderSize
-		buf = binary.BigEndian.AppendUint32(buf, uint32(types.BlockSize(blk)))
-		buf = types.AppendBlock(buf, blk)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Size()))
+		buf = rec.AppendTo(buf)
 		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[at:], crcTable))
 	}
 	return buf
@@ -427,7 +438,7 @@ func encodeLogRecords(blocks []*types.Block) []byte {
 // process were allowed to succeed, the next open would count those orphan
 // records toward the WAL-acknowledged sequence and truncate a genuinely
 // committed block instead, failing recovery. So the store latches
-// fail-stop unconditionally — every subsequent AppendBlocks returns
+// fail-stop unconditionally — every subsequent commit returns
 // ErrFailed; reopening the datadir runs normal crash recovery — and, for
 // real IO errors, additionally rolls the files back to the last committed
 // sizes (best effort; recovery on the next open does not depend on it).

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -128,6 +130,16 @@ func (f *fixture) insert(blk *types.Block) error {
 	return err
 }
 
+// recordsOf returns blocks the way a peer's range sync delivers them to
+// AdoptSnapshot: each a header-only block beside its encoding.
+func recordsOf(blocks []*types.Block) []types.BlockRecord {
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i] = types.BlockRecord{Block: &types.Block{Header: blk.Header}, Raw: types.EncodeBlock(blk)}
+	}
+	return recs
+}
+
 // assertEqualChains proves two chains are byte-identical: same head, same
 // total difficulty, and every canonical block encodes to the same bytes.
 func assertEqualChains(t *testing.T, got, want *chain.Chain) {
@@ -167,7 +179,11 @@ func TestLogRecordsWrittenOnce(t *testing.T) {
 		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(payload, crcTable))
 	}
 	var got []byte
-	if n := testing.AllocsPerRun(20, func() { got = encodeLogRecords(blocks) }); n != 1 {
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i].Block = blk
+	}
+	if n := testing.AllocsPerRun(20, func() { got = encodeLogRecords(recs) }); n != 1 {
 		t.Errorf("encodeLogRecords made %v allocations for %d blocks, want 1", n, len(blocks))
 	}
 	if !bytes.Equal(got, want) {
@@ -248,14 +264,27 @@ func TestCloseRefusesFurtherImports(t *testing.T) {
 
 // TestCrashInjection kills the commit protocol at every interior point and
 // proves reopen recovers a consistent head. Before the WAL record is
-// written that is the last acknowledged head, and the lost block is
+// written that is the last acknowledged head, and the lost blocks are
 // accepted again; at wal-written the record is on its way to disk, so
 // either head is legal — a process kill leaves the record in the OS
 // buffer and the commit stands, a power cut may lose it — but whichever
-// head comes back, the chain must equal the oracle there.
+// head comes back, the chain must equal the oracle there. The commit is
+// one InsertBlock, or one InsertChain run of several blocks, which lands
+// or is lost whole: the head never comes back inside it.
 func TestCrashInjection(t *testing.T) {
 	for _, point := range []string{"log-written", "log-synced", "wal-written"} {
-		t.Run(point, func(t *testing.T) {
+		t.Run(point, func(t *testing.T) { crashAt(t, point) })
+	}
+}
+
+// crashAt is one TestCrashInjection point, for a single block and a run.
+func crashAt(t *testing.T, point string) {
+	for _, size := range []int{1, 5} {
+		t.Run(fmt.Sprintf("%d-block", size), func(t *testing.T) {
+			// One stage-1 worker verifies the whole batch (its senders
+			// are warm) before the import gets the CPU back, so the
+			// batch is committed as one run.
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			dir := t.TempDir()
 			f := mustOpen(t, dir, 0)
 			oracle := memFixture(t)
@@ -269,14 +298,17 @@ func TestCrashInjection(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			lost := oracle.extend(1)
+			var lost []*types.Block
+			for i := 0; i < size; i++ {
+				lost = append(lost, oracle.extend(1))
+			}
 
 			f.chain.Config().Storage.(*Disk).SetCrashPoint(point)
-			if err := f.insert(lost); err == nil {
+			if _, err := f.chain.InsertChain(lost); err == nil {
 				t.Fatal("injected crash did not surface")
 			}
-			// Simulated kill -9: abandon the chain without Close (no final
-			// snapshot).
+			// Simulated kill -9: abandon the chain without Close (no
+			// final snapshot).
 
 			reopened := mustOpen(t, dir, 0)
 			defer reopened.chain.Close()
@@ -285,18 +317,59 @@ func TestCrashInjection(t *testing.T) {
 				if !reopened.chain.StorageStats().Recovered {
 					t.Error("stats do not report crash recovery")
 				}
-				// The lost block is re-importable (the network would
-				// re-gossip it).
-				if err := reopened.insert(lost); err != nil {
-					t.Fatalf("re-import of lost block: %v", err)
+				// The lost blocks are re-importable (the network would
+				// re-gossip them).
+				if _, err := reopened.chain.InsertChain(lost); err != nil {
+					t.Fatalf("re-import of lost blocks: %v", err)
 				}
-			case point == "wal-written" && got == lost.ID():
+			case point == "wal-written" && got == lost[len(lost)-1].ID():
 				// The unsynced WAL record survived: the commit stands.
 			default:
-				t.Fatalf("recovered head %s, want last committed %s", got.Short(), committed[len(committed)-1].ID().Short())
+				t.Fatalf("recovered head %s, want last committed %s or (at wal-written) %s", got.Short(),
+					committed[len(committed)-1].ID().Short(), lost[len(lost)-1].ID().Short())
 			}
 			assertEqualChains(t, reopened.chain, oracle.chain)
 		})
+	}
+}
+
+// TestRunWritesTheLogOfSingleImports: the block log a batched import
+// leaves is byte for byte the one importing the same blocks one at a
+// time leaves; only the WAL, one record per commit, is shorter.
+func TestRunWritesTheLogOfSingleImports(t *testing.T) {
+	src := memFixture(t)
+	var blocks []*types.Block
+	for i := 0; i < 40; i++ {
+		blocks = append(blocks, src.extend(i%4))
+	}
+	one, batched := t.TempDir(), t.TempDir()
+	a, b := mustOpen(t, one, 0), mustOpen(t, batched, 0)
+	for _, blk := range blocks {
+		if err := a.insert(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := b.chain.InsertChain(blocks); err != nil {
+		t.Fatal(err)
+	}
+	assertEqualChains(t, b.chain, a.chain)
+	read := func(dir, name string) []byte {
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	if !bytes.Equal(read(batched, logName), read(one, logName)) {
+		t.Error("a batched import wrote a different block log")
+	}
+	if got, single := len(read(batched, walName)), len(read(one, walName)); got > single {
+		t.Errorf("batched WAL is %d bytes, single-block WAL %d", got, single)
+	}
+	for _, f := range []*fixture{a, b} {
+		if err := f.chain.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -358,7 +431,7 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 	dir := t.TempDir()
 	f := mustOpen(t, dir, 0)
 	f.chain.Config().Storage.(*Disk).SetCrashPoint("log-written")
-	if err := f.chain.AdoptSnapshot(prefix, snap.State); err == nil {
+	if err := f.chain.AdoptSnapshot(recordsOf(prefix), snap.State); err == nil {
 		t.Fatal("adoption with failing persistence succeeded")
 	}
 	if n := f.chain.HeadNumber(); n != 0 {
@@ -374,7 +447,7 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 		t.Fatalf("reopened head = %d, want genesis", n)
 	}
 	// The pristine reopened chain can still adopt the snapshot for real.
-	if err := reopened.chain.AdoptSnapshot(prefix, snap.State); err != nil {
+	if err := reopened.chain.AdoptSnapshot(recordsOf(prefix), snap.State); err != nil {
 		t.Fatalf("adoption after recovery: %v", err)
 	}
 	if got, want := reopened.chain.Head().ID(), src.chain.Head().ID(); got != want {

@@ -131,6 +131,48 @@ func TestReopenedNodeServesRangeWithoutDecoding(t *testing.T) {
 	}
 }
 
+// TestSnapJoinedNodeServesRangeWithoutDecoding is the sibling for a chain
+// built by AdoptSnapshot: the prefix is installed as a reopen installs
+// it, so every entry below the head holds its record bytes, a range
+// response copies them (the same two allocations), and a block read by
+// id decodes to the source's.
+func TestSnapJoinedNodeServesRangeWithoutDecoding(t *testing.T) {
+	const blocks = 8
+	src := memFixture(t)
+	var prefix []*types.Block
+	for i := 0; i < blocks; i++ {
+		prefix = append(prefix, src.extendToOne(16))
+	}
+	joined := mustOpen(t, t.TempDir(), 0)
+	defer joined.chain.Close()
+	c := joined.chain
+	if err := c.AdoptSnapshot(recordsOf(prefix), src.chain.SnapshotNow().State); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, rec := range c.RecordsRange(1, blocks-1) {
+		if rec.Raw == nil || rec.Block.Txs != nil {
+			t.Fatalf("prefix block #%d held decoded, not as its record", i+1)
+		}
+	}
+	served := p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks), 1<<30)
+	if want := p2p.EncodeRangeBlocks(src.chain.RecordsRange(1, blocks), 1<<30); !bytes.Equal(served, want) {
+		t.Error("the joined node serves other bytes than its source")
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks-1), 1<<30) }); n != 2 {
+		t.Errorf("serving %d prefix blocks made %v allocations, want 2", blocks-1, n)
+	}
+	for _, blk := range prefix {
+		got, err := c.BlockByID(blk.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := src.chain.BlockByID(blk.ID()); err != nil || !bytes.Equal(types.EncodeBlock(got), types.EncodeBlock(want)) {
+			t.Errorf("BlockByID(#%d) differs from the source's (%v)", blk.Header.Number, err)
+		}
+	}
+}
+
 // rewriteLogRecord replaces the payload of the i-th blocks.log record and
 // re-frames the log around it with a valid length and CRC, so only the
 // decoder can object to the new bytes.

@@ -119,29 +119,23 @@ func (b *Block) ID() Hash {
 
 // ComputeTxRoot builds the Merkle root over the block's transactions.
 func ComputeTxRoot(txs []*Transaction) Hash {
-	if len(txs) == 0 {
-		return Hash(merkle.EmptyRoot)
-	}
-	leaves := make([][]byte, len(txs))
+	level := make([]merkle.Hash, len(txs))
 	for i, tx := range txs {
 		h := tx.Hash()
-		leaves[i] = h[:]
+		level[i] = merkle.LeafHash(h[:])
 	}
-	return Hash(merkle.Root(leaves))
+	return Hash(merkle.Fold(level))
 }
 
-// VerifyShape checks the block's self-consistency: Merkle root, PoW and
-// structural transaction validity. Chain-contextual checks (parent link,
-// state transition) live in the chain package.
-func (b *Block) VerifyShape() error {
-	if b.Header.Number > 0 && b.Header.Time == 0 {
-		return ErrBlockNoTime
-	}
-	if ComputeTxRoot(b.Txs) != b.Header.TxRoot {
-		return ErrBlockBadTxRoot
-	}
-	if b.Header.Number > 0 && !b.Header.MeetsPoW() {
-		return ErrBlockBadPoW
+// VerifyShape checks the block's self-consistency: timestamp, Merkle root,
+// PoW and structural transaction validity. skipPoW leaves out the two
+// sealing checks, the PoW predicate and the nonzero timestamp, for a
+// simulated chain whose sealer samples both rather than grinding them.
+// Chain-contextual checks (parent link, state transition) live in the
+// chain package.
+func (b *Block) VerifyShape(skipPoW bool) error {
+	if err := b.Header.verifyShape(ComputeTxRoot(b.Txs), skipPoW); err != nil {
+		return err
 	}
 	for i, tx := range b.Txs {
 		if err := tx.ValidateBasic(); err != nil {
@@ -149,6 +143,70 @@ func (b *Block) VerifyShape() error {
 		}
 	}
 	return nil
+}
+
+// verifyShape is VerifyShape's part that reads no transaction, given the
+// root the transactions hash to.
+func (h *Header) verifyShape(txRoot Hash, skipPoW bool) error {
+	if !skipPoW && h.Number > 0 && h.Time == 0 {
+		return ErrBlockNoTime
+	}
+	if txRoot != h.TxRoot {
+		return ErrBlockBadTxRoot
+	}
+	if !skipPoW && h.Number > 0 && !h.MeetsPoW() {
+		return ErrBlockBadPoW
+	}
+	return nil
+}
+
+// RecordVerifier runs VerifyShape on a block's EncodeBlock bytes without
+// building the block: it accepts exactly what DecodeBlock followed by
+// VerifyShape accepts, with the same error, recovering each sender once.
+// One scratch transaction and memo and one leaf set are reused from
+// record to record, so checking allocates nothing. Not safe for
+// concurrent use: give each goroutine its own.
+type RecordVerifier struct {
+	// SkipPoW leaves out the sealing checks, as VerifyShape's skipPoW does.
+	SkipPoW bool
+
+	tx    Transaction
+	memo  txMemo
+	level []merkle.Hash // the transactions' leaf hashes, folded into the root
+}
+
+// Verify checks raw and returns its header. It walks raw twice: to decode
+// and hash, so a bad root or PoW costs no recovery, then to validate.
+func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
+	r, h := readBlock(raw)
+	v.level = v.level[:0]
+	for r.more() {
+		if fields := r.next(&v.tx); r.err == nil {
+			id := listHash(fields)
+			v.level = append(v.level, merkle.LeafHash(id[:]))
+		}
+	}
+	if err := r.close(); err != nil {
+		return Header{}, err
+	}
+	if err := h.verifyShape(Hash(merkle.Fold(v.level)), v.SkipPoW); err != nil {
+		return h, err
+	}
+	r, _ = readBlock(raw)
+	for i := 0; r.more(); i++ {
+		fields := r.next(&v.tx) // the first walk read these bytes cleanly
+		v.memo = txMemo{
+			key:     v.tx.memoKey(),
+			data:    v.tx.Data, // raw outlives the check; nothing writes it
+			sigHash: listHash(fields[:len(fields)-sigSize]),
+			hash:    listHash(fields),
+		}
+		v.tx.memo.Store(&v.memo)
+		if err := v.tx.ValidateBasic(); err != nil {
+			return h, fmt.Errorf("types: block tx %d: %w", i, err)
+		}
+	}
+	return h, nil
 }
 
 // CountReports returns ω, the number of detection-result transactions
@@ -175,11 +233,12 @@ func EncodeTx(tx *Transaction) []byte {
 // encoding.
 func DecodeTx(data []byte) (*Transaction, error) {
 	d := decoder{buf: data}
-	tx := d.tx()
-	d.end(nil)
-	if d.err != nil {
+	tx := new(Transaction)
+	fields := d.txFields(tx)
+	if d.end(nil); d.err != nil {
 		return nil, fmt.Errorf("types: decode tx: %w", d.err)
 	}
+	tx.own(fields)
 	return tx, nil
 }
 
@@ -252,9 +311,16 @@ func (b *Block) layout(scratch *[160]byte) (header []byte, txsLen int) {
 // DecodeBlock parses a block from its transport encoding, as strictly as
 // DecodeTx.
 func DecodeBlock(data []byte) (*Block, error) {
-	blk := &Block{Txs: []*Transaction{}}
-	var err error
-	if blk.Header, err = decodeBlock(data, &blk.Txs); err != nil {
+	r, h := readBlock(data)
+	blk := &Block{Header: h, Txs: []*Transaction{}}
+	for r.more() {
+		tx := new(Transaction)
+		if fields := r.next(tx); r.err == nil {
+			tx.own(fields)
+		}
+		blk.Txs = append(blk.Txs, tx)
+	}
+	if err := r.close(); err != nil {
 		return nil, err
 	}
 	return blk, nil
@@ -265,48 +331,65 @@ func DecodeBlock(data []byte) (*Block, error) {
 // but builds no Transaction and no memo, so a reader that only needs the
 // header, the id or the parent link pays for none of the body.
 func DecodeHeader(data []byte) (Header, error) {
-	return decodeBlock(data, nil)
-}
-
-// decodeBlock walks a block encoding, appending each transaction to *txs,
-// or, given nil, only checking it.
-func decodeBlock(data []byte, txs *[]*Transaction) (Header, error) {
-	d := decoder{buf: data}
-	afterBlock := d.rlpList()
-	h := d.header()
-	afterTxs := d.rlpList()
-	for n := 0; d.err == nil && len(d.buf) > 0; n++ {
-		if txs != nil {
-			*txs = append(*txs, d.tx())
-		} else {
-			var tx Transaction
-			d.txFields(&tx)
-		}
-		if d.err != nil {
-			d.err = fmt.Errorf("tx %d: %w", n, d.err)
-		}
+	r, h := readBlock(data)
+	var tx Transaction
+	for r.more() {
+		r.next(&tx)
 	}
-	d.end(afterTxs)   // back in the block list
-	d.end(afterBlock) // which has exactly the two elements
-	d.end(nil)        // and nothing follows it
-	if d.err != nil {
-		return Header{}, fmt.Errorf("types: decode block: %w", d.err)
+	if err := r.close(); err != nil {
+		return Header{}, err
 	}
 	return h, nil
 }
 
-// tx reads one transaction list, field by field in appendFields' order.
-// Only EncodeTx's own bytes are accepted, so the list payload just read is
-// what appendFields would write: the memo is built from it, and neither
-// Hash() nor SigHash() encodes the object back to learn its digest.
-func (d *decoder) tx() *Transaction {
-	tx := new(Transaction)
-	fields := d.txFields(tx)
-	if d.err == nil {
-		tx.Data = append([]byte(nil), tx.Data...)
-		tx.memo.Store(tx.newMemo(fields))
+// blockReader is the one walk of a block encoding, so DecodeBlock,
+// DecodeHeader and RecordVerifier reject the same bytes with one error.
+type blockReader struct {
+	decoder
+	afterBlock, afterTxs []byte
+	n                    int // transactions read
+}
+
+// readBlock reads up to the first transaction.
+func readBlock(data []byte) (r blockReader, h Header) {
+	r.buf = data
+	r.afterBlock = r.rlpList()
+	h = r.header()
+	r.afterTxs = r.rlpList()
+	return r, h
+}
+
+// more reports whether another transaction follows a clean read.
+func (r *blockReader) more() bool { return r.err == nil && len(r.buf) > 0 }
+
+// next reads the next transaction into tx (see txFields), numbering a
+// failure with the transaction's index.
+func (r *blockReader) next(tx *Transaction) (fields []byte) {
+	fields = r.txFields(tx)
+	if r.err != nil {
+		r.err = fmt.Errorf("tx %d: %w", r.n, r.err)
 	}
-	return tx
+	r.n++
+	return fields
+}
+
+// close checks the lists and the input end here and returns the error.
+func (r *blockReader) close() error {
+	r.end(r.afterTxs)   // back in the block list
+	r.end(r.afterBlock) // which has exactly the two elements
+	r.end(nil)          // and nothing follows it
+	if r.err != nil {
+		return fmt.Errorf("types: decode block: %w", r.err)
+	}
+	return nil
+}
+
+// own detaches a transaction read from fields from the input and stores
+// its memo. Only EncodeTx's own bytes are accepted, so fields is what
+// appendFields would write: neither Hash() nor SigHash() encodes back.
+func (tx *Transaction) own(fields []byte) {
+	tx.Data = append([]byte(nil), tx.Data...)
+	tx.memo.Store(tx.newMemo(fields))
 }
 
 // txFields reads one transaction list into tx and returns its payload.

@@ -146,7 +146,7 @@ func TestBlockVerifyShape(t *testing.T) {
 	alice := wallet.NewDeterministic("alice")
 	txs := []*Transaction{signedTransfer(t, alice, Address{}, 5, 0)}
 	b := minedBlock(t, HashBytes([]byte("genesis")), 1, txs, 16)
-	if err := b.VerifyShape(); err != nil {
+	if err := b.VerifyShape(false); err != nil {
 		t.Fatalf("valid block rejected: %v", err)
 	}
 }
@@ -157,7 +157,7 @@ func TestBlockVerifyShapeRejectsBadTxRoot(t *testing.T) {
 	b := minedBlock(t, Hash{}, 1, txs, 16)
 	// A colluding miner swaps in a different transaction set after sealing.
 	b.Txs = []*Transaction{signedTransfer(t, alice, Address{}, 500, 0)}
-	if err := b.VerifyShape(); !errors.Is(err, ErrBlockBadTxRoot) {
+	if err := b.VerifyShape(false); !errors.Is(err, ErrBlockBadTxRoot) {
 		t.Errorf("tampered tx set: err = %v, want ErrBlockBadTxRoot", err)
 	}
 }
@@ -165,7 +165,7 @@ func TestBlockVerifyShapeRejectsBadTxRoot(t *testing.T) {
 func TestBlockVerifyShapeRejectsBadPoW(t *testing.T) {
 	b := minedBlock(t, Hash{}, 1, nil, 16)
 	b.Header.Difficulty = 1 << 60 // claim a difficulty the nonce doesn't meet
-	if err := b.VerifyShape(); !errors.Is(err, ErrBlockBadPoW) {
+	if err := b.VerifyShape(false); !errors.Is(err, ErrBlockBadPoW) {
 		t.Errorf("unmined block: err = %v, want ErrBlockBadPoW", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestBlockVerifyShapeRejectsInvalidTx(t *testing.T) {
 	tx := signedTransfer(t, alice, Address{}, 5, 0)
 	tx.Value = 99 // break the signature
 	b := minedBlock(t, Hash{}, 1, []*Transaction{tx}, 4)
-	if err := b.VerifyShape(); err == nil {
+	if err := b.VerifyShape(false); err == nil {
 		t.Error("block with invalid tx accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestBlockVerifyShapeRejectsZeroTime(t *testing.T) {
 			break
 		}
 	}
-	if err := b.VerifyShape(); !errors.Is(err, ErrBlockNoTime) {
+	if err := b.VerifyShape(false); !errors.Is(err, ErrBlockNoTime) {
 		t.Errorf("zero-time block: err = %v, want ErrBlockNoTime", err)
 	}
 }
@@ -198,7 +198,7 @@ func TestBlockVerifyShapeRejectsZeroTime(t *testing.T) {
 func TestGenesisExemptFromPoW(t *testing.T) {
 	g := &Block{Header: Header{Number: 0, Difficulty: 1 << 62}}
 	g.Header.TxRoot = ComputeTxRoot(nil)
-	if err := g.VerifyShape(); err != nil {
+	if err := g.VerifyShape(false); err != nil {
 		t.Errorf("genesis rejected: %v", err)
 	}
 }
@@ -237,7 +237,7 @@ func TestBlockEncodeDecodeRoundtrip(t *testing.T) {
 	if len(decoded.Txs) != len(b.Txs) {
 		t.Fatalf("roundtrip lost transactions")
 	}
-	if err := decoded.VerifyShape(); err != nil {
+	if err := decoded.VerifyShape(false); err != nil {
 		t.Errorf("roundtripped block invalid: %v", err)
 	}
 	// The embedded report must survive intact.
