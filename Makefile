@@ -40,9 +40,10 @@ lint:
 # reaches — the latter differentially against its math/big oracle, with
 # the GLV scalar split under it checked the same way), plus
 # the hash under all of them, differentially against the loop-form sponge,
-# and the trie writer's in-place rewrites, differentially against a map
-# and fresh path-copied builds. Override FUZZTIME for longer local
-# campaigns.
+# the trie writer's in-place rewrites, differentially against a map
+# and fresh path-copied builds, and the state root over account and
+# storage tries, differentially against a from-scratch model. Override
+# FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run NONE ./internal/wire/
@@ -62,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzSplitLambda$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/secp256k1/
 	$(GO) test -fuzz='^FuzzSum256Differential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/crypto/keccak/
 	$(GO) test -fuzz='^FuzzTrieWriterDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/critbit/
+	$(GO) test -fuzz='^FuzzStateRootDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/state/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -114,25 +114,27 @@ func genOverlapBlocks(t *testing.T, h *poolHarness, c *Chain, rng *rand.Rand, bl
 	}
 }
 
-// goldenHeads are head block ids. The density rows were recorded at
-// commit 5383040 with ExecParallelism = 1, the last tree that also
-// carried a speculative executor; "lifecycle" and "sealer-importer-mix"
-// (TestSealerAndImporterAgree's final head) at 2e17feb, the last tree
-// with contract creation, on the same inputs as here. A header commits to
-// its parent and its post-state root, so one head id pins every balance,
-// nonce, fee, burned-gas amount and storage slot of every block below it.
+// goldenHeads are head block ids. They were regenerated on purpose when
+// the state root format moved to storage roots summed over the storage
+// trie and the contract to one key prefix per record (store format 3,
+// snapshot version 2); before that the density rows had held since
+// commit 5383040, and "lifecycle" and "sealer-importer-mix"
+// (TestSealerAndImporterAgree's final head) since 2e17feb. A header
+// commits to its parent and its post-state root, so one head id pins every
+// balance, nonce, fee, burned-gas amount and storage slot of every block
+// below it.
 var goldenHeads = map[string]string{
-	"density=0.0/seed=1":  "0x664a8e27eabd921a444eba32b0bb455ebd42e2dbc37aa1f38619ed5fa2224b81",
-	"density=0.0/seed=2":  "0x120d30b56a3b90d7fae48dd4f1aad74b40cd3be143ad31dc1dadf1004f3d54e4",
-	"density=0.0/seed=3":  "0x4f84ad7ef7bf97be65bb80db2e9a48792363d88e067dad727a6345a42dc6e89d",
-	"density=0.3/seed=1":  "0xb354024692e85ba8ab007610bc0b5b9f6f6ca46b0d2ae5c003be6e116072eadc",
-	"density=0.3/seed=2":  "0x1f79381aefec8f2777d35c1e51969e168de9e0b3312b97357b05cac7d10d8d44",
-	"density=0.3/seed=3":  "0x9482d608e00aa23490d286c4fe676fff20b5666b71ef283e0d4fbf43e259e128",
-	"density=0.8/seed=1":  "0xfa5e91b9f674610c857aebbf1fddc3380f57b8ceed2fa949736af4cbbfdde82c",
-	"density=0.8/seed=2":  "0xd6ad9580063d3c03ce50c0928e743c546a1c62b6ca34e050dae7cc5bb9dd3e98",
-	"density=0.8/seed=3":  "0x0c5650b8ca4c7d04d8fb13b6ed2e5cff72bf6c99e68c60984c76bf842e468048",
-	"lifecycle":           "0xdced63a3be96d01109a5b62a09b7410e93615190af0ac0d90dbb9a46aa9aa833",
-	"sealer-importer-mix": "0x0373ac13ef0b492e67e2a099107cf27661d9a8769cc628ac2a5609e9cd77965a",
+	"density=0.0/seed=1":  "0xc246d1753bf71650d04bc2de5c34ee878bdf5e07ebd9174d92db7cc1599d0947",
+	"density=0.0/seed=2":  "0xe05a2070d42e016e00aa051668ab068e55da93fec74e93c39bec7abe0732df16",
+	"density=0.0/seed=3":  "0xa04f3b6cea13d500d4c4280cd6705b39b14ee919cb149bc3f4a5b6f5556d22c9",
+	"density=0.3/seed=1":  "0xa1851c39521cc40ce2a88b9a256b3ea83584c6c3e963c849ffb8ff7b9b7580b6",
+	"density=0.3/seed=2":  "0xbf9bdf155c4dca2852af33f99292d073dc8472579c4b26505121c69f19dfbae0",
+	"density=0.3/seed=3":  "0x53abee50fdf53ebcafdc5f9783178dd7104f138f5db022cb96f77a2a3b7c9a7c",
+	"density=0.8/seed=1":  "0x92125d33644da1d2a3a775a710680a17e56ef6f8c698d3391b97c9251f05ade1",
+	"density=0.8/seed=2":  "0x99ca51e71d95d266af3d096220d2ce75d1432958014a0d2930f24b659c9f813b",
+	"density=0.8/seed=3":  "0x66f95469d22ad7100e595e4511a70c5b085adea6f64e8474d47a54fff4e83a6b",
+	"lifecycle":           "0x7282b072b115df0595a2c68b1c382d1d5251e1e5d077b259d20f0ca021efa0ce",
+	"sealer-importer-mix": "0x06c5bae0426ddc311b54a180d190eec6477b8273e7a1d5b6012c35c9d9748a59",
 }
 
 // buildLifecycleChain grows one chain through every executor branch: an

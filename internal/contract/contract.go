@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -133,16 +134,61 @@ var (
 
 // --- storage layout -------------------------------------------------------
 //
-// Every record lives in the contract account's storage under
-// keccak-derived slots; helper accessors below keep the layout in one
-// place.
+// Every record lives in the contract account's storage under keys
+// prefix ‖ field ‖ 15 bytes (zero but for claims), with
+// prefix = keccak256(kind ‖ id)[:16]: each record is one subtree of the
+// storage trie, so a write costs one path into it, not one per field.
+// Field bytes 0x20–0x2F under an SRA are reserved for a findings list.
+// PROTOCOL.md §3 has the table. Keys are derived on the stack.
 
-func slot(parts ...[]byte) types.Hash {
-	all := make([][]byte, 0, len(parts)+1)
-	all = append(all, []byte("smartcrowd.v1"))
-	all = append(all, parts...)
-	return types.HashConcat(all...)
+// Record kinds, and the fields under each.
+const (
+	kindGlobal, kindSRA, kindCommit = 0x00, 0x01, 0x02
+
+	fieldSRA          = 0x00 // registered flag
+	fieldSRAProvider  = 0x01
+	fieldSRAInsurance = 0x02 // insurance remaining
+	fieldSRABounty    = 0x03
+	fieldSRARelease   = 0x04 // release block
+	fieldSRAVulns     = 0x05 // confirmed vulnerability count
+	fieldSRAClaim     = 0x10 // claim[VulnID]: keccak256(VulnID)[:15] follows
+
+	fieldCommitBlock  = 0x00 // inclusion block + 1
+	fieldCommitOwner  = 0x01
+	fieldCommitWallet = 0x02
+)
+
+// recordPrefix is the first 16 bytes every key of one record shares.
+type recordPrefix [16]byte
+
+func prefixOf(kind byte, id types.Hash) recordPrefix {
+	var buf [1 + types.HashSize]byte
+	buf[0] = kind
+	copy(buf[1:], id[:])
+	h := keccak.Sum256(buf[:])
+	return recordPrefix(h[:16])
 }
+
+func sraPrefix(id types.Hash) recordPrefix    { return prefixOf(kindSRA, id) }
+func commitPrefix(id types.Hash) recordPrefix { return prefixOf(kindCommit, id) }
+
+// field returns the slot of one of the record's fields.
+func (p recordPrefix) field(f byte) (k types.Hash) {
+	copy(k[:], p[:])
+	k[len(p)] = f
+	return k
+}
+
+// claim returns the slot recording which wallet first reported vulnID
+// against the SRA whose prefix p is.
+func (p recordPrefix) claim(vulnID string) types.Hash {
+	k, h := p.field(fieldSRAClaim), keccak.Sum256String(vulnID)
+	copy(k[len(p)+1:], h[:])
+	return k
+}
+
+// escrowTotalSlot holds the escrow outstanding across every SRA.
+var escrowTotalSlot = prefixOf(kindGlobal, types.Hash{}).field(0)
 
 func amountHash(a types.Amount) types.Hash {
 	var h types.Hash
@@ -191,22 +237,23 @@ func (c *Contract) ApplySRA(st StateDB, blockNum uint64, sra *types.SRA) error {
 		return fmt.Errorf("contract: SRA failed decentralized verification: %w", err)
 	}
 	id := sra.ID
-	if !st.GetStorage(Address, slot([]byte("sra"), id[:])).IsZero() {
+	rec := sraPrefix(id)
+	if !st.GetStorage(Address, rec.field(fieldSRA)).IsZero() {
 		return fmt.Errorf("%w: %s", ErrSRAExists, id.Short())
 	}
 	// Funding invariant: the contract balance must cover all outstanding
 	// escrow plus this announcement's insurance.
-	outstanding := hashAmount(st.GetStorage(Address, slot([]byte("escrow-total"))))
+	outstanding := hashAmount(st.GetStorage(Address, escrowTotalSlot))
 	if st.Balance(Address) < outstanding+sra.Insurance {
 		return fmt.Errorf("%w: contract holds %s, escrow needs %s",
 			ErrEscrowShort, st.Balance(Address), outstanding+sra.Insurance)
 	}
-	st.SetStorage(Address, slot([]byte("sra"), id[:]), one)
-	st.SetStorage(Address, slot([]byte("sra-provider"), id[:]), addrHash(sra.Provider))
-	st.SetStorage(Address, slot([]byte("sra-insurance"), id[:]), amountHash(sra.Insurance))
-	st.SetStorage(Address, slot([]byte("sra-bounty"), id[:]), amountHash(sra.Bounty))
-	st.SetStorage(Address, slot([]byte("sra-release-block"), id[:]), uintHash(blockNum))
-	st.SetStorage(Address, slot([]byte("escrow-total")), amountHash(outstanding+sra.Insurance))
+	st.SetStorage(Address, rec.field(fieldSRA), one)
+	st.SetStorage(Address, rec.field(fieldSRAProvider), addrHash(sra.Provider))
+	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(sra.Insurance))
+	st.SetStorage(Address, rec.field(fieldSRABounty), amountHash(sra.Bounty))
+	st.SetStorage(Address, rec.field(fieldSRARelease), uintHash(blockNum))
+	st.SetStorage(Address, escrowTotalSlot, amountHash(outstanding+sra.Insurance))
 	mSRAAnnounced.Inc()
 	return nil
 }
@@ -218,16 +265,16 @@ func (c *Contract) ApplyInitialReport(st StateDB, blockNum uint64, r *types.Init
 	if err := r.Verify(); err != nil {
 		return fmt.Errorf("contract: R† failed verification: %w", err)
 	}
-	if st.GetStorage(Address, slot([]byte("sra"), r.SRAID[:])).IsZero() {
+	if st.GetStorage(Address, sraPrefix(r.SRAID).field(fieldSRA)).IsZero() {
 		return fmt.Errorf("%w: %s", ErrSRAUnknown, r.SRAID.Short())
 	}
-	key := slot([]byte("commit"), r.DetailHash[:])
-	if !st.GetStorage(Address, key).IsZero() {
+	rec := commitPrefix(r.DetailHash)
+	if !st.GetStorage(Address, rec.field(fieldCommitBlock)).IsZero() {
 		return fmt.Errorf("%w: %s", ErrCommitExists, r.DetailHash.Short())
 	}
-	st.SetStorage(Address, key, uintHash(blockNum+1)) // +1 so block 0 is representable
-	st.SetStorage(Address, slot([]byte("commit-owner"), r.DetailHash[:]), addrHash(r.Detector))
-	st.SetStorage(Address, slot([]byte("commit-wallet"), r.DetailHash[:]), addrHash(r.Wallet))
+	st.SetStorage(Address, rec.field(fieldCommitBlock), uintHash(blockNum+1)) // +1 so block 0 is representable
+	st.SetStorage(Address, rec.field(fieldCommitOwner), addrHash(r.Detector))
+	st.SetStorage(Address, rec.field(fieldCommitWallet), addrHash(r.Wallet))
 	mCommitRecorded.Inc()
 	return nil
 }
@@ -260,18 +307,20 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 	if err := r.Verify(); err != nil {
 		return payout, fmt.Errorf("contract: R* failed verification: %w", err)
 	}
-	if st.GetStorage(Address, slot([]byte("sra"), r.SRAID[:])).IsZero() {
+	rec := sraPrefix(r.SRAID)
+	if st.GetStorage(Address, rec.field(fieldSRA)).IsZero() {
 		return payout, fmt.Errorf("%w: %s", ErrSRAUnknown, r.SRAID.Short())
 	}
 
 	// Two-phase gate: the commitment must exist, belong to this detector,
 	// and have been chained at least CommitDepth blocks ago.
 	commitment := r.CommitmentHash()
-	commitVal := st.GetStorage(Address, slot([]byte("commit"), commitment[:]))
+	crec := commitPrefix(commitment)
+	commitVal := st.GetStorage(Address, crec.field(fieldCommitBlock))
 	if commitVal.IsZero() {
 		return payout, fmt.Errorf("%w (commitment %s)", ErrCommitMissing, commitment.Short())
 	}
-	owner := hashAddr(st.GetStorage(Address, slot([]byte("commit-owner"), commitment[:])))
+	owner := hashAddr(st.GetStorage(Address, crec.field(fieldCommitOwner)))
 	if owner != r.Detector {
 		return payout, fmt.Errorf("%w: owner %s, reporter %s", ErrCommitWrongDetector, owner, r.Detector)
 	}
@@ -281,20 +330,20 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 			ErrCommitNotReady, commitBlock, blockNum, c.params.CommitDepth)
 	}
 	// Consume the commitment so the same reveal cannot be paid twice.
-	st.SetStorage(Address, slot([]byte("commit"), commitment[:]), types.Hash{})
-	st.SetStorage(Address, slot([]byte("commit-owner"), commitment[:]), types.Hash{})
-	st.SetStorage(Address, slot([]byte("commit-wallet"), commitment[:]), types.Hash{})
+	st.SetStorage(Address, crec.field(fieldCommitBlock), types.Hash{})
+	st.SetStorage(Address, crec.field(fieldCommitOwner), types.Hash{})
+	st.SetStorage(Address, crec.field(fieldCommitWallet), types.Hash{})
 
-	bounty := hashAmount(st.GetStorage(Address, slot([]byte("sra-bounty"), r.SRAID[:])))
-	remaining := hashAmount(st.GetStorage(Address, slot([]byte("sra-insurance"), r.SRAID[:])))
-	escrowTotal := hashAmount(st.GetStorage(Address, slot([]byte("escrow-total"))))
+	bounty := hashAmount(st.GetStorage(Address, rec.field(fieldSRABounty)))
+	remaining := hashAmount(st.GetStorage(Address, rec.field(fieldSRAInsurance)))
+	escrowTotal := hashAmount(st.GetStorage(Address, escrowTotalSlot))
 
 	for _, f := range r.Findings {
 		if !c.verifier.AutoVerif(r.SRAID, f) {
 			payout.RejectedForged++
 			continue
 		}
-		vulnKey := slot([]byte("claim"), r.SRAID[:], []byte(f.VulnID))
+		vulnKey := rec.claim(f.VulnID)
 		if !st.GetStorage(Address, vulnKey).IsZero() {
 			payout.RejectedDuplicate++
 			continue
@@ -314,11 +363,11 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 			escrowTotal -= pay
 		}
 	}
-	st.SetStorage(Address, slot([]byte("sra-insurance"), r.SRAID[:]), amountHash(remaining))
-	st.SetStorage(Address, slot([]byte("escrow-total")), amountHash(escrowTotal))
+	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(remaining))
+	st.SetStorage(Address, escrowTotalSlot, amountHash(escrowTotal))
 
-	count := hashUint(st.GetStorage(Address, slot([]byte("sra-vulns"), r.SRAID[:])))
-	st.SetStorage(Address, slot([]byte("sra-vulns"), r.SRAID[:]), uintHash(count+uint64(len(payout.Accepted))))
+	count := hashUint(st.GetStorage(Address, rec.field(fieldSRAVulns)))
+	st.SetStorage(Address, rec.field(fieldSRAVulns), uintHash(count+uint64(len(payout.Accepted))))
 	mRevealAccepted.Inc()
 	mFindingsOK.Add(uint64(len(payout.Accepted)))
 	mFindingsForged.Add(uint64(payout.RejectedForged))
@@ -332,24 +381,25 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 // Refund returns the un-forfeited insurance to the provider once the
 // detection window has elapsed. Only the SRA's provider may claim it.
 func (c *Contract) Refund(st StateDB, blockNum uint64, sraID types.Hash, caller types.Address) (types.Amount, error) {
-	if st.GetStorage(Address, slot([]byte("sra"), sraID[:])).IsZero() {
+	rec := sraPrefix(sraID)
+	if st.GetStorage(Address, rec.field(fieldSRA)).IsZero() {
 		return 0, fmt.Errorf("%w: %s", ErrSRAUnknown, sraID.Short())
 	}
-	provider := hashAddr(st.GetStorage(Address, slot([]byte("sra-provider"), sraID[:])))
+	provider := hashAddr(st.GetStorage(Address, rec.field(fieldSRAProvider)))
 	if caller != provider {
 		return 0, fmt.Errorf("%w: %s", ErrNotProvider, caller)
 	}
-	release := hashUint(st.GetStorage(Address, slot([]byte("sra-release-block"), sraID[:])))
+	release := hashUint(st.GetStorage(Address, rec.field(fieldSRARelease)))
 	if blockNum < release+c.params.DetectionWindow {
 		return 0, fmt.Errorf("%w: until block %d", ErrWindowOpen, release+c.params.DetectionWindow)
 	}
-	remaining := hashAmount(st.GetStorage(Address, slot([]byte("sra-insurance"), sraID[:])))
+	remaining := hashAmount(st.GetStorage(Address, rec.field(fieldSRAInsurance)))
 	if remaining == 0 {
 		return 0, nil
 	}
-	st.SetStorage(Address, slot([]byte("sra-insurance"), sraID[:]), amountHash(0))
-	escrowTotal := hashAmount(st.GetStorage(Address, slot([]byte("escrow-total"))))
-	st.SetStorage(Address, slot([]byte("escrow-total")), amountHash(escrowTotal-remaining))
+	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(0))
+	escrowTotal := hashAmount(st.GetStorage(Address, escrowTotalSlot))
+	st.SetStorage(Address, escrowTotalSlot, amountHash(escrowTotal-remaining))
 	if err := st.Transfer(Address, provider, remaining); err != nil {
 		return 0, fmt.Errorf("contract: refund transfer: %w", err)
 	}
@@ -409,14 +459,15 @@ type SRAInfo struct {
 
 // GetSRA returns the registered record for an announcement.
 func (c *Contract) GetSRA(st StateDB, sraID types.Hash) (SRAInfo, error) {
-	if st.GetStorage(Address, slot([]byte("sra"), sraID[:])).IsZero() {
+	rec := sraPrefix(sraID)
+	if st.GetStorage(Address, rec.field(fieldSRA)).IsZero() {
 		return SRAInfo{}, fmt.Errorf("%w: %s", ErrSRAUnknown, sraID.Short())
 	}
 	return SRAInfo{
-		Provider:           hashAddr(st.GetStorage(Address, slot([]byte("sra-provider"), sraID[:]))),
-		InsuranceRemaining: hashAmount(st.GetStorage(Address, slot([]byte("sra-insurance"), sraID[:]))),
-		Bounty:             hashAmount(st.GetStorage(Address, slot([]byte("sra-bounty"), sraID[:]))),
-		ReleaseBlock:       hashUint(st.GetStorage(Address, slot([]byte("sra-release-block"), sraID[:]))),
-		ConfirmedVulns:     hashUint(st.GetStorage(Address, slot([]byte("sra-vulns"), sraID[:]))),
+		Provider:           hashAddr(st.GetStorage(Address, rec.field(fieldSRAProvider))),
+		InsuranceRemaining: hashAmount(st.GetStorage(Address, rec.field(fieldSRAInsurance))),
+		Bounty:             hashAmount(st.GetStorage(Address, rec.field(fieldSRABounty))),
+		ReleaseBlock:       hashUint(st.GetStorage(Address, rec.field(fieldSRARelease))),
+		ConfirmedVulns:     hashUint(st.GetStorage(Address, rec.field(fieldSRAVulns))),
 	}, nil
 }

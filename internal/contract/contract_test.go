@@ -57,7 +57,7 @@ func newFixture(t *testing.T, verifier Verifier) *fixture {
 // claimedBy returns the wallet that first reported a vulnerability, or the
 // zero address if it is unclaimed.
 func (f *fixture) claimedBy(vulnID string) types.Address {
-	return hashAddr(f.st.GetStorage(Address, slot([]byte("claim"), f.sra.ID[:], []byte(vulnID))))
+	return hashAddr(f.st.GetStorage(Address, sraPrefix(f.sra.ID).claim(vulnID)))
 }
 
 // submitPair walks a (R†, R*) pair through the two-phase protocol.

@@ -76,9 +76,9 @@ type leafNode[V any] struct {
 
 // lastGen is the last generation NewGen handed out, process-wide: a
 // generation must never be handed out twice, because nothing but a
-// generation's uniqueness stops a writer from rewriting a node of an
-// unsummed trie (a storage trie, an index) that a frozen root still
-// reaches.
+// generation's uniqueness stops a writer from rewriting an unsummed node
+// (of an index, or of a state trie saved by a Snapshot) that a frozen
+// root still reaches.
 var lastGen atomic.Uint32
 
 // mGenerations exports lastGen, so an operator can see how far the

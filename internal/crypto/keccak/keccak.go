@@ -163,7 +163,12 @@ func (d *digest) Reset() {
 }
 
 func (d *digest) Write(p []byte) (int, error) {
-	written := len(p)
+	write(d, p)
+	return len(p), nil
+}
+
+// write absorbs p, a byte slice or a string, into the sponge.
+func write[T []byte | string](d *digest, p T) {
 	for len(p) > 0 {
 		n := copy(d.buf[d.n:], p)
 		d.n += n
@@ -172,7 +177,6 @@ func (d *digest) Write(p []byte) (int, error) {
 			d.absorb()
 		}
 	}
-	return written, nil
 }
 
 // absorb XORs one full rate block into the state and permutes.
@@ -204,8 +208,7 @@ func (d *digest) Sum(b []byte) []byte {
 	return append(b, out[:]...)
 }
 
-// digestPool recycles sponge states across one-shot and streaming
-// hashes. A digest is ~350 bytes of state; the verification pipeline
+// digestPool recycles sponge states across one-shot hashes. A digest is ~350 bytes of state; the verification pipeline
 // hashes millions of transactions, headers, merkle nodes and trie paths,
 // and pooling removes both the per-hash allocation and the full state
 // copy hash.Hash's non-destructive Sum forces.
@@ -236,38 +239,22 @@ func (d *digest) finalizeInto(out *[Size]byte) {
 	}
 }
 
-// Get256 returns a reset streaming legacy Keccak-256 hasher from the
-// package pool, for input that arrives in too many pieces for
-// Sum256Concat (an account digest walking its storage slots). Take the
-// digest with Finalize256 and pair with Put to recycle the hasher.
-func Get256() hash.Hash {
-	return getDigest(domainKeccak)
-}
-
-// Put returns a hasher obtained from Get256 to the pool. The hasher must
-// not be used afterwards. Hashers from other sources are ignored.
-func Put(h hash.Hash) {
-	if d, ok := h.(*digest); ok {
-		digestPool.Put(d)
-	}
-}
-
-// Finalize256 returns the digest of a hasher obtained from Get256 by
-// padding and squeezing it in place — unlike Sum, no copy of the sponge
-// and no allocation. The state is consumed: afterwards the hasher may
-// only be Reset or Put. A hasher from another package is a caller bug
-// and panics.
-func Finalize256(h hash.Hash) [Size]byte {
-	var out [Size]byte
-	h.(*digest).finalizeInto(&out)
-	return out
-}
-
 // Sum256 computes the legacy Keccak-256 digest of data in one shot.
 func Sum256(data []byte) [Size]byte {
 	var out [Size]byte
 	d := getDigest(domainKeccak)
 	_, _ = d.Write(data)
+	d.finalizeInto(&out)
+	digestPool.Put(d)
+	return out
+}
+
+// Sum256String is Sum256 over the bytes of s, which it reads in place
+// rather than converting s to a slice.
+func Sum256String(s string) [Size]byte {
+	var out [Size]byte
+	d := getDigest(domainKeccak)
+	write(d, s)
 	d.finalizeInto(&out)
 	digestPool.Put(d)
 	return out

@@ -179,28 +179,6 @@ func BenchmarkSum256Concat67(b *testing.B) {
 	}
 }
 
-func TestPooledGetPutRoundTrip(t *testing.T) {
-	msg := []byte("pooled digest round trip")
-	want := Sum256(msg)
-	// Repeated Get/Put cycles must keep producing correct digests even as
-	// the same pooled state objects are reused (Reset must fully scrub).
-	for i := 0; i < 10; i++ {
-		h := Get256()
-		h.Write(msg)
-		var got [Size]byte
-		h.Sum(got[:0])
-		Put(h)
-		if got != want {
-			t.Fatalf("cycle %d: pooled digest mismatch", i)
-		}
-		// Interleave a different message so a dirty reused state would skew.
-		h2 := Get256()
-		h2.Write([]byte{byte(i)})
-		h2.Sum(nil)
-		Put(h2)
-	}
-}
-
 func TestPooledOneShotConcurrent(t *testing.T) {
 	// Hammer the pooled one-shot paths from many goroutines; under -race
 	// this pins that pooled states are never shared while in use.
@@ -352,10 +330,9 @@ func TestPermuteKnownAnswer(t *testing.T) {
 	}
 }
 
-// checkSponge hashes data every way the package offers — one shot, and
-// streamed (Sum), pooled (Finalize256) and Sum256Concat over the three
-// pieces cut at i <= j — and reports any that differs from the reference
-// sponge.
+// checkSponge hashes data every way the package offers — one shot, as a
+// string, and streamed (Sum) and Sum256Concat over the three pieces cut
+// at i <= j — and reports any that differs from the reference sponge.
 func checkSponge(t *testing.T, data []byte, i, j int) {
 	t.Helper()
 	want := refSum256(data)
@@ -370,16 +347,11 @@ func checkSponge(t *testing.T, data []byte, i, j int) {
 	if got := h.Sum(nil); !bytes.Equal(got, want[:]) {
 		t.Errorf("len %d cut at %d, %d: streaming = %x, reference %x", len(data), i, j, got, want)
 	}
-	g := Get256()
-	for _, p := range parts {
-		_, _ = g.Write(p)
-	}
-	if got := Finalize256(g); got != want {
-		t.Errorf("len %d cut at %d, %d: Finalize256 = %x, reference %x", len(data), i, j, got, want)
-	}
-	Put(g)
 	if got := Sum256Concat(parts...); got != want {
 		t.Errorf("len %d cut at %d, %d: Sum256Concat = %x, reference %x", len(data), i, j, got, want)
+	}
+	if got := Sum256String(string(data)); got != want {
+		t.Errorf("len %d: Sum256String = %x, reference %x", len(data), got, want)
 	}
 }
 
@@ -425,5 +397,9 @@ func TestOneShotHashingDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { sumSink = Sum256Concat(data[:3], data[3:35], data[35:67]) }); allocs != 0 {
 		t.Errorf("Sum256Concat made %.0f allocations per call, want 0", allocs)
+	}
+	str := string(data)
+	if allocs := testing.AllocsPerRun(100, func() { sumSink = Sum256String(str) }); allocs != 0 {
+		t.Errorf("Sum256String made %.0f allocations per call, want 0", allocs)
 	}
 }

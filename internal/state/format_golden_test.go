@@ -1,6 +1,7 @@
 package state
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -65,18 +66,16 @@ func goldenState(t *testing.T) *DB {
 	return db
 }
 
-// TestStateFormatGolden pins the root format and the SCS1 snapshot bytes:
-// both constants were captured at 2e17feb, the last commit whose accounts
-// could hold code, on this same code-free input, so a match proves that
-// dropping the code field moved no byte of consensus or snapshot output.
-// (The inputs before it, which also wrote code, were pinned at the last
-// commit that kept accounts in a map under an undo journal.) Never
-// regenerate them without bumping SnapshotVersion and the root format
-// together.
+// TestStateFormatGolden pins the root format and the SCS1 snapshot bytes.
+// Both constants were regenerated on purpose with SnapshotVersion 2, when
+// the account digest dropped its code hash, slot count and slot walk for
+// the storage trie's own root; the snapshot bytes differ from version 1's
+// only in the version byte. Never regenerate them without bumping
+// SnapshotVersion and the root format together.
 func TestStateFormatGolden(t *testing.T) {
 	const (
-		wantRoot = "0xbf60ef4880ae71bb3d34e5f18a318217c449e22f2104b346c1451c2151e72210"
-		wantBlob = "0x91b03fd82090c2accfc6c249614073bb613467fbaf39420390ce758203bc7190"
+		wantRoot = "0xdb70b56c905874c0ce081e9947d6f2cb76a9de0e49c936bf7350bbab1e8b9ef1"
+		wantBlob = "0xc19283e13dbeae8bccc4777c6761d1f8aa1450bf61a0e208ad290f2216fcc244"
 	)
 	db := goldenState(t)
 	if got := db.Root().String(); got != wantRoot {
@@ -92,5 +91,23 @@ func TestStateFormatGolden(t *testing.T) {
 	}
 	if got := restored.Root().String(); got != wantRoot {
 		t.Errorf("restored Root() = %s, want %s", got, wantRoot)
+	}
+}
+
+// TestVersion1SnapshotRefused: a version-1 blob lists the same records a
+// version-2 one does, but its slots are keyed by the old contract layout
+// and its header's root hashed every slot into the account digest, so
+// Restore refuses it by version rather than rebuild a state no header
+// commits to. The blob here is a real version-1 blob: it hashes to the
+// constant TestStateFormatGolden pinned at version 1.
+func TestVersion1SnapshotRefused(t *testing.T) {
+	const wantV1Blob = "0x91b03fd82090c2accfc6c249614073bb613467fbaf39420390ce758203bc7190"
+	blob := goldenState(t).Serialize()
+	blob[4] = 1
+	if got := types.HashBytes(blob).String(); got != wantV1Blob {
+		t.Fatalf("version-1 blob hashes to %s, want %s", got, wantV1Blob)
+	}
+	if _, err := Restore(blob); !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("version-1 snapshot: got %v, want ErrSnapshotVersion", err)
 	}
 }

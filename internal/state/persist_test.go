@@ -30,9 +30,10 @@ func TestCopyIsConstant(t *testing.T) {
 	}
 }
 
-// TestAccountDigestDoesNotAllocate: the digest streams through a pooled
-// sponge and squeezes it in place, so the leaf of every touched account —
-// the call Root makes most — costs no heap, with storage or without.
+// TestAccountDigestDoesNotAllocate: the digest hashes a stack buffer
+// through a pooled sponge, and the storage root it binds is memoised in
+// the trie, so the leaf of every touched account — the call Root makes
+// most — costs no heap, with storage or without.
 func TestAccountDigestDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is not meaningful under -race")
@@ -103,11 +104,14 @@ func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
 
 // TestSharedStateReadersBesideWriter is the publication pattern the chain
 // relies on, under the race detector: each generation is rooted, then
-// published; readers call every read-only method on whatever is current
-// while the writer forks it, mutates the fork and roots that.
+// published; readers call every read-only method on whatever is current,
+// and on frozen copies of it, while the writer forks it, rewrites,
+// inserts and deletes slots of the shared contract account in the fork,
+// and roots that. Every storage trie node a reader reaches was summed
+// before publication, so the readers' Root calls only read the memos.
 func TestSharedStateReadersBesideWriter(t *testing.T) {
 	contract := benchAddr(0)
-	slot := func(i int) types.Hash { return types.HashBytes([]byte{byte(i), 0x52}) }
+	slot := func(i int) types.Hash { return types.HashBytes([]byte{byte(i), byte(i >> 8), 0x52}) }
 	base := New()
 	for i := 0; i < 200; i++ {
 		_ = base.Credit(benchAddr(i), types.Amount(i+1))
@@ -131,8 +135,13 @@ func TestSharedStateReadersBesideWriter(t *testing.T) {
 				}
 				st := current.Load()
 				_ = st.Balance(benchAddr(i % 200))
-				_ = st.GetStorage(contract, slot(i%200))
+				_ = st.GetStorage(contract, slot(i%400))
 				root := st.Root()
+				frozen := st.Copy()
+				if frozen.Root() != root || frozen.GetStorage(contract, slot(i%400)) != st.GetStorage(contract, slot(i%400)) {
+					t.Errorf("reader %d: a frozen copy reads differently from what it copied", r)
+					return
+				}
 				if i%8 == r {
 					restored, err := Restore(st.Serialize())
 					if err != nil {
@@ -153,12 +162,14 @@ func TestSharedStateReadersBesideWriter(t *testing.T) {
 		snap := next.Snapshot()
 		_ = next.Transfer(benchAddr(gen%200), benchAddr((gen+1)%200), 1)
 		next.SetStorage(contract, slot(gen%200), slot(gen+7))
+		next.SetStorage(contract, slot(200+gen%200), slot(gen)) // a new slot, or a rewrite
 		if gen%5 == 0 {
 			if err := next.RevertToSnapshot(snap); err != nil {
 				t.Fatal(err)
 			}
 		}
 		next.SetStorage(contract, slot((gen+3)%200), types.Hash{})
+		next.SetStorage(contract, slot(200+(gen+100)%200), types.Hash{})
 		next.DiscardSnapshots()
 		next.Root()
 		current.Store(next)

@@ -2,65 +2,114 @@ package state
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
-	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
-// referenceRoot recomputes the state commitment from scratch: it gathers
-// every non-empty account in sorted order and builds the crit-bit
-// structure recursively from the sorted slice, hashing all of it. It
-// shares no code with the incremental path (critbit's path copies and
-// memoised Sum), so agreement across random histories is strong evidence
-// the incremental root equals a full rehash.
+// referenceRoot recomputes the state commitment from scratch, from the
+// DB's snapshot bytes alone: modelRoot over the accounts and slots
+// Serialize lists.
 func referenceRoot(db *DB) types.Hash {
-	addrs := db.Accounts()
-	if len(addrs) == 0 {
-		return emptyStateRoot
+	blob := db.Serialize()
+	accounts := make(map[types.Address]*modelAcct)
+	off := 4 + 1 + 8
+	for i := binary.BigEndian.Uint64(blob[5:13]); i > 0; i-- {
+		var a types.Address
+		copy(a[:], blob[off:])
+		acc := &modelAcct{
+			balance: types.Amount(binary.BigEndian.Uint64(blob[off+20:])),
+			nonce:   binary.BigEndian.Uint64(blob[off+28:]),
+			storage: make(map[types.Hash]types.Hash),
+		}
+		off += 20 + 8 + 8 + 4
+		slots := int(binary.BigEndian.Uint32(blob[off:]))
+		off += 4
+		for ; slots > 0; slots-- {
+			acc.storage[types.Hash(blob[off:off+32])] = types.Hash(blob[off+32 : off+64])
+			off += 64
+		}
+		accounts[a] = acc
 	}
-	return refBuild(db, addrs)
+	return modelRoot(accounts)
 }
 
-func refBuild(db *DB, addrs []types.Address) types.Hash {
-	if len(addrs) == 1 {
+// modelRoot is the commitment the state root format defines, built from
+// plain maps: every non-empty account in sorted order, each storage root
+// from its sorted slots, and both tries built recursively from the sorted
+// keys. It shares no code with the incremental path (critbit's path
+// copies and memoised Sum, the DB's node hashes), so agreement across
+// random histories is strong evidence the incremental root equals a full
+// rehash.
+func modelRoot(accounts map[types.Address]*modelAcct) types.Hash {
+	var keys [][]byte
+	for a, acc := range accounts {
+		if acc.balance != 0 || acc.nonce != 0 || len(acc.storage) > 0 {
+			keys = append(keys, append([]byte(nil), a[:]...))
+		}
+	}
+	return refTrie(keys, func(addr []byte) []byte {
+		acc := accounts[types.Address(addr)]
+		var slots [][]byte
+		for k := range acc.storage {
+			slots = append(slots, append([]byte(nil), k[:]...))
+		}
+		storageRoot := refTrie(slots, func(k []byte) []byte {
+			v := acc.storage[types.Hash(k)]
+			return v[:]
+		})
 		h := keccak.New256()
-		_, _ = h.Write([]byte{trieTagLeaf})
-		_, _ = h.Write(addrs[0][:])
-		acc, _ := critbit.Get(db.root, trieKey(addrs[0]))
-		d := accountDigest(addrs[0][:], acc)
-		_, _ = h.Write(d[:])
-		var out types.Hash
-		copy(out[:], h.Sum(nil))
-		return out
+		_, _ = h.Write(addr)
+		_ = binary.Write(h, binary.BigEndian, uint64(acc.balance))
+		_ = binary.Write(h, binary.BigEndian, acc.nonce)
+		_, _ = h.Write(storageRoot[:])
+		return h.Sum(nil)
+	})
+}
+
+// refTrie is the crit-bit commitment over a key set: keccak(0x02) when
+// empty, otherwise the keys sorted and split recursively.
+func refTrie(keys [][]byte, value func(key []byte) []byte) types.Hash {
+	if len(keys) == 0 {
+		return types.HashBytes([]byte{0x02})
+	}
+	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
+	return refBuild(keys, value)
+}
+
+func refBuild(keys [][]byte, value func(key []byte) []byte) types.Hash {
+	h := keccak.New256()
+	if len(keys) == 1 {
+		_, _ = h.Write([]byte{0x00})
+		_, _ = h.Write(keys[0])
+		_, _ = h.Write(value(keys[0]))
+		return types.Hash(h.Sum(nil))
 	}
 	// The branch bit is the first bit on which the sorted group disagrees
 	// — i.e. the first differing bit of its extremes. Sorted order means
 	// the group splits into a bit-0 prefix and a bit-1 suffix.
-	lo, hi := addrs[0], addrs[len(addrs)-1]
+	lo, hi := keys[0], keys[len(keys)-1]
 	d := 0
 	for refBit(lo, d) == refBit(hi, d) {
 		d++
 	}
-	split := sort.Search(len(addrs), func(i int) bool { return refBit(addrs[i], d) == 1 })
-	left := refBuild(db, addrs[:split])
-	right := refBuild(db, addrs[split:])
-	h := keccak.New256()
-	_, _ = h.Write([]byte{trieTagBranch, byte(d >> 8), byte(d)})
+	split := sort.Search(len(keys), func(i int) bool { return refBit(keys[i], d) == 1 })
+	left := refBuild(keys[:split], value)
+	right := refBuild(keys[split:], value)
+	_, _ = h.Write([]byte{0x01, byte(d >> 8), byte(d)})
 	_, _ = h.Write(left[:])
 	_, _ = h.Write(right[:])
-	var out types.Hash
-	copy(out[:], h.Sum(nil))
-	return out
+	return types.Hash(h.Sum(nil))
 }
 
-// refBit returns bit i of a, most significant bit of a[0] first.
-func refBit(a types.Address, i int) byte {
-	return a[i/8] >> (7 - i%8) & 1
+// refBit returns bit i of k, most significant bit of k[0] first.
+func refBit(k []byte, i int) byte {
+	return k[i/8] >> (7 - i%8) & 1
 }
 
 // modelAcct is the naive shadow model of one account.
@@ -128,6 +177,9 @@ func checkAgainst(t *testing.T, step int, db *DB, m *model) {
 			}
 		}
 	}
+	if got, want := db.Root(), modelRoot(m.accounts); got != want {
+		t.Fatalf("step %d: incremental root %s != model root %s", step, got.Short(), want.Short())
+	}
 	if got, want := db.Root(), referenceRoot(db); got != want {
 		t.Fatalf("step %d: incremental root %s != reference root %s", step, got.Short(), want.Short())
 	}
@@ -146,7 +198,10 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 		h := types.HashBytes([]byte{byte(i), 0xA7})
 		copy(universe[i][:], h[:20])
 	}
-	keys := make([]types.Hash, 5)
+	// Storage goes to a few accounts over many keys, so their storage
+	// tries grow deep enough for path copies and partial re-sums.
+	contracts := universe[:3]
+	keys := make([]types.Hash, 40)
 	for i := range keys {
 		keys[i] = types.HashBytes([]byte{0x55, byte(i)})
 	}
@@ -192,6 +247,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					db.SetNonce(a, n)
 					m.get(a).nonce = n
 				case 7, 8: // storage write (zero value deletes)
+					a := contracts[rng.Intn(len(contracts))]
 					k := keys[rng.Intn(len(keys))]
 					var v types.Hash
 					if rng.Intn(3) != 0 {
@@ -240,10 +296,18 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 								cpm.get(b).balance += v
 							}
 						case 1:
+							b = contracts[rng.Intn(len(contracts))]
 							k := keys[rng.Intn(len(keys))]
-							v := types.HashBytes([]byte{0xCC, byte(i)})
+							var v types.Hash
+							if rng.Intn(3) != 0 {
+								v = types.HashBytes([]byte{0xCC, byte(i)})
+							}
 							cp.SetStorage(b, k, v)
-							cpm.get(b).storage[k] = v
+							if v.IsZero() {
+								delete(cpm.get(b).storage, k)
+							} else {
+								cpm.get(b).storage[k] = v
+							}
 						case 2:
 							n := uint64(100 + i)
 							cp.SetNonce(b, n)
@@ -369,4 +433,66 @@ func TestCopyChains(t *testing.T) {
 			t.Errorf("gen %d root %s != reference %s", i, got.Short(), want.Short())
 		}
 	}
+}
+
+// FuzzStateRootDifferential runs a byte-driven sequence of SetStorage,
+// Credit, Snapshot, RevertToSnapshot, Copy and Root against the deep-copy
+// model, and requires every Root to equal modelRoot over the model's maps.
+// Each op takes three bytes: the op, an account (of four) or snapshot
+// choice, and a slot (of sixteen) with the value in its high nibble, 0
+// deleting.
+func FuzzStateRootDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0x11, 0, 0, 0x22, 5, 0, 0})
+	f.Add([]byte{0, 1, 0x13, 3, 0, 0, 0, 1, 0x03, 1, 1, 0x40, 4, 0, 0, 5, 0, 0})
+	f.Add([]byte{2, 2, 0x70, 0, 2, 0x5F, 6, 0, 0, 0, 2, 0x0F, 5, 0, 0, 3, 0, 0, 1, 3, 0x31, 4, 0, 0, 5, 0, 0})
+	universe := make([]types.Address, 4)
+	for i := range universe {
+		universe[i] = benchAddr(i)
+	}
+	slotKey := func(i byte) types.Hash { return types.HashBytes([]byte{0xF5, i}) }
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		db, m := New(), newModel()
+		for i := 0; i+3 <= len(ops); i += 3 {
+			op, who, arg := ops[i]%7, ops[i+1], ops[i+2]
+			a := universe[who%4]
+			switch op {
+			case 0, 1:
+				k := slotKey(arg & 0x0F)
+				var v types.Hash
+				if arg>>4 != 0 {
+					v = types.HashBytes([]byte{arg >> 4})
+				}
+				db.SetStorage(a, k, v)
+				if v.IsZero() {
+					delete(m.get(a).storage, k)
+				} else {
+					m.get(a).storage[k] = v
+				}
+			case 2:
+				if db.Credit(a, types.Amount(arg)) == nil {
+					m.get(a).balance += types.Amount(arg)
+				}
+			case 3:
+				db.Snapshot()
+				m.snapshots = append(m.snapshots, m.clone())
+			case 4:
+				if len(m.snapshots) == 0 {
+					continue
+				}
+				id := int(who) % len(m.snapshots)
+				if err := db.RevertToSnapshot(id); err != nil {
+					t.Fatal(err)
+				}
+				m.accounts = m.snapshots[id]
+				m.snapshots = m.snapshots[:id]
+			case 5:
+				if got, want := db.Root(), modelRoot(m.accounts); got != want {
+					t.Fatalf("op %d: root %s, model %s", i/3, got.Short(), want.Short())
+				}
+			case 6:
+				db, m = db.Copy(), m.copyModel()
+			}
+		}
+		checkAgainst(t, len(ops)/3, db, m)
+	})
 }

@@ -11,7 +11,7 @@
 // Layout (all integers big-endian):
 //
 //	magic   [4]byte  "SCS1"
-//	version uint8    format version (1)
+//	version uint8    format version (2)
 //	count   uint64   number of accounts
 //	count × account records, in ascending address order:
 //	  addr    [20]byte
@@ -36,7 +36,7 @@ import (
 var snapshotMagic = [4]byte{'S', 'C', 'S', '1'}
 
 // SnapshotVersion is the current snapshot format version.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // Snapshot codec errors.
 var (

@@ -15,9 +15,10 @@
 // about three paths, not five. Copy, Snapshot and RevertToSnapshot stay
 // pointer assignments — what failed transactions (which revert), fork
 // execution and block building need, at O(1) — and the trie doubles as
-// the commitment: Root sums it with the account and branch hashes,
-// re-hashing only the accounts written since the previous Root plus their
-// O(log n) paths.
+// the commitment: Root sums it with the account and branch hashes, and
+// each account's storage trie with the same node rule, re-hashing only
+// the accounts and storage slots written since the previous Root plus
+// their O(log n) paths.
 package state
 
 import (
@@ -37,8 +38,8 @@ type account struct {
 	balance types.Amount
 	nonce   uint64
 	storage *critbit.Node[types.Hash]
-	// slots counts storage's bindings: the account digest and the snapshot
-	// record both write the count before the slots.
+	// slots counts storage's bindings: the snapshot record writes the
+	// count before the slots.
 	slots uint32
 }
 
@@ -236,48 +237,69 @@ const (
 	trieTagEmpty  = 0x02
 )
 
-// emptyStateRoot commits to the state with no non-empty accounts.
-var emptyStateRoot = types.HashBytes([]byte{trieTagEmpty})
+// emptyRoot commits to an empty trie: the state with no non-empty
+// accounts, and the storage of an account that holds no slots.
+var emptyRoot = types.HashBytes([]byte{trieTagEmpty})
 
-// emptyCodeHash is the code hash every account digest carries, c5d2…a470.
-// No account holds code; the field stays so that every root is the one an
-// account without code has always had.
-var emptyCodeHash = keccak.Sum256(nil)
+// leafHash is the commitment's leaf rule, over a key (an address, or a
+// storage slot key) and the 32 bytes bound to it.
+func leafHash(key []byte, val types.Hash) [32]byte {
+	var buf [1 + 32 + 32]byte
+	buf[0] = trieTagLeaf
+	n := 1 + copy(buf[1:], key)
+	n += copy(buf[n:], val[:])
+	return keccak.Sum256(buf[:n])
+}
 
-// accountDigest commits to one account: address, balance, nonce, the
-// empty code hash and the storage slots in key order — the per-account
-// serialization the commitment hashes into its leaves.
-func accountDigest(addr []byte, acc *account) types.Hash {
-	h := keccak.Get256()
-	defer keccak.Put(h)
-	var buf [2 * types.HashSize]byte
-	writeU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(buf[:8], v)
-		_, _ = h.Write(buf[:8])
+// branchHash is the commitment's branch rule, over a crit bit and the two
+// child sums.
+func branchHash(bit int16, left, right [32]byte) [32]byte {
+	var buf [3 + 2*32]byte
+	buf[0], buf[1], buf[2] = trieTagBranch, byte(bit>>8), byte(bit)
+	copy(buf[3:], left[:])
+	copy(buf[35:], right[:])
+	return keccak.Sum256(buf[:])
+}
+
+// slotLeaf is the storage trie's leaf: leafHash over (slot key, value).
+func slotLeaf(k critbit.Key, v types.Hash) [32]byte {
+	return leafHash(k[:], v)
+}
+
+// storageRoot commits to an account's storage: the storage trie summed
+// with the account trie's node rule, emptyRoot when it holds no slot. The
+// sum is memoised in the trie, so only paths written since the last Root
+// are hashed again.
+func storageRoot(acc *account) types.Hash {
+	if acc.storage == nil {
+		return emptyRoot
 	}
-	_, _ = h.Write(addr)
-	writeU64(uint64(acc.balance))
-	writeU64(acc.nonce)
-	_, _ = h.Write(emptyCodeHash[:])
-	writeU64(uint64(acc.slots))
-	critbit.Walk(acc.storage, func(k critbit.Key, v types.Hash) {
-		copy(buf[:types.HashSize], k[:])
-		copy(buf[types.HashSize:], v[:])
-		_, _ = h.Write(buf[:])
-	})
-	return keccak.Finalize256(h)
+	return critbit.Sum(acc.storage, slotLeaf, branchHash)
+}
+
+// accountDigest commits to one account: address, balance, nonce and
+// storage root — the value the commitment's account leaf binds.
+func accountDigest(addr []byte, acc *account) types.Hash {
+	var buf [wallet.AddressSize + 8 + 8 + types.HashSize]byte
+	n := copy(buf[:], addr)
+	binary.BigEndian.PutUint64(buf[n:], uint64(acc.balance))
+	binary.BigEndian.PutUint64(buf[n+8:], acc.nonce)
+	sr := storageRoot(acc)
+	copy(buf[n+16:], sr[:])
+	return keccak.Sum256(buf[:])
 }
 
 // Root computes the deterministic commitment to the entire state: the
 // account trie summed with a leaf hash over (address, account digest) and
 // a branch hash over (crit bit, left, right). Empty accounts are not in
-// the trie. Only accounts written since the previous Root() are
-// re-hashed, so the cost is O(written · log accounts), not O(world state).
-// Root is a freeze point.
+// the trie. Only accounts and storage slots written since the previous
+// Root() are re-hashed, so the cost is O(written · log size), not
+// O(world state) and not O(slots of a written account). Root is a freeze
+// point.
 func (db *DB) Root() types.Hash {
 	db.freeze()
 	if db.root == nil {
-		return emptyStateRoot
+		return emptyRoot
 	}
 	digested, hashed := uint64(0), false
 	t0 := now()
@@ -285,12 +307,11 @@ func (db *DB) Root() types.Hash {
 		func(k critbit.Key, acc *account) [32]byte {
 			digested++
 			addr := k[:wallet.AddressSize]
-			digest := accountDigest(addr, acc)
-			return keccak.Sum256Concat([]byte{trieTagLeaf}, addr, digest[:])
+			return leafHash(addr, accountDigest(addr, acc))
 		},
 		func(bit int16, left, right [32]byte) [32]byte {
 			hashed = true
-			return keccak.Sum256Concat([]byte{trieTagBranch, byte(bit >> 8), byte(bit)}, left[:], right[:])
+			return branchHash(bit, left, right)
 		})
 	// Clean roots are free and frequent; only rehash work is observed.
 	if hashed || digested > 0 {

@@ -96,3 +96,28 @@ func BenchmarkCopyThenTouch(b *testing.B) {
 		_ = cp.Root()
 	}
 }
+
+// BenchmarkRootTouchOneSlot measures one block's write to a contract
+// account that holds n slots: one slot rewritten, then Root. The storage
+// root is the storage trie's memoised sum, so the cost is one slot's
+// O(log n) path, flat in n; an account digest that hashed every slot made
+// it linear in n.
+func BenchmarkRootTouchOneSlot(b *testing.B) {
+	slot := func(i int) types.Hash { return types.HashBytes([]byte{byte(i >> 16), byte(i >> 8), byte(i), 0x53}) }
+	for _, n := range []int{100, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("slots=%d", n), func(b *testing.B) {
+			db := New()
+			contract := benchAddr(0)
+			for i := 0; i < n; i++ {
+				db.SetStorage(contract, slot(i), slot(i+1))
+			}
+			_ = db.Root()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				db.SetStorage(contract, slot(i*7919%n), slot(i))
+				_ = db.Root()
+			}
+		})
+	}
+}

@@ -74,8 +74,10 @@ const (
 	// formatVersion is the on-disk format version stamped into meta. A
 	// version-1 log may hold a contract-creation transaction (kind 2, since
 	// retired) below its snapshot, where a reopen serves blocks without
-	// validating them, so version 1 is refused rather than misread.
-	formatVersion = 2
+	// validating them; a version-2 log's headers commit to the account
+	// digest that hashed every storage slot, and its snapshot to the old
+	// contract layout. Both are refused rather than misread.
+	formatVersion = 3
 )
 
 var (

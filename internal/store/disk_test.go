@@ -623,37 +623,41 @@ func TestForeignDatadirRefused(t *testing.T) {
 
 // TestOldFormatDatadirRefused pins the meta version check: a format-1
 // datadir may hold a contract creation below its snapshot, which a reopen
-// would serve unvalidated, so it is refused by version, and the error
-// names both versions.
+// would serve unvalidated, and a format-2 one commits to the slot-walking
+// account digest and the old contract layout, so each is refused by
+// version, and the error names both versions.
 func TestOldFormatDatadirRefused(t *testing.T) {
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	f.extend(1)
-	if err := f.chain.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, old := range []byte{1, 2} {
+		dir := t.TempDir()
+		f := mustOpen(t, dir, 0)
+		f.extend(1)
+		if err := f.chain.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	path := filepath.Join(dir, metaName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[4] = 1
-	binary.BigEndian.PutUint32(raw[metaSize-4:], crc32.Checksum(raw[:metaSize-4], crcTable))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+		path := filepath.Join(dir, metaName)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[4] = old
+		binary.BigEndian.PutUint32(raw[metaSize-4:], crc32.Checksum(raw[:metaSize-4], crcTable))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
 
-	d, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	cfg := baseConfig()
-	cfg.Storage = d
-	_, err = chain.New(cfg)
-	if !errors.Is(err, ErrBadMeta) || !strings.Contains(err.Error(), "format 1, this build reads 2") {
-		t.Fatalf("format-1 datadir: got %v, want ErrBadMeta naming both versions", err)
+		d, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseConfig()
+		cfg.Storage = d
+		_, err = chain.New(cfg)
+		want := fmt.Sprintf("format %d, this build reads 3", old)
+		if !errors.Is(err, ErrBadMeta) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("format-%d datadir: got %v, want ErrBadMeta naming both versions", old, err)
+		}
+		d.Close()
 	}
 }
 

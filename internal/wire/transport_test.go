@@ -3,15 +3,19 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/chain"
+	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
+	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
 func testGenesis() types.Hash {
@@ -143,18 +147,50 @@ func TestRelayBurstOfAPoolIsNotShed(t *testing.T) {
 	}
 }
 
+// TestGenesisMismatchRejected: peers whose genesis ids differ never
+// register each other — one byte flipped, and a funded genesis as this
+// build commits to it beside the id the store-format-2 build gave the same
+// allocation, whose account digests hashed every storage slot. (An
+// unfunded genesis keeps its id across that change: the empty state's
+// root did not move.)
 func TestGenesisMismatchRejected(t *testing.T) {
-	a := newTestTransport(t, "a", testGenesis())
-	other := testGenesis()
-	other[0] ^= 0xFF
-	b := newTestTransport(t, "b", other, a.Addr())
-
-	time.Sleep(300 * time.Millisecond) // several dial+handshake attempts
-	if got := a.PeerIDs(); len(got) != 0 {
-		t.Errorf("a registered peers %v despite genesis mismatch", got)
+	const formatTwoFundedGenesis = "0x57d78b66b3f65154c6f376429be84417a3c608fa2c9361afc7d081c1ed3041db"
+	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), nil))
+	cfg.Alloc = map[types.Address]types.Amount{wallet.NewDeterministic("funded-genesis").Address(): types.EtherAmount(1000)}
+	c, err := chain.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := b.PeerIDs(); len(got) != 0 {
-		t.Errorf("b registered peers %v despite genesis mismatch", got)
+	funded := c.Genesis().ID()
+	if funded.String() == formatTwoFundedGenesis {
+		t.Fatal("the funded genesis id did not move with the state root format")
+	}
+	flipped := testGenesis()
+	flipped[0] ^= 0xFF
+	var formatTwo types.Hash
+	if _, err := hex.Decode(formatTwo[:], []byte(formatTwoFundedGenesis[2:])); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		a, b types.Hash
+	}{
+		{"flipped byte", testGenesis(), flipped},
+		{"store format 2", funded, formatTwo},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := newTestTransport(t, "a", tc.a)
+			b := newTestTransport(t, "b", tc.b, a.Addr())
+
+			time.Sleep(300 * time.Millisecond) // several dial+handshake attempts
+			if got := a.PeerIDs(); len(got) != 0 {
+				t.Errorf("a registered peers %v despite genesis mismatch", got)
+			}
+			if got := b.PeerIDs(); len(got) != 0 {
+				t.Errorf("b registered peers %v despite genesis mismatch", got)
+			}
+		})
 	}
 }
 
