@@ -42,7 +42,9 @@ lint:
 # the hash under all of them, differentially against the loop-form sponge,
 # the trie writer's in-place rewrites, differentially against a map
 # and fresh path-copied builds, and the state root over account and
-# storage tries, differentially against a from-scratch model. Override
+# storage tries — snapshots nested, reverted through the undo journal
+# around Roots and held copies, each revert checked against the bytes
+# its snapshot saw — differentially against a from-scratch model. Override
 # FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -81,7 +83,9 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the chain-core microbenchmarks (state root, state fork, block
-# insert, reorg, detection query), the trie's (64 writes path-copied
+# insert, reorg, detection query, and failed transactions reverted
+# through the state's undo journal: BenchmarkRevertHeavyBlock beside
+# BenchmarkFailedTransfer), the trie's (64 writes path-copied
 # against one generation), the signature kernel's (field multiplication
 # and inversion, sign, recover) and the hash kernel's
 # (permutation, a trie branch, 1 KiB).

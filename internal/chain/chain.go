@@ -411,7 +411,7 @@ func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (
 		return false, fmt.Errorf("%w: %s", ErrKnownBlock, blk.ID().Short())
 	}
 	t0 := now()
-	if err := c.verifyStateless(blk); err != nil {
+	if err := c.verifyStateless(blk, nil); err != nil {
 		mStage1Ns.ObserveDuration(since(t0))
 		mImportFailed.Inc()
 		return false, err
@@ -454,10 +454,10 @@ func (c *Chain) InsertChainTraced(blocks []*types.Block, tc telemetry.TraceConte
 	mBatchBlocks.Observe(uint64(len(blocks)))
 	span := telemetry.StartSpanIn(tc, "chain.InsertChain")
 
-	stage1 := startVerify(len(blocks), func() func(int) error {
+	stage1 := startVerify(len(blocks), func(stop func() bool) func(int) error {
 		return func(i int) error {
 			t0 := now()
-			err := c.verifyStatelessAt(blocks, i)
+			err := c.verifyStatelessAt(blocks, i, stop)
 			mStage1Ns.ObserveDuration(since(t0))
 			return err
 		}
@@ -490,46 +490,76 @@ func (c *Chain) InsertChainTraced(blocks []*types.Block, tc telemetry.TraceConte
 }
 
 // verification is a stage-1 pass: up to GOMAXPROCS workers take indices
-// in order, store check(i) in errs[i] and close done[i]. Once stop is set
-// (a check failed, or the caller halts) no worker takes another index.
+// in order, store check(i) in errs[i] and close done[i]. A worker takes
+// index i only once every item at or below i-window is done, so however
+// long the lowest unfinished item takes, the others check at most
+// window-1 items past it. Once an item fails no item past it is checked,
+// and a check in progress past it stops between transactions: its result
+// would never be read.
 type verification struct {
-	errs []error
-	done []chan struct{}
-	stop atomic.Bool
-	wg   sync.WaitGroup // the workers
+	errs   []error
+	done   []chan struct{}
+	window int
+	// failed is the lowest index whose check failed, n while none has and
+	// -1 once the caller halts.
+	failed atomic.Int64
+	wg     sync.WaitGroup // the workers
 }
+
+// verifyWindowPerWorker sets the claim window: this many items per worker
+// past the lowest unfinished one (DESIGN.md §12).
+const verifyWindowPerWorker = 2
 
 // startVerify starts a verification of n items, each worker running the
 // check newCheck returns for it (so a check may keep per-worker scratch).
-func startVerify(n int, newCheck func() func(i int) error) *verification {
+// The check may poll stop, safely from any goroutine, between the parts
+// of an item; it reports that the item's result will not be read.
+func startVerify(n int, newCheck func(stop func() bool) func(i int) error) *verification {
 	v := &verification{errs: make([]error, n), done: make([]chan struct{}, n)}
 	for i := range v.done {
 		v.done[i] = make(chan struct{})
 	}
+	v.failed.Store(int64(n))
+	workers := min(runtime.GOMAXPROCS(0), n)
+	v.window = verifyWindowPerWorker * workers
 	var cursor atomic.Int64
-	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
-		check := newCheck()
+	for ; workers > 0; workers-- {
 		v.wg.Add(1)
-		go func() {
-			defer v.wg.Done()
-			for !v.stop.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if v.errs[i] = check(i); v.errs[i] != nil {
-					v.stop.Store(true)
-				}
-				close(v.done[i])
-			}
-		}()
+		go v.work(&cursor, newCheck)
 	}
 	return v
 }
 
-// halt stops the workers and waits for them to finish the items they hold.
+// work is one worker: it claims the next index, waits until the index is
+// inside the window, and checks it unless an earlier item has failed.
+func (v *verification) work(cursor *atomic.Int64, newCheck func(stop func() bool) func(i int) error) {
+	defer v.wg.Done()
+	var cur atomic.Int64 // the item being checked, read by stop
+	check := newCheck(func() bool { return v.failed.Load() < cur.Load() })
+	edge := 0 // every item below edge is done
+	for {
+		i := int(cursor.Add(1)) - 1
+		if i >= len(v.errs) {
+			return
+		}
+		for ; edge <= i-v.window; edge++ {
+			<-v.done[edge]
+		}
+		cur.Store(int64(i))
+		if v.failed.Load() < int64(i) {
+			v.errs[i] = types.ErrCheckStopped
+		} else if v.errs[i] = check(i); v.errs[i] != nil {
+			for f := v.failed.Load(); int64(i) < f && !v.failed.CompareAndSwap(f, int64(i)); f = v.failed.Load() {
+			}
+		}
+		close(v.done[i])
+	}
+}
+
+// halt stops the workers and waits for them to give up the items they
+// hold.
 func (v *verification) halt() {
-	v.stop.Store(true)
+	v.failed.Store(-1)
 	v.wg.Wait()
 }
 
@@ -554,23 +584,26 @@ func (v *verification) passed(i int) bool {
 // in-batch header-link checks (number, timestamp, difficulty retarget)
 // when the predecessor in the batch is the block's parent — those need no
 // chain state, so failing fast here keeps bad batches from reaching the
-// serial stage.
-func (c *Chain) verifyStatelessAt(blocks []*types.Block, i int) error {
+// serial stage. stop is the pass's (see startVerify).
+func (c *Chain) verifyStatelessAt(blocks []*types.Block, i int, stop func() bool) error {
 	blk := blocks[i]
 	if i > 0 && blk.Header.ParentID == blocks[i-1].ID() {
 		if err := c.verifyHeaderLink(&blocks[i-1].Header, &blk.Header); err != nil {
 			return err
 		}
 	}
-	return c.verifyStateless(blk)
+	return c.verifyStateless(blk, stop)
 }
 
 // verifyStateless runs every check that needs no chain context — sender
-// recovery (parallel, via the shared pool), structural transaction
-// validation, tx-root merkle recomputation and the PoW predicate. It
-// holds no locks; the chain config is immutable after New.
-func (c *Chain) verifyStateless(blk *types.Block) error {
-	types.RecoverSenders(blk.Txs)
+// recovery (parallel, via the shared pool, polling stop between
+// transactions), structural transaction validation, tx-root merkle
+// recomputation and the PoW predicate. It holds no locks; the chain
+// config is immutable after New.
+func (c *Chain) verifyStateless(blk *types.Block, stop func() bool) error {
+	if err := types.RecoverSendersUntil(blk.Txs, stop); err != nil {
+		return err
+	}
 	return blk.VerifyShape(c.cfg.SkipPoWCheck)
 }
 

@@ -1,0 +1,57 @@
+//go:build !race
+
+package chain
+
+import (
+	"runtime"
+	"testing"
+
+	"github.com/smartcrowd/smartcrowd/internal/types"
+	"github.com/smartcrowd/smartcrowd/internal/wallet"
+)
+
+// TestBlockSharesItsPathCopies pins what executing a block costs once the
+// state's undo journal is warm: 100 transfers from one sender to 100 of
+// 10,000 accounts, executed and rooted on a fresh copy of the head state.
+// The block's writes share one trie generation, so the sender's and the
+// miner's paths are copied once per block and each recipient's once:
+// ≈ 88 KB on amd64. A snapshot per transaction that froze the trie copied
+// all three paths per transaction, ≈ 292 KB; the budget is under half of
+// that.
+func TestBlockSharesItsPathCopies(t *testing.T) {
+	sender, miner := wallet.NewDeterministic("provider"), wallet.NewDeterministic("miner")
+	cfg := benchConfig(10_000)
+	cfg.Alloc[sender.Address()] = types.EtherAmount(5000)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := c.Head()
+	blk := &types.Block{Header: types.Header{ParentID: head.ID(), Number: 1, Time: head.Header.Time + 15_350, Miner: miner.Address()}}
+	for i := 0; i < 100; i++ {
+		tx := &types.Transaction{Kind: types.TxTransfer, Nonce: uint64(i), To: benchAccount(i * 97), Value: 1, GasLimit: 21_000, GasPrice: testGasPrice}
+		if err := types.SignTx(tx, sender); err != nil {
+			t.Fatal(err)
+		}
+		blk.Txs = append(blk.Txs, tx)
+	}
+	run := func() {
+		st := c.State()
+		if _, err := execBlock(cfg, st, blk); err != nil {
+			t.Fatal(err)
+		}
+		st.Root()
+	}
+	run() // the first block recovers the senders and warms the journal
+
+	const runs, budget = 20, 110 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if perBlock := (after.TotalAlloc - before.TotalAlloc) / runs; perBlock > budget {
+		t.Fatalf("a warm 100-transfer block over 10,000 accounts allocated %d B, want <= %d", perBlock, budget)
+	}
+}

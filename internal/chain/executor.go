@@ -59,7 +59,12 @@ type executor struct {
 // Senders are pre-recovered for the whole block through the striped
 // pool before execution starts, so ECDSA recovery never sits on the
 // execution critical path (per-tx Sender() calls below hit the memo).
+//
+// The block's writes share one trie write generation, from the first to
+// the caller's Root: each transaction's snapshot only marks st's undo
+// journal, which is returned to its pool here on every path.
 func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
+	defer st.DiscardSnapshots()
 	types.RecoverSenders(blk.Txs)
 	ex := &executor{cfg: cfg, st: st, number: blk.Header.Number, miner: blk.Header.Miner}
 	receipts := make([]*Receipt, len(blk.Txs))
@@ -79,7 +84,6 @@ func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 	if err := st.Credit(blk.Header.Miner, cfg.BlockReward); err != nil {
 		return nil, fmt.Errorf("chain: credit block reward: %w", err)
 	}
-	st.DiscardSnapshots()
 	return receipts, nil
 }
 
@@ -143,11 +147,12 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 		return nil, fmt.Errorf("%w: limit %d, need %d", ErrGasLimitTooLow, tx.GasLimit, needed)
 	}
 
-	// The snapshot is a state freeze point, so taking it first lets every
-	// write of the transaction — nonce, value, contract storage, fee, miner
-	// — rewrite the trie paths the first of them copied. The nonce bump
-	// survives failure, as in Ethereum: fail() reverts and writes it again,
-	// which only a failed transaction pays for.
+	// The snapshot marks the state's undo journal and freezes nothing, so
+	// every write of the transaction — nonce, value, contract storage, fee,
+	// miner — rewrites the trie paths this block's earlier writes copied.
+	// The nonce bump survives failure, as in Ethereum: fail() writes the
+	// journaled pre-images back and then the bump again, which only a
+	// failed transaction pays for, in proportion to what it wrote.
 	snap := ex.st.Snapshot()
 	ex.st.SetNonce(sender, tx.Nonce+1)
 

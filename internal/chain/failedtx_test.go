@@ -134,9 +134,7 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 // after it then rewrites in place).
 func BenchmarkFailedTransfer(b *testing.B) {
 	h := &harness{provider: wallet.NewDeterministic("provider"), miner: wallet.NewDeterministic("miner")}
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })))
-	cfg.SkipPoWCheck = true
-	cfg.Alloc = benchAlloc(10_000)
+	cfg := benchConfig(10_000)
 	cfg.Alloc[h.provider.Address()] = types.EtherAmount(5000)
 	cfg.Alloc[overflowSink] = ^types.Amount(0) - 1
 	c, err := New(cfg)
@@ -161,6 +159,72 @@ func BenchmarkFailedTransfer(b *testing.B) {
 		receipts, err := execBlock(cfg, c.State(), blk)
 		if err != nil || receipts[0].Success {
 			b.Fatalf("receipts %+v, err %v: want one failed transfer", receipts, err)
+		}
+	}
+}
+
+// BenchmarkRevertHeavyBlock executes a 100-transaction block over 10,000
+// accounts in which every other transaction fails after writing — a
+// transfer that overflows its recipient after the debit, or a duplicate
+// SRA whose escrow transfer is rolled back — on a fresh copy of the head
+// state. A revert writes back what the failing transaction wrote, so it
+// costs O(writes since its snapshot); B/op and ns/op are the point, next
+// to BenchmarkFailedTransfer's single failure.
+func BenchmarkRevertHeavyBlock(b *testing.B) {
+	provider, miner := wallet.NewDeterministic("provider"), wallet.NewDeterministic("miner")
+	cfg := benchConfig(10_000)
+	cfg.Alloc[provider.Address()] = types.EtherAmount(1_000_000)
+	cfg.Alloc[overflowSink] = ^types.Amount(0) - 1
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sign := func(tx *types.Transaction) *types.Transaction {
+		if err := types.SignTx(tx, provider); err != nil {
+			b.Fatal(err)
+		}
+		return tx
+	}
+	sra := &types.SRA{Provider: provider.Address(), Name: "cam-fw", Version: "3.1", SystemHash: types.HashBytes([]byte("image-3.1")),
+		DownloadLink: "sc://releases/cam-fw/3.1", Insurance: types.EtherAmount(1000), Bounty: types.EtherAmount(5)}
+	if err := types.SignSRA(sra, provider); err != nil {
+		b.Fatal(err)
+	}
+	head := c.Head()
+	release, err := c.BuildBlock(head.ID(), miner.Address(), head.Header.Time+15_000, 1, []*types.Transaction{sign(types.NewSRATx(sra, 0, 2_000_000, testGasPrice))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.InsertBlock(release); err != nil {
+		b.Fatal(err)
+	}
+	head = c.Head()
+	blk := &types.Block{Header: types.Header{ParentID: head.ID(), Number: head.Header.Number + 1, Time: head.Header.Time + 15_000, Miner: miner.Address()}}
+	for i := 0; i < 100; i++ {
+		nonce := uint64(i + 1)
+		switch {
+		case i%2 == 0:
+			blk.Txs = append(blk.Txs, sign(&types.Transaction{Kind: types.TxTransfer, Nonce: nonce, To: benchAccount(i * 97), Value: 1, GasLimit: 21_000, GasPrice: testGasPrice}))
+		case i%4 == 1:
+			blk.Txs = append(blk.Txs, sign(&types.Transaction{Kind: types.TxTransfer, Nonce: nonce, To: overflowSink, Value: 2, GasLimit: 21_000, GasPrice: testGasPrice}))
+		default:
+			blk.Txs = append(blk.Txs, sign(types.NewSRATx(sra, nonce, 2_000_000, testGasPrice)))
+		}
+	}
+	receipts, err := execBlock(cfg, c.State(), blk)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, r := range receipts {
+		if r.Success != (i%2 == 0) {
+			b.Fatalf("tx %d: success %v (%s), want every other one to fail", i, r.Success, r.Err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := execBlock(cfg, c.State(), blk); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
@@ -466,6 +469,71 @@ func TestStageOneStopsAtTheFirstFailure(t *testing.T) {
 				t.Errorf("head moved to #%d", c.HeadNumber())
 			}
 		})
+	}
+}
+
+// TestStageOneClaimsWithinItsWindow is the deterministic half of the
+// bound above: while the worker holding item 0 is held up, the other
+// workers check items 1 … window-1 and then park at the window's edge,
+// however long item 0 takes, so what a failure at item 0 can cost is the
+// window and not whatever the scheduler allows. The hook on item 0
+// returns once every other item is checked (no window) or every other
+// worker is parked in work, blocked on a channel.
+func TestStageOneClaimsWithinItsWindow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n, workers = 64, 4
+	var checked [n]atomic.Bool
+	count := func() (c int) {
+		for i := range checked {
+			if checked[i].Load() {
+				c++
+			}
+		}
+		return c
+	}
+	parked := func() (p int) {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "chain.(*verification).work(") {
+				p++
+			}
+		}
+		return p
+	}
+	const window = verifyWindowPerWorker * workers
+	var timedOut bool
+	var past []int // items at or past the window checked while item 0 was held
+	v := startVerify(n, func(func() bool) func(int) error {
+		return func(i int) error {
+			if i == 0 {
+				deadline := time.Now().Add(30 * time.Second)
+				for count() < n-1 && parked() < workers-1 {
+					if timedOut = time.Now().After(deadline); timedOut {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				for j := window; j < n; j++ {
+					if checked[j].Load() {
+						past = append(past, j)
+					}
+				}
+			}
+			checked[i].Store(true)
+			return nil
+		}
+	})
+	for i := 0; i < n; i++ {
+		if err := v.wait(i); err != nil {
+			t.Fatalf("item %d: %v", i, err)
+		}
+	}
+	v.halt()
+	if timedOut {
+		t.Fatal("the other workers neither finished nor parked")
+	}
+	if len(past) > 0 {
+		t.Errorf("items %v checked while item 0 was held, want none at or past the window (%d)", past, window)
 	}
 }
 

@@ -9,16 +9,25 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// benchAlloc derives n distinct pre-funded addresses for a genesis alloc.
-func benchAlloc(n int) map[types.Address]types.Amount {
-	alloc := make(map[types.Address]types.Amount, n)
+// benchConfig is a chain config without PoW checks whose verifier accepts
+// every finding, over n distinct pre-funded accounts: benchAccount(i)
+// holds i+1 gwei.
+func benchConfig(n int) Config {
+	cfg := DefaultConfig(contract.New(contract.DefaultParams(), contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })))
+	cfg.SkipPoWCheck = true
+	cfg.Alloc = make(map[types.Address]types.Amount, n)
 	for i := 0; i < n; i++ {
-		h := types.HashBytes([]byte{0xB0, byte(i >> 16), byte(i >> 8), byte(i)})
-		var a types.Address
-		copy(a[:], h[:20])
-		alloc[a] = types.Amount(i + 1)
+		cfg.Alloc[benchAccount(i)] = types.Amount(i + 1)
 	}
-	return alloc
+	return cfg
+}
+
+// benchAccount is benchAlloc's i-th address.
+func benchAccount(i int) types.Address {
+	h := types.HashBytes([]byte{0xB0, byte(i >> 16), byte(i >> 8), byte(i)})
+	var a types.Address
+	copy(a[:], h[:20])
+	return a
 }
 
 // bench10kChain is a chain over 10,000 allocated accounts, with b.N blocks
@@ -26,10 +35,7 @@ func benchAlloc(n int) map[types.Address]types.Amount {
 func bench10kChain(b *testing.B) (*Chain, [][]*types.Transaction, types.Address) {
 	b.Helper()
 	alice := wallet.NewDeterministic("alice")
-	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
-	cfg.Alloc = benchAlloc(10_000)
+	cfg := benchConfig(10_000)
 	cfg.Alloc[alice.Address()] = types.EtherAmount(1_000_000)
 	c, err := New(cfg)
 	if err != nil {

@@ -413,8 +413,8 @@ func (c *Chain) AdoptSnapshot(prefix []types.BlockRecord, stateBlob []byte) erro
 // verifyRecords shape-checks a snapshot prefix on its bytes, one
 // RecordVerifier per worker, and returns the first failure in order.
 func (c *Chain) verifyRecords(prefix []types.BlockRecord) error {
-	checks := startVerify(len(prefix), func() func(int) error {
-		v := &types.RecordVerifier{SkipPoW: c.cfg.SkipPoWCheck}
+	checks := startVerify(len(prefix), func(stop func() bool) func(int) error {
+		v := &types.RecordVerifier{SkipPoW: c.cfg.SkipPoWCheck, Stop: stop}
 		return func(i int) error {
 			h, err := v.Verify(prefix[i].Raw)
 			if err == nil && h != prefix[i].Block.Header {

@@ -21,10 +21,10 @@
 //  2. A node is otherwise written only by the writer whose generation it
 //     carries, and only before that writer's next freeze point.
 //
-// What a freeze point is belongs to the caller (state.DB: Snapshot,
-// RevertToSnapshot, Root; the chain's indexes: each published view); the
-// rule it must keep is that a root is saved, copied or handed to another
-// goroutine only at one.
+// What a freeze point is belongs to the caller (state.DB: Root, and so
+// Copy — a Snapshot saves no root, it marks an undo journal; the chain's
+// indexes: each published view); the rule it must keep is that a root is
+// saved, copied or handed to another goroutine only at one.
 //
 // The shape is a pure function of the key set — crit-bit tries are
 // insertion-order independent — which is what lets a hash summed over
@@ -77,8 +77,7 @@ type leafNode[V any] struct {
 // lastGen is the last generation NewGen handed out, process-wide: a
 // generation must never be handed out twice, because nothing but a
 // generation's uniqueness stops a writer from rewriting an unsummed node
-// (of an index, or of a state trie saved by a Snapshot) that a frozen
-// root still reaches.
+// (of an index) that a frozen root still reaches.
 var lastGen atomic.Uint32
 
 // mGenerations exports lastGen, so an operator can see how far the

@@ -102,6 +102,55 @@ func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
 	}
 }
 
+// TestWarmJournalAllocatesNothing pins the journal's storage: it comes
+// from a pool at a block's first Snapshot and goes back at
+// DiscardSnapshots, so once warm a block of transactions — a snapshot
+// each, a balance, a nonce and a slot written under it, and every other
+// one reverted — allocates exactly what the same writes and write-backs
+// cost with no snapshot open: the account records they install.
+func TestWarmJournalAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is not meaningful under -race")
+	}
+	db := New()
+	contract := benchAddr(0)
+	for i := 0; i < 1000; i++ {
+		_ = db.Credit(benchAddr(i), 1_000_000)
+		db.SetStorage(contract, types.Hash{byte(i), 1}, types.Hash{1})
+	}
+	db.Root()
+	block := func(journaled bool) {
+		for i := 1; i <= 100; i++ {
+			a, k := benchAddr(i), types.Hash{byte(i), 1}
+			var id int
+			if journaled {
+				id = db.Snapshot()
+			}
+			_ = db.Credit(a, 1)
+			db.SetNonce(a, uint64(i))
+			db.SetStorage(contract, k, types.Hash{byte(i)})
+			switch {
+			case i%2 == 1:
+			case journaled:
+				if err := db.RevertToSnapshot(id); err != nil {
+					t.Fatal(err)
+				}
+			default: // the write-backs a revert makes
+				db.SetStorage(contract, k, types.Hash{1})
+				_ = db.Debit(a, 1)
+				db.SetNonce(a, 0)
+			}
+		}
+		db.DiscardSnapshots()
+	}
+	block(true) // warms the pool and takes the block's trie paths
+	journaled := testing.AllocsPerRun(20, func() { block(true) })
+	plain := testing.AllocsPerRun(20, func() { block(false) })
+	if journaled != plain {
+		t.Fatalf("a journaled block made %.0f allocations, the same writes unjournaled %.0f: want equal", journaled, plain)
+	}
+}
+
 // TestSharedStateReadersBesideWriter is the publication pattern the chain
 // relies on, under the race detector: each generation is rooted, then
 // published; readers call every read-only method on whatever is current,

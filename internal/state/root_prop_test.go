@@ -186,12 +186,15 @@ func checkAgainst(t *testing.T, step int, db *DB, m *model) {
 }
 
 // TestRootMatchesReferenceUnderRandomHistories drives long random
-// mutate/snapshot/revert/copy sequences against both the CoW DB and a
-// naive deep-copy model and requires (a) identical observable state, (b)
-// the incrementally maintained Root to equal the from-scratch reference
-// root at every checkpoint, and (c) every saved and copied root to still
-// serialize to the bytes it serialized to when it was taken — the writes
-// after a freeze point rewrite only nodes made since.
+// mutate/snapshot/revert/copy/root sequences — snapshots nest, and Roots
+// and Copies land between a Snapshot and its revert — against both the
+// CoW DB and a naive deep-copy model and requires (a) identical
+// observable state, (b) the incrementally maintained Root to equal the
+// from-scratch reference root at every checkpoint, (c) a revert to
+// restore the exact bytes the state serialized to when its snapshot was
+// taken, and (d) every copied root to still serialize to the bytes it
+// serialized to when it was taken — the writes after a freeze point,
+// the journal's write-backs included, rewrite only nodes made since.
 func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 	universe := make([]types.Address, 12)
 	for i := range universe {
@@ -220,17 +223,18 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 				m  *model
 			}
 			var held []fork
-			// saved and copied pair each open snapshot and each recent copy
-			// with its root and the bytes that root serialized to when taken.
+			// saved holds what the state serialized to as each open
+			// snapshot was taken; copied pairs each recent copy with the
+			// bytes it serialized to when taken.
 			type taken struct {
 				root  *DB
 				bytes []byte
 			}
-			var saved, copied []taken
-			take := func(root *DB) taken { return taken{root, root.Serialize()} }
+			var saved [][]byte
+			var copied []taken
 			for step := 0; step < 600; step++ {
 				a := universe[rng.Intn(len(universe))]
-				op := rng.Intn(12)
+				op := rng.Intn(13)
 				switch op {
 				case 0, 1, 2: // credit
 					v := types.Amount(rng.Intn(1000))
@@ -265,7 +269,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 						t.Fatalf("step %d: snapshot id %d, model expects %d", step, id, len(m.snapshots))
 					}
 					m.snapshots = append(m.snapshots, m.clone())
-					saved = append(saved, take(&DB{root: db.saved[id]}))
+					saved = append(saved, db.Serialize())
 				case 10: // revert to a random open snapshot
 					if len(m.snapshots) == 0 {
 						continue
@@ -276,7 +280,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					}
 					m.accounts = m.snapshots[id]
 					m.snapshots = m.snapshots[:id]
-					if !bytes.Equal(db.Serialize(), saved[id].bytes) {
+					if !bytes.Equal(db.Serialize(), saved[id]) {
 						t.Fatalf("step %d: reverting to snapshot %d did not restore its bytes", step, id)
 					}
 					saved = saved[:id]
@@ -284,7 +288,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					// verify isolation in both directions
 					cp := db.Copy()
 					cpm := m.copyModel()
-					if copied = append(copied, take(&DB{root: cp.root})); len(copied) > 8 {
+					if copied = append(copied, taken{&DB{root: cp.root}, cp.Serialize()}); len(copied) > 8 {
 						copied = copied[1:]
 					}
 					for i := 0; i < 8; i++ {
@@ -320,10 +324,15 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					if held = append(held, fork{cp, cpm}); len(held) > 4 {
 						held = held[1:]
 					}
+				case 12: // root inside whatever snapshots are open: the
+					// writes and write-backs after it must path-copy
+					if got, want := db.Root(), modelRoot(m.accounts); got != want {
+						t.Fatalf("step %d: root %s, model %s", step, got.Short(), want.Short())
+					}
 				}
-				for i, tk := range append(saved[:len(saved):len(saved)], copied...) {
+				for i, tk := range copied {
 					if !bytes.Equal(tk.root.Serialize(), tk.bytes) {
-						t.Fatalf("step %d: taken root %d no longer serializes as it did when taken", step, i)
+						t.Fatalf("step %d: copied root %d no longer serializes as it did when taken", step, i)
 					}
 				}
 				if step%37 == 0 || op == 10 {
@@ -437,7 +446,11 @@ func TestCopyChains(t *testing.T) {
 
 // FuzzStateRootDifferential runs a byte-driven sequence of SetStorage,
 // Credit, Snapshot, RevertToSnapshot, Copy and Root against the deep-copy
-// model, and requires every Root to equal modelRoot over the model's maps.
+// model, and requires every Root to equal modelRoot over the model's maps
+// and every revert to restore the bytes its snapshot saw. Op 6 continues
+// on a copy; op 7 forks one off and keeps writing the original, whose
+// open snapshots the fork's Root does not close, and the fork must still
+// serialize as it did when taken after the original reverts past it.
 // Each op takes three bytes: the op, an account (of four) or snapshot
 // choice, and a slot (of sixteen) with the value in its high nibble, 0
 // deleting.
@@ -450,10 +463,18 @@ func FuzzStateRootDifferential(f *testing.F) {
 		universe[i] = benchAddr(i)
 	}
 	slotKey := func(i byte) types.Hash { return types.HashBytes([]byte{0xF5, i}) }
+	f.Add([]byte{2, 0, 0x10, 3, 0, 0, 2, 1, 0x20, 0, 0, 0x31, 3, 0, 0, 7, 0, 0, 2, 0, 0x05, 5, 0, 0, 1, 0, 0x30, 4, 1, 0, 4, 0, 0, 7, 0, 0, 5, 0, 0})
+	type fork struct {
+		db    *DB
+		m     *model
+		bytes []byte
+	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		db, m := New(), newModel()
+		var saved [][]byte
+		var forks []fork
 		for i := 0; i+3 <= len(ops); i += 3 {
-			op, who, arg := ops[i]%7, ops[i+1], ops[i+2]
+			op, who, arg := ops[i]%8, ops[i+1], ops[i+2]
 			a := universe[who%4]
 			switch op {
 			case 0, 1:
@@ -475,6 +496,7 @@ func FuzzStateRootDifferential(f *testing.F) {
 			case 3:
 				db.Snapshot()
 				m.snapshots = append(m.snapshots, m.clone())
+				saved = append(saved, db.Serialize())
 			case 4:
 				if len(m.snapshots) == 0 {
 					continue
@@ -485,14 +507,27 @@ func FuzzStateRootDifferential(f *testing.F) {
 				}
 				m.accounts = m.snapshots[id]
 				m.snapshots = m.snapshots[:id]
+				if !bytes.Equal(db.Serialize(), saved[id]) {
+					t.Fatalf("op %d: reverting to snapshot %d did not restore its bytes", i/3, id)
+				}
+				saved = saved[:id]
 			case 5:
 				if got, want := db.Root(), modelRoot(m.accounts); got != want {
 					t.Fatalf("op %d: root %s, model %s", i/3, got.Short(), want.Short())
 				}
 			case 6:
-				db, m = db.Copy(), m.copyModel()
+				db, m, saved = db.Copy(), m.copyModel(), nil
+			case 7:
+				cp := db.Copy()
+				forks = append(forks, fork{cp, m.copyModel(), cp.Serialize()})
 			}
 		}
 		checkAgainst(t, len(ops)/3, db, m)
+		for _, f := range forks {
+			if !bytes.Equal(f.db.Serialize(), f.bytes) {
+				t.Fatal("a fork no longer serializes as it did when taken")
+			}
+			checkAgainst(t, len(ops)/3, f.db, f.m)
+		}
 	})
 }

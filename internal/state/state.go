@@ -6,14 +6,15 @@
 // The state is one persistent structure: a crit-bit trie (package
 // critbit) from address to an immutable account record, whose storage is
 // another such trie. A mutator builds a modified copy of the one record
-// it touches and installs it in the trie. Snapshot, RevertToSnapshot and
-// Root (and so Copy) are the DB's freeze points: the first write after
-// one path-copies what it touches, so every root saved or shared at a
-// freeze point still describes the world as it was, and later writes
-// until the next freeze point rewrite the nodes that copy made instead of
-// copying them again — a transaction's five writes to three accounts cost
-// about three paths, not five. Copy, Snapshot and RevertToSnapshot stay
-// pointer assignments — what failed transactions (which revert), fork
+// it touches and installs it in the trie. Root (and so Copy) is the DB's
+// one freeze point: the first write after it path-copies what it touches,
+// so every root summed or shared there still describes the world as it
+// was, and later writes until the next Root rewrite the nodes that copy
+// made instead of copying them again — a block's transactions, which
+// write the same sender, recipients and miner, share one set of paths.
+// Snapshot does not freeze: it marks an undo journal, every write while a
+// snapshot is open journals its pre-image, and RevertToSnapshot writes
+// those back in reverse. Copy is a pointer assignment — what fork
 // execution and block building need, at O(1) — and the trie doubles as
 // the commitment: Root sums it with the account and branch hashes, and
 // each account's storage trie with the same node rule, re-hashing only
@@ -25,6 +26,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 
 	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
@@ -62,12 +64,40 @@ var (
 // on it (see Copy).
 type DB struct {
 	root *critbit.Node[*account]
-	// saved holds the root as of each open snapshot.
-	saved []*critbit.Node[*account]
+	// j is the undo journal, non-nil exactly while a snapshot is open.
+	j *journal
 	// gen is the critbit generation this DB's writes own, 0 from a freeze
 	// point until the next write takes a fresh one (writeGen).
 	gen uint32
 }
+
+// journal is the undo log behind Snapshot: the pre-image of every write
+// made while a snapshot is open, and where each open snapshot starts in
+// it. Journals are pooled, so a block's worth of entries is allocated
+// once per process, not once per block.
+type journal struct {
+	accts []acctUndo
+	slots []slotUndo
+	marks []mark
+}
+
+// acctUndo is an account's balance and nonce before a write.
+type acctUndo struct {
+	addr    types.Address
+	balance types.Amount
+	nonce   uint64
+}
+
+// slotUndo is a storage slot's value before a write (zero: absent).
+type slotUndo struct {
+	addr      types.Address
+	key, prev types.Hash
+}
+
+// mark is where a snapshot starts: the journal's lengths when it opened.
+type mark struct{ accts, slots int }
+
+var journals = sync.Pool{New: func() any { return new(journal) }}
 
 // New creates an empty state.
 func New() *DB {
@@ -110,13 +140,10 @@ func (db *DB) writeGen() uint32 {
 	return db.gen
 }
 
-// freeze is a freeze point: the nodes written so far become read-only.
-// Readers call Root on shared DBs concurrently, and a shared DB is
-// already frozen, so freeze writes only when there is a generation to
-// drop.
-func (db *DB) freeze() {
-	if db.gen != 0 {
-		db.gen = 0
+// logAccount journals acc as addr's pre-image when a snapshot is open.
+func (db *DB) logAccount(addr types.Address, acc *account) {
+	if db.j != nil {
+		db.j.accts = append(db.j.accts, acctUndo{addr, acc.balance, acc.nonce})
 	}
 }
 
@@ -129,30 +156,56 @@ func (db *DB) put(addr types.Address, acc account) {
 	db.root = critbit.Set(db.root, trieKey(addr), &acc, db.writeGen())
 }
 
-// Snapshot opens a revert point and returns its id. It is a freeze point.
+// Snapshot opens a revert point and returns its id. It marks the undo
+// journal and freezes nothing, so the writes on either side of it share
+// their path copies.
 func (db *DB) Snapshot() int {
-	db.freeze()
-	db.saved = append(db.saved, db.root)
-	return len(db.saved) - 1
+	if db.j == nil {
+		db.j = journals.Get().(*journal)
+	}
+	db.j.marks = append(db.j.marks, mark{len(db.j.accts), len(db.j.slots)})
+	return len(db.j.marks) - 1
 }
 
-// RevertToSnapshot undoes every mutation made after the snapshot was taken.
-// Snapshots opened after id are discarded. It is a freeze point.
+// RevertToSnapshot undoes every mutation made after the snapshot was taken
+// by writing the journaled pre-images back, newest first, through the
+// ordinary write path; a crit-bit trie's shape is a function of its key
+// set, so the result is the state (and root) the snapshot saw. It costs
+// O(writes since the snapshot). Snapshots opened after id are discarded.
 func (db *DB) RevertToSnapshot(id int) error {
-	if id < 0 || id >= len(db.saved) {
+	j := db.j
+	if j == nil || id < 0 || id >= len(j.marks) {
 		return fmt.Errorf("%w: %d", ErrBadSnapshot, id)
 	}
-	db.freeze()
-	db.root = db.saved[id]
-	db.saved = db.saved[:id]
+	m := j.marks[id]
+	db.j = nil // the write-backs are not journaled
+	for i := len(j.slots) - 1; i >= m.slots; i-- {
+		e := &j.slots[i]
+		db.SetStorage(e.addr, e.key, e.prev)
+	}
+	for i := len(j.accts) - 1; i >= m.accts; i-- {
+		e := &j.accts[i]
+		acc := db.get(e.addr)
+		acc.balance, acc.nonce = e.balance, e.nonce
+		db.put(e.addr, acc)
+	}
+	j.accts, j.slots, j.marks = j.accts[:m.accts], j.slots[:m.slots], j.marks[:id]
+	db.j = j
+	if id == 0 {
+		db.DiscardSnapshots()
+	}
 	return nil
 }
 
 // DiscardSnapshots commits all outstanding snapshots (keeps the
-// mutations). Called at block boundaries.
+// mutations) and returns the journal to the pool. Called at block
+// boundaries.
 func (db *DB) DiscardSnapshots() {
-	clear(db.saved) // drop the references so superseded nodes can be collected
-	db.saved = db.saved[:0]
+	if j := db.j; j != nil {
+		j.accts, j.slots, j.marks = j.accts[:0], j.slots[:0], j.marks[:0]
+		journals.Put(j)
+		db.j = nil
+	}
 }
 
 // Balance returns the balance of addr (zero for unknown accounts).
@@ -168,6 +221,7 @@ func (db *DB) Nonce(addr types.Address) uint64 {
 // SetNonce sets the account nonce.
 func (db *DB) SetNonce(addr types.Address, nonce uint64) {
 	acc := db.get(addr)
+	db.logAccount(addr, &acc)
 	acc.nonce = nonce
 	db.put(addr, acc)
 }
@@ -178,6 +232,7 @@ func (db *DB) Credit(addr types.Address, value types.Amount) error {
 	if acc.balance+value < acc.balance {
 		return fmt.Errorf("%w: %s", ErrBalanceOverflow, addr)
 	}
+	db.logAccount(addr, &acc)
 	acc.balance += value
 	db.put(addr, acc)
 	return nil
@@ -191,6 +246,7 @@ func (db *DB) Debit(addr types.Address, value types.Amount) error {
 		return fmt.Errorf("%w: %s has %s, needs %s", ErrInsufficientBalance,
 			addr, acc.balance, value)
 	}
+	db.logAccount(addr, &acc)
 	acc.balance -= value
 	db.put(addr, acc)
 	return nil
@@ -214,7 +270,7 @@ func (db *DB) GetStorage(addr types.Address, key types.Hash) types.Hash {
 // the slot.
 func (db *DB) SetStorage(addr types.Address, key, value types.Hash) {
 	acc := db.get(addr)
-	_, had := critbit.Get(acc.storage, key)
+	prev, had := critbit.Get(acc.storage, key)
 	switch {
 	case !value.IsZero():
 		acc.storage = critbit.Set(acc.storage, key, value, db.writeGen())
@@ -226,6 +282,9 @@ func (db *DB) SetStorage(addr types.Address, key, value types.Hash) {
 		acc.slots--
 	default:
 		return // deleting an absent slot
+	}
+	if db.j != nil {
+		db.j.slots = append(db.j.slots, slotUndo{addr, key, prev})
 	}
 	db.put(addr, acc)
 }
@@ -294,10 +353,14 @@ func accountDigest(addr []byte, acc *account) types.Hash {
 // a branch hash over (crit bit, left, right). Empty accounts are not in
 // the trie. Only accounts and storage slots written since the previous
 // Root() are re-hashed, so the cost is O(written · log size), not
-// O(world state) and not O(slots of a written account). Root is a freeze
-// point.
+// O(world state) and not O(slots of a written account). Root is the
+// freeze point: the nodes written so far become read-only. Readers call
+// Root on shared DBs concurrently, and a shared DB is already frozen, so
+// Root writes the generation only when there is one to drop.
 func (db *DB) Root() types.Hash {
-	db.freeze()
+	if db.gen != 0 {
+		db.gen = 0
+	}
 	if db.root == nil {
 		return emptyRoot
 	}

@@ -104,6 +104,10 @@ var (
 	ErrBlockBadTxRoot = errors.New("types: block transaction root mismatch")
 	ErrBlockBadPoW    = errors.New("types: block does not meet proof-of-work")
 	ErrBlockNoTime    = errors.New("types: block timestamp is zero")
+	// ErrCheckStopped is a check given up at its caller's request, whose
+	// result the caller will not read (RecordVerifier.Stop,
+	// RecoverSendersUntil).
+	ErrCheckStopped = errors.New("types: check stopped")
 )
 
 // ID returns the block's identifier (its header hash), memoized against
@@ -169,6 +173,10 @@ func (h *Header) verifyShape(txRoot Hash, skipPoW bool) error {
 type RecordVerifier struct {
 	// SkipPoW leaves out the sealing checks, as VerifyShape's skipPoW does.
 	SkipPoW bool
+	// Stop, when set, is polled before each transaction's validation (and
+	// so its sender recovery); once it reports true, Verify returns
+	// ErrCheckStopped.
+	Stop func() bool
 
 	tx    Transaction
 	memo  txMemo
@@ -194,6 +202,9 @@ func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
 	}
 	r, _ = readBlock(raw)
 	for i := 0; r.more(); i++ {
+		if v.Stop != nil && v.Stop() {
+			return h, ErrCheckStopped
+		}
 		fields := r.next(&v.tx) // the first walk read these bytes cleanly
 		v.memo = txMemo{
 			key:     v.tx.memoKey(),

@@ -24,6 +24,7 @@ type senderTask struct {
 	txs  []*Transaction
 	off  int             // first index of the stripe
 	step int             // stripe stride
+	stop func() bool     // polled between transactions; nil for never
 	wg   *sync.WaitGroup // the request's stripes, done one by one
 }
 
@@ -48,14 +49,18 @@ func newTxSenderCacher(threads int) *txSenderCacher {
 // the task channel — so blocking producers always make progress.
 func (c *txSenderCacher) loop() {
 	for t := range c.tasks {
-		runStripe(t.txs, t.off, t.step)
+		runStripe(t.txs, t.off, t.step, t.stop)
 		t.wg.Done()
 	}
 }
 
-// runStripe recovers one stripe, on a worker or (for tiny slices) inline.
-func runStripe(txs []*Transaction, off, step int) {
+// runStripe recovers one stripe, on a worker or (for tiny slices) inline,
+// until stop (if set) reports true.
+func runStripe(txs []*Transaction, off, step int, stop func() bool) {
 	for i := off; i < len(txs); i += step {
+		if stop != nil && stop() {
+			return
+		}
 		_, _ = txs[i].Sender()
 	}
 }
@@ -66,13 +71,21 @@ func runStripe(txs []*Transaction, off, step int) {
 // Sender) call surfaces them — so RecoverSenders itself never fails and
 // is safe to call on unvalidated gossip.
 func RecoverSenders(txs []*Transaction) {
+	_ = RecoverSendersUntil(txs, nil) // never stopped
+}
+
+// RecoverSendersUntil is RecoverSenders for a caller that may give the
+// batch up: every stripe polls stop between transactions, and once it
+// reports true the remaining senders are left unrecovered and
+// ErrCheckStopped is returned. stop is called from the pool's goroutines.
+func RecoverSendersUntil(txs []*Transaction, stop func() bool) error {
 	if len(txs) == 0 {
-		return
+		return nil
 	}
 	mRecoverBatchTxs.Observe(uint64(len(txs)))
 	if len(txs) == 1 || senderCacher.threads == 1 {
-		runStripe(txs, 0, 1)
-		return
+		runStripe(txs, 0, 1, stop)
+		return stopped(stop)
 	}
 	stripes := senderCacher.threads
 	if stripes > len(txs) {
@@ -81,7 +94,16 @@ func RecoverSenders(txs []*Transaction) {
 	var wg sync.WaitGroup
 	wg.Add(stripes)
 	for i := 0; i < stripes; i++ {
-		senderCacher.tasks <- senderTask{txs: txs, off: i, step: stripes, wg: &wg}
+		senderCacher.tasks <- senderTask{txs: txs, off: i, step: stripes, stop: stop, wg: &wg}
 	}
 	wg.Wait()
+	return stopped(stop)
+}
+
+// stopped is ErrCheckStopped when stop is set and reports true.
+func stopped(stop func() bool) error {
+	if stop != nil && stop() {
+		return ErrCheckStopped
+	}
+	return nil
 }
