@@ -76,10 +76,17 @@ func main() {
 	fmt.Printf("  forger earnings: %s\n\n", forger.Earnings())
 
 	// The plagiarist now "observes" the honest reveals that are public on
-	// the chain and tries to resubmit them.
+	// the chain — the findings in the honest detector's R* transactions —
+	// and tries to resubmit them.
 	fmt.Println("attack 2 — plagiarized detection reports:")
-	for _, f := range ref.Findings {
-		thiefEngine.Observe([]smartcrowd.Finding{f})
+	stolen := 0
+	for _, blk := range p.Providers()[0].Chain().CanonicalBlocks() {
+		for _, tx := range blk.Txs {
+			if r, err := tx.DetailedReport(); err == nil && r.SRAID == sra.ID && r.Detector == p.DetectorWallet("honest").Address() {
+				thiefEngine.Observe(r.Findings)
+				stolen += len(r.Findings)
+			}
+		}
 	}
 	if _, err := plagiarist.OnSRA(sra, img); err != nil {
 		fatal(err)
@@ -89,7 +96,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("  plagiarist replayed %d stolen findings after the reveals\n", len(ref.Findings))
+	fmt.Printf("  plagiarist replayed %d stolen findings after the reveals\n", stolen)
 	fmt.Printf("  every claim was already recorded for the first reporter\n")
 	fmt.Printf("  plagiarist earnings: %s\n", plagiarist.Earnings())
 	fmt.Printf("  honest earnings:     %s\n\n", honest.Earnings())

@@ -482,21 +482,8 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	assertChainsIdentical(t, a, b)
 	assertViewMatchesChain(t, a, sraIDs)
 	assertViewMatchesChain(t, b, sraIDs)
-	va, vb := a.CurrentView(), b.CurrentView()
-	for _, id := range sraIDs {
-		ra, rb := va.DetectionResults(id), vb.DetectionResults(id)
-		if len(ra) != len(rb) {
-			t.Fatalf("SRA %s: %d records on A, %d on B", id.Short(), len(ra), len(rb))
-		}
-		for i := range ra {
-			if ra[i].BlockNumber != rb[i].BlockNumber || ra[i].Tx.Hash() != rb[i].Tx.Hash() || !reflect.DeepEqual(ra[i].Receipt, rb[i].Receipt) {
-				t.Fatalf("SRA %s record %d differs", id.Short(), i)
-			}
-		}
-	}
-	if !reflect.DeepEqual(va.SRAList(0, 1<<20), vb.SRAList(0, 1<<20)) {
-		t.Fatal("SRA listings differ")
-	}
+	assertIndexesMatchScan(t, a, sraIDs...)
+	assertIndexesMatchScan(t, b, sraIDs...)
 	if !reflect.DeepEqual(logA.records, logB.records) {
 		t.Fatal("the two chains handed different bytes to storage")
 	}

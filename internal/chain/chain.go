@@ -89,6 +89,11 @@ var (
 	ErrBadTimestamp  = errors.New("chain: timestamp not after parent")
 	ErrStateMismatch = errors.New("chain: state root mismatch")
 	ErrUnknownBlock  = errors.New("chain: unknown block")
+	// ErrBelowHorizon answers a transaction lookup on a chain installed
+	// from a snapshot when the hash is not indexed: receipts, proofs and
+	// confirmations exist only above the snapshot height (the archival
+	// horizon), so the transaction is either unknown or below it.
+	ErrBelowHorizon  = errors.New("chain: below the archival horizon")
 	ErrBadDifficulty = errors.New("chain: block difficulty violates the retarget rule")
 )
 
@@ -189,8 +194,8 @@ type txLoc struct {
 // Chain is the block store plus fork choice. It is safe for concurrent
 // use.
 //
-// Everything a ReadView shares with lock-free readers — canon, sraIndex,
-// the two trie indexes, committed post-states — obeys a publish-only
+// Everything a ReadView shares with lock-free readers — canon, the
+// transaction index, committed post-states — obeys a publish-only
 // discipline: the writer may extend, path-copy or rewrite what it made
 // since the last publication, but never mutates data reachable from a
 // published view (see view.go for the full contract).
@@ -210,17 +215,11 @@ type Chain struct {
 	// pins the index by holding a root pointer, and the chain's own locked
 	// reads share the same structure.
 	txTrie *critbit.Node[txLoc]
-	// detTrie maps an SRA id to its canonical detection records in chain
-	// order, maintained incrementally by setHead exactly like txTrie, so
-	// consumer queries are a trie lookup instead of a full-chain scan.
-	// Record slices are grown with full-capacity expressions so an append
-	// for a new block never writes into an array a view can reach.
-	detTrie *critbit.Node[[]DetectionRecord]
-	// sraIndex lists successful SRA announcements on the canonical chain
-	// in chain order (ascending block number), maintained by setHead. It
-	// backs the paginated /v1/sras listing without scanning the chain.
-	// Same copy-on-truncate rule as canon.
-	sraIndex []SRARef
+	// horizon is the height of the snapshot this chain was installed
+	// from (installPrefixLocked), 0 for one grown from genesis: blocks at
+	// or below it were never executed here, so txTrie holds none of their
+	// transactions.
+	horizon uint64
 	// built memoises the last BuildBlock so a sealer's own block is
 	// executed once, not once to build and again to import (see
 	// insertVerifiedLocked). Guarded by mu.
@@ -792,17 +791,16 @@ func (c *Chain) commitLocked(run []*entry, switched bool, tc telemetry.TraceCont
 }
 
 // setHead switches the canonical chain to the branch ending at e,
-// rebuilds the transaction and detection indexes across the changed
-// suffix, and publishes a fresh ReadView.
+// rebuilds the transaction index across the changed suffix, and
+// publishes a fresh ReadView.
 //
-// Because published views alias canon, sraIndex and the trie roots, the
-// rebuild never mutates shared structure: the index tries are written
-// under one fresh critbit generation per head switch, so they rewrite
-// only nodes made since the last publishView (the freeze point) and
-// path-copy the rest, and a reorg copies the kept prefix of
-// canon/sraIndex into fresh arrays before appending — truncating in place
-// and re-appending would overwrite the abandoned suffix older views still
-// read.
+// Because published views alias canon and the index trie, the rebuild
+// never mutates shared structure: the trie is written under one fresh
+// critbit generation per head switch, so it rewrites only nodes made
+// since the last publishView (the freeze point) and path-copies the
+// rest, and a reorg copies the kept prefix of canon into a fresh array
+// before appending — truncating in place and re-appending would
+// overwrite the abandoned suffix older views still read.
 func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	gen := critbit.NewGen()
 	// Build the new canonical path back to a block already canonical.
@@ -819,44 +817,18 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	forkPoint := cursor.block.Header.Number
 	if forkPoint+1 < uint64(len(c.canon)) {
 		mReorgs.Inc()
-
-		// Reorg: unindex the abandoned suffix. Detection records per SRA
-		// and the SRA index are in ascending block order, so abandoned
-		// entries form a tail; record-slice truncation reallocates (full
-		// slice expression) instead of retreating len over a shared array.
-		dropped := make(map[types.Hash]struct{})
+		// Reorg: unindex the abandoned suffix.
 		for i := forkPoint + 1; i < uint64(len(c.canon)); i++ {
 			for _, tx := range c.canon[i].block.Txs {
 				c.txTrie = critbit.Delete(c.txTrie, tx.Hash(), gen)
-				if sraID, ok := reportSRAID(tx); ok {
-					dropped[sraID] = struct{}{}
-				}
 			}
 		}
-		for sraID := range dropped {
-			recs, _ := critbit.Get(c.detTrie, sraID)
-			keep := len(recs)
-			for keep > 0 && recs[keep-1].BlockNumber > forkPoint {
-				keep--
-			}
-			if keep == 0 {
-				c.detTrie = critbit.Delete(c.detTrie, sraID, gen)
-			} else {
-				c.detTrie = critbit.Set(c.detTrie, sraID, recs[:keep:keep], gen)
-			}
-		}
-
-		keepSRA := len(c.sraIndex)
-		for keepSRA > 0 && c.sraIndex[keepSRA-1].BlockNumber > forkPoint {
-			keepSRA--
-		}
-		c.sraIndex = append([]SRARef(nil), c.sraIndex[:keepSRA]...)
 		c.canon = append([]*entry(nil), c.canon[:forkPoint+1]...)
 	}
 
 	// Append the new suffix (path is head→forkPoint+1, reverse it).
 	// Lifecycle events for the newly-canonical blocks are published as
-	// the indexes are rebuilt: after a reorg the re-canonicalized suffix
+	// the index is rebuilt: after a reorg the re-canonicalized suffix
 	// re-emits, which SSE consumers must treat as the authoritative
 	// replay, exactly like re-reading the chain. The bus stamps event
 	// timestamps itself, so no wall-clock read happens under c.mu.
@@ -873,23 +845,8 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 				txIdx:   j,
 				receipt: en.receipts[j],
 			}, gen)
-			if sraID, ok := reportSRAID(tx); ok {
-				recs, _ := critbit.Get(c.detTrie, sraID)
-				// Full-capacity expression: the append below must land in
-				// a fresh array, never in spare capacity a view aliases.
-				recs = append(recs[:len(recs):len(recs)], DetectionRecord{
-					BlockNumber: en.block.Header.Number,
-					Tx:          tx,
-					Receipt:     en.receipts[j],
-				})
-				c.detTrie = critbit.Set(c.detTrie, sraID, recs, gen)
-			}
 			if tx.Kind == types.TxSRA && en.receipts[j].Success {
 				if sra, err := tx.SRA(); err == nil {
-					c.sraIndex = append(c.sraIndex, SRARef{
-						ID:          sra.ID,
-						BlockNumber: en.block.Header.Number,
-					})
 					telemetry.PublishEvent("sra", tc, map[string]string{
 						"id":    sra.ID.String(),
 						"block": strconv.FormatUint(en.block.Header.Number, 10),
@@ -916,34 +873,17 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	})
 }
 
-// reportSRAID extracts the SRA a detection-report transaction refers to.
-func reportSRAID(tx *types.Transaction) (types.Hash, bool) {
-	switch tx.Kind {
-	case types.TxInitialReport:
-		if r, err := tx.InitialReport(); err == nil {
-			return r.SRAID, true
-		}
-	case types.TxDetailedReport:
-		if r, err := tx.DetailedReport(); err == nil {
-			return r.SRAID, true
-		}
-	}
-	return types.Hash{}, false
-}
-
-// ReceiptOf returns the canonical receipt of a transaction.
+// ReceiptOf returns the canonical receipt of a transaction. Below the
+// chain's horizon it answers ErrBelowHorizon.
 func (c *Chain) ReceiptOf(txHash types.Hash) (*Receipt, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	loc, ok := critbit.Get(c.txTrie, txHash)
-	if !ok {
-		return nil, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
-	}
-	return loc.receipt, nil
+	loc, err := lookupTx(c.txTrie, c.horizon, txHash)
+	return loc.receipt, err
 }
 
 // Confirmations returns how many blocks deep a transaction is (1 = in the
-// head block), or 0 if it is not canonical.
+// head block), or 0 if it is not canonical above the horizon.
 func (c *Chain) Confirmations(txHash types.Hash) uint64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -952,6 +892,23 @@ func (c *Chain) Confirmations(txHash types.Hash) uint64 {
 		return 0
 	}
 	return c.head.block.Header.Number - loc.number + 1
+}
+
+// lookupTx finds a transaction in an index that starts above horizon. A
+// miss on a chain installed from a snapshot cannot tell "unknown" from
+// "at or below the snapshot", so it answers ErrBelowHorizon, naming the
+// height.
+func lookupTx(idx *critbit.Node[txLoc], horizon uint64, txHash types.Hash) (txLoc, error) {
+	loc, ok := critbit.Get(idx, txHash)
+	switch {
+	case ok:
+		return loc, nil
+	case horizon > 0:
+		return txLoc{}, fmt.Errorf("%w: tx %s is not above block %d, the lowest this node indexes from",
+			ErrBelowHorizon, txHash.Short(), horizon)
+	default:
+		return txLoc{}, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
+	}
 }
 
 // CanonicalBlocks returns the canonical chain (including genesis).
@@ -963,34 +920,6 @@ func (c *Chain) CanonicalBlocks() []*types.Block {
 		out[i] = e.body()
 	}
 	return out
-}
-
-// SRARef locates a successful SRA announcement on the canonical chain.
-type SRARef struct {
-	ID          types.Hash
-	BlockNumber uint64
-}
-
-// DetectionRecord pairs a report transaction with its canonical receipt —
-// the consumer-facing "authoritative reference" (paper §IV-A).
-type DetectionRecord struct {
-	BlockNumber uint64
-	Tx          *types.Transaction
-	Receipt     *Receipt
-}
-
-// DetectionResults returns every detection report recorded for the given
-// SRA on the canonical chain, in chain order. The records come from the
-// incrementally maintained index — a map lookup plus a defensive copy —
-// rather than a scan and re-decode of the whole chain.
-func (c *Chain) DetectionResults(sraID types.Hash) []DetectionRecord {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	recs, _ := critbit.Get(c.detTrie, sraID)
-	if len(recs) == 0 {
-		return nil
-	}
-	return append([]DetectionRecord(nil), recs...)
 }
 
 // BuildBlock executes txs on top of the given parent and returns an

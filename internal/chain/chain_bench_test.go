@@ -78,42 +78,3 @@ func BenchmarkInsertBlock20Transfers(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkDetectionResultsQuery measures the consumer's authoritative-
-// reference scan over a 50-block chain with reports.
-func BenchmarkDetectionResultsQuery(b *testing.B) {
-	h := &harness{
-		t:        &testing.T{},
-		provider: wallet.NewDeterministic("provider"),
-		detector: wallet.NewDeterministic("detector"),
-		miner:    wallet.NewDeterministic("miner"),
-		nonces:   make(map[types.Address]uint64),
-	}
-	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
-	cfg.Alloc = map[types.Address]types.Amount{
-		h.provider.Address(): types.EtherAmount(5000),
-		h.detector.Address(): types.EtherAmount(500),
-	}
-	c, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	h.chain = c
-
-	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
-	h.extend(sraTx)
-	for i := 0; i < 24; i++ {
-		itx, dtx := h.reportPair(sra.ID, "V-"+string(rune('a'+i)))
-		h.extend(itx)
-		h.extend(dtx)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := c.DetectionResults(sra.ID); len(got) != 48 {
-			b.Fatalf("records = %d", len(got))
-		}
-	}
-}

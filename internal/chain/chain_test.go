@@ -216,13 +216,12 @@ func TestFullDetectionLifecycleOnChain(t *testing.T) {
 		t.Errorf("detector balance delta wrong: %s -> %s", before, after)
 	}
 
-	// Consumer query: the authoritative reference lists both reports.
-	records := h.chain.DetectionResults(sra.ID)
-	if len(records) != 2 {
-		t.Fatalf("detection records = %d, want 2", len(records))
-	}
-	if records[0].Tx.Kind != types.TxInitialReport || records[1].Tx.Kind != types.TxDetailedReport {
-		t.Error("records out of order")
+	// Consumer query: the authoritative reference in state counts both
+	// reports and both high-severity findings.
+	want := reference{Reports: 2, Confirmed: 2}
+	want.BySeverity[types.SeverityHigh] = 2
+	if got := h.chain.referenceOf(sra.ID); got != want {
+		t.Fatalf("reference %+v, want %+v", got, want)
 	}
 }
 
@@ -393,8 +392,8 @@ func TestMajorityAttackRewritesHistory(t *testing.T) {
 	if h.chain.Confirmed(dtx.Hash()) {
 		t.Error("expected the majority attack to orphan the detection result")
 	}
-	if len(h.chain.DetectionResults(sra.ID)) != 0 {
-		t.Error("detection results survived the rewrite")
+	if got := h.chain.referenceOf(sra.ID); got != (reference{}) {
+		t.Errorf("reference %+v survived the rewrite", got)
 	}
 }
 

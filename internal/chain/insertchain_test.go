@@ -297,7 +297,7 @@ func TestConcurrentForkInsertionStress(t *testing.T) {
 					return
 				default:
 				}
-				_ = h.chain.DetectionResults(sra.ID)
+				_ = h.chain.referenceOf(sra.ID)
 				st := h.chain.State()
 				_ = st.Balance(h.provider.Address())
 				_ = h.chain.Head()
@@ -333,18 +333,9 @@ func TestConcurrentForkInsertionStress(t *testing.T) {
 	if got := h.chain.Head().ID(); got != want.ID() {
 		t.Fatalf("head %s, want fork %d tip %s", got.Short(), forks-1, want.ID().Short())
 	}
-	// The incrementally maintained detection index must agree with the
-	// linear-scan oracle after all the concurrent reorgs.
-	idx := h.chain.DetectionResults(sra.ID)
-	scan := h.chain.detectionResultsScan(sra.ID)
-	if len(idx) != len(scan) {
-		t.Fatalf("detection index has %d records, scan %d", len(idx), len(scan))
-	}
-	for i := range idx {
-		if idx[i].BlockNumber != scan[i].BlockNumber || idx[i].Tx.Hash() != scan[i].Tx.Hash() {
-			t.Fatalf("detection record %d differs between index and scan", i)
-		}
-	}
+	// The reference in state must agree with the linear-scan oracle after
+	// all the concurrent reorgs.
+	assertIndexesMatchScan(t, h.chain, sra.ID)
 }
 
 // TestInsertChainEmptyAndNil pins the degenerate inputs.

@@ -11,9 +11,9 @@ import (
 // The locked oracle: every read below answers from the chain's own
 // indexes under c.mu, never from a published ReadView. Production code
 // reads through ReadView only; these exist so the tests can hold
-// "ReadView equals the locked chain" and "the detection index equals a
-// scan" — they live in a _test.go file so nothing else can come to
-// depend on a second read path.
+// "ReadView equals the locked chain" and "the reference in state equals a
+// scan of canonical receipts" — they live in a _test.go file so nothing
+// else can come to depend on a second read path.
 
 // TotalDifficulty returns the head's cumulative difficulty.
 func (c *Chain) TotalDifficulty() uint64 {
@@ -66,57 +66,103 @@ func (c *Chain) Confirmed(txHash types.Hash) bool {
 	return c.Confirmations(txHash) >= c.cfg.Confirmations
 }
 
-// SRACount returns how many SRA announcements the canonical chain holds.
-func (c *Chain) SRACount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.sraIndex)
+// sraListing reads the contract's SRA listing in the head state.
+func (c *Chain) sraListing() []types.Hash {
+	st, sc := c.State(), c.cfg.Contract
+	ids := make([]types.Hash, sc.SRACount(st))
+	for i := range ids {
+		ids[i], _ = sc.SRAAt(st, i)
+	}
+	return ids
 }
 
-// SRAList returns a page of canonical SRA announcements in chain order,
-// starting at offset. It is backed by the incrementally maintained index,
-// so pagination costs O(limit) regardless of chain length. A negative or
-// past-the-end offset yields an empty page; limit <= 0 yields none.
-func (c *Chain) SRAList(offset, limit int) []SRARef {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if offset < 0 || offset >= len(c.sraIndex) || limit <= 0 {
-		return nil
-	}
-	end := offset + limit
-	if end > len(c.sraIndex) {
-		end = len(c.sraIndex)
-	}
-	return append([]SRARef(nil), c.sraIndex[offset:end]...)
+// reference is the consumer's reference for one SRA as a test compares
+// it: read from the contract's records in state (referenceOf), or folded
+// from a scan of canonical receipts (scanReference).
+type reference struct {
+	Reports, Confirmed uint64
+	BySeverity         [types.SeverityHigh + 1]uint64
 }
 
-// SRAAt returns the i-th canonical SRA announcement, if it exists.
-func (c *Chain) SRAAt(i int) (SRARef, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if i < 0 || i >= len(c.sraIndex) {
-		return SRARef{}, false
+// referenceOf reads an SRA's reference from the head state.
+func (c *Chain) referenceOf(sraID types.Hash) reference {
+	info, err := c.cfg.Contract.GetSRA(c.State(), sraID)
+	if err != nil {
+		return reference{}
 	}
-	return c.sraIndex[i], true
+	ref := reference{Reports: info.Reports, Confirmed: info.ConfirmedVulns}
+	for sev := types.SeverityLow; sev <= types.SeverityHigh; sev++ {
+		ref.BySeverity[sev] = info.BySeverity(sev)
+	}
+	return ref
 }
 
-// detectionResultsScan is the pre-index linear scan over the canonical
-// chain. It is kept as the reference oracle for the index: consistency
-// tests and benchmarks in this package compare DetectionResults against it.
-func (c *Chain) detectionResultsScan(sraID types.Hash) []DetectionRecord {
+// reportSRAID extracts the SRA a detection-report transaction refers to.
+func reportSRAID(tx *types.Transaction) (types.Hash, bool) {
+	switch tx.Kind {
+	case types.TxInitialReport:
+		if r, err := tx.InitialReport(); err == nil {
+			return r.SRAID, true
+		}
+	case types.TxDetailedReport:
+		if r, err := tx.DetailedReport(); err == nil {
+			return r.SRAID, true
+		}
+	}
+	return types.Hash{}, false
+}
+
+// detectionResultsScan is the reference implementation of the consumer's
+// reference: a linear scan of the canonical chain for the receipts of the
+// report transactions naming an SRA, in chain order. Every block scanned
+// must have been executed here, not installed from a snapshot.
+func (c *Chain) detectionResultsScan(sraID types.Hash) []*Receipt {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []DetectionRecord
+	var out []*Receipt
 	for _, e := range c.canon {
 		for j, tx := range e.block.Txs {
 			if id, ok := reportSRAID(tx); ok && id == sraID {
-				out = append(out, DetectionRecord{
-					BlockNumber: e.block.Header.Number,
-					Tx:          tx,
-					Receipt:     e.receipts[j],
-				})
+				out = append(out, e.receipts[j])
 			}
 		}
 	}
 	return out
+}
+
+// scanReference folds detectionResultsScan into the reference the
+// contract's records must hold: the successful reports, and the findings
+// the successful R*s accepted.
+func (c *Chain) scanReference(sraID types.Hash) reference {
+	var ref reference
+	for _, r := range c.detectionResultsScan(sraID) {
+		if !r.Success {
+			continue
+		}
+		ref.Reports++
+		for _, f := range r.Payout.Accepted {
+			ref.Confirmed++
+			ref.BySeverity[f.Severity]++
+		}
+	}
+	return ref
+}
+
+// sraListingScan lists the successful SRA announcements on the canonical
+// chain in chain order: what the contract's listing must hold.
+func (c *Chain) sraListingScan() []types.Hash {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	ids := []types.Hash{}
+	for _, e := range c.canon {
+		for j, tx := range e.block.Txs {
+			if tx.Kind != types.TxSRA || !e.receipts[j].Success {
+				continue
+			}
+			if sra, err := tx.SRA(); err == nil {
+				ids = append(ids, sra.ID)
+			}
+		}
+	}
+	return ids
 }

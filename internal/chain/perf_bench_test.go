@@ -241,9 +241,10 @@ func BenchmarkReorgFlip(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectionQuery5000Blocks compares the incrementally maintained
-// detection index against the pre-index linear scan on a 5,000-block
-// chain carrying one report transaction per block.
+// BenchmarkDetectionQuery5000Blocks compares reading an SRA's reference
+// from the contract's records in state against the linear scan of
+// canonical receipts it replaced, on a 5,000-block chain carrying one
+// report transaction per block.
 func BenchmarkDetectionQuery5000Blocks(b *testing.B) {
 	h := &harness{
 		t:        &testing.T{},
@@ -296,24 +297,24 @@ func BenchmarkDetectionQuery5000Blocks(b *testing.B) {
 		h.extend(dtx)
 	}
 	target := sras[0].ID
-	wantRecords := len(c.detectionResultsScan(target))
-	if wantRecords != 500 {
-		b.Fatalf("setup recorded %d reports for the target SRA, want 500", wantRecords)
+	want := c.scanReference(target)
+	if want.Reports != 500 {
+		b.Fatalf("setup recorded %d reports for the target SRA, want 500", want.Reports)
 	}
 
-	b.Run("indexed", func(b *testing.B) {
+	b.Run("state", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := c.DetectionResults(target); len(got) != wantRecords {
-				b.Fatalf("records = %d, want %d", len(got), wantRecords)
+			if got := c.referenceOf(target); got != want {
+				b.Fatalf("reference = %+v, want %+v", got, want)
 			}
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if got := c.detectionResultsScan(target); len(got) != wantRecords {
-				b.Fatalf("records = %d, want %d", len(got), wantRecords)
+			if got := c.scanReference(target); got != want {
+				b.Fatalf("reference = %+v, want %+v", got, want)
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -47,29 +48,21 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 			}
 		}
 	}
-	if v.SRACount() != c.SRACount() {
-		t.Fatalf("view SRACount %d != chain %d", v.SRACount(), c.SRACount())
-	}
-	vList, cList := v.SRAList(0, v.SRACount()+1), c.SRAList(0, c.SRACount()+1)
-	for i := range cList {
-		if vList[i] != cList[i] {
-			t.Fatalf("view SRAList[%d] diverges", i)
-		}
-	}
-	for _, id := range sraIDs {
-		vRecs, cRecs := v.DetectionResults(id), c.DetectionResults(id)
-		if len(vRecs) != len(cRecs) {
-			t.Fatalf("view DetectionResults(%s): %d records, chain has %d", id.Short(), len(vRecs), len(cRecs))
-		}
-		for i := range cRecs {
-			if vRecs[i].Tx != cRecs[i].Tx || vRecs[i].Receipt != cRecs[i].Receipt {
-				t.Fatalf("view DetectionResults(%s)[%d] diverges", id.Short(), i)
-			}
-		}
-	}
-	// Frozen state answers like the locked copy.
+	// Frozen state answers like the locked copy, and so does the
+	// reference it holds.
 	if !bytes.Equal(v.State().Serialize(), c.State().Serialize()) {
 		t.Fatal("view state diverges from the locked head state")
+	}
+	sc := c.Config().Contract
+	if sc.SRACount(v.State()) != sc.SRACount(c.State()) {
+		t.Fatal("view SRA listing diverges from the locked head state")
+	}
+	for _, id := range sraIDs {
+		vi, verr := sc.GetSRA(v.State(), id)
+		ci, cerr := sc.GetSRA(c.State(), id)
+		if vi != ci || (verr == nil) != (cerr == nil) {
+			t.Fatalf("view reference of %s = %+v, %v; chain has %+v, %v", id.Short(), vi, verr, ci, cerr)
+		}
 	}
 }
 
@@ -111,8 +104,11 @@ func TestReadViewImmutableAcrossReorg(t *testing.T) {
 		t.Fatal("pre-reorg view not at branch A tip")
 	}
 	wantBal := before.State().Balance(payee)
-	wantRecs := before.DetectionResults(sra.ID)
-	wantSRAs := before.SRAList(0, 10)
+	sc := h.chain.Config().Contract
+	wantRef, err := sc.GetSRA(before.State(), sra.ID)
+	if err != nil || wantRef.Reports != 2 {
+		t.Fatalf("pre-reorg reference %+v, %v: want 2 reports", wantRef, err)
+	}
 
 	// Branch B forks off block 1 and wins on total difficulty.
 	h.nonces = map[types.Address]uint64{
@@ -136,17 +132,11 @@ func TestReadViewImmutableAcrossReorg(t *testing.T) {
 	if _, err := before.ReceiptOf(transferA.Hash()); err != nil {
 		t.Fatalf("old view lost branch-A receipt: %v", err)
 	}
-	if got := before.DetectionResults(sra.ID); len(got) != len(wantRecs) {
-		t.Fatalf("old view's detection records changed: %d, want %d", len(got), len(wantRecs))
-	} else {
-		for i := range got {
-			if got[i].Tx != wantRecs[i].Tx {
-				t.Fatalf("old view's detection record %d changed", i)
-			}
-		}
+	if got, _ := sc.GetSRA(before.State(), sra.ID); got != wantRef {
+		t.Fatalf("old view's reference changed: %+v, was %+v", got, wantRef)
 	}
-	if got := before.SRAList(0, 10); len(got) != len(wantSRAs) || got[0] != wantSRAs[0] {
-		t.Fatal("old view's SRA index changed")
+	if id, ok := sc.SRAAt(before.State(), 0); !ok || id != sra.ID || sc.SRACount(before.State()) != 1 {
+		t.Fatal("old view's SRA listing changed")
 	}
 	if got := before.State().Balance(payee); got != wantBal {
 		t.Fatalf("old view's state changed: payee balance %d, was %d", got, wantBal)
@@ -169,9 +159,8 @@ func TestReadViewImmutableAcrossReorg(t *testing.T) {
 	if _, err := after.ReceiptOf(transferA.Hash()); err == nil {
 		t.Fatal("new view still serves an orphaned branch-A transaction")
 	}
-	recs := after.DetectionResults(sra.ID)
-	if len(recs) != 2 || recs[0].Tx.Hash() != itxB.Hash() || recs[1].Tx.Hash() != dtxB.Hash() {
-		t.Fatal("new view's detection records are not branch B's")
+	if ref, _ := sc.GetSRA(after.State(), sra.ID); ref.Reports != 2 || ref.ConfirmedVulns != 1 {
+		t.Fatalf("new view's reference %+v is not branch B's (2 reports confirming 1)", ref)
 	}
 	if after.State().Balance(payee) != 0 {
 		t.Fatal("new view's state still shows the orphaned transfer")
@@ -292,11 +281,12 @@ func TestReadViewConcurrentHammer(t *testing.T) {
 
 // TestHeldViewAnswersStayPut holds a view while the chain switches heads
 // on top of it and then reorgs it away, with readers comparing the held
-// view's ReceiptOf, DetectionResults and State().Root() answers against
-// those taken when it was published the whole time. Every head switch
-// writes the transaction and detection tries (the new reports extend the
-// held SRA's record list); under -race a write to any node the held view
-// reaches is reported even where it would write the same answer back.
+// view's ReceiptOf, reference (contract.GetSRA on its state) and
+// State().Root() answers against those taken when it was published the
+// whole time. Every head switch writes the transaction trie and the
+// contract's storage (the new reports bump the held SRA's tally); under
+// -race a write to any node the held view reaches is reported even where
+// it would write the same answer back.
 func TestHeldViewAnswersStayPut(t *testing.T) {
 	h := newHarness(t)
 	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
@@ -309,9 +299,10 @@ func TestHeldViewAnswersStayPut(t *testing.T) {
 
 	held := h.chain.CurrentView()
 	txs := []*types.Transaction{sraTx, itx, dtx, transfer}
+	sc := h.chain.Config().Contract
 	type answers struct {
 		receipts []*Receipt
-		records  []DetectionRecord
+		ref      contract.SRAInfo
 		root     types.Hash
 	}
 	ask := func() (a answers) {
@@ -319,25 +310,20 @@ func TestHeldViewAnswersStayPut(t *testing.T) {
 			r, _ := held.ReceiptOf(tx.Hash())
 			a.receipts = append(a.receipts, r)
 		}
-		a.records = held.DetectionResults(sra.ID)
+		a.ref, _ = sc.GetSRA(held.State(), sra.ID)
 		a.root = held.State().Root()
 		return a
 	}
 	want := ask()
-	if len(want.records) != 2 || want.root != held.Head().Header.StateRoot {
-		t.Fatalf("held view: %d records, root %s", len(want.records), want.root.Short())
+	if want.ref.Reports != 2 || want.root != held.Head().Header.StateRoot {
+		t.Fatalf("held view: %d reports, root %s", want.ref.Reports, want.root.Short())
 	}
 	same := func(got answers) bool {
-		if got.root != want.root || len(got.records) != len(want.records) {
+		if got.root != want.root || got.ref != want.ref {
 			return false
 		}
 		for i, r := range want.receipts {
 			if r == nil || got.receipts[i] != r {
-				return false
-			}
-		}
-		for i, rec := range want.records {
-			if got.records[i] != rec {
 				return false
 			}
 		}

@@ -1,6 +1,8 @@
 package chain
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -9,18 +11,20 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// assertIndexesMatchScan cross-checks every index the chain maintains
-// incrementally against a from-scratch walk of the canonical chain:
-// detection records, transaction receipts, and confirmation depths.
+// assertIndexesMatchScan cross-checks the head state's reference and the
+// transaction index against a from-scratch walk of the canonical chain:
+// the SRA listing, each SRA's report count and severity tallies,
+// transaction receipts, and confirmation depths.
 func assertIndexesMatchScan(t *testing.T, c *Chain, sraIDs ...types.Hash) {
 	t.Helper()
 
-	// Detection index == linear scan, for every SRA of interest.
+	// The contract's records == a scan of canonical receipts.
+	if listed, scanned := c.sraListing(), c.sraListingScan(); !reflect.DeepEqual(listed, scanned) {
+		t.Fatalf("SRA listing %v != scanned %v", listed, scanned)
+	}
 	for _, id := range sraIDs {
-		indexed := c.DetectionResults(id)
-		scanned := c.detectionResultsScan(id)
-		if !reflect.DeepEqual(indexed, scanned) {
-			t.Fatalf("SRA %s: indexed records %v != scanned %v", id.Short(), indexed, scanned)
+		if stored, scanned := c.referenceOf(id), c.scanReference(id); stored != scanned {
+			t.Fatalf("SRA %s: reference in state %+v != scanned %+v", id.Short(), stored, scanned)
 		}
 	}
 
@@ -53,8 +57,8 @@ func assertIndexesMatchScan(t *testing.T, c *Chain, sraIDs ...types.Hash) {
 }
 
 // TestReorgConsistencyAcrossIndexes drives a multi-block fork switch —
-// and a switch back — and asserts txIndex, the detection index, ReceiptOf
-// and Confirmations all reflect the winning branch only.
+// and a switch back — and asserts txIndex, the reference in state,
+// ReceiptOf and Confirmations all reflect the winning branch only.
 func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	h := newHarness(t)
 	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
@@ -68,8 +72,8 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	transferA := h.transferTx(h.provider, payee, types.EtherAmount(3))
 	tipA := h.extend(transferA) // branch A tip: block 4
 	assertIndexesMatchScan(t, h.chain, sra.ID)
-	if len(h.chain.DetectionResults(sra.ID)) != 2 {
-		t.Fatal("branch A records not indexed")
+	if ref := h.chain.referenceOf(sra.ID); ref.Reports != 2 || ref.Confirmed != 2 {
+		t.Fatalf("branch A reference %+v, want 2 reports confirming 2", ref)
 	}
 
 	// Branch B: forks off block 1, carries different reports, and wins on
@@ -96,12 +100,8 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	if got := h.chain.Confirmations(itxA.Hash()); got != 0 {
 		t.Errorf("orphaned report reports %d confirmations", got)
 	}
-	records := h.chain.DetectionResults(sra.ID)
-	if len(records) != 2 {
-		t.Fatalf("after reorg: %d records, want 2 (branch B pair)", len(records))
-	}
-	if records[0].Tx.Hash() != itxB.Hash() || records[1].Tx.Hash() != dtxB.Hash() {
-		t.Error("detection index serves branch-A records after reorg")
+	if ref := h.chain.referenceOf(sra.ID); ref.Reports != 2 || ref.Confirmed != 1 {
+		t.Fatalf("after reorg: reference %+v, want branch B's 2 reports confirming 1", ref)
 	}
 	// The SRA itself sits on the common prefix and must keep its receipt.
 	if _, err := h.chain.ReceiptOf(sraTx.Hash()); err != nil {
@@ -125,9 +125,8 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	if h.chain.Head().ID() != a6.ID() {
 		t.Fatal("re-extended branch A did not reclaim the head")
 	}
-	records = h.chain.DetectionResults(sra.ID)
-	if len(records) != 4 {
-		t.Fatalf("after second reorg: %d records, want 4 (A pair + A2 pair)", len(records))
+	if ref := h.chain.referenceOf(sra.ID); ref.Reports != 4 || ref.Confirmed != 3 {
+		t.Fatalf("after second reorg: reference %+v, want 4 reports (A pair + A2 pair) confirming 3", ref)
 	}
 	if _, err := h.chain.ReceiptOf(dtxB.Hash()); err == nil {
 		t.Error("branch-B report survived the second reorg")
@@ -243,5 +242,105 @@ func TestPostStatesBoundedAcrossDeepReorg(t *testing.T) {
 		if got.Root() != want {
 			t.Fatalf("block #%d: the chain's state has root %s, re-execution %s", blk.Header.Number, got.Root().Short(), want.Short())
 		}
+	}
+}
+
+// TestReferenceMatchesScanAcrossRandomReorgs grows seeded random trees of
+// blocks — SRAs, R†s, R*s that pay, R*s whose commitment is on another
+// branch (they fail), findings of every severity, some already claimed —
+// on parents picked among recent blocks, so heads switch and reorg back
+// and forth. After every insert the reference the contract's records hold
+// in the head state (the SRA listing, each SRA's report count and
+// severity tallies) equals a scan of the canonical receipts.
+func TestReferenceMatchesScanAcrossRandomReorgs(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		h := newHarness(t)
+		blocks := []*types.Block{h.chain.Genesis()}
+		var sraIDs []types.Hash
+		var reveals []*types.DetailedReport // revealed on whatever branch comes next
+		reorgs := 0
+		for n := 0; n < 40; n++ {
+			parent := blocks[len(blocks)-1-rng.Intn(min(len(blocks), 5))]
+			st, err := h.chain.StateAt(parent.ID())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []*wallet.Wallet{h.provider, h.detector} {
+				h.nonces[w.Address()] = st.Nonce(w.Address())
+			}
+			var txs []*types.Transaction
+			if rng.Intn(3) == 0 || len(sraIDs) == 0 {
+				tx, sra := namedSRATx(h, fmt.Sprintf("fw-%d-%d", seed, n))
+				txs = append(txs, tx)
+				sraIDs = append(sraIDs, sra.ID)
+			}
+			for i := rng.Intn(3); i > 0 && len(reveals) > 0; i-- {
+				r := reveals[rng.Intn(len(reveals))]
+				dtx := types.NewDetailedReportTx(r, h.nextNonce(h.detector.Address()), 150_000, testGasPrice)
+				if err := types.SignTx(dtx, h.detector); err != nil {
+					t.Fatal(err)
+				}
+				txs = append(txs, dtx)
+			}
+			for i := rng.Intn(3); i > 0; i-- {
+				fs := make([]types.Finding, 1+rng.Intn(3))
+				for j := range fs {
+					fs[j] = types.Finding{
+						VulnID:   fmt.Sprintf("V-%d", rng.Intn(12)),
+						Severity: types.Severity(1 + rng.Intn(3)),
+						Evidence: fmt.Sprintf("poc-%d", rng.Int()),
+					}
+				}
+				detailed := &types.DetailedReport{
+					SRAID:    sraIDs[rng.Intn(len(sraIDs))],
+					Detector: h.detector.Address(),
+					Wallet:   h.detector.Address(),
+					Findings: fs,
+				}
+				if err := types.SignDetailedReport(detailed, h.detector); err != nil {
+					t.Fatal(err)
+				}
+				initial := &types.InitialReport{
+					SRAID:      detailed.SRAID,
+					Detector:   h.detector.Address(),
+					DetailHash: detailed.CommitmentHash(),
+					Wallet:     h.detector.Address(),
+				}
+				if err := types.SignInitialReport(initial, h.detector); err != nil {
+					t.Fatal(err)
+				}
+				itx := types.NewInitialReportTx(initial, h.nextNonce(h.detector.Address()), 150_000, testGasPrice)
+				if err := types.SignTx(itx, h.detector); err != nil {
+					t.Fatal(err)
+				}
+				txs = append(txs, itx)
+				reveals = append(reveals, detailed)
+			}
+			before := h.chain.Head()
+			blk := h.extendOn(parent.ID(), uint64(500+rng.Intn(2500)), txs...)
+			blocks = append(blocks, blk)
+			if head := h.chain.Head(); head.ID() == blk.ID() && before.ID() != parent.ID() {
+				reorgs++
+			}
+			assertIndexesMatchScan(t, h.chain, sraIDs...)
+		}
+		if reorgs == 0 {
+			t.Fatalf("seed %d: no reorg happened", seed)
+		}
+		// The walk must have crossed every case the tally distinguishes.
+		var failed, confirmed uint64
+		for _, id := range sraIDs {
+			for _, r := range h.chain.detectionResultsScan(id) {
+				if !r.Success {
+					failed++
+				}
+			}
+			confirmed += h.chain.referenceOf(id).Confirmed
+		}
+		if failed == 0 || confirmed == 0 {
+			t.Fatalf("seed %d: %d failed reports and %d confirmed findings on the canonical chain, want both", seed, failed, confirmed)
+		}
+		t.Logf("seed %d: %d reorgs, %d failed reports, %d confirmed", seed, reorgs, failed, confirmed)
 	}
 }

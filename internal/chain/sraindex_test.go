@@ -1,6 +1,7 @@
 package chain
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -28,16 +29,18 @@ func namedSRATx(h *harness, name string) (*types.Transaction, *types.SRA) {
 	return tx, sra
 }
 
-// TestSRAIndexPaginationAndReorg covers the incrementally maintained SRA
-// index behind /v1/sras: ascending block order, offset/limit slicing, and
-// truncate-and-rebuild across a fork switch.
+// TestSRAIndexPaginationAndReorg covers the SRA listing behind /v1/sras,
+// which the contract keeps in its storage: registration order, positional
+// reads, and a fork switch replacing the listing with the winning
+// branch's.
 func TestSRAIndexPaginationAndReorg(t *testing.T) {
 	h := newHarness(t)
-	if got := h.chain.SRACount(); got != 0 {
-		t.Fatalf("fresh chain indexes %d SRAs", got)
+	sc := h.chain.Config().Contract
+	if got := sc.SRACount(h.chain.State()); got != 0 {
+		t.Fatalf("fresh chain lists %d SRAs", got)
 	}
-	if got := h.chain.SRAList(0, 10); len(got) != 0 {
-		t.Fatalf("fresh chain lists %v", got)
+	if _, ok := sc.SRAAt(h.chain.State(), 0); ok {
+		t.Fatal("fresh chain has an SRA at position 0")
 	}
 
 	tx1, sra1 := namedSRATx(h, "fw-one")
@@ -45,47 +48,27 @@ func TestSRAIndexPaginationAndReorg(t *testing.T) {
 	tx2, sra2 := namedSRATx(h, "fw-two")
 	h.extend(tx2)
 
-	if got := h.chain.SRACount(); got != 2 {
-		t.Fatalf("SRACount = %d, want 2", got)
+	if got, want := h.chain.sraListing(), []types.Hash{sra1.ID, sra2.ID}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("listing = %v, want [%s %s]", got, sra1.ID.Short(), sra2.ID.Short())
 	}
-	list := h.chain.SRAList(0, 10)
-	if len(list) != 2 || list[0].ID != sra1.ID || list[0].BlockNumber != 1 ||
-		list[1].ID != sra2.ID || list[1].BlockNumber != 2 {
-		t.Fatalf("SRAList = %v, want [%s@1 %s@2]", list, sra1.ID.Short(), sra2.ID.Short())
-	}
-
-	// Offset/limit slicing.
-	if got := h.chain.SRAList(1, 10); len(got) != 1 || got[0].ID != sra2.ID {
-		t.Errorf("SRAList(1,10) = %v, want just fw-two", got)
-	}
-	if got := h.chain.SRAList(0, 1); len(got) != 1 || got[0].ID != sra1.ID {
-		t.Errorf("SRAList(0,1) = %v, want just fw-one", got)
-	}
-	if got := h.chain.SRAList(5, 10); len(got) != 0 {
-		t.Errorf("SRAList(5,10) = %v, want empty", got)
-	}
-	if got := h.chain.SRAList(0, 0); len(got) != 0 {
-		t.Errorf("SRAList(0,0) = %v, want empty", got)
+	st := h.chain.State()
+	for _, i := range []int{-1, 2, 5} {
+		if id, ok := sc.SRAAt(st, i); ok {
+			t.Errorf("SRAAt(%d) = %s, want none", i, id.Short())
+		}
 	}
 
 	// Reorg: a heavier branch off block 1 replaces fw-two with fw-three.
-	// The index must drop the orphaned tail and append the new branch.
+	// The listing is the winning branch's state, so it holds fw-three in
+	// fw-two's position.
 	h.nonces = map[types.Address]uint64{h.provider.Address(): 1}
 	tx3, sra3 := namedSRATx(h, "fw-three")
 	fork := h.extendOn(b1.ID(), 3000, tx3)
 	if h.chain.Head().ID() != fork.ID() {
 		t.Fatal("heavier branch did not become head")
 	}
-	if got := h.chain.SRACount(); got != 2 {
-		t.Fatalf("after reorg: SRACount = %d, want 2", got)
+	if got, want := h.chain.sraListing(), []types.Hash{sra1.ID, sra3.ID}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after reorg: listing = %v, want [%s %s]", got, sra1.ID.Short(), sra3.ID.Short())
 	}
-	list = h.chain.SRAList(0, 10)
-	if len(list) != 2 || list[0].ID != sra1.ID || list[1].ID != sra3.ID || list[1].BlockNumber != 2 {
-		t.Fatalf("after reorg: SRAList = %v, want [%s@1 %s@2]", list, sra1.ID.Short(), sra3.ID.Short())
-	}
-	for _, ref := range list {
-		if ref.ID == sra2.ID {
-			t.Error("orphaned SRA survived the reorg in the index")
-		}
-	}
+	assertIndexesMatchScan(t, h.chain, sra1.ID, sra2.ID, sra3.ID)
 }

@@ -311,10 +311,10 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 // validatePrefixLocked, whose final post-state st has been verified
 // against the last block's commitment root, and publishes the new head.
 // The prefix is adopted without execution: entries below the head carry
-// no post-state or receipts (the archival horizon: per-tx receipts and
-// detection indexes exist only from the snapshot height forward, since
-// rebuilding them would require exactly the re-execution the snapshot
-// exists to avoid). A record with Raw set — every record a reopen or a
+// no post-state or receipts (the archival horizon: receipts, proofs and
+// confirmations exist only above the snapshot height, since rebuilding
+// them would require exactly the re-execution the snapshot exists to
+// avoid; the reference is in the state and needs none of them). A record with Raw set — every record a reopen or a
 // snap-join installs — is held as its header-only block plus those bytes,
 // for body to decode; the head is
 // decoded here, since head events and /v1 read its transactions. Callers
@@ -336,6 +336,7 @@ func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 	parent.block, parent.raw = parent.body(), nil
 	parent.post = st
 	c.head = parent
+	c.horizon = parent.block.Header.Number
 	mHeadHeight.Set(int64(parent.block.Header.Number))
 	c.publishView()
 	telemetry.PublishEvent("head", telemetry.TraceContext{}, map[string]string{

@@ -10,23 +10,23 @@ import (
 
 // ReadView is an immutable, head-pinned snapshot of every consumer-facing
 // read surface of the chain: head summary, canonical block index,
-// transaction/receipt lookups, detection records, the SRA listing and the
-// head post-state. The chain publishes a fresh view through an atomic
+// transaction/receipt lookups and the head post-state, which holds the
+// consumer's reference (contract.GetSRA, SRACount, SRAAt). The chain publishes a fresh view through an atomic
 // pointer at the end of every head switch (commit or reorg), so readers
 // never touch the chain mutex: CurrentView is one atomic load, and every
 // method on the returned view reads only data frozen at publication.
 //
 // Immutability contract (see DESIGN.md §10):
 //
-//   - canon and sraIndex are slice headers over backing arrays the writer
-//     never overwrites below the published length — setHead copies both
-//     arrays out before truncating on a reorg, and plain head extensions
-//     only ever append past the published length;
-//   - txIndex and detIndex are roots of persistent crit-bit tries
-//     (package critbit) whose nodes publishView freezes: setHead writes
-//     them under a fresh generation per head switch, so it rewrites in
-//     place only nodes it made since the last publication and path-copies
-//     every published one;
+//   - canon is a slice header over a backing array the writer never
+//     overwrites below the published length — setHead copies it out
+//     before truncating on a reorg, and plain head extensions only ever
+//     append past the published length;
+//   - txIndex is the root of a persistent crit-bit trie (package critbit)
+//     whose nodes publishView freezes: setHead writes it under a fresh
+//     generation per head switch, so it rewrites in place only nodes it
+//     made since the last publication and path-copies every published
+//     one;
 //   - state is the head block's committed post-state: a root of the same
 //     kind of trie, summed and frozen before it was committed (the chain
 //     compares its Root() with the header first), so no node reachable
@@ -42,8 +42,7 @@ type ReadView struct {
 	totalDif uint64
 	canon    []*entry
 	txIndex  *critbit.Node[txLoc]
-	detIndex *critbit.Node[[]DetectionRecord]
-	sraIndex []SRARef
+	horizon  uint64
 	state    *state.DB
 }
 
@@ -64,8 +63,7 @@ func (c *Chain) publishView() {
 		totalDif: c.head.totalDif,
 		canon:    c.canon,
 		txIndex:  c.txTrie,
-		detIndex: c.detTrie,
-		sraIndex: c.sraIndex,
+		horizon:  c.horizon,
 		state:    c.head.post,
 	})
 	mViewPublished.Inc()
@@ -111,12 +109,10 @@ func (v *ReadView) BlocksRange(from, to uint64) []*types.Block {
 }
 
 // ReceiptOf returns the receipt of a transaction canonical in this view.
+// Below the view's horizon it answers ErrBelowHorizon.
 func (v *ReadView) ReceiptOf(txHash types.Hash) (*Receipt, error) {
-	loc, ok := critbit.Get(v.txIndex, txHash)
-	if !ok {
-		return nil, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
-	}
-	return loc.receipt, nil
+	loc, err := lookupTx(v.txIndex, v.horizon, txHash)
+	return loc.receipt, err
 }
 
 // Confirmations returns how many blocks deep a transaction is in this
@@ -137,43 +133,6 @@ func (v *ReadView) TxLocation(txHash types.Hash) (blockID types.Hash, number uin
 		return types.Hash{}, 0, 0, false
 	}
 	return loc.blockID, loc.number, loc.txIdx, true
-}
-
-// SRACount returns how many SRA announcements this view's chain holds.
-func (v *ReadView) SRACount() int { return len(v.sraIndex) }
-
-// SRAAt returns the i-th canonical SRA announcement, if it exists. The
-// cursor pagination layer uses it to verify (and if necessary re-anchor)
-// a resume position in O(1) instead of re-listing a page.
-func (v *ReadView) SRAAt(i int) (SRARef, bool) {
-	if i < 0 || i >= len(v.sraIndex) {
-		return SRARef{}, false
-	}
-	return v.sraIndex[i], true
-}
-
-// SRAList returns a page of canonical SRA announcements in chain order.
-// The page is a capped sub-slice of the immutable snapshot index — no
-// copy, and appends by the caller cannot reach the shared array.
-func (v *ReadView) SRAList(offset, limit int) []SRARef {
-	if offset < 0 || offset >= len(v.sraIndex) || limit <= 0 {
-		return nil
-	}
-	end := offset + limit
-	if end > len(v.sraIndex) {
-		end = len(v.sraIndex)
-	}
-	return v.sraIndex[offset:end:end]
-}
-
-// DetectionResults returns every detection report recorded for the given
-// SRA in this view, in chain order. The slice is shared with the
-// snapshot index; callers must not mutate it (appends are safe — the
-// writer builds record slices with full-capacity expressions, so an
-// append always reallocates).
-func (v *ReadView) DetectionResults(sraID types.Hash) []DetectionRecord {
-	recs, _ := critbit.Get(v.detIndex, sraID)
-	return recs
 }
 
 // State returns the view head's committed post-state. It is FROZEN:

@@ -138,8 +138,10 @@ var (
 // prefix ‖ field ‖ 15 bytes (zero but for claims), with
 // prefix = keccak256(kind ‖ id)[:16]: each record is one subtree of the
 // storage trie, so a write costs one path into it, not one per field.
-// Field bytes 0x20–0x2F under an SRA are reserved for a findings list.
-// PROTOCOL.md §3 has the table. Keys are derived on the stack.
+// The consumer's reference is read from these records alone: an SRA's
+// tally slot counts its reports and its confirmed findings by severity,
+// and the global record lists the SRAs in registration order. PROTOCOL.md
+// §3 has the table. Keys are derived on the stack.
 
 // Record kinds, and the fields under each.
 const (
@@ -150,12 +152,15 @@ const (
 	fieldSRAInsurance = 0x02 // insurance remaining
 	fieldSRABounty    = 0x03
 	fieldSRARelease   = 0x04 // release block
-	fieldSRAVulns     = 0x05 // confirmed vulnerability count
+	fieldSRATally     = 0x05 // reports and confirmed findings (tally)
 	fieldSRAClaim     = 0x10 // claim[VulnID]: keccak256(VulnID)[:15] follows
 
 	fieldCommitBlock  = 0x00 // inclusion block + 1
 	fieldCommitOwner  = 0x01
 	fieldCommitWallet = 0x02
+
+	fieldGlobalEscrow = 0x00 // SRA count in bytes 0–7, escrow outstanding in 24–31
+	fieldGlobalSRA    = 0x01 // ‖ u64 index: the id of the index-th SRA registered
 )
 
 // recordPrefix is the first 16 bytes every key of one record shares.
@@ -187,8 +192,55 @@ func (p recordPrefix) claim(vulnID string) types.Hash {
 	return k
 }
 
-// escrowTotalSlot holds the escrow outstanding across every SRA.
-var escrowTotalSlot = prefixOf(kindGlobal, types.Hash{}).field(0)
+// globalRecord is the prefix of the records that span every SRA.
+var globalRecord = prefixOf(kindGlobal, types.Hash{})
+
+// escrowTotalSlot holds the escrow outstanding across every SRA in bytes
+// 24–31 (hashAmount reads it) and the number of SRAs registered in bytes
+// 0–7 (sraCount).
+var escrowTotalSlot = globalRecord.field(fieldGlobalEscrow)
+
+func sraCount(escrow types.Hash) uint64 { return binary.BigEndian.Uint64(escrow[:8]) }
+
+// sraSlot returns the slot holding the id of the i-th SRA registered.
+func sraSlot(i uint64) types.Hash {
+	k := globalRecord.field(fieldGlobalSRA)
+	binary.BigEndian.PutUint64(k[len(globalRecord)+1:], i)
+	return k
+}
+
+// withAmount returns h with a in the bytes hashAmount reads, keeping the
+// rest of a packed slot.
+func withAmount(h types.Hash, a types.Amount) types.Hash {
+	binary.BigEndian.PutUint64(h[24:], uint64(a))
+	return h
+}
+
+// tally is an SRA's fieldSRATally slot: the successful R† and R*
+// transactions in bytes 0–7, the confirmed findings of severity low,
+// medium and high as u32 in bytes 8–19, and their total in bytes 24–31.
+type tally struct {
+	reports    uint64
+	bySeverity [3]uint32
+	confirmed  uint64
+}
+
+func tallyOf(h types.Hash) tally {
+	t := tally{reports: binary.BigEndian.Uint64(h[:8]), confirmed: hashUint(h)}
+	for i := range t.bySeverity {
+		t.bySeverity[i] = binary.BigEndian.Uint32(h[8+4*i:])
+	}
+	return t
+}
+
+func (t tally) hash() types.Hash {
+	h := uintHash(t.confirmed)
+	binary.BigEndian.PutUint64(h[:8], t.reports)
+	for i, n := range t.bySeverity {
+		binary.BigEndian.PutUint32(h[8+4*i:], n)
+	}
+	return h
+}
 
 func amountHash(a types.Amount) types.Hash {
 	var h types.Hash
@@ -243,7 +295,8 @@ func (c *Contract) ApplySRA(st StateDB, blockNum uint64, sra *types.SRA) error {
 	}
 	// Funding invariant: the contract balance must cover all outstanding
 	// escrow plus this announcement's insurance.
-	outstanding := hashAmount(st.GetStorage(Address, escrowTotalSlot))
+	escrow := st.GetStorage(Address, escrowTotalSlot)
+	outstanding := hashAmount(escrow)
 	if st.Balance(Address) < outstanding+sra.Insurance {
 		return fmt.Errorf("%w: contract holds %s, escrow needs %s",
 			ErrEscrowShort, st.Balance(Address), outstanding+sra.Insurance)
@@ -253,7 +306,10 @@ func (c *Contract) ApplySRA(st StateDB, blockNum uint64, sra *types.SRA) error {
 	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(sra.Insurance))
 	st.SetStorage(Address, rec.field(fieldSRABounty), amountHash(sra.Bounty))
 	st.SetStorage(Address, rec.field(fieldSRARelease), uintHash(blockNum))
-	st.SetStorage(Address, escrowTotalSlot, amountHash(outstanding+sra.Insurance))
+	n := sraCount(escrow)
+	st.SetStorage(Address, sraSlot(n), id)
+	binary.BigEndian.PutUint64(escrow[:8], n+1)
+	st.SetStorage(Address, escrowTotalSlot, withAmount(escrow, outstanding+sra.Insurance))
 	mSRAAnnounced.Inc()
 	return nil
 }
@@ -265,7 +321,8 @@ func (c *Contract) ApplyInitialReport(st StateDB, blockNum uint64, r *types.Init
 	if err := r.Verify(); err != nil {
 		return fmt.Errorf("contract: R† failed verification: %w", err)
 	}
-	if st.GetStorage(Address, sraPrefix(r.SRAID).field(fieldSRA)).IsZero() {
+	sra := sraPrefix(r.SRAID)
+	if st.GetStorage(Address, sra.field(fieldSRA)).IsZero() {
 		return fmt.Errorf("%w: %s", ErrSRAUnknown, r.SRAID.Short())
 	}
 	rec := commitPrefix(r.DetailHash)
@@ -275,6 +332,9 @@ func (c *Contract) ApplyInitialReport(st StateDB, blockNum uint64, r *types.Init
 	st.SetStorage(Address, rec.field(fieldCommitBlock), uintHash(blockNum+1)) // +1 so block 0 is representable
 	st.SetStorage(Address, rec.field(fieldCommitOwner), addrHash(r.Detector))
 	st.SetStorage(Address, rec.field(fieldCommitWallet), addrHash(r.Wallet))
+	t := tallyOf(st.GetStorage(Address, sra.field(fieldSRATally)))
+	t.reports++
+	st.SetStorage(Address, sra.field(fieldSRATally), t.hash())
 	mCommitRecorded.Inc()
 	return nil
 }
@@ -336,7 +396,9 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 
 	bounty := hashAmount(st.GetStorage(Address, rec.field(fieldSRABounty)))
 	remaining := hashAmount(st.GetStorage(Address, rec.field(fieldSRAInsurance)))
-	escrowTotal := hashAmount(st.GetStorage(Address, escrowTotalSlot))
+	escrow := st.GetStorage(Address, escrowTotalSlot)
+	escrowTotal := hashAmount(escrow)
+	t := tallyOf(st.GetStorage(Address, rec.field(fieldSRATally)))
 
 	for _, f := range r.Findings {
 		if !c.verifier.AutoVerif(r.SRAID, f) {
@@ -354,6 +416,7 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 		}
 		st.SetStorage(Address, vulnKey, addrHash(r.Wallet))
 		payout.Accepted = append(payout.Accepted, f)
+		t.bySeverity[f.Severity-1]++ // Verify admitted only valid severities
 		if pay > 0 {
 			if err := st.Transfer(Address, r.Wallet, pay); err != nil {
 				return payout, fmt.Errorf("contract: payout transfer: %w", err)
@@ -364,10 +427,10 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 		}
 	}
 	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(remaining))
-	st.SetStorage(Address, escrowTotalSlot, amountHash(escrowTotal))
-
-	count := hashUint(st.GetStorage(Address, rec.field(fieldSRAVulns)))
-	st.SetStorage(Address, rec.field(fieldSRAVulns), uintHash(count+uint64(len(payout.Accepted))))
+	st.SetStorage(Address, escrowTotalSlot, withAmount(escrow, escrowTotal))
+	t.reports++
+	t.confirmed += uint64(len(payout.Accepted))
+	st.SetStorage(Address, rec.field(fieldSRATally), t.hash())
 	mRevealAccepted.Inc()
 	mFindingsOK.Add(uint64(len(payout.Accepted)))
 	mFindingsForged.Add(uint64(payout.RejectedForged))
@@ -398,8 +461,8 @@ func (c *Contract) Refund(st StateDB, blockNum uint64, sraID types.Hash, caller 
 		return 0, nil
 	}
 	st.SetStorage(Address, rec.field(fieldSRAInsurance), amountHash(0))
-	escrowTotal := hashAmount(st.GetStorage(Address, escrowTotalSlot))
-	st.SetStorage(Address, escrowTotalSlot, amountHash(escrowTotal-remaining))
+	escrow := st.GetStorage(Address, escrowTotalSlot)
+	st.SetStorage(Address, escrowTotalSlot, withAmount(escrow, hashAmount(escrow)-remaining))
 	if err := st.Transfer(Address, provider, remaining); err != nil {
 		return 0, fmt.Errorf("contract: refund transfer: %w", err)
 	}
@@ -455,6 +518,19 @@ type SRAInfo struct {
 	Bounty             types.Amount
 	ReleaseBlock       uint64
 	ConfirmedVulns     uint64
+	// Reports counts the successful R† and R* transactions for the release;
+	// a failed report transaction leaves no trace in state.
+	Reports    uint64
+	bySeverity [3]uint32
+}
+
+// BySeverity returns how many of the confirmed vulnerabilities are of risk
+// class sev. Summed over the three classes it is ConfirmedVulns.
+func (i SRAInfo) BySeverity(sev types.Severity) uint64 {
+	if !sev.Valid() {
+		return 0
+	}
+	return uint64(i.bySeverity[sev-1])
 }
 
 // GetSRA returns the registered record for an announcement.
@@ -463,11 +539,28 @@ func (c *Contract) GetSRA(st StateDB, sraID types.Hash) (SRAInfo, error) {
 	if st.GetStorage(Address, rec.field(fieldSRA)).IsZero() {
 		return SRAInfo{}, fmt.Errorf("%w: %s", ErrSRAUnknown, sraID.Short())
 	}
+	t := tallyOf(st.GetStorage(Address, rec.field(fieldSRATally)))
 	return SRAInfo{
 		Provider:           hashAddr(st.GetStorage(Address, rec.field(fieldSRAProvider))),
 		InsuranceRemaining: hashAmount(st.GetStorage(Address, rec.field(fieldSRAInsurance))),
 		Bounty:             hashAmount(st.GetStorage(Address, rec.field(fieldSRABounty))),
 		ReleaseBlock:       hashUint(st.GetStorage(Address, rec.field(fieldSRARelease))),
-		ConfirmedVulns:     hashUint(st.GetStorage(Address, rec.field(fieldSRAVulns))),
+		ConfirmedVulns:     t.confirmed,
+		Reports:            t.reports,
+		bySeverity:         t.bySeverity,
 	}, nil
+}
+
+// SRACount returns how many SRAs the contract has registered.
+func (c *Contract) SRACount(st StateDB) int {
+	return int(sraCount(st.GetStorage(Address, escrowTotalSlot)))
+}
+
+// SRAAt returns the id of the i-th SRA registered, counting from 0 in
+// registration (chain) order, if there is one.
+func (c *Contract) SRAAt(st StateDB, i int) (types.Hash, bool) {
+	if i < 0 || i >= c.SRACount(st) {
+		return types.Hash{}, false
+	}
+	return st.GetStorage(Address, sraSlot(uint64(i))), true
 }

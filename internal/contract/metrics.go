@@ -5,7 +5,8 @@ import "github.com/smartcrowd/smartcrowd/internal/telemetry"
 // Protocol-event counters. These count events observed by execution: a
 // block re-executed for a fork branch or a below-snapshot rebuild observes
 // its events again, so read these as execution activity, not canonical
-// chain totals (the chain's detection index is the canonical record).
+// chain totals (the contract's records in the head state are the
+// canonical record).
 var (
 	mSRAAnnounced   = telemetry.GetCounter("smartcrowd_contract_events_total", telemetry.L("event", "sra_announced"))
 	mCommitRecorded = telemetry.GetCounter("smartcrowd_contract_events_total", telemetry.L("event", "commit_recorded"))

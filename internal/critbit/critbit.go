@@ -1,6 +1,6 @@
 // Package critbit is the module's one persistent crit-bit (compressed
 // binary radix) trie. The account state, each account's storage and the
-// chain's transaction and detection indexes are all instances of it.
+// chain's transaction index are all instances of it.
 //
 // A trie is a root pointer (nil = empty). Set and Delete share every
 // subtree they do not change with the trie they started from, so a root

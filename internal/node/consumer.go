@@ -3,19 +3,19 @@ package node
 import (
 	"fmt"
 
-	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
-// ReferenceReader is the read surface a consumer lookup needs. Both
-// *chain.Chain (locked reads) and *chain.ReadView (a lock-free head
-// snapshot) satisfy it, so the RPC layer can assemble references from a
-// pinned view without touching the chain mutex.
+// ReferenceReader is the read surface a consumer lookup needs: one head
+// state, which holds the whole reference. Both *chain.Chain and
+// *chain.ReadView (a lock-free head snapshot) satisfy it, so the RPC layer
+// can assemble references from a pinned view without touching the chain
+// mutex, and two nodes at one state root answer alike however each got
+// there.
 type ReferenceReader interface {
 	State() *state.DB
-	DetectionResults(sraID types.Hash) []chain.DetectionRecord
 }
 
 // Consumer is an IoT consumer client: before deploying a released system
@@ -43,12 +43,12 @@ type Reference struct {
 	Provider types.Address
 	// ConfirmedVulns counts the AutoVerif-confirmed vulnerabilities.
 	ConfirmedVulns uint64
-	// BySeverity tallies the confirmed findings by risk class.
+	// BySeverity tallies the confirmed findings by risk class; a class
+	// with none is absent. The findings themselves are public in the R*
+	// transactions that revealed them.
 	BySeverity map[types.Severity]int
-	// Findings lists the confirmed vulnerabilities.
-	Findings []types.Finding
-	// Reports counts detection-report transactions on the chain for this
-	// release (initial + detailed).
+	// Reports counts the successful detection-report transactions on the
+	// chain for this release (initial + detailed).
 	Reports int
 	// InsuranceRemaining is the provider's still-escrowed stake.
 	InsuranceRemaining types.Amount
@@ -56,10 +56,10 @@ type Reference struct {
 	SafeToDeploy bool
 }
 
-// Lookup assembles the authoritative reference for an SRA.
+// Lookup assembles the authoritative reference for an SRA from the
+// contract's record in the reader's state.
 func (c *Consumer) Lookup(sraID types.Hash) (Reference, error) {
-	st := c.reader.State()
-	info, err := c.contract.GetSRA(st, sraID)
+	info, err := c.contract.GetSRA(c.reader.State(), sraID)
 	if err != nil {
 		return Reference{}, fmt.Errorf("node: consumer lookup: %w", err)
 	}
@@ -68,19 +68,14 @@ func (c *Consumer) Lookup(sraID types.Hash) (Reference, error) {
 		Provider:           info.Provider,
 		ConfirmedVulns:     info.ConfirmedVulns,
 		BySeverity:         make(map[types.Severity]int, 3),
+		Reports:            int(info.Reports),
 		InsuranceRemaining: info.InsuranceRemaining,
+		SafeToDeploy:       info.ConfirmedVulns <= c.MaxTolerated,
 	}
-	records := c.reader.DetectionResults(sraID)
-	ref.Reports = len(records)
-	for _, rec := range records {
-		if rec.Tx.Kind != types.TxDetailedReport || !rec.Receipt.Success {
-			continue
-		}
-		for _, f := range rec.Receipt.Payout.Accepted {
-			ref.Findings = append(ref.Findings, f)
-			ref.BySeverity[f.Severity]++
+	for sev := types.SeverityLow; sev <= types.SeverityHigh; sev++ {
+		if n := info.BySeverity(sev); n > 0 {
+			ref.BySeverity[sev] = int(n)
 		}
 	}
-	ref.SafeToDeploy = ref.ConfirmedVulns <= c.MaxTolerated
 	return ref, nil
 }

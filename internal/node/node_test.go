@@ -250,8 +250,12 @@ func TestDetectorLifecycleEndToEnd(t *testing.T) {
 	if ref.Reports != 2 {
 		t.Errorf("reference lists %d reports, want 2 (R† + R*)", ref.Reports)
 	}
-	if len(ref.Findings) != int(ref.ConfirmedVulns) {
-		t.Error("findings list inconsistent with confirmed count")
+	sum := 0
+	for _, n := range ref.BySeverity {
+		sum += n
+	}
+	if sum != int(ref.ConfirmedVulns) {
+		t.Errorf("BySeverity %v sums to %d, want ConfirmedVulns %d", ref.BySeverity, sum, ref.ConfirmedVulns)
 	}
 }
 

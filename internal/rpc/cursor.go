@@ -9,7 +9,7 @@ package rpc
 // index to serve, and the identity of the last item already delivered.
 // On the next request the server verifies that anchor against its
 // current view — same head means the position is exact; a moved head
-// triggers an O(1) anchor check and, for the SRA index, a re-anchoring
+// triggers an O(1) anchor check and, for the SRA listing, a re-anchoring
 // scan by the last delivered ID. The client never interprets the token;
 // it is validated server-side on every use.
 //
@@ -35,6 +35,7 @@ import (
 	"fmt"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
+	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -71,7 +72,7 @@ type cursor struct {
 	// headID is the view head the cursor was minted under. If it still
 	// matches, pos is exact and no anchor check is needed.
 	headID types.Hash
-	// pos is the next index to serve: an SRA index position for sras
+	// pos is the next index to serve: an SRA listing position for sras
 	// cursors, a block number for blocks cursors.
 	pos uint64
 	// lastID identifies the item just before pos (the last one the
@@ -123,55 +124,41 @@ func decodeCursor(token string, kind byte) (cursor, error) {
 }
 
 // resolveSRACursor maps a decoded sras cursor to the start position in
-// the serving view's SRA index. Fast paths first: an unchanged head (or
-// a cursor at the very start) needs no anchoring, and an intact anchor —
-// the SRA just before pos still carries lastID — is one O(1) lookup.
-// Only a reorg that moved the anchor pays for the full re-anchoring
-// scan; if the anchor SRA is gone entirely the position resumes clamped,
-// which is the best available approximation.
-func resolveSRACursor(cr *chain.ReadView, cur cursor) int {
-	count := cr.SRACount()
-	clamp := func(p uint64) int {
-		if p > uint64(count) {
-			return count
-		}
-		return int(p)
+// the contract's SRA listing in the serving view's state. Fast paths
+// first: an unchanged head (or a cursor at the very start) needs no
+// anchoring, and an intact anchor — the SRA just before pos still carries
+// lastID — is one O(1) lookup. Only a reorg that moved the anchor pays
+// for the full re-anchoring scan; if the anchor SRA is gone entirely the
+// position resumes clamped, which is the best available approximation.
+func resolveSRACursor(sc *contract.Contract, v *chain.ReadView, cur cursor) int {
+	st := v.State()
+	count := sc.SRACount(st)
+	start := count
+	if cur.pos < uint64(count) {
+		start = int(cur.pos)
 	}
-	if cur.pos == 0 {
-		return 0
+	if cur.pos == 0 || cur.headID == v.HeadID() {
+		return start
 	}
-	if cur.headID == cr.HeadID() {
-		return clamp(cur.pos)
-	}
-	start := clamp(cur.pos)
-	if ref, ok := cr.SRAAt(start - 1); ok && ref.ID == cur.lastID {
+	if id, ok := sc.SRAAt(st, start-1); ok && id == cur.lastID {
 		return start
 	}
 	for i := 0; i < count; i++ {
-		if ref, ok := cr.SRAAt(i); ok && ref.ID == cur.lastID {
+		if id, _ := sc.SRAAt(st, i); id == cur.lastID {
 			return i + 1
 		}
 	}
 	return start
 }
 
-// nextSRACursor mints the resume token for the page that ended at
-// start+len(refs). It is always issued — on the last page it is a poll
-// token: replaying it returns whatever SRAs landed since.
-func nextSRACursor(cr *chain.ReadView, start int, refs []chain.SRARef) string {
-	pos := start + len(refs)
-	if count := cr.SRACount(); pos > count {
-		pos = count
-	}
-	var last types.Hash
-	if len(refs) > 0 {
-		last = refs[len(refs)-1].ID
-	} else if ref, ok := cr.SRAAt(pos - 1); ok {
-		last = ref.ID
-	}
+// nextSRACursor mints the resume token for the page that ended before
+// listing position pos. It is always issued — on the last page it is a
+// poll token: replaying it returns whatever SRAs landed since.
+func nextSRACursor(sc *contract.Contract, v *chain.ReadView, pos int) string {
+	last, _ := sc.SRAAt(v.State(), pos-1)
 	return encodeCursor(cursor{
 		kind:   cursorKindSRAs,
-		headID: cr.HeadID(),
+		headID: v.HeadID(),
 		pos:    uint64(pos),
 		lastID: last,
 	})

@@ -37,6 +37,9 @@ func readProof(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 	blockID, number, txIdx, ok := v.TxLocation(h)
 	blk, err := v.BlockByNumber(number)
 	if !ok || err != nil || blk.ID() != blockID {
+		if _, err := v.ReceiptOf(h); errors.Is(err, chain.ErrBelowHorizon) {
+			return cacheRef{key: "proof!:" + h.String()}, txNotFound(err), nil
+		}
 		return cacheRef{key: "proof!:" + h.String()},
 			notFound(errors.New("rpc: transaction not on canonical chain")), nil
 	}

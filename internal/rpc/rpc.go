@@ -12,7 +12,7 @@
 //	GET  /v1/balance/{address}         account balance (gwei + ether)
 //	GET  /v1/receipt/{txhash}          canonical transaction receipt
 //	GET  /v1/sra/{id}                  SRA record + detection summary
-//	GET  /v1/sras?cursor=&limit=       paginated SRA index (limit ≤ 100)
+//	GET  /v1/sras?cursor=&limit=       paginated SRA listing (limit ≤ 100)
 //	GET  /v1/reference/{id}            consumer security reference
 //	GET  /v1/proof/{txhash}            Merkle inclusion proof for a tx
 //	POST /v1/tx                        submit a hex-encoded transaction
@@ -202,6 +202,10 @@ const (
 	CodeNotFound   = "not_found"   // the referenced object is not on the canonical chain
 	CodeTxRejected = "tx_rejected" // a well-formed transaction failed admission
 	CodeInternal   = "internal"    // server-side failure
+	// CodeBelowHorizon answers a receipt or proof for a transaction the
+	// node does not index: it was installed from a snapshot, and holds
+	// receipts only above that height, which the message names.
+	CodeBelowHorizon = "below_horizon"
 )
 
 // ErrorEnvelope is the uniform error response of every route.
@@ -233,6 +237,15 @@ func errEnvelope(code string, err error) ErrorEnvelope {
 // notFound builds the 404 envelope for an object the view does not hold.
 func notFound(err error) buildFunc {
 	return func() (int, interface{}) { return http.StatusNotFound, errEnvelope(CodeNotFound, err) }
+}
+
+// txNotFound builds the 404 envelope for a failed transaction lookup:
+// below_horizon when the view cannot tell, not_found otherwise.
+func txNotFound(err error) buildFunc {
+	if errors.Is(err, chain.ErrBelowHorizon) {
+		return func() (int, interface{}) { return http.StatusNotFound, errEnvelope(CodeBelowHorizon, err) }
+	}
+	return notFound(err)
 }
 
 // encodeBody renders the exact bytes writeJSON streams for v — Marshal
@@ -441,7 +454,7 @@ func readReceipt(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, build
 	return cacheRef{key: "receipt:" + h.String()}, func() (int, interface{}) {
 		receipt, err := v.ReceiptOf(h)
 		if err != nil {
-			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
+			return txNotFound(err)()
 		}
 		return http.StatusOK, ReceiptResponse{
 			TxHash:        h.String(),
@@ -468,8 +481,7 @@ type SRAResponse struct {
 	Reports            int     `json:"reports"`
 }
 
-// sraResponse joins an SRA's contract record with its detection index
-// entry, both under the same view.
+// sraResponse renders an SRA's contract record in the view's state.
 func (s *Server) sraResponse(v *chain.ReadView, id types.Hash) (SRAResponse, error) {
 	info, err := s.contract.GetSRA(v.State(), id)
 	if err != nil {
@@ -482,7 +494,7 @@ func (s *Server) sraResponse(v *chain.ReadView, id types.Hash) (SRAResponse, err
 		BountyEther:        info.Bounty.Ether(),
 		ReleaseBlock:       info.ReleaseBlock,
 		ConfirmedVulns:     info.ConfirmedVulns,
-		Reports:            len(v.DetectionResults(id)),
+		Reports:            int(info.Reports),
 	}, nil
 }
 
@@ -542,7 +554,7 @@ const (
 	MaxBlockRangeSize  = 100
 )
 
-// SRAListResponse is a page of the canonical SRA index. NextCursor is
+// SRAListResponse is a page of the contract's SRA listing. NextCursor is
 // always present: on the last page it is a poll token that resumes after
 // the final entry once new SRAs land.
 type SRAListResponse struct {
@@ -603,22 +615,25 @@ func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFun
 		if err != nil {
 			return cacheRef{}, nil, err
 		}
-		start = resolveSRACursor(v, cur)
+		start = resolveSRACursor(s.contract, v, cur)
 	}
 	// Cursors that resolve to the same position share one cache entry:
 	// the body depends only on (start, limit, view).
 	return cacheRef{key: fmt.Sprintf("sras:%d:%d", start, limit)}, func() (int, interface{}) {
-		refs := v.SRAList(start, limit)
+		st := v.State()
+		total := s.contract.SRACount(st)
+		end := min(start+limit, total)
 		resp := SRAListResponse{
-			Total:      v.SRACount(),
-			NextCursor: nextSRACursor(v, start, refs),
-			SRAs:       make([]SRAResponse, 0, len(refs)),
+			Total:      total,
+			NextCursor: nextSRACursor(s.contract, v, end),
+			SRAs:       make([]SRAResponse, 0, end-start),
 		}
-		for _, ref := range refs {
-			sra, err := s.sraResponse(v, ref.ID)
+		for i := start; i < end; i++ {
+			id, _ := s.contract.SRAAt(st, i)
+			sra, err := s.sraResponse(v, id)
 			if err != nil {
-				// The index and contract state move together under the
-				// view; a miss here is a server-side inconsistency.
+				// The listing and the records are one state; a miss here
+				// is a server-side inconsistency.
 				return http.StatusInternalServerError, errEnvelope(CodeInternal, err)
 			}
 			resp.SRAs = append(resp.SRAs, sra)

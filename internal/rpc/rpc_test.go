@@ -31,19 +31,29 @@ type env struct {
 	dtxHash  types.Hash
 }
 
-func newEnv(t *testing.T) *env {
+func newEnv(t *testing.T) *env { return newEnvOn(t, nil) }
+
+// envConfig is the chain configuration newEnvOn runs on, with storage as
+// its backend (nil keeps the chain in memory).
+func envConfig(sc *contract.Contract, storage chain.Storage) chain.Config {
+	cfg := chain.DefaultConfig(sc)
+	cfg.SkipPoWCheck = true
+	cfg.Storage = storage
+	cfg.Alloc = map[types.Address]types.Amount{
+		wallet.NewDeterministic("alice").Address():    types.EtherAmount(5000),
+		wallet.NewDeterministic("detector").Address(): types.EtherAmount(50),
+	}
+	return cfg
+}
+
+// newEnvOn builds newEnv's chain on a storage backend.
+func newEnvOn(t *testing.T, storage chain.Storage) *env {
 	t.Helper()
 	alice := wallet.NewDeterministic("alice")
 	detector := wallet.NewDeterministic("detector")
 	verifier := detection.NewGroundTruthVerifier(false)
 	sc := contract.New(contract.DefaultParams(), verifier)
-	cfg := chain.DefaultConfig(sc)
-	cfg.SkipPoWCheck = true
-	cfg.Alloc = map[types.Address]types.Amount{
-		alice.Address():    types.EtherAmount(5000),
-		detector.Address(): types.EtherAmount(50),
-	}
-	prov, err := node.NewProvider("rpc-provider", wallet.NewDeterministic("miner"), cfg, nil)
+	prov, err := node.NewProvider("rpc-provider", wallet.NewDeterministic("miner"), envConfig(sc, storage), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

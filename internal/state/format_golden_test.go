@@ -70,12 +70,15 @@ func goldenState(t *testing.T) *DB {
 // Both constants were regenerated on purpose with SnapshotVersion 2, when
 // the account digest dropped its code hash, slot count and slot walk for
 // the storage trie's own root; the snapshot bytes differ from version 1's
-// only in the version byte. Never regenerate them without bumping
-// SnapshotVersion and the root format together.
+// only in the version byte. wantBlob moved once more, on purpose, with
+// SnapshotVersion 3 (the contract's storage layout took in the
+// reference): the bytes differ from version 2's only in the version byte,
+// and the root did not move. Never regenerate them without bumping
+// SnapshotVersion.
 func TestStateFormatGolden(t *testing.T) {
 	const (
 		wantRoot = "0xdb70b56c905874c0ce081e9947d6f2cb76a9de0e49c936bf7350bbab1e8b9ef1"
-		wantBlob = "0xc19283e13dbeae8bccc4777c6761d1f8aa1450bf61a0e208ad290f2216fcc244"
+		wantBlob = "0xfa9e24509c91e9802b6b962c0b7728e6b6d6a22cc3def73a74479d1469901e1d"
 	)
 	db := goldenState(t)
 	if got := db.Root().String(); got != wantRoot {
@@ -95,19 +98,25 @@ func TestStateFormatGolden(t *testing.T) {
 }
 
 // TestVersion1SnapshotRefused: a version-1 blob lists the same records a
-// version-2 one does, but its slots are keyed by the old contract layout
-// and its header's root hashed every slot into the account digest, so
-// Restore refuses it by version rather than rebuild a state no header
-// commits to. The blob here is a real version-1 blob: it hashes to the
-// constant TestStateFormatGolden pinned at version 1.
+// version-3 one does, but its slots are keyed by the old contract layout
+// and its header's root hashed every slot into the account digest; a
+// version-2 blob's contract slots hold no report counts, severity tallies
+// or SRA listing. Restore refuses both by version rather than rebuild a
+// state the running contract would misread. Each blob here is a real one
+// of its version: it hashes to the constant TestStateFormatGolden pinned
+// at that version.
 func TestVersion1SnapshotRefused(t *testing.T) {
-	const wantV1Blob = "0x91b03fd82090c2accfc6c249614073bb613467fbaf39420390ce758203bc7190"
-	blob := goldenState(t).Serialize()
-	blob[4] = 1
-	if got := types.HashBytes(blob).String(); got != wantV1Blob {
-		t.Fatalf("version-1 blob hashes to %s, want %s", got, wantV1Blob)
-	}
-	if _, err := Restore(blob); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("version-1 snapshot: got %v, want ErrSnapshotVersion", err)
+	for version, want := range map[byte]string{
+		1: "0x91b03fd82090c2accfc6c249614073bb613467fbaf39420390ce758203bc7190",
+		2: "0xc19283e13dbeae8bccc4777c6761d1f8aa1450bf61a0e208ad290f2216fcc244",
+	} {
+		blob := goldenState(t).Serialize()
+		blob[4] = version
+		if got := types.HashBytes(blob).String(); got != want {
+			t.Fatalf("version-%d blob hashes to %s, want %s", version, got, want)
+		}
+		if _, err := Restore(blob); !errors.Is(err, ErrSnapshotVersion) {
+			t.Fatalf("version-%d snapshot: got %v, want ErrSnapshotVersion", version, err)
+		}
 	}
 }

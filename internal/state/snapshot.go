@@ -35,8 +35,12 @@ import (
 // snapshotMagic identifies a serialized state snapshot.
 var snapshotMagic = [4]byte{'S', 'C', 'S', '1'}
 
-// SnapshotVersion is the current snapshot format version.
-const SnapshotVersion = 2
+// SnapshotVersion is the current snapshot format version. Version 3 has
+// version 2's bytes; it is bumped because the contract's storage layout
+// moved (report counts, severity tallies and the SRA listing joined it),
+// so a version-2 blob holding contract records restores a state the
+// running contract would misread.
+const SnapshotVersion = 3
 
 // Snapshot codec errors.
 var (

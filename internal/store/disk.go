@@ -76,8 +76,11 @@ const (
 	// retired) below its snapshot, where a reopen serves blocks without
 	// validating them; a version-2 log's headers commit to the account
 	// digest that hashed every storage slot, and its snapshot to the old
-	// contract layout. Both are refused rather than misread.
-	formatVersion = 3
+	// contract layout; a version-3 log's headers commit to a contract that
+	// kept no report counts, severity tallies or SRA listing in its
+	// storage, so a reopen would serve a reference missing all three. All
+	// are refused rather than misread.
+	formatVersion = 4
 )
 
 var (

@@ -623,11 +623,13 @@ func TestForeignDatadirRefused(t *testing.T) {
 
 // TestOldFormatDatadirRefused pins the meta version check: a format-1
 // datadir may hold a contract creation below its snapshot, which a reopen
-// would serve unvalidated, and a format-2 one commits to the slot-walking
-// account digest and the old contract layout, so each is refused by
-// version, and the error names both versions.
+// would serve unvalidated, a format-2 one commits to the slot-walking
+// account digest and the old contract layout, and a format-3 one to a
+// contract whose storage holds no report counts, severity tallies or SRA
+// listing, so each is refused by version, and the error names both
+// versions.
 func TestOldFormatDatadirRefused(t *testing.T) {
-	for _, old := range []byte{1, 2} {
+	for _, old := range []byte{1, 2, 3} {
 		dir := t.TempDir()
 		f := mustOpen(t, dir, 0)
 		f.extend(1)
@@ -653,7 +655,7 @@ func TestOldFormatDatadirRefused(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Storage = d
 		_, err = chain.New(cfg)
-		want := fmt.Sprintf("format %d, this build reads 3", old)
+		want := fmt.Sprintf("format %d, this build reads 4", old)
 		if !errors.Is(err, ErrBadMeta) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("format-%d datadir: got %v, want ErrBadMeta naming both versions", old, err)
 		}
@@ -717,6 +719,7 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 		f.extend(2)
 	}
 	view := f.chain.CurrentView()
+	sc := f.chain.Config().Contract
 	wantHead := view.HeadID()
 	wantRoot := view.Head().Header.StateRoot
 
@@ -737,8 +740,8 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 					return
 				}
 				_ = view.BlocksRange(0, view.HeadNumber())
-				_ = view.SRAList(0, 10)
 				st := view.State()
+				_ = sc.SRACount(st)
 				_ = st.Balance(f.payer.Address())
 				if view.Head().Header.StateRoot != wantRoot {
 					t.Error("view state root changed")
