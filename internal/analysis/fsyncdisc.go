@@ -9,7 +9,7 @@ import (
 // storagePkgs are the packages that own durable on-disk state. A Write
 // that never meets an fsync rides the page cache: the process reports
 // the block committed while a power cut can still erase it, which is
-// exactly the torn-commit class the WAL protocol exists to prevent.
+// exactly the torn-commit class the commit protocol exists to prevent.
 var storagePkgs = []string{
 	"internal/store",
 }
@@ -17,8 +17,8 @@ var storagePkgs = []string{
 // passFsyncdisc flags os.File write calls (Write/WriteAt/WriteString) in
 // the storage package that are not followed, later in the same function,
 // by a Sync or Close on the same file handle. "Same handle" matches the
-// receiver object (a local variable or a struct field), so syncing the
-// WAL does not excuse an unsynced log write. Deferred Sync/Close counts
+// receiver object (a local variable or a struct field), so syncing one
+// file does not excuse an unsynced write to another. Deferred Sync/Close counts
 // regardless of source position, since defers run at return.
 //
 // This is a commit-path discipline, not a proof: a write whose fsync
@@ -109,7 +109,7 @@ func fsyncdiscFunc(p *Package, body *ast.BlockStmt) []Finding {
 // a method call on an *os.File (or os.File) value whose receiver is a
 // plain variable or a struct field; ("", nil) otherwise. Matching the
 // receiver object rather than its rendered text keeps `d.logF` in two
-// statements the same handle while `d.logF` and `d.walF` stay distinct.
+// statements the same handle while `d.logF` and `f` stay distinct.
 func osFileMethod(p *Package, call *ast.CallExpr) (string, *types.Var) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {

@@ -635,7 +635,7 @@ const maxRun = postHorizon
 // error of the next one, if any; passed(j) reports, without waiting,
 // whether stage 1 passed blocks[j]. While the blocks extend the head and
 // have passed, up to maxRun of them execute one on another, each held to
-// its root, and commit as one (commitLocked): one fsync pair and one index
+// its root, and commit as one (commitLocked): one fsync and one index
 // generation per run instead of per block. A block that fails to execute
 // ends the run without it. A side branch, a known block, the block
 // BuildBlock built and a run of one go through insertVerifiedLocked.

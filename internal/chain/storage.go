@@ -98,12 +98,16 @@ type StorageStats struct {
 	Backend string
 	// Dir is the datadir for disk backends, empty otherwise.
 	Dir string
-	// Blocks is the committed block count (the WAL sequence).
+	// Blocks is the committed block count: the block records the log's
+	// commits hold.
 	Blocks uint64
-	// LogBytes/WALBytes/SnapshotBytes are on-disk file sizes.
+	// LogBytes/SnapshotBytes are on-disk file sizes.
 	LogBytes      int64
-	WALBytes      int64
 	SnapshotBytes int64
+	// WALBytes is always 0: the head record is a commit record in the
+	// block log, and no backend keeps a wal file. It stays declared only
+	// because the frozen benchmark/trace.go sums it, like IndexBytes.
+	WALBytes int64
 	// IndexBytes is always 0: no backend keeps an index file. It stays
 	// declared only because the frozen benchmark/trace.go sums it, and
 	// goes when the benchmark stops reading it.

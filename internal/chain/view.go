@@ -82,6 +82,11 @@ func (v *ReadView) HeadNumber() uint64 { return v.head.Header.Number }
 // TotalDifficulty returns the view head's cumulative difficulty.
 func (v *ReadView) TotalDifficulty() uint64 { return v.totalDif }
 
+// Horizon returns the height of the snapshot the chain was installed
+// from, 0 for a chain grown from genesis: receipts, proofs and
+// confirmations are served for transactions above it only.
+func (v *ReadView) Horizon() uint64 { return v.horizon }
+
 // BlockByNumber returns the canonical block at a height in this view.
 func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
 	if n >= uint64(len(v.canon)) {

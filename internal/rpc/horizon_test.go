@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -178,4 +179,31 @@ func TestReceiptBelowHorizon(t *testing.T) {
 	if eb := decodeErrBody(t, body); resp.StatusCode != http.StatusNotFound || eb.Code != CodeNotFound {
 		t.Errorf("unknown tx on a genesis-grown node: %d %+v, want 404 %s", resp.StatusCode, eb, CodeNotFound)
 	}
+}
+
+// TestNodeReportsHorizon: /v1/node names the height below which a node
+// answers below_horizon — the snapshot a reopened node was installed
+// from, 0 for a node grown from genesis.
+func TestNodeReportsHorizon(t *testing.T) {
+	dir := t.TempDir()
+	e := newDiskEnv(t, dir)
+	horizon := e.provider.Chain().Head().Header.Number
+	if horizon == 0 {
+		t.Fatal("fixture chain is at genesis")
+	}
+	check := func(name, url string, want uint64) {
+		_, body := rawGet(t, url, "/v1/node", "")
+		var nr NodeResponse
+		if err := json.Unmarshal(body, &nr); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if nr.Horizon != want {
+			t.Errorf("%s node reports horizon %d, want %d", name, nr.Horizon, want)
+		}
+		if bytes.Contains(body, []byte("walBytes")) {
+			t.Errorf("%s node still reports walBytes: %s", name, body)
+		}
+	}
+	check("fresh", e.server.URL, 0)
+	check("reopened", serve(t, e, reopenEnv(t, e, dir)).URL, horizon)
 }

@@ -365,9 +365,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // it to watch a restart recover or a snap-sync progress, so serving a
 // cached generation would defeat the point.
 type NodeResponse struct {
-	NodeID     string          `json:"nodeId"`
-	HeadNumber uint64          `json:"headNumber"`
-	HeadID     string          `json:"headId"`
+	NodeID     string `json:"nodeId"`
+	HeadNumber uint64 `json:"headNumber"`
+	HeadID     string `json:"headId"`
+	// Horizon is the height of the snapshot the chain was installed from
+	// (0 when grown from genesis): /v1/receipt, /v1/proof and
+	// confirmations answer for transactions above it only.
+	Horizon    uint64          `json:"horizon"`
 	Peers      int             `json:"peers"`
 	PendingTxs int             `json:"pendingTxs"`
 	Storage    StorageResponse `json:"storage"`
@@ -380,7 +384,6 @@ type StorageResponse struct {
 	Dir            string `json:"dir,omitempty"`
 	Blocks         uint64 `json:"blocks"`
 	LogBytes       int64  `json:"logBytes"`
-	WALBytes       int64  `json:"walBytes"`
 	SnapshotBytes  int64  `json:"snapshotBytes"`
 	SnapshotHeight uint64 `json:"snapshotHeight"`
 	// Recovered reports that the last open healed after a crash
@@ -389,12 +392,14 @@ type StorageResponse struct {
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	head := s.node.Chain().CurrentView().Head()
+	view := s.node.Chain().CurrentView()
+	head := view.Head()
 	st := s.node.Chain().StorageStats()
 	writeJSON(w, http.StatusOK, NodeResponse{
 		NodeID:     string(s.node.ID()),
 		HeadNumber: head.Header.Number,
 		HeadID:     head.ID().String(),
+		Horizon:    view.Horizon(),
 		Peers:      s.node.PeerCount(),
 		PendingTxs: s.node.PoolLen(),
 		Storage: StorageResponse{
@@ -402,7 +407,6 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 			Dir:            st.Dir,
 			Blocks:         st.Blocks,
 			LogBytes:       st.LogBytes,
-			WALBytes:       st.WALBytes,
 			SnapshotBytes:  st.SnapshotBytes,
 			SnapshotHeight: st.SnapshotHeight,
 			Recovered:      st.Recovered,

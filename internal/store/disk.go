@@ -1,38 +1,35 @@
-// Package store is the disk backend behind chain.Storage: an append-only
-// block log, a tiny write-ahead head log, and an atomically replaced
-// state snapshot, all under one datadir. The design goal is boring
-// recoverability — every file carries CRCs and is scanned forward to
-// the last valid record on open.
+// Package store is the disk backend behind chain.Storage: one append-only
+// block log that carries its own commit records, and an atomically
+// replaced state snapshot, under one datadir. The design goal is boring
+// recoverability — every record carries a CRC, and open scans the log
+// forward to its last whole commit.
 //
 // Datadir layout:
 //
 //	meta        identifies the chain: magic "SCM1", format version, the
 //	            genesis block id, CRC. Opening a datadir whose meta names
 //	            a different genesis fails — a datadir belongs to one chain.
-//	blocks.log  append-only block records: u32 payload length, the
-//	            types.EncodeBlock payload, CRC-32C of the payload. Every
-//	            block ever imported (canonical or side fork), in insertion
-//	            order; parents always precede children.
-//	wal         one 52-byte record per commit: u64 committed-block count,
-//	            the 32-byte fork-choice head id, u64 head number, CRC-32C.
-//	            The last valid record IS the durable chain state; log
-//	            bytes past the count it names are a torn tail from a
-//	            crash and are truncated on open.
+//	blocks.log  block records — u32 payload length, the types.EncodeBlock
+//	            payload, CRC-32C of the payload — each commit's followed by
+//	            its commit record: a zero length, u32 record count, the
+//	            32-byte fork-choice head id, u64 head number, and CRC-32C
+//	            over the run's record CRCs and the commit record before it.
+//	            Every block ever imported (canonical or side fork), in
+//	            insertion order; parents always precede children.
 //	snapshot    "SCP1", u64 height, 32-byte block id, 32-byte state root,
 //	            u64 blob length, the state.Serialize blob, CRC-32C of
 //	            everything prior. Replaced via write-temp + fsync + rename,
 //	            so a crash mid-write leaves the previous snapshot intact.
 //
-// Commit protocol (AppendRecords, which AppendBlocks calls): log append →
-// log fsync → WAL append → WAL fsync, once per commit — one imported
-// block, one InsertChain run, or one adopted snapshot prefix. A crash
-// between the two fsyncs leaves log records the WAL does not
-// acknowledge; open truncates them, all of a commit's together, and the
-// chain re-imports the blocks from the network. A crash before the log
-// fsync can tear a log record; the CRC scan stops there. The WAL is
-// never ahead of the log — if open finds fewer valid log records than the
-// WAL acknowledges, the datadir is corrupt beyond self-healing and open
-// fails loudly rather than serving a chain with holes.
+// Commit protocol (AppendRecords, which AppendBlocks calls): the records
+// and the commit record go out through the Disk's write buffer, then one
+// fsync — per imported block, InsertChain run or adopted snapshot prefix.
+// A commit starts only after the one before it was synced, so only the
+// last can be torn: open keeps every commit whose records all check and
+// truncates the rest, and the chain re-imports lost blocks from the
+// network. A failed record inside a commit that a later valid commit
+// follows is damage, not a crash, and open fails loudly rather than
+// serve a chain with holes.
 package store
 
 import (
@@ -54,7 +51,6 @@ import (
 const (
 	metaName = "meta"
 	logName  = "blocks.log"
-	walName  = "wal"
 	snapName = "snapshot"
 )
 
@@ -62,25 +58,26 @@ const (
 const (
 	// metaSize is magic[4] + version[1] + genesis[32] + crc[4].
 	metaSize = 4 + 1 + types.HashSize + 4
-	// walRecordSize is seq[8] + head[32] + number[8] + crc[4].
-	walRecordSize = 8 + types.HashSize + 8 + 4
 	// logHeaderSize is the per-record length prefix; logTrailerSize the CRC.
 	logHeaderSize  = 4
 	logTrailerSize = 4
+	// commitSize is a commit record: zero length[4] + count[4] + head[32]
+	// + number[8] + crc[4].
+	commitSize = logHeaderSize + 4 + types.HashSize + 8 + logTrailerSize
 	// maxLogRecord bounds a block record so a corrupt length prefix cannot
 	// force a giant allocation during the open scan. Blocks are wire
 	// objects capped at 8 MiB; 64 MiB is unreachable headroom.
 	maxLogRecord = 64 << 20
-	// formatVersion is the on-disk format version stamped into meta. A
-	// version-1 log may hold a contract-creation transaction (kind 2, since
-	// retired) below its snapshot, where a reopen serves blocks without
-	// validating them; a version-2 log's headers commit to the account
-	// digest that hashed every storage slot, and its snapshot to the old
-	// contract layout; a version-3 log's headers commit to a contract that
-	// kept no report counts, severity tallies or SRA listing in its
-	// storage, so a reopen would serve a reference missing all three. All
-	// are refused rather than misread.
-	formatVersion = 4
+	// writeBufSize is the Disk's write buffer: a commit is laid out in it
+	// and written whenever the next record would not fit.
+	writeBufSize = 64 << 10
+	// formatVersion is the on-disk format version stamped into meta.
+	// Earlier versions are refused rather than misread: a version-1 log
+	// may hold a retired contract-creation transaction below its
+	// snapshot, versions 2 and 3 commit to an older account digest or
+	// contract storage layout, and a version-4 datadir keeps its heads in
+	// a separate wal file.
+	formatVersion = 5
 )
 
 var (
@@ -97,8 +94,8 @@ var (
 	// ErrFailed reports a store latched fail-stop after a mid-commit IO
 	// error. The datadir itself stays recoverable (reopen runs the normal
 	// crash recovery); only this handle refuses further commits, so a
-	// half-written commit can never be followed by a successful one that
-	// would mis-align the WAL-acknowledged range on the next open.
+	// half-written commit can never be followed by a valid one, which the
+	// next open would read as damage inside an acknowledged commit.
 	ErrFailed = errors.New("store: disabled after mid-commit write error")
 )
 
@@ -113,10 +110,9 @@ type Disk struct {
 
 	mu        sync.Mutex
 	logF      *os.File
-	walF      *os.File
 	logSize   int64
-	walSize   int64
-	seq       uint64 // committed block count per the WAL
+	blocks    uint64 // committed block records
+	buf       []byte // the commit write buffer, writeBufSize, owned for life
 	closed    bool
 	failed    bool // fail-stop latch: see ErrFailed
 	recovered bool
@@ -142,26 +138,11 @@ func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create datadir: %w", err)
 	}
-	d := &Disk{dir: dir}
-	var err error
-	open := func(name string) *os.File {
-		if err != nil {
-			return nil
-		}
-		var f *os.File
-		f, err = os.OpenFile(filepath.Join(dir, name), os.O_RDWR|os.O_CREATE, 0o644)
-		return f
-	}
-	d.logF = open(logName)
-	d.walF = open(walName)
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		d.closeFiles()
-		return nil, fmt.Errorf("store: open datadir files: %w", err)
+		return nil, fmt.Errorf("store: open block log: %w", err)
 	}
-	// Earlier builds kept a blocks.idx beside the log that nothing read;
-	// drop a leftover one so every datadir has the same four files.
-	_ = os.Remove(filepath.Join(dir, "blocks.idx"))
-	return d, nil
+	return &Disk{dir: dir, logF: f, buf: make([]byte, 0, writeBufSize)}, nil
 }
 
 // errCrashInjected marks a simulated crash from SetCrashPoint.
@@ -175,15 +156,15 @@ func (d *Disk) crash(point string) error {
 	return nil
 }
 
-// Load recovers the committed chain: verify/initialize meta, find the last
-// acknowledged commit in the WAL, truncate any torn or unacknowledged log
-// tail, check that every committed block decodes and read the snapshot.
-// A block comes back as a header-only types.Block and its record payload,
-// which aliases the one buffer the log was read into: a chain that keeps
-// any payload keeps that whole buffer, framing and decoded tail included,
-// for as long as it lives. That costs the log's size once, where decoded
-// prefix bodies would cost several times it (each transaction's struct,
-// Data copy and hash memo). See the package comment for the invariants.
+// Load recovers the committed chain: verify/initialize meta, scan the log
+// to its last whole commit, truncate any torn tail, check that every
+// committed block decodes and read the snapshot. A block comes back as a
+// header-only types.Block and its record payload, which aliases the one
+// buffer the log was read into: a chain that keeps any payload keeps that
+// whole buffer, framing and decoded tail included, for as long as it
+// lives. That costs the log's size once, where decoded prefix bodies
+// would cost several times it (each transaction's struct, Data copy and
+// hash memo). See the package comment for the invariants.
 func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -194,25 +175,38 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 		return nil, err
 	}
 
-	headID, headNumber, err := d.recoverWAL()
+	raw, err := readRest(d.logF)
+	if err != nil {
+		return nil, fmt.Errorf("store: read log: %w", err)
+	}
+	scan, err := scanLog(raw)
 	if err != nil {
 		return nil, err
 	}
-	payloads, err := d.recoverLog()
-	if err != nil {
+	if scan.end != len(raw) {
+		if err := d.logF.Truncate(int64(scan.end)); err != nil {
+			return nil, fmt.Errorf("store: truncate log: %w", err)
+		}
+		if err := d.logF.Sync(); err != nil {
+			return nil, err
+		}
+		d.recovered = true
+	}
+	if _, err := d.logF.Seek(0, io.SeekEnd); err != nil {
 		return nil, err
 	}
+	d.logSize, d.blocks = int64(scan.end), uint64(len(scan.payloads))
 
-	heads := make([]types.Block, len(payloads))
-	blocks := make([]types.BlockRecord, len(payloads))
-	for i, payload := range payloads {
+	heads := make([]types.Block, len(scan.payloads))
+	blocks := make([]types.BlockRecord, len(scan.payloads))
+	for i, payload := range scan.payloads {
 		if heads[i].Header, err = types.DecodeHeader(payload); err != nil {
 			return nil, fmt.Errorf("%w: committed block %d does not decode: %v", ErrCorrupt, i, err)
 		}
 		blocks[i] = types.BlockRecord{Block: &heads[i], Raw: payload}
 	}
 
-	sc := &chain.StoredChain{Blocks: blocks, HeadID: headID, HeadNumber: headNumber}
+	sc := &chain.StoredChain{Blocks: blocks, HeadID: scan.headID, HeadNumber: scan.headNumber}
 	if snap, ok := d.readSnapshot(); ok {
 		sc.Snapshot = snap
 		d.snapHeight.Store(snap.Height)
@@ -271,90 +265,76 @@ func readRest(f *os.File) ([]byte, error) {
 	return buf[:n], err
 }
 
-// recoverWAL scans the WAL to the last valid record, truncates anything
-// after it, and installs the committed sequence number.
-func (d *Disk) recoverWAL() (headID types.Hash, headNumber uint64, err error) {
-	raw, err := readRest(d.walF)
-	if err != nil {
-		return types.Hash{}, 0, fmt.Errorf("store: read wal: %w", err)
-	}
-	valid := 0
-	for off := 0; off+walRecordSize <= len(raw); off += walRecordSize {
-		rec := raw[off : off+walRecordSize]
-		if crc32.Checksum(rec[:walRecordSize-4], crcTable) != binary.BigEndian.Uint32(rec[walRecordSize-4:]) {
-			break
-		}
-		d.seq = binary.BigEndian.Uint64(rec[:8])
-		copy(headID[:], rec[8:8+types.HashSize])
-		headNumber = binary.BigEndian.Uint64(rec[8+types.HashSize : 8+types.HashSize+8])
-		valid++
-	}
-	keep := int64(valid) * walRecordSize
-	if keep != int64(len(raw)) {
-		if err := d.walF.Truncate(keep); err != nil {
-			return types.Hash{}, 0, fmt.Errorf("store: truncate wal: %w", err)
-		}
-		d.recovered = true
-	}
-	d.walSize = keep
-	if _, err := d.walF.Seek(0, io.SeekEnd); err != nil {
-		return types.Hash{}, 0, err
-	}
-	return headID, headNumber, nil
+// logScan is what the open scan keeps of a block log: the payloads of
+// its whole, checked commits, the head the last of them names, and the
+// log length they fill. Everything past end is a torn tail.
+type logScan struct {
+	payloads   [][]byte
+	headID     types.Hash
+	headNumber uint64
+	end        int
 }
 
-// recoverLog scans the block log for valid records and returns their
-// payloads. The WAL's committed count is authoritative: extra
-// valid-looking records past it are a crash artifact and are truncated
-// along with any torn tail; fewer records than committed is
-// unrecoverable corruption.
-func (d *Disk) recoverLog() ([][]byte, error) {
-	raw, err := readRest(d.logF)
-	if err != nil {
-		return nil, fmt.Errorf("store: read log: %w", err)
-	}
-	var recs [][]byte
-	off := int64(0)
-	for uint64(len(recs)) < d.seq || off < int64(len(raw)) {
-		if uint64(len(recs)) == d.seq {
-			break // everything committed is in hand; the rest is tail
-		}
+// scanLog reads log bytes forward, keeping each commit whose block records
+// and commit record all check. The first record that fails its CRC ends
+// what is kept; the scan goes on framing records past it only to learn
+// whether a later valid commit acknowledges the damaged one, which makes
+// the damage corruption (ErrCorrupt) instead of a torn final commit. A
+// length prefix that cannot be framed (past the end, or over
+// maxLogRecord) ends the scan.
+func scanLog(raw []byte) (logScan, error) {
+	var (
+		s       logScan
+		kept    int    // payloads of the commits kept so far
+		runLen  int    // block records framed since the last commit record
+		runCRC  uint32 // CRC-32C over those records' CRCs
+		damaged = -1   // offset of the first record that failed, or -1
+		closed  bool   // a commit holding the damage has ended
+	)
+	for off := 0; off+logHeaderSize <= len(raw); {
 		rest := raw[off:]
-		if len(rest) < logHeaderSize {
+		if length := binary.BigEndian.Uint32(rest); length != 0 {
+			end := logHeaderSize + int(length) + logTrailerSize
+			if length > maxLogRecord || len(rest) < end {
+				break
+			}
+			payload, sum := rest[logHeaderSize:end-logTrailerSize], rest[end-logTrailerSize:end]
+			if damaged < 0 && crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum) {
+				damaged = off
+			}
+			if damaged < 0 {
+				s.payloads = append(s.payloads, payload)
+			}
+			runLen++
+			runCRC = crc32.Update(runCRC, crcTable, sum)
+			off += end
+			continue
+		}
+		if len(rest) < commitSize {
 			break
 		}
-		length := binary.BigEndian.Uint32(rest[:logHeaderSize])
-		if length == 0 || length > maxLogRecord {
-			break
+		rec := rest[:commitSize]
+		valid := int(binary.BigEndian.Uint32(rec[logHeaderSize:])) == runLen &&
+			crc32.Update(runCRC, crcTable, rec[:commitSize-logTrailerSize]) == binary.BigEndian.Uint32(rec[commitSize-logTrailerSize:])
+		switch {
+		case valid && closed:
+			return logScan{}, fmt.Errorf("%w: log record at offset %d fails its check inside an acknowledged commit", ErrCorrupt, damaged)
+		case valid && damaged < 0:
+			copy(s.headID[:], rec[8:])
+			s.headNumber = binary.BigEndian.Uint64(rec[8+types.HashSize:])
+			s.end = off + commitSize
+			kept = len(s.payloads)
+		default:
+			if damaged < 0 {
+				damaged = off
+			}
+			closed = true
 		}
-		end := logHeaderSize + int(length) + logTrailerSize
-		if len(rest) < end {
-			break
-		}
-		payload := rest[logHeaderSize : logHeaderSize+int(length)]
-		if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(rest[logHeaderSize+int(length):end]) {
-			break
-		}
-		recs = append(recs, payload)
-		off += int64(end)
+		runLen, runCRC = 0, 0
+		off += commitSize
 	}
-	if uint64(len(recs)) < d.seq {
-		return nil, fmt.Errorf("%w: wal acknowledges %d blocks, log holds %d", ErrCorrupt, d.seq, len(recs))
-	}
-	if off != int64(len(raw)) {
-		if err := d.logF.Truncate(off); err != nil {
-			return nil, fmt.Errorf("store: truncate log: %w", err)
-		}
-		if err := d.logF.Sync(); err != nil {
-			return nil, err
-		}
-		d.recovered = true
-	}
-	d.logSize = off
-	if _, err := d.logF.Seek(0, io.SeekEnd); err != nil {
-		return nil, err
-	}
-	return recs, nil
+	s.payloads = s.payloads[:kept]
+	return s, nil
 }
 
 // AppendBlocks commits blocks as AppendRecords commits records.
@@ -367,11 +347,12 @@ func (d *Disk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber
 }
 
 // AppendRecords durably commits records plus the resulting fork-choice
-// head: log append, log fsync, WAL append, WAL fsync, however many records.
-// On any error the in-memory counters are left unchanged, the files are
-// rolled back to the last committed sizes (best effort), and the store
-// latches fail-stop — see commitFailed. The next open truncates whatever
-// half-commit reached disk.
+// head: the block records, then the commit record, laid out in the
+// Disk's write buffer and written whenever the next record would not
+// fit, then one fsync. On any error the in-memory counters are left
+// unchanged, the log is rolled back to its last committed size (best
+// effort), and the store latches fail-stop — see commitFailed. The next
+// open truncates whatever half-commit reached disk.
 func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNumber uint64) error {
 	if len(recs) == 0 {
 		return nil
@@ -385,70 +366,92 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 		return ErrFailed
 	}
 
-	logBuf := encodeLogRecords(recs)
-	if _, err := d.logF.Write(logBuf); err != nil {
-		return d.commitFailed(fmt.Errorf("store: append log: %w", err))
+	buf, written := d.buf[:0], int64(0)
+	write := func() error {
+		if _, err := d.logF.Write(buf); err != nil {
+			return fmt.Errorf("store: append log: %w", err)
+		}
+		written += int64(len(buf))
+		buf = d.buf[:0]
+		return nil
 	}
-	if err := d.crash("log-written"); err != nil {
+	// makeRoom writes the buffer out when n more bytes would not fit. A
+	// record larger than the whole buffer is appended to an empty one,
+	// growing it into a one-off allocation, and so written on its own.
+	makeRoom := func(n int) error {
+		if len(buf) == 0 || len(buf)+n <= writeBufSize {
+			return nil
+		}
+		if err := write(); err != nil {
+			return err
+		}
+		return d.crash("mid-flush")
+	}
+	var runCRC uint32
+	for _, rec := range recs {
+		if err := makeRoom(logHeaderSize + rec.Size() + logTrailerSize); err != nil {
+			return d.commitFailed(err)
+		}
+		buf = appendRecord(buf, rec)
+		runCRC = crc32.Update(runCRC, crcTable, buf[len(buf)-logTrailerSize:])
+	}
+	if err := d.crash("records-written"); err != nil {
+		_ = write() // the records reach the file, their commit record does not
+		return d.commitFailed(err)
+	}
+	if err := makeRoom(commitSize); err != nil {
+		return d.commitFailed(err)
+	}
+	buf = appendCommit(buf, len(recs), headID, headNumber, runCRC)
+	if err := write(); err != nil {
+		return d.commitFailed(err)
+	}
+	if err := d.crash("commit-written"); err != nil {
 		return d.commitFailed(err)
 	}
 	if err := d.logF.Sync(); err != nil {
 		return d.commitFailed(fmt.Errorf("store: sync log: %w", err))
 	}
-	if err := d.crash("log-synced"); err != nil {
+	if err := d.crash("synced"); err != nil {
 		return d.commitFailed(err)
 	}
 
-	wal := make([]byte, 0, walRecordSize)
-	wal = binary.BigEndian.AppendUint64(wal, d.seq+uint64(len(recs)))
-	wal = append(wal, headID[:]...)
-	wal = binary.BigEndian.AppendUint64(wal, headNumber)
-	wal = binary.BigEndian.AppendUint32(wal, crc32.Checksum(wal, crcTable))
-	if _, err := d.walF.Write(wal); err != nil {
-		return d.commitFailed(fmt.Errorf("store: append wal: %w", err))
-	}
-	if err := d.crash("wal-written"); err != nil {
-		return d.commitFailed(err)
-	}
-	if err := d.walF.Sync(); err != nil {
-		return d.commitFailed(fmt.Errorf("store: sync wal: %w", err))
-	}
-
-	d.logSize += int64(len(logBuf))
-	d.walSize += walRecordSize
-	d.seq += uint64(len(recs))
+	d.logSize += written
+	d.blocks += uint64(len(recs))
 	return nil
 }
 
-// encodeLogRecords lays records out as blocks.log records — length
-// prefix, the types.EncodeBlock payload, CRC-32C of the payload — in one
-// buffer of exactly their size, each written in place.
-func encodeLogRecords(recs []types.BlockRecord) []byte {
-	size := 0
-	for _, rec := range recs {
-		size += logHeaderSize + rec.Size() + logTrailerSize
-	}
-	buf := make([]byte, 0, size)
-	for _, rec := range recs {
-		at := len(buf) + logHeaderSize
-		buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Size()))
-		buf = rec.AppendTo(buf)
-		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[at:], crcTable))
-	}
-	return buf
+// appendRecord appends rec as a blocks.log block record — length prefix,
+// the types.EncodeBlock payload, CRC-32C of the payload — written in place.
+func appendRecord(buf []byte, rec types.BlockRecord) []byte {
+	at := len(buf) + logHeaderSize
+	buf = binary.BigEndian.AppendUint32(buf, uint32(rec.Size()))
+	buf = rec.AppendTo(buf)
+	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[at:], crcTable))
 }
 
-// commitFailed handles a mid-commit error. The files may hold a partial
-// commit whose log records are CRC-valid; if a later commit from this
-// process were allowed to succeed, the next open would count those orphan
-// records toward the WAL-acknowledged sequence and truncate a genuinely
-// committed block instead, failing recovery. So the store latches
-// fail-stop unconditionally — every subsequent commit returns
-// ErrFailed; reopening the datadir runs normal crash recovery — and, for
-// real IO errors, additionally rolls the files back to the last committed
-// sizes (best effort; recovery on the next open does not depend on it).
-// Injected crashes skip the rollback on purpose: the torn on-disk shape
-// is exactly what the crash-recovery tests reopen.
+// appendCommit appends the commit record that closes a run of count
+// block records whose CRCs, in order, hash to runCRC.
+func appendCommit(buf []byte, count int, headID types.Hash, headNumber uint64, runCRC uint32) []byte {
+	at := len(buf)
+	buf = binary.BigEndian.AppendUint32(buf, 0)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(count))
+	buf = append(buf, headID[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, headNumber)
+	return binary.BigEndian.AppendUint32(buf, crc32.Update(runCRC, crcTable, buf[at:]))
+}
+
+// commitFailed handles a mid-commit error. The log may hold part of a
+// commit whose records are CRC-valid; if a later commit from this process
+// were allowed to succeed, the next open would frame those orphans into
+// the later commit's run, find its commit record failing, and either drop
+// genuinely committed blocks or, once another commit followed, refuse the
+// datadir. So the store latches fail-stop unconditionally — every
+// subsequent commit returns ErrFailed; reopening the datadir runs normal
+// crash recovery — and, for real IO errors, additionally rolls the log
+// back to its last committed size (best effort; recovery on the next open
+// does not depend on it). Injected crashes skip the rollback on purpose:
+// the torn on-disk shape is exactly what the crash-recovery tests reopen.
 func (d *Disk) commitFailed(err error) error {
 	d.failed = true
 	if errors.Is(err, errCrashInjected) {
@@ -457,32 +460,30 @@ func (d *Disk) commitFailed(err error) error {
 	if terr := d.logF.Truncate(d.logSize); terr == nil {
 		_ = d.logF.Sync()
 	}
-	_ = d.walF.Truncate(d.walSize)
-	for _, f := range []*os.File{d.logF, d.walF} {
-		_, _ = f.Seek(0, io.SeekEnd)
-	}
+	_, _ = d.logF.Seek(0, io.SeekEnd)
 	return err
 }
 
-// SaveSnapshot atomically replaces the state snapshot: marshal, write to a
-// temp file, fsync, rename over the live name, fsync the directory. A
-// crash anywhere in that sequence leaves either the old or the new
-// snapshot fully intact, never a torn one (the CRC catches a torn rename
-// target on filesystems without atomic rename semantics).
+// SaveSnapshot atomically replaces the state snapshot: write the header,
+// the state blob and their CRC to a temp file, fsync, rename over the
+// live name, fsync the directory. A crash anywhere in that sequence
+// leaves either the old or the new snapshot fully intact, never a torn
+// one (the CRC catches a torn rename target on filesystems without atomic
+// rename semantics).
 func (d *Disk) SaveSnapshot(snap chain.StoredSnapshot) error {
-	buf := make([]byte, 0, len(snap.State)+4+8+2*types.HashSize+8+4)
-	buf = append(buf, snapMagic[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, snap.Height)
-	buf = append(buf, snap.BlockID[:]...)
-	buf = append(buf, snap.StateRoot[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(snap.State)))
-	buf = append(buf, snap.State...)
-	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
+	var hdr [4 + 8 + 2*types.HashSize + 8]byte
+	h := append(hdr[:0], snapMagic[:]...)
+	h = binary.BigEndian.AppendUint64(h, snap.Height)
+	h = append(h, snap.BlockID[:]...)
+	h = append(h, snap.StateRoot[:]...)
+	h = binary.BigEndian.AppendUint64(h, uint64(len(snap.State)))
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.Update(crc32.Checksum(h, crcTable), crcTable, snap.State))
 
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	tmp := filepath.Join(d.dir, snapName+".tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileSync(tmp, h, snap.State, sum[:]); err != nil {
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
@@ -520,20 +521,18 @@ func (d *Disk) readSnapshot() (*chain.StoredSnapshot, bool) {
 func (d *Disk) Stats() chain.StorageStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	st := chain.StorageStats{
+	return chain.StorageStats{
 		Backend:        "disk",
 		Dir:            d.dir,
-		Blocks:         d.seq,
+		Blocks:         d.blocks,
+		LogBytes:       fileSize(filepath.Join(d.dir, logName)),
+		SnapshotBytes:  fileSize(filepath.Join(d.dir, snapName)),
 		SnapshotHeight: d.snapHeight.Load(),
 		Recovered:      d.recovered,
 	}
-	st.LogBytes = fileSize(filepath.Join(d.dir, logName))
-	st.WALBytes = fileSize(filepath.Join(d.dir, walName))
-	st.SnapshotBytes = fileSize(filepath.Join(d.dir, snapName))
-	return st
 }
 
-// Close closes every file; each commit was already fsynced. Idempotent.
+// Close closes the log; each commit was already fsynced. Idempotent.
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -541,20 +540,7 @@ func (d *Disk) Close() error {
 		return nil
 	}
 	d.closed = true
-	return d.closeFiles()
-}
-
-func (d *Disk) closeFiles() error {
-	var firstErr error
-	for _, f := range []*os.File{d.logF, d.walF} {
-		if f == nil {
-			continue
-		}
-		if err := f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return d.logF.Close()
 }
 
 // fileSize returns a file's size, 0 when absent.
@@ -566,16 +552,18 @@ func fileSize(path string) int64 {
 	return fi.Size()
 }
 
-// writeFileSync writes data to path and fsyncs it before closing, so the
-// caller may treat the write as durable.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes parts, in order, to path and fsyncs the file
+// before closing it, so the caller may treat the write as durable.
+func writeFileSync(path string, parts ...[]byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	for _, part := range parts {
+		if _, err := f.Write(part); err != nil {
+			f.Close()
+			return err
+		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()

@@ -161,10 +161,11 @@ func assertEqualChains(t *testing.T, got, want *chain.Chain) {
 	}
 }
 
-// TestLogRecordsWrittenOnce: an AppendBlocks log buffer is one allocation
-// of exactly its size, and its bytes are the record layout written block
-// by block from EncodeBlock — the way the log was built before, kept here
-// as the oracle — so the log format is unchanged.
+// TestLogRecordsWrittenOnce: a warm commit allocates nothing — its
+// records are laid out in the Disk's own write buffer — and the block
+// records it writes are the layout written block by block from
+// EncodeBlock, kept here as the oracle, each run closed by one commit
+// record naming its head.
 func TestLogRecordsWrittenOnce(t *testing.T) {
 	f := memFixture(t)
 	var blocks []*types.Block
@@ -178,19 +179,79 @@ func TestLogRecordsWrittenOnce(t *testing.T) {
 		want = append(want, payload...)
 		want = binary.BigEndian.AppendUint32(want, crc32.Checksum(payload, crcTable))
 	}
-	var got []byte
 	recs := make([]types.BlockRecord, len(blocks))
 	for i, blk := range blocks {
 		recs[i].Block = blk
 	}
-	if n := testing.AllocsPerRun(20, func() { got = encodeLogRecords(recs) }); n != 1 {
-		t.Errorf("encodeLogRecords made %v allocations for %d blocks, want 1", n, len(blocks))
+	head := blocks[len(blocks)-1]
+
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("log records differ from the per-block layout:\n got %x\nwant %x", got, want)
+	defer d.Close()
+	if _, err := d.Load(types.Hash{}); err != nil {
+		t.Fatal(err)
 	}
-	if len(got) != cap(got) {
-		t.Errorf("%d-byte log buffer in a %d-byte slice", len(got), cap(got))
+	commit := func() {
+		if err := d.AppendRecords(recs, head.ID(), head.Header.Number); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit()
+	if n := testing.AllocsPerRun(20, commit); n != 0 {
+		t.Errorf("a warm commit of %d blocks made %v allocations, want 0", len(blocks), n)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, want) {
+		t.Fatalf("block records differ from the per-block layout:\n got %x\nwant %x", raw[:min(len(raw), len(want))], want)
+	}
+	scan, err := scanLog(raw)
+	if err != nil || scan.end != len(raw) || scan.headID != head.ID() || scan.headNumber != head.Header.Number {
+		t.Fatalf("rescan: end %d of %d, head %s #%d, err %v", scan.end, len(raw), scan.headID.Short(), scan.headNumber, err)
+	}
+	if commits := len(raw) / (len(want) + commitSize); len(raw) != commits*(len(want)+commitSize) {
+		t.Errorf("log of %d bytes is not whole commits of %d records + %d", len(raw), len(want), commitSize)
+	}
+}
+
+// TestCommitLargerThanTheBuffer writes one commit several times the write
+// buffer, with a record larger than the buffer in it: the records written
+// in pieces read back as one commit, each record equal to its input.
+func TestCommitLargerThanTheBuffer(t *testing.T) {
+	var recs []types.BlockRecord
+	for i, size := range []int{40 << 10, 40 << 10, writeBufSize + 1, 100, writeBufSize - 8, 3} {
+		recs = append(recs, types.BlockRecord{Raw: bytes.Repeat([]byte{byte(i + 1)}, size)})
+	}
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := d.Load(types.Hash{}); err != nil {
+		t.Fatal(err)
+	}
+	head := types.HashBytes([]byte("head"))
+	if err := d.AppendRecords(recs, head, 6); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := scanLog(raw)
+	if err != nil || scan.end != len(raw) || scan.headID != head || len(scan.payloads) != len(recs) {
+		t.Fatalf("rescan: end %d of %d, %d records, head %s, err %v", scan.end, len(raw), len(scan.payloads), scan.headID.Short(), err)
+	}
+	for i, p := range scan.payloads {
+		if !bytes.Equal(p, recs[i].Raw) {
+			t.Errorf("record %d differs", i)
+		}
 	}
 }
 
@@ -240,6 +301,17 @@ func TestRestartEquivalence(t *testing.T) {
 					t.Fatal("no durable snapshot recorded")
 				}
 			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+			if want := []string{logName, metaName, snapName}; !slices.Equal(names, want) {
+				t.Errorf("datadir holds %v, want %v", names, want)
+			}
 		})
 	}
 }
@@ -263,79 +335,185 @@ func TestCloseRefusesFurtherImports(t *testing.T) {
 }
 
 // TestCrashInjection kills the commit protocol at every interior point and
-// proves reopen recovers a consistent head. Before the WAL record is
+// proves reopen recovers a consistent head. Before the commit record is
 // written that is the last acknowledged head, and the lost blocks are
-// accepted again; at wal-written the record is on its way to disk, so
-// either head is legal — a process kill leaves the record in the OS
-// buffer and the commit stands, a power cut may lose it — but whichever
-// head comes back, the chain must equal the oracle there. The commit is
-// one InsertBlock, or one InsertChain run of several blocks, which lands
-// or is lost whole: the head never comes back inside it.
+// accepted again. At commit-written the commit record is on its way to
+// disk, so either head is legal — a process kill leaves it in the OS
+// buffer and the commit stands, a power cut may lose it — and once synced
+// the commit stands; whichever head comes back, the chain must equal the
+// oracle there. The commit is one InsertBlock, or one InsertChain run of
+// several blocks, which lands or is lost whole: the head never comes back
+// inside it. mid-flush crashes a run larger than the write buffer after
+// its first full buffer reached the file.
 func TestCrashInjection(t *testing.T) {
-	for _, point := range []string{"log-written", "log-synced", "wal-written"} {
-		t.Run(point, func(t *testing.T) { crashAt(t, point) })
-	}
-}
-
-// crashAt is one TestCrashInjection point, for a single block and a run.
-func crashAt(t *testing.T, point string) {
-	for _, size := range []int{1, 5} {
-		t.Run(fmt.Sprintf("%d-block", size), func(t *testing.T) {
-			// One stage-1 worker verifies the whole batch (its senders
-			// are warm) before the import gets the CPU back, so the
-			// batch is committed as one run.
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			dir := t.TempDir()
-			f := mustOpen(t, dir, 0)
-			oracle := memFixture(t)
-			oracle.nonces = f.nonces
-			var committed []*types.Block
-			for i := 0; i < 5; i++ {
-				committed = append(committed, f.extend(1))
+	for _, point := range []string{"records-written", "commit-written", "synced"} {
+		t.Run(point, func(t *testing.T) {
+			for _, size := range []int{1, 5} {
+				t.Run(fmt.Sprintf("%d-block", size), func(t *testing.T) { crashAt(t, point, size) })
 			}
-			for _, blk := range committed {
-				if err := oracle.insert(blk); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var lost []*types.Block
-			for i := 0; i < size; i++ {
-				lost = append(lost, oracle.extend(1))
-			}
-
-			f.chain.Config().Storage.(*Disk).SetCrashPoint(point)
-			if _, err := f.chain.InsertChain(lost); err == nil {
-				t.Fatal("injected crash did not surface")
-			}
-			// Simulated kill -9: abandon the chain without Close (no
-			// final snapshot).
-
-			reopened := mustOpen(t, dir, 0)
-			defer reopened.chain.Close()
-			switch got := reopened.chain.Head().ID(); {
-			case got == committed[len(committed)-1].ID():
-				if !reopened.chain.StorageStats().Recovered {
-					t.Error("stats do not report crash recovery")
-				}
-				// The lost blocks are re-importable (the network would
-				// re-gossip them).
-				if _, err := reopened.chain.InsertChain(lost); err != nil {
-					t.Fatalf("re-import of lost blocks: %v", err)
-				}
-			case point == "wal-written" && got == lost[len(lost)-1].ID():
-				// The unsynced WAL record survived: the commit stands.
-			default:
-				t.Fatalf("recovered head %s, want last committed %s or (at wal-written) %s", got.Short(),
-					committed[len(committed)-1].ID().Short(), lost[len(lost)-1].ID().Short())
-			}
-			assertEqualChains(t, reopened.chain, oracle.chain)
 		})
 	}
+	t.Run("mid-flush", crashMidFlush)
 }
 
-// TestRunWritesTheLogOfSingleImports: the block log a batched import
-// leaves is byte for byte the one importing the same blocks one at a
-// time leaves; only the WAL, one record per commit, is shorter.
+// crashAt is one TestCrashInjection case: a commit of size blocks,
+// crashed at point.
+func crashAt(t *testing.T, point string, size int) {
+	// One stage-1 worker verifies the whole batch (its senders are warm)
+	// before the import gets the CPU back, so the batch is committed as
+	// one run.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	dir := t.TempDir()
+	f := mustOpen(t, dir, 0)
+	oracle := memFixture(t)
+	oracle.nonces = f.nonces
+	var committed []*types.Block
+	for i := 0; i < 5; i++ {
+		committed = append(committed, f.extend(1))
+	}
+	for _, blk := range committed {
+		if err := oracle.insert(blk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var lost []*types.Block
+	for i := 0; i < size; i++ {
+		lost = append(lost, oracle.extend(1))
+	}
+
+	f.chain.Config().Storage.(*Disk).SetCrashPoint(point)
+	if _, err := f.chain.InsertChain(lost); err == nil {
+		t.Fatal("injected crash did not surface")
+	}
+	// Simulated kill -9: abandon the chain without Close (no final
+	// snapshot).
+
+	reopened := mustOpen(t, dir, 0)
+	defer reopened.chain.Close()
+	switch got := reopened.chain.Head().ID(); {
+	case got == committed[len(committed)-1].ID() && point != "synced":
+		if !reopened.chain.StorageStats().Recovered {
+			t.Error("stats do not report crash recovery")
+		}
+		// The lost blocks are re-importable (the network would
+		// re-gossip them).
+		if _, err := reopened.chain.InsertChain(lost); err != nil {
+			t.Fatalf("re-import of lost blocks: %v", err)
+		}
+	case (point == "commit-written" || point == "synced") && got == lost[len(lost)-1].ID():
+		// The commit record reached the file: the commit stands.
+	default:
+		t.Fatalf("recovered head %s, want last committed %s or (once the commit record is written) %s", got.Short(),
+			committed[len(committed)-1].ID().Short(), lost[len(lost)-1].ID().Short())
+	}
+	assertEqualChains(t, reopened.chain, oracle.chain)
+}
+
+// openDisk opens a datadir for src's chain directly, with no chain over
+// it, and commits each of blocks alone, as single imports do.
+func openDisk(t *testing.T, dir string, src *fixture, blocks []*types.Block) *Disk {
+	t.Helper()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Load(src.chain.Genesis().ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, blk := range blocks {
+		if err := d.AppendBlocks([]*types.Block{blk}, blk.ID(), blk.Header.Number); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// crashMidFlush crashes a commit several times the write buffer right
+// after its first full buffer reached the file: open truncates the
+// flushed records and lands on the previous commit, and the lost run is
+// accepted again.
+func crashMidFlush(t *testing.T) {
+	src := memFixture(t)
+	var committed, lost []*types.Block
+	for i := 0; i < 5; i++ {
+		committed = append(committed, src.extend(1))
+	}
+	for i := 0; i < 5; i++ {
+		lost = append(lost, src.extend(150)) // ≈ 18 KB each
+	}
+	dir := t.TempDir()
+	d := openDisk(t, dir, src, committed)
+	size := fileSize(filepath.Join(dir, logName))
+	d.SetCrashPoint("mid-flush")
+	last := lost[len(lost)-1]
+	if err := d.AppendBlocks(lost, last.ID(), last.Header.Number); !errors.Is(err, errCrashInjected) {
+		t.Fatalf("commit across a flush: got %v, want the injected crash", err)
+	}
+	if grown := fileSize(filepath.Join(dir, logName)); grown <= size {
+		t.Fatalf("no record reached the file before the crash (%d → %d bytes)", size, grown)
+	}
+	d.Close()
+
+	reopened := mustOpen(t, dir, 0)
+	defer reopened.chain.Close()
+	if got, want := reopened.chain.Head().ID(), committed[len(committed)-1].ID(); got != want {
+		t.Fatalf("recovered head %s, want last committed %s", got.Short(), want.Short())
+	}
+	if !reopened.chain.StorageStats().Recovered {
+		t.Error("stats do not report crash recovery")
+	}
+	if _, err := reopened.chain.InsertChain(lost); err != nil {
+		t.Fatalf("re-import of lost blocks: %v", err)
+	}
+	assertEqualChains(t, reopened.chain, src.chain)
+}
+
+// TestTornRecordUnderPersistedCommit: a crash may persist a commit's
+// last page, commit record included, while an earlier page of the same
+// commit never reached the disk. The record there fails its CRC, so open
+// lands on the previous commit and truncates the whole torn one.
+func TestTornRecordUnderPersistedCommit(t *testing.T) {
+	src := memFixture(t)
+	var blocks []*types.Block
+	for i := 0; i < 6; i++ {
+		blocks = append(blocks, src.extend(2))
+	}
+	dir := t.TempDir()
+	d := openDisk(t, dir, src, blocks[:3])
+	path := filepath.Join(dir, logName)
+	size := fileSize(path)
+	run, last := blocks[3:], blocks[len(blocks)-1]
+	if err := d.AppendBlocks(run, last.ID(), last.Header.Number); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Zero part of the run's first record, as an unwritten page reads
+	// back; the run's commit record, last in the file, is intact.
+	clear(raw[size+logHeaderSize+10 : size+logHeaderSize+30])
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := mustOpen(t, dir, 0)
+	defer reopened.chain.Close()
+	if got, want := reopened.chain.Head().ID(), blocks[2].ID(); got != want {
+		t.Fatalf("recovered head %s, want the previous commit's %s", got.Short(), want.Short())
+	}
+	if !reopened.chain.StorageStats().Recovered {
+		t.Error("stats do not report recovery")
+	}
+	if got := fileSize(path); got != size {
+		t.Errorf("log is %d bytes after recovery, want the previous commit's %d", got, size)
+	}
+}
+
+// TestRunWritesTheLogOfSingleImports: the block records a batched import
+// leaves are byte for byte the ones importing the same blocks one at a
+// time leaves; only the commit records, one per commit, are fewer.
 func TestRunWritesTheLogOfSingleImports(t *testing.T) {
 	src := memFixture(t)
 	var blocks []*types.Block
@@ -360,11 +538,26 @@ func TestRunWritesTheLogOfSingleImports(t *testing.T) {
 		}
 		return raw
 	}
-	if !bytes.Equal(read(batched, logName), read(one, logName)) {
-		t.Error("a batched import wrote a different block log")
+	// blockRecords strips a log's commit records, counting them.
+	blockRecords := func(raw []byte) (recs []byte, commits int) {
+		for off := 0; off < len(raw); {
+			n := logHeaderSize + int(binary.BigEndian.Uint32(raw[off:])) + logTrailerSize
+			if n == logHeaderSize+logTrailerSize {
+				n, commits = commitSize, commits+1
+			} else {
+				recs = append(recs, raw[off:off+n]...)
+			}
+			off += n
+		}
+		return recs, commits
 	}
-	if got, single := len(read(batched, walName)), len(read(one, walName)); got > single {
-		t.Errorf("batched WAL is %d bytes, single-block WAL %d", got, single)
+	gotRecs, gotCommits := blockRecords(read(batched, logName))
+	wantRecs, singleCommits := blockRecords(read(one, logName))
+	if !bytes.Equal(gotRecs, wantRecs) {
+		t.Error("a batched import wrote different block records")
+	}
+	if singleCommits != len(blocks) || gotCommits > singleCommits {
+		t.Errorf("batched import wrote %d commit records, single-block imports %d for %d blocks", gotCommits, singleCommits, len(blocks))
 	}
 	for _, f := range []*fixture{a, b} {
 		if err := f.chain.Close(); err != nil {
@@ -374,11 +567,10 @@ func TestRunWritesTheLogOfSingleImports(t *testing.T) {
 }
 
 // TestMidCommitErrorLatchesFailStop: a mid-commit error can leave
-// CRC-valid log records the WAL never acknowledged. If a later commit
-// from the same handle were allowed to succeed, the next open would count
-// those orphans toward the acknowledged sequence and truncate a genuinely
-// committed block. The handle must latch fail-stop instead; reopening the
-// datadir recovers normally.
+// CRC-valid block records no commit record closes. If a later commit
+// from the same handle were allowed to succeed, the next open would frame
+// those orphans into its run and reject its commit record. The handle
+// must latch fail-stop instead; reopening the datadir recovers normally.
 func TestMidCommitErrorLatchesFailStop(t *testing.T) {
 	dir := t.TempDir()
 	f := mustOpen(t, dir, 0)
@@ -391,7 +583,7 @@ func TestMidCommitErrorLatchesFailStop(t *testing.T) {
 	lost := oracle.extend(1)
 	next := oracle.extend(1)
 
-	f.chain.Config().Storage.(*Disk).SetCrashPoint("log-written")
+	f.chain.Config().Storage.(*Disk).SetCrashPoint("records-written")
 	if err := f.insert(lost); err == nil {
 		t.Fatal("injected mid-commit error did not surface")
 	}
@@ -430,7 +622,7 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 
 	dir := t.TempDir()
 	f := mustOpen(t, dir, 0)
-	f.chain.Config().Storage.(*Disk).SetCrashPoint("log-written")
+	f.chain.Config().Storage.(*Disk).SetCrashPoint("records-written")
 	if err := f.chain.AdoptSnapshot(recordsOf(prefix), snap.State); err == nil {
 		t.Fatal("adoption with failing persistence succeeded")
 	}
@@ -455,38 +647,49 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 	}
 }
 
-// TestTornTailRecovery appends garbage to the log and WAL — the torn-write
-// shapes a real crash leaves — and proves reopen heals both.
+// TestTornTailRecovery appends the torn-write shapes a real crash leaves
+// to the log — a partial record header, a zeroed page, a record with no
+// commit record — and proves reopen heals each.
 func TestTornTailRecovery(t *testing.T) {
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	var last *types.Block
-	for i := 0; i < 4; i++ {
-		last = f.extend(1)
-	}
-	if err := f.chain.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for name, tail := range map[string][]byte{
+		"partial-header": {0xde, 0xad, 0xbe},
+		"zeroed-page":    make([]byte, 4096),
+		"uncommitted":    appendRecord(nil, types.BlockRecord{Raw: []byte("never committed")}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := mustOpen(t, dir, 0)
+			var last *types.Block
+			for i := 0; i < 4; i++ {
+				last = f.extend(1)
+			}
+			if err := f.chain.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	for _, name := range []string{logName, walName} {
-		path := filepath.Join(dir, name)
-		fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fh.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
-			t.Fatal(err)
-		}
-		fh.Close()
-	}
+			path := filepath.Join(dir, logName)
+			size := fileSize(path)
+			fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fh.Write(tail); err != nil {
+				t.Fatal(err)
+			}
+			fh.Close()
 
-	reopened := mustOpen(t, dir, 0)
-	defer reopened.chain.Close()
-	if got := reopened.chain.Head().ID(); got != last.ID() {
-		t.Fatalf("recovered head %s, want %s", got.Short(), last.ID().Short())
-	}
-	if !reopened.chain.StorageStats().Recovered {
-		t.Error("stats do not report recovery")
+			reopened := mustOpen(t, dir, 0)
+			defer reopened.chain.Close()
+			if got := reopened.chain.Head().ID(); got != last.ID() {
+				t.Fatalf("recovered head %s, want %s", got.Short(), last.ID().Short())
+			}
+			if !reopened.chain.StorageStats().Recovered {
+				t.Error("stats do not report recovery")
+			}
+			if got := fileSize(path); got != size {
+				t.Errorf("log is %d bytes after recovery, want %d", got, size)
+			}
+		})
 	}
 }
 
@@ -518,50 +721,41 @@ func TestCorruptCommittedBlockFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestStaleIndexFileRemoved opens a datadir left by a build that still
-// wrote blocks.idx: the file is dropped unread, nothing counts as crash
-// recovery, the chain comes back at the same head and root, and the
-// datadir holds exactly the four documented files.
-func TestStaleIndexFileRemoved(t *testing.T) {
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	var last *types.Block
-	for i := 0; i < 3; i++ {
-		last = f.extend(1)
+// TestSnapshotFileLayout: SaveSnapshot writes header, state blob and CRC
+// straight to the file, and the bytes are the layout built in one buffer,
+// kept here as the oracle.
+func TestSnapshotFileLayout(t *testing.T) {
+	snap := chain.StoredSnapshot{
+		Height:    7,
+		BlockID:   types.HashBytes([]byte("block")),
+		StateRoot: types.HashBytes([]byte("root")),
+		State:     bytes.Repeat([]byte("state blob "), 100),
 	}
-	if err := f.chain.Close(); err != nil {
-		t.Fatal(err)
-	}
-	idx := filepath.Join(dir, "blocks.idx")
-	if err := os.WriteFile(idx, []byte("not an index any build would have written"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	want := append([]byte("SCP1"), binary.BigEndian.AppendUint64(nil, snap.Height)...)
+	want = append(want, snap.BlockID[:]...)
+	want = append(want, snap.StateRoot[:]...)
+	want = binary.BigEndian.AppendUint64(want, uint64(len(snap.State)))
+	want = append(want, snap.State...)
+	want = binary.BigEndian.AppendUint32(want, crc32.Checksum(want, crcTable))
 
-	reopened := mustOpen(t, dir, 0)
-	defer reopened.chain.Close()
-	if got := reopened.chain.Head().ID(); got != last.ID() {
-		t.Fatalf("reopened head %s, want %s", got.Short(), last.ID().Short())
-	}
-	if got, want := reopened.chain.State().Root(), last.Header.StateRoot; got != want {
-		t.Fatalf("reopened state root %s, want %s", got.Short(), want.Short())
-	}
-	stats := reopened.chain.StorageStats()
-	if stats.Recovered {
-		t.Error("dropping a stale index was reported as crash recovery")
-	}
-	if stats.IndexBytes != 0 {
-		t.Errorf("IndexBytes = %d, want 0", stats.IndexBytes)
-	}
-	entries, err := os.ReadDir(dir)
+	dir := t.TempDir()
+	d, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	defer d.Close()
+	if err := d.SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
 	}
-	if want := []string{logName, metaName, snapName, walName}; !slices.Equal(names, want) {
-		t.Errorf("datadir holds %v, want %v", names, want)
+	got, err := os.ReadFile(filepath.Join(dir, snapName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("snapshot file differs from the one-buffer layout:\n got %x\nwant %x", got, want)
+	}
+	if back, ok := d.readSnapshot(); !ok || back.Height != snap.Height || !bytes.Equal(back.State, snap.State) {
+		t.Fatal("snapshot does not read back")
 	}
 }
 
@@ -624,12 +818,13 @@ func TestForeignDatadirRefused(t *testing.T) {
 // TestOldFormatDatadirRefused pins the meta version check: a format-1
 // datadir may hold a contract creation below its snapshot, which a reopen
 // would serve unvalidated, a format-2 one commits to the slot-walking
-// account digest and the old contract layout, and a format-3 one to a
+// account digest and the old contract layout, a format-3 one to a
 // contract whose storage holds no report counts, severity tallies or SRA
-// listing, so each is refused by version, and the error names both
-// versions.
+// listing, and a format-4 one keeps its heads in a wal file beside a log
+// without commit records (and, before that, may hold a blocks.idx), so
+// each is refused by version, and the error names both versions.
 func TestOldFormatDatadirRefused(t *testing.T) {
-	for _, old := range []byte{1, 2, 3} {
+	for _, old := range []byte{1, 2, 3, 4} {
 		dir := t.TempDir()
 		f := mustOpen(t, dir, 0)
 		f.extend(1)
@@ -655,7 +850,7 @@ func TestOldFormatDatadirRefused(t *testing.T) {
 		cfg := baseConfig()
 		cfg.Storage = d
 		_, err = chain.New(cfg)
-		want := fmt.Sprintf("format %d, this build reads 4", old)
+		want := fmt.Sprintf("format %d, this build reads 5", old)
 		if !errors.Is(err, ErrBadMeta) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("format-%d datadir: got %v, want ErrBadMeta naming both versions", old, err)
 		}
@@ -768,8 +963,9 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 
 // SetCrashPoint arms the crash-injection hook: the next AppendBlocks
 // aborts with an error when it reaches the named protocol point
-// ("log-written", "log-synced", "wal-written"), without performing the
-// remaining steps. Tests reopen the datadir afterwards to prove recovery.
+// ("mid-flush", "records-written", "commit-written", "synced"), without
+// performing the remaining steps. Tests reopen the datadir afterwards to
+// prove recovery.
 func (d *Disk) SetCrashPoint(point string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

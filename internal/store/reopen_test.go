@@ -173,9 +173,10 @@ func TestSnapJoinedNodeServesRangeWithoutDecoding(t *testing.T) {
 	}
 }
 
-// rewriteLogRecord replaces the payload of the i-th blocks.log record and
-// re-frames the log around it with a valid length and CRC, so only the
-// decoder can object to the new bytes.
+// rewriteLogRecord replaces the payload of the i-th blocks.log block
+// record and re-frames the log around it with a valid length and CRC, and
+// commit records that check over the new CRCs, so only the decoder can
+// object to the new bytes.
 func rewriteLogRecord(t *testing.T, dir string, i int, edit func([]byte) []byte) {
 	t.Helper()
 	path := filepath.Join(dir, logName)
@@ -183,17 +184,27 @@ func rewriteLogRecord(t *testing.T, dir string, i int, edit func([]byte) []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []byte
-	for n := 0; len(raw) > 0; n++ {
+	var (
+		out    []byte
+		runCRC uint32
+	)
+	for n := 0; len(raw) > 0; {
 		size := binary.BigEndian.Uint32(raw)
+		if size == 0 {
+			rec := raw[:commitSize]
+			out = appendCommit(out, int(binary.BigEndian.Uint32(rec[logHeaderSize:])),
+				types.Hash(rec[8:8+types.HashSize]), binary.BigEndian.Uint64(rec[8+types.HashSize:]), runCRC)
+			raw, runCRC = raw[commitSize:], 0
+			continue
+		}
 		payload := raw[logHeaderSize : logHeaderSize+size]
 		raw = raw[logHeaderSize+size+logTrailerSize:]
 		if n == i {
 			payload = edit(payload)
 		}
-		out = binary.BigEndian.AppendUint32(out, uint32(len(payload)))
-		out = append(out, payload...)
-		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
+		n++
+		out = appendRecord(out, types.BlockRecord{Raw: payload})
+		runCRC = crc32.Update(runCRC, crcTable, out[len(out)-logTrailerSize:])
 	}
 	if err := os.WriteFile(path, out, 0o644); err != nil {
 		t.Fatal(err)

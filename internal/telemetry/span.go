@@ -30,25 +30,45 @@ type Span struct {
 func (s Span) Context() TraceContext { return s.tc }
 
 // End completes the span with optional labels and returns its duration.
+// The store keeps the span's ids as bytes and its labels as given; they
+// are rendered as hex and a label map only when a trace is read.
 func (s Span) End(labels ...Label) time.Duration {
 	d := time.Since(s.start)
 	if s.store == nil {
 		return d
 	}
-	var lm map[string]string
+	sp := spanEntry{name: s.name, start: s.start, dur: d, id: s.tc.Span, parent: s.parent}
 	if len(labels) > 0 {
-		lm = make(map[string]string, len(labels))
-		for _, l := range labels {
-			lm[l.Key] = l.Value
+		sp.labels = append([]Label(nil), labels...)
+	}
+	s.store.record(s.tc, sp)
+	return d
+}
+
+// spanEntry is a completed span as the trace store keeps it.
+type spanEntry struct {
+	name       string
+	start      time.Time
+	dur        time.Duration
+	id, parent SpanID
+	labels     []Label
+}
+
+// render is the span as /debug/traces shows it, under the trace whose
+// hex id is traceID.
+func (sp *spanEntry) render(traceID string) SpanRecord {
+	rec := SpanRecord{
+		Name: sp.name, Start: sp.start, DurationNs: int64(sp.dur),
+		TraceID: traceID, SpanID: sp.id.String(),
+	}
+	if len(sp.labels) > 0 {
+		rec.Labels = make(map[string]string, len(sp.labels))
+		for _, l := range sp.labels {
+			rec.Labels[l.Key] = l.Value
 		}
 	}
-	rec := SpanRecord{
-		Name: s.name, Start: s.start, DurationNs: int64(d), Labels: lm,
-		TraceID: s.tc.TraceID.String(), SpanID: s.tc.Span.String(),
+	if !sp.parent.IsZero() {
+		rec.ParentID = sp.parent.String()
 	}
-	if !s.parent.IsZero() {
-		rec.ParentID = s.parent.String()
-	}
-	s.store.record(s.tc, rec)
-	return d
+	return rec
 }

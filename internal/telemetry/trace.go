@@ -116,7 +116,7 @@ type TraceRecord struct {
 type traceEntry struct {
 	id      TraceID
 	startNs int64
-	spans   []SpanRecord
+	spans   []spanEntry
 	dropped int
 	elem    *list.Element // position in traceStore.order; Value is *traceEntry
 }
@@ -139,31 +139,35 @@ func (ts *traceStore) ensureLocked() {
 	}
 }
 
-// record files one completed span under its trace, evicting the
-// least-recently-updated trace when the store is over capacity.
-func (ts *traceStore) record(tc TraceContext, rec SpanRecord) {
+// record files one completed span under its trace. A new trace past
+// capacity takes over the least-recently-updated trace's entry and span
+// slice, evicting it.
+func (ts *traceStore) record(tc TraceContext, sp spanEntry) {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.ensureLocked()
 	e, ok := ts.traces[tc.TraceID]
-	if !ok {
+	switch {
+	case ok:
+		ts.order.MoveToFront(e.elem)
+	case ts.order.Len() < maxTraces:
 		e = &traceEntry{id: tc.TraceID, startNs: tc.Start}
 		e.elem = ts.order.PushFront(e)
 		ts.traces[tc.TraceID] = e
-		for ts.order.Len() > maxTraces {
-			oldest := ts.order.Back()
-			ts.order.Remove(oldest)
-			delete(ts.traces, oldest.Value.(*traceEntry).id)
-			ts.evicted++
-		}
-	} else {
+	default:
+		e = ts.order.Back().Value.(*traceEntry)
+		delete(ts.traces, e.id)
+		ts.evicted++
+		clear(e.spans)
+		e.id, e.startNs, e.spans, e.dropped = tc.TraceID, tc.Start, e.spans[:0], 0
 		ts.order.MoveToFront(e.elem)
+		ts.traces[tc.TraceID] = e
 	}
 	if len(e.spans) >= maxSpansPerTrace {
 		e.dropped++
 		return
 	}
-	e.spans = append(e.spans, rec)
+	e.spans = append(e.spans, sp)
 }
 
 // recent returns up to limit traces, most recently updated first.
@@ -196,13 +200,14 @@ func (ts *traceStore) get(id TraceID) (TraceRecord, bool) {
 	return e.snapshot(), true
 }
 
+// snapshot renders the entry: hex ids, label maps.
 func (e *traceEntry) snapshot() TraceRecord {
-	return TraceRecord{
-		ID:           e.id.String(),
-		StartUnixNs:  e.startNs,
-		Spans:        append([]SpanRecord(nil), e.spans...),
-		DroppedSpans: e.dropped,
+	id := e.id.String()
+	spans := make([]SpanRecord, len(e.spans))
+	for i := range e.spans {
+		spans[i] = e.spans[i].render(id)
 	}
+	return TraceRecord{ID: id, StartUnixNs: e.startNs, Spans: spans, DroppedSpans: e.dropped}
 }
 
 // StartTrace mints a fresh trace and opens its root span. The returned

@@ -49,3 +49,26 @@ func TestTraceOverheadBudget(t *testing.T) {
 		t.Errorf("traced span %.2f ns/op exceeds %.0f ns budget", perOp, budget)
 	}
 }
+
+// TestWarmSpanEndAllocatesNothing: once the trace store is full, a
+// label-less End allocates nothing, whether it files a new trace into the
+// entry and span slice evicted for it or a child into a trace already
+// filed: ids and labels are rendered when a trace is read, not when a
+// span ends.
+func TestWarmSpanEndAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := NewRegistry()
+	trace := func() {
+		root := r.StartTrace("warm.root")
+		r.StartSpanIn(root.Context(), "warm.hop").End()
+		root.End()
+	}
+	for i := 0; i < maxTraces; i++ {
+		trace()
+	}
+	if n := testing.AllocsPerRun(1000, trace); n != 0 {
+		t.Errorf("a two-span trace into a warm store made %v allocations, want 0", n)
+	}
+}
