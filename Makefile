@@ -19,12 +19,12 @@ check: fmt vet lint race telemetry-budget trace-budget
 # generic linters cannot see: consensus determinism (detsource),
 # errors.Is discipline (senterr), crypto-free mutex critical sections
 # (locksafe), acyclic lock ordering (lockorder), terminating goroutines
-# (goleak), stable /metrics names (metricname), wire-input taint
-# tracking (wiretaint), structured-logging discipline (logdisc), durable
-# commits (fsyncdisc), and no exported internal/ symbol that only tests
-# reference (deadexport) — ten passes; `scvet -list` prints the catalog.
-# Audited exceptions live in .scvet.allow with their justifications
-# (DESIGN.md §9). The last line fails if a non-test package imports
+# (goleak), wire-input taint tracking (wiretaint), structured-logging
+# discipline (logdisc), durable commits (fsyncdisc), and no exported
+# internal/ symbol that only tests reference (deadexport) — nine passes;
+# `scvet -list` prints the catalog. Audited exceptions live in
+# .scvet.allow with their justifications (DESIGN.md §9); an entry that
+# matches nothing fails the run. The last line fails if a non-test package imports
 # math/big: it is the secp256k1 tests' oracle, never production
 # arithmetic.
 lint:

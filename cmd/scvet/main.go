@@ -1,29 +1,26 @@
 // Command scvet runs SmartCrowd's project-specific static-analysis
 // passes over the module and exits non-zero on findings. It is the
-// machine check behind the invariants earlier PRs established by hand:
-// consensus determinism (detsource), errors.Is discipline (senterr),
-// crypto-free critical sections (locksafe), deadlock-free lock ordering
-// (lockorder), terminating goroutines (goleak), stable /metrics names
-// (metricname), wire taint tracking (wiretaint), event-discipline
-// (logdisc), durable commits (fsyncdisc), and no test-only production
-// code (deadexport).
+// machine check behind the invariants earlier changes established by
+// hand: consensus determinism (detsource), errors.Is discipline
+// (senterr), crypto-free critical sections (locksafe), deadlock-free
+// lock ordering (lockorder), terminating goroutines (goleak), wire taint
+// tracking (wiretaint), event discipline (logdisc), durable commits
+// (fsyncdisc), and no test-only production code (deadexport).
 //
 // Usage:
 //
-//	scvet [-allow file] [-list] [-json] [-strict] [-pass a,b] [packages]
+//	scvet [-list] [-json] [packages]
 //
 // Packages default to ./... . Audited exceptions live in .scvet.allow at
-// the module root (see internal/analysis.Allowlist for the format);
-// stale entries are reported as warnings — or, under -strict, as a
-// non-zero exit, which is how CI keeps the allowlist from rotting.
-// -json emits machine-readable findings on stdout while the canonical
-// `file:line: [pass] message` lines move to stderr, so log-scanning
-// problem matchers keep working. -pass restricts the run to a
-// comma-separated subset of the catalog (an unknown name is a usage
-// error, exit 2); staleness is only judged on full-catalog runs.
+// the module root (see internal/analysis.Allowlist for the format). On a
+// whole-module run (./... from the root) an entry that matches nothing is
+// stale and fails the run, so the allowlist cannot outlive the code it
+// excuses. -json emits machine-readable findings on stdout while the
+// canonical `file:line: [pass] message` lines move to stderr, so
+// log-scanning problem matchers keep working.
 //
-// Exit codes: 0 clean, 1 findings (or stale entries under -strict),
-// 2 usage or load failure.
+// Exit codes: 0 clean, 1 findings or stale entries, 2 usage or load
+// failure.
 package main
 
 import (
@@ -54,11 +51,8 @@ type jsonFinding struct {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("scvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	allowPath := fs.String("allow", "", "allowlist file (default <module root>/.scvet.allow)")
 	list := fs.Bool("list", false, "print the pass catalog and exit")
 	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout (text lines move to stderr)")
-	strict := fs.Bool("strict", false, "exit non-zero when allowlist entries match nothing")
-	passFilter := fs.String("pass", "", "comma-separated subset of passes to run (default: all)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -70,29 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	passes := analysis.Passes()
-	if *passFilter != "" {
-		passes = nil
-		for _, name := range strings.Split(*passFilter, ",") {
-			name = strings.TrimSpace(name)
-			p := analysis.PassByName(name)
-			if p == nil {
-				fmt.Fprintf(stderr, "scvet: unknown pass %q (see scvet -list)\n", name)
-				return 2
-			}
-			passes = append(passes, p)
-		}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		return fatal(stderr, err)
 	}
 	root := moduleRoot(cwd)
-	if *allowPath == "" {
-		*allowPath = filepath.Join(root, ".scvet.allow")
-	}
-	allow, err := analysis.LoadAllowlist(*allowPath)
+	allowPath := filepath.Join(root, ".scvet.allow")
+	allow, err := analysis.LoadAllowlist(allowPath)
 	if err != nil {
 		return fatal(stderr, err)
 	}
@@ -107,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	findings, suppressed := allow.Filter(analysis.RunPasses(pkgs, passes))
+	findings, suppressed := allow.Filter(analysis.RunPasses(pkgs, analysis.Passes()))
 	textOut := io.Writer(stdout)
 	if *jsonOut {
 		textOut = stderr
@@ -126,23 +104,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Stale-entry accounting only makes sense when every pass ran: a
-	// subset run leaves the other passes' entries legitimately unmatched.
-	var stale int
-	if *passFilter == "" {
-		for _, e := range allow.Unused() {
-			stale++
-			fmt.Fprintf(stderr, "scvet: warning: %s:%d: allowlist entry matched nothing (stale?): %s %s %q\n",
-				*allowPath, e.Line, e.Pass, e.FileSuffix, e.MsgSub)
-		}
+	// Only a whole-module load can show an entry matches nothing: a
+	// narrower one leaves out the files other entries name.
+	var stale []*analysis.AllowEntry
+	if len(pkgs) > 0 && pkgs[0].Prog.Whole {
+		stale = allow.Unused()
+	}
+	for _, e := range stale {
+		fmt.Fprintf(stderr, "scvet: %s:%d: allowlist entry matched nothing (stale): %s %s %q\n",
+			allowPath, e.Line, e.Pass, e.FileSuffix, e.MsgSub)
 	}
 
 	switch {
 	case len(findings) > 0:
 		fmt.Fprintf(stderr, "scvet: %d finding(s), %d suppressed by allowlist\n", len(findings), suppressed)
 		return 1
-	case *strict && stale > 0:
-		fmt.Fprintf(stderr, "scvet: %d stale allowlist entr%s (strict)\n", stale, plural(stale, "y", "ies"))
+	case len(stale) > 0:
+		fmt.Fprintf(stderr, "scvet: %d stale allowlist entr%s\n", len(stale), plural(len(stale), "y", "ies"))
 		return 1
 	case suppressed > 0:
 		fmt.Fprintf(stderr, "scvet: clean (%d audited exception(s) suppressed)\n", suppressed)

@@ -57,7 +57,7 @@ func LoadAllowlist(path string) (*Allowlist, error) {
 		if len(fields) < 3 {
 			return nil, fmt.Errorf("%s:%d: allowlist entry needs `<pass> <file-suffix> <message substring>`", path, lineNo)
 		}
-		if PassByName(fields[0]) == nil {
+		if passByName[fields[0]] == nil {
 			return nil, fmt.Errorf("%s:%d: unknown pass %q", path, lineNo, fields[0])
 		}
 		al.Entries = append(al.Entries, &AllowEntry{

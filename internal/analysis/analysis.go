@@ -40,14 +40,14 @@ var passCatalog = []*Pass{
 	passLocksafe,
 	passLockorder,
 	passGoleak,
-	passMetricname,
 	passWiretaint,
 	passLogdisc,
 	passFsyncdisc,
 	passDeadexport,
 }
 
-// passByName indexes the catalog for PassByName, built alongside it.
+// passByName indexes the catalog by name, for the allowlist's check
+// that every entry names a pass.
 var passByName = func() map[string]*Pass {
 	m := make(map[string]*Pass, len(passCatalog))
 	for _, p := range passCatalog {
@@ -58,9 +58,6 @@ var passByName = func() map[string]*Pass {
 
 // Passes returns the full catalog in reporting order.
 func Passes() []*Pass { return passCatalog }
-
-// PassByName resolves a catalog entry; nil if unknown.
-func PassByName(name string) *Pass { return passByName[name] }
 
 // RunPasses executes the given passes over every package and returns the
 // findings sorted by file, line, then pass name.

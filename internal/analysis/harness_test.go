@@ -83,23 +83,16 @@ func loadFixture(t *testing.T, name, asPath string) *Package {
 
 // runFixture executes one pass over its fixture and diffs findings
 // against the want annotations. It returns the findings for further
-// assertions (the allowlist test reuses them).
-func runFixture(t *testing.T, passName, asPath string) []Finding {
+// assertions (the allowlist test reuses them). Packages passed as others
+// join the fixture's Program, for passes that look across package
+// boundaries.
+func runFixture(t *testing.T, passName, asPath string, others ...*Package) []Finding {
 	t.Helper()
-	return runFixtureAs(t, passName, passName, asPath)
-}
-
-// runFixtureAs is runFixture with an explicit fixture directory, for
-// passes with more than one fixture (locksafe has a chain/txpool fixture
-// and an rpc fixture). Packages passed as others join the fixture's
-// Program, for passes that look across package boundaries.
-func runFixtureAs(t *testing.T, fixture, passName, asPath string, others ...*Package) []Finding {
-	t.Helper()
-	pass := PassByName(passName)
+	pass := passByName[passName]
 	if pass == nil {
 		t.Fatalf("unknown pass %q", passName)
 	}
-	pkg := loadFixture(t, fixture, asPath)
+	pkg := loadFixture(t, passName, asPath)
 	pkg.Prog.Pkgs = append(pkg.Prog.Pkgs, others...)
 	findings := pass.Run(pkg)
 	wants := parseWants(t, pkg)

@@ -2,10 +2,12 @@
 // suite: the pass catalog behind `cmd/scvet`. Generic linters cannot see
 // the invariants this codebase actually depends on — consensus-critical
 // packages must be bit-deterministic across nodes, expensive crypto must
-// stay out of mutex critical sections (the PR-2 stage-1/stage-2 split),
-// telemetry names must be stable literals, and every allocation sized by
-// a network-decoded value must be bounded first. Each pass encodes one of
-// those invariants as a machine check over the type-checked AST.
+// stay out of mutex critical sections (the stage-1/stage-2 split), locks
+// must be taken in one order, and every allocation sized by a
+// network-decoded value must be bounded first. Each pass encodes one of
+// those invariants as a machine check over the type-checked AST; where a
+// Go type or the telemetry registry can enforce a rule's whole class,
+// they do, and no pass is kept for it.
 //
 // The implementation is deliberately stdlib-only (go/parser + go/ast +
 // go/types), matching the repo's zero-dependency rule. Packages are

@@ -25,10 +25,6 @@ func TestLocksafeFixture(t *testing.T) {
 	runFixture(t, "locksafe", modPrefix+"internal/chain")
 }
 
-func TestLocksafeRPCFixture(t *testing.T) {
-	runFixtureAs(t, "locksafe_rpc", "locksafe", modPrefix+"internal/rpc")
-}
-
 func TestLockorderFixture(t *testing.T) {
 	runFixture(t, "lockorder", modPrefix+"internal/chain")
 }
@@ -39,10 +35,6 @@ func TestGoleakFixture(t *testing.T) {
 
 func TestWiretaintFixture(t *testing.T) {
 	runFixture(t, "wiretaint", modPrefix+"internal/p2p")
-}
-
-func TestMetricnameFixture(t *testing.T) {
-	runFixture(t, "metricname", modPrefix+"internal/node")
 }
 
 func TestLogdiscFixture(t *testing.T) {
@@ -60,7 +52,7 @@ func TestFsyncdiscFixture(t *testing.T) {
 func TestDeadexportFixture(t *testing.T) {
 	lib := modPrefix + "internal/analysis/testdata/src/deadexport"
 	user := loadFixture(t, "deadexport/user", lib+"/user")
-	runFixtureAs(t, "deadexport", "deadexport", lib, user)
+	runFixture(t, "deadexport", lib, user)
 }
 
 // TestLogdiscAllowlisted proves a logdisc finding is suppressible via
@@ -91,21 +83,20 @@ func TestLogdiscAllowlisted(t *testing.T) {
 // detsource fixture is full of violations, but a non-consensus package
 // is allowed to read the clock.
 func TestPassesScopedToTheirPackages(t *testing.T) {
-	for _, tc := range []struct{ fixture, pass, asPath string }{
-		{"detsource", "detsource", modPrefix + "internal/telemetry"},
-		{"locksafe", "locksafe", modPrefix + "internal/node"},
-		{"locksafe_rpc", "locksafe", modPrefix + "internal/node"},
-		{"lockorder", "lockorder", modPrefix + "internal/incentive"},
-		{"goleak", "goleak", modPrefix + "cmd/smartcrowd"},
-		{"wiretaint", "wiretaint", modPrefix + "cmd/smartcrowd"},
-		{"wiretaint", "wiretaint", modPrefix + "internal/state"},
-		{"logdisc", "logdisc", modPrefix + "cmd/smartcrowd"},
-		{"logdisc", "logdisc", modPrefix + "internal/telemetry"},
-		{"fsyncdisc", "fsyncdisc", modPrefix + "internal/chain"},
-		{"deadexport", "deadexport", modPrefix + "cmd/smartcrowd"},
+	for _, tc := range []struct{ pass, asPath string }{
+		{"detsource", modPrefix + "internal/telemetry"},
+		{"locksafe", modPrefix + "internal/node"},
+		{"lockorder", modPrefix + "internal/incentive"},
+		{"goleak", modPrefix + "cmd/smartcrowd"},
+		{"wiretaint", modPrefix + "cmd/smartcrowd"},
+		{"wiretaint", modPrefix + "internal/state"},
+		{"logdisc", modPrefix + "cmd/smartcrowd"},
+		{"logdisc", modPrefix + "internal/telemetry"},
+		{"fsyncdisc", modPrefix + "internal/chain"},
+		{"deadexport", modPrefix + "cmd/smartcrowd"},
 	} {
-		pkg := loadFixture(t, tc.fixture, tc.asPath)
-		if got := PassByName(tc.pass).Run(pkg); len(got) != 0 {
+		pkg := loadFixture(t, tc.pass, tc.asPath)
+		if got := passByName[tc.pass].Run(pkg); len(got) != 0 {
 			t.Errorf("[%s] as %s: want no findings outside scoped packages, got %v", tc.pass, tc.asPath, got)
 		}
 	}
@@ -201,14 +192,7 @@ func TestRepoCleanUnderScvet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root, pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; loader lost most of the module", len(pkgs))
 	}

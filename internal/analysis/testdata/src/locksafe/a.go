@@ -4,7 +4,6 @@ package fixlock
 
 import (
 	"sync"
-	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/keccak"
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -37,27 +36,6 @@ func (s *store) badSenderUnderRLock(tx *types.Transaction) {
 	s.rw.RLock()
 	_, _ = tx.Sender() // want `call to \(\*types\.Transaction\)\.Sender inside a mutex critical section`
 	s.rw.RUnlock()
-}
-
-// badClockUnderLock reads the wall clock — directly and through the
-// package clock.go shim — inside the critical section.
-func (s *store) badClockUnderLock() time.Duration {
-	s.mu.Lock()
-	t0 := time.Now() // want `call to time\.Now inside a mutex critical section`
-	d := tock(t0)    // want `call to tock \(clock\.go shim\) inside a mutex critical section`
-	s.mu.Unlock()
-	return d
-}
-
-// goodClockHoisted reads the clock before and after the critical
-// section; no finding.
-func (s *store) goodClockHoisted() time.Duration {
-	t0 := tick()
-	s.mu.Lock()
-	n := len(s.byHash)
-	s.mu.Unlock()
-	_ = n
-	return time.Since(t0)
 }
 
 // goodHoisted does the crypto before taking the lock; no finding.

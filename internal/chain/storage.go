@@ -358,7 +358,8 @@ func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 // instead the restored state is hashed and compared to the commitment-trie
 // root in block H's header, which transitively commits to every execution
 // effect. The shape check recovers every sender below H (whether a
-// snapshot's prefix needs that is ROADMAP item 5's decision). The prefix is
+// snapshot's prefix needs that is for the ROADMAP's "snap-join adopts on
+// headers and a root" item to decide). The prefix is
 // installed as a reopen installs it (installPrefixLocked), so it pins the
 // range payloads it came in as a reopen pins the log buffer. Receipts
 // below H are not materialized (the archival horizon).

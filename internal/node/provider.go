@@ -162,6 +162,12 @@ func (p *ProviderNode) Wallet() *wallet.Wallet { return p.wallet }
 // Chain exposes the node's chain for queries.
 func (p *ProviderNode) Chain() *chain.Chain { return p.chain }
 
+// CurrentView returns the chain's published read view (one atomic load).
+func (p *ProviderNode) CurrentView() *chain.ReadView { return p.chain.CurrentView() }
+
+// StorageStats reports the chain's persistence backend.
+func (p *ProviderNode) StorageStats() chain.StorageStats { return p.chain.StorageStats() }
+
 // PoolLen reports the pending-pool size.
 func (p *ProviderNode) PoolLen() int { return p.pool.Len() }
 

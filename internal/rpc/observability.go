@@ -329,8 +329,9 @@ type HealthResponse struct {
 // takes precedence: a syncing node usually also has its serving peer, so
 // the peer check alone would report it healthy mid-adoption.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	head := s.node.Chain().CurrentView().Head()
-	age := time.Now().Unix() - int64(head.Header.Time)
+	head := s.node.CurrentView().Head()
+	// Header.Time is in milliseconds.
+	age := (time.Now().UnixMilli() - int64(head.Header.Time)) / 1000
 	if age < 0 {
 		age = 0
 	}
@@ -392,9 +393,9 @@ type StorageResponse struct {
 }
 
 func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
-	view := s.node.Chain().CurrentView()
+	view := s.node.CurrentView()
 	head := view.Head()
-	st := s.node.Chain().StorageStats()
+	st := s.node.StorageStats()
 	writeJSON(w, http.StatusOK, NodeResponse{
 		NodeID:     string(s.node.ID()),
 		HeadNumber: head.Header.Number,

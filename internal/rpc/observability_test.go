@@ -2,13 +2,19 @@ package rpc
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/detection"
+	"github.com/smartcrowd/smartcrowd/internal/node"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
+	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
 func TestHealthEndpoint(t *testing.T) {
@@ -28,6 +34,34 @@ func TestHealthEndpoint(t *testing.T) {
 	}
 	if h.HeadID == "" {
 		t.Error("health has no head id")
+	}
+}
+
+// TestHealthHeadAge: a head sealed 90 s ago reports about 90 s, not 0 —
+// Header.Time is in milliseconds.
+func TestHealthHeadAge(t *testing.T) {
+	sc := contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false))
+	prov, err := node.NewProvider("rpc-head-age", wallet.NewDeterministic("miner"), envConfig(sc, nil), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := time.Now().Add(-90 * time.Second).UnixMilli()
+	if _, err := prov.MineBlock(uint64(sealed), 1000, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(prov, sc))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/health")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h HealthResponse
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h.HeadAgeSeconds < 85 || h.HeadAgeSeconds > 95 {
+		t.Fatalf("headAgeSeconds = %d for a head sealed 90 s ago, want 85-95", h.HeadAgeSeconds)
 	}
 }
 

@@ -72,6 +72,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/node"
+	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -85,9 +86,24 @@ type Config struct {
 	EnablePprof bool
 }
 
+// nodeAPI is all a handler may ask of the node. Chain reads go through
+// CurrentView, one atomic load of the published ReadView: no handler can
+// reach the *chain.Chain, so none can take the chain mutex, and one slow
+// import cannot stall the readers (or the readers an import).
+type nodeAPI interface {
+	ID() p2p.NodeID
+	PeerCount() int
+	OrphanCount() int
+	PoolLen() int
+	SubmitTx(tx *types.Transaction) error
+	SyncStatus() node.SyncStatus
+	CurrentView() *chain.ReadView
+	StorageStats() chain.StorageStats
+}
+
 // Server serves the JSON API for one provider node.
 type Server struct {
-	node     *node.ProviderNode
+	node     nodeAPI
 	contract *contract.Contract
 	cache    *respCache
 	// finality is K, the chain's confirmation depth (the paper's 6-block
@@ -278,7 +294,7 @@ func (s *Server) contentRef(v *chain.ReadView, key string, number uint64) cacheR
 // generation (and forever in the finalized tier) every answer for a key
 // is immutable, so serving cached bytes is exact, not approximate.
 func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, read readFunc) {
-	view := s.node.Chain().CurrentView()
+	view := s.node.CurrentView()
 	ref, build, err := read(s, r, view)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)

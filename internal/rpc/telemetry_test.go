@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -92,6 +93,28 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, "# TYPE "+family) {
 			t.Errorf("family %s missing from exposition", family)
 		}
+	}
+
+	// Every family (one HELP line each) has the registry's name form and
+	// help text of its own: the exposition falls back to the name.
+	nameForm := regexp.MustCompile(`^smartcrowd(_[a-z][a-z0-9]*){2,}$`)
+	families := 0
+	for _, line := range strings.Split(body, "\n") {
+		rest, ok := strings.CutPrefix(line, "# HELP ")
+		if !ok {
+			continue
+		}
+		families++
+		name, help, _ := strings.Cut(rest, " ")
+		if help == "" || help == name {
+			t.Errorf("family %s has no help text of its own", name)
+		}
+		if !nameForm.MatchString(name) {
+			t.Errorf("family %s is not of the form smartcrowd_<subsystem>_<name>[_unit]", name)
+		}
+	}
+	if families < 50 {
+		t.Errorf("exposition has %d families, want every one registered at init", families)
 	}
 
 	// The env mined three blocks before the server started, so chain

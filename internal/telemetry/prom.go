@@ -31,7 +31,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	for _, name := range names {
 		f := r.families[name]
-		help := f.help
+		help := r.help[name]
 		if help == "" {
 			help = name
 		}

@@ -28,6 +28,7 @@ package telemetry
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -95,7 +96,6 @@ type series struct {
 type family struct {
 	name   string
 	kind   metricKind
-	help   string
 	series map[string]*series
 }
 
@@ -105,37 +105,29 @@ type family struct {
 type Registry struct {
 	mu       sync.RWMutex
 	families map[string]*family
-	traces   traceStore
+	// help is keyed by family name, apart from families, so help set at
+	// init reaches a family first resolved later (per event).
+	help   map[string]string
+	traces traceStore
 }
 
 // NewRegistry creates an empty registry. Most code uses the process-wide
 // Default; simulations that need per-run isolation create their own.
 func NewRegistry() *Registry {
-	return &Registry{families: make(map[string]*family)}
+	return &Registry{families: make(map[string]*family), help: make(map[string]string)}
 }
 
 // Default is the process-wide registry every package-level helper binds to.
 var Default = NewRegistry()
 
-// validName enforces the Prometheus metric-name charset
-// [a-zA-Z_:][a-zA-Z0-9_:]*.
-func validName(name string) bool {
-	if name == "" {
-		return false
-	}
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_', r == ':':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				return false
-			}
-		default:
-			return false
-		}
-	}
-	return true
-}
+// nameForm is the shape every family name takes:
+// smartcrowd_<subsystem>_<name>[_unit], lower snake_case. Dashboards key
+// on these names, so registering any other is a programming error.
+var nameForm = regexp.MustCompile(`^smartcrowd(_[a-z][a-z0-9]*){2,}$`)
+
+// validName reports whether name has nameForm, which also keeps it inside
+// the Prometheus metric-name charset.
+func validName(name string) bool { return nameForm.MatchString(name) }
 
 // canonicalLabels renders labels sorted by key. Values are escaped for the
 // exposition format (backslash, quote, newline).
@@ -217,13 +209,13 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return r.resolve(kindHistogram, name, labels, func() interface{} { return new(Histogram) }).(*Histogram)
 }
 
-// SetHelp attaches exposition help text to a family (first writer wins;
-// families without help export their name).
+// SetHelp attaches exposition help text to a family, registered yet or
+// not (first writer wins; families without help export their name).
 func (r *Registry) SetHelp(name, help string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok && f.help == "" {
-		f.help = help
+	if _, ok := r.help[name]; !ok {
+		r.help[name] = help
 	}
 }
 

@@ -41,14 +41,30 @@ func TestKindMismatchPanics(t *testing.T) {
 	r.Gauge("smartcrowd_test_x_total")
 }
 
+// TestInvalidNamePanics: registration takes only names of the form
+// smartcrowd_<subsystem>_<name>[_unit], lower snake_case.
 func TestInvalidNamePanics(t *testing.T) {
-	r := NewRegistry()
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid metric name did not panic")
-		}
-	}()
-	r.Counter("9bad name")
+	for _, name := range []string{
+		"9bad name",
+		"smartcrowd_depth",       // no subsystem segment
+		"Smartcrowd_chain_x",     // upper case
+		"other_chain_x",          // foreign prefix
+		"smartcrowd_chain_9x",    // segment starts with a digit
+		"smartcrowd_chain__x",    // empty segment
+		"smartcrowd_chain_x:sum", // Prometheus charset, not the form
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("metric name %q did not panic", name)
+				}
+			}()
+			NewRegistry().Counter(name)
+		}()
+	}
+	for _, name := range []string{"smartcrowd_chain_x", "smartcrowd_p2p_range_bytes_total"} {
+		NewRegistry().Counter(name)
+	}
 }
 
 func TestLabelCanonicalization(t *testing.T) {
@@ -91,6 +107,9 @@ func TestPrometheusExposition(t *testing.T) {
 	r.Counter("smartcrowd_test_events_total", L("kind", "a")).Add(3)
 	r.Counter("smartcrowd_test_events_total", L("kind", "b")).Add(1)
 	r.SetHelp("smartcrowd_test_events_total", "test events")
+	// Help set before a family's first resolution (a family resolved per
+	// event) still reaches the exposition.
+	r.SetHelp("smartcrowd_test_depth", "test depth")
 	r.Gauge("smartcrowd_test_depth").Set(-4)
 	h := r.Histogram("smartcrowd_test_latency_ns")
 	for i := 0; i < 100; i++ {
@@ -107,6 +126,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE smartcrowd_test_events_total counter",
 		`smartcrowd_test_events_total{kind="a"} 3`,
 		`smartcrowd_test_events_total{kind="b"} 1`,
+		"# HELP smartcrowd_test_depth test depth",
 		"# TYPE smartcrowd_test_depth gauge",
 		"smartcrowd_test_depth -4",
 		"# TYPE smartcrowd_test_latency_ns summary",
