@@ -44,9 +44,11 @@ lint:
 # and fresh path-copied builds, and the state root over account and
 # storage tries — snapshots nested, reverted through the undo journal
 # around Roots and held copies, each revert checked against the bytes
-# its snapshot saw — differentially against a from-scratch model — and
-# the block log's open scan over arbitrary bytes, against a reference
-# reader and its own rescan. Override FUZZTIME for longer local campaigns.
+# its snapshot saw — differentially against a from-scratch model — the
+# block log's open scan over arbitrary bytes, against a reference reader
+# and its own rescan, and the /v1 block bodies the server appends,
+# differentially against json.Marshal of the summary structs. Override
+# FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME) -run NONE ./internal/wire/
@@ -68,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzTrieWriterDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/critbit/
 	$(GO) test -fuzz='^FuzzStateRootDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/state/
 	$(GO) test -fuzz='^FuzzScanLog$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/store/
+	$(GO) test -fuzz='^FuzzBlockBodyDifferential$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/rpc/
 
 fmt:
 	@unformatted=$$(gofmt -l .); \

@@ -240,14 +240,14 @@ func TestReadViewConcurrentHammer(t *testing.T) {
 						}
 					}
 				}
-				blks := v.BlocksRange(0, v.HeadNumber())
+				blks := v.AppendBlocksRange(nil, 0, v.HeadNumber())
 				if uint64(len(blks)) != v.HeadNumber()+1 {
-					t.Error("BlocksRange truncated within the view's own height")
+					t.Error("AppendBlocksRange truncated within the view's own height")
 					return
 				}
 				for i := 1; i < len(blks); i++ {
 					if blks[i].Header.ParentID != blks[i-1].ID() {
-						t.Error("BlocksRange returned blocks from two forks")
+						t.Error("AppendBlocksRange returned blocks from two forks")
 						return
 					}
 				}

@@ -95,22 +95,20 @@ func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
 	return v.canon[n].body(), nil
 }
 
-// BlocksRange returns the canonical blocks from..to (inclusive), all
-// resolved from this single snapshot — a reorg concurrent with the call
-// cannot mix blocks from two forks into the result. Ranges past the head
-// are truncated.
-func (v *ReadView) BlocksRange(from, to uint64) []*types.Block {
+// AppendBlocksRange appends the canonical blocks from..to (inclusive) to
+// dst, all resolved from this single snapshot — a reorg concurrent with
+// the call cannot mix blocks from two forks into the result. Ranges past
+// the head are truncated. A dst with room for the range is filled in
+// place, so a caller can keep a bounded page's blocks off the heap.
+func (v *ReadView) AppendBlocksRange(dst []*types.Block, from, to uint64) []*types.Block {
 	if from >= uint64(len(v.canon)) || to < from {
-		return nil
+		return dst
 	}
-	if to >= uint64(len(v.canon)) {
-		to = uint64(len(v.canon)) - 1
-	}
-	out := make([]*types.Block, 0, to-from+1)
+	to = min(to, uint64(len(v.canon))-1)
 	for n := from; n <= to; n++ {
-		out = append(out, v.canon[n].body())
+		dst = append(dst, v.canon[n].body())
 	}
-	return out
+	return dst
 }
 
 // ReceiptOf returns the receipt of a transaction canonical in this view.

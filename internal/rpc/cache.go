@@ -64,14 +64,17 @@ type permGen struct {
 	entries sync.Map // string → *cacheEntry
 }
 
-// cacheEntry is one encoded response. ready closes once status/body/etag
-// are final; a zero status after ready means the build died (panicked)
-// and waiters must build for themselves, uncached.
+// cacheEntry is one encoded response. ready closes once the other
+// fields are final; a zero status after ready means the build died
+// (panicked) and waiters must build for themselves, uncached.
 type cacheEntry struct {
 	ready  chan struct{}
 	status int
 	body   []byte
 	etag   string
+	// etagHeader is etag as the header value serveRead assigns, built
+	// once per entry rather than once per request.
+	etagHeader []string
 }
 
 func newRespCache() *respCache {
@@ -206,6 +209,7 @@ func getOrBuildKeyed(m *sync.Map, count *atomic.Int64, key string, build func() 
 	status, body := build()
 	fresh.status, fresh.body = status, body
 	fresh.etag = etagFor(body)
+	fresh.etagHeader = []string{fresh.etag}
 	done = true
 	return fresh, false
 }

@@ -89,14 +89,20 @@ var errBadCursor = errors.New("rpc: bad cursor")
 
 // encodeCursor renders a cursor as its opaque token.
 func encodeCursor(c cursor) string {
-	raw := make([]byte, 0, cursorRawLen+cursorSumLen)
-	raw = append(raw, c.kind)
+	var token [cursorTokenLen]byte
+	return string(appendCursor(token[:0], c))
+}
+
+// appendCursor appends c's opaque token (cursorTokenLen bytes) to dst.
+func appendCursor(dst []byte, c cursor) []byte {
+	var buf [cursorRawLen + cursorSumLen]byte
+	raw := append(buf[:0], c.kind)
 	raw = append(raw, c.headID[:]...)
 	raw = binary.BigEndian.AppendUint64(raw, c.pos)
 	raw = append(raw, c.lastID[:]...)
 	sum := cursorSum(raw)
 	raw = append(raw, sum[:]...)
-	return base64.RawURLEncoding.EncodeToString(raw)
+	return base64.RawURLEncoding.AppendEncode(dst, raw)
 }
 
 // decodeCursor parses and validates a token for the given endpoint kind.

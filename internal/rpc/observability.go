@@ -165,7 +165,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, traceResponse(rec))
 		return
 	}
-	limit, err := parseQueryPositive(r, "limit", 32)
+	limit, err := parseQueryPositive(r.URL.Query(), "limit", 32)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return

@@ -45,10 +45,10 @@ func readProof(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 	}
 	// The proof commits to the block alone, so the response is
 	// content-addressed.
-	return s.contentRef(v, "proof:"+blockID.String()+":"+h.String(), number), func() (int, interface{}) {
+	return s.contentRef(v, "proof:"+blockID.String()+":"+h.String(), number), func() (int, []byte) {
 		proof, err := light.BuildTxProof(blk, txIdx)
 		if err != nil {
-			return http.StatusInternalServerError, errEnvelope(CodeInternal, err)
+			return http.StatusInternalServerError, encodeBody(errEnvelope(CodeInternal, err))
 		}
 		resp := ProofResponse{
 			BlockID:   proof.BlockID.String(),
@@ -65,7 +65,7 @@ func readProof(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 			}
 			resp.Siblings = append(resp.Siblings, side+":"+hex.EncodeToString(step.Sibling[:]))
 		}
-		return http.StatusOK, resp
+		return http.StatusOK, encodeBody(resp)
 	}, nil
 }
 

@@ -63,8 +63,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -167,8 +169,10 @@ type route struct {
 // uncached.
 type readFunc func(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error)
 
-// buildFunc renders a response from the view its readFunc closed over.
-type buildFunc func() (status int, body interface{})
+// buildFunc renders a response from the view its readFunc closed over,
+// as the exact bytes served: the cache stores them, and an uncached
+// answer writes them too.
+type buildFunc func() (status int, body []byte)
 
 // routes is the whole HTTP surface. The package comment above and
 // DESIGN.md §8.5 list exactly these rows (TestRouteTableMatchesDocs).
@@ -252,14 +256,14 @@ func errEnvelope(code string, err error) ErrorEnvelope {
 
 // notFound builds the 404 envelope for an object the view does not hold.
 func notFound(err error) buildFunc {
-	return func() (int, interface{}) { return http.StatusNotFound, errEnvelope(CodeNotFound, err) }
+	return func() (int, []byte) { return http.StatusNotFound, encodeBody(errEnvelope(CodeNotFound, err)) }
 }
 
 // txNotFound builds the 404 envelope for a failed transaction lookup:
 // below_horizon when the view cannot tell, not_found otherwise.
 func txNotFound(err error) buildFunc {
 	if errors.Is(err, chain.ErrBelowHorizon) {
-		return func() (int, interface{}) { return http.StatusNotFound, errEnvelope(CodeBelowHorizon, err) }
+		return func() (int, []byte) { return http.StatusNotFound, encodeBody(errEnvelope(CodeBelowHorizon, err)) }
 	}
 	return notFound(err)
 }
@@ -300,46 +304,49 @@ func (s *Server) serveRead(w http.ResponseWriter, r *http.Request, read readFunc
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	enc := func() (int, []byte) {
-		status, v := build()
-		return status, encodeBody(v)
-	}
 	var e *cacheEntry
 	if ref.perm {
-		e = s.cache.permGetOrBuild(ref.key, enc)
+		e = s.cache.permGetOrBuild(ref.key, build)
 	} else {
-		e = s.cache.headGetOrBuild(view.HeadID(), ref.key, enc)
+		e = s.cache.headGetOrBuild(view.HeadID(), ref.key, build)
 	}
+	hdr := w.Header()
+	var status int
+	var body []byte
 	if e == nil || e.status == 0 {
 		// The head generation is full, or the winning builder died
 		// before publishing; answer uncached.
-		status, v := build()
-		if status >= 400 {
-			mReqErrors.Inc()
+		status, body = build()
+	} else {
+		status, body = e.status, e.body
+		hdr["Etag"] = e.etagHeader
+		if ref.perm {
+			hdr["Cache-Control"] = cacheImmutable
+		} else {
+			hdr["Cache-Control"] = cacheRevalidate
 		}
-		writeJSON(w, status, v)
-		return
+		if status == http.StatusOK && r.Header.Get("If-None-Match") == e.etag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
 	}
-	if e.status >= 400 {
+	if status >= 400 {
 		mReqErrors.Inc()
 	}
-	hdr := w.Header()
-	hdr.Set("ETag", e.etag)
-	if ref.perm {
-		hdr.Set("Cache-Control", "public, max-age=31536000, immutable")
-	} else {
-		// Clients must revalidate, but the ETag makes revalidation a
-		// body-less 304 until the head moves.
-		hdr.Set("Cache-Control", "public, no-cache")
-	}
-	if e.status == http.StatusOK && r.Header.Get("If-None-Match") == e.etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	hdr.Set("Content-Type", "application/json")
-	w.WriteHeader(e.status)
-	_, _ = w.Write(e.body)
+	hdr["Content-Type"] = contentTypeJSON
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
+
+// Header values serveRead assigns by canonical key, shared by every
+// response: net/http only reads them, so no request allocates its own.
+var (
+	cacheImmutable = []string{"public, max-age=31536000, immutable"}
+	// Clients must revalidate, but the ETag makes revalidation a
+	// body-less 304 until the head moves.
+	cacheRevalidate = []string{"public, no-cache"}
+	contentTypeJSON = []string{"application/json"}
+)
 
 // StatusResponse summarizes the chain head.
 type StatusResponse struct {
@@ -350,26 +357,14 @@ type StatusResponse struct {
 }
 
 func readStatus(s *Server, _ *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
-	return cacheRef{key: "status"}, func() (int, interface{}) {
-		return http.StatusOK, StatusResponse{
+	return cacheRef{key: "status"}, func() (int, []byte) {
+		return http.StatusOK, encodeBody(StatusResponse{
 			HeadNumber:      v.HeadNumber(),
 			HeadID:          v.HeadID().String(),
 			TotalDifficulty: v.TotalDifficulty(),
 			PendingTxs:      s.node.PoolLen(),
-		}
+		})
 	}, nil
-}
-
-// BlockResponse is a canonical block summary.
-type BlockResponse struct {
-	Number     uint64   `json:"number"`
-	ID         string   `json:"id"`
-	ParentID   string   `json:"parentId"`
-	Time       uint64   `json:"time"`
-	Difficulty uint64   `json:"difficulty"`
-	Miner      string   `json:"miner"`
-	TxHashes   []string `json:"txHashes"`
-	Reports    int      `json:"reports"`
 }
 
 func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
@@ -384,27 +379,9 @@ func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 		// and "007" share one entry.
 		return cacheRef{key: "block!:" + strconv.FormatUint(n, 10)}, notFound(err), nil
 	}
-	return s.contentRef(v, "block:"+blk.ID().String(), n), func() (int, interface{}) {
-		return http.StatusOK, blockResponse(blk)
+	return s.contentRef(v, "block:"+blk.ID().String(), n), func() (int, []byte) {
+		return http.StatusOK, blockBody(blk)
 	}, nil
-}
-
-// blockResponse summarizes one block for /v1/block and /v1/blocks.
-func blockResponse(blk *types.Block) BlockResponse {
-	resp := BlockResponse{
-		Number:     blk.Header.Number,
-		ID:         blk.ID().String(),
-		ParentID:   blk.Header.ParentID.String(),
-		Time:       blk.Header.Time,
-		Difficulty: blk.Header.Difficulty,
-		Miner:      blk.Header.Miner.String(),
-		Reports:    blk.CountReports(),
-		TxHashes:   make([]string, 0, len(blk.Txs)),
-	}
-	for _, tx := range blk.Txs {
-		resp.TxHashes = append(resp.TxHashes, tx.Hash().String())
-	}
-	return resp
 }
 
 // BalanceResponse reports an account balance.
@@ -420,16 +397,16 @@ func readBalance(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, build
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
-	return cacheRef{key: "balance:" + addr.String()}, func() (int, interface{}) {
+	return cacheRef{key: "balance:" + addr.String()}, func() (int, []byte) {
 		// The view's state is the frozen head post-state, read in place.
 		st := v.State()
 		bal := st.Balance(addr)
-		return http.StatusOK, BalanceResponse{
+		return http.StatusOK, encodeBody(BalanceResponse{
 			Address: addr.String(),
 			GWei:    uint64(bal),
 			Ether:   bal.Ether(),
 			Nonce:   st.Nonce(addr),
-		}
+		})
 	}, nil
 }
 
@@ -467,12 +444,12 @@ func readReceipt(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, build
 	}
 	// Head-keyed (not finalized) even for deep transactions: the body
 	// carries a live confirmation count that grows with every block.
-	return cacheRef{key: "receipt:" + h.String()}, func() (int, interface{}) {
+	return cacheRef{key: "receipt:" + h.String()}, func() (int, []byte) {
 		receipt, err := v.ReceiptOf(h)
 		if err != nil {
 			return txNotFound(err)()
 		}
-		return http.StatusOK, ReceiptResponse{
+		return http.StatusOK, encodeBody(ReceiptResponse{
 			TxHash:        h.String(),
 			Kind:          receipt.Kind.String(),
 			Success:       receipt.Success,
@@ -482,7 +459,7 @@ func readReceipt(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, build
 			Confirmations: v.Confirmations(h),
 			PaidGwei:      uint64(receipt.Payout.Paid),
 			Accepted:      len(receipt.Payout.Accepted),
-		}
+		})
 	}, nil
 }
 
@@ -519,12 +496,12 @@ func readSRA(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
-	return cacheRef{key: "sra:" + id.String()}, func() (int, interface{}) {
+	return cacheRef{key: "sra:" + id.String()}, func() (int, []byte) {
 		resp, err := s.sraResponse(v, id)
 		if err != nil {
-			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
+			return notFound(err)()
 		}
-		return http.StatusOK, resp
+		return http.StatusOK, encodeBody(resp)
 	}, nil
 }
 
@@ -542,22 +519,22 @@ func readReference(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, bui
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
-	return cacheRef{key: "reference:" + id.String()}, func() (int, interface{}) {
+	return cacheRef{key: "reference:" + id.String()}, func() (int, []byte) {
 		ref, err := node.NewConsumer(v, s.contract, 0).Lookup(id)
 		if err != nil {
-			return http.StatusNotFound, errEnvelope(CodeNotFound, err)
+			return notFound(err)()
 		}
 		by := make(map[string]int, len(ref.BySeverity))
 		for sev, n := range ref.BySeverity {
 			by[sev.String()] = n
 		}
-		return http.StatusOK, ReferenceResponse{
+		return http.StatusOK, encodeBody(ReferenceResponse{
 			ID:             id.String(),
 			Provider:       ref.Provider.String(),
 			ConfirmedVulns: ref.ConfirmedVulns,
 			BySeverity:     by,
 			SafeToDeploy:   ref.SafeToDeploy,
-		}
+		})
 	}, nil
 }
 
@@ -579,17 +556,17 @@ type SRAListResponse struct {
 	SRAs       []SRAResponse `json:"sras"`
 }
 
-// parseQueryInt reads an optional non-negative integer query parameter.
+// parseQueryUint reads an optional non-negative integer query parameter.
 // Malformed or negative values are rejected here, at parse time, so
 // every list endpoint answers them with a bad_request envelope instead
 // of silently serving an empty page.
-func parseQueryInt(r *http.Request, key string, def int) (int, error) {
-	raw := r.URL.Query().Get(key)
+func parseQueryUint(q url.Values, key string, def uint64) (uint64, error) {
+	raw := q.Get(key)
 	if raw == "" {
 		return def, nil
 	}
-	v, err := strconv.Atoi(raw)
-	if err != nil || v < 0 {
+	v, err := strconv.ParseUint(raw, 10, 64)
+	if err != nil {
 		return 0, fmt.Errorf("rpc: bad %s %q: want a non-negative integer", key, raw)
 	}
 	return v, nil
@@ -600,15 +577,15 @@ func parseQueryInt(r *http.Request, key string, def int) (int, error) {
 // answering it with an empty 200 page hides the bug, so it is rejected
 // like any other malformed value. Oversized limits are NOT rejected:
 // callers clamp them to the documented cap.
-func parseQueryPositive(r *http.Request, key string, def int) (int, error) {
-	v, err := parseQueryInt(r, key, def)
+func parseQueryPositive(q url.Values, key string, def int) (int, error) {
+	v, err := parseQueryUint(q, key, uint64(def))
 	if err != nil {
 		return 0, err
 	}
 	if v == 0 {
 		return 0, fmt.Errorf("rpc: bad %s: want a positive integer", key)
 	}
-	return v, nil
+	return int(min(v, math.MaxInt)), nil
 }
 
 func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
@@ -618,7 +595,7 @@ func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFun
 		// offsets would otherwise loop on the first page forever.
 		return cacheRef{}, nil, errors.New("rpc: offset pagination was removed; pass the previous page's nextCursor as cursor")
 	}
-	limit, err := parseQueryPositive(r, "limit", DefaultSRAPageSize)
+	limit, err := parseQueryPositive(q, "limit", DefaultSRAPageSize)
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
@@ -635,7 +612,7 @@ func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFun
 	}
 	// Cursors that resolve to the same position share one cache entry:
 	// the body depends only on (start, limit, view).
-	return cacheRef{key: fmt.Sprintf("sras:%d:%d", start, limit)}, func() (int, interface{}) {
+	return cacheRef{key: "sras:" + strconv.Itoa(start) + ":" + strconv.Itoa(limit)}, func() (int, []byte) {
 		st := v.State()
 		total := s.contract.SRACount(st)
 		end := min(start+limit, total)
@@ -650,24 +627,12 @@ func readSRAs(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFun
 			if err != nil {
 				// The listing and the records are one state; a miss here
 				// is a server-side inconsistency.
-				return http.StatusInternalServerError, errEnvelope(CodeInternal, err)
+				return http.StatusInternalServerError, encodeBody(errEnvelope(CodeInternal, err))
 			}
 			resp.SRAs = append(resp.SRAs, sra)
 		}
-		return http.StatusOK, resp
+		return http.StatusOK, encodeBody(resp)
 	}, nil
-}
-
-// BlockListResponse is a range of canonical blocks. NextCursor is set on
-// open-ended requests (no explicit `to`, or a cursor): it resumes after
-// the last delivered block, and on a caught-up page it is a poll token
-// for blocks mined since.
-type BlockListResponse struct {
-	From       uint64          `json:"from"`
-	To         uint64          `json:"to"`
-	Head       uint64          `json:"head"`
-	NextCursor string          `json:"nextCursor,omitempty"`
-	Blocks     []BlockResponse `json:"blocks"`
 }
 
 func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFunc, error) {
@@ -699,11 +664,11 @@ func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildF
 		return blockPage(v, cur.pos, to, true)
 	}
 
-	from, err := parseQueryInt(r, "from", 0)
+	from, err := parseQueryUint(q, "from", 0)
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
-	to, err := parseQueryInt(r, "to", int(head))
+	to, err := parseQueryUint(q, "to", head)
 	if err != nil {
 		return cacheRef{}, nil, err
 	}
@@ -711,17 +676,17 @@ func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildF
 		return cacheRef{}, nil, fmt.Errorf("rpc: bad range: from %d after to %d", from, to)
 	}
 	tail := !q.Has("to")
-	if to-from+1 > MaxBlockRangeSize {
+	if to-from >= MaxBlockRangeSize {
 		if !tail {
 			// Explicitly bounded ranges keep the hard cap: the client
 			// named both ends, so a too-wide range is a contract violation.
-			return cacheRef{}, nil, fmt.Errorf("rpc: range %d..%d spans %d blocks, cap is %d", from, to, to-from+1, MaxBlockRangeSize)
+			return cacheRef{}, nil, fmt.Errorf("rpc: range %d..%d is wider than the cap of %d blocks", from, to, MaxBlockRangeSize)
 		}
 		// Open-ended (`to` defaulted to the head): page instead of reject —
 		// the first MaxBlockRangeSize blocks now, a cursor for the rest.
 		to = from + MaxBlockRangeSize - 1
 	}
-	return blockPage(v, uint64(from), uint64(to), tail)
+	return blockPage(v, from, to, tail)
 }
 
 // blockPage renders one canonical block range. tail marks an open-ended
@@ -729,19 +694,16 @@ func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildF
 // block (or re-polling the same position when the page is empty because
 // the iteration caught up with the head).
 func blockPage(v *chain.ReadView, from, to uint64, tail bool) (cacheRef, buildFunc, error) {
-	return cacheRef{key: fmt.Sprintf("blocks:%d:%d:%t", from, to, tail)}, func() (int, interface{}) {
+	key := "blocks:" + strconv.FormatUint(from, 10) + ":" + strconv.FormatUint(to, 10) + ":" + strconv.FormatBool(tail)
+	return cacheRef{key: key}, func() (int, []byte) {
 		// The whole range resolves from one snapshot, so a reorg
 		// mid-request can never mix blocks from two forks into a page.
-		resp := BlockListResponse{From: from, To: to, Head: v.HeadNumber()}
-		blocks := v.BlocksRange(from, to)
-		for _, blk := range blocks {
-			resp.Blocks = append(resp.Blocks, blockResponse(blk))
-		}
-		if len(resp.Blocks) > 0 {
-			resp.To = resp.Blocks[len(resp.Blocks)-1].Number
-		}
+		// A page is at most MaxBlockRangeSize blocks, so they fit here.
+		var page [MaxBlockRangeSize]*types.Block
+		blocks := v.AppendBlocksRange(page[:0], from, to)
+		var next *cursor
 		if tail {
-			next := cursor{kind: cursorKindBlocks, headID: v.HeadID(), pos: from}
+			next = &cursor{kind: cursorKindBlocks, headID: v.HeadID(), pos: from}
 			if n := len(blocks); n > 0 {
 				next.pos = blocks[n-1].Header.Number + 1
 				next.lastID = blocks[n-1].ID()
@@ -750,9 +712,8 @@ func blockPage(v *chain.ReadView, from, to uint64, tail bool) (cacheRef, buildFu
 					next.lastID = blk.ID()
 				}
 			}
-			resp.NextCursor = encodeCursor(next)
 		}
-		return http.StatusOK, resp
+		return http.StatusOK, blockPageBody(from, to, v.HeadNumber(), next, blocks)
 	}, nil
 }
 

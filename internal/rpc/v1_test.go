@@ -254,4 +254,15 @@ func TestBlockListRange(t *testing.T) {
 	if code := e.get("/v1/blocks?from=0&to=200", nil); code != http.StatusBadRequest {
 		t.Errorf("oversized range returned %d, want 400", code)
 	}
+	// A width that overflows int is as oversized as any other.
+	resp, body := e.getRaw("/v1/blocks?from=0&to=9223372036854775807")
+	var env ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil || resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(env.Error.Message, "wider than the cap") {
+		t.Errorf("range 0..MaxInt64 returned %d %s, want 400 naming the cap", resp.StatusCode, body)
+	}
+	// A narrow range far past the head is an empty page, whatever its ends.
+	if code := e.get("/v1/blocks?from=18446744073709551606&to=18446744073709551615", &page); code != http.StatusOK || len(page.Blocks) != 0 {
+		t.Errorf("range ending at MaxUint64 returned %d %+v, want an empty page", code, page)
+	}
 }

@@ -934,7 +934,7 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 					t.Error("view head changed")
 					return
 				}
-				_ = view.BlocksRange(0, view.HeadNumber())
+				_ = view.AppendBlocksRange(nil, 0, view.HeadNumber())
 				st := view.State()
 				_ = sc.SRACount(st)
 				_ = st.Balance(f.payer.Address())

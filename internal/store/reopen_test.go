@@ -74,7 +74,7 @@ func TestPrefixBlocksReadBackByteIdentical(t *testing.T) {
 			t.Errorf("%s: block #%d re-encodes to %x, imported %x", surface, n, got, want[n-1])
 		}
 	}
-	viewRange, all := view.BlocksRange(1, uint64(len(want))), c.CanonicalBlocks()
+	viewRange, all := view.AppendBlocksRange(nil, 1, uint64(len(want))), c.CanonicalBlocks()
 	records := c.RecordsRange(1, uint64(len(want)))
 	for n := 1; n <= len(want); n++ {
 		id := viewRange[n-1].ID()
@@ -88,7 +88,7 @@ func TestPrefixBlocksReadBackByteIdentical(t *testing.T) {
 		}
 		check("BlockByID", n, byID)
 		check("ReadView.BlockByNumber", n, byNumber)
-		check("ReadView.BlocksRange", n, viewRange[n-1])
+		check("ReadView.AppendBlocksRange", n, viewRange[n-1])
 		check("CanonicalBlocks", n, all[n])
 		if got := records[n-1].AppendTo(nil); !bytes.Equal(got, want[n-1]) {
 			t.Errorf("RecordsRange: block #%d writes %x, imported %x", n, got, want[n-1])

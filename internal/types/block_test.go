@@ -2,6 +2,7 @@ package types
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -319,4 +320,27 @@ func TestEncodeBlockWritesOnce(t *testing.T) {
 	if err != nil || back.ID() != b.ID() || len(back.Txs) != len(txs) {
 		t.Fatalf("round trip: %v", err)
 	}
+}
+
+// TestHashStringsAllocateOnce pins String and Short to the string
+// itself, and to the bytes of "0x" + hex.EncodeToString.
+func TestHashStringsAllocateOnce(t *testing.T) {
+	h := HashBytes([]byte("strings"))
+	var sink string
+	for _, tc := range []struct {
+		name string
+		f    func() string
+		want string
+	}{
+		{"String", h.String, "0x" + hex.EncodeToString(h[:])},
+		{"Short", h.Short, "0x" + hex.EncodeToString(h[:4])},
+	} {
+		if got := tc.f(); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink = tc.f() }); n != 1 {
+			t.Errorf("%s allocates %.0f times per call, want 1", tc.name, n)
+		}
+	}
+	_ = sink
 }

@@ -22,11 +22,18 @@ type Hash [HashSize]byte
 // ZeroHash is the all-zero hash.
 var ZeroHash Hash
 
-// String renders the hash as 0x-prefixed hex.
-func (h Hash) String() string { return "0x" + hex.EncodeToString(h[:]) }
+// String renders the hash as 0x-prefixed hex. The digits are written on
+// the stack, so the string is the one allocation.
+func (h Hash) String() string {
+	var buf [2 + 2*HashSize]byte
+	return string(hex.AppendEncode(append(buf[:0], "0x"...), h[:]))
+}
 
 // Short renders the first 4 bytes for logs.
-func (h Hash) Short() string { return "0x" + hex.EncodeToString(h[:4]) }
+func (h Hash) Short() string {
+	var buf [2 + 2*4]byte
+	return string(hex.AppendEncode(append(buf[:0], "0x"...), h[:4]))
+}
 
 // IsZero reports whether the hash is all zeroes.
 func (h Hash) IsZero() bool { return h == ZeroHash }

@@ -24,11 +24,18 @@ const AddressSize = 20
 // exactly as Ethereum derives addresses.
 type Address [AddressSize]byte
 
-// String renders the address as 0x-prefixed hex.
-func (a Address) String() string { return "0x" + hex.EncodeToString(a[:]) }
+// String renders the address as 0x-prefixed hex. The digits are written
+// on the stack, so the string is the one allocation.
+func (a Address) String() string {
+	var buf [2 + 2*AddressSize]byte
+	return string(hex.AppendEncode(append(buf[:0], "0x"...), a[:]))
+}
 
 // Short renders the first 4 bytes for logs.
-func (a Address) Short() string { return "0x" + hex.EncodeToString(a[:4]) }
+func (a Address) Short() string {
+	var buf [2 + 2*4]byte
+	return string(hex.AppendEncode(append(buf[:0], "0x"...), a[:4]))
+}
 
 // ParseAddress parses a 0x-prefixed or bare hex address.
 func ParseAddress(s string) (Address, error) {

@@ -2,6 +2,7 @@ package wallet
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/big"
@@ -132,6 +133,29 @@ func TestShortForms(t *testing.T) {
 	if len(w.Address().Short()) != 10 {
 		t.Errorf("Short() = %q, want 10 chars", w.Address().Short())
 	}
+}
+
+// TestAddressStringsAllocateOnce pins String and Short to the string
+// itself, and to the bytes of "0x" + hex.EncodeToString.
+func TestAddressStringsAllocateOnce(t *testing.T) {
+	a := NewDeterministic("strings").Address()
+	var sink string
+	for _, tc := range []struct {
+		name string
+		f    func() string
+		want string
+	}{
+		{"String", a.String, "0x" + hex.EncodeToString(a[:])},
+		{"Short", a.Short, "0x" + hex.EncodeToString(a[:4])},
+	} {
+		if got := tc.f(); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.name, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { sink = tc.f() }); n != 1 {
+			t.Errorf("%s allocates %.0f times per call, want 1", tc.name, n)
+		}
+	}
+	_ = sink
 }
 
 func TestKeystore(t *testing.T) {
