@@ -144,9 +144,10 @@ func Fig6b(scale Scale) (*Report, error) {
 			return nil, err
 		}
 		// Walk canonical receipts for per-kind costs.
-		for _, blk := range res.Chain.CanonicalBlocks() {
+		v := res.Chain.CurrentView()
+		for _, blk := range v.AppendBlocksRange(nil, 0, v.HeadNumber()) {
 			for _, tx := range blk.Txs {
-				receipt, err := res.Chain.ReceiptOf(tx.Hash())
+				receipt, err := v.ReceiptOf(tx.Hash())
 				if err != nil {
 					continue
 				}

@@ -127,7 +127,7 @@ func TestOwnBlockIsAdoptedOnlyWhenTheHeaderMatches(t *testing.T) {
 				return
 			}
 			// Adopted or executed, the committed block answers alike.
-			r, err := h.chain.ReceiptOf(txs[0].Hash())
+			r, err := h.chain.CurrentView().ReceiptOf(txs[0].Hash())
 			if err != nil || !r.Success || r.Payout.Paid == 0 {
 				t.Fatalf("R* receipt = %+v, %v", r, err)
 			}
@@ -492,7 +492,7 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	for _, blk := range a.CanonicalBlocks() {
 		for _, tx := range blk.Txs {
 			if tx.To == contract.Address && len(tx.Data) > 0 && tx.Data[0] == contract.MethodRefund {
-				r, err := a.ReceiptOf(tx.Hash())
+				r, err := a.CurrentView().ReceiptOf(tx.Hash())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -108,11 +108,11 @@ type entry struct {
 	// the entries a reopen installed below the restored snapshot
 	// (installPrefixLocked). It aliases the store's whole log buffer (see
 	// store.(*Disk).Load). Nothing indexes these entries, and their main
-	// reader, a peer's range sync, copies raw out through RecordsRange
-	// without decoding it. What still needs the body (BlockByID, /v1 block
-	// pages, a side fork's re-execution) gets it from body, which decodes
-	// raw on every call rather than caching: the bytes never change, and
-	// concurrent readers share nothing mutable.
+	// reader, a peer's range sync, copies raw out through
+	// ReadView.RecordsRange undecoded. What still needs the body
+	// (BlockByID, /v1 block pages, a side fork's re-execution) gets it
+	// from body, which decodes raw on every call rather than caching: the
+	// bytes never change, and concurrent readers share nothing mutable.
 	raw      []byte
 	parent   *entry
 	totalDif uint64
@@ -212,8 +212,8 @@ type Chain struct {
 	canon []*entry
 	// txTrie maps tx hash → canonical location via a persistent crit-bit
 	// trie: updates never touch a published node (setHead), so a ReadView
-	// pins the index by holding a root pointer, and the chain's own locked
-	// reads share the same structure.
+	// pins the index by holding a root pointer. setHead is its only reader
+	// under the lock; every lookup goes through a view.
 	txTrie *critbit.Node[txLoc]
 	// horizon is the height of the snapshot this chain was installed
 	// from (installPrefixLocked), 0 for one grown from genesis: blocks at
@@ -278,33 +278,25 @@ func New(cfg Config) (*Chain, error) {
 // Config returns the chain configuration.
 func (c *Chain) Config() Config { return c.cfg }
 
-// Genesis returns the genesis block.
-func (c *Chain) Genesis() *types.Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.genesis.block
-}
+// Genesis returns the genesis block. c.genesis is set once, in New, so
+// reading it takes no lock.
+func (c *Chain) Genesis() *types.Block { return c.genesis.block }
 
-// Head returns the current canonical head block.
-func (c *Chain) Head() *types.Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.head.block
-}
+// Head returns the current canonical head block: the published view's.
+func (c *Chain) Head() *types.Block { return c.CurrentView().Head() }
 
-// HeadNumber returns the canonical height.
-func (c *Chain) HeadNumber() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.head.block.Header.Number
-}
+// HeadNumber returns the canonical height: the published view's.
+func (c *Chain) HeadNumber() uint64 { return c.CurrentView().HeadNumber() }
 
-// State returns a private copy of the state at the canonical head: O(1),
+// State returns a private copy of the published view's head state: O(1),
 // and the caller may mutate it freely.
-func (c *Chain) State() *state.DB {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.head.post.Copy()
+func (c *Chain) State() *state.DB { return c.CurrentView().State().Copy() }
+
+// CanonicalBlocks returns the published view's canonical chain (including
+// genesis).
+func (c *Chain) CanonicalBlocks() []*types.Block {
+	v := c.CurrentView()
+	return v.AppendBlocksRange(make([]*types.Block, 0, v.HeadNumber()+1), 0, v.HeadNumber())
 }
 
 // stateOfLocked returns an entry's post-state, rebuilding it by
@@ -343,7 +335,9 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	return st, nil
 }
 
-// BlockByID returns a known block.
+// BlockByID returns a known block, canonical or not. It reads under the
+// lock because a side block is in no view: a view holds the canonical
+// chain only.
 func (c *Chain) BlockByID(id types.Hash) (*types.Block, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -354,30 +348,8 @@ func (c *Chain) BlockByID(id types.Hash) (*types.Block, error) {
 	return e.body(), nil
 }
 
-// RecordsRange returns the canonical blocks from..to (inclusive) under one
-// lock acquisition, so a concurrent reorg cannot mix blocks from two
-// forks into the result. Ranges past the head are truncated; an inverted
-// or out-of-range request yields nil. It is built for a writer: a block a
-// reopen kept as log bytes comes back as those bytes beside its
-// header-only block, not decoded, so serving a peer's range sync costs a
-// copy of each record.
-func (c *Chain) RecordsRange(from, to uint64) []types.BlockRecord {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if from >= uint64(len(c.canon)) || to < from {
-		return nil
-	}
-	if to >= uint64(len(c.canon)) {
-		to = uint64(len(c.canon)) - 1
-	}
-	out := make([]types.BlockRecord, 0, to-from+1)
-	for _, e := range c.canon[from : to+1] {
-		out = append(out, types.BlockRecord{Block: e.block, Raw: e.raw})
-	}
-	return out
-}
-
-// HasBlock reports whether the block is known (canonical or not).
+// HasBlock reports whether the block is known (canonical or not). Locked
+// for the reason BlockByID is.
 func (c *Chain) HasBlock(id types.Hash) bool {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -873,27 +845,6 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	})
 }
 
-// ReceiptOf returns the canonical receipt of a transaction. Below the
-// chain's horizon it answers ErrBelowHorizon.
-func (c *Chain) ReceiptOf(txHash types.Hash) (*Receipt, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, err := lookupTx(c.txTrie, c.horizon, txHash)
-	return loc.receipt, err
-}
-
-// Confirmations returns how many blocks deep a transaction is (1 = in the
-// head block), or 0 if it is not canonical above the horizon.
-func (c *Chain) Confirmations(txHash types.Hash) uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	loc, ok := critbit.Get(c.txTrie, txHash)
-	if !ok {
-		return 0
-	}
-	return c.head.block.Header.Number - loc.number + 1
-}
-
 // lookupTx finds a transaction in an index that starts above horizon. A
 // miss on a chain installed from a snapshot cannot tell "unknown" from
 // "at or below the snapshot", so it answers ErrBelowHorizon, naming the
@@ -909,17 +860,6 @@ func lookupTx(idx *critbit.Node[txLoc], horizon uint64, txHash types.Hash) (txLo
 	default:
 		return txLoc{}, fmt.Errorf("%w: tx %s not on canonical chain", ErrUnknownBlock, txHash.Short())
 	}
-}
-
-// CanonicalBlocks returns the canonical chain (including genesis).
-func (c *Chain) CanonicalBlocks() []*types.Block {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]*types.Block, len(c.canon))
-	for i, e := range c.canon {
-		out[i] = e.body()
-	}
-	return out
 }
 
 // BuildBlock executes txs on top of the given parent and returns an

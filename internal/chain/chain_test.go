@@ -175,7 +175,7 @@ func TestTransferBlockUpdatesBalancesAndRewardsMiner(t *testing.T) {
 	if st.Balance(h.miner.Address()) != wantMiner {
 		t.Errorf("miner balance %s, want %s (reward+fee)", st.Balance(h.miner.Address()), wantMiner)
 	}
-	r, err := h.chain.ReceiptOf(tx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(tx.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFullDetectionLifecycleOnChain(t *testing.T) {
 	before := h.chain.State().Balance(h.detector.Address())
 	h.extend(dtx) // Phase II after confirmation depth 1
 
-	r, err := h.chain.ReceiptOf(dtx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(dtx.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestRevealInSameBlockAsCommitFails(t *testing.T) {
 	itx, dtx := h.reportPair(sra.ID, "V-1")
 	h.extend(itx, dtx) // same block: CommitDepth=1 forbids it
 
-	r, err := h.chain.ReceiptOf(dtx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(dtx.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,13 +350,13 @@ func TestForkChoiceHeavierForkReorgs(t *testing.T) {
 		t.Fatal("heavier fork did not become head")
 	}
 	// The transfer is no longer canonical.
-	if _, err := h.chain.ReceiptOf(tx.Hash()); err == nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(tx.Hash()); err == nil {
 		t.Error("orphaned tx still has canonical receipt")
 	}
 	if h.chain.State().Balance(payee) != 0 {
 		t.Error("orphaned transfer still reflected in state")
 	}
-	if h.chain.Confirmations(tx.Hash()) != 0 {
+	if h.chain.CurrentView().Confirmations(tx.Hash()) != 0 {
 		t.Error("orphaned tx reports confirmations")
 	}
 }
@@ -401,7 +401,7 @@ func TestConfirmationsCountAndThreshold(t *testing.T) {
 	h := newHarness(t)
 	tx := h.transferTx(h.provider, types.Address{}, 1)
 	h.extend(tx)
-	if got := h.chain.Confirmations(tx.Hash()); got != 1 {
+	if got := h.chain.CurrentView().Confirmations(tx.Hash()); got != 1 {
 		t.Errorf("confirmations = %d, want 1", got)
 	}
 	for i := 0; i < 4; i++ {
@@ -441,7 +441,7 @@ func TestFailedProtocolTxBurnsGasButRevertsState(t *testing.T) {
 	before := h.chain.State().Balance(h.detector.Address())
 	h.extend(itx)
 
-	r, err := h.chain.ReceiptOf(itx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(itx.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestExecutionGolden(t *testing.T) {
 	t.Run("lifecycle", func(t *testing.T) {
 		c, want := buildLifecycleChain(t)
 		for hash, success := range want {
-			r, err := c.ReceiptOf(hash)
+			r, err := c.CurrentView().ReceiptOf(hash)
 			if err != nil {
 				t.Fatal(err)
 			}

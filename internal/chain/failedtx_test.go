@@ -40,7 +40,7 @@ func failedTxHarness(t *testing.T) (*harness, types.Hash) {
 
 	sraTx, sra := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
 	h.extend(sraTx)
-	r, err := h.chain.ReceiptOf(sraTx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(sraTx.Hash())
 	if err != nil || !r.Success {
 		t.Fatalf("releasing the SRA: receipt %+v, err %v", r, err)
 	}

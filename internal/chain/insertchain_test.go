@@ -96,11 +96,11 @@ func assertChainsIdentical(t *testing.T, a, b *Chain) {
 			t.Fatalf("block %d state roots differ", i)
 		}
 		for _, tx := range ca[i].Txs {
-			ra, err := a.ReceiptOf(tx.Hash())
+			ra, err := a.CurrentView().ReceiptOf(tx.Hash())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rb, err := b.ReceiptOf(tx.Hash())
+			rb, err := b.CurrentView().ReceiptOf(tx.Hash())
 			if err != nil {
 				t.Fatal(err)
 			}

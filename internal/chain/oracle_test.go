@@ -15,6 +15,54 @@ import (
 // scan of canonical receipts" — they live in a _test.go file so nothing
 // else can come to depend on a second read path.
 
+// lockedHead returns the head block.
+func (c *Chain) lockedHead() *types.Block {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.head.block
+}
+
+// lockedState returns the head's committed post-state. It is frozen:
+// callers only read it.
+func (c *Chain) lockedState() *state.DB {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.head.post
+}
+
+// lockedReceipt returns the canonical receipt of a transaction.
+func (c *Chain) lockedReceipt(txHash types.Hash) (*Receipt, error) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	loc, err := lookupTx(c.txTrie, c.horizon, txHash)
+	return loc.receipt, err
+}
+
+// lockedConfirmations returns how many blocks deep a transaction is (1 =
+// in the head block), or 0 if it is not canonical above the horizon.
+func (c *Chain) lockedConfirmations(txHash types.Hash) uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	loc, ok := critbit.Get(c.txTrie, txHash)
+	if !ok {
+		return 0
+	}
+	return c.head.block.Header.Number - loc.number + 1
+}
+
+// lockedRecords returns the canonical blocks from..to (inclusive, to
+// clamped to the head) as records: a block a reopen kept as log bytes
+// comes back as those bytes beside its header-only block.
+func (c *Chain) lockedRecords(from, to uint64) []types.BlockRecord {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []types.BlockRecord
+	for n := from; n <= to && n < uint64(len(c.canon)); n++ {
+		out = append(out, types.BlockRecord{Block: c.canon[n].block, Raw: c.canon[n].raw})
+	}
+	return out
+}
+
 // TotalDifficulty returns the head's cumulative difficulty.
 func (c *Chain) TotalDifficulty() uint64 {
 	c.mu.RLock()
@@ -63,12 +111,12 @@ func (c *Chain) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64
 // Confirmed reports whether a transaction has reached the configured
 // confirmation depth (the paper's 6-block rule).
 func (c *Chain) Confirmed(txHash types.Hash) bool {
-	return c.Confirmations(txHash) >= c.cfg.Confirmations
+	return c.lockedConfirmations(txHash) >= c.cfg.Confirmations
 }
 
 // sraListing reads the contract's SRA listing in the head state.
 func (c *Chain) sraListing() []types.Hash {
-	st, sc := c.State(), c.cfg.Contract
+	st, sc := c.lockedState(), c.cfg.Contract
 	ids := make([]types.Hash, sc.SRACount(st))
 	for i := range ids {
 		ids[i], _ = sc.SRAAt(st, i)
@@ -86,7 +134,7 @@ type reference struct {
 
 // referenceOf reads an SRA's reference from the head state.
 func (c *Chain) referenceOf(sraID types.Hash) reference {
-	info, err := c.cfg.Contract.GetSRA(c.State(), sraID)
+	info, err := c.cfg.Contract.GetSRA(c.lockedState(), sraID)
 	if err != nil {
 		return reference{}
 	}

@@ -2,8 +2,12 @@ package chain
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -11,17 +15,19 @@ import (
 )
 
 // assertViewMatchesChain compares every read surface of the current view
-// against the chain's locked methods at quiescence.
+// against reads of the chain's own fields under c.mu (oracle_test.go) at
+// quiescence: head, state, receipts, confirmations and records.
 func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 	t.Helper()
 	v := c.CurrentView()
-	if v.Head().ID() != c.Head().ID() {
-		t.Fatalf("view head %s != chain head %s", v.Head().ID().Short(), c.Head().ID().Short())
+	head := c.lockedHead()
+	if v.Head() != head || v.HeadID() != head.ID() {
+		t.Fatalf("view head %s != chain head %s", v.Head().ID().Short(), head.ID().Short())
 	}
-	if v.HeadNumber() != c.HeadNumber() || v.TotalDifficulty() != c.TotalDifficulty() {
+	if v.HeadNumber() != head.Header.Number || v.TotalDifficulty() != c.TotalDifficulty() {
 		t.Fatal("view head summary diverges from chain")
 	}
-	for n := uint64(0); n <= c.HeadNumber(); n++ {
+	for n := uint64(0); n <= head.Header.Number; n++ {
 		cb, err := c.BlockByNumber(n)
 		if err != nil {
 			t.Fatal(err)
@@ -31,15 +37,18 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 			t.Fatalf("view block #%d = %v, %v; chain has %s", n, vb, err, cb.ID().Short())
 		}
 		for j, tx := range cb.Txs {
-			cr, err := c.ReceiptOf(tx.Hash())
-			if err != nil {
-				t.Fatal(err)
+			cr, cerr := c.lockedReceipt(tx.Hash())
+			vr, verr := v.ReceiptOf(tx.Hash())
+			if vr != cr || !errors.Is(verr, errors.Unwrap(cerr)) {
+				t.Fatalf("view receipt of %s = %v, %v; chain has %v, %v", tx.Hash().Short(), vr, verr, cr, cerr)
 			}
-			vr, err := v.ReceiptOf(tx.Hash())
-			if err != nil || vr != cr {
-				t.Fatalf("view receipt of %s diverges", tx.Hash().Short())
+			if cerr != nil {
+				if n > v.Horizon() {
+					t.Fatal(cerr)
+				}
+				continue // at the snapshot a reopen restored: never indexed
 			}
-			if v.Confirmations(tx.Hash()) != c.Confirmations(tx.Hash()) {
+			if v.Confirmations(tx.Hash()) != c.lockedConfirmations(tx.Hash()) {
 				t.Fatalf("view confirmations of %s diverge", tx.Hash().Short())
 			}
 			id, num, idx, ok := v.TxLocation(tx.Hash())
@@ -48,18 +57,30 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 			}
 		}
 	}
-	// Frozen state answers like the locked copy, and so does the
+	// Records: the same blocks, and the same log bytes where a reopen kept
+	// them, over the whole chain and past its head.
+	vrecs, crecs := v.RecordsRange(0, head.Header.Number+1), c.lockedRecords(0, head.Header.Number+1)
+	if len(vrecs) != len(crecs) {
+		t.Fatalf("view records %d blocks, chain %d", len(vrecs), len(crecs))
+	}
+	for i := range vrecs {
+		if vrecs[i].Block != crecs[i].Block || !bytes.Equal(vrecs[i].Raw, crecs[i].Raw) {
+			t.Fatalf("view record #%d diverges from the chain's", i)
+		}
+	}
+	// Frozen state answers like the locked head state, and so does the
 	// reference it holds.
-	if !bytes.Equal(v.State().Serialize(), c.State().Serialize()) {
+	st := c.lockedState()
+	if !bytes.Equal(v.State().Serialize(), st.Serialize()) {
 		t.Fatal("view state diverges from the locked head state")
 	}
 	sc := c.Config().Contract
-	if sc.SRACount(v.State()) != sc.SRACount(c.State()) {
+	if sc.SRACount(v.State()) != sc.SRACount(st) {
 		t.Fatal("view SRA listing diverges from the locked head state")
 	}
 	for _, id := range sraIDs {
 		vi, verr := sc.GetSRA(v.State(), id)
-		ci, cerr := sc.GetSRA(c.State(), id)
+		ci, cerr := sc.GetSRA(st, id)
 		if vi != ci || (verr == nil) != (cerr == nil) {
 			t.Fatalf("view reference of %s = %+v, %v; chain has %+v, %v", id.Short(), vi, verr, ci, cerr)
 		}
@@ -80,6 +101,172 @@ func TestReadViewMatchesChain(t *testing.T) {
 	payee := wallet.NewDeterministic("payee").Address()
 	h.extend(h.transferTx(h.provider, payee, types.EtherAmount(3)))
 	assertViewMatchesChain(t, h.chain, []types.Hash{sra.ID})
+}
+
+// storedLog is a Storage that hands a fixed StoredChain back on open: a
+// reopen without a datadir.
+type storedLog struct {
+	memLog
+	stored *StoredChain
+}
+
+func (s *storedLog) Load(types.Hash) (*StoredChain, error) { return s.stored, nil }
+
+// TestReadViewRecordsMatchLockedOnReopen reopens a chain from its blocks'
+// records and a snapshot below the head. The entries at or below the
+// snapshot keep their log bytes (entry.raw), and the view's records must
+// equal the locked ones, bytes included.
+func TestReadViewRecordsMatchLockedOnReopen(t *testing.T) {
+	h := newHarness(t)
+	payee := wallet.NewDeterministic("payee").Address()
+	for i := 0; i < 6; i++ {
+		h.extend(h.transferTx(h.provider, payee, types.EtherAmount(1)))
+	}
+	src := h.chain
+	at, err := src.BlockByNumber(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.StateAt(at.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := src.Config()
+	cfg.Storage = &storedLog{stored: &StoredChain{
+		Blocks:     recordsOf(src.CanonicalBlocks()[1:]),
+		HeadID:     src.Head().ID(),
+		HeadNumber: src.HeadNumber(),
+		Snapshot:   &StoredSnapshot{Height: 4, BlockID: at.ID(), StateRoot: at.Header.StateRoot, State: st.Serialize()},
+	}}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.CurrentView().Horizon() != 4 || c.Head().ID() != src.Head().ID() {
+		t.Fatalf("reopened at horizon %d, head %s: want 4, %s", c.CurrentView().Horizon(), c.Head().ID().Short(), src.Head().ID().Short())
+	}
+	if recs := c.lockedRecords(1, 3); recs[0].Raw == nil || recs[2].Raw == nil {
+		t.Fatal("the reopen decoded the blocks below its snapshot: no record kept its bytes")
+	}
+	assertViewMatchesChain(t, c, nil)
+}
+
+// stallLog is a Storage whose AppendBlocks, once armed, reports that it
+// entered and then waits for release: a commit stalled in its fsync with
+// the chain's write lock held.
+type stallLog struct {
+	memLog
+	armed   bool // set before the stalled commit starts
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *stallLog) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
+	if s.armed {
+		close(s.entered)
+		<-s.release
+	}
+	return s.memLog.AppendBlocks(blocks, headID, headNumber)
+}
+
+// TestReadersDoNotWaitForCommit stalls a commit in its storage append and
+// calls every public reader but the two locked ones (HasBlock and
+// BlockByID, which answer for side blocks too). Each must return its
+// pre-commit answer while the append is still stalled. The append is
+// released only after the readers return, so a reader that takes c.mu
+// deadlocks whatever the scheduler does, and the watchdog names it.
+func TestReadersDoNotWaitForCommit(t *testing.T) {
+	h := newHarness(t)
+	log := &stallLog{entered: make(chan struct{}), release: make(chan struct{})}
+	cfg := h.chain.Config()
+	cfg.Storage = log
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.chain = c
+	payee := wallet.NewDeterministic("payee").Address()
+	sraTx, _ := h.sraTx(types.EtherAmount(1000), types.EtherAmount(5))
+	h.extend(sraTx)
+	transfer := h.transferTx(h.provider, payee, types.EtherAmount(1))
+	h.extend(transfer)
+	head := c.Head()
+	next, err := c.BuildBlock(head.ID(), h.miner.Address(), head.Header.Time+15_350, 1000,
+		[]*types.Transaction{h.transferTx(h.provider, payee, types.EtherAmount(2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tx := transfer.Hash()
+	readers := []struct {
+		name string
+		read func() any
+	}{
+		{"Head", func() any { return c.Head() }},
+		{"Genesis", func() any { return c.Genesis() }},
+		{"HeadNumber", func() any { return c.HeadNumber() }},
+		{"State", func() any { return c.State().Root() }},
+		{"CanonicalBlocks", func() any { return c.CanonicalBlocks() }},
+		{"StorageStats", func() any { return c.StorageStats() }},
+		{"SnapshotNow", func() any { return c.SnapshotNow() }},
+		{"CurrentView", func() any { return c.CurrentView() }},
+		{"ReadView.Head", func() any { return c.CurrentView().Head() }},
+		{"ReadView.HeadID", func() any { return c.CurrentView().HeadID() }},
+		{"ReadView.HeadNumber", func() any { return c.CurrentView().HeadNumber() }},
+		{"ReadView.TotalDifficulty", func() any { return c.CurrentView().TotalDifficulty() }},
+		{"ReadView.Horizon", func() any { return c.CurrentView().Horizon() }},
+		{"ReadView.BlockByNumber", func() any { b, err := c.CurrentView().BlockByNumber(2); return []any{b, err} }},
+		{"ReadView.AppendBlocksRange", func() any { return c.CurrentView().AppendBlocksRange(nil, 0, 9) }},
+		{"ReadView.RecordsRange", func() any { return c.CurrentView().RecordsRange(0, 9) }},
+		{"ReadView.ReceiptOf", func() any { r, err := c.CurrentView().ReceiptOf(tx); return []any{r, err} }},
+		{"ReadView.Confirmations", func() any { return c.CurrentView().Confirmations(tx) }},
+		{"ReadView.TxLocation", func() any { id, n, i, ok := c.CurrentView().TxLocation(tx); return []any{id, n, i, ok} }},
+		{"ReadView.State", func() any { return c.CurrentView().State().Root() }},
+		{"ReadView.FinalizedDepth", func() any { return c.CurrentView().FinalizedDepth(1) }},
+	}
+	want := make([]any, len(readers))
+	for i, r := range readers {
+		want[i] = r.read()
+	}
+
+	log.armed = true
+	inserted := make(chan error, 1)
+	go func() {
+		_, err := c.InsertBlock(next)
+		inserted <- err
+	}()
+	<-log.entered
+
+	var current atomic.Value
+	var late atomic.Bool // the watchdog fired: later answers follow the commit
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, r := range readers {
+			current.Store(r.name)
+			got := r.read()
+			if late.Load() {
+				return
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%s during the stalled commit = %v, want the pre-commit %v", r.name, got, want[i])
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		late.Store(true)
+		t.Errorf("%s waited for the stalled commit: it reads under the chain's lock", current.Load())
+	}
+	close(log.release)
+	<-done
+	if err := <-inserted; err != nil {
+		t.Fatal(err)
+	}
+	if c.Head().ID() != next.ID() {
+		t.Fatal("the stalled block did not become the head once released")
+	}
 }
 
 // TestReadViewImmutableAcrossReorg pins a view before a fork switch and
@@ -261,8 +448,8 @@ func TestReadViewConcurrentHammer(t *testing.T) {
 	if _, err := target.InsertChain(trunk); err != nil {
 		t.Fatal(err)
 	}
-	// Interleave locked State() copies (they bump the shared epoch) with
-	// the fork import to stress Copy-vs-frozen-read concurrency.
+	// Interleave State() copies (they bump the shared epoch) with the
+	// fork import to stress Copy-vs-frozen-read concurrency.
 	if _, err := target.InsertChain(fork[:4]); err != nil {
 		t.Fatal(err)
 	}

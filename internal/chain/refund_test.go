@@ -63,7 +63,7 @@ func TestRefundViaTransaction(t *testing.T) {
 	before := h.chain.State().Balance(h.provider.Address())
 	refund := h.refundTx(sra.ID)
 	h.extend(refund) // block 5: refund executes
-	r, err := h.chain.ReceiptOf(refund.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(refund.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRefundBeforeWindowFailsAndBurnsGas(t *testing.T) {
 
 	refund := h.refundTx(sra.ID)
 	h.extend(refund) // block 2: too early
-	r, err := h.chain.ReceiptOf(refund.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(refund.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestNativeCallRejectsGarbageInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.extend(tx)
-	r, err := h.chain.ReceiptOf(tx.Hash())
+	r, err := h.chain.CurrentView().ReceiptOf(tx.Hash())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,18 +31,19 @@ func assertIndexesMatchScan(t *testing.T, c *Chain, sraIDs ...types.Hash) {
 	// txIndex: every canonical tx resolves to its block's receipt and the
 	// right confirmation depth; nothing else is indexed.
 	canonical := make(map[types.Hash]uint64)
-	head := c.Head().Header.Number
-	for _, blk := range c.CanonicalBlocks() {
+	v := c.CurrentView()
+	head := v.HeadNumber()
+	for _, blk := range v.AppendBlocksRange(nil, 0, head) {
 		for _, tx := range blk.Txs {
 			canonical[tx.Hash()] = blk.Header.Number
-			r, err := c.ReceiptOf(tx.Hash())
+			r, err := v.ReceiptOf(tx.Hash())
 			if err != nil {
 				t.Fatalf("canonical tx %s has no receipt: %v", tx.Hash().Short(), err)
 			}
 			if r.TxHash != tx.Hash() {
 				t.Fatalf("receipt of %s carries hash %s", tx.Hash().Short(), r.TxHash.Short())
 			}
-			if got, want := c.Confirmations(tx.Hash()), head-blk.Header.Number+1; got != want {
+			if got, want := v.Confirmations(tx.Hash()), head-blk.Header.Number+1; got != want {
 				t.Fatalf("confirmations of %s = %d, want %d", tx.Hash().Short(), got, want)
 			}
 		}
@@ -91,20 +92,20 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	}
 
 	// Branch A's artifacts must be gone from every index.
-	if _, err := h.chain.ReceiptOf(dtxA.Hash()); err == nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(dtxA.Hash()); err == nil {
 		t.Error("orphaned branch-A report still has a canonical receipt")
 	}
-	if _, err := h.chain.ReceiptOf(transferA.Hash()); err == nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(transferA.Hash()); err == nil {
 		t.Error("orphaned branch-A transfer still has a canonical receipt")
 	}
-	if got := h.chain.Confirmations(itxA.Hash()); got != 0 {
+	if got := h.chain.CurrentView().Confirmations(itxA.Hash()); got != 0 {
 		t.Errorf("orphaned report reports %d confirmations", got)
 	}
 	if ref := h.chain.referenceOf(sra.ID); ref.Reports != 2 || ref.Confirmed != 1 {
 		t.Fatalf("after reorg: reference %+v, want branch B's 2 reports confirming 1", ref)
 	}
 	// The SRA itself sits on the common prefix and must keep its receipt.
-	if _, err := h.chain.ReceiptOf(sraTx.Hash()); err != nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(sraTx.Hash()); err != nil {
 		t.Errorf("common-prefix SRA lost its receipt: %v", err)
 	}
 	assertIndexesMatchScan(t, h.chain, sra.ID)
@@ -128,10 +129,10 @@ func TestReorgConsistencyAcrossIndexes(t *testing.T) {
 	if ref := h.chain.referenceOf(sra.ID); ref.Reports != 4 || ref.Confirmed != 3 {
 		t.Fatalf("after second reorg: reference %+v, want 4 reports (A pair + A2 pair) confirming 3", ref)
 	}
-	if _, err := h.chain.ReceiptOf(dtxB.Hash()); err == nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(dtxB.Hash()); err == nil {
 		t.Error("branch-B report survived the second reorg")
 	}
-	if _, err := h.chain.ReceiptOf(transferA.Hash()); err != nil {
+	if _, err := h.chain.CurrentView().ReceiptOf(transferA.Hash()); err != nil {
 		t.Errorf("branch-A transfer not restored: %v", err)
 	}
 	assertIndexesMatchScan(t, h.chain, sra.ID)

@@ -111,6 +111,24 @@ func (v *ReadView) AppendBlocksRange(dst []*types.Block, from, to uint64) []*typ
 	return dst
 }
 
+// RecordsRange returns the canonical blocks from..to (inclusive) of this
+// view as records. Ranges past the head are truncated; an inverted or
+// out-of-range request yields nil. It is built for a writer: a block a
+// reopen kept as log bytes comes back as those bytes beside its
+// header-only block, not decoded, so serving a peer's range sync costs a
+// copy of each record.
+func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
+	if from >= uint64(len(v.canon)) || to < from {
+		return nil
+	}
+	to = min(to, uint64(len(v.canon))-1)
+	out := make([]types.BlockRecord, 0, to-from+1)
+	for _, e := range v.canon[from : to+1] {
+		out = append(out, types.BlockRecord{Block: e.block, Raw: e.raw})
+	}
+	return out
+}
+
 // ReceiptOf returns the receipt of a transaction canonical in this view.
 // Below the view's horizon it answers ErrBelowHorizon.
 func (v *ReadView) ReceiptOf(txHash types.Hash) (*Receipt, error) {

@@ -93,9 +93,8 @@ func (p *Platform) dispatchNotificationsLocked() {
 	if len(p.providers) == 0 {
 		return
 	}
-	reader := p.providers[0].Chain()
-	st := reader.State()
-	head := reader.HeadNumber()
+	v := p.providers[0].CurrentView()
+	st, head := v.State(), v.HeadNumber()
 
 	n := p.notify
 	n.mu.Lock()

@@ -243,8 +243,7 @@ func (p *Platform) reactLocked() {
 	if len(p.providers) == 0 {
 		return
 	}
-	reader := p.providers[0].Chain()
-	st := reader.State()
+	st := p.providers[0].CurrentView().State()
 	for id, sra := range p.announced {
 		if _, err := p.contract.GetSRA(st, id); err != nil {
 			continue // not chained yet

@@ -9,11 +9,11 @@ import (
 )
 
 // ReferenceReader is the read surface a consumer lookup needs: one head
-// state, which holds the whole reference. Both *chain.Chain and
-// *chain.ReadView (a lock-free head snapshot) satisfy it, so the RPC layer
-// can assemble references from a pinned view without touching the chain
-// mutex, and two nodes at one state root answer alike however each got
-// there.
+// state, which holds the whole reference. Both *chain.Chain (a copy of
+// its published view's state) and *chain.ReadView satisfy it, and neither
+// touches the chain mutex: the RPC layer assembles references from the
+// view it pinned for the request, and two nodes at one state root answer
+// alike however each got there.
 type ReferenceReader interface {
 	State() *state.DB
 }

@@ -12,14 +12,12 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// ChainReader is the thin query surface a lightweight detector needs; a
-// ProviderNode's chain satisfies it. The paper's detectors "no longer
-// construct, synchronize and store a heavyweight blockchain locally"
-// (§V-B) — they consult the providers' chain instead.
+// ChainReader is the thin query surface a lightweight detector needs: the
+// published read view of a provider's chain. The paper's detectors "no
+// longer construct, synchronize and store a heavyweight blockchain
+// locally" (§V-B) — they consult the providers' chain instead.
 type ChainReader interface {
-	HeadNumber() uint64
-	Confirmations(txHash types.Hash) uint64
-	ReceiptOf(txHash types.Hash) (*chain.Receipt, error)
+	CurrentView() *chain.ReadView
 }
 
 var _ ChainReader = (*chain.Chain)(nil)
@@ -147,12 +145,14 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 
 // Poll advances Phase II: for every pending commitment whose R† has
 // reached the configured confirmation depth, the detector publishes the
-// detailed report R*. It returns the reveal transactions submitted.
+// detailed report R*. It returns the reveal transactions submitted. One
+// view answers for every pending commitment.
 func (d *DetectorNode) Poll() []*types.Transaction {
+	v := d.reader.CurrentView()
 	var revealed []*types.Transaction
 	var still []pendingReveal
 	for _, p := range d.pending {
-		if d.reader.Confirmations(p.initialTxHash) < d.cfg.RevealConfirmations {
+		if v.Confirmations(p.initialTxHash) < d.cfg.RevealConfirmations {
 			still = append(still, p)
 			continue
 		}
@@ -177,11 +177,12 @@ func (d *DetectorNode) broadcastTx(tx *types.Transaction) {
 }
 
 // Earnings sums the payouts of the detector's confirmed detailed reports,
-// as visible from the chain.
+// as visible from one view of the chain.
 func (d *DetectorNode) Earnings() types.Amount {
+	v := d.reader.CurrentView()
 	var total types.Amount
 	for dtx := range d.revealed {
-		if r, err := d.reader.ReceiptOf(dtx); err == nil && r.Success {
+		if r, err := v.ReceiptOf(dtx); err == nil && r.Success {
 			total += r.Payout.Paid
 		}
 	}

@@ -220,7 +220,7 @@ func TestDetectorLifecycleEndToEnd(t *testing.T) {
 	cl.settle()
 	cl.mine(1) // R* chained, payout executes
 
-	r, err := cl.providers[0].Chain().ReceiptOf(revealed[0].Hash())
+	r, err := cl.providers[0].CurrentView().ReceiptOf(revealed[0].Hash())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -481,11 +481,12 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 
 	buildSpan := telemetry.StartSpanIn(tc, "block.build")
 	p.mu.Lock()
-	head := p.chain.Head()
+	v := p.chain.CurrentView()
+	head := v.Head()
 	if timestamp <= head.Header.Time {
 		timestamp = head.Header.Time + 1
 	}
-	txs := p.pool.Pending(p.chain.CurrentView().State(), maxTxs)
+	txs := p.pool.Pending(v.State(), maxTxs)
 	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
 	p.mu.Unlock()
 	buildSpan.End(telemetry.L("node", string(p.id)), telemetry.L("txs", strconv.Itoa(len(txs))))
@@ -531,11 +532,12 @@ func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int
 
 	root := telemetry.StartTrace("block.seal")
 
-	head := p.chain.Head()
+	v := p.chain.CurrentView()
+	head := v.Head()
 	if timestamp <= head.Header.Time {
 		timestamp = head.Header.Time + 1
 	}
-	txs := p.pool.Pending(p.chain.CurrentView().State(), maxTxs)
+	txs := p.pool.Pending(v.State(), maxTxs)
 	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
 	if err != nil {
 		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "build-failed"))

@@ -451,7 +451,7 @@ func TestHostileSnapshotRejectedAndReplayed(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				payload := p2p.EncodeRangeBlocks(a.Chain().RecordsRange(lo, hi), maxRangeBytes)
+				payload := p2p.EncodeRangeBlocks(a.CurrentView().RecordsRange(lo, hi), maxRangeBytes)
 				_ = sn.net.Send(evil, b.ID(), p2p.Message{Kind: p2p.MsgRangeBlocks, Payload: payload})
 			}
 		}

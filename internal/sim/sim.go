@@ -467,8 +467,9 @@ func (r *runner) samplePropagation(winner int) {
 // incentive attribution and schedules eligible reveals.
 func (r *runner) mine(ev pow.SealEvent) {
 	minerWallet := r.providerWallets[ev.Winner]
-	txs := r.pool.Pending(r.chain.State(), r.cfg.MaxTxPerBlock)
-	head := r.chain.Head()
+	v := r.chain.CurrentView()
+	txs := r.pool.Pending(v.State(), r.cfg.MaxTxPerBlock)
+	head := v.Head()
 	// Sub-millisecond sealing intervals can collapse onto the parent's
 	// millisecond timestamp; consensus requires strictly increasing time.
 	timestamp := uint64(r.now / time.Millisecond)
@@ -492,7 +493,8 @@ func (r *runner) mine(ev pow.SealEvent) {
 	for _, tx := range blk.Txs {
 		r.pool.Remove(tx.Hash())
 	}
-	r.pool.Prune(r.chain.State())
+	v = r.chain.CurrentView() // the view the block published
+	r.pool.Prune(v.State())
 
 	// Incentive attribution (Eq. 7-10 flows).
 	stat := BlockStat{
@@ -509,7 +511,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 	r.samplePropagation(ev.Winner)
 	r.metrics.rewardGwei.Add(uint64(r.chain.Config().BlockReward))
 	for _, tx := range blk.Txs {
-		receipt, err := r.chain.ReceiptOf(tx.Hash())
+		receipt, err := v.ReceiptOf(tx.Hash())
 		if err != nil {
 			continue
 		}
@@ -546,7 +548,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 		if ps.active {
 			continue
 		}
-		if r.chain.Confirmations(ps.txHash) >= 1 {
+		if v.Confirmations(ps.txHash) >= 1 {
 			ps.active = true
 			r.activateDetection(ps.sra, ps.img)
 		}
@@ -563,7 +565,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 		if pr.done {
 			continue
 		}
-		if r.chain.Confirmations(pr.initialTxHash) < r.cfg.RevealConfirmations {
+		if v.Confirmations(pr.initialTxHash) < r.cfg.RevealConfirmations {
 			continue
 		}
 		w := r.detectorWallets[pr.detector]
@@ -577,7 +579,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 	}
 	types.RecoverSenders(dueTxs)
 	for i, pr := range dueReveals {
-		if err := r.pool.Add(dueTxs[i], r.chain.State()); err != nil {
+		if err := r.pool.Add(dueTxs[i], v.State()); err != nil {
 			r.nonces[r.detectorWallets[pr.detector].Address()]--
 			pr.done = true // out of funds; abandon
 			continue

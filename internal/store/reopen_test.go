@@ -75,7 +75,7 @@ func TestPrefixBlocksReadBackByteIdentical(t *testing.T) {
 		}
 	}
 	viewRange, all := view.AppendBlocksRange(nil, 1, uint64(len(want))), c.CanonicalBlocks()
-	records := c.RecordsRange(1, uint64(len(want)))
+	records := view.RecordsRange(1, uint64(len(want)))
 	for n := 1; n <= len(want); n++ {
 		id := viewRange[n-1].ID()
 		byID, err := c.BlockByID(id)
@@ -116,7 +116,7 @@ func TestReopenedNodeServesRangeWithoutDecoding(t *testing.T) {
 	c := reopened.chain
 
 	// The head is decoded at open; everything under it is served as bytes.
-	payload := p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks), 1<<30)
+	payload := p2p.EncodeRangeBlocks(c.CurrentView().RecordsRange(1, blocks), 1<<30)
 	got, err := p2p.ParseRangeBlocks(payload)
 	if err != nil || len(got) != blocks {
 		t.Fatalf("range response: %d records, %v", len(got), err)
@@ -126,7 +126,7 @@ func TestReopenedNodeServesRangeWithoutDecoding(t *testing.T) {
 			t.Errorf("block #%d served as %x, imported %x", i+1, got[i], want[i])
 		}
 	}
-	if n := testing.AllocsPerRun(10, func() { _ = p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks-1), 1<<30) }); n != 2 {
+	if n := testing.AllocsPerRun(10, func() { _ = p2p.EncodeRangeBlocks(c.CurrentView().RecordsRange(1, blocks-1), 1<<30) }); n != 2 {
 		t.Errorf("serving %d prefix blocks made %v allocations, want 2", blocks-1, n)
 	}
 }
@@ -150,16 +150,16 @@ func TestSnapJoinedNodeServesRangeWithoutDecoding(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for i, rec := range c.RecordsRange(1, blocks-1) {
+	for i, rec := range c.CurrentView().RecordsRange(1, blocks-1) {
 		if rec.Raw == nil || rec.Block.Txs != nil {
 			t.Fatalf("prefix block #%d held decoded, not as its record", i+1)
 		}
 	}
-	served := p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks), 1<<30)
-	if want := p2p.EncodeRangeBlocks(src.chain.RecordsRange(1, blocks), 1<<30); !bytes.Equal(served, want) {
+	served := p2p.EncodeRangeBlocks(c.CurrentView().RecordsRange(1, blocks), 1<<30)
+	if want := p2p.EncodeRangeBlocks(src.chain.CurrentView().RecordsRange(1, blocks), 1<<30); !bytes.Equal(served, want) {
 		t.Error("the joined node serves other bytes than its source")
 	}
-	if n := testing.AllocsPerRun(10, func() { _ = p2p.EncodeRangeBlocks(c.RecordsRange(1, blocks-1), 1<<30) }); n != 2 {
+	if n := testing.AllocsPerRun(10, func() { _ = p2p.EncodeRangeBlocks(c.CurrentView().RecordsRange(1, blocks-1), 1<<30) }); n != 2 {
 		t.Errorf("serving %d prefix blocks made %v allocations, want 2", blocks-1, n)
 	}
 	for _, blk := range prefix {
