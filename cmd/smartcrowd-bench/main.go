@@ -37,7 +37,7 @@ func run() int {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		csvDir  = flag.String("csv", "", "also write each report as CSV into this directory")
 		jsonDir = flag.String("json", "", "also write each report (rows, notes, telemetry) as JSON into this directory")
-		showTel = flag.Bool("telemetry", false, "print per-experiment telemetry deltas (chain/txpool/pow counters moved by the run)")
+		showTel = flag.Bool("telemetry", false, "print per-experiment telemetry deltas (chain/txpool/pow counters moved by the run; the registry is process-wide, so chain and txpool deltas sum over the run's provider nodes)")
 	)
 	flag.Parse()
 
@@ -78,7 +78,9 @@ func run() int {
 		}
 		// Attach what the run moved in the process-wide registry: counter
 		// and histogram-count deltas attribute chain/txpool/pow work to
-		// this experiment even though the registry is shared.
+		// this experiment even though the registry is shared. Every
+		// provider node the simulation runs counts into it, so a chain or
+		// txpool delta is the sum over the run's nodes.
 		report.Telemetry = telemetry.Since(before)
 		fmt.Println(report)
 		if *showTel {

@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsQuickScale runs every table/figure regeneration at
-// Quick scale and requires every paper-shape check to pass.
+// Quick scale, requires every paper-shape check to pass, and pins each
+// report's rendering to testdata/quick/<id>.txt (generated at 3891772),
+// so a figure moves only on purpose.
 func TestAllExperimentsQuickScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment reproductions are not short")
@@ -24,6 +28,13 @@ func TestAllExperimentsQuickScale(t *testing.T) {
 			}
 			if len(report.Rows) == 0 {
 				t.Errorf("%s: report has no rows", exp.ID)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", "quick", exp.ID+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := report.String(); got != string(golden) {
+				t.Errorf("%s: report differs from testdata/quick/%s.txt\ngot:\n%s\nwant:\n%s", exp.ID, exp.ID, got, golden)
 			}
 		})
 	}

@@ -16,6 +16,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/node"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -213,7 +214,7 @@ func (p *Platform) Mine(providerIdx int) (*types.Block, error) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownProvider, providerIdx)
 	}
 	p.clock += 15_350
-	blk, err := p.providers[providerIdx].MineBlock(p.clock, 1000, 0, 0)
+	blk, err := p.providers[providerIdx].SealAndPublish(pow.AsBuilt{}, p.clock, 1000, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +224,8 @@ func (p *Platform) Mine(providerIdx int) (*types.Block, error) {
 	return blk, nil
 }
 
-// settleLocked drains the network until quiet.
+// settleLocked drains the network until quiet: after a seal, and after
+// the messages detector reactions produce.
 func (p *Platform) settleLocked() {
 	for i := 0; i < 32; i++ {
 		p.clock += 10
@@ -231,7 +233,7 @@ func (p *Platform) settleLocked() {
 		for _, prov := range p.providers {
 			prov.HandleMessages()
 		}
-		if p.net.PendingDeliveries() == 0 && i > 0 {
+		if p.net.PendingDeliveries() == 0 {
 			return
 		}
 	}
@@ -269,21 +271,7 @@ func (p *Platform) reactLocked() {
 	for _, det := range p.detectors {
 		det.Poll()
 	}
-	p.settleNetworkOnly()
-}
-
-// settleNetworkOnly flushes messages produced by detector reactions.
-func (p *Platform) settleNetworkOnly() {
-	for i := 0; i < 32; i++ {
-		p.clock += 10
-		p.net.AdvanceTo(p.clock)
-		for _, prov := range p.providers {
-			prov.HandleMessages()
-		}
-		if p.net.PendingDeliveries() == 0 {
-			return
-		}
-	}
+	p.settleLocked()
 }
 
 func (p *Platform) nextNonce(a types.Address) uint64 {

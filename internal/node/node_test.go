@@ -8,6 +8,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/store"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/txpool"
@@ -64,7 +65,7 @@ func (cl *cluster) settle() {
 func (cl *cluster) mine(i int) *types.Block {
 	cl.t.Helper()
 	cl.now += 15_350
-	blk, err := cl.providers[i].MineBlock(cl.now, 1000, 0, 0)
+	blk, err := cl.providers[i].SealAndPublish(pow.AsBuilt{}, cl.now, 1000, 0, nil)
 	if err != nil {
 		cl.t.Fatal(err)
 	}
@@ -344,12 +345,12 @@ func TestPartitionHealReconvergence(t *testing.T) {
 	// Group A mines a long-but-light chain; group B a short-but-heavy one.
 	for i := 0; i < 3; i++ {
 		cl.now += 15_350
-		if _, err := a.MineBlock(cl.now, 1000, 0, 0); err != nil {
+		if _, err := a.SealAndPublish(pow.AsBuilt{}, cl.now, 1000, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	cl.now += 15_350
-	heavy, err := b.MineBlock(cl.now, 10_000, 0, 0)
+	heavy, err := b.SealAndPublish(pow.AsBuilt{}, cl.now, 10_000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestDeepBackfill(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		cl.now += 15_350
 		var err error
-		head, err = a.MineBlock(cl.now, 1000, 0, 0)
+		head, err = a.SealAndPublish(pow.AsBuilt{}, cl.now, 1000, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +623,7 @@ func TestReopenedProviderDoesNotRebroadcastKnownBlock(t *testing.T) {
 	}
 
 	first := open()
-	head, err := first.MineBlock(15_350, 1000, 0, 0)
+	head, err := first.SealAndPublish(pow.AsBuilt{}, 15_350, 1000, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -467,17 +467,24 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemet
 	}
 }
 
-// SealAndPublish performs one round of live mining: it assembles a block
-// on the current head, grinds a real proof-of-work nonce with the given
-// sealer (releasing the node lock during the search), then inserts and
-// gossips the sealed block. If another block lands on the head while
-// sealing, the stale solution is discarded and ErrStaleSeal is returned —
-// the caller simply tries again, exactly like a real miner.
+// SealAndPublish performs one round of mining, and it is the only way a
+// block is sealed: it assembles a block on the current head, seals it with
+// the given sealer (releasing the node lock during the search), then
+// inserts and gossips the sealed block. A CPUSealer grinds a real nonce,
+// the simulation's lottery stamps one, and AsBuilt keeps the built one. If
+// another block lands on the head while sealing, the stale solution is
+// discarded and ErrStaleSeal is returned — the caller simply tries again,
+// exactly like a real miner.
+//
+// The block.seal root span ends on every exit, labelled with its outcome:
+// ok, build-failed, aborted, stale or invalid.
 func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty uint64, maxTxs int, stop <-chan struct{}) (*types.Block, error) {
 	// The root of the block's lifecycle trace: build, nonce search,
 	// import and every downstream gossip hop parent under this context.
 	root := telemetry.StartTrace("block.seal")
 	tc := root.Context()
+	nodeLabel := telemetry.L("node", string(p.id))
+	endRoot := func(outcome string) { root.End(nodeLabel, telemetry.L("outcome", outcome)) }
 
 	buildSpan := telemetry.StartSpanIn(tc, "block.build")
 	p.mu.Lock()
@@ -489,79 +496,34 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 	txs := p.pool.Pending(v.State(), maxTxs)
 	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
 	p.mu.Unlock()
-	buildSpan.End(telemetry.L("node", string(p.id)), telemetry.L("txs", strconv.Itoa(len(txs))))
+	buildSpan.End(nodeLabel, telemetry.L("txs", strconv.Itoa(len(txs))))
 	if err != nil {
+		endRoot("build-failed")
 		return nil, fmt.Errorf("node: build block: %w", err)
 	}
 
 	powSpan := telemetry.StartSpanIn(tc, "pow.seal")
 	sealed, err := sealer.Seal(blk.Header, stop)
 	if err != nil {
-		powSpan.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "aborted"))
+		powSpan.End(nodeLabel, telemetry.L("outcome", "aborted"))
+		endRoot("aborted")
 		return nil, err
 	}
-	powSpan.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "ok"))
+	powSpan.End(nodeLabel, telemetry.L("outcome", "ok"))
 	blk.Header = sealed
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.chain.Head().ID() != head.ID() {
-		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "stale"))
+		endRoot("stale")
 		return nil, ErrStaleSeal
 	}
-	if err := p.publishOwnBlock(blk, root); err != nil {
-		return nil, err
-	}
-	nodeLog.WithTrace(tc).Debug("sealed and published block",
-		"node", p.id, "number", blk.Header.Number, "id", blk.ID().Short(), "txs", len(blk.Txs))
-	return blk, nil
-}
-
-// ErrStaleSeal reports that the chain advanced while a nonce was being
-// ground; the caller should rebuild on the new head.
-var ErrStaleSeal = errors.New("node: sealed block is stale (head advanced)")
-
-// MineBlock assembles a block from the pending pool on the current head,
-// stamps it with the given timestamp and difficulty, inserts it locally
-// and gossips it. The sealing itself (nonce search or simulated lottery)
-// is the caller's concern: pass the sealed nonce via seal, or 0 for
-// simulated chains that skip the PoW check.
-func (p *ProviderNode) MineBlock(timestamp, difficulty, nonce uint64, maxTxs int) (*types.Block, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-
-	root := telemetry.StartTrace("block.seal")
-
-	v := p.chain.CurrentView()
-	head := v.Head()
-	if timestamp <= head.Header.Time {
-		timestamp = head.Header.Time + 1
-	}
-	txs := p.pool.Pending(v.State(), maxTxs)
-	blk, err := p.chain.BuildBlock(head.ID(), p.wallet.Address(), timestamp, difficulty, txs)
-	if err != nil {
-		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "build-failed"))
-		return nil, fmt.Errorf("node: build block: %w", err)
-	}
-	blk.Header.Nonce = nonce
-	if err := p.publishOwnBlock(blk, root); err != nil {
-		return nil, err
-	}
-	return blk, nil
-}
-
-// publishOwnBlock is the shared tail of SealAndPublish and MineBlock:
-// import the block this node just built, drop its transactions from the
-// pool, gossip it under the seal trace, and end that trace's root span
-// with the outcome. Callers hold the lock.
-func (p *ProviderNode) publishOwnBlock(blk *types.Block, root telemetry.Span) error {
-	tc := root.Context()
 	importSpan := telemetry.StartSpanIn(tc, "block.import")
-	_, err := p.chain.InsertBlockTraced(blk, tc)
-	importSpan.End(telemetry.L("node", string(p.id)), telemetry.L("block", blk.ID().Short()))
+	_, err = p.chain.InsertBlockTraced(blk, tc)
+	importSpan.End(nodeLabel, telemetry.L("block", blk.ID().Short()))
 	if err != nil {
-		root.End(telemetry.L("node", string(p.id)), telemetry.L("outcome", "invalid"))
-		return fmt.Errorf("node: insert own block: %w", err)
+		endRoot("invalid")
+		return nil, fmt.Errorf("node: insert own block: %w", err)
 	}
 	p.rememberTrace(blk.ID(), tc)
 	for _, tx := range blk.Txs {
@@ -571,10 +533,12 @@ func (p *ProviderNode) publishOwnBlock(blk *types.Block, root telemetry.Span) er
 	if p.net != nil {
 		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(blk), Trace: tc})
 	}
-	root.End(
-		telemetry.L("node", string(p.id)),
-		telemetry.L("number", strconv.FormatUint(blk.Header.Number, 10)),
-		telemetry.L("outcome", "ok"),
-	)
-	return nil
+	root.End(nodeLabel, telemetry.L("number", strconv.FormatUint(blk.Header.Number, 10)), telemetry.L("outcome", "ok"))
+	nodeLog.WithTrace(tc).Debug("sealed and published block",
+		"node", p.id, "number", blk.Header.Number, "id", blk.ID().Short(), "txs", len(blk.Txs))
+	return blk, nil
 }
+
+// ErrStaleSeal reports that the chain advanced while a nonce was being
+// ground; the caller should rebuild on the new head.
+var ErrStaleSeal = errors.New("node: sealed block is stale (head advanced)")

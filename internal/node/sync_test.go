@@ -8,6 +8,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/state"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -46,7 +47,7 @@ func (sn *syncNet) grow(p *ProviderNode, n int, drain ...*ProviderNode) {
 	sn.t.Helper()
 	for i := 0; i < n; i++ {
 		sn.now += 15_000
-		if _, err := p.MineBlock(sn.now, 1000, 0, 0); err != nil {
+		if _, err := p.SealAndPublish(pow.AsBuilt{}, sn.now, 1000, 0, nil); err != nil {
 			sn.t.Fatal(err)
 		}
 		sn.pump(append([]*ProviderNode{p}, drain...), 4)
@@ -138,7 +139,7 @@ func TestSnapSyncColdJoin(t *testing.T) {
 	}
 	// And the synced node is a full participant: it can mine on top.
 	sn.now += 15_000
-	if _, err := b.MineBlock(sn.now, 1000, 0, 0); err != nil {
+	if _, err := b.SealAndPublish(pow.AsBuilt{}, sn.now, 1000, 0, nil); err != nil {
 		t.Fatalf("synced node cannot mine: %v", err)
 	}
 }

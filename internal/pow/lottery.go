@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
+	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
 // MinerPower describes one mining provider's share of the network.
@@ -116,10 +117,16 @@ func (s *SimSealer) Next() SealEvent {
 	return SealEvent{Winner: winner, Interval: interval}
 }
 
-// NonceFor deterministically fabricates a plausible nonce for a simulated
-// block; simulated chains skip the PoW predicate but keep the field
-// populated so encodings stay uniform.
-func (s *SimSealer) NonceFor() uint64 { return s.rng.Uint64() }
+var _ Sealer = (*SimSealer)(nil)
+
+// Seal implements Sealer for simulated chains: Next has already drawn the
+// round's winner, so Seal stamps the header with a nonce drawn from the
+// lottery's own stream and never aborts. Simulated chains skip the PoW
+// predicate but keep the field populated so encodings stay uniform.
+func (s *SimSealer) Seal(hdr types.Header, _ <-chan struct{}) (types.Header, error) {
+	hdr.Nonce = s.rng.Uint64()
+	return hdr, nil
+}
 
 // TopFiveEthereumShares returns the hashing-power distribution the paper
 // uses: the top-5 Ethereum mining pools at the time of writing

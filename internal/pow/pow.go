@@ -3,13 +3,16 @@
 // below the difficulty target, and the provider who finds it records the
 // pending detection results and earns the block reward (Eq. 8).
 //
-// Two sealers share one interface:
+// Three sealers share one interface, and a node seals every block through
+// it (node.ProviderNode.SealAndPublish):
 //
 //   - CPUSealer performs the real nonce search (used by the feasibility
 //     benchmarks and the live testnet CLI);
 //   - SimSealer (lottery.go) samples the *outcome* of the search — winner ∝
 //     hashing power, interarrival ~ exponential — so the experiment harness
-//     can reproduce the paper's multi-hour figures in milliseconds.
+//     can reproduce the paper's multi-hour figures in seconds;
+//   - AsBuilt returns the header unchanged, for chains that skip the PoW
+//     check (core.Platform, and tests that pin nonce 0).
 package pow
 
 import (
@@ -32,6 +35,15 @@ type Sealer interface {
 	// when stop is closed. The returned header is fully sealed.
 	Seal(hdr types.Header, stop <-chan struct{}) (types.Header, error)
 }
+
+// AsBuilt is the sealer for chains with chain.Config.SkipPoWCheck: it
+// returns the header as built, nonce and all.
+type AsBuilt struct{}
+
+var _ Sealer = AsBuilt{}
+
+// Seal implements Sealer without searching.
+func (AsBuilt) Seal(hdr types.Header, _ <-chan struct{}) (types.Header, error) { return hdr, nil }
 
 // CPUSealer performs a parallel brute-force nonce search. The zero value
 // uses all CPUs; set Threads to bound parallelism (the paper pins

@@ -99,6 +99,19 @@ func TestSimSealerDeterministic(t *testing.T) {
 		if ea != eb {
 			t.Fatalf("event %d diverged: %v vs %v", i, ea, eb)
 		}
+		// Seal stamps the nonce from the same stream and changes nothing else.
+		hdr := types.Header{Number: uint64(i + 1), Difficulty: PaperBlockDifficulty}
+		ha, err := a.Seal(hdr, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hb, _ := b.Seal(hdr, nil)
+		if ha != hb {
+			t.Fatalf("seal %d diverged: nonce %d vs %d", i, ha.Nonce, hb.Nonce)
+		}
+		if ha.Nonce = 0; ha != hdr {
+			t.Fatalf("seal %d changed more than the nonce", i)
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/node"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -68,7 +69,7 @@ func newForkProvider(t *testing.T, id string, alice *wallet.Wallet) *node.Provid
 func mineOn(t *testing.T, prov *node.ProviderNode) {
 	t.Helper()
 	head := prov.Chain().Head()
-	if _, err := prov.MineBlock(head.Header.Time+15_000, 1000, 0, 0); err != nil {
+	if _, err := prov.SealAndPublish(pow.AsBuilt{}, head.Header.Time+15_000, 1000, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/node"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -46,7 +47,7 @@ func TestHealthHeadAge(t *testing.T) {
 		t.Fatal(err)
 	}
 	sealed := time.Now().Add(-90 * time.Second).UnixMilli()
-	if _, err := prov.MineBlock(uint64(sealed), 1000, 0, 0); err != nil {
+	if _, err := prov.SealAndPublish(pow.AsBuilt{}, uint64(sealed), 1000, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(NewServer(prov, sc))
@@ -67,7 +68,7 @@ func TestHealthHeadAge(t *testing.T) {
 
 func TestDebugTracesEndpoint(t *testing.T) {
 	e := newEnv(t)
-	// The env mined blocks through MineBlock, which mints a block.seal
+	// The env mined blocks through SealAndPublish, which mints a block.seal
 	// trace per block and remembers it by block id.
 	head := e.provider.Chain().Head()
 	tc, ok := e.provider.TraceOf(head.ID())

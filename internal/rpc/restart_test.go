@@ -13,6 +13,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/node"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/store"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -45,7 +46,7 @@ func TestRestartUnderConcurrentRPC(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		head := prov.Chain().Head()
-		if _, err := prov.MineBlock(head.Header.Time+15_000, 1000, 0, 0); err != nil {
+		if _, err := prov.SealAndPublish(pow.AsBuilt{}, head.Header.Time+15_000, 1000, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

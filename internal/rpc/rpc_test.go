@@ -14,6 +14,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/light"
 	"github.com/smartcrowd/smartcrowd/internal/node"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -134,7 +135,7 @@ func newEnvOn(t *testing.T, storage chain.Storage) *env {
 func (e *env) mine() {
 	e.t.Helper()
 	head := e.provider.Chain().Head()
-	if _, err := e.provider.MineBlock(head.Header.Time+15_000, 1000, 0, 0); err != nil {
+	if _, err := e.provider.SealAndPublish(pow.AsBuilt{}, head.Header.Time+15_000, 1000, 0, nil); err != nil {
 		e.t.Fatal(err)
 	}
 }

@@ -1,9 +1,10 @@
 // Package sim is SmartCrowd's experiment harness: a discrete-event
-// simulation that drives a full platform — mining providers (weighted PoW
-// lottery), lightweight detectors racing per-vulnerability through the
-// two-phase report protocol, SRA releases with escrowed insurance — over
-// simulated hours in milliseconds of wall-clock time. Every run is
-// deterministic given its seed.
+// simulation that drives a full platform — one real provider node per
+// mining provider on a zero-latency gossip bus, a weighted PoW lottery
+// picking who seals, lightweight detectors racing per-vulnerability
+// through the two-phase report protocol, SRA releases with escrowed
+// insurance — over simulated hours in seconds of wall-clock time. Every
+// run is deterministic given its seed.
 //
 // The harness reproduces the paper's §VII experiments: block production and
 // rewards (Fig. 3), provider incentives and punishments (Fig. 4, 5), and
@@ -21,9 +22,10 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/incentive"
+	"github.com/smartcrowd/smartcrowd/internal/node"
+	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
-	"github.com/smartcrowd/smartcrowd/internal/txpool"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -116,8 +118,11 @@ type Result struct {
 	Tracker   *incentive.Tracker
 	Providers []types.Address
 	Detectors []types.Address
-	Chain     *chain.Chain
-	Contract  *contract.Contract
+	// Chain is the first provider node's chain; every node's agrees.
+	Chain    *chain.Chain
+	Contract *contract.Contract
+	// nodes are the run's provider nodes, indexed like Config.Providers.
+	nodes []*node.ProviderNode
 	// telemetry is the run's end-of-run metric snapshot (see Telemetry).
 	telemetry telemetry.Snapshot
 }
@@ -162,15 +167,14 @@ func (q *eventQueue) Pop() interface{} {
 type runner struct {
 	cfg      Config
 	rng      *rand.Rand
-	chain    *chain.Chain
+	net      *p2p.Network
+	nodes    []*node.ProviderNode // one per Config.Providers entry
 	contract *contract.Contract
 	verifier *detection.GroundTruthVerifier
 	sealer   *pow.SimSealer
-	pool     *txpool.Pool
 	tracker  *incentive.Tracker
 	metrics  *simMetrics
 
-	providerWallets []*wallet.Wallet
 	detectorWallets []*wallet.Wallet
 	nonces          map[types.Address]uint64
 
@@ -239,8 +243,8 @@ func Run(cfg Config) (*Result, error) {
 	r := &runner{
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		net:         p2p.New(p2p.Config{Seed: cfg.Seed}),
 		verifier:    detection.NewGroundTruthVerifier(false),
-		pool:        txpool.New(txpool.Config{Capacity: 1 << 16}),
 		tracker:     incentive.NewTracker(),
 		metrics:     newSimMetrics(),
 		nonces:      make(map[types.Address]uint64),
@@ -251,9 +255,10 @@ func Run(cfg Config) (*Result, error) {
 	// Genesis allocation.
 	alloc := make(map[types.Address]types.Amount)
 	miners := make([]pow.MinerPower, len(cfg.Providers))
+	providerWallets := make([]*wallet.Wallet, len(cfg.Providers))
 	for i, spec := range cfg.Providers {
 		w := wallet.NewDeterministic(fmt.Sprintf("sim%d-provider-%s", cfg.Seed, spec.Name))
-		r.providerWallets = append(r.providerWallets, w)
+		providerWallets[i] = w
 		funds := spec.Funds
 		if funds == 0 {
 			funds = types.EtherAmount(100_000)
@@ -274,11 +279,13 @@ func Run(cfg Config) (*Result, error) {
 	chainCfg := chain.DefaultConfig(r.contract)
 	chainCfg.SkipPoWCheck = true
 	chainCfg.Alloc = alloc
-	c, err := chain.New(chainCfg)
-	if err != nil {
-		return nil, err
+	for i, w := range providerWallets {
+		n, err := node.NewProvider(p2p.NodeID(fmt.Sprintf("provider/%d", i)), w, chainCfg, r.net)
+		if err != nil {
+			return nil, err
+		}
+		r.nodes = append(r.nodes, n)
 	}
-	r.chain = c
 
 	sealer, err := pow.NewSimSealer(pow.SimConfig{
 		Miners:        miners,
@@ -297,7 +304,9 @@ func Run(cfg Config) (*Result, error) {
 		r.schedule(rel.At, func() { r.release(idx) })
 	}
 
-	r.loop()
+	if err := r.loop(); err != nil {
+		return nil, err
+	}
 	return r.result(), nil
 }
 
@@ -310,14 +319,16 @@ func (r *runner) schedule(at time.Duration, fn func()) {
 }
 
 // loop alternates between scheduled submissions and block production until
-// the horizon elapses.
-func (r *runner) loop() {
+// the horizon elapses. Every submission and every seal settles the bus, so
+// each seal starts from nodes that agree on the head and on their pools:
+// with zero latency the lottery's winner never forks.
+func (r *runner) loop() error {
 	heap.Init(&r.events)
 	for {
 		ev := r.sealer.Next()
 		next := r.now + ev.Interval
 		if next > r.cfg.Horizon {
-			return
+			return nil
 		}
 		// Fire all submissions due before the block lands.
 		for len(r.events) > 0 && r.events[0].at <= next {
@@ -326,7 +337,33 @@ func (r *runner) loop() {
 			e.fn()
 		}
 		r.now = next
-		r.mine(ev)
+		if err := r.mine(ev); err != nil {
+			return err
+		}
+	}
+}
+
+// submit hands tx to provider node i, which pools and gossips it, then
+// settles the bus, so every node pools tx before anything else happens.
+// Arrival order breaks ties at block assembly, so it has to be the same
+// on whichever node wins the next seal.
+func (r *runner) submit(i int, tx *types.Transaction) error {
+	err := r.nodes[i].SubmitTx(tx)
+	r.settle()
+	return err
+}
+
+// settle delivers gossip round after round until the bus is quiet.
+// Latency is zero, so each round delivers everything sent before it.
+func (r *runner) settle() {
+	for i := 0; i < 32; i++ {
+		r.net.AdvanceTo(uint64(r.now / time.Millisecond))
+		for _, n := range r.nodes {
+			n.HandleMessages()
+		}
+		if r.net.PendingDeliveries() == 0 {
+			return
+		}
 	}
 }
 
@@ -334,7 +371,7 @@ func (r *runner) loop() {
 // the announcement, and schedule detector discoveries.
 func (r *runner) release(relIdx int) {
 	rel := r.cfg.Releases[relIdx]
-	w := r.providerWallets[rel.Provider]
+	w := r.nodes[rel.Provider].Wallet()
 	img := detection.GenerateImage(
 		fmt.Sprintf("fw-%d", relIdx), "1.0",
 		detection.UniverseSpec{High: rel.NumVulns, Seed: r.cfg.Seed + int64(relIdx)*31},
@@ -362,8 +399,8 @@ func (r *runner) release(relIdx int) {
 	if err := types.SignTx(tx, w); err != nil {
 		panic("sim: sign SRA tx: " + err.Error())
 	}
-	if err := r.pool.Add(tx, r.chain.State()); err != nil {
-		panic("sim: pool SRA tx: " + err.Error())
+	if err := r.submit(rel.Provider, tx); err != nil {
+		panic("sim: submit SRA tx: " + err.Error())
 	}
 	r.pendingSRAs = append(r.pendingSRAs, &pendingSRA{txHash: tx.Hash(), sra: sra, img: img})
 }
@@ -426,7 +463,7 @@ func (r *runner) submitInitial(detectorIdx int, sraID types.Hash, finding types.
 	if err := types.SignTx(itx, w); err != nil {
 		panic("sim: sign R† tx: " + err.Error())
 	}
-	if err := r.pool.Add(itx, r.chain.State()); err != nil {
+	if err := r.submit(r.entry(detectorIdx), itx); err != nil {
 		// Detector ran out of funds — a legitimate outcome; skip.
 		r.nonces[w.Address()]-- // release the nonce
 		return
@@ -450,7 +487,7 @@ const simHopMeanMs = 40.0
 // non-mining provider — the sim-side counterpart of the wire transport's
 // end-to-end propagation measurement.
 func (r *runner) samplePropagation(winner int) {
-	for i := range r.providerWallets {
+	for i := range r.nodes {
 		if i == winner {
 			continue
 		}
@@ -463,38 +500,24 @@ func (r *runner) samplePropagation(winner int) {
 	}
 }
 
-// mine lets the lottery winner seal a block from the pool, then performs
-// incentive attribution and schedules eligible reveals.
-func (r *runner) mine(ev pow.SealEvent) {
-	minerWallet := r.providerWallets[ev.Winner]
-	v := r.chain.CurrentView()
-	txs := r.pool.Pending(v.State(), r.cfg.MaxTxPerBlock)
-	head := v.Head()
-	// Sub-millisecond sealing intervals can collapse onto the parent's
-	// millisecond timestamp; consensus requires strictly increasing time.
-	timestamp := uint64(r.now / time.Millisecond)
-	if timestamp <= head.Header.Time {
-		timestamp = head.Header.Time + 1
-	}
-	blk, err := r.chain.BuildBlock(
-		head.ID(),
-		minerWallet.Address(),
-		timestamp,
-		pow.PaperBlockDifficulty,
-		txs,
-	)
+// entry is the provider node detector d submits its reports through.
+func (r *runner) entry(d int) int { return d % len(r.nodes) }
+
+// mine lets the lottery winner seal a block from its pool and settles the
+// bus, then performs incentive attribution and schedules eligible reveals.
+func (r *runner) mine(ev pow.SealEvent) error {
+	winner := r.nodes[ev.Winner]
+	// SealAndPublish lifts a timestamp that sub-millisecond intervals
+	// collapsed onto the parent's millisecond: consensus requires strictly
+	// increasing time.
+	blk, err := winner.SealAndPublish(r.sealer, uint64(r.now/time.Millisecond),
+		pow.PaperBlockDifficulty, r.cfg.MaxTxPerBlock, nil)
 	if err != nil {
-		panic("sim: build block: " + err.Error())
+		return fmt.Errorf("sim: %s seals block: %w", winner.ID(), err)
 	}
-	blk.Header.Nonce = r.sealer.NonceFor()
-	if _, err := r.chain.InsertBlock(blk); err != nil {
-		panic("sim: insert block: " + err.Error())
-	}
-	for _, tx := range blk.Txs {
-		r.pool.Remove(tx.Hash())
-	}
-	v = r.chain.CurrentView() // the view the block published
-	r.pool.Prune(v.State())
+	r.settle()
+	v := winner.CurrentView()
+	reward := winner.Chain().Config().BlockReward
 
 	// Incentive attribution (Eq. 7-10 flows).
 	stat := BlockStat{
@@ -504,18 +527,18 @@ func (r *runner) mine(ev pow.SealEvent) {
 		Interval: ev.Interval,
 		Reports:  blk.CountReports(),
 	}
-	r.tracker.Record(minerWallet.Address(), incentive.FlowMining, r.chain.Config().BlockReward)
+	r.tracker.Record(winner.Address(), incentive.FlowMining, reward)
 	r.metrics.blocks.Inc()
 	r.metrics.blockInterval.Observe(uint64(ev.Interval / time.Millisecond))
 	r.metrics.blockTxs.Observe(uint64(len(blk.Txs)))
 	r.samplePropagation(ev.Winner)
-	r.metrics.rewardGwei.Add(uint64(r.chain.Config().BlockReward))
+	r.metrics.rewardGwei.Add(uint64(reward))
 	for _, tx := range blk.Txs {
 		receipt, err := v.ReceiptOf(tx.Hash())
 		if err != nil {
 			continue
 		}
-		r.tracker.Record(minerWallet.Address(), incentive.FlowFees, receipt.Fee)
+		r.tracker.Record(winner.Address(), incentive.FlowFees, receipt.Fee)
 		r.tracker.Record(tx.From, incentive.FlowGas, receipt.Fee)
 		stat.Fees += receipt.Fee
 		r.metrics.feesGwei.Add(uint64(receipt.Fee))
@@ -529,7 +552,7 @@ func (r *runner) mine(ev pow.SealEvent) {
 			r.tracker.RecordAccepted(rep.Wallet, uint64(len(receipt.Payout.Accepted)))
 			r.metrics.bountyGwei.Add(uint64(receipt.Payout.Paid))
 			if pIdx, ok := r.sraProvider[rep.SRAID]; ok {
-				r.tracker.Record(r.providerWallets[pIdx].Address(),
+				r.tracker.Record(r.nodes[pIdx].Address(),
 					incentive.FlowPunishment, receipt.Payout.Paid)
 				r.metrics.punishGwei.Add(uint64(receipt.Payout.Paid))
 				for _, o := range r.sraOutcomes {
@@ -556,9 +579,8 @@ func (r *runner) mine(ev pow.SealEvent) {
 
 	// Phase II: queue reveals whose commitments are now confirmed. The
 	// whole due batch is built and signed first so the sender pool
-	// can warm the ECDSA caches across all CPUs; admission then runs
-	// per transaction with the same ordering and failure semantics as
-	// sequential adds (a failed add releases its nonce).
+	// can warm the ECDSA caches across all CPUs; submission then runs
+	// per transaction (a failed one releases its nonce).
 	var dueReveals []*reveal
 	var dueTxs []*types.Transaction
 	for _, pr := range r.pendingReveals {
@@ -579,13 +601,12 @@ func (r *runner) mine(ev pow.SealEvent) {
 	}
 	types.RecoverSenders(dueTxs)
 	for i, pr := range dueReveals {
-		if err := r.pool.Add(dueTxs[i], v.State()); err != nil {
+		pr.done = true // submitted, or out of funds and abandoned
+		if err := r.submit(r.entry(pr.detector), dueTxs[i]); err != nil {
 			r.nonces[r.detectorWallets[pr.detector].Address()]--
-			pr.done = true // out of funds; abandon
-			continue
 		}
-		pr.done = true
 	}
+	return nil
 }
 
 func (r *runner) nextNonce(a types.Address) uint64 {
@@ -598,12 +619,13 @@ func (r *runner) result() *Result {
 	res := &Result{
 		Blocks:    r.blockStats,
 		Tracker:   r.tracker,
-		Chain:     r.chain,
+		Chain:     r.nodes[0].Chain(),
 		Contract:  r.contract,
+		nodes:     r.nodes,
 		telemetry: r.metrics.reg.Snapshot(),
 	}
-	for _, w := range r.providerWallets {
-		res.Providers = append(res.Providers, w.Address())
+	for _, n := range r.nodes {
+		res.Providers = append(res.Providers, n.Address())
 	}
 	for _, w := range r.detectorWallets {
 		res.Detectors = append(res.Detectors, w.Address())

@@ -11,8 +11,9 @@ import (
 )
 
 // simMetrics is a per-run metric set on a private registry, so concurrent
-// or repeated Run calls never bleed counts into one another (or into the
-// process-wide Default registry used by live nodes).
+// or repeated Run calls never bleed counts into one another. The run's
+// provider nodes are real nodes: their chain, txpool and gossip series
+// count into the process-wide Default registry, summed over the nodes.
 type simMetrics struct {
 	reg           *telemetry.Registry
 	blockInterval *telemetry.Histogram // milliseconds between blocks

@@ -9,6 +9,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/node"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -122,7 +123,7 @@ func TestThreeNodeConvergence(t *testing.T) {
 	var lastBlk *types.Block
 	for i := 0; i < 3; i++ {
 		ts++
-		blk, err := n1.prov.MineBlock(ts, difficulty, 0, 0)
+		blk, err := n1.prov.SealAndPublish(pow.AsBuilt{}, ts, difficulty, 0, nil)
 		if err != nil {
 			t.Fatalf("mine block %d: %v", i+1, err)
 		}
@@ -177,7 +178,7 @@ func TestThreeNodeConvergence(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return !hasPeer(n1.tr, "n3") && !hasPeer(n2.tr, "n3") }, "n3 gone")
 	for i := 0; i < 3; i++ {
 		ts++
-		if _, err := n1.prov.MineBlock(ts, difficulty, 0, 0); err != nil {
+		if _, err := n1.prov.SealAndPublish(pow.AsBuilt{}, ts, difficulty, 0, nil); err != nil {
 			t.Fatalf("mine block %d: %v", i+4, err)
 		}
 	}
@@ -230,7 +231,7 @@ func TestSnapSyncOverTCP(t *testing.T) {
 	ts := uint64(1_000)
 	for i := 0; i < 40; i++ {
 		ts += 15_000
-		if _, err := server.prov.MineBlock(ts, 1_000, 0, 0); err != nil {
+		if _, err := server.prov.SealAndPublish(pow.AsBuilt{}, ts, 1_000, 0, nil); err != nil {
 			t.Fatalf("mine block %d: %v", i+1, err)
 		}
 	}

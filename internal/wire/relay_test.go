@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -135,7 +136,7 @@ func (rn *relayNet) submit(n *wireNode) *types.Transaction {
 func (rn *relayNet) seal(n *wireNode) *types.Block {
 	rn.t.Helper()
 	rn.ts++
-	blk, err := n.prov.MineBlock(rn.ts, 1_000, 0, 0)
+	blk, err := n.prov.SealAndPublish(pow.AsBuilt{}, rn.ts, 1_000, 0, nil)
 	if err != nil {
 		rn.t.Fatal(err)
 	}

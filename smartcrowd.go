@@ -32,7 +32,7 @@
 //	fmt.Println(ref.ConfirmedVulns, ref.SafeToDeploy)
 //	_ = provider
 //
-// For large-scale experiments (hours of simulated mining in milliseconds)
+// For large-scale experiments (hours of simulated mining in seconds)
 // use RunSimulation, which reproduces the paper's §VII evaluation; the
 // cmd/smartcrowd-bench binary regenerates every table and figure.
 package smartcrowd
