@@ -85,7 +85,7 @@ func TestOwnBlockIsAdoptedOnlyWhenTheHeaderMatches(t *testing.T) {
 		{"ParentID", func(h *harness, hdr *types.Header) {
 			head := hdr.ParentID
 			for id, e := range h.chain.entries {
-				if e.block.Header.Number == hdr.Number-1 && id != head {
+				if e.block().Header.Number == hdr.Number-1 && id != head {
 					hdr.ParentID = id
 				}
 			}
@@ -464,16 +464,16 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		if eb == nil {
 			t.Fatalf("B lacks block %s", id.Short())
 		}
-		if !reflect.DeepEqual(ea.receipts, eb.receipts) {
-			t.Fatalf("block #%d: receipts differ\nA %+v\nB %+v", ea.block.Header.Number, ea.receipts, eb.receipts)
+		if !reflect.DeepEqual(ea.receipts(), eb.receipts()) {
+			t.Fatalf("block #%d: receipts differ\nA %+v\nB %+v", ea.block().Header.Number, ea.receipts(), eb.receipts())
 		}
-		for _, r := range ea.receipts {
+		for _, r := range ea.receipts() {
 			if !r.Success {
 				failed++
 			}
 		}
-		if ea.post.Root() != eb.post.Root() || !bytes.Equal(ea.post.Serialize(), eb.post.Serialize()) {
-			t.Fatalf("block #%d: post-states differ", ea.block.Header.Number)
+		if ea.post().Root() != eb.post().Root() || !bytes.Equal(ea.post().Serialize(), eb.post().Serialize()) {
+			t.Fatalf("block #%d: post-states differ", ea.block().Header.Number)
 		}
 	}
 	if failed == 0 {

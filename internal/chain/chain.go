@@ -99,64 +99,173 @@ var (
 
 // entry is a stored block with its execution artifacts.
 type entry struct {
-	// block is the block itself, or only its header (Txs nil) when raw is
-	// set; read the transactions through body. setHead's index walks read
-	// block.Txs, so a header-only entry indexes nothing: its transactions
-	// lie below the archival horizon.
-	block *types.Block
-	// raw is the block's log record, kept instead of its decoded body on
-	// the entries a reopen installed below the restored snapshot
-	// (installPrefixLocked). It aliases the store's whole log buffer (see
-	// store.(*Disk).Load). Nothing indexes these entries, and their main
-	// reader, a peer's range sync, copies raw out through
-	// ReadView.RecordsRange undecoded. What still needs the body
-	// (BlockByID, /v1 block pages, a side fork's re-execution) gets it
-	// from body, which decodes raw on every call rather than caching: the
-	// bytes never change, and concurrent readers share nothing mutable.
-	raw      []byte
+	// blk is the block with its transactions, or only its header (Txs
+	// nil) with raw holding the rest, as the entries a reopen or
+	// snap-join installed (installPrefixLocked) are held; or nil with raw
+	// holding the whole block, as an entry released below the window
+	// (release) is held until a reader asks for its header (block).
+	// Published views alias entries, so blk is swapped whole, never
+	// mutated: a reader that loaded the body keeps a complete block
+	// however the entry changes after. Read the header through block, the
+	// transactions through body, and the pair through record.
+	blk atomic.Pointer[types.Block]
+	// raw is the block's EncodeBlock bytes, or nil. It is set before the
+	// entry is shared — the bytes the block arrived or was sealed in, or
+	// the log record a reopen read, which aliases the store's whole log
+	// buffer (store.(*Disk).Load) — or by release, just before it clears
+	// blk. Lock-free readers read it only after loading a block with no
+	// transactions, or none (record, body), so they never read it while
+	// release writes it. The bytes never change: body decodes them on
+	// every call rather than caching, so concurrent readers share nothing
+	// mutable, and a peer's range sync copies them out undecoded
+	// (ReadView.RecordsRange).
+	raw []byte
+	// txs memoises the block's transaction ids and report count for /v1
+	// summaries (summary): computed on first use, from the body or raw.
+	txs      atomic.Pointer[types.TxSummary]
 	parent   *entry
 	totalDif uint64
-	// post is the block's post-state, nil below an adopted snapshot and
-	// once the entry is postHorizon blocks below the canonical head (see
-	// dropPost) until stateOfLocked rebuilds it. Every path that sets it
-	// has compared post.Root() with the header's StateRoot first, which is
-	// also what makes it shareable: Root sums the trie and freezes the DB,
-	// and a frozen trie is never written again, so views and Copy()s may
-	// read it with no lock while later blocks execute.
+	// ex is the block's execution artifacts, nil for the entries a
+	// snapshot installed (installPrefixLocked) until stateOfLocked
+	// rebuilds a post-state for one. They are out of line so that those
+	// entries, a reopened or snap-joined chain's whole prefix, are 64
+	// bytes.
+	ex *executed
+}
+
+// executed is what executing a block produced, or a state a snapshot or
+// a rebuild supplied.
+type executed struct {
+	// post is the block's post-state, nil once the entry is postHorizon
+	// blocks below the canonical head (see dropPost) until stateOfLocked
+	// rebuilds it. Every path that sets it has compared post.Root() with
+	// the header's StateRoot first, which is also what makes it
+	// shareable: Root sums the trie and freezes the DB, and a frozen trie
+	// is never written again, so views and Copy()s may read it with no
+	// lock while later blocks execute.
 	post *state.DB
 	// receipts is nil exactly for genesis and the entries a snapshot
-	// installed (installPrefixLocked), which were never executed here.
+	// installed, which were never executed here.
 	receipts []*Receipt
 }
 
-// body returns the entry's block with its transactions. DecodeHeader
-// accepted raw when the store opened, and it rejects exactly what
-// DecodeBlock rejects, so a failure here means memory was corrupted.
+// post returns the entry's post-state, nil when it holds none.
+func (e *entry) post() *state.DB {
+	if e.ex == nil {
+		return nil
+	}
+	return e.ex.post
+}
+
+// receipts returns the entry's receipts, nil when it was not executed
+// here.
+func (e *entry) receipts() []*Receipt {
+	if e.ex == nil {
+		return nil
+	}
+	return e.ex.receipts
+}
+
+// block returns the entry's block for its header and id; its Txs may be
+// absent (see blk). A released entry gets a header-only block here, read
+// from raw on first use and kept, so a block below the window that
+// nothing reads costs its bytes alone.
+func (e *entry) block() *types.Block {
+	if b := e.blk.Load(); b != nil {
+		return b
+	}
+	h, err := types.DecodeHeader(e.raw)
+	if err != nil {
+		panic(fmt.Sprintf("chain: a released block no longer decodes: %v", err))
+	}
+	e.blk.CompareAndSwap(nil, &types.Block{Header: h})
+	return e.blk.Load()
+}
+
+// record returns the entry's block and, when the block is held as its
+// bytes, those bytes beside its header-only block. A block with
+// transactions is complete, so raw is read only when blk holds none:
+// either release cleared blk, after writing raw, or raw was set before
+// the entry was shared.
+func (e *entry) record() (*types.Block, []byte) {
+	if b := e.blk.Load(); b != nil && len(b.Txs) > 0 {
+		return b, nil
+	}
+	return e.block(), e.raw
+}
+
+// body returns the entry's block with its transactions, decoding raw when
+// the entry does not hold them. The bytes passed DecodeHeader, the record
+// verifier or a decode before the entry was made, and DecodeBlock rejects
+// exactly what those reject, so a failure here means memory was
+// corrupted.
 func (e *entry) body() *types.Block {
+	b := e.blk.Load()
+	if b != nil && len(b.Txs) > 0 {
+		return b
+	}
 	if e.raw == nil {
-		return e.block
+		return b // an empty block, held whole
 	}
 	blk, err := types.DecodeBlock(e.raw)
 	if err != nil {
-		panic(fmt.Sprintf("chain: logged block %s no longer decodes: %v", e.block.ID().Short(), err))
+		panic(fmt.Sprintf("chain: stored block %s no longer decodes: %v", e.block().ID().Short(), err))
 	}
 	return blk
 }
 
-// postHorizon bounds the post-states the chain keeps: a canonical entry
-// postHorizon blocks below the head drops its post-state unless its
-// number is a multiple of postHorizon, so the canonical chain holds at
-// most postHorizon + height/postHorizon of them, and stateOfLocked
-// rebuilds any other by re-executing at most postHorizon-1 blocks.
+// summary returns the entry's block beside its transaction summary,
+// hashing the ids from raw, never decoding, when only the header is held.
+// Concurrent first uses may each compute the summary; they are equal.
+func (e *entry) summary() BlockSummary {
+	b, raw := e.record()
+	s := BlockSummary{Block: b, Txs: e.txs.Load()}
+	if s.Txs != nil {
+		return s
+	}
+	if raw == nil {
+		s.Txs = b.TxSummary()
+	} else {
+		var err error
+		if s.Txs, err = types.RecordTxSummary(raw); err != nil {
+			panic(fmt.Sprintf("chain: stored block %s no longer decodes: %v", b.ID().Short(), err))
+		}
+	}
+	e.txs.Store(s.Txs)
+	return s
+}
+
+// postHorizon is the window: a canonical entry postHorizon blocks below
+// the head drops its post-state unless its number is a multiple of
+// postHorizon (dropPost), so the canonical chain holds at most
+// postHorizon + height/postHorizon of them, and stateOfLocked rebuilds
+// any other by re-executing at most postHorizon-1 blocks; and it lets go
+// of its decoded transactions (release), so at most postHorizon
+// canonical blocks are held decoded.
 const postHorizon = 64
 
 // dropPost applies postHorizon's rule to a canonical entry that just fell
 // postHorizon blocks below the head. An entry a snapshot installed keeps
 // its state: nothing below it has one to rebuild from.
 func dropPost(e *entry) {
-	if e.block.Header.Number%postHorizon != 0 && e.receipts != nil {
-		e.post = nil
+	if e.block().Header.Number%postHorizon != 0 && e.receipts() != nil {
+		e.ex.post = nil
 	}
+}
+
+// release lets go of a canonical entry's decoded block as it falls
+// postHorizon blocks below the head: it keeps the block's bytes, encoding
+// them now if the block came without, and a reader that asks for the
+// header gets one read from them (block). Callers hold the write lock.
+func (e *entry) release() {
+	b := e.blk.Load()
+	if b == nil || len(b.Txs) == 0 {
+		return // released or header-only already, or nothing to release
+	}
+	if e.raw == nil {
+		e.raw = types.EncodeBlock(b)
+	}
+	e.blk.Store(nil)
 }
 
 // builtBlock is what BuildBlock computed for the block it last returned,
@@ -205,7 +314,9 @@ type Chain struct {
 	genesis *entry
 	entries map[types.Hash]*entry
 	head    *entry
-	// canon is the canonical chain, canon[i].block.Header.Number == i.
+	// canon is the canonical chain, canon[i].block().Header.Number == i;
+	// its entries more than postHorizon below the head hold their blocks
+	// as bytes (release).
 	// Published views alias its backing array, so setHead must copy the
 	// kept prefix out before truncating on a reorg — truncate-then-append
 	// in place would overwrite elements older views still index.
@@ -257,7 +368,8 @@ func New(cfg Config) (*Chain, error) {
 			StateRoot: st.Root(),
 		},
 	}
-	g := &entry{block: genesis, post: st}
+	g := &entry{ex: &executed{post: st}}
+	g.blk.Store(genesis)
 	c := &Chain{
 		cfg:     cfg,
 		genesis: g,
@@ -280,7 +392,7 @@ func (c *Chain) Config() Config { return c.cfg }
 
 // Genesis returns the genesis block. c.genesis is set once, in New, so
 // reading it takes no lock.
-func (c *Chain) Genesis() *types.Block { return c.genesis.block }
+func (c *Chain) Genesis() *types.Block { return c.genesis.block() }
 
 // Head returns the current canonical head block: the published view's.
 func (c *Chain) Head() *types.Block { return c.CurrentView().Head() }
@@ -305,20 +417,20 @@ func (c *Chain) CanonicalBlocks() []*types.Block {
 // deep canonical entries drop theirs (dropPost). Callers hold the write
 // lock.
 func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
-	if e.post != nil {
-		return e.post, nil
+	if post := e.post(); post != nil {
+		return post, nil
 	}
 	// Walk back to the nearest ancestor that still has a state.
 	var pending []*entry
 	cursor := e
-	for cursor.post == nil {
+	for cursor.post() == nil {
 		pending = append(pending, cursor)
 		cursor = cursor.parent
 		if cursor == nil {
 			return nil, errors.New("chain: no ancestor with a materialized state")
 		}
 	}
-	st := cursor.post.Copy()
+	st := cursor.post().Copy()
 	for i := len(pending) - 1; i >= 0; i-- {
 		if _, err := execBlock(c.cfg, st, pending[i].body()); err != nil {
 			return nil, fmt.Errorf("chain: rebuild state: %w", err)
@@ -327,11 +439,14 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	// Prefix headers below a snapshot were shape-checked only, so this is
 	// the first time this root is compared; it also sums the trie before
 	// the entry shares it (the rule every committed post-state obeys).
-	if root := st.Root(); root != e.block.Header.StateRoot {
+	if root := st.Root(); root != e.block().Header.StateRoot {
 		return nil, fmt.Errorf("%w: rebuilt %s, header %s",
-			ErrStateMismatch, root.Short(), e.block.Header.StateRoot.Short())
+			ErrStateMismatch, root.Short(), e.block().Header.StateRoot.Short())
 	}
-	e.post = st
+	if e.ex == nil {
+		e.ex = &executed{}
+	}
+	e.ex.post = st
 	return st, nil
 }
 
@@ -367,14 +482,18 @@ func (c *Chain) HasBlock(id types.Hash) bool {
 // parent-contextual checks, execution and commit — runs under the chain
 // mutex. Single-block and batch import therefore cannot diverge.
 func (c *Chain) InsertBlock(blk *types.Block) (bool, error) {
-	return c.InsertBlockTraced(blk, telemetry.TraceContext{})
+	return c.InsertBlockTraced(types.BlockRecord{Block: blk}, telemetry.TraceContext{})
 }
 
-// InsertBlockTraced is InsertBlock carrying the block's trace context:
-// a head switch caused by this block publishes its lifecycle events (new
-// head, SRAs, verdicts) stamped with the trace, so a consumer watching
-// /v1/events can tie a head change back to the seal that produced it.
-func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (bool, error) {
+// InsertBlockTraced is InsertBlock for a record, carrying the block's
+// trace context. rec.Block must hold the transactions; rec.Raw, when set,
+// is its encoding, which the chain keeps instead of encoding the block
+// when the block falls below the window. A head switch caused by this
+// block publishes its lifecycle events (new head, SRAs, verdicts) stamped
+// with the trace, so a consumer watching /v1/events can tie a head change
+// back to the seal that produced it.
+func (c *Chain) InsertBlockTraced(rec types.BlockRecord, tc telemetry.TraceContext) (bool, error) {
+	blk := rec.Block
 	// Fast duplicate path: skip the expensive stateless work for blocks
 	// already stored (gossip redelivery, orphan reprocessing).
 	if c.HasBlock(blk.ID()) {
@@ -391,7 +510,7 @@ func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t1 := now()
-	switched, err := c.insertVerifiedLocked(blk, tc)
+	switched, err := c.insertVerifiedLocked(rec, tc)
 	mStage2Ns.ObserveDuration(since(t1))
 	recordImport(err)
 	return switched, err
@@ -411,14 +530,19 @@ func (c *Chain) InsertBlockTraced(blk *types.Block, tc telemetry.TraceContext) (
 // failure. The mutex is taken per run, so concurrent readers and competing
 // inserts interleave between runs.
 func (c *Chain) InsertChain(blocks []*types.Block) (int, error) {
-	return c.InsertChainTraced(blocks, telemetry.TraceContext{})
+	recs := make([]types.BlockRecord, len(blocks))
+	for i, blk := range blocks {
+		recs[i].Block = blk
+	}
+	return c.InsertChainTraced(recs, telemetry.TraceContext{})
 }
 
-// InsertChainTraced is InsertChain under a trace context: the batch span
-// joins the trace (so a gossiped block's import shows up as a child of
-// its origin seal on any node), and head switches publish their events
-// stamped with it. A zero context degrades to plain InsertChain.
-func (c *Chain) InsertChainTraced(blocks []*types.Block, tc telemetry.TraceContext) (int, error) {
+// InsertChainTraced is InsertChain for records (see InsertBlockTraced)
+// under a trace context: the batch span joins the trace (so a gossiped
+// block's import shows up as a child of its origin seal on any node), and
+// head switches publish their events stamped with it. A zero context
+// degrades to plain InsertChain.
+func (c *Chain) InsertChainTraced(blocks []types.BlockRecord, tc telemetry.TraceContext) (int, error) {
 	if len(blocks) == 0 {
 		return 0, nil
 	}
@@ -453,7 +577,7 @@ func (c *Chain) InsertChainTraced(blocks []*types.Block, tc telemetry.TraceConte
 		}
 		if err != nil {
 			span.End(telemetry.L("blocks", strconv.Itoa(processed)), telemetry.L("failed", "1"))
-			return processed, fmt.Errorf("chain: batch block %d (#%d): %w", processed, blocks[processed].Header.Number, err)
+			return processed, fmt.Errorf("chain: batch block %d (#%d): %w", processed, blocks[processed].Block.Header.Number, err)
 		}
 	}
 	span.End(telemetry.L("blocks", strconv.Itoa(processed)))
@@ -556,10 +680,10 @@ func (v *verification) passed(i int) bool {
 // when the predecessor in the batch is the block's parent — those need no
 // chain state, so failing fast here keeps bad batches from reaching the
 // serial stage. stop is the pass's (see startVerify).
-func (c *Chain) verifyStatelessAt(blocks []*types.Block, i int, stop func() bool) error {
-	blk := blocks[i]
-	if i > 0 && blk.Header.ParentID == blocks[i-1].ID() {
-		if err := c.verifyHeaderLink(&blocks[i-1].Header, &blk.Header); err != nil {
+func (c *Chain) verifyStatelessAt(blocks []types.BlockRecord, i int, stop func() bool) error {
+	blk := blocks[i].Block
+	if i > 0 && blk.Header.ParentID == blocks[i-1].Block.ID() {
+		if err := c.verifyHeaderLink(&blocks[i-1].Block.Header, &blk.Header); err != nil {
 			return err
 		}
 	}
@@ -612,16 +736,17 @@ const maxRun = postHorizon
 // ends the run without it. A side branch, a known block, the block
 // BuildBlock built and a run of one go through insertVerifiedLocked.
 // Callers hold the write lock.
-func (c *Chain) insertRunLocked(blocks []*types.Block, passed func(j int) bool, tc telemetry.TraceContext) (int, error) {
+func (c *Chain) insertRunLocked(blocks []types.BlockRecord, passed func(j int) bool, tc telemetry.TraceContext) (int, error) {
 	// extends: blocks[j] is new and, with positive difficulty, becomes
 	// the head on top of parentID.
 	extends := func(j int, parentID types.Hash) bool {
-		_, known := c.entries[blocks[j].ID()]
-		return !known && blocks[j].Header.ParentID == parentID && blocks[j].Header.Difficulty > 0
+		blk := blocks[j].Block
+		_, known := c.entries[blk.ID()]
+		return !known && blk.Header.ParentID == parentID && blk.Header.Difficulty > 0
 	}
 	head := c.head
-	if c.closed || len(blocks) < 2 || !extends(0, head.block.ID()) || c.built.adoptable(head, blocks[0]) ||
-		!passed(1) || !extends(1, blocks[0].ID()) {
+	if c.closed || len(blocks) < 2 || !extends(0, head.block().ID()) || c.built.adoptable(head, blocks[0].Block) ||
+		!passed(1) || !extends(1, blocks[0].Block.ID()) {
 		_, err := c.insertVerifiedLocked(blocks[0], tc)
 		recordImport(err)
 		if err != nil && !errors.Is(err, ErrKnownBlock) {
@@ -633,12 +758,12 @@ func (c *Chain) insertRunLocked(blocks []*types.Block, passed func(j int) bool, 
 	run := make([]*entry, 0, min(len(blocks), maxRun))
 	parent := head
 	var err error
-	for j, blk := range blocks[:min(len(blocks), maxRun)] {
-		if j > 1 && (!passed(j) || !extends(j, parent.block.ID())) {
+	for j, rec := range blocks[:min(len(blocks), maxRun)] {
+		if j > 1 && (!passed(j) || !extends(j, parent.block().ID())) {
 			break
 		}
 		var e *entry
-		if e, err = c.executeLocked(parent, blk); err != nil {
+		if e, err = c.executeLocked(parent, rec); err != nil {
 			break
 		}
 		run = append(run, e)
@@ -660,10 +785,11 @@ func (c *Chain) insertRunLocked(blocks []*types.Block, passed func(j int) bool, 
 // and the commit. Callers hold the write lock. tc is the block's trace
 // context, threaded into setHead's event publication; a zero context is
 // fine.
-func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext) (bool, error) {
+func (c *Chain) insertVerifiedLocked(rec types.BlockRecord, tc telemetry.TraceContext) (bool, error) {
 	if c.closed {
 		return false, ErrClosed
 	}
+	blk := rec.Block
 	id := blk.ID()
 	if _, known := c.entries[id]; known {
 		return false, fmt.Errorf("%w: %s", ErrKnownBlock, id.Short())
@@ -672,7 +798,7 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 	if !ok {
 		return false, fmt.Errorf("%w: %s", ErrUnknownParent, blk.Header.ParentID.Short())
 	}
-	e, err := c.executeLocked(parent, blk)
+	e, err := c.executeLocked(parent, rec)
 	if err != nil {
 		return false, err
 	}
@@ -685,9 +811,11 @@ func (c *Chain) insertVerifiedLocked(blk *types.Block, tc telemetry.TraceContext
 
 // executeLocked is stage 2 short of the commit — header link, execution
 // (or adoption of BuildBlock's) and the state-root check — and returns
-// blk's entry, which nothing holds yet. Callers hold the write lock.
-func (c *Chain) executeLocked(parent *entry, blk *types.Block) (*entry, error) {
-	if err := c.verifyHeaderLink(&parent.block.Header, &blk.Header); err != nil {
+// the record's entry, which nothing holds yet. Callers hold the write
+// lock.
+func (c *Chain) executeLocked(parent *entry, rec types.BlockRecord) (*entry, error) {
+	blk := rec.Block
+	if err := c.verifyHeaderLink(&parent.block().Header, &blk.Header); err != nil {
 		return nil, err
 	}
 
@@ -712,13 +840,16 @@ func (c *Chain) executeLocked(parent *entry, blk *types.Block) (*entry, error) {
 		return nil, fmt.Errorf("%w: computed %s, header %s",
 			ErrStateMismatch, st.Root().Short(), blk.Header.StateRoot.Short())
 	}
-	return &entry{
-		block:    blk,
+	e := &entry{
 		parent:   parent,
 		totalDif: parent.totalDif + blk.Header.Difficulty,
-		post:     st,
-		receipts: receipts,
-	}, nil
+		ex:       &executed{post: st, receipts: receipts},
+	}
+	if len(blk.Txs) > 0 { // an empty block has nothing to release
+		e.raw = rec.Raw
+	}
+	e.blk.Store(blk)
+	return e, nil
 }
 
 // commitLocked commits executed entries, each the parent of the next.
@@ -736,17 +867,17 @@ func (c *Chain) commitLocked(run []*entry, switched bool, tc telemetry.TraceCont
 		}
 		blocks := make([]*types.Block, len(run))
 		for i, e := range run {
-			blocks[i] = e.block
+			blocks[i] = e.block()
 		}
 		t0 := now()
-		err := c.store.AppendBlocks(blocks, head.block.ID(), head.block.Header.Number)
+		err := c.store.AppendBlocks(blocks, head.block().ID(), head.block().Header.Number)
 		mStoreAppendNs.ObserveDuration(since(t0))
 		if err != nil {
 			return fmt.Errorf("chain: durable append: %w", err)
 		}
 	}
 	for _, e := range run {
-		c.entries[e.block.ID()] = e
+		c.entries[e.block().ID()] = e
 	}
 	// A build on this parent that was not this block is a stale seal now:
 	// let go of its post-state rather than pin it until the next build.
@@ -779,19 +910,23 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	var path []*entry
 	cursor := e
 	for {
-		n := cursor.block.Header.Number
+		n := cursor.block().Header.Number
 		if n < uint64(len(c.canon)) && c.canon[n] == cursor {
 			break
 		}
 		path = append(path, cursor)
 		cursor = cursor.parent
 	}
-	forkPoint := cursor.block.Header.Number
+	forkPoint := cursor.block().Header.Number
 	if forkPoint+1 < uint64(len(c.canon)) {
 		mReorgs.Inc()
-		// Reorg: unindex the abandoned suffix.
-		for i := forkPoint + 1; i < uint64(len(c.canon)); i++ {
-			for _, tx := range c.canon[i].block.Txs {
+		// Reorg: unindex the abandoned suffix, decoding what lies below
+		// the window. An entry a snapshot installed was never indexed.
+		for _, ab := range c.canon[forkPoint+1:] {
+			if ab.receipts() == nil {
+				continue
+			}
+			for _, tx := range ab.body().Txs {
 				c.txTrie = critbit.Delete(c.txTrie, tx.Hash(), gen)
 			}
 		}
@@ -803,45 +938,58 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 	// the index is rebuilt: after a reorg the re-canonicalized suffix
 	// re-emits, which SSE consumers must treat as the authoritative
 	// replay, exactly like re-reading the chain. The bus stamps event
-	// timestamps itself, so no wall-clock read happens under c.mu.
+	// timestamps itself, so no wall-clock read happens under c.mu. The
+	// entry that falls postHorizon blocks below the head drops its
+	// post-state (dropPost) and its body (release).
 	for i := len(path) - 1; i >= 0; i-- {
 		en := path[i]
 		c.canon = append(c.canon, en)
-		if n := en.block.Header.Number; n >= postHorizon {
-			dropPost(c.canon[n-postHorizon])
+		n := en.block().Header.Number
+		if n >= postHorizon {
+			deep := c.canon[n-postHorizon]
+			dropPost(deep)
+			deep.release()
 		}
-		for j, tx := range en.block.Txs {
+		receipts := en.receipts()
+		if receipts == nil {
+			continue // installed from a snapshot: indexes nothing
+		}
+		blk := en.body()
+		if blk != en.block() {
+			en.blk.Store(blk) // released on a branch that lost, canonical again
+		}
+		for j, tx := range blk.Txs {
 			c.txTrie = critbit.Set(c.txTrie, tx.Hash(), txLoc{
-				blockID: en.block.ID(),
-				number:  en.block.Header.Number,
+				blockID: blk.ID(),
+				number:  n,
 				txIdx:   j,
-				receipt: en.receipts[j],
+				receipt: receipts[j],
 			}, gen)
-			if tx.Kind == types.TxSRA && en.receipts[j].Success {
+			if tx.Kind == types.TxSRA && receipts[j].Success {
 				if sra, err := tx.SRA(); err == nil {
 					telemetry.PublishEvent("sra", tc, map[string]string{
 						"id":    sra.ID.String(),
-						"block": strconv.FormatUint(en.block.Header.Number, 10),
+						"block": strconv.FormatUint(n, 10),
 					})
 				}
 			}
-			if tx.Kind == types.TxDetailedReport && en.receipts[j].Success {
+			if tx.Kind == types.TxDetailedReport && receipts[j].Success {
 				if r, err := tx.DetailedReport(); err == nil {
 					telemetry.PublishEvent("verdict", tc, map[string]string{
 						"sra":   r.SRAID.String(),
-						"block": strconv.FormatUint(en.block.Header.Number, 10),
+						"block": strconv.FormatUint(n, 10),
 					})
 				}
 			}
 		}
 	}
 	c.head = e
-	mHeadHeight.Set(int64(e.block.Header.Number))
+	mHeadHeight.Set(int64(e.block().Header.Number))
 	c.publishView()
 	telemetry.PublishEvent("head", tc, map[string]string{
-		"number": strconv.FormatUint(e.block.Header.Number, 10),
-		"id":     e.block.ID().String(),
-		"txs":    strconv.Itoa(len(e.block.Txs)),
+		"number": strconv.FormatUint(e.block().Header.Number, 10),
+		"id":     e.block().ID().String(),
+		"txs":    strconv.Itoa(len(e.block().Txs)),
 	})
 }
 
@@ -883,7 +1031,7 @@ func (c *Chain) BuildBlock(parentID types.Hash, miner types.Address, timestamp, 
 		return nil, err
 	}
 	st := parentState.Copy()
-	number := parent.block.Header.Number + 1
+	number := parent.block().Header.Number + 1
 	c.mu.Unlock()
 
 	blk := &types.Block{

@@ -551,10 +551,14 @@ func TestRunCommitsAsOne(t *testing.T) {
 		}
 	}
 
+	recs := make([]types.BlockRecord, len(batch))
+	for i, blk := range batch {
+		recs[i] = types.BlockRecord{Block: blk, Raw: types.EncodeBlock(blk)}
+	}
 	all := func(int) bool { return true }
 	for done := 0; done < len(batch); {
 		run.mu.Lock()
-		n, err := run.insertRunLocked(batch[done:], all, telemetry.TraceContext{})
+		n, err := run.insertRunLocked(recs[done:], all, telemetry.TraceContext{})
 		run.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

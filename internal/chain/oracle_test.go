@@ -19,7 +19,7 @@ import (
 func (c *Chain) lockedHead() *types.Block {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.head.block
+	return c.head.block()
 }
 
 // lockedState returns the head's committed post-state. It is frozen:
@@ -27,7 +27,7 @@ func (c *Chain) lockedHead() *types.Block {
 func (c *Chain) lockedState() *state.DB {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.head.post
+	return c.head.post()
 }
 
 // lockedReceipt returns the canonical receipt of a transaction.
@@ -47,18 +47,19 @@ func (c *Chain) lockedConfirmations(txHash types.Hash) uint64 {
 	if !ok {
 		return 0
 	}
-	return c.head.block.Header.Number - loc.number + 1
+	return c.head.block().Header.Number - loc.number + 1
 }
 
 // lockedRecords returns the canonical blocks from..to (inclusive, to
-// clamped to the head) as records: a block a reopen kept as log bytes
-// comes back as those bytes beside its header-only block.
+// clamped to the head) as records: a block held as its bytes comes back
+// as those bytes beside its header-only block.
 func (c *Chain) lockedRecords(from, to uint64) []types.BlockRecord {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.BlockRecord
 	for n := from; n <= to && n < uint64(len(c.canon)); n++ {
-		out = append(out, types.BlockRecord{Block: c.canon[n].block, Raw: c.canon[n].raw})
+		blk, raw := c.canon[n].record()
+		out = append(out, types.BlockRecord{Block: blk, Raw: raw})
 	}
 	return out
 }
@@ -70,14 +71,15 @@ func (c *Chain) TotalDifficulty() uint64 {
 	return c.head.totalDif
 }
 
-// BlockByNumber returns the canonical block at a height.
+// BlockByNumber returns the canonical block at a height, with its
+// transactions.
 func (c *Chain) BlockByNumber(n uint64) (*types.Block, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if n >= uint64(len(c.canon)) {
 		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(c.canon)-1)
 	}
-	return c.canon[n].block, nil
+	return c.canon[n].body(), nil
 }
 
 // StateAt returns a copy of the post-state of the given block, rebuilding
@@ -169,9 +171,9 @@ func (c *Chain) detectionResultsScan(sraID types.Hash) []*Receipt {
 	defer c.mu.RUnlock()
 	var out []*Receipt
 	for _, e := range c.canon {
-		for j, tx := range e.block.Txs {
+		for j, tx := range e.block().Txs {
 			if id, ok := reportSRAID(tx); ok && id == sraID {
-				out = append(out, e.receipts[j])
+				out = append(out, e.receipts()[j])
 			}
 		}
 	}
@@ -203,8 +205,8 @@ func (c *Chain) sraListingScan() []types.Hash {
 	defer c.mu.RUnlock()
 	ids := []types.Hash{}
 	for _, e := range c.canon {
-		for j, tx := range e.block.Txs {
-			if tx.Kind != types.TxSRA || !e.receipts[j].Success {
+		for j, tx := range e.block().Txs {
+			if tx.Kind != types.TxSRA || !e.receipts()[j].Success {
 				continue
 			}
 			if sra, err := tx.SRA(); err == nil {

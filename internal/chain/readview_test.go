@@ -57,8 +57,8 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 			}
 		}
 	}
-	// Records: the same blocks, and the same log bytes where a reopen kept
-	// them, over the whole chain and past its head.
+	// Records: the same blocks, and the same bytes where the chain holds
+	// a block as its bytes, over the whole chain and past its head.
 	vrecs, crecs := v.RecordsRange(0, head.Header.Number+1), c.lockedRecords(0, head.Header.Number+1)
 	if len(vrecs) != len(crecs) {
 		t.Fatalf("view records %d blocks, chain %d", len(vrecs), len(crecs))
@@ -66,6 +66,9 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 	for i := range vrecs {
 		if vrecs[i].Block != crecs[i].Block || !bytes.Equal(vrecs[i].Raw, crecs[i].Raw) {
 			t.Fatalf("view record #%d diverges from the chain's", i)
+		}
+		if cb, _ := c.BlockByNumber(uint64(i)); vrecs[i].Raw != nil && !bytes.Equal(vrecs[i].Raw, types.EncodeBlock(cb)) {
+			t.Fatalf("view record #%d holds bytes that are not its block's encoding", i)
 		}
 	}
 	// Frozen state answers like the locked head state, and so does the

@@ -179,7 +179,7 @@ func materializedPostStates(c *Chain) (n int) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, e := range c.canon {
-		if e.post != nil {
+		if e.post() != nil {
 			n++
 		}
 	}
@@ -209,7 +209,7 @@ func TestPostStatesBoundedAcrossDeepReorg(t *testing.T) {
 
 	const forkAt = 100
 	fork := h.chain.CanonicalBlocks()[forkAt]
-	if h.chain.entries[fork.ID()].post != nil {
+	if h.chain.entries[fork.ID()].post() != nil {
 		t.Fatalf("block #%d, %d below the head, still holds its post-state", forkAt, 200-forkAt)
 	}
 	h.nonces[h.provider.Address()] = forkAt

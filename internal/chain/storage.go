@@ -24,10 +24,12 @@
 //     the recovered canonical chain (right block at the right height) and
 //     the restored state against the commitment-trie root in that block's
 //     header before trusting it, falling back to full re-execution.
-//   - Blocks at or below a restored snapshot stay record bytes: replay
-//     decodes the snapshot block, the tail above it and side blocks, and
-//     every other body is decoded each time something reads it (range
-//     sync is served the bytes themselves).
+//   - Blocks at or below a restored snapshot stay record bytes, as
+//     blocks below the window do (entry.release): replay decodes the
+//     snapshot block, the tail above it and side blocks, and every other
+//     body is decoded each time something reads it (range sync is served
+//     the bytes themselves). The tail keeps its records too, for when it
+//     falls below the window.
 package chain
 
 import (
@@ -162,7 +164,7 @@ func init() {
 // full re-execution from genesis is the fallback whenever the snapshot
 // fails any check.
 func (c *Chain) initFromStorage() error {
-	sc, err := c.store.Load(c.genesis.block.ID())
+	sc, err := c.store.Load(c.genesis.block().ID())
 	if err != nil {
 		return fmt.Errorf("chain: open storage: %w", err)
 	}
@@ -179,7 +181,7 @@ func (c *Chain) initFromStorage() error {
 	// Recover the canonical chain by walking parent links from the
 	// committed head down to genesis.
 	canonical := make([]types.BlockRecord, sc.HeadNumber+1)
-	canonical[0].Block = c.genesis.block
+	canonical[0].Block = c.genesis.block()
 	cursor := sc.HeadID
 	for n := sc.HeadNumber; n >= 1; n-- {
 		rec, ok := byID[cursor]
@@ -189,7 +191,7 @@ func (c *Chain) initFromStorage() error {
 		canonical[n] = rec
 		cursor = rec.Block.Header.ParentID
 	}
-	if cursor != c.genesis.block.ID() {
+	if cursor != c.genesis.block().ID() {
 		return fmt.Errorf("%w: canonical walk did not reach genesis", ErrStorageCorrupt)
 	}
 
@@ -214,16 +216,16 @@ func (c *Chain) initFromStorage() error {
 	// individually — side forks are best-effort: one whose parent sits
 	// below a restored snapshot horizon is rebuilt from genesis by
 	// stateOfLocked, and one that no longer imports is dropped.
-	tail := make([]*types.Block, 0, sc.HeadNumber-restored)
+	tail := make([]types.BlockRecord, 0, sc.HeadNumber-restored)
 	for _, rec := range canonical[restored+1:] {
 		blk, err := types.DecodeBlock(rec.Raw)
 		if err != nil {
 			return fmt.Errorf("%w: canonical replay: %v", ErrStorageCorrupt, err)
 		}
-		tail = append(tail, blk)
+		tail = append(tail, types.BlockRecord{Block: blk, Raw: rec.Raw})
 	}
 	if len(tail) > 0 {
-		if _, err := c.InsertChain(tail); err != nil {
+		if _, err := c.InsertChainTraced(tail, telemetry.TraceContext{}); err != nil {
 			return fmt.Errorf("%w: canonical replay: %v", ErrStorageCorrupt, err)
 		}
 		mReplayBlocks.Add(uint64(len(tail)))
@@ -236,7 +238,7 @@ func (c *Chain) initFromStorage() error {
 		if err != nil {
 			return fmt.Errorf("%w: side block: %v", ErrStorageCorrupt, err)
 		}
-		if _, err := c.InsertBlock(blk); err == nil {
+		if _, err := c.InsertBlockTraced(types.BlockRecord{Block: blk, Raw: rec.Raw}, telemetry.TraceContext{}); err == nil {
 			mReplayBlocks.Inc()
 		}
 	}
@@ -296,7 +298,7 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 	if len(prefix) == 0 {
 		return fmt.Errorf("%w: empty prefix", ErrSnapshotChain)
 	}
-	prev := c.genesis.block
+	prev := c.genesis.block()
 	for i, rec := range prefix {
 		blk := rec.Block
 		if blk.Header.ParentID != prev.ID() {
@@ -318,35 +320,36 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 // no post-state or receipts (the archival horizon: receipts, proofs and
 // confirmations exist only above the snapshot height, since rebuilding
 // them would require exactly the re-execution the snapshot exists to
-// avoid; the reference is in the state and needs none of them). A record with Raw set — every record a reopen or a
-// snap-join installs — is held as its header-only block plus those bytes,
-// for body to decode; the head is
-// decoded here, since head events and /v1 read its transactions. Callers
-// hold the write lock.
+// avoid; the reference is in the state and needs none of them). A record
+// with Raw set — every record a reopen or a snap-join installs — is held
+// as its header-only block plus those bytes, the shape an entry below the
+// window has once its header is read (entry.block). The head is decoded
+// here, since head events and /v1 read its transactions, and keeps its
+// bytes for when it falls below the window. Callers hold the write lock.
 func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 	c.canon = slices.Grow(c.canon, len(prefix))
 	parent := c.genesis
 	for _, rec := range prefix {
 		e := &entry{
-			block:    rec.Block,
 			raw:      rec.Raw,
 			parent:   parent,
 			totalDif: parent.totalDif + rec.Block.Header.Difficulty,
 		}
+		e.blk.Store(rec.Block)
 		c.entries[rec.Block.ID()] = e
 		c.canon = append(c.canon, e)
 		parent = e
 	}
-	parent.block, parent.raw = parent.body(), nil
-	parent.post = st
+	parent.blk.Store(parent.body())
+	parent.ex = &executed{post: st}
 	c.head = parent
-	c.horizon = parent.block.Header.Number
-	mHeadHeight.Set(int64(parent.block.Header.Number))
+	c.horizon = parent.block().Header.Number
+	mHeadHeight.Set(int64(parent.block().Header.Number))
 	c.publishView()
 	telemetry.PublishEvent("head", telemetry.TraceContext{}, map[string]string{
-		"number": strconv.FormatUint(parent.block.Header.Number, 10),
-		"id":     parent.block.ID().String(),
-		"txs":    strconv.Itoa(len(parent.block.Txs)),
+		"number": strconv.FormatUint(parent.block().Header.Number, 10),
+		"id":     parent.block().ID().String(),
+		"txs":    strconv.Itoa(len(parent.block().Txs)),
 	})
 }
 
@@ -359,10 +362,11 @@ func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 // root in block H's header, which transitively commits to every execution
 // effect. The shape check recovers every sender below H (whether a
 // snapshot's prefix needs that is for the ROADMAP's "snap-join adopts on
-// headers and a root" item to decide). The prefix is
-// installed as a reopen installs it (installPrefixLocked), so it pins the
-// range payloads it came in as a reopen pins the log buffer. Receipts
-// below H are not materialized (the archival horizon).
+// headers and a root" item to decide). The prefix is installed as a
+// reopen installs it (installPrefixLocked): each block below H as its
+// header plus its record, as a block below the window is held once read,
+// so it pins the range payloads it came in as a reopen pins the log
+// buffer. Receipts below H are not materialized (the archival horizon).
 //
 // The whole point of snap-sync: adoption costs O(snapshot + shape checks)
 // instead of O(re-executing the chain).
@@ -470,11 +474,11 @@ func (c *Chain) maybeSnapshotLocked(e *entry) {
 	if c.store == nil || !c.persist || interval == 0 {
 		return
 	}
-	n := e.block.Header.Number
+	n := e.block().Header.Number
 	if n == 0 || n%interval != 0 {
 		return
 	}
-	blk, post := e.block, e.post
+	blk, post := e.block(), e.post()
 	c.writeSnapshotAsync(func() StoredSnapshot { return snapshotOf(blk, post) })
 }
 
@@ -514,8 +518,8 @@ func (c *Chain) Close() error {
 	if store == nil {
 		return nil
 	}
-	if head.block.Header.Number > 0 {
-		if err := store.SaveSnapshot(snapshotOf(head.block, head.post)); err != nil {
+	if head.block().Header.Number > 0 {
+		if err := store.SaveSnapshot(snapshotOf(head.block(), head.post())); err != nil {
 			mSnapshotsFailed.Inc()
 			chainLog.Error("final snapshot write failed", "err", err.Error())
 		} else {

@@ -27,6 +27,14 @@ import (
 //     generation per head switch, so it rewrites in place only nodes it
 //     made since the last publication and path-copies every published
 //     one;
+//   - canon's entries are the chain's own: a block's entry may let go of
+//     its decoded block while a view holds it (entry.release, once the
+//     block is postHorizon blocks below the head), but it clears one
+//     atomic block pointer after writing the block's bytes, and a reader
+//     that finds it clear installs a header-only block read from them, so
+//     a reader sees the block whole either way. A view therefore holds
+//     the blocks below the window as their bytes, and decodes them only
+//     where a body is asked for (BlockByNumber, AppendBlocksRange);
 //   - state is the head block's committed post-state: a root of the same
 //     kind of trie, summed and frozen before it was committed (the chain
 //     compares its Root() with the header first), so no node reachable
@@ -58,13 +66,13 @@ func (c *Chain) CurrentView() *ReadView {
 // the head they are publishing.
 func (c *Chain) publishView() {
 	c.view.Store(&ReadView{
-		head:     c.head.block,
-		headID:   c.head.block.ID(),
+		head:     c.head.block(),
+		headID:   c.head.block().ID(),
 		totalDif: c.head.totalDif,
 		canon:    c.canon,
 		txIndex:  c.txTrie,
 		horizon:  c.horizon,
-		state:    c.head.post,
+		state:    c.head.post(),
 	})
 	mViewPublished.Inc()
 }
@@ -87,44 +95,92 @@ func (v *ReadView) TotalDifficulty() uint64 { return v.totalDif }
 // confirmations are served for transactions above it only.
 func (v *ReadView) Horizon() uint64 { return v.horizon }
 
-// BlockByNumber returns the canonical block at a height in this view.
-func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
+// entryAt returns the canonical entry at a height in this view.
+func (v *ReadView) entryAt(n uint64) (*entry, error) {
 	if n >= uint64(len(v.canon)) {
 		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(v.canon)-1)
 	}
-	return v.canon[n].body(), nil
+	return v.canon[n], nil
+}
+
+// BlockByNumber returns the canonical block at a height in this view,
+// with its transactions: a block below the window is decoded from its
+// bytes on every call.
+func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
+	e, err := v.entryAt(n)
+	if err != nil {
+		return nil, err
+	}
+	return e.body(), nil
+}
+
+// HeaderByNumber returns the canonical block at a height in this view for
+// its header and id, never decoding it: a block below the window comes
+// back without its transactions.
+func (v *ReadView) HeaderByNumber(n uint64) (*types.Block, error) {
+	e, err := v.entryAt(n)
+	if err != nil {
+		return nil, err
+	}
+	return e.block(), nil
 }
 
 // AppendBlocksRange appends the canonical blocks from..to (inclusive) to
-// dst, all resolved from this single snapshot — a reorg concurrent with
-// the call cannot mix blocks from two forks into the result. Ranges past
-// the head are truncated. A dst with room for the range is filled in
-// place, so a caller can keep a bounded page's blocks off the heap.
+// dst, with their transactions (decoded, below the window), all resolved
+// from this single snapshot — a reorg concurrent with the call cannot mix
+// blocks from two forks into the result. Ranges past the head are
+// truncated.
 func (v *ReadView) AppendBlocksRange(dst []*types.Block, from, to uint64) []*types.Block {
-	if from >= uint64(len(v.canon)) || to < from {
-		return dst
-	}
-	to = min(to, uint64(len(v.canon))-1)
-	for n := from; n <= to; n++ {
-		dst = append(dst, v.canon[n].body())
+	for _, e := range v.entries(from, to) {
+		dst = append(dst, e.body())
 	}
 	return dst
 }
 
-// RecordsRange returns the canonical blocks from..to (inclusive) of this
-// view as records. Ranges past the head are truncated; an inverted or
-// out-of-range request yields nil. It is built for a writer: a block a
-// reopen kept as log bytes comes back as those bytes beside its
-// header-only block, not decoded, so serving a peer's range sync costs a
-// copy of each record.
-func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
+// BlockSummary is a canonical block as a /v1 block summary reads it: the
+// header and id from Block, whose Txs are not read (a block below the
+// window has none), and the transactions from Txs.
+type BlockSummary struct {
+	Block *types.Block
+	Txs   *types.TxSummary
+}
+
+// AppendSummaries appends the summaries of the canonical blocks from..to
+// (inclusive) to dst, resolved from this single snapshot as
+// AppendBlocksRange resolves blocks; nothing is decoded. A block's
+// summary is computed on first use and memoised, so a warm call
+// allocates nothing when dst has room for the range, and a caller can
+// keep a bounded page off the heap.
+func (v *ReadView) AppendSummaries(dst []BlockSummary, from, to uint64) []BlockSummary {
+	for _, e := range v.entries(from, to) {
+		dst = append(dst, e.summary())
+	}
+	return dst
+}
+
+// entries returns the canonical entries from..to (inclusive), truncated
+// past the head; nil when inverted or out of range.
+func (v *ReadView) entries(from, to uint64) []*entry {
 	if from >= uint64(len(v.canon)) || to < from {
 		return nil
 	}
-	to = min(to, uint64(len(v.canon))-1)
-	out := make([]types.BlockRecord, 0, to-from+1)
-	for _, e := range v.canon[from : to+1] {
-		out = append(out, types.BlockRecord{Block: e.block, Raw: e.raw})
+	return v.canon[from : min(to, uint64(len(v.canon))-1)+1]
+}
+
+// RecordsRange returns the canonical blocks from..to (inclusive) of this
+// view as records. Ranges past the head are truncated; an inverted or
+// out-of-range request yields nil. It is built for a writer: a block held
+// as its bytes (below the window, or installed by a reopen or snap-join)
+// comes back as those bytes beside its header-only block, not decoded, so
+// serving a peer's range sync costs a copy of each record.
+func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
+	es := v.entries(from, to)
+	if es == nil {
+		return nil
+	}
+	out := make([]types.BlockRecord, len(es))
+	for i, e := range es {
+		out[i].Block, out[i].Raw = e.record()
 	}
 	return out
 }

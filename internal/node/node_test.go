@@ -454,7 +454,7 @@ func TestDuplicateBlockRedeliveryIsBenign(t *testing.T) {
 	// a benign no-op — no error path, no orphan buffering, no state
 	// disturbance.
 	p1.mu.Lock()
-	p1.acceptBlock(blk, "", telemetry.TraceContext{})
+	p1.acceptBlock(types.BlockRecord{Block: blk}, "", telemetry.TraceContext{})
 	if len(p1.orphans) != 0 {
 		p1.mu.Unlock()
 		t.Fatal("redelivered known block was buffered as an orphan")

@@ -46,8 +46,8 @@ type ProviderNode struct {
 	mu      sync.Mutex
 	chain   *chain.Chain
 	pool    *txpool.Pool
-	orphans map[types.Hash]*types.Block // parent id → block awaiting parent
-	fetches fetches                     // announced items asked for (gossip.go)
+	orphans map[types.Hash]types.BlockRecord // parent id → block awaiting parent
+	fetches fetches                          // announced items asked for (gossip.go)
 
 	// clock reads the time for everything that expires: sync stalls and
 	// in-flight fetches.
@@ -83,7 +83,7 @@ func NewProvider(id p2p.NodeID, w *wallet.Wallet, cfg chain.Config, net p2p.Tran
 		net:         net,
 		chain:       c,
 		pool:        txpool.New(txpool.Config{}),
-		orphans:     make(map[types.Hash]*types.Block),
+		orphans:     make(map[types.Hash]types.BlockRecord),
 		fetches:     newFetches(),
 		clock:       time.Now,
 		blockTraces: make(map[types.Hash]telemetry.TraceContext),
@@ -194,23 +194,24 @@ func (p *ProviderNode) SubmitTx(tx *types.Transaction) error {
 // logged instead of disappearing silently; the returned reason ("" = no
 // eviction) keeps the outcome visible to callers and tests. Callers hold
 // the lock.
-func (p *ProviderNode) bufferOrphan(b *types.Block) (evicted string) {
+func (p *ProviderNode) bufferOrphan(rec types.BlockRecord) (evicted string) {
+	b := rec.Block
 	parent := b.Header.ParentID
 	if old, ok := p.orphans[parent]; ok {
-		if old.ID() == b.ID() {
+		if old.Block.ID() == b.ID() {
 			return ""
 		}
 		evicted = "replaced"
 		mOrphanReplaced.Inc()
 		nodeLog.Warn("orphan buffer evicted block",
-			"node", p.id, "evicted", old.ID().Short(), "replacedBy", b.ID().Short(), "parent", parent.Short())
+			"node", p.id, "evicted", old.Block.ID().Short(), "replacedBy", b.ID().Short(), "parent", parent.Short())
 	} else if len(p.orphans) >= maxOrphans {
 		mOrphanCapacity.Inc()
 		nodeLog.Warn("orphan buffer full, dropping block",
 			"node", p.id, "capacity", maxOrphans, "block", b.ID().Short(), "parent", parent.Short())
 		return "capacity"
 	}
-	p.orphans[parent] = b
+	p.orphans[parent] = rec
 	mOrphanBuffered.Inc()
 	mOrphanDepth.Set(int64(len(p.orphans)))
 	return evicted
@@ -282,7 +283,10 @@ func (p *ProviderNode) HandleMessages() {
 			}
 			p.mu.Lock()
 			p.arrived(blk.ID(), msg.From)
-			p.acceptBlock(blk, msg.From, msg.Trace)
+			// The payload is the block's encoding (only EncodeBlock's bytes
+			// decode) and this message's own buffer: the chain keeps it as
+			// the block's bytes for when it falls below the window.
+			p.acceptBlock(types.BlockRecord{Block: blk, Raw: msg.Payload}, msg.From, msg.Trace)
 			// If the block orphaned, backfill its ancestry from the peer
 			// that sent it — unless a sync session is already pulling
 			// ordered ranges; crawling backwards alongside it would fetch
@@ -390,7 +394,8 @@ func (p *ProviderNode) acceptTxs(batch []gossipTx) {
 // import is recorded as a child span, and that span is what the node
 // remembers for the block: a peer that fetches the body from us imports it
 // one level further down the origin trace.
-func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemetry.TraceContext) {
+func (p *ProviderNode) acceptBlock(rec types.BlockRecord, from p2p.NodeID, tc telemetry.TraceContext) {
+	blk := rec.Block
 	// A block is seen iff the chain holds it. Deciding here, before the
 	// import, matters: InsertChain counts known blocks as processed, so
 	// afterwards a redelivery would be indistinguishable from a new block
@@ -416,7 +421,7 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemet
 	p.rememberTrace(id, span.Context())
 
 	// Collect the segment: the block plus the orphan chain hanging off it.
-	segment := []*types.Block{blk}
+	segment := []types.BlockRecord{rec}
 	for cursor := id; ; {
 		child, ok := p.orphans[cursor]
 		if !ok {
@@ -424,7 +429,7 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemet
 		}
 		delete(p.orphans, cursor)
 		segment = append(segment, child)
-		cursor = child.ID()
+		cursor = child.Block.ID()
 	}
 	mOrphanDepth.Set(int64(len(p.orphans)))
 
@@ -437,7 +442,7 @@ func (p *ProviderNode) acceptBlock(blk *types.Block, from p2p.NodeID, tc telemet
 	if n > 0 {
 		ids, source := make([]types.Hash, n), make([]p2p.NodeID, n)
 		for i, b := range segment[:n] {
-			ids[i], source[i] = b.ID(), from
+			ids[i], source[i] = b.Block.ID(), from
 		}
 		p.announce(p2p.MsgBlock, ids, source)
 		p.pool.Prune(p.chain.CurrentView().State())
@@ -518,8 +523,11 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 		endRoot("stale")
 		return nil, ErrStaleSeal
 	}
+	// Encoded once: the chain keeps these bytes for when the block falls
+	// below the window, and the peers are sent them.
+	payload := types.EncodeBlock(blk)
 	importSpan := telemetry.StartSpanIn(tc, "block.import")
-	_, err = p.chain.InsertBlockTraced(blk, tc)
+	_, err = p.chain.InsertBlockTraced(types.BlockRecord{Block: blk, Raw: payload}, tc)
 	importSpan.End(nodeLabel, telemetry.L("block", blk.ID().Short()))
 	if err != nil {
 		endRoot("invalid")
@@ -531,7 +539,7 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 	}
 	p.pool.Prune(p.chain.CurrentView().State())
 	if p.net != nil {
-		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: types.EncodeBlock(blk), Trace: tc})
+		p.net.Broadcast(p.id, p2p.Message{Kind: p2p.MsgBlock, Payload: payload, Trace: tc})
 	}
 	root.End(nodeLabel, telemetry.L("number", strconv.FormatUint(blk.Header.Number, 10)), telemetry.L("outcome", "ok"))
 	nodeLog.WithTrace(tc).Debug("sealed and published block",

@@ -8,6 +8,7 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -360,14 +361,16 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 	}
 
 	// Tail or replay: blocks run through normal verified import (each
-	// decodes: DecodeHeader accepted it).
+	// decodes: DecodeHeader accepted it), carrying their records, which
+	// the chain keeps for when they fall below the window.
 	s.mu.Unlock()
-	blocks := make([]*types.Block, len(records))
+	blocks := make([]types.BlockRecord, len(records))
 	for i, raw := range records {
-		blocks[i], _ = types.DecodeBlock(raw)
+		blocks[i].Block, _ = types.DecodeBlock(raw)
+		blocks[i].Raw = raw
 	}
 	p.mu.Lock()
-	n, insErr := p.chain.InsertChain(blocks)
+	n, insErr := p.chain.InsertChainTraced(blocks, telemetry.TraceContext{})
 	if n > 0 {
 		p.pool.Prune(p.chain.CurrentView().State())
 	}

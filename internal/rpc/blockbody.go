@@ -14,6 +14,7 @@ import (
 	"encoding/hex"
 	"strconv"
 
+	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -43,22 +44,22 @@ func appendQuotedHex(dst, b []byte) []byte {
 	return append(dst, '"')
 }
 
-// blockSummarySize returns the length appendBlockSummary writes for blk.
-func blockSummarySize(blk *types.Block) int {
-	h := &blk.Header
+// blockSummarySize returns the length appendBlockSummary writes for s.
+func blockSummarySize(s chain.BlockSummary) int {
+	h, ids := &s.Block.Header, s.Txs.IDs
 	n := len(`{"number":,"id":,"parentId":,"time":,"difficulty":,"miner":,"txHashes":[],"reports":}`) +
-		decWidth(h.Number) + decWidth(h.Time) + decWidth(h.Difficulty) + decWidth(uint64(blk.CountReports())) +
-		2*quotedHashLen + quotedAddressLen + len(blk.Txs)*quotedHashLen
-	if len(blk.Txs) > 1 {
-		n += len(blk.Txs) - 1 // commas
+		decWidth(h.Number) + decWidth(h.Time) + decWidth(h.Difficulty) + decWidth(uint64(s.Txs.Reports)) +
+		2*quotedHashLen + quotedAddressLen + len(ids)*quotedHashLen
+	if len(ids) > 1 {
+		n += len(ids) - 1 // commas
 	}
 	return n
 }
 
-// appendBlockSummary appends the /v1 summary object of blk.
-func appendBlockSummary(dst []byte, blk *types.Block) []byte {
-	h := &blk.Header
-	id := blk.ID()
+// appendBlockSummary appends the /v1 summary object of s.
+func appendBlockSummary(dst []byte, s chain.BlockSummary) []byte {
+	h := &s.Block.Header
+	id := s.Block.ID()
 	dst = append(dst, `{"number":`...)
 	dst = strconv.AppendUint(dst, h.Number, 10)
 	dst = append(dst, `,"id":`...)
@@ -72,31 +73,30 @@ func appendBlockSummary(dst []byte, blk *types.Block) []byte {
 	dst = append(dst, `,"miner":`...)
 	dst = appendQuotedHex(dst, h.Miner[:])
 	dst = append(dst, `,"txHashes":[`...)
-	for i, tx := range blk.Txs {
+	for i := range s.Txs.IDs {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		txHash := tx.Hash()
-		dst = appendQuotedHex(dst, txHash[:])
+		dst = appendQuotedHex(dst, s.Txs.IDs[i][:])
 	}
 	dst = append(dst, `],"reports":`...)
-	dst = strconv.AppendUint(dst, uint64(blk.CountReports()), 10)
+	dst = strconv.AppendUint(dst, uint64(s.Txs.Reports), 10)
 	return append(dst, '}')
 }
 
-// blockBody is the /v1/block/{number} body of blk.
-func blockBody(blk *types.Block) []byte {
-	body := make([]byte, 0, blockSummarySize(blk)+1)
-	return append(appendBlockSummary(body, blk), '\n')
+// blockBody is the /v1/block/{number} body of s.
+func blockBody(s chain.BlockSummary) []byte {
+	body := make([]byte, 0, blockSummarySize(s)+1)
+	return append(appendBlockSummary(body, s), '\n')
 }
 
 // blockPageBody is the /v1/blocks body for the range from..to. blocks
-// are the canonical blocks the range resolved to; when there are any,
-// "to" reads the last one's number. next, when set, is the nextCursor
-// the page carries; an empty page's blocks read null.
-func blockPageBody(from, to, head uint64, next *cursor, blocks []*types.Block) []byte {
+// are the summaries of the canonical blocks the range resolved to; when
+// there are any, "to" reads the last one's number. next, when set, is the
+// nextCursor the page carries; an empty page's blocks read null.
+func blockPageBody(from, to, head uint64, next *cursor, blocks []chain.BlockSummary) []byte {
 	if len(blocks) > 0 {
-		to = blocks[len(blocks)-1].Header.Number
+		to = blocks[len(blocks)-1].Block.Header.Number
 	}
 	size := len(`{"from":,"to":,"head":,"blocks":}`+"\n") + decWidth(from) + decWidth(to) + decWidth(head)
 	if next != nil {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -67,9 +68,20 @@ func blockListResponse(from, to, head uint64, next *cursor, blocks []*types.Bloc
 
 // checkBlockBodies fails unless blockBody (for each block) and
 // blockPageBody write json.Marshal's bytes of the oracle structs plus
-// the newline, into a buffer sized exactly.
+// the newline, into a buffer sized exactly. Each block is rendered twice:
+// decoded, as a block within the window is summarised, and from its
+// record with only the header beside it, as a block below the window is.
 func checkBlockBodies(t testing.TB, from, to, head uint64, next *cursor, blocks []*types.Block) {
 	t.Helper()
+	var decoded, recorded []chain.BlockSummary
+	for _, blk := range blocks {
+		txs, err := types.RecordTxSummary(types.EncodeBlock(blk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded = append(decoded, chain.BlockSummary{Block: blk, Txs: blk.TxSummary()})
+		recorded = append(recorded, chain.BlockSummary{Block: &types.Block{Header: blk.Header}, Txs: txs})
+	}
 	check := func(what string, got []byte, oracle interface{}) {
 		t.Helper()
 		want, err := json.Marshal(oracle)
@@ -84,10 +96,13 @@ func checkBlockBodies(t testing.TB, from, to, head uint64, next *cursor, blocks 
 			t.Fatalf("%s: len %d, cap %d: the size pass is off", what, len(got), cap(got))
 		}
 	}
-	for _, blk := range blocks {
-		check("block body", blockBody(blk), blockResponse(blk))
+	want := blockListResponse(from, to, head, next, blocks)
+	for _, sums := range [][]chain.BlockSummary{decoded, recorded} {
+		for i, s := range sums {
+			check("block body", blockBody(s), blockResponse(blocks[i]))
+		}
+		check("page body", blockPageBody(from, to, head, next, sums), want)
 	}
-	check("page body", blockPageBody(from, to, head, next, blocks), blockListResponse(from, to, head, next, blocks))
 }
 
 // syntheticBlock is a block whose header fields are given and whose n

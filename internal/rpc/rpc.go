@@ -372,7 +372,9 @@ func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 	if err != nil {
 		return cacheRef{}, nil, fmt.Errorf("rpc: bad block number: %w", err)
 	}
-	blk, err := v.BlockByNumber(n)
+	// The key reads the header only: a block below the window is not
+	// decoded to name its cache entry.
+	blk, err := v.HeaderByNumber(n)
 	if err != nil {
 		// Cached per head generation: within one view, "past the head"
 		// stays past the head. Keyed by the parsed number, so "7", "07"
@@ -380,7 +382,8 @@ func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 		return cacheRef{key: "block!:" + strconv.FormatUint(n, 10)}, notFound(err), nil
 	}
 	return s.contentRef(v, "block:"+blk.ID().String(), n), func() (int, []byte) {
-		return http.StatusOK, blockBody(blk)
+		var one [1]chain.BlockSummary
+		return http.StatusOK, blockBody(v.AppendSummaries(one[:0], n, n)[0])
 	}, nil
 }
 
@@ -652,7 +655,7 @@ func readBlocks(_ *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildF
 		// one the client saw, or that history was reorged away and every
 		// continuation would silently splice two forks — reject instead.
 		if cur.pos > 0 {
-			parent, err := v.BlockByNumber(cur.pos - 1)
+			parent, err := v.HeaderByNumber(cur.pos - 1)
 			if err != nil || parent.ID() != cur.lastID {
 				return cacheRef{}, nil, errors.New("rpc: cursor invalidated by a reorg; restart pagination from a finalized block")
 			}
@@ -699,16 +702,16 @@ func blockPage(v *chain.ReadView, from, to uint64, tail bool) (cacheRef, buildFu
 		// The whole range resolves from one snapshot, so a reorg
 		// mid-request can never mix blocks from two forks into a page.
 		// A page is at most MaxBlockRangeSize blocks, so they fit here.
-		var page [MaxBlockRangeSize]*types.Block
-		blocks := v.AppendBlocksRange(page[:0], from, to)
+		var page [MaxBlockRangeSize]chain.BlockSummary
+		blocks := v.AppendSummaries(page[:0], from, to)
 		var next *cursor
 		if tail {
 			next = &cursor{kind: cursorKindBlocks, headID: v.HeadID(), pos: from}
 			if n := len(blocks); n > 0 {
-				next.pos = blocks[n-1].Header.Number + 1
-				next.lastID = blocks[n-1].ID()
+				next.pos = blocks[n-1].Block.Header.Number + 1
+				next.lastID = blocks[n-1].Block.ID()
 			} else if from > 0 {
-				if blk, err := v.BlockByNumber(from - 1); err == nil {
+				if blk, err := v.HeaderByNumber(from - 1); err == nil {
 					next.lastID = blk.ID()
 				}
 			}

@@ -268,7 +268,7 @@ func (p *Pool) Pending(st StateReader, maxTxs int) []*types.Transaction {
 	}
 
 	// Deterministic order: sort queues by head gas price desc, tie-break
-	// by head hash.
+	// by the head's arrival order in this pool.
 	var out []*types.Transaction
 	for len(out) < maxTxs || maxTxs <= 0 {
 		sort.Slice(queues, func(i, j int) bool {

@@ -226,11 +226,53 @@ func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
 func (b *Block) CountReports() int {
 	n := 0
 	for _, tx := range b.Txs {
-		if tx.Kind == TxInitialReport || tx.Kind == TxDetailedReport {
+		if tx.Kind.isReport() {
 			n++
 		}
 	}
 	return n
+}
+
+// isReport reports whether k is a detection-result kind (R† or R*).
+func (k TxKind) isReport() bool { return k == TxInitialReport || k == TxDetailedReport }
+
+// TxSummary is what a block summary reads of a block's transactions:
+// their ids in order, and how many are reports (CountReports).
+type TxSummary struct {
+	IDs     []Hash
+	Reports int
+}
+
+// TxSummary returns b's transaction summary.
+func (b *Block) TxSummary() *TxSummary {
+	s := &TxSummary{IDs: make([]Hash, len(b.Txs)), Reports: b.CountReports()}
+	for i, tx := range b.Txs {
+		s.IDs[i] = tx.Hash()
+	}
+	return s
+}
+
+// RecordTxSummary returns the transaction summary of a block encoding
+// without building its transactions: each id is hashed from its bytes.
+// It rejects what DecodeBlock rejects.
+func RecordTxSummary(raw []byte) (*TxSummary, error) {
+	var tx Transaction
+	r, _ := readBlock(raw)
+	for r.more() {
+		r.next(&tx)
+	}
+	if err := r.close(); err != nil {
+		return nil, err
+	}
+	s := &TxSummary{IDs: make([]Hash, 0, r.n)}
+	r, _ = readBlock(raw)
+	for r.more() {
+		s.IDs = append(s.IDs, listHash(r.next(&tx)))
+		if tx.Kind.isReport() {
+			s.Reports++
+		}
+	}
+	return s, nil
 }
 
 // EncodeTx serializes a transaction for network transport.
