@@ -7,7 +7,6 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/sim"
-	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
 // paperProviderSpecs returns the top-5 hashing-power distribution the
@@ -152,6 +151,3 @@ func Fig3b(scale Scale) (*Report, error) {
 	r.check(math.Abs(stddev-mean)/mean < 0.15, "stddev ≈ mean (memoryless sealing)")
 	return r, nil
 }
-
-// paperGasPrice is the 50 gwei standard the cost calibration assumes.
-const paperGasPrice = 50 * types.GWei

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/sim"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -43,7 +44,7 @@ func Fig4a(scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		reward := res.Chain.Config().BlockReward.Ether()
+		reward := chain.BlockReward.Ether()
 		for _, b := range res.Blocks {
 			for ci, cp := range checkpoints {
 				if b.Time <= cp {

@@ -200,6 +200,5 @@ func Fig6b(scale Scale) (*Report, error) {
 	r.check(gasTotal < bountyTotal/5,
 		"report costs are negligible next to incentives (gas %.2f ≪ bounty %.2f ETH)",
 		gasTotal, bountyTotal)
-	_ = paperGasPrice
 	return r, nil
 }

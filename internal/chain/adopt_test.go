@@ -42,7 +42,7 @@ func adoptionHarness(t *testing.T) (*harness, *executions, []*types.Transaction)
 	t.Helper()
 	h := newHarness(t)
 	x := &executions{roots: telemetry.GetHistogram("smartcrowd_state_root_ns")}
-	cfg := h.chain.Config()
+	cfg := h.chain.cfg
 	cfg.Contract = contract.New(contract.DefaultParams(),
 		contract.VerifierFunc(func(types.Hash, types.Finding) bool {
 			x.verifier.Add(1)

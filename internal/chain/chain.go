@@ -16,17 +16,20 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
+// BlockReward is χ·ν of Eq. 8: the paper awards 5 ether per block.
+const BlockReward = 5 * types.Ether
+
+// Confirmations is the depth at which a block is final for protocol
+// purposes; the paper uses Bitcoin's 6.
+const Confirmations = 6
+
+// blockGasLimit caps the total gas of one block.
+const blockGasLimit = 100_000_000
+
 // Config parameterizes a SmartCrowd chain.
 type Config struct {
-	// BlockReward is χ·ν of Eq. 8 — the paper awards 5 ether per block.
-	BlockReward types.Amount
-	// Confirmations is the depth at which a block is final for protocol
-	// purposes; the paper uses Bitcoin's 6.
-	Confirmations uint64
 	// Contract is the SmartCrowd contract wired into execution.
 	Contract *contract.Contract
-	// BlockGasLimit caps total gas per block (0 = unlimited).
-	BlockGasLimit uint64
 	// SkipPoWCheck disables the PoW predicate for simulated chains whose
 	// sealing is sampled rather than ground (the SimSealer). Fork choice
 	// still uses declared difficulties.
@@ -70,15 +73,10 @@ func (cfg Config) ExpectedDifficulty(parent *types.Header, childTimeMillis uint6
 	return pow.NextDifficulty(rule, parent.Difficulty, parent.Time/1000, childTimeMillis/1000)
 }
 
-// DefaultConfig mirrors the paper's testnet: 5-ether block rewards and
-// 6-block confirmation.
+// DefaultConfig returns the configuration of an in-memory chain running
+// contract c, with PoW checked and difficulty unenforced.
 func DefaultConfig(c *contract.Contract) Config {
-	return Config{
-		BlockReward:   types.EtherAmount(5),
-		Confirmations: 6,
-		Contract:      c,
-		BlockGasLimit: 100_000_000,
-	}
+	return Config{Contract: c}
 }
 
 // Chain errors.
@@ -387,9 +385,6 @@ func New(cfg Config) (*Chain, error) {
 	return c, nil
 }
 
-// Config returns the chain configuration.
-func (c *Chain) Config() Config { return c.cfg }
-
 // Genesis returns the genesis block. c.genesis is set once, in New, so
 // reading it takes no lock.
 func (c *Chain) Genesis() *types.Block { return c.genesis.block() }
@@ -450,17 +445,23 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	return st, nil
 }
 
-// BlockByID returns a known block, canonical or not. It reads under the
-// lock because a side block is in no view: a view holds the canonical
-// chain only.
-func (c *Chain) BlockByID(id types.Hash) (*types.Block, error) {
+// BlockByID returns the EncodeBlock bytes of a known block, canonical or
+// not: the bytes the entry holds, never a decode of them, and an encoding
+// only for an entry that holds none (an empty block, or one inserted
+// without its bytes). The caller must not modify them. It reads under the
+// lock because a side block is in no view (a view holds the canonical
+// chain only), and the lock keeps release from writing raw meanwhile.
+func (c *Chain) BlockByID(id types.Hash) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.entries[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownBlock, id.Short())
 	}
-	return e.body(), nil
+	if e.raw != nil {
+		return e.raw[:len(e.raw):len(e.raw)], nil
+	}
+	return types.EncodeBlock(e.blk.Load()), nil
 }
 
 // HasBlock reports whether the block is known (canonical or not). Locked

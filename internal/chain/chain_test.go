@@ -59,12 +59,16 @@ func (h *harness) extend(txs ...*types.Transaction) *types.Block {
 
 func (h *harness) extendOn(parentID types.Hash, difficulty uint64, txs ...*types.Transaction) *types.Block {
 	h.t.Helper()
-	parent, err := h.chain.BlockByID(parentID)
+	raw, err := h.chain.BlockByID(parentID)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	parent, err := types.DecodeHeader(raw)
 	if err != nil {
 		h.t.Fatal(err)
 	}
 	blk, err := h.chain.BuildBlock(parentID, h.miner.Address(),
-		parent.Header.Time+15_350, difficulty, txs)
+		parent.Time+15_350, difficulty, txs)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -524,7 +528,7 @@ func TestContractCreationRefused(t *testing.T) {
 // execBlockForTest re-executes a block on a head-state copy.
 func execBlockForTest(h *harness, blk *types.Block) ([]*Receipt, error) {
 	st := h.chain.State()
-	return execBlock(h.chain.Config(), st, blk)
+	return execBlock(h.chain.cfg, st, blk)
 }
 
 // recordsOf returns blocks the way a peer's range sync delivers them to
@@ -544,7 +548,7 @@ func recordsOf(blocks []*types.Block) []types.BlockRecord {
 func adoptHead(t *testing.T, src *Chain) *Chain {
 	t.Helper()
 	snap := src.SnapshotNow()
-	dst, err := New(src.Config())
+	dst, err := New(src.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +621,7 @@ func TestStateRebuildRejectsForgedPrefixRoot(t *testing.T) {
 		forged = append(forged, &types.Block{Header: hdr, Txs: blk.Txs})
 		parentID = forged[len(forged)-1].ID()
 	}
-	dst, err := New(h.chain.Config())
+	dst, err := New(h.chain.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

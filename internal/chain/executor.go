@@ -75,13 +75,13 @@ func execBlock(cfg Config, st *state.DB, blk *types.Block) ([]*Receipt, error) {
 			return nil, fmt.Errorf("chain: block %d tx %d: %w", blk.Header.Number, i, err)
 		}
 		gasUsed += r.GasUsed
-		if cfg.BlockGasLimit > 0 && gasUsed > cfg.BlockGasLimit {
-			return nil, fmt.Errorf("%w: %d > %d", ErrBlockGasLimit, gasUsed, cfg.BlockGasLimit)
+		if gasUsed > blockGasLimit {
+			return nil, fmt.Errorf("%w: %d > %d", ErrBlockGasLimit, gasUsed, blockGasLimit)
 		}
 		receipts[i] = r
 	}
 	// Block reward (χ·ν of Eq. 8): fees were credited per-tx.
-	if err := st.Credit(blk.Header.Miner, cfg.BlockReward); err != nil {
+	if err := st.Credit(blk.Header.Miner, BlockReward); err != nil {
 		return nil, fmt.Errorf("chain: credit block reward: %w", err)
 	}
 	return receipts, nil
@@ -113,16 +113,15 @@ func intrinsicGas(data []byte) uint64 {
 // action succeeds. A call to the contract is priced GasRefund in applyTx;
 // its validity check here is the intrinsic gas.
 func (ex *executor) requiredGas(tx *types.Transaction) uint64 {
-	params := ex.cfg.Contract.Params()
 	switch tx.Kind {
 	case types.TxTransfer:
 		return gasTxBase
 	case types.TxSRA:
-		return params.GasSRA
+		return contract.GasSRA
 	case types.TxInitialReport:
-		return params.GasInitialReport
+		return contract.GasInitialReport
 	case types.TxDetailedReport:
-		return params.GasDetailedReport
+		return contract.GasDetailedReport
 	default:
 		return intrinsicGas(tx.Data)
 	}
@@ -237,7 +236,7 @@ func (ex *executor) applyTx(tx *types.Transaction) (*Receipt, error) {
 // requiredGas already charged.
 func (ex *executor) execCall(tx *types.Transaction, sender types.Address, receipt *Receipt, fail func(error)) {
 	if tx.To == contract.Address {
-		receipt.GasUsed = ex.cfg.Contract.Params().GasRefund
+		receipt.GasUsed = contract.GasRefund
 		if tx.GasLimit < receipt.GasUsed {
 			fail(ErrGasLimitTooLow)
 			return

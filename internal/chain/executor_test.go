@@ -241,7 +241,7 @@ func TestExecutionGolden(t *testing.T) {
 
 		// Re-importing the blocks into a fresh chain re-executes them
 		// through InsertChain rather than BuildBlock.
-		replay, err := New(c.Config())
+		replay, err := New(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -82,7 +82,7 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 			Kind: types.TxTransfer, To: overflowSink, Value: 2, GasLimit: 21_000, GasPrice: testGasPrice,
 		}, providerNonce, h.provider), h.provider},
 	}
-	cfg := h.chain.Config()
+	cfg := h.chain.cfg
 	head := h.chain.Head()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,7 +109,7 @@ func TestFailedTxKeepsTheNonceBumpAndNothingElse(t *testing.T) {
 			if err := want.Debit(sender, fee); err != nil {
 				t.Fatal(err)
 			}
-			if err := want.Credit(h.miner.Address(), fee+cfg.BlockReward); err != nil {
+			if err := want.Credit(h.miner.Address(), fee+BlockReward); err != nil {
 				t.Fatal(err)
 			}
 			if got.Nonce(sender) != tc.tx.Nonce+1 {

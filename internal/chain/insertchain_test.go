@@ -55,7 +55,7 @@ func buildTestChain(t *testing.T, blocks int) (*harness, []*types.Block) {
 // freshChain creates an empty chain with the same config/genesis as h's.
 func freshChain(t *testing.T, h *harness) *Chain {
 	t.Helper()
-	c, err := New(h.chain.Config())
+	c, err := New(h.chain.cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,20 +376,24 @@ func TestSnapshotNowBesideInsertChain(t *testing.T) {
 		default:
 		}
 		snap := c.SnapshotNow()
-		blk, err := c.BlockByID(snap.BlockID)
+		raw, err := c.BlockByID(snap.BlockID)
 		if err != nil {
 			t.Fatalf("snapshot names unknown block: %v", err)
 		}
-		if blk.Header.Number != snap.Height || blk.Header.StateRoot != snap.StateRoot {
+		hdr, err := types.DecodeHeader(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Number != snap.Height || hdr.StateRoot != snap.StateRoot {
 			t.Fatalf("snapshot at #%d disagrees with its header", snap.Height)
 		}
 		st, err := state.Restore(snap.State)
 		if err != nil {
 			t.Fatalf("snapshot at #%d does not restore: %v", snap.Height, err)
 		}
-		if root := st.Root(); root != blk.Header.StateRoot {
+		if root := st.Root(); root != hdr.StateRoot {
 			t.Fatalf("snapshot at #%d restores to %s, header commits to %s",
-				snap.Height, root.Short(), blk.Header.StateRoot.Short())
+				snap.Height, root.Short(), hdr.StateRoot.Short())
 		}
 		heights[snap.Height] = struct{}{}
 	}
@@ -536,7 +540,7 @@ func TestRunCommitsAsOne(t *testing.T) {
 	h, batch := transferBatch(t, maxRun+6, 2)
 	logRun, logOne := &memLog{}, &memLog{}
 	open := func(log *memLog) *Chain {
-		cfg := h.chain.Config()
+		cfg := h.chain.cfg
 		cfg.Storage = log
 		c, err := New(cfg)
 		if err != nil {

@@ -37,7 +37,7 @@ func mineLive(t *testing.T, c *Chain, intervalMillis uint64, txs []*types.Transa
 	t.Helper()
 	head := c.Head()
 	timestamp := head.Header.Time + intervalMillis
-	difficulty := c.Config().ExpectedDifficulty(&head.Header, timestamp)
+	difficulty := c.cfg.ExpectedDifficulty(&head.Header, timestamp)
 	miner := wallet.NewDeterministic("miner").Address()
 	blk, err := c.BuildBlock(head.ID(), miner, timestamp, difficulty, txs)
 	if err != nil {
@@ -96,7 +96,7 @@ func TestLivePoWRejectsUnminedBlock(t *testing.T) {
 	c, _ := liveChain(t)
 	head := c.Head()
 	timestamp := head.Header.Time + 15_000
-	difficulty := c.Config().ExpectedDifficulty(&head.Header, timestamp)
+	difficulty := c.cfg.ExpectedDifficulty(&head.Header, timestamp)
 	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
 		timestamp, difficulty, nil)
 	if err != nil {
@@ -116,7 +116,7 @@ func TestDifficultyRuleEnforced(t *testing.T) {
 	mineLive(t, c, 15_000, nil)
 	head := c.Head()
 	timestamp := head.Header.Time + 15_000
-	wrong := c.Config().ExpectedDifficulty(&head.Header, timestamp) + 1
+	wrong := c.cfg.ExpectedDifficulty(&head.Header, timestamp) + 1
 
 	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
 		timestamp, wrong, nil)

@@ -110,10 +110,10 @@ func (c *Chain) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64
 	return loc.blockID, loc.number, loc.txIdx, true
 }
 
-// Confirmed reports whether a transaction has reached the configured
+// Confirmed reports whether a transaction has reached the
 // confirmation depth (the paper's 6-block rule).
 func (c *Chain) Confirmed(txHash types.Hash) bool {
-	return c.lockedConfirmations(txHash) >= c.cfg.Confirmations
+	return c.lockedConfirmations(txHash) >= Confirmations
 }
 
 // sraListing reads the contract's SRA listing in the head state.

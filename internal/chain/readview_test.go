@@ -77,7 +77,7 @@ func assertViewMatchesChain(t *testing.T, c *Chain, sraIDs []types.Hash) {
 	if !bytes.Equal(v.State().Serialize(), st.Serialize()) {
 		t.Fatal("view state diverges from the locked head state")
 	}
-	sc := c.Config().Contract
+	sc := c.cfg.Contract
 	if sc.SRACount(v.State()) != sc.SRACount(st) {
 		t.Fatal("view SRA listing diverges from the locked head state")
 	}
@@ -134,7 +134,7 @@ func TestReadViewRecordsMatchLockedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := src.Config()
+	cfg := src.cfg
 	cfg.Storage = &storedLog{stored: &StoredChain{
 		Blocks:     recordsOf(src.CanonicalBlocks()[1:]),
 		HeadID:     src.Head().ID(),
@@ -181,7 +181,7 @@ func (s *stallLog) AppendBlocks(blocks []*types.Block, headID types.Hash, headNu
 func TestReadersDoNotWaitForCommit(t *testing.T) {
 	h := newHarness(t)
 	log := &stallLog{entered: make(chan struct{}), release: make(chan struct{})}
-	cfg := h.chain.Config()
+	cfg := h.chain.cfg
 	cfg.Storage = log
 	c, err := New(cfg)
 	if err != nil {
@@ -294,7 +294,7 @@ func TestReadViewImmutableAcrossReorg(t *testing.T) {
 		t.Fatal("pre-reorg view not at branch A tip")
 	}
 	wantBal := before.State().Balance(payee)
-	sc := h.chain.Config().Contract
+	sc := h.chain.cfg.Contract
 	wantRef, err := sc.GetSRA(before.State(), sra.ID)
 	if err != nil || wantRef.Reports != 2 {
 		t.Fatalf("pre-reorg reference %+v, %v: want 2 reports", wantRef, err)
@@ -382,7 +382,7 @@ func TestReadViewConcurrentHammer(t *testing.T) {
 	}
 
 	// Replay trunk then fork into a fresh chain while readers hammer it.
-	cfg := h.chain.Config()
+	cfg := h.chain.cfg
 	target, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +489,7 @@ func TestHeldViewAnswersStayPut(t *testing.T) {
 
 	held := h.chain.CurrentView()
 	txs := []*types.Transaction{sraTx, itx, dtx, transfer}
-	sc := h.chain.Config().Contract
+	sc := h.chain.cfg.Contract
 	type answers struct {
 		receipts []*Receipt
 		ref      contract.SRAInfo

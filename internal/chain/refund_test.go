@@ -41,7 +41,7 @@ func (h *harness) refundTx(sraID types.Hash) *types.Transaction {
 		Kind:     types.TxContractCall,
 		Nonce:    h.nextNonce(h.provider.Address()),
 		To:       contract.Address,
-		GasLimit: h.chain.Config().Contract.Params().GasRefund,
+		GasLimit: contract.GasRefund,
 		GasPrice: testGasPrice,
 		Data:     contract.RefundInput(sraID),
 	}

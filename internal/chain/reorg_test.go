@@ -223,7 +223,7 @@ func TestPostStatesBoundedAcrossDeepReorg(t *testing.T) {
 	}
 	assertBounded()
 
-	cfg := h.chain.Config()
+	cfg := h.chain.cfg
 	st, err := h.chain.StateAt(h.chain.Genesis().ID())
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func namedSRATx(h *harness, name string) (*types.Transaction, *types.SRA) {
 // branch's.
 func TestSRAIndexPaginationAndReorg(t *testing.T) {
 	h := newHarness(t)
-	sc := h.chain.Config().Contract
+	sc := h.chain.cfg.Contract
 	if got := sc.SRACount(h.chain.State()); got != 0 {
 		t.Fatalf("fresh chain lists %d SRAs", got)
 	}

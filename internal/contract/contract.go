@@ -7,8 +7,8 @@
 // at a reserved address, with its records laid out in that account's
 // storage slots — so reorganizations, snapshots and state roots cover it
 // like any other state. It is the chain's only contract: no transaction
-// can deploy code. Its gas prices (Params) are constants calibrated to
-// the paper's prototype costs, not metered execution.
+// can deploy code. Its gas costs (GasSRA, ...) are constants calibrated
+// to the paper's prototype costs, not metered execution.
 package contract
 
 import (
@@ -61,48 +61,34 @@ type Params struct {
 	// DetectionWindow is how many blocks after release the insurance stays
 	// locked; afterwards the provider may reclaim the remainder.
 	DetectionWindow uint64
-	// GasSRA is the gas consumed by an SRA registration (contract
-	// deployment in the paper; ≈0.095 ether at 50 gwei).
-	GasSRA uint64
-	// GasInitialReport and GasDetailedReport price report submissions
-	// (≈0.011 ether at 50 gwei per report).
-	GasInitialReport  uint64
-	GasDetailedReport uint64
-	// GasRefund prices an insurance reclaim.
-	GasRefund uint64
-	// SeverityWeightsPercent optionally scales the bounty per severity
-	// class, indexed by types.Severity (1..3); 0 entries mean 100%. The
-	// paper presets a single μ per vulnerability — weighting by risk class
-	// is a natural extension that keeps Eq. 7's structure (μ becomes
-	// μ·w(sev)) while paying high-risk findings more.
-	SeverityWeightsPercent [4]uint32
 }
 
-// bountyFor applies the severity weighting to the preset bounty.
-func (p Params) bountyFor(base types.Amount, sev types.Severity) types.Amount {
-	if sev < 0 || int(sev) >= len(p.SeverityWeightsPercent) {
-		return base
-	}
-	w := p.SeverityWeightsPercent[sev]
-	if w == 0 {
-		return base
-	}
-	return base * types.Amount(w) / 100
-}
-
-// DefaultParams mirrors the paper's prototype measurements: SRA release
-// cost ≈ 0.095 ether and per-report cost ≈ 0.011 ether at the standard 50
-// gwei gas price.
+// DefaultParams returns the protocol timing the paper's prototype runs.
 func DefaultParams() Params {
 	return Params{
-		CommitDepth:       1,
-		DetectionWindow:   40, // ×15.35 s ≈ the paper's 10-minute horizon
-		GasSRA:            1_900_000,
-		GasInitialReport:  110_000,
-		GasDetailedReport: 110_000,
-		GasRefund:         60_000,
+		CommitDepth:     1,
+		DetectionWindow: 40, // ×15.35 s ≈ the paper's 10-minute horizon
 	}
 }
+
+// Gas each contract action consumes, calibrated to the paper's prototype
+// measurements at GasPrice: an SRA release costs ≈ 0.095 ether and a
+// report ≈ 0.011 ether (§VII).
+const (
+	// GasSRA is the gas an SRA registration consumes (contract deployment
+	// in the paper).
+	GasSRA uint64 = 1_900_000
+	// GasInitialReport and GasDetailedReport price report submissions.
+	GasInitialReport  uint64 = 110_000
+	GasDetailedReport uint64 = 110_000
+	// GasRefund prices an insurance reclaim.
+	GasRefund uint64 = 60_000
+)
+
+// GasPrice is the 50 gwei standard gas price the paper's costs assume;
+// every transaction the platform, the simulator and detector nodes sign
+// offers it.
+const GasPrice = 50 * types.GWei
 
 // Contract is the native SmartCrowd contract logic.
 type Contract struct {
@@ -114,9 +100,6 @@ type Contract struct {
 func New(params Params, verifier Verifier) *Contract {
 	return &Contract{params: params, verifier: verifier}
 }
-
-// Params returns the contract parameters.
-func (c *Contract) Params() Params { return c.params }
 
 // Contract errors.
 var (
@@ -410,7 +393,7 @@ func (c *Contract) ApplyDetailedReport(st StateDB, blockNum uint64, r *types.Det
 			payout.RejectedDuplicate++
 			continue
 		}
-		pay := c.params.bountyFor(bounty, f.Severity)
+		pay := bounty
 		if pay > remaining {
 			pay = remaining // insurance exhausted: pay what is left
 		}

@@ -462,7 +462,7 @@ func TestInsuranceExhaustion(t *testing.T) {
 
 func TestRefundAfterWindow(t *testing.T) {
 	f := newFixture(t, acceptAll)
-	window := f.c.Params().DetectionWindow
+	window := f.c.params.DetectionWindow
 
 	// Too early.
 	if _, err := f.c.Refund(f.st, window, f.sra.ID, f.provider.Address()); !errors.Is(err, ErrWindowOpen) {
@@ -549,77 +549,5 @@ func TestEscrowTotalAcrossSRAs(t *testing.T) {
 	info2, _ := f.c.GetSRA(f.st, sra2.ID)
 	if info2.InsuranceRemaining != sra2.Insurance {
 		t.Errorf("SRA2 insurance %s, want untouched %s", info2.InsuranceRemaining, sra2.Insurance)
-	}
-}
-
-func TestSeverityWeightedBounties(t *testing.T) {
-	// Extension: high-risk findings pay 200%, low-risk 50%, medium default.
-	st := state.New()
-	params := DefaultParams()
-	params.SeverityWeightsPercent[types.SeverityHigh] = 200
-	params.SeverityWeightsPercent[types.SeverityLow] = 50
-	c := New(params, acceptAll)
-
-	provider := wallet.NewDeterministic("provider")
-	detector := wallet.NewDeterministic("detector")
-	_ = st.Credit(provider.Address(), types.EtherAmount(5000))
-	sra := &types.SRA{
-		Provider:     provider.Address(),
-		Name:         "weighted-fw",
-		Version:      "1",
-		DownloadLink: "sc://w",
-		Insurance:    types.EtherAmount(1000),
-		Bounty:       types.EtherAmount(10),
-	}
-	if err := types.SignSRA(sra, provider); err != nil {
-		t.Fatal(err)
-	}
-	_ = st.Transfer(provider.Address(), Address, sra.Insurance)
-	if err := c.ApplySRA(st, 1, sra); err != nil {
-		t.Fatal(err)
-	}
-
-	detailed := &types.DetailedReport{
-		SRAID:    sra.ID,
-		Detector: detector.Address(),
-		Wallet:   detector.Address(),
-		Findings: []types.Finding{
-			{VulnID: "HI", Severity: types.SeverityHigh, Evidence: "x"},
-			{VulnID: "MED", Severity: types.SeverityMedium, Evidence: "x"},
-			{VulnID: "LO", Severity: types.SeverityLow, Evidence: "x"},
-		},
-	}
-	if err := types.SignDetailedReport(detailed, detector); err != nil {
-		t.Fatal(err)
-	}
-	initial := &types.InitialReport{
-		SRAID:      sra.ID,
-		Detector:   detector.Address(),
-		DetailHash: detailed.CommitmentHash(),
-		Wallet:     detector.Address(),
-	}
-	if err := types.SignInitialReport(initial, detector); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ApplyInitialReport(st, 2, initial); err != nil {
-		t.Fatal(err)
-	}
-	payout, err := c.ApplyDetailedReport(st, 3, detailed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 10×200% + 10×100% + 10×50% = 35 ether.
-	if payout.Paid != types.EtherAmount(35) {
-		t.Errorf("weighted payout %s, want 35 ETH", payout.Paid)
-	}
-}
-
-func TestSeverityWeightsZeroMeansDefault(t *testing.T) {
-	p := DefaultParams()
-	if got := p.bountyFor(types.EtherAmount(5), types.SeverityHigh); got != types.EtherAmount(5) {
-		t.Errorf("unweighted bounty = %s, want 5 ETH", got)
-	}
-	if got := p.bountyFor(types.EtherAmount(5), types.Severity(99)); got != types.EtherAmount(5) {
-		t.Errorf("out-of-range severity bounty = %s, want base", got)
 	}
 }

@@ -25,18 +25,6 @@ import (
 type Config struct {
 	// Seed drives deterministic wallets and network behaviour.
 	Seed int64
-	// BlockReward per sealed block (default 5 ether, as the paper).
-	BlockReward types.Amount
-	// Confirmations for finality (default 6).
-	Confirmations uint64
-	// GasPrice for platform-submitted transactions (default 50 gwei).
-	GasPrice types.Amount
-	// NetworkLatency bounds gossip latency in simulated ms.
-	NetworkLatency uint64
-	// ContractParams tunes the SmartCrowd contract (zero value = defaults).
-	ContractParams contract.Params
-	// StrictSeverity makes AutoVerif require correct severity classes.
-	StrictSeverity bool
 }
 
 // Platform is a running SmartCrowd deployment.
@@ -77,22 +65,10 @@ var (
 // NewPlatform creates an empty platform; add providers and detectors, then
 // drive it with Release/Mine/Step.
 func NewPlatform(cfg Config) *Platform {
-	if cfg.BlockReward == 0 {
-		cfg.BlockReward = types.EtherAmount(5)
-	}
-	if cfg.Confirmations == 0 {
-		cfg.Confirmations = 6
-	}
-	if cfg.GasPrice == 0 {
-		cfg.GasPrice = 50 * types.GWei
-	}
-	if cfg.ContractParams == (contract.Params{}) {
-		cfg.ContractParams = contract.DefaultParams()
-	}
 	p := &Platform{
 		cfg:       cfg,
-		net:       p2p.New(p2p.Config{MaxLatency: cfg.NetworkLatency, Seed: cfg.Seed}),
-		verifier:  detection.NewGroundTruthVerifier(cfg.StrictSeverity),
+		net:       p2p.New(p2p.Config{Seed: cfg.Seed}),
+		verifier:  detection.NewGroundTruthVerifier(false),
 		images:    make(map[types.Hash]*detection.SystemImage),
 		announced: make(map[types.Hash]*types.SRA),
 		notified:  make(map[types.Hash]map[int]bool),
@@ -100,10 +76,8 @@ func NewPlatform(cfg Config) *Platform {
 		nonce:     make(map[types.Address]uint64),
 		notify:    newNotifier(),
 	}
-	p.contract = contract.New(cfg.ContractParams, p.verifier)
+	p.contract = contract.New(contract.DefaultParams(), p.verifier)
 	p.chainCfg = chain.DefaultConfig(p.contract)
-	p.chainCfg.BlockReward = cfg.BlockReward
-	p.chainCfg.Confirmations = cfg.Confirmations
 	p.chainCfg.SkipPoWCheck = true
 	return p
 }
@@ -145,9 +119,7 @@ func (p *Platform) AddDetector(name string, engine detection.Engine) (*node.Dete
 		return nil, ErrNoProviders
 	}
 	w := wallet.NewDeterministic(fmt.Sprintf("platform%d-detector-%s", p.cfg.Seed, name))
-	cfg := node.DefaultDetectorConfig()
-	cfg.GasPrice = p.cfg.GasPrice
-	det := node.NewDetector(p2p.NodeID("detector/"+name), w, engine, p.providers[0].Chain(), p.net, cfg)
+	det := node.NewDetector(p2p.NodeID("detector/"+name), w, engine, p.providers[0].Chain(), p.net)
 	p.detectors = append(p.detectors, det)
 	return det, nil
 }
@@ -192,13 +164,17 @@ func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insuranc
 	p.verifier.Register(sra.ID, img)
 	p.images[sra.ID] = img
 
-	tx := types.NewSRATx(sra, p.nextNonce(prov.Address()), p.cfg.ContractParams.GasSRA, p.cfg.GasPrice)
+	// The nonce is spent only by a submission the pool admits: the pool
+	// admits nonce gaps, so a refused SRA that kept its nonce would leave
+	// every later release by this provider pooled but never mined.
+	tx := types.NewSRATx(sra, p.nonce[prov.Address()], contract.GasSRA, contract.GasPrice)
 	if err := types.SignTx(tx, prov.Wallet()); err != nil {
 		return nil, err
 	}
 	if err := prov.SubmitTx(tx); err != nil {
 		return nil, fmt.Errorf("core: submit SRA: %w", err)
 	}
+	p.nonce[prov.Address()]++
 	p.announced[sra.ID] = sra
 	return sra, nil
 }
@@ -272,12 +248,6 @@ func (p *Platform) reactLocked() {
 		det.Poll()
 	}
 	p.settleLocked()
-}
-
-func (p *Platform) nextNonce(a types.Address) uint64 {
-	n := p.nonce[a]
-	p.nonce[a] = n + 1
-	return n
 }
 
 // Providers returns the provider nodes.

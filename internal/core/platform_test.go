@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/detection"
+	"github.com/smartcrowd/smartcrowd/internal/txpool"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
@@ -177,5 +178,35 @@ func TestPlatformForgerEarnsNothing(t *testing.T) {
 	}
 	if ref.InsuranceRemaining != types.EtherAmount(100) {
 		t.Error("insurance forfeited for forged findings")
+	}
+}
+
+// TestRefusedReleaseKeepsTheNonce: a release the pool refuses must not
+// spend the provider's nonce, or every later release by that provider is
+// admitted with a gap and never mined.
+func TestRefusedReleaseKeepsTheNonce(t *testing.T) {
+	p := NewPlatform(Config{Seed: 4})
+	if err := p.Fund(p.ProviderWallet("acme").Address(), types.EtherAmount(100)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.AddProvider("acme"); err != nil {
+		t.Fatal(err)
+	}
+	img := detection.GenerateImage("cam-fw", "1.0", detection.UniverseSpec{High: 1, Seed: 4})
+	if _, err := p.Release(0, img, types.EtherAmount(1000), types.EtherAmount(5)); !errors.Is(err, txpool.ErrUnaffordable) {
+		t.Fatalf("release insuring 1000 ETH from 100 ETH: %v, want ErrUnaffordable", err)
+	}
+	img = detection.GenerateImage("cam-fw", "1.1", detection.UniverseSpec{High: 1, Seed: 4})
+	sra, err := p.Release(0, img, types.EtherAmount(10), types.EtherAmount(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := p.Mine(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.Reference(sra.ID); err != nil {
+		t.Fatalf("the release after a refused one was never chained: %v", err)
 	}
 }

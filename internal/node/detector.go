@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
+	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/types"
@@ -22,25 +23,13 @@ type ChainReader interface {
 
 var _ ChainReader = (*chain.Chain)(nil)
 
-// DetectorConfig tunes a detector node.
-type DetectorConfig struct {
-	// GasLimit and GasPrice apply to report transactions.
-	GasLimit uint64
-	// GasPrice defaults to 50 gwei, the paper-era standard.
-	GasPrice types.Amount
-	// RevealConfirmations is how many confirmations the R† needs before
-	// the detector publishes R* (the paper waits for block confirmation).
-	RevealConfirmations uint64
-}
+// reportGasLimit is the gas limit of a detector's report transactions;
+// they offer contract.GasPrice.
+const reportGasLimit = 150_000
 
-// DefaultDetectorConfig returns the standard settings.
-func DefaultDetectorConfig() DetectorConfig {
-	return DetectorConfig{
-		GasLimit:            150_000,
-		GasPrice:            50 * types.GWei,
-		RevealConfirmations: 2,
-	}
-}
+// revealConfirmations is how many confirmations the R† needs before the
+// detector publishes R* (the paper waits for block confirmation).
+const revealConfirmations = 2
 
 // pendingReveal is a committed R† whose R* has not been published yet.
 type pendingReveal struct {
@@ -59,7 +48,6 @@ type DetectorNode struct {
 	engine detection.Engine
 	reader ChainReader
 	net    p2p.Transport
-	cfg    DetectorConfig
 
 	nonce    uint64
 	pending  []pendingReveal
@@ -67,10 +55,7 @@ type DetectorNode struct {
 }
 
 // NewDetector creates a detector node and joins it to the network.
-func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reader ChainReader, net p2p.Transport, cfg DetectorConfig) *DetectorNode {
-	if cfg.GasLimit == 0 {
-		cfg = DefaultDetectorConfig()
-	}
+func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reader ChainReader, net p2p.Transport) *DetectorNode {
 	if net != nil {
 		net.Join(id)
 	}
@@ -80,7 +65,6 @@ func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reade
 		engine:   engine,
 		reader:   reader,
 		net:      net,
-		cfg:      cfg,
 		revealed: make(map[types.Hash]types.Hash),
 	}
 }
@@ -129,7 +113,7 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 		return nil, err
 	}
 
-	itx := types.NewInitialReportTx(initial, d.nonce, d.cfg.GasLimit, d.cfg.GasPrice)
+	itx := types.NewInitialReportTx(initial, d.nonce, reportGasLimit, contract.GasPrice)
 	if err := types.SignTx(itx, d.wallet); err != nil {
 		return nil, err
 	}
@@ -144,7 +128,7 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 }
 
 // Poll advances Phase II: for every pending commitment whose R† has
-// reached the configured confirmation depth, the detector publishes the
+// reached revealConfirmations, the detector publishes the
 // detailed report R*. It returns the reveal transactions submitted. One
 // view answers for every pending commitment.
 func (d *DetectorNode) Poll() []*types.Transaction {
@@ -152,11 +136,11 @@ func (d *DetectorNode) Poll() []*types.Transaction {
 	var revealed []*types.Transaction
 	var still []pendingReveal
 	for _, p := range d.pending {
-		if v.Confirmations(p.initialTxHash) < d.cfg.RevealConfirmations {
+		if v.Confirmations(p.initialTxHash) < revealConfirmations {
 			still = append(still, p)
 			continue
 		}
-		dtx := types.NewDetailedReportTx(p.detailed, d.nonce, d.cfg.GasLimit, d.cfg.GasPrice)
+		dtx := types.NewDetailedReportTx(p.detailed, d.nonce, reportGasLimit, contract.GasPrice)
 		if err := types.SignTx(dtx, d.wallet); err != nil {
 			still = append(still, p)
 			continue

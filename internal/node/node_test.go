@@ -198,7 +198,7 @@ func TestDetectorLifecycleEndToEnd(t *testing.T) {
 
 	// A lightweight detector reacts to the SRA.
 	engine := &detection.CapabilityEngine{Name: "det", Capability: 1.0, Speed: 4, Seed: 5}
-	det := NewDetector("d0", detecting, engine, cl.providers[0].Chain(), cl.net, DefaultDetectorConfig())
+	det := NewDetector("d0", detecting, engine, cl.providers[0].Chain(), cl.net)
 	itx, err := det.OnSRA(sra, img)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestDetectorRejectsTamperedImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
-		cl.providers[0].Chain(), cl.net, DefaultDetectorConfig())
+		cl.providers[0].Chain(), cl.net)
 
 	tampered := detection.GenerateImage("fw", "1.0", detection.UniverseSpec{High: 2, Seed: 999})
 	if _, err := det.OnSRA(sra, tampered); err == nil {
@@ -302,7 +302,7 @@ func TestDetectorSkipsCleanImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
-		cl.providers[0].Chain(), cl.net, DefaultDetectorConfig())
+		cl.providers[0].Chain(), cl.net)
 	itx, err := det.OnSRA(sra, img)
 	if err != nil {
 		t.Fatal(err)

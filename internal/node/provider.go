@@ -82,7 +82,7 @@ func NewProvider(id p2p.NodeID, w *wallet.Wallet, cfg chain.Config, net p2p.Tran
 		wallet:      w,
 		net:         net,
 		chain:       c,
-		pool:        txpool.New(txpool.Config{}),
+		pool:        txpool.New(),
 		orphans:     make(map[types.Hash]types.BlockRecord),
 		fetches:     newFetches(),
 		clock:       time.Now,
@@ -307,7 +307,7 @@ func (p *ProviderNode) HandleMessages() {
 			if err != nil {
 				continue // counted by the shared classified metric
 			}
-			blk, err := p.chain.BlockByID(id)
+			raw, err := p.chain.BlockByID(id)
 			if err != nil {
 				continue // we don't have it either
 			}
@@ -317,7 +317,7 @@ func (p *ProviderNode) HandleMessages() {
 			tc, _ := p.TraceOf(id)
 			_ = p.net.Send(p.id, msg.From, p2p.Message{
 				Kind:    p2p.MsgBlock,
-				Payload: types.EncodeBlock(blk),
+				Payload: raw,
 				Trace:   tc,
 			})
 		case p2p.MsgHeadAnnounce:

@@ -234,7 +234,7 @@ func EncodeRangeBlocks(blocks []types.BlockRecord, maxBytes int) []byte {
 }
 
 // maxRangeCount bounds how many block records a single range response may
-// declare; responders stay far below it (see node.MaxRangeBlocks).
+// declare; responders stay far below it (node's maxRangeBlocks is 256).
 const maxRangeCount = 4096
 
 // ParseRangeBlocks validates and decodes a MsgRangeBlocks payload into

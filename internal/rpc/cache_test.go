@@ -109,7 +109,7 @@ func TestCacheReorgInvalidation(t *testing.T) {
 	mineOn(t, provB)
 	mineOn(t, provB)
 
-	sc := provA.Chain().Config().Contract
+	sc := contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false))
 	srv := httptest.NewServer(NewServerWith(provA, sc, Config{}))
 	defer srv.Close()
 
@@ -183,7 +183,7 @@ func TestCacheReorgInvalidation(t *testing.T) {
 // moves; finalized objects advertise themselves immutable.
 func TestCacheETagAndTiers(t *testing.T) {
 	e := newEnv(t) // head = 3
-	k := e.provider.Chain().Config().Confirmations
+	k := uint64(chain.Confirmations)
 	for i := uint64(0); i < k; i++ {
 		e.mine() // head = 3+K: block 1 is now more than K deep
 	}

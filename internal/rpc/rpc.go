@@ -108,11 +108,6 @@ type Server struct {
 	node     nodeAPI
 	contract *contract.Contract
 	cache    *respCache
-	// finality is K, the chain's confirmation depth (the paper's 6-block
-	// rule): objects at least K blocks below the view head are finalized,
-	// so their content-addressed responses advertise themselves as
-	// immutable to HTTP caches.
-	finality uint64
 	mux      *http.ServeMux
 }
 
@@ -128,7 +123,6 @@ func NewServerWith(n *node.ProviderNode, c *contract.Contract, cfg Config) *Serv
 		node:     n,
 		contract: c,
 		cache:    newRespCache(),
-		finality: n.Chain().Config().Confirmations,
 		mux:      http.NewServeMux(),
 	}
 	for _, rt := range routes {
@@ -287,10 +281,12 @@ type cacheRef struct {
 }
 
 // contentRef is the cacheRef of a response that commits to one block
-// alone: keyed by block id it is reorg-safe at any depth, and K blocks
-// down it is promoted to the finalized tier.
+// alone: keyed by block id it is reorg-safe at any depth, and K =
+// chain.Confirmations blocks down (the paper's 6-block rule) it is
+// finalized, so the response advertises itself as immutable to HTTP
+// caches.
 func (s *Server) contentRef(v *chain.ReadView, key string, number uint64) cacheRef {
-	return cacheRef{key: key, perm: v.FinalizedDepth(number) >= s.finality}
+	return cacheRef{key: key, perm: v.FinalizedDepth(number) >= chain.Confirmations}
 }
 
 // serveRead answers one chain read: pin the view, resolve the request

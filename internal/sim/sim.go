@@ -36,8 +36,6 @@ type ProviderSpec struct {
 	Name string
 	// HashShare is its fraction of network hashing power (ζ_i).
 	HashShare float64
-	// Funds is its genesis balance.
-	Funds types.Amount
 }
 
 // DetectorSpec configures one detector.
@@ -48,9 +46,18 @@ type DetectorSpec struct {
 	Threads int
 	// Capability is DC_i, the per-vulnerability discovery probability.
 	Capability float64
-	// Funds is its genesis balance (pays report gas).
-	Funds types.Amount
 }
+
+// Genesis balances: every provider's and every detector's (which pays
+// report gas).
+const (
+	providerFunds = 100_000 * types.Ether
+	detectorFunds = 1000 * types.Ether
+)
+
+// revealConfirmations gates Phase II: a detector reveals R* once its R†
+// is one block deep.
+const revealConfirmations = 1
 
 // ReleaseSpec schedules one SRA.
 type ReleaseSpec struct {
@@ -78,12 +85,6 @@ type Config struct {
 	// MeanFindTime is the expected per-vulnerability search time for a
 	// single-thread detector (default 2 min).
 	MeanFindTime time.Duration
-	// GasPrice applies to every transaction (default 50 gwei).
-	GasPrice types.Amount
-	// RevealConfirmations gates Phase II (default 1).
-	RevealConfirmations uint64
-	// MaxTxPerBlock caps block size (0 = unlimited).
-	MaxTxPerBlock int
 }
 
 // BlockStat summarizes one sealed block.
@@ -228,12 +229,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.MeanFindTime <= 0 {
 		cfg.MeanFindTime = 2 * time.Minute
 	}
-	if cfg.GasPrice == 0 {
-		cfg.GasPrice = 50 * types.GWei
-	}
-	if cfg.RevealConfirmations == 0 {
-		cfg.RevealConfirmations = 1
-	}
 	for i, rel := range cfg.Releases {
 		if rel.Provider < 0 || rel.Provider >= len(cfg.Providers) {
 			return nil, fmt.Errorf("sim: release %d references provider %d of %d", i, rel.Provider, len(cfg.Providers))
@@ -259,21 +254,13 @@ func Run(cfg Config) (*Result, error) {
 	for i, spec := range cfg.Providers {
 		w := wallet.NewDeterministic(fmt.Sprintf("sim%d-provider-%s", cfg.Seed, spec.Name))
 		providerWallets[i] = w
-		funds := spec.Funds
-		if funds == 0 {
-			funds = types.EtherAmount(100_000)
-		}
-		alloc[w.Address()] = funds
+		alloc[w.Address()] = providerFunds
 		miners[i] = pow.MinerPower{Name: spec.Name, HashShare: spec.HashShare}
 	}
 	for _, spec := range cfg.Detectors {
 		w := wallet.NewDeterministic(fmt.Sprintf("sim%d-detector-%s", cfg.Seed, spec.Name))
 		r.detectorWallets = append(r.detectorWallets, w)
-		funds := spec.Funds
-		if funds == 0 {
-			funds = types.EtherAmount(1000)
-		}
-		alloc[w.Address()] = funds
+		alloc[w.Address()] = detectorFunds
 	}
 
 	chainCfg := chain.DefaultConfig(r.contract)
@@ -395,7 +382,7 @@ func (r *runner) release(relIdx int) {
 		Insurance: rel.Insurance, Bounty: rel.Bounty, NumVulns: rel.NumVulns,
 	})
 
-	tx := types.NewSRATx(sra, r.nextNonce(w.Address()), r.contract.Params().GasSRA, r.cfg.GasPrice)
+	tx := types.NewSRATx(sra, r.nextNonce(w.Address()), contract.GasSRA, contract.GasPrice)
 	if err := types.SignTx(tx, w); err != nil {
 		panic("sim: sign SRA tx: " + err.Error())
 	}
@@ -459,7 +446,7 @@ func (r *runner) submitInitial(detectorIdx int, sraID types.Hash, finding types.
 		panic("sim: sign R†: " + err.Error())
 	}
 	itx := types.NewInitialReportTx(initial, r.nextNonce(w.Address()),
-		r.contract.Params().GasInitialReport, r.cfg.GasPrice)
+		contract.GasInitialReport, contract.GasPrice)
 	if err := types.SignTx(itx, w); err != nil {
 		panic("sim: sign R† tx: " + err.Error())
 	}
@@ -511,13 +498,12 @@ func (r *runner) mine(ev pow.SealEvent) error {
 	// collapsed onto the parent's millisecond: consensus requires strictly
 	// increasing time.
 	blk, err := winner.SealAndPublish(r.sealer, uint64(r.now/time.Millisecond),
-		pow.PaperBlockDifficulty, r.cfg.MaxTxPerBlock, nil)
+		pow.PaperBlockDifficulty, 0, nil)
 	if err != nil {
 		return fmt.Errorf("sim: %s seals block: %w", winner.ID(), err)
 	}
 	r.settle()
 	v := winner.CurrentView()
-	reward := winner.Chain().Config().BlockReward
 
 	// Incentive attribution (Eq. 7-10 flows).
 	stat := BlockStat{
@@ -527,12 +513,12 @@ func (r *runner) mine(ev pow.SealEvent) error {
 		Interval: ev.Interval,
 		Reports:  blk.CountReports(),
 	}
-	r.tracker.Record(winner.Address(), incentive.FlowMining, reward)
+	r.tracker.Record(winner.Address(), incentive.FlowMining, chain.BlockReward)
 	r.metrics.blocks.Inc()
 	r.metrics.blockInterval.Observe(uint64(ev.Interval / time.Millisecond))
 	r.metrics.blockTxs.Observe(uint64(len(blk.Txs)))
 	r.samplePropagation(ev.Winner)
-	r.metrics.rewardGwei.Add(uint64(reward))
+	r.metrics.rewardGwei.Add(uint64(chain.BlockReward))
 	for _, tx := range blk.Txs {
 		receipt, err := v.ReceiptOf(tx.Hash())
 		if err != nil {
@@ -587,12 +573,12 @@ func (r *runner) mine(ev pow.SealEvent) error {
 		if pr.done {
 			continue
 		}
-		if v.Confirmations(pr.initialTxHash) < r.cfg.RevealConfirmations {
+		if v.Confirmations(pr.initialTxHash) < revealConfirmations {
 			continue
 		}
 		w := r.detectorWallets[pr.detector]
 		dtx := types.NewDetailedReportTx(pr.detailed, r.nextNonce(w.Address()),
-			r.contract.Params().GasDetailedReport, r.cfg.GasPrice)
+			contract.GasDetailedReport, contract.GasPrice)
 		if err := types.SignTx(dtx, w); err != nil {
 			panic("sim: sign R* tx: " + err.Error())
 		}

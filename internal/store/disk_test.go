@@ -25,6 +25,7 @@ import (
 type fixture struct {
 	t      *testing.T
 	chain  *chain.Chain
+	disk   *Disk
 	miner  *wallet.Wallet
 	payer  *wallet.Wallet
 	nonces map[types.Address]uint64
@@ -61,6 +62,7 @@ func openFixture(t *testing.T, dir string, snapInterval uint64) (*fixture, error
 	return &fixture{
 		t:      t,
 		chain:  c,
+		disk:   d,
 		miner:  wallet.NewDeterministic("store-miner"),
 		payer:  wallet.NewDeterministic("store-payer"),
 		nonces: map[types.Address]uint64{},
@@ -381,7 +383,7 @@ func crashAt(t *testing.T, point string, size int) {
 		lost = append(lost, oracle.extend(1))
 	}
 
-	f.chain.Config().Storage.(*Disk).SetCrashPoint(point)
+	f.disk.SetCrashPoint(point)
 	if _, err := f.chain.InsertChain(lost); err == nil {
 		t.Fatal("injected crash did not surface")
 	}
@@ -583,7 +585,7 @@ func TestMidCommitErrorLatchesFailStop(t *testing.T) {
 	lost := oracle.extend(1)
 	next := oracle.extend(1)
 
-	f.chain.Config().Storage.(*Disk).SetCrashPoint("records-written")
+	f.disk.SetCrashPoint("records-written")
 	if err := f.insert(lost); err == nil {
 		t.Fatal("injected mid-commit error did not surface")
 	}
@@ -622,7 +624,7 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 
 	dir := t.TempDir()
 	f := mustOpen(t, dir, 0)
-	f.chain.Config().Storage.(*Disk).SetCrashPoint("records-written")
+	f.disk.SetCrashPoint("records-written")
 	if err := f.chain.AdoptSnapshot(recordsOf(prefix), snap.State); err == nil {
 		t.Fatal("adoption with failing persistence succeeded")
 	}
@@ -914,7 +916,7 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 		f.extend(2)
 	}
 	view := f.chain.CurrentView()
-	sc := f.chain.Config().Contract
+	sc := baseConfig().Contract
 	wantHead := view.HeadID()
 	wantRoot := view.Head().Header.StateRoot
 

@@ -31,19 +31,18 @@ type StateReader interface {
 	Balance(types.Address) types.Amount
 }
 
-// Config tunes the pool.
-type Config struct {
-	// Capacity bounds the total pooled transactions (0 = 4096).
-	Capacity int
-	// PriceBump is the minimum percent gas-price increase for replacing a
-	// same-nonce transaction (0 = 10).
-	PriceBump int
-}
+// poolCapacity bounds the total pooled transactions.
+const poolCapacity = 4096
+
+// priceBump is the minimum percent gas-price increase for replacing a
+// same-nonce transaction.
+const priceBump = 10
 
 // Pool is a thread-safe pending pool.
 type Pool struct {
-	mu        sync.Mutex
-	cfg       Config
+	mu sync.Mutex
+	// capacity is poolCapacity; a test shrinks it.
+	capacity  int
 	perSender map[types.Address]map[uint64]*types.Transaction // nonce → tx
 	byHash    map[types.Hash]*types.Transaction
 	// arrival orders same-price transactions first-come-first-served at
@@ -53,15 +52,9 @@ type Pool struct {
 }
 
 // New creates an empty pool.
-func New(cfg Config) *Pool {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = 4096
-	}
-	if cfg.PriceBump <= 0 {
-		cfg.PriceBump = 10
-	}
+func New() *Pool {
 	return &Pool{
-		cfg:       cfg,
+		capacity:  poolCapacity,
 		perSender: make(map[types.Address]map[uint64]*types.Transaction),
 		byHash:    make(map[types.Hash]*types.Transaction),
 		arrival:   make(map[types.Hash]uint64),
@@ -154,13 +147,13 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash, st StateReade
 	bucket := p.perSender[sender]
 	if existing, ok := bucket[tx.Nonce]; ok {
 		// Same-nonce replacement requires a meaningful price bump.
-		threshold := existing.GasPrice + existing.GasPrice*types.Amount(p.cfg.PriceBump)/100
+		threshold := existing.GasPrice + existing.GasPrice*priceBump/100
 		if tx.GasPrice < threshold {
 			return fmt.Errorf("%w: have %s, need ≥ %s", ErrUnderpriced, tx.GasPrice, threshold)
 		}
 		delete(p.byHash, existing.Hash())
 		delete(p.arrival, existing.Hash())
-	} else if len(p.byHash) >= p.cfg.Capacity {
+	} else if len(p.byHash) >= p.capacity {
 		return ErrPoolFull
 	}
 

@@ -44,7 +44,7 @@ func signedTx(t *testing.T, w *wallet.Wallet, nonce uint64, gasPrice types.Amoun
 }
 
 func TestAddAndPending(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	tx := signedTx(t, alice, 0, 50)
@@ -61,7 +61,7 @@ func TestAddAndPending(t *testing.T) {
 }
 
 func TestAddRejectsDuplicates(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	tx := signedTx(t, alice, 0, 50)
@@ -74,7 +74,7 @@ func TestAddRejectsDuplicates(t *testing.T) {
 }
 
 func TestAddRejectsInvalid(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	alice := wallet.NewDeterministic("alice")
 	tampered := signedTx(t, alice, 0, 50)
 	tampered.Value = 999 // break signature
@@ -98,7 +98,7 @@ func TestAddRejectsInvalid(t *testing.T) {
 }
 
 func TestAddRejectsStaleNonce(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	st.nonces[alice.Address()] = 5
@@ -108,7 +108,7 @@ func TestAddRejectsStaleNonce(t *testing.T) {
 }
 
 func TestAddRejectsUnaffordable(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	alice := wallet.NewDeterministic("alice")
 	st := &fakeState{
 		nonces:   map[types.Address]uint64{},
@@ -120,7 +120,7 @@ func TestAddRejectsUnaffordable(t *testing.T) {
 }
 
 func TestReplacementNeedsPriceBump(t *testing.T) {
-	p := New(Config{PriceBump: 10})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	if err := p.Add(signedTx(t, alice, 0, 100), st); err != nil {
@@ -145,7 +145,8 @@ func TestReplacementNeedsPriceBump(t *testing.T) {
 }
 
 func TestCapacity(t *testing.T) {
-	p := New(Config{Capacity: 2})
+	p := New()
+	p.capacity = 2
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	if err := p.Add(signedTx(t, alice, 0, 50), st); err != nil {
@@ -160,7 +161,7 @@ func TestCapacity(t *testing.T) {
 }
 
 func TestPendingRespectsNonceOrderWithinSender(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	// Insert out of order, with the later nonce priced higher.
@@ -179,7 +180,7 @@ func TestPendingRespectsNonceOrderWithinSender(t *testing.T) {
 }
 
 func TestPendingSkipsGappedNonces(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	if err := p.Add(signedTx(t, alice, 2, 50), st); err != nil { // gap: 0,1 missing
@@ -191,7 +192,7 @@ func TestPendingSkipsGappedNonces(t *testing.T) {
 }
 
 func TestPendingPrefersHigherFeeAcrossSenders(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	bob := wallet.NewDeterministic("bob")
@@ -208,7 +209,7 @@ func TestPendingPrefersHigherFeeAcrossSenders(t *testing.T) {
 }
 
 func TestPendingLimit(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	for n := uint64(0); n < 5; n++ {
@@ -225,7 +226,7 @@ func TestPendingLimit(t *testing.T) {
 }
 
 func TestRemoveAndPrune(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	tx0 := signedTx(t, alice, 0, 50)
@@ -255,7 +256,7 @@ func TestRemoveAndPrune(t *testing.T) {
 // replacement, Prune after a block — must drop its arrival entry too, or a
 // sealing node grows the map by one entry per transaction it ever mined.
 func TestArrivalTracksPool(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	check := func(step string) {
@@ -289,7 +290,7 @@ func TestArrivalTracksPool(t *testing.T) {
 
 func TestPendingDeterministic(t *testing.T) {
 	build := func() []*types.Transaction {
-		p := New(Config{})
+		p := New()
 		st := newFakeState()
 		for i := 0; i < 6; i++ {
 			w := wallet.NewDeterministic(string(rune('a' + i)))
@@ -308,7 +309,7 @@ func TestPendingDeterministic(t *testing.T) {
 }
 
 func TestAddAllBatchAdmission(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	bob := wallet.NewDeterministic("bob")
@@ -336,7 +337,7 @@ func TestAddAllBatchAdmission(t *testing.T) {
 }
 
 func TestAddAllReportsPerTxErrors(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	bob := wallet.NewDeterministic("bob")
@@ -370,7 +371,7 @@ func TestAddAllReportsPerTxErrors(t *testing.T) {
 }
 
 func TestAddAllEmpty(t *testing.T) {
-	p := New(Config{})
+	p := New()
 	if errs := p.AddAllTraced(nil, newFakeState(), telemetry.TraceContext{}); len(errs) != 0 {
 		t.Fatalf("nil batch returned %d errors", len(errs))
 	}

@@ -43,17 +43,17 @@ type Config struct {
 	// (defaults 250ms and 15s); actual sleeps are jittered to
 	// [backoff/2, backoff] so restarting fleets do not thundering-herd.
 	DialBackoffMin, DialBackoffMax time.Duration
-	// QueueSize bounds each peer's outbound frame queue (default 4096).
-	// A full queue sheds its oldest frame — slow peers lag, they do not
-	// stall the node or grow memory without bound. The default is the
-	// transaction pool's default capacity: a node queues frames in one
-	// loop — the bodies answering a tx-request (up to 1024), the pushes
-	// of a client burst it is the entry point of — far faster than the
-	// writer's one socket write per frame drains them, and a queue
-	// shorter than such a loop sheds transactions on a healthy peer
-	// (DESIGN.md §8.4).
-	QueueSize int
 }
+
+// queueSize bounds each peer's outbound frame queue. A full queue sheds
+// its oldest frame — slow peers lag, they do not stall the node or grow
+// memory without bound. It is the transaction pool's capacity: a node
+// queues frames in one loop — the bodies answering a tx-request (up to
+// 1024), the pushes of a client burst it is the entry point of — far
+// faster than the writer's one socket write per frame drains them, and a
+// queue shorter than such a loop sheds transactions on a healthy peer
+// (DESIGN.md §8.4).
+const queueSize = 4096
 
 func (cfg Config) withDefaults() Config {
 	if cfg.HandshakeTimeout <= 0 {
@@ -71,9 +71,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.DialBackoffMax < cfg.DialBackoffMin {
 		cfg.DialBackoffMax = 15 * time.Second
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 4096
-	}
 	return cfg
 }
 
@@ -82,7 +79,7 @@ type peer struct {
 	id   p2p.NodeID
 	conn net.Conn
 	// out holds pointers so that a queue sized for the largest gossip burst
-	// (Config.QueueSize) costs 8 bytes a slot, not a 72-byte Frame, whether
+	// (queueSize) costs 8 bytes a slot, not a 72-byte Frame, whether
 	// or not the burst ever comes.
 	out    chan *Frame
 	done   chan struct{}
@@ -349,7 +346,7 @@ func (t *Transport) setupConn(conn net.Conn, dialed bool) (*peer, bool) {
 	p := &peer{
 		id:     h.NodeID,
 		conn:   conn,
-		out:    make(chan *Frame, t.cfg.QueueSize),
+		out:    make(chan *Frame, queueSize),
 		done:   make(chan struct{}),
 		dialed: dialed,
 	}
