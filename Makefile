@@ -36,7 +36,10 @@ lint:
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and
-# the transaction and block decoders gossip feeds, the record check a
+# the transaction and block decoders gossip feeds, the pooled block
+# decoder, differentially against a fresh decode of every transaction, the
+# POST /v1/tx body reader, differentially against json.Unmarshal plus
+# hex.DecodeString, the record check a
 # snap prefix meets, differentially against decode + VerifyShape, the snap-sync,
 # range-sync and relay-announcement payload decoders a hostile peer
 # controls, and the signature parser and recovery kernel every signed byte
@@ -59,6 +62,8 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzSplit -fuzztime=$(FUZZTIME) -run NONE ./internal/rlp/
 	$(GO) test -fuzz='^FuzzDecodeTx$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
 	$(GO) test -fuzz='^FuzzDecodeBlock$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
+	$(GO) test -fuzz='^FuzzDecodeBlockPooled$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
+	$(GO) test -fuzz='^FuzzSubmitBody$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/rpc/
 	$(GO) test -fuzz='^FuzzVerifyRecord$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/types/
 	$(GO) test -fuzz='^FuzzParseSnapManifest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/
 	$(GO) test -fuzz='^FuzzParseSnapChunkRequest$$' -fuzztime=$(FUZZTIME) -run NONE ./internal/p2p/

@@ -35,6 +35,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strconv"
 
@@ -328,6 +329,10 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 // bytes for when it falls below the window. Callers hold the write lock.
 func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 	c.canon = slices.Grow(c.canon, len(prefix))
+	// The index is sized once for the prefix, not grown an insert at a time.
+	entries := make(map[types.Hash]*entry, len(c.entries)+len(prefix))
+	maps.Copy(entries, c.entries)
+	c.entries = entries
 	parent := c.genesis
 	for _, rec := range prefix {
 		e := &entry{

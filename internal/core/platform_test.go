@@ -4,9 +4,11 @@ import (
 	"errors"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
 	"github.com/smartcrowd/smartcrowd/internal/txpool"
 	"github.com/smartcrowd/smartcrowd/internal/types"
+	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
 // buildPlatform assembles 2 providers + 2 detectors with funded wallets.
@@ -208,5 +210,80 @@ func TestRefusedReleaseKeepsTheNonce(t *testing.T) {
 	}
 	if _, err := p.Reference(sra.ID); err != nil {
 		t.Fatalf("the release after a refused one was never chained: %v", err)
+	}
+}
+
+// TestRefusedReportIsResentOnceFunded: a detector whose first report is
+// refused for want of gas money (0.005 ETH against the 0.0075 ETH a
+// report's gas costs) has spent that report's nonce, and the pools admit
+// its later reports with a gap. Once a transfer funds it, it broadcasts
+// its unconfirmed reports again, so the refused one and everything after
+// it is chained, revealed and paid.
+func TestRefusedReportIsResentOnceFunded(t *testing.T) {
+	p := NewPlatform(Config{Seed: 5})
+	bank := wallet.NewDeterministic("bank")
+	for addr, amount := range map[types.Address]types.Amount{
+		p.ProviderWallet("acme").Address(): types.EtherAmount(10_000),
+		p.DetectorWallet("poor").Address(): types.GWei * 5_000_000, // 0.005 ETH
+		bank.Address():                     types.EtherAmount(100),
+	} {
+		if err := p.Fund(addr, amount); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.AddProvider("acme"); err != nil {
+		t.Fatal(err)
+	}
+	det, err := p.AddDetector("poor", &detection.CapabilityEngine{Name: "poor", Capability: 1, Speed: 8, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := func(version string) *types.SRA {
+		t.Helper()
+		img := detection.GenerateImage("cam-fw", version, detection.UniverseSpec{High: 4, Medium: 3, Low: 2, Seed: 55})
+		sra, err := p.Release(0, img, types.EtherAmount(100), types.EtherAmount(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sra
+	}
+	mine := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := p.Mine(0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	first := release("1.0")
+	mine(2) // the SRA is chained; the detector's R† is refused
+	addr := p.DetectorWallet("poor").Address()
+	if got := p.Providers()[0].CurrentView().State().Nonce(addr); got != 0 {
+		t.Fatalf("the unfunded detector chained %d transactions", got)
+	}
+	topUp := &types.Transaction{Kind: types.TxTransfer, To: addr, Value: types.EtherAmount(10), GasLimit: 21_000, GasPrice: contract.GasPrice}
+	if err := types.SignTx(topUp, bank); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Providers()[0].SubmitTx(topUp); err != nil {
+		t.Fatal(err)
+	}
+	second := release("2.0")
+	mine(12)
+	// Both commitments and both reveals: nonces 0 to 3.
+	if got := p.Providers()[0].CurrentView().State().Nonce(addr); got != 4 {
+		t.Errorf("the funded detector's chained nonce is %d, want 4", got)
+	}
+	for _, sra := range []*types.SRA{first, second} {
+		ref, err := p.Reference(sra.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref.ConfirmedVulns == 0 {
+			t.Errorf("release %s: no report confirmed", sra.Version)
+		}
+	}
+	if det.Earnings() == 0 {
+		t.Error("the detector earned nothing")
 	}
 }

@@ -31,6 +31,13 @@ const reportGasLimit = 150_000
 // detector publishes R* (the paper waits for block confirmation).
 const revealConfirmations = 2
 
+// resendAfter is how many blocks the chain's confirmed nonce for the
+// detector may rest on one of its signed transactions before the
+// detector broadcasts its unconfirmed transactions again: long enough that
+// a transaction pooled everywhere is mined first, so a funded detector
+// never resends.
+const resendAfter = 2 * revealConfirmations
+
 // pendingReveal is a committed R† whose R* has not been published yet.
 type pendingReveal struct {
 	initialTxHash types.Hash
@@ -52,6 +59,23 @@ type DetectorNode struct {
 	nonce    uint64
 	pending  []pendingReveal
 	revealed map[types.Hash]types.Hash // detailed tx hash → initial tx hash
+
+	// unconfirmed is every transaction the detector signed that its view
+	// has not confirmed yet, by nonce. A broadcast's refusal (a detector
+	// short of gas money) never comes back, and the pools admit nonce gaps,
+	// so without a resend one refused report would leave every later one
+	// pooled but never mined.
+	unconfirmed map[uint64]sentTx
+	// confirmed is the confirmed nonce the view last showed, and
+	// confirmedAt the head number at which it first showed it.
+	confirmed, confirmedAt uint64
+}
+
+// sentTx is a signed transaction's encoding and the head number at which
+// it was last broadcast.
+type sentTx struct {
+	raw []byte
+	at  uint64
 }
 
 // NewDetector creates a detector node and joins it to the network.
@@ -60,12 +84,13 @@ func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reade
 		net.Join(id)
 	}
 	return &DetectorNode{
-		id:       id,
-		wallet:   w,
-		engine:   engine,
-		reader:   reader,
-		net:      net,
-		revealed: make(map[types.Hash]types.Hash),
+		id:          id,
+		wallet:      w,
+		engine:      engine,
+		reader:      reader,
+		net:         net,
+		revealed:    make(map[types.Hash]types.Hash),
+		unconfirmed: make(map[uint64]sentTx),
 	}
 }
 
@@ -117,13 +142,12 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 	if err := types.SignTx(itx, d.wallet); err != nil {
 		return nil, err
 	}
-	d.nonce++
 	d.pending = append(d.pending, pendingReveal{
 		initialTxHash: itx.Hash(),
 		detailed:      detailed,
 		foundAfter:    latest,
 	})
-	d.broadcastTx(itx)
+	d.send(itx, d.reader.CurrentView().HeadNumber())
 	return itx, nil
 }
 
@@ -131,8 +155,15 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 // reached revealConfirmations, the detector publishes the
 // detailed report R*. It returns the reveal transactions submitted. One
 // view answers for every pending commitment.
+//
+// First, when the chain's confirmed nonce for the detector has rested on
+// one of its signed transactions for resendAfter blocks, the detector
+// broadcasts the exact bytes of every unconfirmed one again, in nonce
+// order: a report refused for want of gas money is admitted once the
+// detector can pay, and the reports signed after it chain behind it.
 func (d *DetectorNode) Poll() []*types.Transaction {
 	v := d.reader.CurrentView()
+	d.resendStuck(v)
 	var revealed []*types.Transaction
 	var still []pendingReveal
 	for _, p := range d.pending {
@@ -145,18 +176,55 @@ func (d *DetectorNode) Poll() []*types.Transaction {
 			still = append(still, p)
 			continue
 		}
-		d.nonce++
 		d.revealed[dtx.Hash()] = p.initialTxHash
-		d.broadcastTx(dtx)
+		d.send(dtx, v.HeadNumber())
 		revealed = append(revealed, dtx)
 	}
 	d.pending = still
 	return revealed
 }
 
-func (d *DetectorNode) broadcastTx(tx *types.Transaction) {
+// send spends the transaction's nonce, keeps its bytes until the chain
+// confirms it and broadcasts them; head is the view's head number.
+func (d *DetectorNode) send(tx *types.Transaction, head uint64) {
+	raw := types.EncodeTx(tx)
+	d.unconfirmed[tx.Nonce] = sentTx{raw: raw, at: head}
+	d.nonce++
+	d.broadcast(raw)
+}
+
+// resendStuck forgets the transactions v confirms and, when the confirmed
+// nonce has rested on an unconfirmed one for resendAfter blocks — counted
+// from when it reached that nonce or from the last broadcast, whichever is
+// later — broadcasts every unconfirmed transaction again.
+func (d *DetectorNode) resendStuck(v *chain.ReadView) {
+	if len(d.unconfirmed) == 0 {
+		return
+	}
+	confirmed, head := v.State().Nonce(d.wallet.Address()), v.HeadNumber()
+	for n := range d.unconfirmed {
+		if n < confirmed {
+			delete(d.unconfirmed, n)
+		}
+	}
+	if confirmed != d.confirmed {
+		d.confirmed, d.confirmedAt = confirmed, head
+	}
+	stuck, ok := d.unconfirmed[confirmed]
+	if !ok || head < max(stuck.at, d.confirmedAt)+resendAfter {
+		return
+	}
+	for n := confirmed; n < d.nonce; n++ {
+		if s, ok := d.unconfirmed[n]; ok {
+			d.unconfirmed[n] = sentTx{raw: s.raw, at: head}
+			d.broadcast(s.raw)
+		}
+	}
+}
+
+func (d *DetectorNode) broadcast(raw []byte) {
 	if d.net != nil {
-		d.net.Broadcast(d.id, p2p.Message{Kind: p2p.MsgTx, Payload: types.EncodeTx(tx)})
+		d.net.Broadcast(d.id, p2p.Message{Kind: p2p.MsgTx, Payload: raw})
 	}
 }
 

@@ -517,10 +517,10 @@ func TestDuplicateBlockRedeliveryRecoversNoSender(t *testing.T) {
 
 // TestImportOfPooledTxsRecoversNoSender: a follower that admitted a
 // transaction off gossip has already recovered its sender; the block that
-// later carries it decodes into fresh objects with cold memos, so without
-// reuse every transaction costs the node a second ECDSA recovery. Import
-// swaps in the pooled object when the hash — which covers every signed
-// byte and the signature — matches, and the block costs none.
+// later carries it would decode into fresh objects with cold memos, so
+// without reuse every transaction costs the node a second ECDSA recovery.
+// The block decoder takes the pooled object when the hash — which covers
+// every signed byte and the signature — matches, and the block costs none.
 func TestImportOfPooledTxsRecoversNoSender(t *testing.T) {
 	alloc, releasing, _ := fundedActors()
 	cl := newCluster(t, 2, alloc)

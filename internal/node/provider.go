@@ -276,7 +276,10 @@ func (p *ProviderNode) HandleMessages() {
 			txBatch = append(txBatch, gossipTx{tx: tx, from: msg.From, trace: msg.Trace})
 		case p2p.MsgBlock:
 			flushTxs()
-			blk, err := types.DecodeBlock(msg.Payload)
+			// A transaction this node admitted off gossip is pooled,
+			// validated and with its sender recovered: the block takes
+			// that object rather than decoding a copy with a cold memo.
+			blk, err := types.DecodeBlockPooled(msg.Payload, p.pool.Get)
 			if err != nil {
 				mGossipMalformed.Inc()
 				continue
@@ -405,16 +408,6 @@ func (p *ProviderNode) acceptBlock(rec types.BlockRecord, from p2p.NodeID, tc te
 	if p.chain.HasBlock(id) {
 		mGossipDupBlock.Inc()
 		return
-	}
-
-	// A transaction this node admitted off gossip is in the pool, validated
-	// and with its sender recovered; the block decoded a fresh copy with a
-	// cold memo. Equal hash means equal bytes, so import the pooled object
-	// and recover each sender once per node, not once per arrival.
-	for i, tx := range blk.Txs {
-		if pooled := p.pool.Get(tx.Hash()); pooled != nil {
-			blk.Txs[i] = pooled
-		}
 	}
 
 	span := telemetry.StartSpanIn(tc, "block.import")

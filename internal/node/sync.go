@@ -362,11 +362,12 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 
 	// Tail or replay: blocks run through normal verified import (each
 	// decodes: DecodeHeader accepted it), carrying their records, which
-	// the chain keeps for when they fall below the window.
+	// the chain keeps for when they fall below the window. A transaction
+	// the pool holds is imported as the pooled object, sender recovered.
 	s.mu.Unlock()
 	blocks := make([]types.BlockRecord, len(records))
 	for i, raw := range records {
-		blocks[i].Block, _ = types.DecodeBlock(raw)
+		blocks[i].Block, _ = types.DecodeBlockPooled(raw, p.pool.Get)
 		blocks[i].Raw = raw
 	}
 	p.mu.Lock()

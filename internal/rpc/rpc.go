@@ -721,26 +721,25 @@ type SubmitRequest struct {
 	TxHex string `json:"txHex"`
 }
 
-// SubmitResponse acknowledges a pooled transaction.
-type SubmitResponse struct {
-	TxHash string `json:"txHash"`
-	Pooled bool   `json:"pooled"`
-}
+// maxSubmitBody bounds the POST /v1/tx body read; a longer body is cut
+// there and fails to parse.
+const maxSubmitBody = 1 << 20
 
+// handleSubmitTx decodes a transaction once and pools it. A body of the
+// exact shape {"txHex":"0x…"} whose string needs no unescaping is read
+// where it lies and its hex decoded in place; any other body goes through
+// json.Unmarshal, so every rejection keeps its message. The answer is
+// appended, byte for byte what json.Encoder wrote for the acknowledgement
+// struct it replaced.
 func (s *Server) handleSubmitTx(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := readSubmitBody(r)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
-	var req SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("rpc: bad request body: %w", err))
-		return
-	}
-	raw, err := hex.DecodeString(strings.TrimPrefix(req.TxHex, "0x"))
+	raw, err := submitTxBytes(body)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, fmt.Errorf("rpc: bad tx hex: %w", err))
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, err)
 		return
 	}
 	tx, err := types.DecodeTx(raw)
@@ -752,5 +751,78 @@ func (s *Server) handleSubmitTx(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, CodeTxRejected, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{TxHash: tx.Hash().String(), Pooled: true})
+	hash := tx.Hash()
+	out := make([]byte, 0, len(submitOKHead)+2*types.HashSize+len(submitOKTail))
+	out = hex.AppendEncode(append(out, submitOKHead...), hash[:])
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(out, submitOKTail...))
+}
+
+// The 200 body around the transaction hash's hex digits: the pooled
+// transaction's acknowledgement, {"txHash":"0x…","pooled":true}.
+const (
+	submitOKHead = `{"txHash":"0x`
+	submitOKTail = `","pooled":true}` + "\n"
+)
+
+// submitPresize bounds the buffer readSubmitBody makes from a declared
+// Content-Length before any body byte has arrived. A transaction's hex is
+// well under it, so a real submission is read into one buffer; a client
+// that declares more and sends nothing holds no more than this, and a
+// longer body grows as its bytes arrive.
+const submitPresize = 16 << 10
+
+// readSubmitBody reads up to maxSubmitBody bytes of the request body: into
+// one buffer of the declared length when that is at most submitPresize,
+// through io.ReadAll otherwise.
+func readSubmitBody(r *http.Request) ([]byte, error) {
+	if r.ContentLength < 0 || r.ContentLength > submitPresize {
+		return io.ReadAll(io.LimitReader(r.Body, maxSubmitBody))
+	}
+	body := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
+}
+
+// submitTxBytes returns the transaction bytes a POST /v1/tx body carries,
+// or the error the handler answers 400 with. The exact shape's hex is
+// decoded in place, overwriting body.
+func submitTxBytes(body []byte) ([]byte, error) {
+	digits, ok := exactSubmitHex(body)
+	if !ok {
+		var req SubmitRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			return nil, fmt.Errorf("rpc: bad request body: %w", err)
+		}
+		digits = []byte(strings.TrimPrefix(req.TxHex, "0x"))
+	}
+	n, err := hex.Decode(digits, digits)
+	if err != nil {
+		return nil, fmt.Errorf("rpc: bad tx hex: %w", err)
+	}
+	return digits[:n], nil
+}
+
+// exactSubmitHex returns the hex digits, after any 0x, of a body that is
+// {"txHex":"…"} with nothing around it and a string of printable ASCII
+// holding no quote or backslash: the body json.Unmarshal reads to that
+// same string, with nothing to unescape or replace.
+func exactSubmitHex(body []byte) ([]byte, bool) {
+	const head, tail = `{"txHex":"`, `"}`
+	if len(body) < len(head)+len(tail) || string(body[:len(head)]) != head || string(body[len(body)-len(tail):]) != tail {
+		return nil, false
+	}
+	s := body[len(head) : len(body)-len(tail)]
+	for _, c := range s {
+		if c < 0x20 || c >= 0x80 || c == '"' || c == '\\' {
+			return nil, false
+		}
+	}
+	if len(s) >= 2 && s[0] == '0' && s[1] == 'x' {
+		s = s[2:]
+	}
+	return s, true
 }

@@ -5,9 +5,11 @@
 package txpool
 
 import (
+	"cmp"
+	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -38,26 +40,32 @@ const poolCapacity = 4096
 // same-nonce transaction.
 const priceBump = 10
 
-// Pool is a thread-safe pending pool.
+// Pool is a thread-safe pending pool. Each transaction is held once by
+// value in byHash, with its arrival number, and once in its sender's run:
+// the sender's transactions sorted by nonce, one per nonce.
 type Pool struct {
 	mu sync.Mutex
 	// capacity is poolCapacity; a test shrinks it.
-	capacity  int
-	perSender map[types.Address]map[uint64]*types.Transaction // nonce → tx
-	byHash    map[types.Hash]*types.Transaction
-	// arrival orders same-price transactions first-come-first-served at
-	// block assembly, as geth does.
-	arrival map[types.Hash]uint64
-	seq     uint64
+	capacity int
+	byHash   map[types.Hash]pooled
+	bySender map[types.Address][]pooled
+	seq      uint64 // arrivals so far; the next one's number
+}
+
+// pooled is one transaction and its arrival number, which orders
+// same-price transactions first-come-first-served at block assembly, as
+// geth does.
+type pooled struct {
+	tx  *types.Transaction
+	seq uint64
 }
 
 // New creates an empty pool.
 func New() *Pool {
 	return &Pool{
-		capacity:  poolCapacity,
-		perSender: make(map[types.Address]map[uint64]*types.Transaction),
-		byHash:    make(map[types.Hash]*types.Transaction),
-		arrival:   make(map[types.Hash]uint64),
+		capacity: poolCapacity,
+		byHash:   make(map[types.Hash]pooled),
+		bySender: make(map[types.Address][]pooled),
 	}
 }
 
@@ -144,28 +152,37 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash, st StateReade
 		}
 	}
 
-	bucket := p.perSender[sender]
-	if existing, ok := bucket[tx.Nonce]; ok {
+	run := p.bySender[sender]
+	i := nonceIndex(run, tx.Nonce)
+	replace := i < len(run) && run[i].tx.Nonce == tx.Nonce
+	if replace {
 		// Same-nonce replacement requires a meaningful price bump.
+		existing := run[i].tx
 		threshold := existing.GasPrice + existing.GasPrice*priceBump/100
 		if tx.GasPrice < threshold {
 			return fmt.Errorf("%w: have %s, need ≥ %s", ErrUnderpriced, tx.GasPrice, threshold)
 		}
 		delete(p.byHash, existing.Hash())
-		delete(p.arrival, existing.Hash())
 	} else if len(p.byHash) >= p.capacity {
 		return ErrPoolFull
 	}
 
-	if bucket == nil {
-		bucket = make(map[uint64]*types.Transaction)
-		p.perSender[sender] = bucket
-	}
-	bucket[tx.Nonce] = tx
-	p.byHash[hash] = tx
 	p.seq++
-	p.arrival[hash] = p.seq
+	e := pooled{tx: tx, seq: p.seq}
+	if replace {
+		run[i] = e
+	} else {
+		p.bySender[sender] = slices.Insert(run, i, e)
+	}
+	p.byHash[hash] = e
 	return nil
+}
+
+// nonceIndex is the index in run of the first transaction whose nonce is
+// at least nonce.
+func nonceIndex(run []pooled, nonce uint64) int {
+	i, _ := slices.BinarySearchFunc(run, nonce, func(e pooled, n uint64) int { return cmp.Compare(e.tx.Nonce, n) })
+	return i
 }
 
 // Get returns the pooled transaction with the given hash, or nil. The hash
@@ -175,7 +192,7 @@ func (p *Pool) admitLocked(tx *types.Transaction, hash types.Hash, st StateReade
 func (p *Pool) Get(hash types.Hash) *types.Transaction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.byHash[hash]
+	return p.byHash[hash].tx
 }
 
 // Len returns the number of pooled transactions.
@@ -194,17 +211,24 @@ func (p *Pool) Remove(hash types.Hash) {
 }
 
 func (p *Pool) removeLocked(hash types.Hash) {
-	tx, ok := p.byHash[hash]
+	e, ok := p.byHash[hash]
 	if !ok {
 		return
 	}
 	delete(p.byHash, hash)
-	delete(p.arrival, hash)
-	bucket := p.perSender[tx.From]
-	delete(bucket, tx.Nonce)
-	if len(bucket) == 0 {
-		delete(p.perSender, tx.From)
+	sender := e.tx.From
+	run := p.bySender[sender]
+	i := nonceIndex(run, e.tx.Nonce)
+	p.setRun(sender, slices.Delete(run, i, i+1))
+}
+
+// setRun stores a sender's run, or forgets the sender when it is empty.
+func (p *Pool) setRun(sender types.Address, run []pooled) {
+	if len(run) == 0 {
+		delete(p.bySender, sender)
+		return
 	}
+	p.bySender[sender] = run
 }
 
 // Prune drops every transaction whose nonce is now below the sender's
@@ -212,76 +236,81 @@ func (p *Pool) removeLocked(hash types.Hash) {
 func (p *Pool) Prune(st StateReader) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for sender, bucket := range p.perSender {
-		confirmed := st.Nonce(sender)
-		for nonce, tx := range bucket {
-			if nonce < confirmed {
-				delete(p.byHash, tx.Hash())
-				delete(p.arrival, tx.Hash())
-				delete(bucket, nonce)
-			}
+	for sender, run := range p.bySender {
+		stale := nonceIndex(run, st.Nonce(sender))
+		if stale == 0 {
+			continue
 		}
-		if len(bucket) == 0 {
-			delete(p.perSender, sender)
+		for _, e := range run[:stale] {
+			delete(p.byHash, e.tx.Hash())
 		}
+		p.setRun(sender, slices.Delete(run, 0, stale))
 	}
 	mPending.Set(int64(len(p.byHash)))
 }
 
-// Pending selects up to maxTxs transactions for block assembly: senders'
-// transactions stay nonce-ordered, and across senders higher-fee
-// transactions win. Transactions whose nonce does not chain onto the
-// sender's confirmed nonce are skipped (gapped).
+// Pending selects up to maxTxs transactions (all, when maxTxs <= 0) for
+// block assembly. A sender's runnable transactions are the consecutive
+// nonces from its confirmed nonce; later ones are skipped (gapped). Across
+// senders the next transaction is the runnable head with the highest gas
+// price, the earliest arrival among equal prices, so a sender's
+// transactions stay in nonce order. The heads are kept in a heap: T
+// transactions from S senders cost O(T log S).
 func (p *Pool) Pending(st StateReader, maxTxs int) []*types.Transaction {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	// Build per-sender runnable queues: consecutive nonces starting at the
-	// confirmed nonce.
-	type queue struct {
-		txs []*types.Transaction
-	}
-	queues := make([]*queue, 0, len(p.perSender))
-	for sender, bucket := range p.perSender {
+	heads := make(runHeap, 0, len(p.bySender))
+	total := 0
+	for sender, run := range p.bySender {
 		start := uint64(0)
 		if st != nil {
 			start = st.Nonce(sender)
 		}
-		q := &queue{}
-		for n := start; ; n++ {
-			tx, ok := bucket[n]
-			if !ok {
-				break
-			}
-			q.txs = append(q.txs, tx)
+		i := nonceIndex(run, start)
+		n := 0
+		for i+n < len(run) && run[i+n].tx.Nonce == start+uint64(n) {
+			n++
 		}
-		if len(q.txs) > 0 {
-			queues = append(queues, q)
+		if n > 0 {
+			heads = append(heads, run[i:i+n])
+			total += n
 		}
 	}
-
-	// Deterministic order: sort queues by head gas price desc, tie-break
-	// by the head's arrival order in this pool.
-	var out []*types.Transaction
-	for len(out) < maxTxs || maxTxs <= 0 {
-		sort.Slice(queues, func(i, j int) bool {
-			a, b := queues[i].txs[0], queues[j].txs[0]
-			if a.GasPrice != b.GasPrice {
-				return a.GasPrice > b.GasPrice
-			}
-			return p.arrival[a.Hash()] < p.arrival[b.Hash()]
-		})
-		if len(queues) == 0 {
-			break
+	if maxTxs > 0 {
+		total = min(total, maxTxs)
+	}
+	out := make([]*types.Transaction, 0, total)
+	heap.Init(&heads)
+	for len(out) < total {
+		run := heads[0]
+		out = append(out, run[0].tx)
+		if len(run) > 1 {
+			heads[0] = run[1:]
+		} else {
+			last := len(heads) - 1
+			heads[0] = heads[last]
+			heads = heads[:last]
 		}
-		out = append(out, queues[0].txs[0])
-		queues[0].txs = queues[0].txs[1:]
-		if len(queues[0].txs) == 0 {
-			queues = queues[1:]
-		}
-		if maxTxs > 0 && len(out) >= maxTxs {
-			break
+		if len(heads) > 0 {
+			heap.Fix(&heads, 0)
 		}
 	}
 	return out
 }
+
+// runHeap orders runnable runs by their head: gas price descending, then
+// arrival. Only Init and Fix are used, so Push and Pop are never called.
+type runHeap [][]pooled
+
+func (h runHeap) Len() int { return len(h) }
+func (h runHeap) Less(i, j int) bool {
+	a, b := h[i][0], h[j][0]
+	if a.tx.GasPrice != b.tx.GasPrice {
+		return a.tx.GasPrice > b.tx.GasPrice
+	}
+	return a.seq < b.seq
+}
+func (h runHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *runHeap) Push(any)     { panic("txpool: runHeap.Push") }
+func (h *runHeap) Pop() any     { panic("txpool: runHeap.Pop") }

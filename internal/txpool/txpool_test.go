@@ -2,6 +2,9 @@ package txpool
 
 import (
 	"errors"
+	"math/rand"
+	"sort"
+	"strconv"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
@@ -251,19 +254,18 @@ func TestRemoveAndPrune(t *testing.T) {
 	}
 }
 
-// TestArrivalTracksPool pins the arrival map to the pool's contents: every
+// TestArrivalTracksPool pins the senders' runs to the hash index: every
 // way a transaction leaves the pool — Remove after sealing, same-nonce
-// replacement, Prune after a block — must drop its arrival entry too, or a
-// sealing node grows the map by one entry per transaction it ever mined.
+// replacement, Prune after a block — must drop it from both, with the
+// same arrival number in each while it stays, or a sealing node grows
+// the pool by one entry per transaction it ever mined.
 func TestArrivalTracksPool(t *testing.T) {
 	p := New()
 	st := newFakeState()
 	alice := wallet.NewDeterministic("alice")
 	check := func(step string) {
 		t.Helper()
-		if len(p.arrival) != len(p.byHash) {
-			t.Fatalf("after %s: %d arrival entries for %d pooled txs", step, len(p.arrival), len(p.byHash))
-		}
+		checkRuns(t, p, step)
 	}
 	tx0 := signedTx(t, alice, 0, 50)
 	if err := p.Add(tx0, st); err != nil {
@@ -374,5 +376,125 @@ func TestAddAllEmpty(t *testing.T) {
 	p := New()
 	if errs := p.AddAllTraced(nil, newFakeState(), telemetry.TraceContext{}); len(errs) != 0 {
 		t.Fatalf("nil batch returned %d errors", len(errs))
+	}
+}
+
+// checkRuns fails unless the senders' runs and the hash index hold the
+// same transactions with the same arrival numbers, each run sorted by
+// nonce with one transaction per nonce.
+func checkRuns(t *testing.T, p *Pool, step string) {
+	t.Helper()
+	n := 0
+	for sender, run := range p.bySender {
+		if len(run) == 0 {
+			t.Fatalf("after %s: sender %s kept with an empty run", step, sender)
+		}
+		for i, e := range run {
+			if e.tx.From != sender || (i > 0 && run[i-1].tx.Nonce >= e.tx.Nonce) {
+				t.Fatalf("after %s: sender %s's run out of order at %d", step, sender, i)
+			}
+			if p.byHash[e.tx.Hash()] != e {
+				t.Fatalf("after %s: run entry %d of %s is not the indexed one", step, i, sender)
+			}
+		}
+		n += len(run)
+	}
+	if n != len(p.byHash) {
+		t.Fatalf("after %s: %d run entries for %d pooled txs", step, n, len(p.byHash))
+	}
+}
+
+// pendingBySort is the selection Pending made before its heap, kept as
+// the oracle: every round re-sorts the senders' runnable queues by head
+// gas price descending, then head arrival, and takes the first head.
+func pendingBySort(p *Pool, st StateReader, maxTxs int) []*types.Transaction {
+	type queue struct {
+		txs []*types.Transaction
+	}
+	var queues []*queue
+	for sender, run := range p.bySender {
+		bucket := make(map[uint64]*types.Transaction, len(run))
+		for _, e := range run {
+			bucket[e.tx.Nonce] = e.tx
+		}
+		q := &queue{}
+		for n := st.Nonce(sender); bucket[n] != nil; n++ {
+			q.txs = append(q.txs, bucket[n])
+		}
+		if len(q.txs) > 0 {
+			queues = append(queues, q)
+		}
+	}
+	var out []*types.Transaction
+	for len(out) < maxTxs || maxTxs <= 0 {
+		sort.Slice(queues, func(i, j int) bool {
+			a, b := queues[i].txs[0], queues[j].txs[0]
+			if a.GasPrice != b.GasPrice {
+				return a.GasPrice > b.GasPrice
+			}
+			return p.byHash[a.Hash()].seq < p.byHash[b.Hash()].seq
+		})
+		if len(queues) == 0 {
+			break
+		}
+		out = append(out, queues[0].txs[0])
+		queues[0].txs = queues[0].txs[1:]
+		if len(queues[0].txs) == 0 {
+			queues = queues[1:]
+		}
+	}
+	return out
+}
+
+// TestPendingMatchesSortOracle drives seeded random pools — few senders,
+// three gas prices so ties are common, nonce gaps, replacements, removals
+// and prunes — and compares Pending with the sort it replaced, for
+// several limits and confirmed nonces.
+func TestPendingMatchesSortOracle(t *testing.T) {
+	senders := make([]*wallet.Wallet, 6)
+	for i := range senders {
+		senders[i] = wallet.NewDeterministic("sender-" + strconv.Itoa(i))
+	}
+	rounds := 30
+	if testing.Short() {
+		rounds = 6
+	}
+	for seed := int64(0); seed < int64(rounds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := New()
+		admit := newFakeState()
+		var added []*types.Transaction
+		for op := 0; op < 40; op++ {
+			switch r := rng.Intn(10); {
+			case r < 8 || len(added) == 0:
+				w := senders[rng.Intn(len(senders))]
+				tx := signedTx(t, w, uint64(rng.Intn(8)), types.Amount(1+rng.Intn(3))*types.GWei)
+				if p.Add(tx, admit) == nil {
+					added = append(added, tx)
+				}
+			case r == 8:
+				p.Remove(added[rng.Intn(len(added))].Hash())
+			default:
+				st := newFakeState()
+				st.nonces[senders[rng.Intn(len(senders))].Address()] = uint64(rng.Intn(4))
+				p.Prune(st)
+			}
+		}
+		checkRuns(t, p, "seed "+strconv.FormatInt(seed, 10))
+		st := newFakeState()
+		for _, w := range senders {
+			st.nonces[w.Address()] = uint64(rng.Intn(3))
+		}
+		for _, limit := range []int{0, 1, 3, 7, 1000} {
+			got, want := p.Pending(st, limit), pendingBySort(p, st, limit)
+			if len(got) != len(want) {
+				t.Fatalf("seed %d, limit %d: %d transactions, oracle %d", seed, limit, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d, limit %d: transaction %d differs from the oracle's", seed, limit, i)
+				}
+			}
+		}
 	}
 }

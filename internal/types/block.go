@@ -283,16 +283,15 @@ func EncodeTx(tx *Transaction) []byte {
 
 // DecodeTx parses a transaction from its transport encoding. Only the
 // bytes EncodeTx produces are accepted, so a transaction has exactly one
-// encoding.
+// encoding, and its hash is the digest of data.
 func DecodeTx(data []byte) (*Transaction, error) {
 	d := decoder{buf: data}
-	tx := new(Transaction)
-	fields := d.txFields(tx)
+	var tx Transaction
+	fields := d.txFields(&tx)
 	if d.end(nil); d.err != nil {
 		return nil, fmt.Errorf("types: decode tx: %w", d.err)
 	}
-	tx.own(fields)
-	return tx, nil
+	return tx.detach(fields, HashBytes(data)), nil
 }
 
 // EncodeBlock serializes a block for network transport: [header, [tx…]],
@@ -363,13 +362,33 @@ func (b *Block) layout(scratch *[160]byte) (header []byte, txsLen int) {
 
 // DecodeBlock parses a block from its transport encoding, as strictly as
 // DecodeTx.
-func DecodeBlock(data []byte) (*Block, error) {
+func DecodeBlock(data []byte) (*Block, error) { return DecodeBlockPooled(data, nil) }
+
+// DecodeBlockPooled is DecodeBlock for a node that may already hold some
+// of the block's transactions. Each transaction is hashed on its bytes,
+// as RecordTxSummary does, and where pooled returns a transaction for
+// that hash, the block takes that pointer instead of a fresh decode:
+// equal hash means equal bytes, so the block is the one DecodeBlock
+// builds, with the pooled transaction's memo (its sender recovered once
+// per node, not once per arrival). It rejects exactly what DecodeBlock
+// rejects. pooled may be nil; a transaction it returns must not be
+// modified afterwards.
+func DecodeBlockPooled(data []byte, pooled func(Hash) *Transaction) (*Block, error) {
 	r, h := readBlock(data)
 	blk := &Block{Header: h, Txs: []*Transaction{}}
+	var scratch Transaction
 	for r.more() {
-		tx := new(Transaction)
-		if fields := r.next(tx); r.err == nil {
-			tx.own(fields)
+		fields := r.next(&scratch)
+		if r.err != nil {
+			break
+		}
+		hash := listHash(fields)
+		var tx *Transaction
+		if pooled != nil {
+			tx = pooled(hash)
+		}
+		if tx == nil {
+			tx = scratch.detach(fields, hash)
 		}
 		blk.Txs = append(blk.Txs, tx)
 	}
@@ -437,12 +456,25 @@ func (r *blockReader) close() error {
 	return nil
 }
 
-// own detaches a transaction read from fields from the input and stores
-// its memo. Only EncodeTx's own bytes are accepted, so fields is what
-// appendFields would write: neither Hash() nor SigHash() encodes back.
-func (tx *Transaction) own(fields []byte) {
-	tx.Data = append([]byte(nil), tx.Data...)
-	tx.memo.Store(tx.newMemo(fields))
+// detach returns a new transaction with the fields a decoder just read
+// into tx from fields, whose list hash is hash, owning its Data and with
+// its memo stored. Only EncodeTx's own bytes are accepted, so fields is
+// what appendFields would write: neither Hash() nor SigHash() encodes
+// back.
+func (tx *Transaction) detach(fields []byte, hash Hash) *Transaction {
+	out := &Transaction{
+		Kind:     tx.Kind,
+		Nonce:    tx.Nonce,
+		From:     tx.From,
+		To:       tx.To,
+		Value:    tx.Value,
+		GasLimit: tx.GasLimit,
+		GasPrice: tx.GasPrice,
+		Data:     append([]byte(nil), tx.Data...),
+		Sig:      tx.Sig,
+	}
+	out.memo.Store(out.newMemo(fields, hash))
+	return out
 }
 
 // txFields reads one transaction list into tx and returns its payload.

@@ -130,13 +130,14 @@ type txMemo struct {
 var sigSize = rlp.Size(65)
 
 // newMemo builds the memo of tx from fields, its list payload with the
-// signature (appendFields(…, true), or the bytes a decoder just read).
-func (tx *Transaction) newMemo(fields []byte) *txMemo {
+// signature (appendFields(…, true), or the bytes a decoder just read),
+// and hash, the list's digest listHash(fields).
+func (tx *Transaction) newMemo(fields []byte, hash Hash) *txMemo {
 	return &txMemo{
 		key:     tx.memoKey(),
 		data:    append([]byte(nil), tx.Data...),
 		sigHash: listHash(fields[:len(fields)-sigSize]),
-		hash:    listHash(fields),
+		hash:    hash,
 	}
 }
 
@@ -154,7 +155,8 @@ func (tx *Transaction) loadMemo() *txMemo {
 		return m
 	}
 	var scratch [256]byte // a small payload's fields stay on the stack
-	m := tx.newMemo(tx.appendFields(scratch[:0], true))
+	fields := tx.appendFields(scratch[:0], true)
+	m := tx.newMemo(fields, listHash(fields))
 	tx.memo.Store(m)
 	return m
 }

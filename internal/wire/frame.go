@@ -87,17 +87,29 @@ var (
 	ErrTruncated     = errors.New("wire: truncated frame")
 )
 
-// WriteFrame encodes f to w. Payloads above MaxFramePayload are refused
-// locally — the remote end would drop the connection anyway. The header
-// and envelope are built in a fixed array and sent together with the
-// payload as one net.Buffers write — a single writev on a TCP connection —
-// so the payload, which a broadcast shares among every peer's queue, is
-// never copied.
-func WriteFrame(w io.Writer, f Frame) error {
+// WriteFrame encodes f to w with a frameWriter of its own: for the
+// handshake's one frame, and for tests.
+func WriteFrame(w io.Writer, f Frame) error { return new(frameWriter).write(w, f) }
+
+// frameWriter writes frames to one connection. It owns the header it
+// encodes each frame's header and envelope into and the two-slice vector
+// that sends them together with the payload as one net.Buffers write — a
+// single writev on a TCP connection — so the payload, which a broadcast
+// shares among every peer's queue, is never copied, and a frame allocates
+// nothing. Not safe for concurrent use: each peer's writer has one.
+type frameWriter struct {
+	head [headerSize + envelopeSize]byte
+	vec  [2][]byte
+	bufs net.Buffers
+}
+
+// write encodes f to w. Payloads above MaxFramePayload are refused
+// locally — the remote end would drop the connection anyway.
+func (fw *frameWriter) write(w io.Writer, f Frame) error {
 	if len(f.Payload) > MaxFramePayload {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(f.Payload))
 	}
-	var head [headerSize + envelopeSize]byte
+	head := fw.head[:]
 	copy(head[:4], magic[:])
 	head[4] = ProtocolVersion
 	head[5] = byte(f.Kind)
@@ -107,8 +119,10 @@ func WriteFrame(w io.Writer, f Frame) error {
 	copy(env[16:], f.Trace.Span[:])
 	binary.BigEndian.PutUint64(env[24:], uint64(f.Trace.Start))
 	binary.BigEndian.PutUint64(env[32:], uint64(f.SentNanos))
-	bufs := net.Buffers{head[:], f.Payload}
-	_, err := bufs.WriteTo(w)
+	fw.vec = [2][]byte{head, f.Payload}
+	fw.bufs = fw.vec[:]
+	_, err := fw.bufs.WriteTo(w)
+	fw.vec[1] = nil // the queue, not the writer, keeps a payload alive
 	return err
 }
 

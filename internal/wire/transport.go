@@ -460,6 +460,7 @@ func (t *Transport) writeLoop(p *peer) {
 	defer t.teardown(p)
 	ping := time.NewTicker(t.cfg.ReadTimeout / 3)
 	defer ping.Stop()
+	var fw frameWriter
 	for {
 		var f Frame
 		select {
@@ -479,7 +480,7 @@ func (t *Transport) writeLoop(p *peer) {
 			// possible (it still includes the socket write).
 			f.SentNanos = time.Now().UnixNano()
 		}
-		if err := WriteFrame(p.conn, f); err != nil {
+		if err := fw.write(p.conn, f); err != nil {
 			return
 		}
 		mFramesOut.Inc()
