@@ -51,8 +51,10 @@ lint:
 # storage tries — snapshots nested, reverted through the undo journal
 # around Roots and held copies, each revert checked against the bytes
 # its snapshot saw — differentially against a from-scratch model — the
-# block log's open scan over arbitrary bytes, against a reference reader
-# and its own rescan, and the /v1 block bodies the server appends,
+# block log's open scan over arbitrary bytes, streamed through windows
+# down to one byte (so records straddle windows and outgrow them),
+# differentially against the in-memory scan it replaced, a reference
+# reader and its own rescan, and the /v1 block bodies the server appends,
 # differentially against json.Marshal of the summary structs. Override
 # FUZZTIME for longer local campaigns.
 FUZZTIME ?= 10s

@@ -98,10 +98,10 @@ var (
 // entry is a stored block with its execution artifacts.
 type entry struct {
 	// blk is the block with its transactions, or only its header (Txs
-	// nil) with raw holding the rest, as the entries a reopen or
-	// snap-join installed (installPrefixLocked) are held; or nil with raw
-	// holding the whole block, as an entry released below the window
-	// (release) is held until a reader asks for its header (block).
+	// nil) with raw or the backend's log holding the rest, as the entries
+	// a snap-join or a reopen installed (installPrefixLocked) are held; or
+	// nil with raw holding the whole block, as an entry released below the
+	// window (release) is held until a reader asks for its header (block).
 	// Published views alias entries, so blk is swapped whole, never
 	// mutated: a reader that loaded the body keeps a complete block
 	// however the entry changes after. Read the header through block, the
@@ -109,9 +109,11 @@ type entry struct {
 	blk atomic.Pointer[types.Block]
 	// raw is the block's EncodeBlock bytes, or nil. It is set before the
 	// entry is shared — the bytes the block arrived or was sealed in, or
-	// the log record a reopen read, which aliases the store's whole log
-	// buffer (store.(*Disk).Load) — or by release, just before it clears
-	// blk. Lock-free readers read it only after loading a block with no
+	// the record a reopen read back for its snapshot head and the tail it
+	// replayed — or by release, just before it clears blk. It is nil for
+	// an entry a reopen installed below its snapshot head: that block's
+	// bytes stay in the backend's log, and Chain.logged says where.
+	// Lock-free readers read raw only after loading a block with no
 	// transactions, or none (record, body), so they never read it while
 	// release writes it. The bytes never change: body decodes them on
 	// every call rather than caching, so concurrent readers share nothing
@@ -233,6 +235,74 @@ func (e *entry) summary() BlockSummary {
 	return s
 }
 
+// logRecords is the prefix a reopen installed below its snapshot head,
+// whose bytes stay in the backend's log: element n-1 is block n's record,
+// its entry's header-only block beside where the bytes sit
+// (types.StoredRecord). Such an entry holds its header and no bytes, so
+// its readers here read the bytes from the log, and may fail where a
+// read of bytes in memory cannot. An entry is one of them when its block
+// is the very one its number's record holds: an installed prefix entry
+// keeps that header-only block for good (release leaves a block with no
+// transactions alone), and no other entry holds it.
+type logRecords []types.BlockRecord
+
+// of returns the record e was installed from when e's bytes are in the
+// log.
+func (l logRecords) of(e *entry) (types.BlockRecord, bool) {
+	b := e.blk.Load()
+	if b == nil || b.Header.Number == 0 || b.Header.Number > uint64(len(l)) {
+		return types.BlockRecord{}, false
+	}
+	rec := l[b.Header.Number-1]
+	return rec, rec.Block == b && rec.Stored != nil
+}
+
+// record is entry.record as a types.BlockRecord: the block with its
+// transactions, or its header-only block beside its bytes, in memory or
+// in the log.
+func (l logRecords) record(e *entry) types.BlockRecord {
+	if rec, ok := l.of(e); ok {
+		return rec
+	}
+	b, raw := e.record()
+	return types.BlockRecord{Block: b, Raw: raw}
+}
+
+// body is entry.body, reading the bytes from the log when they are there.
+func (l logRecords) body(e *entry) (*types.Block, error) {
+	rec, ok := l.of(e)
+	if !ok {
+		return e.body(), nil
+	}
+	raw, err := rec.Append(nil)
+	if err != nil {
+		return nil, fmt.Errorf("chain: read block #%d: %w", rec.Block.Header.Number, err)
+	}
+	return types.DecodeBlock(raw)
+}
+
+// summary is entry.summary, reading the bytes from the log when they are
+// there and the summary is not yet memoised.
+func (l logRecords) summary(e *entry) (BlockSummary, error) {
+	rec, ok := l.of(e)
+	if !ok {
+		return e.summary(), nil
+	}
+	s := BlockSummary{Block: rec.Block, Txs: e.txs.Load()}
+	if s.Txs != nil {
+		return s, nil
+	}
+	raw, err := rec.Append(nil)
+	if err != nil {
+		return BlockSummary{}, fmt.Errorf("chain: read block #%d: %w", rec.Block.Header.Number, err)
+	}
+	if s.Txs, err = types.RecordTxSummary(raw); err != nil {
+		return BlockSummary{}, err
+	}
+	e.txs.Store(s.Txs)
+	return s, nil
+}
+
 // postHorizon is the window: a canonical entry postHorizon blocks below
 // the head drops its post-state unless its number is a multiple of
 // postHorizon (dropPost), so the canonical chain holds at most
@@ -329,6 +399,11 @@ type Chain struct {
 	// or below it were never executed here, so txTrie holds none of their
 	// transactions.
 	horizon uint64
+	// logged is the prefix a reopen installed below its snapshot head,
+	// whose bodies are read from the backend's log (logRecords); nil for
+	// a chain that never reopened from a snapshot. Set once, before the
+	// first view that holds those entries is published.
+	logged logRecords
 	// built memoises the last BuildBlock so a sealer's own block is
 	// executed once, not once to build and again to import (see
 	// insertVerifiedLocked). Guarded by mu.
@@ -427,7 +502,11 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	}
 	st := cursor.post().Copy()
 	for i := len(pending) - 1; i >= 0; i-- {
-		if _, err := execBlock(c.cfg, st, pending[i].body()); err != nil {
+		blk, err := c.logged.body(pending[i])
+		if err != nil {
+			return nil, fmt.Errorf("chain: rebuild state: %w", err)
+		}
+		if _, err := execBlock(c.cfg, st, blk); err != nil {
 			return nil, fmt.Errorf("chain: rebuild state: %w", err)
 		}
 	}
@@ -446,11 +525,13 @@ func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 }
 
 // BlockByID returns the EncodeBlock bytes of a known block, canonical or
-// not: the bytes the entry holds, never a decode of them, and an encoding
-// only for an entry that holds none (an empty block, or one inserted
-// without its bytes). The caller must not modify them. It reads under the
-// lock because a side block is in no view (a view holds the canonical
-// chain only), and the lock keeps release from writing raw meanwhile.
+// not: the bytes the entry holds, never a decode of them, a copy read
+// from the log for an entry a reopen left there (which may fail), and an
+// encoding only for an entry that holds none (an empty block, or one
+// inserted without its bytes). The caller must not modify them. It reads
+// under the lock because a side block is in no view (a view holds the
+// canonical chain only), and the lock keeps release from writing raw
+// meanwhile.
 func (c *Chain) BlockByID(id types.Hash) ([]byte, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -460,6 +541,9 @@ func (c *Chain) BlockByID(id types.Hash) ([]byte, error) {
 	}
 	if e.raw != nil {
 		return e.raw[:len(e.raw):len(e.raw)], nil
+	}
+	if rec, ok := c.logged.of(e); ok {
+		return rec.Append(nil)
 	}
 	return types.EncodeBlock(e.blk.Load()), nil
 }

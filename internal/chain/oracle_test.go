@@ -52,14 +52,14 @@ func (c *Chain) lockedConfirmations(txHash types.Hash) uint64 {
 
 // lockedRecords returns the canonical blocks from..to (inclusive, to
 // clamped to the head) as records: a block held as its bytes comes back
-// as those bytes beside its header-only block.
+// as those bytes beside its header-only block, and one a reopen left in
+// the log as where they sit there.
 func (c *Chain) lockedRecords(from, to uint64) []types.BlockRecord {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []types.BlockRecord
 	for n := from; n <= to && n < uint64(len(c.canon)); n++ {
-		blk, raw := c.canon[n].record()
-		out = append(out, types.BlockRecord{Block: blk, Raw: raw})
+		out = append(out, c.logged.record(c.canon[n]))
 	}
 	return out
 }
@@ -79,7 +79,7 @@ func (c *Chain) BlockByNumber(n uint64) (*types.Block, error) {
 	if n >= uint64(len(c.canon)) {
 		return nil, fmt.Errorf("%w: height %d beyond head %d", ErrUnknownBlock, n, len(c.canon)-1)
 	}
-	return c.canon[n].body(), nil
+	return c.logged.body(c.canon[n])
 }
 
 // StateAt returns a copy of the post-state of the given block, rebuilding

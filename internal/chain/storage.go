@@ -16,20 +16,22 @@
 //   - Load returns only committed blocks, in their original insertion
 //     order, each of which was valid when first imported (parents always
 //     precede children). Each comes back as a types.BlockRecord: a
-//     header-only block and its record bytes, which types.DecodeHeader
-//     has accepted — so types.DecodeBlock accepts them too.
+//     header-only block beside its record bytes or where the backend
+//     keeps them (types.StoredRecord), bytes types.DecodeHeader has
+//     accepted — so types.DecodeBlock accepts them too.
 //   - HeadID/HeadNumber name the last durably committed fork-choice head;
 //     the canonical chain is recovered by walking parent links from it.
 //   - Snapshot, when present, is advisory: replay validates it against
 //     the recovered canonical chain (right block at the right height) and
 //     the restored state against the commitment-trie root in that block's
 //     header before trusting it, falling back to full re-execution.
-//   - Blocks at or below a restored snapshot stay record bytes, as
-//     blocks below the window do (entry.release): replay decodes the
-//     snapshot block, the tail above it and side blocks, and every other
-//     body is decoded each time something reads it (range sync is served
-//     the bytes themselves). The tail keeps its records too, for when it
-//     falls below the window.
+//   - Blocks below a restored snapshot stay where Load left their bytes:
+//     in the backend's log (Chain.logged), read each time something asks
+//     for a body, a summary or the bytes, or — from a backend that hands
+//     out bytes — in memory, as blocks below the window are held
+//     (entry.release). Replay reads and decodes the snapshot block, the
+//     tail above it and side blocks, which keep the bytes read for when
+//     they fall below the window.
 package chain
 
 import (
@@ -161,7 +163,8 @@ func init() {
 // chain. Called once from New, before the chain is shared, with persist
 // still false so replayed imports are not re-appended. The fast path
 // restores the newest valid snapshot, keeps the blocks below it as
-// headers plus record bytes, and decodes and re-executes only the tail;
+// headers plus where their records sit, and reads, decodes and
+// re-executes only the tail;
 // full re-execution from genesis is the fallback whenever the snapshot
 // fails any check.
 func (c *Chain) initFromStorage() error {
@@ -174,9 +177,11 @@ func (c *Chain) initFromStorage() error {
 		return nil
 	}
 
+	// Ids are hashed, not memoised: a block below the snapshot that
+	// nothing reads keeps no id memo (types.Block.ID) beside its header.
 	byID := make(map[types.Hash]types.BlockRecord, len(sc.Blocks))
 	for _, rec := range sc.Blocks {
-		byID[rec.Block.ID()] = rec
+		byID[rec.Block.Header.ID()] = rec
 	}
 
 	// Recover the canonical chain by walking parent links from the
@@ -219,11 +224,11 @@ func (c *Chain) initFromStorage() error {
 	// stateOfLocked, and one that no longer imports is dropped.
 	tail := make([]types.BlockRecord, 0, sc.HeadNumber-restored)
 	for _, rec := range canonical[restored+1:] {
-		blk, err := types.DecodeBlock(rec.Raw)
+		rec, err := decodeRecord(rec)
 		if err != nil {
 			return fmt.Errorf("%w: canonical replay: %v", ErrStorageCorrupt, err)
 		}
-		tail = append(tail, types.BlockRecord{Block: blk, Raw: rec.Raw})
+		tail = append(tail, rec)
 	}
 	if len(tail) > 0 {
 		if _, err := c.InsertChainTraced(tail, telemetry.TraceContext{}); err != nil {
@@ -235,11 +240,11 @@ func (c *Chain) initFromStorage() error {
 		if n := rec.Block.Header.Number; n <= sc.HeadNumber && canonical[n].Block == rec.Block {
 			continue
 		}
-		blk, err := types.DecodeBlock(rec.Raw)
+		rec, err := decodeRecord(rec)
 		if err != nil {
 			return fmt.Errorf("%w: side block: %v", ErrStorageCorrupt, err)
 		}
-		if _, err := c.InsertBlockTraced(types.BlockRecord{Block: blk, Raw: rec.Raw}, telemetry.TraceContext{}); err == nil {
+		if _, err := c.InsertBlockTraced(rec, telemetry.TraceContext{}); err == nil {
 			mReplayBlocks.Inc()
 		}
 	}
@@ -250,12 +255,29 @@ func (c *Chain) initFromStorage() error {
 	return nil
 }
 
+// decodeRecord reads a stored record's bytes, or takes the ones it
+// carries, and decodes the block: the record a replay imports.
+func decodeRecord(rec types.BlockRecord) (types.BlockRecord, error) {
+	raw := rec.Raw
+	if raw == nil {
+		var err error
+		if raw, err = rec.Append(nil); err != nil {
+			return types.BlockRecord{}, err
+		}
+	}
+	blk, err := types.DecodeBlock(raw)
+	return types.BlockRecord{Block: blk, Raw: raw}, err
+}
+
 // restoreSnapshotPrefix validates a stored snapshot against the recovered
-// canonical chain — header-only blocks with their record bytes — and,
-// when every check passes, seeds the chain with the canonical prefix
-// up to the snapshot height without re-execution. The restored state must
-// hash to the commitment-trie root recorded in the snapshot block's
-// header; nothing about the snapshot is taken on trust.
+// canonical chain — header-only blocks with their records — and, when
+// every check passes, seeds the chain with the canonical prefix up to the
+// snapshot height without re-execution. The restored state must hash to
+// the commitment-trie root recorded in the snapshot block's header;
+// nothing about the snapshot is taken on trust. The snapshot block is
+// decoded, so its record is read here; the blocks below it are held as
+// their headers, their bytes read from their records when asked for
+// (Chain.logged).
 func (c *Chain) restoreSnapshotPrefix(snap *StoredSnapshot, canonical []types.BlockRecord) error {
 	if snap.Height == 0 || snap.Height >= uint64(len(canonical)) {
 		return fmt.Errorf("%w: height %d outside canonical range", ErrSnapshotRejected, snap.Height)
@@ -276,19 +298,25 @@ func (c *Chain) restoreSnapshotPrefix(snap *StoredSnapshot, canonical []types.Bl
 			ErrSnapshotState, root.Short(), at.Header.StateRoot.Short())
 	}
 	prefix := canonical[1 : snap.Height+1]
+	if head := &prefix[len(prefix)-1]; head.Raw == nil {
+		if head.Raw, err = head.Append(nil); err != nil {
+			return fmt.Errorf("%w: %v", ErrSnapshotRejected, err)
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.validatePrefixLocked(prefix); err != nil {
 		return err
 	}
+	c.logged = prefix[:len(prefix)-1]
 	c.installPrefixLocked(prefix, st)
 	return nil
 }
 
 // validatePrefixLocked checks that a snapshot prefix is adoptable by the
 // current chain (still at genesis, parent-linked, headers consistent)
-// without mutating anything. It reads headers only. Callers hold the
-// write lock.
+// without mutating anything. It reads headers only, and hashes each
+// without memoising its id. Callers hold the write lock.
 func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 	if c.closed {
 		return ErrClosed
@@ -299,17 +327,17 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 	if len(prefix) == 0 {
 		return fmt.Errorf("%w: empty prefix", ErrSnapshotChain)
 	}
-	prev := c.genesis.block()
+	prev, prevID := c.genesis.block(), c.genesis.block().ID()
 	for i, rec := range prefix {
 		blk := rec.Block
-		if blk.Header.ParentID != prev.ID() {
+		if blk.Header.ParentID != prevID {
 			return fmt.Errorf("%w: block %d (#%d) does not extend %s",
-				ErrSnapshotChain, i, blk.Header.Number, prev.ID().Short())
+				ErrSnapshotChain, i, blk.Header.Number, prevID.Short())
 		}
 		if err := c.verifyHeaderLink(&prev.Header, &blk.Header); err != nil {
 			return err
 		}
-		prev = blk
+		prev, prevID = blk, blk.Header.ID()
 	}
 	return nil
 }
@@ -322,11 +350,14 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 // confirmations exist only above the snapshot height, since rebuilding
 // them would require exactly the re-execution the snapshot exists to
 // avoid; the reference is in the state and needs none of them). A record
-// with Raw set — every record a reopen or a snap-join installs — is held
-// as its header-only block plus those bytes, the shape an entry below the
-// window has once its header is read (entry.block). The head is decoded
-// here, since head events and /v1 read its transactions, and keeps its
-// bytes for when it falls below the window. Callers hold the write lock.
+// with Raw set — every record a snap-join installs — is held as its
+// header-only block plus those bytes, the shape an entry below the window
+// has once its header is read (entry.block); one a reopen installs, as
+// its header-only block alone, its bytes left in the backend's log
+// (Chain.logged). The head is decoded here from its bytes, which every
+// caller has in memory, since head events and /v1 read its transactions,
+// and keeps them for when it falls below the window. Callers hold the
+// write lock.
 func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 	c.canon = slices.Grow(c.canon, len(prefix))
 	// The index is sized once for the prefix, not grown an insert at a time.
@@ -334,14 +365,22 @@ func (c *Chain) installPrefixLocked(prefix []types.BlockRecord, st *state.DB) {
 	maps.Copy(entries, c.entries)
 	c.entries = entries
 	parent := c.genesis
-	for _, rec := range prefix {
+	for i, rec := range prefix {
 		e := &entry{
 			raw:      rec.Raw,
 			parent:   parent,
 			totalDif: parent.totalDif + rec.Block.Header.Difficulty,
 		}
 		e.blk.Store(rec.Block)
-		c.entries[rec.Block.ID()] = e
+		// validatePrefixLocked held every parent link to its block's id, so
+		// each id below the head is its successor's link, not a hash.
+		var id types.Hash
+		if i+1 < len(prefix) {
+			id = prefix[i+1].Block.Header.ParentID
+		} else {
+			id = rec.Block.ID()
+		}
+		c.entries[id] = e
 		c.canon = append(c.canon, e)
 		parent = e
 	}

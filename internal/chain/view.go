@@ -35,6 +35,12 @@ import (
 //     a reader sees the block whole either way. A view therefore holds
 //     the blocks below the window as their bytes, and decodes them only
 //     where a body is asked for (BlockByNumber, AppendBlocksRange);
+//   - logged is the chain's, set once before any view held its entries:
+//     the blocks a reopen installed below its snapshot head are held as
+//     headers, and their bytes are read from the backend's log where a
+//     body, a summary or a record's bytes are asked for — reads that can
+//     fail (a closed store, bytes changed on disk), so those readers
+//     return an error or stop short instead;
 //   - state is the head block's committed post-state: a root of the same
 //     kind of trie, summed and frozen before it was committed (the chain
 //     compares its Root() with the header first), so no node reachable
@@ -51,6 +57,7 @@ type ReadView struct {
 	canon    []*entry
 	txIndex  *critbit.Node[txLoc]
 	horizon  uint64
+	logged   logRecords
 	state    *state.DB
 }
 
@@ -72,6 +79,7 @@ func (c *Chain) publishView() {
 		canon:    c.canon,
 		txIndex:  c.txTrie,
 		horizon:  c.horizon,
+		logged:   c.logged,
 		state:    c.head.post(),
 	})
 	mViewPublished.Inc()
@@ -105,13 +113,14 @@ func (v *ReadView) entryAt(n uint64) (*entry, error) {
 
 // BlockByNumber returns the canonical block at a height in this view,
 // with its transactions: a block below the window is decoded from its
-// bytes on every call.
+// bytes on every call, read from the log first when a reopen left them
+// there.
 func (v *ReadView) BlockByNumber(n uint64) (*types.Block, error) {
 	e, err := v.entryAt(n)
 	if err != nil {
 		return nil, err
 	}
-	return e.body(), nil
+	return v.logged.body(e)
 }
 
 // HeaderByNumber returns the canonical block at a height in this view for
@@ -129,10 +138,15 @@ func (v *ReadView) HeaderByNumber(n uint64) (*types.Block, error) {
 // dst, with their transactions (decoded, below the window), all resolved
 // from this single snapshot — a reorg concurrent with the call cannot mix
 // blocks from two forks into the result. Ranges past the head are
-// truncated.
+// truncated, and so is a range at a block whose bytes cannot be read
+// from the log.
 func (v *ReadView) AppendBlocksRange(dst []*types.Block, from, to uint64) []*types.Block {
 	for _, e := range v.entries(from, to) {
-		dst = append(dst, e.body())
+		blk, err := v.logged.body(e)
+		if err != nil {
+			break
+		}
+		dst = append(dst, blk)
 	}
 	return dst
 }
@@ -150,12 +164,17 @@ type BlockSummary struct {
 // AppendBlocksRange resolves blocks; nothing is decoded. A block's
 // summary is computed on first use and memoised, so a warm call
 // allocates nothing when dst has room for the range, and a caller can
-// keep a bounded page off the heap.
-func (v *ReadView) AppendSummaries(dst []BlockSummary, from, to uint64) []BlockSummary {
+// keep a bounded page off the heap. A first use reads the bytes of a
+// block a reopen left in the log, and its failure is the error returned.
+func (v *ReadView) AppendSummaries(dst []BlockSummary, from, to uint64) ([]BlockSummary, error) {
 	for _, e := range v.entries(from, to) {
-		dst = append(dst, e.summary())
+		s, err := v.logged.summary(e)
+		if err != nil {
+			return dst, err
+		}
+		dst = append(dst, s)
 	}
-	return dst
+	return dst, nil
 }
 
 // entries returns the canonical entries from..to (inclusive), truncated
@@ -170,9 +189,11 @@ func (v *ReadView) entries(from, to uint64) []*entry {
 // RecordsRange returns the canonical blocks from..to (inclusive) of this
 // view as records. Ranges past the head are truncated; an inverted or
 // out-of-range request yields nil. It is built for a writer: a block held
-// as its bytes (below the window, or installed by a reopen or snap-join)
-// comes back as those bytes beside its header-only block, not decoded, so
-// serving a peer's range sync costs a copy of each record.
+// as its bytes (below the window, or installed by a snap-join) comes back
+// as those bytes beside its header-only block, not decoded, and a block a
+// reopen left in the log as where they sit there (types.StoredRecord),
+// not read: serving a peer's range sync costs a copy of each record, into
+// the response (types.BlockRecord.Append), and reads nothing here.
 func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
 	es := v.entries(from, to)
 	if es == nil {
@@ -180,7 +201,7 @@ func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
 	}
 	out := make([]types.BlockRecord, len(es))
 	for i, e := range es {
-		out[i].Block, out[i].Raw = e.record()
+		out[i] = v.logged.record(e)
 	}
 	return out
 }

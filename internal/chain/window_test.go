@@ -100,7 +100,10 @@ func assertDeepBlocksMatch(t *testing.T, c *Chain, wantDeep int) {
 	v := c.CurrentView()
 	head := v.HeadNumber()
 	recs := v.RecordsRange(0, head)
-	sums := v.AppendSummaries(nil, 0, head)
+	sums, err := v.AppendSummaries(nil, 0, head)
+	if err != nil {
+		t.Fatal(err)
+	}
 	deep := 0
 	for n := uint64(0); n <= head; n++ {
 		blk, err := v.BlockByNumber(n)
@@ -161,7 +164,11 @@ func TestReadersBesideRelease(t *testing.T) {
 				from, to := head-postHorizon-2, head-postHorizon+2
 				blocks := v.AppendBlocksRange(nil, from, to)
 				recs := v.RecordsRange(from, to)
-				sums := v.AppendSummaries(nil, from, to)
+				sums, err := v.AppendSummaries(nil, from, to)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				for i, blk := range blocks {
 					one, err := v.BlockByNumber(from + uint64(i))
 					if err != nil || one.ID() != blk.ID() || len(one.Txs) != len(blk.Txs) {

@@ -216,8 +216,10 @@ func ParseRangeRequest(payload []byte) (from, to uint64, err error) {
 // records before the last stay within maxBytes: the block that crosses
 // the budget is the last one sent, so a response is at most maxBytes plus
 // one block. The payload is sized first and each block encoded (or, when
-// its record carries the bytes, copied) straight into it, one allocation
-// of exactly its length.
+// its record carries the bytes or says where a store keeps them, copied or
+// read) straight into it, one allocation of exactly its length. A stored
+// record that cannot be read back ends the response before it: a short
+// response is one the requester already handles.
 func EncodeRangeBlocks(blocks []types.BlockRecord, maxBytes int) []byte {
 	n, size := 0, 4
 	for records := 0; n < len(blocks) && records <= maxBytes; n++ {
@@ -226,9 +228,14 @@ func EncodeRangeBlocks(blocks []types.BlockRecord, maxBytes int) []byte {
 		size += 4 + rec
 	}
 	out := binary.BigEndian.AppendUint32(make([]byte, 0, size), uint32(n))
-	for _, b := range blocks[:n] {
+	for i, b := range blocks[:n] {
+		at := len(out)
 		out = binary.BigEndian.AppendUint32(out, uint32(b.Size()))
-		out = b.AppendTo(out)
+		var err error
+		if out, err = b.Append(out); err != nil {
+			binary.BigEndian.PutUint32(out, uint32(i))
+			return out[:at]
+		}
 	}
 	return out
 }

@@ -379,7 +379,11 @@ func readBlock(s *Server, r *http.Request, v *chain.ReadView) (cacheRef, buildFu
 	}
 	return s.contentRef(v, "block:"+blk.ID().String(), n), func() (int, []byte) {
 		var one [1]chain.BlockSummary
-		return http.StatusOK, blockBody(v.AppendSummaries(one[:0], n, n)[0])
+		sums, err := v.AppendSummaries(one[:0], n, n)
+		if err != nil {
+			return http.StatusInternalServerError, encodeBody(errEnvelope(CodeInternal, err))
+		}
+		return http.StatusOK, blockBody(sums[0])
 	}, nil
 }
 
@@ -699,7 +703,10 @@ func blockPage(v *chain.ReadView, from, to uint64, tail bool) (cacheRef, buildFu
 		// mid-request can never mix blocks from two forks into a page.
 		// A page is at most MaxBlockRangeSize blocks, so they fit here.
 		var page [MaxBlockRangeSize]chain.BlockSummary
-		blocks := v.AppendSummaries(page[:0], from, to)
+		blocks, err := v.AppendSummaries(page[:0], from, to)
+		if err != nil {
+			return http.StatusInternalServerError, encodeBody(errEnvelope(CodeInternal, err))
+		}
 		var next *cursor
 		if tail {
 			next = &cursor{kind: cursorKindBlocks, headID: v.HeadID(), pos: from}

@@ -21,6 +21,11 @@
 //	            everything prior. Replaced via write-temp + fsync + rename,
 //	            so a crash mid-write leaves the previous snapshot intact.
 //
+// Open (Load) streams the log through the Disk's write buffer and hands
+// each committed block back as its header and where its record sits;
+// the bytes stay in the log, and ReadRecord reads one back, checked
+// against the CRC open checked it against, when something asks.
+//
 // Commit protocol (AppendRecords, which AppendBlocks calls): the records
 // and the commit record go out through the Disk's write buffer, then one
 // fsync — per imported block, InsertChain run or adopted snapshot prefix.
@@ -40,6 +45,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -104,17 +110,20 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Disk implements chain.Storage over a datadir. Safe for concurrent use;
 // commits are serialized by the store mutex (the chain already
-// serializes them under its write lock), snapshot writes take their own.
+// serializes them under its write lock), snapshot writes take their own,
+// and a record read (ReadRecord) takes none.
 type Disk struct {
 	dir string
 
-	mu        sync.Mutex
-	logF      *os.File
-	logSize   int64
-	blocks    uint64 // committed block records
-	buf       []byte // the commit write buffer, writeBufSize, owned for life
-	closed    bool
-	failed    bool // fail-stop latch: see ErrFailed
+	mu      sync.Mutex
+	logF    *os.File
+	logSize int64
+	blocks  uint64 // committed block records
+	// buf is the commit write buffer, writeBufSize, owned for life; Load
+	// streams the log through it, before any commit can use it.
+	buf       []byte
+	closed    atomic.Bool // set under mu; read by ReadRecord without it
+	failed    bool        // fail-stop latch: see ErrFailed
 	recovered bool
 
 	snapMu     sync.Mutex
@@ -128,8 +137,12 @@ type Disk struct {
 	crashPoint string
 }
 
-// Disk must satisfy the chain's storage contract.
-var _ chain.Storage = (*Disk)(nil)
+// Disk must satisfy the chain's storage contract, and it reads back the
+// records Load hands out.
+var (
+	_ chain.Storage   = (*Disk)(nil)
+	_ types.RecordLog = (*Disk)(nil)
+)
 
 // Open creates or opens a datadir. No recovery happens here — Load does
 // the scanning, so a chain.New with this backend performs exactly one
@@ -158,33 +171,34 @@ func (d *Disk) crash(point string) error {
 
 // Load recovers the committed chain: verify/initialize meta, scan the log
 // to its last whole commit, truncate any torn tail, check that every
-// committed block decodes and read the snapshot. A block comes back as a
-// header-only types.Block and its record payload, which aliases the one
-// buffer the log was read into: a chain that keeps any payload keeps that
-// whole buffer, framing and decoded tail included, for as long as it
-// lives. That costs the log's size once, where decoded prefix bodies
-// would cost several times it (each transaction's struct, Data copy and
-// hash memo). See the package comment for the invariants.
+// committed block decodes and read the snapshot. The log is streamed
+// through the commit buffer, idle until open returns, so open holds that
+// window of the log and no more (a record larger than the window is read
+// into a buffer of its own). A block comes back as a header-only
+// types.Block and a types.StoredRecord naming this Disk and where its
+// record sits: the bytes stay in the log, and ReadRecord reads them when
+// something asks. See the package comment for the invariants.
 func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return nil, ErrClosed
 	}
 	if err := d.checkMeta(genesis); err != nil {
 		return nil, err
 	}
 
-	raw, err := readRest(d.logF)
+	info, err := d.logF.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("store: read log: %w", err)
 	}
-	scan, err := scanLog(raw)
+	r := &logReader{f: d.logF, win: d.buf[:writeBufSize]}
+	scan, err := scanLog(r, info.Size())
 	if err != nil {
 		return nil, err
 	}
-	if scan.end != len(raw) {
-		if err := d.logF.Truncate(int64(scan.end)); err != nil {
+	if scan.end != info.Size() {
+		if err := d.logF.Truncate(scan.end); err != nil {
 			return nil, fmt.Errorf("store: truncate log: %w", err)
 		}
 		if err := d.logF.Sync(); err != nil {
@@ -195,15 +209,23 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	if _, err := d.logF.Seek(0, io.SeekEnd); err != nil {
 		return nil, err
 	}
-	d.logSize, d.blocks = int64(scan.end), uint64(len(scan.payloads))
+	d.logSize, d.blocks = scan.end, uint64(len(scan.recs))
 
-	heads := make([]types.Block, len(scan.payloads))
-	blocks := make([]types.BlockRecord, len(scan.payloads))
-	for i, payload := range scan.payloads {
+	// A second pass over the kept records reads each header; sized by the
+	// first, it allocates its arrays once.
+	heads := make([]types.Block, len(scan.recs))
+	blocks := make([]types.BlockRecord, len(scan.recs))
+	for i := range scan.recs {
+		rec := &scan.recs[i]
+		payload, err := r.at(rec.Off, int(rec.Len))
+		if err != nil {
+			return nil, fmt.Errorf("store: read log: %w", err)
+		}
 		if heads[i].Header, err = types.DecodeHeader(payload); err != nil {
 			return nil, fmt.Errorf("%w: committed block %d does not decode: %v", ErrCorrupt, i, err)
 		}
-		blocks[i] = types.BlockRecord{Block: &heads[i], Raw: payload}
+		rec.Log = d
+		blocks[i] = types.BlockRecord{Block: &heads[i], Stored: rec}
 	}
 
 	sc := &chain.StoredChain{Blocks: blocks, HeadID: scan.headID, HeadNumber: scan.headNumber}
@@ -212,6 +234,36 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 		d.snapHeight.Store(snap.Height)
 	}
 	return sc, nil
+}
+
+// ReadRecord reads back a block record Load handed out: one ReadAt of its
+// bytes into dst's spare capacity, checked against the CRC the open scan
+// checked them against, so bytes changed on disk since fail with
+// ErrCorrupt rather than be returned. It takes no lock: committed bytes
+// never change, a commit only writes past them, and a read does not wait
+// for a commit's fsync. After Close it fails with ErrClosed.
+func (d *Disk) ReadRecord(dst []byte, rec *types.StoredRecord) ([]byte, error) {
+	if d.closed.Load() {
+		return dst, ErrClosed
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, int(rec.Len))
+	buf := dst[n : n+int(rec.Len)]
+	if _, err := d.logF.ReadAt(buf, rec.Off); err != nil {
+		switch {
+		case errors.Is(err, os.ErrClosed):
+			err = ErrClosed
+		case errors.Is(err, io.EOF):
+			err = fmt.Errorf("%w: log record at offset %d is cut short", ErrCorrupt, rec.Off)
+		default:
+			err = fmt.Errorf("store: read log: %w", err)
+		}
+		return dst[:n], err
+	}
+	if crc32.Checksum(buf, crcTable) != rec.Sum {
+		return dst[:n], fmt.Errorf("%w: log record at offset %d changed since open", ErrCorrupt, rec.Off)
+	}
+	return dst[:n+int(rec.Len)], nil
 }
 
 // checkMeta validates (or, for a fresh datadir, writes) the meta file.
@@ -249,71 +301,110 @@ func (d *Disk) checkMeta(genesis types.Hash) error {
 	return nil
 }
 
-// readRest reads f from its current offset to its end into one buffer of
-// the file's size; io.ReadAll's doubling growth allocates several times
-// that. A file shorter than Stat said is read to where it ends.
-func readRest(f *os.File) ([]byte, error) {
-	info, err := f.Stat()
-	if err != nil {
+// logReader reads a log file through a fixed window: at returns the n
+// bytes at an offset from the window, refilling the window from that
+// offset when they are not all in it, or reads them into a buffer of
+// their own when n is larger than the window. What it returns is valid
+// until the next call.
+type logReader struct {
+	f    io.ReaderAt
+	win  []byte // the window's storage
+	base int64  // file offset of buf
+	buf  []byte // the window's valid bytes, a prefix of win
+}
+
+func (r *logReader) at(off int64, n int) ([]byte, error) {
+	if i := off - r.base; off >= r.base && i+int64(n) <= int64(len(r.buf)) {
+		return r.buf[i : i+int64(n)], nil
+	}
+	into := r.win
+	if n > len(into) {
+		into = make([]byte, n)
+	}
+	got, err := r.f.ReadAt(into, off)
+	if got < n {
+		if err == nil || errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	buf := make([]byte, info.Size())
-	n, err := io.ReadFull(f, buf)
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		err = nil
+	if n > len(r.win) {
+		return into, nil
 	}
-	return buf[:n], err
+	r.base, r.buf = off, r.win[:got]
+	return r.buf[:n], nil
 }
 
-// logScan is what the open scan keeps of a block log: the payloads of
-// its whole, checked commits, the head the last of them names, and the
-// log length they fill. Everything past end is a torn tail.
+// logScan is what the open scan keeps of a block log: where the records
+// of its whole, checked commits sit (each with its CRC, Log unset), the
+// head the last of them names, and the log length they fill. Everything
+// past end is a torn tail.
 type logScan struct {
-	payloads   [][]byte
+	recs       []types.StoredRecord
 	headID     types.Hash
 	headNumber uint64
-	end        int
+	end        int64
 }
 
-// scanLog reads log bytes forward, keeping each commit whose block records
-// and commit record all check. The first record that fails its CRC ends
-// what is kept; the scan goes on framing records past it only to learn
-// whether a later valid commit acknowledges the damaged one, which makes
-// the damage corruption (ErrCorrupt) instead of a torn final commit. A
-// length prefix that cannot be framed (past the end, or over
-// maxLogRecord) ends the scan.
-func scanLog(raw []byte) (logScan, error) {
+// scanLog reads the size bytes of a log forward through r, keeping each
+// commit whose block records and commit record all check. The first
+// record that fails its CRC ends what is kept; the scan goes on framing
+// records past it — reading only their CRCs — to learn whether a later
+// valid commit acknowledges the damaged one, which makes the damage
+// corruption (ErrCorrupt) instead of a torn final commit. A length prefix
+// that cannot be framed (past the end, or over maxLogRecord) ends the
+// scan.
+func scanLog(r *logReader, size int64) (logScan, error) {
 	var (
 		s       logScan
-		kept    int    // payloads of the commits kept so far
-		runLen  int    // block records framed since the last commit record
-		runCRC  uint32 // CRC-32C over those records' CRCs
-		damaged = -1   // offset of the first record that failed, or -1
-		closed  bool   // a commit holding the damage has ended
+		kept    int         // records of the commits kept so far
+		runLen  int         // block records framed since the last commit record
+		runCRC  uint32      // CRC-32C over those records' CRCs
+		damaged = int64(-1) // offset of the first record that failed, or -1
+		closed  bool        // a commit holding the damage has ended
+		sum     [logTrailerSize]byte
 	)
-	for off := 0; off+logHeaderSize <= len(raw); {
-		rest := raw[off:]
-		if length := binary.BigEndian.Uint32(rest); length != 0 {
-			end := logHeaderSize + int(length) + logTrailerSize
-			if length > maxLogRecord || len(rest) < end {
+	for off := int64(0); off+logHeaderSize <= size; {
+		hdr, err := r.at(off, logHeaderSize)
+		if err != nil {
+			return logScan{}, fmt.Errorf("store: read log: %w", err)
+		}
+		if length := binary.BigEndian.Uint32(hdr); length != 0 {
+			end := int64(logHeaderSize) + int64(length) + logTrailerSize
+			if length > maxLogRecord || size-off < end {
 				break
 			}
-			payload, sum := rest[logHeaderSize:end-logTrailerSize], rest[end-logTrailerSize:end]
-			if damaged < 0 && crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum) {
-				damaged = off
-			}
 			if damaged < 0 {
-				s.payloads = append(s.payloads, payload)
+				rec, err := r.at(off, int(end))
+				if err != nil {
+					return logScan{}, fmt.Errorf("store: read log: %w", err)
+				}
+				copy(sum[:], rec[end-logTrailerSize:])
+				crc := binary.BigEndian.Uint32(sum[:])
+				if crc32.Checksum(rec[logHeaderSize:end-logTrailerSize], crcTable) != crc {
+					damaged = off
+				} else {
+					s.recs = append(s.recs, types.StoredRecord{Off: off + logHeaderSize, Len: length, Sum: crc})
+				}
+			} else {
+				trailer, err := r.at(off+end-logTrailerSize, logTrailerSize)
+				if err != nil {
+					return logScan{}, fmt.Errorf("store: read log: %w", err)
+				}
+				copy(sum[:], trailer)
 			}
 			runLen++
-			runCRC = crc32.Update(runCRC, crcTable, sum)
+			runCRC = crc32.Update(runCRC, crcTable, sum[:])
 			off += end
 			continue
 		}
-		if len(rest) < commitSize {
+		if size-off < commitSize {
 			break
 		}
-		rec := rest[:commitSize]
+		rec, err := r.at(off, commitSize)
+		if err != nil {
+			return logScan{}, fmt.Errorf("store: read log: %w", err)
+		}
 		valid := int(binary.BigEndian.Uint32(rec[logHeaderSize:])) == runLen &&
 			crc32.Update(runCRC, crcTable, rec[:commitSize-logTrailerSize]) == binary.BigEndian.Uint32(rec[commitSize-logTrailerSize:])
 		switch {
@@ -323,7 +414,7 @@ func scanLog(raw []byte) (logScan, error) {
 			copy(s.headID[:], rec[8:])
 			s.headNumber = binary.BigEndian.Uint64(rec[8+types.HashSize:])
 			s.end = off + commitSize
-			kept = len(s.payloads)
+			kept = len(s.recs)
 		default:
 			if damaged < 0 {
 				damaged = off
@@ -333,7 +424,7 @@ func scanLog(raw []byte) (logScan, error) {
 		runLen, runCRC = 0, 0
 		off += commitSize
 	}
-	s.payloads = s.payloads[:kept]
+	s.recs = s.recs[:kept]
 	return s, nil
 }
 
@@ -359,7 +450,7 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return ErrClosed
 	}
 	if d.failed {
@@ -388,11 +479,15 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 		return d.crash("mid-flush")
 	}
 	var runCRC uint32
-	for _, rec := range recs {
-		if err := makeRoom(logHeaderSize + rec.Size() + logTrailerSize); err != nil {
+	for i, rec := range recs {
+		size := logHeaderSize + rec.Size() + logTrailerSize
+		if err := makeRoom(size); err != nil {
 			return d.commitFailed(err)
 		}
-		buf = appendRecord(buf, rec)
+		at := len(buf)
+		if buf = appendRecord(buf, rec); len(buf)-at != size {
+			return d.commitFailed(fmt.Errorf("store: record %d of the commit cannot be read", i))
+		}
 		runCRC = crc32.Update(runCRC, crcTable, buf[len(buf)-logTrailerSize:])
 	}
 	if err := d.crash("records-written"); err != nil {
@@ -536,10 +631,10 @@ func (d *Disk) Stats() chain.StorageStats {
 func (d *Disk) Close() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.closed {
+	if d.closed.Load() {
 		return nil
 	}
-	d.closed = true
+	d.closed.Store(true)
 	return d.logF.Close()
 }
 

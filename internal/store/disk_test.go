@@ -212,8 +212,8 @@ func TestLogRecordsWrittenOnce(t *testing.T) {
 	if !bytes.HasPrefix(raw, want) {
 		t.Fatalf("block records differ from the per-block layout:\n got %x\nwant %x", raw[:min(len(raw), len(want))], want)
 	}
-	scan, err := scanLog(raw)
-	if err != nil || scan.end != len(raw) || scan.headID != head.ID() || scan.headNumber != head.Header.Number {
+	scan, err := scanBytes(raw, writeBufSize)
+	if err != nil || scan.end != int64(len(raw)) || scan.headID != head.ID() || scan.headNumber != head.Header.Number {
 		t.Fatalf("rescan: end %d of %d, head %s #%d, err %v", scan.end, len(raw), scan.headID.Short(), scan.headNumber, err)
 	}
 	if commits := len(raw) / (len(want) + commitSize); len(raw) != commits*(len(want)+commitSize) {
@@ -246,11 +246,11 @@ func TestCommitLargerThanTheBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := scanLog(raw)
-	if err != nil || scan.end != len(raw) || scan.headID != head || len(scan.payloads) != len(recs) {
-		t.Fatalf("rescan: end %d of %d, %d records, head %s, err %v", scan.end, len(raw), len(scan.payloads), scan.headID.Short(), err)
+	scan, err := scanBytes(raw, writeBufSize)
+	if err != nil || scan.end != int64(len(raw)) || scan.headID != head || len(scan.recs) != len(recs) {
+		t.Fatalf("rescan: end %d of %d, %d records, head %s, err %v", scan.end, len(raw), len(scan.recs), scan.headID.Short(), err)
 	}
-	for i, p := range scan.payloads {
+	for i, p := range payloadsOf(raw, scan) {
 		if !bytes.Equal(p, recs[i].Raw) {
 			t.Errorf("record %d differs", i)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"slices"
 	"testing"
@@ -40,10 +41,83 @@ func threeCommits() (raw []byte, ends []int) {
 	return testLog(runs...), ends
 }
 
+// scanLogOracle is the open scan as it ran over a log read whole into
+// memory: the reference the streaming scanLog is held to.
+func scanLogOracle(raw []byte) (logScan, error) {
+	var (
+		s       logScan
+		kept    int    // records of the commits kept so far
+		runLen  int    // block records framed since the last commit record
+		runCRC  uint32 // CRC-32C over those records' CRCs
+		damaged = -1   // offset of the first record that failed, or -1
+		closed  bool   // a commit holding the damage has ended
+	)
+	for off := 0; off+logHeaderSize <= len(raw); {
+		rest := raw[off:]
+		if length := binary.BigEndian.Uint32(rest); length != 0 {
+			end := logHeaderSize + int(length) + logTrailerSize
+			if length > maxLogRecord || len(rest) < end {
+				break
+			}
+			payload, sum := rest[logHeaderSize:end-logTrailerSize], rest[end-logTrailerSize:end]
+			if damaged < 0 && crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(sum) {
+				damaged = off
+			}
+			if damaged < 0 {
+				s.recs = append(s.recs, types.StoredRecord{Off: int64(off + logHeaderSize), Len: length, Sum: binary.BigEndian.Uint32(sum)})
+			}
+			runLen++
+			runCRC = crc32.Update(runCRC, crcTable, sum)
+			off += end
+			continue
+		}
+		if len(rest) < commitSize {
+			break
+		}
+		rec := rest[:commitSize]
+		valid := int(binary.BigEndian.Uint32(rec[logHeaderSize:])) == runLen &&
+			crc32.Update(runCRC, crcTable, rec[:commitSize-logTrailerSize]) == binary.BigEndian.Uint32(rec[commitSize-logTrailerSize:])
+		switch {
+		case valid && closed:
+			return logScan{}, fmt.Errorf("%w: log record at offset %d fails its check inside an acknowledged commit", ErrCorrupt, damaged)
+		case valid && damaged < 0:
+			copy(s.headID[:], rec[8:])
+			s.headNumber = binary.BigEndian.Uint64(rec[8+types.HashSize:])
+			s.end = int64(off + commitSize)
+			kept = len(s.recs)
+		default:
+			if damaged < 0 {
+				damaged = off
+			}
+			closed = true
+		}
+		runLen, runCRC = 0, 0
+		off += commitSize
+	}
+	s.recs = s.recs[:kept]
+	return s, nil
+}
+
+// scanBytes runs the open scan over log bytes through a window of the
+// given size.
+func scanBytes(raw []byte, window int) (logScan, error) {
+	return scanLog(&logReader{f: bytes.NewReader(raw), win: make([]byte, window)}, int64(len(raw)))
+}
+
+// payloadsOf returns the bytes of each record a scan of raw kept.
+func payloadsOf(raw []byte, s logScan) [][]byte {
+	out := make([][]byte, len(s.recs))
+	for i, rec := range s.recs {
+		out[i] = raw[rec.Off : rec.Off+int64(rec.Len)]
+	}
+	return out
+}
+
 // TestScanLogDamage: damage the scan can see past is a torn final commit
 // when nothing valid follows it, and corruption when a later valid commit
 // acknowledges the commit it sits in — whether a block record or the
-// commit record itself is hit.
+// commit record itself is hit. The streaming scan is run through a window
+// that holds the whole log and through one smaller than every record.
 func TestScanLogDamage(t *testing.T) {
 	raw, ends := threeCommits()
 	for _, tc := range []struct {
@@ -71,45 +145,57 @@ func TestScanLogDamage(t *testing.T) {
 			if tc.cut > 0 {
 				log = log[:tc.cut]
 			}
-			s, err := scanLog(log)
-			if tc.corrupt {
-				if !errors.Is(err, ErrCorrupt) {
-					t.Fatalf("got end %d, err %v; want ErrCorrupt", s.end, err)
+			for _, window := range []int{writeBufSize, 5} {
+				s, err := scanBytes(log, window)
+				if tc.corrupt {
+					if !errors.Is(err, ErrCorrupt) {
+						t.Errorf("window %d: got end %d, err %v; want ErrCorrupt", window, s.end, err)
+					}
+					continue
 				}
-				return
-			}
-			if err != nil || s.end != tc.wantEnd {
-				t.Fatalf("got end %d, err %v; want end %d", s.end, err, tc.wantEnd)
+				if err != nil || s.end != int64(tc.wantEnd) {
+					t.Errorf("window %d: got end %d, err %v; want end %d", window, s.end, err, tc.wantEnd)
+				}
 			}
 		})
 	}
 }
 
-// FuzzScanLog: on any log bytes the open scan does not panic, frames no
-// record over maxLogRecord, keeps only whole commits whose records all
-// check — walked here by a reference reader — and keeps what it kept when
-// it rescans exactly those bytes.
+// FuzzScanLog: on any log bytes and any window, down to a few bytes, the
+// streaming open scan gives the in-memory oracle's verdict — the same kept
+// records at the same offsets, head, end and error — without panicking. A
+// record larger than the window still scans. What it keeps is only whole
+// commits whose records all check, walked here by a reference reader, no
+// record over maxLogRecord, and it keeps all of it when it rescans
+// exactly those bytes.
 func FuzzScanLog(f *testing.F) {
 	raw, ends := threeCommits()
-	f.Add(raw)
-	f.Add(raw[:ends[1]+5])
-	f.Add([]byte{})
-	f.Add(make([]byte, commitSize+3))
+	f.Add(raw, uint16(writeBufSize-1))
+	f.Add(raw[:ends[1]+5], uint16(16))
+	f.Add([]byte{}, uint16(1))
+	f.Add(make([]byte, commitSize+3), uint16(commitSize))
 	damaged := slices.Clone(raw)
 	damaged[ends[0]+logHeaderSize] ^= 1
-	f.Add(damaged)
+	f.Add(damaged, uint16(3))
 	big := binary.BigEndian.AppendUint32(slices.Clone(raw), maxLogRecord+1)
-	f.Add(append(big, make([]byte, 64)...))
+	f.Add(append(big, make([]byte, 64)...), uint16(8))
+	f.Add(testLog([][]byte{bytes.Repeat([]byte{7}, 300)}, [][]byte{[]byte("x")}), uint16(40))
 
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		s, err := scanLog(raw)
+	f.Fuzz(func(t *testing.T, raw []byte, window uint16) {
+		s, err := scanBytes(raw, int(window%512)+1)
+		want, wantErr := scanLogOracle(raw)
+		if (err == nil) != (wantErr == nil) || s.end != want.end || s.headID != want.headID ||
+			s.headNumber != want.headNumber || !slices.Equal(s.recs, want.recs) {
+			t.Fatalf("streaming scan: %d records, end %d, head #%d, err %v; oracle: %d records, end %d, head #%d, err %v",
+				len(s.recs), s.end, s.headNumber, err, len(want.recs), want.end, want.headNumber, wantErr)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("scan error %v is not ErrCorrupt", err)
 			}
 			return
 		}
-		if s.end > len(raw) {
+		if s.end > int64(len(raw)) {
 			t.Fatalf("kept %d bytes of %d", s.end, len(raw))
 		}
 		// The reference reader: whole records and commits, each checked.
@@ -152,13 +238,13 @@ func FuzzScanLog(f *testing.F) {
 		if len(pending) != 0 {
 			t.Fatalf("kept %d records no commit record closes", len(pending))
 		}
-		if !slices.EqualFunc(payloads, s.payloads, bytes.Equal) || headID != s.headID || headNum != s.headNumber {
-			t.Fatalf("scan kept %d records at head #%d, reference %d at #%d", len(s.payloads), s.headNumber, len(payloads), headNum)
+		if !slices.EqualFunc(payloads, payloadsOf(raw, s), bytes.Equal) || headID != s.headID || headNum != s.headNumber {
+			t.Fatalf("scan kept %d records at head #%d, reference %d at #%d", len(s.recs), s.headNumber, len(payloads), headNum)
 		}
-		again, err := scanLog(kept)
+		again, err := scanBytes(kept, int(window%512)+1)
 		if err != nil || again.end != s.end || again.headID != s.headID || again.headNumber != s.headNumber ||
-			!slices.EqualFunc(again.payloads, s.payloads, bytes.Equal) {
-			t.Fatalf("rescan of the kept %d bytes: end %d, %d records, err %v", s.end, again.end, len(again.payloads), err)
+			!slices.Equal(again.recs, s.recs) {
+			t.Fatalf("rescan of the kept %d bytes: end %d, %d records, err %v", s.end, again.end, len(again.recs), err)
 		}
 	})
 }

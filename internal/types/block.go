@@ -325,29 +325,65 @@ func AppendBlock(dst []byte, b *Block) []byte {
 }
 
 // BlockRecord is a block together, when the holder kept them, with the
-// EncodeBlock bytes it was decoded from. With Raw set, Block may hold
-// only the header, and a writer copies Raw rather than encoding Block:
-// a store's reopen hands blocks out this way, and a node serves a
-// peer's range sync from them without decoding the bodies.
+// EncodeBlock bytes it was decoded from, or with where a store keeps
+// them. With Raw or Stored set, Block may hold only the header, and a
+// writer copies the bytes rather than encoding Block: a store's reopen
+// hands blocks out with Stored, a snap-join collects them with Raw, and
+// a node serves a peer's range sync from either without decoding the
+// bodies.
 type BlockRecord struct {
-	Block *Block
-	Raw   []byte
+	Block  *Block
+	Raw    []byte
+	Stored *StoredRecord // read only when Raw is nil
+}
+
+// StoredRecord is where a RecordLog keeps a block record's bytes.
+type StoredRecord struct {
+	Log RecordLog
+	// Off and Len place the bytes in the log; Sum is the checksum the log
+	// checked them against when it handed the record out, and checks
+	// every read against.
+	Off int64
+	Len uint32
+	Sum uint32
+}
+
+// RecordLog reads back the block records a store keeps.
+type RecordLog interface {
+	// ReadRecord appends the bytes of rec to dst, growing dst only when
+	// its spare capacity is short. When it cannot return exactly the
+	// bytes it handed rec out for, it fails and appends nothing.
+	ReadRecord(dst []byte, rec *StoredRecord) ([]byte, error)
 }
 
 // Size returns the length of r's encoding.
 func (r BlockRecord) Size() int {
-	if r.Raw != nil {
+	switch {
+	case r.Raw != nil:
 		return len(r.Raw)
+	case r.Stored != nil:
+		return int(r.Stored.Len)
 	}
 	return BlockSize(r.Block)
 }
 
-// AppendTo appends r's encoding to dst, as AppendBlock does for a block.
-func (r BlockRecord) AppendTo(dst []byte) []byte {
-	if r.Raw != nil {
-		return append(dst, r.Raw...)
+// Append appends r's encoding to dst, as AppendBlock does for a block. It
+// fails only for a stored record whose log cannot read it back.
+func (r BlockRecord) Append(dst []byte) ([]byte, error) {
+	switch {
+	case r.Raw != nil:
+		return append(dst, r.Raw...), nil
+	case r.Stored != nil:
+		return r.Stored.Log.ReadRecord(dst, r.Stored)
 	}
-	return AppendBlock(dst, r.Block)
+	return AppendBlock(dst, r.Block), nil
+}
+
+// AppendTo is Append without the error: a stored record whose read fails
+// appends nothing.
+func (r BlockRecord) AppendTo(dst []byte) []byte {
+	out, _ := r.Append(dst)
+	return out
 }
 
 // layout encodes the header into scratch (an encoded header is at most 158
@@ -457,10 +493,12 @@ func (r *blockReader) close() error {
 }
 
 // detach returns a new transaction with the fields a decoder just read
-// into tx from fields, whose list hash is hash, owning its Data and with
-// its memo stored. Only EncodeTx's own bytes are accepted, so fields is
-// what appendFields would write: neither Hash() nor SigHash() encodes
-// back.
+// into tx from fields, whose list hash is hash, with its memo stored. Its
+// Data aliases the decoder's input, as tx's does: every caller decodes
+// bytes it never writes again (a one-transaction frame, a POST /v1/tx
+// body, a block's record), so only the memo's guard keeps a copy. Only
+// EncodeTx's own bytes are accepted, so fields is what appendFields would
+// write: neither Hash() nor SigHash() encodes back.
 func (tx *Transaction) detach(fields []byte, hash Hash) *Transaction {
 	out := &Transaction{
 		Kind:     tx.Kind,
@@ -470,7 +508,7 @@ func (tx *Transaction) detach(fields []byte, hash Hash) *Transaction {
 		Value:    tx.Value,
 		GasLimit: tx.GasLimit,
 		GasPrice: tx.GasPrice,
-		Data:     append([]byte(nil), tx.Data...),
+		Data:     tx.Data,
 		Sig:      tx.Sig,
 	}
 	out.memo.Store(out.newMemo(fields, hash))

@@ -70,3 +70,23 @@ func TestSeededHashMemoIsInvalidatedByMutation(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedReportAllocations: a decoded transaction's Data aliases the
+// bytes it was decoded from, and only the memo's guard copies it, so an
+// initial report (R†), whose Data is its payload, decodes in three
+// allocations — the transaction, the memo and the guard copy — one more
+// than a transfer, whose Data is empty.
+func TestDecodedReportAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	txs := goldenTxs(t)
+	enc := EncodeTx(txs["initial-report"])
+	var tx *Transaction
+	if n := testing.AllocsPerRun(20, func() { tx, _ = DecodeTx(enc) }); n != 3 {
+		t.Errorf("DecodeTx of an initial report: %.0f allocations, want 3", n)
+	}
+	if len(tx.Data) == 0 || &tx.Data[0] != &enc[len(enc)-len(tx.Data)-sigSize] {
+		t.Error("the decoded report's Data does not alias its encoding")
+	}
+}
