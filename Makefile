@@ -26,13 +26,17 @@ check: fmt vet lint race telemetry-budget trace-budget
 # .scvet.allow with their justifications (DESIGN.md §9); an entry that
 # matches nothing fails the run. The math/big line fails if a non-test package imports
 # math/big: it is the secp256k1 tests' oracle, never production
-# arithmetic. The last line keeps one constructor: outside the frozen
-# benchmark/, only internal/node calls chain.New or txpool.New, so every
-# chain and pool belongs to a node that node.NewProvider built.
+# arithmetic. The last two lines keep one constructor and one detector:
+# outside the frozen benchmark/, only internal/node calls chain.New or
+# txpool.New, so every chain and pool belongs to a node that
+# node.NewProvider built, and only internal/node wraps a report in a
+# transaction (types.NewInitialReportTx/NewDetailedReportTx), so every
+# R† and R* is sent by a node.DetectorNode.
 lint:
 	$(GO) run ./cmd/scvet ./...
 	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... ./cmd/... | grep -w 'math/big'; then echo 'lint: math/big imported by non-test code (above)'; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\b(chain|txpool)\.New\(' . | grep -v '^\./benchmark/\|^\./internal/node/'; then echo 'lint: chain.New/txpool.New called outside internal/node (above): build a node with node.NewProvider'; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\btypes\.New(Initial|Detailed)ReportTx\(' . | grep -v '^\./benchmark/\|^\./internal/node/'; then echo 'lint: report transaction built outside internal/node (above): send reports through a node.DetectorNode'; exit 1; fi
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and

@@ -59,7 +59,7 @@ func (p *Platform) Subscribe(subscriber string, sraID types.Hash, sawVulns uint6
 	if len(p.providers) == 0 {
 		return ErrNoProviders
 	}
-	if _, ok := p.announced[sraID]; !ok {
+	if _, ok := p.images[sraID]; !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownSRA, sraID.Short())
 	}
 	n := p.notify

@@ -40,13 +40,15 @@ type Platform struct {
 	providers []*node.ProviderNode
 	detectors []*node.DetectorNode
 
-	// images plays the role of the download link U_l: detectors fetch the
-	// released image from here and check it against the SRA's U_h.
+	// images is the download link U_l of every announced SRA: detectors
+	// fetch the released image here and check it against the SRA's U_h.
 	images map[types.Hash]*detection.SystemImage
-	// announced holds SRAs whose announcement is chained, keyed by id.
-	announced map[types.Hash]*types.SRA
-	// notified tracks which detectors have scanned which SRA.
-	notified map[types.Hash]map[int]bool
+	// announced lists the SRAs whose announcement was submitted, in
+	// release order: detectors scan a block's releases in that order.
+	announced []*types.SRA
+	// scanned counts, per SRA, the detectors it was handed to. Detectors
+	// are only appended, so the later ones have not scanned it.
+	scanned map[types.Hash]int
 
 	alloc  map[types.Address]types.Amount
 	clock  uint64
@@ -66,15 +68,14 @@ var (
 // drive it with Release/Mine/Step.
 func NewPlatform(cfg Config) *Platform {
 	p := &Platform{
-		cfg:       cfg,
-		net:       p2p.New(p2p.Config{Seed: cfg.Seed}),
-		verifier:  detection.NewGroundTruthVerifier(false),
-		images:    make(map[types.Hash]*detection.SystemImage),
-		announced: make(map[types.Hash]*types.SRA),
-		notified:  make(map[types.Hash]map[int]bool),
-		alloc:     make(map[types.Address]types.Amount),
-		nonce:     make(map[types.Address]uint64),
-		notify:    newNotifier(),
+		cfg:      cfg,
+		net:      p2p.New(p2p.Config{Seed: cfg.Seed}),
+		verifier: detection.NewGroundTruthVerifier(false),
+		images:   make(map[types.Hash]*detection.SystemImage),
+		scanned:  make(map[types.Hash]int),
+		alloc:    make(map[types.Address]types.Amount),
+		nonce:    make(map[types.Address]uint64),
+		notify:   newNotifier(),
 	}
 	p.contract = contract.New(contract.DefaultParams(), p.verifier)
 	p.chainCfg = chain.DefaultConfig(p.contract)
@@ -162,7 +163,6 @@ func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insuranc
 		return nil, err
 	}
 	p.verifier.Register(sra.ID, img)
-	p.images[sra.ID] = img
 
 	// The nonce is spent only by a submission the pool admits: the pool
 	// admits nonce gaps, so a refused SRA that kept its nonce would leave
@@ -175,7 +175,8 @@ func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insuranc
 		return nil, fmt.Errorf("core: submit SRA: %w", err)
 	}
 	p.nonce[prov.Address()]++
-	p.announced[sra.ID] = sra
+	p.images[sra.ID] = img
+	p.announced = append(p.announced, sra)
 	return sra, nil
 }
 
@@ -222,27 +223,16 @@ func (p *Platform) reactLocked() {
 		return
 	}
 	st := p.providers[0].CurrentView().State()
-	for id, sra := range p.announced {
-		if _, err := p.contract.GetSRA(st, id); err != nil {
+	for _, sra := range p.announced {
+		if _, err := p.contract.GetSRA(st, sra.ID); err != nil {
 			continue // not chained yet
 		}
-		img := p.images[id]
-		seen := p.notified[id]
-		if seen == nil {
-			seen = make(map[int]bool)
-			p.notified[id] = seen
+		for _, det := range p.detectors[p.scanned[sra.ID]:] {
+			// A detector that rejects the SRA (tampered download) just
+			// abstains; the platform carries on.
+			_, _ = det.OnSRA(sra, p.images[sra.ID])
 		}
-		for di, det := range p.detectors {
-			if seen[di] {
-				continue
-			}
-			seen[di] = true
-			if _, err := det.OnSRA(sra, img); err != nil {
-				// A detector that rejects the SRA (tampered download) just
-				// abstains; the platform carries on.
-				continue
-			}
-		}
+		p.scanned[sra.ID] = len(p.detectors)
 	}
 	for _, det := range p.detectors {
 		det.Poll()

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
@@ -285,5 +287,46 @@ func TestRefusedReportIsResentOnceFunded(t *testing.T) {
 	}
 	if det.Earnings() == 0 {
 		t.Error("the detector earned nothing")
+	}
+}
+
+// TestDetectorsScanReleasesInReleaseOrder: when several SRAs chain in one
+// block, every detector scans them in the order they were released, so its
+// R† nonces, the blocks that carry them and the head are the same on every
+// run.
+func TestDetectorsScanReleasesInReleaseOrder(t *testing.T) {
+	p := buildPlatform(t)
+	var released []types.Hash
+	for i := 0; i < 16; i++ {
+		img := detection.GenerateImage(fmt.Sprintf("fw-%02d", i), "1.0", detection.UniverseSpec{High: 1, Seed: int64(i)})
+		sra, err := p.Release(0, img, types.EtherAmount(100), types.EtherAmount(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		released = append(released, sra.ID)
+	}
+	if _, err := p.Mine(0); err != nil { // chains the releases; the detectors scan
+		t.Fatal(err)
+	}
+	blk, err := p.Mine(1) // carries the commitments
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := p.Detectors()[0]
+	var committed []types.Hash
+	for _, tx := range blk.Txs {
+		if tx.Kind != types.TxInitialReport {
+			continue
+		}
+		r, err := tx.InitialReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Detector == fast.Address() {
+			committed = append(committed, r.SRAID)
+		}
+	}
+	if !slices.Equal(committed, released) {
+		t.Errorf("the full-capability detector committed to %d SRAs in an order other than their release order", len(committed))
 	}
 }

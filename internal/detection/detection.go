@@ -13,6 +13,7 @@
 package detection
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -27,8 +28,10 @@ type Vulnerability struct {
 	ID string
 	// Severity is the risk class.
 	Severity types.Severity
-	// Subtlety in (0, 1] scales how hard the flaw is to find: detection
-	// rate multiplies by (1 − Subtlety/2).
+	// Subtlety in (0, 1] scales how hard the flaw is to find: it
+	// lengthens a CapabilityEngine's mean discovery time by (1 + Subtlety)
+	// and scales a FuzzingEngine's per-iteration hit rate by
+	// (1 − Subtlety/2).
 	Subtlety float64
 }
 
@@ -46,6 +49,13 @@ type SystemImage struct {
 
 // Hash returns U_h for the image payload.
 func (img *SystemImage) Hash() types.Hash { return types.HashBytes(img.Payload) }
+
+// seed is the image's share of an engine's RNG seed: the first 8 bytes of
+// U_h, so two images draw alike only if their hashes agree on 64 bits.
+func (img *SystemImage) seed() int64 {
+	h := img.Hash()
+	return int64(binary.BigEndian.Uint64(h[:8]))
+}
 
 // UniverseSpec sizes a generated vulnerability universe.
 type UniverseSpec struct {
@@ -94,15 +104,16 @@ type Engine interface {
 	Scan(img *SystemImage) []Detection
 }
 
-// CapabilityEngine finds each vulnerability with probability proportional
-// to its capability, in exponential time inversely proportional to its
-// speed — the DC_i model of paper §VI-B, where more threads mean faster,
-// more complete detection.
+// CapabilityEngine is the DC_i model of paper §VI-B: it finds each
+// vulnerability with probability Capability, so a crowd of m engines
+// covers 1 − (1 − DC_i)^m of an image (Eq. 11), in exponential time with
+// mean MeanFindTime·(1 + Subtlety)/Speed: subtle flaws take longer to find
+// but are not missed outright, and more threads mean faster detection.
 type CapabilityEngine struct {
 	// Name labels the detector.
 	Name string
 	// Capability in [0, 1] is DC_i: the per-vulnerability discovery
-	// probability before subtlety scaling.
+	// probability.
 	Capability float64
 	// Speed scales search rate; the paper varies detector threads 1-8.
 	Speed float64
@@ -117,7 +128,7 @@ var _ Engine = (*CapabilityEngine)(nil)
 
 // Scan implements Engine.
 func (e *CapabilityEngine) Scan(img *SystemImage) []Detection {
-	rng := rand.New(rand.NewSource(e.Seed ^ int64(img.Hash()[0])<<32 ^ int64(len(img.Payload))))
+	rng := rand.New(rand.NewSource(e.Seed ^ img.seed()))
 	speed := e.Speed
 	if speed <= 0 {
 		speed = 1
@@ -128,11 +139,10 @@ func (e *CapabilityEngine) Scan(img *SystemImage) []Detection {
 	}
 	var out []Detection
 	for _, v := range img.Vulns {
-		pFind := e.Capability * (1 - v.Subtlety/2)
-		if rng.Float64() >= pFind {
+		if rng.Float64() >= e.Capability {
 			continue
 		}
-		after := time.Duration(rng.ExpFloat64() * float64(mean) / speed)
+		after := time.Duration(rng.ExpFloat64() * float64(mean) * (1 + v.Subtlety) / speed)
 		out = append(out, Detection{
 			Finding: types.Finding{
 				VulnID:   v.ID,

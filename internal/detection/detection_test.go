@@ -1,6 +1,7 @@
 package detection
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -269,4 +270,65 @@ func (v *GroundTruthVerifier) Known(sraID types.Hash) bool {
 	defer v.mu.RUnlock()
 	_, ok := v.truth[sraID]
 	return ok
+}
+
+// TestCapabilityEngineCoverageIsDC pins the DC_i model to Eq. 11: an
+// engine of capability c finds a fraction c of an image, whatever the
+// flaws' subtlety, so a crowd of m such engines covers 1 − (1 − c)^m.
+func TestCapabilityEngineCoverageIsDC(t *testing.T) {
+	const n = 4000
+	img := GenerateImage("fw", "1.0", UniverseSpec{High: n, Seed: 1})
+	e := &CapabilityEngine{Name: "half", Capability: 0.5, Speed: 1, Seed: 1}
+	if got := float64(len(e.Scan(img))) / n; got < 0.47 || got > 0.53 {
+		t.Errorf("capability 0.5 found %.3f of %d vulnerabilities, want 0.5 ± 0.03", got, n)
+	}
+}
+
+// TestEnginesSeedFromTheWholeImageHash: two images whose hashes share a
+// first byte (and whose payloads share a length) are scanned with
+// independent draws, by both seeded engines.
+func TestEnginesSeedFromTheWholeImageHash(t *testing.T) {
+	// Equal-length names over one universe seed: the images differ only in
+	// their vulnerability ids and their hashes.
+	images := make([]*SystemImage, 1000)
+	for i := range images {
+		images[i] = GenerateImage(fmt.Sprintf("fw-%03d", i), "1.0", UniverseSpec{High: 64, Seed: 7})
+	}
+	// collide returns two images whose hashes agree on byte b.
+	collide := func(b int) (*SystemImage, *SystemImage) {
+		seen := make(map[byte]*SystemImage)
+		for _, img := range images {
+			if prev, ok := seen[img.Hash()[b]]; ok {
+				return prev, img
+			}
+			seen[img.Hash()[b]] = img
+		}
+		t.Fatalf("no two of %d images share hash byte %d", len(images), b)
+		return nil, nil
+	}
+	// pattern marks, per vulnerability index, whether e found it.
+	pattern := func(e Engine, img *SystemImage) string {
+		index := make(map[string]int, len(img.Vulns))
+		for i, v := range img.Vulns {
+			index[v.ID] = i
+		}
+		marks := []byte(strings.Repeat("-", len(img.Vulns)))
+		for _, d := range e.Scan(img) {
+			marks[index[d.Finding.VulnID]] = 'x'
+		}
+		return string(marks)
+	}
+	for _, tc := range []struct {
+		engine Engine
+		byte   int
+	}{
+		{&CapabilityEngine{Name: "cap", Capability: 0.5, Speed: 1, Seed: 3}, 0},
+		{&FuzzingEngine{Name: "fuzz", Iterations: 100, HitRate: 0.01, Seed: 3}, 1},
+	} {
+		a, b := collide(tc.byte)
+		if pa, pb := pattern(tc.engine, a), pattern(tc.engine, b); pa == pb {
+			t.Errorf("%T scans %s and %s (hash byte %d both %#x) alike: %s",
+				tc.engine, a.Name, b.Name, tc.byte, a.Hash()[tc.byte], pa)
+		}
+	}
 }

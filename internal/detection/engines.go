@@ -124,7 +124,7 @@ func (e *FuzzingEngine) Scan(img *SystemImage) []Detection {
 	if iterTime <= 0 {
 		iterTime = 100 * time.Millisecond
 	}
-	rng := rand.New(rand.NewSource(e.Seed ^ int64(img.Hash()[1])<<24))
+	rng := rand.New(rand.NewSource(e.Seed ^ img.seed()))
 	var out []Detection
 	for _, v := range img.Vulns {
 		p := hit * (1 - v.Subtlety/2)

@@ -3,7 +3,6 @@ package node
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
@@ -23,12 +22,9 @@ type ChainReader interface {
 
 var _ ChainReader = (*chain.Chain)(nil)
 
-// reportGasLimit is the gas limit of a detector's report transactions;
-// they offer contract.GasPrice.
-const reportGasLimit = 150_000
-
 // revealConfirmations is how many confirmations the R† needs before the
-// detector publishes R* (the paper waits for block confirmation).
+// detector publishes R*: two, so the commitment survives a one-block
+// reorg before the findings it hides become public (PROTOCOL.md §3).
 const revealConfirmations = 2
 
 // resendAfter is how many blocks the chain's confirmed nonce for the
@@ -42,9 +38,6 @@ const resendAfter = 2 * revealConfirmations
 type pendingReveal struct {
 	initialTxHash types.Hash
 	detailed      *types.DetailedReport
-	// foundAfter is when (relative to the SRA) the detection completed;
-	// the sim uses it to stagger submissions.
-	foundAfter time.Duration
 }
 
 // DetectorNode is a lightweight detector driving the two-phase submission
@@ -58,7 +51,7 @@ type DetectorNode struct {
 
 	nonce    uint64
 	pending  []pendingReveal
-	revealed map[types.Hash]types.Hash // detailed tx hash → initial tx hash
+	revealed []types.Hash // the R* transactions the detector sent
 
 	// unconfirmed is every transaction the detector signed that its view
 	// has not confirmed yet, by nonce. A broadcast's refusal (a detector
@@ -89,38 +82,51 @@ func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reade
 		engine:      engine,
 		reader:      reader,
 		net:         net,
-		revealed:    make(map[types.Hash]types.Hash),
 		unconfirmed: make(map[uint64]sentTx),
 	}
 }
 
-// OnSRA reacts to a system release: the detector downloads the image,
-// verifies U_h against the announcement, scans it, and — if anything was
-// found — submits the initial report R† (Phase I). It returns the R†
-// transaction, or nil when the scan came up empty.
+// Address is the detector's account: it signs the reports and is paid.
+func (d *DetectorNode) Address() types.Address { return d.wallet.Address() }
+
+// OnSRA reacts to a system release with one scan and one commitment:
+// everything the scan found shares one R†. It returns the R† transaction,
+// or nil when the scan came up empty.
 func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types.Transaction, error) {
+	detections, err := d.Scan(sra, img)
+	if err != nil || len(detections) == 0 {
+		return nil, err
+	}
+	findings := make([]types.Finding, len(detections))
+	for i, det := range detections {
+		findings[i] = det.Finding
+	}
+	return d.Commit(sra.ID, findings)
+}
+
+// Scan is the detector's work on a release: it checks the announcement's
+// signature, checks the downloaded image against U_h, and runs its engine
+// over the image. Each detection carries the search time its engine
+// needed; the caller decides when to Commit what.
+func (d *DetectorNode) Scan(sra *types.SRA, img *detection.SystemImage) ([]detection.Detection, error) {
 	if err := sra.Verify(); err != nil {
 		return nil, fmt.Errorf("node: detector %s rejects SRA: %w", d.id, err)
 	}
 	if img.Hash() != sra.SystemHash {
 		return nil, fmt.Errorf("node: image hash does not match SRA U_h (download tampered?)")
 	}
-	detections := d.engine.Scan(img)
-	if len(detections) == 0 {
-		return nil, nil
-	}
-	findings := make([]types.Finding, len(detections))
-	var latest time.Duration
-	for i, det := range detections {
-		findings[i] = det.Finding
-		if det.After > latest {
-			latest = det.After
-		}
-	}
-	sort.Slice(findings, func(i, j int) bool { return findings[i].VulnID < findings[j].VulnID })
+	return d.engine.Scan(img), nil
+}
 
+// Commit submits Phase I for findings about the SRA sraID: it signs the
+// detailed report R* over them and broadcasts the initial report R† that
+// commits to it, and Poll reveals R* once the R† is revealConfirmations
+// deep. It returns the R† transaction.
+func (d *DetectorNode) Commit(sraID types.Hash, findings []types.Finding) (*types.Transaction, error) {
+	findings = append([]types.Finding(nil), findings...)
+	sort.Slice(findings, func(i, j int) bool { return findings[i].VulnID < findings[j].VulnID })
 	detailed := &types.DetailedReport{
-		SRAID:    sra.ID,
+		SRAID:    sraID,
 		Detector: d.wallet.Address(),
 		Wallet:   d.wallet.Address(),
 		Findings: findings,
@@ -129,7 +135,7 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 		return nil, err
 	}
 	initial := &types.InitialReport{
-		SRAID:      sra.ID,
+		SRAID:      sraID,
 		Detector:   d.wallet.Address(),
 		DetailHash: detailed.CommitmentHash(),
 		Wallet:     d.wallet.Address(),
@@ -138,15 +144,11 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 		return nil, err
 	}
 
-	itx := types.NewInitialReportTx(initial, d.nonce, reportGasLimit, contract.GasPrice)
+	itx := types.NewInitialReportTx(initial, d.nonce, contract.GasInitialReport, contract.GasPrice)
 	if err := types.SignTx(itx, d.wallet); err != nil {
 		return nil, err
 	}
-	d.pending = append(d.pending, pendingReveal{
-		initialTxHash: itx.Hash(),
-		detailed:      detailed,
-		foundAfter:    latest,
-	})
+	d.pending = append(d.pending, pendingReveal{initialTxHash: itx.Hash(), detailed: detailed})
 	d.send(itx, d.reader.CurrentView().HeadNumber())
 	return itx, nil
 }
@@ -161,7 +163,14 @@ func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types
 // broadcasts the exact bytes of every unconfirmed one again, in nonce
 // order: a report refused for want of gas money is admitted once the
 // detector can pay, and the reports signed after it chain behind it.
+//
+// The detector reads the chain through its ChainReader, never the gossip
+// its peers push and announce to it, so Poll drops its inbox: the
+// transport keeps what nobody receives.
 func (d *DetectorNode) Poll() []*types.Transaction {
+	if d.net != nil {
+		d.net.Receive(d.id)
+	}
 	v := d.reader.CurrentView()
 	d.resendStuck(v)
 	var revealed []*types.Transaction
@@ -171,12 +180,12 @@ func (d *DetectorNode) Poll() []*types.Transaction {
 			still = append(still, p)
 			continue
 		}
-		dtx := types.NewDetailedReportTx(p.detailed, d.nonce, reportGasLimit, contract.GasPrice)
+		dtx := types.NewDetailedReportTx(p.detailed, d.nonce, contract.GasDetailedReport, contract.GasPrice)
 		if err := types.SignTx(dtx, d.wallet); err != nil {
 			still = append(still, p)
 			continue
 		}
-		d.revealed[dtx.Hash()] = p.initialTxHash
+		d.revealed = append(d.revealed, dtx.Hash())
 		d.send(dtx, v.HeadNumber())
 		revealed = append(revealed, dtx)
 	}
@@ -233,7 +242,7 @@ func (d *DetectorNode) broadcast(raw []byte) {
 func (d *DetectorNode) Earnings() types.Amount {
 	v := d.reader.CurrentView()
 	var total types.Amount
-	for dtx := range d.revealed {
+	for _, dtx := range d.revealed {
 		if r, err := v.ReceiptOf(dtx); err == nil && r.Success {
 			total += r.Payout.Paid
 		}

@@ -315,6 +315,50 @@ func TestDetectorSkipsCleanImage(t *testing.T) {
 	}
 }
 
+// TestDetectorPollDropsItsInbox: a detector joins the bus, so the blocks
+// providers push and the announcements they relay reach its inbox. It
+// reads the chain through its ChainReader, so Poll drops them: after
+// several seal-and-Poll rounds the inbox holds only what the last seal
+// sent.
+func TestDetectorPollDropsItsInbox(t *testing.T) {
+	alloc, _, detecting := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
+		cl.providers[0].Chain(), cl.net)
+	for i := 0; i < 4; i++ {
+		cl.mine(i % 2)
+		det.Poll()
+	}
+	last := cl.mine(0)
+	msgs := cl.net.Receive("d0")
+	if len(msgs) == 0 {
+		t.Fatal("the last seal sent the detector nothing; the test cannot see a drained inbox")
+	}
+	for _, m := range msgs {
+		var about types.Hash
+		switch m.Kind {
+		case p2p.MsgBlock:
+			blk, err := types.DecodeBlock(m.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			about = blk.ID()
+		case p2p.MsgAnnounce:
+			_, ids, err := p2p.ParseAnnounce(m.Payload)
+			if err != nil || ids.Len() != 1 {
+				t.Fatalf("announcement of %d ids: %v", ids.Len(), err)
+			}
+			about = ids.At(0)
+		default:
+			t.Fatalf("detector inbox holds a %s from %s", m.Kind, m.From)
+		}
+		if about != last.ID() {
+			t.Errorf("detector inbox still holds a %s about block %s from before its last Poll (last seal %s)",
+				m.Kind, about.Short(), last.ID().Short())
+		}
+	}
+}
+
 func TestSubmitTxRejectsDuplicate(t *testing.T) {
 	alloc, releasing, _ := fundedActors()
 	cl := newCluster(t, 1, alloc)

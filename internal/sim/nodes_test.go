@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/smartcrowd/smartcrowd/internal/node"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -13,7 +14,9 @@ import (
 // with the paper's five providers every node has the same head and state
 // root, and no node's pool still holds a transaction the chain includes.
 // The pools are read the way a peer reads them: a node answers a
-// tx-request from its pool only.
+// tx-request from its pool only. Every detector node's Earnings equals
+// the payouts of its R* receipts on every node, and the run's tracker
+// books the same bounty.
 func TestProviderNodesAgree(t *testing.T) {
 	res, err := Run(Config{
 		Seed:      5,
@@ -47,6 +50,24 @@ func TestProviderNodesAgree(t *testing.T) {
 	}
 	if len(included) > p2p.MaxAnnounceIDs-1 {
 		t.Fatalf("run included %d transactions; the probe asks for them in one request", len(included))
+	}
+
+	if len(res.detectors) != 3 {
+		t.Fatalf("run built %d detector nodes for 3 detectors", len(res.detectors))
+	}
+	for di, det := range res.detectors {
+		earned, booked := det.Earnings(), res.DetectorBalance(di).Bounty
+		if earned == 0 {
+			t.Errorf("detector %d earned nothing; the run must pay every detector to compare", di)
+		}
+		if earned != booked {
+			t.Errorf("detector %d Earnings %s, tracker books %s", di, earned, booked)
+		}
+		for i, n := range res.nodes {
+			if paid := payoutsTo(t, n, det.Address()); paid != earned {
+				t.Errorf("node %d: detector %d's R* receipts pay %s, its Earnings %s", i, di, paid, earned)
+			}
+		}
 	}
 
 	for i, n := range res.nodes {
@@ -93,4 +114,34 @@ func TestProviderNodesAgree(t *testing.T) {
 			t.Errorf("node %d served %d transactions for %d included ones and the pooled control; want only the control", i, len(served), len(included))
 		}
 	}
+}
+
+// payoutsTo sums what the successful R* receipts on n's chain paid to
+// wallet.
+func payoutsTo(t *testing.T, n *node.ProviderNode, wallet types.Address) types.Amount {
+	t.Helper()
+	v := n.CurrentView()
+	var paid types.Amount
+	for _, b := range n.Chain().CanonicalBlocks() {
+		for _, tx := range b.Txs {
+			if tx.Kind != types.TxDetailedReport {
+				continue
+			}
+			rep, err := tx.DetailedReport()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Wallet != wallet {
+				continue
+			}
+			r, err := v.ReceiptOf(tx.Hash())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Success {
+				paid += r.Payout.Paid
+			}
+		}
+	}
+	return paid
 }

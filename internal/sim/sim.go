@@ -1,10 +1,13 @@
 // Package sim is SmartCrowd's experiment harness: a discrete-event
 // simulation that drives a full platform — one real provider node per
-// mining provider on a zero-latency gossip bus, a weighted PoW lottery
-// picking who seals, lightweight detectors racing per-vulnerability
-// through the two-phase report protocol, SRA releases with escrowed
-// insurance — over simulated hours in seconds of wall-clock time. Every
-// run is deterministic given its seed.
+// mining provider and one real detector node per detector on a
+// zero-latency gossip bus, a weighted PoW lottery picking who seals, SRA
+// releases with escrowed insurance — over simulated hours in seconds of
+// wall-clock time. The schedule keeps only the timing: each detector
+// scans a chained SRA once, with its detection.CapabilityEngine (the
+// DC_i model), and commits each finding when its engine found it, so
+// detectors race per vulnerability through the two-phase report
+// protocol. Every run is deterministic given its seed.
 //
 // The harness reproduces the paper's §VII experiments: block production and
 // rewards (Fig. 3), provider incentives and punishments (Fig. 4, 5), and
@@ -12,10 +15,11 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
@@ -42,9 +46,11 @@ type ProviderSpec struct {
 type DetectorSpec struct {
 	// Name labels the detector.
 	Name string
-	// Threads scales detection speed, as the paper allocates 1-8 threads.
+	// Threads scales detection speed, as the paper allocates 1-8 threads
+	// (the engine's Speed; default 1).
 	Threads int
-	// Capability is DC_i, the per-vulnerability discovery probability.
+	// Capability is DC_i, the per-vulnerability discovery probability
+	// (default 1).
 	Capability float64
 }
 
@@ -54,10 +60,6 @@ const (
 	providerFunds = 100_000 * types.Ether
 	detectorFunds = 1000 * types.Ether
 )
-
-// revealConfirmations gates Phase II: a detector reveals R* once its R†
-// is one block deep.
-const revealConfirmations = 1
 
 // ReleaseSpec schedules one SRA.
 type ReleaseSpec struct {
@@ -122,8 +124,10 @@ type Result struct {
 	// Chain is the first provider node's chain; every node's agrees.
 	Chain    *chain.Chain
 	Contract *contract.Contract
-	// nodes are the run's provider nodes, indexed like Config.Providers.
-	nodes []*node.ProviderNode
+	// nodes are the run's provider nodes, indexed like Config.Providers,
+	// and detectors its detector nodes, indexed like Config.Detectors.
+	nodes     []*node.ProviderNode
+	detectors []*node.DetectorNode
 	// telemetry is the run's end-of-run metric snapshot (see Telemetry).
 	telemetry telemetry.Snapshot
 }
@@ -140,73 +144,45 @@ func (r *Result) DetectorBalance(i int) incentive.Balance {
 
 // event is a scheduled action.
 type event struct {
-	at  time.Duration
-	seq int
-	fn  func()
-}
-
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	at time.Duration
+	fn func()
 }
 
 // runner is the mutable state of one simulation.
 type runner struct {
-	cfg      Config
-	rng      *rand.Rand
-	net      *p2p.Network
-	nodes    []*node.ProviderNode // one per Config.Providers entry
-	contract *contract.Contract
-	verifier *detection.GroundTruthVerifier
-	sealer   *pow.SimSealer
-	tracker  *incentive.Tracker
-	metrics  *simMetrics
+	cfg       Config
+	rng       *rand.Rand
+	net       *p2p.Network
+	nodes     []*node.ProviderNode // one per Config.Providers entry
+	detectors []*node.DetectorNode // one per Config.Detectors entry
+	contract  *contract.Contract
+	verifier  *detection.GroundTruthVerifier
+	sealer    *pow.SimSealer
+	tracker   *incentive.Tracker
+	metrics   *simMetrics
 
-	detectorWallets []*wallet.Wallet
-	nonces          map[types.Address]uint64
+	// sraNonces counts each provider's SRA transactions.
+	sraNonces []uint64
 
-	events eventQueue
-	seq    int
+	// events are the scheduled actions, by time and then by scheduling
+	// order.
+	events []event
 	now    time.Duration
 
-	sraProvider map[types.Hash]int // SRA id → provider index
 	sraOutcomes []*SRAOutcome
+	outcomeOf   map[types.Hash]*SRAOutcome
 	// pendingSRAs are announced releases whose detection phase starts
 	// once the SRA transaction is chained (paper §V-A: "an SRA is
 	// available until it has been verified and recorded in the
 	// blockchain").
 	pendingSRAs []*pendingSRA
-	// pendingReveals maps an R† tx hash to its prepared reveal.
-	pendingReveals []*reveal
-	blockStats     []BlockStat
+	blockStats  []BlockStat
 }
 
 type pendingSRA struct {
 	txHash types.Hash
 	sra    *types.SRA
 	img    *detection.SystemImage
-	active bool
-}
-
-type reveal struct {
-	initialTxHash types.Hash
-	detailed      *types.DetailedReport
-	detector      int
-	done          bool
 }
 
 // Validation errors.
@@ -236,14 +212,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	r := &runner{
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		net:         p2p.New(p2p.Config{Seed: cfg.Seed}),
-		verifier:    detection.NewGroundTruthVerifier(false),
-		tracker:     incentive.NewTracker(),
-		metrics:     newSimMetrics(),
-		nonces:      make(map[types.Address]uint64),
-		sraProvider: make(map[types.Hash]int),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
+		net:       p2p.New(p2p.Config{Seed: cfg.Seed}),
+		verifier:  detection.NewGroundTruthVerifier(false),
+		tracker:   incentive.NewTracker(),
+		metrics:   newSimMetrics(),
+		sraNonces: make([]uint64, len(cfg.Providers)),
+		outcomeOf: make(map[types.Hash]*SRAOutcome),
 	}
 	r.contract = contract.New(contract.DefaultParams(), r.verifier)
 
@@ -257,9 +233,10 @@ func Run(cfg Config) (*Result, error) {
 		alloc[w.Address()] = providerFunds
 		miners[i] = pow.MinerPower{Name: spec.Name, HashShare: spec.HashShare}
 	}
-	for _, spec := range cfg.Detectors {
+	detectorWallets := make([]*wallet.Wallet, len(cfg.Detectors))
+	for i, spec := range cfg.Detectors {
 		w := wallet.NewDeterministic(fmt.Sprintf("sim%d-detector-%s", cfg.Seed, spec.Name))
-		r.detectorWallets = append(r.detectorWallets, w)
+		detectorWallets[i] = w
 		alloc[w.Address()] = detectorFunds
 	}
 
@@ -273,6 +250,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 		r.nodes = append(r.nodes, n)
 	}
+	for i, spec := range cfg.Detectors {
+		engine := &detection.CapabilityEngine{
+			Name:         spec.Name,
+			Capability:   spec.Capability,
+			Speed:        float64(max(spec.Threads, 1)),
+			MeanFindTime: cfg.MeanFindTime,
+			Seed:         cfg.Seed + int64(i+1)<<32,
+		}
+		if engine.Capability <= 0 {
+			engine.Capability = 1
+		}
+		r.detectors = append(r.detectors, node.NewDetector(p2p.NodeID(fmt.Sprintf("detector/%d", i)),
+			detectorWallets[i], engine, r.nodes[r.entry(i)].Chain(), r.net))
+	}
 
 	sealer, err := pow.NewSimSealer(pow.SimConfig{
 		Miners:        miners,
@@ -285,10 +276,8 @@ func Run(cfg Config) (*Result, error) {
 	r.sealer = sealer
 
 	// Schedule releases.
-	for i := range cfg.Releases {
-		rel := cfg.Releases[i]
-		idx := i
-		r.schedule(rel.At, func() { r.release(idx) })
+	for i, rel := range cfg.Releases {
+		r.schedule(rel.At, func() { r.release(i) })
 	}
 
 	if err := r.loop(); err != nil {
@@ -298,11 +287,9 @@ func Run(cfg Config) (*Result, error) {
 }
 
 func (r *runner) schedule(at time.Duration, fn func()) {
-	if at < r.now {
-		at = r.now
-	}
-	r.seq++
-	heap.Push(&r.events, &event{at: at, seq: r.seq, fn: fn})
+	at = max(at, r.now)
+	i := sort.Search(len(r.events), func(i int) bool { return r.events[i].at > at })
+	r.events = slices.Insert(r.events, i, event{at: at, fn: fn})
 }
 
 // loop alternates between scheduled submissions and block production until
@@ -310,7 +297,6 @@ func (r *runner) schedule(at time.Duration, fn func()) {
 // each seal starts from nodes that agree on the head and on their pools:
 // with zero latency the lottery's winner never forks.
 func (r *runner) loop() error {
-	heap.Init(&r.events)
 	for {
 		ev := r.sealer.Next()
 		next := r.now + ev.Interval
@@ -319,7 +305,8 @@ func (r *runner) loop() error {
 		}
 		// Fire all submissions due before the block lands.
 		for len(r.events) > 0 && r.events[0].at <= next {
-			e := heap.Pop(&r.events).(*event)
+			e := r.events[0]
+			r.events = r.events[1:]
 			r.now = e.at
 			e.fn()
 		}
@@ -330,18 +317,11 @@ func (r *runner) loop() error {
 	}
 }
 
-// submit hands tx to provider node i, which pools and gossips it, then
-// settles the bus, so every node pools tx before anything else happens.
-// Arrival order breaks ties at block assembly, so it has to be the same
-// on whichever node wins the next seal.
-func (r *runner) submit(i int, tx *types.Transaction) error {
-	err := r.nodes[i].SubmitTx(tx)
-	r.settle()
-	return err
-}
-
 // settle delivers gossip round after round until the bus is quiet.
-// Latency is zero, so each round delivers everything sent before it.
+// Latency is zero, so each round delivers everything sent before it. It
+// runs after every submission, so every node pools a transaction before
+// anything else happens: arrival order breaks ties at block assembly, so
+// it has to be the same on whichever node wins the next seal.
 func (r *runner) settle() {
 	for i := 0; i < 32; i++ {
 		r.net.AdvanceTo(uint64(r.now / time.Millisecond))
@@ -376,90 +356,46 @@ func (r *runner) release(relIdx int) {
 		panic("sim: sign SRA: " + err.Error())
 	}
 	r.verifier.Register(sra.ID, img)
-	r.sraProvider[sra.ID] = rel.Provider
-	r.sraOutcomes = append(r.sraOutcomes, &SRAOutcome{
+	outcome := &SRAOutcome{
 		ID: sra.ID, Provider: rel.Provider,
 		Insurance: rel.Insurance, Bounty: rel.Bounty, NumVulns: rel.NumVulns,
-	})
+	}
+	r.sraOutcomes = append(r.sraOutcomes, outcome)
+	r.outcomeOf[sra.ID] = outcome
 
-	tx := types.NewSRATx(sra, r.nextNonce(w.Address()), contract.GasSRA, contract.GasPrice)
+	tx := types.NewSRATx(sra, r.sraNonces[rel.Provider], contract.GasSRA, contract.GasPrice)
+	r.sraNonces[rel.Provider]++
 	if err := types.SignTx(tx, w); err != nil {
 		panic("sim: sign SRA tx: " + err.Error())
 	}
-	if err := r.submit(rel.Provider, tx); err != nil {
+	if err := r.nodes[rel.Provider].SubmitTx(tx); err != nil {
 		panic("sim: submit SRA tx: " + err.Error())
 	}
+	r.settle()
 	r.pendingSRAs = append(r.pendingSRAs, &pendingSRA{txHash: tx.Hash(), sra: sra, img: img})
 }
 
-// activateDetection schedules the detector discovery races for a chained
-// SRA. Detectors race per vulnerability: each discovery is an independent
-// exponential race at rate ∝ threads.
+// activateDetection hands a chained SRA to every detector: each scans the
+// image once, and the schedule delivers every finding to its detector when
+// the engine found it. Detectors race per vulnerability.
 func (r *runner) activateDetection(sra *types.SRA, img *detection.SystemImage) {
-	for di, spec := range r.cfg.Detectors {
-		threads := spec.Threads
-		if threads <= 0 {
-			threads = 1
+	for _, det := range r.detectors {
+		found, err := det.Scan(sra, img)
+		if err != nil {
+			panic("sim: detector rejects SRA: " + err.Error())
 		}
-		capability := spec.Capability
-		if capability <= 0 {
-			capability = 1
-		}
-		for _, vuln := range img.Vulns {
-			if r.rng.Float64() >= capability {
-				continue
-			}
-			// Subtle vulnerabilities take longer to find but are not
-			// missed outright by a capable detector.
-			mean := float64(r.cfg.MeanFindTime) * (1 + vuln.Subtlety)
-			after := time.Duration(r.rng.ExpFloat64() * mean / float64(threads))
-			detectorIdx, finding := di, types.Finding{
-				VulnID:   vuln.ID,
-				Severity: vuln.Severity,
-				Evidence: fmt.Sprintf("found by %s", spec.Name),
-			}
-			sraID := sra.ID
-			r.schedule(r.now+after, func() { r.submitInitial(detectorIdx, sraID, finding) })
+		for _, f := range found {
+			finding := []types.Finding{f.Finding}
+			r.schedule(r.now+f.After, func() {
+				// The detector commits what it found as soon as it found it
+				// (Phase I), one R† per finding.
+				if _, err := det.Commit(sra.ID, finding); err != nil {
+					panic("sim: commit finding: " + err.Error())
+				}
+				r.settle()
+			})
 		}
 	}
-}
-
-// submitInitial commits one finding (Phase I) for a detector.
-func (r *runner) submitInitial(detectorIdx int, sraID types.Hash, finding types.Finding) {
-	w := r.detectorWallets[detectorIdx]
-	detailed := &types.DetailedReport{
-		SRAID:    sraID,
-		Detector: w.Address(),
-		Wallet:   w.Address(),
-		Findings: []types.Finding{finding},
-	}
-	if err := types.SignDetailedReport(detailed, w); err != nil {
-		panic("sim: sign R*: " + err.Error())
-	}
-	initial := &types.InitialReport{
-		SRAID:      sraID,
-		Detector:   w.Address(),
-		DetailHash: detailed.CommitmentHash(),
-		Wallet:     w.Address(),
-	}
-	if err := types.SignInitialReport(initial, w); err != nil {
-		panic("sim: sign R†: " + err.Error())
-	}
-	itx := types.NewInitialReportTx(initial, r.nextNonce(w.Address()),
-		contract.GasInitialReport, contract.GasPrice)
-	if err := types.SignTx(itx, w); err != nil {
-		panic("sim: sign R† tx: " + err.Error())
-	}
-	if err := r.submit(r.entry(detectorIdx), itx); err != nil {
-		// Detector ran out of funds — a legitimate outcome; skip.
-		r.nonces[w.Address()]-- // release the nonce
-		return
-	}
-	r.pendingReveals = append(r.pendingReveals, &reveal{
-		initialTxHash: itx.Hash(),
-		detailed:      detailed,
-		detector:      detectorIdx,
-	})
 }
 
 // Gossip propagation model parameters: a freshly sealed block reaches
@@ -487,11 +423,12 @@ func (r *runner) samplePropagation(winner int) {
 	}
 }
 
-// entry is the provider node detector d submits its reports through.
+// entry is the provider node whose chain detector d reads.
 func (r *runner) entry(d int) int { return d % len(r.nodes) }
 
 // mine lets the lottery winner seal a block from its pool and settles the
-// bus, then performs incentive attribution and schedules eligible reveals.
+// bus, then performs incentive attribution, starts detection on newly
+// chained SRAs and lets every detector reveal what is deep enough.
 func (r *runner) mine(ev pow.SealEvent) error {
 	winner := r.nodes[ev.Winner]
 	// SealAndPublish lifts a timestamp that sub-millisecond intervals
@@ -537,68 +474,39 @@ func (r *runner) mine(ev pow.SealEvent) error {
 			r.tracker.Record(rep.Wallet, incentive.FlowBounty, receipt.Payout.Paid)
 			r.tracker.RecordAccepted(rep.Wallet, uint64(len(receipt.Payout.Accepted)))
 			r.metrics.bountyGwei.Add(uint64(receipt.Payout.Paid))
-			if pIdx, ok := r.sraProvider[rep.SRAID]; ok {
-				r.tracker.Record(r.nodes[pIdx].Address(),
+			if o, ok := r.outcomeOf[rep.SRAID]; ok {
+				r.tracker.Record(r.nodes[o.Provider].Address(),
 					incentive.FlowPunishment, receipt.Payout.Paid)
 				r.metrics.punishGwei.Add(uint64(receipt.Payout.Paid))
-				for _, o := range r.sraOutcomes {
-					if o.ID == rep.SRAID {
-						o.PaidOut += receipt.Payout.Paid
-						o.Confirmed += uint64(len(receipt.Payout.Accepted))
-					}
-				}
+				o.PaidOut += receipt.Payout.Paid
+				o.Confirmed += uint64(len(receipt.Payout.Accepted))
 			}
 		}
 	}
 	r.blockStats = append(r.blockStats, stat)
 
 	// Phase #2 start: detection begins once the SRA is chained.
+	pending := r.pendingSRAs[:0]
 	for _, ps := range r.pendingSRAs {
-		if ps.active {
+		if v.Confirmations(ps.txHash) < 1 {
+			pending = append(pending, ps)
 			continue
 		}
-		if v.Confirmations(ps.txHash) >= 1 {
-			ps.active = true
-			r.activateDetection(ps.sra, ps.img)
-		}
+		r.activateDetection(ps.sra, ps.img)
 	}
+	r.pendingSRAs = pending
 
-	// Phase II: queue reveals whose commitments are now confirmed. The
-	// whole due batch is built and signed first so the sender pool
-	// can warm the ECDSA caches across all CPUs; submission then runs
-	// per transaction (a failed one releases its nonce).
-	var dueReveals []*reveal
-	var dueTxs []*types.Transaction
-	for _, pr := range r.pendingReveals {
-		if pr.done {
-			continue
-		}
-		if v.Confirmations(pr.initialTxHash) < revealConfirmations {
-			continue
-		}
-		w := r.detectorWallets[pr.detector]
-		dtx := types.NewDetailedReportTx(pr.detailed, r.nextNonce(w.Address()),
-			contract.GasDetailedReport, contract.GasPrice)
-		if err := types.SignTx(dtx, w); err != nil {
-			panic("sim: sign R* tx: " + err.Error())
-		}
-		dueReveals = append(dueReveals, pr)
-		dueTxs = append(dueTxs, dtx)
+	// Phase II: each detector reveals the commitments that are deep enough.
+	// Every detector sees the seal at once, so the order in which their
+	// reveals reach the pools is the network's: drawn from the run's
+	// stream, never by detector index. The first reveal of a finding is
+	// the one paid, and an index order would hand every tie between
+	// commitments chained in one block to the lowest index.
+	for _, i := range r.rng.Perm(len(r.detectors)) {
+		r.detectors[i].Poll()
 	}
-	types.RecoverSenders(dueTxs)
-	for i, pr := range dueReveals {
-		pr.done = true // submitted, or out of funds and abandoned
-		if err := r.submit(r.entry(pr.detector), dueTxs[i]); err != nil {
-			r.nonces[r.detectorWallets[pr.detector].Address()]--
-		}
-	}
+	r.settle()
 	return nil
-}
-
-func (r *runner) nextNonce(a types.Address) uint64 {
-	n := r.nonces[a]
-	r.nonces[a] = n + 1
-	return n
 }
 
 func (r *runner) result() *Result {
@@ -608,13 +516,14 @@ func (r *runner) result() *Result {
 		Chain:     r.nodes[0].Chain(),
 		Contract:  r.contract,
 		nodes:     r.nodes,
+		detectors: r.detectors,
 		telemetry: r.metrics.reg.Snapshot(),
 	}
 	for _, n := range r.nodes {
 		res.Providers = append(res.Providers, n.Address())
 	}
-	for _, w := range r.detectorWallets {
-		res.Detectors = append(res.Detectors, w.Address())
+	for _, d := range r.detectors {
+		res.Detectors = append(res.Detectors, d.Address())
 	}
 	for _, o := range r.sraOutcomes {
 		res.SRAs = append(res.SRAs, *o)
