@@ -129,7 +129,12 @@ type entry struct {
 	// snapshot installed (installPrefixLocked) until stateOfLocked
 	// rebuilds a post-state for one. They are out of line so that those
 	// entries, a reopened or snap-joined chain's whole prefix, are 64
-	// bytes.
+	// bytes. An entry executed here gets ex, receipts included, before it
+	// is shared, and ex is never reassigned: only an entry without
+	// receipts, which the transaction index never holds, gets one later.
+	// So a lock-free reader that reached an entry through a view's index
+	// (ReadView.ReceiptOf) reads ex.receipts with no race; what changes
+	// after is ex.post alone (dropPost, stateOfLocked).
 	ex *executed
 }
 
@@ -360,12 +365,14 @@ func (b *builtBlock) adoptable(parent *entry, blk *types.Block) bool {
 	return h == b.header
 }
 
-// txLoc locates a transaction on the canonical chain.
+// txLoc locates a transaction on the canonical chain: its block's height
+// and its position in the block. The block id and the receipt are not
+// copied in: a reader takes them from the canon entry at that height in
+// the same view (ReadView.ReceiptOf, TxLocation), which setHead publishes
+// with the index, so an index leaf is one 80-byte object.
 type txLoc struct {
-	blockID types.Hash
-	number  uint64
-	txIdx   int
-	receipt *Receipt
+	number uint64
+	txIdx  int
 }
 
 // Chain is the block store plus fork choice. It is safe for concurrent
@@ -390,10 +397,11 @@ type Chain struct {
 	// in place would overwrite elements older views still index.
 	canon []*entry
 	// txTrie maps tx hash → canonical location via a persistent crit-bit
-	// trie: updates never touch a published node (setHead), so a ReadView
-	// pins the index by holding a root pointer. setHead is its only reader
-	// under the lock; every lookup goes through a view.
-	txTrie *critbit.Node[txLoc]
+	// trie that nothing sums: updates never touch a published node
+	// (setHead), so a ReadView pins the index by holding a root pointer.
+	// setHead is its only reader under the lock; every lookup goes through
+	// a view.
+	txTrie *critbit.Node[txLoc, struct{}]
 	// horizon is the height of the snapshot this chain was installed
 	// from (installPrefixLocked), 0 for one grown from genesis: blocks at
 	// or below it were never executed here, so txTrie holds none of their
@@ -1044,12 +1052,7 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 			en.blk.Store(blk) // released on a branch that lost, canonical again
 		}
 		for j, tx := range blk.Txs {
-			c.txTrie = critbit.Set(c.txTrie, tx.Hash(), txLoc{
-				blockID: blk.ID(),
-				number:  n,
-				txIdx:   j,
-				receipt: receipts[j],
-			}, gen)
+			c.txTrie = critbit.Set(c.txTrie, tx.Hash(), txLoc{number: n, txIdx: j}, gen)
 			if tx.Kind == types.TxSRA && receipts[j].Success {
 				if sra, err := tx.SRA(); err == nil {
 					telemetry.PublishEvent("sra", tc, map[string]string{
@@ -1082,7 +1085,7 @@ func (c *Chain) setHead(e *entry, tc telemetry.TraceContext) {
 // miss on a chain installed from a snapshot cannot tell "unknown" from
 // "at or below the snapshot", so it answers ErrBelowHorizon, naming the
 // height.
-func lookupTx(idx *critbit.Node[txLoc], horizon uint64, txHash types.Hash) (txLoc, error) {
+func lookupTx(idx *critbit.Node[txLoc, struct{}], horizon uint64, txHash types.Hash) (txLoc, error) {
 	loc, ok := critbit.Get(idx, txHash)
 	switch {
 	case ok:

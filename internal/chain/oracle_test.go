@@ -35,7 +35,10 @@ func (c *Chain) lockedReceipt(txHash types.Hash) (*Receipt, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	loc, err := lookupTx(c.txTrie, c.horizon, txHash)
-	return loc.receipt, err
+	if err != nil {
+		return nil, err
+	}
+	return c.canon[loc.number].receipts()[loc.txIdx], nil
 }
 
 // lockedConfirmations returns how many blocks deep a transaction is (1 =
@@ -107,7 +110,7 @@ func (c *Chain) TxLocation(txHash types.Hash) (blockID types.Hash, number uint64
 	if !found {
 		return types.Hash{}, 0, 0, false
 	}
-	return loc.blockID, loc.number, loc.txIdx, true
+	return c.canon[loc.number].block().ID(), loc.number, loc.txIdx, true
 }
 
 // Confirmed reports whether a transaction has reached the

@@ -26,7 +26,11 @@ import (
 //     whose nodes publishView freezes: setHead writes it under a fresh
 //     generation per head switch, so it rewrites in place only nodes it
 //     made since the last publication and path-copies every published
-//     one;
+//     one. It holds a transaction's (number, position) only; the block id
+//     and the receipt are read from canon[number] of the same view, which
+//     setHead published with the index, and an indexed entry's ex, its
+//     receipts included, was set before the entry was shared and is never
+//     reassigned (entry.ex), so reading them needs no lock;
 //   - canon's entries are the chain's own: a block's entry may let go of
 //     its decoded block while a view holds it (entry.release, once the
 //     block is postHorizon blocks below the head), but it clears one
@@ -55,7 +59,7 @@ type ReadView struct {
 	headID   types.Hash
 	totalDif uint64
 	canon    []*entry
-	txIndex  *critbit.Node[txLoc]
+	txIndex  *critbit.Node[txLoc, struct{}]
 	horizon  uint64
 	logged   logRecords
 	state    *state.DB
@@ -210,7 +214,12 @@ func (v *ReadView) RecordsRange(from, to uint64) []types.BlockRecord {
 // Below the view's horizon it answers ErrBelowHorizon.
 func (v *ReadView) ReceiptOf(txHash types.Hash) (*Receipt, error) {
 	loc, err := lookupTx(v.txIndex, v.horizon, txHash)
-	return loc.receipt, err
+	if err != nil {
+		return nil, err
+	}
+	// canon and the index are published together, so loc.number is within
+	// canon and names the entry that was indexed.
+	return v.canon[loc.number].receipts()[loc.txIdx], nil
 }
 
 // Confirmations returns how many blocks deep a transaction is in this
@@ -230,7 +239,7 @@ func (v *ReadView) TxLocation(txHash types.Hash) (blockID types.Hash, number uin
 	if !found {
 		return types.Hash{}, 0, 0, false
 	}
-	return loc.blockID, loc.number, loc.txIdx, true
+	return v.canon[loc.number].block().ID(), loc.number, loc.txIdx, true
 }
 
 // State returns the view head's committed post-state. It is FROZEN:

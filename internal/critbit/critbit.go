@@ -1,6 +1,7 @@
 // Package critbit is the module's one persistent crit-bit (compressed
 // binary radix) trie. The account state, each account's storage and the
-// chain's transaction index are all instances of it.
+// chain's transaction index are all instances of it: the two state tries
+// with a [32]byte sum slot that Sum memoises, the index with an empty one.
 //
 // A trie is a root pointer (nil = empty). Set and Delete share every
 // subtree they do not change with the trie they started from, so a root
@@ -47,19 +48,27 @@ type Key = [32]byte
 // Node is one trie node. A leaf has bit == -1 and points at its binding;
 // a branch carries the index of the first bit on which its two subtrees
 // disagree (left = 0, right = 1). The key and value sit out of line so
-// that a node is 64 bytes whatever V is: a path copy makes O(depth)
+// that a branch's size is independent of V: a path copy makes O(depth)
 // branches for every leaf it writes, and a branch has no use for either.
-type Node[V any] struct {
+//
+// S is the sum slot: [32]byte for a trie that Sum memoises (a node is then
+// 64 bytes, one cache line), struct{} for one nothing sums (32 bytes). It
+// sits before the pointers, so the empty slot adds no trailing padding.
+type Node[V any, S Slot] struct {
 	bit int16
 	// summed and sum memoise Sum over this subtree (see Sum for the rule
 	// that makes writing them safe). A summed node is never rewritten.
 	summed bool
 	// gen is the generation of the writer that made the node; 0 for none.
 	gen         uint32
-	left, right *Node[V]
+	sum         S
+	left, right *Node[V, S]
 	*binding[V]
-	sum [32]byte
 }
+
+// Slot is the type of a node's sum slot: [32]byte where Sum memoises a
+// hash, struct{} where nothing sums the trie.
+type Slot interface{ [32]byte | struct{} }
 
 // binding is a leaf's key and value.
 type binding[V any] struct {
@@ -69,8 +78,8 @@ type binding[V any] struct {
 
 // leafNode is how Set allocates a leaf: the node and the binding it points
 // at in one object, so a leaf still costs one allocation.
-type leafNode[V any] struct {
-	Node[V]
+type leafNode[V any, S Slot] struct {
+	Node[V, S]
 	b binding[V]
 }
 
@@ -105,22 +114,22 @@ func NewGen() uint32 {
 }
 
 // owned reports whether a writer holding gen may rewrite n in place.
-func (n *Node[V]) owned(gen uint32) bool {
+func (n *Node[V, S]) owned(gen uint32) bool {
 	return gen != 0 && n.gen == gen && !n.summed
 }
 
 // with returns n with the given children: n itself, rewritten, when the
 // writer holding gen owns it, otherwise a copy carrying gen.
-func with[V any](n, left, right *Node[V], gen uint32) *Node[V] {
+func with[V any, S Slot](n, left, right *Node[V, S], gen uint32) *Node[V, S] {
 	if n.owned(gen) {
 		n.left, n.right = left, right
 		return n
 	}
-	return &Node[V]{bit: n.bit, gen: gen, left: left, right: right}
+	return &Node[V, S]{bit: n.bit, gen: gen, left: left, right: right}
 }
 
-func newLeaf[V any](key *Key, val V, gen uint32) *Node[V] {
-	l := &leafNode[V]{Node: Node[V]{bit: -1, gen: gen}, b: binding[V]{*key, val}}
+func newLeaf[V any, S Slot](key *Key, val V, gen uint32) *Node[V, S] {
+	l := &leafNode[V, S]{Node: Node[V, S]{bit: -1, gen: gen}, b: binding[V]{*key, val}}
 	l.binding = &l.b
 	return &l.Node
 }
@@ -144,7 +153,7 @@ func firstDiffBit(a, b *Key) int16 {
 
 // find walks to the only leaf key can collide with: the one at the end
 // of key's own bit path. n must not be nil.
-func find[V any](n *Node[V], key *Key) *Node[V] {
+func find[V any, S Slot](n *Node[V, S], key *Key) *Node[V, S] {
 	for n.bit >= 0 {
 		if keyBit(key, n.bit) == 0 {
 			n = n.left
@@ -156,7 +165,7 @@ func find[V any](n *Node[V], key *Key) *Node[V] {
 }
 
 // Get returns the value bound to key, if any.
-func Get[V any](n *Node[V], key Key) (V, bool) {
+func Get[V any, S Slot](n *Node[V, S], key Key) (V, bool) {
 	if n != nil {
 		if leaf := find(n, &key); leaf.key == key {
 			return leaf.val, true
@@ -170,24 +179,24 @@ func Get[V any](n *Node[V], key Key) (V, bool) {
 // gen (0: path-copy everything). Nodes the writer owns are rewritten in
 // place; everything else on the path is copied and every other subtree
 // shared.
-func Set[V any](n *Node[V], key Key, val V, gen uint32) *Node[V] {
+func Set[V any, S Slot](n *Node[V, S], key Key, val V, gen uint32) *Node[V, S] {
 	if n == nil {
-		return newLeaf(&key, val, gen)
+		return newLeaf[V, S](&key, val, gen)
 	}
 	if cand := find(n, &key); cand.key != key {
-		return split(n, newLeaf(&key, val, gen), firstDiffBit(&key, &cand.key), gen)
+		return split(n, newLeaf[V, S](&key, val, gen), firstDiffBit(&key, &cand.key), gen)
 	}
 	return replace(n, &key, val, gen)
 }
 
 // replace binds val to the existing leaf with key, walking down.
-func replace[V any](n *Node[V], key *Key, val V, gen uint32) *Node[V] {
+func replace[V any, S Slot](n *Node[V, S], key *Key, val V, gen uint32) *Node[V, S] {
 	if n.bit < 0 {
 		if n.owned(gen) {
 			n.val = val
 			return n
 		}
-		return newLeaf(key, val, gen)
+		return newLeaf[V, S](key, val, gen)
 	}
 	if keyBit(key, n.bit) == 0 {
 		return with(n, replace(n.left, key, val, gen), n.right, gen)
@@ -198,12 +207,12 @@ func replace[V any](n *Node[V], key *Key, val V, gen uint32) *Node[V] {
 // split inserts a new leaf whose first divergence from the existing keys
 // on its path is at bit d: the new branch lands above the first node that
 // branches at or past d.
-func split[V any](n, leaf *Node[V], d int16, gen uint32) *Node[V] {
+func split[V any, S Slot](n, leaf *Node[V, S], d int16, gen uint32) *Node[V, S] {
 	if n.bit < 0 || n.bit > d {
 		if keyBit(&leaf.key, d) == 0 {
-			return &Node[V]{bit: d, gen: gen, left: leaf, right: n}
+			return &Node[V, S]{bit: d, gen: gen, left: leaf, right: n}
 		}
-		return &Node[V]{bit: d, gen: gen, left: n, right: leaf}
+		return &Node[V, S]{bit: d, gen: gen, left: n, right: leaf}
 	}
 	if keyBit(&leaf.key, n.bit) == 0 {
 		return with(n, split(n.left, leaf, d, gen), n.right, gen)
@@ -213,7 +222,7 @@ func split[V any](n, leaf *Node[V], d int16, gen uint32) *Node[V] {
 
 // Delete returns the trie without key, written by the holder of gen as
 // Set is; deleting an absent key returns the original root pointer.
-func Delete[V any](n *Node[V], key Key, gen uint32) *Node[V] {
+func Delete[V any, S Slot](n *Node[V, S], key Key, gen uint32) *Node[V, S] {
 	if n == nil {
 		return nil
 	}
@@ -244,7 +253,7 @@ func Delete[V any](n *Node[V], key Key, gen uint32) *Node[V] {
 }
 
 // Walk calls fn for every binding in ascending key order.
-func Walk[V any](n *Node[V], fn func(key Key, val V)) {
+func Walk[V any, S Slot](n *Node[V, S], fn func(key Key, val V)) {
 	if n == nil {
 		return
 	}
@@ -257,17 +266,18 @@ func Walk[V any](n *Node[V], fn func(key Key, val V)) {
 }
 
 // Sum folds the trie bottom-up — leaf over each binding, branch over a
-// crit bit and its two child sums — and memoises the result in every node
-// it visits, so a later Sum costs only the nodes written since: O(writes
-// · depth) calls, none at all on an unchanged trie. n must not be nil (an
-// empty trie has no nodes to sum; the caller picks that constant), and
-// every Sum over tries that share nodes must pass the same two functions.
+// crit bit and its two child sums — and memoises the result in the
+// [32]byte slot of every node it visits, so a later Sum costs only the
+// nodes written since: O(writes · depth) calls, none at all on an
+// unchanged trie. n must not be nil (an empty trie has no nodes to sum;
+// the caller picks that constant), and every Sum over tries that share
+// nodes must pass the same two functions.
 //
 // The memo is written once — a summed node, and so every node below it,
 // is never rewritten — and it is not synchronised. The owner of a trie
 // therefore sums it before the root becomes reachable from a second
 // goroutine; from then on Sum on that root only reads.
-func Sum[V any](n *Node[V], leaf func(key Key, val V) [32]byte, branch func(bit int16, left, right [32]byte) [32]byte) [32]byte {
+func Sum[V any](n *Node[V, [32]byte], leaf func(key Key, val V) [32]byte, branch func(bit int16, left, right [32]byte) [32]byte) [32]byte {
 	if !n.summed {
 		if n.bit < 0 {
 			n.sum = leaf(n.key, n.val)

@@ -12,7 +12,10 @@ import (
 
 func key(i int) Key { return sha256.Sum256([]byte(fmt.Sprintf("key-%d", i))) }
 
-func count[V any](n *Node[V]) (c int) {
+// trie is the summed kind of trie, the kind the state's tries are.
+type trie = Node[int, [32]byte]
+
+func count[V any, S Slot](n *Node[V, S]) (c int) {
 	Walk(n, func(Key, V) { c++ })
 	return c
 }
@@ -22,8 +25,8 @@ func count[V any](n *Node[V]) (c int) {
 // staying bit-exact snapshots across later mutations.
 func TestPersistence(t *testing.T) {
 	const n = 512
-	var root *Node[int]
-	roots := []*Node[int]{root}
+	var root *trie
+	roots := []*trie{root}
 	for i := 0; i < n; i++ {
 		root = Set(root, key(i), i, 0)
 		roots = append(roots, root)
@@ -62,7 +65,7 @@ func TestPersistence(t *testing.T) {
 	if Delete(mutated, key(n+7), 0) != mutated {
 		t.Fatal("deleting an absent key rebuilt the trie")
 	}
-	if Delete[int](nil, key(0), 0) != nil {
+	if Delete[int, [32]byte](nil, key(0), 0) != nil {
 		t.Fatal("deleting from the empty trie produced a node")
 	}
 
@@ -87,7 +90,7 @@ func TestPersistence(t *testing.T) {
 // TestWalkAscending checks in-order traversal on keys that share long
 // prefixes (padded short keys) as well as well-spread ones.
 func TestWalkAscending(t *testing.T) {
-	var root *Node[int]
+	var root *trie
 	for i := 0; i < 300; i++ {
 		root = Set(root, key(i), i, 0)
 		short := key(i + 1000) // 20 significant bytes, zero padding
@@ -110,7 +113,7 @@ func TestWalkAscending(t *testing.T) {
 
 // shapeSum sums a trie with functions that fold in every key, value and
 // branch bit, so equal sums mean equal shape and contents.
-func shapeSum(n *Node[int], calls *int) [32]byte {
+func shapeSum(n *trie, calls *int) [32]byte {
 	return Sum(n,
 		func(k Key, v int) [32]byte {
 			*calls++
@@ -131,7 +134,7 @@ func TestShapeIsInsertionOrderIndependent(t *testing.T) {
 	var want [32]byte
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var root *Node[int]
+		var root *trie
 		for _, i := range rng.Perm(n + 50) {
 			root = Set(root, key(i), i, 0)
 		}
@@ -152,7 +155,7 @@ func TestShapeIsInsertionOrderIndependent(t *testing.T) {
 // root keeps its own sum.
 func TestSumIsIncremental(t *testing.T) {
 	const n = 1024
-	var root *Node[int]
+	var root *trie
 	for i := 0; i < n; i++ {
 		root = Set(root, key(i), i, 0)
 	}
@@ -179,29 +182,28 @@ func TestSumIsIncremental(t *testing.T) {
 	}
 }
 
-// TestNodeIs64Bytes pins the layout Set's cost rests on: a node is one
-// cache line whatever the value type, because only leaves carry a binding
-// and they carry it out of line. The three shapes are the tree's own — the
-// account trie's pointer, the storage trie's word, and a struct the size
-// of the transaction index's location record.
-func TestNodeIs64Bytes(t *testing.T) {
-	type wide struct{ _ [56]byte }
-	for name, size := range map[string]uintptr{
-		"Node[*T]":       unsafe.Sizeof(Node[*wide]{}),
-		"Node[[32]byte]": unsafe.Sizeof(Node[[32]byte]{}),
-		"Node[56 bytes]": unsafe.Sizeof(Node[wide]{}),
+// TestNodeSizes pins the layout Set's cost rests on: a path copy makes
+// O(depth) branches per leaf it writes, and a branch is a bare node,
+// whatever the value type, because only leaves carry a binding and they
+// carry it out of line. A node with a [32]byte sum slot is one cache line;
+// one with the empty slot is half of one, because the slot sits before
+// the pointers and adds no padding. The leaves the state and the index
+// allocate are pinned where their value types live.
+func TestNodeSizes(t *testing.T) {
+	type loc struct{ _, _ uint64 }
+	for _, c := range []struct {
+		name       string
+		size, want uintptr
+	}{
+		{"Node[[32]byte, [32]byte]", unsafe.Sizeof(Node[[32]byte, [32]byte]{}), 64},
+		{"Node[16 bytes, [32]byte]", unsafe.Sizeof(Node[loc, [32]byte]{}), 64},
+		{"Node[[32]byte, struct{}]", unsafe.Sizeof(Node[[32]byte, struct{}]{}), 32},
+		{"Node[16 bytes, struct{}]", unsafe.Sizeof(Node[loc, struct{}]{}), 32},
 	} {
-		if size != 64 {
-			t.Errorf("%s is %d bytes, want 64", name, size)
+		if c.size != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.size, c.want)
 		}
 	}
-	// A leaf stays a single allocation.
-	var root *Node[wide]
-	k := key(1)
-	if n := testing.AllocsPerRun(100, func() { root = Set(nil, k, wide{}, 0) }); n != 1 {
-		t.Errorf("Set of a first leaf made %v allocations, want 1", n)
-	}
-	_ = root
 }
 
 // fuzzKeys is a universe of 48 keys: 32 well-spread ones and 16 that
@@ -221,8 +223,8 @@ var fuzzKeys = func() (ks [48]Key) {
 
 // build is the reference: the model's bindings inserted one by one with
 // generation 0, the plain path copy.
-func build(model map[Key]int) *Node[int] {
-	var root *Node[int]
+func build[S Slot](model map[Key]int) *Node[int, S] {
+	var root *Node[int, S]
 	for k, v := range model {
 		root = Set(root, k, v, 0)
 	}
@@ -230,14 +232,14 @@ func build(model map[Key]int) *Node[int] {
 }
 
 // contents walks a trie into a map.
-func contents(n *Node[int]) map[Key]int {
+func contents[S Slot](n *Node[int, S]) map[Key]int {
 	out := map[Key]int{}
 	Walk(n, func(k Key, v int) { out[k] = v })
 	return out
 }
 
 // holds reports whether the trie holds exactly the bindings of want.
-func holds(n *Node[int], want map[Key]int) bool {
+func holds[S Slot](n *Node[int, S], want map[Key]int) bool {
 	seen, ok := 0, true
 	Walk(n, func(k Key, v int) {
 		seen++
@@ -249,7 +251,7 @@ func holds(n *Node[int], want map[Key]int) bool {
 }
 
 // sameShape compares two tries node by node.
-func sameShape(a, b *Node[int]) bool {
+func sameShape[S Slot](a, b *Node[int, S]) bool {
 	switch {
 	case a == nil || b == nil:
 		return a == b
@@ -266,8 +268,12 @@ func sameShape(a, b *Node[int]) bool {
 // freeze point that also records the root and what it holds) and Sum of
 // the live root, against a map. Every kept root must still walk to what
 // it held when kept, whatever the writer did since, and the live root
-// must hold the map and sum like a fresh generation-0 build of it — a
-// stale sum memo on a node rewritten after Sum would show there.
+// must hold the map and have the shape and sum of a fresh generation-0
+// build of it — a stale sum memo on a node rewritten after Sum would show
+// there. The script runs on both kinds of trie: generic code is compiled
+// once per GC shape, so the unsummed index trie is a body of its own, and
+// its kept-root check is the immutability a published view's index
+// relies on.
 func FuzzTrieWriterDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 3, 0, 2, 3, 6, 1, 2, 0, 1, 9, 4, 0, 5, 0, 1, 7})
 	f.Add([]byte("set set keep delete sum set freeze zero set delete keep"))
@@ -278,64 +284,72 @@ func FuzzTrieWriterDifferential(f *testing.F) {
 		if len(ops) > 900 {
 			ops = ops[:900] // every op re-walks the live trie
 		}
-		type kept struct {
-			root *Node[int]
-			want map[Key]int
-		}
-		var (
-			root  *Node[int]
-			model = map[Key]int{}
-			keeps []kept
-			gen   = NewGen()
-			calls int
-		)
-		for i := 0; i+2 < len(ops); i += 3 {
-			k, v := fuzzKeys[int(ops[i+1])%len(fuzzKeys)], int(ops[i+2])
-			switch ops[i] % 7 {
-			case 0, 1:
-				root = Set(root, k, v, gen)
-				model[k] = v
-			case 2:
-				root = Delete(root, k, gen)
-				delete(model, k)
-			case 3:
-				root = Set(root, k, v, 0)
-				model[k] = v
-			case 4:
-				gen = NewGen()
-			case 5:
-				gen = NewGen()
-				keeps = append(keeps, kept{root, contents(root)})
-			case 6:
-				if root != nil {
-					shapeSum(root, &calls)
-				}
-			}
-			want, bound := model[k]
-			if got, ok := Get(root, k); ok != bound || got != want {
-				t.Fatalf("op %d: the live trie reads %d,%v for the key just touched, model %d,%v", i/3, got, ok, want, bound)
-			}
-		}
-		if !holds(root, model) {
-			t.Fatalf("the live trie does not hold the model's %d bindings", len(model))
-		}
-		for j, kp := range keeps {
-			if !holds(kp.root, kp.want) {
-				t.Fatalf("kept root %d no longer holds what it held", j)
-			}
-		}
-		if root == nil {
-			return
-		}
-		if shapeSum(root, &calls) != shapeSum(build(model), &calls) {
-			t.Fatal("the live trie's shape or sum differs from a fresh build's")
-		}
-		for j, kp := range keeps {
-			if !sameShape(kp.root, build(kp.want)) {
-				t.Fatalf("kept root %d's shape differs from a fresh build's", j)
-			}
-		}
+		var calls int
+		runWriter(t, ops, func(n *trie) [32]byte { return shapeSum(n, &calls) })
+		runWriter[struct{}](t, ops, nil)
 	})
+}
+
+// runWriter is FuzzTrieWriterDifferential's op script on one kind of
+// trie; sum is nil for the kind nothing sums, whose sum op does nothing.
+func runWriter[S Slot](t *testing.T, ops []byte, sum func(*Node[int, S]) [32]byte) {
+	type kept struct {
+		root *Node[int, S]
+		want map[Key]int
+	}
+	var (
+		root  *Node[int, S]
+		model = map[Key]int{}
+		keeps []kept
+		gen   = NewGen()
+	)
+	for i := 0; i+2 < len(ops); i += 3 {
+		k, v := fuzzKeys[int(ops[i+1])%len(fuzzKeys)], int(ops[i+2])
+		switch ops[i] % 7 {
+		case 0, 1:
+			root = Set(root, k, v, gen)
+			model[k] = v
+		case 2:
+			root = Delete(root, k, gen)
+			delete(model, k)
+		case 3:
+			root = Set(root, k, v, 0)
+			model[k] = v
+		case 4:
+			gen = NewGen()
+		case 5:
+			gen = NewGen()
+			keeps = append(keeps, kept{root, contents(root)})
+		case 6:
+			if root != nil && sum != nil {
+				sum(root)
+			}
+		}
+		want, bound := model[k]
+		if got, ok := Get(root, k); ok != bound || got != want {
+			t.Fatalf("op %d: the live trie reads %d,%v for the key just touched, model %d,%v", i/3, got, ok, want, bound)
+		}
+	}
+	if !holds(root, model) {
+		t.Fatalf("the live trie does not hold the model's %d bindings", len(model))
+	}
+	for j, kp := range keeps {
+		if !holds(kp.root, kp.want) {
+			t.Fatalf("kept root %d no longer holds what it held", j)
+		}
+	}
+	if root == nil {
+		return
+	}
+	fresh := build[S](model)
+	if !sameShape(root, fresh) || sum != nil && sum(root) != sum(fresh) {
+		t.Fatal("the live trie's shape or sum differs from a fresh build's")
+	}
+	for j, kp := range keeps {
+		if !sameShape(kp.root, build[S](kp.want)) {
+			t.Fatalf("kept root %d's shape differs from a fresh build's", j)
+		}
+	}
 }
 
 // TestOwnedWritesRewriteInPlace pins what a generation buys: after the
@@ -343,7 +357,7 @@ func FuzzTrieWriterDifferential(f *testing.F) {
 // returns the same root, while a generation-0 writer, a fresh generation
 // and a summed trie all copy.
 func TestOwnedWritesRewriteInPlace(t *testing.T) {
-	var root *Node[int]
+	var root *trie
 	for i := 0; i < 1024; i++ {
 		root = Set(root, key(i), i, 0)
 	}
@@ -380,7 +394,7 @@ func TestNewGenSaturates(t *testing.T) {
 	if g := NewGen(); g != math.MaxUint32 {
 		t.Fatalf("last generation = %d, want %d", g, uint32(math.MaxUint32))
 	}
-	var root *Node[int]
+	var root *trie
 	for i := 0; i < 3; i++ {
 		g := NewGen()
 		if g != 0 {
@@ -397,14 +411,14 @@ func TestNewGenSaturates(t *testing.T) {
 	}
 }
 
-var setSink *Node[int]
+var setSink *trie
 
 // BenchmarkSetOwned makes the same 64 writes to a 10,000-key trie with
 // generation 0 (each a path copy) and under one generation (the first
 // write to a path copies it, the rest rewrite).
 func BenchmarkSetOwned(b *testing.B) {
 	const n = 10_000
-	var base *Node[int]
+	var base *trie
 	for i := 0; i < n; i++ {
 		base = Set(base, key(i), i, 0)
 	}

@@ -87,16 +87,14 @@ func (f *fetches) release(peer p2p.NodeID) {
 // holds reports whether the node already has the item: a transaction
 // pending in the pool or canonical in the current view, a block anywhere
 // in the chain. The answer is derived from state the node keeps anyway, so
-// it is bounded by it and survives a restart from the datadir.
+// it is bounded by it and survives a restart from the datadir. A
+// transaction's presence is one index lookup: nothing here reads the
+// block that holds it.
 func (p *ProviderNode) holds(item p2p.MsgKind, id types.Hash) bool {
 	if item == p2p.MsgBlock {
 		return p.chain.HasBlock(id)
 	}
-	if p.pool.Get(id) != nil {
-		return true
-	}
-	_, _, _, known := p.chain.CurrentView().TxLocation(id)
-	return known
+	return p.pool.Get(id) != nil || p.chain.CurrentView().Confirmations(id) > 0
 }
 
 // announce tells each peer which of ids this node now holds, leaving out

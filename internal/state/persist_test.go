@@ -6,12 +6,14 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/smartcrowd/smartcrowd/internal/critbit"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
 var (
 	copySink   *DB
 	digestSink types.Hash
+	leafSink   *critbit.Node[account, [32]byte]
 )
 
 // TestCopyIsConstant pins Copy's complexity: forking a rooted 10,000-
@@ -82,10 +84,9 @@ func TestSetStorageAfterCopyIsPathSized(t *testing.T) {
 }
 
 // TestTransferInsideSnapshotWritesOnlyRecords pins the write window: after
-// a Snapshot the first transfer path-copies the two accounts' branches,
-// and every later write until the next freeze point rewrites those in
-// place, so a transfer costs the account records it installs and no trie
-// node — where a path copy per write made it O(depth) nodes each.
+// a Snapshot the first transfer path-copies the two accounts' branches
+// and leaves, and every later write until the next freeze point rewrites
+// those in place, records included, so a transfer allocates nothing.
 func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is not meaningful under -race")
@@ -97,8 +98,32 @@ func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
 	db.Root()
 	db.Snapshot()
 	from, to := benchAddr(3), benchAddr(997)
-	if allocs := testing.AllocsPerRun(100, func() { _ = db.Transfer(from, to, 1) }); allocs > 3 {
-		t.Fatalf("a transfer inside a snapshot made %.0f allocations, want <= 3 (its account records)", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { _ = db.Transfer(from, to, 1) }); allocs != 0 {
+		t.Fatalf("a transfer inside a snapshot made %.0f allocations, want 0", allocs)
+	}
+}
+
+// TestAccountLeafIs128Bytes pins what a path-copied account leaf costs:
+// one allocation of 128 bytes, the node with its sum slot and the binding
+// of key and record, which the leaf holds by value.
+func TestAccountLeafIs128Bytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget is not meaningful under -race")
+	}
+	k, acc := trieKey(benchAddr(1)), account{balance: 1}
+	set := func() { leafSink = critbit.Set[account, [32]byte](nil, k, acc, 0) }
+	if n := testing.AllocsPerRun(100, set); n != 1 {
+		t.Fatalf("an account leaf took %v allocations, want 1", n)
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		set()
+	}
+	runtime.ReadMemStats(&after)
+	if size := (after.TotalAlloc - before.TotalAlloc) / runs; size != 128 {
+		t.Fatalf("an account leaf allocates %d bytes, want 128", size)
 	}
 }
 
@@ -107,7 +132,7 @@ func TestTransferInsideSnapshotWritesOnlyRecords(t *testing.T) {
 // DiscardSnapshots, so once warm a block of transactions — a snapshot
 // each, a balance, a nonce and a slot written under it, and every other
 // one reverted — allocates exactly what the same writes and write-backs
-// cost with no snapshot open: the account records they install.
+// cost with no snapshot open.
 func TestWarmJournalAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budget is not meaningful under -race")

@@ -60,7 +60,7 @@ var (
 // state equality. The DB is only read.
 func (db *DB) Serialize() []byte {
 	count, size := uint64(0), 4+1+8
-	critbit.Walk(db.root, func(_ critbit.Key, acc *account) {
+	critbit.Walk(db.root, func(_ critbit.Key, acc account) {
 		count++
 		size += wallet.AddressSize + 8 + 8 + 4 + 4 + int(acc.slots)*(2*types.HashSize)
 	})
@@ -68,7 +68,7 @@ func (db *DB) Serialize() []byte {
 	out = append(out, snapshotMagic[:]...)
 	out = append(out, SnapshotVersion)
 	out = binary.BigEndian.AppendUint64(out, count)
-	critbit.Walk(db.root, func(k critbit.Key, acc *account) {
+	critbit.Walk(db.root, func(k critbit.Key, acc account) {
 		out = append(out, k[:wallet.AddressSize]...)
 		out = binary.BigEndian.AppendUint64(out, uint64(acc.balance))
 		out = binary.BigEndian.AppendUint64(out, acc.nonce)

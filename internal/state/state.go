@@ -4,14 +4,15 @@
 // the storage of contract.Address.
 //
 // The state is one persistent structure: a crit-bit trie (package
-// critbit) from address to an immutable account record, whose storage is
-// another such trie. A mutator builds a modified copy of the one record
-// it touches and installs it in the trie. Root (and so Copy) is the DB's
-// one freeze point: the first write after it path-copies what it touches,
-// so every root summed or shared there still describes the world as it
-// was, and later writes until the next Root rewrite the nodes that copy
-// made instead of copying them again — a block's transactions, which
-// write the same sender, recipients and miner, share one set of paths.
+// critbit) from address to an account record, held by value in its leaf,
+// whose storage is another such trie. A mutator reads a copy of the one
+// record it touches, modifies it and writes it back. Root (and so Copy)
+// is the DB's one freeze point: the first write after it path-copies what
+// it touches, leaf included, so every root summed or shared there still
+// describes the world as it was, and later writes until the next Root
+// rewrite the nodes that copy made instead of copying them again — a
+// block's transactions, which write the same sender, recipients and
+// miner, share one set of paths, and rewrite their records in the leaves.
 // Snapshot does not freeze: it marks an undo journal, every write while a
 // snapshot is open journals its pre-image, and RevertToSnapshot writes
 // those back in reverse. Copy is a pointer assignment — what fork
@@ -34,12 +35,14 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// account is the record for one address. Records are immutable once
-// installed in a trie: mutators copy, modify and reinstall.
+// account is the record for one address, held by value in its leaf of
+// the account trie: mutators read a copy, modify it and write it back
+// (put), which rewrites a leaf the DB's generation owns in place and
+// path-copies any other.
 type account struct {
 	balance types.Amount
 	nonce   uint64
-	storage *critbit.Node[types.Hash]
+	storage *critbit.Node[types.Hash, [32]byte]
 	// slots counts storage's bindings: the snapshot record writes the
 	// count before the slots.
 	slots uint32
@@ -63,7 +66,7 @@ var (
 // — may be shared by any number of goroutines once Root has been called
 // on it (see Copy).
 type DB struct {
-	root *critbit.Node[*account]
+	root *critbit.Node[account, [32]byte]
 	// j is the undo journal, non-nil exactly while a snapshot is open.
 	j *journal
 	// gen is the critbit generation this DB's writes own, 0 from a freeze
@@ -125,10 +128,8 @@ func trieKey(addr types.Address) (k critbit.Key) {
 // get returns a copy of addr's record, the zero record when absent.
 // Mutators modify the copy and hand it to put.
 func (db *DB) get(addr types.Address) account {
-	if acc, ok := critbit.Get(db.root, trieKey(addr)); ok {
-		return *acc
-	}
-	return account{}
+	acc, _ := critbit.Get(db.root, trieKey(addr))
+	return acc
 }
 
 // writeGen returns the generation this DB's writes use, taking a fresh
@@ -147,13 +148,13 @@ func (db *DB) logAccount(addr types.Address, acc *account) {
 	}
 }
 
-// put installs acc as addr's record; an empty record leaves the trie.
+// put writes acc as addr's record; an empty record leaves the trie.
 func (db *DB) put(addr types.Address, acc account) {
 	if acc.empty() {
 		db.root = critbit.Delete(db.root, trieKey(addr), db.writeGen())
 		return
 	}
-	db.root = critbit.Set(db.root, trieKey(addr), &acc, db.writeGen())
+	db.root = critbit.Set(db.root, trieKey(addr), acc, db.writeGen())
 }
 
 // Snapshot opens a revert point and returns its id. It marks the undo
@@ -367,10 +368,10 @@ func (db *DB) Root() types.Hash {
 	digested, hashed := uint64(0), false
 	t0 := now()
 	root := critbit.Sum(db.root,
-		func(k critbit.Key, acc *account) [32]byte {
+		func(k critbit.Key, acc account) [32]byte {
 			digested++
 			addr := k[:wallet.AddressSize]
-			return leafHash(addr, accountDigest(addr, acc))
+			return leafHash(addr, accountDigest(addr, &acc))
 		},
 		func(bit int16, left, right [32]byte) [32]byte {
 			hashed = true

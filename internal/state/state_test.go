@@ -304,7 +304,7 @@ func (db *DB) Exists(addr types.Address) bool {
 // built on it.
 func (db *DB) Accounts() []types.Address {
 	var out []types.Address
-	critbit.Walk(db.root, func(k critbit.Key, _ *account) {
+	critbit.Walk(db.root, func(k critbit.Key, _ account) {
 		out = append(out, types.Address(k[:wallet.AddressSize]))
 	})
 	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
