@@ -14,9 +14,11 @@ var storagePkgs = []string{
 	"internal/store",
 }
 
-// passFsyncdisc flags os.File write calls (Write/WriteAt/WriteString) in
+// passFsyncdisc flags file write calls (Write/WriteAt/WriteString) in
 // the storage package that are not followed, later in the same function,
-// by a Sync or Close on the same file handle. "Same handle" matches the
+// by a Sync or Close on the same file handle. A file is anything with a
+// Sync method: os.File, or an interface the store writes through that
+// *os.File satisfies. "Same handle" matches the
 // receiver object (a local variable or a struct field), so syncing one
 // file does not excuse an unsynced write to another. Deferred Sync/Close counts
 // regardless of source position, since defers run at return.
@@ -26,12 +28,12 @@ var storagePkgs = []string{
 // allowlisted with its audit trail.
 var passFsyncdisc = &Pass{
 	Name: "fsyncdisc",
-	Doc:  "os.File writes in the storage package need a later Sync/Close on the same handle",
+	Doc:  "file writes in the storage package need a later Sync/Close on the same handle",
 	Run:  runFsyncdisc,
 }
 
-// fileWriteFuncs are the os.File methods that put bytes in the page
-// cache; fileCommitFuncs are the methods that flush or release them.
+// fileWriteFuncs are the file methods that put bytes in the page cache;
+// fileCommitFuncs are the methods that flush or release them.
 var (
 	fileWriteFuncs  = map[string]bool{"Write": true, "WriteAt": true, "WriteString": true}
 	fileCommitFuncs = map[string]bool{"Sync": true, "Close": true}
@@ -77,7 +79,7 @@ func fsyncdiscFunc(p *Package, body *ast.BlockStmt) []Finding {
 		default:
 			return true
 		}
-		if name, handle := osFileMethod(p, call); fileCommitFuncs[name] && handle != nil {
+		if name, handle, _ := fileMethod(p, call); fileCommitFuncs[name] && handle != nil {
 			commits = append(commits, commitPoint{handle: handle, pos: pos})
 		}
 		return true
@@ -89,7 +91,7 @@ func fsyncdiscFunc(p *Package, body *ast.BlockStmt) []Finding {
 		if !ok {
 			return true
 		}
-		name, handle := osFileMethod(p, call)
+		name, handle, recv := fileMethod(p, call)
 		if !fileWriteFuncs[name] || handle == nil {
 			return true
 		}
@@ -99,24 +101,33 @@ func fsyncdiscFunc(p *Package, body *ast.BlockStmt) []Finding {
 			}
 		}
 		out = append(out, p.finding("fsyncdisc", call,
-			"os.File.%s on %q with no later Sync/Close on the same handle in this function; an unflushed write is not durable — fsync it on the commit path or allowlist the audited exception", name, handle.Name()))
+			"%s.%s on %q with no later Sync/Close on the same handle in this function; an unflushed write is not durable — fsync it on the commit path or allowlist the audited exception",
+			recv, name, handle.Name()))
 		return true
 	})
 	return out
 }
 
-// osFileMethod reports the method name and receiver handle when call is
-// a method call on an *os.File (or os.File) value whose receiver is a
-// plain variable or a struct field; ("", nil) otherwise. Matching the
+// fileMethod reports the method name, receiver handle and receiver type
+// name ("os.File") when call is a method call on a file (a value with a
+// Sync method) whose receiver is a plain variable or a struct field;
+// ("", nil, "") otherwise. Matching the
 // receiver object rather than its rendered text keeps `d.logF` in two
 // statements the same handle while `d.logF` and `f` stay distinct.
-func osFileMethod(p *Package, call *ast.CallExpr) (string, *types.Var) {
+func fileMethod(p *Package, call *ast.CallExpr) (string, *types.Var, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return "", nil
+		return "", nil, ""
 	}
-	if !isOSFile(p.Info.TypeOf(sel.X)) {
-		return "", nil
+	t := p.Info.TypeOf(sel.X)
+	if t == nil {
+		return "", nil, ""
+	}
+	if sync, _, _ := types.LookupFieldOrMethod(t, true, nil, "Sync"); sync == nil {
+		return "", nil, ""
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
 	}
 	var handle *types.Var
 	switch recv := ast.Unparen(sel.X).(type) {
@@ -125,21 +136,5 @@ func osFileMethod(p *Package, call *ast.CallExpr) (string, *types.Var) {
 	case *ast.SelectorExpr:
 		handle = varObj(p.Info, recv.Sel)
 	}
-	return sel.Sel.Name, handle
-}
-
-// isOSFile reports whether t is os.File or *os.File.
-func isOSFile(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.Underlying().(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "File" && obj.Pkg() != nil && obj.Pkg().Path() == "os"
+	return sel.Sel.Name, handle, types.TypeString(t, (*types.Package).Name)
 }

@@ -136,7 +136,7 @@ func (d *Disk) plantedAppend(rec []byte) error {
 	return err
 }
 `}},
-		want: []plantWant{{"disk.go", "_, err := d.logF.Write(rec)", `os\.File\.Write on "logF" with no later Sync/Close`}},
+		want: []plantWant{{"disk.go", "_, err := d.logF.Write(rec)", `store\.file\.Write on "logF" with no later Sync/Close`}},
 	},
 	{
 		pass:  "deadexport",

@@ -1,6 +1,7 @@
 // Fixture for the fsyncdisc pass. Loaded as-if it were internal/store:
-// every os.File write needs a later Sync or Close on the same handle in
-// the same function, or an audited allowlist entry.
+// every file write (os.File, or any handle with a Sync method) needs a
+// later Sync or Close on the same handle in the same function, or an
+// audited allowlist entry.
 package fixfsync
 
 import (
@@ -88,6 +89,27 @@ func goodPerHandle(j *journal, data []byte) error {
 		return err
 	}
 	return j.auxF.Sync()
+}
+
+// syncer is a file seam of the kind the store writes through: an
+// interface with Write and Sync that *os.File satisfies.
+type syncer interface {
+	Write(p []byte) (int, error)
+	Sync() error
+}
+
+// badSeamWrite writes through the seam and never syncs it.
+func badSeamWrite(s syncer, data []byte) error {
+	_, err := s.Write(data) // want `fixfsync.syncer.Write on "s" with no later Sync/Close`
+	return err
+}
+
+// goodSeamWriteThenSync is the commit shape through the seam.
+func goodSeamWriteThenSync(s syncer, data []byte) error {
+	if _, err := s.Write(data); err != nil {
+		return err
+	}
+	return s.Sync()
 }
 
 // goodNotAFile writes to an in-memory buffer; fsync is meaningless.

@@ -18,8 +18,14 @@
 //	            insertion order; parents always precede children.
 //	snapshot    "SCP1", u64 height, 32-byte block id, 32-byte state root,
 //	            u64 blob length, the state.Serialize blob, CRC-32C of
-//	            everything prior. Replaced via write-temp + fsync + rename,
-//	            so a crash mid-write leaves the previous snapshot intact.
+//	            everything prior. Replaced via write-temp + fsync + rename
+//	            + directory fsync, so a crash mid-write leaves the previous
+//	            snapshot intact. A fresh datadir's directory is fsynced
+//	            too, once Load has created meta, before the first commit.
+//
+// All IO goes through one seam, a file for the log and an fsys for the
+// datadir: Open binds the operating system's, and tests a fault
+// filesystem that fails, cuts short, stalls or kills any write or sync.
 //
 // Open (Load) streams the log through the Disk's write buffer and hands
 // each committed block back as its header and where its record sits;
@@ -114,9 +120,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // and a record read (ReadRecord) takes none.
 type Disk struct {
 	dir string
+	fs  fsys
 
 	mu      sync.Mutex
-	logF    *os.File
+	logF    file
 	logSize int64
 	blocks  uint64 // committed block records
 	// buf is the commit write buffer, writeBufSize, owned for life; Load
@@ -128,14 +135,36 @@ type Disk struct {
 
 	snapMu     sync.Mutex
 	snapHeight atomic.Uint64
-
-	// crashPoint, when set, aborts a commit when it reaches the named
-	// point in the commit protocol, leaving the files exactly as a crash
-	// at that point would (modulo OS-buffer survival, which the direct
-	// file-corruption tests cover). Test hook only: armed by
-	// SetCrashPoint in disk_test.go.
-	crashPoint string
+	snapBytes  atomic.Int64
 }
+
+// file is the block log as the Disk uses it; *os.File is one. The log is
+// opened O_APPEND, so every Write lands at its end, after a Truncate too.
+type file interface {
+	io.Writer
+	io.ReaderAt
+	Sync() error
+	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
+	Close() error
+}
+
+// fsys is the datadir as the Disk uses it; osFS is the operating system's.
+type fsys interface {
+	OpenFile(name string, flag int, perm os.FileMode) (file, error)
+	ReadFile(name string) ([]byte, error)
+	Rename(from, to string) error
+	SyncDir(dir string) error
+}
+
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	return os.OpenFile(name, flag, perm)
+}
+func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+func (osFS) Rename(from, to string) error         { return os.Rename(from, to) }
+func (osFS) SyncDir(dir string) error             { return syncDir(dir) }
 
 // Disk must satisfy the chain's storage contract, and it reads back the
 // records Load hands out.
@@ -151,22 +180,16 @@ func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create datadir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE, 0o644)
+	return openWith(dir, osFS{})
+}
+
+// openWith opens the block log of an existing datadir through fs.
+func openWith(dir string, fs fsys) (*Disk, error) {
+	f, err := fs.OpenFile(filepath.Join(dir, logName), os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: open block log: %w", err)
 	}
-	return &Disk{dir: dir, logF: f, buf: make([]byte, 0, writeBufSize)}, nil
-}
-
-// errCrashInjected marks a simulated crash from SetCrashPoint.
-var errCrashInjected = errors.New("store: crash injected")
-
-func (d *Disk) crash(point string) error {
-	if d.crashPoint == point {
-		d.crashPoint = ""
-		return fmt.Errorf("%w at %s", errCrashInjected, point)
-	}
-	return nil
+	return &Disk{dir: dir, fs: fs, logF: f, buf: make([]byte, 0, writeBufSize)}, nil
 }
 
 // Load recovers the committed chain: verify/initialize meta, scan the log
@@ -206,9 +229,6 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 		}
 		d.recovered = true
 	}
-	if _, err := d.logF.Seek(0, io.SeekEnd); err != nil {
-		return nil, err
-	}
 	d.logSize, d.blocks = scan.end, uint64(len(scan.recs))
 
 	// A second pass over the kept records reads each header; sized by the
@@ -229,10 +249,7 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	}
 
 	sc := &chain.StoredChain{Blocks: blocks, HeadID: scan.headID, HeadNumber: scan.headNumber}
-	if snap, ok := d.readSnapshot(); ok {
-		sc.Snapshot = snap
-		d.snapHeight.Store(snap.Height)
-	}
+	sc.Snapshot, _ = d.readSnapshot()
 	return sc, nil
 }
 
@@ -266,10 +283,11 @@ func (d *Disk) ReadRecord(dst []byte, rec *types.StoredRecord) ([]byte, error) {
 	return dst[:n+int(rec.Len)], nil
 }
 
-// checkMeta validates (or, for a fresh datadir, writes) the meta file.
+// checkMeta validates (or, for a fresh datadir, writes) the meta file. A
+// fresh datadir's directory is fsynced once the log and meta are in it.
 func (d *Disk) checkMeta(genesis types.Hash) error {
 	path := filepath.Join(d.dir, metaName)
-	raw, err := os.ReadFile(path)
+	raw, err := d.fs.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("store: read meta: %w", err)
 	}
@@ -279,8 +297,11 @@ func (d *Disk) checkMeta(genesis types.Hash) error {
 		buf = append(buf, formatVersion)
 		buf = append(buf, genesis[:]...)
 		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-		if err := writeFileSync(path, buf); err != nil {
+		if err := d.writeFileSync(path, buf); err != nil {
 			return fmt.Errorf("store: write meta: %w", err)
+		}
+		if err := d.fs.SyncDir(d.dir); err != nil {
+			return fmt.Errorf("store: sync datadir: %w", err)
 		}
 		return nil
 	}
@@ -473,10 +494,7 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 		if len(buf) == 0 || len(buf)+n <= writeBufSize {
 			return nil
 		}
-		if err := write(); err != nil {
-			return err
-		}
-		return d.crash("mid-flush")
+		return write()
 	}
 	var runCRC uint32
 	for i, rec := range recs {
@@ -490,10 +508,6 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 		}
 		runCRC = crc32.Update(runCRC, crcTable, buf[len(buf)-logTrailerSize:])
 	}
-	if err := d.crash("records-written"); err != nil {
-		_ = write() // the records reach the file, their commit record does not
-		return d.commitFailed(err)
-	}
 	if err := makeRoom(commitSize); err != nil {
 		return d.commitFailed(err)
 	}
@@ -501,14 +515,8 @@ func (d *Disk) AppendRecords(recs []types.BlockRecord, headID types.Hash, headNu
 	if err := write(); err != nil {
 		return d.commitFailed(err)
 	}
-	if err := d.crash("commit-written"); err != nil {
-		return d.commitFailed(err)
-	}
 	if err := d.logF.Sync(); err != nil {
 		return d.commitFailed(fmt.Errorf("store: sync log: %w", err))
-	}
-	if err := d.crash("synced"); err != nil {
-		return d.commitFailed(err)
 	}
 
 	d.logSize += written
@@ -543,19 +551,14 @@ func appendCommit(buf []byte, count int, headID types.Hash, headNumber uint64, r
 // genuinely committed blocks or, once another commit followed, refuse the
 // datadir. So the store latches fail-stop unconditionally — every
 // subsequent commit returns ErrFailed; reopening the datadir runs normal
-// crash recovery — and, for real IO errors, additionally rolls the log
-// back to its last committed size (best effort; recovery on the next open
-// does not depend on it). Injected crashes skip the rollback on purpose:
-// the torn on-disk shape is exactly what the crash-recovery tests reopen.
+// crash recovery — and rolls the log back to its last committed size.
+// The rollback is best effort: a crash that stops it leaves a torn tail,
+// which the next open truncates.
 func (d *Disk) commitFailed(err error) error {
 	d.failed = true
-	if errors.Is(err, errCrashInjected) {
-		return err
-	}
 	if terr := d.logF.Truncate(d.logSize); terr == nil {
 		_ = d.logF.Sync()
 	}
-	_, _ = d.logF.Seek(0, io.SeekEnd)
 	return err
 }
 
@@ -578,21 +581,25 @@ func (d *Disk) SaveSnapshot(snap chain.StoredSnapshot) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
 	tmp := filepath.Join(d.dir, snapName+".tmp")
-	if err := writeFileSync(tmp, h, snap.State, sum[:]); err != nil {
+	if err := d.writeFileSync(tmp, h, snap.State, sum[:]); err != nil {
 		return fmt.Errorf("store: write snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
+	if err := d.fs.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
 		return fmt.Errorf("store: install snapshot: %w", err)
 	}
-	syncDir(d.dir)
+	if err := d.fs.SyncDir(d.dir); err != nil {
+		return fmt.Errorf("store: sync datadir: %w", err)
+	}
 	d.snapHeight.Store(snap.Height)
+	d.snapBytes.Store(int64(len(h) + len(snap.State) + len(sum)))
 	return nil
 }
 
-// readSnapshot loads and validates the snapshot file; any defect just
-// means "no snapshot" (the chain falls back to full replay).
+// readSnapshot loads and validates the snapshot file, and records its
+// height and size; any defect just means "no snapshot" (the chain falls
+// back to full replay).
 func (d *Disk) readSnapshot() (*chain.StoredSnapshot, bool) {
-	raw, err := os.ReadFile(filepath.Join(d.dir, snapName))
+	raw, err := d.fs.ReadFile(filepath.Join(d.dir, snapName))
 	minSize := 4 + 8 + 2*types.HashSize + 8 + 4
 	if err != nil || len(raw) < minSize || [4]byte(raw[:4]) != snapMagic {
 		return nil, false
@@ -609,6 +616,8 @@ func (d *Disk) readSnapshot() (*chain.StoredSnapshot, bool) {
 		return nil, false
 	}
 	snap.State = body
+	d.snapHeight.Store(snap.Height)
+	d.snapBytes.Store(int64(len(raw)))
 	return snap, true
 }
 
@@ -620,8 +629,8 @@ func (d *Disk) Stats() chain.StorageStats {
 		Backend:        "disk",
 		Dir:            d.dir,
 		Blocks:         d.blocks,
-		LogBytes:       fileSize(filepath.Join(d.dir, logName)),
-		SnapshotBytes:  fileSize(filepath.Join(d.dir, snapName)),
+		LogBytes:       d.logSize,
+		SnapshotBytes:  d.snapBytes.Load(),
 		SnapshotHeight: d.snapHeight.Load(),
 		Recovered:      d.recovered,
 	}
@@ -638,43 +647,30 @@ func (d *Disk) Close() error {
 	return d.logF.Close()
 }
 
-// fileSize returns a file's size, 0 when absent.
-func fileSize(path string) int64 {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return fi.Size()
-}
-
 // writeFileSync writes parts, in order, to path and fsyncs the file
 // before closing it, so the caller may treat the write as durable.
-func writeFileSync(path string, parts ...[]byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+func (d *Disk) writeFileSync(path string, parts ...[]byte) error {
+	f, err := d.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
 	for _, part := range parts {
-		if _, err := f.Write(part); err != nil {
-			f.Close()
-			return err
+		if _, err = f.Write(part); err != nil {
+			break
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	return errors.Join(err, f.Close())
 }
 
-// syncDir fsyncs a directory so a rename inside it is durable. Best
-// effort: some platforms refuse directory fsync; the snapshot CRC covers
-// the residual risk.
-func syncDir(dir string) {
+// syncDir fsyncs a directory, so that the files created and renamed in it
+// are durable.
+func syncDir(dir string) error {
 	f, err := os.Open(dir)
 	if err != nil {
-		return
+		return err
 	}
-	_ = f.Sync()
-	_ = f.Close()
+	return errors.Join(f.Sync(), f.Close())
 }

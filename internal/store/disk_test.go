@@ -8,10 +8,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
@@ -47,11 +47,17 @@ func baseConfig() chain.Config {
 // returned for the corruption tests to assert on.
 func openFixture(t *testing.T, dir string, snapInterval uint64) (*fixture, error) {
 	t.Helper()
-	cfg := baseConfig()
 	d, err := Open(dir)
 	if err != nil {
 		t.Fatalf("store.Open: %v", err)
 	}
+	return fixtureOn(t, d, snapInterval)
+}
+
+// fixtureOn builds a chain over an opened Disk.
+func fixtureOn(t *testing.T, d *Disk, snapInterval uint64) (*fixture, error) {
+	t.Helper()
+	cfg := baseConfig()
 	cfg.Storage = d
 	cfg.SnapshotInterval = snapInterval
 	c, err := chain.New(cfg)
@@ -121,6 +127,39 @@ func (f *fixture) extend(n int) *types.Block {
 		f.t.Fatal(err)
 	}
 	if _, err := f.chain.InsertBlock(blk); err != nil {
+		f.t.Fatal(err)
+	}
+	return blk
+}
+
+// extendBulky builds and imports one block of n calls to a plain
+// address, each carrying 8 KiB of input, so that a block or two outgrow
+// the Disk's write buffer.
+func (f *fixture) extendBulky(n int) *types.Block {
+	f.t.Helper()
+	payer := f.payer.Address()
+	txs := make([]*types.Transaction, n)
+	for i := range txs {
+		tx := &types.Transaction{
+			Kind:     types.TxContractCall,
+			Nonce:    f.nonces[payer],
+			To:       types.Address{0xc0, byte(i)},
+			GasLimit: 21_000 + 4*8<<10,
+			GasPrice: 50 * types.GWei,
+			Data:     make([]byte, 8<<10),
+		}
+		if err := types.SignTx(tx, f.payer); err != nil {
+			f.t.Fatal(err)
+		}
+		f.nonces[payer]++
+		txs[i] = tx
+	}
+	head := f.chain.Head()
+	blk, err := f.chain.BuildBlock(head.ID(), f.miner.Address(), head.Header.Time+15_000, 1000, txs)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	if err := f.insert(blk); err != nil {
 		f.t.Fatal(err)
 	}
 	return blk
@@ -336,86 +375,11 @@ func TestCloseRefusesFurtherImports(t *testing.T) {
 	}
 }
 
-// TestCrashInjection kills the commit protocol at every interior point and
-// proves reopen recovers a consistent head. Before the commit record is
-// written that is the last acknowledged head, and the lost blocks are
-// accepted again. At commit-written the commit record is on its way to
-// disk, so either head is legal — a process kill leaves it in the OS
-// buffer and the commit stands, a power cut may lose it — and once synced
-// the commit stands; whichever head comes back, the chain must equal the
-// oracle there. The commit is one InsertBlock, or one InsertChain run of
-// several blocks, which lands or is lost whole: the head never comes back
-// inside it. mid-flush crashes a run larger than the write buffer after
-// its first full buffer reached the file.
-func TestCrashInjection(t *testing.T) {
-	for _, point := range []string{"records-written", "commit-written", "synced"} {
-		t.Run(point, func(t *testing.T) {
-			for _, size := range []int{1, 5} {
-				t.Run(fmt.Sprintf("%d-block", size), func(t *testing.T) { crashAt(t, point, size) })
-			}
-		})
-	}
-	t.Run("mid-flush", crashMidFlush)
-}
-
-// crashAt is one TestCrashInjection case: a commit of size blocks,
-// crashed at point.
-func crashAt(t *testing.T, point string, size int) {
-	// One stage-1 worker verifies the whole batch (its senders are warm)
-	// before the import gets the CPU back, so the batch is committed as
-	// one run.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	oracle := memFixture(t)
-	oracle.nonces = f.nonces
-	var committed []*types.Block
-	for i := 0; i < 5; i++ {
-		committed = append(committed, f.extend(1))
-	}
-	for _, blk := range committed {
-		if err := oracle.insert(blk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var lost []*types.Block
-	for i := 0; i < size; i++ {
-		lost = append(lost, oracle.extend(1))
-	}
-
-	f.disk.SetCrashPoint(point)
-	if _, err := f.chain.InsertChain(lost); err == nil {
-		t.Fatal("injected crash did not surface")
-	}
-	// Simulated kill -9: abandon the chain without Close (no final
-	// snapshot).
-
-	reopened := mustOpen(t, dir, 0)
-	defer reopened.chain.Close()
-	switch got := reopened.chain.Head().ID(); {
-	case got == committed[len(committed)-1].ID() && point != "synced":
-		if !reopened.chain.StorageStats().Recovered {
-			t.Error("stats do not report crash recovery")
-		}
-		// The lost blocks are re-importable (the network would
-		// re-gossip them).
-		if _, err := reopened.chain.InsertChain(lost); err != nil {
-			t.Fatalf("re-import of lost blocks: %v", err)
-		}
-	case (point == "commit-written" || point == "synced") && got == lost[len(lost)-1].ID():
-		// The commit record reached the file: the commit stands.
-	default:
-		t.Fatalf("recovered head %s, want last committed %s or (once the commit record is written) %s", got.Short(),
-			committed[len(committed)-1].ID().Short(), lost[len(lost)-1].ID().Short())
-	}
-	assertEqualChains(t, reopened.chain, oracle.chain)
-}
-
-// openDisk opens a datadir for src's chain directly, with no chain over
-// it, and commits each of blocks alone, as single imports do.
-func openDisk(t *testing.T, dir string, src *fixture, blocks []*types.Block) *Disk {
+// openDisk opens a datadir for src's chain through fs directly, with no
+// chain over it, and commits each of blocks alone, as single imports do.
+func openDisk(t *testing.T, dir string, fs fsys, src *fixture, blocks []*types.Block) *Disk {
 	t.Helper()
-	d, err := Open(dir)
+	d, err := openWith(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,46 +394,6 @@ func openDisk(t *testing.T, dir string, src *fixture, blocks []*types.Block) *Di
 	return d
 }
 
-// crashMidFlush crashes a commit several times the write buffer right
-// after its first full buffer reached the file: open truncates the
-// flushed records and lands on the previous commit, and the lost run is
-// accepted again.
-func crashMidFlush(t *testing.T) {
-	src := memFixture(t)
-	var committed, lost []*types.Block
-	for i := 0; i < 5; i++ {
-		committed = append(committed, src.extend(1))
-	}
-	for i := 0; i < 5; i++ {
-		lost = append(lost, src.extend(150)) // ≈ 18 KB each
-	}
-	dir := t.TempDir()
-	d := openDisk(t, dir, src, committed)
-	size := fileSize(filepath.Join(dir, logName))
-	d.SetCrashPoint("mid-flush")
-	last := lost[len(lost)-1]
-	if err := d.AppendBlocks(lost, last.ID(), last.Header.Number); !errors.Is(err, errCrashInjected) {
-		t.Fatalf("commit across a flush: got %v, want the injected crash", err)
-	}
-	if grown := fileSize(filepath.Join(dir, logName)); grown <= size {
-		t.Fatalf("no record reached the file before the crash (%d → %d bytes)", size, grown)
-	}
-	d.Close()
-
-	reopened := mustOpen(t, dir, 0)
-	defer reopened.chain.Close()
-	if got, want := reopened.chain.Head().ID(), committed[len(committed)-1].ID(); got != want {
-		t.Fatalf("recovered head %s, want last committed %s", got.Short(), want.Short())
-	}
-	if !reopened.chain.StorageStats().Recovered {
-		t.Error("stats do not report crash recovery")
-	}
-	if _, err := reopened.chain.InsertChain(lost); err != nil {
-		t.Fatalf("re-import of lost blocks: %v", err)
-	}
-	assertEqualChains(t, reopened.chain, src.chain)
-}
-
 // TestTornRecordUnderPersistedCommit: a crash may persist a commit's
 // last page, commit record included, while an earlier page of the same
 // commit never reached the disk. The record there fails its CRC, so open
@@ -481,9 +405,9 @@ func TestTornRecordUnderPersistedCommit(t *testing.T) {
 		blocks = append(blocks, src.extend(2))
 	}
 	dir := t.TempDir()
-	d := openDisk(t, dir, src, blocks[:3])
+	d := openDisk(t, dir, osFS{}, src, blocks[:3])
 	path := filepath.Join(dir, logName)
-	size := fileSize(path)
+	size := sizeOnDisk(t, path)
 	run, last := blocks[3:], blocks[len(blocks)-1]
 	if err := d.AppendBlocks(run, last.ID(), last.Header.Number); err != nil {
 		t.Fatal(err)
@@ -508,7 +432,7 @@ func TestTornRecordUnderPersistedCommit(t *testing.T) {
 	if !reopened.chain.StorageStats().Recovered {
 		t.Error("stats do not report recovery")
 	}
-	if got := fileSize(path); got != size {
+	if got := sizeOnDisk(t, path); got != size {
 		t.Errorf("log is %d bytes after recovery, want the previous commit's %d", got, size)
 	}
 }
@@ -568,45 +492,86 @@ func TestRunWritesTheLogOfSingleImports(t *testing.T) {
 	}
 }
 
-// TestMidCommitErrorLatchesFailStop: a mid-commit error can leave
-// CRC-valid block records no commit record closes. If a later commit
-// from the same handle were allowed to succeed, the next open would frame
-// those orphans into its run and reject its commit record. The handle
-// must latch fail-stop instead; reopening the datadir recovers normally.
+// TestMidCommitErrorLatchesFailStop: a mid-commit IO error in a process
+// that keeps running can leave CRC-valid block records no commit record
+// closes. If a later commit from the same handle were allowed to succeed,
+// the next open would frame those orphans into its run and reject its
+// commit record. So the handle latches fail-stop, and the rollback real
+// IO errors take runs: the log is truncated back to the last commit and
+// synced, and the datadir reopens to the acknowledged prefix with nothing
+// left to recover. The commit fails at its Sync (EIO), at its first Write
+// (EIO), or writes short there (ENOSPC); its one block is larger than the
+// write buffer, so it is written in two.
 func TestMidCommitErrorLatchesFailStop(t *testing.T) {
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	oracle := memFixture(t)
-	oracle.nonces = f.nonces
-	committed := f.extend(1)
-	if err := oracle.insert(committed); err != nil {
-		t.Fatal(err)
-	}
-	lost := oracle.extend(1)
-	next := oracle.extend(1)
+	for _, tc := range []struct {
+		call  string
+		fault fault
+		want  error
+	}{
+		{"sync blocks.log", failEIO, syscall.EIO},
+		{"write blocks.log", failEIO, syscall.EIO},
+		{"write blocks.log", writeShort, syscall.ENOSPC},
+	} {
+		t.Run(tc.fault.String()+"-"+strings.Fields(tc.call)[0], func(t *testing.T) {
+			dir, fs := t.TempDir(), newFaultFS(t)
+			d, err := openWith(dir, fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := fixtureOn(t, d, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := memFixture(t)
+			oracle.nonces = f.nonces
+			committed := f.extend(1)
+			if err := oracle.insert(committed); err != nil {
+				t.Fatal(err)
+			}
+			lost := oracle.extendBulky(10)
+			next := oracle.extend(1)
+			acked := sizeOnDisk(t, filepath.Join(dir, logName))
 
-	f.disk.SetCrashPoint("records-written")
-	if err := f.insert(lost); err == nil {
-		t.Fatal("injected mid-commit error did not surface")
-	}
-	// The handle is latched: retrying must fail with ErrFailed, not commit
-	// past the orphan log bytes.
-	if err := f.insert(lost); !errors.Is(err, ErrFailed) {
-		t.Fatalf("append after mid-commit error: got %v, want ErrFailed", err)
-	}
+			from := len(fs.log())
+			fs.armCall(tc.call, tc.fault)
+			if err := f.insert(lost); !errors.Is(err, tc.want) {
+				t.Fatalf("commit with %s at %q: got %v, want %v", tc.fault, tc.call, err, tc.want)
+			}
+			calls := fs.log()[from:]
+			failed := indexOf(calls, 0, tc.call)
+			truncated := indexOf(calls, failed+1, "truncate blocks.log")
+			if failed < 0 || truncated < 0 || indexOf(calls, truncated+1, "sync blocks.log") < 0 {
+				t.Errorf("no truncate and sync of the log after the failed %q: %q", tc.call, calls)
+			}
+			if got := sizeOnDisk(t, filepath.Join(dir, logName)); got != acked {
+				t.Errorf("log is %d bytes after the rollback, want the last commit's %d", got, acked)
+			}
+			if got := d.Stats().LogBytes; got != acked {
+				t.Errorf("Stats().LogBytes = %d after the failed commit, want %d", got, acked)
+			}
+			// The handle is latched: retrying must fail with ErrFailed, not
+			// commit past the orphan log bytes.
+			if err := f.insert(lost); !errors.Is(err, ErrFailed) {
+				t.Fatalf("append after mid-commit error: got %v, want ErrFailed", err)
+			}
 
-	reopened := mustOpen(t, dir, 0)
-	defer reopened.chain.Close()
-	if got, want := reopened.chain.Head().ID(), committed.ID(); got != want {
-		t.Fatalf("recovered head %s, want last committed %s", got.Short(), want.Short())
+			reopened := mustOpen(t, dir, 0)
+			defer reopened.chain.Close()
+			if got, want := reopened.chain.Head().ID(), committed.ID(); got != want {
+				t.Fatalf("recovered head %s, want last committed %s", got.Short(), want.Short())
+			}
+			if reopened.chain.StorageStats().Recovered {
+				t.Error("the reopen truncated a tail the rollback should have removed")
+			}
+			if err := reopened.insert(lost); err != nil {
+				t.Fatalf("re-import after recovery: %v", err)
+			}
+			if err := reopened.insert(next); err != nil {
+				t.Fatalf("import past recovery: %v", err)
+			}
+			assertEqualChains(t, reopened.chain, oracle.chain)
+		})
 	}
-	if err := reopened.insert(lost); err != nil {
-		t.Fatalf("re-import after recovery: %v", err)
-	}
-	if err := reopened.insert(next); err != nil {
-		t.Fatalf("import past recovery: %v", err)
-	}
-	assertEqualChains(t, reopened.chain, oracle.chain)
 }
 
 // TestAdoptSnapshotPersistFailureLeavesGenesis pins the write-ahead
@@ -622,9 +587,16 @@ func TestAdoptSnapshotPersistFailureLeavesGenesis(t *testing.T) {
 	}
 	snap := src.chain.SnapshotNow()
 
-	dir := t.TempDir()
-	f := mustOpen(t, dir, 0)
-	f.disk.SetCrashPoint("records-written")
+	dir, fs := t.TempDir(), newFaultFS(t)
+	d, err := openWith(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fixtureOn(t, d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs.armCall("sync blocks.log", failEIO)
 	if err := f.chain.AdoptSnapshot(recordsOf(prefix), snap.State); err == nil {
 		t.Fatal("adoption with failing persistence succeeded")
 	}
@@ -670,7 +642,7 @@ func TestTornTailRecovery(t *testing.T) {
 			}
 
 			path := filepath.Join(dir, logName)
-			size := fileSize(path)
+			size := sizeOnDisk(t, path)
 			fh, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -688,7 +660,7 @@ func TestTornTailRecovery(t *testing.T) {
 			if !reopened.chain.StorageStats().Recovered {
 				t.Error("stats do not report recovery")
 			}
-			if got := fileSize(path); got != size {
+			if got := sizeOnDisk(t, path); got != size {
 				t.Errorf("log is %d bytes after recovery, want %d", got, size)
 			}
 		})
@@ -963,13 +935,12 @@ func TestViewsStayValidAcrossCloseOpen(t *testing.T) {
 	wg.Wait()
 }
 
-// SetCrashPoint arms the crash-injection hook: the next AppendBlocks
-// aborts with an error when it reaches the named protocol point
-// ("mid-flush", "records-written", "commit-written", "synced"), without
-// performing the remaining steps. Tests reopen the datadir afterwards to
-// prove recovery.
-func (d *Disk) SetCrashPoint(point string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.crashPoint = point
+// sizeOnDisk returns the size of the file at path.
+func sizeOnDisk(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
 }

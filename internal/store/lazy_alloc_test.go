@@ -25,7 +25,7 @@ func TestReopenAllocatesUnderAQuarterOfItsLog(t *testing.T) {
 	if err := f.chain.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logBytes := fileSize(filepath.Join(dir, logName))
+	logBytes := sizeOnDisk(t, filepath.Join(dir, logName))
 
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -67,7 +67,7 @@ func TestReopenedHeapDoesNotScaleWithBodies(t *testing.T) {
 		reopened = nil
 		runtime.GC()
 		runtime.ReadMemStats(&without)
-		return with.HeapAlloc - min(with.HeapAlloc, without.HeapAlloc), fileSize(filepath.Join(dir, logName))
+		return with.HeapAlloc - min(with.HeapAlloc, without.HeapAlloc), sizeOnDisk(t, filepath.Join(dir, logName))
 	}
 	smallHeap, smallLog := live(4)
 	bigHeap, bigLog := live(32)

@@ -205,43 +205,24 @@ func TestLogReadsBesideCommitsAndClose(t *testing.T) {
 	wg.Wait()
 }
 
-// stallDisk is a Disk whose AppendBlocks, once armed, holds the store's
-// lock and waits for release: a commit stuck in its fsync, with the
-// chain's write lock held above it.
-type stallDisk struct {
-	*Disk
-	armed   bool
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (s *stallDisk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
-	if s.armed {
-		s.mu.Lock()
-		close(s.entered)
-		<-s.release
-		s.mu.Unlock()
-	}
-	return s.Disk.AppendBlocks(blocks, headID, headNumber)
-}
-
 // TestLogReadAnswersBlockDuringStalledAppend serves /v1/block/{n} below
 // the snapshot of a reopened node, a block no request has read yet, while
-// a commit is stalled with both the chain's and the store's lock held:
-// the answer is read from the log and arrives before the append returns.
+// a commit is stalled in the log's fsync, with both the chain's and the
+// store's lock held: the answer is read from the log and arrives before
+// the append returns.
 func TestLogReadAnswersBlockDuringStalledAppend(t *testing.T) {
 	dir := t.TempDir()
 	f, want := reopenedWith(t, dir, 4, 2)
 	if err := f.chain.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Open(dir)
+	fs := newFaultFS(t)
+	d, err := openWith(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk := &stallDisk{Disk: d, entered: make(chan struct{}), release: make(chan struct{})}
 	cfg := baseConfig()
-	cfg.Storage = disk
+	cfg.Storage = d
 	prov, err := node.NewProvider("stalled", wallet.NewDeterministic("store-miner"), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -260,13 +241,13 @@ func TestLogReadAnswersBlockDuringStalledAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk.armed = true
+	stalled := fs.stallNextSync()
 	inserted := make(chan error, 1)
 	go func() {
 		_, err := c.InsertBlock(next)
 		inserted <- err
 	}()
-	<-disk.entered
+	<-stalled.entered
 
 	answered := make(chan error, 1)
 	go func() {
@@ -298,7 +279,7 @@ func TestLogReadAnswersBlockDuringStalledAppend(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Error("/v1/block/2 waited for the stalled append")
 	}
-	close(disk.release)
+	close(stalled.release)
 	if err := <-inserted; err != nil {
 		t.Fatal(err)
 	}
