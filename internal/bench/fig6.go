@@ -120,10 +120,9 @@ func Fig6b(scale Scale) (*Report, error) {
 		trials = 10
 	}
 	var (
-		reportCosts []float64
-		sraCosts    []float64
-		bountyTotal float64
-		gasTotal    float64
+		reports, sras         int
+		reportCosts, sraCosts types.Amount
+		bountyTotal, gasTotal float64
 	)
 	for trial := 0; trial < trials; trial++ {
 		res, err := sim.Run(sim.Config{
@@ -143,41 +142,23 @@ func Fig6b(scale Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Walk canonical receipts for per-kind costs.
-		v := res.Chain.CurrentView()
-		for _, blk := range v.AppendBlocksRange(nil, 0, v.HeadNumber()) {
-			for _, tx := range blk.Txs {
-				receipt, err := v.ReceiptOf(tx.Hash())
-				if err != nil {
-					continue
-				}
-				switch tx.Kind {
-				case types.TxInitialReport, types.TxDetailedReport:
-					reportCosts = append(reportCosts, receipt.Fee.Ether())
-				case types.TxSRA:
-					sraCosts = append(sraCosts, receipt.Fee.Ether())
-				}
-			}
+		// The detectors send the reports and provider 2 the one release,
+		// and nobody sends anything else: their gas is what those cost.
+		for _, b := range res.Blocks {
+			reports += b.Reports
 		}
+		sras += len(res.SRAs)
+		sraCosts += res.ProviderBalance(2).Gas
 		for di := range []int{0, 1} {
 			bal := res.DetectorBalance(di)
+			reportCosts += bal.Gas
 			bountyTotal += bal.Bounty.Ether()
 			gasTotal += bal.Gas.Ether()
 		}
 	}
 
-	mean := func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	meanReport := mean(reportCosts)
-	meanSRA := mean(sraCosts)
+	meanReport := reportCosts.Ether() / float64(reports)
+	meanSRA := sraCosts.Ether() / float64(sras)
 	// A "detection report" in Fig. 6(b)'s sense is the R†+R* pair.
 	perReportPair := meanReport * 2
 
@@ -188,9 +169,9 @@ func Fig6b(scale Scale) (*Report, error) {
 		ShapeOK: true,
 	}
 	r.Rows = append(r.Rows,
-		[]string{"report tx (R† or R*)", fmt.Sprintf("%d", len(reportCosts)), fmt.Sprintf("%.4f", meanReport)},
-		[]string{"detection report (R†+R* pair)", fmt.Sprintf("%d", len(reportCosts)/2), fmt.Sprintf("%.4f", perReportPair)},
-		[]string{"SRA release", fmt.Sprintf("%d", len(sraCosts)), fmt.Sprintf("%.4f", meanSRA)},
+		[]string{"report tx (R† or R*)", fmt.Sprintf("%d", reports), fmt.Sprintf("%.4f", meanReport)},
+		[]string{"detection report (R†+R* pair)", fmt.Sprintf("%d", reports/2), fmt.Sprintf("%.4f", perReportPair)},
+		[]string{"SRA release", fmt.Sprintf("%d", sras), fmt.Sprintf("%.4f", meanSRA)},
 	)
 
 	r.check(math.Abs(perReportPair-0.011) < 0.004,

@@ -117,8 +117,8 @@ type StorageStats struct {
 	// declared only because the frozen benchmark/trace.go sums it, and
 	// goes when the benchmark stops reading it.
 	IndexBytes int64
-	// SnapshotHeight is the height of the newest durable snapshot (0 =
-	// none).
+	// SnapshotHeight is the height of the snapshot the next open reads:
+	// the newest one saved, durable or not (0 = none).
 	SnapshotHeight uint64
 	// Recovered reports that the last open truncated a torn or
 	// unacknowledged tail — i.e. the backend healed after a crash.
@@ -133,6 +133,9 @@ var (
 	ErrSnapshotState    = errors.New("chain: snapshot state does not hash to the header commitment root")
 	ErrStorageCorrupt   = errors.New("chain: storage replay produced an inconsistent chain")
 	ErrSnapshotRejected = errors.New("chain: stored snapshot rejected")
+	// ErrSnapshotNotDurable reports a saved snapshot, the one the next open
+	// reads, whose directory fsync failed: a power cut may undo the save.
+	ErrSnapshotNotDurable = errors.New("chain: snapshot saved, not yet durable")
 )
 
 // chainLog is the chain's structured logger.
@@ -140,19 +143,21 @@ var chainLog = telemetry.Log("chain")
 
 // Durable-storage metrics.
 var (
-	mStoreAppendNs    = telemetry.GetHistogram("smartcrowd_chain_store_append_ns")
-	mSnapshotsWritten = telemetry.GetCounter("smartcrowd_chain_snapshots_written_total")
-	mSnapshotsFailed  = telemetry.GetCounter("smartcrowd_chain_snapshots_failed_total")
-	mReplayBlocks     = telemetry.GetCounter("smartcrowd_chain_replay_blocks_total")
-	mSnapshotRestores = telemetry.GetCounter("smartcrowd_chain_snapshot_restores_total")
-	mSnapshotRejected = telemetry.GetCounter("smartcrowd_chain_snapshot_rejected_total")
-	mSnapshotAdopted  = telemetry.GetCounter("smartcrowd_chain_snapshot_adopted_total")
+	mStoreAppendNs       = telemetry.GetHistogram("smartcrowd_chain_store_append_ns")
+	mSnapshotsWritten    = telemetry.GetCounter("smartcrowd_chain_snapshots_written_total")
+	mSnapshotsFailed     = telemetry.GetCounter("smartcrowd_chain_snapshots_failed_total")
+	mSnapshotsNotDurable = telemetry.GetCounter("smartcrowd_chain_snapshots_not_durable_total")
+	mReplayBlocks        = telemetry.GetCounter("smartcrowd_chain_replay_blocks_total")
+	mSnapshotRestores    = telemetry.GetCounter("smartcrowd_chain_snapshot_restores_total")
+	mSnapshotRejected    = telemetry.GetCounter("smartcrowd_chain_snapshot_rejected_total")
+	mSnapshotAdopted     = telemetry.GetCounter("smartcrowd_chain_snapshot_adopted_total")
 )
 
 func init() {
 	telemetry.SetHelp("smartcrowd_chain_store_append_ns", "durable AppendBlocks latency under the chain write lock")
 	telemetry.SetHelp("smartcrowd_chain_snapshots_written_total", "state snapshots durably written by the chain")
 	telemetry.SetHelp("smartcrowd_chain_snapshots_failed_total", "state snapshot writes that failed")
+	telemetry.SetHelp("smartcrowd_chain_snapshots_not_durable_total", "state snapshots saved in place whose directory fsync failed")
 	telemetry.SetHelp("smartcrowd_chain_replay_blocks_total", "blocks re-imported from durable storage on open")
 	telemetry.SetHelp("smartcrowd_chain_snapshot_restores_total", "chain opens that restored state from a durable snapshot")
 	telemetry.SetHelp("smartcrowd_chain_snapshot_rejected_total", "stored or streamed snapshots rejected by validation")
@@ -532,15 +537,24 @@ func (c *Chain) writeSnapshotAsync(produce func() StoredSnapshot) {
 	c.snapWG.Add(1)
 	go func() {
 		defer c.snapWG.Done()
-		snap := produce()
-		if err := c.store.SaveSnapshot(snap); err != nil {
-			mSnapshotsFailed.Inc()
-			chainLog.Error("snapshot write failed",
-				"height", strconv.FormatUint(snap.Height, 10), "err", err.Error())
-			return
-		}
-		mSnapshotsWritten.Inc()
+		saveSnapshot(c.store, produce())
 	}()
+}
+
+// saveSnapshot writes a snapshot and counts the outcome: written, saved
+// in place but not yet durable, or failed.
+func saveSnapshot(store Storage, snap StoredSnapshot) {
+	err := store.SaveSnapshot(snap)
+	switch {
+	case err == nil:
+		mSnapshotsWritten.Inc()
+		return
+	case errors.Is(err, ErrSnapshotNotDurable):
+		mSnapshotsNotDurable.Inc()
+	default:
+		mSnapshotsFailed.Inc()
+	}
+	chainLog.Error("snapshot write failed", "height", strconv.FormatUint(snap.Height, 10), "err", err.Error())
 }
 
 // Close flushes a final state snapshot, waits for background snapshot
@@ -563,12 +577,7 @@ func (c *Chain) Close() error {
 		return nil
 	}
 	if head.block().Header.Number > 0 {
-		if err := store.SaveSnapshot(snapshotOf(head.block(), head.post())); err != nil {
-			mSnapshotsFailed.Inc()
-			chainLog.Error("final snapshot write failed", "err", err.Error())
-		} else {
-			mSnapshotsWritten.Inc()
-		}
+		saveSnapshot(store, snapshotOf(head.block(), head.post()))
 	}
 	return store.Close()
 }

@@ -249,6 +249,10 @@ func (v *ReadView) TxLocation(txHash types.Hash) (blockID types.Hash, number uin
 // block's state from.
 func (v *ReadView) State() *state.DB { return v.state }
 
+// Genesis returns the genesis block's state, which holds the chain's
+// allocation and nothing else. It is FROZEN, like State.
+func (v *ReadView) Genesis() *state.DB { return v.canon[0].post() }
+
 // FinalizedDepth reports how many blocks below the view head a height
 // sits (0 = at or above head). The RPC cache uses it against the
 // finality depth K when deciding whether a response may be declared

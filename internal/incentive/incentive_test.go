@@ -1,12 +1,9 @@
 package incentive
 
 import (
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/types"
-	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
 func TestDetectorIncentiveEq7(t *testing.T) {
@@ -56,96 +53,19 @@ func TestDetectorCostEq10(t *testing.T) {
 	}
 }
 
-func TestTrackerFlows(t *testing.T) {
-	tr := NewTracker()
-	a := wallet.NewDeterministic("a").Address()
-
-	tr.Record(a, FlowMining, types.EtherAmount(5))
-	tr.Record(a, FlowMining, types.EtherAmount(5))
-	tr.Record(a, FlowFees, types.EtherAmount(1))
-	tr.Record(a, FlowBounty, types.EtherAmount(10))
-	tr.Record(a, FlowRefund, types.EtherAmount(2))
-	tr.Record(a, FlowPunishment, types.EtherAmount(4))
-	tr.Record(a, FlowGas, types.EtherAmount(1))
-	tr.RecordAccepted(a, 3)
-
-	b := tr.Of(a)
-	if b.Mining != types.EtherAmount(10) || b.Blocks != 2 {
-		t.Errorf("mining %s over %d blocks", b.Mining, b.Blocks)
+func TestNetCanBeNegative(t *testing.T) {
+	b := Balance{Punishment: types.EtherAmount(100), Mining: types.EtherAmount(30)}
+	if net := b.Net(); net != -70 {
+		t.Errorf("net = %v, want -70", net)
 	}
-	if b.Fees != types.EtherAmount(1) || b.Bounty != types.EtherAmount(10) ||
-		b.Refund != types.EtherAmount(2) || b.Punishment != types.EtherAmount(4) ||
-		b.Gas != types.EtherAmount(1) || b.Accepted != 3 {
-		t.Errorf("balance %+v", b)
+	// Net = 10+1+10+2 − 4 − 1 = 18: escrow and transfers are no flow.
+	b = Balance{
+		Mining: types.EtherAmount(10), Fees: types.EtherAmount(1), Bounty: types.EtherAmount(10),
+		Refund: types.EtherAmount(2), Punishment: types.EtherAmount(4), Gas: types.EtherAmount(1),
+		In: types.EtherAmount(7), Out: types.EtherAmount(509),
 	}
-	// Net = 10+1+10+2 − 4 − 1 = 18.
 	if net := b.Net(); net != 18 {
 		t.Errorf("net = %v, want 18", net)
-	}
-}
-
-func TestTrackerUnknownAddressZero(t *testing.T) {
-	tr := NewTracker()
-	if b := tr.Of(wallet.NewDeterministic("ghost").Address()); b.Net() != 0 {
-		t.Error("unknown address has non-zero balance")
-	}
-}
-
-func TestTrackerAddressesDeterministic(t *testing.T) {
-	tr := NewTracker()
-	for i := 0; i < 5; i++ {
-		tr.Record(wallet.NewDeterministic(string(rune('a'+i))).Address(), FlowGas, 1)
-	}
-	a, b := tr.Addresses(), tr.Addresses()
-	if len(a) != 5 {
-		t.Fatalf("addresses = %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("address order unstable")
-		}
-	}
-}
-
-func TestTrackerConcurrent(t *testing.T) {
-	tr := NewTracker()
-	a := wallet.NewDeterministic("x").Address()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				tr.Record(a, FlowFees, 1)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := tr.Of(a).Fees; got != 800 {
-		t.Errorf("fees = %d, want 800", got)
-	}
-}
-
-func TestFlowStrings(t *testing.T) {
-	names := map[Flow]string{
-		FlowMining: "mining", FlowFees: "fees", FlowBounty: "bounty",
-		FlowPunishment: "punishment", FlowGas: "gas", FlowRefund: "refund",
-		Flow(99): "unknown",
-	}
-	for f, want := range names {
-		if f.String() != want {
-			t.Errorf("%d.String() = %s, want %s", f, f.String(), want)
-		}
-	}
-}
-
-func TestNetCanBeNegative(t *testing.T) {
-	tr := NewTracker()
-	a := wallet.NewDeterministic("loser").Address()
-	tr.Record(a, FlowPunishment, types.EtherAmount(100))
-	tr.Record(a, FlowMining, types.EtherAmount(30))
-	if net := tr.Of(a).Net(); net != -70 {
-		t.Errorf("net = %v, want -70", net)
 	}
 }
 
@@ -184,23 +104,4 @@ func ProviderPunishment(mu types.Amount, acceptedPerDetector []uint64, deployCos
 // fee ρ·ψ.
 func DetectorCost(n uint64, submitCost types.Amount, rho float64, psi types.Amount) types.Amount {
 	return types.Amount(n) * (submitCost + types.Amount(rho*float64(psi)))
-}
-
-// Addresses lists tracked addresses deterministically.
-func (t *Tracker) Addresses() []types.Address {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]types.Address, 0, len(t.balances))
-	for a := range t.balances {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := range out[i] {
-			if out[i][k] != out[j][k] {
-				return out[i][k] < out[j][k]
-			}
-		}
-		return false
-	})
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/detection"
+	"github.com/smartcrowd/smartcrowd/internal/incentive"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
@@ -49,9 +50,8 @@ type DetectorNode struct {
 	reader ChainReader
 	net    p2p.Transport
 
-	nonce    uint64
-	pending  []pendingReveal
-	revealed []types.Hash // the R* transactions the detector sent
+	nonce   uint64
+	pending []pendingReveal
 
 	// unconfirmed is every transaction the detector signed that its view
 	// has not confirmed yet, by nonce. A broadcast's refusal (a detector
@@ -185,7 +185,6 @@ func (d *DetectorNode) Poll() []*types.Transaction {
 			still = append(still, p)
 			continue
 		}
-		d.revealed = append(d.revealed, dtx.Hash())
 		d.send(dtx, v.HeadNumber())
 		revealed = append(revealed, dtx)
 	}
@@ -237,15 +236,14 @@ func (d *DetectorNode) broadcast(raw []byte) {
 	}
 }
 
-// Earnings sums the payouts of the detector's confirmed detailed reports,
-// as visible from one view of the chain.
+// Earnings is the bounty the chain's books credit the detector's wallet
+// with, as read from one view of the chain (incentive.Read); 0 when the
+// view cannot be read whole: a snap-joined chain's receipts start at its
+// snapshot.
 func (d *DetectorNode) Earnings() types.Amount {
-	v := d.reader.CurrentView()
-	var total types.Amount
-	for _, dtx := range d.revealed {
-		if r, err := v.ReceiptOf(dtx); err == nil && r.Success {
-			total += r.Payout.Paid
-		}
+	books, err := incentive.Read(d.reader.CurrentView())
+	if err != nil {
+		return 0
 	}
-	return total
+	return books.Of(d.Address()).Bounty
 }

@@ -15,8 +15,8 @@ import (
 // root, and no node's pool still holds a transaction the chain includes.
 // The pools are read the way a peer reads them: a node answers a
 // tx-request from its pool only. Every detector node's Earnings equals
-// the payouts of its R* receipts on every node, and the run's tracker
-// books the same bounty.
+// the payouts of its R* receipts on every node, and the run's books
+// credit the same bounty.
 func TestProviderNodesAgree(t *testing.T) {
 	res, err := Run(Config{
 		Seed:      5,
@@ -61,7 +61,7 @@ func TestProviderNodesAgree(t *testing.T) {
 			t.Errorf("detector %d earned nothing; the run must pay every detector to compare", di)
 		}
 		if earned != booked {
-			t.Errorf("detector %d Earnings %s, tracker books %s", di, earned, booked)
+			t.Errorf("detector %d Earnings %s, the run's books %s", di, earned, booked)
 		}
 		for i, n := range res.nodes {
 			if paid := payoutsTo(t, n, det.Address()); paid != earned {

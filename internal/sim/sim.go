@@ -96,29 +96,26 @@ type BlockStat struct {
 	// Time is the absolute simulation time at sealing.
 	Time time.Duration
 	// Interval is the time since the previous block.
-	Interval time.Duration
-	Reports  int
-	Fees     types.Amount
+	Interval        time.Duration
+	incentive.Block // its fees and reports, read from the chain's books
 }
 
-// SRAOutcome summarizes one release at the end of the run.
+// SRAOutcome summarizes one release at the end of the run: its spec, and
+// from the chain's books the insurance forfeited to detectors and the
+// number of distinct vulnerabilities paid for.
 type SRAOutcome struct {
-	ID        types.Hash
-	Provider  int
-	Insurance types.Amount
-	Bounty    types.Amount
-	NumVulns  int
-	// PaidOut is the insurance forfeited to detectors.
-	PaidOut types.Amount
-	// Confirmed is the number of distinct vulnerabilities chained.
+	ID types.Hash
+	ReleaseSpec
+	PaidOut   types.Amount
 	Confirmed uint64
 }
 
-// Result carries a run's artifacts.
+// Result carries a run's artifacts: the chain it produced and the timing
+// of its seals. Every incentive figure is read from the chain's books
+// (incentive.Read), once, when the run ends.
 type Result struct {
 	Blocks    []BlockStat
 	SRAs      []SRAOutcome
-	Tracker   *incentive.Tracker
 	Providers []types.Address
 	Detectors []types.Address
 	// Chain is the first provider node's chain; every node's agrees.
@@ -128,18 +125,19 @@ type Result struct {
 	// and detectors its detector nodes, indexed like Config.Detectors.
 	nodes     []*node.ProviderNode
 	detectors []*node.DetectorNode
+	books     *incentive.Books
 	// telemetry is the run's end-of-run metric snapshot (see Telemetry).
 	telemetry telemetry.Snapshot
 }
 
-// ProviderBalance returns the tracked balance of provider i.
+// ProviderBalance returns the books' balance of provider i.
 func (r *Result) ProviderBalance(i int) incentive.Balance {
-	return r.Tracker.Of(r.Providers[i])
+	return r.books.Of(r.Providers[i])
 }
 
-// DetectorBalance returns the tracked balance of detector i.
+// DetectorBalance returns the books' balance of detector i.
 func (r *Result) DetectorBalance(i int) incentive.Balance {
-	return r.Tracker.Of(r.Detectors[i])
+	return r.books.Of(r.Detectors[i])
 }
 
 // event is a scheduled action.
@@ -158,7 +156,6 @@ type runner struct {
 	contract  *contract.Contract
 	verifier  *detection.GroundTruthVerifier
 	sealer    *pow.SimSealer
-	tracker   *incentive.Tracker
 	metrics   *simMetrics
 
 	// sraNonces counts each provider's SRA transactions.
@@ -169,8 +166,8 @@ type runner struct {
 	events []event
 	now    time.Duration
 
-	sraOutcomes []*SRAOutcome
-	outcomeOf   map[types.Hash]*SRAOutcome
+	// sraOutcomes are the releases, in release order.
+	sraOutcomes []SRAOutcome
 	// pendingSRAs are announced releases whose detection phase starts
 	// once the SRA transaction is chained (paper §V-A: "an SRA is
 	// available until it has been verified and recorded in the
@@ -216,10 +213,8 @@ func Run(cfg Config) (*Result, error) {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		net:       p2p.New(p2p.Config{Seed: cfg.Seed}),
 		verifier:  detection.NewGroundTruthVerifier(false),
-		tracker:   incentive.NewTracker(),
 		metrics:   newSimMetrics(),
 		sraNonces: make([]uint64, len(cfg.Providers)),
-		outcomeOf: make(map[types.Hash]*SRAOutcome),
 	}
 	r.contract = contract.New(contract.DefaultParams(), r.verifier)
 
@@ -283,7 +278,7 @@ func Run(cfg Config) (*Result, error) {
 	if err := r.loop(); err != nil {
 		return nil, err
 	}
-	return r.result(), nil
+	return r.result()
 }
 
 func (r *runner) schedule(at time.Duration, fn func()) {
@@ -356,12 +351,7 @@ func (r *runner) release(relIdx int) {
 		panic("sim: sign SRA: " + err.Error())
 	}
 	r.verifier.Register(sra.ID, img)
-	outcome := &SRAOutcome{
-		ID: sra.ID, Provider: rel.Provider,
-		Insurance: rel.Insurance, Bounty: rel.Bounty, NumVulns: rel.NumVulns,
-	}
-	r.sraOutcomes = append(r.sraOutcomes, outcome)
-	r.outcomeOf[sra.ID] = outcome
+	r.sraOutcomes = append(r.sraOutcomes, SRAOutcome{ID: sra.ID, ReleaseSpec: rel})
 
 	tx := types.NewSRATx(sra, r.sraNonces[rel.Provider], contract.GasSRA, contract.GasPrice)
 	r.sraNonces[rel.Provider]++
@@ -427,8 +417,8 @@ func (r *runner) samplePropagation(winner int) {
 func (r *runner) entry(d int) int { return d % len(r.nodes) }
 
 // mine lets the lottery winner seal a block from its pool and settles the
-// bus, then performs incentive attribution, starts detection on newly
-// chained SRAs and lets every detector reveal what is deep enough.
+// bus, then records the seal's timing, starts detection on newly chained
+// SRAs and lets every detector reveal what is deep enough.
 func (r *runner) mine(ev pow.SealEvent) error {
 	winner := r.nodes[ev.Winner]
 	// SealAndPublish lifts a timestamp that sub-millisecond intervals
@@ -442,48 +432,16 @@ func (r *runner) mine(ev pow.SealEvent) error {
 	r.settle()
 	v := winner.CurrentView()
 
-	// Incentive attribution (Eq. 7-10 flows).
-	stat := BlockStat{
+	r.blockStats = append(r.blockStats, BlockStat{
 		Number:   blk.Header.Number,
 		Miner:    ev.Winner,
 		Time:     r.now,
 		Interval: ev.Interval,
-		Reports:  blk.CountReports(),
-	}
-	r.tracker.Record(winner.Address(), incentive.FlowMining, chain.BlockReward)
+	})
 	r.metrics.blocks.Inc()
 	r.metrics.blockInterval.Observe(uint64(ev.Interval / time.Millisecond))
 	r.metrics.blockTxs.Observe(uint64(len(blk.Txs)))
 	r.samplePropagation(ev.Winner)
-	r.metrics.rewardGwei.Add(uint64(chain.BlockReward))
-	for _, tx := range blk.Txs {
-		receipt, err := v.ReceiptOf(tx.Hash())
-		if err != nil {
-			continue
-		}
-		r.tracker.Record(winner.Address(), incentive.FlowFees, receipt.Fee)
-		r.tracker.Record(tx.From, incentive.FlowGas, receipt.Fee)
-		stat.Fees += receipt.Fee
-		r.metrics.feesGwei.Add(uint64(receipt.Fee))
-		r.metrics.gasGwei.Add(uint64(receipt.Fee))
-		if receipt.Kind == types.TxDetailedReport && receipt.Success {
-			rep, repErr := tx.DetailedReport()
-			if repErr != nil {
-				continue
-			}
-			r.tracker.Record(rep.Wallet, incentive.FlowBounty, receipt.Payout.Paid)
-			r.tracker.RecordAccepted(rep.Wallet, uint64(len(receipt.Payout.Accepted)))
-			r.metrics.bountyGwei.Add(uint64(receipt.Payout.Paid))
-			if o, ok := r.outcomeOf[rep.SRAID]; ok {
-				r.tracker.Record(r.nodes[o.Provider].Address(),
-					incentive.FlowPunishment, receipt.Payout.Paid)
-				r.metrics.punishGwei.Add(uint64(receipt.Payout.Paid))
-				o.PaidOut += receipt.Payout.Paid
-				o.Confirmed += uint64(len(receipt.Payout.Accepted))
-			}
-		}
-	}
-	r.blockStats = append(r.blockStats, stat)
 
 	// Phase #2 start: detection begins once the SRA is chained.
 	pending := r.pendingSRAs[:0]
@@ -509,24 +467,49 @@ func (r *runner) mine(ev pow.SealEvent) error {
 	return nil
 }
 
-func (r *runner) result() *Result {
+// result reads the chain's books and derives the run's incentive figures
+// from them. Read fails when the books do not add up to the head state's
+// balances, and so does the run.
+func (r *runner) result() (*Result, error) {
+	ch := r.nodes[0].Chain()
+	books, err := incentive.Read(ch.CurrentView())
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
 	res := &Result{
 		Blocks:    r.blockStats,
-		Tracker:   r.tracker,
-		Chain:     r.nodes[0].Chain(),
+		SRAs:      r.sraOutcomes,
+		Chain:     ch,
 		Contract:  r.contract,
 		nodes:     r.nodes,
 		detectors: r.detectors,
-		telemetry: r.metrics.reg.Snapshot(),
+		books:     books,
+	}
+	var fees, mined, paid types.Amount
+	for i := range res.Blocks {
+		res.Blocks[i].Block = books.Blocks[res.Blocks[i].Number]
+		fees += res.Blocks[i].Fees
+	}
+	for i := range res.SRAs {
+		if s, ok := books.SRAs[res.SRAs[i].ID]; ok {
+			res.SRAs[i].PaidOut, res.SRAs[i].Confirmed = s.PaidOut, s.Confirmed
+			paid += s.PaidOut
+		}
 	}
 	for _, n := range r.nodes {
 		res.Providers = append(res.Providers, n.Address())
+		mined += books.Of(n.Address()).Mining
 	}
 	for _, d := range r.detectors {
 		res.Detectors = append(res.Detectors, d.Address())
 	}
-	for _, o := range r.sraOutcomes {
-		res.SRAs = append(res.SRAs, *o)
-	}
-	return res
+	// Every fee a sender pays its miner earns, and every payout a
+	// detector earns its release's provider forfeits.
+	r.metrics.feesGwei.Add(uint64(fees))
+	r.metrics.gasGwei.Add(uint64(fees))
+	r.metrics.rewardGwei.Add(uint64(mined))
+	r.metrics.bountyGwei.Add(uint64(paid))
+	r.metrics.punishGwei.Add(uint64(paid))
+	res.telemetry = r.metrics.reg.Snapshot()
+	return res, nil
 }

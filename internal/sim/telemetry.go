@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
@@ -80,16 +79,9 @@ func (r *Result) TelemetrySummary() string {
 			r.telemetry.Values["smartcrowd_sim_propagation_ms_count"]))
 	}
 	sb.WriteString(fmt.Sprintf("  fees collected:    %.0f gwei\n", r.telemetry.Values["smartcrowd_sim_fees_gwei_total"]))
-	roles := make([]string, 0, 4)
-	for k := range r.telemetry.Values {
-		if strings.HasPrefix(k, "smartcrowd_sim_payout_gwei_total{") {
-			roles = append(roles, k)
-		}
-	}
-	sort.Strings(roles)
-	for _, k := range roles {
-		role := strings.TrimSuffix(strings.TrimPrefix(k, `smartcrowd_sim_payout_gwei_total{role="`), `"}`)
-		sb.WriteString(fmt.Sprintf("  %-18s %.0f gwei\n", role+":", r.telemetry.Values[k]))
+	for _, role := range []string{"detector_bounty", "miner_reward", "provider_punishment", "sender_gas"} {
+		sb.WriteString(fmt.Sprintf("  %-18s %.0f gwei\n", role+":",
+			r.telemetry.Values[`smartcrowd_sim_payout_gwei_total{role="`+role+`"}`]))
 	}
 	return sb.String()
 }

@@ -214,6 +214,14 @@ func (db *DB) Balance(addr types.Address) types.Amount {
 	return db.get(addr).balance
 }
 
+// Balances calls fn with every account's address and balance, in key
+// order. The DB is only read.
+func (db *DB) Balances(fn func(addr types.Address, balance types.Amount)) {
+	critbit.Walk(db.root, func(k critbit.Key, acc account) {
+		fn(types.Address(k[:len(types.Address{})]), acc.balance)
+	})
+}
+
 // Nonce returns the next expected transaction nonce for addr.
 func (db *DB) Nonce(addr types.Address) uint64 {
 	return db.get(addr).nonce

@@ -360,9 +360,11 @@ func crashChainRun(t *testing.T) {
 // TestSnapshotSaveFailureKeepsOld fails each call of a snapshot save that
 // replaces an older one — each Write of the temp file (EIO, or short with
 // ENOSPC), its Sync, the Rename, the directory fsync — in a process that
-// keeps running. The error reaches the caller, the Disk still reports the
-// old snapshot, and the old snapshot reads back whole, unless the
-// directory fsync failed: the rename was done by then.
+// keeps running. The error reaches the caller, the datadir holds the log,
+// meta and one snapshot and no temp file, and Stats reports the snapshot
+// a reopen reads: the old one, whole, unless the directory fsync failed.
+// The rename was done by then, so the new snapshot is live, and the error
+// says it is saved but not yet durable.
 func TestSnapshotSaveFailureKeepsOld(t *testing.T) {
 	src := memFixture(t)
 	var blocks []*types.Block
@@ -395,20 +397,71 @@ func TestSnapshotSaveFailureKeepsOld(t *testing.T) {
 				if !errors.Is(err, wantErr) {
 					t.Fatalf("save failing at %q: got %v, want %v", failed, err, wantErr)
 				}
-				if got := d.Stats().SnapshotHeight; got != old.Height {
-					t.Errorf("save failing at %q: Stats reports the snapshot at #%d, want the old #%d", failed, got, old.Height)
-				}
+				stats := d.Stats() // before readSnapshot, which sets what it reports
 				want := old
 				if failed == "syncdir" {
 					want = snap
+				}
+				if got := errors.Is(err, chain.ErrSnapshotNotDurable); got != (failed == "syncdir") {
+					t.Errorf("save failing at %q: %v; not-durable %v, want %v", failed, err, got, !got)
+				}
+				if got := datadirEntries(t, dir); !slices.Equal(got, []string{logName, metaName, snapName}) {
+					t.Errorf("save failing at %q leaves %q", failed, got)
 				}
 				if back, ok := d.readSnapshot(); !ok || back.Height != want.Height || !bytes.Equal(back.State, want.State) {
 					t.Fatalf("save failing at %q: the snapshot at #%d does not read back whole", failed, want.Height)
 				}
 				d.Close()
+				reopened := openDisk(t, dir, osFS{}, src, nil)
+				if got, want := stats, reopened.Stats(); got.SnapshotHeight != want.SnapshotHeight || got.SnapshotBytes != want.SnapshotBytes {
+					t.Errorf("save failing at %q: Stats reports the snapshot at #%d, %d bytes; a reopen reads #%d, %d bytes",
+						failed, got.SnapshotHeight, got.SnapshotBytes, want.SnapshotHeight, want.SnapshotBytes)
+				}
+				reopened.Close()
 			}
 		})
 	}
+}
+
+// TestStraySnapshotTempRemovedAtOpen: a crash in a snapshot save can leave
+// its temp file, up to a whole state blob. Opening the datadir removes
+// it, and the live snapshot still reads back.
+func TestStraySnapshotTempRemovedAtOpen(t *testing.T) {
+	src := memFixture(t)
+	blocks := []*types.Block{src.extend(1), src.extend(1)}
+	dir := t.TempDir()
+	d := openDisk(t, dir, osFS{}, src, blocks)
+	snap := src.chain.SnapshotNow()
+	if err := d.SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	if err := os.WriteFile(filepath.Join(dir, snapTemp), []byte("a save cut short"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d = openDisk(t, dir, osFS{}, src, nil)
+	defer d.Close()
+	if got := datadirEntries(t, dir); !slices.Equal(got, []string{logName, metaName, snapName}) {
+		t.Errorf("a reopen leaves %q", got)
+	}
+	if back, ok := d.readSnapshot(); !ok || back.Height != snap.Height || !bytes.Equal(back.State, snap.State) {
+		t.Errorf("the snapshot at #%d does not read back whole after the reopen", snap.Height)
+	}
+}
+
+// datadirEntries lists a datadir's file names, sorted.
+func datadirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 // TestDatadirEntriesSynced pins the directory fsyncs by the fault
@@ -428,9 +481,10 @@ func TestDatadirEntriesSynced(t *testing.T) {
 	calls := fs.log()
 	want := []string{
 		"open " + logName, "open " + metaName, "write " + metaName, "sync " + metaName, "close " + metaName, "syncdir",
+		"remove " + snapTemp,
 		"write " + logName, "sync " + logName,
-		"open " + snapName + ".tmp", "write " + snapName + ".tmp", "write " + snapName + ".tmp", "write " + snapName + ".tmp",
-		"sync " + snapName + ".tmp", "close " + snapName + ".tmp", "rename " + snapName + ".tmp " + snapName, "syncdir",
+		"open " + snapTemp, "write " + snapTemp, "write " + snapTemp, "write " + snapTemp,
+		"sync " + snapTemp, "close " + snapTemp, "rename " + snapTemp + " " + snapName, "syncdir",
 		"close " + logName,
 	}
 	if !slices.Equal(calls, want) {
@@ -447,7 +501,7 @@ func TestDatadirEntriesSynced(t *testing.T) {
 
 // TestDirSyncErrorReachesCaller fails the directory fsync: a fresh
 // datadir's Load fails with it, and so does a snapshot save, which the
-// chain counts as a failed snapshot.
+// chain counts as saved but not yet durable, apart from failed ones.
 func TestDirSyncErrorReachesCaller(t *testing.T) {
 	src := memFixture(t)
 	blk := src.extend(1)
@@ -475,7 +529,8 @@ func TestDirSyncErrorReachesCaller(t *testing.T) {
 		t.Fatal(err)
 	}
 	failed := telemetry.GetCounter("smartcrowd_chain_snapshots_failed_total")
-	before := failed.Value()
+	notDurable := telemetry.GetCounter("smartcrowd_chain_snapshots_not_durable_total")
+	failedBefore, notDurableBefore := failed.Value(), notDurable.Value()
 	fs.armCall("syncdir", failEIO)
 	if err := f.chain.Close(); err != nil { // saves the final snapshot
 		t.Fatal(err)
@@ -483,8 +538,8 @@ func TestDirSyncErrorReachesCaller(t *testing.T) {
 	if fs.firedAt() == "" {
 		t.Fatal("Close saved no snapshot")
 	}
-	if got := failed.Value() - before; got != 1 {
-		t.Errorf("the chain counted %d failed snapshots, want 1", got)
+	if got, gotFailed := notDurable.Value()-notDurableBefore, failed.Value()-failedBefore; got != 1 || gotFailed != 0 {
+		t.Errorf("the chain counted %d snapshots not yet durable and %d failed, want 1 and 0", got, gotFailed)
 	}
 }
 

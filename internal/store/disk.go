@@ -64,6 +64,7 @@ const (
 	metaName = "meta"
 	logName  = "blocks.log"
 	snapName = "snapshot"
+	snapTemp = snapName + ".tmp" // a snapshot save's file until its rename
 )
 
 // Record geometry.
@@ -154,6 +155,7 @@ type fsys interface {
 	OpenFile(name string, flag int, perm os.FileMode) (file, error)
 	ReadFile(name string) ([]byte, error)
 	Rename(from, to string) error
+	Remove(name string) error
 	SyncDir(dir string) error
 }
 
@@ -164,6 +166,7 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
 }
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (osFS) Rename(from, to string) error         { return os.Rename(from, to) }
+func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) SyncDir(dir string) error             { return syncDir(dir) }
 
 // Disk must satisfy the chain's storage contract, and it reads back the
@@ -194,13 +197,14 @@ func openWith(dir string, fs fsys) (*Disk, error) {
 
 // Load recovers the committed chain: verify/initialize meta, scan the log
 // to its last whole commit, truncate any torn tail, check that every
-// committed block decodes and read the snapshot. The log is streamed
-// through the commit buffer, idle until open returns, so open holds that
-// window of the log and no more (a record larger than the window is read
-// into a buffer of its own). A block comes back as a header-only
-// types.Block and a types.StoredRecord naming this Disk and where its
-// record sits: the bytes stay in the log, and ReadRecord reads them when
-// something asks. See the package comment for the invariants.
+// committed block decodes, remove a snapshot temp file a crash left and
+// read the snapshot. The log is streamed through the commit buffer, idle
+// until open returns, so open holds that window of the log and no more (a
+// record larger than the window is read into a buffer of its own). A
+// block comes back as a header-only types.Block and a types.StoredRecord
+// naming this Disk and where its record sits: the bytes stay in the log,
+// and ReadRecord reads them when something asks. See the package comment
+// for the invariants.
 func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -248,6 +252,9 @@ func (d *Disk) Load(genesis types.Hash) (*chain.StoredChain, error) {
 		blocks[i] = types.BlockRecord{Block: &heads[i], Stored: rec}
 	}
 
+	if err := d.removeTemp(); err != nil {
+		return nil, err
+	}
 	sc := &chain.StoredChain{Blocks: blocks, HeadID: scan.headID, HeadNumber: scan.headNumber}
 	sc.Snapshot, _ = d.readSnapshot()
 	return sc, nil
@@ -567,7 +574,10 @@ func (d *Disk) commitFailed(err error) error {
 // live name, fsync the directory. A crash anywhere in that sequence
 // leaves either the old or the new snapshot fully intact, never a torn
 // one (the CRC catches a torn rename target on filesystems without atomic
-// rename semantics).
+// rename semantics). A save that fails before the rename removes the
+// temp file and leaves the old snapshot live. Once the rename returns,
+// the new snapshot is the one an open reads, so Stats reports it; a
+// directory fsync that fails after it returns chain.ErrSnapshotNotDurable.
 func (d *Disk) SaveSnapshot(snap chain.StoredSnapshot) error {
 	var hdr [4 + 8 + 2*types.HashSize + 8]byte
 	h := append(hdr[:0], snapMagic[:]...)
@@ -580,18 +590,26 @@ func (d *Disk) SaveSnapshot(snap chain.StoredSnapshot) error {
 
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	tmp := filepath.Join(d.dir, snapName+".tmp")
+	tmp := filepath.Join(d.dir, snapTemp)
 	if err := d.writeFileSync(tmp, h, snap.State, sum[:]); err != nil {
-		return fmt.Errorf("store: write snapshot: %w", err)
+		return errors.Join(fmt.Errorf("store: write snapshot: %w", err), d.removeTemp())
 	}
 	if err := d.fs.Rename(tmp, filepath.Join(d.dir, snapName)); err != nil {
-		return fmt.Errorf("store: install snapshot: %w", err)
-	}
-	if err := d.fs.SyncDir(d.dir); err != nil {
-		return fmt.Errorf("store: sync datadir: %w", err)
+		return errors.Join(fmt.Errorf("store: install snapshot: %w", err), d.removeTemp())
 	}
 	d.snapHeight.Store(snap.Height)
 	d.snapBytes.Store(int64(len(h) + len(snap.State) + len(sum)))
+	if err := d.fs.SyncDir(d.dir); err != nil {
+		return fmt.Errorf("store: sync datadir: %w: %w", chain.ErrSnapshotNotDurable, err)
+	}
+	return nil
+}
+
+// removeTemp removes the snapshot temp file, if there is one.
+func (d *Disk) removeTemp() error {
+	if err := d.fs.Remove(filepath.Join(d.dir, snapTemp)); err != nil && !errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("store: remove the snapshot temp file: %w", err)
+	}
 	return nil
 }
 

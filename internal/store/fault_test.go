@@ -192,6 +192,13 @@ func (fs *faultFS) Rename(from, to string) error {
 	return os.Rename(from, to)
 }
 
+func (fs *faultFS) Remove(name string) error {
+	if err := fs.note("remove " + filepath.Base(name)); err != nil {
+		return err
+	}
+	return os.Remove(name)
+}
+
 func (fs *faultFS) SyncDir(dir string) error {
 	if fault, err := fs.op("syncdir"); err != nil || fault != 0 {
 		return errors.Join(err, faultErr(fault))
