@@ -45,12 +45,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	thiefEngine := &smartcrowd.PlagiarizingEngine{Name: "plagiarist"}
-	plagiarist, err := p.AddDetector("plagiarist", thiefEngine)
-	if err != nil {
-		fatal(err)
-	}
-
 	img := smartcrowd.GenerateImage("gateway-fw", "3.0", smartcrowd.UniverseSpec{
 		High: 3, Medium: 2, Seed: 5,
 	})
@@ -77,8 +71,9 @@ func main() {
 
 	// The plagiarist now "observes" the honest reveals that are public on
 	// the chain — the findings in the honest detector's R* transactions —
-	// and tries to resubmit them.
+	// and joins: its first poll finds the release and resubmits them.
 	fmt.Println("attack 2 — plagiarized detection reports:")
+	thiefEngine := &smartcrowd.PlagiarizingEngine{Name: "plagiarist"}
 	stolen := 0
 	for _, blk := range p.Providers()[0].Chain().CanonicalBlocks() {
 		for _, tx := range blk.Txs {
@@ -88,7 +83,8 @@ func main() {
 			}
 		}
 	}
-	if _, err := plagiarist.OnSRA(sra, img); err != nil {
+	plagiarist, err := p.AddDetector("plagiarist", thiefEngine)
+	if err != nil {
 		fatal(err)
 	}
 	for i := 0; i < 4; i++ {

@@ -9,7 +9,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
+	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
@@ -40,16 +42,6 @@ type Platform struct {
 	providers []*node.ProviderNode
 	detectors []*node.DetectorNode
 
-	// images is the download link U_l of every announced SRA: detectors
-	// fetch the released image here and check it against the SRA's U_h.
-	images map[types.Hash]*detection.SystemImage
-	// announced lists the SRAs whose announcement was submitted, in
-	// release order: detectors scan a block's releases in that order.
-	announced []*types.SRA
-	// scanned counts, per SRA, the detectors it was handed to. Detectors
-	// are only appended, so the later ones have not scanned it.
-	scanned map[types.Hash]int
-
 	alloc  map[types.Address]types.Amount
 	clock  uint64
 	nonce  map[types.Address]uint64
@@ -71,8 +63,6 @@ func NewPlatform(cfg Config) *Platform {
 		cfg:      cfg,
 		net:      p2p.New(p2p.Config{Seed: cfg.Seed}),
 		verifier: detection.NewGroundTruthVerifier(false),
-		images:   make(map[types.Hash]*detection.SystemImage),
-		scanned:  make(map[types.Hash]int),
 		alloc:    make(map[types.Address]types.Amount),
 		nonce:    make(map[types.Address]uint64),
 		notify:   newNotifier(),
@@ -112,7 +102,9 @@ func (p *Platform) AddProvider(name string) (*node.ProviderNode, error) {
 }
 
 // AddDetector creates a lightweight detector node with the given engine.
-// Detectors read the chain through the first provider.
+// Detectors read the chain through the first provider and download
+// released images from the platform's verifier, which publishes each at
+// Release.
 func (p *Platform) AddDetector(name string, engine detection.Engine) (*node.DetectorNode, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -120,7 +112,7 @@ func (p *Platform) AddDetector(name string, engine detection.Engine) (*node.Dete
 		return nil, ErrNoProviders
 	}
 	w := wallet.NewDeterministic(fmt.Sprintf("platform%d-detector-%s", p.cfg.Seed, name))
-	det := node.NewDetector(p2p.NodeID("detector/"+name), w, engine, p.providers[0].Chain(), p.net)
+	det := node.NewDetector(p2p.NodeID("detector/"+name), w, engine, p.providers[0].Chain(), p.contract, p.verifier, p.net)
 	p.detectors = append(p.detectors, det)
 	return det, nil
 }
@@ -141,8 +133,9 @@ func (p *Platform) ProviderWallet(name string) *wallet.Wallet {
 func (p *Platform) Contract() *contract.Contract { return p.contract }
 
 // Release performs Phase #1 for provider i: it signs an insured SRA for
-// the image, registers the ground truth with AutoVerif, publishes the
-// image at its download link, and submits the announcement transaction.
+// the image, submits the announcement transaction, and registers the
+// ground truth with AutoVerif, which also publishes the image at its
+// download link.
 func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insurance, bounty types.Amount) (*types.SRA, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -162,8 +155,6 @@ func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insuranc
 	if err := types.SignSRA(sra, prov.Wallet()); err != nil {
 		return nil, err
 	}
-	p.verifier.Register(sra.ID, img)
-
 	// The nonce is spent only by a submission the pool admits: the pool
 	// admits nonce gaps, so a refused SRA that kept its nonce would leave
 	// every later release by this provider pooled but never mined.
@@ -175,15 +166,14 @@ func (p *Platform) Release(providerIdx int, img *detection.SystemImage, insuranc
 		return nil, fmt.Errorf("core: submit SRA: %w", err)
 	}
 	p.nonce[prov.Address()]++
-	p.images[sra.ID] = img
-	p.announced = append(p.announced, sra)
+	p.verifier.Register(sra.ID, img)
 	return sra, nil
 }
 
 // Mine lets provider i seal the next block (timestamped by the platform
-// clock), then settles gossip and drives detector reactions: newly chained
-// SRAs trigger scans (Phase #2), and confirmed commitments trigger reveals
-// (Phase #3/#4).
+// clock), settles gossip and polls every detector: each scans the SRAs
+// newly chained in its view (Phase #2) and commits what it found, and
+// reveals its confirmed commitments (Phase #3/#4).
 func (p *Platform) Mine(providerIdx int) (*types.Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -196,13 +186,16 @@ func (p *Platform) Mine(providerIdx int) (*types.Block, error) {
 		return nil, err
 	}
 	p.settleLocked()
-	p.reactLocked()
+	for _, det := range p.detectors {
+		det.Poll(scanWhole)
+	}
+	p.settleLocked()
 	p.dispatchNotificationsLocked()
 	return blk, nil
 }
 
 // settleLocked drains the network until quiet: after a seal, and after
-// the messages detector reactions produce.
+// the messages detector polls produce.
 func (p *Platform) settleLocked() {
 	for i := 0; i < 32; i++ {
 		p.clock += 10
@@ -216,29 +209,10 @@ func (p *Platform) settleLocked() {
 	}
 }
 
-// reactLocked drives detector behaviour: scans for newly chained SRAs and
-// reveals for confirmed commitments.
-func (p *Platform) reactLocked() {
-	if len(p.providers) == 0 {
-		return
-	}
-	st := p.providers[0].CurrentView().State()
-	for _, sra := range p.announced {
-		if _, err := p.contract.GetSRA(st, sra.ID); err != nil {
-			continue // not chained yet
-		}
-		for _, det := range p.detectors[p.scanned[sra.ID]:] {
-			// A detector that rejects the SRA (tampered download) just
-			// abstains; the platform carries on.
-			_, _ = det.OnSRA(sra, p.images[sra.ID])
-		}
-		p.scanned[sra.ID] = len(p.detectors)
-	}
-	for _, det := range p.detectors {
-		det.Poll()
-	}
-	p.settleLocked()
-}
+// scanWhole is the time the platform polls its detectors at: past any
+// finding's search time, so a detector commits everything one scan of an
+// SRA found at once, in one R†.
+const scanWhole = time.Duration(math.MaxInt64)
 
 // Providers returns the provider nodes.
 func (p *Platform) Providers() []*node.ProviderNode {

@@ -13,9 +13,13 @@ import (
 // of the paper's "machine-automatical verification engine" — providers in
 // the paper plug in CloudAV analysis engines or Vigilante SCA verification,
 // both of which re-establish ground truth by re-execution.
+//
+// It also publishes each registered image at its download link: Image is
+// the in-process source detectors download a release from, by U_h.
 type GroundTruthVerifier struct {
 	mu     sync.RWMutex
 	truth  map[types.Hash]map[string]types.Severity // SRA id → vuln id → severity
+	images map[types.Hash]*SystemImage              // U_h → image
 	strict bool
 }
 
@@ -26,12 +30,15 @@ var _ contract.Verifier = (*GroundTruthVerifier)(nil)
 func NewGroundTruthVerifier(strictSeverity bool) *GroundTruthVerifier {
 	return &GroundTruthVerifier{
 		truth:  make(map[types.Hash]map[string]types.Severity),
+		images: make(map[types.Hash]*SystemImage),
 		strict: strictSeverity,
 	}
 }
 
-// Register associates a released image's ground truth with its SRA.
+// Register associates a released image's ground truth with its SRA and
+// publishes the image under its hash U_h.
 func (v *GroundTruthVerifier) Register(sraID types.Hash, img *SystemImage) {
+	h := img.Hash()
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	set := make(map[string]types.Severity, len(img.Vulns))
@@ -39,6 +46,24 @@ func (v *GroundTruthVerifier) Register(sraID types.Hash, img *SystemImage) {
 		set[vuln.ID] = vuln.Severity
 	}
 	v.truth[sraID] = set
+	v.images[h] = img
+}
+
+// Registered reports whether a release's ground truth was registered for
+// the SRA sraID.
+func (v *GroundTruthVerifier) Registered(sraID types.Hash) bool {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	_, ok := v.truth[sraID]
+	return ok
+}
+
+// Image returns the registered image whose hash is systemHash.
+func (v *GroundTruthVerifier) Image(systemHash types.Hash) (*SystemImage, bool) {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	img, ok := v.images[systemHash]
+	return img, ok
 }
 
 // AutoVerif implements contract.Verifier.

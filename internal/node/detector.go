@@ -1,8 +1,8 @@
 package node
 
 import (
-	"fmt"
 	"sort"
+	"time"
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
@@ -41,14 +41,47 @@ type pendingReveal struct {
 	detailed      *types.DetailedReport
 }
 
+// heldFinding is a finding about the SRA sraID, held until the poll clock
+// reaches due.
+type heldFinding struct {
+	sraID   types.Hash
+	finding types.Finding
+	due     time.Duration
+}
+
+// ImageSource is where a detector downloads a released image (the SRA's
+// download link U_l) by the hash U_h the SRA commits to; ok is false
+// while the source does not hold it.
+type ImageSource interface {
+	Image(systemHash types.Hash) (img *detection.SystemImage, ok bool)
+}
+
+var _ ImageSource = (*detection.GroundTruthVerifier)(nil)
+
 // DetectorNode is a lightweight detector driving the two-phase submission
-// protocol with a pluggable detection engine.
+// protocol with a pluggable detection engine. It finds released systems
+// in its own view of the chain, and it sends but never receives.
 type DetectorNode struct {
-	id     p2p.NodeID
-	wallet *wallet.Wallet
-	engine detection.Engine
-	reader ChainReader
-	net    p2p.Transport
+	id       p2p.NodeID
+	wallet   *wallet.Wallet
+	engine   detection.Engine
+	reader   ChainReader
+	contract *contract.Contract
+	images   ImageSource
+	net      p2p.Transport
+
+	// listed is how many entries of the contract's SRA listing were read
+	// at the head listedAt (height listedNum). The listing only grows
+	// along a chain, so they stay read while listedAt is canonical.
+	listed    int
+	listedAt  types.Hash
+	listedNum uint64
+	// scanned holds the SRAs scanned or rejected, so a reorg that
+	// re-chains one does not get it scanned again; waiting holds those
+	// whose image the source did not hold yet.
+	scanned map[types.Hash]bool
+	waiting []*types.SRA
+	held    []heldFinding
 
 	nonce   uint64
 	pending []pendingReveal
@@ -71,17 +104,21 @@ type sentTx struct {
 	at  uint64
 }
 
-// NewDetector creates a detector node and joins it to the network.
-func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reader ChainReader, net p2p.Transport) *DetectorNode {
-	if net != nil {
-		net.Join(id)
-	}
+// NewDetector creates a detector node that reads the chain through
+// reader, the releases through sc's SRA listing and their images from
+// images. It broadcasts its reports on net without joining it, so it is
+// no one's peer: providers push it no block and relay it nothing.
+func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reader ChainReader,
+	sc *contract.Contract, images ImageSource, net p2p.Transport) *DetectorNode {
 	return &DetectorNode{
 		id:          id,
 		wallet:      w,
 		engine:      engine,
 		reader:      reader,
+		contract:    sc,
+		images:      images,
 		net:         net,
+		scanned:     make(map[types.Hash]bool),
 		unconfirmed: make(map[uint64]sentTx),
 	}
 }
@@ -89,91 +126,22 @@ func NewDetector(id p2p.NodeID, w *wallet.Wallet, engine detection.Engine, reade
 // Address is the detector's account: it signs the reports and is paid.
 func (d *DetectorNode) Address() types.Address { return d.wallet.Address() }
 
-// OnSRA reacts to a system release with one scan and one commitment:
-// everything the scan found shares one R†. It returns the R† transaction,
-// or nil when the scan came up empty.
-func (d *DetectorNode) OnSRA(sra *types.SRA, img *detection.SystemImage) (*types.Transaction, error) {
-	detections, err := d.Scan(sra, img)
-	if err != nil || len(detections) == 0 {
-		return nil, err
-	}
-	findings := make([]types.Finding, len(detections))
-	for i, det := range detections {
-		findings[i] = det.Finding
-	}
-	return d.Commit(sra.ID, findings)
-}
-
-// Scan is the detector's work on a release: it checks the announcement's
-// signature, checks the downloaded image against U_h, and runs its engine
-// over the image. Each detection carries the search time its engine
-// needed; the caller decides when to Commit what.
-func (d *DetectorNode) Scan(sra *types.SRA, img *detection.SystemImage) ([]detection.Detection, error) {
-	if err := sra.Verify(); err != nil {
-		return nil, fmt.Errorf("node: detector %s rejects SRA: %w", d.id, err)
-	}
-	if img.Hash() != sra.SystemHash {
-		return nil, fmt.Errorf("node: image hash does not match SRA U_h (download tampered?)")
-	}
-	return d.engine.Scan(img), nil
-}
-
-// Commit submits Phase I for findings about the SRA sraID: it signs the
-// detailed report R* over them and broadcasts the initial report R† that
-// commits to it, and Poll reveals R* once the R† is revealConfirmations
-// deep. It returns the R† transaction.
-func (d *DetectorNode) Commit(sraID types.Hash, findings []types.Finding) (*types.Transaction, error) {
-	findings = append([]types.Finding(nil), findings...)
-	sort.Slice(findings, func(i, j int) bool { return findings[i].VulnID < findings[j].VulnID })
-	detailed := &types.DetailedReport{
-		SRAID:    sraID,
-		Detector: d.wallet.Address(),
-		Wallet:   d.wallet.Address(),
-		Findings: findings,
-	}
-	if err := types.SignDetailedReport(detailed, d.wallet); err != nil {
-		return nil, err
-	}
-	initial := &types.InitialReport{
-		SRAID:      sraID,
-		Detector:   d.wallet.Address(),
-		DetailHash: detailed.CommitmentHash(),
-		Wallet:     d.wallet.Address(),
-	}
-	if err := types.SignInitialReport(initial, d.wallet); err != nil {
-		return nil, err
-	}
-
-	itx := types.NewInitialReportTx(initial, d.nonce, contract.GasInitialReport, contract.GasPrice)
-	if err := types.SignTx(itx, d.wallet); err != nil {
-		return nil, err
-	}
-	d.pending = append(d.pending, pendingReveal{initialTxHash: itx.Hash(), detailed: detailed})
-	d.send(itx, d.reader.CurrentView().HeadNumber())
-	return itx, nil
-}
-
-// Poll advances Phase II: for every pending commitment whose R† has
-// reached revealConfirmations, the detector publishes the
-// detailed report R*. It returns the reveal transactions submitted. One
-// view answers for every pending commitment.
-//
-// First, when the chain's confirmed nonce for the detector has rested on
-// one of its signed transactions for resendAfter blocks, the detector
-// broadcasts the exact bytes of every unconfirmed one again, in nonce
-// order: a report refused for want of gas money is admitted once the
-// detector can pay, and the reports signed after it chain behind it.
-//
-// The detector reads the chain through its ChainReader, never the gossip
-// its peers push and announce to it, so Poll drops its inbox: the
-// transport keeps what nobody receives.
-func (d *DetectorNode) Poll() []*types.Transaction {
-	if d.net != nil {
-		d.net.Receive(d.id)
-	}
+// Poll runs the protocol at time now on the driver's clock, against one
+// view of the chain. It scans each SRA chained since its last poll once
+// (Phase #2: the SRA's signature, the image got by U_h and checked
+// against it, the engine), holding each finding until now reaches the
+// scanning poll's now plus the engine's search time; an SRA whose image
+// is not there yet is tried again next poll. It commits all of one SRA's
+// due findings in one R† (Phase I), resends stalled transactions
+// (resendStuck) and reveals each R* whose R† is revealConfirmations deep
+// (Phase II). It returns when the findings this poll found fall due, so
+// a driver can poll again then; a poll at a now past every search time
+// commits each scan whole.
+func (d *DetectorNode) Poll(now time.Duration) []time.Duration {
 	v := d.reader.CurrentView()
+	wake := d.scanReleases(v, now)
+	d.commitDue(v, now)
 	d.resendStuck(v)
-	var revealed []*types.Transaction
 	var still []pendingReveal
 	for _, p := range d.pending {
 		if v.Confirmations(p.initialTxHash) < revealConfirmations {
@@ -186,10 +154,126 @@ func (d *DetectorNode) Poll() []*types.Transaction {
 			continue
 		}
 		d.send(dtx, v.HeadNumber())
-		revealed = append(revealed, dtx)
 	}
 	d.pending = still
-	return revealed
+	return wake
+}
+
+// scanReleases scans the SRAs v lists that the detector has not scanned
+// and holds what its engine finds, returning when each falls due.
+func (d *DetectorNode) scanReleases(v *chain.ReadView, now time.Duration) []time.Duration {
+	if at, err := v.HeaderByNumber(d.listedNum); err != nil || at.ID() != d.listedAt {
+		// A reorg dropped the head the listing was read at and may have
+		// replaced its tail: read it again from the start.
+		d.listed, d.waiting = 0, nil
+	}
+	sras := d.waiting
+	d.waiting = nil
+	st := v.State()
+	for count := d.contract.SRACount(st); d.listed < count; d.listed++ {
+		id, _ := d.contract.SRAAt(st, d.listed) // below count, so present
+		if d.scanned[id] {
+			continue
+		}
+		sra, ok := d.announcement(v, id)
+		if !ok {
+			break // read it again at the next poll
+		}
+		sras = append(sras, sra)
+	}
+	d.listedAt, d.listedNum = v.HeadID(), v.HeadNumber()
+
+	var wake []time.Duration
+	for _, sra := range sras {
+		img, ok := d.images.Image(sra.SystemHash)
+		if !ok {
+			d.waiting = append(d.waiting, sra)
+			continue
+		}
+		d.scanned[sra.ID] = true
+		if sra.Verify() != nil || img.Hash() != sra.SystemHash {
+			continue // a forged SRA or a tampered download gets no report
+		}
+		for _, det := range d.engine.Scan(img) {
+			due := max(now+det.After, now) // saturated at the end of time
+			d.held = append(d.held, heldFinding{sraID: sra.ID, finding: det.Finding, due: due})
+			wake = append(wake, due)
+		}
+	}
+	return wake
+}
+
+// announcement reads the SRA id from its announcing transaction, in the
+// block the contract records as its release.
+func (d *DetectorNode) announcement(v *chain.ReadView, id types.Hash) (*types.SRA, bool) {
+	info, _ := d.contract.GetSRA(v.State(), id) // listed, so registered
+	blk, err := v.BlockByNumber(info.ReleaseBlock)
+	if err != nil {
+		return nil, false
+	}
+	for _, tx := range blk.Txs {
+		if sra, err := tx.SRA(); err == nil && sra.ID == id {
+			return sra, true
+		}
+	}
+	return nil, false
+}
+
+// commitDue commits the findings due at now, one R† per SRA: an SRA is
+// scanned once, so its findings are held side by side. Findings whose
+// commitment cannot be signed stay held.
+func (d *DetectorNode) commitDue(v *chain.ReadView, now time.Duration) {
+	var still, due []heldFinding
+	for i, h := range d.held {
+		if h.due <= now {
+			due = append(due, h)
+		} else {
+			still = append(still, h)
+		}
+		if len(due) > 0 && (i+1 == len(d.held) || d.held[i+1].sraID != h.sraID) {
+			if d.commit(v, due) != nil {
+				still = append(still, due...)
+			}
+			due = nil
+		}
+	}
+	d.held = still
+}
+
+// commit submits Phase I for held findings about one SRA: it signs the
+// detailed report R* over them and broadcasts the initial report R† that
+// commits to it.
+func (d *DetectorNode) commit(v *chain.ReadView, held []heldFinding) error {
+	findings := make([]types.Finding, len(held))
+	for i, h := range held {
+		findings[i] = h.finding
+	}
+	sort.Slice(findings, func(i, j int) bool { return findings[i].VulnID < findings[j].VulnID })
+	detailed := &types.DetailedReport{
+		SRAID:    held[0].sraID,
+		Detector: d.wallet.Address(),
+		Wallet:   d.wallet.Address(),
+		Findings: findings,
+	}
+	if err := types.SignDetailedReport(detailed, d.wallet); err != nil {
+		return err
+	}
+	initial := &types.InitialReport{
+		SRAID:      held[0].sraID,
+		Detector:   d.wallet.Address(),
+		DetailHash: detailed.CommitmentHash(),
+		Wallet:     d.wallet.Address(),
+	}
+	if err := types.SignInitialReport(initial, d.wallet); err != nil {
+		return err
+	}
+	itx := types.NewInitialReportTx(initial, d.nonce, contract.GasInitialReport, contract.GasPrice)
+	if err := types.SignTx(itx, d.wallet); err != nil {
+		return err
+	}
+	d.pending = append(d.pending, pendingReveal{initialTxHash: itx.Hash(), detailed: detailed})
+	d.send(itx, v.HeadNumber())
+	return nil
 }
 
 // send spends the transaction's nonce, keeps its bytes until the chain
@@ -231,9 +315,7 @@ func (d *DetectorNode) resendStuck(v *chain.ReadView) {
 }
 
 func (d *DetectorNode) broadcast(raw []byte) {
-	if d.net != nil {
-		d.net.Broadcast(d.id, p2p.Message{Kind: p2p.MsgTx, Payload: raw})
-	}
+	d.net.Broadcast(d.id, p2p.Message{Kind: p2p.MsgTx, Payload: raw})
 }
 
 // Earnings is the bounty the chain's books credit the detector's wallet

@@ -22,6 +22,7 @@ type cluster struct {
 	net       *p2p.Network
 	providers []*ProviderNode
 	verifier  *detection.GroundTruthVerifier
+	contract  *contract.Contract
 	now       uint64
 }
 
@@ -32,7 +33,8 @@ func newCluster(t *testing.T, nProviders int, alloc map[types.Address]types.Amou
 		net:      p2p.New(p2p.Config{Seed: 1}),
 		verifier: detection.NewGroundTruthVerifier(false),
 	}
-	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), cl.verifier))
+	cl.contract = contract.New(contract.DefaultParams(), cl.verifier)
+	cfg := chain.DefaultConfig(cl.contract)
 	cfg.SkipPoWCheck = true
 	cfg.Alloc = alloc
 	for i := 0; i < nProviders; i++ {
@@ -163,199 +165,6 @@ func TestOrphanBlockBuffering(t *testing.T) {
 	}
 	if !isolated.Chain().HasBlock(b1.ID()) {
 		t.Error("parent not backfilled")
-	}
-}
-
-func TestDetectorLifecycleEndToEnd(t *testing.T) {
-	alloc, releasing, detecting := fundedActors()
-	cl := newCluster(t, 2, alloc)
-
-	// The releasing provider announces a vulnerable firmware.
-	img := detection.GenerateImage("lock-fw", "2.0", detection.UniverseSpec{High: 3, Medium: 4, Low: 3, Seed: 77})
-	sra := &types.SRA{
-		Provider:     releasing.Address(),
-		Name:         img.Name,
-		Version:      img.Version,
-		SystemHash:   img.Hash(),
-		DownloadLink: "sc://releases/lock-fw/2.0",
-		Insurance:    types.EtherAmount(1000),
-		Bounty:       types.EtherAmount(5),
-	}
-	if err := types.SignSRA(sra, releasing); err != nil {
-		t.Fatal(err)
-	}
-	cl.verifier.Register(sra.ID, img)
-
-	sraTx := types.NewSRATx(sra, 0, 2_000_000, 50*types.GWei)
-	if err := types.SignTx(sraTx, releasing); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.providers[0].SubmitTx(sraTx); err != nil {
-		t.Fatal(err)
-	}
-	cl.settle()
-	cl.mine(0)
-
-	// A lightweight detector reacts to the SRA.
-	engine := &detection.CapabilityEngine{Name: "det", Capability: 1.0, Speed: 4, Seed: 5}
-	det := NewDetector("d0", detecting, engine, cl.providers[0].Chain(), cl.net)
-	itx, err := det.OnSRA(sra, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if itx == nil {
-		t.Fatal("full-capability detector found nothing")
-	}
-	cl.settle()
-	cl.mine(1) // R† chained
-
-	// Not confirmed deeply enough yet → no reveal.
-	if revealed := det.Poll(); len(revealed) != 0 {
-		t.Fatal("revealed before confirmation depth")
-	}
-	cl.mine(0) // depth 2
-	revealed := det.Poll()
-	if len(revealed) != 1 {
-		t.Fatalf("revealed %d reports, want 1", len(revealed))
-	}
-	cl.settle()
-	cl.mine(1) // R* chained, payout executes
-
-	r, err := cl.providers[0].CurrentView().ReceiptOf(revealed[0].Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Success {
-		t.Fatalf("reveal failed: %s", r.Err)
-	}
-	if r.Payout.Paid == 0 || len(r.Payout.Accepted) == 0 {
-		t.Error("no payout for genuine findings")
-	}
-	if det.Earnings() != r.Payout.Paid {
-		t.Errorf("Earnings() = %s, receipt says %s", det.Earnings(), r.Payout.Paid)
-	}
-
-	// Consumer consults the authoritative reference.
-	sc := contract.New(contract.DefaultParams(), cl.verifier)
-	consumer := NewConsumer(cl.providers[1].Chain(), sc, 0)
-	ref, err := consumer.Lookup(sra.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ref.ConfirmedVulns == 0 || ref.SafeToDeploy {
-		t.Errorf("consumer verdict wrong: %+v", ref)
-	}
-	if ref.Provider != releasing.Address() {
-		t.Error("reference does not name the accountable provider")
-	}
-	if ref.Reports != 2 {
-		t.Errorf("reference lists %d reports, want 2 (R† + R*)", ref.Reports)
-	}
-	sum := 0
-	for _, n := range ref.BySeverity {
-		sum += n
-	}
-	if sum != int(ref.ConfirmedVulns) {
-		t.Errorf("BySeverity %v sums to %d, want ConfirmedVulns %d", ref.BySeverity, sum, ref.ConfirmedVulns)
-	}
-}
-
-func TestDetectorRejectsTamperedImage(t *testing.T) {
-	alloc, releasing, detecting := fundedActors()
-	cl := newCluster(t, 1, alloc)
-	img := detection.GenerateImage("fw", "1.0", detection.UniverseSpec{High: 2, Seed: 1})
-	sra := &types.SRA{
-		Provider:     releasing.Address(),
-		Name:         img.Name,
-		Version:      img.Version,
-		SystemHash:   img.Hash(),
-		DownloadLink: "sc://x",
-		Insurance:    types.EtherAmount(10),
-		Bounty:       types.EtherAmount(1),
-	}
-	if err := types.SignSRA(sra, releasing); err != nil {
-		t.Fatal(err)
-	}
-	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
-		cl.providers[0].Chain(), cl.net)
-
-	tampered := detection.GenerateImage("fw", "1.0", detection.UniverseSpec{High: 2, Seed: 999})
-	if _, err := det.OnSRA(sra, tampered); err == nil {
-		t.Error("detector scanned an image whose hash does not match U_h")
-	}
-}
-
-func TestDetectorSkipsCleanImage(t *testing.T) {
-	alloc, releasing, detecting := fundedActors()
-	cl := newCluster(t, 1, alloc)
-	img := detection.GenerateImage("clean-fw", "1.0", detection.UniverseSpec{Seed: 1}) // zero vulns
-	sra := &types.SRA{
-		Provider:     releasing.Address(),
-		Name:         img.Name,
-		Version:      img.Version,
-		SystemHash:   img.Hash(),
-		DownloadLink: "sc://x",
-		Insurance:    types.EtherAmount(10),
-		Bounty:       types.EtherAmount(1),
-	}
-	if err := types.SignSRA(sra, releasing); err != nil {
-		t.Fatal(err)
-	}
-	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
-		cl.providers[0].Chain(), cl.net)
-	itx, err := det.OnSRA(sra, img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if itx != nil {
-		t.Error("detector reported findings on a clean image")
-	}
-	if det.PendingReveals() != 0 {
-		t.Error("pending reveal for a clean image")
-	}
-}
-
-// TestDetectorPollDropsItsInbox: a detector joins the bus, so the blocks
-// providers push and the announcements they relay reach its inbox. It
-// reads the chain through its ChainReader, so Poll drops them: after
-// several seal-and-Poll rounds the inbox holds only what the last seal
-// sent.
-func TestDetectorPollDropsItsInbox(t *testing.T) {
-	alloc, _, detecting := fundedActors()
-	cl := newCluster(t, 2, alloc)
-	det := NewDetector("d0", detecting, &detection.CapabilityEngine{Capability: 1, Seed: 1},
-		cl.providers[0].Chain(), cl.net)
-	for i := 0; i < 4; i++ {
-		cl.mine(i % 2)
-		det.Poll()
-	}
-	last := cl.mine(0)
-	msgs := cl.net.Receive("d0")
-	if len(msgs) == 0 {
-		t.Fatal("the last seal sent the detector nothing; the test cannot see a drained inbox")
-	}
-	for _, m := range msgs {
-		var about types.Hash
-		switch m.Kind {
-		case p2p.MsgBlock:
-			blk, err := types.DecodeBlock(m.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			about = blk.ID()
-		case p2p.MsgAnnounce:
-			_, ids, err := p2p.ParseAnnounce(m.Payload)
-			if err != nil || ids.Len() != 1 {
-				t.Fatalf("announcement of %d ids: %v", ids.Len(), err)
-			}
-			about = ids.At(0)
-		default:
-			t.Fatalf("detector inbox holds a %s from %s", m.Kind, m.From)
-		}
-		if about != last.ID() {
-			t.Errorf("detector inbox still holds a %s about block %s from before its last Poll (last seal %s)",
-				m.Kind, about.Short(), last.ID().Short())
-		}
 	}
 }
 
@@ -743,6 +552,3 @@ func TestOnChainTxIsKnownWithoutHavingBeenPooled(t *testing.T) {
 		t.Errorf("on-chain tx re-entered the pool (%d pending)", p1.PoolLen())
 	}
 }
-
-// PendingReveals reports how many committed reports await their reveal.
-func (d *DetectorNode) PendingReveals() int { return len(d.pending) }

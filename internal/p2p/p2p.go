@@ -119,7 +119,7 @@ func New(cfg Config) *Network {
 	}
 }
 
-// Join registers a node.
+// Join registers a node that receives.
 func (n *Network) Join(id NodeID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -149,7 +149,8 @@ func (n *Network) Send(from, to NodeID, msg Message) error {
 	return nil
 }
 
-// Broadcast queues a delivery to every other node.
+// Broadcast queues a delivery to every joined node but the sender, which
+// need not have joined.
 func (n *Network) Broadcast(from NodeID, msg Message) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -60,6 +60,36 @@ func TestBroadcastExcludesSender(t *testing.T) {
 	}
 }
 
+// TestNeverJoinedSenderOnlySends: a sender that never joined — a
+// detector, which only sends reports — reaches every joined node with a
+// Broadcast, is in no node's Peers, and so is sent nothing by anyone's
+// Broadcast.
+func TestNeverJoinedSenderOnlySends(t *testing.T) {
+	n := New(Config{})
+	for _, id := range []NodeID{"a", "b"} {
+		n.Join(id)
+	}
+	n.Broadcast("out", Message{Kind: MsgTx, Payload: []byte("report")})
+	n.AdvanceTo(0)
+	for _, id := range []NodeID{"a", "b"} {
+		msgs := n.Receive(id)
+		if len(msgs) != 1 || msgs[0].From != "out" || string(msgs[0].Payload) != "report" {
+			t.Errorf("%s received %+v, want the one report from out", id, msgs)
+		}
+		if peers := n.Peers(id); len(peers) != 1 {
+			t.Errorf("Peers(%s) = %v, want only the other joined node", id, peers)
+		}
+	}
+	n.Broadcast("a", Message{Kind: MsgBlock, Payload: []byte("blk")})
+	n.AdvanceTo(1)
+	if msgs := n.Receive("out"); len(msgs) != 0 {
+		t.Errorf("the never-joined sender was delivered %d messages", len(msgs))
+	}
+	if st := n.Stats(); st.Sent != 3 || st.Delivered != 3 {
+		t.Errorf("stats %+v, want 3 sent and 3 delivered: two for the report, one for the block", st)
+	}
+}
+
 func TestLatencyHoldsDelivery(t *testing.T) {
 	n := New(Config{MinLatency: 100, MaxLatency: 100})
 	n.Join("a")

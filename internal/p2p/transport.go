@@ -21,7 +21,9 @@ import (
 // simulated bus's deterministic delivery order intact and lets the TCP
 // transport decouple socket readers from node processing.
 type Transport interface {
-	// Join registers a node identity with the fabric. The simulated bus
+	// Join registers a node identity that receives: only a receiver
+	// joins. A node that only sends (a detector) never joins, and its
+	// Send and Broadcast still reach every joined node. The simulated bus
 	// hosts many nodes; a TCP transport hosts exactly one, making Join a
 	// no-op there.
 	Join(id NodeID)

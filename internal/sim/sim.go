@@ -3,11 +3,12 @@
 // mining provider and one real detector node per detector on a
 // zero-latency gossip bus, a weighted PoW lottery picking who seals, SRA
 // releases with escrowed insurance — over simulated hours in seconds of
-// wall-clock time. The schedule keeps only the timing: each detector
-// scans a chained SRA once, with its detection.CapabilityEngine (the
-// DC_i model), and commits each finding when its engine found it, so
-// detectors race per vulnerability through the two-phase report
-// protocol. Every run is deterministic given its seed.
+// wall-clock time. The schedule keeps only the clock: each detector finds
+// a chained SRA in its own view, scans it once with its
+// detection.CapabilityEngine (the DC_i model) and commits each finding
+// when its engine found it, so detectors race per vulnerability through
+// the two-phase report protocol. Every run is deterministic given its
+// seed.
 //
 // The harness reproduces the paper's §VII experiments: block production and
 // rewards (Fig. 3), provider incentives and punishments (Fig. 4, 5), and
@@ -122,9 +123,11 @@ type Result struct {
 	Chain    *chain.Chain
 	Contract *contract.Contract
 	// nodes are the run's provider nodes, indexed like Config.Providers,
-	// and detectors its detector nodes, indexed like Config.Detectors.
+	// and detectors its detector nodes, indexed like Config.Detectors;
+	// net is the bus they gossip over.
 	nodes     []*node.ProviderNode
 	detectors []*node.DetectorNode
+	net       *p2p.Network
 	books     *incentive.Books
 	// telemetry is the run's end-of-run metric snapshot (see Telemetry).
 	telemetry telemetry.Snapshot
@@ -168,18 +171,7 @@ type runner struct {
 
 	// sraOutcomes are the releases, in release order.
 	sraOutcomes []SRAOutcome
-	// pendingSRAs are announced releases whose detection phase starts
-	// once the SRA transaction is chained (paper §V-A: "an SRA is
-	// available until it has been verified and recorded in the
-	// blockchain").
-	pendingSRAs []*pendingSRA
 	blockStats  []BlockStat
-}
-
-type pendingSRA struct {
-	txHash types.Hash
-	sra    *types.SRA
-	img    *detection.SystemImage
 }
 
 // Validation errors.
@@ -257,7 +249,7 @@ func Run(cfg Config) (*Result, error) {
 			engine.Capability = 1
 		}
 		r.detectors = append(r.detectors, node.NewDetector(p2p.NodeID(fmt.Sprintf("detector/%d", i)),
-			detectorWallets[i], engine, r.nodes[r.entry(i)].Chain(), r.net))
+			detectorWallets[i], engine, r.nodes[r.entry(i)].Chain(), r.contract, r.verifier, r.net))
 	}
 
 	sealer, err := pow.NewSimSealer(pow.SimConfig{
@@ -329,8 +321,10 @@ func (r *runner) settle() {
 	}
 }
 
-// release fires one SRA: generate the image, register ground truth, submit
-// the announcement, and schedule detector discoveries.
+// release fires one SRA: generate the image, register its ground truth
+// (which publishes the image) and submit the announcement. Detection
+// starts when the detectors find the SRA chained (paper §V-A: "an SRA is
+// available until it has been verified and recorded in the blockchain").
 func (r *runner) release(relIdx int) {
 	rel := r.cfg.Releases[relIdx]
 	w := r.nodes[rel.Provider].Wallet()
@@ -362,29 +356,17 @@ func (r *runner) release(relIdx int) {
 		panic("sim: submit SRA tx: " + err.Error())
 	}
 	r.settle()
-	r.pendingSRAs = append(r.pendingSRAs, &pendingSRA{txHash: tx.Hash(), sra: sra, img: img})
 }
 
-// activateDetection hands a chained SRA to every detector: each scans the
-// image once, and the schedule delivers every finding to its detector when
-// the engine found it. Detectors race per vulnerability.
-func (r *runner) activateDetection(sra *types.SRA, img *detection.SystemImage) {
-	for _, det := range r.detectors {
-		found, err := det.Scan(sra, img)
-		if err != nil {
-			panic("sim: detector rejects SRA: " + err.Error())
-		}
-		for _, f := range found {
-			finding := []types.Finding{f.Finding}
-			r.schedule(r.now+f.After, func() {
-				// The detector commits what it found as soon as it found it
-				// (Phase I), one R† per finding.
-				if _, err := det.Commit(sra.ID, finding); err != nil {
-					panic("sim: commit finding: " + err.Error())
-				}
-				r.settle()
-			})
-		}
+// poll polls detector d at the current time and wakes it again at each
+// time a finding it found falls due: the detector commits each finding
+// when its engine found it, and a wake's commitment is settled at once.
+func (r *runner) poll(d *node.DetectorNode) {
+	for _, at := range d.Poll(r.now) {
+		r.schedule(at, func() {
+			r.poll(d)
+			r.settle()
+		})
 	}
 }
 
@@ -417,8 +399,7 @@ func (r *runner) samplePropagation(winner int) {
 func (r *runner) entry(d int) int { return d % len(r.nodes) }
 
 // mine lets the lottery winner seal a block from its pool and settles the
-// bus, then records the seal's timing, starts detection on newly chained
-// SRAs and lets every detector reveal what is deep enough.
+// bus, then records the seal's timing and polls every detector.
 func (r *runner) mine(ev pow.SealEvent) error {
 	winner := r.nodes[ev.Winner]
 	// SealAndPublish lifts a timestamp that sub-millisecond intervals
@@ -430,7 +411,6 @@ func (r *runner) mine(ev pow.SealEvent) error {
 		return fmt.Errorf("sim: %s seals block: %w", winner.ID(), err)
 	}
 	r.settle()
-	v := winner.CurrentView()
 
 	r.blockStats = append(r.blockStats, BlockStat{
 		Number:   blk.Header.Number,
@@ -443,25 +423,15 @@ func (r *runner) mine(ev pow.SealEvent) error {
 	r.metrics.blockTxs.Observe(uint64(len(blk.Txs)))
 	r.samplePropagation(ev.Winner)
 
-	// Phase #2 start: detection begins once the SRA is chained.
-	pending := r.pendingSRAs[:0]
-	for _, ps := range r.pendingSRAs {
-		if v.Confirmations(ps.txHash) < 1 {
-			pending = append(pending, ps)
-			continue
-		}
-		r.activateDetection(ps.sra, ps.img)
-	}
-	r.pendingSRAs = pending
-
-	// Phase II: each detector reveals the commitments that are deep enough.
-	// Every detector sees the seal at once, so the order in which their
-	// reveals reach the pools is the network's: drawn from the run's
-	// stream, never by detector index. The first reveal of a finding is
-	// the one paid, and an index order would hand every tie between
-	// commitments chained in one block to the lowest index.
+	// Every detector polls the seal: it scans the SRAs newly chained in
+	// its view and reveals the commitments that are deep enough. Every
+	// detector sees the seal at once, so the order in which their reveals
+	// reach the pools is the network's: drawn from the run's stream, never
+	// by detector index. The first reveal of a finding is the one paid,
+	// and an index order would hand every tie between commitments chained
+	// in one block to the lowest index.
 	for _, i := range r.rng.Perm(len(r.detectors)) {
-		r.detectors[i].Poll()
+		r.poll(r.detectors[i])
 	}
 	r.settle()
 	return nil
@@ -483,6 +453,7 @@ func (r *runner) result() (*Result, error) {
 		Contract:  r.contract,
 		nodes:     r.nodes,
 		detectors: r.detectors,
+		net:       r.net,
 		books:     books,
 	}
 	var fees, mined, paid types.Amount
