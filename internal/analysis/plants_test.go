@@ -62,8 +62,8 @@ var plantRows = []plantRow{
 		pass: "locksafe",
 		pkg:  "internal/chain",
 		edits: []plantEdit{{"chain.go", "\t\t\tc.mu.Lock()\n\t\t\tt1 := now()\n",
-			"\t\t\tc.mu.Lock()\n\t\t\ttypes.RecoverSenders(blocks[from].Block.Txs)\n\t\t\tt1 := now()\n"}},
-		want: []plantWant{{"chain.go", "types.RecoverSenders(blocks[from].Block.Txs)", `call to types\.RecoverSenders inside a mutex critical section`}},
+			"\t\t\tc.mu.Lock()\n\t\t\ttypes.RecoverSenders(blocks[processed].Block.Txs)\n\t\t\tt1 := now()\n"}},
+		want: []plantWant{{"chain.go", "types.RecoverSenders(blocks[processed].Block.Txs)", `call to types\.RecoverSenders inside a mutex critical section`}},
 	},
 	{
 		// HandleMessages asks p.sync.active() (syncer.mu) under

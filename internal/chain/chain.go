@@ -141,13 +141,16 @@ type entry struct {
 // executed is what executing a block produced, or a state a snapshot or
 // a rebuild supplied.
 type executed struct {
-	// post is the block's post-state, nil once the entry is postHorizon
-	// blocks below the canonical head (see dropPost) until stateOfLocked
-	// rebuilds it. Every path that sets it has compared post.Root() with
-	// the header's StateRoot first, which is also what makes it
-	// shareable: Root sums the trie and freezes the DB, and a frozen trie
-	// is never written again, so views and Copy()s may read it with no
-	// lock while later blocks execute.
+	// post is the block's post-state. An entry an import run executed
+	// gets one only when it is the run's last (executeRunLocked): the
+	// entries inside a run share that run's state, which their successors
+	// rewrote, and keep their receipts alone. Any entry's post is nil once
+	// it is postHorizon blocks below the canonical head (see dropPost);
+	// stateOfLocked rebuilds a missing one. Every path that sets it has
+	// compared its root with the header's StateRoot and taken Root, which
+	// is also what makes it shareable: Root sums the trie and freezes the
+	// DB, and a frozen trie is never written again, so views and Copy()s
+	// may read it with no lock while later blocks execute.
 	post *state.DB
 	// receipts is nil exactly for genesis and the entries a snapshot
 	// installed, which were never executed here.
@@ -414,7 +417,7 @@ type Chain struct {
 	logged logRecords
 	// built memoises the last BuildBlock so a sealer's own block is
 	// executed once, not once to build and again to import (see
-	// insertVerifiedLocked). Guarded by mu.
+	// executeLocked). Guarded by mu.
 	built *builtBlock
 	// view is the latest published read snapshot (view.go). Swapped by
 	// publishView at the end of every head switch; read via CurrentView
@@ -491,9 +494,9 @@ func (c *Chain) CanonicalBlocks() []*types.Block {
 
 // stateOfLocked returns an entry's post-state, rebuilding it by
 // re-execution when the entry has none — the prefix below a restored or
-// snap-adopted snapshot is installed without execution (storage.go), and
-// deep canonical entries drop theirs (dropPost). Callers hold the write
-// lock.
+// snap-adopted snapshot is installed without execution (storage.go), the
+// entries inside an import run get none (executeRunLocked), and deep
+// canonical entries drop theirs (dropPost). Callers hold the write lock.
 func (c *Chain) stateOfLocked(e *entry) (*state.DB, error) {
 	if post := e.post(); post != nil {
 		return post, nil
@@ -603,9 +606,10 @@ func (c *Chain) InsertBlockTraced(rec types.BlockRecord, tc telemetry.TraceConte
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	t1 := now()
-	switched, err := c.insertVerifiedLocked(rec, tc)
+	one := [1]types.BlockRecord{rec}
+	n, switched, err := c.insertRunLocked(one[:], tc)
 	mStage2Ns.ObserveDuration(since(t1))
-	recordImport(err)
+	recordImport(n, err)
 	return switched, err
 }
 
@@ -614,8 +618,10 @@ func (c *Chain) InsertBlockTraced(rec types.BlockRecord, tc telemetry.TraceConte
 // recovery via the shared pool, payload decoding, tx-root merkle
 // recomputation, the PoW predicate) in parallel across all CPUs with no
 // lock held, while stage 2 serially executes and commits them under the
-// chain mutex, a run at a time (insertRunLocked), as their verification
-// lands — commit of one run overlaps verification of the blocks after it.
+// chain mutex, a run at a time (insertRunLocked). Runs are cut by height
+// (runEnd), and stage 2 takes a run only once stage 1 has passed all of
+// it, so a batch commits the same way however the workers were scheduled;
+// stage 1 keeps verifying the blocks after a run while it commits.
 //
 // Blocks already known to the chain are benign no-ops. Processing stops at
 // the first invalid block, where stage 1 stops too; the returned count is
@@ -652,21 +658,27 @@ func (c *Chain) InsertChainTraced(blocks []types.BlockRecord, tc telemetry.Trace
 	})
 	defer stage1.halt()
 
-	// Stage 2: serial execution and commit in batch order.
+	// Stage 2: serial execution and commit in batch order. Each pass waits,
+	// with no lock held, for the window the next run is cut from, and runs
+	// the blocks of it stage 1 passed; a stage-1 failure is reported once
+	// the blocks before it are in.
 	processed := 0
 	for processed < len(blocks) {
-		err := stage1.wait(processed)
-		if err != nil {
-			mImportFailed.Inc()
-		} else {
-			from := processed
+		ready, err := stage1.waitUpTo(processed, c.runEnd(blocks, processed))
+		if ready > processed {
 			c.mu.Lock()
 			t1 := now()
 			var n int
-			n, err = c.insertRunLocked(blocks[from:], func(j int) bool { return stage1.passed(from + j) }, tc)
+			n, _, err = c.insertRunLocked(blocks[processed:ready], tc)
 			mStage2Ns.ObserveDuration(since(t1))
 			c.mu.Unlock()
+			recordImport(n, err)
+			if errors.Is(err, ErrKnownBlock) {
+				n, err = 1, nil
+			}
 			processed += n
+		} else {
+			mImportFailed.Inc()
 		}
 		if err != nil {
 			span.End(telemetry.L("blocks", strconv.Itoa(processed)), telemetry.L("failed", "1"))
@@ -758,14 +770,16 @@ func (v *verification) wait(i int) error {
 	return v.errs[i]
 }
 
-// passed reports, without blocking, whether item i is checked and passed.
-func (v *verification) passed(i int) bool {
-	select {
-	case <-v.done[i]:
-		return v.errs[i] == nil
-	default:
-		return false
+// waitUpTo blocks until items from to end-1 are checked, or the first of
+// them that fails is, and returns where the passed items end: end, or the
+// failed item's index beside its error.
+func (v *verification) waitUpTo(from, end int) (int, error) {
+	for i := from; i < end; i++ {
+		if err := v.wait(i); err != nil {
+			return i, err
+		}
 	}
+	return end, nil
 }
 
 // verifyStatelessAt runs stage-1 verification for blocks[i], adding the
@@ -815,134 +829,163 @@ func (c *Chain) verifyHeaderLink(parent, child *types.Header) error {
 	return nil
 }
 
-// maxRun caps an InsertChain run. At most postHorizon, the head switch
-// committing a run never drops the post-state of an entry in it.
+// maxRun caps an import run. A run ends at a height that is a multiple of
+// postHorizon (endsRun), so it holds at most postHorizon blocks: the head
+// switch committing it never drops the post-state of an entry in it, and
+// stateOfLocked rebuilds an entry inside it, which keeps no post-state,
+// from the run's parent in at most maxRun-1 blocks.
 const maxRun = postHorizon
 
-// insertRunLocked runs stage 2 from blocks[0], whose stage 1 passed, and
-// returns how many blocks it processed (inserted or known) before the
-// error of the next one, if any; passed(j) reports, without waiting,
-// whether stage 1 passed blocks[j]. While the blocks extend the head and
-// have passed, up to maxRun of them execute one on another, each held to
-// its root, and commit as one (commitLocked): one fsync and one index
-// generation per run instead of per block. A block that fails to execute
-// ends the run without it. A side branch, a known block, the block
-// BuildBlock built and a run of one go through insertVerifiedLocked.
-// Callers hold the write lock.
-func (c *Chain) insertRunLocked(blocks []types.BlockRecord, passed func(j int) bool, tc telemetry.TraceContext) (int, error) {
-	// extends: blocks[j] is new and, with positive difficulty, becomes
-	// the head on top of parentID.
-	extends := func(j int, parentID types.Hash) bool {
-		blk := blocks[j].Block
-		_, known := c.entries[blk.ID()]
-		return !known && blk.Header.ParentID == parentID && blk.Header.Difficulty > 0
-	}
-	head := c.head
-	if c.closed || len(blocks) < 2 || !extends(0, head.block().ID()) || c.built.adoptable(head, blocks[0].Block) ||
-		!passed(1) || !extends(1, blocks[0].Block.ID()) {
-		_, err := c.insertVerifiedLocked(blocks[0], tc)
-		recordImport(err)
-		if err != nil && !errors.Is(err, ErrKnownBlock) {
-			return 0, err
-		}
-		return 1, nil
-	}
+// endsRun reports whether a block at height n ends its import run: a
+// multiple of postHorizon, whose entry keeps its post-state below the
+// window (dropPost), or of the snapshot interval, whose post-state is
+// saved (maybeSnapshotLocked).
+func (c *Chain) endsRun(n uint64) bool {
+	return n%postHorizon == 0 || c.cfg.SnapshotInterval != 0 && n%c.cfg.SnapshotInterval == 0
+}
 
-	run := make([]*entry, 0, min(len(blocks), maxRun))
-	parent := head
-	var err error
-	for j, rec := range blocks[:min(len(blocks), maxRun)] {
-		if j > 1 && (!passed(j) || !extends(j, parent.block().ID())) {
+// runEnd returns the end of the window the run from blocks[from] is cut
+// from: just past the first block from there whose height ends a run, or
+// the end of the batch, and at most maxRun blocks on. A run may end
+// sooner, at a block that does not extend it or that fails.
+func (c *Chain) runEnd(blocks []types.BlockRecord, from int) int {
+	end := min(len(blocks), from+maxRun)
+	for i := from; i < end; i++ {
+		if c.endsRun(blocks[i].Block.Header.Number) {
+			return i + 1
+		}
+	}
+	return end
+}
+
+// insertRunLocked runs stage 2 for blocks whose stage 1 passed: the run at
+// their head (executeRunLocked), committed as one (commitLocked) — one
+// storage append, one index generation and one published view however
+// many blocks it holds. It returns how many blocks it committed, whether
+// the head switched to the last of them, and the error of the block after
+// them, if one ended the run. A single block, the block BuildBlock built
+// and a side branch are runs like any other. Callers hold the write lock.
+func (c *Chain) insertRunLocked(blocks []types.BlockRecord, tc telemetry.TraceContext) (int, bool, error) {
+	run, err := c.executeRunLocked(blocks)
+	if len(run) == 0 {
+		return 0, false, err
+	}
+	// Every block after the first has positive difficulty, so the run's
+	// last block is the head exactly when importing the blocks one by one
+	// would have left it there.
+	switched := run[len(run)-1].totalDif > c.head.totalDif
+	if cerr := c.commitLocked(run, switched, tc); cerr != nil {
+		return 0, false, cerr
+	}
+	return len(run), switched, err
+}
+
+// executeRunLocked executes the run at the head of blocks — blocks[0],
+// new with a known parent, and each next block that extends the one
+// before, up to a height that ends a run — on one state.DB in one trie
+// generation: each block is held to its header's root by RootUnfrozen, so
+// the next rewrites in place the paths the run made. Only the run's last
+// entry gets a post-state, frozen by Root. A block that fails ends the
+// run without it: the entries before it come back with its error, the
+// last given its post-state by a rebuild, since the failed block wrote on
+// the run's state. Nothing holds the entries yet. Callers hold the write
+// lock.
+func (c *Chain) executeRunLocked(blocks []types.BlockRecord) ([]*entry, error) {
+	if c.closed {
+		return nil, ErrClosed
+	}
+	first := blocks[0].Block
+	if _, known := c.entries[first.ID()]; known {
+		return nil, fmt.Errorf("%w: %s", ErrKnownBlock, first.ID().Short())
+	}
+	parent, ok := c.entries[first.Header.ParentID]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, first.Header.ParentID.Short())
+	}
+	var (
+		run []*entry
+		st  *state.DB
+		err error
+	)
+	for j, rec := range blocks {
+		blk := rec.Block
+		if j > 0 && (c.endsRun(parent.block().Header.Number) || !c.extends(parent, blk)) {
 			break
 		}
-		var e *entry
-		if e, err = c.executeLocked(parent, rec); err != nil {
+		var receipts []*Receipt
+		if st, receipts, err = c.executeLocked(parent, st, blk); err != nil {
 			break
 		}
+		e := &entry{
+			parent:   parent,
+			totalDif: parent.totalDif + blk.Header.Difficulty,
+			ex:       &executed{receipts: receipts},
+		}
+		if len(blk.Txs) > 0 { // an empty block has nothing to release
+			e.raw = rec.Raw
+		}
+		e.blk.Store(blk)
 		run = append(run, e)
 		parent = e
 	}
-	if len(run) > 0 {
-		if cerr := c.commitLocked(run, true, tc); cerr != nil {
-			err, run = cerr, nil
-		}
-	}
-	if mImportInserted.Add(uint64(len(run))); err != nil {
-		mImportFailed.Inc()
-	}
-	return len(run), err
-}
-
-// insertVerifiedLocked runs stage 2 for a block whose stateless checks
-// already passed: parent lookup, execution (executeLocked), fork choice
-// and the commit. Callers hold the write lock. tc is the block's trace
-// context, threaded into setHead's event publication; a zero context is
-// fine.
-func (c *Chain) insertVerifiedLocked(rec types.BlockRecord, tc telemetry.TraceContext) (bool, error) {
-	if c.closed {
-		return false, ErrClosed
-	}
-	blk := rec.Block
-	id := blk.ID()
-	if _, known := c.entries[id]; known {
-		return false, fmt.Errorf("%w: %s", ErrKnownBlock, id.Short())
-	}
-	parent, ok := c.entries[blk.Header.ParentID]
-	if !ok {
-		return false, fmt.Errorf("%w: %s", ErrUnknownParent, blk.Header.ParentID.Short())
-	}
-	e, err := c.executeLocked(parent, rec)
-	if err != nil {
-		return false, err
-	}
-	switched := e.totalDif > c.head.totalDif
-	if err := c.commitLocked([]*entry{e}, switched, tc); err != nil {
-		return false, err
-	}
-	return switched, nil
-}
-
-// executeLocked is stage 2 short of the commit — header link, execution
-// (or adoption of BuildBlock's) and the state-root check — and returns
-// the record's entry, which nothing holds yet. Callers hold the write
-// lock.
-func (c *Chain) executeLocked(parent *entry, rec types.BlockRecord) (*entry, error) {
-	blk := rec.Block
-	if err := c.verifyHeaderLink(&parent.block().Header, &blk.Header); err != nil {
+	if len(run) == 0 {
 		return nil, err
+	}
+	if err != nil {
+		if _, rerr := c.stateOfLocked(parent); rerr != nil {
+			return nil, rerr
+		}
+		return run, err
+	}
+	st.Root()
+	parent.ex.post = st
+	return run, nil
+}
+
+// extends reports whether blk may follow parent, a run's last entry, in
+// the run: it is new, parent's child, and raises the total difficulty,
+// so that committing the run switches the head where importing its
+// blocks one at a time would.
+func (c *Chain) extends(parent *entry, blk *types.Block) bool {
+	_, known := c.entries[blk.ID()]
+	return !known && blk.Header.ParentID == parent.block().ID() && blk.Header.Difficulty > 0
+}
+
+// executeLocked executes blk on top of parent — on st, the run's state,
+// which holds parent's post-state, or, for a run's first block (st nil),
+// on a copy of parent's post-state, or by adopting the execution
+// BuildBlock already did — and holds the result to the header's root
+// without freezing it. It returns the state the run goes on with, nil
+// with the error when the block fails. Callers hold the write lock.
+func (c *Chain) executeLocked(parent *entry, st *state.DB, blk *types.Block) (*state.DB, []*Receipt, error) {
+	if err := c.verifyHeaderLink(&parent.block().Header, &blk.Header); err != nil {
+		return nil, nil, err
 	}
 
 	// A block this chain built itself arrives with its execution already
 	// done. Anything else — a peer's block, or one a sealer changed beyond
 	// the nonce — is executed here; both are held to the header's root.
-	var st *state.DB
 	var receipts []*Receipt
 	if b := c.built; b.adoptable(parent, blk) {
 		st, receipts, c.built = b.post, b.receipts, nil
 	} else {
-		parentState, err := c.stateOfLocked(parent)
-		if err != nil {
-			return nil, err
+		if st == nil {
+			parentState, err := c.stateOfLocked(parent)
+			if err != nil {
+				return nil, nil, err
+			}
+			st = parentState.Copy()
 		}
-		st = parentState.Copy()
+		var err error
 		if receipts, err = execBlock(c.cfg, st, blk); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	if st.Root() != blk.Header.StateRoot {
-		return nil, fmt.Errorf("%w: computed %s, header %s",
-			ErrStateMismatch, st.Root().Short(), blk.Header.StateRoot.Short())
+	if root := st.RootUnfrozen(); root != blk.Header.StateRoot {
+		return nil, nil, fmt.Errorf("%w: computed %s, header %s",
+			ErrStateMismatch, root.Short(), blk.Header.StateRoot.Short())
 	}
-	e := &entry{
-		parent:   parent,
-		totalDif: parent.totalDif + blk.Header.Difficulty,
-		ex:       &executed{post: st, receipts: receipts},
-	}
-	if len(blk.Txs) > 0 { // an empty block has nothing to release
-		e.raw = rec.Raw
-	}
-	e.blk.Store(blk)
-	return e, nil
+	return st, receipts, nil
 }
 
 // commitLocked commits executed entries, each the parent of the next.
@@ -979,9 +1022,7 @@ func (c *Chain) commitLocked(run []*entry, switched bool, tc telemetry.TraceCont
 	}
 	if switched {
 		c.setHead(last, tc)
-		for _, e := range run {
-			c.maybeSnapshotLocked(e)
-		}
+		c.maybeSnapshotLocked(last) // a snapshot height ends its run
 	}
 	return nil
 }

@@ -559,10 +559,9 @@ func TestRunCommitsAsOne(t *testing.T) {
 	for i, blk := range batch {
 		recs[i] = types.BlockRecord{Block: blk, Raw: types.EncodeBlock(blk)}
 	}
-	all := func(int) bool { return true }
 	for done := 0; done < len(batch); {
 		run.mu.Lock()
-		n, err := run.insertRunLocked(recs[done:], all, telemetry.TraceContext{})
+		n, _, err := run.insertRunLocked(recs[done:], telemetry.TraceContext{})
 		run.mu.Unlock()
 		if err != nil {
 			t.Fatal(err)

@@ -33,12 +33,13 @@ func init() {
 	telemetry.SetHelp("smartcrowd_chain_view_published_total", "ReadView snapshots published by head switches")
 }
 
-// recordImport classifies a per-block import outcome into the counter
-// family. ErrKnownBlock is a benign duplicate, not a failure.
-func recordImport(err error) {
+// recordImport counts a run's inserted blocks and classifies the error
+// that ended it, if any, into the counter family. ErrKnownBlock is a
+// benign duplicate, not a failure.
+func recordImport(inserted int, err error) {
+	mImportInserted.Add(uint64(inserted))
 	switch {
 	case err == nil:
-		mImportInserted.Inc()
 	case errors.Is(err, ErrKnownBlock):
 		mImportKnown.Inc()
 	default:

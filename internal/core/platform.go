@@ -56,8 +56,10 @@ var (
 	ErrLocked          = errors.New("core: providers must be added before the platform starts")
 )
 
-// NewPlatform creates an empty platform; add providers and detectors, then
-// drive it with Release/Mine/Step.
+// NewPlatform creates an empty platform; fund accounts and add providers
+// and detectors, then drive it with Release (a provider announces a
+// system) and Mine (a provider seals the next block, and every detector
+// polls the chain).
 func NewPlatform(cfg Config) *Platform {
 	p := &Platform{
 		cfg:      cfg,

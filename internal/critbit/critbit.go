@@ -13,19 +13,23 @@
 // carry that generation, and until the writer's next freeze point — where
 // it drops the generation and takes a fresh one for its next write —
 // nothing but its own live root reaches them, so it rewrites them in place
-// instead of path-copying them again. Every other node is path-copied:
-// those of an older or another writer's generation, those of generation 0
-// (which means "copy always"), and summed ones. Two rules keep old roots
+// instead of path-copying them again, summed or not: a rewrite clears the
+// node's sum memo, and every ancestor on the path is rewritten or copied
+// with it, so no memo above a rewritten node survives. Every other node is
+// path-copied: those of an older or another writer's generation and those
+// of generation 0 (which means "copy always"). Two rules keep old roots
 // exact:
 //
-//  1. The sum memo is written once (see Sum).
-//  2. A node is otherwise written only by the writer whose generation it
-//     carries, and only before that writer's next freeze point.
+//  1. A root is summed for others, copied or handed out only at a freeze
+//     point. A writer may sum its own live root between freeze points
+//     (the chain checks each block of an import run against its header
+//     that way); a node it still owns stays its own to rewrite.
+//  2. A node is written only by the writer whose generation it carries,
+//     and only before that writer's next freeze point.
 //
 // What a freeze point is belongs to the caller (state.DB: Root, and so
 // Copy — a Snapshot saves no root, it marks an undo journal; the chain's
-// indexes: each published view); the rule it must keep is that a root is
-// saved, copied or handed to another goroutine only at one.
+// indexes: each published view).
 //
 // The shape is a pure function of the key set — crit-bit tries are
 // insertion-order independent — which is what lets a hash summed over
@@ -57,7 +61,7 @@ type Key = [32]byte
 type Node[V any, S Slot] struct {
 	bit int16
 	// summed and sum memoise Sum over this subtree (see Sum for the rule
-	// that makes writing them safe). A summed node is never rewritten.
+	// that makes writing them safe). A rewrite clears summed.
 	summed bool
 	// gen is the generation of the writer that made the node; 0 for none.
 	gen         uint32
@@ -115,14 +119,15 @@ func NewGen() uint32 {
 
 // owned reports whether a writer holding gen may rewrite n in place.
 func (n *Node[V, S]) owned(gen uint32) bool {
-	return gen != 0 && n.gen == gen && !n.summed
+	return gen != 0 && n.gen == gen
 }
 
-// with returns n with the given children: n itself, rewritten, when the
-// writer holding gen owns it, otherwise a copy carrying gen.
+// with returns n with the given children: n itself, rewritten and its
+// memo cleared, when the writer holding gen owns it, otherwise a copy
+// carrying gen.
 func with[V any, S Slot](n, left, right *Node[V, S], gen uint32) *Node[V, S] {
 	if n.owned(gen) {
-		n.left, n.right = left, right
+		n.left, n.right, n.summed = left, right, false
 		return n
 	}
 	return &Node[V, S]{bit: n.bit, gen: gen, left: left, right: right}
@@ -193,7 +198,7 @@ func Set[V any, S Slot](n *Node[V, S], key Key, val V, gen uint32) *Node[V, S] {
 func replace[V any, S Slot](n *Node[V, S], key *Key, val V, gen uint32) *Node[V, S] {
 	if n.bit < 0 {
 		if n.owned(gen) {
-			n.val = val
+			n.val, n.summed = val, false
 			return n
 		}
 		return newLeaf[V, S](key, val, gen)
@@ -223,33 +228,30 @@ func split[V any, S Slot](n, leaf *Node[V, S], d int16, gen uint32) *Node[V, S] 
 // Delete returns the trie without key, written by the holder of gen as
 // Set is; deleting an absent key returns the original root pointer.
 func Delete[V any, S Slot](n *Node[V, S], key Key, gen uint32) *Node[V, S] {
-	if n == nil {
+	if n == nil || find(n, &key).key != key {
+		return n
+	}
+	return remove(n, &key, gen)
+}
+
+// remove unbinds key, which n holds, walking down. Every branch on the
+// path is rewritten or copied, even one whose child comes back as the
+// same pointer: that child may have been rewritten in place, and the
+// branch's memo no longer holds.
+func remove[V any, S Slot](n *Node[V, S], key *Key, gen uint32) *Node[V, S] {
+	if n.bit < 0 {
 		return nil
 	}
-	if n.bit < 0 {
-		if n.key == key {
-			return nil
+	if keyBit(key, n.bit) == 0 {
+		if child := remove(n.left, key, gen); child != nil {
+			return with(n, child, n.right, gen)
 		}
-		return n
+		return n.right // branch collapses onto its sibling
 	}
-	if keyBit(&key, n.bit) == 0 {
-		child := Delete(n.left, key, gen)
-		switch {
-		case child == n.left:
-			return n
-		case child == nil:
-			return n.right // branch collapses onto its sibling
-		}
-		return with(n, child, n.right, gen)
+	if child := remove(n.right, key, gen); child != nil {
+		return with(n, n.left, child, gen)
 	}
-	child := Delete(n.right, key, gen)
-	switch {
-	case child == n.right:
-		return n
-	case child == nil:
-		return n.left
-	}
-	return with(n, n.left, child, gen)
+	return n.left
 }
 
 // Walk calls fn for every binding in ascending key order.
@@ -273,10 +275,11 @@ func Walk[V any, S Slot](n *Node[V, S], fn func(key Key, val V)) {
 // the caller picks that constant), and every Sum over tries that share
 // nodes must pass the same two functions.
 //
-// The memo is written once — a summed node, and so every node below it,
-// is never rewritten — and it is not synchronised. The owner of a trie
-// therefore sums it before the root becomes reachable from a second
-// goroutine; from then on Sum on that root only reads.
+// The memo is cleared only by a rewrite of the node, which its writer
+// makes before its next freeze point, and it is not synchronised. The
+// owner of a trie therefore sums it before the root becomes reachable from
+// a second goroutine, at a freeze point; from then on nobody rewrites a
+// node under that root, and Sum on it only reads.
 func Sum[V any](n *Node[V, [32]byte], leaf func(key Key, val V) [32]byte, branch func(bit int16, left, right [32]byte) [32]byte) [32]byte {
 	if !n.summed {
 		if n.bit < 0 {

@@ -354,8 +354,11 @@ func runWriter[S Slot](t *testing.T, ops []byte, sum func(*Node[int, S]) [32]byt
 
 // TestOwnedWritesRewriteInPlace pins what a generation buys: after the
 // first write of a window, rewriting the same key allocates nothing and
-// returns the same root, while a generation-0 writer, a fresh generation
-// and a summed trie all copy.
+// returns the same root, while a generation-0 writer and a fresh
+// generation copy. A sum is not a freeze point: a summed trie the writer
+// still owns is rewritten in place too, and re-sums to what a fresh build
+// of its contents sums to; once the writer takes a fresh generation, it
+// is copied.
 func TestOwnedWritesRewriteInPlace(t *testing.T) {
 	var root *trie
 	for i := 0; i < 1024; i++ {
@@ -379,8 +382,18 @@ func TestOwnedWritesRewriteInPlace(t *testing.T) {
 	}
 	var calls int
 	shapeSum(owned, &calls)
-	if Set(owned, k, -4, gen) == owned {
-		t.Error("a summed trie was rewritten in place")
+	if n := testing.AllocsPerRun(100, func() { owned = Set(owned, k, -4, gen) }); n != 0 {
+		t.Errorf("rewriting a summed owned leaf made %v allocations, want 0", n)
+	}
+	model := contents(owned)
+	if model[k] != -4 {
+		t.Fatalf("the rewritten trie reads %d for key 7, want -4", model[k])
+	}
+	if shapeSum(owned, &calls) != shapeSum(build[[32]byte](model), &calls) {
+		t.Error("a summed trie rewritten in place kept a stale sum")
+	}
+	if Set(owned, k, -5, NewGen()) == owned {
+		t.Error("a summed trie was rewritten in place after a fresh generation")
 	}
 }
 

@@ -134,9 +134,9 @@ func (d *DetectorNode) Address() types.Address { return d.wallet.Address() }
 // is not there yet is tried again next poll. It commits all of one SRA's
 // due findings in one R† (Phase I), resends stalled transactions
 // (resendStuck) and reveals each R* whose R† is revealConfirmations deep
-// (Phase II). It returns when the findings this poll found fall due, so
-// a driver can poll again then; a poll at a now past every search time
-// commits each scan whole.
+// (Phase II), dropping the reveal of an R† that failed. It returns when
+// the findings this poll found fall due, so a driver can poll again then;
+// a poll at a now past every search time commits each scan whole.
 func (d *DetectorNode) Poll(now time.Duration) []time.Duration {
 	v := d.reader.CurrentView()
 	wake := d.scanReleases(v, now)
@@ -147,6 +147,9 @@ func (d *DetectorNode) Poll(now time.Duration) []time.Duration {
 		if v.Confirmations(p.initialTxHash) < revealConfirmations {
 			still = append(still, p)
 			continue
+		}
+		if r, err := v.ReceiptOf(p.initialTxHash); err == nil && !r.Success {
+			continue // a failed R† commits nothing: its R* would fail too
 		}
 		dtx := types.NewDetailedReportTx(p.detailed, d.nonce, contract.GasDetailedReport, contract.GasPrice)
 		if err := types.SignTx(dtx, d.wallet); err != nil {

@@ -311,6 +311,18 @@ func TestDetectorScansReorgedReleaseOnce(t *testing.T) {
 // detector last read it. The head the detector read it at is gone, so it
 // reads the listing again and scans B.
 func TestDetectorScansReleaseAReorgPutInAnothersPlace(t *testing.T) {
+	_, det, engine, _ := reorgAOntoB(t)
+	det.Poll(allDue)
+	if engine.scans != 2 {
+		t.Errorf("%d scans, want 2: A before the reorg, B after", engine.scans)
+	}
+}
+
+// reorgAOntoB sets up TestDetectorScansReleaseAReorgPutInAnothersPlace's
+// scenario up to the poll after the reorg: the detector has scanned SRA A
+// and sent its R†, and provider a's head is b's heavier block, which
+// chains the conflicting SRA B (returned) in A's place.
+func reorgAOntoB(t *testing.T) (*cluster, *DetectorNode, *countingEngine, *types.SRA) {
 	alloc, releasing, detecting := fundedActors()
 	cl := newCluster(t, 2, alloc)
 	a, b := cl.providers[0], cl.providers[1]
@@ -336,9 +348,48 @@ func TestDetectorScansReleaseAReorgPutInAnothersPlace(t *testing.T) {
 	if id, _ := cl.contract.SRAAt(v.State(), 0); v.HeadID() != heavy.ID() || cl.contract.SRACount(v.State()) != 1 || id != sraB.ID {
 		t.Fatalf("setup: a's head %s, want b's block %s listing B alone", v.HeadID().Short(), heavy.ID().Short())
 	}
+	return cl, det, engine, sraB
+}
+
+// TestDetectorRevealsNoFailedCommit carries
+// TestDetectorScansReleaseAReorgPutInAnothersPlace's scenario three blocks
+// further. A's R†, sent before the reorg un-chained A, is mined and fails
+// (unknown SRA). Its R* would fail the same way, so the detector drops
+// it: the only R* it sends is B's.
+func TestDetectorRevealsNoFailedCommit(t *testing.T) {
+	cl, det, _, sraB := reorgAOntoB(t)
+	a := cl.providers[0]
+	for i := 0; i < 4; i++ {
+		det.Poll(allDue)
+		cl.settle()
+		cl.mine(0)
+	}
 	det.Poll(allDue)
-	if engine.scans != 2 {
-		t.Errorf("%d scans, want 2: A before the reorg, B after", engine.scans)
+	cl.settle()
+	cl.mine(0)
+	v := a.CurrentView()
+	failed := 0
+	for _, tx := range reportTxs(a, types.TxInitialReport, det.Address()) {
+		if r, err := v.ReceiptOf(tx.Hash()); err != nil || !r.Success {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d of the detector's chained R† failed, want A's alone", failed)
+	}
+	var revealed []types.Hash
+	for _, tx := range reportTxs(a, types.TxDetailedReport, det.Address()) {
+		r, err := tx.DetailedReport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		revealed = append(revealed, r.SRAID)
+	}
+	if len(revealed) != 1 || revealed[0] != sraB.ID {
+		t.Errorf("the chain holds R* for %v, want B's (%s) alone", revealed, sraB.ID.Short())
+	}
+	if det.nonce != 3 || len(det.pending) != 0 {
+		t.Errorf("the detector sent %d transactions with %d reveals pending; want A's R†, B's R† and B's R*, none pending", det.nonce, len(det.pending))
 	}
 }
 

@@ -186,8 +186,9 @@ func checkAgainst(t *testing.T, step int, db *DB, m *model) {
 }
 
 // TestRootMatchesReferenceUnderRandomHistories drives long random
-// mutate/snapshot/revert/copy/root sequences — snapshots nest, and Roots
-// and Copies land between a Snapshot and its revert — against both the
+// mutate/snapshot/revert/copy/root sequences — snapshots nest, and Roots,
+// unfrozen Roots and Copies land between a Snapshot and its revert —
+// against both the
 // CoW DB and a naive deep-copy model and requires (a) identical
 // observable state, (b) the incrementally maintained Root to equal the
 // from-scratch reference root at every checkpoint, (c) a revert to
@@ -234,7 +235,7 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 			var copied []taken
 			for step := 0; step < 600; step++ {
 				a := universe[rng.Intn(len(universe))]
-				op := rng.Intn(13)
+				op := rng.Intn(14)
 				switch op {
 				case 0, 1, 2: // credit
 					v := types.Amount(rng.Intn(1000))
@@ -328,6 +329,11 @@ func TestRootMatchesReferenceUnderRandomHistories(t *testing.T) {
 					// writes and write-backs after it must path-copy
 					if got, want := db.Root(), modelRoot(m.accounts); got != want {
 						t.Fatalf("step %d: root %s, model %s", step, got.Short(), want.Short())
+					}
+				case 13: // a root that freezes nothing: the writes and
+					// write-backs after it rewrite what it summed in place
+					if got, want := db.RootUnfrozen(), modelRoot(m.accounts); got != want {
+						t.Fatalf("step %d: unfrozen root %s, model %s", step, got.Short(), want.Short())
 					}
 				}
 				for i, tk := range copied {
@@ -447,7 +453,8 @@ func TestCopyChains(t *testing.T) {
 // FuzzStateRootDifferential runs a byte-driven sequence of SetStorage,
 // Credit, Snapshot, RevertToSnapshot, Copy and Root against the deep-copy
 // model, and requires every Root to equal modelRoot over the model's maps
-// and every revert to restore the bytes its snapshot saw. Op 6 continues
+// and every revert to restore the bytes its snapshot saw; op 5's Root
+// freezes nothing when its account byte is odd (RootUnfrozen). Op 6 continues
 // on a copy; op 7 forks one off and keeps writing the original, whose
 // open snapshots the fork's Root does not close, and the fork must still
 // serialize as it did when taken after the original reverts past it.
@@ -512,7 +519,11 @@ func FuzzStateRootDifferential(f *testing.F) {
 				}
 				saved = saved[:id]
 			case 5:
-				if got, want := db.Root(), modelRoot(m.accounts); got != want {
+				root := db.Root
+				if who%2 == 1 {
+					root = db.RootUnfrozen
+				}
+				if got, want := root(), modelRoot(m.accounts); got != want {
 					t.Fatalf("op %d: root %s, model %s", i/3, got.Short(), want.Short())
 				}
 			case 6:

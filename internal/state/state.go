@@ -13,6 +13,8 @@
 // rewrite the nodes that copy made instead of copying them again — a
 // block's transactions, which write the same sender, recipients and
 // miner, share one set of paths, and rewrite their records in the leaves.
+// RootUnfrozen sums without freezing, so the blocks of a chain import run
+// share those paths too.
 // Snapshot does not freeze: it marks an undo journal, every write while a
 // snapshot is open journals its pre-image, and RevertToSnapshot writes
 // those back in reverse. Copy is a pointer assignment — what fork
@@ -370,6 +372,16 @@ func (db *DB) Root() types.Hash {
 	if db.gen != 0 {
 		db.gen = 0
 	}
+	return db.RootUnfrozen()
+}
+
+// RootUnfrozen is Root without the freeze point: the DB keeps its
+// generation, so the next write rewrites in place what the writes so far
+// made, summed or not, and clears the memos on its path (critbit's rule
+// 1). The chain's import run alone calls it, to hold each block of a run
+// to its header's root while the next block writes on in the same
+// generation; nothing may keep, copy or share the DB until a Root.
+func (db *DB) RootUnfrozen() types.Hash {
 	if db.root == nil {
 		return emptyRoot
 	}

@@ -21,9 +21,10 @@ import (
 // of work, once as kill -9 (what was written stays) and once as a power
 // cut (every open file is cut back to its last Sync), and reopens the
 // datadir after each death and once the work completed. The reopened
-// chain must stand at a head that was acknowledged, or at the head of the
-// commit in flight, and equal the oracle chain at that head; the lost
-// blocks are accepted again.
+// chain must stand at the head of the last commit that stands — the last
+// one acknowledged, or the one in flight when its bytes survive — and
+// equal the oracle chain at that head; the lost blocks are accepted
+// again.
 func TestCrashInjection(t *testing.T) {
 	t.Run("1-block", func(t *testing.T) {
 		crashCommit(t, func(f *fixture) []*types.Block { return []*types.Block{f.extend(1)} })
@@ -291,46 +292,30 @@ func snapshotAt(t *testing.T, blocks []*types.Block) chain.StoredSnapshot {
 	return chainOf(t, blocks).SnapshotNow()
 }
 
-// ackDisk is a Disk that records the head of every commit it
-// acknowledged, and of the first commit that failed: the one in flight
-// when the store died.
-type ackDisk struct {
-	*Disk
-	acked  []types.Hash
-	failed types.Hash
-}
-
-func (a *ackDisk) AppendBlocks(blocks []*types.Block, headID types.Hash, headNumber uint64) error {
-	if err := a.Disk.AppendBlocks(blocks, headID, headNumber); err != nil {
-		if a.failed == (types.Hash{}) {
-			a.failed = headID
-		}
-		return err
-	}
-	a.acked = append(a.acked, headID)
-	return nil
-}
-
-// crashChainRun dies in a chain's InsertChain of eight blocks, which
-// commits them in runs whose lengths depend on how far verification is
-// ahead of execution. The chain reopens at the head of a commit the store
-// acknowledged, or of the one that failed, equal to the oracle there.
+// crashChainRun dies in a chain's InsertChain of the blocks #4 to #70,
+// which commits them in two runs, cut at #64 (a multiple of the chain's
+// 64-block window): #4–#64 and #65–#70. The chain reopens at exactly the
+// head of the last commit that stands — #3, #64 or #70 — equal to the
+// oracle there.
 func crashChainRun(t *testing.T) {
 	src := memFixture(t)
 	var line []*types.Block
-	for i := 0; i < 11; i++ {
+	for i := 0; i < 70; i++ {
 		line = append(line, src.extend(1))
 	}
 	acked, flight := line[:3], line[3:]
-	var disk *ackDisk
-	stepDeaths(t, func(t *testing.T, dir string, fs *faultFS) func() error {
-		d, err := openWith(dir, fs)
+	heads := []*types.Block{line[2], line[63], line[69]} // after 0, 1 and 2 flight commits
+	var (
+		fs    *faultFS
+		start int
+	)
+	stepDeaths(t, func(t *testing.T, dir string, ffs *faultFS) func() error {
+		d, err := openWith(dir, ffs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk = &ackDisk{Disk: d}
 		cfg := baseConfig()
-		cfg.Storage = disk
+		cfg.Storage = d
 		c, err := chain.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -338,23 +323,80 @@ func crashChainRun(t *testing.T) {
 		if _, err := c.InsertChain(acked); err != nil {
 			t.Fatal(err)
 		}
+		fs, start = ffs, len(ffs.log())
 		return func() error {
 			_, err := c.InsertChain(flight)
 			return err
 		}
 	}, func(t *testing.T, dir string, mode fault, death string) {
+		// A flight commit stands once its log sync returned, or when kill -9
+		// took it at that sync.
+		stood := 0
+		for _, call := range fs.log()[start:] {
+			if call == "sync "+logName {
+				stood++
+			}
+		}
+		if death == "sync "+logName && !commitStands(mode, death) {
+			stood--
+		}
+		want := heads[stood]
 		reopened := mustOpen(t, dir, 0)
 		defer reopened.chain.Close()
-		head := reopened.chain.Head()
-		if id := head.ID(); !slices.Contains(disk.acked, id) && (death == "" || id != disk.failed) {
-			t.Fatalf("died at %q: reopened at #%d, neither an acknowledged head nor the failed commit's", death, head.Header.Number)
+		if got := reopened.chain.Head(); got.ID() != want.ID() {
+			t.Fatalf("died at %q (%s) after %d flight commits stood: reopened at #%d, want #%d",
+				death, mode, stood, got.Header.Number, want.Header.Number)
 		}
-		assertEqualChains(t, reopened.chain, chainOf(t, line[:head.Header.Number]))
-		if _, err := reopened.chain.InsertChain(line[head.Header.Number:]); err != nil {
+		assertEqualChains(t, reopened.chain, chainOf(t, line[:want.Header.Number]))
+		if _, err := reopened.chain.InsertChain(line[want.Header.Number:]); err != nil {
 			t.Fatalf("re-import of the lost blocks: %v", err)
 		}
 		assertEqualChains(t, reopened.chain, src.chain)
 	})
+}
+
+// TestImportWritesTheSameWayEveryTime imports one 200-block batch of
+// transfers on ten fresh durable chains and requires the same sequence of
+// writes and syncs from each: how InsertChain cuts a batch into commits
+// depends on the blocks, not on how far its verification workers got.
+func TestImportWritesTheSameWayEveryTime(t *testing.T) {
+	src := memFixture(t)
+	batch := make([]*types.Block, 200)
+	for i := range batch {
+		batch[i] = src.extend(3)
+	}
+	var first []string
+	for run := 0; run < 10; run++ {
+		fs := newFaultFS(t)
+		d, err := openWith(t.TempDir(), fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := baseConfig()
+		cfg.Storage = d
+		c, err := chain.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := len(fs.log())
+		if _, err := c.InsertChain(batch); err != nil {
+			t.Fatal(err)
+		}
+		calls := fs.log()[start:]
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			first = calls
+			if syncs := strings.Count(strings.Join(calls, "\n"), "sync "+logName); syncs != 4 {
+				t.Fatalf("the batch committed with %d log syncs, want 4 (#1–#64, #65–#128, #129–#192, #193–#200)", syncs)
+			}
+			continue
+		}
+		if !slices.Equal(calls, first) {
+			t.Fatalf("import %d made the calls\n%q\nimport 1 made\n%q", run+1, calls, first)
+		}
+	}
 }
 
 // TestSnapshotSaveFailureKeepsOld fails each call of a snapshot save that

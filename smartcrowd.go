@@ -107,8 +107,10 @@ type (
 	Consumer = node.Consumer
 )
 
-// NewPlatform creates an empty platform; add providers and detectors, then
-// drive it with Release, Mine and Step.
+// NewPlatform creates an empty platform; fund accounts and add providers
+// and detectors, then drive it with Release (a provider announces a
+// system) and Mine (a provider seals the next block, and every detector
+// polls the chain).
 func NewPlatform(cfg PlatformConfig) *Platform { return core.NewPlatform(cfg) }
 
 // Detection substrate.
