@@ -106,7 +106,7 @@ func TestOwnBlockIsAdoptedOnlyWhenTheHeaderMatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			built := blk.Header
-			tc.mutate(h, &blk.Header)
+			blk = types.Edited(blk, func(b *types.Block) { tc.mutate(h, &b.Header) })
 			if blk.Header == built {
 				t.Fatal("the case changed nothing")
 			}
@@ -307,15 +307,15 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		}
 		return blk
 	}
-	// land seals a built block and gives it to both chains: A the object
-	// it built, B a decoded copy.
-	land := func(blk *types.Block) {
+	// land seals a built block and gives it to both chains: A the sealed
+	// block, B a decoded copy. It returns the sealed block.
+	land := func(blk *types.Block) *types.Block {
 		t.Helper()
 		sealed, err := sealer.Seal(blk.Header, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk.Header = sealed
+		blk = &types.Block{Header: sealed, Txs: blk.Txs}
 		switchedA, err := a.InsertBlock(blk)
 		if err != nil {
 			t.Fatalf("A, block #%d: %v", blk.Header.Number, err)
@@ -331,6 +331,7 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		if switchedA != switchedB {
 			t.Fatalf("block #%d: A switched = %v, B switched = %v", blk.Header.Number, switchedA, switchedB)
 		}
+		return blk
 	}
 
 	// The seeded mix.
@@ -433,11 +434,11 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	f := build(hd, h.transferTx(h.provider, types.Address{0xF}, 1))
 	h.nonces[h.provider.Address()] = nonce
 	p := build(hd, h.transferTx(h.provider, types.Address{0xA}, 2))
-	land(f)
+	f = land(f)
 	if a.Head().ID() != f.ID() {
 		t.Fatal("F did not become the head")
 	}
-	land(p)
+	p = land(p)
 	if a.Head().ID() != f.ID() || !b.HasBlock(p.ID()) {
 		t.Fatal("the stale seal P should sit beside the head on both chains")
 	}

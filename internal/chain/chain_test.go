@@ -254,7 +254,7 @@ func TestInsertBlockValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk.Header.ParentID = types.HashBytes([]byte("ghost"))
+		blk = types.Edited(blk, func(b *types.Block) { b.Header.ParentID = types.HashBytes([]byte("ghost")) })
 		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, ErrUnknownParent) {
 			t.Errorf("err = %v", err)
 		}
@@ -265,7 +265,7 @@ func TestInsertBlockValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk.Header.Time = head.Header.Time
+		blk = types.Edited(blk, func(b *types.Block) { b.Header.Time = head.Header.Time })
 		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, ErrBadTimestamp) {
 			t.Errorf("err = %v", err)
 		}
@@ -276,7 +276,7 @@ func TestInsertBlockValidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blk.Header.StateRoot = types.HashBytes([]byte("wrong"))
+		blk = types.Edited(blk, func(b *types.Block) { b.Header.StateRoot = types.HashBytes([]byte("wrong")) })
 		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, ErrStateMismatch) {
 			t.Errorf("err = %v", err)
 		}
@@ -515,8 +515,10 @@ func TestContractCreationRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk.Txs = []*types.Transaction{create}
-	blk.Header.TxRoot = types.ComputeTxRoot(blk.Txs)
+	blk = types.Edited(blk, func(b *types.Block) {
+		b.Txs = []*types.Transaction{create}
+		b.Header.TxRoot = types.ComputeTxRoot(b.Txs)
+	})
 	if _, err := h.chain.InsertBlock(blk); !errors.Is(err, types.ErrTxBadKind) {
 		t.Errorf("InsertBlock: err = %v, want ErrTxBadKind", err)
 	}

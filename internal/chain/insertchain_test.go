@@ -183,7 +183,7 @@ func TestInsertChainSkipsKnownBlocks(t *testing.T) {
 func TestInsertChainAbortsOnInvalidBlock(t *testing.T) {
 	h, wire := buildTestChain(t, 12)
 	bad := len(wire) / 2
-	wire[bad].Header.StateRoot = types.HashBytes([]byte("corrupt"))
+	wire[bad] = types.Edited(wire[bad], func(b *types.Block) { b.Header.StateRoot = types.HashBytes([]byte("corrupt")) })
 
 	c := freshChain(t, h)
 	n, err := c.InsertChain(wire)
@@ -213,7 +213,11 @@ func TestInsertChainRejectsBadStatelessBlock(t *testing.T) {
 	if len(victim.Txs) == 0 {
 		t.Fatal("test block carries no txs")
 	}
-	victim.Txs[0].Value += 1 // breaks the signature and the tx root
+	wire[2] = types.Edited(victim, func(b *types.Block) {
+		b.Txs[0] = types.Edited(b.Txs[0], func(tx *types.Transaction) {
+			tx.Value++ // breaks the signature and the tx root
+		})
+	})
 
 	c := freshChain(t, h)
 	n, err := c.InsertChain(wire)
@@ -439,9 +443,10 @@ func TestStageOneStopsAtTheFirstFailure(t *testing.T) {
 	const blocks, perBlock = 64, 8
 	h, batch := transferBatch(t, blocks, perBlock)
 	snap := h.chain.SnapshotNow()
-	bad := batch[0]
-	bad.Txs[3].Sig.S[7] ^= 0x10
-	bad.Header.TxRoot = types.ComputeTxRoot(bad.Txs)
+	batch[0] = types.Edited(batch[0], func(b *types.Block) {
+		b.Txs[3] = types.Edited(b.Txs[3], func(tx *types.Transaction) { tx.Sig.S[7] ^= 0x10 })
+		b.Header.TxRoot = types.ComputeTxRoot(b.Txs)
+	})
 
 	misses := telemetry.GetCounter("smartcrowd_types_sender_cache_total", telemetry.L("outcome", "miss"))
 	for _, entry := range []struct {

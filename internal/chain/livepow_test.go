@@ -48,7 +48,7 @@ func mineLive(t *testing.T, c *Chain, intervalMillis uint64, txs []*types.Transa
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk.Header = sealed
+	blk = &types.Block{Header: sealed, Txs: blk.Txs}
 	if _, err := c.InsertBlock(blk); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestDifficultyRuleEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blk.Header = sealed
+	blk = &types.Block{Header: sealed, Txs: blk.Txs}
 	if _, err := c.InsertBlock(blk); !errors.Is(err, ErrBadDifficulty) {
 		t.Errorf("err = %v, want ErrBadDifficulty", err)
 	}

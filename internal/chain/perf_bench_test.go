@@ -103,8 +103,9 @@ func BenchmarkSealOwnBlock(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			blk.Header.Nonce = uint64(i) + 1
-			if _, err := c.InsertBlock(blk); err != nil {
+			sealed := blk.Header
+			sealed.Nonce = uint64(i) + 1
+			if _, err := c.InsertBlock(&types.Block{Header: sealed, Txs: blk.Txs}); err != nil {
 				b.Fatal(err)
 			}
 		}

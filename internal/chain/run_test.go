@@ -49,7 +49,7 @@ func TestRunStopsBeforeAFailingBlock(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blocks := redecoded(t, batch)
-			tc.spoil(blocks[39])
+			blocks[39] = types.Edited(blocks[39], tc.spoil)
 			c := freshChain(t, h)
 			n, err := c.InsertChain(blocks)
 			if !errors.Is(err, tc.want) || n != 39 {

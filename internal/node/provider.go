@@ -468,7 +468,8 @@ func (p *ProviderNode) acceptBlock(rec types.BlockRecord, from p2p.NodeID, tc te
 // SealAndPublish performs one round of mining, and it is the only way a
 // block is sealed: it assembles a block on the current head, seals it with
 // the given sealer (releasing the node lock during the search), then
-// inserts and gossips the sealed block. A CPUSealer grinds a real nonce,
+// inserts, gossips and returns the sealed block, a new Block: the one
+// BuildBlock returned is never written. A CPUSealer grinds a real nonce,
 // the simulation's lottery stamps one, and AsBuilt keeps the built one. If
 // another block lands on the head while sealing, the stale solution is
 // discarded and ErrStaleSeal is returned — the caller simply tries again,
@@ -500,19 +501,30 @@ func (p *ProviderNode) SealAndPublish(sealer pow.Sealer, timestamp, difficulty u
 		return nil, fmt.Errorf("node: build block: %w", err)
 	}
 
+	return p.sealBuilt(root, sealer, head.ID(), blk, stop)
+}
+
+// sealBuilt is SealAndPublish after the build: it seals built, a block
+// on the head headID, and inserts, gossips and returns the sealed block.
+// That is a new Block: built is never written. It ends root.
+func (p *ProviderNode) sealBuilt(root telemetry.Span, sealer pow.Sealer, headID types.Hash, built *types.Block, stop <-chan struct{}) (*types.Block, error) {
+	tc := root.Context()
+	nodeLabel := telemetry.L("node", string(p.id))
+	endRoot := func(outcome string) { root.End(nodeLabel, telemetry.L("outcome", outcome)) }
+
 	powSpan := telemetry.StartSpanIn(tc, "pow.seal")
-	sealed, err := sealer.Seal(blk.Header, stop)
+	sealed, err := sealer.Seal(built.Header, stop)
 	if err != nil {
 		powSpan.End(nodeLabel, telemetry.L("outcome", "aborted"))
 		endRoot("aborted")
 		return nil, err
 	}
 	powSpan.End(nodeLabel, telemetry.L("outcome", "ok"))
-	blk.Header = sealed
+	blk := &types.Block{Header: sealed, Txs: built.Txs}
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.chain.Head().ID() != head.ID() {
+	if p.chain.Head().ID() != headID {
 		endRoot("stale")
 		return nil, ErrStaleSeal
 	}

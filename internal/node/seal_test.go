@@ -69,3 +69,88 @@ func TestAbortedSealEndsItsTrace(t *testing.T) {
 		t.Errorf("block.seal outcome = %q, want aborted", got)
 	}
 }
+
+// stampSealer seals a header by stamping its own value as the nonce.
+type stampSealer uint64
+
+func (n stampSealer) Seal(hdr types.Header, _ <-chan struct{}) (types.Header, error) {
+	hdr.Nonce = uint64(n)
+	return hdr, nil
+}
+
+// TestSealLeavesTheBuiltBlockAlone: sealing puts the sealed header into a
+// new block and never writes the one BuildBlock returned, which keeps its
+// header and its id; the new block's id is its header's hash and the one
+// a peer decodes. The built block is hashed before it is sealed, so a
+// sealer that wrote it in place would leave it a stale id memo, which the
+// memoguard build turns into a panic.
+func TestSealLeavesTheBuiltBlockAlone(t *testing.T) {
+	alloc, releasing, _ := fundedActors()
+	cl := newCluster(t, 2, alloc)
+	a, peer := cl.providers[0], cl.providers[1]
+	tx := &types.Transaction{Kind: types.TxTransfer, To: types.Address{1}, Value: 1, GasLimit: 21_000, GasPrice: 50 * types.GWei}
+	if err := types.SignTx(tx, releasing); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	cl.settle()
+
+	head := a.Chain().Head()
+	built, err := a.Chain().BuildBlock(head.ID(), a.wallet.Address(), head.Header.Time+15_350, 1000, []*types.Transaction{tx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	asBuilt, builtID := built.Header, built.ID()
+	sealed, err := a.sealBuilt(telemetry.StartTrace("block.seal"), stampSealer(42), head.ID(), built, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sealed == built {
+		t.Fatal("sealing returned the built block")
+	}
+	if built.Header != asBuilt || built.Header.Nonce != 0 || built.ID() != builtID {
+		t.Errorf("sealing wrote the built block: header %+v, want %+v", built.Header, asBuilt)
+	}
+	if sealed.Header.Nonce != 42 || len(sealed.Txs) != 1 || sealed.Txs[0] != tx {
+		t.Errorf("sealed block: nonce %d, %d txs; want nonce 42 and the built transaction", sealed.Header.Nonce, len(sealed.Txs))
+	}
+	cl.settle()
+	checkPublished(t, sealed, peer)
+
+	cl.now += 15_350
+	next, err := a.SealAndPublish(stampSealer(7), cl.now, 1000, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Header.Nonce != 7 || next.Header.ParentID != sealed.ID() {
+		t.Errorf("SealAndPublish: nonce %d on parent %s, want 7 on %s", next.Header.Nonce, next.Header.ParentID.Short(), sealed.ID().Short())
+	}
+	cl.settle()
+	checkPublished(t, next, peer)
+}
+
+// checkPublished checks that blk's id is its header's hash, and that peer
+// holds blk as its head under that id, in bytes that decode to it.
+func checkPublished(t *testing.T, blk *types.Block, peer *ProviderNode) {
+	t.Helper()
+	id := blk.ID()
+	if id != blk.Header.ID() {
+		t.Fatalf("block #%d: ID() %s, header hash %s", blk.Header.Number, id.Short(), blk.Header.ID().Short())
+	}
+	if got := peer.Chain().Head().ID(); got != id {
+		t.Fatalf("peer head %s, want the sealed block %s", got.Short(), id.Short())
+	}
+	raw, err := peer.Chain().BlockByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := types.DecodeBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if decoded.ID() != id || decoded.Header != blk.Header {
+		t.Errorf("peer decodes block %s with header %+v, want %s", decoded.ID().Short(), decoded.Header, id.Short())
+	}
+}

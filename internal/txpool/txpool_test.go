@@ -79,8 +79,9 @@ func TestAddRejectsDuplicates(t *testing.T) {
 func TestAddRejectsInvalid(t *testing.T) {
 	p := New()
 	alice := wallet.NewDeterministic("alice")
-	tampered := signedTx(t, alice, 0, 50)
-	tampered.Value = 999 // break signature
+	tampered := types.Edited(signedTx(t, alice, 0, 50), func(tx *types.Transaction) {
+		tx.Value = 999 // break signature
+	})
 	// Kind 2, contract creation, is retired: signed and well formed, but
 	// not a transaction any more.
 	create := &types.Transaction{Kind: types.TxKind(2), GasLimit: 500_000, GasPrice: 50, Data: []byte{0x60, 0x00, 0x60, 0x00, 0xf3}}
@@ -348,8 +349,9 @@ func TestAddAllReportsPerTxErrors(t *testing.T) {
 	if err := p.Add(dup, st); err != nil {
 		t.Fatal(err)
 	}
-	bad := signedTx(t, bob, 1, 50)
-	bad.Value = 999 // breaks the signature
+	bad := types.Edited(signedTx(t, bob, 1, 50), func(tx *types.Transaction) {
+		tx.Value = 999 // breaks the signature
+	})
 
 	txs := []*types.Transaction{
 		dup,                       // 0: already pooled

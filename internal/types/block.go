@@ -1,10 +1,12 @@
 package types
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/merkle"
@@ -82,21 +84,17 @@ func meetsDifficulty(id Hash, d uint64) bool {
 
 // Block is a full SmartCrowd block: a sealed header plus the transactions
 // (value transfers, SRAs and detection reports) it records.
+//
+// A block is open until BuildBlock or sealing returns it, and nothing
+// writes it after that: a sealer grinds nonces on a Header value, and the
+// sealed header goes into a new Block.
 type Block struct {
 	Header Header
 	Txs    []*Transaction
 
-	// idCache memoizes the header hash, guarded by a copy of the header
-	// it was computed from: fork choice, indexing and PoW verification
-	// all re-request the ID of sealed (immutable) blocks, while a miner
-	// grinding Nonce on a header it owns still gets fresh hashes.
-	idCache atomic.Pointer[blockIDEntry]
-}
-
-// blockIDEntry pins a memoized block ID to the exact header contents.
-type blockIDEntry struct {
-	hdr Header
-	id  Hash
+	// id memoizes the header hash: fork choice, indexing and PoW
+	// verification all ask for it again.
+	id atomic.Pointer[Hash]
 }
 
 // Block validation errors.
@@ -110,15 +108,39 @@ var (
 	ErrCheckStopped = errors.New("types: check stopped")
 )
 
-// ID returns the block's identifier (its header hash), memoized against
-// the current header value.
+// ID returns the block's identifier (its header hash), memoized on first
+// use. Built with the memoguard tag, it hashes the header again on every
+// call and panics when it no longer matches the memo.
 func (b *Block) ID() Hash {
-	if e := b.idCache.Load(); e != nil && e.hdr == b.Header {
-		return e.id
+	if id := b.id.Load(); id != nil {
+		if memoGuard && *id != b.Header.ID() {
+			panic("types: block " + id.Short() + " written after it was hashed")
+		}
+		return *id
 	}
 	id := b.Header.ID()
-	b.idCache.Store(&blockIDEntry{hdr: b.Header, id: id})
+	b.id.Store(&id)
 	return id
+}
+
+// Edited returns a copy of v, a *Transaction or a *Block, with edit
+// applied to the copy before anything hashes it: the way to derive a
+// different value from one that is signed or built, which nothing writes.
+// A transaction's Data and a block's Txs are copied, so edit may write
+// them in place; a block's transactions are shared, so replace one
+// (with an Edited copy) rather than write it.
+func Edited[T Transaction | Block](v *T, edit func(*T)) *T {
+	var out any
+	switch v := any(v).(type) {
+	case *Transaction:
+		tx := v.withoutMemo()
+		tx.Data = bytes.Clone(tx.Data)
+		out = &tx
+	case *Block:
+		out = &Block{Header: v.Header, Txs: slices.Clone(v.Txs)}
+	}
+	edit(out.(*T))
+	return out.(*T)
 }
 
 // ComputeTxRoot builds the Merkle root over the block's transactions.
@@ -206,12 +228,9 @@ func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
 			return h, ErrCheckStopped
 		}
 		fields := r.next(&v.tx) // the first walk read these bytes cleanly
-		v.memo = txMemo{
-			key:     v.tx.memoKey(),
-			data:    v.tx.Data, // raw outlives the check; nothing writes it
-			sigHash: listHash(fields[:len(fields)-sigSize]),
-			hash:    listHash(fields),
-		}
+		// v.tx holds the next transaction now: it gets that one's memo
+		// before anything reads a digest.
+		v.memo = memoOf(fields, listHash(fields))
 		v.tx.memo.Store(&v.memo)
 		if err := v.tx.ValidateBasic(); err != nil {
 			return h, fmt.Errorf("types: block tx %d: %w", i, err)
@@ -407,8 +426,7 @@ func DecodeBlock(data []byte) (*Block, error) { return DecodeBlockPooled(data, n
 // equal hash means equal bytes, so the block is the one DecodeBlock
 // builds, with the pooled transaction's memo (its sender recovered once
 // per node, not once per arrival). It rejects exactly what DecodeBlock
-// rejects. pooled may be nil; a transaction it returns must not be
-// modified afterwards.
+// rejects. pooled may be nil.
 func DecodeBlockPooled(data []byte, pooled func(Hash) *Transaction) (*Block, error) {
 	r, h := readBlock(data)
 	blk := &Block{Header: h, Txs: []*Transaction{}}
@@ -493,14 +511,24 @@ func (r *blockReader) close() error {
 }
 
 // detach returns a new transaction with the fields a decoder just read
-// into tx from fields, whose list hash is hash, with its memo stored. Its
-// Data aliases the decoder's input, as tx's does: every caller decodes
-// bytes it never writes again (a one-transaction frame, a POST /v1/tx
-// body, a block's record), so only the memo's guard keeps a copy. Only
+// into tx from fields, whose list hash is hash, with its memo stored: one
+// allocation holds both. Its Data aliases the decoder's input, as tx's
+// does: every caller decodes bytes it never writes again (a
+// one-transaction frame, a POST /v1/tx body, a block's record). Only
 // EncodeTx's own bytes are accepted, so fields is what appendFields would
-// write: neither Hash() nor SigHash() encodes back.
+// write: neither digest is encoded back.
 func (tx *Transaction) detach(fields []byte, hash Hash) *Transaction {
-	out := &Transaction{
+	d := &struct {
+		tx   Transaction
+		memo txMemo
+	}{tx.withoutMemo(), memoOf(fields, hash)}
+	d.tx.memo.Store(&d.memo)
+	return &d.tx
+}
+
+// withoutMemo returns a copy of tx's fields with no memo.
+func (tx *Transaction) withoutMemo() Transaction {
+	return Transaction{
 		Kind:     tx.Kind,
 		Nonce:    tx.Nonce,
 		From:     tx.From,
@@ -511,8 +539,6 @@ func (tx *Transaction) detach(fields []byte, hash Hash) *Transaction {
 		Data:     tx.Data,
 		Sig:      tx.Sig,
 	}
-	out.memo.Store(out.newMemo(fields, hash))
-	return out
 }
 
 // txFields reads one transaction list into tx and returns its payload.

@@ -173,8 +173,9 @@ func TestBlockVerifyShapeRejectsBadPoW(t *testing.T) {
 
 func TestBlockVerifyShapeRejectsInvalidTx(t *testing.T) {
 	alice := wallet.NewDeterministic("alice")
-	tx := signedTransfer(t, alice, Address{}, 5, 0)
-	tx.Value = 99 // break the signature
+	tx := Edited(signedTransfer(t, alice, Address{}, 5, 0), func(tx *Transaction) {
+		tx.Value = 99 // break the signature
+	})
 	b := minedBlock(t, Hash{}, 1, []*Transaction{tx}, 4)
 	if err := b.VerifyShape(false); err == nil {
 		t.Error("block with invalid tx accepted")

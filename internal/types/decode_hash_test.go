@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestHashAfterDecodeAllocatesNothing: the decoder has just read the bytes
 // Hash() is the digest of, so asking a decoded transaction — alone or
@@ -44,38 +47,10 @@ func TestHashAfterDecodeAllocatesNothing(t *testing.T) {
 	_, _ = sink, kept
 }
 
-// TestSeededHashMemoIsInvalidatedByMutation: the memo the decoder fills is
-// guarded like the one Hash() fills — change any hashed field of a decoded
-// transaction and the digest follows it.
-func TestSeededHashMemoIsInvalidatedByMutation(t *testing.T) {
-	tx, err := DecodeTx(EncodeTx(memoTx(t)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := tx.Hash()
-	for name, m := range map[string]struct{ mutate, undo func() }{
-		"nonce":         {func() { tx.Nonce++ }, func() { tx.Nonce-- }},
-		"to":            {func() { tx.To[0] ^= 0xFF }, func() { tx.To[0] ^= 0xFF }},
-		"value":         {func() { tx.Value++ }, func() { tx.Value-- }},
-		"data in place": {func() { tx.Data[0] ^= 0xFF }, func() { tx.Data[0] ^= 0xFF }},
-		"signature":     {func() { tx.Sig.V ^= 1 }, func() { tx.Sig.V ^= 1 }},
-	} {
-		m.mutate()
-		if tx.Hash() == h {
-			t.Errorf("%s: Hash() served the decoder's memo after mutation", name)
-		}
-		m.undo()
-		if tx.Hash() != h {
-			t.Errorf("%s: Hash() did not return to the original digest after undo", name)
-		}
-	}
-}
-
 // TestDecodedReportAllocations: a decoded transaction's Data aliases the
-// bytes it was decoded from, and only the memo's guard copies it, so an
-// initial report (R†), whose Data is its payload, decodes in three
-// allocations — the transaction, the memo and the guard copy — one more
-// than a transfer, whose Data is empty.
+// bytes it was decoded from, and its memo holds digests only, so an
+// initial report (R†), whose Data is its payload, decodes in one
+// allocation, the transaction with its memo, as a transfer does.
 func TestDecodedReportAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations of its own")
@@ -83,10 +58,53 @@ func TestDecodedReportAllocations(t *testing.T) {
 	txs := goldenTxs(t)
 	enc := EncodeTx(txs["initial-report"])
 	var tx *Transaction
-	if n := testing.AllocsPerRun(20, func() { tx, _ = DecodeTx(enc) }); n != 3 {
-		t.Errorf("DecodeTx of an initial report: %.0f allocations, want 3", n)
+	if n := testing.AllocsPerRun(20, func() { tx, _ = DecodeTx(enc) }); n != 1 {
+		t.Errorf("DecodeTx of an initial report: %.0f allocations, want 1", n)
 	}
 	if len(tx.Data) == 0 || &tx.Data[0] != &enc[len(enc)-len(tx.Data)-sigSize] {
 		t.Error("the decoded report's Data does not alias its encoding")
+	}
+}
+
+// TestDecodedBlockIDAllocations: the first ID() of a decoded block
+// stores one 32-byte hash, and every later call reads it.
+func TestDecodedBlockIDAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations of its own")
+	}
+	txs := goldenTxs(t)
+	three := []*Transaction{txs["transfer"], txs["sra"], txs["initial-report"]}
+	enc := EncodeBlock(&Block{Header: Header{Number: 1, TxRoot: ComputeTxRoot(three)}, Txs: three})
+	const runs = 20
+	fresh := make([]*Block, runs+1) // AllocsPerRun adds a warm-up call
+	for i := range fresh {
+		fresh[i], _ = DecodeBlock(enc)
+	}
+	var sink Hash
+	next := 0
+	first := testing.AllocsPerRun(runs, func() {
+		sink = fresh[next].ID()
+		next++
+	})
+	if first > 1 {
+		t.Errorf("first ID() of a decoded block: %.0f allocations, want at most 1", first)
+	}
+	for i := range fresh {
+		fresh[i], _ = DecodeBlock(enc)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range fresh {
+		sink = b.ID()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(fresh)); per > 32 {
+		t.Errorf("first ID() of a decoded block: %d bytes, want at most 32", per)
+	}
+	if n := testing.AllocsPerRun(50, func() { sink = fresh[0].ID() }); n != 0 {
+		t.Errorf("repeated ID() of a decoded block: %.0f allocations, want 0", n)
+	}
+	if sink != fresh[0].Header.ID() {
+		t.Error("decoded block's ID differs from its header hash")
 	}
 }

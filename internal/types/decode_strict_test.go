@@ -114,7 +114,7 @@ func TestHighSTwinIsNotASecondValidEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the twin's frame is well-formed and should decode: %v", err)
 	}
-	if twin.Hash() == tx.Hash() || twin.SigHash() != tx.SigHash() {
+	if twin.Hash() == tx.Hash() || twin.loadMemo().sigHash != tx.loadMemo().sigHash {
 		t.Fatal("the twin should share the signing hash and differ in Hash")
 	}
 	if err := twin.ValidateBasic(); !errors.Is(err, ErrTxBadSignature) {
@@ -232,7 +232,8 @@ func checkBlockRoundtrip(t testing.TB, b []byte) {
 }
 
 // checkSeededHash compares a decoded transaction's memoised Hash and
-// SigHash with the digests of its own encodings, computed without the memo.
+// signing digest with the digests of its own encodings, computed without
+// the memo.
 func checkSeededHash(t testing.TB, tx *Transaction) {
 	t.Helper()
 	if tx.memo.Load() == nil {
@@ -242,7 +243,7 @@ func checkSeededHash(t testing.TB, tx *Transaction) {
 		t.Errorf("decoded %x: seeded hash %s, recomputed %s", EncodeTx(tx), got.Short(), want.Short())
 	}
 	unsigned := rlp.AppendList(nil, tx.appendFields(nil, false))
-	if got, want := tx.SigHash(), HashBytes(unsigned); got != want {
+	if got, want := tx.loadMemo().sigHash, HashBytes(unsigned); got != want {
 		t.Errorf("decoded %x: seeded signing hash %s, recomputed %s", EncodeTx(tx), got.Short(), want.Short())
 	}
 }

@@ -15,7 +15,8 @@ func decodeBlockRef(data []byte) (*Block, error) {
 		tx := new(Transaction)
 		if fields := r.next(tx); r.err == nil {
 			tx.Data = append([]byte(nil), tx.Data...)
-			tx.memo.Store(tx.newMemo(fields, listHash(fields)))
+			m := memoOf(fields, listHash(fields))
+			tx.memo.Store(&m)
 		}
 		blk.Txs = append(blk.Txs, tx)
 	}
@@ -63,7 +64,7 @@ func checkPooledDecode(t testing.TB, data []byte, mask uint64, extra []*Transact
 	}
 	for i, tx := range blk.Txs {
 		want := ref.Txs[i]
-		if tx.Hash() != want.Hash() || tx.SigHash() != want.SigHash() {
+		if tx.Hash() != want.Hash() || tx.loadMemo().sigHash != want.loadMemo().sigHash {
 			t.Fatalf("tx %d: memo differs from the reference's", i)
 		}
 		if p := pool[want.Hash()]; p != nil && tx != p {

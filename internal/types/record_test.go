@@ -43,10 +43,8 @@ func recordCases(tb testing.TB) map[string]recordCase {
 	honest := []*Transaction{transfer(0), transfer(1), transfer(2)}
 	valid := sealRecord(tb, honest, nil)
 
-	flipped := *transfer(1)
-	flipped.Sig.S[9] ^= 0x40
-	wrongFrom := *transfer(1)
-	wrongFrom.From = bob.Address()
+	flipped := Edited(transfer(1), func(tx *Transaction) { tx.Sig.S[9] ^= 0x40 })
+	wrongFrom := Edited(transfer(1), func(tx *Transaction) { tx.From = bob.Address() })
 
 	// An SRA alice announces, carried in a transaction bob signs.
 	sra := &SRA{Provider: alice.Address(), Name: "fw", Version: "1", SystemHash: HashBytes([]byte("img")),
@@ -62,8 +60,8 @@ func recordCases(tb testing.TB) map[string]recordCase {
 	cases := map[string]recordCase{
 		"honest":            {raw: valid},
 		"empty":             {raw: sealRecord(tb, nil, nil)},
-		"flipped signature": {raw: sealRecord(tb, []*Transaction{transfer(0), &flipped}, nil), want: ErrTxWrongSender},
-		"wrong From":        {raw: sealRecord(tb, []*Transaction{&wrongFrom}, nil), want: ErrTxWrongSender},
+		"flipped signature": {raw: sealRecord(tb, []*Transaction{transfer(0), flipped}, nil), want: ErrTxWrongSender},
+		"wrong From":        {raw: sealRecord(tb, []*Transaction{wrongFrom}, nil), want: ErrTxWrongSender},
 		"SRA of another":    {raw: sealRecord(tb, []*Transaction{foreignSRA}, nil), want: ErrTxWrongSender},
 		"bad tx root":       {raw: sealRecord(tb, honest, func(h *Header) { h.TxRoot[0] ^= 1 }), want: ErrBlockBadTxRoot},
 		"zero time":         {raw: sealRecord(tb, honest, func(h *Header) { h.Time = 0 }), want: ErrBlockNoTime},
@@ -73,7 +71,7 @@ func recordCases(tb testing.TB) map[string]recordCase {
 	// A header that claims more work than its nonce did: refused unless
 	// the predicate is skipped, when the same record is honest.
 	unmined := &Block{Header: Header{Number: 7, Time: 105_000, Difficulty: 1 << 62, TxRoot: ComputeTxRoot(honest)}, Txs: honest}
-	for !meetsDifficulty(unmined.ID(), 16) || unmined.Header.MeetsPoW() {
+	for !meetsDifficulty(unmined.Header.ID(), 16) || unmined.Header.MeetsPoW() {
 		unmined.Header.Nonce++
 	}
 	cases["bad PoW"] = recordCase{raw: EncodeBlock(unmined), want: ErrBlockBadPoW}
@@ -132,6 +130,47 @@ func TestVerifyRecordTable(t *testing.T) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
 		})
+	}
+}
+
+// TestVerifierReuseMatchesDecode: one verifier walks a good record, one
+// whose signature is bad, and another good one, then a bad record and a
+// good one, and says of each what DecodeBlock + VerifyShape say of the
+// same bytes: the same header and the same error. Its scratch
+// transaction gets a fresh memo for every record, and this is what
+// shows a stale one.
+func TestVerifierReuseMatchesDecode(t *testing.T) {
+	cases := recordCases(t)
+	bob := wallet.NewDeterministic("bob")
+	var others []*Transaction
+	for nonce := range uint64(4) {
+		tx := &Transaction{Kind: TxTransfer, Nonce: nonce, To: Address{0xa1}, Value: 2 * GWei, GasLimit: 21_000, GasPrice: GWei}
+		if err := SignTx(tx, bob); err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, tx)
+	}
+	records := map[string][]byte{"good'": sealRecord(t, others, nil)}
+	for name, c := range cases {
+		records[name] = c.raw
+	}
+	var v RecordVerifier
+	for _, walk := range [][]string{{"honest", "flipped signature", "good'"}, {"wrong From", "honest"}} {
+		for _, name := range walk {
+			raw := records[name]
+			blk, want := DecodeBlock(raw)
+			if want != nil {
+				t.Fatalf("%s: %v", name, want)
+			}
+			want = blk.VerifyShape(false)
+			h, got := v.Verify(raw)
+			if h != blk.Header {
+				t.Errorf("%s after %v: header %+v, DecodeBlock %+v", name, walk, h, blk.Header)
+			}
+			if (got == nil) != (want == nil) || got != nil && got.Error() != want.Error() {
+				t.Errorf("%s after %v: verifier says %v, DecodeBlock + VerifyShape say %v", name, walk, got, want)
+			}
+		}
 	}
 }
 

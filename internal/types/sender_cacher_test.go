@@ -53,7 +53,7 @@ func TestRecoverSendersWarmsEveryTx(t *testing.T) {
 func TestRecoverSendersMemoizesFailures(t *testing.T) {
 	alice := wallet.NewDeterministic("cacher-alice")
 	txs := coldCopies(t, []*Transaction{signedTransfer(t, alice, Address{9}, 1, 0)})
-	txs[0].Value = 999 // break the signature before recovery
+	txs[0] = Edited(txs[0], func(tx *Transaction) { tx.Value = 999 }) // break the signature before recovery
 
 	// RecoverSenders itself never fails — it is safe on unvalidated
 	// gossip — but the failure must surface from the usual entry points.

@@ -1,7 +1,6 @@
 package types
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -61,6 +60,11 @@ func (k TxKind) Valid() bool {
 // Transaction is a signed SmartCrowd transaction. The sender is recovered
 // from the signature (Ethereum-style); From is carried explicitly for
 // readability and must match the recovered signer.
+//
+// A transaction is open until SignTx returns it, and nothing writes it
+// after that: its digests and sender are memoized on first use and never
+// checked against the fields again. To derive a different transaction
+// from a signed one, build a new value (Edited does it for tests).
 type Transaction struct {
 	// Kind selects the payload interpretation of Data.
 	Kind TxKind
@@ -82,43 +86,14 @@ type Transaction struct {
 	// Sig authenticates the transaction.
 	Sig secp256k1.Signature
 
-	// memo holds SigHash, Hash and the recovered sender, guarded by a
-	// copy of every field they were computed from: a mutated transaction
-	// (tamper tests, re-signing) gets a fresh memo instead of a stale one.
+	// memo holds the signing digest, Hash and the recovered sender.
 	memo atomic.Pointer[txMemo]
 }
 
-// txMemoKey is the comparable portion of a transaction; together with a
-// copy of Data it uniquely determines the memoized digests and sender.
-type txMemoKey struct {
-	kind     TxKind
-	nonce    uint64
-	from, to Address
-	value    Amount
-	gasLimit uint64
-	gasPrice Amount
-	sig      secp256k1.Signature
-}
-
-func (tx *Transaction) memoKey() txMemoKey {
-	return txMemoKey{
-		kind:     tx.Kind,
-		nonce:    tx.Nonce,
-		from:     tx.From,
-		to:       tx.To,
-		value:    tx.Value,
-		gasLimit: tx.GasLimit,
-		gasPrice: tx.GasPrice,
-		sig:      tx.Sig,
-	}
-}
-
 // txMemo is one transaction's digests and, once Sender has asked, its
-// recovery result. data is a private copy so in-place mutation of tx.Data
-// is detected by the guard.
+// recovery result. sigHash is the digest the sender signs: the Keccak-256
+// of the RLP list of every field but the signature.
 type txMemo struct {
-	key       txMemoKey
-	data      []byte
 	sigHash   Hash
 	hash      Hash
 	sender    Address
@@ -129,16 +104,11 @@ type txMemo struct {
 // sigSize is the encoded length of the signature string, the last field.
 var sigSize = rlp.Size(65)
 
-// newMemo builds the memo of tx from fields, its list payload with the
-// signature (appendFields(…, true), or the bytes a decoder just read),
-// and hash, the list's digest listHash(fields).
-func (tx *Transaction) newMemo(fields []byte, hash Hash) *txMemo {
-	return &txMemo{
-		key:     tx.memoKey(),
-		data:    append([]byte(nil), tx.Data...),
-		sigHash: listHash(fields[:len(fields)-sigSize]),
-		hash:    hash,
-	}
+// memoOf returns the memo of the transaction whose list payload with the
+// signature is fields (appendFields(…, true), or the bytes a decoder just
+// read) and whose list digest is hash, listHash(fields).
+func memoOf(fields []byte, hash Hash) txMemo {
+	return txMemo{sigHash: listHash(fields[:len(fields)-sigSize]), hash: hash}
 }
 
 // listHash is the Keccak-256 of the RLP list whose payload is fields,
@@ -148,17 +118,33 @@ func listHash(fields []byte) Hash {
 	return HashConcat(rlp.AppendListHeader(header[:0], len(fields)), fields)
 }
 
-// loadMemo returns the memo of the transaction's current content,
-// building and storing a new one when the stored one no longer matches.
+// loadMemo returns the transaction's memo, building and storing it on
+// first use. Built with the memoguard tag, it hashes the fields again on
+// every call and panics when they no longer match the memo: something
+// wrote the transaction after it was hashed.
 func (tx *Transaction) loadMemo() *txMemo {
-	if m := tx.memo.Load(); m != nil && m.key == tx.memoKey() && bytes.Equal(m.data, tx.Data) {
+	if m := tx.memo.Load(); m != nil {
+		if memoGuard {
+			var scratch [1024]byte
+			if listHash(tx.appendFields(scratch[:0], true)) != m.hash {
+				panic("types: transaction " + m.hash.Short() + " written after it was hashed")
+			}
+		}
 		return m
 	}
+	m := tx.newMemo()
+	if !tx.memo.CompareAndSwap(nil, m) {
+		return tx.memo.Load() // a racing first caller stored its memo first
+	}
+	return m
+}
+
+// newMemo encodes the transaction and returns its memo.
+func (tx *Transaction) newMemo() *txMemo {
 	var scratch [256]byte // a small payload's fields stay on the stack
 	fields := tx.appendFields(scratch[:0], true)
-	m := tx.newMemo(fields, listHash(fields))
-	tx.memo.Store(m)
-	return m
+	m := memoOf(fields, listHash(fields))
+	return &m
 }
 
 // sigBytes returns the signature's serialized form (R || S || V), zeroes
@@ -212,40 +198,37 @@ var (
 	ErrTxWrongPayload = errors.New("types: transaction payload does not decode for its kind")
 )
 
-// SigHash computes the digest the sender signs: the Keccak-256 of the RLP
-// encoding of all fields except the signature. The result is memoized;
-// repeated calls on an unchanged transaction cost a field compare.
-func (tx *Transaction) SigHash() Hash { return tx.loadMemo().sigHash }
-
 // Hash returns the transaction identifier: the Keccak-256 of the full RLP
-// encoding including the signature. Memoized like SigHash.
+// encoding including the signature. The result is memoized.
 func (tx *Transaction) Hash() Hash { return tx.loadMemo().hash }
 
-// SignTx signs the transaction with w and sets From.
+// SignTx signs the transaction with w, sets From and Sig, and stores the
+// memo of what it signed. It is the last write a transaction takes.
 func SignTx(tx *Transaction, w *wallet.Wallet) error {
 	tx.From = w.Address()
-	sig, err := w.SignDigest(tx.SigHash())
+	var scratch [256]byte // a small payload's fields stay on the stack
+	sig, err := w.SignDigest(listHash(tx.appendFields(scratch[:0], false)))
 	if err != nil {
 		return fmt.Errorf("types: sign transaction: %w", err)
 	}
 	tx.Sig = sig
+	tx.memo.Store(tx.newMemo())
 	return nil
 }
 
 // Sender recovers and validates the transaction's signer. The recovery
-// runs at most once per memo, so mutating the transaction invalidates it
-// naturally and concurrent callers of an unchanged one share one result.
+// runs at most once per memo, so concurrent callers share one result.
 func (tx *Transaction) Sender() (Address, error) {
 	m := tx.loadMemo()
 	recovered := false
 	m.once.Do(func() {
 		recovered = true
 		mSenderCacheMiss.Inc()
-		addr, err := wallet.RecoverSigner(m.sigHash, m.key.sig)
+		addr, err := wallet.RecoverSigner(m.sigHash, tx.Sig)
 		switch {
 		case err != nil:
 			m.senderErr = fmt.Errorf("%w: %v", ErrTxBadSignature, err)
-		case addr != m.key.from:
+		case addr != tx.From:
 			m.senderErr = ErrTxWrongSender
 		default:
 			m.sender = addr

@@ -45,24 +45,27 @@ func TestTamperedTxRejected(t *testing.T) {
 	mallory := wallet.NewDeterministic("mallory")
 
 	t.Run("value raised after signing", func(t *testing.T) {
-		tx := signedTransfer(t, alice, bob.Address(), EtherAmount(1), 0)
-		tx.Value = EtherAmount(1000)
+		tx := Edited(signedTransfer(t, alice, bob.Address(), EtherAmount(1), 0), func(tx *Transaction) {
+			tx.Value = EtherAmount(1000)
+		})
 		if _, err := tx.Sender(); err == nil {
 			t.Error("tampered value accepted")
 		}
 	})
 
 	t.Run("recipient redirected", func(t *testing.T) {
-		tx := signedTransfer(t, alice, bob.Address(), EtherAmount(1), 0)
-		tx.To = mallory.Address()
+		tx := Edited(signedTransfer(t, alice, bob.Address(), EtherAmount(1), 0), func(tx *Transaction) {
+			tx.To = mallory.Address()
+		})
 		if _, err := tx.Sender(); err == nil {
 			t.Error("redirected recipient accepted")
 		}
 	})
 
 	t.Run("from impersonated", func(t *testing.T) {
-		tx := signedTransfer(t, mallory, bob.Address(), EtherAmount(1), 0)
-		tx.From = alice.Address() // claim to be alice with mallory's signature
+		tx := Edited(signedTransfer(t, mallory, bob.Address(), EtherAmount(1), 0), func(tx *Transaction) {
+			tx.From = alice.Address() // claim to be alice with mallory's signature
+		})
 		if _, err := tx.Sender(); !errors.Is(err, ErrTxWrongSender) && err == nil {
 			t.Errorf("impersonation accepted: err = %v", err)
 		}
@@ -71,8 +74,7 @@ func TestTamperedTxRejected(t *testing.T) {
 
 func TestValidateBasicKindAndGas(t *testing.T) {
 	alice := wallet.NewDeterministic("alice")
-	tx := signedTransfer(t, alice, Address{}, 1, 0)
-	tx.Kind = TxKind(99)
+	tx := Edited(signedTransfer(t, alice, Address{}, 1, 0), func(tx *Transaction) { tx.Kind = TxKind(99) })
 	if err := tx.ValidateBasic(); !errors.Is(err, ErrTxBadKind) {
 		t.Errorf("bad kind: err = %v", err)
 	}
@@ -206,7 +208,7 @@ func TestTxHashCoversSignature(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Error("deterministic signing should produce identical tx hashes")
 	}
-	if a.SigHash() == a.Hash() {
+	if a.loadMemo().sigHash == a.Hash() {
 		t.Error("tx hash must differ from the signing hash")
 	}
 }

@@ -52,7 +52,7 @@ func TestWireEncodingGolden(t *testing.T) {
 	got := map[string]string{}
 	txs := goldenTxs(t)
 	for name, tx := range txs {
-		sh, h := tx.SigHash(), tx.Hash()
+		sh, h := tx.loadMemo().sigHash, tx.Hash()
 		got[name+".sighash"] = hex.EncodeToString(sh[:])
 		got[name+".hash"] = hex.EncodeToString(h[:])
 		got[name+".enc"] = hex.EncodeToString(EncodeTx(tx))
