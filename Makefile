@@ -33,13 +33,16 @@ check: fmt vet lint race telemetry-budget trace-budget
 # transaction (types.NewInitialReportTx/NewDetailedReportTx), so every
 # R† and R* is sent by a node.DetectorNode; and only internal/chain sums
 # a state without freezing it (state.DB.RootUnfrozen), so every root
-# copied or shared was taken at a freeze point.
+# copied or shared was taken at a freeze point. Only internal/pow
+# (and internal/types, which defines the predicate) calls MeetsPoW or
+# pow.NextDifficulty, so every header is judged by one pow.Rule.
 lint:
 	$(GO) run ./cmd/scvet ./...
 	@if $(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./internal/... ./cmd/... | grep -w 'math/big'; then echo 'lint: math/big imported by non-test code (above)'; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\b(chain|txpool)\.New\(' . | grep -v '^\./benchmark/\|^\./internal/node/'; then echo 'lint: chain.New/txpool.New called outside internal/node (above): build a node with node.NewProvider'; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\btypes\.New(Initial|Detailed)ReportTx\(' . | grep -v '^\./benchmark/\|^\./internal/node/'; then echo 'lint: report transaction built outside internal/node (above): send reports through a node.DetectorNode'; exit 1; fi
 	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.RootUnfrozen\(' . | grep -v '^\./internal/chain/\|^\./internal/state/'; then echo 'lint: state.DB.RootUnfrozen called outside the chain'"'"'s import run (above): take Root, the freeze point'; exit 1; fi
+	@if grep -rnE --include='*.go' --exclude='*_test.go' '\.MeetsPoW\(|\bpow\.NextDifficulty\(' . | grep -v '^\./internal/pow/\|^\./internal/types/'; then echo 'lint: PoW predicate or retarget called outside internal/pow (above): judge a header with its chain'"'"'s pow.Rule'; exit 1; fi
 
 # fuzz-smoke runs each attacker-facing decoder's native fuzz target
 # briefly (frames and handshakes off the TCP wire, the RLP readers and

@@ -90,7 +90,7 @@ func TestOwnBlockIsAdoptedOnlyWhenTheHeaderMatches(t *testing.T) {
 				}
 			}
 		}, true, ErrStateMismatch},
-		{"Number", func(_ *harness, hdr *types.Header) { hdr.Number++ }, false, ErrBadNumber},
+		{"Number", func(_ *harness, hdr *types.Header) { hdr.Number++ }, false, pow.ErrBadNumber},
 		{"Time", func(_ *harness, hdr *types.Header) { hdr.Time++ }, true, nil},
 		{"Difficulty", func(_ *harness, hdr *types.Header) { hdr.Difficulty++ }, true, nil},
 		{"Miner", func(_ *harness, hdr *types.Header) { hdr.Miner[0] ^= 1 }, true, ErrStateMismatch},
@@ -276,8 +276,7 @@ func TestSealerAndImporterAgree(t *testing.T) {
 	params := contract.DefaultParams()
 	params.DetectionWindow = 8
 	cfg := DefaultConfig(contract.New(params, verifier))
-	cfg.EnforceDifficulty = true
-	cfg.DifficultyRule = pow.DifficultyConfig{TargetBlockTime: 15, BoundDivisor: 64, Minimum: 32}
+	cfg.Rule = pow.Rule{Retarget: liveRetarget}
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(50_000),
 		h.detector.Address(): types.EtherAmount(500),
@@ -301,7 +300,7 @@ func TestSealerAndImporterAgree(t *testing.T) {
 		t.Helper()
 		timestamp := parent.Header.Time + 15_000
 		blk, err := a.BuildBlock(parent.ID(), h.miner.Address(), timestamp,
-			cfg.ExpectedDifficulty(&parent.Header, timestamp), txs)
+			cfg.Rule.Next(&parent.Header, timestamp), txs)
 		if err != nil {
 			t.Fatal(err)
 		}

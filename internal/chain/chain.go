@@ -30,18 +30,9 @@ const blockGasLimit = 100_000_000
 type Config struct {
 	// Contract is the SmartCrowd contract wired into execution.
 	Contract *contract.Contract
-	// SkipPoWCheck disables the PoW predicate for simulated chains whose
-	// sealing is sampled rather than ground (the SimSealer). Fork choice
-	// still uses declared difficulties.
-	SkipPoWCheck bool
-	// EnforceDifficulty makes block difficulty a consensus rule: each
-	// block must declare exactly the retargeted difficulty derived from
-	// its parent via DifficultyRule. Live (CPU-mined) chains enable this;
-	// simulated chains pin the paper's fixed 0xf00000.
-	EnforceDifficulty bool
-	// DifficultyRule is the retargeting rule when EnforceDifficulty is
-	// set (zero value = pow.DefaultDifficultyConfig()).
-	DifficultyRule pow.DifficultyConfig
+	// Rule is what a valid header is: pow.Declared (the zero value),
+	// pow.Sampled for simulated chains, or one with a Retarget config.
+	Rule pow.Rule
 	// ExecParallelism is ignored; kept only because the frozen benchmark
 	// assigns it. Execution is serial.
 	ExecParallelism int
@@ -60,39 +51,22 @@ type Config struct {
 	SnapshotInterval uint64
 }
 
-// ExpectedDifficulty returns the difficulty a child of parent sealed at
-// childTimeMillis must declare under the chain's retargeting rule.
-func (cfg Config) ExpectedDifficulty(parent *types.Header, childTimeMillis uint64) uint64 {
-	rule := cfg.DifficultyRule
-	if rule == (pow.DifficultyConfig{}) {
-		rule = pow.DefaultDifficultyConfig()
-	}
-	if parent.Number == 0 && parent.Difficulty == 0 {
-		return rule.Minimum // first block after a difficulty-less genesis
-	}
-	return pow.NextDifficulty(rule, parent.Difficulty, parent.Time/1000, childTimeMillis/1000)
-}
-
 // DefaultConfig returns the configuration of an in-memory chain running
-// contract c, with PoW checked and difficulty unenforced.
+// contract c under pow.Declared.
 func DefaultConfig(c *contract.Contract) Config {
-	return Config{Contract: c}
+	return Config{Contract: c, Rule: pow.Declared}
 }
 
 // Chain errors.
 var (
-	ErrUnknownParent = errors.New("chain: unknown parent block")
 	ErrKnownBlock    = errors.New("chain: block already known")
-	ErrBadNumber     = errors.New("chain: block number not parent+1")
-	ErrBadTimestamp  = errors.New("chain: timestamp not after parent")
 	ErrStateMismatch = errors.New("chain: state root mismatch")
 	ErrUnknownBlock  = errors.New("chain: unknown block")
 	// ErrBelowHorizon answers a transaction lookup on a chain installed
 	// from a snapshot when the hash is not indexed: receipts, proofs and
 	// confirmations exist only above the snapshot height (the archival
 	// horizon), so the transaction is either unknown or below it.
-	ErrBelowHorizon  = errors.New("chain: below the archival horizon")
-	ErrBadDifficulty = errors.New("chain: block difficulty violates the retarget rule")
+	ErrBelowHorizon = errors.New("chain: below the archival horizon")
 )
 
 // entry is a stored block with its execution artifacts.
@@ -573,8 +547,8 @@ func (c *Chain) HasBlock(id types.Hash) bool {
 // the canonical head changed.
 //
 // It is the single-block face of the two-stage pipeline InsertChain runs:
-// stage 1 (sender recovery, payload validation, tx-root merkle, PoW
-// predicate) executes with no lock held, and only stage 2 — the
+// stage 1 (the rule's seal, tx-root merkle, sender recovery, payload
+// validation) executes with no lock held, and only stage 2 — the
 // parent-contextual checks, execution and commit — runs under the chain
 // mutex. Single-block and batch import therefore cannot diverge.
 func (c *Chain) InsertBlock(blk *types.Block) (bool, error) {
@@ -614,9 +588,9 @@ func (c *Chain) InsertBlockTraced(rec types.BlockRecord, tc telemetry.TraceConte
 }
 
 // InsertChain imports a batch of blocks through the two-stage verification
-// pipeline: stage 1 verifies blocks' stateless properties (ECDSA sender
-// recovery via the shared pool, payload decoding, tx-root merkle
-// recomputation, the PoW predicate) in parallel across all CPUs with no
+// pipeline: stage 1 verifies blocks' stateless properties (the rule's
+// seal, tx-root merkle recomputation, ECDSA sender recovery via the shared
+// pool, payload validation) in parallel across all CPUs with no
 // lock held, while stage 2 serially executes and commits them under the
 // chain mutex, a run at a time (insertRunLocked). Runs are cut by height
 // (runEnd), and stage 2 takes a run only once stage 1 has passed all of
@@ -783,50 +757,31 @@ func (v *verification) waitUpTo(from, end int) (int, error) {
 }
 
 // verifyStatelessAt runs stage-1 verification for blocks[i], adding the
-// in-batch header-link checks (number, timestamp, difficulty retarget)
-// when the predecessor in the batch is the block's parent — those need no
-// chain state, so failing fast here keeps bad batches from reaching the
-// serial stage. stop is the pass's (see startVerify).
+// rule's link check (number, timestamp, difficulty retarget) when the
+// predecessor in the batch is the block's parent — it needs no chain
+// state, so failing fast here keeps bad batches from reaching the serial
+// stage. stop is the pass's (see startVerify).
 func (c *Chain) verifyStatelessAt(blocks []types.BlockRecord, i int, stop func() bool) error {
 	blk := blocks[i].Block
 	if i > 0 && blk.Header.ParentID == blocks[i-1].Block.ID() {
-		if err := c.verifyHeaderLink(&blocks[i-1].Block.Header, &blk.Header); err != nil {
+		if err := c.cfg.Rule.Link(&blocks[i-1].Block.Header, &blk.Header); err != nil {
 			return err
 		}
 	}
 	return c.verifyStateless(blk, stop)
 }
 
-// verifyStateless runs every check that needs no chain context — sender
-// recovery (parallel, via the shared pool, polling stop between
-// transactions), structural transaction validation, tx-root merkle
-// recomputation and the PoW predicate. It holds no locks; the chain
-// config is immutable after New.
+// verifyStateless runs every check that needs no chain context, cheapest
+// first: the rule's seal, then the block's shape — tx-root merkle
+// recomputation, sender recovery (parallel, via the shared pool, polling
+// stop between transactions) and structural transaction validation — so
+// a block with a bad seal or root costs no recovery. It holds no locks;
+// the chain config is immutable after New.
 func (c *Chain) verifyStateless(blk *types.Block, stop func() bool) error {
-	if err := types.RecoverSendersUntil(blk.Txs, stop); err != nil {
+	if err := c.cfg.Rule.Seal(&blk.Header); err != nil {
 		return err
 	}
-	return blk.VerifyShape(c.cfg.SkipPoWCheck)
-}
-
-// verifyHeaderLink enforces the parent-contextual header rules: height,
-// strictly increasing timestamp, and the difficulty retarget when the
-// chain makes difficulty a consensus rule.
-func (c *Chain) verifyHeaderLink(parent, child *types.Header) error {
-	if child.Number != parent.Number+1 {
-		return fmt.Errorf("%w: parent %d, block %d", ErrBadNumber, parent.Number, child.Number)
-	}
-	if child.Time <= parent.Time {
-		return fmt.Errorf("%w: parent %d, block %d", ErrBadTimestamp, parent.Time, child.Time)
-	}
-	if c.cfg.EnforceDifficulty {
-		want := c.cfg.ExpectedDifficulty(parent, child.Time)
-		if child.Difficulty != want {
-			return fmt.Errorf("%w: declared %d, retarget rule requires %d",
-				ErrBadDifficulty, child.Difficulty, want)
-		}
-	}
-	return nil
+	return blk.VerifyShape(stop)
 }
 
 // maxRun caps an import run. A run ends at a height that is a multiple of
@@ -900,7 +855,7 @@ func (c *Chain) executeRunLocked(blocks []types.BlockRecord) ([]*entry, error) {
 	}
 	parent, ok := c.entries[first.Header.ParentID]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, first.Header.ParentID.Short())
+		return nil, fmt.Errorf("%w: %s", pow.ErrUnknownParent, first.Header.ParentID.Short())
 	}
 	var (
 		run []*entry
@@ -958,7 +913,7 @@ func (c *Chain) extends(parent *entry, blk *types.Block) bool {
 // without freezing it. It returns the state the run goes on with, nil
 // with the error when the block fails. Callers hold the write lock.
 func (c *Chain) executeLocked(parent *entry, st *state.DB, blk *types.Block) (*state.DB, []*Receipt, error) {
-	if err := c.verifyHeaderLink(&parent.block().Header, &blk.Header); err != nil {
+	if err := c.cfg.Rule.Link(&parent.block().Header, &blk.Header); err != nil {
 		return nil, nil, err
 	}
 
@@ -1152,7 +1107,7 @@ func (c *Chain) BuildBlock(parentID types.Hash, miner types.Address, timestamp, 
 	parent, ok := c.entries[parentID]
 	if !ok {
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownParent, parentID.Short())
+		return nil, fmt.Errorf("%w: %s", pow.ErrUnknownParent, parentID.Short())
 	}
 	parentState, err := c.stateOfLocked(parent)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -14,7 +15,7 @@ func benchChain(b *testing.B, txPerBlock int) (*Chain, [][]*types.Transaction, t
 	alice := wallet.NewDeterministic("alice")
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{alice.Address(): types.EtherAmount(1_000_000)}
 	c, err := New(cfg)
 	if err != nil {

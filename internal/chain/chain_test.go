@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -32,7 +33,7 @@ func newHarness(t *testing.T) *harness {
 	}
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(5000),
 		h.detector.Address(): types.EtherAmount(50),
@@ -255,7 +256,7 @@ func TestInsertBlockValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		blk = types.Edited(blk, func(b *types.Block) { b.Header.ParentID = types.HashBytes([]byte("ghost")) })
-		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, ErrUnknownParent) {
+		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, pow.ErrUnknownParent) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -266,7 +267,7 @@ func TestInsertBlockValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 		blk = types.Edited(blk, func(b *types.Block) { b.Header.Time = head.Header.Time })
-		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, ErrBadTimestamp) {
+		if _, err := h.chain.InsertBlock(blk); !errors.Is(err, pow.ErrBadTimestamp) {
 			t.Errorf("err = %v", err)
 		}
 	})

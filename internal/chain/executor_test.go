@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -25,7 +26,7 @@ func newPoolHarness(t *testing.T, senders int) *poolHarness {
 	h := &poolHarness{t: t, miner: wallet.NewDeterministic("par-miner")}
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = make(map[types.Address]types.Amount, senders)
 	for i := 0; i < senders; i++ {
 		w := wallet.NewDeterministic(fmt.Sprintf("par-sender-%d", i))
@@ -153,7 +154,7 @@ func buildLifecycleChain(t *testing.T) (*Chain, map[types.Hash]bool) {
 	h := newHarness(t)
 	verifier := contract.VerifierFunc(func(_ types.Hash, f types.Finding) bool { return f.VulnID != "FORGED" })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	whale := types.Address{0x3A}
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(5000),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -26,7 +27,7 @@ func failedTxHarness(t *testing.T) (*harness, types.Hash) {
 	}
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(5000),
 		h.detector.Address(): types.EtherAmount(50),

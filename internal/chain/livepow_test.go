@@ -4,32 +4,24 @@ import (
 	"errors"
 	"testing"
 
-	"github.com/smartcrowd/smartcrowd/internal/contract"
 	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
+// liveRetarget is the retarget rule of the live-PoW, adoption and
+// header-rule tests.
+var liveRetarget = pow.DifficultyConfig{
+	TargetBlockTime: 15,
+	BoundDivisor:    64, // aggressive retarget so tests see movement
+	Minimum:         32, // tiny so CPU sealing is instant
+}
+
 // liveChain builds a chain that enforces real proof-of-work AND the
 // difficulty-retarget rule — the configuration an actual deployment runs.
 func liveChain(t *testing.T) (*Chain, pow.DifficultyConfig) {
 	t.Helper()
-	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
-	rule := pow.DifficultyConfig{
-		TargetBlockTime: 15,
-		BoundDivisor:    64, // aggressive retarget so tests see movement
-		Minimum:         32, // tiny so CPU sealing is instant
-	}
-	alice := wallet.NewDeterministic("alice")
-	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.EnforceDifficulty = true
-	cfg.DifficultyRule = rule
-	cfg.Alloc = map[types.Address]types.Amount{alice.Address(): types.EtherAmount(1000)}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, rule
+	return ruleChain(t, pow.Rule{Retarget: liveRetarget}, wallet.NewDeterministic("alice").Address()), liveRetarget
 }
 
 // mineLive builds, CPU-seals and inserts the next block.
@@ -37,7 +29,7 @@ func mineLive(t *testing.T, c *Chain, intervalMillis uint64, txs []*types.Transa
 	t.Helper()
 	head := c.Head()
 	timestamp := head.Header.Time + intervalMillis
-	difficulty := c.cfg.ExpectedDifficulty(&head.Header, timestamp)
+	difficulty := c.cfg.Rule.Next(&head.Header, timestamp)
 	miner := wallet.NewDeterministic("miner").Address()
 	blk, err := c.BuildBlock(head.ID(), miner, timestamp, difficulty, txs)
 	if err != nil {
@@ -92,49 +84,6 @@ func TestLivePoWEndToEnd(t *testing.T) {
 	}
 }
 
-func TestLivePoWRejectsUnminedBlock(t *testing.T) {
-	c, _ := liveChain(t)
-	head := c.Head()
-	timestamp := head.Header.Time + 15_000
-	difficulty := c.cfg.ExpectedDifficulty(&head.Header, timestamp)
-	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
-		timestamp, difficulty, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Find a nonce that does NOT satisfy PoW.
-	for blk.Header.MeetsPoW() {
-		blk.Header.Nonce++
-	}
-	if _, err := c.InsertBlock(blk); !errors.Is(err, types.ErrBlockBadPoW) {
-		t.Errorf("err = %v, want ErrBlockBadPoW", err)
-	}
-}
-
-func TestDifficultyRuleEnforced(t *testing.T) {
-	c, rule := liveChain(t)
-	mineLive(t, c, 15_000, nil)
-	head := c.Head()
-	timestamp := head.Header.Time + 15_000
-	wrong := c.cfg.ExpectedDifficulty(&head.Header, timestamp) + 1
-
-	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
-		timestamp, wrong, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealer := &pow.CPUSealer{Threads: 2}
-	sealed, err := sealer.Seal(blk.Header, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk = &types.Block{Header: sealed, Txs: blk.Txs}
-	if _, err := c.InsertBlock(blk); !errors.Is(err, ErrBadDifficulty) {
-		t.Errorf("err = %v, want ErrBadDifficulty", err)
-	}
-	_ = rule
-}
-
 func TestDifficultyRetargetsWithBlockTimes(t *testing.T) {
 	c, rule := liveChain(t)
 	// Blocks arriving much faster than the 15 s target push difficulty up.
@@ -156,5 +105,47 @@ func TestDifficultyRetargetsWithBlockTimes(t *testing.T) {
 	if slow.Header.Difficulty != rule.Minimum {
 		t.Errorf("difficulty %d did not fall to the %d floor after slow blocks",
 			slow.Header.Difficulty, rule.Minimum)
+	}
+}
+
+func TestLivePoWRejectsUnminedBlock(t *testing.T) {
+	c, _ := liveChain(t)
+	head := c.Head()
+	timestamp := head.Header.Time + 15_000
+	difficulty := c.cfg.Rule.Next(&head.Header, timestamp)
+	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
+		timestamp, difficulty, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Find a nonce that does NOT satisfy PoW.
+	for blk.Header.MeetsPoW() {
+		blk.Header.Nonce++
+	}
+	if _, err := c.InsertBlock(blk); !errors.Is(err, pow.ErrBadPoW) {
+		t.Errorf("err = %v, want ErrBadPoW", err)
+	}
+}
+
+func TestDifficultyRuleEnforced(t *testing.T) {
+	c, _ := liveChain(t)
+	mineLive(t, c, 15_000, nil)
+	head := c.Head()
+	timestamp := head.Header.Time + 15_000
+	wrong := c.cfg.Rule.Next(&head.Header, timestamp) + 1
+
+	blk, err := c.BuildBlock(head.ID(), wallet.NewDeterministic("miner").Address(),
+		timestamp, wrong, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealer := &pow.CPUSealer{Threads: 2}
+	sealed, err := sealer.Seal(blk.Header, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk = &types.Block{Header: sealed, Txs: blk.Txs}
+	if _, err := c.InsertBlock(blk); !errors.Is(err, pow.ErrBadDifficulty) {
+		t.Errorf("err = %v, want ErrBadDifficulty", err)
 	}
 }

@@ -5,16 +5,17 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// benchConfig is a chain config without PoW checks whose verifier accepts
+// benchConfig is a pow.Sampled chain config whose verifier accepts
 // every finding, over n distinct pre-funded accounts: benchAccount(i)
 // holds i+1 gwei.
 func benchConfig(n int) Config {
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = make(map[types.Address]types.Amount, n)
 	for i := 0; i < n; i++ {
 		cfg.Alloc[benchAccount(i)] = types.Amount(i + 1)
@@ -124,7 +125,7 @@ func BenchmarkSealOwnBlock(b *testing.B) {
 		}
 		verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 		cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-		cfg.SkipPoWCheck = true
+		cfg.Rule = pow.Sampled
 		cfg.Alloc = map[types.Address]types.Amount{
 			h.provider.Address(): types.EtherAmount(1_000_000),
 			h.detector.Address(): types.EtherAmount(1_000_000),
@@ -189,7 +190,7 @@ func BenchmarkSealOwnBlock(b *testing.B) {
 func BenchmarkReorgFlip(b *testing.B) {
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{}
 	c, err := New(cfg)
 	if err != nil {
@@ -256,7 +257,7 @@ func BenchmarkDetectionQuery5000Blocks(b *testing.B) {
 	}
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(50_000),
 		h.detector.Address(): types.EtherAmount(5_000),

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -22,7 +23,7 @@ func refundHarness(t *testing.T) *harness {
 	params := contract.DefaultParams()
 	params.DetectionWindow = 3
 	cfg := DefaultConfig(contract.New(params, verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{
 		h.provider.Address(): types.EtherAmount(5000),
 		h.detector.Address(): types.EtherAmount(50),

@@ -339,7 +339,7 @@ func (c *Chain) validatePrefixLocked(prefix []types.BlockRecord) error {
 			return fmt.Errorf("%w: block %d (#%d) does not extend %s",
 				ErrSnapshotChain, i, blk.Header.Number, prevID.Short())
 		}
-		if err := c.verifyHeaderLink(&prev.Header, &blk.Header); err != nil {
+		if err := c.cfg.Rule.Link(&prev.Header, &blk.Header); err != nil {
 			return err
 		}
 		prev, prevID = blk, blk.Header.ID()
@@ -469,12 +469,17 @@ func (c *Chain) AdoptSnapshot(prefix []types.BlockRecord, stateBlob []byte) erro
 	return nil
 }
 
-// verifyRecords shape-checks a snapshot prefix on its bytes, one
-// RecordVerifier per worker, and returns the first failure in order.
+// verifyRecords checks a snapshot prefix's seals and then its shapes on
+// their bytes, one RecordVerifier per worker, and returns the first
+// failure in order. A record's header is the header-only block's, which
+// the verifier holds it to, so a bad seal costs no decode.
 func (c *Chain) verifyRecords(prefix []types.BlockRecord) error {
 	checks := startVerify(len(prefix), func(stop func() bool) func(int) error {
-		v := &types.RecordVerifier{SkipPoW: c.cfg.SkipPoWCheck, Stop: stop}
+		v := &types.RecordVerifier{Stop: stop}
 		return func(i int) error {
+			if err := c.cfg.Rule.Seal(&prefix[i].Block.Header); err != nil {
+				return err
+			}
 			h, err := v.Verify(prefix[i].Raw)
 			if err == nil && h != prefix[i].Block.Header {
 				err = fmt.Errorf("%w: header differs from its record", ErrSnapshotChain)

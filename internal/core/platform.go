@@ -71,7 +71,7 @@ func NewPlatform(cfg Config) *Platform {
 	}
 	p.contract = contract.New(contract.DefaultParams(), p.verifier)
 	p.chainCfg = chain.DefaultConfig(p.contract)
-	p.chainCfg.SkipPoWCheck = true
+	p.chainCfg.Rule = pow.Sampled
 	return p
 }
 

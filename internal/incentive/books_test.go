@@ -217,7 +217,7 @@ func TestBooksCountARefund(t *testing.T) {
 // no receipts below it, so its books cannot be read whole.
 func TestBooksRefuseASnapJoinedView(t *testing.T) {
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), nil))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{outsider: types.EtherAmount(1)}
 	src, err := node.NewProvider("src", wallet.NewDeterministic("src"), cfg, nil)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package light implements SmartCrowd's lightweight-client protocol
 // (paper §V-B): detectors and consumers that "no longer construct,
 // synchronize and store a heavyweight blockchain locally". A light client
-// tracks only the header chain, verifies proof-of-work and parent links
-// itself, and checks Merkle inclusion proofs for the individual
-// transactions (SRAs, detection reports) it cares about — trusting full
-// nodes for data availability but never for validity.
+// tracks only the header chain, holds each header's seal and parent link
+// to the full nodes' own pow.Rule itself, and checks Merkle inclusion
+// proofs for the individual transactions (SRAs, detection reports) it
+// cares about — trusting full nodes for data availability but never for
+// validity.
 package light
 
 import (
@@ -12,16 +13,14 @@ import (
 	"fmt"
 
 	"github.com/smartcrowd/smartcrowd/internal/crypto/merkle"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
 
-// Light-client errors.
+// Light-client errors. A header AddHeader refuses fails with one of
+// pow's rule errors, as it would on a full node.
 var (
 	ErrUnknownHeader   = errors.New("light: unknown header")
-	ErrBadParentLink   = errors.New("light: header does not extend a known header")
-	ErrBadPoW          = errors.New("light: header fails proof-of-work")
-	ErrBadNumber       = errors.New("light: header number not parent+1")
-	ErrBadTimestamp    = errors.New("light: header timestamp not after parent")
 	ErrProofRejected   = errors.New("light: Merkle inclusion proof rejected")
 	ErrNotCanonical    = errors.New("light: header not on the best chain")
 	ErrFutureThreshold = errors.New("light: insufficient confirmations")
@@ -30,13 +29,11 @@ var (
 // HeaderChain is the light client's view: validated headers with
 // cumulative difficulty fork choice, no bodies and no state.
 type HeaderChain struct {
-	// skipPoW disables the PoW predicate for simulated chains (mirrors
-	// chain.Config.SkipPoWCheck).
-	skipPoW bool
+	// rule is what a valid header is: the full nodes' chain.Config.Rule.
+	rule pow.Rule
 
-	genesisID types.Hash
-	headers   map[types.Hash]*entry
-	head      *entry
+	headers map[types.Hash]*entry
+	head    *entry
 	// canon maps height → canonical header id.
 	canon map[uint64]types.Hash
 }
@@ -47,16 +44,16 @@ type entry struct {
 	totalDif uint64
 }
 
-// NewHeaderChain starts a light chain from a trusted genesis header.
-func NewHeaderChain(genesis types.Header, skipPoW bool) *HeaderChain {
+// NewHeaderChain starts a light chain from a trusted genesis header,
+// holding every header after it to rule.
+func NewHeaderChain(genesis types.Header, rule pow.Rule) *HeaderChain {
 	id := genesis.ID()
 	g := &entry{header: genesis}
 	hc := &HeaderChain{
-		skipPoW:   skipPoW,
-		genesisID: id,
-		headers:   map[types.Hash]*entry{id: g},
-		head:      g,
-		canon:     map[uint64]types.Hash{genesis.Number: id},
+		rule:    rule,
+		headers: map[types.Hash]*entry{id: g},
+		head:    g,
+		canon:   map[uint64]types.Hash{genesis.Number: id},
 	}
 	return hc
 }
@@ -74,26 +71,23 @@ func (hc *HeaderChain) Has(id types.Hash) bool {
 }
 
 // AddHeader validates and stores a header, updating the head when the new
-// branch carries more cumulative difficulty. The light client performs the
-// same consensus checks a full node does on headers — only state
-// execution is delegated.
+// branch carries more cumulative difficulty. The light client runs the
+// header checks a full node runs, in its order — the seal, the parent, the
+// link — and only state execution is delegated.
 func (hc *HeaderChain) AddHeader(h types.Header) error {
 	id := h.ID()
 	if _, known := hc.headers[id]; known {
 		return nil // idempotent
 	}
+	if err := hc.rule.Seal(&h); err != nil {
+		return err
+	}
 	parent, ok := hc.headers[h.ParentID]
 	if !ok {
-		return fmt.Errorf("%w: parent %s", ErrBadParentLink, h.ParentID.Short())
+		return fmt.Errorf("%w: %s", pow.ErrUnknownParent, h.ParentID.Short())
 	}
-	if h.Number != parent.header.Number+1 {
-		return fmt.Errorf("%w: parent %d, header %d", ErrBadNumber, parent.header.Number, h.Number)
-	}
-	if h.Time <= parent.header.Time {
-		return fmt.Errorf("%w: parent %d, header %d", ErrBadTimestamp, parent.header.Time, h.Time)
-	}
-	if !hc.skipPoW && !h.MeetsPoW() {
-		return ErrBadPoW
+	if err := hc.rule.Link(&parent.header, &h); err != nil {
+		return err
 	}
 	e := &entry{header: h, parent: parent, totalDif: parent.totalDif + h.Difficulty}
 	hc.headers[id] = e

@@ -6,6 +6,7 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -17,7 +18,7 @@ func fullNode(t *testing.T, blocks int) (*chain.Chain, *wallet.Wallet) {
 	alice := wallet.NewDeterministic("alice")
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{alice.Address(): types.EtherAmount(1000)}
 	c, err := chain.New(cfg)
 	if err != nil {
@@ -52,7 +53,7 @@ func fullNode(t *testing.T, blocks int) (*chain.Chain, *wallet.Wallet) {
 func syncLight(t *testing.T, c *chain.Chain) *HeaderChain {
 	t.Helper()
 	blocks := c.CanonicalBlocks()
-	hc := NewHeaderChain(blocks[0].Header, true)
+	hc := NewHeaderChain(blocks[0].Header, pow.Sampled)
 	for _, blk := range blocks[1:] {
 		if err := hc.AddHeader(blk.Header); err != nil {
 			t.Fatalf("sync header %d: %v", blk.Header.Number, err)
@@ -81,13 +82,17 @@ func TestHeaderSyncTracksHead(t *testing.T) {
 	}
 }
 
+// TestAddHeaderValidation: the light client refuses a bad link with the
+// pow sentinel and accepts a header it already holds. Every fault under
+// every rule, held to the chain's InsertBlock, is TestHeaderRuleVerdicts'
+// (internal/chain).
 func TestAddHeaderValidation(t *testing.T) {
 	c, _ := fullNode(t, 2)
 	blocks := c.CanonicalBlocks()
-	hc := NewHeaderChain(blocks[0].Header, true)
+	hc := NewHeaderChain(blocks[0].Header, pow.Sampled)
 
 	t.Run("unknown parent", func(t *testing.T) {
-		if err := hc.AddHeader(blocks[2].Header); !errors.Is(err, ErrBadParentLink) {
+		if err := hc.AddHeader(blocks[2].Header); !errors.Is(err, pow.ErrUnknownParent) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -97,14 +102,14 @@ func TestAddHeaderValidation(t *testing.T) {
 	t.Run("bad number", func(t *testing.T) {
 		h := blocks[2].Header
 		h.Number = 7
-		if err := hc.AddHeader(h); !errors.Is(err, ErrBadNumber) {
+		if err := hc.AddHeader(h); !errors.Is(err, pow.ErrBadNumber) {
 			t.Errorf("err = %v", err)
 		}
 	})
 	t.Run("stale timestamp", func(t *testing.T) {
 		h := blocks[2].Header
 		h.Time = blocks[1].Header.Time
-		if err := hc.AddHeader(h); !errors.Is(err, ErrBadTimestamp) {
+		if err := hc.AddHeader(h); !errors.Is(err, pow.ErrBadTimestamp) {
 			t.Errorf("err = %v", err)
 		}
 	})
@@ -115,13 +120,15 @@ func TestAddHeaderValidation(t *testing.T) {
 	})
 }
 
+// TestPoWEnforcedWhenNotSkipped: under pow.Declared the light client holds
+// each nonce to its header's declared difficulty.
 func TestPoWEnforcedWhenNotSkipped(t *testing.T) {
 	c, _ := fullNode(t, 1)
 	blocks := c.CanonicalBlocks()
-	hc := NewHeaderChain(blocks[0].Header, false) // enforce PoW
+	hc := NewHeaderChain(blocks[0].Header, pow.Declared)
 	h := blocks[1].Header
 	h.Difficulty = 1 << 60 // unmeetable with the stored nonce
-	if err := hc.AddHeader(h); !errors.Is(err, ErrBadPoW) {
+	if err := hc.AddHeader(h); !errors.Is(err, pow.ErrBadPoW) {
 		t.Errorf("err = %v, want ErrBadPoW", err)
 	}
 }

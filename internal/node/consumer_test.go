@@ -6,6 +6,7 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -17,7 +18,7 @@ func BenchmarkConsumerLookup(b *testing.B) {
 	provider, detector := wallet.NewDeterministic("provider"), wallet.NewDeterministic("detector")
 	sc := contract.New(contract.DefaultParams(), contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true }))
 	cfg := chain.DefaultConfig(sc)
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{
 		provider.Address(): types.EtherAmount(5000),
 		detector.Address(): types.EtherAmount(500),

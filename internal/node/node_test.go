@@ -35,7 +35,7 @@ func newCluster(t *testing.T, nProviders int, alloc map[types.Address]types.Amou
 	}
 	cl.contract = contract.New(contract.DefaultParams(), cl.verifier)
 	cfg := chain.DefaultConfig(cl.contract)
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = alloc
 	for i := 0; i < nProviders; i++ {
 		w := wallet.NewDeterministic("provider-" + string(rune('0'+i)))
@@ -465,7 +465,7 @@ func TestReopenedProviderDoesNotRebroadcastKnownBlock(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
-		cfg.SkipPoWCheck = true
+		cfg.Rule = pow.Sampled
 		cfg.Alloc = alloc
 		cfg.Storage = disk
 		p, err := NewProvider("p0", wallet.NewDeterministic("provider-0"), cfg, net)

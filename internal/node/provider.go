@@ -450,7 +450,7 @@ func (p *ProviderNode) acceptBlock(rec types.BlockRecord, from p2p.NodeID, tc te
 		// sake.
 		return
 	}
-	if errors.Is(err, chain.ErrUnknownParent) {
+	if errors.Is(err, pow.ErrUnknownParent) {
 		// Buffer the disconnected suffix for when its ancestry arrives.
 		for _, b := range rest {
 			p.bufferOrphan(b)

@@ -26,7 +26,7 @@ func (abortSealer) Seal(types.Header, <-chan struct{}) (types.Header, error) {
 func TestAbortedSealEndsItsTrace(t *testing.T) {
 	const id = "seal-abort"
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	p, err := NewProvider(id, wallet.NewDeterministic(id), cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/p2p"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/telemetry"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 )
@@ -389,7 +389,7 @@ func (p *ProviderNode) handleRangeBlocks(from p2p.NodeID, payload []byte) {
 		// cannot find the common ancestor. Ask for the announced head
 		// itself; it arrives as an orphan and the per-block backward crawl
 		// (HandleMessages) takes over now that no session suppresses it.
-		forked := s.fetched == 0 && errors.Is(insErr, chain.ErrUnknownParent)
+		forked := s.fetched == 0 && errors.Is(insErr, pow.ErrUnknownParent)
 		headID := s.targetID
 		p.abortLocked("import-failed")
 		s.mu.Unlock()

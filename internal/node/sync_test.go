@@ -29,7 +29,7 @@ type syncNet struct {
 func newSyncNet(t *testing.T) *syncNet {
 	t.Helper()
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	return &syncNet{t: t, net: p2p.New(p2p.Config{Seed: 7}), cfg: cfg}
 }
 

@@ -121,8 +121,9 @@ var _ Sealer = (*SimSealer)(nil)
 
 // Seal implements Sealer for simulated chains: Next has already drawn the
 // round's winner, so Seal stamps the header with a nonce drawn from the
-// lottery's own stream and never aborts. Simulated chains skip the PoW
-// predicate but keep the field populated so encodings stay uniform.
+// lottery's own stream and never aborts. Simulated chains run Sampled,
+// which holds no nonce to the predicate, but the field stays populated so
+// encodings stay uniform.
 func (s *SimSealer) Seal(hdr types.Header, _ <-chan struct{}) (types.Header, error) {
 	hdr.Nonce = s.rng.Uint64()
 	return hdr, nil

@@ -11,8 +11,10 @@
 //   - SimSealer (lottery.go) samples the *outcome* of the search — winner ∝
 //     hashing power, interarrival ~ exponential — so the experiment harness
 //     can reproduce the paper's multi-hour figures in seconds;
-//   - AsBuilt returns the header unchanged, for chains that skip the PoW
-//     check (core.Platform, and tests that pin nonce 0).
+//   - AsBuilt returns the header unchanged, for chains under Sampled
+//     (core.Platform, and tests that pin nonce 0).
+//
+// Rule (rule.go) is the other side: what a valid header is.
 package pow
 
 import (
@@ -36,8 +38,8 @@ type Sealer interface {
 	Seal(hdr types.Header, stop <-chan struct{}) (types.Header, error)
 }
 
-// AsBuilt is the sealer for chains with chain.Config.SkipPoWCheck: it
-// returns the header as built, nonce and all.
+// AsBuilt is the sealer for chains under Sampled, which holds no nonce
+// to its difficulty: it returns the header as built, nonce and all.
 type AsBuilt struct{}
 
 var _ Sealer = AsBuilt{}

@@ -206,7 +206,9 @@ func TestTopFiveEthereumShares(t *testing.T) {
 }
 
 func TestNextDifficulty(t *testing.T) {
-	cfg := DefaultDifficultyConfig()
+	// The paper's environment: ~15-second blocks, Ethereum's step size and
+	// its 0xf00000 testnet difficulty as the floor.
+	cfg := DifficultyConfig{TargetBlockTime: 15, BoundDivisor: 2048, Minimum: 0xf00000}
 	parent := uint64(0xf00000 * 4)
 
 	t.Run("fast block raises difficulty", func(t *testing.T) {

@@ -57,7 +57,7 @@ func newForkProvider(t *testing.T, id string, alice *wallet.Wallet) *node.Provid
 	t.Helper()
 	sc := contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false))
 	cfg := chain.DefaultConfig(sc)
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Alloc = map[types.Address]types.Amount{alice.Address(): types.EtherAmount(5000)}
 	prov, err := node.NewProvider(p2p.NodeID(id), wallet.NewDeterministic("miner"), cfg, nil)
 	if err != nil {

@@ -34,7 +34,7 @@ func TestRestartUnderConcurrentRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := chain.DefaultConfig(sc)
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Storage = disk
 	cfg.SnapshotInterval = 8
 	prov, err := node.NewProvider("restart-rpc", wallet.NewDeterministic("miner"), cfg, nil)
@@ -106,7 +106,7 @@ func TestRestartUnderConcurrentRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg2 := chain.DefaultConfig(sc)
-	cfg2.SkipPoWCheck = true
+	cfg2.Rule = pow.Sampled
 	cfg2.Storage = disk2
 	cfg2.SnapshotInterval = 8
 	reopened, err := chain.New(cfg2)

@@ -38,7 +38,7 @@ func newEnv(t *testing.T) *env { return newEnvOn(t, nil) }
 // its backend (nil keeps the chain in memory).
 func envConfig(sc *contract.Contract, storage chain.Storage) chain.Config {
 	cfg := chain.DefaultConfig(sc)
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	cfg.Storage = storage
 	cfg.Alloc = map[types.Address]types.Amount{
 		wallet.NewDeterministic("alice").Address():    types.EtherAmount(5000),
@@ -248,7 +248,7 @@ func TestProofEndpointVerifiesWithLightClient(t *testing.T) {
 	}
 	// Sync a light client from the same node and verify the proof.
 	blocks := e.provider.Chain().CanonicalBlocks()
-	hc := light.NewHeaderChain(blocks[0].Header, true)
+	hc := light.NewHeaderChain(blocks[0].Header, pow.Sampled)
 	for _, blk := range blocks[1:] {
 		if err := hc.AddHeader(blk.Header); err != nil {
 			t.Fatal(err)

@@ -228,7 +228,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	chainCfg := chain.DefaultConfig(r.contract)
-	chainCfg.SkipPoWCheck = true
+	chainCfg.Rule = pow.Sampled
 	chainCfg.Alloc = alloc
 	for i, w := range providerWallets {
 		n, err := node.NewProvider(p2p.NodeID(fmt.Sprintf("provider/%d", i)), w, chainCfg, r.net)

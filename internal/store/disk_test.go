@@ -16,6 +16,7 @@ import (
 
 	"github.com/smartcrowd/smartcrowd/internal/chain"
 	"github.com/smartcrowd/smartcrowd/internal/contract"
+	"github.com/smartcrowd/smartcrowd/internal/pow"
 	"github.com/smartcrowd/smartcrowd/internal/types"
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
@@ -34,7 +35,7 @@ type fixture struct {
 func baseConfig() chain.Config {
 	verifier := contract.VerifierFunc(func(types.Hash, types.Finding) bool { return true })
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), verifier))
-	cfg.SkipPoWCheck = true
+	cfg.Rule = pow.Sampled
 	payer := wallet.NewDeterministic("store-payer")
 	cfg.Alloc = map[types.Address]types.Amount{
 		payer.Address(): types.EtherAmount(5000),

@@ -100,8 +100,6 @@ type Block struct {
 // Block validation errors.
 var (
 	ErrBlockBadTxRoot = errors.New("types: block transaction root mismatch")
-	ErrBlockBadPoW    = errors.New("types: block does not meet proof-of-work")
-	ErrBlockNoTime    = errors.New("types: block timestamp is zero")
 	// ErrCheckStopped is a check given up at its caller's request, whose
 	// result the caller will not read (RecordVerifier.Stop,
 	// RecoverSendersUntil).
@@ -153,35 +151,22 @@ func ComputeTxRoot(txs []*Transaction) Hash {
 	return Hash(merkle.Fold(level))
 }
 
-// VerifyShape checks the block's self-consistency: timestamp, Merkle root,
-// PoW and structural transaction validity. skipPoW leaves out the two
-// sealing checks, the PoW predicate and the nonzero timestamp, for a
-// simulated chain whose sealer samples both rather than grinding them.
-// Chain-contextual checks (parent link, state transition) live in the
-// chain package.
-func (b *Block) VerifyShape(skipPoW bool) error {
-	if err := b.Header.verifyShape(ComputeTxRoot(b.Txs), skipPoW); err != nil {
+// VerifyShape checks the block's self-consistency, cheapest first: the
+// Merkle root, then the transactions — their senders recovered together
+// (RecoverSendersUntil, polling stop), then each one's structural
+// validity. The seal and the parent link are pow.Rule's, and the state
+// transition is the chain package's.
+func (b *Block) VerifyShape(stop func() bool) error {
+	if ComputeTxRoot(b.Txs) != b.Header.TxRoot {
+		return ErrBlockBadTxRoot
+	}
+	if err := RecoverSendersUntil(b.Txs, stop); err != nil {
 		return err
 	}
 	for i, tx := range b.Txs {
 		if err := tx.ValidateBasic(); err != nil {
 			return fmt.Errorf("types: block tx %d: %w", i, err)
 		}
-	}
-	return nil
-}
-
-// verifyShape is VerifyShape's part that reads no transaction, given the
-// root the transactions hash to.
-func (h *Header) verifyShape(txRoot Hash, skipPoW bool) error {
-	if !skipPoW && h.Number > 0 && h.Time == 0 {
-		return ErrBlockNoTime
-	}
-	if txRoot != h.TxRoot {
-		return ErrBlockBadTxRoot
-	}
-	if !skipPoW && h.Number > 0 && !h.MeetsPoW() {
-		return ErrBlockBadPoW
 	}
 	return nil
 }
@@ -193,8 +178,6 @@ func (h *Header) verifyShape(txRoot Hash, skipPoW bool) error {
 // record to record, so checking allocates nothing. Not safe for
 // concurrent use: give each goroutine its own.
 type RecordVerifier struct {
-	// SkipPoW leaves out the sealing checks, as VerifyShape's skipPoW does.
-	SkipPoW bool
 	// Stop, when set, is polled before each transaction's validation (and
 	// so its sender recovery); once it reports true, Verify returns
 	// ErrCheckStopped.
@@ -206,7 +189,7 @@ type RecordVerifier struct {
 }
 
 // Verify checks raw and returns its header. It walks raw twice: to decode
-// and hash, so a bad root or PoW costs no recovery, then to validate.
+// and hash, so a bad root costs no recovery, then to validate.
 func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
 	r, h := readBlock(raw)
 	v.level = v.level[:0]
@@ -219,8 +202,8 @@ func (v *RecordVerifier) Verify(raw []byte) (Header, error) {
 	if err := r.close(); err != nil {
 		return Header{}, err
 	}
-	if err := h.verifyShape(Hash(merkle.Fold(v.level)), v.SkipPoW); err != nil {
-		return h, err
+	if Hash(merkle.Fold(v.level)) != h.TxRoot {
+		return h, ErrBlockBadTxRoot
 	}
 	r, _ = readBlock(raw)
 	for i := 0; r.more(); i++ {

@@ -7,11 +7,10 @@ import (
 	"github.com/smartcrowd/smartcrowd/internal/wallet"
 )
 
-// recordCase is a block encoding and the PoW setting it is checked under.
+// recordCase is a block encoding and the verdict of its shape check.
 type recordCase struct {
-	raw     []byte
-	skipPoW bool
-	want    error // the sentinel VerifyShape's error wraps; nil = accepted
+	raw  []byte
+	want error // the sentinel VerifyShape's error wraps; nil = accepted
 }
 
 // sealRecord fills in the root and grinds the nonce of a block over txs,
@@ -64,21 +63,17 @@ func recordCases(tb testing.TB) map[string]recordCase {
 		"wrong From":        {raw: sealRecord(tb, []*Transaction{wrongFrom}, nil), want: ErrTxWrongSender},
 		"SRA of another":    {raw: sealRecord(tb, []*Transaction{foreignSRA}, nil), want: ErrTxWrongSender},
 		"bad tx root":       {raw: sealRecord(tb, honest, func(h *Header) { h.TxRoot[0] ^= 1 }), want: ErrBlockBadTxRoot},
-		"zero time":         {raw: sealRecord(tb, honest, func(h *Header) { h.Time = 0 }), want: ErrBlockNoTime},
+		"zero time":         {raw: sealRecord(tb, honest, func(h *Header) { h.Time = 0 })},
 		"truncated":         {raw: valid[:len(valid)-3], want: errDecode},
 		"trailing bytes":    {raw: append(valid[:len(valid):len(valid)], 0x80), want: errDecode},
 	}
-	// A header that claims more work than its nonce did: refused unless
-	// the predicate is skipped, when the same record is honest.
+	// A header that claims more work than its nonce did, and one stamped
+	// at time 0, have a sound shape: the seal and the link are pow.Rule's.
 	unmined := &Block{Header: Header{Number: 7, Time: 105_000, Difficulty: 1 << 62, TxRoot: ComputeTxRoot(honest)}, Txs: honest}
-	for !meetsDifficulty(unmined.Header.ID(), 16) || unmined.Header.MeetsPoW() {
+	for unmined.Header.MeetsPoW() {
 		unmined.Header.Nonce++
 	}
-	cases["bad PoW"] = recordCase{raw: EncodeBlock(unmined), want: ErrBlockBadPoW}
-	cases["bad PoW, skipped"] = recordCase{raw: EncodeBlock(unmined), skipPoW: true}
-	cases["bad tx root, PoW skipped"] = recordCase{raw: cases["bad tx root"].raw, skipPoW: true, want: ErrBlockBadTxRoot}
-	cases["zero time, PoW skipped"] = recordCase{raw: cases["zero time"].raw, skipPoW: true}
-	cases["flipped signature, PoW skipped"] = recordCase{raw: cases["flipped signature"].raw, skipPoW: true, want: ErrTxWrongSender}
+	cases["bad PoW"] = recordCase{raw: EncodeBlock(unmined)}
 	return cases
 }
 
@@ -89,14 +84,14 @@ var errDecode = errors.New("decode failure")
 // both accept, or both fail with the same error, and an accepted record
 // yields the decoded header. The verifier first checks an honest record,
 // so what it reuses from one record to the next is dirty when raw comes.
-func checkRecord(t *testing.T, raw, honest []byte, skipPoW bool) error {
+func checkRecord(t *testing.T, raw, honest []byte) error {
 	t.Helper()
 	var want error
 	blk, err := DecodeBlock(raw)
 	if want = err; err == nil {
-		want = blk.VerifyShape(skipPoW)
+		want = blk.VerifyShape(nil)
 	}
-	v := RecordVerifier{SkipPoW: skipPoW}
+	var v RecordVerifier
 	if _, err := v.Verify(honest); err != nil {
 		t.Fatalf("honest record refused: %v", err)
 	}
@@ -118,7 +113,7 @@ func TestVerifyRecordTable(t *testing.T) {
 	cases := recordCases(t)
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			err := checkRecord(t, c.raw, cases["honest"].raw, c.skipPoW)
+			err := checkRecord(t, c.raw, cases["honest"].raw)
 			switch {
 			case c.want == nil && err != nil:
 				t.Fatalf("refused: %v", err)
@@ -162,7 +157,7 @@ func TestVerifierReuseMatchesDecode(t *testing.T) {
 			if want != nil {
 				t.Fatalf("%s: %v", name, want)
 			}
-			want = blk.VerifyShape(false)
+			want = blk.VerifyShape(nil)
 			h, got := v.Verify(raw)
 			if h != blk.Header {
 				t.Errorf("%s after %v: header %+v, DecodeBlock %+v", name, walk, h, blk.Header)
@@ -175,7 +170,7 @@ func TestVerifierReuseMatchesDecode(t *testing.T) {
 }
 
 // TestVerifyRecordAllocatesNothing: a verifier that has seen a record
-// checks it again — decode, root, PoW, and one recovery per transaction —
+// checks it again — decode, root, and one recovery per transaction —
 // on the scratch it already holds.
 func TestVerifyRecordAllocatesNothing(t *testing.T) {
 	if raceEnabled {
@@ -200,8 +195,8 @@ func TestVerifyRecordAllocatesNothing(t *testing.T) {
 func FuzzVerifyRecord(f *testing.F) {
 	cases := recordCases(f)
 	for _, c := range cases {
-		f.Add(c.raw, c.skipPoW)
+		f.Add(c.raw)
 	}
 	honest := cases["honest"].raw
-	f.Fuzz(func(t *testing.T, raw []byte, skipPoW bool) { checkRecord(t, raw, honest, skipPoW) })
+	f.Fuzz(func(t *testing.T, raw []byte) { checkRecord(t, raw, honest) })
 }

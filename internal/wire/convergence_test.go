@@ -34,7 +34,7 @@ func newWireNode(t *testing.T, id string, peers ...string) *wireNode {
 func startWireNode(t *testing.T, id string, alloc map[types.Address]types.Amount, tap *linkTap, peers ...string) *wireNode {
 	t.Helper()
 	cfg := chain.DefaultConfig(contract.New(contract.DefaultParams(), detection.NewGroundTruthVerifier(false)))
-	cfg.SkipPoWCheck = true // mining is stamped, not ground, in this test
+	cfg.Rule = pow.Sampled // mining is stamped, not ground, in this test
 	cfg.Alloc = alloc
 	prov, err := node.NewProvider(p2p.NodeID(id), wallet.NewDeterministic(id), cfg, nil)
 	if err != nil {
